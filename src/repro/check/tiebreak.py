@@ -43,10 +43,11 @@ def _mix(x: int) -> int:
 
 
 class FifoTieBreak:
-    """The identity policy: canonical FIFO order through the generic
-    loop.  Exists for tests proving the generic loop replays the
-    canonical schedule exactly; passing ``tie_break=None`` (the inlined
-    fast path) is always preferable in production."""
+    """The identity policy: canonical FIFO order with every key minted
+    through a policy call.  Exists for tests proving a policy run
+    replays the canonical schedule exactly; passing ``tie_break=None``
+    (no call per event, and the compiled loop stays eligible) is
+    always preferable in production."""
 
     def __call__(self, seq: int) -> int:
         return seq

@@ -31,6 +31,7 @@ Example
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import ConfigError, DeadlockError, EventLimitExceeded, \
@@ -103,22 +104,12 @@ class SimEvent:
         if delay == 0.0:
             self._fire(value, stagger)
         else:
-            if delay < 0:
-                raise SimulationError(f"negative delay {delay!r}")
+            # A plain (event, value, stagger) record instead of a lambda
+            # closure: the run loop recognises the tuple payload on a
+            # process-less entry and calls _fire itself.  _schedule
+            # rejects a negative delay before the event is marked.
+            self.sim._schedule(delay, None, (self, value, stagger))
             self.scheduled = True
-            # Direct heap record instead of a lambda closure: the run
-            # loop recognises the (event, value, stagger) tuple payload
-            # and calls _fire itself (same schedule, no allocation of a
-            # closure + cells per delayed fire).
-            sim = self.sim
-            sim._seq += 1
-            tb = sim.tie_break
-            key = sim._seq if tb is None else tb(sim._seq)
-            item = (sim.now + delay, key, None, (self, value, stagger))
-            if sim._equeue is None:
-                heapq.heappush(sim._heap, item)
-            else:
-                sim._equeue.push(item)
 
     def _fire(self, value: Any, stagger: float) -> None:
         self.fired = True
@@ -160,23 +151,6 @@ class Process:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name} {'alive' if self.alive else 'done'}>"
 
-    def _step(self, send_value: Any) -> None:
-        """Advance the generator one yield; wire up the next awaitable."""
-        try:
-            awaited = self.body.send(send_value)
-        except StopIteration as stop:
-            self.alive = False
-            self.done.succeed(stop.value)
-            return
-        if isinstance(awaited, Timeout):
-            self.sim._schedule(awaited.delay, self, awaited.value)
-        elif isinstance(awaited, SimEvent):
-            awaited.add_waiter(self)
-        else:
-            raise SimulationError(
-                f"process {self.name!r} yielded non-awaitable {awaited!r}"
-            )
-
 
 class Simulator:
     """The discrete-event engine: clock, heap, and process bookkeeping."""
@@ -207,11 +181,11 @@ class Simulator:
         #: Optional schedule-exploration hook (``repro.check``): maps the
         #: monotone sequence number of each scheduled event to the heap
         #: sort key used to tie-break simultaneous events.  ``None`` (the
-        #: default) keeps the FIFO ``_seq`` order and the inlined hot
-        #: loops bit-identical; a policy routes execution through the
-        #: generic :meth:`_run_policy` loop instead.  A policy MUST be
-        #: injective (include ``seq`` in the key) and return mutually
-        #: comparable keys, or heap ordering breaks.
+        #: default) keeps the FIFO ``_seq`` order; a policy is applied
+        #: to every key :meth:`run` and :meth:`_schedule` mint (and
+        #: keeps the compiled loop off).  A policy MUST be injective
+        #: (include ``seq`` in the key) and return mutually comparable
+        #: keys, or heap ordering breaks.
         self.tie_break = tie_break
         #: Optional :class:`repro.sim.trace.Tracer` for engine-level
         #: events (interrupts).  Set by the owning machine when tracing
@@ -221,9 +195,9 @@ class Simulator:
         #: Resolved execution backend ("fast"/"pure", see
         #: :mod:`repro.fastpath`).  ``_crun`` holds the compiled run
         #: loop when it can actually drive this simulator: the C loop
-        #: mirrors the inlined heap loop only, so tie-break policies
-        #: and the bucket queue keep their Python loops (a "fast"
-        #: resolution still vectorizes tree expansion in that case).
+        #: mirrors :meth:`run` over the heap with FIFO keys only, so
+        #: tie-break policies and the bucket queue stay in Python (a
+        #: "fast" resolution still vectorizes tree expansion then).
         from repro.fastpath import resolve as _resolve_fastpath
         self.fastpath = _resolve_fastpath(fastpath)
         self._crun = None
@@ -234,7 +208,11 @@ class Simulator:
 
     # -- scheduling ------------------------------------------------------
 
-    def _schedule(self, delay: float, proc: Process, value: Any) -> None:
+    def _schedule(self, delay: float, proc: Optional[Process],
+                  value: Any) -> None:
+        """Queue ``proc``'s resumption with ``value`` after ``delay``.
+        A ``None`` process marks an engine-side record: ``value`` is a
+        bare callback or a delayed ``(event, value, stagger)`` fire."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
         self._seq += 1
@@ -248,16 +226,7 @@ class Simulator:
 
     def _call_at(self, delay: float, fn: Callable[[], None]) -> None:
         """Schedule a bare callback (used for delayed event firing)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        self._seq += 1
-        tb = self.tie_break
-        key = self._seq if tb is None else tb(self._seq)
-        item = (self.now + delay, key, None, fn)
-        if self._equeue is None:
-            heapq.heappush(self._heap, item)
-        else:
-            self._equeue.push(item)
+        self._schedule(delay, None, fn)
 
     def spawn(self, body: ProcessBody, name: str = "", delay: float = 0.0) -> Process:
         """Register a generator as a process, starting after ``delay``."""
@@ -314,7 +283,7 @@ class Simulator:
         )
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the heap drains (or sim-time ``until`` is reached).
+        """Run until the queue drains (or sim-time ``until`` is reached).
 
         Returns the final simulation time.  Raises
         :class:`EventLimitExceeded` if the event budget would be
@@ -324,38 +293,46 @@ class Simulator:
         indicates a livelocked protocol rather than a legitimately long
         run.
 
-        This is the hottest loop in the repository: every simulated
-        interaction of every run passes through it once.  It therefore
-        hoists all attribute lookups into locals, keeps the event
-        counter in a local (synced back in ``finally``), dispatches the
-        awaitable with exact-class checks (``isinstance`` only as a
-        subclass fallback), and inlines :meth:`Process._step` /
-        :meth:`_schedule` for the two common awaitables.  The
-        ``until=None`` case -- every full run -- skips the deadline
-        check entirely.  The schedule it executes is bit-identical to
-        the naive loop's.
+        This is the only Python dispatch loop, and the hottest loop in
+        the repository: every simulated interaction of every run passes
+        through it once, whatever the queue backend, tie-break policy
+        or deadline.  The three are parameters, not copies: the queue
+        is ``(queue, pop, push)`` -- ``heapq`` on the heap list or the
+        unbound :class:`~repro.sim.equeue.BucketQueue` methods, which
+        dispatch in the identical order -- ``until=None`` is an
+        infinite deadline, and a policy maps each key as it is minted
+        (the identity policy executes the canonical schedule exactly).
+        The loop hoists all attribute lookups into locals, keeps the
+        event counter in a local (synced back in ``finally``),
+        dispatches the awaitable with exact-class checks
+        (``isinstance`` only as a subclass fallback), and mints the
+        queue record inline for the two common awaitables instead of
+        calling :meth:`_schedule`.  With the compiled backend the same
+        loop runs in C (heap queue and FIFO keys only).
         """
-        if self.tie_break is not None:
-            # Schedule exploration: the inlined loops below assume FIFO
-            # seq keys (they mint keys inline); a policy run takes the
-            # generic loop so every push goes through the policy.
-            return self._run_policy(until)
-        if self._equeue is not None:
-            return self._run_bucket(until)
-        if self._crun is not None:
+        tb = self.tie_break
+        if self._crun is not None and tb is None:
             return self._crun(self, until)
-        if until is not None:
-            return self._run_until(until)
-        heap = self._heap
-        pop = heapq.heappop
-        push = heapq.heappush
+        if self._equeue is None:
+            queue, pop, push = self._heap, heapq.heappop, heapq.heappush
+        else:
+            queue, pop, push = (self._equeue, BucketQueue.pop,
+                                BucketQueue.push)
+        deadline = math.inf if until is None else until
         timeout_cls = Timeout
         event_cls = SimEvent
         n = self.events_processed
         limit = self.max_events
         try:
-            while heap:
-                time, _seq, proc, value = pop(heap)
+            while queue:
+                item = pop(queue)
+                time, _key, proc, value = item
+                if time > deadline:
+                    # Not consumed: push back (same tuple, same key) so
+                    # a later run() continues cleanly.
+                    push(queue, item)
+                    self.now = until
+                    return until
                 if proc is not None:
                     if not proc.alive:
                         # Stale resumption of an interrupted process
@@ -369,9 +346,8 @@ class Simulator:
                     if n >= limit:
                         raise self._limit_error()
                     n += 1
-                    body = proc.body
                     try:
-                        awaited = body.send(value)
+                        awaited = proc.body.send(value)
                     except StopIteration as stop:
                         proc.alive = False
                         proc.done.succeed(stop.value)
@@ -381,8 +357,9 @@ class Simulator:
                     if cls is timeout_cls:
                         # Timeout validated delay >= 0 at construction.
                         self._seq = seq = self._seq + 1
-                        push(heap, (time + awaited.delay, seq, proc,
-                                    awaited.value))
+                        push(queue, (time + awaited.delay,
+                                     seq if tb is None else tb(seq),
+                                     proc, awaited.value))
                     elif cls is event_cls:
                         if awaited.fired:
                             # Late waiter on an already-fired event
@@ -390,7 +367,9 @@ class Simulator:
                             # times are non-negative sums of validated
                             # delays, so ``time`` == ``time + 0.0``).
                             self._seq = seq = self._seq + 1
-                            push(heap, (time, seq, proc, awaited.value))
+                            push(queue, (time,
+                                         seq if tb is None else tb(seq),
+                                         proc, awaited.value))
                         else:
                             awaited._waiters.append(proc)
                     elif isinstance(awaited, timeout_cls):
@@ -413,179 +392,6 @@ class Simulator:
                         ev._fire(val, stagger)
                     else:
                         value()  # bare callback (_call_at)
-        finally:
-            self.events_processed = n
-        return self.now
-
-    def _run_until(self, until: float) -> float:
-        """The deadline-checked variant of :meth:`run` (pause/resume)."""
-        heap = self._heap
-        pop = heapq.heappop
-        push = heapq.heappush
-        n = self.events_processed
-        limit = self.max_events
-        try:
-            while heap:
-                item = pop(heap)
-                time = item[0]
-                if time > until:
-                    # Not consumed: push back (same tuple, same seq) so
-                    # a later run() continues cleanly.
-                    push(heap, item)
-                    self.now = until
-                    return self.now
-                proc = item[2]
-                if proc is not None and not proc.alive:
-                    continue  # stale resumption, never counted
-                self.now = time
-                if n >= limit:
-                    raise self._limit_error()
-                n += 1
-                if proc is None:
-                    value = item[3]
-                    if value.__class__ is tuple:
-                        ev, val, stagger = value
-                        ev._fire(val, stagger)
-                    else:
-                        value()
-                    continue
-                was_alive = proc.alive
-                proc._step(item[3])
-                if was_alive and not proc.alive:
-                    self._live_processes -= 1
-        finally:
-            self.events_processed = n
-        return self.now
-
-    def _run_bucket(self, until: Optional[float]) -> float:
-        """The :meth:`run` loop over the bucket queue backend.
-
-        Mirrors the inlined heap loop (same dispatch, same stale-entry
-        skip, same exact budget check) with pops/pushes routed through
-        :class:`~repro.sim.equeue.BucketQueue`.  Dispatch order -- and
-        therefore every result -- is identical to the heap loop's.
-        """
-        eq = self._equeue
-        pop = eq.pop
-        push = eq.push
-        timeout_cls = Timeout
-        event_cls = SimEvent
-        n = self.events_processed
-        limit = self.max_events
-        try:
-            while eq:
-                item = pop()
-                time = item[0]
-                if until is not None and time > until:
-                    # Not consumed: push back (same tuple, same seq) so
-                    # a later run() continues cleanly.
-                    push(item)
-                    self.now = until
-                    return self.now
-                proc = item[2]
-                value = item[3]
-                if proc is not None:
-                    if not proc.alive:
-                        continue  # stale resumption, never counted
-                    self.now = time
-                    if n >= limit:
-                        raise self._limit_error()
-                    n += 1
-                    body = proc.body
-                    try:
-                        awaited = body.send(value)
-                    except StopIteration as stop:
-                        proc.alive = False
-                        proc.done.succeed(stop.value)
-                        self._live_processes -= 1
-                        continue
-                    cls = awaited.__class__
-                    if cls is timeout_cls:
-                        self._seq = seq = self._seq + 1
-                        push((time + awaited.delay, seq, proc,
-                              awaited.value))
-                    elif cls is event_cls:
-                        if awaited.fired:
-                            self._seq = seq = self._seq + 1
-                            push((time, seq, proc, awaited.value))
-                        else:
-                            awaited._waiters.append(proc)
-                    elif isinstance(awaited, timeout_cls):
-                        self._schedule(awaited.delay, proc, awaited.value)
-                    elif isinstance(awaited, event_cls):
-                        awaited.add_waiter(proc)
-                    else:
-                        raise SimulationError(
-                            f"process {proc.name!r} yielded "
-                            f"non-awaitable {awaited!r}"
-                        )
-                else:
-                    self.now = time
-                    if n >= limit:
-                        raise self._limit_error()
-                    n += 1
-                    if value.__class__ is tuple:
-                        # Delayed event fire (see SimEvent.succeed).
-                        ev, val, stagger = value
-                        ev._fire(val, stagger)
-                    else:
-                        value()  # bare callback (_call_at)
-        finally:
-            self.events_processed = n
-        return self.now
-
-    def _run_policy(self, until: Optional[float]) -> float:
-        """Generic loop used when a ``tie_break`` policy is installed.
-
-        Semantically identical to :meth:`run` / :meth:`_run_until`
-        except that every event scheduled from inside the loop goes
-        through :meth:`_schedule` (and thus the policy) instead of the
-        inlined FIFO pushes.  With the identity policy ``lambda s: s``
-        this executes the exact canonical schedule.  Works over either
-        queue backend, so tie-break exploration composes with the
-        bucket queue.
-        """
-        eq = self._equeue
-        if eq is None:
-            heap = self._heap
-            queue_nonempty = heap.__len__
-            pop_item = lambda: heapq.heappop(heap)          # noqa: E731
-            push_item = lambda it: heapq.heappush(heap, it)  # noqa: E731
-        else:
-            queue_nonempty = eq.__len__
-            pop_item = eq.pop
-            push_item = eq.push
-        n = self.events_processed
-        limit = self.max_events
-        try:
-            while queue_nonempty():
-                item = pop_item()
-                time = item[0]
-                if until is not None and time > until:
-                    # Not consumed: push back (same tuple, same key) so
-                    # a later run() continues cleanly.
-                    push_item(item)
-                    self.now = until
-                    return self.now
-                proc = item[2]
-                if proc is not None and not proc.alive:
-                    continue  # stale resumption, never counted
-                self.now = time
-                if n >= limit:
-                    raise self._limit_error()
-                n += 1
-                if proc is None:
-                    value = item[3]
-                    if value.__class__ is tuple:
-                        ev, val, stagger = value
-                        ev._fire(val, stagger)
-                    else:
-                        value()
-                    continue
-                was_alive = proc.alive
-                proc._step(item[3])
-                if was_alive and not proc.alive:
-                    self._live_processes -= 1
         finally:
             self.events_processed = n
         return self.now

@@ -21,13 +21,11 @@ non-work-stealing baseline the E14 ablation compares against.
 
 from repro.errors import ConfigError
 from repro.ws.algorithms.base import AlgorithmBase
-from repro.ws.algorithms.distmem import UpcDistMem
-from repro.ws.algorithms.distmem_hier import UpcDistMemHier
+from repro.ws.algorithms.distmem import UpcDistMem, UpcDistMemHier
 from repro.ws.algorithms.fencefree import WsFenceFree
+from repro.ws.algorithms.lock_based import (UpcSharedMem, UpcTerm,
+                                            UpcTermRapdif)
 from repro.ws.algorithms.mpi_ws import MpiWorkStealing
-from repro.ws.algorithms.rapdif import UpcTermRapdif
-from repro.ws.algorithms.shared_mem import UpcSharedMem
-from repro.ws.algorithms.term import UpcTerm
 from repro.ws.algorithms.treesplit import TreeSplit
 
 ALGORITHMS = {

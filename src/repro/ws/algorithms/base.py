@@ -1,9 +1,14 @@
-"""Shared machinery for the five load-balancing implementations.
+"""Shared machinery for the load-balancing implementations.
 
 :class:`AlgorithmBase` owns the per-thread stacks, stats, ``work_avail``
-array, and the tree-exploration inner loop.  Subclasses supply
-``thread_main`` -- a generator per UPC thread driving the state machine
-of Figure 1 -- built from the helpers here.
+array, the tree-exploration inner loop, and the protocol-independent
+skeleton of Figure 1: the ``thread_main`` state machine, the probe /
+back-off search phase (polling and parked), and the glue that swaps
+in the compiled phases of :mod:`repro.fastpath`.  A variant supplies
+what differs -- its working phase, its ``try_steal``, and (for
+request/response protocols) the ``request`` poll slots with their
+``service_request`` -- and may replace ``thread_main`` wholesale when
+its idle side is not a probe loop (``mpi-ws``, ``tree-split``).
 
 Simulation granularity: tree nodes are visited for real (SHA-1 spawns
 and exact counts) in *batches* of at most ``poll_interval`` nodes;
@@ -20,7 +25,8 @@ from typing import Generator, List
 
 from repro.errors import ConfigError, ProtocolError
 from repro.metrics.counters import ThreadStats
-from repro.metrics.states import SEARCHING, WORKING, StateTimer
+from repro.metrics.states import (SEARCHING, STEALING, WORKING,
+                                   StateTimer)
 from repro.pgas.collectives import reduction_time
 from repro.pgas.machine import Machine, UpcContext
 from repro.sim.engine import Timeout
@@ -85,6 +91,12 @@ class AlgorithmBase:
     droppable_tags: frozenset = frozenset()
     #: Message tags the fault layer may duplicate.
     duplicable_tags: frozenset = frozenset()
+    #: Victim-side poll slots: per-rank shared variables a thief writes
+    #: its ID into, tested at every poll point of the search phases and
+    #: answered by :meth:`service_request` (``upc-distmem``'s request
+    #: variables).  None when thieves take work themselves, under the
+    #: victim's lock, so a victim has nothing to poll.
+    request = None
 
     def __init__(self, machine: Machine, tree: Tree, cfg: WsConfig) -> None:
         self.machine = machine
@@ -179,7 +191,7 @@ class AlgorithmBase:
         self._ref_rows: dict = {}
         #: Fused expansion hook: a materialized tree runs the DFS inner
         #: loop against its flat arrays (bit-identical, no per-node
-        #: children() call); implicit trees use the generic loop below.
+        #: children() call); implicit trees use explore_batch's own loop.
         #: With the compiled backend selected, the same inner loop runs
         #: in C (repro.fastpath._core.batch_expand -- an exact mirror,
         #: so the pops/pushes/visit counts cannot diverge).
@@ -242,6 +254,13 @@ class AlgorithmBase:
                 f"{sorted(supported)}; got {key!r}"
             )
         self._termination = TERMINATION_POLICIES.get(key)(self)
+        #: Compiled-phase fusion (repro.fastpath): None = undecided (the
+        #: gates are checked at the first thread resume, after the
+        #: adversaries install), else whether the C state machines
+        #: replace the generators.  ``_c_phases`` caches the per-rank
+        #: phase objects, built on demand.
+        self._fuse = None
+        self._c_phases: dict = {}
         self.setup()
         if cfg.adversaries:
             # Installed last: the actors mutate the per-rank tables
@@ -254,7 +273,59 @@ class AlgorithmBase:
         """Hook for subclass shared state (locks, barriers, slots)."""
 
     def thread_main(self, ctx: UpcContext) -> Generator:
-        raise NotImplementedError
+        """Figure 1's state machine, parameterized by the termination
+        policy: work while the stack holds nodes, search per the
+        policy's persistence rule, run its detection phase when the
+        search gives up.  The four UPC variants are this one loop with
+        different policies, steal protocols and poll slots plugged in;
+        park mode swaps in the event-driven search/termination phases,
+        and the compiled backend swaps in the fused C phases (identical
+        yields and counters), which bounce back here whenever a steal
+        request needs the Python service path.
+        """
+        rank = ctx.rank
+        term = self._termination
+        park = self._gate is not None and term.park_capable
+        search = self.search_phase_park if park else self.search_phase
+        terminate = (self.termination_phase_park if park
+                     else self.termination_phase)
+        persist = term.persist_while_working
+        fuse = self._fuse
+        if fuse is None:
+            fuse = self._fuse = self._fusion_enabled()
+        phase = sphase = None
+        if fuse:
+            phase = self._compiled(self._build_c_phase, rank)
+            if type(self).search_phase is AlgorithmBase.search_phase:
+                sphase = self._compiled(self._build_c_search, rank)
+        while True:
+            if not self.stacks[rank].is_empty:
+                if phase is not None:
+                    res = yield phase
+                    while res is not None:
+                        yield from self.service_request(ctx)
+                        res = yield phase
+                else:
+                    yield from self.working_phase(ctx)
+            if sphase is not None:
+                found = yield from self._search_fused(ctx, sphase)
+            else:
+                found = yield from search(ctx, persist_while_working=persist)
+            if found:
+                continue
+            terminated = yield from terminate(ctx)
+            if terminated:
+                break
+        # A last denial sweep: a thief's request may have landed while
+        # we were inside the announcing barrier.
+        yield from self.service_request(ctx)
+        yield from self.final_reduction(ctx)
+
+    def service_request(self, ctx: UpcContext) -> Generator:
+        """Victim-side poll point: answer a steal request pending in
+        ``request[rank]``.  Nothing to serve without poll slots."""
+        return
+        yield  # pragma: no cover - generator marker
 
     def guarded_main(self, ctx: UpcContext) -> Generator:
         """``thread_main`` under a fail-stop guard (faulted runs only).
@@ -419,6 +490,247 @@ class AlgorithmBase:
             ]
         return row
 
+    # -- searching ---------------------------------------------------------
+
+    def search_phase(self, ctx: UpcContext,
+                     persist_while_working: bool = True) -> Generator:
+        """Probe for a victim; steal if found.
+
+        Returns True once work is in hand.  Returns False when the
+        thread should enter termination detection: after a single
+        failed cycle if ``persist_while_working`` is False (sharedmem,
+        Sect. 3.1), or only once every other thread reports NO_WORK if
+        True (streamlined, Sect. 3.3.1).  With poll slots, a pending
+        steal request is serviced at the top of every cycle, so a
+        searching victim denies promptly (Sect. 3.3.3).
+        """
+        rank = ctx.rank
+        st = self.stats[rank]
+        req_slot = self.request[rank] if self.request is not None else None
+        row = self._ref_row(rank)
+        slots = self._wa_slots
+        # Fault-free, a staleable slot's window can never open, so the
+        # probe may read the value directly (identical result) instead
+        # of paying remote_read's staleness bookkeeping per victim.
+        fast = self._fast
+        cycle = self.probe_orders[rank].cycle
+        backoff = self.cfg.search_backoff_min
+        while True:
+            if req_slot is not None and req_slot.value is not None:
+                yield from self.service_request(ctx)
+            any_working = False
+            cost_acc = 0.0
+            for victim in cycle():
+                st.probes += 1
+                cost_acc += row[victim]
+                avail = (slots[victim].value if fast else
+                         slots[victim].remote_read(ctx.now, rank))
+                if avail == 0:
+                    any_working = True
+                elif avail > 0:
+                    if cost_acc > 0:
+                        yield from ctx.compute(cost_acc)
+                        cost_acc = 0.0
+                    self.enter_state(ctx, STEALING)
+                    ok = yield from self.try_steal(ctx, victim)
+                    self.enter_state(ctx, SEARCHING)
+                    if ok:
+                        return True
+                    # Empty or denied: "the probe proceeds to the next
+                    # victim" (Sect. 3.1; likewise 3.3.3).
+                    any_working = True
+            if cost_acc > 0:
+                yield from ctx.compute(cost_acc)
+            if not persist_while_working or not any_working:
+                return False
+            yield from ctx.compute(backoff)
+            backoff = min(backoff * self.cfg.search_backoff_factor,
+                          self.cfg.search_backoff_max)
+
+    def search_phase_park(self, ctx: UpcContext,
+                          persist_while_working: bool = True) -> Generator:
+        """Event-driven :meth:`search_phase` (``idle_strategy="park"``).
+
+        Two deviations from polling, both keyed off the idle gate's
+        exact counters (updated synchronously at every ``work_avail``
+        write, so never stale):
+
+        * A probe cycle runs only while ``gate.n_surplus > 0`` -- when
+          no thread has stealable work, a full scan *provably* fails,
+          so the thread skips straight to parking instead of paying n
+          probes to learn nothing.  (The real machine pays those futile
+          probes; E11's polling baseline still does.)  A cycle also
+          stops early once the last surplus is consumed mid-scan.
+        * Between cycles the thread parks on the gate rather than
+          keeping a backoff Timeout in the event queue.  Park requires
+          ``n_surplus == 0 and n_active > 0``, checked atomically with
+          registration (no yield in between, so no missed wakeup); a
+          new surplus wakes a bounded batch of parked threads, and the
+          last active rank going idle wakes everyone, so every park is
+          eventually woken.  On wake the thread resumes at the next tick
+          of its virtual polling cadence (:meth:`_park_resume_delay`),
+          never probing more often than the polling build would.
+
+        With poll slots a pending steal request is serviced at the top
+        of every iteration *and* immediately on wake -- a thief's
+        targeted wake means a request is waiting and the thief is
+        blocked on our answer.
+
+        Probes price references with :meth:`ref_cost_bounds` arithmetic
+        instead of the cached ``_ref_row`` -- at 4096 threads the
+        per-rank row cache is O(n^2) floats, and a parked machine runs
+        too few cycles to amortize it -- and draw victims from
+        :meth:`~repro.ws.policies.ProbeOrder.lazy_cycle`, so a scan the
+        gate cuts short costs O(probed), not O(n), host-side.
+        """
+        rank = ctx.rank
+        st = self.stats[rank]
+        gate = self._gate
+        req_slot = self.request[rank] if self.request is not None else None
+        slots = self._wa_slots
+        node_lo, node_hi, c_local, c_remote = self.net.ref_cost_bounds(rank)
+        lazy_cycle = self.probe_orders[rank].lazy_cycle
+        bmax = self.cfg.search_backoff_max
+        bfactor = self.cfg.search_backoff_factor
+        backoff = self.cfg.search_backoff_min
+        while True:
+            if req_slot is not None and req_slot.value is not None:
+                yield from self.service_request(ctx)
+            if gate.n_surplus > 0:
+                cost_acc = 0.0
+                n_probes = 0
+                for victim in lazy_cycle():
+                    if gate.n_surplus == 0:
+                        break  # last surplus consumed mid-scan
+                    n_probes += 1
+                    cost_acc += (c_local if node_lo <= victim < node_hi
+                                 else c_remote)
+                    avail = slots[victim].value
+                    if avail > 0:
+                        st.probes += n_probes
+                        n_probes = 0
+                        if cost_acc > 0:
+                            yield from ctx.compute(cost_acc)
+                            cost_acc = 0.0
+                        self.enter_state(ctx, STEALING)
+                        ok = yield from self.try_steal(ctx, victim)
+                        self.enter_state(ctx, SEARCHING)
+                        if ok:
+                            return True
+                st.probes += n_probes
+                if cost_acc > 0:
+                    yield from ctx.compute(cost_acc)
+                if not persist_while_working:
+                    return False
+                # Failed cycle with surplus still visible: stay on the
+                # polling cadence so the next attempt happens promptly.
+                yield from ctx.compute(backoff)
+                backoff = min(backoff * bfactor, bmax)
+                continue
+            if not persist_while_working:
+                return False
+            if gate.n_active == 0:
+                # Globally idle (exact, not a stale probe snapshot):
+                # enter termination detection.
+                return False
+            # Some thread is working but nothing is stealable: park.
+            t_park = ctx.now
+            ctx.trace("idle.park")
+            yield gate.park(rank)
+            ctx.trace("idle.wake")
+            if req_slot is not None and req_slot.value is not None:
+                # Serviced before rejoining the cadence: the requesting
+                # thief is blocked on this answer right now.
+                yield from self.service_request(ctx)
+            delay, backoff = self._park_resume_delay(
+                t_park, backoff, ctx.now, bmax, bfactor)
+            if delay > 0:
+                yield Timeout(delay)
+
+    # -- compiled-phase fusion (repro.fastpath) -----------------------------
+
+    def _fusion_enabled(self) -> bool:
+        """Whether the compiled phases may replace the generators.
+
+        Every gate guards a behaviour the C state machines do not
+        reproduce: a fused phase is exactly the fault-free, trace-off,
+        poll-mode, materialized-tree generator, so anything else --
+        faults, tracing, the idle gate, an implicit tree, or (per
+        protocol, :meth:`_fusable`) a subclass override of a method the
+        C code stands in for -- falls back to the generator.  The
+        schedules are bit-identical either way; only host speed
+        differs.
+        """
+        if (self.sim._crun is None
+                or not self._fast
+                or self.tracer.enabled
+                or self._gate is not None
+                or self._visit_timeouts is None
+                or getattr(self.tree, "_kid_map", None) is None
+                or getattr(self.tree, "_base", None) is None):
+            return False
+        return self._fusable()
+
+    def _fusable(self) -> bool:
+        """The protocol's own fusion gates; no compiled phase exists
+        for a protocol that does not override this."""
+        return False
+
+    def _compiled(self, build, rank: int):
+        """``build(rank)`` -- one of the ``_build_c_*`` binders -- once
+        per rank: a compiled phase is bound to that rank's objects and
+        reused across episodes."""
+        key = (build.__name__, rank)
+        ph = self._c_phases.get(key)
+        if ph is None:
+            ph = self._c_phases[key] = build(rank)
+        return ph
+
+    def _c_phase_args(self, rank: int, poke_enter: bool,
+                      poke_exit: bool) -> dict:
+        """The arguments every compiled working phase takes: the rank's
+        stack containers, counters and tree map, and the callbacks for
+        ``working_phase``'s entry and exit (state timer, plus the
+        ``work_avail`` poke where the generator makes one there).
+
+        The costs handed over are the exact floats the generator's
+        precomputed Timeouts carry (``Timeout.delay`` read back, not
+        recomputed), so the C phase schedules the identical timestamps.
+        """
+        sim = self.sim
+        stack = self.stacks[rank]
+        st = self.stats[rank]
+        timer = st.timer
+        wa = self.work_avail[rank]
+
+        def enter_cb() -> None:
+            timer.enter(WORKING, sim.now)
+            if poke_enter:
+                wa.poke(stack.shared_chunks)
+
+        def exit_cb() -> None:
+            if poke_exit:
+                wa.poke(NO_WORK)
+            timer.enter(SEARCHING, sim.now)
+
+        return dict(
+            sim=sim,
+            local=stack.local,
+            shared=stack.shared,
+            shared_append=stack.shared.append,
+            shared_pop=stack.shared.pop,
+            stack=stack,
+            st_dict=st.__dict__,
+            enter_cb=enter_cb,
+            exit_cb=exit_cb,
+            kid_map=self.tree._kid_map,
+            children_fb=self.tree._base.children,
+            visit_costs=[t.delay for t in self._visit_timeouts_for(rank)],
+            chunk=self.cfg.chunk_size,
+            thresh=self._release_threshold,
+            limit=self._poll_interval,
+        )
+
     def _probe_segments(self, rank: int):
         """The rank's probe order as static victim segments, for the
         compiled search phase's native shuffle.
@@ -441,6 +753,59 @@ class AlgorithmBase:
             return [list(po._on_node), list(po._off_node)], rng.getrandbits
         return None, None
 
+    def _build_c_search(self, rank: int):
+        """Bind one ``repro.fastpath._core.SearchPhase`` to this rank's
+        probe order, cost row, work-avail slots, and poll slot.
+
+        ``cycle`` is the rank's own :meth:`ProbeOrder.cycle`, so the C
+        loop consumes the RNG stream exactly as the generator's ``for
+        victim in cycle()`` would; ``slow`` folds in the per-thread
+        compute multiplier the same way ``ctx.compute`` does.  A
+        ``req_slot`` makes the C round-top test the request variable
+        and bounce ``True`` for :meth:`service_request`.
+        """
+        from repro.fastpath import load_core
+        segments, getrandbits = self._probe_segments(rank)
+        return load_core().SearchPhase(
+            sim=self.sim,
+            st_dict=self.stats[rank].__dict__,
+            cycle=self.probe_orders[rank].cycle,
+            row=self._ref_row(rank),
+            slots=self._wa_slots,
+            req_slot=(self.request[rank] if self.request is not None
+                      else None),
+            backoff_min=self.cfg.search_backoff_min,
+            backoff_factor=self.cfg.search_backoff_factor,
+            backoff_max=self.cfg.search_backoff_max,
+            slow=self.machine.contexts[rank]._slow,
+            persist=self._termination.persist_while_working,
+            segments=segments,
+            getrandbits=getrandbits,
+        )
+
+    def _search_fused(self, ctx: UpcContext, phase) -> Generator:
+        """Drive the compiled :meth:`search_phase`.
+
+        The C loop probes and backs off; it bounces back here with
+        ``True`` when our own poll slot holds a pending thief (the
+        victim-side poll at the top of each round) and with the
+        victim's rank for every steal attempt.  Both run the unmodified
+        Python protocol methods; a successful steal ends the episode
+        without re-yielding the phase."""
+        res = yield phase
+        while res is not None:
+            if res is True:
+                yield from self.service_request(ctx)
+            else:
+                self.enter_state(ctx, STEALING)
+                ok = yield from self.try_steal(ctx, res)
+                self.enter_state(ctx, SEARCHING)
+                if ok:
+                    phase.abort()
+                    return True
+            res = yield phase
+        return False
+
     # -- tree exploration (the hot loop) -----------------------------------
 
     def explore_batch(self, rank: int) -> int:
@@ -454,29 +819,24 @@ class AlgorithmBase:
         local = stack.local
         limit = self._poll_interval
         thresh = self._release_threshold
-        tr = self.tracer
         if self._batch_expand is not None:
             n, pushed = self._batch_expand(local, limit, thresh)
-            stack.pops += n
-            stack.pushes += pushed
-            self.stats[rank].nodes_visited += n
-            if tr.enabled and n:
-                tr.emit(self.machine.sim.now, rank, "visit", f"n={n}")
-            return n
-        children = self.tree.children
-        n = 0
-        pushed = 0
-        while local and n < limit:
-            kids = children(local.pop())
-            if kids:
-                local.extend(kids)
-                pushed += len(kids)
-            n += 1
-            if len(local) >= thresh:
-                break
+        else:
+            children = self.tree.children
+            n = 0
+            pushed = 0
+            while local and n < limit:
+                kids = children(local.pop())
+                if kids:
+                    local.extend(kids)
+                    pushed += len(kids)
+                n += 1
+                if len(local) >= thresh:
+                    break
         stack.pops += n
         stack.pushes += pushed
         self.stats[rank].nodes_visited += n
+        tr = self.tracer
         if tr.enabled and n:
             tr.emit(self.machine.sim.now, rank, "visit", f"n={n}")
         return n

@@ -1,4 +1,5 @@
-"""``upc-distmem``: the distributed-memory algorithm (Sect. 3.3).
+"""``upc-distmem``: the distributed-memory algorithm (Sect. 3.3), and
+its locality-aware ``upc-distmem-hier`` declaration (Sect. 6.2).
 
 All three refinements together:
 
@@ -19,19 +20,24 @@ state (working, searching, in-barrier, and -- under fault injection --
 even while itself blocked awaiting a steal response), so a thief never
 waits unboundedly: either the request is granted, or it is denied and
 the thief resumes probing.
+
+The main loop and both search phases are the shared skeleton in
+:class:`~repro.ws.algorithms.base.AlgorithmBase`; this class plugs in
+the ``request`` poll slots, :meth:`UpcDistMem.service_request`, and the
+lock-less working phase.
 """
 
 from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-from repro.metrics.states import SEARCHING, STEALING, WORKING
+from repro.metrics.states import SEARCHING, WORKING
 from repro.pgas.machine import UpcContext
 from repro.sim.engine import SimEvent, Timeout
 from repro.ws.algorithms.base import NO_WORK, AlgorithmBase, flatten
 from repro.ws.policies import steal_half
 
-__all__ = ["UpcDistMem"]
+__all__ = ["UpcDistMem", "UpcDistMemHier"]
 
 #: Sentinel a thief's give-up watch fires its response event with when
 #: the victim is suspected dead (distinguishable from a denial ``[]``).
@@ -55,15 +61,6 @@ class UpcDistMem(AlgorithmBase):
         #: the victim fires with the granted chunks (spinning on it is a
         #: local read, hence free for the thief).
         self.response_events: List[Optional[SimEvent]] = [None] * self.machine.n_threads
-        #: Compiled working-phase state machines (repro.fastpath), one
-        #: per rank, built lazily when the fused fast path applies.
-        self._c_phases: dict = {}
-        self._fuse = None
-        #: Compiled search-phase fusion (repro.fastpath.SearchPhase):
-        #: probes and backoff in C; steals and request service bounce
-        #: back to the Python protocol methods.
-        self._c_searches: dict = {}
-        self._sfuse = None
 
     # -- victim side -----------------------------------------------------------
 
@@ -283,12 +280,8 @@ class UpcDistMem(AlgorithmBase):
         vt = self._visit_timeouts_for(rank) if self._fast else None
         tn = self.t_node_of(rank)
         thresh = self._release_threshold
-        limit = self._poll_interval
         chunk = self.cfg.chunk_size
-        be = self._batch_expand
         explore = self.explore_batch
-        tr = self.tracer
-        sim = self.sim
         while True:
             if req_slot.value is not None:
                 yield from self.service_request(ctx)
@@ -305,17 +298,7 @@ class UpcDistMem(AlgorithmBase):
                     st.reacquires += 1
                     continue
                 break
-            if be is not None:
-                # explore_batch's bookkeeping, inlined (same counters,
-                # same trace) to skip the wrapper call per batch.
-                n, pushed = be(local, limit, thresh)
-                stack.pops += n
-                stack.pushes += pushed
-                st.nodes_visited += n
-                if n and tr.enabled:
-                    tr.emit(sim.now, rank, "visit", f"n={n}")
-            else:
-                n = explore(rank)
+            n = explore(rank)
             if n:
                 if vt is not None:
                     yield vt[n]
@@ -340,119 +323,6 @@ class UpcDistMem(AlgorithmBase):
             yield from self.service_request(ctx)
         self.enter_state(ctx, SEARCHING)
 
-    # -- searching ------------------------------------------------------------------
-
-    def search_phase(self, ctx: UpcContext) -> Generator:
-        rank = ctx.rank
-        st = self.stats[rank]
-        req_slot = self.request[rank]
-        row = self._ref_row(rank)
-        slots = self._wa_slots
-        # See LockBasedAlgorithm.search_phase: fault-free, a direct
-        # value read is identical to remote_read.
-        fast = self._fast
-        cycle = self.probe_orders[rank].cycle
-        backoff = self.cfg.search_backoff_min
-        while True:
-            if req_slot.value is not None:
-                yield from self.service_request(ctx)
-            any_working = False
-            cost_acc = 0.0
-            for victim in cycle():
-                st.probes += 1
-                cost_acc += row[victim]
-                avail = (slots[victim].value if fast else
-                         slots[victim].remote_read(ctx.now, rank))
-                if avail == 0:
-                    any_working = True
-                elif avail > 0:
-                    if cost_acc > 0:
-                        yield from ctx.compute(cost_acc)
-                        cost_acc = 0.0
-                    self.enter_state(ctx, STEALING)
-                    ok = yield from self.try_steal(ctx, victim)
-                    self.enter_state(ctx, SEARCHING)
-                    if ok:
-                        return True
-                    # Denied: "continue probing other threads" (3.3.3).
-                    any_working = True
-            if cost_acc > 0:
-                yield from ctx.compute(cost_acc)
-            if not any_working:
-                return False
-            yield from ctx.compute(backoff)
-            backoff = min(backoff * self.cfg.search_backoff_factor,
-                          self.cfg.search_backoff_max)
-
-    def search_phase_park(self, ctx: UpcContext) -> Generator:
-        """Event-driven :meth:`search_phase` (``idle_strategy="park"``).
-
-        Same probe/request protocol per cycle; cycles run only while
-        the gate reports surplus, and between them the thread parks
-        (see ``LockBasedAlgorithm.search_phase_park`` for the skip and
-        cadence rationale).  Two distmem specifics: a pending steal
-        request is serviced at the top of every iteration *and*
-        immediately on wake -- a thief's targeted wake means a request
-        is waiting and the thief is blocked on our answer -- and probes
-        use :meth:`ref_cost_bounds` arithmetic plus a lazy probe order
-        rather than the O(n) cached row and up-front shuffle.
-        """
-        rank = ctx.rank
-        st = self.stats[rank]
-        gate = self._gate
-        req_slot = self.request[rank]
-        slots = self._wa_slots
-        node_lo, node_hi, c_local, c_remote = self.net.ref_cost_bounds(rank)
-        lazy_cycle = self.probe_orders[rank].lazy_cycle
-        bmax = self.cfg.search_backoff_max
-        bfactor = self.cfg.search_backoff_factor
-        backoff = self.cfg.search_backoff_min
-        while True:
-            if req_slot.value is not None:
-                yield from self.service_request(ctx)
-            if gate.n_surplus > 0:
-                cost_acc = 0.0
-                n_probes = 0
-                for victim in lazy_cycle():
-                    if gate.n_surplus == 0:
-                        break  # last surplus consumed mid-scan
-                    n_probes += 1
-                    cost_acc += (c_local if node_lo <= victim < node_hi
-                                 else c_remote)
-                    avail = slots[victim].value
-                    if avail > 0:
-                        st.probes += n_probes
-                        n_probes = 0
-                        if cost_acc > 0:
-                            yield from ctx.compute(cost_acc)
-                            cost_acc = 0.0
-                        self.enter_state(ctx, STEALING)
-                        ok = yield from self.try_steal(ctx, victim)
-                        self.enter_state(ctx, SEARCHING)
-                        if ok:
-                            return True
-                        # Denied: "continue probing" (3.3.3).
-                st.probes += n_probes
-                if cost_acc > 0:
-                    yield from ctx.compute(cost_acc)
-                yield from ctx.compute(backoff)
-                backoff = min(backoff * bfactor, bmax)
-                continue
-            if gate.n_active == 0:
-                return False
-            t_park = ctx.now
-            ctx.trace("idle.park")
-            yield gate.park(rank)
-            ctx.trace("idle.wake")
-            if req_slot.value is not None:
-                # Serviced before rejoining the cadence: the requesting
-                # thief is blocked on this answer right now.
-                yield from self.service_request(ctx)
-            delay, backoff = self._park_resume_delay(
-                t_park, backoff, ctx.now, bmax, bfactor)
-            if delay > 0:
-                yield Timeout(delay)
-
     def barrier_service_hook(self, ctx: UpcContext) -> Generator:
         """In-barrier threads still deny racing steal requests."""
         if self.request[ctx.rank].value is not None:
@@ -465,81 +335,15 @@ class UpcDistMem(AlgorithmBase):
         super().on_thread_death(rank)
         self.response_events[rank] = None
 
-    def thread_main(self, ctx: UpcContext) -> Generator:
-        # Park mode swaps in the event-driven search/termination
-        # variants; the working phase is shared with polling.
-        park = self._gate is not None
-        search = self.search_phase_park if park else self.search_phase
-        terminate = (self.termination_phase_park if park
-                     else self.termination_phase)
-        fuse = self._fuse
-        if fuse is None:
-            fuse = self._fuse = self._fusion_enabled()
-        phase = self._c_phase(ctx.rank) if fuse else None
-        sfuse = self._sfuse
-        if sfuse is None:
-            sfuse = self._sfuse = (
-                fuse and type(self).search_phase
-                is UpcDistMem.search_phase)
-        sphase = self._c_search(ctx.rank) if sfuse else None
-        while True:
-            if not self.stacks[ctx.rank].is_empty:
-                if phase is not None:
-                    # Compiled working phase: the C state machine runs
-                    # the poll/visit/release/reacquire loop (identical
-                    # yields and counters to working_phase) and bounces
-                    # back here -- with a non-None value -- whenever a
-                    # steal request needs the Python service path.
-                    res = yield phase
-                    while res is not None:
-                        yield from self.service_request(ctx)
-                        res = yield phase
-                else:
-                    yield from self.working_phase(ctx)
-            if sphase is not None:
-                found = yield from self._search_fused(ctx, sphase)
-            else:
-                found = yield from search(ctx)
-            if found:
-                continue
-            terminated = yield from terminate(ctx)
-            if terminated:
-                break
-        # A last denial sweep: a thief's request may have landed while
-        # we were inside the announcing barrier.
-        yield from self.service_request(ctx)
-        yield from self.final_reduction(ctx)
-
     # -- compiled working-phase fusion (repro.fastpath) -----------------------
 
-    def _fusion_enabled(self) -> bool:
-        """Whether the compiled OwnerPhase may replace ``working_phase``.
-
-        Same contract as ``LockBasedAlgorithm._fusion_enabled``: the
-        fused phase reproduces exactly the fault-free, trace-off,
-        poll-mode, materialized-tree generator (steal requests bounce
-        back to :meth:`service_request`, which stays in Python), so
-        anything else falls back.  Schedules are bit-identical either
-        way; only host speed differs.
-        """
-        if (self.sim._crun is None
-                or not self._fast
-                or self.tracer.enabled
-                or self._gate is not None
-                or self._visit_timeouts is None
-                or getattr(self.tree, "_kid_map", None) is None
-                or getattr(self.tree, "_base", None) is None):
-            return False
+    def _fusable(self) -> bool:
+        """The OwnerPhase mirrors :meth:`working_phase` inside the
+        shared main loop (steal requests bounce back to
+        :meth:`service_request`, which stays in Python)."""
         cls = type(self)
         return (cls.working_phase is UpcDistMem.working_phase
-                and cls.thread_main is UpcDistMem.thread_main)
-
-    def _c_phase(self, rank: int):
-        """The rank's compiled working phase, built on first use."""
-        ph = self._c_phases.get(rank)
-        if ph is None:
-            ph = self._c_phases[rank] = self._build_c_phase(rank)
-        return ph
+                and cls.thread_main is AlgorithmBase.thread_main)
 
     def _build_c_phase(self, rank: int):
         """Bind one ``repro.fastpath._core.OwnerPhase`` to this rank's
@@ -547,102 +351,36 @@ class UpcDistMem(AlgorithmBase):
 
         ``req_slot`` makes the C loop test our request variable at
         every poll point and bounce to :meth:`service_request`; there
-        is no message endpoint, so ``poll``/``pending`` stay None.
+        is no message endpoint, so ``poll``/``pending`` stay None.  The
+        exit NO_WORK poke and the racing-request denial run in C / via
+        the bounce, so only the entry callback pokes ``work_avail``.
         """
         from repro.fastpath import load_core
-        core = load_core()
-        sim = self.sim
-        stack = self.stacks[rank]
-        st = self.stats[rank]
-        timer = st.timer
-        wa = self.work_avail[rank]
-        vt = self._visit_timeouts_for(rank)
-
-        def enter_cb() -> None:
-            # working_phase entry: enter_state(WORKING) + surplus poke.
-            timer.enter(WORKING, sim.now)
-            wa.poke(stack.shared_chunks)
-
-        def exit_cb() -> None:
-            # working_phase exit: the NO_WORK poke and the racing-
-            # request denial already ran (in C / via the bounce).
-            timer.enter(SEARCHING, sim.now)
-
-        return core.OwnerPhase(
-            sim=sim,
-            local=stack.local,
-            shared=stack.shared,
-            shared_append=stack.shared.append,
-            shared_pop=stack.shared.pop,
-            stack=stack,
-            st_dict=st.__dict__,
-            wa=wa,
+        return load_core().OwnerPhase(
+            **self._c_phase_args(rank, poke_enter=True, poke_exit=False),
+            wa=self.work_avail[rank],
             no_work=NO_WORK,
             req_slot=self.request[rank],
             poll=None,
             pending=None,
-            enter_cb=enter_cb,
-            exit_cb=exit_cb,
-            kid_map=self.tree._kid_map,
-            children_fb=self.tree._base.children,
-            visit_costs=[t.delay for t in vt],
-            chunk=self.cfg.chunk_size,
-            thresh=self._release_threshold,
-            limit=self._poll_interval,
         )
 
-    def _search_fused(self, ctx: UpcContext, phase) -> Generator:
-        """Drive the compiled :meth:`search_phase`.
 
-        The C loop probes and backs off; it bounces back here with
-        ``True`` when our own request slot holds a pending thief (the
-        victim-side poll at the top of each round) and with the
-        victim's rank for every steal attempt.  Both run the unmodified
-        Python protocol methods; a successful steal ends the episode
-        without re-yielding the phase."""
-        res = yield phase
-        while res is not None:
-            if res is True:
-                yield from self.service_request(ctx)
-            else:
-                self.enter_state(ctx, STEALING)
-                ok = yield from self.try_steal(ctx, res)
-                self.enter_state(ctx, SEARCHING)
-                if ok:
-                    phase.abort()
-                    return True
-            res = yield phase
-        return False
+class UpcDistMemHier(UpcDistMem):
+    """Sect. 6.2, the paper's stated future work: "first try to steal
+    work within a cluster node before probing off-node" (discoverable
+    in Berkeley UPC through ``bupc_thread_distance()``).
 
-    def _c_search(self, rank: int):
-        """The rank's compiled search phase, built on first use."""
-        ph = self._c_searches.get(rank)
-        if ph is None:
-            ph = self._c_searches[rank] = self._build_c_search(rank)
-        return ph
+    ``upc-distmem`` with a hierarchical probe order: every probe cycle
+    inspects the same-node ranks (node-local shared references, ~50x
+    cheaper on the cluster models) before any off-node rank, and
+    in-barrier probing prefers on-node victims.  On machines with
+    multicore nodes (Kitty Hawk: 4 ranks/node; Topsail: 8) this
+    shortens the work-discovery path whenever a neighbour has surplus.
+    The whole difference is the class attribute below: ``upc-distmem``
+    with ``victim_policy="hierarchical"`` in the config produces this
+    variant's schedule bit-for-bit (pinned by ``tests/scenarios``).
+    """
 
-    def _build_c_search(self, rank: int):
-        """Bind one ``repro.fastpath._core.SearchPhase`` to this rank's
-        probe order, cost row, work-avail slots, and request variable.
-
-        ``req_slot`` makes the C round-top test our request variable
-        and bounce ``True`` for :meth:`service_request`; the streamlined
-        search always persists while any thread still works."""
-        from repro.fastpath import load_core
-        core = load_core()
-        segments, getrandbits = self._probe_segments(rank)
-        return core.SearchPhase(
-            sim=self.sim,
-            st_dict=self.stats[rank].__dict__,
-            cycle=self.probe_orders[rank].cycle,
-            row=self._ref_row(rank),
-            slots=self._wa_slots,
-            req_slot=self.request[rank],
-            backoff_min=self.cfg.search_backoff_min,
-            backoff_factor=self.cfg.search_backoff_factor,
-            backoff_max=self.cfg.search_backoff_max,
-            slow=self.machine.contexts[rank]._slow,
-            persist=True,
-            segments=segments,
-            getrandbits=getrandbits,
-        )
+    name = "upc-distmem-hier"
+    victim_policy = "hierarchical"

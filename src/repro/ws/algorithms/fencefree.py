@@ -100,12 +100,9 @@ class WsFenceFree(LockBasedAlgorithm):
         self.dup_chunks = 0
         self.dup_nodes = 0
         self._dup_unhashable = False
-        # No locks, no compiled fusion: the fence-free phases are not
-        # the lock-based state machine the C core mirrors.
-        self._c_phases = {}
-        self._fuse = False
-        self._c_searches = {}
-        self._sfuse = False
+        # No locks (and, with working_phase overridden, no compiled
+        # fusion: the fence-free phases are not the lock-based state
+        # machine the C core mirrors), so no per-release barrier hook.
         self._after_release_hook = False
 
     # -- owner side (lock-free put/take) -----------------------------------

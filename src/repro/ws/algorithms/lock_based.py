@@ -1,4 +1,5 @@
-"""Lock-based stack machinery shared by the upc-sharedmem family.
+"""Lock-based stack machinery and the three variants declared on it:
+``upc-sharedmem``, ``upc-term`` and ``upc-term-rapdif``.
 
 Sect. 3.1: every thread's shared stack region is guarded by a global
 lock.  The owner locks to ``release``/``reacquire``; thieves lock to
@@ -11,17 +12,24 @@ so remote thieves holding it for a full remote round trip stall the
 working thread -- "multiple remote threads attempting to steal work
 from the working thread can keep the stack locked for a comparatively
 long time".
+
+The variants are *policy declarations* over that machinery: the main
+loop and search skeleton live in
+:class:`~repro.ws.algorithms.base.AlgorithmBase`, the barrier protocols
+in :mod:`repro.ws.termination.strategies`, so each class below names a
+(steal amount, termination) pair and nothing else.
 """
 
 from __future__ import annotations
 
 from typing import Generator
 
-from repro.metrics.states import SEARCHING, STEALING, WORKING
+from repro.metrics.states import SEARCHING, WORKING
 from repro.sim.engine import SimEvent, Timeout
 from repro.ws.algorithms.base import NO_WORK, AlgorithmBase, flatten
+from repro.ws.policies import steal_half, steal_one
 
-__all__ = ["LockBasedAlgorithm"]
+__all__ = ["LockBasedAlgorithm", "UpcSharedMem", "UpcTerm", "UpcTermRapdif"]
 
 #: Shared zero-cost Timeout: yielding it schedules the same
 #: ``(now, next_seq)`` resumption an immediately-granted lock event
@@ -55,103 +63,14 @@ class LockBasedAlgorithm(AlgorithmBase):
         self._after_release_hook = (
             self._termination.resets_on_release
             or type(self).after_release is not LockBasedAlgorithm.after_release)
-        #: Compiled working-phase fusion (repro.fastpath.LockPhase):
-        #: None = undecided (gates checked at first thread resume, after
-        #: adversaries install), False = run the generator, else a
-        #: per-rank cache of LockPhase objects built on demand.
-        self._c_phases: dict = {}
-        self._fuse = None
-        #: Compiled search-phase fusion (repro.fastpath.SearchPhase):
-        #: same lifecycle; steals stay in Python via the bounce protocol.
-        self._c_searches: dict = {}
-        self._sfuse = None
-
-    # -- main loop -------------------------------------------------------------
-
-    def thread_main(self, ctx) -> Generator:
-        """Figure 1's state machine, parameterized by the termination
-        policy: work while the stack holds nodes, search per the
-        policy's persistence rule, run its detection phase when the
-        search gives up.  ``upc-sharedmem`` and ``upc-term`` are this
-        one loop with different policies plugged in.
-        """
-        term = self._termination
-        park = self._gate is not None and term.park_capable
-        search = self.search_phase_park if park else self.search_phase
-        terminate = (self.termination_phase_park if park
-                     else self.termination_phase)
-        persist = term.persist_while_working
-        fuse = self._fuse
-        if fuse is None:
-            fuse = self._fuse = self._fusion_enabled()
-        phase = self._c_phase(ctx.rank) if fuse else None
-        sfuse = self._sfuse
-        if sfuse is None:
-            sfuse = self._sfuse = (
-                fuse and type(self).search_phase
-                is LockBasedAlgorithm.search_phase)
-        sphase = self._c_search(ctx.rank) if sfuse else None
-        while True:
-            if not self.stacks[ctx.rank].is_empty:
-                if phase is not None:
-                    # Compiled working phase: the C dispatch loop runs
-                    # the entire deplete/release/reacquire state machine
-                    # (identical yields and counters to working_phase)
-                    # and resumes this generator when the stack drains.
-                    yield phase
-                else:
-                    yield from self.working_phase(ctx)
-            if sphase is not None:
-                found = yield from self._search_fused(ctx, sphase)
-            else:
-                found = yield from search(ctx, persist_while_working=persist)
-            if found:
-                continue
-            terminated = yield from terminate(ctx)
-            if terminated:
-                break
-        yield from self.final_reduction(ctx)
-
-    def _search_fused(self, ctx, phase) -> Generator:
-        """Drive the compiled :meth:`search_phase`.
-
-        The C loop probes and backs off; it bounces back here -- with
-        the victim's rank -- for every steal attempt, which runs the
-        unmodified Python :meth:`try_steal` protocol.  A successful
-        steal ends the episode without re-yielding the phase."""
-        res = yield phase
-        while res is not None:
-            self.enter_state(ctx, STEALING)
-            ok = yield from self.try_steal(ctx, res)
-            self.enter_state(ctx, SEARCHING)
-            if ok:
-                phase.abort()
-                return True
-            res = yield phase
-        return False
 
     # -- compiled working-phase fusion (repro.fastpath) -----------------------
 
-    def _fusion_enabled(self) -> bool:
-        """Whether the compiled LockPhase may replace ``working_phase``.
-
-        Every gate guards a behaviour the C state machine does not
-        reproduce: the fused phase is exactly the fault-free, trace-off,
-        poll-mode, materialized-tree generator below (with at most the
-        cancelable barrier's release-reset), so anything else -- faults,
-        tracing, the idle gate, an implicit tree, a subclass override,
-        a custom termination detector -- falls back to the generator.
-        The schedules are bit-identical either way; only host speed
-        differs.
+    def _fusable(self) -> bool:
+        """The LockPhase mirrors :meth:`working_phase` with at most the
+        stock cancelable barrier's release-reset, so a subclass
+        override or a custom termination detector keeps the generator.
         """
-        if (self.sim._crun is None
-                or not self._fast
-                or self.tracer.enabled
-                or self._gate is not None
-                or self._visit_timeouts is None
-                or getattr(self.tree, "_kid_map", None) is None
-                or getattr(self.tree, "_base", None) is None):
-            return False
         cls = type(self)
         if (cls.working_phase is not LockBasedAlgorithm.working_phase
                 or cls.after_release is not LockBasedAlgorithm.after_release):
@@ -170,110 +89,32 @@ class LockBasedAlgorithm(AlgorithmBase):
                 return False
         return True
 
-    def _c_phase(self, rank: int):
-        """The rank's compiled working phase, built on first use."""
-        ph = self._c_phases.get(rank)
-        if ph is None:
-            ph = self._c_phases[rank] = self._build_c_phase(rank)
-        return ph
-
     def _build_c_phase(self, rank: int):
         """Bind one ``repro.fastpath._core.LockPhase`` to this rank's
-        stack, lock, and counters.
-
-        The costs handed over are the exact floats the generator's
-        precomputed Timeouts carry (``Timeout.delay`` read back, not
-        recomputed), so the C phase schedules the identical timestamps.
-        """
+        stack, own-stack lock, and counters (entry and exit both poke
+        ``work_avail``, as :meth:`working_phase` does)."""
         from repro.fastpath import load_core
-        core = load_core()
-        sim = self.sim
-        stack = self.stacks[rank]
-        st = self.stats[rank]
-        timer = st.timer
-        wa = self.work_avail[rank]
         lk, lock_to, unlock_to = self._own_lock[rank]
         fifo = lk.fifo
-        vt = self._visit_timeouts_for(rank)
         if self._after_release_hook:
             barrier_dict = self._termination.barrier.__dict__
             reset_cost = self.net.shared_ref(rank, 0)
         else:
             barrier_dict = None
             reset_cost = 0.0
-
-        def enter_cb() -> None:
-            # working_phase entry: enter_state(WORKING) + surplus poke.
-            timer.enter(WORKING, sim.now)
-            wa.poke(stack.shared_chunks)
-
-        def exit_cb() -> None:
-            # working_phase exit: NO_WORK poke + enter_state(SEARCHING).
-            wa.poke(NO_WORK)
-            timer.enter(SEARCHING, sim.now)
-
-        return core.LockPhase(
-            sim=sim,
-            local=stack.local,
-            shared=stack.shared,
-            shared_append=stack.shared.append,
-            shared_pop=stack.shared.pop,
-            stack=stack,
-            st_dict=st.__dict__,
-            wa=wa,
+        return load_core().LockPhase(
+            **self._c_phase_args(rank, poke_enter=True, poke_exit=True),
+            wa=self.work_avail[rank],
             fifo=fifo,
             queue=fifo._queue,
             queue_append=fifo._queue.append,
             queue_popleft=fifo._queue.popleft,
             ev_name=fifo._ev_name,
-            enter_cb=enter_cb,
-            exit_cb=exit_cb,
-            kid_map=self.tree._kid_map,
-            children_fb=self.tree._base.children,
             barrier_dict=barrier_dict,
-            visit_costs=[t.delay for t in vt],
             lock_to=lock_to.delay if lock_to is not None else -1.0,
             unlock_to=unlock_to.delay if unlock_to is not None else -1.0,
             reset_cost=reset_cost,
             home_occupancy=self.net.home_occupancy,
-            chunk=self.cfg.chunk_size,
-            thresh=self._release_threshold,
-            limit=self._poll_interval,
-        )
-
-    def _c_search(self, rank: int):
-        """The rank's compiled search phase, built on first use."""
-        ph = self._c_searches.get(rank)
-        if ph is None:
-            ph = self._c_searches[rank] = self._build_c_search(rank)
-        return ph
-
-    def _build_c_search(self, rank: int):
-        """Bind one ``repro.fastpath._core.SearchPhase`` to this rank's
-        probe order, cost row, and work-avail slots.
-
-        ``cycle`` is the rank's own :meth:`ProbeOrder.cycle`, so the C
-        loop consumes the RNG stream exactly as the generator's ``for
-        victim in cycle()`` would; ``slow`` folds in the per-thread
-        compute multiplier the same way ``ctx.compute`` does.
-        """
-        from repro.fastpath import load_core
-        core = load_core()
-        segments, getrandbits = self._probe_segments(rank)
-        return core.SearchPhase(
-            sim=self.sim,
-            st_dict=self.stats[rank].__dict__,
-            cycle=self.probe_orders[rank].cycle,
-            row=self._ref_row(rank),
-            slots=self._wa_slots,
-            req_slot=None,
-            backoff_min=self.cfg.search_backoff_min,
-            backoff_factor=self.cfg.search_backoff_factor,
-            backoff_max=self.cfg.search_backoff_max,
-            slow=self.machine.contexts[rank]._slow,
-            persist=self._termination.persist_while_working,
-            segments=segments,
-            getrandbits=getrandbits,
         )
 
     # -- working phase ---------------------------------------------------------
@@ -294,20 +135,25 @@ class LockBasedAlgorithm(AlgorithmBase):
             gate.note(rank, stack.shared_chunks)
         # Hot loop: aliases to the stack's in-place-mutated containers
         # plus the precomputed per-batch visit Timeouts.  On fault-free
-        # runs the bodies of ``release``/``reacquire`` (and the stack
-        # moves and lock transitions inside them) are inlined below --
-        # identical yields, counters, and traces, without a generator
-        # frame per lock transaction.  Faulted runs take the method
-        # calls, which roll stalls and keep pending/holder bookkeeping.
+        # runs the own-lock transactions of ``release``/``reacquire``
+        # (and the stack moves and lock transitions inside them) are
+        # inlined below -- identical yields, counters, and traces,
+        # without a generator frame per lock transaction.  This is the
+        # one hand-inlining the ledger pays for: calling the methods
+        # instead costs 12-20% on the upc-term / upc-term-rapdif k=2
+        # cells of fig4-pure (0.29-0.32 -> 0.33-0.36 ref_s; 6% on
+        # upc-sharedmem k=2, 3% on the workload), over ROADMAP's
+        # 10%-on-a-cell bar (docs/performance.md).  Faulted runs
+        # take the method calls, which roll stalls and keep
+        # pending/holder bookkeeping; the two are pinned bit-identical
+        # by tests/ws/test_inlined_equals_generic.py.
         local = stack.local
         shared = stack.shared
         fast = self._fast
         vt = self._visit_timeouts_for(rank) if fast else None
         tn = self.t_node_of(rank)
         thresh = self._release_threshold
-        limit = self._poll_interval
         chunk = self.cfg.chunk_size
-        be = self._batch_expand
         explore = self.explore_batch
         tr = self.tracer
         sim = self.sim
@@ -359,15 +205,7 @@ class LockBasedAlgorithm(AlgorithmBase):
                         tr.emit(sim.now, rank, "lock.rel", lk.name)
                     continue
                 break
-            if be is not None:
-                n, pushed = be(local, limit, thresh)
-                stack.pops += n
-                stack.pushes += pushed
-                st.nodes_visited += n
-                if n and tr.enabled:
-                    tr.emit(sim.now, rank, "visit", f"n={n}")
-            else:
-                n = explore(rank)
+            n = explore(rank)
             if n:
                 if vt is not None:
                     yield vt[n]
@@ -423,55 +261,23 @@ class LockBasedAlgorithm(AlgorithmBase):
         self.enter_state(ctx, SEARCHING)
 
     def release(self, ctx) -> Generator:
-        """Move one chunk local -> shared, under the own-stack lock."""
+        """Move one chunk local -> shared, under the own-stack lock.
+
+        The generic transaction: :meth:`working_phase` reaches it only
+        on faulted runs (``ctx.lock``/``ctx.unlock`` roll stalls and
+        keep the pending/holder bookkeeping fail-stop recovery reads)
+        and inlines the fault-free equivalent."""
         rank = ctx.rank
         stack = self.stacks[rank]
-        tr = self.tracer
-        if self._fast:
-            # Inlined ctx.lock/ctx.unlock on our own stack lock: same
-            # yields (cost Timeout, grant, unlock Timeout) with the
-            # constant costs precomputed in setup().  Fault-free only:
-            # no stall roll, and the pending/holder bookkeeping (read
-            # only by fail-stop recovery) is skipped.  An uncontended
-            # grant needs no SimEvent at all -- a zero Timeout schedules
-            # the identical resumption.
-            lk, lock_to, unlock_to = self._own_lock[rank]
-            fifo = lk.fifo
-            sim = self.sim
-            if lock_to is not None:
-                yield lock_to
-            if not fifo.locked:
-                fifo.locked = True
-                fifo.acquisitions += 1
-                fifo._acquired_at = sim.now
-                yield _T0
-            else:
-                ev = SimEvent(sim, fifo._ev_name)
-                fifo.contended_acquisitions += 1
-                fifo._queue.append(ev)
-                yield ev
-            if tr.enabled:
-                tr.emit(sim.now, rank, "lock.acq", lk.name)
-            stack.release(self.cfg.chunk_size)
-            wa = self.work_avail[rank]
-            wa.writes += 1
-            wa.value = len(stack.shared)
-            if self._gate is not None:
-                self._gate.note(rank, len(stack.shared))
-            if unlock_to is not None:
-                yield unlock_to
-            fifo.release()
-            if tr.enabled:
-                tr.emit(sim.now, rank, "lock.rel", lk.name)
-        else:
-            lk = self.stack_locks[rank]
-            yield from ctx.lock(lk)
-            stack.release(self.cfg.chunk_size)
-            self.work_avail[rank].poke(stack.shared_chunks)
-            if self._gate is not None:
-                self._gate.note(rank, stack.shared_chunks)
-            yield from ctx.unlock(lk)
+        lk = self.stack_locks[rank]
+        yield from ctx.lock(lk)
+        stack.release(self.cfg.chunk_size)
+        self.work_avail[rank].poke(stack.shared_chunks)
+        if self._gate is not None:
+            self._gate.note(rank, stack.shared_chunks)
+        yield from ctx.unlock(lk)
         self.stats[rank].releases += 1
+        tr = self.tracer
         if tr.enabled:
             tr.emit(self.machine.sim.now, rank, "release",
                     f"chunks={stack.shared_chunks}")
@@ -492,40 +298,6 @@ class LockBasedAlgorithm(AlgorithmBase):
         """
         rank = ctx.rank
         stack = self.stacks[rank]
-        if self._fast:
-            # Same inlined lock/unlock as release() above.
-            tr = self.tracer
-            lk, lock_to, unlock_to = self._own_lock[rank]
-            fifo = lk.fifo
-            sim = self.sim
-            if lock_to is not None:
-                yield lock_to
-            if not fifo.locked:
-                fifo.locked = True
-                fifo.acquisitions += 1
-                fifo._acquired_at = sim.now
-                yield _T0
-            else:
-                ev = SimEvent(sim, fifo._ev_name)
-                fifo.contended_acquisitions += 1
-                fifo._queue.append(ev)
-                yield ev
-            if tr.enabled:
-                tr.emit(sim.now, rank, "lock.acq", lk.name)
-            if stack.shared:
-                stack.reacquire()
-                wa = self.work_avail[rank]
-                wa.writes += 1
-                wa.value = len(stack.shared)
-                if self._gate is not None:
-                    self._gate.note(rank, len(stack.shared))
-                self.stats[rank].reacquires += 1
-            if unlock_to is not None:
-                yield unlock_to
-            fifo.release()
-            if tr.enabled:
-                tr.emit(sim.now, rank, "lock.rel", lk.name)
-            return
         lk = self.stack_locks[rank]
         yield from ctx.lock(lk)
         if stack.shared_chunks:
@@ -598,141 +370,47 @@ class LockBasedAlgorithm(AlgorithmBase):
             yield from self.try_steal(ctx, victim, _redundant=True)
         return True
 
-    # -- searching -----------------------------------------------------------------
 
-    def search_phase(self, ctx, persist_while_working: bool) -> Generator:
-        """Probe for a victim; steal if found.
+class UpcSharedMem(LockBasedAlgorithm):
+    """Sect. 3.1: lock-guarded split stacks, steal-one-chunk, and
+    cancelable-barrier termination.  Performs well when remote
+    references are cheap (SGI Altix) and collapses on clusters, where
+    every release's barrier reset and every steal's remote locking eat
+    the working threads alive -- which is exactly what Figure 4 shows.
 
-        Returns True once work is in hand.  Returns False when the
-        thread should enter termination detection: after a single
-        failed cycle if ``persist_while_working`` is False (sharedmem,
-        Sect. 3.1), or only once every other thread reports NO_WORK if
-        True (streamlined, Sect. 3.3.1).
-        """
-        rank = ctx.rank
-        st = self.stats[rank]
-        row = self._ref_row(rank)
-        slots = self._wa_slots
-        # Fault-free, a staleable slot's window can never open, so the
-        # probe may read the value directly (identical result) instead
-        # of paying remote_read's staleness bookkeeping per victim.
-        fast = self._fast
-        cycle = self.probe_orders[rank].cycle
-        backoff = self.cfg.search_backoff_min
-        while True:
-            any_working = False
-            cost_acc = 0.0
-            for victim in cycle():
-                st.probes += 1
-                cost_acc += row[victim]
-                avail = (slots[victim].value if fast else
-                         slots[victim].remote_read(ctx.now, rank))
-                if avail == 0:
-                    any_working = True
-                elif avail > 0:
-                    if cost_acc > 0:
-                        yield from ctx.compute(cost_acc)
-                        cost_acc = 0.0
-                    self.enter_state(ctx, STEALING)
-                    ok = yield from self.try_steal(ctx, victim)
-                    self.enter_state(ctx, SEARCHING)
-                    if ok:
-                        return True
-                    # "The probe proceeds to the next victim" (Sect. 3.1).
-                    any_working = True
-            if cost_acc > 0:
-                yield from ctx.compute(cost_acc)
-            if not persist_while_working:
-                return False
-            if not any_working:
-                return False
-            yield from ctx.compute(backoff)
-            backoff = min(backoff * self.cfg.search_backoff_factor,
-                          self.cfg.search_backoff_max)
+    ``idle_strategy="park"`` is a no-op here (accepted, nothing to
+    swap): a failed probe cycle sends the thread straight into the
+    cancelable barrier, where it blocks on a SimEvent until a release
+    cancels the barrier or the count completes, so no idle thread ever
+    keeps a poll timer in the event queue.
+    """
 
-    def search_phase_park(self, ctx, persist_while_working: bool) -> Generator:
-        """Event-driven :meth:`search_phase` (``idle_strategy="park"``).
+    name = "upc-sharedmem"
+    steal_amount = staticmethod(steal_one)
+    #: Native detector: the Sect. 3.1 cancelable barrier.  Streamlined
+    #: is also hostable (that combination *is* upc-term; the tests pin
+    #: both cross-overs).
+    termination_policies = ("cancelable-barrier", "streamlined")
 
-        Two deviations from polling, both keyed off the idle gate's
-        exact counters (updated synchronously at every ``work_avail``
-        write, so never stale):
 
-        * A probe cycle runs only while ``gate.n_surplus > 0`` -- when
-          no thread has stealable work, a full scan *provably* fails,
-          so the thread skips straight to parking instead of paying n
-          probes to learn nothing.  (The real machine pays those futile
-          probes; E11's polling baseline still does.)  A cycle also
-          stops early once the last surplus is consumed mid-scan.
-        * Between cycles the thread parks on the gate rather than
-          keeping a backoff Timeout in the event queue.  Park requires
-          ``n_surplus == 0 and n_active > 0``, checked atomically with
-          registration (no yield in between, so no missed wakeup); a
-          new surplus wakes a bounded batch of parked threads, and the
-          last active rank going idle wakes everyone, so every park is
-          eventually woken.  On wake the thread resumes at the next tick
-          of its virtual polling cadence (:meth:`_park_resume_delay`),
-          never probing more often than the polling build would.
+class UpcTerm(LockBasedAlgorithm):
+    """Sect. 3.3.1: upc-sharedmem + streamlined termination.  The stack
+    discipline (locks, steal-one) is unchanged; threads keep searching
+    while any other thread is observed working, enter the barrier just
+    once in the common case, and the last thread announces termination
+    through a tree."""
 
-        Probes price references with :meth:`ref_cost_bounds` arithmetic
-        instead of the cached ``_ref_row`` -- at 4096 threads the
-        per-rank row cache is O(n^2) floats, and a parked machine runs
-        too few cycles to amortize it -- and draw victims from
-        :meth:`~repro.ws.policies.ProbeOrder.lazy_cycle`, so a scan the
-        gate cuts short costs O(probed), not O(n), host-side.
-        """
-        rank = ctx.rank
-        st = self.stats[rank]
-        gate = self._gate
-        slots = self._wa_slots
-        node_lo, node_hi, c_local, c_remote = self.net.ref_cost_bounds(rank)
-        lazy_cycle = self.probe_orders[rank].lazy_cycle
-        bmax = self.cfg.search_backoff_max
-        bfactor = self.cfg.search_backoff_factor
-        backoff = self.cfg.search_backoff_min
-        while True:
-            if gate.n_surplus > 0:
-                cost_acc = 0.0
-                n_probes = 0
-                for victim in lazy_cycle():
-                    if gate.n_surplus == 0:
-                        break  # last surplus consumed mid-scan
-                    n_probes += 1
-                    cost_acc += (c_local if node_lo <= victim < node_hi
-                                 else c_remote)
-                    avail = slots[victim].value
-                    if avail > 0:
-                        st.probes += n_probes
-                        n_probes = 0
-                        if cost_acc > 0:
-                            yield from ctx.compute(cost_acc)
-                            cost_acc = 0.0
-                        self.enter_state(ctx, STEALING)
-                        ok = yield from self.try_steal(ctx, victim)
-                        self.enter_state(ctx, SEARCHING)
-                        if ok:
-                            return True
-                st.probes += n_probes
-                if cost_acc > 0:
-                    yield from ctx.compute(cost_acc)
-                if not persist_while_working:
-                    return False
-                # Failed cycle with surplus still visible: stay on the
-                # polling cadence so the next attempt happens promptly.
-                yield from ctx.compute(backoff)
-                backoff = min(backoff * bfactor, bmax)
-                continue
-            if not persist_while_working:
-                return False
-            if gate.n_active == 0:
-                # Globally idle (exact, not a stale probe snapshot):
-                # enter termination detection.
-                return False
-            # Some thread is working but nothing is stealable: park.
-            t_park = ctx.now
-            ctx.trace("idle.park")
-            yield gate.park(rank)
-            ctx.trace("idle.wake")
-            delay, backoff = self._park_resume_delay(
-                t_park, backoff, ctx.now, bmax, bfactor)
-            if delay > 0:
-                yield Timeout(delay)
+    name = "upc-term"
+    steal_amount = staticmethod(steal_one)
+    termination_policies = ("streamlined", "cancelable-barrier")
+
+
+class UpcTermRapdif(UpcTerm):
+    """Sect. 3.3.2: upc-term + rapid diffusion -- a thief takes *half*
+    the victim's available chunks (one if only one is available).
+    Freshly fed thieves immediately re-release surplus, multiplying the
+    number of "work sources" and cutting both the probes needed to find
+    a victim and contention at the sources."""
+
+    name = "upc-term-rapdif"
+    steal_amount = staticmethod(steal_half)

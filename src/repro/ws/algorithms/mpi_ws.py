@@ -64,14 +64,6 @@ class MpiWorkStealing(AlgorithmBase):
                        for r in range(self.machine.n_threads)]
         self.terminated = False
         self.faulty = self.faults_rt is not None
-        #: Compiled working-phase state machines (repro.fastpath), one
-        #: per rank, built lazily when the fused fast path applies.
-        self._c_phases: dict = {}
-        self._fuse = None
-        #: Compiled idle waits (repro.fastpath.IdlePhase): the backoff
-        #: polls between messages run in C; every arrival bounces back
-        #: to the Python drain/token/request iteration.
-        self._c_idles: dict = {}
         if self.faulty:
             n = self.machine.n_threads
             # Sequence-numbered steal transactions (dedup + timeout).
@@ -183,12 +175,8 @@ class MpiWorkStealing(AlgorithmBase):
         vt = self._visit_timeouts_for(rank) if self._fast else None
         tn = self.t_node_of(rank)
         thresh = self._release_threshold
-        limit = self._poll_interval
         chunk = self.cfg.chunk_size
-        be = self._batch_expand
         explore = self.explore_batch
-        tr = self.tracer
-        sim = self.sim
         while True:
             # Poll for steal requests and tokens (the MPI polling point).
             while (msg := iprobe(tags=poll_tags)) is not None:
@@ -213,17 +201,7 @@ class MpiWorkStealing(AlgorithmBase):
                     st.reacquires += 1
                     continue
                 break
-            if be is not None:
-                # explore_batch's bookkeeping, inlined (same counters,
-                # same trace) to skip the wrapper call per batch.
-                n, pushed = be(local, limit, thresh)
-                stack.pops += n
-                stack.pushes += pushed
-                st.nodes_visited += n
-                if n and tr.enabled:
-                    tr.emit(sim.now, rank, "visit", f"n={n}")
-            else:
-                n = explore(rank)
+            n = explore(rank)
             if n:
                 if vt is not None:
                     yield vt[n]
@@ -241,6 +219,79 @@ class MpiWorkStealing(AlgorithmBase):
 
     # -- idle phase ----------------------------------------------------------------
 
+    def _idle_handle(self, ctx: UpcContext, msg) -> Generator:
+        """Dispatch one message received while idle (fault-free).
+        Returns ``"term"``, ``"work"``, ``"nowork"``, or None."""
+        rank = ctx.rank
+        tag = msg.tag
+        if tag == TERM:
+            yield from self._forward_term(ctx)
+            return "term"
+        if tag == REQUEST:
+            self.stats[rank].requests_denied += 1
+            ctx.trace("steal.deny", f"thief=T{msg.src}")
+            yield from self._send(ctx, msg.src, NOWORK)
+            return None
+        if tag == TOKEN:
+            self.tokens[rank].on_token(msg.payload)
+            return None
+        if tag == WORK:
+            st = self.stats[rank]
+            self.stacks[rank].push_many(msg.payload)
+            self.in_flight_nodes -= len(msg.payload)
+            st.steals_ok += 1
+            st.chunks_stolen += 1
+            st.nodes_stolen += len(msg.payload)
+            ctx.trace("steal", f"from=T{msg.src} chunks=1 "
+                               f"nodes={len(msg.payload)}")
+            return "work"
+        ctx.trace("steal.fail", f"victim=T{msg.src} reason=denied")
+        return "nowork"
+
+    def _token_duties(self, ctx: UpcContext) -> Generator:
+        """Dijkstra token duties of an idle rank (fault-free): evaluate
+        or pass on a held token; rank 0 launches one when none is out.
+        Returns ``"term"`` when rank 0 declared termination, ``"sent"``
+        when a token went out, else None."""
+        rank = ctx.rank
+        token = self.tokens[rank]
+        if token.holding is not None:
+            if rank != 0:
+                yield from self._forward_token(ctx)
+                return "sent"
+            if token.round_succeeded():
+                yield from self._broadcast_term(ctx)
+                return "term"
+            colour = token.initiate()
+        elif rank == 0 and not token.in_flight:
+            token.launch()
+            colour = WHITE
+        else:
+            return None
+        ctx.trace("token.hop", f"to=T{token.next_rank} colour={colour}")
+        yield from self._send(ctx, token.next_rank, TOKEN, payload=colour)
+        return "sent"
+
+    def _send_request(self, ctx: UpcContext) -> Generator:
+        """Post a steal REQUEST to a random victim; returns its rank."""
+        rank = ctx.rank
+        st = self.stats[rank]
+        victim = self.probe_orders[rank].one()
+        st.steal_attempts += 1
+        st.probes += 1
+        ctx.trace("steal.req", f"victim=T{victim}")
+        yield from self._send(ctx, victim, REQUEST)
+        if self._dup_ranks is not None and rank in self._dup_ranks:
+            # Duplicating-steal adversary: a second REQUEST on the
+            # wire.  Fault-free the protocol is dup-safe by
+            # construction -- the extra NOWORK just re-clears
+            # ``outstanding``; an extra WORK is consumed by the next
+            # idle episode.  (Faulted runs dedup by sequence, so the
+            # adversary targets this path.)
+            ctx.trace("steal.req", f"victim=T{victim} dup=1")
+            yield from self._send(ctx, victim, REQUEST)
+        return victim
+
     def idle_phase(self, ctx: UpcContext) -> Generator:
         """Search for work by messaging; handle tokens; detect TERM.
 
@@ -251,82 +302,37 @@ class MpiWorkStealing(AlgorithmBase):
         if self._gate is not None:
             return (yield from self._idle_phase_park(ctx))
         rank = ctx.rank
-        n = self.machine.n_threads
-        stack = self.stacks[rank]
-        st = self.stats[rank]
         ep = self.endpoints[rank]
-        token = self.tokens[rank]
-        if n == 1:
+        if self.machine.n_threads == 1:
             return True  # alone: local exhaustion is global termination
         # Fused wait (same gate as the working phase): during an idle
         # wait the only observable change is a message landing in our
         # mailbox -- token and request state mutate only inside our own
         # iterations -- so the between-iteration backoff polls can run
         # in C against the mailbox heap alone.
-        phase = self._c_idle(rank) if self._fuse else None
+        phase = (self._compiled(self._build_c_idle, rank) if self._fuse
+                 else None)
         outstanding: int | None = None
         backoff = self.cfg.search_backoff_min
         while True:
             progressed = False
             while (msg := ep.iprobe()) is not None:
                 progressed = True
-                if msg.tag == TERM:
-                    yield from self._forward_term(ctx)
+                status = yield from self._idle_handle(ctx, msg)
+                if status == "term":
                     return True
-                if msg.tag == REQUEST:
-                    st.requests_denied += 1
-                    ctx.trace("steal.deny", f"thief=T{msg.src}")
-                    yield from self._send(ctx, msg.src, NOWORK)
-                elif msg.tag == TOKEN:
-                    token.on_token(msg.payload)
-                elif msg.tag == WORK:
-                    stack.push_many(msg.payload)
-                    self.in_flight_nodes -= len(msg.payload)
-                    st.steals_ok += 1
-                    st.chunks_stolen += 1
-                    st.nodes_stolen += len(msg.payload)
-                    ctx.trace("steal", f"from=T{msg.src} chunks=1 "
-                                       f"nodes={len(msg.payload)}")
+                if status == "work":
                     return False
-                elif msg.tag == NOWORK:
-                    ctx.trace("steal.fail", f"victim=T{msg.src} reason=denied")
+                if status == "nowork":
                     outstanding = None
-            # Token handling while idle.
-            if token.holding is not None:
-                if rank == 0:
-                    if token.round_succeeded():
-                        yield from self._broadcast_term(ctx)
-                        return True
-                    colour = token.initiate()
-                    ctx.trace("token.hop",
-                              f"to=T{token.next_rank} colour={colour}")
-                    yield from self._send(ctx, token.next_rank, TOKEN,
-                                          payload=colour)
-                else:
-                    yield from self._forward_token(ctx)
-                progressed = True
-            elif rank == 0 and not token.in_flight:
-                token.launch()
-                ctx.trace("token.hop", f"to=T{token.next_rank} colour={WHITE}")
-                yield from self._send(ctx, token.next_rank, TOKEN, payload=WHITE)
+            duty = yield from self._token_duties(ctx)
+            if duty == "term":
+                return True
+            if duty is not None:
                 progressed = True
             # One outstanding steal request at a time.
             if outstanding is None:
-                victim = self.probe_orders[rank].one()
-                st.steal_attempts += 1
-                st.probes += 1
-                ctx.trace("steal.req", f"victim=T{victim}")
-                yield from self._send(ctx, victim, REQUEST)
-                if self._dup_ranks is not None and rank in self._dup_ranks:
-                    # Duplicating-steal adversary: a second REQUEST on
-                    # the wire.  Fault-free the protocol is dup-safe by
-                    # construction -- the extra NOWORK just re-clears
-                    # ``outstanding``; an extra WORK is consumed by the
-                    # next idle episode.  (Faulted runs dedup by
-                    # sequence, so the adversary targets this path.)
-                    ctx.trace("steal.req", f"victim=T{victim} dup=1")
-                    yield from self._send(ctx, victim, REQUEST)
-                outstanding = victim
+                outstanding = yield from self._send_request(ctx)
                 progressed = True
             if phase is not None:
                 # C wait loop: the compute(backoff) events and the
@@ -341,34 +347,6 @@ class MpiWorkStealing(AlgorithmBase):
                 yield from ctx.compute(backoff)
                 backoff = min(backoff * self.cfg.search_backoff_factor,
                               self.cfg.search_backoff_max)
-
-    def _idle_handle_park(self, ctx: UpcContext, msg, stack, st,
-                          token) -> Generator:
-        """Dispatch one message for the park idle loop.  Returns
-        ``"term"``, ``"work"``, ``"nowork"``, or None -- same actions,
-        counters, and traces as the polling loop's drain."""
-        if msg.tag == TERM:
-            yield from self._forward_term(ctx)
-            return "term"
-        if msg.tag == REQUEST:
-            st.requests_denied += 1
-            ctx.trace("steal.deny", f"thief=T{msg.src}")
-            yield from self._send(ctx, msg.src, NOWORK)
-            return None
-        if msg.tag == TOKEN:
-            token.on_token(msg.payload)
-            return None
-        if msg.tag == WORK:
-            stack.push_many(msg.payload)
-            self.in_flight_nodes -= len(msg.payload)
-            st.steals_ok += 1
-            st.chunks_stolen += 1
-            st.nodes_stolen += len(msg.payload)
-            ctx.trace("steal", f"from=T{msg.src} chunks=1 "
-                               f"nodes={len(msg.payload)}")
-            return "work"
-        ctx.trace("steal.fail", f"victim=T{msg.src} reason=denied")
-        return "nowork"
 
     def _idle_phase_park(self, ctx: UpcContext) -> Generator:
         """Event-driven idle loop (``idle_strategy="park"``).
@@ -395,75 +373,40 @@ class MpiWorkStealing(AlgorithmBase):
         rank.  (Polling resets it on every served message, which at
         4096 mostly-idle ranks would keep the floor cadence forever.)
         """
-        rank = ctx.rank
-        n = self.machine.n_threads
-        stack = self.stacks[rank]
-        st = self.stats[rank]
-        ep = self.endpoints[rank]
-        token = self.tokens[rank]
-        if n == 1:
+        ep = self.endpoints[ctx.rank]
+        if self.machine.n_threads == 1:
             return True  # alone: local exhaustion is global termination
         outstanding = None
         bmax = self.cfg.search_backoff_max
         bfactor = self.cfg.search_backoff_factor
         backoff = self.cfg.search_backoff_min
         while True:
-            # Drain already-delivered traffic (free local polls).
-            while (msg := ep.iprobe()) is not None:
-                status = yield from self._idle_handle_park(
-                    ctx, msg, stack, st, token)
+            # Drain already-delivered traffic (free local polls); with
+            # a REQUEST outstanding and nothing delivered, park: block
+            # until the next message (response, request, token, or
+            # TERM) instead of spinning on the backoff timer.
+            msg = ep.iprobe()
+            if msg is None and outstanding is not None:
+                msg = yield from ep.recv()
+            while msg is not None:
+                status = yield from self._idle_handle(ctx, msg)
                 if status == "term":
                     return True
                 if status == "work":
                     return False
                 if status == "nowork":
                     outstanding = None
-            # Token duties while idle (identical to the polling loop).
-            if token.holding is not None:
-                if rank == 0:
-                    if token.round_succeeded():
-                        yield from self._broadcast_term(ctx)
-                        return True
-                    colour = token.initiate()
-                    ctx.trace("token.hop",
-                              f"to=T{token.next_rank} colour={colour}")
-                    yield from self._send(ctx, token.next_rank, TOKEN,
-                                          payload=colour)
-                else:
-                    yield from self._forward_token(ctx)
-            elif rank == 0 and not token.in_flight:
-                token.launch()
-                ctx.trace("token.hop", f"to=T{token.next_rank} colour={WHITE}")
-                yield from self._send(ctx, token.next_rank, TOKEN,
-                                      payload=WHITE)
+                msg = ep.iprobe()
+            duty = yield from self._token_duties(ctx)
+            if duty == "term":
+                return True
             if outstanding is None:
                 # Pace the next REQUEST *before* sending it, then loop
                 # back to drain traffic that landed during the pace
                 # before blocking on the response.
                 yield from ctx.compute(backoff)
                 backoff = min(backoff * bfactor, bmax)
-                victim = self.probe_orders[rank].one()
-                st.steal_attempts += 1
-                st.probes += 1
-                ctx.trace("steal.req", f"victim=T{victim}")
-                yield from self._send(ctx, victim, REQUEST)
-                if self._dup_ranks is not None and rank in self._dup_ranks:
-                    # Duplicating-steal adversary (see idle_phase).
-                    ctx.trace("steal.req", f"victim=T{victim} dup=1")
-                    yield from self._send(ctx, victim, REQUEST)
-                outstanding = victim
-                continue
-            # Park: block until the next message (response, request,
-            # token, or TERM) instead of spinning on the backoff timer.
-            msg = yield from ep.recv()
-            status = yield from self._idle_handle_park(
-                ctx, msg, stack, st, token)
-            if status == "term":
-                return True
-            if status == "work":
-                return False
-            if status == "nowork":
-                outstanding = None
+                outstanding = yield from self._send_request(ctx)
 
     # -- fault-tolerant mode (active only with a FaultPlan) ------------------
     #
@@ -711,7 +654,7 @@ class MpiWorkStealing(AlgorithmBase):
         fuse = self._fuse
         if fuse is None:
             fuse = self._fuse = self._fusion_enabled()
-        phase = self._c_phase(rank) if fuse else None
+        phase = self._compiled(self._build_c_phase, rank) if fuse else None
         while True:
             if not self.stacks[rank].is_empty:
                 if phase is not None:
@@ -738,37 +681,15 @@ class MpiWorkStealing(AlgorithmBase):
             st.barrier_exits += 1
         yield from self.final_reduction(ctx)
 
-    # -- compiled working-phase fusion (repro.fastpath) -----------------------
+    # -- compiled phase fusion (repro.fastpath) -------------------------------
 
-    def _fusion_enabled(self) -> bool:
-        """Whether the compiled OwnerPhase may replace ``working_phase``.
-
-        Same contract as ``LockBasedAlgorithm._fusion_enabled``: the
-        fused phase reproduces exactly the fault-free, trace-off,
-        poll-mode, materialized-tree generator (probed messages bounce
-        back to the Python request/token handlers), so anything else
-        falls back.  Schedules are bit-identical either way; only host
-        speed differs.
-        """
-        if (self.sim._crun is None
-                or not self._fast
-                or self.faulty
-                or self.tracer.enabled
-                or self._gate is not None
-                or self._visit_timeouts is None
-                or getattr(self.tree, "_kid_map", None) is None
-                or getattr(self.tree, "_base", None) is None):
-            return False
+    def _fusable(self) -> bool:
+        """The OwnerPhase mirrors :meth:`working_phase` inside this
+        class's main loop (probed messages bounce back to the Python
+        request/token handlers)."""
         cls = type(self)
         return (cls.working_phase is MpiWorkStealing.working_phase
                 and cls.thread_main is MpiWorkStealing.thread_main)
-
-    def _c_phase(self, rank: int):
-        """The rank's compiled working phase, built on first use."""
-        ph = self._c_phases.get(rank)
-        if ph is None:
-            ph = self._c_phases[rank] = self._build_c_phase(rank)
-        return ph
 
     def _build_c_phase(self, rank: int):
         """Bind one ``repro.fastpath._core.OwnerPhase`` to this rank's
@@ -784,62 +705,26 @@ class MpiWorkStealing(AlgorithmBase):
         from functools import partial
 
         from repro.fastpath import load_core
-        core = load_core()
-        sim = self.sim
-        stack = self.stacks[rank]
-        st = self.stats[rank]
-        timer = st.timer
-        vt = self._visit_timeouts_for(rank)
-
-        def enter_cb() -> None:
-            # working_phase entry: enter_state(WORKING).
-            timer.enter(WORKING, sim.now)
-
-        def exit_cb() -> None:
-            # working_phase exit: enter_state(SEARCHING).
-            timer.enter(SEARCHING, sim.now)
-
-        return core.OwnerPhase(
-            sim=sim,
-            local=stack.local,
-            shared=stack.shared,
-            shared_append=stack.shared.append,
-            shared_pop=stack.shared.pop,
-            stack=stack,
-            st_dict=st.__dict__,
+        return load_core().OwnerPhase(
+            **self._c_phase_args(rank, poke_enter=False, poke_exit=False),
             wa=None,
             no_work=None,
             req_slot=None,
             poll=partial(self.endpoints[rank].iprobe, self._poll_tags),
             pending=self.world._pending[rank],
-            enter_cb=enter_cb,
-            exit_cb=exit_cb,
-            kid_map=self.tree._kid_map,
-            children_fb=self.tree._base.children,
-            visit_costs=[t.delay for t in vt],
-            chunk=self.cfg.chunk_size,
-            thresh=self._release_threshold,
-            limit=self._poll_interval,
         )
-
-    def _c_idle(self, rank: int):
-        """The rank's compiled idle wait, built on first use."""
-        ph = self._c_idles.get(rank)
-        if ph is None:
-            ph = self._c_idles[rank] = self._build_c_idle(rank)
-        return ph
 
     def _build_c_idle(self, rank: int):
         """Bind one ``repro.fastpath._core.IdlePhase`` to this rank's
-        mailbox heap.
+        mailbox heap: the backoff polls between messages run in C and
+        every arrival bounces back to the Python idle iteration.
 
         The C loop only ever *reads* the heap head (the
         ``_take_delivered`` fast path); popping a delivered message --
         and everything that follows -- stays in the Python iteration.
         """
         from repro.fastpath import load_core
-        core = load_core()
-        return core.IdlePhase(
+        return load_core().IdlePhase(
             sim=self.sim,
             pending=self.world._pending[rank],
             backoff_min=self.cfg.search_backoff_min,

@@ -251,17 +251,34 @@ class StreamlinedTermination(TerminationStrategy):
             if gate.n_surplus == 0:
                 # Nothing stealable anywhere (gate counters are exact):
                 # the single-victim inspection would provably find
-                # nothing, so skip it and park below.
-                avail = 0
-            else:
-                # Inspect a single other thread (Sect. 3.3.1).
-                victim = one()
-                st.probes += 1
-                cost = shared_ref(rank, victim)
-                if cost > 0:
-                    yield Timeout(cost)
-                avail = slots[victim].value
-            if avail > 0:
+                # nothing, so park instead.  This is the only place a
+                # waiter parks, and no yield separates it from the
+                # service hook and the terminated check above ("check
+                # and park in one event"), so neither a thief's request
+                # + targeted wake nor the announcer's wake_all can land
+                # in between and be lost.  The wake is guaranteed -- by
+                # a surplus transition, by the last worker going idle,
+                # or by the announcer -- because a barrier waiter is
+                # never the thread the rest of the machine waits on.
+                t_park = ctx.now
+                ctx.trace("idle.park")
+                yield gate.park(rank)
+                ctx.trace("idle.wake")
+                # Service before the cadence sleep: a targeted wake
+                # (distmem) means a thief is blocked on our answer.
+                yield from algo.barrier_service_hook(ctx)
+                delay, poll = algo._park_resume_delay(
+                    t_park, poll, ctx.now, pmax, 2.0)
+                if delay > 0:
+                    yield Timeout(delay)
+                continue
+            # Inspect a single other thread (Sect. 3.3.1).
+            victim = one()
+            st.probes += 1
+            cost = shared_ref(rank, victim)
+            if cost > 0:
+                yield Timeout(cost)
+            if slots[victim].value > 0:
                 # Leave the barrier before touching the work so the
                 # count never certifies termination with work in flight.
                 yield from barrier.leave(ctx)
@@ -281,22 +298,11 @@ class StreamlinedTermination(TerminationStrategy):
                 poll = algo.cfg.barrier_poll_min
                 continue
             if gate.n_surplus == 0:
-                # Nothing stealable anywhere: park.  The wake is
-                # guaranteed -- by a surplus transition, by the last
-                # worker going idle, or by the announcer's wake_all --
-                # because a barrier waiter is never the thread the rest
-                # of the machine is waiting on.
-                t_park = ctx.now
-                ctx.trace("idle.park")
-                yield gate.park(rank)
-                ctx.trace("idle.wake")
-                # Service before the cadence sleep: a targeted wake
-                # (distmem) means a thief is blocked on our answer.
-                yield from algo.barrier_service_hook(ctx)
-                delay, poll = algo._park_resume_delay(
-                    t_park, poll, ctx.now, pmax, 2.0)
-                if delay > 0:
-                    yield Timeout(delay)
+                # The surplus vanished during the probe's yield: go
+                # park from the loop top, not from here -- a request +
+                # wake that landed during that yield found us not yet
+                # parked (a no-op wake), and parking without re-running
+                # the service hook would sleep on it forever.
                 continue
             if poll > 0:
                 yield Timeout(poll)

@@ -1,13 +1,13 @@
 """Satellite audit: ``run(until=...)`` segments vs one-shot ``run()``.
 
-``Simulator.run`` dispatches events inline in a hot loop;
-``Simulator._run_until`` (the pause/resume path) pops an event before
-it can see the deadline and *pushes it back* unconsumed when it lies
-beyond ``until``.  These tests pin the equivalence of the two paths:
-running a simulation to completion in arbitrarily-cut segments must
-execute the exact same schedule -- same events, same order, same final
-state -- as running it in one shot, including when a tie-break policy
-routes both through ``_run_policy``.
+``Simulator.run`` pops an event before it can see the deadline and
+*pushes it back* unconsumed when it lies beyond ``until``.  These
+tests pin that pause/resume is invisible: running a simulation to
+completion in arbitrarily-cut segments must execute the exact same
+schedule -- same events, same order, same final state -- as running it
+in one shot, including under a tie-break policy.  (The variant x queue
+x policy x segmentation cross product on one fixed cut lives in
+``tests/sim/test_run_loop_matrix.py``.)
 """
 
 import random
@@ -86,7 +86,7 @@ def test_segmented_soup_matches_one_shot(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_segmented_soup_matches_one_shot_under_policy(seed):
-    """The _run_policy loop's push-back path is equivalent too."""
+    """The push-back path is equivalent under a permuting policy too."""
     final, events, log = _one_shot(seed, tie_break=RandomTieBreak(seed))
     f2, e2, log2 = _segmented(seed, [1.0, final / 2, final - 0.25],
                               tie_break=RandomTieBreak(seed))

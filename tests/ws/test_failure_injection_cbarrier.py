@@ -19,7 +19,7 @@ from repro.net import NetworkModel
 from repro.pgas import Machine
 from repro.uts.params import TreeParams
 from repro.uts.tree import Tree
-from repro.ws.algorithms.shared_mem import UpcSharedMem
+from repro.ws.algorithms.lock_based import UpcSharedMem
 from repro.ws.config import WsConfig
 
 SLOW_NET = NetworkModel(cores_per_node=1, node_visit_time=1 / 2e6,
