@@ -32,7 +32,7 @@ from repro.pgas.machine import Machine, UpcContext
 from repro.sim.engine import Timeout
 from repro.uts.tree import Tree
 from repro.ws.config import WsConfig
-from repro.ws.policies import StealAmount, steal_one
+from repro.ws.policies import ProbeOrder, StealAmount, steal_one
 from repro.ws.registry import (STEAL_AMOUNTS, TERMINATION_POLICIES,
                                VICTIM_POLICIES)
 from repro.ws.stack import SplitStack
@@ -481,13 +481,16 @@ class AlgorithmBase:
     def _ref_row(self, rank: int) -> List[float]:
         """Shared-reference cost from ``rank`` to every victim, built on
         first use and cached (identical floats to calling
-        ``net.shared_ref`` per probe)."""
+        ``net.shared_ref`` per probe: remote everywhere, local across
+        the rank's own node, free at the rank itself)."""
         row = self._ref_rows.get(rank)
         if row is None:
-            shared_ref = self.net.shared_ref
-            row = self._ref_rows[rank] = [
-                shared_ref(rank, v) for v in range(self.machine.n_threads)
-            ]
+            n = self.machine.n_threads
+            lo, hi, c_local, c_remote = self.net.ref_cost_bounds(rank)
+            hi = min(hi, n)
+            row = self._ref_rows[rank] = [c_remote] * n
+            row[lo:hi] = [c_local] * (hi - lo)
+            row[rank] = 0.0
         return row
 
     # -- searching ---------------------------------------------------------
@@ -520,14 +523,17 @@ class AlgorithmBase:
                 yield from self.service_request(ctx)
             any_working = False
             cost_acc = 0.0
+            n_probes = 0  # flushed into st.probes before every yield
             for victim in cycle():
-                st.probes += 1
+                n_probes += 1
                 cost_acc += row[victim]
                 avail = (slots[victim].value if fast else
                          slots[victim].remote_read(ctx.now, rank))
                 if avail == 0:
                     any_working = True
                 elif avail > 0:
+                    st.probes += n_probes
+                    n_probes = 0
                     if cost_acc > 0:
                         yield from ctx.compute(cost_acc)
                         cost_acc = 0.0
@@ -539,6 +545,7 @@ class AlgorithmBase:
                     # Empty or denied: "the probe proceeds to the next
                     # victim" (Sect. 3.1; likewise 3.3.3).
                     any_working = True
+            st.probes += n_probes
             if cost_acc > 0:
                 yield from ctx.compute(cost_acc)
             if not persist_while_working or not any_working:
@@ -579,17 +586,17 @@ class AlgorithmBase:
         Probes price references with :meth:`ref_cost_bounds` arithmetic
         instead of the cached ``_ref_row`` -- at 4096 threads the
         per-rank row cache is O(n^2) floats, and a parked machine runs
-        too few cycles to amortize it -- and draw victims from
-        :meth:`~repro.ws.policies.ProbeOrder.lazy_cycle`, so a scan the
-        gate cuts short costs O(probed), not O(n), host-side.
+        too few cycles to amortize it -- and draw victims from a
+        :meth:`~repro.ws.policies.ProbeOrder.scan`, so a cycle a steal
+        or the gate cuts short costs O(probed), not O(n), host-side.
         """
         rank = ctx.rank
         st = self.stats[rank]
         gate = self._gate
         req_slot = self.request[rank] if self.request is not None else None
         slots = self._wa_slots
-        node_lo, node_hi, c_local, c_remote = self.net.ref_cost_bounds(rank)
-        lazy_cycle = self.probe_orders[rank].lazy_cycle
+        bounds = self.net.ref_cost_bounds(rank)
+        new_scan = self.probe_orders[rank].scan
         bmax = self.cfg.search_backoff_max
         bfactor = self.cfg.search_backoff_factor
         backoff = self.cfg.search_backoff_min
@@ -597,29 +604,27 @@ class AlgorithmBase:
             if req_slot is not None and req_slot.value is not None:
                 yield from self.service_request(ctx)
             if gate.n_surplus > 0:
-                cost_acc = 0.0
-                n_probes = 0
-                for victim in lazy_cycle():
+                scan = new_scan()
+                while True:
+                    victim, cost_acc, n_probes = scan.probe(slots, bounds)
+                    st.probes += n_probes
+                    if cost_acc > 0:
+                        yield from ctx.compute(cost_acc)
+                    if victim is None:
+                        break
+                    self.enter_state(ctx, STEALING)
+                    ok = yield from self.try_steal(ctx, victim)
+                    self.enter_state(ctx, SEARCHING)
+                    if ok:
+                        return True
+                    # Only a steal attempt yields, so only here can the
+                    # surplus count have changed under the scan.
                     if gate.n_surplus == 0:
-                        break  # last surplus consumed mid-scan
-                    n_probes += 1
-                    cost_acc += (c_local if node_lo <= victim < node_hi
-                                 else c_remote)
-                    avail = slots[victim].value
-                    if avail > 0:
-                        st.probes += n_probes
-                        n_probes = 0
-                        if cost_acc > 0:
-                            yield from ctx.compute(cost_acc)
-                            cost_acc = 0.0
-                        self.enter_state(ctx, STEALING)
-                        ok = yield from self.try_steal(ctx, victim)
-                        self.enter_state(ctx, SEARCHING)
-                        if ok:
-                            return True
-                st.probes += n_probes
-                if cost_acc > 0:
-                    yield from ctx.compute(cost_acc)
+                        scan.abandon()  # last surplus consumed mid-scan
+                        break
+                # The scan holds an O(n) victim list: drop it before
+                # backing off or parking.
+                del scan
                 if not persist_while_working:
                     return False
                 # Failed cycle with surplus still visible: stay on the
@@ -732,26 +737,20 @@ class AlgorithmBase:
         )
 
     def _probe_segments(self, rank: int):
-        """The rank's probe order as static victim segments, for the
-        compiled search phase's native shuffle.
+        """The rank's probe order as victim segments, for the compiled
+        search phase's native shuffle.
 
         Returns ``(segments, getrandbits)`` -- each ``cycle()`` is
         ``shuffled(seg) for seg in segments``, concatenated, and the
-        shuffles replay the bound Mersenne Twister draw-for-draw -- or
-        ``(None, None)`` when the probe order or its RNG is not the
-        stock implementation (the C phase then calls ``cycle()``)."""
-        import random
-
-        from repro.ws.policies import HierarchicalProbeOrder, ProbeOrder
+        shuffles replay the stream draw-for-draw -- or ``(None, None)``
+        when the probe order does not state its victims that way or its
+        stream has no ``getrandbits`` (the C phase then calls
+        ``cycle()``)."""
         po = self.probe_orders[rank]
-        rng = getattr(getattr(po, "_rng", None), "_rng", None)
-        if type(rng) is not random.Random:
+        getrandbits = getattr(po, "getrandbits", None)
+        if getrandbits is None or type(po).cycle is not ProbeOrder.cycle:
             return None, None
-        if type(po) is ProbeOrder:
-            return [po.others()], rng.getrandbits
-        if type(po) is HierarchicalProbeOrder:
-            return [list(po._on_node), list(po._off_node)], rng.getrandbits
-        return None, None
+        return po.segments(), getrandbits
 
     def _build_c_search(self, rank: int):
         """Bind one ``repro.fastpath._core.SearchPhase`` to this rank's

@@ -297,14 +297,17 @@ class MpiWorkStealing(AlgorithmBase):
 
         Returns True on termination, False when work has been obtained.
         """
+        if self.machine.n_threads == 1:
+            # Alone: local exhaustion is global termination.  The TERM
+            # tree has no children, so this only declares it.
+            yield from self._broadcast_term(ctx)
+            return True
         if self.faulty:
             return (yield from self._idle_phase_faulty(ctx))
         if self._gate is not None:
             return (yield from self._idle_phase_park(ctx))
         rank = ctx.rank
         ep = self.endpoints[rank]
-        if self.machine.n_threads == 1:
-            return True  # alone: local exhaustion is global termination
         # Fused wait (same gate as the working phase): during an idle
         # wait the only observable change is a message landing in our
         # mailbox -- token and request state mutate only inside our own
@@ -374,8 +377,6 @@ class MpiWorkStealing(AlgorithmBase):
         4096 mostly-idle ranks would keep the floor cadence forever.)
         """
         ep = self.endpoints[ctx.rank]
-        if self.machine.n_threads == 1:
-            return True  # alone: local exhaustion is global termination
         outstanding = None
         bmax = self.cfg.search_backoff_max
         bfactor = self.cfg.search_backoff_factor
@@ -531,14 +532,11 @@ class MpiWorkStealing(AlgorithmBase):
     def _idle_phase_faulty(self, ctx: UpcContext) -> Generator:
         """Fault-tolerant search + termination loop (see block comment)."""
         rank = ctx.rank
-        n = self.machine.n_threads
         stack = self.stacks[rank]
         st = self.stats[rank]
         ep = self.endpoints[rank]
         rt = self.faults_rt
         plan = rt.plan
-        if n == 1:
-            return True
         outstanding = None  # (victim, seq, deadline)
         timeout = plan.steal_timeout
         backoff = self.cfg.search_backoff_min

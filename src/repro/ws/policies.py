@@ -12,12 +12,13 @@ Two axes the paper varies:
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List
+from functools import lru_cache
+from typing import Callable, List
 
 from repro.sim.rng import StreamRng
 
 __all__ = ["steal_one", "steal_half", "steal_all", "StealAmount",
-           "ProbeOrder", "HierarchicalProbeOrder"]
+           "ProbeOrder", "ProbeScan", "HierarchicalProbeOrder"]
 
 #: Maps the victim's available chunk count (>0) to chunks to take.
 StealAmount = Callable[[int], int]
@@ -53,18 +54,32 @@ def steal_all(available_chunks: int) -> int:
     return available_chunks
 
 
+@lru_cache(maxsize=8)
+def _ranks(n_threads: int) -> tuple:
+    """``0 .. n_threads-1``, shared by every rank of a machine: copying
+    it costs a memcpy where ``list(range(n))`` allocates n ints."""
+    return tuple(range(n_threads))
+
+
 class ProbeOrder:
     """Pseudo-random victim orders for one thread.
 
     A fresh shuffled permutation of the other ranks per probe cycle,
     drawn from the thread's deterministic stream.
 
+    The victims are stated once, as :meth:`segments` -- lists that are
+    shuffled independently and probed one after the other -- and read
+    two ways: :meth:`cycle` shuffles them whole (the polling search,
+    which probes everyone), :meth:`scan` shuffles them a position at a
+    time (the parked search, which stops at its first steal).  A subclass
+    changes the order by overriding :meth:`segments`, never the readers.
+
     No per-rank victim list is stored: across a machine that would be
     O(n^2) small-int objects -- hundreds of MB at 4096 threads -- for
-    data that is pure ``range`` arithmetic.  :meth:`cycle` builds its
-    (transient) list per call, which the shuffle already required, and
-    :meth:`one` maps a single ``randrange`` draw over the gap at our
-    own rank.  Both consume the RNG identically to the stored-list
+    data that is pure ``range`` arithmetic.  :meth:`segments` builds
+    its (transient) lists per call, which the shuffle already required,
+    and :meth:`one` maps a single ``randrange`` draw over the gap at
+    our own rank.  Both consume the RNG identically to the stored-list
     implementation, so every schedule is bit-identical.
     """
 
@@ -77,40 +92,38 @@ class ProbeOrder:
 
     def others(self) -> List[int]:
         """The other ranks in increasing order (fresh list per call)."""
-        others = list(range(self._n))
+        others = list(_ranks(self._n))
         del others[self._rank]
         return others
 
+    def segments(self) -> List[List[int]]:
+        """The victims of one probe cycle, as fresh lists the caller
+        may reorder: every victim of a segment is probed before any of
+        the next."""
+        return [self.others()]
+
+    @property
+    def getrandbits(self):
+        """The stream's word source, for a reader that shuffles
+        :meth:`segments` natively (None if the stream has none)."""
+        return getattr(self._rng, "getrandbits", None)
+
     def cycle(self) -> List[int]:
-        """A new shuffled probe order over the other ranks."""
-        return self._rng.shuffled(self.others())
+        """A new shuffled probe order: each segment shuffled, in turn."""
+        shuffled = self._rng.shuffled
+        order: List[int] = []
+        for seg in self.segments():
+            order += shuffled(seg)
+        return order
 
-    def _lazy_shuffle(self, items: List[int]) -> Iterator[int]:
-        """Yield ``items`` in uniform random order, one draw per yield.
+    def scan(self) -> "ProbeScan":
+        """A new probe cycle that draws per probe (park scans only).
 
-        Incremental Fisher-Yates: position ``i`` is fixed by a single
-        ``randrange`` the moment it is requested, so a consumer that
-        stops after ``k`` victims pays ``k`` draws, not ``len(items)``.
-        The full iteration is a uniform permutation, but the draw
-        sequence differs from :meth:`cycle`'s ``shuffle`` -- park-mode
-        schedules are validated by invariants, not bit-compared.
+        The full scan is a uniform permutation per segment like
+        :meth:`cycle`, but the draw sequence differs (Fisher-Yates from
+        the bottom, so that stopping early leaves the rest undrawn).
         """
-        randrange = self._rng.randrange
-        n = len(items)
-        for i in range(n):
-            j = i + randrange(n - i)
-            items[i], items[j] = items[j], items[i]
-            yield items[i]
-
-    def lazy_cycle(self) -> Iterator[int]:
-        """Like :meth:`cycle`, but pay-per-probe (park scans only).
-
-        A park-mode scan usually stops after a handful of victims (the
-        gate's surplus count hits zero, or a steal succeeds); shuffling
-        all ``n - 1`` ranks up front made those aborted scans O(n) in
-        host RNG draws -- the dominant cost at 1024+ threads.
-        """
-        return self._lazy_shuffle(self.others())
+        return ProbeScan(self._rng, self.segments())
 
     def one(self) -> int:
         """A single random victim (used inside the termination barrier).
@@ -122,6 +135,95 @@ class ProbeOrder:
         """
         i = self._rng.randrange(self._n - 1)
         return i if i < self._rank else i + 1
+
+
+class ProbeScan:
+    """One lazy probe cycle: the fused victim-scan kernel.
+
+    A park-mode scan stops at the first successful steal, or when the
+    gate's surplus count hits zero; shuffling all ``n - 1`` ranks up
+    front made every scan O(n) in host RNG draws -- the dominant cost
+    at 1024+ threads.  Here a position of a segment is fixed by one
+    draw the moment it is probed (incremental Fisher-Yates: position
+    ``i`` swaps with ``i + randrange(len - i)``), and the draw, the
+    reference cost and the ``work_avail`` test of a probe share one
+    loop body: no generator resume and no Python frame per probe, one
+    ``getrandbits`` call per accepted draw (the
+    :meth:`StreamRng.randrange <repro.sim.rng.StreamRng.randrange>`
+    rule, with the bit length recomputed only when the remaining count
+    crosses a power of two).
+
+    The segment is held *reversed*, so the ``m`` victims still to probe
+    are ``items[:m]`` and position ``i`` is ``items[m - 1]``: the same
+    swaps on the same draws, with one counter to maintain, not two.
+    """
+
+    __slots__ = ("_rng", "_todo", "_items", "_m")
+
+    def __init__(self, rng: StreamRng, segments: List[List[int]]) -> None:
+        self._rng = rng
+        self._todo = segments[::-1]
+        self._items: List[int] = []
+        self._m = 0
+
+    def probe(self, slots, bounds) -> tuple:
+        """Probe on from where the last call stopped, up to and
+        including the first victim whose ``slots[victim].value`` is
+        positive.
+
+        Returns ``(victim, cost_acc, n_probes)`` -- ``victim`` None
+        once every segment is exhausted.  ``bounds`` is the prober's
+        :meth:`~repro.net.model.NetworkModel.ref_cost_bounds`;
+        ``cost_acc`` adds one reference cost per probe, left to right
+        from 0.0 (simulated time is pinned to the last bit, so neither
+        ``sum()`` nor ``count * cost`` may stand in for it).
+        """
+        node_lo, node_hi, c_local, c_remote = bounds
+        getrandbits = self._rng.getrandbits
+        todo = self._todo
+        items = self._items
+        m = self._m
+        cost_acc = 0.0
+        n_probes = m
+        while True:
+            while m:
+                k = m.bit_length()
+                half = 1 << k >> 1  # smallest m with this bit length
+                while m >= half:
+                    r = getrandbits(k)
+                    while r >= m:
+                        r = getrandbits(k)
+                    m -= 1
+                    j = m - r
+                    victim = items[j]
+                    items[j] = items[m]
+                    cost_acc += (c_local if node_lo <= victim < node_hi
+                                 else c_remote)
+                    if slots[victim].value > 0:
+                        self._m = m
+                        return victim, cost_acc, n_probes - m
+            if not todo:
+                self._m = m
+                return None, cost_acc, n_probes
+            items = self._items = todo.pop()
+            items.reverse()
+            m = len(items)
+            n_probes += m
+
+    def abandon(self) -> None:
+        """Leave the cycle after a failed steal, consuming the draw of
+        the next position (if one remains) without probing it.
+
+        The pinned schedules were drawn by a generator that fixed a
+        position *before* its consumer could decide to stop, so the
+        stream has to end up one draw further on here too.
+        """
+        m = self._m
+        todo = self._todo
+        while not m and todo:
+            m = len(todo.pop())
+        if m:
+            self._rng.randrange(m)
 
 
 class HierarchicalProbeOrder(ProbeOrder):
@@ -147,15 +249,9 @@ class HierarchicalProbeOrder(ProbeOrder):
         self._on_node = [t for t in self._all if same_node(rank, t)]
         self._off_node = [t for t in self._all if not same_node(rank, t)]
 
-    def cycle(self) -> List[int]:
-        """On-node victims first, then off-node, each shuffled."""
-        return self._rng.shuffled(self._on_node) + \
-            self._rng.shuffled(self._off_node)
-
-    def lazy_cycle(self) -> Iterator[int]:
-        """Pay-per-probe :meth:`cycle`: lazy on-node, then lazy off-node."""
-        yield from self._lazy_shuffle(list(self._on_node))
-        yield from self._lazy_shuffle(list(self._off_node))
+    def segments(self) -> List[List[int]]:
+        """On-node victims first, then off-node."""
+        return [list(self._on_node), list(self._off_node)]
 
     def one(self) -> int:
         """Prefer an on-node victim half the time (if any exist)."""

@@ -76,6 +76,33 @@ def test_park_mode_bit_identical(tree):
     assert fast == pure
 
 
+def test_stream_without_getrandbits_falls_back_to_cycle(tree, monkeypatch):
+    """The compiled search phase shuffles natively only when the probe
+    order hands it segments plus the stream's public ``getrandbits``;
+    over a stream that has none it calls ``cycle()`` per round -- same
+    draws either way, so the schedule must not move."""
+    from repro.ws.algorithms.base import AlgorithmBase
+    from repro.ws.policies import ProbeOrder
+    from repro.ws.registry import VICTIM_POLICIES
+
+    class OpaqueStream:
+        def __init__(self, rng):
+            self.shuffled = rng.shuffled
+            self.randrange = rng.randrange
+
+    stock = run_snapshot("upc-distmem", tree, "fast", chunk_size=8)
+    bound = []
+    real = AlgorithmBase._probe_segments
+    monkeypatch.setattr(
+        AlgorithmBase, "_probe_segments",
+        lambda self, rank: bound.append(real(self, rank)) or bound[-1])
+    monkeypatch.setitem(
+        VICTIM_POLICIES._entries, "uniform",
+        lambda rank, n, rng, net: ProbeOrder(rank, n, OpaqueStream(rng)))
+    assert run_snapshot("upc-distmem", tree, "fast", chunk_size=8) == stock
+    assert bound and all(b == (None, None) for b in bound)
+
+
 def test_service_mode_bit_identical():
     from repro.service import ServiceConfig, run_service
 

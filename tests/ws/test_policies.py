@@ -1,11 +1,15 @@
 """Tests for steal-amount and probe-order policies."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.rng import StreamRng
-from repro.ws.policies import ProbeOrder, steal_half, steal_one
+from repro.net import NetworkModel
+from repro.sim.rng import StreamRng, substream_seed
+from repro.ws.policies import (HierarchicalProbeOrder, ProbeOrder, steal_half,
+                               steal_one)
 
 
 class TestStealAmounts:
@@ -61,3 +65,184 @@ class TestProbeOrder:
         po = ProbeOrder(rank=0, n_threads=2, rng=StreamRng(0, "t", 0))
         assert po.cycle() == [1]
         assert po.one() == 1
+
+    def test_segments_are_fresh_lists_of_the_others(self):
+        po = ProbeOrder(rank=1, n_threads=4, rng=StreamRng(0, "t", 1))
+        assert po.segments() == [[0, 2, 3]]
+        po.segments()[0].reverse()
+        assert po.segments() == [[0, 2, 3]]
+
+    def test_getrandbits_is_the_streams_or_none(self):
+        rng = StreamRng(0, "t", 0)
+        assert ProbeOrder(0, 4, rng).getrandbits is rng.getrandbits
+        assert ProbeOrder(0, 4, object()).getrandbits is None
+
+    def test_one_on_a_single_rank_machine_names_the_stream(self):
+        po = ProbeOrder(rank=0, n_threads=1, rng=StreamRng(0, "thread", 0))
+        assert po.cycle() == []
+        with pytest.raises(ValueError, match="thread:0"):
+            po.one()
+
+
+# -- the lazy scan == the generator it replaced -------------------------------
+#
+# Park-mode schedules are pinned to the draw sequence of the incremental
+# Fisher-Yates generator below (``ProbeOrder._lazy_shuffle`` /
+# ``lazy_cycle`` until ISSUE 14), consumed through stdlib
+# ``random.Random.randrange``.  It stays here as the reference the fused
+# ``ProbeScan`` kernel is compared against: same victims in the same
+# order, same reference-cost sum, same generator state afterwards.
+
+def reference_lazy_cycle(segments, rng: random.Random):
+    """The parent's ``lazy_cycle``: each segment in turn, one
+    ``randrange`` per yielded victim."""
+    for items in segments:
+        n = len(items)
+        for i in range(n):
+            j = i + rng.randrange(n - i)
+            items[i], items[j] = items[j], items[i]
+            yield items[i]
+
+
+NET = NetworkModel(cores_per_node=4)
+SHAPES = ["uniform", "hierarchical"]
+
+
+class Slot:
+    def __init__(self, value):
+        self.value = value
+
+
+def make_orders(shape, rank, n, seed):
+    """The probe order under test and the stdlib generator that replays
+    its stream from the start."""
+    rng = StreamRng(seed, "thread", rank)
+    ref = random.Random(substream_seed(seed, "thread", rank))
+    if shape == "uniform":
+        return ProbeOrder(rank, n, rng), ref
+    return HierarchicalProbeOrder(rank, n, rng, NET.same_node), ref
+
+
+def reference_probe(gen, slots, bounds):
+    """The parent's park-loop body around the generator: probe on to the
+    first positive slot; ``(victim | None, cost_acc, n_probes)``."""
+    node_lo, node_hi, c_local, c_remote = bounds
+    cost_acc = 0.0
+    n_probes = 0
+    for victim in gen:
+        n_probes += 1
+        cost_acc += c_local if node_lo <= victim < node_hi else c_remote
+        if slots[victim].value > 0:
+            return victim, cost_acc, n_probes
+    return None, cost_acc, n_probes
+
+
+class TestProbeScan:
+    @pytest.mark.parametrize("shape", SHAPES)
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), n=st.integers(2, 300),
+           data=st.data())
+    def test_scan_equals_reference_generator(self, shape, seed, n, data):
+        """Any pattern of hits: every probe() call returns what the
+        generator loop returns, and the stream ends in the same state
+        -- whether the scan runs dry or is dropped after p probes."""
+        rank = data.draw(st.integers(0, n - 1))
+        hits = data.draw(st.sets(st.integers(0, n - 1), max_size=6))
+        stop_after = data.draw(st.integers(0, len(hits)))
+        slots = [Slot(3 if v in hits else (0 if v % 3 else -1))
+                 for v in range(n)]
+        bounds = NET.ref_cost_bounds(rank)
+        order, ref = make_orders(shape, rank, n, seed)
+        gen = reference_lazy_cycle(order.segments(), ref)
+        scan = order.scan()
+        calls = 0
+        while True:
+            got = scan.probe(slots, bounds)
+            assert got == reference_probe(gen, slots, bounds)
+            calls += 1
+            if got[0] is None or calls > stop_after:
+                break
+        assert order._rng._rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("n", [2, 5, 64, 65, 129, 1024])
+    def test_full_scan_is_the_reference_permutation(self, shape, n):
+        rank = n // 3
+        order, ref = make_orders(shape, rank, n, seed=9)
+        expect = list(reference_lazy_cycle(order.segments(), ref))
+        slots = [Slot(1)] * n  # every probe hits: one victim per call
+        bounds = NET.ref_cost_bounds(rank)
+        scan = order.scan()
+        got = []
+        while (hit := scan.probe(slots, bounds))[0] is not None:
+            assert hit[2] == 1
+            got.append(hit[0])
+        assert got == expect
+        assert sorted(got) == [v for v in range(n) if v != rank]
+        assert order._rng._rng.getstate() == ref.getstate()
+
+    def test_cost_is_added_left_to_right(self):
+        """Three costs whose sum depends on the order of addition."""
+        net = NetworkModel(cores_per_node=2, local_shared_ref=0.1,
+                           remote_shared_ref=0.7)
+        order, ref = make_orders("uniform", 0, 12, seed=1)
+        victims = list(reference_lazy_cycle(order.segments(), ref))
+        expect = 0.0
+        for v in victims:
+            expect += net.shared_ref(0, v)
+        _, cost, n_probes = order.scan().probe([Slot(0)] * 12,
+                                               net.ref_cost_bounds(0))
+        assert n_probes == 11
+        assert repr(cost) == repr(expect)
+
+    def test_scan_without_victims(self):
+        order, _ = make_orders("uniform", 0, 1, seed=0)
+        assert order.scan().probe([Slot(5)], NET.ref_cost_bounds(0)) == \
+            (None, 0.0, 0)
+
+
+class TestAbandon:
+    """Trap (a) of ISSUE 14.  The parent's loop was ``for victim in
+    lazy_cycle(): if gate.n_surplus == 0: break``: by the time the
+    consumer saw the surplus gone, the generator had already drawn the
+    next position.  ``abandon()`` is that draw; leaving it out moves
+    ``upc-distmem/T1024/park`` from 62,181 to 62,189 events."""
+
+    @staticmethod
+    def stop_after(shape, n, rank, p, seed=4):
+        """Probe ``p`` victims, then have the steal fail with no
+        surplus left; returns (stream state, reference state, state the
+        reference had *before* the discarded draw)."""
+        order, ref = make_orders(shape, rank, n, seed)
+        gen = reference_lazy_cycle(order.segments(), ref)
+        for _ in range(p):
+            next(gen)
+        before = ref.getstate()
+        next(gen, None)  # the for-loop's next(), then `break`
+        scan = order.scan()
+        hit_all = [Slot(1)] * n
+        for _ in range(p):
+            scan.probe(hit_all, NET.ref_cost_bounds(rank))
+        scan.abandon()
+        return order._rng._rng.getstate(), ref.getstate(), before
+
+    @pytest.mark.parametrize("p", [1, 5, 29, 30])
+    def test_abandon_consumes_the_next_positions_draw(self, p):
+        got, ref, before = self.stop_after("uniform", 32, 7, p)
+        assert got == ref
+        assert got != before  # even randrange(1) draws
+
+    def test_abandon_after_the_last_position_draws_nothing(self):
+        got, ref, before = self.stop_after("uniform", 32, 7, 31)
+        assert got == ref == before
+
+    def test_abandon_at_a_segment_boundary_draws_from_the_next(self):
+        # rank 5 of 16, four per node: 3 on-node victims, 12 off-node.
+        got, ref, before = self.stop_after("hierarchical", 16, 5, 3)
+        assert got == ref
+        assert got != before
+
+    def test_abandon_skips_an_empty_segment(self):
+        # 4 ranks, one node: the off-node segment is empty.
+        got, ref, before = self.stop_after("hierarchical", 4, 1, 3)
+        assert got == ref == before

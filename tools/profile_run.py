@@ -10,6 +10,13 @@ functions, so "where do the events/sec go?" has a one-command answer::
     PYTHONPATH=src python tools/profile_run.py --sort cumtime
     PYTHONPATH=src python tools/profile_run.py --out profile.pstats
 
+``--threads``, ``--algorithm``, ``--chunk-size`` and ``--idle-strategy``
+narrow the sweep to one cell shape, e.g. the 4096-thread park cell the
+victim-scan kernel (docs/performance.md) was sized from::
+
+    PYTHONPATH=src python tools/profile_run.py --threads 4096 \
+        --idle-strategy park --algorithm upc-term-rapdif --chunk-size 4
+
 Notes for reading the output (see docs/performance.md):
 
 * cProfile adds per-call overhead, inflating call-heavy frames (the
@@ -24,6 +31,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import dataclasses
+import itertools
 import os
 import pstats
 import sys
@@ -32,7 +40,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import fastpath  # noqa: E402
 from repro.harness.config import setup_for  # noqa: E402
-from repro.harness.sweep import run_sweep  # noqa: E402
+from repro.harness.parallel import (JobSpec, execute_jobs,  # noqa: E402
+                                    expected_nodes_for)
+from repro.ws.config import WsConfig  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -47,6 +57,14 @@ def main(argv=None) -> int:
     ap.add_argument("--threads", type=int, default=None,
                     help="override the figure's thread counts with one "
                          "value (profile scaling hot paths, e.g. 1024)")
+    ap.add_argument("--algorithm", default=None,
+                    help="profile this variant only (default: every "
+                         "variant of the figure)")
+    ap.add_argument("--chunk-size", type=int, default=None,
+                    help="override the figure's chunk sizes with one value")
+    ap.add_argument("--idle-strategy", choices=["poll", "park"],
+                    default="poll",
+                    help="idle strategy of every run (default poll)")
     ap.add_argument("--top", type=int, default=25,
                     help="number of functions to print (default 25)")
     ap.add_argument("--sort", default="tottime",
@@ -63,10 +81,15 @@ def main(argv=None) -> int:
     setup = setup_for(args.figure, args.scale)
     if args.threads is not None:
         setup = dataclasses.replace(setup, thread_counts=[args.threads])
+    if args.algorithm is not None:
+        setup = dataclasses.replace(setup, algorithms=[args.algorithm])
+    if args.chunk_size is not None:
+        setup = dataclasses.replace(setup, chunk_sizes=[args.chunk_size])
     info = fastpath.describe()
     core = ("core built" if info["core_available"]
             else f"core unavailable: {info['core_unavailable_reason']}")
-    print(f"profiling {setup.describe()} (serial, cache on)", flush=True)
+    print(f"profiling {setup.describe()} idle={args.idle_strategy} "
+          f"algorithms={setup.algorithms} (serial, cache on)", flush=True)
     print(f"fastpath backend: {backend} ({core}; numpy "
           f"{'yes' if info['numpy_available'] else 'no'})", flush=True)
     if backend == "fast":
@@ -74,13 +97,23 @@ def main(argv=None) -> int:
               "appear in cProfile output -- their cost shows up in "
               "the caller's tottime", flush=True)
 
+    # run_sweep's own grid, with the idle strategy in each cell's config.
+    expected = expected_nodes_for(setup.tree)
+    grid = [
+        JobSpec(index=i, algorithm=alg, tree=setup.tree, threads=threads,
+                preset=setup.preset, chunk_size=k, expected_nodes=expected,
+                config=WsConfig(chunk_size=k,
+                                idle_strategy=args.idle_strategy))
+        for i, (alg, threads, k) in enumerate(itertools.product(
+            setup.algorithms, setup.thread_counts, setup.chunk_sizes))
+    ]
     profiler = cProfile.Profile()
     profiler.enable()
-    sweep = run_sweep(setup, jobs=1)
+    runs = execute_jobs(grid, 1)
     profiler.disable()
 
-    events = sum(r.engine_events for r in sweep.runs)
-    print(f"{len(sweep.runs)} runs, {events} engine events "
+    events = sum(r.engine_events for r in runs)
+    print(f"{len(runs)} runs, {events} engine events "
           "(profiled wall-clock is inflated by cProfile overhead)\n")
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort).print_stats(args.top)
