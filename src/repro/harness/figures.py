@@ -12,7 +12,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.harness.ascii_plot import ascii_chart, series_table
 from repro.harness.config import setup_for
-from repro.harness.parallel import expected_nodes_for, shared_tree
 from repro.harness.runner import run_experiment
 from repro.harness.sweep import SweepResult, run_sweep
 from repro.metrics.report import RunResult
@@ -176,16 +175,13 @@ def ablation(scale: str = "quick", progress: Progress = None,
         best = {alg: from_figure4.sweep.best(alg) for alg in _ABLATION_CHAIN}
         return AblationResult(scale=scale, best=best)
     setup = setup_for("fig4", scale)
-    expected = expected_nodes_for(setup.tree)
-    tree_obj = shared_tree(setup.tree)
     best: Dict[str, RunResult] = {}
     for alg in _ABLATION_CHAIN:
         runs = []
         for k in setup.chunk_sizes:
-            r = run_experiment(alg, tree=tree_obj,
+            r = run_experiment(alg, tree=setup.tree,
                                threads=setup.thread_counts[0],
-                               preset=setup.preset, chunk_size=k)
-            r.verify(expected)
+                               preset=setup.preset, chunk_size=k, verify=True)
             runs.append(r)
             if progress is not None:
                 progress(r.summary())
@@ -247,10 +243,9 @@ def headline_claims(scale: str = "quick", progress: Progress = None,
         return ClaimsResult(run=from_figure5.sweep.get(
             "upc-distmem", threads=threads,
             chunk_size=setup.chunk_sizes[0]))
-    res = run_experiment("upc-distmem", tree=shared_tree(setup.tree),
-                         threads=threads, preset=setup.preset,
-                         chunk_size=setup.chunk_sizes[0])
-    res.verify(expected_nodes_for(setup.tree))
+    res = run_experiment("upc-distmem", tree=setup.tree, threads=threads,
+                         preset=setup.preset, chunk_size=setup.chunk_sizes[0],
+                         verify=True)
     if progress is not None:
         progress(res.summary())
     return ClaimsResult(run=res)

@@ -10,15 +10,12 @@ executes the grid over a ``ProcessPoolExecutor``:
   simulator events), so stragglers start early and the pool drains
   evenly; results are re-assembled into grid order afterwards, making
   the output list bit-identical to the serial path.
-* **Shared tree cache** -- the parent materializes each distinct
-  :class:`~repro.uts.params.TreeParams` once
-  (:mod:`repro.uts.materialized`) into a process-global registry
-  *before* the pool forks, so every worker reads the same expanded
-  tree copy-on-write instead of re-hashing it per run.
+* **Shared tree cache** -- the parent resolves each distinct tree
+  through :func:`repro.uts.materialized.tree_for` *before* the pool
+  forks, so every worker reads the same expansion copy-on-write
+  instead of re-hashing it per process.
 * **Oracle shipped, not recomputed** -- the sequential node count is
-  resolved once in the parent and travels inside each ``JobSpec``; a
-  fresh worker process would otherwise miss the parent's ``lru_cache``
-  and pay a full sequential recount per process.
+  resolved once in the parent and travels inside each ``JobSpec``.
 * **Attributable failures** -- worker exceptions are captured with the
   job's identity and re-raised in the parent as
   :class:`~repro.errors.SweepWorkerError` (chained via ``raise ...
@@ -54,7 +51,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.errors import ConfigError, SweepWorkerError
 from repro.metrics.report import RunResult
-from repro.uts.materialized import MaterializedTree, materialize
+from repro.uts.materialized import expected_node_count, tree_for
 from repro.uts.params import TreeParams
 from repro.ws.config import WsConfig
 
@@ -64,31 +61,9 @@ __all__ = ["JobSpec", "JobTimeout", "execute_jobs", "job_timeout",
 
 Progress = Optional[Callable[[str], None]]
 
-#: Per-process registry of expanded trees, keyed by parameterization.
-#: Populated in the parent before the pool forks; forked workers
-#: inherit it copy-on-write, so the expansion happens once per host.
-_PROCESS_TREES: Dict[TreeParams, object] = {}
-
-
-def shared_tree(params: TreeParams):
-    """The process-wide tree object for ``params`` (materialized when
-    it fits under the node cap, implicit otherwise)."""
-    tree = _PROCESS_TREES.get(params)
-    if tree is None:
-        tree = _PROCESS_TREES[params] = materialize(params)
-    return tree
-
-
-def expected_nodes_for(params: TreeParams) -> int:
-    """Sequential oracle count, reusing the materialized expansion when
-    one exists (its node count *is* the sequential count)."""
-    tree = shared_tree(params)
-    if isinstance(tree, MaterializedTree):
-        return tree.n_nodes
-    from repro.harness.runner import expected_node_count
-
-    return expected_node_count(params)
-
+#: The names ``bench/`` imports the tree cache and the oracle under.
+shared_tree = tree_for
+expected_nodes_for = expected_node_count
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker count: explicit argument > ``REPRO_JOBS`` env var > 1.
@@ -186,18 +161,13 @@ class JobSpec:
 
 
 def _execute_job(job: JobSpec) -> RunResult:
-    """Run one cell in the current process (shared tree, verified)."""
+    """Run one cell in the current process, verified."""
     from repro.harness.runner import run_experiment
 
-    tree_obj = shared_tree(job.tree)
-    if job.config is not None:
-        result = run_experiment(job.algorithm, tree=tree_obj,
-                                threads=job.threads, preset=job.preset,
-                                config=job.config, seed=job.seed)
-    else:
-        result = run_experiment(job.algorithm, tree=tree_obj,
-                                threads=job.threads, preset=job.preset,
-                                chunk_size=job.chunk_size, seed=job.seed)
+    result = run_experiment(job.algorithm, tree=job.tree,
+                            threads=job.threads, preset=job.preset,
+                            config=job.config, chunk_size=job.chunk_size,
+                            seed=job.seed)
     if job.verify and job.expected_nodes is not None:
         result.verify(job.expected_nodes)
     return result
@@ -322,7 +292,7 @@ def _execute_pool(jobs: List[JobSpec], n_jobs: int,
     # Expand every distinct tree BEFORE forking so workers inherit the
     # materialized arrays copy-on-write instead of rebuilding them.
     for params in {job.tree for job in jobs}:
-        shared_tree(params)
+        tree_for(params)
 
     ordered = sorted(jobs, key=JobSpec.cost_hint, reverse=True)
     slot_of = _positions(jobs)

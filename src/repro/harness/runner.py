@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace as _dc_replace
-from functools import lru_cache
 from typing import Optional
 
 from repro.errors import ConfigError
@@ -24,30 +23,12 @@ from repro.net.presets import get_preset
 from repro.obs.sink import TraceSink
 from repro.pgas.machine import Machine
 from repro.sim.trace import Tracer
+from repro.uts.materialized import expected_node_count, tree_for
 from repro.uts.params import TreeParams
-from repro.uts.sequential import count_tree
-from repro.uts.tree import Tree
 from repro.ws.algorithms import get_algorithm
 from repro.ws.config import WsConfig
 
 __all__ = ["run_experiment", "expected_node_count", "tree_for"]
-
-
-@lru_cache(maxsize=128)
-def expected_node_count(params: TreeParams) -> int:
-    """Sequential node count, cached per tree parameterization."""
-    return count_tree(params).n_nodes
-
-
-@lru_cache(maxsize=64)
-def tree_for(params: TreeParams) -> Tree:
-    """One shared :class:`Tree` per parameterization.
-
-    A ``Tree`` is immutable after construction, so every run of the
-    same parameters can share one instance instead of re-running the
-    constructor (and its engine lookup) per sweep cell.
-    """
-    return Tree(params)
 
 
 def run_experiment(
@@ -75,8 +56,9 @@ def run_experiment(
     algorithm:
         One of the Figure-3 labels (``upc-distmem``, ``mpi-ws``, ...).
     tree:
-        The UTS tree to search (a :class:`~repro.uts.params.TreeParams`),
-        or any custom implicit search space exposing ``root() -> node``
+        The UTS tree to search (a :class:`~repro.uts.params.TreeParams`,
+        resolved through the :func:`tree_for` expansion cache), or any
+        custom implicit search space exposing ``root() -> node``
         and ``children(node) -> list`` -- the work-stealing framework is
         workload-agnostic (see ``examples/custom_search_space.py``).
         ``verify=True`` requires ``TreeParams`` (the sequential oracle).
@@ -92,7 +74,7 @@ def run_experiment(
         Seed for the simulation's random streams (probe orders).  The
         tree's own seed lives in ``tree.seed``.
     verify:
-        If True, recount the tree sequentially (cached) and raise
+        If True, check against :func:`expected_node_count` and raise
         :class:`~repro.errors.ProtocolError` on any mismatch.  On a
         faulted run the check is ``total_nodes + lost_work ==
         expected`` -- fail-stop losses must be *exactly* accounted.

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.harness.config import FigureSetup
-from repro.harness.parallel import (JobSpec, execute_jobs,
-                                    expected_nodes_for, resolve_jobs)
+from repro.harness.parallel import JobSpec, execute_jobs, resolve_jobs
+from repro.harness.runner import expected_node_count
 from repro.metrics.report import RunResult
 
 __all__ = ["SweepResult", "run_sweep"]
@@ -68,7 +68,7 @@ def run_sweep(setup: FigureSetup, *, verify: bool = True,
     progress lines arrive in completion order.
     """
     n_jobs = resolve_jobs(jobs)
-    expected = expected_nodes_for(setup.tree)
+    expected = expected_node_count(setup.tree)
     grid = [
         JobSpec(index=i, algorithm=alg, tree=setup.tree, threads=threads,
                 preset=setup.preset, chunk_size=k, expected_nodes=expected,

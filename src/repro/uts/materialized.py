@@ -19,22 +19,28 @@ the key -- and the whole structure is read-only after construction, so
 it is shared copy-on-write with forked sweep workers.
 
 Memory is bounded by :func:`node_cap` (default 2,000,000 nodes,
-override with ``REPRO_TREE_CACHE_CAP``; ``REPRO_TREE_CACHE=0``
-disables materialization entirely): :func:`materialize` falls back to
-returning the implicit :class:`Tree` when the expansion would exceed
-the cap, so near-critical trees degrade to on-the-fly generation
-instead of exhausting host memory.
+override with ``REPRO_TREE_CACHE_CAP``; ``0`` disables materialization
+entirely): :func:`materialize` falls back to returning the implicit
+:class:`Tree` when the expansion would exceed the cap, so near-critical
+trees degrade to on-the-fly generation instead of exhausting host
+memory.  :func:`tree_for` caches those results process-wide; every
+``run_experiment(TreeParams)`` and every sweep resolves its tree there.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+from collections import OrderedDict
 from typing import Iterator, List, Optional
 
+from repro.errors import ConfigError
 from repro.uts.params import TreeParams
+from repro.uts.sequential import count_tree
 from repro.uts.tree import Node, Tree
 
-__all__ = ["MaterializedTree", "materialize", "node_cap", "DEFAULT_NODE_CAP"]
+__all__ = ["MaterializedTree", "materialize", "node_cap", "DEFAULT_NODE_CAP",
+           "tree_for", "expected_node_count"]
 
 #: Default ceiling on materialized tree size (nodes).  A 2M-node
 #: binomial tree costs roughly 250 MB of node tuples + index; past
@@ -43,13 +49,17 @@ DEFAULT_NODE_CAP = 2_000_000
 
 
 def node_cap() -> int:
-    """The active materialization cap (``REPRO_TREE_CACHE_CAP`` wins).
-
-    ``REPRO_TREE_CACHE=0`` disables materialization (cap of zero).
+    """The active materialization cap, in nodes: ``REPRO_TREE_CACHE_CAP``
+    if set, else :data:`DEFAULT_NODE_CAP`.  ``0`` disables
+    materialization; anything but a non-negative integer raises
+    :class:`~repro.errors.ConfigError`.
     """
-    if os.environ.get("REPRO_TREE_CACHE", "1") == "0":
-        return 0
-    return int(os.environ.get("REPRO_TREE_CACHE_CAP", DEFAULT_NODE_CAP))
+    raw = os.environ.get("REPRO_TREE_CACHE_CAP", str(DEFAULT_NODE_CAP)).strip()
+    if not raw.isdecimal():
+        raise ConfigError(
+            f"REPRO_TREE_CACHE_CAP={raw!r} is not a non-negative integer "
+            "(expected a node count; 0 = never materialize)")
+    return int(raw)
 
 
 class MaterializedTree:
@@ -192,3 +202,46 @@ def materialize(params: TreeParams, max_nodes: Optional[int] = None):
     """
     mat = MaterializedTree.build(params, max_nodes=max_nodes)
     return mat if mat is not None else Tree(params)
+
+
+#: The process-wide tree cache, least recently used first.  Forked
+#: sweep workers inherit it copy-on-write.
+_TREES: "OrderedDict[TreeParams, object]" = OrderedDict()
+_TREES_LOCK = threading.Lock()
+
+
+def _cost(tree) -> int:
+    return getattr(tree, "n_nodes", 1)  # an implicit Tree is charged one
+
+
+def tree_for(params: TreeParams):
+    """The process-wide tree for ``params``: materialized when it fits
+    under :func:`node_cap`, else the implicit :class:`Tree` (cached too,
+    so the abandoned expansion is paid once).  The cache holds at most
+    :func:`node_cap` nodes in total: least-recently-used trees are
+    dropped until the newcomer fits.
+    """
+    with _TREES_LOCK:
+        tree = _TREES.get(params)
+        if tree is not None:
+            _TREES.move_to_end(params)
+            return tree
+        cap = node_cap()
+        tree = materialize(params, max_nodes=cap)
+        room = cap - _cost(tree)
+        while _TREES and sum(map(_cost, _TREES.values())) > room:
+            _TREES.popitem(last=False)
+        if room >= 0:
+            _TREES[params] = tree
+        return tree
+
+
+def expected_node_count(params: TreeParams) -> int:
+    """The sequential node count every parallel run must reproduce: the
+    materialized expansion's size when there is one (a breadth-first
+    pass over the same generator), else a :func:`count_tree` traversal.
+    """
+    tree = tree_for(params)
+    if isinstance(tree, MaterializedTree):
+        return tree.n_nodes
+    return count_tree(params).n_nodes

@@ -238,3 +238,25 @@ def test_plain_run_on_same_host_selects_compiled(clean_env):
                    threads=4, preset="kittyhawk", chunk_size=2,
                    tracer=spy)
     assert spy.sim.fastpath_active
+
+
+def test_plain_run_on_tree_params_fuses(clean_env):
+    """``run_experiment(TreeParams)`` resolves to the cached
+    materialized tree, so the public one-call API runs the fused C
+    phases, not just the compiled loop under Python phases."""
+    if not fp.available():
+        pytest.skip("extension not built on this host")
+    from repro import TreeParams, run_experiment
+    from repro.sim.trace import Tracer
+
+    class AlgoSpy(Tracer):
+        def attach_algorithm(self, algo):
+            self.algo = algo
+
+    spy = AlgoSpy(enabled=False)  # an enabled tracer is a fusion gate
+    res = run_experiment("upc-distmem",
+                         tree=TreeParams.binomial(b0=24, q=0.4, seed=1),
+                         threads=4, chunk_size=2, tracer=spy)
+    assert spy.algo.machine.sim.fastpath_active
+    assert spy.algo._fuse is True
+    assert (res.engine_events, res.sim_time) == (158, 6.319245188284519e-05)

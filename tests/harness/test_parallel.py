@@ -11,10 +11,8 @@ from repro.harness import parallel
 from repro.harness.config import setup_for
 from repro.harness.parallel import (JobSpec, JobTimeout, execute_jobs,
                                     expected_nodes_for, fork_available,
-                                    job_timeout, resolve_jobs, shared_tree)
+                                    job_timeout, resolve_jobs)
 from repro.harness.sweep import run_sweep
-from repro.uts.materialized import MaterializedTree
-from repro.uts.params import TreeParams
 
 SETUP = setup_for("fig4", "test")
 
@@ -140,12 +138,6 @@ class TestPlumbing:
         assert mk("upc-sharedmem", 1).cost_hint() > \
             mk("upc-distmem", 1).cost_hint()
 
-    def test_shared_tree_memoized_and_materialized(self):
-        a = shared_tree(SETUP.tree)
-        assert shared_tree(SETUP.tree) is a
-        assert isinstance(a, MaterializedTree)
-        assert expected_nodes_for(SETUP.tree) == a.n_nodes
-
     def test_empty_job_list(self):
         assert execute_jobs([], n_jobs=4) == []
 
@@ -234,11 +226,3 @@ class TestHardening:
         monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
         results = execute_jobs([self._job()], n_jobs=1)
         assert results[0].total_nodes == expected_nodes_for(SETUP.tree)
-
-
-class TestSharedTreeInRunner:
-    def test_tree_for_reuses_instance(self):
-        from repro.harness.runner import tree_for
-
-        params = TreeParams.binomial(b0=11, q=0.3, seed=42)
-        assert tree_for(params) is tree_for(params)

@@ -1,11 +1,9 @@
 #!/usr/bin/env python
 """Measure the discrete-event engine on the Figure-4 serial sweep.
 
-``bench_sweep.py`` compares the *sweep* strategies (seed-style vs
-cached vs parallel); this tool pins the *engine itself*: one serial
-pass over the ``fig4`` sweep (shared materialized tree, ``jobs=1``) so
-wall-clock differences come from per-event cost, not tree expansion or
-process fan-out.
+This tool pins the *engine itself*: one serial pass over the ``fig4``
+sweep (shared materialized tree, ``jobs=1``) so wall-clock differences
+come from per-event cost, not tree expansion or process fan-out.
 
 The committed ``BENCH_engine.json`` carries two blocks:
 
@@ -45,7 +43,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import fastpath  # noqa: E402
 from repro.harness.config import setup_for  # noqa: E402
-from repro.harness.parallel import shared_tree  # noqa: E402
+from repro.harness.runner import tree_for  # noqa: E402
 from repro.harness.sweep import run_sweep  # noqa: E402
 
 
@@ -73,7 +71,7 @@ def measure(figure: str, scale: str, threads: int = None) -> dict:
     # only -- this is where the vectorized builder (fastpath.nputs)
     # shows up, separately from the compiled dispatch core.
     te0 = time.perf_counter()
-    shared_tree(setup.tree)
+    tree_for(setup.tree)
     tree_seconds = time.perf_counter() - te0
     t0 = time.perf_counter()
     sweep = run_sweep(setup, jobs=1)

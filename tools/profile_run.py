@@ -40,8 +40,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import fastpath  # noqa: E402
 from repro.harness.config import setup_for  # noqa: E402
-from repro.harness.parallel import (JobSpec, execute_jobs,  # noqa: E402
-                                    expected_nodes_for)
+from repro.harness.parallel import JobSpec, execute_jobs  # noqa: E402
+from repro.harness.runner import expected_node_count  # noqa: E402
 from repro.ws.config import WsConfig  # noqa: E402
 
 
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
               "the caller's tottime", flush=True)
 
     # run_sweep's own grid, with the idle strategy in each cell's config.
-    expected = expected_nodes_for(setup.tree)
+    expected = expected_node_count(setup.tree)
     grid = [
         JobSpec(index=i, algorithm=alg, tree=setup.tree, threads=threads,
                 preset=setup.preset, chunk_size=k, expected_nodes=expected,
