@@ -165,17 +165,15 @@ def batch_expander(tree: Any) -> Optional[Callable[[list, int, int], tuple]]:
     """A compiled drop-in for ``MaterializedTree.batch_expand``.
 
     Returns a ``(local, limit, thresh) -> (visited, pushed)`` callable
-    bound to the tree's precomputed child map, or None when the core is
-    unavailable or the tree is not materialized.
+    reading the tree's preorder arrays in place, or None when the core
+    is unavailable or the tree is not materialized.
     """
+    from repro.uts.materialized import MaterializedTree  # noqa: PLC0415
+
     core = _load()
-    if core is None:
+    if core is None or not isinstance(tree, MaterializedTree):
         return None
-    kid_map = getattr(tree, "_kid_map", None)
-    base = getattr(tree, "_base", None)
-    if kid_map is None or base is None:
-        return None
-    return partial(core.batch_expand, kid_map, base.children)
+    return partial(core.batch_expand, tree, tree.delta, tree.size)
 
 
 def vector_expansion_enabled() -> bool:

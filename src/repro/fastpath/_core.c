@@ -14,9 +14,9 @@
  *       every subclassed or unusual awaitable, with the simulator's
  *       authoritative state synchronized around each call.
  *
- *   batch_expand(kid_map, children, local, limit, thresh)
- *       MaterializedTree.batch_expand: the DFS inner loop against the
- *       precomputed child map.
+ *   batch_expand(tree, delta, size, local, limit, thresh)
+ *       MaterializedTree.batch_expand: the DFS inner loop as range
+ *       scans of the tree's preorder arrays, read in place.
  *
  *   LockPhase(spec)
  *       A fused working-phase coroutine for LockBasedAlgorithm: the
@@ -422,6 +422,13 @@ enum {
 
 enum { SUB_RELEASE = 0, SUB_REACQUIRE = 1 };
 
+/* A MaterializedTree's preorder arrays: array('i') exports held for
+ * the owner's lifetime (the arrays are never resized or rewritten). */
+typedef struct {
+    PyObject *tree;           /* names itself when a handle is bad     */
+    Py_buffer delta, size;    /* tree.delta, tree.size                 */
+} TreeView;
+
 typedef struct {
     PyObject_HEAD
     /* configuration (strong references; immutable after init) */
@@ -440,8 +447,7 @@ typedef struct {
     PyObject *ev_name;        /* str: fifo._ev_name                    */
     PyObject *enter_cb;       /* callable(): phase-entry bookkeeping   */
     PyObject *exit_cb;        /* callable(): phase-exit bookkeeping    */
-    PyObject *kid_map;        /* dict: MaterializedTree._kid_map       */
-    PyObject *children_fb;    /* callable: base tree children fallback */
+    TreeView tv;              /* the MaterializedTree's arrays         */
     PyObject *barrier_dict;   /* CancelableBarrier.__dict__ or NULL    */
     double reset_cost;        /* barrier-reset write cost (with hook)  */
     double home_occupancy;    /* barrier cancel stagger                */
@@ -487,8 +493,7 @@ typedef struct {
     PyObject *pending;        /* list MsgWorld._pending[rank] or NULL  */
     PyObject *enter_cb;       /* callable(): phase-entry bookkeeping   */
     PyObject *exit_cb;        /* callable(): phase-exit bookkeeping    */
-    PyObject *kid_map;        /* dict: MaterializedTree._kid_map       */
-    PyObject *children_fb;    /* callable: base tree children fallback */
+    TreeView tv;              /* the MaterializedTree's arrays         */
     double *vt;               /* visit cost per batch size [0..limit]  */
     long long chunk;
     long long thresh;
@@ -580,59 +585,63 @@ static PyTypeObject IdlePhase_Type;  /* forward */
 static int dispatch_send(RunCtx *rc, PyObject *proc, PyObject *value,
                          PyObject *time_obj);
 
-/* C mirror of MaterializedTree.batch_expand's inner loop. */
-static int
-c_batch_expand(PyObject *kid_map, PyObject *children_fb, PyObject *local,
-               long long limit, long long thresh,
-               long long *out_n, long long *out_pushed)
+static void
+tv_clear(TreeView *tv)
 {
+    PyBuffer_Release(&tv->delta);
+    PyBuffer_Release(&tv->size);
+    Py_CLEAR(tv->tree);
+}
+
+/* C mirror of MaterializedTree.batch_expand (minus its whole-subtree
+ * shortcut: here the scan costs less than the test).  A stack entry
+ * that is not a position of the arrays is refused by name, not read. */
+static int
+c_batch_expand(TreeView *tv, PyObject *local, long long limit,
+               long long thresh, long long *out_n, long long *out_pushed)
+{
+    const int *delta = tv->delta.buf, *size = tv->size.buf;
+    const Py_ssize_t n_nodes = tv->size.len / (Py_ssize_t)sizeof(int);
     long long n = 0, pushed = 0;
-    Py_ssize_t llen = PyList_GET_SIZE(local);
-    while (llen > 0 && n < limit) {
-        PyObject *node = PyList_GET_ITEM(local, llen - 1);
-        PyObject *kids;
-        PyObject *owned = NULL;
-        Py_INCREF(node);
-        if (PyList_SetSlice(local, llen - 1, llen, NULL) < 0) {
-            Py_DECREF(node);
+    Py_ssize_t cur = PyList_GET_SIZE(local);
+    if (tv->delta.itemsize != sizeof(int) || tv->size.itemsize != sizeof(int)
+            || tv->delta.len != tv->size.len) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fastpath: tree arrays must be equal-length array('i')");
+        return -1;
+    }
+    while (cur > 0 && n < limit) {
+        const Py_ssize_t below = cur - 1;
+        PyObject *node = PyList_GET_ITEM(local, below);
+        Py_ssize_t a = PyLong_CheckExact(node) ? PyLong_AsSsize_t(node) : -1;
+        Py_ssize_t span, v = 0, p, i;
+        if (a < 0 || a >= n_nodes) {
+            PyErr_Clear();  /* num_children() raises the named error */
+            Py_XDECREF(PyObject_CallMethod(tv->tree, "num_children", "(O)",
+                                           node));
+            if (!PyErr_Occurred())
+                PyErr_SetString(SimulationError, "fastpath: bad tree handle");
             return -1;
         }
-        llen -= 1;
-        kids = PyDict_GetItemWithError(kid_map, node);
-        if (kids == NULL) {
-            if (PyErr_Occurred()) {
-                Py_DECREF(node);
+        span = size[a] > limit - n ? (Py_ssize_t)(limit - n) : size[a];
+        do {
+            cur += delta[a + v++];
+        } while (v < span && cur < thresh);
+        n += v;
+        pushed += cur - below - 1 + v;
+        /* a makes way for the cur - below subtrees that tile the rest
+         * of its range, each inserted under the one before it */
+        if (PyList_SetSlice(local, below, below + 1, NULL) < 0)
+            return -1;
+        for (p = a + v, i = below; i < cur; i++, p += size[p]) {
+            PyObject *h = PyLong_FromSsize_t(p);
+            if (h == NULL || PyList_Insert(local, below, h) < 0) {
+                Py_XDECREF(h);
                 return -1;
             }
-            owned = PyObject_CallOneArg(children_fb, node);
-            if (owned == NULL) {
-                Py_DECREF(node);
-                return -1;
-            }
-            kids = owned;
+            Py_DECREF(h);
         }
-        Py_DECREF(node);
-        {
-            Py_ssize_t k;
-            if (!PyList_CheckExact(kids)) {
-                PyErr_SetString(PyExc_TypeError,
-                                "fastpath: children must be a list");
-                Py_XDECREF(owned);
-                return -1;
-            }
-            k = PyList_GET_SIZE(kids);
-            if (k > 0) {
-                if (PyList_SetSlice(local, llen, llen, kids) < 0) {
-                    Py_XDECREF(owned);
-                    return -1;
-                }
-                pushed += k;
-                llen += k;
-            }
-        }
-        Py_XDECREF(owned);
-        n += 1;
-        if (llen >= thresh)
+        if (cur >= thresh)
             break;
     }
     *out_n = n;
@@ -671,8 +680,8 @@ main_loop:
     /* visit: n, pushed = batch_expand(local, limit, thresh) */
     {
         long long n = 0, pushed = 0;
-        if (c_batch_expand(ph->kid_map, ph->children_fb, ph->local,
-                           ph->limit, ph->thresh, &n, &pushed) < 0)
+        if (c_batch_expand(&ph->tv, ph->local, ph->limit, ph->thresh,
+                           &n, &pushed) < 0)
             return -1;
         if (slot_add_long(ph->stack, off_st_pops, n) < 0
                 || slot_add_long(ph->stack, off_st_pushes, pushed) < 0
@@ -1090,8 +1099,8 @@ stack_check:
     /* visit: n, pushed = batch_expand(local, limit, thresh) */
     {
         long long n = 0, pushed = 0;
-        if (c_batch_expand(op->kid_map, op->children_fb, op->local,
-                           op->limit, op->thresh, &n, &pushed) < 0)
+        if (c_batch_expand(&op->tv, op->local, op->limit, op->thresh,
+                           &n, &pushed) < 0)
             return -1;
         if (slot_add_long(op->stack, off_st_pops, n) < 0
                 || slot_add_long(op->stack, off_st_pushes, pushed) < 0
@@ -2124,20 +2133,18 @@ badsim:
 static PyObject *
 py_batch_expand(PyObject *module, PyObject *args)
 {
-    PyObject *kid_map, *children_fb, *local;
+    TreeView tv = {NULL};
+    PyObject *tree, *local, *res = NULL;
     long long limit, thresh, n = 0, pushed = 0;
-    if (!PyArg_ParseTuple(args, "OOOLL:batch_expand", &kid_map,
-                          &children_fb, &local, &limit, &thresh))
+    if (!PyArg_ParseTuple(args, "Oy*y*O!LL:batch_expand", &tree, &tv.delta,
+                          &tv.size, &PyList_Type, &local, &limit, &thresh))
         return NULL;
-    if (!PyDict_CheckExact(kid_map) || !PyList_CheckExact(local)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "batch_expand expects (dict, callable, list)");
-        return NULL;
-    }
-    if (c_batch_expand(kid_map, children_fb, local, limit, thresh,
-                       &n, &pushed) < 0)
-        return NULL;
-    return Py_BuildValue("LL", n, pushed);
+    Py_INCREF(tree);
+    tv.tree = tree;
+    if (c_batch_expand(&tv, local, limit, thresh, &n, &pushed) == 0)
+        res = Py_BuildValue("LL", n, pushed);
+    tv_clear(&tv);
+    return res;
 }
 
 /* ------------------------------------------------------------------ */
@@ -2150,13 +2157,12 @@ LockPhase_init(LockPhaseObject *self, PyObject *args, PyObject *kwds)
     static char *kwlist[] = {
         "sim", "local", "shared", "shared_append", "shared_pop", "stack",
         "st_dict", "wa", "fifo", "queue", "queue_append", "queue_popleft",
-        "ev_name", "enter_cb", "exit_cb", "kid_map", "children_fb",
+        "ev_name", "enter_cb", "exit_cb", "tree", "delta", "size",
         "barrier_dict", "visit_costs", "lock_to", "unlock_to",
         "reset_cost", "home_occupancy", "chunk", "thresh", "limit", NULL};
     PyObject *sim, *local, *shared, *shared_append, *shared_pop, *stack,
         *st_dict, *wa, *fifo, *queue, *queue_append, *queue_popleft,
-        *ev_name, *enter_cb, *exit_cb, *kid_map, *children_fb,
-        *barrier_dict, *visit_costs;
+        *ev_name, *enter_cb, *exit_cb, *tree, *barrier_dict, *visit_costs;
     double lock_to, unlock_to, reset_cost, home_occupancy;
     long long chunk, thresh, limit;
     PyObject *fast = NULL;
@@ -2167,15 +2173,15 @@ LockPhase_init(LockPhaseObject *self, PyObject *args, PyObject *kwds)
         return -1;
     }
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "OOOOOOOOOOOOOOOOOOOddddLLL:LockPhase", kwlist,
+            args, kwds, "OOOOOOOOOOOOOOOOy*y*OOddddLLL:LockPhase", kwlist,
             &sim, &local, &shared, &shared_append, &shared_pop, &stack,
             &st_dict, &wa, &fifo, &queue, &queue_append, &queue_popleft,
-            &ev_name, &enter_cb, &exit_cb, &kid_map, &children_fb,
-            &barrier_dict, &visit_costs, &lock_to, &unlock_to,
-            &reset_cost, &home_occupancy, &chunk, &thresh, &limit))
+            &ev_name, &enter_cb, &exit_cb, &tree, &self->tv.delta,
+            &self->tv.size, &barrier_dict, &visit_costs, &lock_to,
+            &unlock_to, &reset_cost, &home_occupancy, &chunk, &thresh,
+            &limit))
         return -1;
-    if (!PyList_CheckExact(local) || !PyDict_CheckExact(kid_map)
-            || !PyDict_CheckExact(st_dict)
+    if (!PyList_CheckExact(local) || !PyDict_CheckExact(st_dict)
             || (barrier_dict != Py_None
                 && !PyDict_CheckExact(barrier_dict))) {
         PyErr_SetString(PyExc_TypeError, "LockPhase: bad container types");
@@ -2222,8 +2228,7 @@ LockPhase_init(LockPhaseObject *self, PyObject *args, PyObject *kwds)
     PH_SET(ev_name, ev_name);
     PH_SET(enter_cb, enter_cb);
     PH_SET(exit_cb, exit_cb);
-    PH_SET(kid_map, kid_map);
-    PH_SET(children_fb, children_fb);
+    PH_SET(tv.tree, tree);
 #undef PH_SET
     if (barrier_dict == Py_None) {
         self->barrier_dict = NULL;
@@ -2262,8 +2267,7 @@ LockPhase_traverse(LockPhaseObject *self, visitproc visit, void *arg)
     Py_VISIT(self->ev_name);
     Py_VISIT(self->enter_cb);
     Py_VISIT(self->exit_cb);
-    Py_VISIT(self->kid_map);
-    Py_VISIT(self->children_fb);
+    Py_VISIT(self->tv.tree);
     Py_VISIT(self->barrier_dict);
     Py_VISIT(self->worker);
     return 0;
@@ -2287,8 +2291,7 @@ LockPhase_clear(LockPhaseObject *self)
     Py_CLEAR(self->ev_name);
     Py_CLEAR(self->enter_cb);
     Py_CLEAR(self->exit_cb);
-    Py_CLEAR(self->kid_map);
-    Py_CLEAR(self->children_fb);
+    tv_clear(&self->tv);
     Py_CLEAR(self->barrier_dict);
     Py_CLEAR(self->worker);
     return 0;
@@ -2339,11 +2342,11 @@ OwnerPhase_init(OwnerPhaseObject *self, PyObject *args, PyObject *kwds)
     static char *kwlist[] = {
         "sim", "local", "shared", "shared_append", "shared_pop", "stack",
         "st_dict", "wa", "no_work", "req_slot", "poll", "pending",
-        "enter_cb", "exit_cb", "kid_map", "children_fb", "visit_costs",
+        "enter_cb", "exit_cb", "tree", "delta", "size", "visit_costs",
         "chunk", "thresh", "limit", NULL};
     PyObject *sim, *local, *shared, *shared_append, *shared_pop, *stack,
         *st_dict, *wa, *no_work, *req_slot, *poll, *pending,
-        *enter_cb, *exit_cb, *kid_map, *children_fb, *visit_costs;
+        *enter_cb, *exit_cb, *tree, *visit_costs;
     long long chunk, thresh, limit;
     PyObject *fast = NULL;
     Py_ssize_t nvt, i;
@@ -2353,14 +2356,13 @@ OwnerPhase_init(OwnerPhaseObject *self, PyObject *args, PyObject *kwds)
         return -1;
     }
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "OOOOOOOOOOOOOOOOOLLL:OwnerPhase", kwlist,
+            args, kwds, "OOOOOOOOOOOOOOOy*y*OLLL:OwnerPhase", kwlist,
             &sim, &local, &shared, &shared_append, &shared_pop, &stack,
             &st_dict, &wa, &no_work, &req_slot, &poll, &pending,
-            &enter_cb, &exit_cb, &kid_map, &children_fb, &visit_costs,
-            &chunk, &thresh, &limit))
+            &enter_cb, &exit_cb, &tree, &self->tv.delta, &self->tv.size,
+            &visit_costs, &chunk, &thresh, &limit))
         return -1;
-    if (!PyList_CheckExact(local) || !PyDict_CheckExact(kid_map)
-            || !PyDict_CheckExact(st_dict)
+    if (!PyList_CheckExact(local) || !PyDict_CheckExact(st_dict)
             || (poll != Py_None && !PyList_CheckExact(pending))) {
         PyErr_SetString(PyExc_TypeError, "OwnerPhase: bad container types");
         return -1;
@@ -2415,8 +2417,7 @@ OwnerPhase_init(OwnerPhaseObject *self, PyObject *args, PyObject *kwds)
     OP_SET_OPT(pending, pending);
     OP_SET(enter_cb, enter_cb);
     OP_SET(exit_cb, exit_cb);
-    OP_SET(kid_map, kid_map);
-    OP_SET(children_fb, children_fb);
+    OP_SET(tv.tree, tree);
 #undef OP_SET
 #undef OP_SET_OPT
     self->chunk = chunk;
@@ -2444,8 +2445,7 @@ OwnerPhase_traverse(OwnerPhaseObject *self, visitproc visit, void *arg)
     Py_VISIT(self->pending);
     Py_VISIT(self->enter_cb);
     Py_VISIT(self->exit_cb);
-    Py_VISIT(self->kid_map);
-    Py_VISIT(self->children_fb);
+    Py_VISIT(self->tv.tree);
     Py_VISIT(self->worker);
     return 0;
 }
@@ -2467,8 +2467,7 @@ OwnerPhase_clear(OwnerPhaseObject *self)
     Py_CLEAR(self->pending);
     Py_CLEAR(self->enter_cb);
     Py_CLEAR(self->exit_cb);
-    Py_CLEAR(self->kid_map);
-    Py_CLEAR(self->children_fb);
+    tv_clear(&self->tv);
     Py_CLEAR(self->worker);
     return 0;
 }
@@ -2866,7 +2865,7 @@ static PyMethodDef core_methods[] = {
     {"run", fast_run, METH_VARARGS,
      "run(sim, until=None) -> float -- the compiled Simulator.run loop"},
     {"batch_expand", py_batch_expand, METH_VARARGS,
-     "batch_expand(kid_map, children, local, limit, thresh) -> (n, pushed)"},
+     "batch_expand(tree, delta, size, local, limit, thresh) -> (n, pushed)"},
     {NULL, NULL, 0, NULL}
 };
 

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import List, Optional, Tuple
+from array import array
+from typing import List
 
 try:
     import numpy as _np
@@ -81,97 +82,74 @@ def batch_spawn_splitmix(state: int, n: int) -> "object":
     return _mix64(_np.uint64(state) + idx * _np.uint64(_GAMMA))
 
 
-def fast_build(base, cap: int, no_kids: Optional[list] = None):
+def fast_build(base, cap: int):
     """Level-order expansion matching ``MaterializedTree.build`` exactly.
 
-    Returns ``(nodes, kid_map)`` with the identical breadth-first node
-    list and child map the scalar builder produces, :data:`OVERFLOW`
-    when the tree exceeds ``cap`` nodes, or None when this builder has
-    no kernel for the tree's shape/engine (caller falls back to the
-    scalar loop).
+    Returns the ``(n_kids, size, max_depth)`` the scalar depth-first
+    builder produces -- the level-order counts permuted to visit order
+    -- :data:`OVERFLOW` when the tree exceeds ``cap`` nodes, or None
+    when this builder has no kernel for the tree's shape/engine (caller
+    falls back to the scalar loop).
     """
     if _np is None or not base._is_binomial:
         return None
     name = base.engine.name
-    if name == "sha1":
-        return _build_binomial_sha1(base, cap, no_kids)
-    if name == "splitmix":
-        return _build_binomial_splitmix(base, cap, no_kids)
-    return None
-
-
-def _build_binomial_sha1(base, cap: int, no_kids: Optional[list]):
+    if name not in ("sha1", "splitmix"):
+        return None
     m = base._m
     thresh = base._thresh
-    if no_kids is None:
-        no_kids = []
-    suffixes = [struct.pack(">I", i) for i in range(m)]
-    sha1 = hashlib.sha1
-    root = base.root()
-    nodes: list = [root]
-    kid_map: dict = {}
     # Root level: b0 children unconditionally (scalar path, one node).
-    level = base.children(root)
-    kid_map[root] = level if level else no_kids
-    nodes.extend(level)
-    if len(nodes) > cap:
-        return OVERFLOW
-    height = 1
-    while level:
-        height += 1
-        interior = (batch_rand_sha1([s for s, _ in level]) <
-                    _np.uint32(thresh)).tolist()
-        next_level: list = []
-        extend = next_level.extend
-        for node, is_interior in zip(level, interior):
-            if is_interior:
-                state = node[0]
-                kids = [(sha1(state + sfx).digest(), height)
-                        for sfx in suffixes]
-                kid_map[node] = kids
-                extend(kids)
-            else:
-                kid_map[node] = no_kids
-        nodes.extend(next_level)
-        if len(nodes) > cap:
-            return OVERFLOW
-        level = next_level
-    return nodes, kid_map
+    states = [s for s, _ in base.children(base.root())]
+    levels = [_np.array([len(states)], dtype=_np.int32)]
+    total = 1 + len(states)
+    if name == "sha1":
+        suffixes = [struct.pack(">I", i) for i in range(m)]
+        sha1 = hashlib.sha1
+    else:
+        states = _np.array(states, dtype=_np.uint64)
+        idx = _np.arange(1, m + 1, dtype=_np.uint64) * _np.uint64(_GAMMA)
+    while len(states) and total <= cap:
+        if name == "sha1":
+            interior = batch_rand_sha1(states) < _np.uint32(thresh)
+            states = [sha1(s + sfx).digest()
+                      for s, keep in zip(states, interior.tolist()) if keep
+                      for sfx in suffixes]
+        else:
+            interior = batch_rand_splitmix(states) < thresh
+            states = _mix64(states[interior][:, None] + idx[None, :]).ravel()
+        levels.append(interior * _np.int32(m))
+        total += len(states)
+    return _preorder(levels, total) if total <= cap else OVERFLOW
 
 
-def _build_binomial_splitmix(base, cap: int, no_kids: Optional[list]):
-    m = base._m
-    thresh = base._thresh
-    if no_kids is None:
-        no_kids = []
-    root = base.root()
-    nodes: list = [root]
-    kid_map: dict = {}
-    level = base.children(root)
-    kid_map[root] = level if level else no_kids
-    nodes.extend(level)
-    if len(nodes) > cap:
-        return OVERFLOW
-    idx = _np.arange(1, m + 1, dtype=_np.uint64) * _np.uint64(_GAMMA)
-    height = 1
-    while level:
-        height += 1
-        states = _np.array([s for s, _ in level], dtype=_np.uint64)
-        interior = batch_rand_splitmix(states) < thresh
-        child_rows = iter(
-            _mix64(states[interior][:, None] + idx[None, :]).tolist()
-            if int(interior.sum()) else ())
-        next_level: list = []
-        extend = next_level.extend
-        for node, is_interior in zip(level, interior.tolist()):
-            if is_interior:
-                kids = [(cs, height) for cs in next(child_rows)]
-                kid_map[node] = kids
-                extend(kids)
-            else:
-                kid_map[node] = no_kids
-        nodes.extend(next_level)
-        if len(nodes) > cap:
-            return OVERFLOW
-        level = next_level
-    return nodes, kid_map
+def _preorder(levels: list, total: int):
+    """Per-level child counts (each level in the order its parents list
+    their children) -> ``(n_kids, size, max_depth)`` in visit order.
+
+    Counts suffice: a level's children sit contiguously in the next,
+    so subtree sizes are segment sums taken bottom-up, and a child's
+    visit position is its parent's + 1 + the sizes of the siblings
+    listed after it (the search pops those first).
+    """
+    def ends_and_cum(lv):
+        # One past each node's last child in level lv + 1, and that
+        # level's running size total (per pass: not held for all levels).
+        return (_np.cumsum(levels[lv]),
+                _np.concatenate(([0], _np.cumsum(sizes[lv + 1]))))
+
+    sizes = [_np.ones(len(kids), dtype=_np.int32) for kids in levels]
+    for lv in range(len(levels) - 2, -1, -1):
+        end, cum = ends_and_cum(lv)
+        sizes[lv] += cum[end] - cum[end - levels[lv]]
+    n_kids = _np.empty(total, dtype=_np.int32)
+    size = _np.empty(total, dtype=_np.int32)
+    pos = _np.zeros(1, dtype=_np.int64)
+    for lv, kids in enumerate(levels):
+        n_kids[pos] = kids
+        size[pos] = sizes[lv]
+        if lv + 1 < len(levels):
+            end, cum = ends_and_cum(lv)
+            parent = _np.repeat(_np.arange(len(kids)), kids)
+            pos = pos[parent] + 1 + cum[end[parent]] - cum[1:]
+    return (array("i", n_kids.tobytes()), array("i", size.tobytes()),
+            len(levels) - 1)

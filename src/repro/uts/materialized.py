@@ -4,21 +4,23 @@ A figure sweep executes dozens of independent runs over the *same*
 tree, and the implicit :class:`~repro.uts.tree.Tree` re-derives every
 node's children with one SHA-1 hash per child on every run -- the
 documented hot path.  :class:`MaterializedTree` performs that expansion
-exactly once, stores the nodes and per-node child counts in flat
-arrays, and then answers ``root()`` / ``children()`` / ``num_children()``
-by index lookup for every later run of the same :class:`TreeParams`.
+exactly once and keeps the tree's *shape*, which is all a search reads
+after that (stacks, chunks, steals and fault journals only move opaque
+handles): a node is named by its **visit position**, states are dropped.
 
-Layout (one breadth-first pass):
+Layout: three flat ``array('i')`` indexed by the order the sequential
+``pop()`` / ``extend(children)`` depth-first search visits nodes
+(root = 0): ``n_kids[i]``, the child count; ``delta[i] = n_kids[i] -
+1``, what visiting ``i`` does to the length of a DFS stack; and
+``size[i]``, the nodes in ``i``'s subtree, which is exactly positions
+``i .. i + size[i] - 1``.  The children of ``i`` are the chain ``c1 =
+i + 1``, ``c(j+1) = cj + size[cj]``, and a visit batch is a scan of a
+slice of ``delta`` (:meth:`MaterializedTree.batch_expand`).  The arrays
+are read-only after construction, hold no Python objects (12 bytes a
+node, nothing for the garbage collector to walk), and are shared
+copy-on-write with forked sweep workers.
 
-* ``_nodes``   -- every node tuple, root first.
-* ``_kid_map`` -- node tuple -> precomputed list of child nodes (leaves
-  share one empty list).
-
-``children()`` is therefore a single dict lookup -- no hashing beyond
-the key -- and the whole structure is read-only after construction, so
-it is shared copy-on-write with forked sweep workers.
-
-Memory is bounded by :func:`node_cap` (default 2,000,000 nodes,
+Memory is bounded by :func:`node_cap` (:data:`DEFAULT_NODE_CAP` nodes,
 override with ``REPRO_TREE_CACHE_CAP``; ``0`` disables materialization
 entirely): :func:`materialize` falls back to returning the implicit
 :class:`Tree` when the expansion would exceed the cap, so near-critical
@@ -31,21 +33,22 @@ from __future__ import annotations
 
 import os
 import threading
+from array import array
 from collections import OrderedDict
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.uts.params import TreeParams
 from repro.uts.sequential import count_tree
-from repro.uts.tree import Node, Tree
+from repro.uts.tree import Tree
 
 __all__ = ["MaterializedTree", "materialize", "node_cap", "DEFAULT_NODE_CAP",
            "tree_for", "expected_node_count"]
 
-#: Default ceiling on materialized tree size (nodes).  A 2M-node
-#: binomial tree costs roughly 250 MB of node tuples + index; past
-#: that, on-the-fly generation is the right trade.
-DEFAULT_NODE_CAP = 2_000_000
+#: Default ceiling on materialized tree size (nodes): a 250 MB budget
+#: at the layout's 12 bytes a node (three int32 arrays).  Past that,
+#: on-the-fly generation is the right trade.
+DEFAULT_NODE_CAP = 250_000_000 // 12
 
 
 def node_cap() -> int:
@@ -63,30 +66,27 @@ def node_cap() -> int:
 
 
 class MaterializedTree:
-    """One fully-expanded UTS tree, served from flat arrays.
+    """One fully-expanded UTS tree, served from preorder arrays.
 
     Drop-in for :class:`~repro.uts.tree.Tree` wherever a search space
     is consumed (``root``/``children``/``num_children``/``iter_dfs``),
-    producing bit-identical node tuples.  Callers must treat the lists
-    returned by :meth:`children` as read-only (every built-in algorithm
-    does).
+    with the identical shape.  A node handle is an ``int``, the node's
+    visit position, valid only for the tree that issued it; ``(state,
+    height)`` tuples exist only on the implicit :class:`Tree`.
     """
 
-    __slots__ = ("params", "engine", "_base", "_nodes", "_kid_map",
+    __slots__ = ("params", "n_kids", "delta", "size",
                  "n_nodes", "n_leaves", "max_depth")
 
-    #: Shared empty child list for leaves (callers treat it read-only).
-    _NO_KIDS: List[Node] = []
-
-    def __init__(self, base: Tree, nodes: List[Node], kid_map: dict) -> None:
-        self.params: TreeParams = base.params
-        self.engine = base.engine
-        self._base = base
-        self._nodes = nodes
-        self._kid_map = kid_map
-        self.n_nodes = len(nodes)
-        self.n_leaves = sum(1 for k in kid_map.values() if not k)
-        self.max_depth = max(h for _, h in nodes) if nodes else 0
+    def __init__(self, params: TreeParams, n_kids: array, size: array,
+                 max_depth: int) -> None:
+        self.params = params
+        self.n_kids = n_kids
+        self.delta = array("i", (k - 1 for k in n_kids))
+        self.size = size
+        self.n_nodes = len(n_kids)
+        self.n_leaves = n_kids.count(0)
+        self.max_depth = max_depth
 
     @classmethod
     def build(cls, params: TreeParams,
@@ -96,101 +96,124 @@ class MaterializedTree:
         if cap <= 0:
             return None
         base = Tree(params)
-        # Vectorized builder (repro.fastpath.nputs): same breadth-first
-        # node list and child map, built level-at-a-time with numpy
-        # child-count kernels.  None means "no kernel for this shape";
+        # Vectorized builder (repro.fastpath.nputs): the same arrays,
+        # level-at-a-time.  None means "no kernel for this shape";
         # OVERFLOW means the scalar loop would hit the cap too.
         from repro.fastpath import vector_expansion_enabled
         if vector_expansion_enabled():
             from repro.fastpath import nputs
-            built = nputs.fast_build(base, cap, cls._NO_KIDS)
+            built = nputs.fast_build(base, cap)
             if built is nputs.OVERFLOW:
                 return None
             if built is not None:
-                return cls(base, built[0], built[1])
-        nodes: List[Node] = [base.root()]
-        kid_map: dict = {}
-        no_kids = cls._NO_KIDS
+                return cls(params, *built)
+        # The sequential search itself: pop order is the layout's index.
+        n_kids = array("i")
+        count = n_kids.append
+        max_depth = 0
+        stack = [base.root()]
+        pop = stack.pop
+        extend = stack.extend
         children = base.children
-        i = 0
-        while i < len(nodes):
-            node = nodes[i]
+        while stack:
+            node = pop()
             kids = children(node)
-            kid_map[node] = kids if kids else no_kids
-            nodes.extend(kids)
-            if len(nodes) > cap:
-                return None
-            i += 1
-        return cls(base, nodes, kid_map)
+            count(len(kids))
+            if kids:
+                extend(kids)
+                if len(n_kids) + len(stack) > cap:
+                    return None
+            elif node[1] > max_depth:  # the deepest node is a leaf
+                max_depth = node[1]
+        # Sizes in reverse: child j+1 starts where child j's subtree ends.
+        size = array("i", [1]) * len(n_kids)
+        for i in range(len(n_kids) - 1, -1, -1):
+            s = 1
+            for _ in range(n_kids[i]):
+                s += size[i + s]
+            size[i] = s
+        return cls(params, n_kids, size, max_depth)
 
     def describe(self) -> str:
         return self.params.describe()
 
     # -- search-space protocol ----------------------------------------------
 
-    def root(self) -> Node:
-        return self._nodes[0]
+    def root(self) -> int:
+        return 0
 
-    def num_children(self, node: Node) -> int:
-        kids = self._kid_map.get(node)
-        if kids is None:  # not part of this tree; derive on the fly
-            return self._base.num_children(node)
-        return len(kids)
+    def num_children(self, node: int) -> int:
+        if type(node) is not int or not 0 <= node < self.n_nodes:
+            raise ProtocolError(
+                f"{self.describe()}: {node!r} is not a node of this "
+                f"materialized tree (its handles are the ints 0.."
+                f"{self.n_nodes - 1}, valid for no other tree)")
+        return self.n_kids[node]
 
-    def children(self, node: Node) -> list:
-        """Children of ``node`` as a fresh list (hot path, no hashing)."""
-        kids = self._kid_map.get(node)
-        if kids is None:  # not part of this tree; derive on the fly
-            return self._base.children(node)
-        return list(kids)
+    def children(self, node: int) -> list:
+        """Children of ``node`` as a fresh list, last-visited first (so
+        a DFS stack extended with it pops positions in order)."""
+        n_kids = self.num_children(node)
+        size = self.size
+        kids = []
+        child = node + 1
+        for _ in range(n_kids):
+            kids.append(child)
+            child += size[child]
+        kids.reverse()
+        return kids
+
+    def iter_dfs(self) -> Iterator[int]:
+        """Handles in visit order, in lockstep with ``Tree.iter_dfs``."""
+        return iter(range(self.n_nodes))
 
     # -- fused exploration hook ----------------------------------------------
 
     def batch_expand(self, local: list, limit: int, thresh: int) -> tuple:
-        """Run the DFS inner loop of ``AlgorithmBase.explore_batch``
-        directly against the precomputed child map (one dict lookup per
-        node, no per-node ``children()`` call, no list copies).  Must
-        mirror the generic loop exactly: same pop order, same early
-        exits.  Returns ``(visited, pushed)``.
+        """Run the DFS inner loop of ``AlgorithmBase.explore_batch`` as
+        range scans.  Must mirror the generic loop exactly: same visits,
+        same early exits, same ``local``.  Returns ``(visited, pushed)``.
+
+        With ``below`` entries under a popped handle ``a``, the search
+        visits ``a, a+1, ...`` until the stack is back to ``below``,
+        and after each visit its length is ``below + 1 +
+        sum(delta[a..])``: scan ``delta`` until that reaches ``thresh``
+        or the budget runs out, then push what is pending of ``a`` --
+        the ``cur - below`` subtrees that tile the rest of its range.
         """
-        kid_map = self._kid_map
-        pop = local.pop
-        extend = local.extend
-        n = 0
-        pushed = 0
-        # Track the stack depth in a local integer instead of calling
-        # ``len(local)`` twice per node (pop always removes one, extend
-        # always adds len(kids)).
-        llen = len(local)
-        while llen and n < limit:
-            node = pop()
-            llen -= 1
-            try:
-                kids = kid_map[node]
-            except KeyError:  # foreign node: derive on the fly
-                kids = self._base.children(node)
-            if kids:
-                extend(kids)
-                k = len(kids)
-                pushed += k
-                llen += k
-            n += 1
-            if llen >= thresh:
+        delta, size, n_nodes = self.delta, self.size, self.n_nodes
+        n = pushed = 0
+        cur = len(local)
+        while cur and n < limit:
+            a = local.pop()
+            if type(a) is not int or not 0 <= a < n_nodes:
+                self.num_children(a)  # raises, naming tree and handle
+            below = cur - 1
+            span = size[a]
+            if span > limit - n:
+                span = limit - n
+            elif below + span <= thresh:
+                # The whole subtree fits the budget, and its pending
+                # entries (< span of them) cannot reach thresh.
+                n += span
+                pushed += span - 1
+                cur = below
+                continue
+            v = 0
+            for d in delta[a:a + span]:
+                cur += d
+                v += 1
+                if cur >= thresh:
+                    break
+            n += v
+            pushed += cur - below - 1 + v
+            p = a + v
+            for _ in range(cur - below):
+                local.insert(below, p)  # under the one before it
+                p += size[p]
+            if cur >= thresh:
                 break
         return n, pushed
-
-    # -- traversal helpers ----------------------------------------------------
-
-    def iter_dfs(self) -> Iterator[Node]:
-        """Depth-first iterator; identical sequence to ``Tree.iter_dfs``."""
-        stack = [self.root()]
-        pop = stack.pop
-        extend = stack.extend
-        children = self.children
-        while stack:
-            node = pop()
-            yield node
-            extend(children(node))
 
 
 def materialize(params: TreeParams, max_nodes: Optional[int] = None):
@@ -198,7 +221,7 @@ def materialize(params: TreeParams, max_nodes: Optional[int] = None):
 
     Returns a :class:`MaterializedTree` when the tree fits under the
     node cap, or the implicit :class:`Tree` otherwise -- either way the
-    result serves the search-space protocol with identical nodes.
+    result serves the search-space protocol over the identical shape.
     """
     mat = MaterializedTree.build(params, max_nodes=max_nodes)
     return mat if mat is not None else Tree(params)

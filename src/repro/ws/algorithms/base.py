@@ -30,6 +30,7 @@ from repro.metrics.states import (SEARCHING, STEALING, WORKING,
 from repro.pgas.collectives import reduction_time
 from repro.pgas.machine import Machine, UpcContext
 from repro.sim.engine import Timeout
+from repro.uts.materialized import MaterializedTree
 from repro.uts.tree import Tree
 from repro.ws.config import WsConfig
 from repro.ws.policies import ProbeOrder, StealAmount, steal_one
@@ -671,8 +672,7 @@ class AlgorithmBase:
                 or self.tracer.enabled
                 or self._gate is not None
                 or self._visit_timeouts is None
-                or getattr(self.tree, "_kid_map", None) is None
-                or getattr(self.tree, "_base", None) is None):
+                or not isinstance(self.tree, MaterializedTree)):
             return False
         return self._fusable()
 
@@ -694,7 +694,7 @@ class AlgorithmBase:
     def _c_phase_args(self, rank: int, poke_enter: bool,
                       poke_exit: bool) -> dict:
         """The arguments every compiled working phase takes: the rank's
-        stack containers, counters and tree map, and the callbacks for
+        stack containers, counters and tree, and the callbacks for
         ``working_phase``'s entry and exit (state timer, plus the
         ``work_avail`` poke where the generator makes one there).
 
@@ -728,8 +728,9 @@ class AlgorithmBase:
             st_dict=st.__dict__,
             enter_cb=enter_cb,
             exit_cb=exit_cb,
-            kid_map=self.tree._kid_map,
-            children_fb=self.tree._base.children,
+            tree=self.tree,
+            delta=self.tree.delta,
+            size=self.tree.size,
             visit_costs=[t.delay for t in self._visit_timeouts_for(rank)],
             chunk=self.cfg.chunk_size,
             thresh=self._release_threshold,

@@ -12,6 +12,8 @@ arithmetic reproduces Python's ``& _M64`` wraparound; the hypothesis
 sweep over 64-bit seeds is what makes that claim load-bearing.
 """
 
+from array import array
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from repro.fastpath import nputs
 from repro.uts.params import TreeParams
 from repro.uts.rng import PureSha1Engine, Sha1Engine, SplitmixEngine
+from repro.uts.stats import subtree_size
 from repro.uts.tree import Tree
 
 SEEDS = st.integers(min_value=-(2 ** 31), max_value=2 ** 31 - 1)
@@ -75,20 +78,16 @@ def test_batch_rand_splitmix_matches_scalar(state, n):
     assert [int(v) for v in rands] == [eng.rand(int(s)) for s in states]
 
 
-# -- whole-tree: fast_build vs the scalar breadth-first loop ---------
+# -- whole-tree: fast_build vs the scalar depth-first search ---------
 
-def scalar_build(base, cap):
-    """The scalar expansion loop from ``MaterializedTree.build``."""
-    nodes = [base.root()]
-    kid_map = {}
-    i = 0
-    while i < len(nodes):
-        kids = base.children(nodes[i])
-        kid_map[nodes[i]] = kids
-        nodes.extend(kids)
-        assert len(nodes) <= cap, "property tree exceeded cap"
-        i += 1
-    return nodes, kid_map
+def scalar_layout(base):
+    """``(n_kids, size, max_depth)`` in visit order, straight from the
+    implicit tree: counts by walking it, sizes by counting each
+    subtree on its own."""
+    nodes = list(base.iter_dfs())
+    return (array("i", [len(base.children(node)) for node in nodes]),
+            array("i", [subtree_size(base, node) for node in nodes]),
+            max(height for _, height in nodes))
 
 
 @needs_numpy
@@ -102,11 +101,10 @@ def test_fast_build_matches_scalar_tree(engine, seed, b0, q):
     base = Tree(params)
     built = nputs.fast_build(base, 200_000)
     assert built is not None and built is not nputs.OVERFLOW
-    nodes, kid_map = scalar_build(base, 200_000)
-    fast_nodes, fast_kid_map = built
-    assert fast_nodes == nodes
-    assert {k: list(v) for k, v in fast_kid_map.items()} \
-        == {k: list(v) for k, v in kid_map.items()}
+    assert built == scalar_layout(base)
+    n_nodes = len(built[0])
+    assert nputs.fast_build(base, n_nodes) == built
+    assert nputs.fast_build(base, n_nodes - 1) is nputs.OVERFLOW
 
 
 @needs_numpy

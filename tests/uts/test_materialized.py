@@ -1,4 +1,5 @@
-"""MaterializedTree must be indistinguishable from the implicit Tree."""
+"""MaterializedTree must be indistinguishable from the implicit Tree:
+same shape at every visit position, same batches, same counts."""
 
 import sys
 import threading
@@ -8,52 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import run_experiment
-from repro.errors import ConfigError
+from repro import fastpath, run_experiment
+from repro.errors import ConfigError, ProtocolError
 from repro.harness import parallel, runner
 from repro.uts import Tree, TreeParams, count_tree, materialized
 from repro.uts.materialized import (DEFAULT_NODE_CAP, MaterializedTree,
                                     expected_node_count, materialize,
                                     node_cap, tree_for)
+from repro.uts.stats import subtree_size
 
 BINOMIAL = TreeParams.binomial(b0=25, m=2, q=0.44, seed=7)
-GEOMETRIC = TreeParams.geometric(b0=3, gen_mx=5, seed=0)
-GEO_CYCLIC = TreeParams.geometric(b0=2, gen_mx=4, seed=1, geo_shape="cyclic")
-SPLITMIX = TreeParams.binomial(b0=20, m=2, q=0.4, seed=3, engine="splitmix")
-
-ALL_SHAPES = [BINOMIAL, GEOMETRIC, GEO_CYCLIC, SPLITMIX]
-
-
-@pytest.fixture
-def fresh_cache(monkeypatch):
-    """An empty process-wide tree cache for one test; the suite's own
-    is put back afterwards."""
-    monkeypatch.setattr(materialized, "_TREES", OrderedDict())
-    return materialized._TREES
-
-
-@pytest.mark.parametrize("params", ALL_SHAPES,
-                         ids=lambda p: f"{p.shape}-{p.engine}-{p.geo_shape}")
-class TestEquivalence:
-    def test_identical_dfs_sequence(self, params):
-        implicit = Tree(params)
-        mat = materialize(params)
-        assert isinstance(mat, MaterializedTree)
-        assert list(mat.iter_dfs()) == list(implicit.iter_dfs())
-
-    def test_identical_children_everywhere(self, params):
-        implicit = Tree(params)
-        mat = materialize(params)
-        for node in implicit.iter_dfs():
-            assert mat.children(node) == implicit.children(node)
-            assert mat.num_children(node) == implicit.num_children(node)
-
-    def test_root_identical(self, params):
-        assert materialize(params).root() == Tree(params).root()
-
-    def test_describe_identical(self, params):
-        assert materialize(params).describe() == params.describe()
-
+#: A geometric tree whose root alone has 107 of its 1722 nodes as
+#: children: one visit that pushes past any release threshold.
+WIDE_ROOT = TreeParams.geometric(b0=30, gen_mx=2, seed=11)
 
 #: Small trees of every shape x engine the generator knows.
 SHAPES = st.one_of(
@@ -70,26 +38,67 @@ SHAPES = st.one_of(
 )
 
 
-class TestStats:
-    """``expected_node_count`` reads a materialized tree's ``n_nodes``
-    instead of traversing; ``count_tree`` is the independent reference
-    that makes that safe."""
+def build_both(params):
+    """``params`` through the scalar depth-first builder
+    (``REPRO_FASTPATH=0``) and through whatever the host offers (the
+    numpy level-order kernels where numpy is present)."""
+    built = []
+    for fastpath_env in ("0", None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv("REPRO_FASTPATH", raising=False)
+            if fastpath_env is not None:
+                mp.setenv("REPRO_FASTPATH", fastpath_env)
+            built.append(materialize(params, max_nodes=1_000_000))
+        assert isinstance(built[-1], MaterializedTree)
+    return built
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """An empty process-wide tree cache for one test; the suite's own
+    is put back afterwards."""
+    monkeypatch.setattr(materialized, "_TREES", OrderedDict())
+    return materialized._TREES
+
+
+class TestLayout:
+    """The arrays against the independent reference: the implicit
+    ``Tree``, ``count_tree`` and ``stats.subtree_size`` know nothing of
+    visit positions."""
 
     @given(params=SHAPES)
     @settings(max_examples=60, deadline=None)
-    def test_node_count_matches_sequential(self, params):
+    def test_every_position_matches_the_implicit_tree(self, params):
+        implicit = Tree(params)
+        nodes = list(implicit.iter_dfs())
+        position = {node: i for i, node in enumerate(nodes)}
+        assert position[implicit.root()] == 0
+        want = [([position[kid] for kid in implicit.children(node)],
+                 subtree_size(implicit, node)) for node in nodes]
+        scalar, vector = build_both(params)
+        assert (scalar.n_kids, scalar.delta, scalar.size) \
+            == (vector.n_kids, vector.delta, vector.size)
+        for mat in (scalar, vector):
+            assert mat.root() == 0
+            assert list(mat.iter_dfs()) == list(range(len(nodes)))
+            for i, (kids, size) in enumerate(want):
+                assert mat.n_kids[i] == mat.num_children(i) == len(kids)
+                assert mat.delta[i] == len(kids) - 1
+                assert mat.children(i) == kids
+                assert mat.size[i] == size
+
+    @given(params=SHAPES)
+    @settings(max_examples=60, deadline=None)
+    def test_stats_match_sequential(self, params):
+        """``expected_node_count`` reads ``n_nodes`` instead of
+        traversing; ``count_tree`` is what makes that safe."""
         stats = count_tree(params)
-        # REPRO_FASTPATH=0 forces the scalar breadth-first loop; unset,
-        # the numpy builders run where numpy is present.
-        for fastpath in ("0", None):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.delenv("REPRO_FASTPATH", raising=False)
-                if fastpath is not None:
-                    mp.setenv("REPRO_FASTPATH", fastpath)
-                mat = materialize(params, max_nodes=1_000_000)
-            assert isinstance(mat, MaterializedTree)
+        for mat in build_both(params):
             assert (mat.n_nodes, mat.n_leaves, mat.max_depth) \
                 == (stats.n_nodes, stats.n_leaves, stats.max_depth)
+
+    def test_describe_identical(self):
+        assert materialize(BINOMIAL).describe() == BINOMIAL.describe()
 
 
 class TestFallback:
@@ -127,13 +136,44 @@ class TestFallback:
         with pytest.raises(ConfigError, match="REPRO_TREE_CACHE_CAP"):
             run_experiment("upc-distmem", tree=BINOMIAL, threads=2)
 
-    def test_foreign_node_delegates_to_implicit(self):
-        """A node from a different tree still expands correctly."""
+
+def kernels(tree):
+    """Every ``batch_expand`` a run can pick for ``tree``."""
+    found = {"python": tree.batch_expand}
+    if fastpath.load_core() is not None:
+        found["c"] = fastpath.batch_expander(tree)
+    return found
+
+
+class TestBadHandle:
+    """A handle means something only to the tree that issued it; any
+    other value is refused by name, not read from the arrays (a bare
+    ``array[-1]`` would answer from the far end)."""
+
+    @pytest.mark.parametrize("handle", [
+        -1, 10 ** 30, Tree(BINOMIAL).root(), True, 2.0, None],
+        ids=repr)
+    def test_refused_naming_tree_and_handle(self, handle):
         mat = materialize(BINOMIAL)
-        other = Tree(BINOMIAL.with_seed(12345))
-        foreign = other.root()
-        assert mat.children(foreign) == other.children(foreign)
-        assert mat.num_children(foreign) == other.num_children(foreign)
+        calls = [mat.children, mat.num_children]
+        calls += [lambda h, expand=expand: expand([0, h], 8, 100)
+                  for expand in kernels(mat).values()]
+        messages = set()
+        for call in calls:
+            with pytest.raises(ProtocolError) as err:
+                call(handle)
+            messages.add(str(err.value))
+        assert len(messages) == 1, messages
+        assert BINOMIAL.describe() in messages.pop()
+        assert repr(handle) in str(err.value)
+
+    def test_first_handle_past_the_end(self):
+        mat = materialize(BINOMIAL)
+        assert mat.children(mat.n_nodes - 1) == []
+        with pytest.raises(ProtocolError, match=f"{mat.n_nodes} is not"):
+            mat.children(mat.n_nodes)
+        other = materialize(BINOMIAL.with_seed(12345))
+        assert other.n_nodes != mat.n_nodes  # its handles are not ours
 
 
 def _cached_nodes():
@@ -234,28 +274,99 @@ class TestTreeCache:
         assert expected_node_count(BINOMIAL) == count_tree(BINOMIAL).n_nodes
 
 
+def generic_batch(tree, local, limit, thresh):
+    """``AlgorithmBase.explore_batch``'s own loop over ``children()``."""
+    n = pushed = 0
+    while local and n < limit:
+        kids = tree.children(local.pop())
+        if kids:
+            local.extend(kids)
+            pushed += len(kids)
+        n += 1
+        if len(local) >= thresh:
+            break
+    return n, pushed
+
+
+def check_batch(mat, local, limit, thresh):
+    """One batch on ``local`` through every kernel; all must leave what
+    the generic loop leaves."""
+    want_local = list(local)
+    want = generic_batch(mat, want_local, limit, thresh)
+    for name, expand in kernels(mat).items():
+        got_local = list(local)
+        got = expand(got_local, limit, thresh)
+        assert (got, got_local) == (want, want_local), \
+            (name, local, limit, thresh)
+    local[:] = want_local
+    return want[0]
+
+
 class TestBatchExpand:
-    def test_matches_generic_loop(self):
-        """batch_expand must mirror AlgorithmBase.explore_batch exactly."""
-        implicit = Tree(BINOMIAL)
-        mat = materialize(BINOMIAL)
-        for limit, thresh in [(1, 4), (32, 8), (32, 10**9), (5, 2)]:
-            a = [implicit.root()]
-            b = [mat.root()]
-            while a:
-                # Generic loop (copied semantics from explore_batch).
-                n = pushed = 0
-                while a and n < limit:
-                    kids = implicit.children(a.pop())
-                    if kids:
-                        a.extend(kids)
-                        pushed += len(kids)
-                    n += 1
-                    if len(a) >= thresh:
-                        break
-                n2, pushed2 = mat.batch_expand(b, limit, thresh)
-                assert (n, pushed) == (n2, pushed2)
-                assert a == b
+    """The range-scan kernels must mirror ``explore_batch``'s loop
+    exactly -- ``(visited, pushed, resulting stack)`` -- on every stack
+    a run can hand them, not only on a sequential search's."""
+
+    @given(params=SHAPES, data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_generic_loop_under_stack_moves(self, params, data):
+        mat = materialize(params, max_nodes=1_000_000)
+        local = [mat.root()]
+        chunks = []  # dropped from the bottom of a stack, oldest first
+        for _ in range(60):
+            if not local and not chunks:
+                break
+            move = data.draw(st.sampled_from(
+                ["batch", "batch", "drop", "reacquire", "adopt", "dup"]))
+            if move == "batch" and local:
+                limit = data.draw(st.one_of(
+                    st.just(1), st.integers(1, 40),
+                    st.just(mat.n_nodes + 5)))
+                thresh = data.draw(st.one_of(
+                    st.integers(1, len(local)),  # met on entry
+                    st.integers(len(local) + 1, len(local) + 6),
+                    st.just(10 ** 9)))
+                check_batch(mat, local, limit, thresh)
+            elif move == "drop" and local:  # release, or a steal
+                k = data.draw(st.integers(1, len(local)))
+                chunks.append(local[:k])
+                del local[:k]
+            elif move == "reacquire" and chunks:
+                local[0:0] = chunks.pop(
+                    data.draw(st.integers(0, len(chunks) - 1)))
+            elif move == "adopt" and chunks and not local:  # a thief
+                local = chunks.pop(0)
+            elif move == "dup" and chunks:  # the fence-free duplicator
+                chunks.append(list(data.draw(st.sampled_from(chunks))))
+
+    @pytest.mark.parametrize("params", [BINOMIAL, WIDE_ROOT],
+                             ids=["binomial", "wide-root"])
+    @pytest.mark.parametrize("limit,chunk", [
+        (32, 1), (32, 2), (32, 8), (5, 2), (1, 2), (10 ** 9, 10 ** 9)])
+    def test_one_owner_releasing_chunks(self, params, limit, chunk):
+        """The working phase's own cycle: batches at ``thresh = 2 *
+        chunk``, a chunk released off the bottom whenever the stack
+        reaches it, released chunks reacquired when it runs dry."""
+        mat = materialize(params)
+        thresh = 2 * chunk
+        local = [mat.root()]
+        released = []
+        visited = 0
+        while local or released:
+            if not local:
+                local = released.pop()
+            visited += check_batch(mat, local, limit, thresh)
+            while len(local) >= thresh:
+                released.append(local[:chunk])
+                del local[:chunk]
+        assert visited == mat.n_nodes == count_tree(params).n_nodes
+
+    def test_wide_root_is_wide(self):
+        assert materialize(WIDE_ROOT).n_kids[0] == 107
+
+
+GEOMETRIC = TreeParams.geometric(b0=3, gen_mx=5, seed=0)
+GEO_CYCLIC = TreeParams.geometric(b0=2, gen_mx=4, seed=1, geo_shape="cyclic")
 
 
 class TestGeoMemoization:
