@@ -11,10 +11,11 @@ Components
 ----------
 
 ``_core``
-    A C extension with three entry points: ``run(sim, until)`` (the
-    compiled `Simulator.run` loop), ``batch_expand(...)`` (the
-    materialized-tree DFS inner loop), and ``LockPhase`` (a fused
-    working-phase state machine for :class:`LockBasedAlgorithm`).
+    A C extension: ``run(sim, until)`` (the compiled `Simulator.run`
+    loop), ``batch_expand(...)`` (the materialized-tree DFS inner
+    loop), and four fused phase state machines behind one phase
+    protocol (``LockPhase``, ``OwnerPhase``, ``SearchPhase``,
+    ``IdlePhase``; bound per rank by the algorithms' ``_build_c_*``).
     Built by ``setup.py build_ext``; its absence is never an error.
 
 ``nputs``

@@ -1,32 +1,57 @@
 /* repro.fastpath._core -- compiled execution backend for the engine.
  *
- * Three entry points, each a C mirror of a documented pure-Python hot
- * loop (the Python source is normative; this file must replicate it
- * event-for-event so the bit-identical schedule gates in
- * tools/bench_*.py hold):
+ * A C mirror of documented pure-Python hot loops.  The Python source
+ * is normative: this file must replicate it event for event, so that
+ * the schedule pins of bench/pins.json and tests/fastpath hold on both
+ * backends.
  *
  *   run(sim, until=None)
- *       Simulator.run / Simulator._run_until over the heap backend.
- *       Same dispatch, same stale-entry skip, same exact budget check,
- *       same inline handling of exact-class Timeout/SimEvent and the
- *       (event, value, stagger) delayed-fire payload.  Falls back to
- *       Python calls (sim._schedule, awaited.add_waiter, ev._fire) for
- *       every subclassed or unusual awaitable, with the simulator's
- *       authoritative state synchronized around each call.
+ *       Simulator.run over the heap backend with FIFO keys: same
+ *       dispatch, same stale-entry skip, same exact budget check, same
+ *       inline handling of Timeout, SimEvent and the (event, value,
+ *       stagger) delayed-fire record.  The awaitable contract is the
+ *       pure loop's: exactly Timeout, exactly SimEvent, or a phase
+ *       object of this module; anything else is a SimulationError.
  *
  *   batch_expand(tree, delta, size, local, limit, thresh)
  *       MaterializedTree.batch_expand: the DFS inner loop as range
  *       scans of the tree's preorder arrays, read in place.
  *
- *   LockPhase(spec)
- *       A fused working-phase coroutine for LockBasedAlgorithm: the
- *       visit / release / reacquire / barrier-reset cycle of
- *       working_phase's fault-free inlined body, executed as a C state
- *       machine instead of a generator.  A worker process yields the
- *       LockPhase object as a sentinel; the run loop drives the phase
- *       through the identical sequence of heap pushes (same times,
- *       same sequence numbers, same event count) and resumes the
- *       worker generator synchronously when the phase completes.
+ *   LockPhase, OwnerPhase, SearchPhase, IdlePhase
+ *       Figure 1's per-rank phases as C state machines.  A worker
+ *       generator yields the phase object where it would `yield from`
+ *       the Python phase; the run loop then drives the phase through
+ *       the identical sequence of heap pushes (same times, same
+ *       sequence numbers, same event count) and resumes the worker
+ *       within the same dispatch when the phase bounces or completes.
+ *
+ * The phase protocol.  Every phase object starts with PHASE_HEAD: the
+ * worker inside it, the resume point `state` (0: nobody inside) and a
+ * pointer to its type's static PhaseDesc -- name, type object, field
+ * table, run function, check hook, enter/exit callback members.  The
+ * object lifecycle is written once against the field table (one row
+ * per struct member the constructor or the collector must know:
+ * {keyword, kind, offset, exact type}; kinds: required object,
+ * optional object with None -> NULL, double, long long, flag, buffer
+ * export, float sequence -> double block, run-time-owned object):
+ * phase_init walks it over the keyword dict (keywords only; a missing
+ * or unknown one is a TypeError naming it; a second __init__ is
+ * refused before any member is touched), phase_traverse, phase_clear
+ * and phase_dealloc walk it again.  The run loop knows three
+ * operations:
+ *
+ *   phase_start   a Process yielded the phase: bind the worker and run
+ *                 the enter callback -- or, on a re-yield after a
+ *                 bounce, check it is the same worker -- then step.
+ *   desc->run     step: drive the state machine from a resume point
+ *                 until it parks on a heap push or an event, bounces a
+ *                 value to the worker, or finishes.
+ *   phase_finish  sync now/_seq, run the exit callback, resume the
+ *                 worker with None.
+ *
+ * A *_run function is the only per-phase code: a new phase is a struct
+ * beginning with PHASE_HEAD, a field table, a descriptor and a step
+ * function whose resume point 0 is the fresh start.
  *
  * State synchronization contract: the Simulator instance dict stays
  * authoritative.  Before any Python call that might observe or mutate
@@ -51,9 +76,9 @@ static PyObject *Cancelled;
 
 /* interned attribute/dict keys */
 static PyObject *s_now, *s_seq, *s_events_processed, *s_live_processes,
-    *s_heap, *s_max_events, *s_limit_error, *s_succeed, *s_schedule,
-    *s_add_waiter, *s_fire_m, *s_nodes_visited, *s_reacquires,
-    *s_releases, *s_cancels, *s_waiters_key, *s_probes;
+    *s_heap, *s_max_events, *s_limit_error, *s_succeed, *s_fire_m,
+    *s_nodes_visited, *s_reacquires, *s_releases, *s_cancels,
+    *s_waiters_key, *s_probes;
 
 /* slot offsets (T_OBJECT_EX members of the configured classes) */
 static Py_ssize_t off_t_delay, off_t_value;
@@ -408,19 +433,78 @@ rc_raise_limit(RunCtx *rc, PyObject *time_obj)
 }
 
 /* ------------------------------------------------------------------ */
-/* LockPhase                                                          */
+/* the phase protocol                                                 */
 /* ------------------------------------------------------------------ */
 
-enum {
-    PH_IDLE = 0,        /* not running (no worker bound)               */
-    PH_AFTER_VISIT,     /* woke from the visit-cost timeout            */
-    PH_LOCK_WAIT,       /* woke from the lock round-trip timeout       */
-    PH_GRANTED,         /* woke holding the lock (zero-Timeout or ev)  */
-    PH_UNLOCK_WAIT,     /* woke from the unlock reference timeout      */
-    PH_RESET_WAIT       /* woke from the barrier-reset write timeout   */
-};
+struct PhaseDesc;
 
-enum { SUB_RELEASE = 0, SUB_REACQUIRE = 1 };
+/* What every phase object starts with.  `desc` is NULL until __init__
+ * has succeeded; `state` is 0 while no worker is inside the phase and
+ * otherwise the resume point of the type's run function. */
+#define PHASE_HEAD \
+    PyObject_HEAD \
+    const struct PhaseDesc *desc; \
+    PyObject *worker;         /* the suspended Process, while running  */ \
+    int state;
+
+typedef struct { PHASE_HEAD } PhaseHead;
+
+/* One row per struct member the constructor or the collector must
+ * know about.  Members no row names start zeroed and belong to the
+ * run function alone. */
+enum {
+    F_OBJ,      /* any object (strong reference)                       */
+    F_OPT,      /* any object; None is stored as NULL                  */
+    F_RUNTIME,  /* object the run function owns: not a keyword, but
+                 * traversed and cleared with the others               */
+    F_DOUBLE,   /* float -> double                                     */
+    F_LONG,     /* int -> long long                                    */
+    F_FLAG,     /* truth value -> int                                  */
+    F_BUFFER,   /* bytes-like -> Py_buffer export held for life        */
+    F_DOUBLES   /* sequence of float -> DoubleVec                      */
+};
+#define HOLDS_OBJECT(kind) ((kind) <= F_RUNTIME)
+
+typedef struct {
+    const char *name;       /* constructor keyword; NULL ends a table  */
+    int kind;
+    Py_ssize_t off;         /* of the member in the type's struct      */
+    PyTypeObject *exact;    /* F_OBJ / F_OPT: the one type accepted    */
+} PhaseField;
+
+typedef struct {
+    double *v;              /* one PyMem block                         */
+    Py_ssize_t n;
+} DoubleVec;
+
+typedef struct PhaseDesc {
+    const char *name;       /* "LockPhase": module attribute, errors   */
+    PyTypeObject *type;
+    const PhaseField *fields;
+    /* Drive the state machine from resume point `entry` (0: a fresh
+     * start) until it parks on a heap push or an event registration,
+     * bounces a value to the worker, or finishes. */
+    int (*run)(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry);
+    /* What the table cannot state -- bounds, rules across members,
+     * run-time seeds: NULL, or the complaint for a ValueError. */
+    const char *(*check)(PhaseHead *self);
+    /* Members holding the callables phase_start / phase_finish run
+     * (working_phase's entry and exit bookkeeping); 0: none. */
+    Py_ssize_t enter_cb, exit_cb;
+} PhaseDesc;
+
+static void phase_dealloc(PyObject *self);
+/* The four phase types are the only ones with this destructor, and
+ * none of them can be subclassed. */
+#define IS_PHASE(o) (Py_TYPE(o)->tp_dealloc == phase_dealloc)
+
+static int dispatch_send(RunCtx *rc, PyObject *proc, PyObject *value,
+                         PyObject *time_obj);
+static int phase_finish(PhaseHead *ph, RunCtx *rc, PyObject *time_obj);
+
+/* ------------------------------------------------------------------ */
+/* the phase types                                                    */
+/* ------------------------------------------------------------------ */
 
 /* A MaterializedTree's preorder arrays: array('i') exports held for
  * the owner's lifetime (the arrays are never resized or rewritten). */
@@ -429,46 +513,57 @@ typedef struct {
     Py_buffer delta, size;    /* tree.delta, tree.size                 */
 } TreeView;
 
+/* What both working phases start with: the members behind
+ * AlgorithmBase._c_phase_args, read by the shared stack-move helpers.
+ * Configuration is immutable after init (strong references). */
+#define WORK_HEAD \
+    PHASE_HEAD \
+    PyObject *sim; \
+    PyObject *local;          /* list: stack.local                     */ \
+    PyObject *shared;         /* deque: stack.shared                   */ \
+    PyObject *shared_append;  /* bound shared.append                   */ \
+    PyObject *shared_pop;     /* bound shared.pop                      */ \
+    PyObject *stack;          /* SplitStack (counter slots)            */ \
+    PyObject *st_dict;        /* ThreadStats.__dict__                  */ \
+    PyObject *wa;             /* SharedVar work_avail[rank]; NULL: mpi */ \
+    PyObject *enter_cb;       /* callable(): phase-entry bookkeeping   */ \
+    PyObject *exit_cb;        /* callable(): phase-exit bookkeeping    */ \
+    TreeView tv;              /* the MaterializedTree's arrays         */ \
+    DoubleVec vt;             /* visit cost per batch size [0..limit]  */ \
+    long long chunk; \
+    long long thresh; \
+    long long limit;
+
+typedef struct { WORK_HEAD } WorkPhase;
+
+/* LockPhase: the lock-guarded working phase (LockBasedAlgorithm's
+ * visit / release / reacquire / barrier-reset cycle, fault-free). */
+enum {
+    PH_IDLE = 0,        /* not running (no worker bound)               */
+    PH_AFTER_VISIT,     /* woke from the visit-cost timeout            */
+    PH_LOCK_WAIT,       /* woke from the lock round-trip timeout       */
+    PH_GRANTED,         /* woke holding the lock (zero-Timeout or ev)  */
+    PH_RESET_WAIT       /* woke from the barrier-reset write timeout   */
+};
+
+enum { SUB_RELEASE = 0, SUB_REACQUIRE = 1 };
+
 typedef struct {
-    PyObject_HEAD
-    /* configuration (strong references; immutable after init) */
-    PyObject *sim;
-    PyObject *local;          /* list: stack.local                     */
-    PyObject *shared;         /* deque: stack.shared                   */
-    PyObject *shared_append;  /* bound shared.append                   */
-    PyObject *shared_pop;     /* bound shared.pop                      */
-    PyObject *stack;          /* SplitStack (counter slots)            */
-    PyObject *st_dict;        /* ThreadStats.__dict__                  */
-    PyObject *wa;             /* SharedVar work_avail[rank]            */
+    WORK_HEAD
     PyObject *fifo;           /* FifoLock                              */
     PyObject *queue;          /* deque: fifo._queue                    */
     PyObject *queue_append;   /* bound queue.append                    */
     PyObject *queue_popleft;  /* bound queue.popleft                   */
     PyObject *ev_name;        /* str: fifo._ev_name                    */
-    PyObject *enter_cb;       /* callable(): phase-entry bookkeeping   */
-    PyObject *exit_cb;        /* callable(): phase-exit bookkeeping    */
-    TreeView tv;              /* the MaterializedTree's arrays         */
     PyObject *barrier_dict;   /* CancelableBarrier.__dict__ or NULL    */
     double reset_cost;        /* barrier-reset write cost (with hook)  */
     double home_occupancy;    /* barrier cancel stagger                */
     double lock_to;           /* lock round trip; < 0 means free       */
-    double unlock_to;         /* unlock reference; < 0 means free      */
-    double *vt;               /* visit cost per batch size [0..limit]  */
-    long long chunk;
-    long long thresh;
-    long long limit;
     /* runtime */
-    PyObject *worker;         /* the suspended Process, while running  */
-    int state;
     int substate;
 } LockPhaseObject;
 
-static PyTypeObject LockPhase_Type;  /* forward */
-
-/* ------------------------------------------------------------------ */
-/* OwnerPhase: fused owner-only working phase (upc-distmem / mpi-ws)  */
-/* ------------------------------------------------------------------ */
-
+/* OwnerPhase: the owner-only working phase (upc-distmem / mpi-ws). */
 enum {
     OP_IDLE = 0,        /* not running (no worker bound)               */
     OP_AFTER_VISIT,     /* woke from the visit-cost timeout            */
@@ -477,33 +572,12 @@ enum {
 };
 
 typedef struct {
-    PyObject_HEAD
-    /* configuration (strong references; immutable after init) */
-    PyObject *sim;
-    PyObject *local;          /* list: stack.local                     */
-    PyObject *shared;         /* deque: stack.shared                   */
-    PyObject *shared_append;  /* bound shared.append                   */
-    PyObject *shared_pop;     /* bound shared.pop                      */
-    PyObject *stack;          /* SplitStack (counter slots)            */
-    PyObject *st_dict;        /* ThreadStats.__dict__                  */
-    PyObject *wa;             /* SharedVar work_avail[rank]; NULL: mpi */
+    WORK_HEAD
     PyObject *no_work;        /* sentinel poked into wa at phase exit  */
     PyObject *req_slot;       /* SharedVar request[rank]; NULL: mpi    */
     PyObject *poll;           /* bound iprobe(tags); NULL: distmem     */
     PyObject *pending;        /* list MsgWorld._pending[rank] or NULL  */
-    PyObject *enter_cb;       /* callable(): phase-entry bookkeeping   */
-    PyObject *exit_cb;        /* callable(): phase-exit bookkeeping    */
-    TreeView tv;              /* the MaterializedTree's arrays         */
-    double *vt;               /* visit cost per batch size [0..limit]  */
-    long long chunk;
-    long long thresh;
-    long long limit;
-    /* runtime */
-    PyObject *worker;         /* the suspended Process, while running  */
-    int state;
 } OwnerPhaseObject;
-
-static PyTypeObject OwnerPhase_Type;  /* forward */
 
 /* SearchPhase: the polling victim-probe loop shared (modulo the
  * request-variable poll) by the lock-based and distmem search phases.
@@ -521,7 +595,7 @@ enum {
 };
 
 typedef struct {
-    PyObject_HEAD
+    PHASE_HEAD
     /* configuration (strong references; immutable after init) */
     PyObject *sim;
     PyObject *st_dict;        /* ThreadStats.__dict__ (probes)         */
@@ -544,11 +618,7 @@ typedef struct {
     double backoff;
     long long probes_acc;     /* st.probes delta, flushed at yields    */
     int any_working;
-    PyObject *worker;         /* the suspended Process, while running  */
-    int state;
 } SearchPhaseObject;
-
-static PyTypeObject SearchPhase_Type;  /* forward */
 
 /* IdlePhase: the mpi-ws idle loop's no-progress wait.  Between a full
  * Python idle iteration (message drain, token duties, REQUEST send)
@@ -566,7 +636,7 @@ enum {
 };
 
 typedef struct {
-    PyObject_HEAD
+    PHASE_HEAD
     /* configuration (strong references; immutable after init) */
     PyObject *sim;
     PyObject *pending;        /* list MsgWorld._pending[rank]          */
@@ -576,22 +646,11 @@ typedef struct {
     double slow;              /* ctx._slow compute-cost multiplier     */
     /* runtime */
     double backoff;
-    PyObject *worker;         /* the suspended Process, while running  */
-    int state;
 } IdlePhaseObject;
 
-static PyTypeObject IdlePhase_Type;  /* forward */
-
-static int dispatch_send(RunCtx *rc, PyObject *proc, PyObject *value,
-                         PyObject *time_obj);
-
-static void
-tv_clear(TreeView *tv)
-{
-    PyBuffer_Release(&tv->delta);
-    PyBuffer_Release(&tv->size);
-    Py_CLEAR(tv->tree);
-}
+/* ------------------------------------------------------------------ */
+/* what the working phases share                                      */
+/* ------------------------------------------------------------------ */
 
 /* C mirror of MaterializedTree.batch_expand (minus its whole-subtree
  * shortcut: here the scan costs less than the test).  A stack entry
@@ -649,17 +708,144 @@ c_batch_expand(TreeView *tv, PyObject *local, long long limit,
     return 0;
 }
 
-/* Drive the phase state machine from `entry` until it parks on a heap
- * push / event registration, or completes (resuming the worker). */
+/* visit: n, pushed = batch_expand(local, limit, thresh), and the three
+ * counters explore_batch keeps.  The caller yields vt[n] when n > 0. */
 static int
-phase_run(LockPhaseObject *ph, RunCtx *rc, PyObject *time_obj, int entry)
+work_visit(WorkPhase *w, long long *out_n)
 {
+    long long pushed = 0;
+    if (c_batch_expand(&w->tv, w->local, w->limit, w->thresh,
+                       out_n, &pushed) < 0)
+        return -1;
+    if (slot_add_long(w->stack, off_st_pops, *out_n) < 0
+            || slot_add_long(w->stack, off_st_pushes, pushed) < 0
+            || dict_add_long(w->st_dict, s_nodes_visited, *out_n) < 0)
+        return -1;
+    return 0;
+}
+
+/* SplitStack.release: released = local[:chunk]; del local[:chunk];
+ * shared.append(released); released_nodes += chunk. */
+static int
+work_release(WorkPhase *w)
+{
+    PyObject *released = PyList_GetSlice(w->local, 0, w->chunk);
+    PyObject *r;
+    if (released == NULL)
+        return -1;
+    if (PyList_SetSlice(w->local, 0, w->chunk, NULL) < 0) {
+        Py_DECREF(released);
+        return -1;
+    }
+    r = PyObject_CallOneArg(w->shared_append, released);
+    Py_DECREF(released);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return slot_add_long(w->stack, off_st_released, w->chunk);
+}
+
+/* SplitStack.reacquire: got = shared.pop(); local[0:0] = got;
+ * reacquired_nodes += len(got).  The shared region is not empty. */
+static int
+work_reacquire(WorkPhase *w)
+{
+    PyObject *got = PyObject_CallNoArgs(w->shared_pop);
+    Py_ssize_t ngot;
+    if (got == NULL)
+        return -1;
+    if (!PyList_CheckExact(got)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fastpath: shared chunk must be a list");
+        Py_DECREF(got);
+        return -1;
+    }
+    ngot = PyList_GET_SIZE(got);
+    if (PyList_SetSlice(w->local, 0, 0, got) < 0) {
+        Py_DECREF(got);
+        return -1;
+    }
+    Py_DECREF(got);
+    return slot_add_long(w->stack, off_st_reacquired, ngot);
+}
+
+/* SharedVar.poke mirrors (fault-free): writes += 1, then value = v. */
+static int
+wa_poke(PyObject *wa, PyObject *value /* borrowed */)
+{
+    if (slot_add_long(wa, off_w_writes, 1) < 0)
+        return -1;
+    Py_INCREF(value);
+    slot_store(wa, off_w_value, value);
+    return 0;
+}
+
+/* work_avail[rank].poke(len(shared)) */
+static int
+wa_poke_shared(WorkPhase *w)
+{
+    Py_ssize_t shared_n = PyObject_Length(w->shared);
+    PyObject *nv;
+    if (shared_n < 0 || slot_add_long(w->wa, off_w_writes, 1) < 0)
+        return -1;
+    nv = PyLong_FromSsize_t(shared_n);
+    if (nv == NULL)
+        return -1;
+    slot_store(w->wa, off_w_value, nv);
+    return 0;
+}
+
+/* `req_slot.value is not None`: a thief's request is pending in the
+ * rank's request variable.  1 / 0, or -1 with an error set. */
+static int
+req_pending(PyObject *req_slot)
+{
+    PyObject *rv = SLOT(req_slot, off_w_value);
+    if (rv == NULL) {
+        PyErr_SetString(SimulationError, "fastpath: request slot unset");
+        return -1;
+    }
+    return rv != Py_None;
+}
+
+/* The MsgWorld._take_delivered fast path, inverted: the mailbox heap's
+ * head has arrived by `now`, so an iprobe would pop it.  1 / 0, or -1
+ * with an error set. */
+static int
+mailbox_ready(PyObject *pending, double now)
+{
+    PyObject *head;
+    double at;
+    if (PyList_GET_SIZE(pending) == 0)
+        return 0;
+    head = PyList_GET_ITEM(pending, 0);
+    if (!PyTuple_CheckExact(head) || PyTuple_GET_SIZE(head) < 1) {
+        PyErr_SetString(SimulationError, "fastpath: bad mailbox");
+        return -1;
+    }
+    at = PyFloat_AsDouble(PyTuple_GET_ITEM(head, 0));
+    if (at == -1.0 && PyErr_Occurred())
+        return -1;
+    return at <= now;
+}
+
+/* ------------------------------------------------------------------ */
+/* the four state machines                                            */
+/* ------------------------------------------------------------------ */
+
+/* Drive the lock-guarded working phase from `entry` until it parks on
+ * a heap push / event registration, or completes. */
+static int
+lock_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
+{
+    LockPhaseObject *ph = (LockPhaseObject *)self;
+    WorkPhase *w = (WorkPhase *)self;
+
     switch (entry) {
     case PH_IDLE:        goto main_loop;
     case PH_AFTER_VISIT: goto release_check;
     case PH_LOCK_WAIT:   goto lock_grant;
     case PH_GRANTED:     goto granted;
-    case PH_UNLOCK_WAIT: goto unlocked;
     case PH_RESET_WAIT:  goto reset_body;
     default:
         PyErr_SetString(SimulationError, "fastpath: corrupt phase state");
@@ -677,20 +863,14 @@ main_loop:
         }
         goto phase_exit;
     }
-    /* visit: n, pushed = batch_expand(local, limit, thresh) */
     {
-        long long n = 0, pushed = 0;
-        if (c_batch_expand(&ph->tv, ph->local, ph->limit, ph->thresh,
-                           &n, &pushed) < 0)
-            return -1;
-        if (slot_add_long(ph->stack, off_st_pops, n) < 0
-                || slot_add_long(ph->stack, off_st_pushes, pushed) < 0
-                || dict_add_long(ph->st_dict, s_nodes_visited, n) < 0)
+        long long n = 0;
+        if (work_visit(w, &n) < 0)
             return -1;
         if (n > 0) {
             /* yield vt[n] */
             ph->state = PH_AFTER_VISIT;
-            return rc_push(rc, rc->now + ph->vt[n], (PyObject *)ph, Py_None);
+            return rc_push(rc, rc->now + ph->vt.v[n], (PyObject *)ph, Py_None);
         }
         /* n == 0 implies the local region was empty, handled above;
          * unreachable, but fall through identically to the generator
@@ -761,22 +941,7 @@ lock_grant:
 
 granted:
     if (ph->substate == SUB_RELEASE) {
-        /* released = local[:chunk]; del local[:chunk];
-         * shared.append(released); counters */
-        PyObject *released = PyList_GetSlice(ph->local, 0, ph->chunk);
-        PyObject *r;
-        if (released == NULL)
-            return -1;
-        if (PyList_SetSlice(ph->local, 0, ph->chunk, NULL) < 0) {
-            Py_DECREF(released);
-            return -1;
-        }
-        r = PyObject_CallOneArg(ph->shared_append, released);
-        Py_DECREF(released);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        if (slot_add_long(ph->stack, off_st_released, ph->chunk) < 0)
+        if (work_release(w) < 0)
             return -1;
     } else {
         /* reacquire: re-check under the lock (a queued thief may have
@@ -784,51 +949,18 @@ granted:
         Py_ssize_t shared_n = PyObject_Length(ph->shared);
         if (shared_n < 0)
             return -1;
-        if (shared_n > 0) {
-            PyObject *got = PyObject_CallNoArgs(ph->shared_pop);
-            Py_ssize_t ngot;
-            if (got == NULL)
-                return -1;
-            if (!PyList_CheckExact(got)) {
-                PyErr_SetString(PyExc_TypeError,
-                                "fastpath: shared chunk must be a list");
-                Py_DECREF(got);
-                return -1;
-            }
-            ngot = PyList_GET_SIZE(got);
-            if (PyList_SetSlice(ph->local, 0, 0, got) < 0) {
-                Py_DECREF(got);
-                return -1;
-            }
-            Py_DECREF(got);
-            if (slot_add_long(ph->stack, off_st_reacquired, ngot) < 0
-                    || dict_add_long(ph->st_dict, s_reacquires, 1) < 0)
-                return -1;
-        } else {
+        if (shared_n == 0)
             goto after_move;  /* nothing moved: skip the wa write */
-        }
+        if (work_reacquire(w) < 0
+                || dict_add_long(ph->st_dict, s_reacquires, 1) < 0)
+            return -1;
     }
     /* wa.writes += 1; wa.value = len(shared)  (both branches) */
-    {
-        Py_ssize_t shared_n = PyObject_Length(ph->shared);
-        PyObject *nv;
-        if (shared_n < 0)
-            return -1;
-        if (slot_add_long(ph->wa, off_w_writes, 1) < 0)
-            return -1;
-        nv = PyLong_FromSsize_t(shared_n);
-        if (nv == NULL)
-            return -1;
-        slot_store(ph->wa, off_w_value, nv);
-    }
+    if (wa_poke_shared(w) < 0)
+        return -1;
 after_move:
-    if (ph->unlock_to >= 0.0) {
-        /* yield unlock_to */
-        ph->state = PH_UNLOCK_WAIT;
-        return rc_push(rc, rc->now + ph->unlock_to, (PyObject *)ph, Py_None);
-    }
-    /* FALLTHROUGH */
-unlocked:
+    /* The unlock reference is free (an own-stack lock is homed at its
+     * rank), so no yield separates the move from the hand-off. */
     {
         /* busy_time += sim.now - _acquired_at; hand off or unlock */
         PyObject *acqat = SLOT(ph->fifo, off_f_acqat);
@@ -939,53 +1071,10 @@ reset_body:
     }
 
 phase_exit:
-    {
-        PyObject *r, *worker;
-        int rr;
-        if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
-            return -1;
-        r = PyObject_CallNoArgs(ph->exit_cb);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        if (rc_reload_seq(rc) < 0)
-            return -1;
-        worker = ph->worker;
-        ph->worker = NULL;
-        ph->state = PH_IDLE;
-        /* Resume the worker generator at its `yield phase` suspension
-         * within this same dispatch -- exactly where the generator
-         * version's `yield from working_phase(ctx)` falls through. */
-        rr = dispatch_send(rc, worker, Py_None, time_obj);
-        Py_DECREF(worker);
-        return rr;
-    }
-}
-
-/* -- OwnerPhase machinery ------------------------------------------- */
-
-/* SharedVar.poke mirrors (fault-free): writes += 1, then value = v. */
-static int
-wa_poke(PyObject *wa, PyObject *value /* borrowed */)
-{
-    if (slot_add_long(wa, off_w_writes, 1) < 0)
-        return -1;
-    Py_INCREF(value);
-    slot_store(wa, off_w_value, value);
-    return 0;
-}
-
-static int
-wa_poke_len(PyObject *wa, Py_ssize_t n)
-{
-    PyObject *nv;
-    if (slot_add_long(wa, off_w_writes, 1) < 0)
-        return -1;
-    nv = PyLong_FromSsize_t(n);
-    if (nv == NULL)
-        return -1;
-    slot_store(wa, off_w_value, nv);
-    return 0;
+    /* Resume the worker generator at its `yield phase` suspension
+     * within this same dispatch -- exactly where the generator
+     * version's `yield from working_phase(ctx)` falls through. */
+    return phase_finish(self, rc, time_obj);
 }
 
 /* Drive the owner-only working phase (no stack lock: upc-distmem and
@@ -995,8 +1084,12 @@ wa_poke_len(PyObject *wa, Py_ssize_t n)
  * request marker or the probed message) on a bounce; the Python side
  * services it and re-yields the phase, which resumes mid-loop. */
 static int
-owner_run(OwnerPhaseObject *op, RunCtx *rc, PyObject *time_obj, int entry)
+owner_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
 {
+    OwnerPhaseObject *op = (OwnerPhaseObject *)self;
+    WorkPhase *w = (WorkPhase *)self;
+    int hit;
+
     switch (entry) {
     case OP_IDLE:        goto loop_top;
     case OP_AFTER_VISIT: goto release_loop;
@@ -1013,12 +1106,9 @@ owner_run(OwnerPhaseObject *op, RunCtx *rc, PyObject *time_obj, int entry)
 loop_top:
     if (op->req_slot != NULL) {
         /* if req_slot.value is not None: bounce for service_request */
-        PyObject *rv = SLOT(op->req_slot, off_w_value);
-        if (rv == NULL) {
-            PyErr_SetString(SimulationError, "fastpath: request slot unset");
+        if ((hit = req_pending(op->req_slot)) < 0)
             return -1;
-        }
-        if (rv != Py_None) {
+        if (hit) {
             op->state = OP_SVC_LOOP;
             if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
                 return -1;
@@ -1030,34 +1120,23 @@ loop_top:
          * MsgWorld._take_delivered fast path (mailbox empty or head
          * not yet arrived) tested inline so the overwhelmingly common
          * empty poll costs no Python call. */
-        if (PyList_GET_SIZE(op->pending) > 0) {
-            PyObject *head = PyList_GET_ITEM(op->pending, 0);
-            PyObject *arr;
-            double at;
-            if (!PyTuple_CheckExact(head) || PyTuple_GET_SIZE(head) < 1) {
-                PyErr_SetString(SimulationError, "fastpath: bad mailbox");
+        if ((hit = mailbox_ready(op->pending, rc->now)) < 0)
+            return -1;
+        if (hit) {
+            PyObject *msg;
+            int r;
+            if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
                 return -1;
-            }
-            arr = PyTuple_GET_ITEM(head, 0);
-            at = PyFloat_AsDouble(arr);
-            if (at == -1.0 && PyErr_Occurred())
+            msg = PyObject_CallNoArgs(op->poll);
+            if (msg == NULL)
                 return -1;
-            if (at <= rc->now) {
-                PyObject *msg;
-                int r;
-                if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
-                    return -1;
-                msg = PyObject_CallNoArgs(op->poll);
-                if (msg == NULL)
-                    return -1;
-                if (msg != Py_None) {
-                    op->state = OP_SVC_LOOP;
-                    r = dispatch_send(rc, op->worker, msg, time_obj);
-                    Py_DECREF(msg);
-                    return r;
-                }
+            if (msg != Py_None) {
+                op->state = OP_SVC_LOOP;
+                r = dispatch_send(rc, op->worker, msg, time_obj);
                 Py_DECREF(msg);
+                return r;
             }
+            Py_DECREF(msg);
         }
     }
 stack_check:
@@ -1067,49 +1146,22 @@ stack_check:
             return -1;
         if (shared_n > 0) {
             /* owner-only reacquire, no lock (SplitStack counters) */
-            PyObject *got = PyObject_CallNoArgs(op->shared_pop);
-            Py_ssize_t ngot;
-            if (got == NULL)
-                return -1;
-            if (!PyList_CheckExact(got)) {
-                PyErr_SetString(PyExc_TypeError,
-                                "fastpath: shared chunk must be a list");
-                Py_DECREF(got);
-                return -1;
-            }
-            ngot = PyList_GET_SIZE(got);
-            if (PyList_SetSlice(op->local, 0, 0, got) < 0) {
-                Py_DECREF(got);
-                return -1;
-            }
-            Py_DECREF(got);
-            if (slot_add_long(op->stack, off_st_reacquired, ngot) < 0)
-                return -1;
-            if (op->wa != NULL) {
-                shared_n = PyObject_Length(op->shared);
-                if (shared_n < 0 || wa_poke_len(op->wa, shared_n) < 0)
-                    return -1;
-            }
-            if (dict_add_long(op->st_dict, s_reacquires, 1) < 0)
+            if (work_reacquire(w) < 0
+                    || (op->wa != NULL && wa_poke_shared(w) < 0)
+                    || dict_add_long(op->st_dict, s_reacquires, 1) < 0)
                 return -1;
             goto loop_top;  /* `continue`: re-check requests first */
         }
         goto exit_begin;
     }
-    /* visit: n, pushed = batch_expand(local, limit, thresh) */
     {
-        long long n = 0, pushed = 0;
-        if (c_batch_expand(&op->tv, op->local, op->limit, op->thresh,
-                           &n, &pushed) < 0)
-            return -1;
-        if (slot_add_long(op->stack, off_st_pops, n) < 0
-                || slot_add_long(op->stack, off_st_pushes, pushed) < 0
-                || dict_add_long(op->st_dict, s_nodes_visited, n) < 0)
+        long long n = 0;
+        if (work_visit(w, &n) < 0)
             return -1;
         if (n > 0) {
             /* yield vt[n] */
             op->state = OP_AFTER_VISIT;
-            return rc_push(rc, rc->now + op->vt[n], (PyObject *)op, Py_None);
+            return rc_push(rc, rc->now + op->vt.v[n], (PyObject *)op, Py_None);
         }
         /* n == 0 implies the local region was empty, handled above;
          * fall through identically to the generator. */
@@ -1117,29 +1169,10 @@ stack_check:
 
 release_loop:
     while (PyList_GET_SIZE(op->local) >= op->thresh) {
-        /* released = local[:chunk]; del local[:chunk];
-         * shared.append(released); counters (no lock, no gate) */
-        PyObject *released = PyList_GetSlice(op->local, 0, op->chunk);
-        PyObject *r;
-        if (released == NULL)
-            return -1;
-        if (PyList_SetSlice(op->local, 0, op->chunk, NULL) < 0) {
-            Py_DECREF(released);
-            return -1;
-        }
-        r = PyObject_CallOneArg(op->shared_append, released);
-        Py_DECREF(released);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        if (slot_add_long(op->stack, off_st_released, op->chunk) < 0)
-            return -1;
-        if (op->wa != NULL) {
-            Py_ssize_t shared_n = PyObject_Length(op->shared);
-            if (shared_n < 0 || wa_poke_len(op->wa, shared_n) < 0)
-                return -1;
-        }
-        if (dict_add_long(op->st_dict, s_releases, 1) < 0)
+        /* owner-only release (no lock, no gate) */
+        if (work_release(w) < 0
+                || (op->wa != NULL && wa_poke_shared(w) < 0)
+                || dict_add_long(op->st_dict, s_releases, 1) < 0)
             return -1;
     }
     goto loop_top;
@@ -1149,12 +1182,9 @@ exit_begin:
         return -1;
     if (op->req_slot != NULL) {
         /* deny any request that raced our transition to idle */
-        PyObject *rv = SLOT(op->req_slot, off_w_value);
-        if (rv == NULL) {
-            PyErr_SetString(SimulationError, "fastpath: request slot unset");
+        if ((hit = req_pending(op->req_slot)) < 0)
             return -1;
-        }
-        if (rv != Py_None) {
+        if (hit) {
             op->state = OP_SVC_EXIT;
             if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
                 return -1;
@@ -1162,24 +1192,7 @@ exit_begin:
         }
     }
 exit_done:
-    {
-        PyObject *r, *worker;
-        int rr;
-        if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
-            return -1;
-        r = PyObject_CallNoArgs(op->exit_cb);
-        if (r == NULL)
-            return -1;
-        Py_DECREF(r);
-        if (rc_reload_seq(rc) < 0)
-            return -1;
-        worker = op->worker;
-        op->worker = NULL;
-        op->state = OP_IDLE;
-        rr = dispatch_send(rc, worker, Py_None, time_obj);
-        Py_DECREF(worker);
-        return rr;
-    }
+    return phase_finish(self, rc, time_obj);
 }
 
 /* random.Random._randbelow_with_getrandbits, draw-for-draw: k =
@@ -1255,8 +1268,10 @@ sp_flush_probes(SearchPhaseObject *sp)
  * a *failed* steal it re-yields the phase, and after a successful one
  * it calls phase.abort() and returns True without re-yielding. */
 static int
-search_run(SearchPhaseObject *sp, RunCtx *rc, PyObject *time_obj, int entry)
+search_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
 {
+    SearchPhaseObject *sp = (SearchPhaseObject *)self;
+
     switch (entry) {
     case SP_IDLE:
         sp->backoff = sp->backoff_min;
@@ -1277,12 +1292,10 @@ search_run(SearchPhaseObject *sp, RunCtx *rc, PyObject *time_obj, int entry)
 round_top:
     if (sp->req_slot != NULL) {
         /* distmem: if req_slot.value is not None, bounce for service */
-        PyObject *rv = SLOT(sp->req_slot, off_w_value);
-        if (rv == NULL) {
-            PyErr_SetString(SimulationError, "fastpath: request slot unset");
+        int hit = req_pending(sp->req_slot);
+        if (hit < 0)
             return -1;
-        }
-        if (rv != Py_None) {
+        if (hit) {
             sp->state = SP_SVC_TOP;
             if (sp_flush_probes(sp) < 0)
                 return -1;
@@ -1440,20 +1453,8 @@ steal_bounce:
     }
 
 exit_nowork:
-    {
-        PyObject *worker = sp->worker;
-        int r;
-        Py_CLEAR(sp->victims);
-        sp->worker = NULL;
-        sp->state = SP_IDLE;
-        if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0) {
-            Py_DECREF(worker);
-            return -1;
-        }
-        r = dispatch_send(rc, worker, Py_None, time_obj);
-        Py_DECREF(worker);
-        return r;
-    }
+    Py_CLEAR(sp->victims);
+    return phase_finish(self, rc, time_obj);
 }
 
 /* Drive the mpi-ws idle wait: schedule the backoff compute events and
@@ -1463,8 +1464,11 @@ exit_nowork:
  * loop's cadence: one event per empty poll, backoff growing
  * geometrically, reset by the worker (phase.reset()) on progress. */
 static int
-idle_run(IdlePhaseObject *ip, RunCtx *rc, PyObject *time_obj, int entry)
+idle_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
 {
+    IdlePhaseObject *ip = (IdlePhaseObject *)self;
+    int hit;
+
     switch (entry) {
     case IP_IDLE:       goto push_wait;
     case IP_WAIT:       goto check;
@@ -1474,23 +1478,11 @@ idle_run(IdlePhaseObject *ip, RunCtx *rc, PyObject *time_obj, int entry)
     }
 
 check:
-    if (PyList_GET_SIZE(ip->pending) > 0) {
-        /* MsgWorld._take_delivered fast path, inverted: heap head
-         * already arrived means the worker's iprobe will pop it. */
-        PyObject *head = PyList_GET_ITEM(ip->pending, 0);
-        PyObject *arr;
-        double at;
-        if (!PyTuple_CheckExact(head) || PyTuple_GET_SIZE(head) < 1) {
-            PyErr_SetString(SimulationError, "fastpath: bad mailbox");
-            return -1;
-        }
-        arr = PyTuple_GET_ITEM(head, 0);
-        at = PyFloat_AsDouble(arr);
-        if (at == -1.0 && PyErr_Occurred())
-            return -1;
-        if (at <= rc->now)
-            goto exit_msg;
-    }
+    /* a delivered head means the worker's iprobe will pop it */
+    if ((hit = mailbox_ready(ip->pending, rc->now)) < 0)
+        return -1;
+    if (hit)
+        goto exit_msg;
 
 push_wait:
     {
@@ -1509,33 +1501,73 @@ push_wait:
     }
 
 exit_msg:
-    {
-        PyObject *worker = ip->worker;
-        int r;
-        ip->worker = NULL;
-        ip->state = IP_IDLE;
-        if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0) {
-            Py_DECREF(worker);
-            return -1;
-        }
-        r = dispatch_send(rc, worker, Py_None, time_obj);
-        Py_DECREF(worker);
-        return r;
-    }
+    return phase_finish(self, rc, time_obj);
 }
 
 /* ------------------------------------------------------------------ */
 /* process dispatch                                                   */
 /* ------------------------------------------------------------------ */
 
-static int phase_start(RunCtx *rc, LockPhaseObject *ph, PyObject *worker,
-                       PyObject *time_obj);
-static int owner_start(RunCtx *rc, OwnerPhaseObject *op, PyObject *worker,
-                       PyObject *time_obj);
-static int search_start(RunCtx *rc, SearchPhaseObject *sp, PyObject *worker,
-                        PyObject *time_obj);
-static int idle_start(RunCtx *rc, IdlePhaseObject *ip, PyObject *worker,
-                      PyObject *time_obj);
+/* Run a phase's entry/exit callable (sim.now / _seq are synced out). */
+static int
+call_cb(RunCtx *rc, PyObject *cb)
+{
+    PyObject *r = PyObject_CallNoArgs(cb);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return rc_reload_seq(rc);
+}
+
+/* `worker` yielded the phase: bind it, run the enter callback, take
+ * the first step -- or, when the phase bounced a value to the worker
+ * and is being re-yielded, resume it where it left off.  sim.now and
+ * _seq were synced before the send that yielded us. */
+static int
+phase_start(RunCtx *rc, PhaseHead *ph, PyObject *worker, PyObject *time_obj)
+{
+    const PhaseDesc *d = ph->desc;
+    if (d == NULL) {
+        PyErr_Format(SimulationError, "fastpath: %.100s yielded before "
+                     "__init__", Py_TYPE(ph)->tp_name);
+        return -1;
+    }
+    if (ph->state != 0) {
+        if (ph->worker != worker) {
+            PyErr_Format(SimulationError, "fastpath: %s re-yielded by a "
+                         "different worker", d->name);
+            return -1;
+        }
+        return d->run(ph, rc, time_obj, ph->state);
+    }
+    if (ph->worker != NULL) {
+        PyErr_Format(SimulationError, "fastpath: %s yielded while already "
+                     "running", d->name);
+        return -1;
+    }
+    Py_INCREF(worker);
+    ph->worker = worker;
+    if (d->enter_cb != 0 && call_cb(rc, SLOT(ph, d->enter_cb)) < 0)
+        return -1;
+    return d->run(ph, rc, time_obj, 0);
+}
+
+/* The phase is over: sync now/_seq, run the exit callback, and resume
+ * the worker with None at its `yield phase` within this dispatch. */
+static int
+phase_finish(PhaseHead *ph, RunCtx *rc, PyObject *time_obj)
+{
+    PyObject *worker = ph->worker;
+    Py_ssize_t exit_cb = ph->desc->exit_cb;
+    int r = -1;
+    ph->worker = NULL;
+    ph->state = 0;
+    if (rc_write_now(rc, time_obj) == 0 && rc_write_seq(rc) == 0
+            && (exit_cb == 0 || call_cb(rc, SLOT(ph, exit_cb)) == 0))
+        r = dispatch_send(rc, worker, Py_None, time_obj);
+    Py_DECREF(worker);
+    return r;
+}
 
 /* Send `value` into `proc` (exact Process) and wire up whatever it
  * yields next.  Precondition: sim.now and sim._seq are synced out. */
@@ -1628,72 +1660,10 @@ dispatch_send(RunCtx *rc, PyObject *proc, PyObject *value, PyObject *time_obj)
         Py_DECREF(awaited);
         return r;
     }
-    if (Py_TYPE(awaited) == &LockPhase_Type) {
-        int r = phase_start(rc, (LockPhaseObject *)awaited, proc, time_obj);
+    if (IS_PHASE(awaited)) {
+        int r = phase_start(rc, (PhaseHead *)awaited, proc, time_obj);
         Py_DECREF(awaited);
         return r;
-    }
-    if (Py_TYPE(awaited) == &OwnerPhase_Type) {
-        int r = owner_start(rc, (OwnerPhaseObject *)awaited, proc, time_obj);
-        Py_DECREF(awaited);
-        return r;
-    }
-    if (Py_TYPE(awaited) == &SearchPhase_Type) {
-        int r = search_start(rc, (SearchPhaseObject *)awaited, proc, time_obj);
-        Py_DECREF(awaited);
-        return r;
-    }
-    if (Py_TYPE(awaited) == &IdlePhase_Type) {
-        int r = idle_start(rc, (IdlePhaseObject *)awaited, proc, time_obj);
-        Py_DECREF(awaited);
-        return r;
-    }
-    /* subclass fallbacks, via the simulator's own Python entry points */
-    {
-        int is_t = PyObject_IsInstance(awaited, (PyObject *)TimeoutType);
-        if (is_t < 0) {
-            Py_DECREF(awaited);
-            return -1;
-        }
-        if (is_t) {
-            PyObject *delay = PyObject_GetAttrString(awaited, "delay");
-            PyObject *tval, *r;
-            if (delay == NULL) {
-                Py_DECREF(awaited);
-                return -1;
-            }
-            tval = PyObject_GetAttrString(awaited, "value");
-            if (tval == NULL) {
-                Py_DECREF(delay);
-                Py_DECREF(awaited);
-                return -1;
-            }
-            r = PyObject_CallMethodObjArgs(rc->sim, s_schedule, delay, proc,
-                                           tval, NULL);
-            Py_DECREF(delay);
-            Py_DECREF(tval);
-            Py_DECREF(awaited);
-            if (r == NULL)
-                return -1;
-            Py_DECREF(r);
-            return rc_reload_seq(rc);
-        }
-    }
-    {
-        int is_e = PyObject_IsInstance(awaited, (PyObject *)SimEventType);
-        if (is_e < 0) {
-            Py_DECREF(awaited);
-            return -1;
-        }
-        if (is_e) {
-            PyObject *r = PyObject_CallMethodObjArgs(awaited, s_add_waiter,
-                                                     proc, NULL);
-            Py_DECREF(awaited);
-            if (r == NULL)
-                return -1;
-            Py_DECREF(r);
-            return rc_reload_seq(rc);
-        }
     }
     {
         PyObject *name = SLOT(proc, off_p_name);
@@ -1703,107 +1673,6 @@ dispatch_send(RunCtx *rc, PyObject *proc, PyObject *value, PyObject *time_obj)
         Py_DECREF(awaited);
         return -1;
     }
-}
-
-static int
-phase_start(RunCtx *rc, LockPhaseObject *ph, PyObject *worker,
-            PyObject *time_obj)
-{
-    PyObject *r;
-    if (ph->worker != NULL) {
-        PyErr_SetString(SimulationError,
-                        "fastpath: LockPhase yielded while already running");
-        return -1;
-    }
-    Py_INCREF(worker);
-    ph->worker = worker;
-    ph->state = PH_IDLE;
-    /* working_phase entry bookkeeping (state timer + work-avail poke);
-     * sim.now / _seq were synced before the send that yielded us. */
-    r = PyObject_CallNoArgs(ph->enter_cb);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    if (rc_reload_seq(rc) < 0)
-        return -1;
-    return phase_run(ph, rc, time_obj, PH_IDLE);
-}
-
-static int
-owner_start(RunCtx *rc, OwnerPhaseObject *op, PyObject *worker,
-            PyObject *time_obj)
-{
-    PyObject *r;
-    if (op->state != OP_IDLE) {
-        /* re-entry after a service bounce: resume mid-loop */
-        if (op->worker != worker) {
-            PyErr_SetString(SimulationError,
-                            "fastpath: OwnerPhase re-yielded by a "
-                            "different worker");
-            return -1;
-        }
-        return owner_run(op, rc, time_obj, op->state);
-    }
-    if (op->worker != NULL) {
-        PyErr_SetString(SimulationError,
-                        "fastpath: OwnerPhase yielded while already running");
-        return -1;
-    }
-    Py_INCREF(worker);
-    op->worker = worker;
-    /* working_phase entry bookkeeping (state timer + entry poke);
-     * sim.now / _seq were synced before the send that yielded us. */
-    r = PyObject_CallNoArgs(op->enter_cb);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    if (rc_reload_seq(rc) < 0)
-        return -1;
-    return owner_run(op, rc, time_obj, OP_IDLE);
-}
-
-static int
-search_start(RunCtx *rc, SearchPhaseObject *sp, PyObject *worker,
-             PyObject *time_obj)
-{
-    if (sp->state != SP_IDLE) {
-        /* re-entry after a steal/service bounce: resume mid-round */
-        if (sp->worker != worker) {
-            PyErr_SetString(SimulationError,
-                            "fastpath: SearchPhase re-yielded by a "
-                            "different worker");
-            return -1;
-        }
-        return search_run(sp, rc, time_obj, sp->state);
-    }
-    if (sp->worker != NULL) {
-        PyErr_SetString(SimulationError,
-                        "fastpath: SearchPhase yielded while already running");
-        return -1;
-    }
-    Py_INCREF(worker);
-    sp->worker = worker;
-    /* search_phase has no entry bookkeeping (the worker is already in
-     * the SEARCHING state when it yields the phase). */
-    return search_run(sp, rc, time_obj, SP_IDLE);
-}
-
-static int
-idle_start(RunCtx *rc, IdlePhaseObject *ip, PyObject *worker,
-           PyObject *time_obj)
-{
-    /* Every wait episode exits (bounces None) before the worker can
-     * re-yield the phase, so a running phase here is always a bug. */
-    if (ip->state != IP_IDLE || ip->worker != NULL) {
-        PyErr_SetString(SimulationError,
-                        "fastpath: IdlePhase yielded while already running");
-        return -1;
-    }
-    Py_INCREF(worker);
-    ip->worker = worker;
-    /* The pure loop ends every idle iteration with compute(backoff)
-     * unconditionally, so entry goes straight to the first wait. */
-    return idle_run(ip, rc, time_obj, IP_IDLE);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1833,7 +1702,7 @@ static PyObject *
 fast_run(PyObject *module, PyObject *args)
 {
     PyObject *sim, *until_obj = Py_None;
-    PyObject *v;
+    PyObject *v, *item = NULL;  /* the popped heap entry, while in hand */
     RunCtx rc;
     int has_until = 0;
     double until_d = 0.0;
@@ -1887,7 +1756,7 @@ fast_run(PyObject *module, PyObject *args)
     }
 
     while (PyList_GET_SIZE(rc.heap) > 0) {
-        PyObject *item, *time_obj, *proc, *value;
+        PyObject *time_obj, *proc, *value;
         double t;
 
         if ((++check_ctr & 4095) == 0 && PyErr_CheckSignals() < 0)
@@ -1913,7 +1782,6 @@ fast_run(PyObject *module, PyObject *args)
         if (item == NULL)
             goto fail;
         if (!PyTuple_CheckExact(item) || PyTuple_GET_SIZE(item) != 4) {
-            Py_DECREF(item);
             PyErr_SetString(SimulationError, "fastpath: malformed heap item");
             goto fail;
         }
@@ -1921,188 +1789,101 @@ fast_run(PyObject *module, PyObject *args)
         proc = PyTuple_GET_ITEM(item, 2);
         value = PyTuple_GET_ITEM(item, 3);
         t = PyFloat_AsDouble(time_obj);
-        if (t == -1.0 && PyErr_Occurred()) {
-            Py_DECREF(item);
+        if (t == -1.0 && PyErr_Occurred())
+            goto fail;
+
+        if (Py_TYPE(proc) == ProcessType
+                && SLOT(proc, off_p_alive) != Py_True) {
+            /* stale resumption of an interrupted process: dropped,
+             * never counted */
+            Py_CLEAR(item);
+            continue;
+        }
+        /* one event, whatever it resumes: set now, check the budget,
+         * count, step */
+        rc.now = t;
+        if (rc.nev >= rc.limit) {
+            rc_raise_limit(&rc, time_obj);
             goto fail;
         }
-
-        if (proc != Py_None) {
-            if (Py_TYPE(proc) == ProcessType) {
-                PyObject *alive = SLOT(proc, off_p_alive);
-                if (alive != Py_True) {
-                    /* stale resumption of an interrupted process:
-                     * dropped, never counted */
-                    Py_DECREF(item);
-                    continue;
-                }
-                rc.now = t;
-                if (rc.nev >= rc.limit) {
-                    rc_raise_limit(&rc, time_obj);
-                    Py_DECREF(item);
-                    goto fail;
-                }
-                rc.nev += 1;
-                if (rc_write_now(&rc, time_obj) < 0
-                        || rc_write_seq(&rc) < 0
-                        || dispatch_send(&rc, proc, value, time_obj) < 0) {
-                    Py_DECREF(item);
-                    goto fail;
-                }
-            } else if (Py_TYPE(proc) == &LockPhase_Type) {
-                LockPhaseObject *ph = (LockPhaseObject *)proc;
-                rc.now = t;
-                if (rc.nev >= rc.limit) {
-                    rc_raise_limit(&rc, time_obj);
-                    Py_DECREF(item);
-                    goto fail;
-                }
-                rc.nev += 1;
-                if (phase_run(ph, &rc, time_obj, ph->state) < 0) {
-                    Py_DECREF(item);
-                    goto fail;
-                }
-            } else if (Py_TYPE(proc) == &OwnerPhase_Type) {
-                OwnerPhaseObject *op = (OwnerPhaseObject *)proc;
-                rc.now = t;
-                if (rc.nev >= rc.limit) {
-                    rc_raise_limit(&rc, time_obj);
-                    Py_DECREF(item);
-                    goto fail;
-                }
-                rc.nev += 1;
-                if (owner_run(op, &rc, time_obj, op->state) < 0) {
-                    Py_DECREF(item);
-                    goto fail;
-                }
-            } else if (Py_TYPE(proc) == &SearchPhase_Type) {
-                SearchPhaseObject *sp = (SearchPhaseObject *)proc;
-                rc.now = t;
-                if (rc.nev >= rc.limit) {
-                    rc_raise_limit(&rc, time_obj);
-                    Py_DECREF(item);
-                    goto fail;
-                }
-                rc.nev += 1;
-                if (search_run(sp, &rc, time_obj, sp->state) < 0) {
-                    Py_DECREF(item);
-                    goto fail;
-                }
-            } else if (Py_TYPE(proc) == &IdlePhase_Type) {
-                IdlePhaseObject *ipp = (IdlePhaseObject *)proc;
-                rc.now = t;
-                if (rc.nev >= rc.limit) {
-                    rc_raise_limit(&rc, time_obj);
-                    Py_DECREF(item);
-                    goto fail;
-                }
-                rc.nev += 1;
-                if (idle_run(ipp, &rc, time_obj, ipp->state) < 0) {
-                    Py_DECREF(item);
-                    goto fail;
-                }
-            } else {
-                PyErr_Format(SimulationError,
-                             "fastpath cannot drive process of type %.100s; "
-                             "run with REPRO_FASTPATH=0",
-                             Py_TYPE(proc)->tp_name);
-                Py_DECREF(item);
+        rc.nev += 1;
+        if (Py_TYPE(proc) == ProcessType) {
+            if (rc_write_now(&rc, time_obj) < 0
+                    || rc_write_seq(&rc) < 0
+                    || dispatch_send(&rc, proc, value, time_obj) < 0)
                 goto fail;
+        } else if (IS_PHASE(proc)) {
+            PhaseHead *ph = (PhaseHead *)proc;
+            if (ph->desc->run(ph, &rc, time_obj, ph->state) < 0)
+                goto fail;
+        } else if (proc != Py_None) {
+            PyErr_Format(SimulationError,
+                         "fastpath cannot drive process of type %.100s; "
+                         "run with REPRO_FASTPATH=0",
+                         Py_TYPE(proc)->tp_name);
+            goto fail;
+        } else if (PyTuple_CheckExact(value)) {
+            /* delayed event fire (see SimEvent.succeed) */
+            PyObject *ev, *val, *stag;
+            if (PyTuple_GET_SIZE(value) != 3) {
+                PyErr_SetString(PyExc_ValueError,
+                                "fastpath: malformed delayed-fire payload");
+                goto fail;
+            }
+            ev = PyTuple_GET_ITEM(value, 0);
+            val = PyTuple_GET_ITEM(value, 1);
+            stag = PyTuple_GET_ITEM(value, 2);
+            if (Py_TYPE(ev) == SimEventType && PyFloat_CheckExact(stag)
+                    && PyFloat_AS_DOUBLE(stag) >= 0.0) {
+                /* inline SimEvent._fire */
+                double stag_d = PyFloat_AS_DOUBLE(stag);
+                PyObject *waiters = SLOT(ev, off_e_waiters);
+                Py_ssize_t wn, i;
+                if (waiters == NULL || !PyList_CheckExact(waiters)) {
+                    PyErr_SetString(SimulationError,
+                                    "fastpath: bad event waiter list");
+                    goto fail;
+                }
+                Py_INCREF(Py_True);
+                slot_store(ev, off_e_fired, Py_True);
+                Py_INCREF(Py_False);
+                slot_store(ev, off_e_scheduled, Py_False);
+                Py_INCREF(val);
+                slot_store(ev, off_e_value, val);
+                wn = PyList_GET_SIZE(waiters);
+                for (i = 0; i < wn; i++) {
+                    PyObject *w = PyList_GET_ITEM(waiters, i);
+                    if (rc_push(&rc, rc.now + (double)i * stag_d, w, val) < 0)
+                        goto fail;
+                }
+                if (PyList_SetSlice(waiters, 0, PyList_GET_SIZE(waiters),
+                                    NULL) < 0)
+                    goto fail;
+            } else {
+                /* unusual event/stagger: defer to Python */
+                PyObject *r;
+                if (rc_write_now(&rc, time_obj) < 0 || rc_write_seq(&rc) < 0)
+                    goto fail;
+                r = PyObject_CallMethodObjArgs(ev, s_fire_m, val, stag, NULL);
+                if (r == NULL)
+                    goto fail;
+                Py_DECREF(r);
+                if (rc_reload_seq(&rc) < 0)
+                    goto fail;
             }
         } else {
-            rc.now = t;
-            if (rc.nev >= rc.limit) {
-                rc_raise_limit(&rc, time_obj);
-                Py_DECREF(item);
+            /* bare callback (_call_at) */
+            PyObject *r;
+            if (rc_write_now(&rc, time_obj) < 0 || rc_write_seq(&rc) < 0)
                 goto fail;
-            }
-            rc.nev += 1;
-            if (PyTuple_CheckExact(value)) {
-                if (PyTuple_GET_SIZE(value) != 3) {
-                    Py_DECREF(item);
-                    PyErr_SetString(PyExc_ValueError,
-                                    "fastpath: malformed delayed-fire "
-                                    "payload");
-                    goto fail;
-                }
-                {
-                    PyObject *ev = PyTuple_GET_ITEM(value, 0);
-                    PyObject *val = PyTuple_GET_ITEM(value, 1);
-                    PyObject *stag = PyTuple_GET_ITEM(value, 2);
-                    if (Py_TYPE(ev) == SimEventType
-                            && PyFloat_CheckExact(stag)
-                            && PyFloat_AS_DOUBLE(stag) >= 0.0) {
-                        /* inline SimEvent._fire */
-                        double stag_d = PyFloat_AS_DOUBLE(stag);
-                        PyObject *waiters = SLOT(ev, off_e_waiters);
-                        Py_ssize_t wn, i;
-                        int bad = 0;
-                        if (waiters == NULL
-                                || !PyList_CheckExact(waiters)) {
-                            Py_DECREF(item);
-                            PyErr_SetString(SimulationError,
-                                            "fastpath: bad event waiter "
-                                            "list");
-                            goto fail;
-                        }
-                        Py_INCREF(Py_True);
-                        slot_store(ev, off_e_fired, Py_True);
-                        Py_INCREF(Py_False);
-                        slot_store(ev, off_e_scheduled, Py_False);
-                        Py_INCREF(val);
-                        slot_store(ev, off_e_value, val);
-                        wn = PyList_GET_SIZE(waiters);
-                        for (i = 0; i < wn; i++) {
-                            PyObject *w = PyList_GET_ITEM(waiters, i);
-                            if (rc_push(&rc, rc.now + (double)i * stag_d,
-                                        w, val) < 0) {
-                                bad = 1;
-                                break;
-                            }
-                        }
-                        if (!bad && PyList_SetSlice(
-                                waiters, 0, PyList_GET_SIZE(waiters),
-                                NULL) < 0)
-                            bad = 1;
-                        if (bad) {
-                            Py_DECREF(item);
-                            goto fail;
-                        }
-                    } else {
-                        /* unusual event/stagger: defer to Python */
-                        PyObject *r;
-                        if (rc_write_now(&rc, time_obj) < 0
-                                || rc_write_seq(&rc) < 0) {
-                            Py_DECREF(item);
-                            goto fail;
-                        }
-                        r = PyObject_CallMethodObjArgs(ev, s_fire_m, val,
-                                                       stag, NULL);
-                        if (r == NULL || rc_reload_seq(&rc) < 0) {
-                            Py_XDECREF(r);
-                            Py_DECREF(item);
-                            goto fail;
-                        }
-                        Py_DECREF(r);
-                    }
-                }
-            } else {
-                /* bare callback (_call_at) */
-                PyObject *r;
-                if (rc_write_now(&rc, time_obj) < 0
-                        || rc_write_seq(&rc) < 0) {
-                    Py_DECREF(item);
-                    goto fail;
-                }
-                r = PyObject_CallNoArgs(value);
-                if (r == NULL || rc_reload_seq(&rc) < 0) {
-                    Py_XDECREF(r);
-                    Py_DECREF(item);
-                    goto fail;
-                }
-                Py_DECREF(r);
-            }
+            r = PyObject_CallNoArgs(value);
+            if (r == NULL)
+                goto fail;
+            Py_DECREF(r);
+            if (rc_reload_seq(&rc) < 0)
+                goto fail;
         }
-        Py_DECREF(item);
+        Py_CLEAR(item);
     }
 
 done:
@@ -2113,6 +1894,7 @@ done:
     return PyFloat_FromDouble(rc.now);
 
 fail:
+    Py_XDECREF(item);
     {
         PyObject *et, *ev, *tb;
         PyErr_Fetch(&et, &ev, &tb);
@@ -2139,500 +1921,335 @@ py_batch_expand(PyObject *module, PyObject *args)
     if (!PyArg_ParseTuple(args, "Oy*y*O!LL:batch_expand", &tree, &tv.delta,
                           &tv.size, &PyList_Type, &local, &limit, &thresh))
         return NULL;
-    Py_INCREF(tree);
-    tv.tree = tree;
+    tv.tree = tree;  /* borrowed from args for the call */
     if (c_batch_expand(&tv, local, limit, thresh, &n, &pushed) == 0)
         res = Py_BuildValue("LL", n, pushed);
-    tv_clear(&tv);
+    PyBuffer_Release(&tv.delta);
+    PyBuffer_Release(&tv.size);
     return res;
 }
 
 /* ------------------------------------------------------------------ */
-/* LockPhase type                                                     */
+/* the phase object lifecycle, once, against the field tables         */
 /* ------------------------------------------------------------------ */
 
+static const PhaseDesc *phase_desc_of(PyTypeObject *type);
+
+/* Store constructor argument `v` in the member row `f` names. */
 static int
-LockPhase_init(LockPhaseObject *self, PyObject *args, PyObject *kwds)
+field_set(PhaseHead *self, const PhaseDesc *d, const PhaseField *f,
+          PyObject *v)
 {
-    static char *kwlist[] = {
-        "sim", "local", "shared", "shared_append", "shared_pop", "stack",
-        "st_dict", "wa", "fifo", "queue", "queue_append", "queue_popleft",
-        "ev_name", "enter_cb", "exit_cb", "tree", "delta", "size",
-        "barrier_dict", "visit_costs", "lock_to", "unlock_to",
-        "reset_cost", "home_occupancy", "chunk", "thresh", "limit", NULL};
-    PyObject *sim, *local, *shared, *shared_append, *shared_pop, *stack,
-        *st_dict, *wa, *fifo, *queue, *queue_append, *queue_popleft,
-        *ev_name, *enter_cb, *exit_cb, *tree, *barrier_dict, *visit_costs;
-    double lock_to, unlock_to, reset_cost, home_occupancy;
-    long long chunk, thresh, limit;
-    PyObject *fast = NULL;
-    Py_ssize_t nvt, i;
+    void *at = (char *)self + f->off;
+    switch (f->kind) {
+    case F_OPT:
+        if (v == Py_None)
+            return 0;
+        /* FALLTHROUGH */
+    case F_OBJ:
+        if (f->exact != NULL && Py_TYPE(v) != f->exact) {
+            PyErr_Format(PyExc_TypeError, "%s(): %s must be a %s, not %.100s",
+                         d->name, f->name, f->exact->tp_name,
+                         Py_TYPE(v)->tp_name);
+            return -1;
+        }
+        Py_INCREF(v);
+        *(PyObject **)at = v;
+        return 0;
+    case F_DOUBLE:
+        *(double *)at = PyFloat_AsDouble(v);
+        break;
+    case F_LONG:
+        *(long long *)at = PyLong_AsLongLong(v);
+        break;
+    case F_FLAG:
+        *(int *)at = PyObject_IsTrue(v);
+        break;
+    case F_BUFFER:
+        return PyObject_GetBuffer(v, (Py_buffer *)at, PyBUF_SIMPLE);
+    case F_DOUBLES: {
+        DoubleVec *dv = at;
+        PyObject *fast = PySequence_Fast(v, "expected a sequence of floats");
+        Py_ssize_t i;
+        if (fast == NULL)
+            return -1;
+        dv->n = PySequence_Fast_GET_SIZE(fast);
+        dv->v = PyMem_Malloc((size_t)dv->n * sizeof(double));
+        if (dv->v == NULL)
+            PyErr_NoMemory();
+        for (i = 0; i < dv->n && !PyErr_Occurred(); i++)
+            dv->v[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(fast, i));
+        Py_DECREF(fast);
+        break;
+    }
+    }
+    return PyErr_Occurred() ? -1 : 0;
+}
+
+/* Release everything the table's rows hold; safe on a blank, a
+ * half-built and an already-cleared object alike. */
+static void
+fields_clear(PhaseHead *self, const PhaseDesc *d)
+{
+    const PhaseField *f;
+    for (f = d->fields; f->name != NULL; f++) {
+        void *at = (char *)self + f->off;
+        if (HOLDS_OBJECT(f->kind)) {
+            Py_CLEAR(*(PyObject **)at);
+        } else if (f->kind == F_BUFFER) {
+            PyBuffer_Release((Py_buffer *)at);
+        } else if (f->kind == F_DOUBLES) {
+            PyMem_Free(((DoubleVec *)at)->v);
+            ((DoubleVec *)at)->v = NULL;
+        }
+    }
+}
+
+static int
+phase_init(PyObject *o, PyObject *args, PyObject *kwds)
+{
+    PhaseHead *self = (PhaseHead *)o;
+    const PhaseDesc *d = phase_desc_of(Py_TYPE(o));
+    const PhaseField *f;
+    const char *complaint;
+    Py_ssize_t n_keywords = 0, pos = 0;
+    PyObject *key;
 
     if (!configured) {
         PyErr_SetString(PyExc_RuntimeError, "fastpath core not configured");
         return -1;
     }
-    if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "OOOOOOOOOOOOOOOOy*y*OOddddLLL:LockPhase", kwlist,
-            &sim, &local, &shared, &shared_append, &shared_pop, &stack,
-            &st_dict, &wa, &fifo, &queue, &queue_append, &queue_popleft,
-            &ev_name, &enter_cb, &exit_cb, &tree, &self->tv.delta,
-            &self->tv.size, &barrier_dict, &visit_costs, &lock_to,
-            &unlock_to, &reset_cost, &home_occupancy, &chunk, &thresh,
-            &limit))
-        return -1;
-    if (!PyList_CheckExact(local) || !PyDict_CheckExact(st_dict)
-            || (barrier_dict != Py_None
-                && !PyDict_CheckExact(barrier_dict))) {
-        PyErr_SetString(PyExc_TypeError, "LockPhase: bad container types");
+    if (self->desc != NULL) {
+        /* the members are live: re-binding them would leak the held
+         * references, buffer exports and cost block */
+        PyErr_Format(PyExc_TypeError, "%s.__init__() called twice", d->name);
         return -1;
     }
-    fast = PySequence_Fast(visit_costs, "visit_costs must be a sequence");
-    if (fast == NULL)
-        return -1;
-    nvt = PySequence_Fast_GET_SIZE(fast);
-    if (nvt < limit + 1 || limit < 1 || chunk < 1 || thresh < 1) {
-        Py_DECREF(fast);
-        PyErr_SetString(PyExc_ValueError, "LockPhase: bad phase bounds");
+    if (PyTuple_GET_SIZE(args) != 0) {
+        PyErr_Format(PyExc_TypeError, "%s() takes keyword arguments only",
+                     d->name);
         return -1;
     }
-    self->vt = PyMem_Malloc((size_t)nvt * sizeof(double));
-    if (self->vt == NULL) {
-        Py_DECREF(fast);
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (i = 0; i < nvt; i++) {
-        double d = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(fast, i));
-        if (d == -1.0 && PyErr_Occurred()) {
-            Py_DECREF(fast);
-            return -1;
+    for (f = d->fields; f->name != NULL; f++) {
+        PyObject *v;
+        if (f->kind == F_RUNTIME)
+            continue;
+        n_keywords += 1;
+        v = kwds != NULL ? PyDict_GetItemString(kwds, f->name) : NULL;
+        if (v == NULL) {
+            PyErr_Format(PyExc_TypeError, "%s() missing required keyword "
+                         "argument '%s'", d->name, f->name);
+            goto fail;
         }
-        self->vt[i] = d;
+        if (field_set(self, d, f, v) < 0)
+            goto fail;
     }
-    Py_DECREF(fast);
-
-#define PH_SET(field, obj) do { Py_INCREF(obj); self->field = (obj); } while (0)
-    PH_SET(sim, sim);
-    PH_SET(local, local);
-    PH_SET(shared, shared);
-    PH_SET(shared_append, shared_append);
-    PH_SET(shared_pop, shared_pop);
-    PH_SET(stack, stack);
-    PH_SET(st_dict, st_dict);
-    PH_SET(wa, wa);
-    PH_SET(fifo, fifo);
-    PH_SET(queue, queue);
-    PH_SET(queue_append, queue_append);
-    PH_SET(queue_popleft, queue_popleft);
-    PH_SET(ev_name, ev_name);
-    PH_SET(enter_cb, enter_cb);
-    PH_SET(exit_cb, exit_cb);
-    PH_SET(tv.tree, tree);
-#undef PH_SET
-    if (barrier_dict == Py_None) {
-        self->barrier_dict = NULL;
-    } else {
-        Py_INCREF(barrier_dict);
-        self->barrier_dict = barrier_dict;
+    /* every row was found, so a keyword too many is one no row names */
+    while (PyDict_GET_SIZE(kwds) != n_keywords
+            && PyDict_Next(kwds, &pos, &key, NULL)) {
+        for (f = d->fields; f->name != NULL; f++)
+            if (f->kind != F_RUNTIME
+                    && PyUnicode_CompareWithASCIIString(key, f->name) == 0)
+                break;
+        if (f->name == NULL) {
+            PyErr_Format(PyExc_TypeError, "%s() got an unexpected keyword "
+                         "argument %R", d->name, key);
+            goto fail;
+        }
     }
-    self->lock_to = lock_to;
-    self->unlock_to = unlock_to;
-    self->reset_cost = reset_cost;
-    self->home_occupancy = home_occupancy;
-    self->chunk = chunk;
-    self->thresh = thresh;
-    self->limit = limit;
-    self->worker = NULL;
-    self->state = PH_IDLE;
-    self->substate = SUB_RELEASE;
+    if (d->check != NULL && (complaint = d->check(self)) != NULL) {
+        PyErr_Format(PyExc_ValueError, "%s(): %s", d->name, complaint);
+        goto fail;
+    }
+    self->desc = d;
     return 0;
+
+fail:
+    fields_clear(self, d);
+    return -1;
 }
 
 static int
-LockPhase_traverse(LockPhaseObject *self, visitproc visit, void *arg)
+phase_traverse(PyObject *o, visitproc visit, void *arg)
 {
-    Py_VISIT(self->sim);
-    Py_VISIT(self->local);
-    Py_VISIT(self->shared);
-    Py_VISIT(self->shared_append);
-    Py_VISIT(self->shared_pop);
-    Py_VISIT(self->stack);
-    Py_VISIT(self->st_dict);
-    Py_VISIT(self->wa);
-    Py_VISIT(self->fifo);
-    Py_VISIT(self->queue);
-    Py_VISIT(self->queue_append);
-    Py_VISIT(self->queue_popleft);
-    Py_VISIT(self->ev_name);
-    Py_VISIT(self->enter_cb);
-    Py_VISIT(self->exit_cb);
-    Py_VISIT(self->tv.tree);
-    Py_VISIT(self->barrier_dict);
+    PhaseHead *self = (PhaseHead *)o;
+    const PhaseField *f;
     Py_VISIT(self->worker);
+    if (self->desc != NULL)
+        for (f = self->desc->fields; f->name != NULL; f++)
+            if (HOLDS_OBJECT(f->kind))
+                Py_VISIT(*(PyObject **)((char *)self + f->off));
     return 0;
 }
 
 static int
-LockPhase_clear(LockPhaseObject *self)
+phase_clear(PyObject *o)
 {
-    Py_CLEAR(self->sim);
-    Py_CLEAR(self->local);
-    Py_CLEAR(self->shared);
-    Py_CLEAR(self->shared_append);
-    Py_CLEAR(self->shared_pop);
-    Py_CLEAR(self->stack);
-    Py_CLEAR(self->st_dict);
-    Py_CLEAR(self->wa);
-    Py_CLEAR(self->fifo);
-    Py_CLEAR(self->queue);
-    Py_CLEAR(self->queue_append);
-    Py_CLEAR(self->queue_popleft);
-    Py_CLEAR(self->ev_name);
-    Py_CLEAR(self->enter_cb);
-    Py_CLEAR(self->exit_cb);
-    tv_clear(&self->tv);
-    Py_CLEAR(self->barrier_dict);
+    PhaseHead *self = (PhaseHead *)o;
+    if (self->desc != NULL)
+        fields_clear(self, self->desc);
     Py_CLEAR(self->worker);
     return 0;
 }
 
 static void
-LockPhase_dealloc(LockPhaseObject *self)
+phase_dealloc(PyObject *o)
 {
-    PyObject_GC_UnTrack(self);
-    (void)LockPhase_clear(self);
-    PyMem_Free(self->vt);
-    Py_TYPE(self)->tp_free((PyObject *)self);
+    PyObject_GC_UnTrack(o);
+    (void)phase_clear(o);
+    Py_TYPE(o)->tp_free(o);
 }
 
 static PyObject *
-LockPhase_get_running(LockPhaseObject *self, void *closure)
+phase_get_running(PyObject *o, void *closure)
 {
-    return PyBool_FromLong(self->worker != NULL);
+    return PyBool_FromLong(((PhaseHead *)o)->worker != NULL);
 }
 
-static PyGetSetDef LockPhase_getset[] = {
-    {"running", (getter)LockPhase_get_running, NULL,
+static PyGetSetDef phase_getset[] = {
+    {"running", phase_get_running, NULL,
      "True while a worker is inside this fused phase", NULL},
     {NULL}
 };
 
-static PyTypeObject LockPhase_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.fastpath._core.LockPhase",
-    .tp_basicsize = sizeof(LockPhaseObject),
-    .tp_dealloc = (destructor)LockPhase_dealloc,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Fused working-phase state machine for LockBasedAlgorithm",
-    .tp_traverse = (traverseproc)LockPhase_traverse,
-    .tp_clear = (inquiry)LockPhase_clear,
-    .tp_getset = LockPhase_getset,
-    .tp_init = (initproc)LockPhase_init,
-    .tp_new = PyType_GenericNew,
-};
-
 /* ------------------------------------------------------------------ */
-/* OwnerPhase type                                                    */
+/* per type: a field table, a check, a descriptor                     */
 /* ------------------------------------------------------------------ */
 
-static int
-OwnerPhase_init(OwnerPhaseObject *self, PyObject *args, PyObject *kwds)
+#define PHASE_TYPE(T, methods, doc) \
+    static PyTypeObject T##_Type = { \
+        PyVarObject_HEAD_INIT(NULL, 0) \
+        .tp_name = "repro.fastpath._core." #T, \
+        .tp_basicsize = sizeof(T##Object), \
+        .tp_dealloc = phase_dealloc, \
+        .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC, \
+        .tp_doc = doc, \
+        .tp_traverse = phase_traverse, \
+        .tp_clear = phase_clear, \
+        .tp_methods = methods, \
+        .tp_getset = phase_getset, \
+        .tp_init = phase_init, \
+        .tp_new = PyType_GenericNew, \
+    }
+
+#define WORK_FIELDS \
+    {"sim", F_OBJ, offsetof(WorkPhase, sim)}, \
+    {"local", F_OBJ, offsetof(WorkPhase, local), &PyList_Type}, \
+    {"shared", F_OBJ, offsetof(WorkPhase, shared)}, \
+    {"shared_append", F_OBJ, offsetof(WorkPhase, shared_append)}, \
+    {"shared_pop", F_OBJ, offsetof(WorkPhase, shared_pop)}, \
+    {"stack", F_OBJ, offsetof(WorkPhase, stack)}, \
+    {"st_dict", F_OBJ, offsetof(WorkPhase, st_dict), &PyDict_Type}, \
+    {"enter_cb", F_OBJ, offsetof(WorkPhase, enter_cb)}, \
+    {"exit_cb", F_OBJ, offsetof(WorkPhase, exit_cb)}, \
+    {"tree", F_OBJ, offsetof(WorkPhase, tv.tree)}, \
+    {"delta", F_BUFFER, offsetof(WorkPhase, tv.delta)}, \
+    {"size", F_BUFFER, offsetof(WorkPhase, tv.size)}, \
+    {"visit_costs", F_DOUBLES, offsetof(WorkPhase, vt)}, \
+    {"chunk", F_LONG, offsetof(WorkPhase, chunk)}, \
+    {"thresh", F_LONG, offsetof(WorkPhase, thresh)}, \
+    {"limit", F_LONG, offsetof(WorkPhase, limit)}
+
+static const char *
+work_check(PhaseHead *self)
 {
-    static char *kwlist[] = {
-        "sim", "local", "shared", "shared_append", "shared_pop", "stack",
-        "st_dict", "wa", "no_work", "req_slot", "poll", "pending",
-        "enter_cb", "exit_cb", "tree", "delta", "size", "visit_costs",
-        "chunk", "thresh", "limit", NULL};
-    PyObject *sim, *local, *shared, *shared_append, *shared_pop, *stack,
-        *st_dict, *wa, *no_work, *req_slot, *poll, *pending,
-        *enter_cb, *exit_cb, *tree, *visit_costs;
-    long long chunk, thresh, limit;
-    PyObject *fast = NULL;
-    Py_ssize_t nvt, i;
-
-    if (!configured) {
-        PyErr_SetString(PyExc_RuntimeError, "fastpath core not configured");
-        return -1;
-    }
-    if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "OOOOOOOOOOOOOOOy*y*OLLL:OwnerPhase", kwlist,
-            &sim, &local, &shared, &shared_append, &shared_pop, &stack,
-            &st_dict, &wa, &no_work, &req_slot, &poll, &pending,
-            &enter_cb, &exit_cb, &tree, &self->tv.delta, &self->tv.size,
-            &visit_costs, &chunk, &thresh, &limit))
-        return -1;
-    if (!PyList_CheckExact(local) || !PyDict_CheckExact(st_dict)
-            || (poll != Py_None && !PyList_CheckExact(pending))) {
-        PyErr_SetString(PyExc_TypeError, "OwnerPhase: bad container types");
-        return -1;
-    }
-    fast = PySequence_Fast(visit_costs, "visit_costs must be a sequence");
-    if (fast == NULL)
-        return -1;
-    nvt = PySequence_Fast_GET_SIZE(fast);
-    if (nvt < limit + 1 || limit < 1 || chunk < 1 || thresh < 1) {
-        Py_DECREF(fast);
-        PyErr_SetString(PyExc_ValueError, "OwnerPhase: bad phase bounds");
-        return -1;
-    }
-    self->vt = PyMem_Malloc((size_t)nvt * sizeof(double));
-    if (self->vt == NULL) {
-        Py_DECREF(fast);
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (i = 0; i < nvt; i++) {
-        double d = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(fast, i));
-        if (d == -1.0 && PyErr_Occurred()) {
-            Py_DECREF(fast);
-            return -1;
-        }
-        self->vt[i] = d;
-    }
-    Py_DECREF(fast);
-
-#define OP_SET(field, obj) \
-    do { Py_INCREF(obj); self->field = (obj); } while (0)
-#define OP_SET_OPT(field, obj) \
-    do { \
-        if ((obj) == Py_None) { \
-            self->field = NULL; \
-        } else { \
-            Py_INCREF(obj); \
-            self->field = (obj); \
-        } \
-    } while (0)
-    OP_SET(sim, sim);
-    OP_SET(local, local);
-    OP_SET(shared, shared);
-    OP_SET(shared_append, shared_append);
-    OP_SET(shared_pop, shared_pop);
-    OP_SET(stack, stack);
-    OP_SET(st_dict, st_dict);
-    OP_SET_OPT(wa, wa);
-    OP_SET(no_work, no_work);
-    OP_SET_OPT(req_slot, req_slot);
-    OP_SET_OPT(poll, poll);
-    OP_SET_OPT(pending, pending);
-    OP_SET(enter_cb, enter_cb);
-    OP_SET(exit_cb, exit_cb);
-    OP_SET(tv.tree, tree);
-#undef OP_SET
-#undef OP_SET_OPT
-    self->chunk = chunk;
-    self->thresh = thresh;
-    self->limit = limit;
-    self->worker = NULL;
-    self->state = OP_IDLE;
-    return 0;
+    WorkPhase *w = (WorkPhase *)self;
+    if (w->vt.n < w->limit + 1 || w->limit < 1 || w->chunk < 1
+            || w->thresh < 1)
+        return "bad phase bounds";
+    return NULL;
 }
 
-static int
-OwnerPhase_traverse(OwnerPhaseObject *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->sim);
-    Py_VISIT(self->local);
-    Py_VISIT(self->shared);
-    Py_VISIT(self->shared_append);
-    Py_VISIT(self->shared_pop);
-    Py_VISIT(self->stack);
-    Py_VISIT(self->st_dict);
-    Py_VISIT(self->wa);
-    Py_VISIT(self->no_work);
-    Py_VISIT(self->req_slot);
-    Py_VISIT(self->poll);
-    Py_VISIT(self->pending);
-    Py_VISIT(self->enter_cb);
-    Py_VISIT(self->exit_cb);
-    Py_VISIT(self->tv.tree);
-    Py_VISIT(self->worker);
-    return 0;
-}
+/* -- LockPhase ------------------------------------------------------ */
 
-static int
-OwnerPhase_clear(OwnerPhaseObject *self)
-{
-    Py_CLEAR(self->sim);
-    Py_CLEAR(self->local);
-    Py_CLEAR(self->shared);
-    Py_CLEAR(self->shared_append);
-    Py_CLEAR(self->shared_pop);
-    Py_CLEAR(self->stack);
-    Py_CLEAR(self->st_dict);
-    Py_CLEAR(self->wa);
-    Py_CLEAR(self->no_work);
-    Py_CLEAR(self->req_slot);
-    Py_CLEAR(self->poll);
-    Py_CLEAR(self->pending);
-    Py_CLEAR(self->enter_cb);
-    Py_CLEAR(self->exit_cb);
-    tv_clear(&self->tv);
-    Py_CLEAR(self->worker);
-    return 0;
-}
-
-static void
-OwnerPhase_dealloc(OwnerPhaseObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    (void)OwnerPhase_clear(self);
-    PyMem_Free(self->vt);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyObject *
-OwnerPhase_get_running(OwnerPhaseObject *self, void *closure)
-{
-    return PyBool_FromLong(self->worker != NULL);
-}
-
-static PyGetSetDef OwnerPhase_getset[] = {
-    {"running", (getter)OwnerPhase_get_running, NULL,
-     "True while a worker is inside this fused phase", NULL},
+static const PhaseField LockPhase_fields[] = {
+    WORK_FIELDS,
+    {"wa", F_OBJ, offsetof(LockPhaseObject, wa)},
+    {"fifo", F_OBJ, offsetof(LockPhaseObject, fifo)},
+    {"queue", F_OBJ, offsetof(LockPhaseObject, queue)},
+    {"queue_append", F_OBJ, offsetof(LockPhaseObject, queue_append)},
+    {"queue_popleft", F_OBJ, offsetof(LockPhaseObject, queue_popleft)},
+    {"ev_name", F_OBJ, offsetof(LockPhaseObject, ev_name)},
+    {"barrier_dict", F_OPT, offsetof(LockPhaseObject, barrier_dict),
+     &PyDict_Type},
+    {"lock_to", F_DOUBLE, offsetof(LockPhaseObject, lock_to)},
+    {"reset_cost", F_DOUBLE, offsetof(LockPhaseObject, reset_cost)},
+    {"home_occupancy", F_DOUBLE, offsetof(LockPhaseObject, home_occupancy)},
     {NULL}
 };
 
-static PyTypeObject OwnerPhase_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.fastpath._core.OwnerPhase",
-    .tp_basicsize = sizeof(OwnerPhaseObject),
-    .tp_dealloc = (destructor)OwnerPhase_dealloc,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Fused owner-only working phase (upc-distmem / mpi-ws)",
-    .tp_traverse = (traverseproc)OwnerPhase_traverse,
-    .tp_clear = (inquiry)OwnerPhase_clear,
-    .tp_getset = OwnerPhase_getset,
-    .tp_init = (initproc)OwnerPhase_init,
-    .tp_new = PyType_GenericNew,
+PHASE_TYPE(LockPhase, NULL,
+           "Fused working-phase state machine for LockBasedAlgorithm");
+
+static const PhaseDesc LockPhase_desc = {
+    "LockPhase", &LockPhase_Type, LockPhase_fields, lock_run, work_check,
+    offsetof(WorkPhase, enter_cb), offsetof(WorkPhase, exit_cb)
 };
 
-/* ------------------------------------------------------------------ */
-/* SearchPhase type                                                   */
-/* ------------------------------------------------------------------ */
+/* -- OwnerPhase ----------------------------------------------------- */
 
-static int
-SearchPhase_init(SearchPhaseObject *self, PyObject *args, PyObject *kwds)
+static const PhaseField OwnerPhase_fields[] = {
+    WORK_FIELDS,
+    {"wa", F_OPT, offsetof(OwnerPhaseObject, wa)},
+    {"no_work", F_OBJ, offsetof(OwnerPhaseObject, no_work)},
+    {"req_slot", F_OPT, offsetof(OwnerPhaseObject, req_slot)},
+    {"poll", F_OPT, offsetof(OwnerPhaseObject, poll)},
+    {"pending", F_OPT, offsetof(OwnerPhaseObject, pending), &PyList_Type},
+    {NULL}
+};
+
+static const char *
+owner_check(PhaseHead *self)
 {
-    static char *kwlist[] = {
-        "sim", "st_dict", "cycle", "row", "slots", "req_slot",
-        "backoff_min", "backoff_factor", "backoff_max", "slow",
-        "persist", "segments", "getrandbits", NULL};
-    PyObject *sim, *st_dict, *cycle, *row, *slots, *req_slot;
-    PyObject *segments = Py_None, *getrandbits = Py_None;
-    double backoff_min, backoff_factor, backoff_max, slow;
-    int persist;
-
-    if (!configured) {
-        PyErr_SetString(PyExc_RuntimeError, "fastpath core not configured");
-        return -1;
-    }
-    if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "OOOOOOddddp|OO:SearchPhase", kwlist,
-            &sim, &st_dict, &cycle, &row, &slots, &req_slot,
-            &backoff_min, &backoff_factor, &backoff_max, &slow, &persist,
-            &segments, &getrandbits))
-        return -1;
-    if (!PyDict_CheckExact(st_dict) || !PyList_CheckExact(row)
-            || !PyList_CheckExact(slots) || !PyCallable_Check(cycle)) {
-        PyErr_SetString(PyExc_TypeError, "SearchPhase: bad argument types");
-        return -1;
-    }
-    if (segments != Py_None) {
-        Py_ssize_t si;
-        if (!PyList_CheckExact(segments) || !PyCallable_Check(getrandbits)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "SearchPhase: segments must be a list of lists "
-                            "with a getrandbits callable");
-            return -1;
-        }
-        for (si = 0; si < PyList_GET_SIZE(segments); si++) {
-            if (!PyList_CheckExact(PyList_GET_ITEM(segments, si))) {
-                PyErr_SetString(PyExc_TypeError,
-                                "SearchPhase: segments must be a list of "
-                                "lists");
-                return -1;
-            }
-        }
-    }
-#define SP_SET(field, obj) \
-    do { Py_INCREF(obj); self->field = (obj); } while (0)
-    SP_SET(sim, sim);
-    SP_SET(st_dict, st_dict);
-    SP_SET(cycle, cycle);
-    SP_SET(row, row);
-    SP_SET(slots, slots);
-#undef SP_SET
-    if (req_slot == Py_None) {
-        self->req_slot = NULL;
-    } else {
-        Py_INCREF(req_slot);
-        self->req_slot = req_slot;
-    }
-    if (segments == Py_None) {
-        self->segments = NULL;
-        self->getrandbits = NULL;
-    } else {
-        Py_INCREF(segments);
-        self->segments = segments;
-        Py_INCREF(getrandbits);
-        self->getrandbits = getrandbits;
-    }
-    self->backoff_min = backoff_min;
-    self->backoff_factor = backoff_factor;
-    self->backoff_max = backoff_max;
-    self->slow = slow;
-    self->persist = persist;
-    self->victims = NULL;
-    self->idx = 0;
-    self->cur_victim = 0;
-    self->cost_acc = 0.0;
-    self->backoff = backoff_min;
-    self->probes_acc = 0;
-    self->any_working = 0;
-    self->worker = NULL;
-    self->state = SP_IDLE;
-    return 0;
+    OwnerPhaseObject *op = (OwnerPhaseObject *)self;
+    if (op->poll != NULL && op->pending == NULL)
+        return "poll needs the pending list it probes";
+    return work_check(self);
 }
 
-static int
-SearchPhase_traverse(SearchPhaseObject *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->sim);
-    Py_VISIT(self->st_dict);
-    Py_VISIT(self->cycle);
-    Py_VISIT(self->segments);
-    Py_VISIT(self->getrandbits);
-    Py_VISIT(self->row);
-    Py_VISIT(self->slots);
-    Py_VISIT(self->req_slot);
-    Py_VISIT(self->victims);
-    Py_VISIT(self->worker);
-    return 0;
-}
+PHASE_TYPE(OwnerPhase, NULL,
+           "Fused owner-only working phase (upc-distmem / mpi-ws)");
 
-static int
-SearchPhase_clear(SearchPhaseObject *self)
-{
-    Py_CLEAR(self->sim);
-    Py_CLEAR(self->st_dict);
-    Py_CLEAR(self->cycle);
-    Py_CLEAR(self->segments);
-    Py_CLEAR(self->getrandbits);
-    Py_CLEAR(self->row);
-    Py_CLEAR(self->slots);
-    Py_CLEAR(self->req_slot);
-    Py_CLEAR(self->victims);
-    Py_CLEAR(self->worker);
-    return 0;
-}
+static const PhaseDesc OwnerPhase_desc = {
+    "OwnerPhase", &OwnerPhase_Type, OwnerPhase_fields, owner_run, owner_check,
+    offsetof(WorkPhase, enter_cb), offsetof(WorkPhase, exit_cb)
+};
 
-static void
-SearchPhase_dealloc(SearchPhaseObject *self)
+/* -- SearchPhase ---------------------------------------------------- */
+
+static const PhaseField SearchPhase_fields[] = {
+    {"sim", F_OBJ, offsetof(SearchPhaseObject, sim)},
+    {"st_dict", F_OBJ, offsetof(SearchPhaseObject, st_dict), &PyDict_Type},
+    {"cycle", F_OBJ, offsetof(SearchPhaseObject, cycle)},
+    {"segments", F_OPT, offsetof(SearchPhaseObject, segments), &PyList_Type},
+    {"getrandbits", F_OPT, offsetof(SearchPhaseObject, getrandbits)},
+    {"row", F_OBJ, offsetof(SearchPhaseObject, row), &PyList_Type},
+    {"slots", F_OBJ, offsetof(SearchPhaseObject, slots), &PyList_Type},
+    {"req_slot", F_OPT, offsetof(SearchPhaseObject, req_slot)},
+    {"backoff_min", F_DOUBLE, offsetof(SearchPhaseObject, backoff_min)},
+    {"backoff_factor", F_DOUBLE, offsetof(SearchPhaseObject, backoff_factor)},
+    {"backoff_max", F_DOUBLE, offsetof(SearchPhaseObject, backoff_max)},
+    {"slow", F_DOUBLE, offsetof(SearchPhaseObject, slow)},
+    {"persist", F_FLAG, offsetof(SearchPhaseObject, persist)},
+    {"victims", F_RUNTIME, offsetof(SearchPhaseObject, victims)},
+    {NULL}
+};
+
+static const char *
+search_check(PhaseHead *self)
 {
-    PyObject_GC_UnTrack(self);
-    (void)SearchPhase_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
+    SearchPhaseObject *sp = (SearchPhaseObject *)self;
+    Py_ssize_t si;
+    if (!PyCallable_Check(sp->cycle))
+        return "cycle must be callable";
+    if (sp->segments == NULL)
+        return NULL;
+    if (sp->getrandbits == NULL || !PyCallable_Check(sp->getrandbits))
+        return "segments need a getrandbits callable";
+    for (si = 0; si < PyList_GET_SIZE(sp->segments); si++)
+        if (!PyList_CheckExact(PyList_GET_ITEM(sp->segments, si)))
+            return "segments must be a list of lists";
+    return NULL;
 }
 
 static PyObject *
@@ -2657,97 +2274,32 @@ static PyMethodDef SearchPhase_methods[] = {
     {NULL, NULL, 0, NULL}
 };
 
-static PyObject *
-SearchPhase_get_running(SearchPhaseObject *self, void *closure)
-{
-    return PyBool_FromLong(self->worker != NULL);
-}
+PHASE_TYPE(SearchPhase, SearchPhase_methods,
+           "Fused polling search phase (lock-based / upc-distmem)");
 
-static PyGetSetDef SearchPhase_getset[] = {
-    {"running", (getter)SearchPhase_get_running, NULL,
-     "True while a worker is inside this fused phase", NULL},
+static const PhaseDesc SearchPhase_desc = {
+    "SearchPhase", &SearchPhase_Type, SearchPhase_fields, search_run,
+    search_check, 0, 0
+};
+
+/* -- IdlePhase ------------------------------------------------------ */
+
+static const PhaseField IdlePhase_fields[] = {
+    {"sim", F_OBJ, offsetof(IdlePhaseObject, sim)},
+    {"pending", F_OBJ, offsetof(IdlePhaseObject, pending), &PyList_Type},
+    {"backoff_min", F_DOUBLE, offsetof(IdlePhaseObject, backoff_min)},
+    {"backoff_factor", F_DOUBLE, offsetof(IdlePhaseObject, backoff_factor)},
+    {"backoff_max", F_DOUBLE, offsetof(IdlePhaseObject, backoff_max)},
+    {"slow", F_DOUBLE, offsetof(IdlePhaseObject, slow)},
     {NULL}
 };
 
-static PyTypeObject SearchPhase_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.fastpath._core.SearchPhase",
-    .tp_basicsize = sizeof(SearchPhaseObject),
-    .tp_dealloc = (destructor)SearchPhase_dealloc,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Fused polling search phase (lock-based / upc-distmem)",
-    .tp_traverse = (traverseproc)SearchPhase_traverse,
-    .tp_clear = (inquiry)SearchPhase_clear,
-    .tp_methods = SearchPhase_methods,
-    .tp_getset = SearchPhase_getset,
-    .tp_init = (initproc)SearchPhase_init,
-    .tp_new = PyType_GenericNew,
-};
-
-/* ------------------------------------------------------------------ */
-/* IdlePhase type                                                     */
-/* ------------------------------------------------------------------ */
-
-static int
-IdlePhase_init(IdlePhaseObject *self, PyObject *args, PyObject *kwds)
+static const char *
+idle_check(PhaseHead *self)
 {
-    static char *kwlist[] = {
-        "sim", "pending", "backoff_min", "backoff_factor", "backoff_max",
-        "slow", NULL};
-    PyObject *sim, *pending;
-    double backoff_min, backoff_factor, backoff_max, slow;
-
-    if (!configured) {
-        PyErr_SetString(PyExc_RuntimeError, "fastpath core not configured");
-        return -1;
-    }
-    if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "OOdddd:IdlePhase", kwlist,
-            &sim, &pending, &backoff_min, &backoff_factor, &backoff_max,
-            &slow))
-        return -1;
-    if (!PyList_CheckExact(pending)) {
-        PyErr_SetString(PyExc_TypeError, "IdlePhase: bad argument types");
-        return -1;
-    }
-    Py_INCREF(sim);
-    self->sim = sim;
-    Py_INCREF(pending);
-    self->pending = pending;
-    self->backoff_min = backoff_min;
-    self->backoff_factor = backoff_factor;
-    self->backoff_max = backoff_max;
-    self->slow = slow;
-    self->backoff = backoff_min;
-    self->worker = NULL;
-    self->state = IP_IDLE;
-    return 0;
-}
-
-static int
-IdlePhase_traverse(IdlePhaseObject *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->sim);
-    Py_VISIT(self->pending);
-    Py_VISIT(self->worker);
-    return 0;
-}
-
-static int
-IdlePhase_clear(IdlePhaseObject *self)
-{
-    Py_CLEAR(self->sim);
-    Py_CLEAR(self->pending);
-    Py_CLEAR(self->worker);
-    return 0;
-}
-
-static void
-IdlePhase_dealloc(IdlePhaseObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    (void)IdlePhase_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
+    IdlePhaseObject *ip = (IdlePhaseObject *)self;
+    ip->backoff = ip->backoff_min;
+    return NULL;
 }
 
 static PyObject *
@@ -2765,32 +2317,27 @@ static PyMethodDef IdlePhase_methods[] = {
     {NULL, NULL, 0, NULL}
 };
 
-static PyObject *
-IdlePhase_get_running(IdlePhaseObject *self, void *closure)
+PHASE_TYPE(IdlePhase, IdlePhase_methods,
+           "Fused mpi-ws idle wait (backoff polls between messages)");
+
+static const PhaseDesc IdlePhase_desc = {
+    "IdlePhase", &IdlePhase_Type, IdlePhase_fields, idle_run, idle_check,
+    0, 0
+};
+
+static const PhaseDesc *const phase_descs[] = {
+    &LockPhase_desc, &OwnerPhase_desc, &SearchPhase_desc, &IdlePhase_desc,
+    NULL
+};
+
+static const PhaseDesc *
+phase_desc_of(PyTypeObject *type)
 {
-    return PyBool_FromLong(self->worker != NULL);
+    const PhaseDesc *const *d = phase_descs;
+    while ((*d)->type != type)  /* only the four types call this */
+        d++;
+    return *d;
 }
-
-static PyGetSetDef IdlePhase_getset[] = {
-    {"running", (getter)IdlePhase_get_running, NULL,
-     "True while a worker is inside this fused phase", NULL},
-    {NULL}
-};
-
-static PyTypeObject IdlePhase_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.fastpath._core.IdlePhase",
-    .tp_basicsize = sizeof(IdlePhaseObject),
-    .tp_dealloc = (destructor)IdlePhase_dealloc,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Fused mpi-ws idle wait (backoff polls between messages)",
-    .tp_traverse = (traverseproc)IdlePhase_traverse,
-    .tp_clear = (inquiry)IdlePhase_clear,
-    .tp_methods = IdlePhase_methods,
-    .tp_getset = IdlePhase_getset,
-    .tp_init = (initproc)IdlePhase_init,
-    .tp_new = PyType_GenericNew,
-};
 
 /* ------------------------------------------------------------------ */
 /* configure                                                          */
@@ -2881,6 +2428,7 @@ PyMODINIT_FUNC
 PyInit__core(void)
 {
     PyObject *m;
+    const PhaseDesc *const *d;
 #define INTERN(var, text) \
     do { \
         var = PyUnicode_InternFromString(text); \
@@ -2895,8 +2443,6 @@ PyInit__core(void)
     INTERN(s_max_events, "max_events");
     INTERN(s_limit_error, "_limit_error");
     INTERN(s_succeed, "succeed");
-    INTERN(s_schedule, "_schedule");
-    INTERN(s_add_waiter, "add_waiter");
     INTERN(s_fire_m, "_fire");
     INTERN(s_nodes_visited, "nodes_visited");
     INTERN(s_reacquires, "reacquires");
@@ -2905,43 +2451,16 @@ PyInit__core(void)
     INTERN(s_waiters_key, "_waiters");
     INTERN(s_probes, "probes");
 #undef INTERN
-    if (PyType_Ready(&LockPhase_Type) < 0)
-        return NULL;
-    if (PyType_Ready(&OwnerPhase_Type) < 0)
-        return NULL;
-    if (PyType_Ready(&SearchPhase_Type) < 0)
-        return NULL;
-    if (PyType_Ready(&IdlePhase_Type) < 0)
-        return NULL;
     m = PyModule_Create(&core_module);
     if (m == NULL)
         return NULL;
-    Py_INCREF(&LockPhase_Type);
-    if (PyModule_AddObject(m, "LockPhase", (PyObject *)&LockPhase_Type) < 0) {
-        Py_DECREF(&LockPhase_Type);
-        Py_DECREF(m);
-        return NULL;
-    }
-    Py_INCREF(&OwnerPhase_Type);
-    if (PyModule_AddObject(m, "OwnerPhase",
-                           (PyObject *)&OwnerPhase_Type) < 0) {
-        Py_DECREF(&OwnerPhase_Type);
-        Py_DECREF(m);
-        return NULL;
-    }
-    Py_INCREF(&SearchPhase_Type);
-    if (PyModule_AddObject(m, "SearchPhase",
-                           (PyObject *)&SearchPhase_Type) < 0) {
-        Py_DECREF(&SearchPhase_Type);
-        Py_DECREF(m);
-        return NULL;
-    }
-    Py_INCREF(&IdlePhase_Type);
-    if (PyModule_AddObject(m, "IdlePhase",
-                           (PyObject *)&IdlePhase_Type) < 0) {
-        Py_DECREF(&IdlePhase_Type);
-        Py_DECREF(m);
-        return NULL;
+    for (d = phase_descs; *d != NULL; d++) {
+        if (PyType_Ready((*d)->type) < 0
+                || PyModule_AddObjectRef(m, (*d)->name,
+                                         (PyObject *)(*d)->type) < 0) {
+            Py_DECREF(m);
+            return NULL;
+        }
     }
     return m;
 }

@@ -7,11 +7,15 @@ fires.  Determinism is guaranteed by tie-breaking simultaneous events
 with a monotonically increasing sequence number, so two runs with the
 same configuration produce identical traces.
 
-Awaitables a process may yield:
+Awaitables a process may yield -- exactly these classes, not
+subclasses of them:
 
 * :class:`Timeout` -- resume after a simulated delay.
-* :class:`SimEvent` -- resume when another process fires the event.
-* The event returned by :meth:`repro.sim.resources.FifoLock.acquire`.
+* :class:`SimEvent` -- resume when another process fires the event
+  (the event returned by :meth:`repro.sim.resources.FifoLock.acquire`
+  is one).
+* A compiled phase object of :mod:`repro.fastpath` (compiled run loop
+  only).
 
 Example
 -------
@@ -72,13 +76,6 @@ class SimEvent:
     @property
     def waiter_count(self) -> int:
         return len(self._waiters)
-
-    def add_waiter(self, proc: "Process") -> None:
-        if self.fired:
-            # Late waiter on an already-fired event resumes immediately.
-            self.sim._schedule(0.0, proc, self.value)
-        else:
-            self._waiters.append(proc)
 
     def succeed(self, value: Any = None, delay: float = 0.0,
                 stagger: float = 0.0) -> None:
@@ -304,11 +301,13 @@ class Simulator:
         (the identity policy executes the canonical schedule exactly).
         The loop hoists all attribute lookups into locals, keeps the
         event counter in a local (synced back in ``finally``),
-        dispatches the awaitable with exact-class checks
-        (``isinstance`` only as a subclass fallback), and mints the
-        queue record inline for the two common awaitables instead of
-        calling :meth:`_schedule`.  With the compiled backend the same
-        loop runs in C (heap queue and FIFO keys only).
+        dispatches the awaitable with exact-class checks (a subclass
+        of an awaitable is refused like any other object: nothing in
+        the package defines one, and the compiled loop reads the two
+        classes' slots directly), and mints the queue record inline
+        instead of calling :meth:`_schedule`.  With the compiled
+        backend the same loop runs in C (heap queue and FIFO keys
+        only).
         """
         tb = self.tie_break
         if self._crun is not None and tb is None:
@@ -372,10 +371,6 @@ class Simulator:
                                          proc, awaited.value))
                         else:
                             awaited._waiters.append(proc)
-                    elif isinstance(awaited, timeout_cls):
-                        self._schedule(awaited.delay, proc, awaited.value)
-                    elif isinstance(awaited, event_cls):
-                        awaited.add_waiter(proc)
                     else:
                         raise SimulationError(
                             f"process {proc.name!r} yielded "

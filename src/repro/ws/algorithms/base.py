@@ -279,8 +279,9 @@ class AlgorithmBase:
         policy's persistence rule, run its detection phase when the
         search gives up.  The four UPC variants are this one loop with
         different policies, steal protocols and poll slots plugged in;
-        park mode swaps in the event-driven search/termination phases,
-        and the compiled backend swaps in the fused C phases (identical
+        park mode swaps in the event-driven search phase (the
+        termination phase parks by itself under a gate), and the
+        compiled backend swaps in the fused C phases (identical
         yields and counters), which bounce back here whenever a steal
         request needs the Python service path.
         """
@@ -288,8 +289,6 @@ class AlgorithmBase:
         term = self._termination
         park = self._gate is not None and term.park_capable
         search = self.search_phase_park if park else self.search_phase
-        terminate = (self.termination_phase_park if park
-                     else self.termination_phase)
         persist = term.persist_while_working
         fuse = self._fuse
         if fuse is None:
@@ -314,7 +313,7 @@ class AlgorithmBase:
                 found = yield from search(ctx, persist_while_working=persist)
             if found:
                 continue
-            terminated = yield from terminate(ctx)
+            terminated = yield from self.termination_phase(ctx)
             if terminated:
                 break
         # A last denial sweep: a thief's request may have landed while
@@ -402,10 +401,6 @@ class AlgorithmBase:
         Delegates to the plugged-in strategy; subclasses (and tests) may
         still override this wholesale."""
         return (yield from self._termination.phase(ctx))
-
-    def termination_phase_park(self, ctx: UpcContext) -> Generator:
-        """Event-driven :meth:`termination_phase` (park idle strategy)."""
-        return (yield from self._termination.phase_park(ctx))
 
     def barrier_service_hook(self, ctx: UpcContext) -> Generator:
         """Called each barrier poll iteration so message-serving

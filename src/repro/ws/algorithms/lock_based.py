@@ -44,18 +44,17 @@ class LockBasedAlgorithm(AlgorithmBase):
     def setup(self) -> None:
         self.stack_locks = self.machine.lock_array("stack_lock")
         # Own-stack lock fast path: every release/reacquire pays the
-        # same two constant costs (lock round trip + unlock reference),
-        # so precompute them as reusable Timeouts (None when free).
-        # Only valid fault-free -- a lock-stall fault must go through
-        # ctx.unlock's stall roll.
+        # same constant lock round trip, so precompute it as a reusable
+        # Timeout (None when free).  The unlock reference costs nothing
+        # -- the lock is homed at its own rank and
+        # ``NetworkModel.shared_ref(r, r)`` is 0 -- so the inlined
+        # transactions yield nothing for it.  Only valid fault-free: a
+        # lock-stall fault must go through ctx.unlock's stall roll.
         net = self.net
         self._own_lock = []
         for r, lk in enumerate(self.stack_locks):
             lc = net.lock_cost(r, lk.home)
-            uc = net.shared_ref(r, lk.home)
-            self._own_lock.append(
-                (lk, Timeout(lc) if lc > 0 else None,
-                 Timeout(uc) if uc > 0 else None))
+            self._own_lock.append((lk, Timeout(lc) if lc > 0 else None))
         # The cancelable barrier resets on every release; other
         # termination policies (and subclasses without an override)
         # leave the hook off, so release() skips the generator round
@@ -94,7 +93,7 @@ class LockBasedAlgorithm(AlgorithmBase):
         stack, own-stack lock, and counters (entry and exit both poke
         ``work_avail``, as :meth:`working_phase` does)."""
         from repro.fastpath import load_core
-        lk, lock_to, unlock_to = self._own_lock[rank]
+        lk, lock_to = self._own_lock[rank]
         fifo = lk.fifo
         if self._after_release_hook:
             barrier_dict = self._termination.barrier.__dict__
@@ -112,7 +111,6 @@ class LockBasedAlgorithm(AlgorithmBase):
             ev_name=fifo._ev_name,
             barrier_dict=barrier_dict,
             lock_to=lock_to.delay if lock_to is not None else -1.0,
-            unlock_to=unlock_to.delay if unlock_to is not None else -1.0,
             reset_cost=reset_cost,
             home_occupancy=self.net.home_occupancy,
         )
@@ -158,7 +156,7 @@ class LockBasedAlgorithm(AlgorithmBase):
         tr = self.tracer
         sim = self.sim
         if fast:
-            lk, lock_to, unlock_to = self._own_lock[rank]
+            lk, lock_to = self._own_lock[rank]
             fifo = lk.fifo
             queue = fifo._queue
         after_hook = self._after_release_hook
@@ -192,8 +190,6 @@ class LockBasedAlgorithm(AlgorithmBase):
                         if gate is not None:
                             gate.note(rank, len(shared))
                         st.reacquires += 1
-                    if unlock_to is not None:
-                        yield unlock_to
                     fifo.busy_time += sim.now - fifo._acquired_at
                     if queue:
                         fifo.acquisitions += 1
@@ -238,8 +234,6 @@ class LockBasedAlgorithm(AlgorithmBase):
                 wa.value = len(shared)
                 if gate is not None:
                     gate.note(rank, len(shared))
-                if unlock_to is not None:
-                    yield unlock_to
                 fifo.busy_time += sim.now - fifo._acquired_at
                 if queue:
                     fifo.acquisitions += 1

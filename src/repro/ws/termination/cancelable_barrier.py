@@ -89,11 +89,10 @@ class CancelableBarrier:
             if self.on_terminate is not None:
                 self.on_terminate()
             self.terminated = True
+            # Killed inside this unlock, the declarer never reaches the
+            # wake below: on_thread_death publishes in its place.
             yield from ctx.unlock(self.lock)
-            for _rank, ev in self._waiters:
-                ev.succeed(TERMINATED, delay=0.0,
-                           stagger=self.net.home_occupancy)
-            self._waiters.clear()
+            self._wake_terminated()
             ctx.trace("cbarrier.terminate")
             return True
         yield from ctx.unlock(self.lock)
@@ -130,6 +129,14 @@ class CancelableBarrier:
             return True
         return False
 
+    def _wake_terminated(self) -> None:
+        """Publish termination: wake every waiter, serially through
+        the flag's home node."""
+        for _rank, ev in self._waiters:
+            ev.succeed(TERMINATED, delay=0.0,
+                       stagger=self.net.home_occupancy)
+        self._waiters.clear()
+
     # -- fault hooks ---------------------------------------------------------
 
     def on_thread_death(self, rank: int) -> None:
@@ -137,19 +144,22 @@ class CancelableBarrier:
 
         If its death completes the barrier (every surviving thread is
         counted in and waiting), declare termination here: no live
-        thread will ever enter again, so nobody else can.
+        thread will ever enter again, so nobody else can.  If the
+        corpse had already declared it but died before waking anyone
+        (``terminated`` is set inside the declarer's unlock, the wake
+        comes after it), the waiters are woken here in its place; the
+        soundness oracle ran when the corpse declared.
         """
         self.alive -= 1
         if self._counted[rank]:
             self._counted[rank] = False
             self.count -= 1
         self._waiters = [(r, ev) for r, ev in self._waiters if r != rank]
-        if not self.terminated and 0 < self.alive == self.count \
-                and self._waiters:
+        if not self._waiters:
+            return
+        if not self.terminated and 0 < self.alive == self.count:
             if self.on_terminate is not None:
                 self.on_terminate()
             self.terminated = True
-            for _r, ev in self._waiters:
-                ev.succeed(TERMINATED, delay=0.0,
-                           stagger=self.net.home_occupancy)
-            self._waiters.clear()
+        if self.terminated:
+            self._wake_terminated()

@@ -11,9 +11,9 @@ search loop and the release path must behave around it:
 * ``resets_on_release`` -- whether every release must cancel the
   barrier (the remote write the paper blames for upc-sharedmem's
   collapse);
-* ``park_capable`` -- whether ``idle_strategy="park"`` swaps in
-  event-driven search/termination variants (the cancelable barrier is
-  already event-driven when idle, so park changes nothing there).
+* ``park_capable`` -- whether ``idle_strategy="park"`` swaps in the
+  event-driven search phase (the cancelable barrier is already
+  event-driven when idle, so park changes nothing there).
 
 Algorithms declare the keys they support in ``termination_policies``
 (first entry is the default) and :class:`~repro.ws.algorithms.base.AlgorithmBase`
@@ -25,6 +25,7 @@ being ``upc-term`` (a property the tests pin).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Generator
 
 from repro.errors import ProtocolError
@@ -47,7 +48,7 @@ class TerminationStrategy:
     persist_while_working = True
     #: Every release must cancel the barrier.
     resets_on_release = False
-    #: Park mode swaps in the event-driven search/termination phases.
+    #: Park mode swaps in the event-driven search phase.
     park_capable = True
 
     def __init__(self, algo) -> None:
@@ -62,10 +63,6 @@ class TerminationStrategy:
             "algorithm's own idle loop)"
         )
         yield  # pragma: no cover - generator marker
-
-    def phase_park(self, ctx: UpcContext) -> Generator:
-        """Event-driven :meth:`phase` (``idle_strategy="park"``)."""
-        return (yield from self.phase(ctx))
 
     def after_release(self, ctx: UpcContext) -> Generator:
         """Per-release hook (only the cancelable barrier uses it)."""
@@ -132,46 +129,104 @@ class StreamlinedTermination(TerminationStrategy):
         self.barrier = algo.barrier = StreamlinedBarrier(algo.machine)
 
     def on_thread_death(self, rank: int) -> None:
-        """A corpse must not keep the counted barrier one short forever."""
+        """A corpse must not keep the counted barrier one short forever.
+        The poll loop notices a barrier the death filled at its next
+        tick; a parked waiter has no tick, and ``IdleGate.on_death``
+        wakes only when the active set empties, so wake it here."""
         self.barrier.on_thread_death(rank)
+        gate = self.algo._gate
+        if gate is not None:
+            gate.wake_all()
+
+    def _declare(self, ctx: UpcContext,
+                 after_death: bool = False) -> Generator:
+        """This thread found the barrier full: check the declaration is
+        sound, announce it through the tree, and -- under a gate --
+        wake the parked waiters *after* ``terminated`` is set, so a
+        woken waiter always observes the flag."""
+        algo = self.algo
+        algo.quiescence_check()
+        if after_death:
+            ctx.trace("recover.barrier_death", f"count={self.barrier.count}")
+        yield from self.barrier.announce(ctx)
+        if algo._gate is not None:
+            algo._gate.wake_all()
 
     def phase(self, ctx: UpcContext) -> Generator:
+        """Enter / probe one / leave-steal-re-enter / announce, under
+        either idle strategy.  What ``idle_strategy="park"`` changes is
+        the waiting: a waiter that sees no surplus anywhere parks on
+        the idle gate instead of keeping its poll Timeout in the event
+        queue (the comment at the park says why every park is woken),
+        and on wake resumes on its virtual poll cadence
+        (:meth:`~repro.ws.algorithms.base.AlgorithmBase._park_resume_delay`),
+        bounding its probe rate by the polling build's.
+        """
         algo = self.algo
-        st = algo.stats[ctx.rank]
+        rank = ctx.rank
+        st = algo.stats[rank]
         st.barrier_entries += 1
         algo.enter_state(ctx, BARRIER)
+        gate = algo._gate
         barrier = self.barrier
         last = yield from barrier.enter(ctx)
         if last:
-            algo.quiescence_check()
-            yield from barrier.announce(ctx)
+            yield from self._declare(ctx)
             return True
         poll = algo.cfg.barrier_poll_min
-        rank = ctx.rank
-        order = algo.probe_orders[rank]
-        row = algo._ref_row(rank)
+        pmax = algo.cfg.barrier_poll_max
+        one = algo.probe_orders[rank].one
         slots = algo._wa_slots
+        # The cached per-rank cost row is O(n) to build and O(n^2)
+        # machine-wide, which one victim per poll never amortizes at
+        # the thread counts park exists for: price those probes with
+        # ``net.shared_ref`` directly.
+        ref_cost = (algo._ref_row(rank).__getitem__ if gate is None
+                    else partial(algo.net.shared_ref, rank))
         # Fault-free, compute() is an identity Timeout and a staleable
         # read can never hit an open window -- take the direct paths.
         fast = algo._fast
+        recover = algo.faults_rt is not None
         while True:
             yield from algo.barrier_service_hook(ctx)
             if barrier.terminated:
                 return True
-            if algo.faults_rt is not None and not barrier.announcing \
+            if recover and barrier.announcer is None \
                     and barrier.count == barrier.alive:
                 # A fail-stop elsewhere made this barrier full: every
                 # surviving thread is counted in, so the system holds no
                 # work (the corpses' work is accounted as lost).
-                algo.quiescence_check()
-                ctx.trace("recover.barrier_death",
-                          f"count={barrier.count}")
-                yield from barrier.announce(ctx)
+                yield from self._declare(ctx, after_death=True)
                 return True
+            if gate is not None and gate.n_surplus == 0:
+                # Nothing stealable anywhere (gate counters are exact):
+                # the single-victim inspection would provably find
+                # nothing, so park instead.  This is the only place a
+                # waiter parks, and no yield separates it from the
+                # service hook and the checks above ("check and park in
+                # one event"), so neither a thief's request + targeted
+                # wake, nor a death's or the announcer's wake_all, can
+                # land in between and be lost.  The wake is guaranteed
+                # -- by a surplus transition, by the last worker going
+                # idle, by a death or by the announcer -- because a
+                # barrier waiter is never the thread the rest of the
+                # machine waits on.
+                t_park = ctx.now
+                ctx.trace("idle.park")
+                yield gate.park(rank)
+                ctx.trace("idle.wake")
+                # Service before the cadence sleep: a targeted wake
+                # (distmem) means a thief is blocked on our answer.
+                yield from algo.barrier_service_hook(ctx)
+                delay, poll = algo._park_resume_delay(
+                    t_park, poll, ctx.now, pmax, 2.0)
+                if delay > 0:
+                    yield Timeout(delay)
+                continue
             # Inspect a single other thread (Sect. 3.3.1).
-            victim = order.one()
+            victim = one()
             st.probes += 1
-            cost = row[victim]
+            cost = ref_cost(victim)
             if cost > 0:
                 if fast:
                     yield Timeout(cost)
@@ -192,112 +247,11 @@ class StreamlinedTermination(TerminationStrategy):
                 algo.enter_state(ctx, BARRIER)
                 last = yield from barrier.enter(ctx)
                 if last:
-                    algo.quiescence_check()
-                    yield from barrier.announce(ctx)
+                    yield from self._declare(ctx)
                     return True
                 poll = algo.cfg.barrier_poll_min
                 continue
-            if poll > 0:
-                if fast:
-                    yield Timeout(poll)
-                else:
-                    yield from ctx.compute(poll)
-            poll = min(poll * 2.0, algo.cfg.barrier_poll_max)
-
-    def phase_park(self, ctx: UpcContext) -> Generator:
-        """Event-driven :meth:`phase` (``idle_strategy="park"``).
-
-        The barrier protocol (enter / probe one / leave-steal-re-enter /
-        announce) is the canonical one; what changes is the waiting: a
-        waiter that sees no surplus anywhere parks on the idle gate
-        instead of keeping its poll Timeout in the event queue.  Wakeups
-        are guaranteed: surplus appearing wakes a batch from the gate
-        (any waiter it passes over is woken by a later transition or
-        by termination), and the announcing thread fires ``wake_all``
-        *after* setting ``terminated``, so a woken waiter always
-        observes the flag.  On wake a waiter resumes on its virtual poll cadence
-        (:meth:`~repro.ws.algorithms.base.AlgorithmBase._park_resume_delay`),
-        bounding its probe rate by the polling build's.  Fault-free
-        only (:class:`~repro.ws.config.WsConfig` rejects park + faults),
-        so the barrier-death recovery branch of the polling variant has
-        no counterpart here.
-
-        Probes call ``net.shared_ref`` directly: the cached per-rank
-        cost row is O(n) to build and O(n^2) machine-wide, which the
-        one-victim-per-poll cadence never amortizes at scale.
-        """
-        algo = self.algo
-        rank = ctx.rank
-        st = algo.stats[rank]
-        st.barrier_entries += 1
-        algo.enter_state(ctx, BARRIER)
-        gate = algo._gate
-        barrier = self.barrier
-        last = yield from barrier.enter(ctx)
-        if last:
-            algo.quiescence_check()
-            yield from barrier.announce(ctx)
-            gate.wake_all()
-            return True
-        poll = algo.cfg.barrier_poll_min
-        pmax = algo.cfg.barrier_poll_max
-        one = algo.probe_orders[rank].one
-        slots = algo._wa_slots
-        shared_ref = algo.net.shared_ref
-        while True:
-            yield from algo.barrier_service_hook(ctx)
-            if barrier.terminated:
-                return True
-            if gate.n_surplus == 0:
-                # Nothing stealable anywhere (gate counters are exact):
-                # the single-victim inspection would provably find
-                # nothing, so park instead.  This is the only place a
-                # waiter parks, and no yield separates it from the
-                # service hook and the terminated check above ("check
-                # and park in one event"), so neither a thief's request
-                # + targeted wake nor the announcer's wake_all can land
-                # in between and be lost.  The wake is guaranteed -- by
-                # a surplus transition, by the last worker going idle,
-                # or by the announcer -- because a barrier waiter is
-                # never the thread the rest of the machine waits on.
-                t_park = ctx.now
-                ctx.trace("idle.park")
-                yield gate.park(rank)
-                ctx.trace("idle.wake")
-                # Service before the cadence sleep: a targeted wake
-                # (distmem) means a thief is blocked on our answer.
-                yield from algo.barrier_service_hook(ctx)
-                delay, poll = algo._park_resume_delay(
-                    t_park, poll, ctx.now, pmax, 2.0)
-                if delay > 0:
-                    yield Timeout(delay)
-                continue
-            # Inspect a single other thread (Sect. 3.3.1).
-            victim = one()
-            st.probes += 1
-            cost = shared_ref(rank, victim)
-            if cost > 0:
-                yield Timeout(cost)
-            if slots[victim].value > 0:
-                # Leave the barrier before touching the work so the
-                # count never certifies termination with work in flight.
-                yield from barrier.leave(ctx)
-                algo.enter_state(ctx, STEALING)
-                ok = yield from algo.try_steal(ctx, victim)
-                if ok:
-                    st.barrier_exits += 1
-                    algo.enter_state(ctx, SEARCHING)
-                    return False
-                algo.enter_state(ctx, BARRIER)
-                last = yield from barrier.enter(ctx)
-                if last:
-                    algo.quiescence_check()
-                    yield from barrier.announce(ctx)
-                    gate.wake_all()
-                    return True
-                poll = algo.cfg.barrier_poll_min
-                continue
-            if gate.n_surplus == 0:
+            if gate is not None and gate.n_surplus == 0:
                 # The surplus vanished during the probe's yield: go
                 # park from the loop top, not from here -- a request +
                 # wake that landed during that yield found us not yet
@@ -305,7 +259,10 @@ class StreamlinedTermination(TerminationStrategy):
                 # the service hook would sleep on it forever.
                 continue
             if poll > 0:
-                yield Timeout(poll)
+                if fast:
+                    yield Timeout(poll)
+                else:
+                    yield from ctx.compute(poll)
             poll = min(poll * 2.0, pmax)
 
 

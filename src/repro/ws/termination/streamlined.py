@@ -17,7 +17,7 @@ simultaneously counted as idle and holding in-flight work.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
 from repro.pgas.collectives import broadcast_time
 from repro.pgas.machine import Machine, UpcContext
@@ -38,12 +38,13 @@ class StreamlinedBarrier:
         self.terminated = False
         self.announce_time: float = 0.0
         #: Fault-tolerance bookkeeping: threads still alive, which ranks
-        #: are currently counted in, and whether an announcement is in
-        #: flight.  Fault-free, ``alive == n_threads`` always, so
-        #: ``count == alive`` is the original full-barrier test.
+        #: are currently counted in, and the rank whose announcement is
+        #: in flight (None: nobody is announcing).  Fault-free,
+        #: ``alive == n_threads`` always, so ``count == alive`` is the
+        #: original full-barrier test.
         self.alive = machine.n_threads
         self._counted = [False] * machine.n_threads
-        self.announcing = False
+        self.announcer: Optional[int] = None
 
     def enter(self, ctx: UpcContext) -> Generator:
         """Increment the barrier count; returns True if this thread is
@@ -51,7 +52,7 @@ class StreamlinedBarrier:
         yield from ctx.lock(self.lock)
         self.count += 1
         self._counted[ctx.rank] = True
-        last = self.count == self.alive and not self.announcing
+        last = self.count == self.alive and self.announcer is None
         yield from ctx.unlock(self.lock)
         ctx.trace("sbarrier.enter", f"count={self.count}")
         return last
@@ -66,7 +67,7 @@ class StreamlinedBarrier:
 
     def announce(self, ctx: UpcContext) -> Generator:
         """Tree-based termination announcement by the last thread."""
-        self.announcing = True
+        self.announcer = ctx.rank
         cost = broadcast_time(self.net, self.n_threads)
         if cost > 0:
             yield Timeout(cost)
@@ -76,8 +77,13 @@ class StreamlinedBarrier:
 
     def on_thread_death(self, rank: int) -> None:
         """Count a fail-stopped rank out of the barrier.  The remaining
-        waiters' poll loops observe ``count == alive`` and announce."""
+        waiters' loops observe ``count == alive`` and announce -- also
+        when the corpse is the announcer, killed inside its broadcast
+        before it could publish ``terminated``: its claim lapses with
+        it, or no survivor could ever take over."""
         self.alive -= 1
         if self._counted[rank]:
             self._counted[rank] = False
             self.count -= 1
+        if rank == self.announcer and not self.terminated:
+            self.announcer = None

@@ -1,0 +1,181 @@
+"""The compiled phase types' object lifecycle: one table-driven
+``tp_init`` / ``tp_traverse`` / ``tp_clear`` / ``tp_dealloc`` in
+``_core.c`` serves all four, so every check here runs on all four.
+
+Each phase is built with exactly the keywords its algorithm's own
+``_build_c_*`` binder passes (captured by standing in for
+``load_core()``), because the binders are the constructors' only
+callers and the contract under test is theirs:
+
+* construction takes references and gives every one of them back;
+* a phase in a reference cycle with its worker is collected;
+* a second ``__init__`` is refused before any member is touched (at
+  the parent it re-bound the members without releasing them: 1,000
+  calls took ``IdlePhase``'s ``pending`` from 4 references to 1,004,
+  and the working phases re-exported ``delta`` / ``size`` over the held
+  buffers, so the arrays could never be resized again);
+* a missing or an unknown keyword is a ``TypeError`` naming it, and a
+  construction that fails half-way leaks nothing.
+
+Skipped when the extension is not built.
+"""
+
+import gc
+import sys
+import weakref
+from array import array
+
+import pytest
+
+import repro.fastpath as fp
+from repro.harness.runner import tree_for
+from repro.net.presets import KITTYHAWK
+from repro.pgas.machine import Machine
+from repro.uts.params import TreeParams
+from repro.ws.algorithms import get_algorithm
+from repro.ws.config import WsConfig
+
+pytestmark = pytest.mark.skipif(
+    not fp.available(), reason="compiled core not built on this host")
+
+TREE = TreeParams.binomial(b0=64, q=0.48, seed=1)
+
+#: (variant, binder, phase type): the five constructor call sites.
+BINDERS = [
+    ("upc-sharedmem", "_build_c_phase", "LockPhase"),
+    ("upc-distmem", "_build_c_phase", "OwnerPhase"),
+    ("mpi-ws", "_build_c_phase", "OwnerPhase"),
+    ("upc-distmem", "_build_c_search", "SearchPhase"),
+    ("mpi-ws", "_build_c_idle", "IdlePhase"),
+]
+IDS = [f"{variant}-{kind}" for variant, _binder, kind in BINDERS]
+
+
+@pytest.fixture(autouse=True)
+def clean_env(monkeypatch):
+    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+
+
+def build(variant):
+    machine = Machine(threads=4, net=KITTYHAWK, fastpath="fast")
+    algo = get_algorithm(variant)(machine, tree_for(TREE),
+                                  WsConfig(chunk_size=4))
+    return machine, algo
+
+
+class CapturingCore:
+    """Stands in for ``load_core()``: records the keywords a binder
+    passes instead of constructing the phase."""
+
+    def __init__(self):
+        self.kwargs = None
+
+    def __getattr__(self, name):
+        def capture(**kwargs):
+            self.kwargs = kwargs
+        return capture
+
+
+@pytest.fixture(params=BINDERS, ids=IDS)
+def bound(request, monkeypatch):
+    """``(phase type, keywords, keep-alive)`` for one call site."""
+    variant, binder, kind = request.param
+    machine, algo = build(variant)
+    core = CapturingCore()
+    with monkeypatch.context() as mp:
+        mp.setattr(fp, "load_core", lambda: core)
+        getattr(algo, binder)(1)
+    return getattr(fp.load_core(), kind), core.kwargs, (machine, algo)
+
+
+def held(kwargs):
+    """The arguments a phase keeps a reference to (or an export of):
+    every object but the numbers it copies and the cost list it
+    converts.  ``None`` and ints have no meaningful reference count."""
+    return {k: v for k, v in kwargs.items()
+            if k != "visit_costs"
+            and not isinstance(v, (type(None), bool, int, float))}
+
+
+def refcounts(objs):
+    # collect first: the cached tree (and its arrays) is shared with
+    # every machine an earlier test left behind as garbage
+    gc.collect()
+    return {k: sys.getrefcount(v) for k, v in objs.items()}
+
+
+def test_construction_returns_every_reference(bound):
+    cls, kwargs, _alive = bound
+    objs = held(kwargs)
+    assert objs
+    baseline = refcounts(objs)
+    phase = cls(**kwargs)
+    assert not phase.running
+    taken = refcounts(objs)
+    assert all(taken[k] > baseline[k] for k in objs), (baseline, taken)
+    del phase
+    assert refcounts(objs) == baseline
+
+
+def test_second_init_is_refused_and_leaks_nothing(bound):
+    cls, kwargs, _alive = bound
+    if "delta" in kwargs:
+        # private copies, so that the resize probe below cannot be
+        # blocked by anyone else's export of the shared tree's arrays
+        kwargs = dict(kwargs, delta=array("i", kwargs["delta"]),
+                      size=array("i", kwargs["size"]))
+    objs = held(kwargs)
+    baseline = refcounts(objs)
+    phase = cls(**kwargs)
+    taken = refcounts(objs)
+    for _ in range(1000):
+        with pytest.raises(TypeError, match="twice"):
+            phase.__init__(**kwargs)
+    assert refcounts(objs) == taken
+    del phase
+    assert refcounts(objs) == baseline
+    if "delta" in kwargs:
+        kwargs["delta"].append(0)  # BufferError while an export is held
+        kwargs["size"].append(0)
+
+
+def test_bad_keywords_are_named_and_leak_nothing(bound):
+    cls, kwargs, _alive = bound
+    objs = held(kwargs)
+    baseline = refcounts(objs)
+    with pytest.raises(TypeError, match="'no_such_keyword'"):
+        cls(**kwargs, no_such_keyword=1)
+    for name in kwargs:
+        with pytest.raises(TypeError, match=f"'{name}'"):
+            cls(**{k: v for k, v in kwargs.items() if k != name})
+    with pytest.raises(TypeError, match="keyword"):
+        cls(*kwargs.values())
+    assert refcounts(objs) == baseline
+
+
+@pytest.mark.parametrize("variant, kind", [
+    ("upc-sharedmem", "LockPhase"),
+    ("upc-distmem", "OwnerPhase"),
+    ("upc-term", "SearchPhase"),
+    ("mpi-ws", "IdlePhase"),
+])
+def test_phase_in_a_cycle_with_its_worker_is_collected(variant, kind):
+    """While a worker is inside a phase the two form a cycle (phase ->
+    worker Process -> generator frame -> algorithm -> its phase cache
+    -> phase) that only ``tp_traverse`` reporting the worker lets the
+    collector see.  Pause a fused run with such a phase live, drop
+    every outside reference, and the whole machine must go."""
+    machine, algo = build(variant)
+    machine.spawn_all(algo.thread_main)
+    for step in range(1, 200):
+        machine.sim.run(until=step * 5e-6)
+        if any(type(ph).__name__ == kind and ph.running
+               for ph in algo._c_phases.values()):
+            break
+    else:
+        pytest.fail(f"no {kind} ever had a worker inside it")
+    assert machine.sim.queue_size > 0  # paused mid-run, not finished
+    gone = weakref.ref(algo)
+    del machine, algo
+    gc.collect()
+    assert gone() is None

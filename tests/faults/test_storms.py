@@ -13,8 +13,13 @@ Pins three deterministic contracts added for service mode:
 
 import pytest
 
+from repro import run_experiment
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, FaultRuntime, StormSpec, parse_fault_spec
+from repro.harness.runner import expected_node_count
+from repro.obs import TraceSink
+
+from tests.faults.conftest import TREE
 
 
 class _StubMachine:
@@ -157,3 +162,39 @@ class TestRetrySchedule:
         rt2.next_steal_timeout(300e-6)
         rt2.next_steal_timeout(600e-6)
         assert rt2._retry.next_u64() == before
+
+
+# -- rate-class storms, run ------------------------------------------------
+
+class TestRateStormsRun:
+    """A rate storm with no base rate injects inside its window only:
+    each class is run once on a variant whose recovery path it
+    exercises, and the ``fault.*`` trace records say when it struck."""
+
+    WINDOW = (50e-6, 250e-6)
+
+    @pytest.mark.parametrize("algorithm, category, magnitude", [
+        ("mpi-ws", "drop", 0.3),
+        ("mpi-ws", "dup", 0.3),
+        ("mpi-ws", "delay", 0.5),
+        ("upc-term-rapdif", "stall", 0.5),
+        ("upc-distmem", "stale", 0.5),
+    ])
+    def test_injections_fall_inside_the_window(self, algorithm, category,
+                                               magnitude):
+        t0, t1 = self.WINDOW
+        sink = TraceSink()
+        res = run_experiment(
+            algorithm, tree=TREE, threads=8, chunk_size=4, tracer=sink,
+            faults=parse_fault_spec(
+                f"storm({category}:{magnitude}@{t0}..{t1})", seed=0))
+        struck = [e.time for e in sink.events()
+                  if e.kind == f"fault.{category}"]
+        assert struck, "the storm never injected"
+        assert all(t0 <= t < t1 for t in struck)
+        assert res.sim_time > t1  # the run outlived the window
+        # nothing but the storm's class was injected, nothing was lost
+        assert {e.kind for e in sink.events()
+                if e.kind.startswith("fault.")} == {f"fault.{category}"}
+        assert res.lost_work == 0
+        assert res.total_nodes == expected_node_count(TREE)

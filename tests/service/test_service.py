@@ -11,6 +11,7 @@ from dataclasses import replace
 import pytest
 
 from repro.check import InvariantMonitor, check_service_run
+from repro.errors import ConfigError
 from repro.faults.plan import parse_fault_spec
 from repro.obs import TraceSink
 from repro.service import ArrivalProcess, ServiceConfig, run_service
@@ -159,3 +160,16 @@ class TestSurface:
         report = render_trace_report(sink.events(), meta=sink.meta)
         assert "## Service (open-system stream)" in report
         assert "task latency" in report
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_tasks", -1),
+        ("queue_capacity", 0),
+        ("policy", "shed-random"),
+        ("deadline", -1e-6),
+        ("max_retries", -1),
+        ("retry_backoff", 0.0),
+        ("retry_jitter", 1.5),
+    ])
+    def test_config_rejects_garbage_by_name(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ServiceConfig(**{field: value})

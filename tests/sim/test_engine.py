@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import fastpath
 from repro.errors import DeadlockError, EventLimitExceeded, SimulationError
 from repro.sim import SimEvent, Simulator, Timeout
 
@@ -167,6 +168,42 @@ def test_yielding_garbage_raises():
     sim.spawn(proc())
     with pytest.raises(SimulationError):
         sim.run()
+
+
+class Nap(Timeout):
+    pass
+
+
+class Flag(SimEvent):
+    pass
+
+
+@pytest.mark.parametrize("make", [lambda sim: Nap(1.0),
+                                  lambda sim: Flag(sim, "flag")],
+                         ids=["Timeout-subclass", "SimEvent-subclass"])
+def test_awaitable_subclass_is_refused_alike_on_both_backends(
+        make, monkeypatch):
+    """The awaitable contract is exactly ``Timeout``, exactly
+    ``SimEvent`` (or a compiled phase): a subclass is garbage like any
+    other object, with one error text whichever loop dispatches it."""
+    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+
+    def refusal(backend):
+        sim = Simulator(fastpath=backend)
+        awaited = make(sim)
+
+        def proc():
+            yield awaited
+
+        sim.spawn(proc(), name="napper")
+        with pytest.raises(SimulationError) as exc:
+            sim.run()
+        return str(exc.value).replace(repr(awaited), "<awaited>")
+
+    pure = refusal("pure")
+    assert pure == "process 'napper' yielded non-awaitable <awaited>"
+    if fastpath.available():
+        assert refusal("fast") == pure
 
 
 def test_event_limit_enforced():
