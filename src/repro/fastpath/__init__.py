@@ -2,10 +2,10 @@
 
 Two hot loops gate every figure in this reproduction: the engine's
 event-dispatch loop (`Simulator.run`) and UTS tree expansion.  This
-package provides compiled/vectorized implementations of both behind
-the same optional-backend pattern :mod:`repro.native` established --
-pure Python stays a first-class fallback, and the compiled paths are
-required (and verified in CI) to execute *bit-identical* schedules.
+package provides compiled/vectorized implementations of both as an
+optional backend: pure Python stays a first-class fallback, and the
+compiled paths are required (and verified in CI) to execute
+*bit-identical* schedules.
 
 Components
 ----------

@@ -126,12 +126,6 @@ class FaultRuntime:
         """Bind the algorithm instance (after its construction)."""
         self.algo = algo
 
-    def _trace(self, rank: int, kind: str, detail: str = "") -> None:
-        """Record an injection/recovery event (no-op when tracing is off)."""
-        tracer = self.machine.tracer
-        if tracer.enabled:
-            tracer.emit(self.machine.sim.now, rank, kind, detail)
-
     @property
     def watching_deaths(self) -> bool:
         return bool(self.kill_schedule)
@@ -153,9 +147,11 @@ class FaultRuntime:
 
     def route_message(self, msg) -> List[Any]:
         """Decide a posted message's fate; returns deliveries (0..2)."""
+        tr = self.machine.tracer
         if msg.dst in self.dead:
             self.counters.msgs_to_dead += 1
-            self._trace(msg.dst, "fault.msg_to_dead",
+            if tr.enabled:
+                tr.emit(self.machine.sim.now, msg.dst, "fault.msg_to_dead",
                         f"src=T{msg.src} tag={msg.tag}")
             self.algo.on_msg_to_dead(msg)
             return []
@@ -171,14 +167,17 @@ class FaultRuntime:
                 and msg.tag in self.algo.droppable_tags
                 and self._drop.chance(drop_rate)):
             self.counters.msgs_dropped += 1
-            self._trace(msg.dst, "fault.drop", f"src=T{msg.src} tag={msg.tag}")
+            if tr.enabled:
+                tr.emit(self.machine.sim.now, msg.dst, "fault.drop",
+                        f"src=T{msg.src} tag={msg.tag}")
             return []
         if (delay_rate > 0.0
                 and self._delay.chance(delay_rate)):
             extra = self._delay.uniform(0.0, plan.msg_delay_max)
             msg = replace(msg, arrival_time=msg.arrival_time + extra)
             self.counters.msgs_delayed += 1
-            self._trace(msg.dst, "fault.delay",
+            if tr.enabled:
+                tr.emit(self.machine.sim.now, msg.dst, "fault.delay",
                         f"src=T{msg.src} tag={msg.tag} extra={extra:g}")
         out = [msg]
         if (dup_rate > 0.0
@@ -187,7 +186,9 @@ class FaultRuntime:
             late = self._dup.uniform(0.0, plan.msg_delay_max)
             out.append(replace(msg, arrival_time=msg.arrival_time + late))
             self.counters.msgs_duplicated += 1
-            self._trace(msg.dst, "fault.dup", f"src=T{msg.src} tag={msg.tag}")
+            if tr.enabled:
+                tr.emit(self.machine.sim.now, msg.dst, "fault.dup",
+                        f"src=T{msg.src} tag={msg.tag}")
         return out
 
     # -- timing faults -----------------------------------------------------
@@ -204,7 +205,10 @@ class FaultRuntime:
             rate = self._rate("stall", rate)
         if rate > 0.0 and self._stall.chance(rate):
             self.counters.lock_stalls += 1
-            self._trace(rank, "fault.stall", f"t={plan.lock_stall_time:g}")
+            tr = self.machine.tracer
+            if tr.enabled:
+                tr.emit(self.machine.sim.now, rank, "fault.stall",
+                        f"t={plan.lock_stall_time:g}")
             return plan.lock_stall_time
         return 0.0
 
@@ -218,7 +222,9 @@ class FaultRuntime:
             var.stale_value = var.value
             var.stale_until = self.machine.sim.now + plan.stale_read_window
             self.counters.stale_windows += 1
-            self._trace(var.home, "fault.stale",
+            tr = self.machine.tracer
+            if tr.enabled:
+                tr.emit(self.machine.sim.now, var.home, "fault.stale",
                         f"var={var.name} until={var.stale_until:g}")
 
     # -- failure detection -------------------------------------------------
@@ -238,7 +244,10 @@ class FaultRuntime:
         if rank not in self._suspicion_seen:
             self._suspicion_seen.add(rank)
             self.counters.heartbeat_suspicions += 1
-            self._trace(rank, "fault.suspect", f"T{rank}")
+            tr = self.machine.tracer
+            if tr.enabled:
+                tr.emit(self.machine.sim.now, rank, "fault.suspect",
+                        f"T{rank}")
         return True
 
     # -- steal-retry backoff -----------------------------------------------
@@ -313,7 +322,10 @@ class FaultRuntime:
         else:
             self._lost_in_flight_nodes += len(nodes)
             self.counters.lost_nodes_in_flight += len(nodes)
-        self._trace(-1, "fault.lost", f"nodes={len(nodes)}")
+        tr = self.machine.tracer
+        if tr.enabled:
+            tr.emit(self.machine.sim.now, -1, "fault.lost",
+                    f"nodes={len(nodes)}")
         if self.on_lost is not None:
             self.on_lost(nodes)
 
@@ -327,7 +339,9 @@ class FaultRuntime:
         algo = self.algo
         self.dead.add(rank)
         self.counters.threads_killed += 1
-        self._trace(rank, "fault.kill", f"T{rank}")
+        tr = self.machine.tracer
+        if tr.enabled:
+            tr.emit(self.machine.sim.now, rank, "fault.kill", f"T{rank}")
         # A transfer open in the dead thread's frame: the nodes were
         # popped from a victim and exist only in the corpse.
         nodes = self._open_transfer.pop(rank, None)

@@ -144,7 +144,9 @@ class UpcContext:
         return self.sim.now
 
     def trace(self, kind: str, detail: str = "") -> None:
-        self.machine.tracer.emit(self.sim.now, self.rank, kind, detail)
+        tr = self.machine.tracer
+        if tr.enabled:
+            tr.emit(self.sim.now, self.rank, kind, detail)
 
     # -- cost-charging operations (generators; use with ``yield from``) ----
 

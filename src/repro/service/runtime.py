@@ -190,11 +190,6 @@ class ServiceRuntime:
         return (len(self.queue) + self.retry_pending + self.running
                 + self.door_blocked)
 
-    def _trace(self, rank: int, kind: str, detail: str) -> None:
-        tracer = self.machine.tracer
-        if tracer.enabled:
-            tracer.emit(self.sim.now, rank, kind, detail)
-
     def _sample_depth(self) -> None:
         depth = len(self.queue)
         if depth > self.queue_peak:
@@ -209,6 +204,7 @@ class ServiceRuntime:
 
     def _dispatcher(self):
         cfg = self.cfg
+        tr = self.machine.tracer
         gaps = cfg.arrivals.gaps(self._rng_arrival)
         for tid in range(cfg.n_tasks):
             gap = next(gaps)
@@ -218,7 +214,8 @@ class ServiceRuntime:
             self.tasks[tid] = task
             self.admitted += 1
             self.door_blocked += 1
-            self._trace(-1, "task.arrive", f"task={tid}")
+            if tr.enabled:
+                tr.emit(self.sim.now, -1, "task.arrive", f"task={tid}")
             yield from self._admit_blocking(task)
         self.arrivals_done = True
         self._check_close()
@@ -239,6 +236,7 @@ class ServiceRuntime:
         """One admission attempt; False only under the block policy."""
         cfg = self.cfg
         q = self.queue
+        tr = self.machine.tracer
         if len(q) >= cfg.queue_capacity:
             if cfg.policy == "block":
                 return False
@@ -246,12 +244,15 @@ class ServiceRuntime:
                 victim = q.popleft()
                 self.shed["oldest"] += 1
                 self._sample_depth()
-                self._trace(-1, "task.shed",
+                if tr.enabled:
+                    tr.emit(self.sim.now, -1, "task.shed",
                             f"task={victim.tid} reason=oldest")
             else:  # shed-newest: the incoming task is dropped.
                 self.door_blocked -= 1
                 self.shed["newest"] += 1
-                self._trace(-1, "task.shed", f"task={task.tid} reason=newest")
+                if tr.enabled:
+                    tr.emit(self.sim.now, -1, "task.shed",
+                            f"task={task.tid} reason=newest")
                 self._check_close()
                 return True
         self.door_blocked -= 1
@@ -259,7 +260,9 @@ class ServiceRuntime:
             task.deadline_at = self.sim.now + cfg.deadline
         q.append(task)
         self._sample_depth()
-        self._trace(-1, "task.admit", f"task={task.tid} depth={len(q)}")
+        if tr.enabled:
+            tr.emit(self.sim.now, -1, "task.admit",
+                    f"task={task.tid} depth={len(q)}")
         self._wake_worker()
         return True
 
@@ -297,7 +300,9 @@ class ServiceRuntime:
             task.root = self.workload.task_root(task.tid)
             self.running += 1
             self.workload.outstanding[task.tid] = 1
-            self._trace(rank, "task.start",
+            tr = self.machine.tracer
+            if tr.enabled:
+                tr.emit(self.sim.now, rank, "task.start",
                         f"task={task.tid} wait={now - task.arrival:g}")
             return task
         return None
@@ -305,10 +310,13 @@ class ServiceRuntime:
     def _expire(self, task: Task) -> None:
         """A task sat past its attempt deadline: retry or shed."""
         cfg = self.cfg
+        tr = self.machine.tracer
         task.attempts += 1
         if task.attempts > cfg.max_retries:
             self.shed["deadline"] += 1
-            self._trace(-1, "task.shed", f"task={task.tid} reason=deadline")
+            if tr.enabled:
+                tr.emit(self.sim.now, -1, "task.shed",
+                        f"task={task.tid} reason=deadline")
             self._check_close()
             return
         self.retries += 1
@@ -317,7 +325,8 @@ class ServiceRuntime:
         if cfg.retry_jitter > 0.0:
             backoff *= 1.0 + cfg.retry_jitter * (
                 self._rng_retry.uniform(0.0, 1.0) - 0.5)
-        self._trace(-1, "task.retry",
+        if tr.enabled:
+            tr.emit(self.sim.now, -1, "task.retry",
                     f"task={task.tid} attempt={task.attempts} "
                     f"backoff={backoff:g}")
         self.sim.spawn(self._readmit(task, backoff),
@@ -353,16 +362,20 @@ class ServiceRuntime:
         task.finished = now
         self.running -= 1
         nodes = self.workload.task_nodes.get(tid, 0)
+        tr = self.machine.tracer
         if tid in self._tainted:
             self.lost_tasks += 1
-            self._trace(-1, "task.lost", f"task={tid} nodes={nodes}")
+            if tr.enabled:
+                tr.emit(self.sim.now, -1, "task.lost",
+                        f"task={tid} nodes={nodes}")
         else:
             self.completed += 1
             latency = now - task.arrival
             self.latencies.append(latency)
             if 0.0 < self.cfg.deadline < latency:
                 self.deadline_miss += 1
-            self._trace(-1, "task.done",
+            if tr.enabled:
+                tr.emit(self.sim.now, -1, "task.done",
                         f"task={tid} nodes={nodes} lat={latency:g}")
         self._check_close()
 
@@ -380,7 +393,9 @@ class ServiceRuntime:
         # The pool must be globally work-free at this instant: the
         # batch algorithms' quiescence oracle applies verbatim.
         self.algo.quiescence_check()
-        self._trace(-1, "service.close",
+        tr = self.machine.tracer
+        if tr.enabled:
+            tr.emit(self.sim.now, -1, "service.close",
                     f"admitted={self.admitted} completed={self.completed} "
                     f"shed={self.shed_total} lost={self.lost_tasks}")
         gate = self.algo._gate

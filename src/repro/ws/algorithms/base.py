@@ -2,13 +2,14 @@
 
 :class:`AlgorithmBase` owns the per-thread stacks, stats, ``work_avail``
 array, the tree-exploration inner loop, and the protocol-independent
-skeleton of Figure 1: the ``thread_main`` state machine, the probe /
-back-off search phase (polling and parked), and the glue that swaps
-in the compiled phases of :mod:`repro.fastpath`.  A variant supplies
-what differs -- its working phase, its ``try_steal``, and (for
-request/response protocols) the ``request`` poll slots with their
-``service_request`` -- and may replace ``thread_main`` wholesale when
-its idle side is not a probe loop (``mpi-ws``, ``tree-split``).
+skeleton of Figure 1: the ``thread_main`` state machine, the one
+Working state, the probe / back-off search phase (polling and parked),
+and the glue that swaps in the compiled phases of :mod:`repro.fastpath`.
+A variant supplies what differs -- the Working state's four switches,
+its ``try_steal``, and (for request/response protocols) the ``request``
+poll slots with their ``service_request`` -- and may replace
+``thread_main`` wholesale when its idle side is not a probe loop
+(``mpi-ws``, ``tree-split``).
 
 Simulation granularity: tree nodes are visited for real (SHA-1 spawns
 and exact counts) in *batches* of at most ``poll_interval`` nodes;
@@ -29,7 +30,7 @@ from repro.metrics.states import (SEARCHING, STEALING, WORKING,
                                    StateTimer)
 from repro.pgas.collectives import reduction_time
 from repro.pgas.machine import Machine, UpcContext
-from repro.sim.engine import Timeout
+from repro.sim.engine import SimEvent, Timeout
 from repro.uts.materialized import MaterializedTree
 from repro.uts.tree import Tree
 from repro.ws.config import WsConfig
@@ -43,6 +44,12 @@ __all__ = ["AlgorithmBase", "NO_WORK", "flatten"]
 #: ``work_avail`` sentinel: the thread has no work at all (Sect. 3.3.1
 #: relies on distinguishing this from "working with no surplus" == 0).
 NO_WORK = -1
+
+#: Shared zero-cost Timeout: yielding it schedules the same
+#: ``(now, next_seq)`` resumption an immediately-granted lock event
+#: would, without allocating a SimEvent (Timeouts are immutable, so one
+#: object serves every process).
+_T0 = Timeout(0.0)
 
 
 def flatten(chunks: List[List]) -> List:
@@ -98,6 +105,26 @@ class AlgorithmBase:
     #: variables).  None when thieves take work themselves, under the
     #: victim's lock, so a victim has nothing to poll.
     request = None
+    # The switches of :meth:`working_phase`, read once before the loop
+    # starts (the compiled phases take the same four as constructor
+    # arguments); ``request`` above is one kind of poll point (a).
+    #: (a) The other kind (``mpi-ws``): ``_mail(rank)`` returns the
+    #: rank's mailbox heap and a taker of arrived working-time
+    #: messages, each handled by ``_working_msg(ctx, msg)``.
+    _mail = None
+    #: (b) Whether the owner publishes its chunk count in ``work_avail``.
+    _publishes_avail = True
+    #: (c) Per-rank ``(lock, round-trip Timeout or None)`` when stack
+    #: moves run under an own-stack lock; whoever sets it supplies the
+    #: generic ``release``/``reacquire`` faulted runs take, and
+    #: ``after_release`` when ``_after_release_hook`` is on.
+    _own_lock = None
+    _after_release_hook = False
+    #: (d) Owner-side ``hook(rank, releasing)`` run between a stack move
+    #: and its ``work_avail`` publish (``ws-fencefree``'s put/take).
+    _after_move = None
+    #: Binder of the compiled working phase, where a protocol has one.
+    _build_c_phase = None
 
     def __init__(self, machine: Machine, tree: Tree, cfg: WsConfig) -> None:
         self.machine = machine
@@ -489,6 +516,181 @@ class AlgorithmBase:
             row[rank] = 0.0
         return row
 
+    # -- working -----------------------------------------------------------
+
+    def _advertise(self, rank: int, value: int) -> None:
+        """Write ``work_avail[rank]`` and tell the idle gate: the one
+        home of the pair outside :meth:`working_phase`'s hot loop, so no
+        write site can forget the note (a lost wake-up under park)."""
+        self._wa_slots[rank].poke(value)
+        if self._gate is not None:
+            self._gate.note(rank, value)
+
+    def working_phase(self, ctx: UpcContext) -> Generator:
+        """Figure 1's Working state, the only copy: deplete the DFS
+        stack a batch at a time, notice thieves only at batch
+        boundaries, release surplus past the threshold, reacquire when
+        the local region runs dry.  What a variant changes is under
+        what synchronisation a chunk crosses between the local and
+        shared regions -- the class-level switches (a)-(d) read below,
+        never a test of which variant is running.
+
+        Three things are inlined here, once, because the ledger pays
+        for each (docs/performance.md, "engine hot path"): the
+        ``SplitStack`` moves, the ``work_avail`` write and ``FifoLock``'s
+        transitions.  Faulted runs under a lock take the generic
+        ``release``/``reacquire`` instead, which roll stalls and keep
+        the holder bookkeeping fail-stop recovery reads
+        (tests/ws/test_inlined_equals_generic.py pins the two
+        bit-identical).  ``explore_batch`` stays a call: it is the one
+        home of the visit bookkeeping ``tree-split`` shares.
+        """
+        rank = ctx.rank
+        stack = self.stacks[rank]
+        st = self.stats[rank]
+        local = stack.local
+        shared = stack.shared
+        fast = self._fast
+        vt = self._visit_timeouts_for(rank) if fast else None
+        tn = self.t_node_of(rank)
+        thresh = self._release_threshold
+        chunk = self.cfg.chunk_size
+        explore = self.explore_batch
+        tr = self.tracer
+        sim = self.sim
+        gate = self._gate
+        req_slot = self.request[rank] if self.request is not None else None
+        mailbox, take = (self._mail(rank) if self._mail is not None
+                         else (None, None))
+        wa = self._wa_slots[rank] if self._publishes_avail else None
+        hook = self._after_move
+        lk = None
+        if self._own_lock is not None:
+            lk, lock_to = self._own_lock[rank]
+            fifo = lk.fifo
+            queue = fifo._queue
+        generic = lk is not None and not fast
+        after = self.after_release if self._after_release_hook else None
+        # A release is recorded where the chunk crosses under (c) or
+        # (d); plain owner-only moves are not (docs/observability.md).
+        traced = lk is not None or hook is not None
+        self.enter_state(ctx, WORKING)
+        if wa is not None:
+            self._advertise(rank, len(shared))
+        while True:
+            if req_slot is not None:
+                if req_slot.value is not None:
+                    yield from self.service_request(ctx)
+            elif mailbox is not None:
+                while (mailbox and mailbox[0][0] <= sim.now
+                       and (msg := take()) is not None):
+                    reply = self._working_msg(ctx, msg)
+                    if reply is not None:
+                        yield from reply
+            if local:
+                n = explore(rank)
+                if n:
+                    if vt is not None:
+                        yield vt[n]
+                    else:
+                        yield from ctx.compute(n * tn)
+                if len(local) < thresh:
+                    continue
+                releasing = True
+            elif shared:
+                releasing = False
+            else:
+                break
+            # One stack move per pass: acquire, move, publish, unlock,
+            # after-release.  Releases repeat while surplus remains; a
+            # reacquire goes back to the poll point.
+            while True:
+                if generic:
+                    yield from (self.release(ctx) if releasing
+                                else self.reacquire(ctx))
+                else:
+                    if lk is not None:
+                        if lock_to is not None:
+                            yield lock_to
+                        if not fifo.locked:
+                            fifo.locked = True
+                            fifo.acquisitions += 1
+                            fifo._acquired_at = sim.now
+                            yield _T0
+                        else:
+                            ev = SimEvent(sim, fifo._ev_name)
+                            fifo.contended_acquisitions += 1
+                            queue.append(ev)
+                            yield ev
+                        if tr.enabled:
+                            tr.emit(sim.now, rank, "lock.acq", lk.name)
+                    # ``shared`` is re-checked under the lock: a thief
+                    # queued ahead of us may have taken the last chunk.
+                    if releasing or shared:
+                        if releasing:  # thresh >= chunk: always enough
+                            shared.append(local[:chunk])
+                            del local[:chunk]
+                            stack.released_nodes += chunk
+                        else:
+                            got = shared.pop()
+                            local[0:0] = got
+                            stack.reacquired_nodes += len(got)
+                        if hook is not None:
+                            hook(rank, releasing)
+                        if wa is not None:
+                            avail = len(shared)
+                            if fast:
+                                wa.writes += 1
+                                wa.value = avail
+                            else:
+                                wa.poke(avail)  # may open a stale window
+                            if gate is not None:
+                                gate.note(rank, avail)
+                        if not releasing:
+                            st.reacquires += 1
+                    if lk is not None:
+                        fifo.busy_time += sim.now - fifo._acquired_at
+                        if queue:
+                            fifo.acquisitions += 1
+                            fifo._acquired_at = sim.now
+                            queue.popleft().succeed()
+                        else:
+                            fifo.locked = False
+                        if tr.enabled:
+                            tr.emit(sim.now, rank, "lock.rel", lk.name)
+                    if releasing:
+                        st.releases += 1
+                        if traced and tr.enabled:
+                            tr.emit(sim.now, rank, "release",
+                                    f"chunks={len(shared)}")
+                        if after is not None:
+                            yield from after(ctx)
+                if not releasing or len(local) < thresh:
+                    break
+        if wa is not None:
+            self._advertise(rank, NO_WORK)
+        # Deny any request that raced our transition to idle.
+        if req_slot is not None and req_slot.value is not None:
+            yield from self.service_request(ctx)
+        self.enter_state(ctx, SEARCHING)
+
+    def _steal_landed(self, ctx: UpcContext, victim: int, nodes: List,
+                      n_chunks: int, note: str = "") -> None:
+        """The thief-side ledger of a steal whose nodes just arrived:
+        push them, settle ``in_flight_nodes``, count, and record."""
+        rank = ctx.rank
+        self.stacks[rank].push_many(nodes)
+        self.in_flight_nodes -= len(nodes)
+        st = self.stats[rank]
+        st.steals_ok += 1
+        st.chunks_stolen += n_chunks
+        st.nodes_stolen += len(nodes)
+        tr = self.tracer
+        if tr.enabled:
+            tr.emit(self.sim.now, rank, "steal",
+                    f"from=T{victim} chunks={n_chunks} "
+                    f"nodes={len(nodes)}{note}")
+
     # -- searching ---------------------------------------------------------
 
     def search_phase(self, ctx: UpcContext,
@@ -672,9 +874,13 @@ class AlgorithmBase:
         return self._fusable()
 
     def _fusable(self) -> bool:
-        """The protocol's own fusion gates; no compiled phase exists
-        for a protocol that does not override this."""
-        return False
+        """The protocol's own fusion gates: it binds a compiled working
+        phase, and that phase is the whole of its Working state -- the
+        C loops take switches (a)-(c) but know no after-move hook, and
+        a subclass that replaces :meth:`working_phase` keeps its own."""
+        return (self._build_c_phase is not None
+                and self._after_move is None
+                and type(self).working_phase is AlgorithmBase.working_phase)
 
     def _compiled(self, build, rank: int):
         """``build(rank)`` -- one of the ``_build_c_*`` binders -- once

@@ -21,17 +21,17 @@ even while itself blocked awaiting a steal response), so a thief never
 waits unboundedly: either the request is granted, or it is denied and
 the thief resumes probing.
 
-The main loop and both search phases are the shared skeleton in
-:class:`~repro.ws.algorithms.base.AlgorithmBase`; this class plugs in
-the ``request`` poll slots, :meth:`UpcDistMem.service_request`, and the
-lock-less working phase.
+The main loop, the Working state and both search phases are the shared
+skeleton in :class:`~repro.ws.algorithms.base.AlgorithmBase`; this
+class plugs in the ``request`` poll slots and
+:meth:`UpcDistMem.service_request` -- with no own-stack lock set, the
+one working loop *is* the lock-less stack of Sect. 3.3.3.
 """
 
 from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-from repro.metrics.states import SEARCHING, WORKING
 from repro.pgas.machine import UpcContext
 from repro.sim.engine import SimEvent, Timeout
 from repro.ws.algorithms.base import NO_WORK, AlgorithmBase, flatten
@@ -86,9 +86,7 @@ class UpcDistMem(AlgorithmBase):
             chunks = stack.steal_chunks(take)
             nodes = flatten(chunks)
             self.in_flight_nodes += len(nodes)
-            self.work_avail[rank].poke(stack.shared_chunks)
-            if self._gate is not None:
-                self._gate.note(rank, stack.shared_chunks)
+            self._advertise(rank, stack.shared_chunks)
             st.requests_granted += 1
             if rt is not None:
                 # Journal the granted nodes across the yield below: if
@@ -160,7 +158,9 @@ class UpcDistMem(AlgorithmBase):
         if self.request[victim].value is not None:
             # Another thief got there first this round.
             yield from ctx.unlock(lk)
-            ctx.trace("steal.fail", f"victim=T{victim} reason=raced")
+            if tr.enabled:
+                tr.emit(ctx.now, rank, "steal.fail",
+                        f"victim=T{victim} reason=raced")
             return False
         ev = self.machine.sim.event(name=f"response.T{rank}")
         self.response_events[rank] = ev
@@ -209,8 +209,10 @@ class UpcDistMem(AlgorithmBase):
             chunks = yield ev
         if chunks is _GAVE_UP:
             rt.counters.steal_timeouts += 1
-            ctx.trace("steal.fail", f"victim=T{victim} reason=giveup")
-            ctx.trace("recover.giveup", f"victim=T{victim}")
+            if tr.enabled:
+                tr.emit(ctx.now, rank, "steal.fail",
+                        f"victim=T{victim} reason=giveup")
+                tr.emit(ctx.now, rank, "recover.giveup", f"victim=T{victim}")
             return False
         if not chunks:
             if tr.enabled:
@@ -219,19 +221,10 @@ class UpcDistMem(AlgorithmBase):
             return False
         nodes = flatten(chunks)
         yield from ctx.chunk_get(victim, len(nodes))
-        self.stacks[rank].push_many(nodes)
-        self.in_flight_nodes -= len(nodes)
+        self._advertise(rank, 0)
         if rt is not None:
             rt.clear_response(rank)
-        st.steals_ok += 1
-        st.chunks_stolen += len(chunks)
-        st.nodes_stolen += len(nodes)
-        self.work_avail[rank].poke(0)
-        if self._gate is not None:
-            self._gate.note(rank, 0)
-        if tr.enabled:
-            tr.emit(self.machine.sim.now, rank, "steal",
-                    f"from=T{victim} chunks={len(chunks)} nodes={len(nodes)}")
+        self._steal_landed(ctx, victim, nodes, len(chunks))
         if (self._dup_ranks is not None and not _redundant
                 and rank in self._dup_ranks):
             # Duplicating-steal adversary: fire a second request at the
@@ -257,72 +250,6 @@ class UpcDistMem(AlgorithmBase):
                 return
             yield Timeout(rt.plan.heartbeat_period)
 
-    # -- working phase -----------------------------------------------------------
-
-    def working_phase(self, ctx: UpcContext) -> Generator:
-        rank = ctx.rank
-        stack = self.stacks[rank]
-        st = self.stats[rank]
-        self.enter_state(ctx, WORKING)
-        wa = self.work_avail[rank]
-        # The victim-side poll is a local read of our own request slot:
-        # test it inline so the (overwhelmingly common) no-request case
-        # costs one attribute read instead of a generator round trip.
-        req_slot = self.request[rank]
-        wa.poke(stack.shared_chunks)
-        # Idle-gate notes ride on the existing work_avail writes (one
-        # is-not-None test each in poll mode; see LockBasedAlgorithm).
-        gate = self._gate
-        if gate is not None:
-            gate.note(rank, stack.shared_chunks)
-        local = stack.local
-        shared = stack.shared
-        vt = self._visit_timeouts_for(rank) if self._fast else None
-        tn = self.t_node_of(rank)
-        thresh = self._release_threshold
-        chunk = self.cfg.chunk_size
-        explore = self.explore_batch
-        while True:
-            if req_slot.value is not None:
-                yield from self.service_request(ctx)
-            if not local:
-                if shared:
-                    # Owner-only move, no lock needed (Sect. 3.3.3);
-                    # SplitStack.reacquire inlined (same counters).
-                    got = shared.pop()
-                    local[0:0] = got
-                    stack.reacquired_nodes += len(got)
-                    wa.poke(len(shared))
-                    if gate is not None:
-                        gate.note(rank, len(shared))
-                    st.reacquires += 1
-                    continue
-                break
-            n = explore(rank)
-            if n:
-                if vt is not None:
-                    yield vt[n]
-                else:
-                    yield from ctx.compute(n * tn)
-            while len(local) >= thresh:
-                # SplitStack.release inlined (len(local) >= thresh >=
-                # chunk makes its size guard redundant here).
-                released = local[:chunk]
-                del local[:chunk]
-                shared.append(released)
-                stack.released_nodes += chunk
-                wa.poke(len(shared))
-                if gate is not None:
-                    gate.note(rank, len(shared))
-                st.releases += 1
-        wa.poke(NO_WORK)
-        if gate is not None:
-            gate.note(rank, NO_WORK)
-        # Deny any request that raced our transition to idle.
-        if req_slot.value is not None:
-            yield from self.service_request(ctx)
-        self.enter_state(ctx, SEARCHING)
-
     def barrier_service_hook(self, ctx: UpcContext) -> Generator:
         """In-barrier threads still deny racing steal requests."""
         if self.request[ctx.rank].value is not None:
@@ -336,14 +263,6 @@ class UpcDistMem(AlgorithmBase):
         self.response_events[rank] = None
 
     # -- compiled working-phase fusion (repro.fastpath) -----------------------
-
-    def _fusable(self) -> bool:
-        """The OwnerPhase mirrors :meth:`working_phase` inside the
-        shared main loop (steal requests bounce back to
-        :meth:`service_request`, which stays in Python)."""
-        cls = type(self)
-        return (cls.working_phase is UpcDistMem.working_phase
-                and cls.thread_main is AlgorithmBase.thread_main)
 
     def _build_c_phase(self, rank: int):
         """Bind one ``repro.fastpath._core.OwnerPhase`` to this rank's

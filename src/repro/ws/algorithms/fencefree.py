@@ -57,14 +57,12 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.metrics.states import SEARCHING, WORKING
-from repro.ws.algorithms.base import NO_WORK, flatten
-from repro.ws.algorithms.lock_based import LockBasedAlgorithm
+from repro.ws.algorithms.base import AlgorithmBase, flatten
 
 __all__ = ["WsFenceFree"]
 
 
-class WsFenceFree(LockBasedAlgorithm):
+class WsFenceFree(AlgorithmBase):
     """Read/write-only work stealing; duplication allowed and ledgered."""
 
     name = "ws-fencefree"
@@ -100,87 +98,33 @@ class WsFenceFree(LockBasedAlgorithm):
         self.dup_chunks = 0
         self.dup_nodes = 0
         self._dup_unhashable = False
-        # No locks (and, with working_phase overridden, no compiled
-        # fusion: the fence-free phases are not the lock-based state
-        # machine the C core mirrors), so no per-release barrier hook.
-        self._after_release_hook = False
 
     # -- owner side (lock-free put/take) -----------------------------------
 
-    def working_phase(self, ctx) -> Generator:
-        """Deplete local+shared with plain-store releases/reacquires."""
-        rank = ctx.rank
-        stack = self.stacks[rank]
-        self.enter_state(ctx, WORKING)
-        wa = self.work_avail[rank]
-        wa.poke(stack.shared_chunks)
-        gate = self._gate
-        if gate is not None:
-            gate.note(rank, stack.shared_chunks)
-        local = stack.local
-        shared = stack.shared
-        thresh = self._release_threshold
-        explore = self.explore_batch
-        tn = self.t_node_of(rank)
-        vt = self._visit_timeouts_for(rank) if self._fast else None
-        while True:
-            if not local:
-                if shared:
-                    self._reacquire_ff(rank)
-                    continue
-                break
-            n = explore(rank)
-            if n:
-                if vt is not None:
-                    yield vt[n]
-                else:
-                    yield from ctx.compute(n * tn)
-            while len(local) >= thresh:
-                self._release_ff(rank)
-        wa.poke(NO_WORK)
-        if gate is not None:
-            gate.note(rank, NO_WORK)
-        self.enter_state(ctx, SEARCHING)
+    def _after_move(self, rank: int, releasing: bool) -> None:
+        """Switch (d) of :meth:`AlgorithmBase.working_phase` -- all of
+        the owner's put/take: plain local-memory stores between the
+        stack move and the ``work_avail`` hint, never a lock round trip
+        (``tail`` is homed here, so the write is free in the UPC cost
+        model).  No compiled phase knows this hook, so the variant
+        always runs the generator.
 
-    def _release_ff(self, rank: int) -> None:
-        """Owner put: append a chunk to the era log and bump ``tail``.
-
-        Plain local-memory stores (``tail`` is homed here, so the write
-        is free in the UPC cost model) -- the whole point of the
-        design is that the owner never pays a lock round trip.
+        *put* (release): log the chunk just shared as the next era
+        index and bump ``tail``.  *take* (reacquire): mark the newest
+        live index claimed -- indices are never reused, so no tail
+        decrement -- and re-advertise the cursor; a thief whose claim
+        lands on it afterwards duplicates it, the deliberate race.
         """
-        stack = self.stacks[rank]
-        stack.release(self.cfg.chunk_size)
-        era = self._era[rank]
-        idx = len(era)
-        era.append(stack.shared[-1])
-        self._claimed[rank].append(False)
-        self._live[rank].append(idx)
-        self.tails[rank].poke(idx + 1)
-        self.work_avail[rank].poke(stack.shared_chunks)
-        if self._gate is not None:
-            self._gate.note(rank, stack.shared_chunks)
-        self.stats[rank].releases += 1
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(self.machine.sim.now, rank, "release",
-                    f"chunks={stack.shared_chunks}")
-
-    def _reacquire_ff(self, rank: int) -> None:
-        """Owner take: reclaim the newest live chunk by marking its era
-        index claimed -- no lock, no tail decrement (indices are never
-        reused).  A thief whose claim lands on this index afterwards
-        duplicates it; that is the deliberate owner/thief race.
-        """
-        stack = self.stacks[rank]
-        stack.reacquire()
-        idx = self._live[rank].pop()
-        self._claimed[rank][idx] = True
-        self._advertise_head(rank)
-        self.work_avail[rank].poke(stack.shared_chunks)
-        if self._gate is not None:
-            self._gate.note(rank, stack.shared_chunks)
-        self.stats[rank].reacquires += 1
+        if releasing:
+            era = self._era[rank]
+            idx = len(era)
+            era.append(self.stacks[rank].shared[-1])
+            self._claimed[rank].append(False)
+            self._live[rank].append(idx)
+            self.tails[rank].poke(idx + 1)
+        else:
+            self._claimed[rank][self._live[rank].pop()] = True
+            self._advertise_head(rank)
 
     def _advertise_head(self, rank: int) -> None:
         """Store ``rank``'s current claim cursor (min live era index;
@@ -271,17 +215,9 @@ class WsFenceFree(LockBasedAlgorithm):
         # its own hint, so searchers may chase a stale positive and
         # fail cleanly at the head/tail check above.
         yield from ctx.chunk_get(victim, len(nodes))
-        self.stacks[rank].push_many(nodes)
-        self.in_flight_nodes -= len(nodes)
         if rt is not None:
             rt.end_transfer(rank)
-        st.steals_ok += 1
-        st.chunks_stolen += 1
-        st.nodes_stolen += len(nodes)
-        if tr.enabled:
-            tr.emit(sim.now, rank, "steal",
-                    f"from=T{victim} chunks=1 nodes={len(nodes)}"
-                    + (" dup=1" if dup else ""))
+        self._steal_landed(ctx, victim, nodes, 1, " dup=1" if dup else "")
         if (self._dup_ranks is not None and not _redundant
                 and rank in self._dup_ranks):
             # Duplicating-steal adversary: re-raid the same victim.

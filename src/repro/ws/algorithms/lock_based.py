@@ -24,22 +24,17 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.metrics.states import SEARCHING, WORKING
-from repro.sim.engine import SimEvent, Timeout
-from repro.ws.algorithms.base import NO_WORK, AlgorithmBase, flatten
+from repro.sim.engine import Timeout
+from repro.ws.algorithms.base import AlgorithmBase, flatten
 from repro.ws.policies import steal_half, steal_one
 
 __all__ = ["LockBasedAlgorithm", "UpcSharedMem", "UpcTerm", "UpcTermRapdif"]
 
-#: Shared zero-cost Timeout: yielding it schedules the same
-#: ``(now, next_seq)`` resumption an immediately-granted lock event
-#: would, without allocating a SimEvent (Timeouts are immutable, so one
-#: object serves every process).
-_T0 = Timeout(0.0)
-
 
 class LockBasedAlgorithm(AlgorithmBase):
-    """Working/steal phases for algorithms with lock-guarded stacks."""
+    """Own-lock transactions and the locking steal for algorithms with
+    lock-guarded stacks; the Working state itself is
+    :meth:`AlgorithmBase.working_phase` with switch (c) set."""
 
     def setup(self) -> None:
         self.stack_locks = self.machine.lock_array("stack_lock")
@@ -48,16 +43,15 @@ class LockBasedAlgorithm(AlgorithmBase):
         # Timeout (None when free).  The unlock reference costs nothing
         # -- the lock is homed at its own rank and
         # ``NetworkModel.shared_ref(r, r)`` is 0 -- so the inlined
-        # transactions yield nothing for it.  Only valid fault-free: a
+        # transaction yields nothing for it.  Only valid fault-free: a
         # lock-stall fault must go through ctx.unlock's stall roll.
-        net = self.net
-        self._own_lock = []
-        for r, lk in enumerate(self.stack_locks):
-            lc = net.lock_cost(r, lk.home)
-            self._own_lock.append((lk, Timeout(lc) if lc > 0 else None))
+        costs = [self.net.lock_cost(r, lk.home)
+                 for r, lk in enumerate(self.stack_locks)]
+        self._own_lock = [(lk, Timeout(lc) if lc > 0 else None)
+                          for lk, lc in zip(self.stack_locks, costs)]
         # The cancelable barrier resets on every release; other
         # termination policies (and subclasses without an override)
-        # leave the hook off, so release() skips the generator round
+        # leave the hook off, so a release skips the generator round
         # trip entirely.
         self._after_release_hook = (
             self._termination.resets_on_release
@@ -66,13 +60,12 @@ class LockBasedAlgorithm(AlgorithmBase):
     # -- compiled working-phase fusion (repro.fastpath) -----------------------
 
     def _fusable(self) -> bool:
-        """The LockPhase mirrors :meth:`working_phase` with at most the
-        stock cancelable barrier's release-reset, so a subclass
-        override or a custom termination detector keeps the generator.
-        """
-        cls = type(self)
-        if (cls.working_phase is not LockBasedAlgorithm.working_phase
-                or cls.after_release is not LockBasedAlgorithm.after_release):
+        """The LockPhase mirrors :meth:`working_phase` under switch (c)
+        with at most the stock cancelable barrier's release-reset, so
+        an ``after_release`` override or a custom termination detector
+        keeps the generator."""
+        if (not super()._fusable() or type(self).after_release
+                is not LockBasedAlgorithm.after_release):
             return False
         if self._after_release_hook:
             from repro.ws.termination.cancelable_barrier import (
@@ -82,10 +75,8 @@ class LockBasedAlgorithm(AlgorithmBase):
                 CancelableBarrierTermination,
             )
             term = self._termination
-            if type(term) is not CancelableBarrierTermination:
-                return False
-            if type(term.barrier) is not CancelableBarrier:
-                return False
+            return (type(term) is CancelableBarrierTermination
+                    and type(term.barrier) is CancelableBarrier)
         return True
 
     def _build_c_phase(self, rank: int):
@@ -115,144 +106,7 @@ class LockBasedAlgorithm(AlgorithmBase):
             home_occupancy=self.net.home_occupancy,
         )
 
-    # -- working phase ---------------------------------------------------------
-
-    def working_phase(self, ctx) -> Generator:
-        """Deplete the local+shared stack, releasing surplus as we go."""
-        rank = ctx.rank
-        stack = self.stacks[rank]
-        st = self.stats[rank]
-        self.enter_state(ctx, WORKING)
-        wa = self.work_avail[rank]
-        wa.poke(stack.shared_chunks)
-        # Idle-gate notes ride on the existing work_avail writes: with
-        # the gate absent (poll mode) each is one is-not-None test, so
-        # the canonical schedule is untouched.
-        gate = self._gate
-        if gate is not None:
-            gate.note(rank, stack.shared_chunks)
-        # Hot loop: aliases to the stack's in-place-mutated containers
-        # plus the precomputed per-batch visit Timeouts.  On fault-free
-        # runs the own-lock transactions of ``release``/``reacquire``
-        # (and the stack moves and lock transitions inside them) are
-        # inlined below -- identical yields, counters, and traces,
-        # without a generator frame per lock transaction.  This is the
-        # one hand-inlining the ledger pays for: calling the methods
-        # instead costs 12-20% on the upc-term / upc-term-rapdif k=2
-        # cells of fig4-pure (0.29-0.32 -> 0.33-0.36 ref_s; 6% on
-        # upc-sharedmem k=2, 3% on the workload), over ROADMAP's
-        # 10%-on-a-cell bar (docs/performance.md).  Faulted runs
-        # take the method calls, which roll stalls and keep
-        # pending/holder bookkeeping; the two are pinned bit-identical
-        # by tests/ws/test_inlined_equals_generic.py.
-        local = stack.local
-        shared = stack.shared
-        fast = self._fast
-        vt = self._visit_timeouts_for(rank) if fast else None
-        tn = self.t_node_of(rank)
-        thresh = self._release_threshold
-        chunk = self.cfg.chunk_size
-        explore = self.explore_batch
-        tr = self.tracer
-        sim = self.sim
-        if fast:
-            lk, lock_to = self._own_lock[rank]
-            fifo = lk.fifo
-            queue = fifo._queue
-        after_hook = self._after_release_hook
-        while True:
-            if not local:
-                if shared:
-                    if not fast:
-                        yield from self.reacquire(ctx)
-                        continue
-                    # -- reacquire, inlined -----------------------------
-                    if lock_to is not None:
-                        yield lock_to
-                    if not fifo.locked:
-                        fifo.locked = True
-                        fifo.acquisitions += 1
-                        fifo._acquired_at = sim.now
-                        yield _T0
-                    else:
-                        ev = SimEvent(sim, fifo._ev_name)
-                        fifo.contended_acquisitions += 1
-                        queue.append(ev)
-                        yield ev
-                    if tr.enabled:
-                        tr.emit(sim.now, rank, "lock.acq", lk.name)
-                    if shared:  # re-check: a queued thief may have won
-                        got = shared.pop()
-                        local[0:0] = got
-                        stack.reacquired_nodes += len(got)
-                        wa.writes += 1
-                        wa.value = len(shared)
-                        if gate is not None:
-                            gate.note(rank, len(shared))
-                        st.reacquires += 1
-                    fifo.busy_time += sim.now - fifo._acquired_at
-                    if queue:
-                        fifo.acquisitions += 1
-                        fifo._acquired_at = sim.now
-                        queue.popleft().succeed()
-                    else:
-                        fifo.locked = False
-                    if tr.enabled:
-                        tr.emit(sim.now, rank, "lock.rel", lk.name)
-                    continue
-                break
-            n = explore(rank)
-            if n:
-                if vt is not None:
-                    yield vt[n]
-                else:
-                    yield from ctx.compute(n * tn)
-            while len(local) >= thresh:
-                if not fast:
-                    yield from self.release(ctx)
-                    continue
-                # -- release, inlined -----------------------------------
-                if lock_to is not None:
-                    yield lock_to
-                if not fifo.locked:
-                    fifo.locked = True
-                    fifo.acquisitions += 1
-                    fifo._acquired_at = sim.now
-                    yield _T0
-                else:
-                    ev = SimEvent(sim, fifo._ev_name)
-                    fifo.contended_acquisitions += 1
-                    queue.append(ev)
-                    yield ev
-                if tr.enabled:
-                    tr.emit(sim.now, rank, "lock.acq", lk.name)
-                released = local[:chunk]
-                del local[:chunk]
-                shared.append(released)
-                stack.released_nodes += chunk
-                wa.writes += 1
-                wa.value = len(shared)
-                if gate is not None:
-                    gate.note(rank, len(shared))
-                fifo.busy_time += sim.now - fifo._acquired_at
-                if queue:
-                    fifo.acquisitions += 1
-                    fifo._acquired_at = sim.now
-                    queue.popleft().succeed()
-                else:
-                    fifo.locked = False
-                if tr.enabled:
-                    tr.emit(sim.now, rank, "lock.rel", lk.name)
-                st.releases += 1
-                if tr.enabled:
-                    tr.emit(sim.now, rank, "release",
-                            f"chunks={len(shared)}")
-                if after_hook:
-                    yield from self.after_release(ctx)
-        wa.poke(NO_WORK)
-        if gate is not None:
-            gate.note(rank, NO_WORK)
-        self.enter_state(ctx, SEARCHING)
+    # -- the generic own-lock transactions ------------------------------------
 
     def release(self, ctx) -> Generator:
         """Move one chunk local -> shared, under the own-stack lock.
@@ -266,9 +120,7 @@ class LockBasedAlgorithm(AlgorithmBase):
         lk = self.stack_locks[rank]
         yield from ctx.lock(lk)
         stack.release(self.cfg.chunk_size)
-        self.work_avail[rank].poke(stack.shared_chunks)
-        if self._gate is not None:
-            self._gate.note(rank, stack.shared_chunks)
+        self._advertise(rank, stack.shared_chunks)
         yield from ctx.unlock(lk)
         self.stats[rank].releases += 1
         tr = self.tracer
@@ -296,9 +148,7 @@ class LockBasedAlgorithm(AlgorithmBase):
         yield from ctx.lock(lk)
         if stack.shared_chunks:
             stack.reacquire()
-            self.work_avail[rank].poke(stack.shared_chunks)
-            if self._gate is not None:
-                self._gate.note(rank, stack.shared_chunks)
+            self._advertise(rank, stack.shared_chunks)
             self.stats[rank].reacquires += 1
         yield from ctx.unlock(lk)
 
@@ -335,26 +185,17 @@ class LockBasedAlgorithm(AlgorithmBase):
         rt = self.faults_rt
         if rt is not None:
             # Journal the reserved nodes across the transfer: until
-            # push_many below they exist only in this thief's frame.
+            # they land below they exist only in this thief's frame.
             rt.begin_transfer(rank, nodes)
-        self.work_avail[victim].poke(vstack.shared_chunks)
-        if self._gate is not None:
-            self._gate.note(victim, vstack.shared_chunks)
+        self._advertise(victim, vstack.shared_chunks)
         yield from ctx.compute(self.net.shared_ref(rank, victim))
         yield from ctx.unlock(lk)
         # One-sided transfer outside the critical region; the victim
         # keeps working during this.
         yield from ctx.chunk_get(victim, len(nodes))
-        self.stacks[rank].push_many(nodes)
-        self.in_flight_nodes -= len(nodes)
         if rt is not None:
             rt.end_transfer(rank)
-        st.steals_ok += 1
-        st.chunks_stolen += take
-        st.nodes_stolen += len(nodes)
-        if tr.enabled:
-            tr.emit(self.machine.sim.now, rank, "steal",
-                    f"from=T{victim} chunks={take} nodes={len(nodes)}")
+        self._steal_landed(ctx, victim, nodes, take)
         if (self._dup_ranks is not None and not _redundant
                 and rank in self._dup_ranks):
             # Duplicating-steal adversary: immediately re-raid the same

@@ -19,9 +19,9 @@ delayed by the victim's polling interval.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Generator
 
-from repro.metrics.states import SEARCHING, WORKING
 from repro.msg.comm import MsgWorld
 from repro.net.model import NODE_DESC_BYTES
 from repro.pgas.machine import UpcContext
@@ -101,11 +101,14 @@ class MpiWorkStealing(AlgorithmBase):
         stack = self.stacks[rank]
         st = self.stats[rank]
         rt = self.faults_rt
+        tr = self.tracer
         if rt is not None and seq is not None:
             seen = self._seen_seq[rank]
             if seq <= seen.get(thief, -1):
                 rt.counters.dup_requests_suppressed += 1
-                ctx.trace("recover.dup_suppressed", f"thief=T{thief} seq={seq}")
+                if tr.enabled:
+                    tr.emit(self.sim.now, rank, "recover.dup_suppressed",
+                            f"thief=T{thief} seq={seq}")
                 return
             seen[thief] = seq
         if stack.shared_chunks > 0:
@@ -126,10 +129,13 @@ class MpiWorkStealing(AlgorithmBase):
                                       nbytes=len(chunk) * NODE_DESC_BYTES + _CTRL_BYTES)
                 rt.end_transfer(rank)
                 self._wsent[rank] += 1
-            ctx.trace("service", f"thief=T{thief} chunks=1")
+            if tr.enabled:
+                tr.emit(self.sim.now, rank, "service",
+                        f"thief=T{thief} chunks=1")
         else:
             st.requests_denied += 1
-            ctx.trace("steal.deny", f"thief=T{thief}")
+            if tr.enabled:
+                tr.emit(self.sim.now, rank, "steal.deny", f"thief=T{thief}")
             yield from self._send(ctx, thief, NOWORK, payload=seq)
 
     def _forward_token(self, ctx: UpcContext) -> Generator:
@@ -137,7 +143,10 @@ class MpiWorkStealing(AlgorithmBase):
         token = self.tokens[ctx.rank]
         colour = token.forward()
         self.stats[ctx.rank].tokens_forwarded += 1
-        ctx.trace("token.hop", f"to=T{token.next_rank} colour={colour}")
+        tr = self.tracer
+        if tr.enabled:
+            tr.emit(self.sim.now, ctx.rank, "token.hop",
+                    f"to=T{token.next_rank} colour={colour}")
         yield from self._send(ctx, token.next_rank, TOKEN, payload=colour)
 
     @staticmethod
@@ -160,62 +169,35 @@ class MpiWorkStealing(AlgorithmBase):
         for dst in self._term_children(ctx.rank, self.machine.n_threads):
             yield from self._send(ctx, dst, TERM)
 
-    # -- working phase ------------------------------------------------------------
+    # -- working state: switches (a) and (b) ------------------------------------
 
-    def working_phase(self, ctx: UpcContext) -> Generator:
+    #: No ``work_avail`` protocol: thieves ask by message, not by probe.
+    _publishes_avail = False
+
+    def _mail(self, rank: int):
+        """The MPI polling point: the rank's mailbox heap (the loops,
+        Python and C alike, test its head's arrival time inline) and a
+        taker of one delivered REQUEST/TOKEN."""
+        return (self.world._pending[rank],
+                partial(self.endpoints[rank].iprobe, self._poll_tags))
+
+    def _working_msg(self, ctx: UpcContext, msg):
+        """Handle one message taken while working (by the Python loop
+        or the compiled phase's bounce).  Returns the generator that
+        answers a REQUEST, for the caller to delegate to -- a served
+        request costs no extra frame -- or None: token absorbed."""
         rank = ctx.rank
-        stack = self.stacks[rank]
-        st = self.stats[rank]
-        ep = self.endpoints[rank]
-        self.enter_state(ctx, WORKING)
-        iprobe = ep.iprobe
-        poll_tags = self._poll_tags
-        local = stack.local
-        shared = stack.shared
-        vt = self._visit_timeouts_for(rank) if self._fast else None
-        tn = self.t_node_of(rank)
-        thresh = self._release_threshold
-        chunk = self.cfg.chunk_size
-        explore = self.explore_batch
-        while True:
-            # Poll for steal requests and tokens (the MPI polling point).
-            while (msg := iprobe(tags=poll_tags)) is not None:
-                if msg.tag == REQUEST:
-                    yield from self._serve_request(ctx, msg.src,
-                                                   seq=msg.payload)
-                elif self.faulty:
-                    # Hold (or discard a stale copy of) the ring token;
-                    # it is evaluated/forwarded once this thread idles.
-                    self._accept_token(rank, msg.payload)
-                else:
-                    # Busy: hold the token until idle.  Rank 0 receiving
-                    # the token while busy invalidates the round.
-                    colour = BLACK if rank == 0 else msg.payload
-                    self.tokens[rank].on_token(colour)
-            if not local:
-                if shared:
-                    # SplitStack.reacquire inlined (owner-only stack).
-                    got = shared.pop()
-                    local[0:0] = got
-                    stack.reacquired_nodes += len(got)
-                    st.reacquires += 1
-                    continue
-                break
-            n = explore(rank)
-            if n:
-                if vt is not None:
-                    yield vt[n]
-                else:
-                    yield from ctx.compute(n * tn)
-            while len(local) >= thresh:
-                # SplitStack.release inlined (size guard redundant:
-                # len(local) >= thresh >= chunk).
-                released = local[:chunk]
-                del local[:chunk]
-                shared.append(released)
-                stack.released_nodes += chunk
-                st.releases += 1
-        self.enter_state(ctx, SEARCHING)
+        if msg.tag == REQUEST:
+            return self._serve_request(ctx, msg.src, seq=msg.payload)
+        if self.faulty:
+            # Hold (or discard a stale copy of) the ring token; it is
+            # evaluated/forwarded once this thread idles.
+            self._accept_token(rank, msg.payload)
+        else:
+            # Busy: hold the token until idle.  Rank 0 receiving the
+            # token while busy invalidates the round.
+            self.tokens[rank].on_token(BLACK if rank == 0 else msg.payload)
+        return None
 
     # -- idle phase ----------------------------------------------------------------
 
@@ -224,28 +206,26 @@ class MpiWorkStealing(AlgorithmBase):
         Returns ``"term"``, ``"work"``, ``"nowork"``, or None."""
         rank = ctx.rank
         tag = msg.tag
+        tr = self.tracer
         if tag == TERM:
             yield from self._forward_term(ctx)
             return "term"
         if tag == REQUEST:
             self.stats[rank].requests_denied += 1
-            ctx.trace("steal.deny", f"thief=T{msg.src}")
+            if tr.enabled:
+                tr.emit(self.sim.now, rank, "steal.deny",
+                        f"thief=T{msg.src}")
             yield from self._send(ctx, msg.src, NOWORK)
             return None
         if tag == TOKEN:
             self.tokens[rank].on_token(msg.payload)
             return None
         if tag == WORK:
-            st = self.stats[rank]
-            self.stacks[rank].push_many(msg.payload)
-            self.in_flight_nodes -= len(msg.payload)
-            st.steals_ok += 1
-            st.chunks_stolen += 1
-            st.nodes_stolen += len(msg.payload)
-            ctx.trace("steal", f"from=T{msg.src} chunks=1 "
-                               f"nodes={len(msg.payload)}")
+            self._steal_landed(ctx, msg.src, msg.payload, 1)
             return "work"
-        ctx.trace("steal.fail", f"victim=T{msg.src} reason=denied")
+        if tr.enabled:
+            tr.emit(self.sim.now, rank, "steal.fail",
+                    f"victim=T{msg.src} reason=denied")
         return "nowork"
 
     def _token_duties(self, ctx: UpcContext) -> Generator:
@@ -268,7 +248,10 @@ class MpiWorkStealing(AlgorithmBase):
             colour = WHITE
         else:
             return None
-        ctx.trace("token.hop", f"to=T{token.next_rank} colour={colour}")
+        tr = self.tracer
+        if tr.enabled:
+            tr.emit(self.sim.now, rank, "token.hop",
+                    f"to=T{token.next_rank} colour={colour}")
         yield from self._send(ctx, token.next_rank, TOKEN, payload=colour)
         return "sent"
 
@@ -279,7 +262,9 @@ class MpiWorkStealing(AlgorithmBase):
         victim = self.probe_orders[rank].one()
         st.steal_attempts += 1
         st.probes += 1
-        ctx.trace("steal.req", f"victim=T{victim}")
+        tr = self.tracer
+        if tr.enabled:
+            tr.emit(self.sim.now, rank, "steal.req", f"victim=T{victim}")
         yield from self._send(ctx, victim, REQUEST)
         if self._dup_ranks is not None and rank in self._dup_ranks:
             # Duplicating-steal adversary: a second REQUEST on the
@@ -288,7 +273,9 @@ class MpiWorkStealing(AlgorithmBase):
             # ``outstanding``; an extra WORK is consumed by the next
             # idle episode.  (Faulted runs dedup by sequence, so the
             # adversary targets this path.)
-            ctx.trace("steal.req", f"victim=T{victim} dup=1")
+            if tr.enabled:
+                tr.emit(self.sim.now, rank, "steal.req",
+                        f"victim=T{victim} dup=1")
             yield from self._send(ctx, victim, REQUEST)
         return victim
 
@@ -481,8 +468,10 @@ class MpiWorkStealing(AlgorithmBase):
             self._tok_inflight = False
             self._held[0] = payload
             return
-        ctx.trace("token.hop",
-                  f"to=T{dst} colour={WHITE} round={self._round} deficit=0")
+        tr = self.tracer
+        if tr.enabled:
+            tr.emit(self.sim.now, ctx.rank, "token.hop", f"to=T{dst} "
+                    f"colour={WHITE} round={self._round} deficit=0")
         yield from self._send(ctx, dst, TOKEN, payload=payload)
 
     def _forward_token_faulty(self, ctx: UpcContext) -> Generator:
@@ -497,8 +486,10 @@ class MpiWorkStealing(AlgorithmBase):
         token.colour = WHITE
         self.stats[rank].tokens_forwarded += 1
         dst = self._next_alive(rank)
-        ctx.trace("token.hop",
-                  f"to=T{dst} colour={out} round={rnd} deficit={deficit}")
+        tr = self.tracer
+        if tr.enabled:
+            tr.emit(self.sim.now, rank, "token.hop",
+                    f"to=T{dst} colour={out} round={rnd} deficit={deficit}")
         yield from self._send(ctx, dst, TOKEN, payload=(rnd, out, deficit))
 
     def _evaluate_token(self, held) -> bool:
@@ -532,11 +523,12 @@ class MpiWorkStealing(AlgorithmBase):
     def _idle_phase_faulty(self, ctx: UpcContext) -> Generator:
         """Fault-tolerant search + termination loop (see block comment)."""
         rank = ctx.rank
-        stack = self.stacks[rank]
         st = self.stats[rank]
         ep = self.endpoints[rank]
         rt = self.faults_rt
         plan = rt.plan
+        tr = self.tracer
+        sim = self.sim
         outstanding = None  # (victim, seq, deadline)
         timeout = plan.steal_timeout
         backoff = self.cfg.search_backoff_min
@@ -557,20 +549,15 @@ class MpiWorkStealing(AlgorithmBase):
                     # nodes.  Receipt blackens this rank (Safra).
                     self._wrecv[rank] += 1
                     self.tokens[rank].colour = BLACK
-                    stack.push_many(msg.payload)
-                    self.in_flight_nodes -= len(msg.payload)
-                    st.steals_ok += 1
-                    st.chunks_stolen += 1
-                    st.nodes_stolen += len(msg.payload)
-                    ctx.trace("steal", f"from=T{msg.src} chunks=1 "
-                                       f"nodes={len(msg.payload)}")
+                    self._steal_landed(ctx, msg.src, msg.payload, 1)
                     return False
                 elif msg.tag == NOWORK:
                     if outstanding is not None \
                             and msg.src == outstanding[0] \
                             and msg.payload == outstanding[1]:
-                        ctx.trace("steal.fail",
-                                  f"victim=T{msg.src} reason=denied")
+                        if tr.enabled:
+                            tr.emit(sim.now, rank, "steal.fail",
+                                    f"victim=T{msg.src} reason=denied")
                         outstanding = None
                         timeout = plan.steal_timeout
                     else:
@@ -591,7 +578,9 @@ class MpiWorkStealing(AlgorithmBase):
                 elif ctx.now - self._tok_launched >= plan.ring_timeout:
                     # The token was dropped or died with a rank.
                     rt.counters.token_relaunches += 1
-                    ctx.trace("recover.token_relaunch", f"round={self._round}")
+                    if tr.enabled:
+                        tr.emit(sim.now, rank, "recover.token_relaunch",
+                                f"round={self._round}")
                     self._tok_inflight = False
                     yield from self._launch_token(ctx)
                     progressed = True
@@ -606,7 +595,9 @@ class MpiWorkStealing(AlgorithmBase):
                     self._req_seq[rank] += 1
                     st.steal_attempts += 1
                     st.probes += 1
-                    ctx.trace("steal.req", f"victim=T{victim}")
+                    if tr.enabled:
+                        tr.emit(sim.now, rank, "steal.req",
+                                f"victim=T{victim}")
                     yield from self._send(ctx, victim, REQUEST, payload=seq)
                     outstanding = (victim, seq, ctx.now + timeout)
                     progressed = True
@@ -615,9 +606,11 @@ class MpiWorkStealing(AlgorithmBase):
                 # or the victim died.  Abandon the transaction; a late
                 # denial is recognised by its stale sequence number.
                 rt.counters.steal_timeouts += 1
-                ctx.trace("steal.fail",
-                          f"victim=T{outstanding[0]} reason=timeout")
-                ctx.trace("recover.steal_timeout", f"victim=T{outstanding[0]}")
+                if tr.enabled:
+                    tr.emit(sim.now, rank, "steal.fail",
+                            f"victim=T{outstanding[0]} reason=timeout")
+                    tr.emit(sim.now, rank, "recover.steal_timeout",
+                            f"victim=T{outstanding[0]}")
                 outstanding = None
                 timeout = rt.next_steal_timeout(timeout)
                 progressed = True
@@ -663,12 +656,9 @@ class MpiWorkStealing(AlgorithmBase):
                     # request/token handling.
                     msg = yield phase
                     while msg is not None:
-                        if msg.tag == REQUEST:
-                            yield from self._serve_request(ctx, msg.src,
-                                                           seq=msg.payload)
-                        else:
-                            colour = BLACK if rank == 0 else msg.payload
-                            self.tokens[rank].on_token(colour)
+                        reply = self._working_msg(ctx, msg)
+                        if reply is not None:
+                            yield from reply
                         msg = yield phase
                 else:
                     yield from self.working_phase(ctx)
@@ -681,14 +671,6 @@ class MpiWorkStealing(AlgorithmBase):
 
     # -- compiled phase fusion (repro.fastpath) -------------------------------
 
-    def _fusable(self) -> bool:
-        """The OwnerPhase mirrors :meth:`working_phase` inside this
-        class's main loop (probed messages bounce back to the Python
-        request/token handlers)."""
-        cls = type(self)
-        return (cls.working_phase is MpiWorkStealing.working_phase
-                and cls.thread_main is MpiWorkStealing.thread_main)
-
     def _build_c_phase(self, rank: int):
         """Bind one ``repro.fastpath._core.OwnerPhase`` to this rank's
         endpoint, mailbox, and counters.
@@ -700,16 +682,15 @@ class MpiWorkStealing(AlgorithmBase):
         Python.  No ``wa``/``req_slot``: mpi-ws has neither the
         work_avail protocol nor a request variable.
         """
-        from functools import partial
-
         from repro.fastpath import load_core
+        pending, poll = self._mail(rank)
         return load_core().OwnerPhase(
             **self._c_phase_args(rank, poke_enter=False, poke_exit=False),
             wa=None,
             no_work=None,
             req_slot=None,
-            poll=partial(self.endpoints[rank].iprobe, self._poll_tags),
-            pending=self.world._pending[rank],
+            poll=poll,
+            pending=pending,
         )
 
     def _build_c_idle(self, rank: int):

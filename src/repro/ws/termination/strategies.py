@@ -146,8 +146,10 @@ class StreamlinedTermination(TerminationStrategy):
         woken waiter always observes the flag."""
         algo = self.algo
         algo.quiescence_check()
-        if after_death:
-            ctx.trace("recover.barrier_death", f"count={self.barrier.count}")
+        tr = algo.tracer
+        if after_death and tr.enabled:
+            tr.emit(ctx.now, ctx.rank, "recover.barrier_death",
+                    f"count={self.barrier.count}")
         yield from self.barrier.announce(ctx)
         if algo._gate is not None:
             algo._gate.wake_all()

@@ -54,7 +54,10 @@ class StreamlinedBarrier:
         self._counted[ctx.rank] = True
         last = self.count == self.alive and self.announcer is None
         yield from ctx.unlock(self.lock)
-        ctx.trace("sbarrier.enter", f"count={self.count}")
+        tr = ctx.machine.tracer
+        if tr.enabled:
+            tr.emit(ctx.now, ctx.rank, "sbarrier.enter",
+                    f"count={self.count}")
         return last
 
     def leave(self, ctx: UpcContext) -> Generator:
@@ -63,7 +66,10 @@ class StreamlinedBarrier:
         self.count -= 1
         self._counted[ctx.rank] = False
         yield from ctx.unlock(self.lock)
-        ctx.trace("sbarrier.leave", f"count={self.count}")
+        tr = ctx.machine.tracer
+        if tr.enabled:
+            tr.emit(ctx.now, ctx.rank, "sbarrier.leave",
+                    f"count={self.count}")
 
     def announce(self, ctx: UpcContext) -> Generator:
         """Tree-based termination announcement by the last thread."""

@@ -177,6 +177,14 @@ def test_describe_inventory_keys(clean_env):
 
 from repro.check import check_run, check_service_run  # noqa: E402
 from repro.check.invariants import InvariantMonitor  # noqa: E402
+from repro.sim.trace import Tracer  # noqa: E402
+
+
+class AlgoSpy(Tracer):
+    """A tracer that keeps the algorithm instance it was attached to."""
+
+    def attach_algorithm(self, algo):
+        self.algo = algo
 
 
 @pytest.fixture
@@ -247,11 +255,6 @@ def test_plain_run_on_tree_params_fuses(clean_env):
     if not fp.available():
         pytest.skip("extension not built on this host")
     from repro import TreeParams, run_experiment
-    from repro.sim.trace import Tracer
-
-    class AlgoSpy(Tracer):
-        def attach_algorithm(self, algo):
-            self.algo = algo
 
     spy = AlgoSpy(enabled=False)  # an enabled tracer is a fusion gate
     res = run_experiment("upc-distmem",
@@ -260,3 +263,69 @@ def test_plain_run_on_tree_params_fuses(clean_env):
     assert spy.algo.machine.sim.fastpath_active
     assert spy.algo._fuse is True
     assert (res.engine_events, res.sim_time) == (158, 6.319245188284519e-05)
+
+
+# -- which protocols fuse ----------------------------------------------
+#
+# With one ``working_phase`` for every protocol, "the subclass did not
+# override it" no longer says which protocols the compiled phases
+# mirror: the gate is stated positively -- the protocol binds a
+# compiled phase and sets no after-move hook -- and this matrix pins
+# it.  The fence-free row is the one a naive merge gets wrong: it has
+# the same (inherited) loop as everyone else, and the C LockPhase knows
+# nothing of its era log.
+
+from repro.ws.algorithms import ALGORITHMS  # noqa: E402
+from repro.ws.algorithms.distmem import UpcDistMem  # noqa: E402
+from repro.ws.algorithms.lock_based import UpcTerm  # noqa: E402
+
+
+class _OwnLoop(UpcDistMem):
+    name = "own-loop"
+
+    def working_phase(self, ctx):
+        return (yield from super().working_phase(ctx))
+
+
+class _Hooked(UpcDistMem):
+    name = "hooked"
+
+    def _after_move(self, rank, releasing):
+        pass
+
+
+class _OwnAfterRelease(UpcTerm):
+    name = "own-after-release"
+
+    def after_release(self, ctx):
+        return (yield from super().after_release(ctx))
+
+
+FUSION_MATRIX = [
+    ("upc-sharedmem", True), ("upc-term", True), ("upc-term-rapdif", True),
+    ("upc-distmem", True), ("mpi-ws", True), ("upc-distmem-hier", True),
+    ("ws-fencefree", False), ("tree-split", False),
+    (_OwnLoop, False), (_Hooked, False), (_OwnAfterRelease, False),
+]
+
+
+@pytest.mark.parametrize(
+    "variant, fuses", FUSION_MATRIX,
+    ids=[getattr(v, "name", v) for v, _ in FUSION_MATRIX])
+def test_fusion_matrix(clean_env, monkeypatch, variant, fuses):
+    if not fp.available():
+        pytest.skip("extension not built on this host")
+    from repro import TreeParams, run_experiment
+
+    if not isinstance(variant, str):
+        monkeypatch.setitem(ALGORITHMS, variant.name, variant)
+        variant = variant.name
+    spy = AlgoSpy(enabled=False)
+    res = run_experiment(variant,
+                         tree=TreeParams.binomial(b0=24, q=0.4, seed=1),
+                         threads=4, chunk_size=2, tracer=spy, verify=True)
+    assert spy.algo.machine.sim.fastpath_active
+    assert spy.algo._fusion_enabled() is fuses
+    # tree-split's own thread_main never asks, so ``_fuse`` stays None.
+    assert bool(spy.algo._fuse) is fuses
+    assert res.total_nodes > 0

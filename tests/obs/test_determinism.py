@@ -10,9 +10,19 @@ Two guarantees, both pinned against captured baselines:
   identical across repeats.
 """
 
-from repro import run_experiment
+import ast
+import functools
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro import ALGORITHMS, WsConfig, run_experiment
+from repro.faults.plan import parse_fault_spec
 from repro.harness.figures import figure4
 from repro.obs import to_jsonl_lines
+from repro.service import ArrivalProcess, ServiceConfig, run_service
 
 from tests.obs.conftest import SMALL_KWARGS, run_small_traced, small_tree
 
@@ -70,3 +80,75 @@ def test_fig4_test_sweep_matches_pre_obs_seed():
     fig = figure4("test")
     assert [r.engine_events for r in fig.sweep.runs] \
         == PIN_FIG4_TEST_ENGINE_EVENTS
+
+
+# -- tracing off formats nothing -----------------------------------------
+#
+# docs/performance.md: "every f"..." trace detail is built only behind
+# one tracer.enabled test".  Two observers hold the code to it: a
+# disabled tracer whose ``emit`` raises (no hook site may call it), and
+# a line spy over every source line that holds an f-string argument of
+# a ``trace``/``emit`` call (none may execute).
+
+class DisabledTracerThatRaises:
+    enabled = False
+
+    def emit(self, time, thread, kind, detail=""):
+        raise AssertionError(f"emit({kind!r}) reached a disabled tracer")
+
+
+@functools.lru_cache(maxsize=None)
+def _detail_lines():
+    """``{filename: lines}`` holding an f-string passed to a trace call."""
+    lines = {}
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("trace", "_trace", "emit")):
+                for arg in ast.walk(node):
+                    if isinstance(arg, ast.JoinedStr):
+                        lines.setdefault(str(path), set()).update(
+                            range(arg.lineno, arg.end_lineno + 1))
+    return lines
+
+
+UNTRACED_CELLS = [(variant, None) for variant in sorted(ALGORITHMS)] + [
+    ("mpi-ws", "drop=0.05,dup=0.05,delay=0.1,kill=3@103us"),
+    ("service-ws", "kill=3@103us"),
+]
+
+
+@pytest.mark.parametrize("variant, spec", UNTRACED_CELLS)
+def test_untraced_run_never_emits_or_formats(variant, spec):
+    targets = _detail_lines()
+    assert sum(map(len, targets.values())) > 60  # the spy watches something
+    built = []
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in targets[
+                frame.f_code.co_filename]:
+            built.append((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def scoped(frame, event, arg):
+        return local if frame.f_code.co_filename in targets else None
+
+    kw = dict(threads=8, tracer=DisabledTracerThatRaises(), fastpath="pure",
+              config=WsConfig(chunk_size=4),
+              faults=parse_fault_spec(spec, seed=0) if spec else None)
+    previous = sys.gettrace()
+    sys.settrace(scoped)
+    try:
+        if variant == "service-ws":
+            result = run_service(
+                ServiceConfig(arrivals=ArrivalProcess(rate=8e5), n_tasks=60,
+                              queue_capacity=16, policy="shed-oldest",
+                              deadline=150e-6, max_retries=2, seed=3),
+                seed=1, **kw)
+        else:
+            result = run_experiment(variant, small_tree(), **kw)
+    finally:
+        sys.settrace(previous)
+    assert result.total_nodes > 0
+    assert built == []

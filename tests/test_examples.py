@@ -58,9 +58,3 @@ def test_workload_anatomy_runs(capsys):
     load_example("workload_anatomy").main()
     out = capsys.readouterr().out
     assert "tail_exponent" in out
-
-
-def test_native_threads_demo_runs(capsys):
-    load_example("native_threads_demo").main()
-    out = capsys.readouterr().out
-    assert "count OK" in out
