@@ -1,4 +1,4 @@
-"""Optional compiled execution backend (ROADMAP item 2).
+"""Optional compiled execution backend.
 
 Two hot loops gate every figure in this reproduction: the engine's
 event-dispatch loop (`Simulator.run`) and UTS tree expansion.  This
@@ -13,10 +13,13 @@ Components
 ``_core``
     A C extension: ``run(sim, until)`` (the compiled `Simulator.run`
     loop), ``batch_expand(...)`` (the materialized-tree DFS inner
-    loop), and four fused phase state machines behind one phase
-    protocol (``LockPhase``, ``OwnerPhase``, ``SearchPhase``,
-    ``IdlePhase``; bound per rank by the algorithms' ``_build_c_*``).
-    Built by ``setup.py build_ext``; its absence is never an error.
+    loop), and three fused phase state machines behind one phase
+    protocol: ``WorkPhase`` (Figure 1's one Working state, taking the
+    switches ``AlgorithmBase.working_phase`` reads), ``SearchPhase``
+    and ``IdlePhase``; bound per rank by ``AlgorithmBase``'s
+    ``_build_c_phase`` / ``_build_c_search`` and ``mpi-ws``'s
+    ``_build_c_idle``.  Built by ``setup.py build_ext``; its absence
+    is never an error.
 
 ``nputs``
     numpy-vectorized tree construction kernels (binomial child counts,

@@ -17,13 +17,16 @@
  *       MaterializedTree.batch_expand: the DFS inner loop as range
  *       scans of the tree's preorder arrays, read in place.
  *
- *   LockPhase, OwnerPhase, SearchPhase, IdlePhase
+ *   WorkPhase, SearchPhase, IdlePhase
  *       Figure 1's per-rank phases as C state machines.  A worker
  *       generator yields the phase object where it would `yield from`
  *       the Python phase; the run loop then drives the phase through
  *       the identical sequence of heap pushes (same times, same
  *       sequence numbers, same event count) and resumes the worker
  *       within the same dispatch when the phase bounces or completes.
+ *       WorkPhase is AlgorithmBase.working_phase transliterated: one
+ *       Working state for every protocol, taking the switches the
+ *       generator reads as constructor arguments (None: off).
  *
  * The phase protocol.  Every phase object starts with PHASE_HEAD: the
  * worker inside it, the resume point `state` (0: nobody inside) and a
@@ -352,38 +355,6 @@ rc_write_now(RunCtx *rc, PyObject *time_obj)
     return PyDict_SetItem(rc->simdict, s_now, time_obj);
 }
 
-/* Push (t, ++seq, proc, value) minting a fresh time float. */
-static int
-rc_push(RunCtx *rc, double t, PyObject *proc, PyObject *value)
-{
-    PyObject *item = PyTuple_New(4);
-    PyObject *tf, *sq;
-    int r;
-    if (item == NULL)
-        return -1;
-    tf = PyFloat_FromDouble(t);
-    rc->seq += 1;
-    rc->seq_dirty = 1;
-    sq = PyLong_FromLongLong(rc->seq);
-    if (tf == NULL || sq == NULL) {
-        Py_XDECREF(tf);
-        Py_XDECREF(sq);
-        Py_DECREF(item);
-        return -1;
-    }
-    PyTuple_SET_ITEM(item, 0, tf);
-    PyTuple_SET_ITEM(item, 1, sq);
-    Py_INCREF(proc);
-    PyTuple_SET_ITEM(item, 2, proc);
-    if (value == NULL)
-        value = Py_None;
-    Py_INCREF(value);
-    PyTuple_SET_ITEM(item, 3, value);
-    r = heap_push_item(rc->heap, item);
-    Py_DECREF(item);
-    return r;
-}
-
 /* Push (time_obj, ++seq, proc, value) reusing an existing time float
  * (the pure loop would mint an equal float; heap order compares by
  * value, so reusing the object is invisible to the schedule). */
@@ -413,6 +384,19 @@ rc_push_obj(RunCtx *rc, PyObject *time_obj, PyObject *proc, PyObject *value)
     PyTuple_SET_ITEM(item, 3, value);
     r = heap_push_item(rc->heap, item);
     Py_DECREF(item);
+    return r;
+}
+
+/* Push (t, ++seq, proc, value) minting a fresh time float. */
+static int
+rc_push(RunCtx *rc, double t, PyObject *proc, PyObject *value)
+{
+    PyObject *tf = PyFloat_FromDouble(t);
+    int r;
+    if (tf == NULL)
+        return -1;
+    r = rc_push_obj(rc, tf, proc, value);
+    Py_DECREF(tf);
     return r;
 }
 
@@ -478,7 +462,7 @@ typedef struct {
 } DoubleVec;
 
 typedef struct PhaseDesc {
-    const char *name;       /* "LockPhase": module attribute, errors   */
+    const char *name;       /* "WorkPhase": module attribute, errors   */
     PyTypeObject *type;
     const PhaseField *fields;
     /* Drive the state machine from resume point `entry` (0: a fresh
@@ -494,7 +478,7 @@ typedef struct PhaseDesc {
 } PhaseDesc;
 
 static void phase_dealloc(PyObject *self);
-/* The four phase types are the only ones with this destructor, and
+/* The three phase types are the only ones with this destructor, and
  * none of them can be subclassed. */
 #define IS_PHASE(o) (Py_TYPE(o)->tp_dealloc == phase_dealloc)
 
@@ -513,71 +497,58 @@ typedef struct {
     Py_buffer delta, size;    /* tree.delta, tree.size                 */
 } TreeView;
 
-/* What both working phases start with: the members behind
- * AlgorithmBase._c_phase_args, read by the shared stack-move helpers.
- * Configuration is immutable after init (strong references). */
-#define WORK_HEAD \
-    PHASE_HEAD \
-    PyObject *sim; \
-    PyObject *local;          /* list: stack.local                     */ \
-    PyObject *shared;         /* deque: stack.shared                   */ \
-    PyObject *shared_append;  /* bound shared.append                   */ \
-    PyObject *shared_pop;     /* bound shared.pop                      */ \
-    PyObject *stack;          /* SplitStack (counter slots)            */ \
-    PyObject *st_dict;        /* ThreadStats.__dict__                  */ \
-    PyObject *wa;             /* SharedVar work_avail[rank]; NULL: mpi */ \
-    PyObject *enter_cb;       /* callable(): phase-entry bookkeeping   */ \
-    PyObject *exit_cb;        /* callable(): phase-exit bookkeeping    */ \
-    TreeView tv;              /* the MaterializedTree's arrays         */ \
-    DoubleVec vt;             /* visit cost per batch size [0..limit]  */ \
-    long long chunk; \
-    long long thresh; \
-    long long limit;
-
-typedef struct { WORK_HEAD } WorkPhase;
-
-/* LockPhase: the lock-guarded working phase (LockBasedAlgorithm's
- * visit / release / reacquire / barrier-reset cycle, fault-free). */
+/* WorkPhase: Figure 1's Working state, fault-free -- the members
+ * behind AlgorithmBase._build_c_phase.  What a protocol changes is
+ * three switches, each a member group that is NULL when off, exactly
+ * the ones AlgorithmBase.working_phase reads before its loop. */
 enum {
-    PH_IDLE = 0,        /* not running (no worker bound)               */
-    PH_AFTER_VISIT,     /* woke from the visit-cost timeout            */
-    PH_LOCK_WAIT,       /* woke from the lock round-trip timeout       */
-    PH_GRANTED,         /* woke holding the lock (zero-Timeout or ev)  */
-    PH_RESET_WAIT       /* woke from the barrier-reset write timeout   */
+    WP_IDLE = 0,        /* not running (no worker bound)               */
+    WP_AFTER_VISIT,     /* woke from the visit-cost timeout            */
+    WP_LOCK_WAIT,       /* woke from the lock round-trip timeout       */
+    WP_GRANTED,         /* woke holding the lock (zero-Timeout or ev)  */
+    WP_RESET_WAIT,      /* woke from the barrier-reset write timeout   */
+    WP_SVC_LOOP,        /* bounced to the worker from the poll point   */
+    WP_SVC_EXIT         /* bounced for the final racing-request deny   */
 };
 
-enum { SUB_RELEASE = 0, SUB_REACQUIRE = 1 };
-
 typedef struct {
-    WORK_HEAD
+    PHASE_HEAD
+    /* configuration (strong references; immutable after init) */
+    PyObject *sim;
+    PyObject *local;          /* list: stack.local                     */
+    PyObject *shared;         /* deque: stack.shared                   */
+    PyObject *shared_append;  /* bound shared.append                   */
+    PyObject *shared_pop;     /* bound shared.pop                      */
+    PyObject *stack;          /* SplitStack (counter slots)            */
+    PyObject *st_dict;        /* ThreadStats.__dict__                  */
+    PyObject *enter_cb;       /* callable(): state timer -> WORKING    */
+    PyObject *exit_cb;        /* callable(): state timer -> SEARCHING  */
+    TreeView tv;              /* the MaterializedTree's arrays         */
+    DoubleVec vt;             /* visit cost per batch size [0..limit]  */
+    long long chunk;
+    long long thresh;
+    long long limit;
+    /* (a) the poll point: a request variable, or a mailbox */
+    PyObject *req_slot;       /* SharedVar request[rank]               */
+    PyObject *poll;           /* bound taker of one arrived message    */
+    PyObject *pending;        /* list: the mailbox heap `poll` pops    */
+    /* (b) the owner publishes its chunk count */
+    PyObject *wa;             /* SharedVar work_avail[rank]            */
+    PyObject *no_work;        /* sentinel poked into wa at phase exit  */
+    /* (c) stack moves run under the own-stack lock */
     PyObject *fifo;           /* FifoLock                              */
     PyObject *queue;          /* deque: fifo._queue                    */
     PyObject *queue_append;   /* bound queue.append                    */
     PyObject *queue_popleft;  /* bound queue.popleft                   */
     PyObject *ev_name;        /* str: fifo._ev_name                    */
-    PyObject *barrier_dict;   /* CancelableBarrier.__dict__ or NULL    */
-    double reset_cost;        /* barrier-reset write cost (with hook)  */
-    double home_occupancy;    /* barrier cancel stagger                */
     double lock_to;           /* lock round trip; < 0 means free       */
+    PyObject *barrier_dict;   /* CancelableBarrier.__dict__: a release
+                               * resets it (the after-release hook)    */
+    double reset_cost;        /* barrier-reset write cost              */
+    double home_occupancy;    /* barrier cancel stagger                */
     /* runtime */
-    int substate;
-} LockPhaseObject;
-
-/* OwnerPhase: the owner-only working phase (upc-distmem / mpi-ws). */
-enum {
-    OP_IDLE = 0,        /* not running (no worker bound)               */
-    OP_AFTER_VISIT,     /* woke from the visit-cost timeout            */
-    OP_SVC_LOOP,        /* bounced to the worker for request service   */
-    OP_SVC_EXIT         /* bounced for the final racing-request deny   */
-};
-
-typedef struct {
-    WORK_HEAD
-    PyObject *no_work;        /* sentinel poked into wa at phase exit  */
-    PyObject *req_slot;       /* SharedVar request[rank]; NULL: mpi    */
-    PyObject *poll;           /* bound iprobe(tags); NULL: distmem     */
-    PyObject *pending;        /* list MsgWorld._pending[rank] or NULL  */
-} OwnerPhaseObject;
+    int releasing;            /* the move in hand: release / reacquire */
+} WorkPhaseObject;
 
 /* SearchPhase: the polling victim-probe loop shared (modulo the
  * request-variable poll) by the lock-based and distmem search phases.
@@ -599,9 +570,8 @@ typedef struct {
     /* configuration (strong references; immutable after init) */
     PyObject *sim;
     PyObject *st_dict;        /* ThreadStats.__dict__ (probes)         */
-    PyObject *cycle;          /* callable -> list: shuffled probe order */
-    PyObject *segments;       /* list of victim lists for the native   */
-    PyObject *getrandbits;    /*   shuffle, + Random.getrandbits; NULL */
+    PyObject *segments;       /* list of victim lists: a round probes  */
+    PyObject *getrandbits;    /*   each, shuffled over this, in turn   */
     PyObject *row;            /* list of floats: ref cost per rank     */
     PyObject *slots;          /* list of SharedVar: work_avail         */
     PyObject *req_slot;       /* SharedVar request[rank]; NULL: lock   */
@@ -649,7 +619,7 @@ typedef struct {
 } IdlePhaseObject;
 
 /* ------------------------------------------------------------------ */
-/* what the working phases share                                      */
+/* the Working state's moves                                          */
 /* ------------------------------------------------------------------ */
 
 /* C mirror of MaterializedTree.batch_expand (minus its whole-subtree
@@ -708,26 +678,10 @@ c_batch_expand(TreeView *tv, PyObject *local, long long limit,
     return 0;
 }
 
-/* visit: n, pushed = batch_expand(local, limit, thresh), and the three
- * counters explore_batch keeps.  The caller yields vt[n] when n > 0. */
-static int
-work_visit(WorkPhase *w, long long *out_n)
-{
-    long long pushed = 0;
-    if (c_batch_expand(&w->tv, w->local, w->limit, w->thresh,
-                       out_n, &pushed) < 0)
-        return -1;
-    if (slot_add_long(w->stack, off_st_pops, *out_n) < 0
-            || slot_add_long(w->stack, off_st_pushes, pushed) < 0
-            || dict_add_long(w->st_dict, s_nodes_visited, *out_n) < 0)
-        return -1;
-    return 0;
-}
-
 /* SplitStack.release: released = local[:chunk]; del local[:chunk];
  * shared.append(released); released_nodes += chunk. */
 static int
-work_release(WorkPhase *w)
+work_release(WorkPhaseObject *w)
 {
     PyObject *released = PyList_GetSlice(w->local, 0, w->chunk);
     PyObject *r;
@@ -748,7 +702,7 @@ work_release(WorkPhase *w)
 /* SplitStack.reacquire: got = shared.pop(); local[0:0] = got;
  * reacquired_nodes += len(got).  The shared region is not empty. */
 static int
-work_reacquire(WorkPhase *w)
+work_reacquire(WorkPhaseObject *w)
 {
     PyObject *got = PyObject_CallNoArgs(w->shared_pop);
     Py_ssize_t ngot;
@@ -782,7 +736,7 @@ wa_poke(PyObject *wa, PyObject *value /* borrowed */)
 
 /* work_avail[rank].poke(len(shared)) */
 static int
-wa_poke_shared(WorkPhase *w)
+wa_poke_shared(WorkPhaseObject *w)
 {
     Py_ssize_t shared_n = PyObject_Length(w->shared);
     PyObject *nv;
@@ -829,141 +783,205 @@ mailbox_ready(PyObject *pending, double now)
     return at <= now;
 }
 
+/* Bounce `value` to the suspended worker, which runs the Python
+ * protocol method it names and re-yields the phase; the step function
+ * then resumes at `resume`. */
+static int
+phase_bounce(PhaseHead *ph, RunCtx *rc, PyObject *value, PyObject *time_obj,
+             int resume)
+{
+    ph->state = resume;
+    if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
+        return -1;
+    return dispatch_send(rc, ph->worker, value, time_obj);
+}
+
 /* ------------------------------------------------------------------ */
-/* the four state machines                                            */
+/* the three state machines                                           */
 /* ------------------------------------------------------------------ */
 
-/* Drive the lock-guarded working phase from `entry` until it parks on
- * a heap push / event registration, or completes. */
+/* Drive the Working state -- AlgorithmBase.working_phase, statement for
+ * statement -- until it parks on a heap push or an event registration,
+ * bounces a pending request (True) or a taken message to the worker,
+ * or completes.  The worker's `yield phase` receives None on
+ * completion and the bounced value otherwise; it serves that in Python
+ * and re-yields the phase, which resumes mid-loop.  Nothing below asks
+ * which protocol is running, only whether a switch's members are NULL;
+ * the state-timer calls around the phase are the enter/exit callbacks
+ * (phase_start, phase_finish). */
 static int
-lock_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
+work_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
 {
-    LockPhaseObject *ph = (LockPhaseObject *)self;
-    WorkPhase *w = (WorkPhase *)self;
+    WorkPhaseObject *w = (WorkPhaseObject *)self;
+    int hit;
 
     switch (entry) {
-    case PH_IDLE:        goto main_loop;
-    case PH_AFTER_VISIT: goto release_check;
-    case PH_LOCK_WAIT:   goto lock_grant;
-    case PH_GRANTED:     goto granted;
-    case PH_RESET_WAIT:  goto reset_body;
+    case WP_IDLE:
+        /* self._advertise(rank, len(shared)) */
+        if (w->wa != NULL && wa_poke_shared(w) < 0)
+            return -1;
+        goto poll;
+    case WP_AFTER_VISIT: goto after_visit;
+    case WP_LOCK_WAIT:   goto lock_grant;
+    case WP_GRANTED:     goto granted;
+    case WP_RESET_WAIT:  goto reset_body;
+    case WP_SVC_LOOP:
+        /* The one place the poll points differ: the generator probes a
+         * mailbox in a `while`, so it is probed again; a request slot
+         * is served once and falls through to the stack. */
+        if (w->poll != NULL)
+            goto poll;
+        goto stack_check;
+    case WP_SVC_EXIT:    goto finish;
     default:
         PyErr_SetString(SimulationError, "fastpath: corrupt phase state");
         return -1;
     }
 
-main_loop:
-    if (PyList_GET_SIZE(ph->local) == 0) {
-        Py_ssize_t shared_n = PyObject_Length(ph->shared);
-        if (shared_n < 0)
+poll:
+    if (w->req_slot != NULL) {
+        /* if req_slot.value is not None: yield from service_request */
+        if ((hit = req_pending(w->req_slot)) < 0)
             return -1;
-        if (shared_n > 0) {
-            ph->substate = SUB_REACQUIRE;
-            goto lock_begin;
-        }
-        goto phase_exit;
-    }
-    {
-        long long n = 0;
-        if (work_visit(w, &n) < 0)
+        if (hit)
+            return phase_bounce(self, rc, Py_True, time_obj, WP_SVC_LOOP);
+    } else if (w->poll != NULL) {
+        /* `while mailbox and mailbox[0][0] <= sim.now and (msg :=
+         * take()) is not None`: the arrival test runs inline, so the
+         * overwhelmingly common empty poll costs no Python call. */
+        if ((hit = mailbox_ready(w->pending, rc->now)) < 0)
             return -1;
-        if (n > 0) {
-            /* yield vt[n] */
-            ph->state = PH_AFTER_VISIT;
-            return rc_push(rc, rc->now + ph->vt.v[n], (PyObject *)ph, Py_None);
-        }
-        /* n == 0 implies the local region was empty, handled above;
-         * unreachable, but fall through identically to the generator
-         * (which skips the yield when n == 0). */
-    }
-
-release_check:
-    if (PyList_GET_SIZE(ph->local) >= ph->thresh) {
-        ph->substate = SUB_RELEASE;
-        goto lock_begin;
-    }
-    goto main_loop;
-
-lock_begin:
-    if (ph->lock_to >= 0.0) {
-        /* yield lock_to */
-        ph->state = PH_LOCK_WAIT;
-        return rc_push(rc, rc->now + ph->lock_to, (PyObject *)ph, Py_None);
-    }
-    /* FALLTHROUGH */
-lock_grant:
-    {
-        PyObject *locked = SLOT(ph->fifo, off_f_locked);
-        if (locked != Py_True) {
-            /* uncontended: locked = True; acquisitions += 1;
-             * _acquired_at = sim.now; yield _T0 */
-            Py_INCREF(Py_True);
-            slot_store(ph->fifo, off_f_locked, Py_True);
-            if (slot_add_long(ph->fifo, off_f_acq, 1) < 0)
+        if (hit) {
+            PyObject *msg;
+            int r;
+            if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
                 return -1;
-            Py_INCREF(time_obj);
-            slot_store(ph->fifo, off_f_acqat, time_obj);
-            ph->state = PH_GRANTED;
-            return rc_push_obj(rc, time_obj, (PyObject *)ph, Py_None);
-        }
-        /* contended: ev = SimEvent(sim, name); queue.append(ev);
-         * yield ev  (the phase itself registers as the waiter) */
-        {
-            PyObject *ev = PyObject_CallFunctionObjArgs(
-                (PyObject *)SimEventType, ph->sim, ph->ev_name, NULL);
-            PyObject *r, *waiters;
-            if (ev == NULL)
+            msg = PyObject_CallNoArgs(w->poll);
+            if (msg == NULL)
                 return -1;
-            if (slot_add_long(ph->fifo, off_f_cacq, 1) < 0) {
-                Py_DECREF(ev);
-                return -1;
+            if (msg != Py_None) {
+                w->state = WP_SVC_LOOP;
+                r = dispatch_send(rc, w->worker, msg, time_obj);
+                Py_DECREF(msg);
+                return r;
             }
-            r = PyObject_CallOneArg(ph->queue_append, ev);
-            if (r == NULL) {
-                Py_DECREF(ev);
-                return -1;
-            }
-            Py_DECREF(r);
-            waiters = SLOT(ev, off_e_waiters);
-            if (waiters == NULL || !PyList_CheckExact(waiters)
-                    || PyList_Append(waiters, (PyObject *)ph) < 0) {
-                if (!PyErr_Occurred())
-                    PyErr_SetString(SimulationError,
-                                    "fastpath: bad event waiter list");
-                Py_DECREF(ev);
-                return -1;
-            }
-            Py_DECREF(ev);
-            ph->state = PH_GRANTED;
-            return 0;  /* resumed when the holder's release fires us */
+            Py_DECREF(msg);
         }
     }
 
-granted:
-    if (ph->substate == SUB_RELEASE) {
-        if (work_release(w) < 0)
-            return -1;
-    } else {
-        /* reacquire: re-check under the lock (a queued thief may have
-         * emptied the shared region while we waited). */
-        Py_ssize_t shared_n = PyObject_Length(ph->shared);
+stack_check:
+    if (PyList_GET_SIZE(w->local) == 0) {
+        Py_ssize_t shared_n = PyObject_Length(w->shared);
         if (shared_n < 0)
             return -1;
         if (shared_n == 0)
-            goto after_move;  /* nothing moved: skip the wa write */
-        if (work_reacquire(w) < 0
-                || dict_add_long(ph->st_dict, s_reacquires, 1) < 0)
+            goto phase_exit;
+        w->releasing = 0;
+        goto move;
+    }
+    {
+        /* n = explore_batch(rank): batch_expand and the three counters
+         * it keeps; yield vt[n].  (n == 0 needs an empty local region,
+         * handled above; like the generator, no yield then.) */
+        long long n = 0, pushed = 0;
+        if (c_batch_expand(&w->tv, w->local, w->limit, w->thresh,
+                           &n, &pushed) < 0
+                || slot_add_long(w->stack, off_st_pops, n) < 0
+                || slot_add_long(w->stack, off_st_pushes, pushed) < 0
+                || dict_add_long(w->st_dict, s_nodes_visited, n) < 0)
+            return -1;
+        if (n > 0) {
+            w->state = WP_AFTER_VISIT;
+            return rc_push(rc, rc->now + w->vt.v[n], (PyObject *)w, Py_None);
+        }
+    }
+after_visit:
+    if (PyList_GET_SIZE(w->local) < w->thresh)
+        goto poll;
+    w->releasing = 1;
+
+    /* One stack move per pass: acquire, move, publish, unlock,
+     * after-release.  Releases repeat while surplus remains; a
+     * reacquire goes back to the poll point. */
+move:
+    if (w->fifo == NULL)
+        goto granted;
+    if (w->lock_to >= 0.0) {
+        /* yield lock_to */
+        w->state = WP_LOCK_WAIT;
+        return rc_push(rc, rc->now + w->lock_to, (PyObject *)w, Py_None);
+    }
+    /* FALLTHROUGH */
+lock_grant:
+    if (SLOT(w->fifo, off_f_locked) != Py_True) {
+        /* uncontended: locked = True; acquisitions += 1;
+         * _acquired_at = sim.now; yield _T0 */
+        Py_INCREF(Py_True);
+        slot_store(w->fifo, off_f_locked, Py_True);
+        if (slot_add_long(w->fifo, off_f_acq, 1) < 0)
+            return -1;
+        Py_INCREF(time_obj);
+        slot_store(w->fifo, off_f_acqat, time_obj);
+        w->state = WP_GRANTED;
+        return rc_push_obj(rc, time_obj, (PyObject *)w, Py_None);
+    }
+    /* contended: ev = SimEvent(sim, name); queue.append(ev);
+     * yield ev  (the phase itself registers as the waiter) */
+    {
+        PyObject *ev = PyObject_CallFunctionObjArgs(
+            (PyObject *)SimEventType, w->sim, w->ev_name, NULL);
+        PyObject *r, *waiters;
+        if (ev == NULL)
+            return -1;
+        if (slot_add_long(w->fifo, off_f_cacq, 1) < 0) {
+            Py_DECREF(ev);
+            return -1;
+        }
+        r = PyObject_CallOneArg(w->queue_append, ev);
+        if (r == NULL) {
+            Py_DECREF(ev);
+            return -1;
+        }
+        Py_DECREF(r);
+        waiters = SLOT(ev, off_e_waiters);
+        if (waiters == NULL || !PyList_CheckExact(waiters)
+                || PyList_Append(waiters, (PyObject *)w) < 0) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(SimulationError,
+                                "fastpath: bad event waiter list");
+            Py_DECREF(ev);
+            return -1;
+        }
+        Py_DECREF(ev);
+        w->state = WP_GRANTED;
+        return 0;  /* resumed when the holder's release fires us */
+    }
+
+granted:
+    if (w->releasing) {
+        if (work_release(w) < 0)
+            return -1;
+    } else {
+        /* `shared` is re-checked under the lock: a thief queued ahead
+         * of us may have taken the last chunk. */
+        Py_ssize_t shared_n = PyObject_Length(w->shared);
+        if (shared_n < 0)
+            return -1;
+        if (shared_n == 0)
+            goto unlock;  /* nothing moved: nothing to publish */
+        if (work_reacquire(w) < 0)
             return -1;
     }
-    /* wa.writes += 1; wa.value = len(shared)  (both branches) */
-    if (wa_poke_shared(w) < 0)
+    if ((w->wa != NULL && wa_poke_shared(w) < 0)
+            || (!w->releasing
+                && dict_add_long(w->st_dict, s_reacquires, 1) < 0))
         return -1;
-after_move:
+unlock:
     /* The unlock reference is free (an own-stack lock is homed at its
      * rank), so no yield separates the move from the hand-off. */
-    {
+    if (w->fifo != NULL) {
         /* busy_time += sim.now - _acquired_at; hand off or unlock */
-        PyObject *acqat = SLOT(ph->fifo, off_f_acqat);
+        PyObject *acqat = SLOT(w->fifo, off_f_acqat);
         double at;
         Py_ssize_t qn;
         if (acqat == NULL)
@@ -972,20 +990,20 @@ after_move:
         at = PyFloat_AsDouble(acqat);
         if (at == -1.0 && PyErr_Occurred())
             return -1;
-        if (slot_add_double(ph->fifo, off_f_busy, rc->now - at) < 0)
+        if (slot_add_double(w->fifo, off_f_busy, rc->now - at) < 0)
             return -1;
-        qn = PyObject_Length(ph->queue);
+        qn = PyObject_Length(w->queue);
         if (qn < 0)
             return -1;
         if (qn > 0) {
             /* direct hand-off: acquisitions += 1; _acquired_at = now;
              * queue.popleft().succeed() */
             PyObject *ev, *r;
-            if (slot_add_long(ph->fifo, off_f_acq, 1) < 0)
+            if (slot_add_long(w->fifo, off_f_acq, 1) < 0)
                 return -1;
             Py_INCREF(time_obj);
-            slot_store(ph->fifo, off_f_acqat, time_obj);
-            ev = PyObject_CallNoArgs(ph->queue_popleft);
+            slot_store(w->fifo, off_f_acqat, time_obj);
+            ev = PyObject_CallNoArgs(w->queue_popleft);
             if (ev == NULL)
                 return -1;
             if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0) {
@@ -1001,24 +1019,21 @@ after_move:
                 return -1;
         } else {
             Py_INCREF(Py_False);
-            slot_store(ph->fifo, off_f_locked, Py_False);
+            slot_store(w->fifo, off_f_locked, Py_False);
         }
     }
-    if (ph->substate == SUB_RELEASE) {
-        /* st.releases += 1 (after the unlock, as in the generator) */
-        if (dict_add_long(ph->st_dict, s_releases, 1) < 0)
-            return -1;
-        if (ph->barrier_dict != NULL)
-            goto reset_begin;
-        goto release_check;
-    }
-    goto main_loop;
-
-reset_begin:
-    if (ph->reset_cost > 0.0) {
+    if (!w->releasing)
+        goto poll;
+    /* st.releases += 1 (after the unlock, as in the generator) */
+    if (dict_add_long(w->st_dict, s_releases, 1) < 0)
+        return -1;
+    if (w->barrier_dict == NULL)
+        goto after_release;
+    /* yield from after_release(ctx): CancelableBarrier.reset */
+    if (w->reset_cost > 0.0) {
         /* yield Timeout(cost): the remote cancellation-flag write */
-        ph->state = PH_RESET_WAIT;
-        return rc_push(rc, rc->now + ph->reset_cost, (PyObject *)ph, Py_None);
+        w->state = WP_RESET_WAIT;
+        return rc_push(rc, rc->now + w->reset_cost, (PyObject *)w, Py_None);
     }
     /* FALLTHROUGH */
 reset_body:
@@ -1027,9 +1042,9 @@ reset_body:
          * CANCELLED succeed; clear the waiter list. */
         PyObject *waiters;
         Py_ssize_t wn, i;
-        if (dict_add_long(ph->barrier_dict, s_cancels, 1) < 0)
+        if (dict_add_long(w->barrier_dict, s_cancels, 1) < 0)
             return -1;
-        waiters = PyDict_GetItemWithError(ph->barrier_dict, s_waiters_key);
+        waiters = PyDict_GetItemWithError(w->barrier_dict, s_waiters_key);
         if (waiters == NULL || !PyList_CheckExact(waiters)) {
             if (!PyErr_Occurred())
                 PyErr_SetString(SimulationError,
@@ -1050,7 +1065,7 @@ reset_body:
                     return -1;
                 }
                 ev = PyTuple_GET_ITEM(pair, 1);
-                delay = PyFloat_FromDouble((double)i * ph->home_occupancy);
+                delay = PyFloat_FromDouble((double)i * w->home_occupancy);
                 if (delay == NULL)
                     return -1;
                 /* ev.succeed(CANCELLED, delay=i * stagger) */
@@ -1067,131 +1082,27 @@ reset_body:
                                 NULL) < 0)
                 return -1;
         }
-        goto release_check;
     }
+after_release:
+    if (PyList_GET_SIZE(w->local) >= w->thresh)
+        goto move;
+    goto poll;
 
 phase_exit:
+    /* self._advertise(rank, NO_WORK), then deny any request that raced
+     * our transition to idle */
+    if (w->wa != NULL && wa_poke(w->wa, w->no_work) < 0)
+        return -1;
+    if (w->req_slot != NULL) {
+        if ((hit = req_pending(w->req_slot)) < 0)
+            return -1;
+        if (hit)
+            return phase_bounce(self, rc, Py_True, time_obj, WP_SVC_EXIT);
+    }
+finish:
     /* Resume the worker generator at its `yield phase` suspension
      * within this same dispatch -- exactly where the generator
      * version's `yield from working_phase(ctx)` falls through. */
-    return phase_finish(self, rc, time_obj);
-}
-
-/* Drive the owner-only working phase (no stack lock: upc-distmem and
- * mpi-ws Sect. 3.3.3 / 4) until it parks on a visit timeout, bounces a
- * pending request/message to the worker, or completes.  The worker's
- * `yield phase` receives None on completion and a non-None value (the
- * request marker or the probed message) on a bounce; the Python side
- * services it and re-yields the phase, which resumes mid-loop. */
-static int
-owner_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
-{
-    OwnerPhaseObject *op = (OwnerPhaseObject *)self;
-    WorkPhase *w = (WorkPhase *)self;
-    int hit;
-
-    switch (entry) {
-    case OP_IDLE:        goto loop_top;
-    case OP_AFTER_VISIT: goto release_loop;
-    case OP_SVC_LOOP:
-        if (op->poll != NULL)
-            goto loop_top;      /* mpi: the poll loop re-probes        */
-        goto stack_check;       /* distmem: fall through to the stack  */
-    case OP_SVC_EXIT:    goto exit_done;
-    default:
-        PyErr_SetString(SimulationError, "fastpath: corrupt phase state");
-        return -1;
-    }
-
-loop_top:
-    if (op->req_slot != NULL) {
-        /* if req_slot.value is not None: bounce for service_request */
-        if ((hit = req_pending(op->req_slot)) < 0)
-            return -1;
-        if (hit) {
-            op->state = OP_SVC_LOOP;
-            if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
-                return -1;
-            return dispatch_send(rc, op->worker, Py_True, time_obj);
-        }
-    }
-    if (op->poll != NULL) {
-        /* `while (msg := iprobe(tags)) is not None`, with the
-         * MsgWorld._take_delivered fast path (mailbox empty or head
-         * not yet arrived) tested inline so the overwhelmingly common
-         * empty poll costs no Python call. */
-        if ((hit = mailbox_ready(op->pending, rc->now)) < 0)
-            return -1;
-        if (hit) {
-            PyObject *msg;
-            int r;
-            if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
-                return -1;
-            msg = PyObject_CallNoArgs(op->poll);
-            if (msg == NULL)
-                return -1;
-            if (msg != Py_None) {
-                op->state = OP_SVC_LOOP;
-                r = dispatch_send(rc, op->worker, msg, time_obj);
-                Py_DECREF(msg);
-                return r;
-            }
-            Py_DECREF(msg);
-        }
-    }
-stack_check:
-    if (PyList_GET_SIZE(op->local) == 0) {
-        Py_ssize_t shared_n = PyObject_Length(op->shared);
-        if (shared_n < 0)
-            return -1;
-        if (shared_n > 0) {
-            /* owner-only reacquire, no lock (SplitStack counters) */
-            if (work_reacquire(w) < 0
-                    || (op->wa != NULL && wa_poke_shared(w) < 0)
-                    || dict_add_long(op->st_dict, s_reacquires, 1) < 0)
-                return -1;
-            goto loop_top;  /* `continue`: re-check requests first */
-        }
-        goto exit_begin;
-    }
-    {
-        long long n = 0;
-        if (work_visit(w, &n) < 0)
-            return -1;
-        if (n > 0) {
-            /* yield vt[n] */
-            op->state = OP_AFTER_VISIT;
-            return rc_push(rc, rc->now + op->vt.v[n], (PyObject *)op, Py_None);
-        }
-        /* n == 0 implies the local region was empty, handled above;
-         * fall through identically to the generator. */
-    }
-
-release_loop:
-    while (PyList_GET_SIZE(op->local) >= op->thresh) {
-        /* owner-only release (no lock, no gate) */
-        if (work_release(w) < 0
-                || (op->wa != NULL && wa_poke_shared(w) < 0)
-                || dict_add_long(op->st_dict, s_releases, 1) < 0)
-            return -1;
-    }
-    goto loop_top;
-
-exit_begin:
-    if (op->wa != NULL && wa_poke(op->wa, op->no_work) < 0)
-        return -1;
-    if (op->req_slot != NULL) {
-        /* deny any request that raced our transition to idle */
-        if ((hit = req_pending(op->req_slot)) < 0)
-            return -1;
-        if (hit) {
-            op->state = OP_SVC_EXIT;
-            if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
-                return -1;
-            return dispatch_send(rc, op->worker, Py_True, time_obj);
-        }
-    }
-exit_done:
     return phase_finish(self, rc, time_obj);
 }
 
@@ -1296,18 +1207,15 @@ round_top:
         if (hit < 0)
             return -1;
         if (hit) {
-            sp->state = SP_SVC_TOP;
             if (sp_flush_probes(sp) < 0)
                 return -1;
-            if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
-                return -1;
-            return dispatch_send(rc, sp->worker, Py_True, time_obj);
+            return phase_bounce(self, rc, Py_True, time_obj, SP_SVC_TOP);
         }
     }
 round_start:
-    if (sp->segments != NULL) {
-        /* Native cycle(): copy each victim segment and Fisher-Yates it
-         * in place, consuming the rank's Mersenne Twister exactly as
+    {
+        /* victims = cycle(): copy each victim segment and Fisher-Yates
+         * it in place, consuming the rank's Mersenne Twister exactly as
          * `shuffled(seg0) + shuffled(seg1) + ...` would.  getrandbits
          * cannot touch simulator state, so no now/seq sync is needed. */
         PyObject *vs = NULL;
@@ -1335,25 +1243,6 @@ round_start:
         if (vs == NULL && (vs = PyList_New(0)) == NULL)
             return -1;
         Py_XSETREF(sp->victims, vs);
-    } else {
-        /* victims = cycle(): one shuffled probe order, drawn from the
-         * rank's deterministic RNG stream exactly as the generator's
-         * `for victim in cycle()` would. */
-        PyObject *vs;
-        if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
-            return -1;
-        vs = PyObject_CallNoArgs(sp->cycle);
-        if (vs == NULL)
-            return -1;
-        if (!PyList_CheckExact(vs)) {
-            Py_DECREF(vs);
-            PyErr_SetString(PyExc_TypeError,
-                            "fastpath: probe cycle must return a list");
-            return -1;
-        }
-        Py_XSETREF(sp->victims, vs);
-        if (rc_reload_seq(rc) < 0)
-            return -1;
     }
     sp->idx = 0;
     sp->cost_acc = 0.0;
@@ -1442,12 +1331,7 @@ steal_bounce:
         int r;
         if (v == NULL)
             return -1;
-        sp->state = SP_POST_STEAL;
-        if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0) {
-            Py_DECREF(v);
-            return -1;
-        }
-        r = dispatch_send(rc, sp->worker, v, time_obj);
+        r = phase_bounce(self, rc, v, time_obj, SP_POST_STEAL);
         Py_DECREF(v);
         return r;
     }
@@ -2132,87 +2016,69 @@ static PyGetSetDef phase_getset[] = {
         .tp_new = PyType_GenericNew, \
     }
 
-#define WORK_FIELDS \
-    {"sim", F_OBJ, offsetof(WorkPhase, sim)}, \
-    {"local", F_OBJ, offsetof(WorkPhase, local), &PyList_Type}, \
-    {"shared", F_OBJ, offsetof(WorkPhase, shared)}, \
-    {"shared_append", F_OBJ, offsetof(WorkPhase, shared_append)}, \
-    {"shared_pop", F_OBJ, offsetof(WorkPhase, shared_pop)}, \
-    {"stack", F_OBJ, offsetof(WorkPhase, stack)}, \
-    {"st_dict", F_OBJ, offsetof(WorkPhase, st_dict), &PyDict_Type}, \
-    {"enter_cb", F_OBJ, offsetof(WorkPhase, enter_cb)}, \
-    {"exit_cb", F_OBJ, offsetof(WorkPhase, exit_cb)}, \
-    {"tree", F_OBJ, offsetof(WorkPhase, tv.tree)}, \
-    {"delta", F_BUFFER, offsetof(WorkPhase, tv.delta)}, \
-    {"size", F_BUFFER, offsetof(WorkPhase, tv.size)}, \
-    {"visit_costs", F_DOUBLES, offsetof(WorkPhase, vt)}, \
-    {"chunk", F_LONG, offsetof(WorkPhase, chunk)}, \
-    {"thresh", F_LONG, offsetof(WorkPhase, thresh)}, \
-    {"limit", F_LONG, offsetof(WorkPhase, limit)}
+/* -- WorkPhase ------------------------------------------------------ */
+
+static const PhaseField WorkPhase_fields[] = {
+    {"sim", F_OBJ, offsetof(WorkPhaseObject, sim)},
+    {"local", F_OBJ, offsetof(WorkPhaseObject, local), &PyList_Type},
+    {"shared", F_OBJ, offsetof(WorkPhaseObject, shared)},
+    {"shared_append", F_OBJ, offsetof(WorkPhaseObject, shared_append)},
+    {"shared_pop", F_OBJ, offsetof(WorkPhaseObject, shared_pop)},
+    {"stack", F_OBJ, offsetof(WorkPhaseObject, stack)},
+    {"st_dict", F_OBJ, offsetof(WorkPhaseObject, st_dict), &PyDict_Type},
+    {"enter_cb", F_OBJ, offsetof(WorkPhaseObject, enter_cb)},
+    {"exit_cb", F_OBJ, offsetof(WorkPhaseObject, exit_cb)},
+    {"tree", F_OBJ, offsetof(WorkPhaseObject, tv.tree)},
+    {"delta", F_BUFFER, offsetof(WorkPhaseObject, tv.delta)},
+    {"size", F_BUFFER, offsetof(WorkPhaseObject, tv.size)},
+    {"visit_costs", F_DOUBLES, offsetof(WorkPhaseObject, vt)},
+    {"chunk", F_LONG, offsetof(WorkPhaseObject, chunk)},
+    {"thresh", F_LONG, offsetof(WorkPhaseObject, thresh)},
+    {"limit", F_LONG, offsetof(WorkPhaseObject, limit)},
+    {"req_slot", F_OPT, offsetof(WorkPhaseObject, req_slot)},
+    {"poll", F_OPT, offsetof(WorkPhaseObject, poll)},
+    {"pending", F_OPT, offsetof(WorkPhaseObject, pending), &PyList_Type},
+    {"wa", F_OPT, offsetof(WorkPhaseObject, wa)},
+    {"no_work", F_OPT, offsetof(WorkPhaseObject, no_work)},
+    {"fifo", F_OPT, offsetof(WorkPhaseObject, fifo)},
+    {"queue", F_OPT, offsetof(WorkPhaseObject, queue)},
+    {"queue_append", F_OPT, offsetof(WorkPhaseObject, queue_append)},
+    {"queue_popleft", F_OPT, offsetof(WorkPhaseObject, queue_popleft)},
+    {"ev_name", F_OPT, offsetof(WorkPhaseObject, ev_name)},
+    {"lock_to", F_DOUBLE, offsetof(WorkPhaseObject, lock_to)},
+    {"barrier_dict", F_OPT, offsetof(WorkPhaseObject, barrier_dict),
+     &PyDict_Type},
+    {"reset_cost", F_DOUBLE, offsetof(WorkPhaseObject, reset_cost)},
+    {"home_occupancy", F_DOUBLE, offsetof(WorkPhaseObject, home_occupancy)},
+    {NULL}
+};
 
 static const char *
 work_check(PhaseHead *self)
 {
-    WorkPhase *w = (WorkPhase *)self;
+    WorkPhaseObject *w = (WorkPhaseObject *)self;
     if (w->vt.n < w->limit + 1 || w->limit < 1 || w->chunk < 1
             || w->thresh < 1)
         return "bad phase bounds";
+    if (w->poll != NULL && w->pending == NULL)
+        return "poll needs the pending list it probes";
+    if (w->wa != NULL && w->no_work == NULL)
+        return "wa needs the no_work sentinel it is poked with at exit";
+    if (w->fifo != NULL && (w->queue == NULL || w->queue_append == NULL
+                            || w->queue_popleft == NULL
+                            || w->ev_name == NULL))
+        return "fifo needs its queue, the queue's bound methods and ev_name";
+    if (w->barrier_dict != NULL && w->fifo == NULL)
+        return "barrier_dict needs the fifo whose releases reset it";
     return NULL;
 }
 
-/* -- LockPhase ------------------------------------------------------ */
+PHASE_TYPE(WorkPhase, NULL,
+           "Fused Working state (AlgorithmBase.working_phase, fault-free)");
 
-static const PhaseField LockPhase_fields[] = {
-    WORK_FIELDS,
-    {"wa", F_OBJ, offsetof(LockPhaseObject, wa)},
-    {"fifo", F_OBJ, offsetof(LockPhaseObject, fifo)},
-    {"queue", F_OBJ, offsetof(LockPhaseObject, queue)},
-    {"queue_append", F_OBJ, offsetof(LockPhaseObject, queue_append)},
-    {"queue_popleft", F_OBJ, offsetof(LockPhaseObject, queue_popleft)},
-    {"ev_name", F_OBJ, offsetof(LockPhaseObject, ev_name)},
-    {"barrier_dict", F_OPT, offsetof(LockPhaseObject, barrier_dict),
-     &PyDict_Type},
-    {"lock_to", F_DOUBLE, offsetof(LockPhaseObject, lock_to)},
-    {"reset_cost", F_DOUBLE, offsetof(LockPhaseObject, reset_cost)},
-    {"home_occupancy", F_DOUBLE, offsetof(LockPhaseObject, home_occupancy)},
-    {NULL}
-};
-
-PHASE_TYPE(LockPhase, NULL,
-           "Fused working-phase state machine for LockBasedAlgorithm");
-
-static const PhaseDesc LockPhase_desc = {
-    "LockPhase", &LockPhase_Type, LockPhase_fields, lock_run, work_check,
-    offsetof(WorkPhase, enter_cb), offsetof(WorkPhase, exit_cb)
-};
-
-/* -- OwnerPhase ----------------------------------------------------- */
-
-static const PhaseField OwnerPhase_fields[] = {
-    WORK_FIELDS,
-    {"wa", F_OPT, offsetof(OwnerPhaseObject, wa)},
-    {"no_work", F_OBJ, offsetof(OwnerPhaseObject, no_work)},
-    {"req_slot", F_OPT, offsetof(OwnerPhaseObject, req_slot)},
-    {"poll", F_OPT, offsetof(OwnerPhaseObject, poll)},
-    {"pending", F_OPT, offsetof(OwnerPhaseObject, pending), &PyList_Type},
-    {NULL}
-};
-
-static const char *
-owner_check(PhaseHead *self)
-{
-    OwnerPhaseObject *op = (OwnerPhaseObject *)self;
-    if (op->poll != NULL && op->pending == NULL)
-        return "poll needs the pending list it probes";
-    return work_check(self);
-}
-
-PHASE_TYPE(OwnerPhase, NULL,
-           "Fused owner-only working phase (upc-distmem / mpi-ws)");
-
-static const PhaseDesc OwnerPhase_desc = {
-    "OwnerPhase", &OwnerPhase_Type, OwnerPhase_fields, owner_run, owner_check,
-    offsetof(WorkPhase, enter_cb), offsetof(WorkPhase, exit_cb)
+static const PhaseDesc WorkPhase_desc = {
+    "WorkPhase", &WorkPhase_Type, WorkPhase_fields, work_run, work_check,
+    offsetof(WorkPhaseObject, enter_cb), offsetof(WorkPhaseObject, exit_cb)
 };
 
 /* -- SearchPhase ---------------------------------------------------- */
@@ -2220,9 +2086,8 @@ static const PhaseDesc OwnerPhase_desc = {
 static const PhaseField SearchPhase_fields[] = {
     {"sim", F_OBJ, offsetof(SearchPhaseObject, sim)},
     {"st_dict", F_OBJ, offsetof(SearchPhaseObject, st_dict), &PyDict_Type},
-    {"cycle", F_OBJ, offsetof(SearchPhaseObject, cycle)},
-    {"segments", F_OPT, offsetof(SearchPhaseObject, segments), &PyList_Type},
-    {"getrandbits", F_OPT, offsetof(SearchPhaseObject, getrandbits)},
+    {"segments", F_OBJ, offsetof(SearchPhaseObject, segments), &PyList_Type},
+    {"getrandbits", F_OBJ, offsetof(SearchPhaseObject, getrandbits)},
     {"row", F_OBJ, offsetof(SearchPhaseObject, row), &PyList_Type},
     {"slots", F_OBJ, offsetof(SearchPhaseObject, slots), &PyList_Type},
     {"req_slot", F_OPT, offsetof(SearchPhaseObject, req_slot)},
@@ -2240,12 +2105,8 @@ search_check(PhaseHead *self)
 {
     SearchPhaseObject *sp = (SearchPhaseObject *)self;
     Py_ssize_t si;
-    if (!PyCallable_Check(sp->cycle))
-        return "cycle must be callable";
-    if (sp->segments == NULL)
-        return NULL;
-    if (sp->getrandbits == NULL || !PyCallable_Check(sp->getrandbits))
-        return "segments need a getrandbits callable";
+    if (!PyCallable_Check(sp->getrandbits))
+        return "getrandbits must be callable";
     for (si = 0; si < PyList_GET_SIZE(sp->segments); si++)
         if (!PyList_CheckExact(PyList_GET_ITEM(sp->segments, si)))
             return "segments must be a list of lists";
@@ -2326,15 +2187,14 @@ static const PhaseDesc IdlePhase_desc = {
 };
 
 static const PhaseDesc *const phase_descs[] = {
-    &LockPhase_desc, &OwnerPhase_desc, &SearchPhase_desc, &IdlePhase_desc,
-    NULL
+    &WorkPhase_desc, &SearchPhase_desc, &IdlePhase_desc, NULL
 };
 
 static const PhaseDesc *
 phase_desc_of(PyTypeObject *type)
 {
     const PhaseDesc *const *d = phase_descs;
-    while ((*d)->type != type)  /* only the four types call this */
+    while ((*d)->type != type)  /* only the three types call this */
         d++;
     return *d;
 }

@@ -275,7 +275,7 @@ _TIME_KEYS = {
 _UNITS = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 
 
-def _parse_float(key: str, raw: str) -> float:
+def _parse_float(key: str, raw: str, grammar: str = "fault spec") -> float:
     scale = 1.0
     text = raw
     for suffix in ("ns", "us", "ms", "s"):
@@ -290,7 +290,7 @@ def _parse_float(key: str, raw: str) -> float:
     try:
         return float(text) * scale
     except ValueError:
-        raise ConfigError(f"fault spec: {key}={raw!r} is not a number") from None
+        raise ConfigError(f"{grammar}: {key}={raw!r} is not a number") from None
 
 
 def _parse_storm(item: str) -> StormSpec:

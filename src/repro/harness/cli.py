@@ -15,6 +15,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.errors import ConfigError
 from repro.harness import figures
 from repro.harness.config import SCALES
 from repro.harness.io import save_csv, save_json
@@ -341,7 +342,17 @@ def _run_figure(name: str, args: argparse.Namespace,
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ConfigError as exc:
+        # Bad input, named: usage plus ``repro-uts: error: ...``, exit
+        # status 2.  Anything else is a bug and keeps its traceback.
+        parser.error(str(exc))
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     cmd = args.command
     if cmd == "run":
         return _run_single(args)

@@ -150,5 +150,5 @@ def parse_arrival_spec(spec: str) -> ArrivalProcess:
             raise ConfigError(
                 f"arrival spec item {item!r} must be key=value with key "
                 f"in {sorted(keys)}")
-        kwargs[keys[key]] = _parse_float(key, raw.strip())
+        kwargs[keys[key]] = _parse_float(key, raw.strip(), "arrival spec")
     return ArrivalProcess(**kwargs)

@@ -106,8 +106,8 @@ class AlgorithmBase:
     #: victim's lock, so a victim has nothing to poll.
     request = None
     # The switches of :meth:`working_phase`, read once before the loop
-    # starts (the compiled phases take the same four as constructor
-    # arguments); ``request`` above is one kind of poll point (a).
+    # starts (:meth:`_build_c_phase` hands (a)-(c) to the compiled
+    # phase); ``request`` above is one kind of poll point (a).
     #: (a) The other kind (``mpi-ws``): ``_mail(rank)`` returns the
     #: rank's mailbox heap and a taker of arrived working-time
     #: messages, each handled by ``_working_msg(ctx, msg)``.
@@ -123,8 +123,6 @@ class AlgorithmBase:
     #: (d) Owner-side ``hook(rank, releasing)`` run between a stack move
     #: and its ``work_avail`` publish (``ws-fencefree``'s put/take).
     _after_move = None
-    #: Binder of the compiled working phase, where a protocol has one.
-    _build_c_phase = None
 
     def __init__(self, machine: Machine, tree: Tree, cfg: WsConfig) -> None:
         self.machine = machine
@@ -874,52 +872,49 @@ class AlgorithmBase:
         return self._fusable()
 
     def _fusable(self) -> bool:
-        """The protocol's own fusion gates: it binds a compiled working
-        phase, and that phase is the whole of its Working state -- the
-        C loops take switches (a)-(c) but know no after-move hook, and
-        a subclass that replaces :meth:`working_phase` keeps its own."""
-        return (self._build_c_phase is not None
-                and self._after_move is None
+        """The protocol's own fusion gates, stated from the switches:
+        the compiled phase takes (a)-(c) but knows no after-move hook,
+        and a subclass that replaces :meth:`working_phase` keeps its
+        own."""
+        return (self._after_move is None
                 and type(self).working_phase is AlgorithmBase.working_phase)
 
     def _compiled(self, build, rank: int):
         """``build(rank)`` -- one of the ``_build_c_*`` binders -- once
         per rank: a compiled phase is bound to that rank's objects and
-        reused across episodes."""
+        reused across episodes.  None when the binder declines."""
         key = (build.__name__, rank)
         ph = self._c_phases.get(key)
-        if ph is None:
-            ph = self._c_phases[key] = build(rank)
+        if ph is None and (ph := build(rank)) is not None:
+            self._c_phases[key] = ph
         return ph
 
-    def _c_phase_args(self, rank: int, poke_enter: bool,
-                      poke_exit: bool) -> dict:
-        """The arguments every compiled working phase takes: the rank's
-        stack containers, counters and tree, and the callbacks for
-        ``working_phase``'s entry and exit (state timer, plus the
-        ``work_avail`` poke where the generator makes one there).
+    def _build_c_phase(self, rank: int):
+        """Bind one ``repro.fastpath._core.WorkPhase`` to this rank: its
+        stack containers, counters and tree, and switches (a)-(c) read
+        exactly as :meth:`working_phase` reads them, None meaning off.
+        The phase makes both ``work_avail`` pokes around the loop
+        itself; the callbacks are the two state-timer transitions.
 
         The costs handed over are the exact floats the generator's
         precomputed Timeouts carry (``Timeout.delay`` read back, not
         recomputed), so the C phase schedules the identical timestamps.
         """
+        from repro.fastpath import load_core
         sim = self.sim
         stack = self.stacks[rank]
         st = self.stats[rank]
-        timer = st.timer
-        wa = self.work_avail[rank]
-
-        def enter_cb() -> None:
-            timer.enter(WORKING, sim.now)
-            if poke_enter:
-                wa.poke(stack.shared_chunks)
-
-        def exit_cb() -> None:
-            if poke_exit:
-                wa.poke(NO_WORK)
-            timer.enter(SEARCHING, sim.now)
-
-        return dict(
+        enter = st.timer.enter
+        pending, poll = (self._mail(rank) if self._mail is not None
+                         else (None, None))
+        fifo = queue = lock_to = barrier = None
+        if self._own_lock is not None:
+            lk, lock_to = self._own_lock[rank]
+            fifo = lk.fifo
+            queue = fifo._queue
+            if self._after_release_hook:  # the stock one: see _fusable
+                barrier = self._termination.barrier
+        return load_core().WorkPhase(
             sim=sim,
             local=stack.local,
             shared=stack.shared,
@@ -927,8 +922,8 @@ class AlgorithmBase:
             shared_pop=stack.shared.pop,
             stack=stack,
             st_dict=st.__dict__,
-            enter_cb=enter_cb,
-            exit_cb=exit_cb,
+            enter_cb=lambda: enter(WORKING, sim.now),
+            exit_cb=lambda: enter(SEARCHING, sim.now),
             tree=self.tree,
             delta=self.tree.delta,
             size=self.tree.size,
@@ -936,41 +931,45 @@ class AlgorithmBase:
             chunk=self.cfg.chunk_size,
             thresh=self._release_threshold,
             limit=self._poll_interval,
+            req_slot=self.request[rank] if self.request is not None else None,
+            poll=poll,
+            pending=pending,
+            wa=self._wa_slots[rank] if self._publishes_avail else None,
+            no_work=NO_WORK,
+            fifo=fifo,
+            queue=queue,
+            queue_append=queue.append if fifo is not None else None,
+            queue_popleft=queue.popleft if fifo is not None else None,
+            ev_name=fifo._ev_name if fifo is not None else None,
+            lock_to=lock_to.delay if lock_to is not None else -1.0,
+            barrier_dict=barrier.__dict__ if barrier is not None else None,
+            reset_cost=self.net.shared_ref(rank, 0),
+            home_occupancy=self.net.home_occupancy,
         )
-
-    def _probe_segments(self, rank: int):
-        """The rank's probe order as victim segments, for the compiled
-        search phase's native shuffle.
-
-        Returns ``(segments, getrandbits)`` -- each ``cycle()`` is
-        ``shuffled(seg) for seg in segments``, concatenated, and the
-        shuffles replay the stream draw-for-draw -- or ``(None, None)``
-        when the probe order does not state its victims that way or its
-        stream has no ``getrandbits`` (the C phase then calls
-        ``cycle()``)."""
-        po = self.probe_orders[rank]
-        getrandbits = getattr(po, "getrandbits", None)
-        if getrandbits is None or type(po).cycle is not ProbeOrder.cycle:
-            return None, None
-        return po.segments(), getrandbits
 
     def _build_c_search(self, rank: int):
         """Bind one ``repro.fastpath._core.SearchPhase`` to this rank's
-        probe order, cost row, work-avail slots, and poll slot.
+        probe order, cost row, work-avail slots, and poll slot -- or
+        None (the generator search runs) when the probe order does not
+        state its victims as segments over a ``getrandbits`` stream.
 
-        ``cycle`` is the rank's own :meth:`ProbeOrder.cycle`, so the C
-        loop consumes the RNG stream exactly as the generator's ``for
-        victim in cycle()`` would; ``slow`` folds in the per-thread
-        compute multiplier the same way ``ctx.compute`` does.  A
-        ``req_slot`` makes the C round-top test the request variable
-        and bounce ``True`` for :meth:`service_request`.
+        Each ``cycle()`` is ``shuffled(seg) for seg in segments``,
+        concatenated, and the C shuffles replay the stream
+        draw-for-draw; ``slow`` folds in the per-thread compute
+        multiplier the same way ``ctx.compute`` does.  A ``req_slot``
+        makes the C round-top test the request variable and bounce
+        ``True`` for :meth:`service_request`.
         """
         from repro.fastpath import load_core
-        segments, getrandbits = self._probe_segments(rank)
+        po = self.probe_orders[rank]
+        getrandbits = getattr(po, "getrandbits", None)
+        if getrandbits is None or type(po).cycle is not ProbeOrder.cycle:
+            return None
         return load_core().SearchPhase(
             sim=self.sim,
             st_dict=self.stats[rank].__dict__,
-            cycle=self.probe_orders[rank].cycle,
+            segments=po.segments(),
+            getrandbits=getrandbits,
             row=self._ref_row(rank),
             slots=self._wa_slots,
             req_slot=(self.request[rank] if self.request is not None
@@ -980,8 +979,6 @@ class AlgorithmBase:
             backoff_max=self.cfg.search_backoff_max,
             slow=self.machine.contexts[rank]._slow,
             persist=self._termination.persist_while_working,
-            segments=segments,
-            getrandbits=getrandbits,
         )
 
     def _search_fused(self, ctx: UpcContext, phase) -> Generator:
@@ -1075,11 +1072,12 @@ class AlgorithmBase:
         now = self.machine.now
         for st in self.stats:
             st.timer.finish(now)
-        for stack in self.stacks:
+        for rank, stack in enumerate(self.stacks):
             if not stack.is_empty:
                 raise ProtocolError(
-                    f"{self.name}: stack of T{stack!r} non-empty after "
-                    "termination (work lost in protocol)"
+                    f"{self.name}: stack of T{rank} non-empty after "
+                    f"termination ({stack.total_nodes} node(s) lost in "
+                    "protocol)"
                 )
 
     @property

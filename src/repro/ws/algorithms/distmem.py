@@ -34,7 +34,7 @@ from typing import Generator, List, Optional
 
 from repro.pgas.machine import UpcContext
 from repro.sim.engine import SimEvent, Timeout
-from repro.ws.algorithms.base import NO_WORK, AlgorithmBase, flatten
+from repro.ws.algorithms.base import AlgorithmBase, flatten
 from repro.ws.policies import steal_half
 
 __all__ = ["UpcDistMem", "UpcDistMemHier"]
@@ -261,28 +261,6 @@ class UpcDistMem(AlgorithmBase):
         it out of the termination barrier."""
         super().on_thread_death(rank)
         self.response_events[rank] = None
-
-    # -- compiled working-phase fusion (repro.fastpath) -----------------------
-
-    def _build_c_phase(self, rank: int):
-        """Bind one ``repro.fastpath._core.OwnerPhase`` to this rank's
-        lock-less stack, request slot, and counters.
-
-        ``req_slot`` makes the C loop test our request variable at
-        every poll point and bounce to :meth:`service_request`; there
-        is no message endpoint, so ``poll``/``pending`` stay None.  The
-        exit NO_WORK poke and the racing-request denial run in C / via
-        the bounce, so only the entry callback pokes ``work_avail``.
-        """
-        from repro.fastpath import load_core
-        return load_core().OwnerPhase(
-            **self._c_phase_args(rank, poke_enter=True, poke_exit=False),
-            wa=self.work_avail[rank],
-            no_work=NO_WORK,
-            req_slot=self.request[rank],
-            poll=None,
-            pending=None,
-        )
 
 
 class UpcDistMemHier(UpcDistMem):

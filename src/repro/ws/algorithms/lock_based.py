@@ -60,10 +60,10 @@ class LockBasedAlgorithm(AlgorithmBase):
     # -- compiled working-phase fusion (repro.fastpath) -----------------------
 
     def _fusable(self) -> bool:
-        """The LockPhase mirrors :meth:`working_phase` under switch (c)
-        with at most the stock cancelable barrier's release-reset, so
-        an ``after_release`` override or a custom termination detector
-        keeps the generator."""
+        """Behind switch (c) the compiled phase knows at most the stock
+        cancelable barrier's release-reset, so an ``after_release``
+        override or a custom termination detector keeps the
+        generator."""
         if (not super()._fusable() or type(self).after_release
                 is not LockBasedAlgorithm.after_release):
             return False
@@ -78,33 +78,6 @@ class LockBasedAlgorithm(AlgorithmBase):
             return (type(term) is CancelableBarrierTermination
                     and type(term.barrier) is CancelableBarrier)
         return True
-
-    def _build_c_phase(self, rank: int):
-        """Bind one ``repro.fastpath._core.LockPhase`` to this rank's
-        stack, own-stack lock, and counters (entry and exit both poke
-        ``work_avail``, as :meth:`working_phase` does)."""
-        from repro.fastpath import load_core
-        lk, lock_to = self._own_lock[rank]
-        fifo = lk.fifo
-        if self._after_release_hook:
-            barrier_dict = self._termination.barrier.__dict__
-            reset_cost = self.net.shared_ref(rank, 0)
-        else:
-            barrier_dict = None
-            reset_cost = 0.0
-        return load_core().LockPhase(
-            **self._c_phase_args(rank, poke_enter=True, poke_exit=True),
-            wa=self.work_avail[rank],
-            fifo=fifo,
-            queue=fifo._queue,
-            queue_append=fifo._queue.append,
-            queue_popleft=fifo._queue.popleft,
-            ev_name=fifo._ev_name,
-            barrier_dict=barrier_dict,
-            lock_to=lock_to.delay if lock_to is not None else -1.0,
-            reset_cost=reset_cost,
-            home_occupancy=self.net.home_occupancy,
-        )
 
     # -- the generic own-lock transactions ------------------------------------
 

@@ -671,28 +671,6 @@ class MpiWorkStealing(AlgorithmBase):
 
     # -- compiled phase fusion (repro.fastpath) -------------------------------
 
-    def _build_c_phase(self, rank: int):
-        """Bind one ``repro.fastpath._core.OwnerPhase`` to this rank's
-        endpoint, mailbox, and counters.
-
-        ``poll``/``pending`` make the C loop mirror the generator's
-        ``while (msg := iprobe(tags)) is not None`` polling point --
-        the mailbox-empty / head-not-yet-arrived fast path is tested
-        inline in C, and only an actual delivery calls back into
-        Python.  No ``wa``/``req_slot``: mpi-ws has neither the
-        work_avail protocol nor a request variable.
-        """
-        from repro.fastpath import load_core
-        pending, poll = self._mail(rank)
-        return load_core().OwnerPhase(
-            **self._c_phase_args(rank, poke_enter=False, poke_exit=False),
-            wa=None,
-            no_work=None,
-            req_slot=None,
-            poll=poll,
-            pending=pending,
-        )
-
     def _build_c_idle(self, rank: int):
         """Bind one ``repro.fastpath._core.IdlePhase`` to this rank's
         mailbox heap: the backoff polls between messages run in C and

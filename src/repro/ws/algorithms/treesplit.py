@@ -66,6 +66,11 @@ class TreeSplit(AlgorithmBase):
         #: round number -> SimEvent the waiters of that round park on.
         self._round_events: dict = {}
 
+    def _fusable(self) -> bool:
+        """Rounds call ``explore_batch`` directly: there is no Working
+        state for a compiled phase to stand in for."""
+        return False
+
     def thread_main(self, ctx) -> Generator:
         rank = ctx.rank
         stack = self.stacks[rank]

@@ -6,8 +6,8 @@ reference implementations' behaviour (release threshold of ``2k``,
 MPI-style polling interval, and the search/barrier backoff the
 simulation uses in place of hardware spin loops).
 
-Since the policy split (ROADMAP item 4), the config also carries the
-registry-backed plug-in keys -- ``steal_policy``, ``victim_policy``,
+Since the policy split, the config also carries the registry-backed
+plug-in keys -- ``steal_policy``, ``victim_policy``,
 ``termination_policy`` -- plus the scenario knobs ``speed_factors``
 (heterogeneous per-rank visit costs) and ``adversaries`` (hostile
 worker actors).  All of them validate eagerly in ``__post_init__``

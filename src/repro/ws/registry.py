@@ -1,7 +1,7 @@
 """String-keyed policy registries: the work-stealing plug-in points.
 
-The policy split (ROADMAP item 4) makes three axes of every algorithm
-orthogonal, config-driven plug-ins:
+The policy split makes three axes of every algorithm orthogonal,
+config-driven plug-ins:
 
 * **steal amount** -- how many chunks a thief takes
   (:data:`STEAL_AMOUNTS`: ``"one"``, ``"half"``, ``"all"``);

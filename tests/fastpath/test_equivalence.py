@@ -6,20 +6,25 @@ final simulated clock must match the pure-Python loops exactly.  These
 tests run each work-stealing variant once per backend on a small
 materialized tree and compare everything a run reports, plus one
 park-mode cell (event-driven idling bypasses the fused phases but
-still dispatches through the compiled run loop) and one open-system
-service cell.
+still dispatches through the compiled run loop), one open-system
+service cell, and one cell on a machine whose shared references and
+locks cost nothing (the zero-cost shortcuts of the compiled phases).
 
 All tests are skipped when the extension is not built -- the pure
 backend is then the only backend, and `test_selection.py` covers that
 degradation.
 """
 
+import dataclasses
+
 import pytest
 
 import repro.fastpath as fp
 from repro.harness.config import T1_QUICK
 from repro.harness.runner import run_experiment
+from repro.net.presets import get_preset
 from repro.uts.materialized import materialize
+from repro.uts.params import TreeParams
 from repro.ws.config import WsConfig
 
 pytestmark = pytest.mark.skipif(
@@ -49,9 +54,9 @@ def tree():
     return materialize(T1_QUICK)
 
 
-def run_snapshot(algo, tree, backend, **kw):
+def run_snapshot(algo, tree, backend, threads=16, **kw):
     """Everything a run reports that is a function of the schedule."""
-    r = run_experiment(algo, tree, 16, seed=0, fastpath=backend, **kw)
+    r = run_experiment(algo, tree, threads, seed=0, fastpath=backend, **kw)
     per = [
         (s.nodes_visited, s.probes, s.steal_attempts, s.steals_ok,
          s.requests_granted, s.requests_denied, s.releases,
@@ -76,11 +81,32 @@ def test_park_mode_bit_identical(tree):
     assert fast == pure
 
 
+#: A machine where a shared reference, a lock round trip and the
+#: barrier's home occupancy are all free: every rank's ``lock_to`` is
+#: negative and ``reset_cost`` zero in the working phase, and every
+#: probe-cost and steal-cost push of the search phase takes its
+#: zero-cost shortcut -- blocks no other tier-1 or ledger cell executes.
+FREE_REFERENCES = dataclasses.replace(
+    get_preset("sharedmem"), local_shared_ref=0, remote_shared_ref=0,
+    lock_overhead=0, home_occupancy=0)
+
+
+@pytest.mark.parametrize("algo", [v for v in VARIANTS
+                                  if v != "upc-distmem-hier"])
+def test_free_references_bit_identical(algo):
+    small = TreeParams.binomial(b0=64, q=0.48, seed=1)
+    kw = dict(threads=8, net=FREE_REFERENCES, chunk_size=2)
+    pure = run_snapshot(algo, small, "pure", **kw)
+    assert pure[1] > 900  # a schedule, not a degenerate run
+    assert run_snapshot(algo, small, "fast", **kw) == pure
+
+
 def test_stream_without_getrandbits_falls_back_to_cycle(tree, monkeypatch):
-    """The compiled search phase shuffles natively only when the probe
-    order hands it segments plus the stream's public ``getrandbits``;
-    over a stream that has none it calls ``cycle()`` per round -- same
-    draws either way, so the schedule must not move."""
+    """The compiled search phase has one victim source: the probe
+    order's segments, shuffled natively over the stream's public
+    ``getrandbits``.  Over a stream that has none, no ``SearchPhase``
+    is bound and the generator search calls ``cycle()`` per round --
+    same draws either way, so the schedule must not move."""
     from repro.ws.algorithms.base import AlgorithmBase
     from repro.ws.policies import ProbeOrder
     from repro.ws.registry import VICTIM_POLICIES
@@ -92,15 +118,16 @@ def test_stream_without_getrandbits_falls_back_to_cycle(tree, monkeypatch):
 
     stock = run_snapshot("upc-distmem", tree, "fast", chunk_size=8)
     bound = []
-    real = AlgorithmBase._probe_segments
+    real = AlgorithmBase._build_c_search
     monkeypatch.setattr(
-        AlgorithmBase, "_probe_segments",
+        AlgorithmBase, "_build_c_search",
         lambda self, rank: bound.append(real(self, rank)) or bound[-1])
     monkeypatch.setitem(
         VICTIM_POLICIES._entries, "uniform",
         lambda rank, n, rng, net: ProbeOrder(rank, n, OpaqueStream(rng)))
     assert run_snapshot("upc-distmem", tree, "fast", chunk_size=8) == stock
-    assert bound and all(b == (None, None) for b in bound)
+    # asked once per rank (so the run fused), declined every time
+    assert len(bound) == 16 and all(b is None for b in bound)
 
 
 def test_service_mode_bit_identical():

@@ -1,6 +1,8 @@
 """The compiled phase types' object lifecycle: one table-driven
 ``tp_init`` / ``tp_traverse`` / ``tp_clear`` / ``tp_dealloc`` in
-``_core.c`` serves all four, so every check here runs on all four.
+``_core.c`` serves all three, so every check here runs on all three --
+the one ``WorkPhase`` as a locked, a slot-polling and a mailbox-polling
+variant bind it.
 
 Each phase is built with exactly the keywords its algorithm's own
 ``_build_c_*`` binder passes (captured by standing in for
@@ -14,8 +16,10 @@ callers and the contract under test is theirs:
   calls took ``IdlePhase``'s ``pending`` from 4 references to 1,004,
   and the working phases re-exported ``delta`` / ``size`` over the held
   buffers, so the arrays could never be resized again);
-* a missing or an unknown keyword is a ``TypeError`` naming it, and a
-  construction that fails half-way leaks nothing.
+* a missing or an unknown keyword is a ``TypeError`` naming it, a
+  switch handed over without the members it needs is a ``ValueError``
+  naming the rule, and a construction that fails half-way leaks
+  nothing.
 
 Skipped when the extension is not built.
 """
@@ -42,9 +46,9 @@ TREE = TreeParams.binomial(b0=64, q=0.48, seed=1)
 
 #: (variant, binder, phase type): the five constructor call sites.
 BINDERS = [
-    ("upc-sharedmem", "_build_c_phase", "LockPhase"),
-    ("upc-distmem", "_build_c_phase", "OwnerPhase"),
-    ("mpi-ws", "_build_c_phase", "OwnerPhase"),
+    ("upc-sharedmem", "_build_c_phase", "WorkPhase"),
+    ("upc-distmem", "_build_c_phase", "WorkPhase"),
+    ("mpi-ws", "_build_c_phase", "WorkPhase"),
     ("upc-distmem", "_build_c_search", "SearchPhase"),
     ("mpi-ws", "_build_c_idle", "IdlePhase"),
 ]
@@ -76,16 +80,19 @@ class CapturingCore:
         return capture
 
 
-@pytest.fixture(params=BINDERS, ids=IDS)
-def bound(request, monkeypatch):
+def capture(monkeypatch, variant, binder, kind):
     """``(phase type, keywords, keep-alive)`` for one call site."""
-    variant, binder, kind = request.param
     machine, algo = build(variant)
     core = CapturingCore()
     with monkeypatch.context() as mp:
         mp.setattr(fp, "load_core", lambda: core)
         getattr(algo, binder)(1)
     return getattr(fp.load_core(), kind), core.kwargs, (machine, algo)
+
+
+@pytest.fixture(params=BINDERS, ids=IDS)
+def bound(request, monkeypatch):
+    return capture(monkeypatch, *request.param)
 
 
 def held(kwargs):
@@ -153,9 +160,30 @@ def test_bad_keywords_are_named_and_leak_nothing(bound):
     assert refcounts(objs) == baseline
 
 
+@pytest.mark.parametrize("variant, without, rule", [
+    ("mpi-ws", "pending", "poll needs the pending list"),
+    ("upc-distmem", "no_work", "wa needs the no_work sentinel"),
+    ("upc-sharedmem", "queue", "fifo needs its queue"),
+    ("upc-sharedmem", "fifo", "barrier_dict needs the fifo"),
+])
+def test_half_stated_switch_is_refused_and_leaks_nothing(
+        monkeypatch, variant, without, rule):
+    """A switch of the Working state is a member group: the variant's
+    own keywords with one member of a group taken away must not
+    construct."""
+    cls, kwargs, _alive = capture(monkeypatch, variant, "_build_c_phase",
+                                  "WorkPhase")
+    assert kwargs[without] is not None
+    objs = held(kwargs)
+    baseline = refcounts(objs)
+    with pytest.raises(ValueError, match=rule):
+        cls(**dict(kwargs, **{without: None}))
+    assert refcounts(objs) == baseline
+
+
 @pytest.mark.parametrize("variant, kind", [
-    ("upc-sharedmem", "LockPhase"),
-    ("upc-distmem", "OwnerPhase"),
+    ("upc-sharedmem", "WorkPhase"),
+    ("upc-distmem", "WorkPhase"),
     ("upc-term", "SearchPhase"),
     ("mpi-ws", "IdlePhase"),
 ])

@@ -267,13 +267,13 @@ def test_plain_run_on_tree_params_fuses(clean_env):
 
 # -- which protocols fuse ----------------------------------------------
 #
-# With one ``working_phase`` for every protocol, "the subclass did not
-# override it" no longer says which protocols the compiled phases
-# mirror: the gate is stated positively -- the protocol binds a
-# compiled phase and sets no after-move hook -- and this matrix pins
-# it.  The fence-free row is the one a naive merge gets wrong: it has
-# the same (inherited) loop as everyone else, and the C LockPhase knows
-# nothing of its era log.
+# With one ``working_phase`` and one compiled ``WorkPhase`` for every
+# protocol, the gate is stated from the loop's switches -- no
+# after-move hook, the loop not replaced, at most the stock
+# after-release -- and this matrix pins it.  The fence-free row is the
+# one a naive merge gets wrong: it has the same (inherited) loop and
+# binder as everyone else, and the C WorkPhase knows nothing of its era
+# log.
 
 from repro.ws.algorithms import ALGORITHMS  # noqa: E402
 from repro.ws.algorithms.distmem import UpcDistMem  # noqa: E402

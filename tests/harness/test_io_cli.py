@@ -64,3 +64,38 @@ class TestCli:
         assert main(["ablation", "--scale", "test"]) == 0
         assert "sharedmem -> distmem" in capsys.readouterr().out.replace(
             "upc-", "")
+
+    @pytest.mark.parametrize("argv, named", [
+        (["run", "--algorithm", "upc-distmem", "--threads", "0"], "threads"),
+        (["run", "--chunk-size", "0"], "chunk_size"),
+        (["run", "--faults", "kill=x"], "fault spec: kill='x'"),
+        (["run", "--idle-strategy", "park", "--faults", "drop=0.1"],
+         "fail-stop faults only"),
+        (["serve", "--arrivals", "poisson:rate=abc"],
+         "arrival spec: rate='abc' is not a number"),
+    ], ids=["threads", "chunk-size", "fault-spec", "park-faults", "arrivals"])
+    def test_bad_input_is_a_named_error_not_a_traceback(self, capsys, argv,
+                                                        named):
+        """Exit status 2 and one ``repro-uts: error:`` line, as for
+        argparse's own usage errors."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("repro-uts: error: ")
+        assert named in errors[0]
+
+    def test_a_bug_keeps_its_traceback(self, monkeypatch):
+        """Only ``ConfigError`` is bad input; a ``ProtocolError`` out of
+        a run is a defect and must not be dressed as a usage error."""
+        from repro.errors import ProtocolError
+        from repro.harness import cli
+
+        def broken(*args, **kwargs):
+            raise ProtocolError("work lost in protocol")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        with pytest.raises(ProtocolError, match="work lost"):
+            main(["run", "--threads", "2", "--b0", "30", "--q", "0.4"])

@@ -1,5 +1,6 @@
-"""Structural guards over ``src/repro/`` (AST only, no imports of the
-code under test beyond the one MRO check; well under a second).
+"""Structural guards over ``src/repro/`` (AST only -- ``_core.c`` is
+read as text -- with no imports of the code under test beyond the one
+MRO check; well under a second, no extension needed).
 
 Each assertion pins a property a past PR paid to establish, so the day
 a copy or an ungated format comes back every CI leg fails -- instead of
@@ -12,10 +13,15 @@ the next re-anchor finding it:
   (``docs/performance.md``, "engine hot path"): an untraced run must
   not format and throw away an f-string per event.
 * ``ws-fencefree`` has no locks, so it does not inherit the lock-based
-  machinery (and with it the compiled ``LockPhase`` binder).
+  machinery (and with it the lock-based fusion gate).
+* The compiled side has one Working state too: ``_core.c`` expands
+  three phase types, one ``_build_c_phase`` binds ``WorkPhase`` for
+  every protocol, and under ``ws/`` only the modules that own a binder
+  reach for the compiled core.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -26,16 +32,43 @@ def _modules():
         yield path, ast.parse(path.read_text(), filename=str(path))
 
 
-def test_one_working_phase_definition():
-    found = [
+def _definitions(name):
+    return [
         f"{path.relative_to(SRC)}:{node.lineno}"
         for path, tree in _modules()
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name == "working_phase"
+        and node.name == name
     ]
+
+
+def test_one_working_phase_definition():
+    found = _definitions("working_phase")
     assert len(found) == 1 and found[0].startswith("ws/algorithms/base.py:"), \
         found
+
+
+def test_one_compiled_working_phase_binder():
+    found = _definitions("_build_c_phase")
+    assert len(found) == 1 and found[0].startswith("ws/algorithms/base.py:"), \
+        found
+
+
+def test_three_compiled_phase_types():
+    core = (SRC / "fastpath" / "_core.c").read_text()
+    expanded = re.findall(r"^PHASE_TYPE\((\w+),", core, flags=re.MULTILINE)
+    assert expanded == ["WorkPhase", "SearchPhase", "IdlePhase"]
+
+
+def test_only_the_binders_load_the_compiled_core():
+    found = sorted({
+        str(path.relative_to(SRC / "ws"))
+        for path, tree in _modules() if (SRC / "ws") in path.parents
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "load_core"
+    })
+    assert found == ["algorithms/base.py", "algorithms/mpi_ws.py"]
 
 
 def _reads_enabled(test: ast.expr) -> bool:

@@ -106,8 +106,10 @@ class TestProtocolOracles:
 
     def test_finalize_rejects_leftover_work(self):
         algo = _algo()
+        algo.stacks[0].local.clear()
         algo.stacks[1].push(algo.tree.root())
-        with pytest.raises(ProtocolError, match="non-empty after"):
+        with pytest.raises(ProtocolError, match=r"stack of T1 non-empty "
+                           r"after termination \(1 node"):
             algo.finalize()
 
     def test_verify_rejects_wrong_count(self):

@@ -17,6 +17,13 @@ A line tracer scoped to the merged loop then proves the cells are not
 vacuous: the lock bracket, the contended acquire, the re-check a thief
 won, both kinds of poll point, the after-move hook and the generic
 faulted transaction are each crossed.
+
+ISSUE 20 did the same to the compiled side -- one ``WorkPhase`` in
+``_core.c`` where two hand-copied state machines stood -- so the same
+verbatim loops, run on the pure backend, are also the reference for the
+default ``fastpath="fast"`` run of every fusable variant (skipped when
+the extension is not built), with anti-vacuity read from counters the
+C code itself maintains.
 """
 
 import dataclasses
@@ -26,6 +33,7 @@ from typing import Generator
 
 import pytest
 
+import repro.fastpath as fp
 from repro import ALGORITHMS, TreeParams, WsConfig, run_experiment
 from repro.faults.plan import parse_fault_spec
 from repro.metrics.states import SEARCHING, WORKING
@@ -459,13 +467,15 @@ CELLS = [(variant, k, idle, faulted)
                  and POLL_PLANS[variant] == STALE)]
 
 
-def run(variant, chunk_size, idle, faults, traced):
-    # The reference loops are Python; pin the default run to the same
-    # backend so the comparison is loop against loop.
+def run_with_algo(variant, chunk_size, idle, faults, traced,
+                  fastpath="pure"):
+    # The reference loops are Python; the merged-loop cells pin the
+    # default run to the same backend so the comparison is loop against
+    # loop, and the compiled leg asks for the other one.
     spy = Spy(enabled=traced)
     cfg = WsConfig(chunk_size=chunk_size, idle_strategy=idle)
     kw = dict(threads=8, config=cfg, faults=faults, tracer=spy,
-              fastpath="pure")
+              fastpath=fastpath)
     if variant == "service-ws":
         result = run_service(SERVICE, seed=1, **kw)
     else:
@@ -485,7 +495,11 @@ def run(variant, chunk_size, idle, faults, traced):
         (result.lost_work, getattr(result, "dup_work", 0),
          result.fault_counters),
         spy.records,
-    )
+    ), algo
+
+
+def run(*cell, **kw):
+    return run_with_algo(*cell, **kw)[0]
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
@@ -506,6 +520,50 @@ def test_merged_loop_executes_the_copies_schedule(
     assert sum(use.values()) > before or variant == "tree-split", \
         "the reference loop never ran"
     assert reference == merged
+
+
+# -- the compiled Working state executes the copies' schedule too --------------
+
+FUSABLE = ["upc-sharedmem", "upc-term", "upc-term-rapdif", "upc-distmem",
+           "upc-distmem-hier", "mpi-ws"]
+
+
+@pytest.mark.skipif(not fp.available(),
+                    reason="compiled core not built on this host")
+@pytest.mark.parametrize("chunk_size", [2, 4], ids=["k2", "k4"])
+@pytest.mark.parametrize("variant", FUSABLE)
+def test_compiled_phase_executes_the_copies_schedule(
+        variant, chunk_size, monkeypatch, request):
+    # a forced REPRO_FASTPATH=0 would make both legs the pure backend
+    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+    cell = (variant, chunk_size, "poll", None, False)
+    compiled, algo = run_with_algo(*cell, fastpath="fast")
+    use = request.getfixturevalue("reference_loops")
+    before = sum(use.values())
+    reference = run(*cell)
+    assert sum(use.values()) > before, "the reference loop never ran"
+    assert reference == compiled
+    # Not pure against pure, and not a schedule that skips the blocks
+    # the merge touched: every rank that worked did so inside its own
+    # WorkPhase, chunks moved both ways, and each switch's C code ran.
+    worked = {st.rank for st in algo.stats if st.nodes_visited}
+    assert len(worked) > 1
+    assert {rank for (binder, rank), ph in algo._c_phases.items()
+            if binder == "_build_c_phase"
+            and type(ph).__name__ == "WorkPhase"} >= worked
+    total = {name: sum(getattr(st, name) for st in algo.stats)
+             for name in ("releases", "reacquires", "requests_granted",
+                          "msgs_sent")}
+    assert total["releases"] > 0 and total["reacquires"] > 0
+    if isinstance(algo, LockBasedAlgorithm):
+        assert sum(lk.fifo.contended_acquisitions
+                   for lk in algo.stack_locks) > 0
+    else:
+        assert total["requests_granted"] > 0
+    if variant == "upc-sharedmem":
+        assert algo.barrier.cancels > 0
+    if variant == "mpi-ws":
+        assert total["msgs_sent"] > 0
 
 
 # -- anti-vacuity: the merged loop's branches are crossed ----------------------
