@@ -81,10 +81,10 @@ def check_run(
     :class:`DelayTieBreak` bounded reordering; neither gives the
     canonical schedule.  ``fault_spec`` is the
     :func:`repro.faults.plan.parse_fault_spec` grammar.
-    ``idle_strategy`` ("poll" or "park") and ``queue`` ("auto", "heap",
-    "bucket") extend the cell space over the O(active) engine: park
-    cells fuzz the event-driven wakeup paths, and forcing a queue
-    backend cross-checks dispatch order against the default.
+    ``idle_strategy`` ("poll" or "park") and ``queue`` ("auto" -- the
+    heap -- "heap", "bucket") extend the cell space over the O(active)
+    engine: park cells fuzz the event-driven wakeup paths, and asking
+    for the bucket queue cross-checks its dispatch order.
 
     ``scenario`` names a :data:`repro.scenarios.SCENARIOS` entry: its
     machine preset replaces ``preset`` and its policy/speed/adversary
@@ -177,7 +177,7 @@ def check_service_run(
     The monitor's batch invariants (I1-I5) all apply -- the service
     pool reuses the lock-based steal protocol -- plus the extended I1
     task-conservation equation and the ``service.close`` termination
-    check.  Error folding matches :func:`check_run`: every
+    check.  ``queue`` and error folding are :func:`check_run`'s: every
     :class:`~repro.errors.ReproError` becomes a not-ok outcome.
     """
     from repro.faults.plan import parse_fault_spec

@@ -12,14 +12,16 @@ Components
 
 ``_core``
     A C extension: ``run(sim, until)`` (the compiled `Simulator.run`
-    loop), ``batch_expand(...)`` (the materialized-tree DFS inner
-    loop), and three fused phase state machines behind one phase
-    protocol: ``WorkPhase`` (Figure 1's one Working state, taking the
-    switches ``AlgorithmBase.working_phase`` reads), ``SearchPhase``
-    and ``IdlePhase``; bound per rank by ``AlgorithmBase``'s
-    ``_build_c_phase`` / ``_build_c_search`` and ``mpi-ws``'s
-    ``_build_c_idle``.  Built by ``setup.py build_ext``; its absence
-    is never an error.
+    loop over the heap, ``queue="auto"`` at every thread count),
+    ``batch_expand(...)`` (the materialized-tree DFS inner loop),
+    ``scan_probe(...)`` (``ProbeScan.probe``, for every park run on
+    this backend, fused or not), and three fused phase state machines
+    behind one phase protocol: ``WorkPhase`` (Figure 1's one Working
+    state, taking the switches ``AlgorithmBase.working_phase`` reads,
+    idle gate included), ``SearchPhase`` (polling) and ``IdlePhase``;
+    bound per rank by ``AlgorithmBase``'s ``_build_c_phase`` /
+    ``_build_c_search`` and ``mpi-ws``'s ``_build_c_idle``.  Built by
+    ``setup.py build_ext``; its absence is never an error.
 
 ``nputs``
     numpy-vectorized tree construction kernels (binomial child counts,

@@ -17,6 +17,12 @@
  *       MaterializedTree.batch_expand: the DFS inner loop as range
  *       scans of the tree's preorder arrays, read in place.
  *
+ *   scan_probe(scan, slots, bounds)
+ *       ProbeScan.probe: the parked search's victim scan (draw, price,
+ *       test, per probe).  A function of the scan object, bound to no
+ *       rank and no phase, so traced, faulted and service park runs
+ *       take it too -- whenever the run's backend resolved to fast.
+ *
  *   WorkPhase, SearchPhase, IdlePhase
  *       Figure 1's per-rank phases as C state machines.  A worker
  *       generator yields the phase object where it would `yield from`
@@ -26,7 +32,9 @@
  *       within the same dispatch when the phase bounces or completes.
  *       WorkPhase is AlgorithmBase.working_phase transliterated: one
  *       Working state for every protocol, taking the switches the
- *       generator reads as constructor arguments (None: off).
+ *       generator reads as constructor arguments (None: off) -- the
+ *       idle gate among them, so park mode is no fusion gate: what
+ *       stays a generator under park is the search, over scan_probe.
  *
  * The phase protocol.  Every phase object starts with PHASE_HEAD: the
  * worker inside it, the resume point `state` (0: nobody inside) and a
@@ -74,6 +82,7 @@
 static PyTypeObject *TimeoutType;
 static PyTypeObject *SimEventType;
 static PyTypeObject *ProcessType;
+static PyTypeObject *SharedVarType;
 static PyObject *SimulationError;
 static PyObject *Cancelled;
 
@@ -81,7 +90,8 @@ static PyObject *Cancelled;
 static PyObject *s_now, *s_seq, *s_events_processed, *s_live_processes,
     *s_heap, *s_max_events, *s_limit_error, *s_succeed, *s_fire_m,
     *s_nodes_visited, *s_reacquires, *s_releases, *s_cancels,
-    *s_waiters_key, *s_probes;
+    *s_waiters_key, *s_probes, *s_rng, *s_getrandbits, *s_todo, *s_items,
+    *s_m, *s_value, *s_note;
 
 /* slot offsets (T_OBJECT_EX members of the configured classes) */
 static Py_ssize_t off_t_delay, off_t_value;
@@ -500,7 +510,8 @@ typedef struct {
 /* WorkPhase: Figure 1's Working state, fault-free -- the members
  * behind AlgorithmBase._build_c_phase.  What a protocol changes is
  * three switches, each a member group that is NULL when off, exactly
- * the ones AlgorithmBase.working_phase reads before its loop. */
+ * the ones AlgorithmBase.working_phase reads before its loop; the idle
+ * gate rides on (b), as `gate = self._gate` does there. */
 enum {
     WP_IDLE = 0,        /* not running (no worker bound)               */
     WP_AFTER_VISIT,     /* woke from the visit-cost timeout            */
@@ -532,9 +543,13 @@ typedef struct {
     PyObject *req_slot;       /* SharedVar request[rank]               */
     PyObject *poll;           /* bound taker of one arrived message    */
     PyObject *pending;        /* list: the mailbox heap `poll` pops    */
-    /* (b) the owner publishes its chunk count */
+    /* (b) the owner publishes its chunk count -- and, under park,
+     * tells the idle gate where that moves the rank's category */
     PyObject *wa;             /* SharedVar work_avail[rank]            */
     PyObject *no_work;        /* sentinel poked into wa at phase exit  */
+    PyObject *gate;           /* IdleGate                              */
+    PyObject *gate_cat;       /* list: gate._cat                       */
+    PyObject *rank;           /* int: this rank, as gate.note takes it */
     /* (c) stack moves run under the own-stack lock */
     PyObject *fifo;           /* FifoLock                              */
     PyObject *queue;          /* deque: fifo._queue                    */
@@ -551,7 +566,8 @@ typedef struct {
 } WorkPhaseObject;
 
 /* SearchPhase: the polling victim-probe loop shared (modulo the
- * request-variable poll) by the lock-based and distmem search phases.
+ * request-variable poll) by the lock-based and distmem search phases
+ * (the parked search stays a generator, over scan_probe).
  * Probes, probe-cost accounting, and backoff run in C; every steal
  * attempt -- and, for distmem, every pending-request service -- is
  * bounced to the suspended worker generator, which runs the Python
@@ -570,9 +586,15 @@ typedef struct {
     /* configuration (strong references; immutable after init) */
     PyObject *sim;
     PyObject *st_dict;        /* ThreadStats.__dict__ (probes)         */
-    PyObject *segments;       /* list of victim lists: a round probes  */
-    PyObject *getrandbits;    /*   each, shuffled over this, in turn   */
-    PyObject *row;            /* list of floats: ref cost per rank     */
+    PyObject *segments;       /* bound ProbeOrder.segments: a round's  */
+    PyObject *getrandbits;    /*   fresh victim lists; shuffled over   */
+                              /*   this and probed one after the other */
+    PyObject *bounds;         /* net.ref_cost_bounds(rank), parsed     */
+                              /*   below by search_check: a victim     */
+    long long node_lo;        /*   in [node_lo, node_hi) costs c_local */
+    long long node_hi;        /*   to reference, any other c_remote    */
+    double c_local;
+    double c_remote;
     PyObject *slots;          /* list of SharedVar: work_avail         */
     PyObject *req_slot;       /* SharedVar request[rank]; NULL: lock   */
     double backoff_min;
@@ -723,30 +745,59 @@ work_reacquire(WorkPhaseObject *w)
     return slot_add_long(w->stack, off_st_reacquired, ngot);
 }
 
-/* SharedVar.poke mirrors (fault-free): writes += 1, then value = v. */
+/* self._advertise(rank, value), fault-free: work_avail[rank].poke(value)
+ * -- writes += 1, then value = v -- and, under park, gate.note(rank,
+ * value).  `value` NULL: len(shared).  IdleGate.note's own
+ * no-transition test (`cat == old`, or a dead rank) is made here
+ * against gate._cat, so Python is entered only where the rank's
+ * category moves -- which may fire parked ranks' events, hence now/_seq
+ * synced out and back as call_cb does.  A no-op without switch (b). */
 static int
-wa_poke(PyObject *wa, PyObject *value /* borrowed */)
+work_advertise(WorkPhaseObject *w, RunCtx *rc, PyObject *time_obj,
+               PyObject *value /* borrowed */)
 {
-    if (slot_add_long(wa, off_w_writes, 1) < 0)
+    PyObject *r;
+    Py_ssize_t rank;
+    long long v;
+    long old;
+    if (w->wa == NULL)
+        return 0;
+    if (value != NULL) {
+        Py_INCREF(value);
+    } else {
+        Py_ssize_t shared_n = PyObject_Length(w->shared);
+        if (shared_n < 0
+                || (value = PyLong_FromSsize_t(shared_n)) == NULL)
+            return -1;
+    }
+    if (slot_add_long(w->wa, off_w_writes, 1) < 0) {
+        Py_DECREF(value);
+        return -1;
+    }
+    slot_store(w->wa, off_w_value, value);  /* the slot owns it now */
+    if (w->gate == NULL)
+        return 0;
+    rank = PyLong_AsSsize_t(w->rank);
+    if (rank < 0 || rank >= PyList_GET_SIZE(w->gate_cat)) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(SimulationError, "fastpath: rank not in gate");
+        return -1;
+    }
+    v = PyLong_AsLongLong(value);
+    old = PyLong_AsLong(PyList_GET_ITEM(w->gate_cat, rank));
+    if (PyErr_Occurred())
+        return -1;
+    if (old == (v > 0 ? 1 : (v == 0 ? 0 : -1)) || old == -2 /* DEAD */)
+        return 0;
+    if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
         return -1;
     Py_INCREF(value);
-    slot_store(wa, off_w_value, value);
-    return 0;
-}
-
-/* work_avail[rank].poke(len(shared)) */
-static int
-wa_poke_shared(WorkPhaseObject *w)
-{
-    Py_ssize_t shared_n = PyObject_Length(w->shared);
-    PyObject *nv;
-    if (shared_n < 0 || slot_add_long(w->wa, off_w_writes, 1) < 0)
+    r = PyObject_CallMethodObjArgs(w->gate, s_note, w->rank, value, NULL);
+    Py_DECREF(value);
+    if (r == NULL)
         return -1;
-    nv = PyLong_FromSsize_t(shared_n);
-    if (nv == NULL)
-        return -1;
-    slot_store(w->wa, off_w_value, nv);
-    return 0;
+    Py_DECREF(r);
+    return rc_reload_seq(rc);
 }
 
 /* `req_slot.value is not None`: a thief's request is pending in the
@@ -818,7 +869,7 @@ work_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
     switch (entry) {
     case WP_IDLE:
         /* self._advertise(rank, len(shared)) */
-        if (w->wa != NULL && wa_poke_shared(w) < 0)
+        if (work_advertise(w, rc, time_obj, NULL) < 0)
             return -1;
         goto poll;
     case WP_AFTER_VISIT: goto after_visit;
@@ -972,7 +1023,7 @@ granted:
         if (work_reacquire(w) < 0)
             return -1;
     }
-    if ((w->wa != NULL && wa_poke_shared(w) < 0)
+    if (work_advertise(w, rc, time_obj, NULL) < 0
             || (!w->releasing
                 && dict_add_long(w->st_dict, s_reacquires, 1) < 0))
         return -1;
@@ -1091,7 +1142,7 @@ after_release:
 phase_exit:
     /* self._advertise(rank, NO_WORK), then deny any request that raced
      * our transition to idle */
-    if (w->wa != NULL && wa_poke(w->wa, w->no_work) < 0)
+    if (work_advertise(w, rc, time_obj, w->no_work) < 0)
         return -1;
     if (w->req_slot != NULL) {
         if ((hit = req_pending(w->req_slot)) < 0)
@@ -1106,27 +1157,30 @@ finish:
     return phase_finish(self, rc, time_obj);
 }
 
-/* random.Random._randbelow_with_getrandbits, draw-for-draw: k =
- * n.bit_length() bits per attempt, rejecting r >= n.  Calling the
- * (C-implemented) bound getrandbits keeps the Mersenne Twister state
- * bit-identical to the pure path's draws.  n >= 1; returns -1 on
- * error (check PyErr_Occurred -- valid draws are never negative). */
-static long
-c_randbelow(PyObject *getrandbits, long n)
+/* n.bit_length() */
+static int
+bit_length(long n)
 {
-    long t = n, r;
     int k = 0;
-    while (t > 0) {
+    while (n > 0) {
         k++;
-        t >>= 1;
+        n >>= 1;
     }
+    return k;
+}
+
+/* random.Random._randbelow_with_getrandbits, draw-for-draw: k =
+ * n.bit_length() bits per attempt (`kk`, as a Python int), rejecting
+ * r >= n.  Calling the (C-implemented) bound getrandbits keeps the
+ * Mersenne Twister state bit-identical to the pure path's draws.
+ * n >= 1; returns -1 on error (check PyErr_Occurred -- valid draws are
+ * never negative). */
+static long
+c_draw(PyObject *getrandbits, PyObject *kk, long n)
+{
     for (;;) {
-        PyObject *kk = PyLong_FromLong(k);
-        PyObject *ro;
-        if (kk == NULL)
-            return -1;
-        ro = PyObject_CallOneArg(getrandbits, kk);
-        Py_DECREF(kk);
+        PyObject *ro = PyObject_CallOneArg(getrandbits, kk);
+        long r;
         if (ro == NULL)
             return -1;
         r = PyLong_AsLong(ro);
@@ -1136,6 +1190,18 @@ c_randbelow(PyObject *getrandbits, long n)
         if (r < n)
             return r;
     }
+}
+
+static long
+c_randbelow(PyObject *getrandbits, long n)
+{
+    PyObject *kk = PyLong_FromLong(bit_length(n));
+    long r;
+    if (kk == NULL)
+        return -1;
+    r = c_draw(getrandbits, kk, n);
+    Py_DECREF(kk);
+    return r;
 }
 
 /* random.Random.shuffle, draw-for-draw: Fisher-Yates from the top,
@@ -1169,6 +1235,48 @@ sp_flush_probes(SearchPhaseObject *sp)
         sp->probes_acc = 0;
     }
     return 0;
+}
+
+/* ProbeOrder.cycle(): take the round's fresh victim segments and
+ * Fisher-Yates each in place, consuming the rank's Mersenne Twister
+ * exactly as `shuffled(seg0) + shuffled(seg1) + ...` would.  Neither
+ * call can touch simulator state, so no now/seq sync is needed, and
+ * nothing O(n) outlives the round.  A new list, or NULL. */
+static PyObject *
+search_cycle(SearchPhaseObject *sp)
+{
+    PyObject *segs = PyObject_CallNoArgs(sp->segments), *vs = NULL;
+    Py_ssize_t si;
+    if (segs == NULL)
+        return NULL;
+    if (!PyList_CheckExact(segs))
+        goto bad;
+    for (si = 0; si < PyList_GET_SIZE(segs); si++) {
+        PyObject *seg = PyList_GET_ITEM(segs, si);
+        if (!PyList_CheckExact(seg))
+            goto bad;
+        if (c_shuffle(seg, sp->getrandbits) < 0)
+            goto fail;
+        if (vs == NULL) {
+            Py_INCREF(seg);
+            vs = seg;
+        } else {
+            Py_ssize_t at = PyList_GET_SIZE(vs);
+            if (PyList_SetSlice(vs, at, at, seg) < 0)
+                goto fail;
+        }
+    }
+    if (vs == NULL)
+        vs = PyList_New(0);
+    Py_DECREF(segs);
+    return vs;
+bad:
+    PyErr_SetString(PyExc_TypeError,
+                    "fastpath: segments() must return a list of lists");
+fail:
+    Py_XDECREF(vs);
+    Py_DECREF(segs);
+    return NULL;
 }
 
 /* Drive the polling search phase (lock-based Sect. 3.1 / distmem
@@ -1213,37 +1321,9 @@ round_top:
         }
     }
 round_start:
-    {
-        /* victims = cycle(): copy each victim segment and Fisher-Yates
-         * it in place, consuming the rank's Mersenne Twister exactly as
-         * `shuffled(seg0) + shuffled(seg1) + ...` would.  getrandbits
-         * cannot touch simulator state, so no now/seq sync is needed. */
-        PyObject *vs = NULL;
-        Py_ssize_t nseg = PyList_GET_SIZE(sp->segments), si;
-        for (si = 0; si < nseg; si++) {
-            PyObject *seg = PyList_GET_ITEM(sp->segments, si);
-            PyObject *copy = PyList_GetSlice(seg, 0, PyList_GET_SIZE(seg));
-            if (copy == NULL || c_shuffle(copy, sp->getrandbits) < 0) {
-                Py_XDECREF(copy);
-                Py_XDECREF(vs);
-                return -1;
-            }
-            if (vs == NULL) {
-                vs = copy;
-            } else {
-                Py_ssize_t at = PyList_GET_SIZE(vs);
-                int bad = PyList_SetSlice(vs, at, at, copy) < 0;
-                Py_DECREF(copy);
-                if (bad) {
-                    Py_DECREF(vs);
-                    return -1;
-                }
-            }
-        }
-        if (vs == NULL && (vs = PyList_New(0)) == NULL)
-            return -1;
-        Py_XSETREF(sp->victims, vs);
-    }
+    Py_XSETREF(sp->victims, search_cycle(sp));
+    if (sp->victims == NULL)
+        return -1;
     sp->idx = 0;
     sp->cost_acc = 0.0;
     sp->any_working = 0;
@@ -1253,22 +1333,18 @@ probe_loop:
         PyObject *vobj = PyList_GET_ITEM(sp->victims, sp->idx);
         PyObject *slot, *aval;
         long long victim, avail;
-        double c;
         victim = PyLong_AsLongLong(vobj);
         if (victim == -1 && PyErr_Occurred())
             return -1;
         sp->idx += 1;
         sp->probes_acc += 1;
-        if (victim < 0 || victim >= PyList_GET_SIZE(sp->row)
-                || victim >= PyList_GET_SIZE(sp->slots)) {
+        if (victim < 0 || victim >= PyList_GET_SIZE(sp->slots)) {
             PyErr_SetString(SimulationError,
                             "fastpath: probe victim out of range");
             return -1;
         }
-        c = PyFloat_AsDouble(PyList_GET_ITEM(sp->row, victim));
-        if (c == -1.0 && PyErr_Occurred())
-            return -1;
-        sp->cost_acc += c;
+        sp->cost_acc += (sp->node_lo <= victim && victim < sp->node_hi)
+            ? sp->c_local : sp->c_remote;
         slot = PyList_GET_ITEM(sp->slots, victim);
         aval = SLOT(slot, off_w_value);
         if (aval == NULL || !PyLong_CheckExact(aval)) {
@@ -1297,6 +1373,8 @@ probe_loop:
             goto steal_bounce;
         }
     }
+    /* the round's order is O(threads): dropped before any wait */
+    Py_CLEAR(sp->victims);
     if (sp_flush_probes(sp) < 0)
         return -1;
     if (sp->cost_acc > 0.0) {
@@ -1337,7 +1415,6 @@ steal_bounce:
     }
 
 exit_nowork:
-    Py_CLEAR(sp->victims);
     return phase_finish(self, rc, time_obj);
 }
 
@@ -1814,6 +1891,166 @@ py_batch_expand(PyObject *module, PyObject *args)
 }
 
 /* ------------------------------------------------------------------ */
+/* the park victim scan                                               */
+/* ------------------------------------------------------------------ */
+
+/* `v > 0` for a work_avail value (an int wherever the package writes
+ * one).  1 / 0, or -1 with an error set. */
+static int
+is_positive(PyObject *v)
+{
+    if (PyLong_CheckExact(v)) {
+        int overflow;
+        long x = PyLong_AsLongAndOverflow(v, &overflow);
+        return overflow ? overflow > 0 : x > 0;
+    }
+    {
+        PyObject *zero = PyLong_FromLong(0);
+        int r;
+        if (zero == NULL)
+            return -1;
+        r = PyObject_RichCompareBool(v, zero, Py_GT);
+        Py_DECREF(zero);
+        return r;
+    }
+}
+
+/* ProbeScan.probe (repro/ws/policies.py), statement for statement, as
+ * a function of the scan object: incremental Fisher-Yates on the
+ * reversed segment, one getrandbits(k) per accepted draw with k
+ * recomputed only where the remaining count crosses a power of two,
+ * the reference cost added left to right from 0.0, stop at the first
+ * victim whose slots[victim].value is positive.  Returns (victim or
+ * None, cost_acc, n_probes) and leaves _items / _m / _todo and the
+ * generator as the Python method would. */
+static PyObject *
+py_scan_probe(PyObject *module, PyObject *args)
+{
+    PyObject *scan, *slots, *bounds, *res = NULL;
+    PyObject *rng = NULL, *getrandbits = NULL, *todo = NULL, *items = NULL;
+    PyObject *mo = NULL, *kk = NULL, *found = NULL;
+    Py_ssize_t node_lo, node_hi, m, n_probes;
+    double c_local, c_remote, cost_acc = 0.0;
+
+    if (!configured) {
+        PyErr_SetString(PyExc_RuntimeError, "fastpath core not configured");
+        return NULL;
+    }
+    if (!PyArg_ParseTuple(args, "OO!O!:scan_probe", &scan, &PyList_Type,
+                          &slots, &PyTuple_Type, &bounds)
+            || !PyArg_ParseTuple(bounds, "nndd;bounds must be (node_lo, "
+                                 "node_hi, local, remote)", &node_lo,
+                                 &node_hi, &c_local, &c_remote))
+        return NULL;
+    if ((rng = PyObject_GetAttr(scan, s_rng)) == NULL
+            || (getrandbits = PyObject_GetAttr(rng, s_getrandbits)) == NULL
+            || (todo = PyObject_GetAttr(scan, s_todo)) == NULL
+            || (items = PyObject_GetAttr(scan, s_items)) == NULL
+            || (mo = PyObject_GetAttr(scan, s_m)) == NULL)
+        goto done;
+    m = PyLong_AsSsize_t(mo);
+    if (m == -1 && PyErr_Occurred())
+        goto done;
+    if (!PyList_CheckExact(todo) || !PyList_CheckExact(items)
+            || m < 0 || m > PyList_GET_SIZE(items)) {
+        PyErr_SetString(PyExc_TypeError, "fastpath: not a ProbeScan");
+        goto done;
+    }
+    n_probes = m;
+    for (;;) {
+        while (m > 0) {
+            const int k = bit_length((long)m);
+            const Py_ssize_t half = (Py_ssize_t)1 << k >> 1;
+            Py_XSETREF(kk, PyLong_FromLong(k));
+            if (kk == NULL)
+                goto done;
+            while (m >= half) {
+                long r = c_draw(getrandbits, kk, (long)m);
+                PyObject *vobj, *last, *slot, *aval;
+                Py_ssize_t victim;
+                int hit;
+                if (r < 0)
+                    goto done;
+                if (m > PyList_GET_SIZE(items)) {
+                    PyErr_SetString(PyExc_RuntimeError,
+                                    "fastpath: scan segment changed size");
+                    goto done;
+                }
+                m -= 1;
+                /* victim = items[j]; items[j] = items[m] */
+                vobj = PyList_GET_ITEM(items, m - r);
+                last = PyList_GET_ITEM(items, m);
+                Py_INCREF(last);
+                PyList_SET_ITEM(items, m - r, last);  /* vobj is ours now */
+                victim = PyLong_AsSsize_t(vobj);
+                if (victim < 0 || victim >= PyList_GET_SIZE(slots)) {
+                    if (!PyErr_Occurred())
+                        PyErr_SetString(PyExc_IndexError,
+                                        "fastpath: probe victim out of range");
+                    Py_DECREF(vobj);
+                    goto done;
+                }
+                cost_acc += (node_lo <= victim && victim < node_hi)
+                    ? c_local : c_remote;
+                slot = PyList_GET_ITEM(slots, victim);
+                if (Py_TYPE(slot) == SharedVarType
+                        && (aval = SLOT(slot, off_w_value)) != NULL) {
+                    hit = is_positive(aval);
+                } else {
+                    aval = PyObject_GetAttr(slot, s_value);
+                    hit = aval == NULL ? -1 : is_positive(aval);
+                    Py_XDECREF(aval);
+                }
+                if (hit <= 0) {
+                    Py_DECREF(vobj);
+                    if (hit < 0)
+                        goto done;
+                    continue;
+                }
+                found = vobj;
+                goto out;
+            }
+        }
+        {
+            /* items = self._items = todo.pop(); items.reverse() */
+            Py_ssize_t nt = PyList_GET_SIZE(todo);
+            PyObject *seg;
+            if (nt == 0)
+                goto out;
+            seg = PyList_GET_ITEM(todo, nt - 1);
+            if (!PyList_CheckExact(seg)) {
+                PyErr_SetString(PyExc_TypeError,
+                                "fastpath: scan segments must be lists");
+                goto done;
+            }
+            Py_INCREF(seg);
+            Py_SETREF(items, seg);
+            if (PyList_SetSlice(todo, nt - 1, nt, NULL) < 0
+                    || PyList_Reverse(items) < 0
+                    || PyObject_SetAttr(scan, s_items, items) < 0)
+                goto done;
+            m = PyList_GET_SIZE(items);
+            n_probes += m;
+        }
+    }
+out:
+    Py_SETREF(mo, PyLong_FromSsize_t(m));
+    if (mo == NULL || PyObject_SetAttr(scan, s_m, mo) < 0)
+        goto done;
+    res = Py_BuildValue("Odn", found != NULL ? found : Py_None, cost_acc,
+                        found != NULL ? n_probes - m : n_probes);
+done:
+    Py_XDECREF(found);
+    Py_XDECREF(kk);
+    Py_XDECREF(mo);
+    Py_XDECREF(items);
+    Py_XDECREF(todo);
+    Py_XDECREF(getrandbits);
+    Py_XDECREF(rng);
+    return res;
+}
+
+/* ------------------------------------------------------------------ */
 /* the phase object lifecycle, once, against the field tables         */
 /* ------------------------------------------------------------------ */
 
@@ -2040,6 +2277,9 @@ static const PhaseField WorkPhase_fields[] = {
     {"pending", F_OPT, offsetof(WorkPhaseObject, pending), &PyList_Type},
     {"wa", F_OPT, offsetof(WorkPhaseObject, wa)},
     {"no_work", F_OPT, offsetof(WorkPhaseObject, no_work)},
+    {"gate", F_OPT, offsetof(WorkPhaseObject, gate)},
+    {"gate_cat", F_OPT, offsetof(WorkPhaseObject, gate_cat), &PyList_Type},
+    {"rank", F_OBJ, offsetof(WorkPhaseObject, rank), &PyLong_Type},
     {"fifo", F_OPT, offsetof(WorkPhaseObject, fifo)},
     {"queue", F_OPT, offsetof(WorkPhaseObject, queue)},
     {"queue_append", F_OPT, offsetof(WorkPhaseObject, queue_append)},
@@ -2064,6 +2304,8 @@ work_check(PhaseHead *self)
         return "poll needs the pending list it probes";
     if (w->wa != NULL && w->no_work == NULL)
         return "wa needs the no_work sentinel it is poked with at exit";
+    if (w->gate != NULL && (w->wa == NULL || w->gate_cat == NULL))
+        return "gate needs the wa whose writes it is told and its _cat list";
     if (w->fifo != NULL && (w->queue == NULL || w->queue_append == NULL
                             || w->queue_popleft == NULL
                             || w->ev_name == NULL))
@@ -2086,9 +2328,9 @@ static const PhaseDesc WorkPhase_desc = {
 static const PhaseField SearchPhase_fields[] = {
     {"sim", F_OBJ, offsetof(SearchPhaseObject, sim)},
     {"st_dict", F_OBJ, offsetof(SearchPhaseObject, st_dict), &PyDict_Type},
-    {"segments", F_OBJ, offsetof(SearchPhaseObject, segments), &PyList_Type},
+    {"segments", F_OBJ, offsetof(SearchPhaseObject, segments)},
     {"getrandbits", F_OBJ, offsetof(SearchPhaseObject, getrandbits)},
-    {"row", F_OBJ, offsetof(SearchPhaseObject, row), &PyList_Type},
+    {"bounds", F_OBJ, offsetof(SearchPhaseObject, bounds), &PyTuple_Type},
     {"slots", F_OBJ, offsetof(SearchPhaseObject, slots), &PyList_Type},
     {"req_slot", F_OPT, offsetof(SearchPhaseObject, req_slot)},
     {"backoff_min", F_DOUBLE, offsetof(SearchPhaseObject, backoff_min)},
@@ -2104,12 +2346,14 @@ static const char *
 search_check(PhaseHead *self)
 {
     SearchPhaseObject *sp = (SearchPhaseObject *)self;
-    Py_ssize_t si;
-    if (!PyCallable_Check(sp->getrandbits))
-        return "getrandbits must be callable";
-    for (si = 0; si < PyList_GET_SIZE(sp->segments); si++)
-        if (!PyList_CheckExact(PyList_GET_ITEM(sp->segments, si)))
-            return "segments must be a list of lists";
+    if (!PyCallable_Check(sp->getrandbits)
+            || !PyCallable_Check(sp->segments))
+        return "getrandbits and segments must be callable";
+    if (!PyArg_ParseTuple(sp->bounds, "LLdd", &sp->node_lo, &sp->node_hi,
+                          &sp->c_local, &sp->c_remote)) {
+        PyErr_Clear();
+        return "bounds must be (node_lo, node_hi, local, remote)";
+    }
     return NULL;
 }
 
@@ -2253,6 +2497,8 @@ py_configure(PyObject *module, PyObject *args)
     Py_XSETREF(SimEventType, (PyTypeObject *)event_cls);
     Py_INCREF(process_cls);
     Py_XSETREF(ProcessType, (PyTypeObject *)process_cls);
+    Py_INCREF(shared_cls);
+    Py_XSETREF(SharedVarType, (PyTypeObject *)shared_cls);
     Py_INCREF(sim_error);
     Py_XSETREF(SimulationError, sim_error);
     Py_INCREF(cancelled);
@@ -2273,6 +2519,9 @@ static PyMethodDef core_methods[] = {
      "run(sim, until=None) -> float -- the compiled Simulator.run loop"},
     {"batch_expand", py_batch_expand, METH_VARARGS,
      "batch_expand(tree, delta, size, local, limit, thresh) -> (n, pushed)"},
+    {"scan_probe", py_scan_probe, METH_VARARGS,
+     "scan_probe(scan, slots, bounds) -> (victim, cost_acc, n_probes) -- "
+     "ProbeScan.probe"},
     {NULL, NULL, 0, NULL}
 };
 
@@ -2310,6 +2559,13 @@ PyInit__core(void)
     INTERN(s_cancels, "cancels");
     INTERN(s_waiters_key, "_waiters");
     INTERN(s_probes, "probes");
+    INTERN(s_rng, "_rng");
+    INTERN(s_getrandbits, "getrandbits");
+    INTERN(s_todo, "_todo");
+    INTERN(s_items, "_items");
+    INTERN(s_m, "_m");
+    INTERN(s_value, "value");
+    INTERN(s_note, "note");
 #undef INTERN
     m = PyModule_Create(&core_module);
     if (m == NULL)

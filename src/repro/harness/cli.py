@@ -66,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
              "O(active) engine; see docs/performance.md)")
     run_p.add_argument(
         "--queue", choices=["auto", "heap", "bucket"], default="auto",
-        help="event-queue backend; 'auto' picks the bucket queue at "
-             "512+ threads (identical dispatch order either way)")
+        help="event-queue backend; 'auto' is the heap, 'bucket' keeps "
+             "the compiled loop off (identical dispatch order)")
     run_p.add_argument(
         "--fastpath", choices=["auto", "pure", "fast"], default="auto",
         help="execution backend: 'auto' uses the compiled "
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "or 'poll'")
     srv.add_argument("--queue", dest="event_queue",
                      choices=["auto", "heap", "bucket"], default="auto",
-                     help="event-queue backend (identical results)")
+                     help="event queue, 'auto' = heap (identical results)")
     srv.add_argument("--fastpath", choices=["auto", "pure", "fast"],
                      default="auto",
                      help="execution backend (compiled core vs pure "

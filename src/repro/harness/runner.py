@@ -88,11 +88,10 @@ def run_experiment(
         forwarded to the :class:`~repro.sim.engine.Simulator`.  ``None``
         keeps the canonical bit-identical FIFO schedule.
     queue:
-        Event-queue backend: ``"auto"`` (default) picks the bucket
-        queue past the :data:`~repro.pgas.machine.AUTO_QUEUE_KNEE`
-        thread count and the classic heap below it; ``"heap"`` /
-        ``"bucket"`` force a backend.  Dispatch order -- and therefore
-        every result -- is identical across backends.
+        Event-queue backend: ``"auto"`` (default) is the heap at every
+        thread count -- the one queue the compiled run loop drives;
+        ``"bucket"`` asks for the calendar queue.  Dispatch order --
+        and therefore every result -- is identical across backends.
     fastpath:
         Execution backend: ``"auto"`` (default) uses the compiled
         :mod:`repro.fastpath` core when built, ``"pure"`` forces the

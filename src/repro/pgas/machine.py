@@ -26,19 +26,9 @@ from repro.sim.engine import Process, SimEvent, Simulator, Timeout
 from repro.sim.rng import StreamRng
 from repro.sim.trace import NULL_TRACER, Tracer
 
-__all__ = ["Machine", "UpcContext", "AUTO_QUEUE_KNEE"]
+__all__ = ["Machine", "UpcContext"]
 
 Gen = Generator[Any, Any, Any]
-
-#: Thread count at which ``queue="auto"`` switches the engine from the
-#: global heapq to the bucket/calendar queue.  Below the knee the heap
-#: is small enough that heapq's C hot path wins; above it the pending
-#: set is dominated by far-future pacing/park entries and O(1) bucket
-#: appends win (see docs/performance.md, "O(active) engine").  Every
-#: figure preset runs at <= 64 threads, so the canonical pinned
-#: schedules always take the heap backend; dispatch order is identical
-#: either way, so the knee affects speed, never results.
-AUTO_QUEUE_KNEE = 512
 
 
 class Machine:
@@ -52,8 +42,6 @@ class Machine:
                  fastpath: Optional[str] = None) -> None:
         if threads < 1:
             raise ConfigError(f"threads must be >= 1, got {threads}")
-        if queue == "auto":
-            queue = "bucket" if threads >= AUTO_QUEUE_KNEE else "heap"
         self.n_threads = threads
         self.net = net
         self.seed = seed

@@ -77,11 +77,11 @@ def run_service(
     """Run one open-system service stream on the simulated machine.
 
     Parameters mirror :func:`~repro.harness.run_experiment` where they
-    overlap; ``service`` replaces the tree (the stream and per-task
-    shape live there), and the default ``chunk_size`` is smaller
-    because service tasks are small subtrees.  ``config.idle_strategy
-    = "park"`` is the intended production mode: arrivals wake a parked
-    pool (one worker per admission; steal diffusion ramps the rest).
+    overlap (``queue="auto"``: the heap); ``service`` replaces the tree
+    (the stream and per-task shape live there), and the default
+    ``chunk_size`` is smaller: service tasks are small subtrees.
+    ``config.idle_strategy = "park"`` is the intended production mode:
+    arrivals wake a parked pool (one per admission; steals ramp the rest).
     """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")

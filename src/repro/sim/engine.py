@@ -161,16 +161,15 @@ class Simulator:
         self.max_events = max_events
         self.events_processed = 0
         self._heap: list[tuple[float, Any, Process, Any]] = []
-        #: Event-queue backend: ``"heap"`` (default) keeps the classic
-        #: global heapq; ``"bucket"`` swaps in a calendar queue with
-        #: identical dispatch order (see :mod:`repro.sim.equeue`) --
-        #: worthwhile only at thousands of simulated threads, which is
-        #: why :class:`repro.pgas.machine.Machine` selects it
-        #: automatically past a thread-count knee.
-        if queue not in ("heap", "bucket"):
+        #: Event-queue backend: ``"heap"`` (what ``"auto"``, every
+        #: caller's default, means at any thread count) is the global
+        #: heapq; ``"bucket"`` swaps in a calendar queue with identical
+        #: dispatch order (see :mod:`repro.sim.equeue`), by explicit
+        #: request only -- it keeps the compiled run loop off.
+        if queue not in ("auto", "heap", "bucket"):
             raise ConfigError(
-                f"queue must be 'heap' or 'bucket', got {queue!r}")
-        self.queue = queue
+                f"queue must be 'auto', 'heap' or 'bucket', got {queue!r}")
+        self.queue = "bucket" if queue == "bucket" else "heap"
         self._equeue: Optional[BucketQueue] = (
             BucketQueue(queue_width) if queue == "bucket" else None)
         self._seq = 0

@@ -1,11 +1,10 @@
-"""Bucket (calendar) event queue for high-thread-count runs.
+"""Bucket (calendar) event queue, on explicit ``queue="bucket"`` only.
 
-The engine's default event queue is one global ``heapq``; every push
-and pop costs O(log m) comparisons over the whole pending set.  At a
-few dozen simulated threads the heap is small and this is unbeatable.
-At thousands of threads the pending set is dominated by far-future
-entries (steal-request pacing, park/unpark cadences), and every
-near-future push churns through them.
+The engine's event queue is one global ``heapq``: O(log m) comparisons
+per push and pop over the whole pending set, which at thousands of
+threads is dominated by far-future entries (steal-request pacing,
+park/unpark cadences).  Measured on this host that still beats this
+module, and it keeps the compiled run loop on (docs/performance.md).
 
 :class:`BucketQueue` is the classic calendar-queue alternative: items
 are binned by ``int(time / width)``.  A push into any bucket other

@@ -34,7 +34,7 @@ from repro.sim.engine import SimEvent, Timeout
 from repro.uts.materialized import MaterializedTree
 from repro.uts.tree import Tree
 from repro.ws.config import WsConfig
-from repro.ws.policies import ProbeOrder, StealAmount, steal_one
+from repro.ws.policies import ProbeOrder, ProbeScan, StealAmount, steal_one
 from repro.ws.registry import (STEAL_AMOUNTS, TERMINATION_POLICIES,
                                VICTIM_POLICIES)
 from repro.ws.stack import SplitStack
@@ -199,6 +199,7 @@ class AlgorithmBase:
         #: schedule is untouched.
         self._speed_factors = None
         self._vt_cache: dict = {}
+        self._visit_costs: dict = {}  # the same tables, as float lists
         #: Per-rank steal-amount overrides (greedy-thief adversary) and
         #: duplicating-steal ranks; None when no adversary is installed.
         self._rank_steal = None
@@ -222,11 +223,12 @@ class AlgorithmBase:
         #: in C (repro.fastpath._core.batch_expand -- an exact mirror,
         #: so the pops/pushes/visit counts cannot diverge).
         self._batch_expand = getattr(tree, "batch_expand", None)
-        if self._batch_expand is not None and machine.sim.fastpath == "fast":
-            from repro.fastpath import batch_expander
-            compiled = batch_expander(tree)
-            if compiled is not None:
-                self._batch_expand = compiled
+        #: The park scan kernel: on the compiled backend, its C twin.
+        self._scan_probe = ProbeScan.probe
+        if machine.sim.fastpath == "fast":
+            from repro.fastpath import batch_expander, load_core
+            self._scan_probe = load_core().scan_probe
+            self._batch_expand = batch_expander(tree) or self._batch_expand
         #: Chunks available per thread; NO_WORK when a thread is idle.
         #: Staleable: under a stale-read fault plan, remote probes may
         #: briefly observe the pre-write value (inert without faults).
@@ -307,8 +309,9 @@ class AlgorithmBase:
         park mode swaps in the event-driven search phase (the
         termination phase parks by itself under a gate), and the
         compiled backend swaps in the fused C phases (identical
-        yields and counters), which bounce back here whenever a steal
-        request needs the Python service path.
+        yields and counters; the parked search stays a generator),
+        which bounce back here whenever a steal request needs the
+        Python service path.
         """
         rank = ctx.rank
         term = self._termination
@@ -319,13 +322,15 @@ class AlgorithmBase:
         if fuse is None:
             fuse = self._fuse = self._fusion_enabled()
         phase = sphase = None
-        if fuse:
-            phase = self._compiled(self._build_c_phase, rank)
-            if type(self).search_phase is AlgorithmBase.search_phase:
-                sphase = self._compiled(self._build_c_search, rank)
+        if (fuse and not park
+                and type(self).search_phase is AlgorithmBase.search_phase):
+            sphase = self._compiled(self._build_c_search, rank)
         while True:
             if not self.stacks[rank].is_empty:
-                if phase is not None:
+                if fuse:
+                    # bound at the first Working entry: most ranks of a
+                    # large parked machine never get there
+                    phase = phase or self._compiled(self._build_c_phase, rank)
                     res = yield phase
                     while res is not None:
                         yield from self.service_request(ctx)
@@ -779,10 +784,8 @@ class AlgorithmBase:
         targeted wake means a request is waiting and the thief is
         blocked on our answer.
 
-        Probes price references with :meth:`ref_cost_bounds` arithmetic
-        instead of the cached ``_ref_row`` -- at 4096 threads the
-        per-rank row cache is O(n^2) floats, and a parked machine runs
-        too few cycles to amortize it -- and draw victims from a
+        Probes are priced from :meth:`ref_cost_bounds` (a cached row
+        per rank is O(n^2) machine-wide) and drawn by a
         :meth:`~repro.ws.policies.ProbeOrder.scan`, so a cycle a steal
         or the gate cuts short costs O(probed), not O(n), host-side.
         """
@@ -793,6 +796,7 @@ class AlgorithmBase:
         slots = self._wa_slots
         bounds = self.net.ref_cost_bounds(rank)
         new_scan = self.probe_orders[rank].scan
+        probe = self._scan_probe
         bmax = self.cfg.search_backoff_max
         bfactor = self.cfg.search_backoff_factor
         backoff = self.cfg.search_backoff_min
@@ -802,7 +806,7 @@ class AlgorithmBase:
             if gate.n_surplus > 0:
                 scan = new_scan()
                 while True:
-                    victim, cost_acc, n_probes = scan.probe(slots, bounds)
+                    victim, cost_acc, n_probes = probe(scan, slots, bounds)
                     st.probes += n_probes
                     if cost_acc > 0:
                         yield from ctx.compute(cost_acc)
@@ -855,17 +859,16 @@ class AlgorithmBase:
 
         Every gate guards a behaviour the C state machines do not
         reproduce: a fused phase is exactly the fault-free, trace-off,
-        poll-mode, materialized-tree generator, so anything else --
-        faults, tracing, the idle gate, an implicit tree, or (per
-        protocol, :meth:`_fusable`) a subclass override of a method the
+        materialized-tree generator (under either idle strategy: the
+        compiled Working state tells the idle gate what the generator
+        does), so anything else -- faults, tracing, an implicit tree,
+        or (per protocol, :meth:`_fusable`) an override of a method the
         C code stands in for -- falls back to the generator.  The
-        schedules are bit-identical either way; only host speed
-        differs.
+        schedules are bit-identical either way; only host speed differs.
         """
         if (self.sim._crun is None
                 or not self._fast
                 or self.tracer.enabled
-                or self._gate is not None
                 or self._visit_timeouts is None
                 or not isinstance(self.tree, MaterializedTree)):
             return False
@@ -892,9 +895,10 @@ class AlgorithmBase:
     def _build_c_phase(self, rank: int):
         """Bind one ``repro.fastpath._core.WorkPhase`` to this rank: its
         stack containers, counters and tree, and switches (a)-(c) read
-        exactly as :meth:`working_phase` reads them, None meaning off.
-        The phase makes both ``work_avail`` pokes around the loop
-        itself; the callbacks are the two state-timer transitions.
+        exactly as :meth:`working_phase` reads them, None meaning off
+        (the idle gate rides on (b)).  The phase makes both
+        ``work_avail`` pokes around the loop itself; the callbacks are
+        the two state-timer transitions.  Nothing bound is O(threads).
 
         The costs handed over are the exact floats the generator's
         precomputed Timeouts carry (``Timeout.delay`` read back, not
@@ -905,6 +909,11 @@ class AlgorithmBase:
         stack = self.stacks[rank]
         st = self.stats[rank]
         enter = st.timer.enter
+        tn = self.t_node_of(rank)
+        costs = self._visit_costs.get(tn) or self._visit_costs.setdefault(
+            tn, [t.delay for t in self._visit_timeouts_for(rank)])
+        wa = self._wa_slots[rank] if self._publishes_avail else None
+        gate = self._gate if wa is not None else None
         pending, poll = (self._mail(rank) if self._mail is not None
                          else (None, None))
         fifo = queue = lock_to = barrier = None
@@ -927,15 +936,18 @@ class AlgorithmBase:
             tree=self.tree,
             delta=self.tree.delta,
             size=self.tree.size,
-            visit_costs=[t.delay for t in self._visit_timeouts_for(rank)],
+            visit_costs=costs,
             chunk=self.cfg.chunk_size,
             thresh=self._release_threshold,
             limit=self._poll_interval,
             req_slot=self.request[rank] if self.request is not None else None,
             poll=poll,
             pending=pending,
-            wa=self._wa_slots[rank] if self._publishes_avail else None,
+            wa=wa,
             no_work=NO_WORK,
+            gate=gate,
+            gate_cat=gate._cat if gate is not None else None,
+            rank=rank,
             fifo=fifo,
             queue=queue,
             queue_append=queue.append if fifo is not None else None,
@@ -949,16 +961,17 @@ class AlgorithmBase:
 
     def _build_c_search(self, rank: int):
         """Bind one ``repro.fastpath._core.SearchPhase`` to this rank's
-        probe order, cost row, work-avail slots, and poll slot -- or
+        probe order, cost bounds, work-avail slots, and poll slot -- or
         None (the generator search runs) when the probe order does not
         state its victims as segments over a ``getrandbits`` stream.
 
-        Each ``cycle()`` is ``shuffled(seg) for seg in segments``,
-        concatenated, and the C shuffles replay the stream
-        draw-for-draw; ``slow`` folds in the per-thread compute
-        multiplier the same way ``ctx.compute`` does.  A ``req_slot``
-        makes the C round-top test the request variable and bounce
-        ``True`` for :meth:`service_request`.
+        Each ``cycle()`` is ``shuffled(seg) for seg in segments()``,
+        concatenated: the C round shuffles the fresh lists in place,
+        draw-for-draw, and pins no O(threads) list per rank; ``slow``
+        folds in the per-thread compute multiplier the same way
+        ``ctx.compute`` does.  A ``req_slot`` makes the C round-top test
+        the request variable and bounce ``True`` for
+        :meth:`service_request`.
         """
         from repro.fastpath import load_core
         po = self.probe_orders[rank]
@@ -968,9 +981,9 @@ class AlgorithmBase:
         return load_core().SearchPhase(
             sim=self.sim,
             st_dict=self.stats[rank].__dict__,
-            segments=po.segments(),
+            segments=po.segments,
             getrandbits=getrandbits,
-            row=self._ref_row(rank),
+            bounds=self.net.ref_cost_bounds(rank),
             slots=self._wa_slots,
             req_slot=(self.request[rank] if self.request is not None
                       else None),

@@ -645,10 +645,11 @@ class MpiWorkStealing(AlgorithmBase):
         fuse = self._fuse
         if fuse is None:
             fuse = self._fuse = self._fusion_enabled()
-        phase = self._compiled(self._build_c_phase, rank) if fuse else None
+        phase = None
         while True:
             if not self.stacks[rank].is_empty:
-                if phase is not None:
+                if fuse:  # the phase is bound at the first Working entry
+                    phase = phase or self._compiled(self._build_c_phase, rank)
                     # Compiled working phase: the C state machine runs
                     # the poll/visit/release/reacquire loop (identical
                     # yields and counters to working_phase) and bounces

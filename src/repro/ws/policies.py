@@ -156,6 +156,8 @@ class ProbeScan:
     The segment is held *reversed*, so the ``m`` victims still to probe
     are ``items[:m]`` and position ``i`` is ``items[m - 1]``: the same
     swaps on the same draws, with one counter to maintain, not two.
+
+    On the compiled backend :meth:`probe` runs as ``_core.scan_probe``.
     """
 
     __slots__ = ("_rng", "_todo", "_items", "_m")

@@ -25,7 +25,6 @@ being ``upc-term`` (a property the tests pin).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Generator
 
 from repro.errors import ProtocolError
@@ -179,12 +178,10 @@ class StreamlinedTermination(TerminationStrategy):
         pmax = algo.cfg.barrier_poll_max
         one = algo.probe_orders[rank].one
         slots = algo._wa_slots
-        # The cached per-rank cost row is O(n) to build and O(n^2)
-        # machine-wide, which one victim per poll never amortizes at
-        # the thread counts park exists for: price those probes with
-        # ``net.shared_ref`` directly.
-        ref_cost = (algo._ref_row(rank).__getitem__ if gate is None
-                    else partial(algo.net.shared_ref, rank))
+        # One victim per poll never amortizes a cached per-rank cost
+        # row (O(n) to build, O(n^2) machine-wide): price the probe from
+        # the rank's reference-cost bounds, under either idle strategy.
+        node_lo, node_hi, c_local, c_remote = algo.net.ref_cost_bounds(rank)
         # Fault-free, compute() is an identity Timeout and a staleable
         # read can never hit an open window -- take the direct paths.
         fast = algo._fast
@@ -228,7 +225,7 @@ class StreamlinedTermination(TerminationStrategy):
             # Inspect a single other thread (Sect. 3.3.1).
             victim = one()
             st.probes += 1
-            cost = ref_cost(victim)
+            cost = c_local if node_lo <= victim < node_hi else c_remote
             if cost > 0:
                 if fast:
                     yield Timeout(cost)

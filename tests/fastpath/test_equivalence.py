@@ -4,11 +4,12 @@ The fastpath contract is not "about the same" -- it is *the same
 schedule*: every per-thread counter, every state-timer total, and the
 final simulated clock must match the pure-Python loops exactly.  These
 tests run each work-stealing variant once per backend on a small
-materialized tree and compare everything a run reports, plus one
-park-mode cell (event-driven idling bypasses the fused phases but
-still dispatches through the compiled run loop), one open-system
-service cell, and one cell on a machine whose shared references and
-locks cost nothing (the zero-cost shortcuts of the compiled phases).
+materialized tree and compare everything a run reports, plus the park
+matrix (every park-capable variant: the compiled Working state tells
+the idle gate what the generator tells it, and the parked search runs
+its victim scans in the C kernel), one open-system service cell, and
+one cell on a machine whose shared references and locks cost nothing
+(the zero-cost shortcuts of the compiled phases).
 
 All tests are skipped when the extension is not built -- the pure
 backend is then the only backend, and `test_selection.py` covers that
@@ -16,6 +17,8 @@ degradation.
 """
 
 import dataclasses
+import gc
+import sys
 
 import pytest
 
@@ -23,6 +26,7 @@ import repro.fastpath as fp
 from repro.harness.config import T1_QUICK
 from repro.harness.runner import run_experiment
 from repro.net.presets import get_preset
+from repro.sim.trace import Tracer
 from repro.uts.materialized import materialize
 from repro.uts.params import TreeParams
 from repro.ws.config import WsConfig
@@ -54,9 +58,23 @@ def tree():
     return materialize(T1_QUICK)
 
 
-def run_snapshot(algo, tree, backend, threads=16, **kw):
-    """Everything a run reports that is a function of the schedule."""
-    r = run_experiment(algo, tree, threads, seed=0, fastpath=backend, **kw)
+class AlgoSpy(Tracer):
+    """A disabled tracer (an enabled one is a fusion gate) that keeps
+    the algorithm instance it was attached to."""
+
+    def __init__(self):
+        super().__init__(enabled=False)
+
+    def attach_algorithm(self, algo):
+        self.algo = algo
+
+
+def run_snapshot(algo, tree, backend, threads=16, spy=None, **kw):
+    """Everything a run reports that is a function of the schedule
+    (under park, the idle gate's lifetime counters too)."""
+    spy = spy or AlgoSpy()
+    r = run_experiment(algo, tree, threads, seed=0, fastpath=backend,
+                       tracer=spy, **kw)
     per = [
         (s.nodes_visited, s.probes, s.steal_attempts, s.steals_ok,
          s.requests_granted, s.requests_denied, s.releases,
@@ -64,7 +82,9 @@ def run_snapshot(algo, tree, backend, threads=16, **kw):
          tuple(sorted(s.timer.times.items())))
         for s in r.per_thread
     ]
-    return (r.total_nodes, r.engine_events, r.sim_time, r.lost_work, per)
+    gate = spy.algo._gate
+    return (r.total_nodes, r.engine_events, repr(r.sim_time), r.lost_work,
+            per, gate and (gate.parks, gate.wakes, gate.deaths))
 
 
 @pytest.mark.parametrize("algo", VARIANTS)
@@ -74,11 +94,146 @@ def test_variant_bit_identical(algo, tree):
     assert fast == pure
 
 
-def test_park_mode_bit_identical(tree):
-    cfg = WsConfig(chunk_size=4, idle_strategy="park")
-    pure = run_snapshot("upc-distmem", tree, "pure", config=cfg)
-    fast = run_snapshot("upc-distmem", tree, "fast", config=cfg)
+# -- park: the cross-backend matrix ------------------------------------------
+
+#: Every variant whose search parks (``upc-distmem-hier`` scans two
+#: probe segments), plus ``mpi-ws``, whose Working state fuses under a
+#: gate it never notes (it publishes no ``work_avail``).
+PARK_VARIANTS = ["upc-term", "upc-term-rapdif", "upc-distmem",
+                 "upc-distmem-hier", "mpi-ws"]
+SMALL = TreeParams.binomial(b0=64, q=0.48, seed=1)
+
+
+@pytest.fixture
+def park_counts(monkeypatch):
+    """What the compiled leg of a park cell actually executed: Python
+    Working-state entries, ``WorkPhase`` binds, C-kernel scans, and
+    scans that ``abandon()`` cut short with a draw."""
+    from repro.ws.algorithms.base import AlgorithmBase
+    from repro.ws.policies import ProbeScan
+
+    counts = dict(py_working=0, c_scans=0, cut_short=0, bound=set())
+    core = fp.load_core()
+    real_scan, real_abandon = core.scan_probe, ProbeScan.abandon
+    real_work, real_bind = (AlgorithmBase.working_phase,
+                            AlgorithmBase._build_c_phase)
+
+    def scan_probe(scan, slots, bounds):
+        counts["c_scans"] += 1
+        return real_scan(scan, slots, bounds)
+
+    def abandon(self):
+        counts["cut_short"] += bool(self._m or any(self._todo))
+        return real_abandon(self)
+
+    def working_phase(self, ctx):
+        counts["py_working"] += 1
+        return real_work(self, ctx)
+
+    def bind(self, rank):
+        counts["bound"].add(rank)
+        return real_bind(self, rank)
+
+    monkeypatch.setattr(core, "scan_probe", scan_probe)
+    monkeypatch.setattr(ProbeScan, "abandon", abandon)
+    monkeypatch.setattr(AlgorithmBase, "working_phase", working_phase)
+    monkeypatch.setattr(AlgorithmBase, "_build_c_phase", bind)
+    return counts
+
+
+def park_pair(algo, tree, counts, threads=16, **kw):
+    """One park cell on both backends; returns the compiled leg's
+    algorithm after checking it did not run the generator's loop."""
+    pure = run_snapshot(algo, tree, "pure", threads, **kw)
+    assert counts["c_scans"] == 0 and not counts["bound"]
+    counts["py_working"] = 0
+    spy = AlgoSpy()
+    fast = run_snapshot(algo, tree, "fast", threads, spy=spy, **kw)
     assert fast == pure
+    return spy.algo, pure
+
+
+@pytest.mark.parametrize("chunk_size", [2, 8], ids=["k2", "k8"])
+@pytest.mark.parametrize("algo", PARK_VARIANTS)
+def test_park_mode_bit_identical(algo, chunk_size, park_counts):
+    cfg = WsConfig(chunk_size=chunk_size, idle_strategy="park")
+    compiled, snap = park_pair(algo, SMALL, park_counts, config=cfg)
+    # Not pure against pure: every rank that worked did so inside its
+    # own WorkPhase, and no scan ran in the Python kernel.
+    assert compiled._fuse is True and park_counts["py_working"] == 0
+    worked = {st.rank for st in compiled.stats if st.nodes_visited}
+    assert len(worked) > 1 and park_counts["bound"] == worked
+    if algo != "mpi-ws":  # its idle loop parks on messages, not scans
+        assert park_counts["c_scans"] > 0
+        assert snap[5][0] > 0 and snap[5][1] > 0  # parks, wakes
+
+
+def test_park_cells_cut_scans_short_and_leave_ranks_unbound(
+        tree, park_counts):
+    """The two things a small machine does not show: a scan that
+    ``abandon()`` ends with one more draw (the last surplus consumed
+    mid-scan), and ranks that never reach the Working state and so
+    bind no ``WorkPhase`` (most of a 1024-thread machine)."""
+    cfg = WsConfig(chunk_size=4, idle_strategy="park")
+    compiled, _ = park_pair("upc-distmem", tree, park_counts,
+                            threads=256, config=cfg)
+    assert park_counts["cut_short"] > 0
+    assert 1 < len(park_counts["bound"]) < 256
+    assert set(range(256)) - park_counts["bound"] == {
+        st.rank for st in compiled.stats if not st.nodes_visited}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_park_on_a_tiny_machine(threads, park_counts):
+    cfg = WsConfig(chunk_size=2, idle_strategy="park")
+    park_pair("upc-distmem", SMALL, park_counts, threads=threads,
+              config=cfg)
+    assert park_counts["bound"] == set(range(threads))
+
+
+def test_park_with_speed_factors(park_counts):
+    """Heterogeneous visit costs: the compiled phases of one speed
+    factor share one cost list, and a scaled rank gets its own."""
+    cfg = WsConfig(chunk_size=2, idle_strategy="park",
+                   speed_factors=(1.0, 2.5) * 4)
+    compiled, _ = park_pair("upc-term-rapdif", SMALL, park_counts,
+                            threads=8, config=cfg)
+    assert len(compiled._visit_costs) == 2  # not one per bound rank
+    assert len(park_counts["bound"]) > 2
+
+
+def test_park_under_a_kill_plan_runs_the_c_kernel(park_counts):
+    """Faulted park runs are not fused (fail-stop recovery lives in the
+    generators), but their scans still take the C kernel -- here with
+    a slowed rank, so ``ctx._slow`` != 1 scales the scan's cost."""
+    from repro.faults.plan import parse_fault_spec
+
+    cfg = WsConfig(chunk_size=2, idle_strategy="park",
+                   faults=parse_fault_spec("kill=3@0.0002,slow=2@4", seed=0))
+    compiled, snap = park_pair("upc-distmem", SMALL, park_counts,
+                               threads=8, config=cfg)
+    assert compiled._fuse is False and not park_counts["bound"]
+    assert park_counts["py_working"] > 0 and park_counts["c_scans"] > 0
+    assert snap[5][2] == 1  # the gate saw the death
+
+
+def test_pinned_park_schedules_on_the_compiled_backend(tree):
+    """PR 14's two traps, now that these cells run compiled.  The
+    1024-thread ledger cell runs 62,181 events -- 62,189 if the draw
+    ``abandon()`` owes the stream is lost -- and a scan's ``cost_acc``
+    mixes local and remote references, so its sum must be taken left
+    to right (``repr`` equality, not approx)."""
+    cfg = WsConfig(chunk_size=4, idle_strategy="park")
+    r = run_experiment("upc-distmem", tree, 1024, seed=0, fastpath="fast",
+                       config=cfg)
+    assert (r.total_nodes, r.engine_events, repr(r.sim_time)) == (
+        214929, 62181, "0.012774226373779674")
+    mixed = run_experiment("upc-distmem-hier", tree, 64, seed=0,
+                           fastpath="fast", config=cfg)
+    pure = run_experiment("upc-distmem-hier", tree, 64, seed=0,
+                          fastpath="pure", config=cfg)
+    assert (mixed.engine_events, repr(mixed.sim_time)) == (
+        pure.engine_events, repr(pure.sim_time))
 
 
 #: A machine where a shared reference, a lock round trip and the
@@ -99,6 +254,63 @@ def test_free_references_bit_identical(algo):
     pure = run_snapshot(algo, small, "pure", **kw)
     assert pure[1] > 900  # a schedule, not a degenerate run
     assert run_snapshot(algo, small, "fast", **kw) == pure
+
+
+def test_compiled_poll_search_pins_no_per_rank_victim_lists():
+    """A 2048-thread poll machine, paused once every rank has probed
+    its first round and sits in a wait.  The generator search keeps a
+    cost row per rank (n^2 pointers: 33.5 MB here); the compiled one
+    must hold no list of O(threads) per rank at all -- its rounds call
+    ``segments()`` afresh, price probes from the cost bounds and drop
+    the round's order before waiting.  Slack: 1 MB, a thirtieth of what
+    one retained list per rank would weigh."""
+    from repro.harness.runner import tree_for
+    from repro.net.presets import KITTYHAWK
+    from repro.pgas.machine import Machine
+    from repro.ws.algorithms import get_algorithm
+
+    n = 2048
+
+    def long_lists():
+        gc.collect()
+        return sum(sys.getsizeof(o) for o in gc.get_objects()
+                   if type(o) is list and len(o) >= n - 1)
+
+    def grown(backend):
+        machine = Machine(threads=n, net=KITTYHAWK, fastpath=backend)
+        algo = get_algorithm("upc-distmem")(machine, tree_for(SMALL),
+                                            WsConfig(chunk_size=2))
+        machine.spawn_all(algo.thread_main)
+        before = long_lists()
+        machine.sim.run(until=2e-4)
+        assert machine.sim.events_processed > n  # every rank has run
+        assert algo._fuse is (backend == "fast")
+        return long_lists() - before
+
+    pure, fast = grown("pure"), grown("fast")
+    assert pure > 30e6  # the comparison is not between two empty sets
+    assert fast <= 1e6 < pure
+
+
+def test_probe_order_stating_no_segments(monkeypatch):
+    """``segments()`` may state no victims at all: every round is
+    empty on both backends (work then moves in the barrier's
+    single-victim probes only)."""
+    from repro.ws.policies import ProbeOrder
+
+    monkeypatch.setattr(ProbeOrder, "segments", lambda self: [])
+    kw = dict(threads=4, chunk_size=2)
+    pure = run_snapshot("upc-term", SMALL, "pure", **kw)
+    assert pure[1] > 900 and all(p[1] for p in pure[4][1:])  # still probes
+    assert run_snapshot("upc-term", SMALL, "fast", **kw) == pure
+
+
+def test_malformed_segments_are_refused_by_name(monkeypatch):
+    from repro.ws.policies import ProbeOrder
+
+    monkeypatch.setattr(ProbeOrder, "segments", lambda self: [(1, 2)])
+    with pytest.raises(TypeError, match="list of lists"):
+        run_snapshot("upc-term", SMALL, "fast", threads=4, chunk_size=2)
 
 
 def test_stream_without_getrandbits_falls_back_to_cycle(tree, monkeypatch):

@@ -44,10 +44,12 @@ pytestmark = pytest.mark.skipif(
 
 TREE = TreeParams.binomial(b0=64, q=0.48, seed=1)
 
-#: (variant, binder, phase type): the five constructor call sites.
+#: (variant, binder, phase type): the five constructor call sites
+#: (``+park``: under an idle gate, which the Working state then holds).
 BINDERS = [
     ("upc-sharedmem", "_build_c_phase", "WorkPhase"),
     ("upc-distmem", "_build_c_phase", "WorkPhase"),
+    ("upc-term+park", "_build_c_phase", "WorkPhase"),
     ("mpi-ws", "_build_c_phase", "WorkPhase"),
     ("upc-distmem", "_build_c_search", "SearchPhase"),
     ("mpi-ws", "_build_c_idle", "IdlePhase"),
@@ -61,9 +63,11 @@ def clean_env(monkeypatch):
 
 
 def build(variant):
+    variant, _, park = variant.partition("+")
     machine = Machine(threads=4, net=KITTYHAWK, fastpath="fast")
-    algo = get_algorithm(variant)(machine, tree_for(TREE),
-                                  WsConfig(chunk_size=4))
+    algo = get_algorithm(variant)(
+        machine, tree_for(TREE),
+        WsConfig(chunk_size=4, idle_strategy=park or "poll"))
     return machine, algo
 
 
@@ -165,6 +169,8 @@ def test_bad_keywords_are_named_and_leak_nothing(bound):
     ("upc-distmem", "no_work", "wa needs the no_work sentinel"),
     ("upc-sharedmem", "queue", "fifo needs its queue"),
     ("upc-sharedmem", "fifo", "barrier_dict needs the fifo"),
+    ("upc-term+park", "gate_cat", "gate needs the wa"),
+    ("upc-term+park", "wa", "gate needs the wa"),
 ])
 def test_half_stated_switch_is_refused_and_leaks_nothing(
         monkeypatch, variant, without, rule):
@@ -178,6 +184,20 @@ def test_half_stated_switch_is_refused_and_leaks_nothing(
     baseline = refcounts(objs)
     with pytest.raises(ValueError, match=rule):
         cls(**dict(kwargs, **{without: None}))
+    assert refcounts(objs) == baseline
+
+
+@pytest.mark.parametrize("bad, rule", [
+    ({"segments": [[1, 2]]}, "getrandbits and segments must be callable"),
+    ({"bounds": (0, 4)}, "bounds must be"),
+])
+def test_search_phase_refuses_malformed_arguments(monkeypatch, bad, rule):
+    cls, kwargs, _alive = capture(monkeypatch, "upc-term", "_build_c_search",
+                                  "SearchPhase")
+    objs = held(kwargs)
+    baseline = refcounts(objs)
+    with pytest.raises(ValueError, match=rule):
+        cls(**dict(kwargs, **bad))
     assert refcounts(objs) == baseline
 
 
@@ -206,4 +226,36 @@ def test_phase_in_a_cycle_with_its_worker_is_collected(variant, kind):
     gone = weakref.ref(algo)
     del machine, algo
     gc.collect()
+    assert gone() is None
+
+
+def test_phase_bound_mid_run_reentered_and_torn_down_leaks_nothing():
+    """A ``WorkPhase`` is bound at its rank's first Working entry, in
+    the middle of the run, and re-entered for every later episode.
+    Nothing is bound before the first event; a rank that never works
+    binds nothing; and when the finished machine goes, every reference
+    and buffer export its phases took goes with it (under ``-X dev`` a
+    miscounted one aborts in the debug allocator instead)."""
+    tree = tree_for(TREE)
+    shared = {"delta": tree.delta, "size": tree.size}
+    baseline = refcounts(shared)
+    machine = Machine(threads=64, net=KITTYHAWK, fastpath="fast")
+    algo = get_algorithm("upc-distmem")(
+        machine, tree, WsConfig(chunk_size=2, idle_strategy="park"))
+    machine.spawn_all(algo.thread_main)
+    assert not algo._c_phases
+    machine.run()
+    algo.finalize()
+    phases = {rank: ph for (binder, rank), ph in algo._c_phases.items()
+              if binder == "_build_c_phase"}
+    worked = {st.rank for st in algo.stats if st.nodes_visited}
+    assert set(phases) == worked and 1 < len(worked) < 64
+    assert not any(ph.running for ph in phases.values())
+    # stolen work twice: at least two Working episodes through one phase
+    assert any(algo.stats[rank].steals_ok >= 2 for rank in phases)
+    taken = refcounts(shared)
+    assert all(taken[k] >= baseline[k] + len(phases) for k in shared)
+    gone = weakref.ref(algo)
+    del machine, algo, phases
+    assert refcounts(shared) == baseline
     assert gone() is None

@@ -152,6 +152,29 @@ def test_simulator_fast_active_when_built(clean_env):
     assert sim.fastpath_active
 
 
+@pytest.mark.parametrize("threads", [16, 512, 4096])
+def test_auto_queue_keeps_the_compiled_loop_at_every_size(clean_env,
+                                                         monkeypatch,
+                                                         threads):
+    """``queue="auto"`` used to pick the bucket queue at >= 512 threads,
+    which the heap-only compiled loop cannot drive: the machines the
+    paper's headline is about silently ran no compiled code."""
+    if not fp.available():
+        pytest.skip("extension not built on this host")
+    from repro.net.presets import KITTYHAWK
+    from repro.pgas.machine import Machine
+
+    def active(**kw):
+        return Machine(threads=threads, net=KITTYHAWK, **kw).sim.fastpath_active
+
+    assert active() and active(queue="auto") and active(queue="heap")
+    assert not active(queue="bucket")
+    assert not active(tie_break=lambda seq: seq)
+    assert not active(fastpath="pure")
+    monkeypatch.setenv("REPRO_FASTPATH", "pure")
+    assert not active(queue="auto")
+
+
 def test_simulator_rejects_bad_mode(clean_env):
     with pytest.raises(ConfigError, match="fastpath"):
         Simulator(fastpath="compiled")
@@ -178,6 +201,7 @@ def test_describe_inventory_keys(clean_env):
 from repro.check import check_run, check_service_run  # noqa: E402
 from repro.check.invariants import InvariantMonitor  # noqa: E402
 from repro.sim.trace import Tracer  # noqa: E402
+from repro.ws.policies import ProbeScan  # noqa: E402
 
 
 class AlgoSpy(Tracer):
@@ -196,6 +220,9 @@ def backend_spy(monkeypatch):
     def spy(self):
         sim = self.machine.sim
         seen.append((sim.fastpath, sim.fastpath_active))
+        # ... and with it the Python scan kernel: what a park cell's
+        # monitor watches is the loop the pins were drawn by
+        assert self.algo._scan_probe is ProbeScan.probe
         return orig(self)
 
     monkeypatch.setattr(InvariantMonitor, "final_check", spy)
@@ -262,6 +289,7 @@ def test_plain_run_on_tree_params_fuses(clean_env):
                          threads=4, chunk_size=2, tracer=spy)
     assert spy.algo.machine.sim.fastpath_active
     assert spy.algo._fuse is True
+    assert spy.algo._scan_probe is fp.load_core().scan_probe
     assert (res.engine_events, res.sim_time) == (158, 6.319245188284519e-05)
 
 

@@ -49,6 +49,12 @@ def test_runner_rejects_bad_preset():
         run_experiment("upc-distmem", tree=TREE, threads=4, preset="cray")
 
 
+def test_runner_rejects_bad_queue_naming_auto():
+    with pytest.raises(ConfigError, match="'auto', 'heap' or 'bucket'"):
+        run_experiment("upc-distmem", tree=TREE, threads=4, chunk_size=4,
+                       queue="calendar")
+
+
 def test_explicit_net_overrides_preset():
     net = KITTYHAWK.with_overrides(remote_shared_ref=100e-6)
     slow = run_experiment("upc-distmem", tree=TREE, threads=4, net=net,

@@ -20,6 +20,22 @@ def test_machine_requires_positive_threads(net):
         Machine(threads=0, net=net)
 
 
+def test_unknown_queue_names_the_accepted_set(net):
+    """``auto`` is accepted here, so the complaint must list it (the
+    engine one level down knows only heap / bucket)."""
+    with pytest.raises(ConfigError,
+                       match=r"'auto', 'heap' or 'bucket', got 'calendar'"):
+        Machine(threads=2, net=net, queue="calendar")
+
+
+@pytest.mark.parametrize("threads", [2, 512, 1024])
+def test_auto_queue_is_the_heap_at_every_size(net, threads):
+    assert Machine(threads=threads, net=net).sim.queue == "heap"
+    assert Machine(threads=threads, net=net, queue="auto").sim.queue == "heap"
+    assert Machine(threads=threads, net=net,
+                   queue="bucket").sim.queue == "bucket"
+
+
 def test_shared_read_write_costs_and_values(net):
     m = Machine(threads=4, net=net)
     var = m.shared_var("x", home=3, init=10)

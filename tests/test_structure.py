@@ -18,6 +18,9 @@ the next re-anchor finding it:
   three phase types, one ``_build_c_phase`` binds ``WorkPhase`` for
   every protocol, and under ``ws/`` only the modules that own a binder
   reach for the compiled core.
+* Large machines run compiled: nothing under ``src/`` picks an event
+  queue by thread count any more (``queue="auto"`` is the heap, which
+  the compiled loop drives), and the idle gate is no fusion gate.
 """
 
 import ast
@@ -69,6 +72,23 @@ def test_only_the_binders_load_the_compiled_core():
         and isinstance(node.func, ast.Name) and node.func.id == "load_core"
     })
     assert found == ["algorithms/base.py", "algorithms/mpi_ws.py"]
+
+
+def test_no_thread_count_knee_picks_the_event_queue():
+    found = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*"))
+             if path.suffix in (".py", ".c")
+             and "AUTO_QUEUE_KNEE" in path.read_text()]
+    assert found == []
+
+
+def test_the_idle_gate_is_not_a_fusion_gate():
+    base = ast.parse((SRC / "ws" / "algorithms" / "base.py").read_text())
+    [fn] = [node for node in ast.walk(base)
+            if isinstance(node, ast.FunctionDef)
+            and node.name == "_fusion_enabled"]
+    body = fn.body[1:]  # past the docstring, which explains why not
+    assert not any(isinstance(n, ast.Attribute) and n.attr == "_gate"
+                   for stmt in body for n in ast.walk(stmt))
 
 
 def _reads_enabled(test: ast.expr) -> bool:

@@ -246,3 +246,103 @@ class TestAbandon:
         # 4 ranks, one node: the off-node segment is empty.
         got, ref, before = self.stop_after("hierarchical", 4, 1, 3)
         assert got == ref == before
+
+
+class TestCompiledScanKernel:
+    """``repro.fastpath._core.scan_probe`` is ``ProbeScan.probe`` in C,
+    taken wherever a run's resolved backend is ``fast``: the two must
+    agree call for call on the victim, ``repr(cost_acc)``, the probe
+    count, the scan's own state and where they leave the generator."""
+
+    #: Every bit-length boundary the draw rule crosses, and its sides.
+    SIZES = sorted({0, 1, 2, 3, 5000}
+                   | {2 ** k + d for k in range(2, 13) for d in (-1, 0, 1)})
+
+    @pytest.fixture(autouse=True)
+    def kernel(self, monkeypatch):
+        import repro.fastpath as fp
+        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+        if not fp.available():
+            pytest.skip("compiled core not built on this host")
+        self.scan_probe = fp.load_core().scan_probe
+
+    def pair(self, shape, n, rank, seed):
+        (a, _), (b, _) = (make_orders(shape, rank, n, seed) for _ in "ab")
+        return a, a.scan(), b, b.scan()
+
+    @staticmethod
+    def state(order, scan):
+        return (scan._m, scan._items[:scan._m], scan._todo,
+                order._rng._rng.getstate())
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("segment", SIZES)
+    def test_kernel_equals_python_probe(self, shape, segment):
+        """Scans with 0..3 hits, resumed until dry; the uniform order's
+        one segment has exactly ``segment`` victims."""
+        from repro.pgas.shared import SharedVar
+
+        n = segment + 1
+        for seed, n_hits in enumerate((0, 1, 3)):
+            rank = (seed * 7) % n
+            hits = set(random.Random(seed).sample(
+                [v for v in range(n) if v != rank], min(n_hits, n - 1)))
+            values = [3 if v in hits else (0 if v % 3 else -1)
+                      for v in range(n)]
+            bounds = NET.ref_cost_bounds(rank)
+            # plain attribute holders for Python, real slots for C
+            slots_py = [Slot(v) for v in values]
+            slots_c = [SharedVar(f"wa[{i}]", i, v)
+                       for i, v in enumerate(values)]
+            py_order, py, c_order, c = self.pair(shape, n, rank, seed)
+            calls = 0
+            while True:
+                want = py.probe(slots_py, bounds)
+                got = self.scan_probe(c, slots_c, bounds)
+                assert (got[0], repr(got[1]), got[2]) == \
+                    (want[0], repr(want[1]), want[2])
+                assert self.state(c_order, c) == self.state(py_order, py)
+                calls += 1
+                if want[0] is None:
+                    break
+            assert calls == len(hits) + 1
+
+    def test_kernel_reads_any_slot_with_a_value(self):
+        """Not only ``SharedVar``: whatever ``slots[victim].value > 0``
+        means in Python, it means in C."""
+        py_order, py, c_order, c = self.pair("hierarchical", 40, 9, 2)
+        slots = [Slot(2.5 if v == 31 else -1) for v in range(40)]
+        bounds = NET.ref_cost_bounds(9)
+        want = py.probe(slots, bounds)
+        assert want[0] == 31
+        assert self.scan_probe(c, slots, bounds) == want
+        assert self.state(c_order, c) == self.state(py_order, py)
+
+    def test_abandon_after_a_kernel_probe(self):
+        py_order, py, c_order, c = self.pair("hierarchical", 16, 5, 4)
+        slots = [Slot(1)] * 16
+        bounds = NET.ref_cost_bounds(5)
+        for _ in range(3):  # the whole on-node segment
+            assert self.scan_probe(c, slots, bounds) == \
+                py.probe(slots, bounds)
+        py.abandon()
+        c.abandon()
+        assert c_order._rng._rng.getstate() == py_order._rng._rng.getstate()
+
+    def test_kernel_refuses_what_is_not_a_scan(self):
+        from types import SimpleNamespace
+
+        bounds = NET.ref_cost_bounds(0)
+        with pytest.raises(AttributeError):
+            self.scan_probe(object(), [], bounds)
+        rng = StreamRng(0, "thread", 0)
+        for todo, items, m in [((), [], 0), ([], [1], 2), ([(1, 2)], [], 0)]:
+            with pytest.raises(TypeError, match="ProbeScan|must be lists"):
+                self.scan_probe(SimpleNamespace(_rng=rng, _todo=todo,
+                                                _items=items, _m=m),
+                                [Slot(0)] * 4, bounds)
+        order, _ = make_orders("uniform", 0, 4, 0)
+        with pytest.raises(TypeError, match="bounds"):
+            self.scan_probe(order.scan(), [Slot(1)] * 4, (0, 4))
+        with pytest.raises(IndexError, match="out of range"):
+            self.scan_probe(order.scan(), [Slot(1)], NET.ref_cost_bounds(0))

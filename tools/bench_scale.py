@@ -3,7 +3,7 @@
 
 ``bench_engine.py`` pins the canonical schedule's per-event cost on
 the Figure-4 sweep; this tool pins the *scaling claim* (E11): with
-``idle_strategy="park"`` and the bucket event queue, a machine that is
+``idle_strategy="park"``, a machine that is
 mostly idle costs O(active threads), so per-event host cost stays
 roughly flat as the machine grows.  The workload is deliberately tiny
 (a ~3k-node tree across thousands of threads) -- the regime where the
