@@ -163,33 +163,40 @@ class InvariantMonitor:
         lost_stack = faults._lost_stack_nodes if faults is not None else 0
         total = pushes = pops = stolen = 0
         for rank, stack in enumerate(algo.stacks):
-            shared_nodes = sum(len(c) for c in stack.shared)
-            total += len(stack.local) + shared_nodes
-            pushes += stack.pushes
-            pops += stack.pops
-            stolen += stack.stolen_from_me_nodes
+            # each counter is loaded once: this loop is the monitor's
+            # whole cost on a small machine (docs/performance.md)
+            shared = stack.shared
+            shared_nodes = sum(map(len, shared)) if shared else 0
+            n_local = len(stack.local)
+            s_pushes = stack.pushes
+            s_pops = stack.pops
+            s_stolen = stack.stolen_from_me_nodes
+            total += n_local + shared_nodes
+            pushes += s_pushes
+            pops += s_pops
+            stolen += s_stolen
             if rank in dead:
                 # A fail-stopped stack was cleared by the loss
                 # accountant; its counters are frozen mid-ledger.
                 continue
-            if shared_nodes != (stack.released_nodes - stack.reacquired_nodes
-                                - stack.stolen_from_me_nodes):
+            released = stack.released_nodes
+            reacquired = stack.reacquired_nodes
+            if shared_nodes != released - reacquired - s_stolen:
                 self._fail(
                     time, kind,
                     f"T{rank} shared-region ledger: holds {shared_nodes} "
-                    f"node(s), expected released({stack.released_nodes}) "
-                    f"- reacquired({stack.reacquired_nodes}) "
-                    f"- stolen({stack.stolen_from_me_nodes})")
-            expect_local = (stack.pushes - stack.pops
-                            - stack.released_nodes + stack.reacquired_nodes)
-            if len(stack.local) != expect_local:
+                    f"node(s), expected released({released}) "
+                    f"- reacquired({reacquired}) "
+                    f"- stolen({s_stolen})")
+            expect_local = s_pushes - s_pops - released + reacquired
+            if n_local != expect_local:
                 self._fail(
                     time, kind,
                     f"T{rank} local-region ledger: holds "
-                    f"{len(stack.local)} node(s), expected {expect_local} "
-                    f"(pushes={stack.pushes} pops={stack.pops} "
-                    f"released={stack.released_nodes} "
-                    f"reacquired={stack.reacquired_nodes})")
+                    f"{n_local} node(s), expected {expect_local} "
+                    f"(pushes={s_pushes} pops={s_pops} "
+                    f"released={released} "
+                    f"reacquired={reacquired})")
         expected = pushes - pops - stolen - lost_stack
         if total != expected:
             self._fail(
@@ -229,14 +236,15 @@ class InvariantMonitor:
         if svc is not None:
             # I1, extended over the open system: every admitted task is
             # in exactly one state at every observable instant.
-            accounted = (svc.completed + svc.lost_tasks + svc.shed_total
+            shed_total = svc.shed_total
+            accounted = (svc.completed + svc.lost_tasks + shed_total
                          + svc.in_system)
             if svc.admitted != accounted:
                 self._fail(
                     time, kind,
                     f"task conservation: admitted {svc.admitted} != "
                     f"completed({svc.completed}) + lost({svc.lost_tasks}) "
-                    f"+ shed({svc.shed_total}) + queued({len(svc.queue)}) "
+                    f"+ shed({shed_total}) + queued({len(svc.queue)}) "
                     f"+ retrying({svc.retry_pending}) "
                     f"+ running({svc.running}) "
                     f"+ blocked({svc.door_blocked})")

@@ -18,14 +18,16 @@ Components
     this backend, fused or not), and three fused phase state machines
     behind one phase protocol: ``WorkPhase`` (Figure 1's one Working
     state, taking the switches ``AlgorithmBase.working_phase`` reads,
-    idle gate included), ``SearchPhase`` (polling) and ``IdlePhase``;
+    idle gate included, and a service stream's per-task drain ledger),
+    ``SearchPhase`` (polling) and ``IdlePhase``;
     bound per rank by ``AlgorithmBase``'s ``_build_c_phase`` /
     ``_build_c_search`` and ``mpi-ws``'s ``_build_c_idle``.  Built by
     ``setup.py build_ext``; its absence is never an error.
 
 ``nputs``
     numpy-vectorized tree construction kernels (binomial child counts,
-    SplitMix64 spawning).  Only integer-exact operations are
+    SplitMix64 spawning), level at a time from one root or from a
+    service stream's task roots.  Only integer-exact operations are
     vectorized, so the trees cannot diverge from the scalar engines.
 
 Selection

@@ -35,6 +35,10 @@
  *       generator reads as constructor arguments (None: off) -- the
  *       idle gate among them, so park mode is no fusion gate: what
  *       stays a generator under park is the search, over scan_probe.
+ *       A service stream's workload books each visit batch to its
+ *       task's drain ledger (ServiceWorkload.batch_expand); that is
+ *       one more switch, so the service pool's Working state is this
+ *       one too.
  *
  * The phase protocol.  Every phase object starts with PHASE_HEAD: the
  * worker inside it, the resume point `state` (0: nobody inside) and a
@@ -44,7 +48,8 @@
  * per struct member the constructor or the collector must know:
  * {keyword, kind, offset, exact type}; kinds: required object,
  * optional object with None -> NULL, double, long long, flag, buffer
- * export, float sequence -> double block, run-time-owned object):
+ * export, optional writable int table, float sequence -> double
+ * block, run-time-owned object):
  * phase_init walks it over the keyword dict (keywords only; a missing
  * or unknown one is a TypeError naming it; a second __init__ is
  * refused before any member is touched), phase_traverse, phase_clear
@@ -455,6 +460,7 @@ enum {
     F_LONG,     /* int -> long long                                    */
     F_FLAG,     /* truth value -> int                                  */
     F_BUFFER,   /* bytes-like -> Py_buffer export held for life        */
+    F_TABLE,    /* None, or a writable array('i') -> the same          */
     F_DOUBLES   /* sequence of float -> DoubleVec                      */
 };
 #define HOLDS_OBJECT(kind) ((kind) <= F_RUNTIME)
@@ -511,7 +517,8 @@ typedef struct {
  * behind AlgorithmBase._build_c_phase.  What a protocol changes is
  * three switches, each a member group that is NULL when off, exactly
  * the ones AlgorithmBase.working_phase reads before its loop; the idle
- * gate rides on (b), as `gate = self._gate` does there. */
+ * gate rides on (b), as `gate = self._gate` does there.  A fourth, (e),
+ * is the search space's: what explore_batch's scan books per batch. */
 enum {
     WP_IDLE = 0,        /* not running (no worker bound)               */
     WP_AFTER_VISIT,     /* woke from the visit-cost timeout            */
@@ -561,6 +568,13 @@ typedef struct {
                                * resets it (the after-release hook)    */
     double reset_cost;        /* barrier-reset write cost              */
     double home_occupancy;    /* barrier cancel stagger                */
+    /* (e) the tree is a service stream's task forest: each visit
+     * batch is booked to its task's drain ledger ((d), the after-move
+     * hook, has no compiled form) */
+    Py_buffer task_of;        /* position -> task, -1: the bootstrap   */
+    Py_buffer outstanding;    /* task -> unvisited descriptors         */
+    Py_buffer task_nodes;     /* task -> nodes visited                 */
+    PyObject *drained;        /* callable(task): its count reached 0   */
     /* runtime */
     int releasing;            /* the move in hand: release / reacquire */
 } WorkPhaseObject;
@@ -698,6 +712,63 @@ c_batch_expand(TreeView *tv, PyObject *local, long long limit,
     *out_n = n;
     *out_pushed = pushed;
     return 0;
+}
+
+/* The check that opens ServiceWorkload.batch_expand: a stack holds one
+ * task at a time, and the tasks tile the layout in order, so the
+ * lowest and the highest position in `local` must be of one task.
+ * Returns it (-1: the bootstrap leaf), or -2 with an error set -- the
+ * Python scan's own, which is run to raise it by name. */
+static Py_ssize_t
+work_batch_task(WorkPhaseObject *w)
+{
+    const int *task_of = w->task_of.buf;
+    const Py_ssize_t n_nodes = w->task_of.len / (Py_ssize_t)sizeof(int);
+    const Py_ssize_t n_tasks = w->outstanding.len / (Py_ssize_t)sizeof(int);
+    Py_ssize_t lo = n_nodes, hi = -1, i;
+    for (i = PyList_GET_SIZE(w->local); i-- > 0;) {
+        PyObject *node = PyList_GET_ITEM(w->local, i);
+        Py_ssize_t a = PyLong_CheckExact(node) ? PyLong_AsSsize_t(node) : -1;
+        if (a < 0 || a >= n_nodes) {
+            hi = -1;
+            break;
+        }
+        if (a < lo)
+            lo = a;
+        if (a > hi)
+            hi = a;
+    }
+    if (hi >= 0 && task_of[lo] == task_of[hi] && task_of[lo] >= -1
+            && task_of[lo] < n_tasks)
+        return task_of[lo];
+    PyErr_Clear();
+    Py_XDECREF(PyObject_CallMethod(w->tv.tree, "batch_expand", "(OLL)",
+                                   w->local, w->limit, w->thresh));
+    if (!PyErr_Occurred())
+        PyErr_SetString(SimulationError, "fastpath: bad task stack");
+    return -2;
+}
+
+/* The ledger that closes ServiceWorkload.batch_expand: task_nodes[tid]
+ * += n; outstanding[tid] += pushed - n; at zero the task has drained,
+ * and runtime.on_task_drained(tid) schedules its deferred accounting
+ * -- so now/_seq are synced out and back, as for gate.note. */
+static int
+work_book(WorkPhaseObject *w, RunCtx *rc, PyObject *time_obj,
+          Py_ssize_t tid, long long n, long long pushed)
+{
+    int *left = (int *)w->outstanding.buf + tid;
+    PyObject *r;
+    ((int *)w->task_nodes.buf)[tid] += (int)n;
+    if ((*left += (int)(pushed - n)) != 0)
+        return 0;
+    if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
+        return -1;
+    r = PyObject_CallFunction(w->drained, "n", tid);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return rc_reload_seq(rc);
 }
 
 /* SplitStack.release: released = local[:chunk]; del local[:chunk];
@@ -935,8 +1006,13 @@ stack_check:
          * it keeps; yield vt[n].  (n == 0 needs an empty local region,
          * handled above; like the generator, no yield then.) */
         long long n = 0, pushed = 0;
+        Py_ssize_t tid = -1;
+        if (w->drained != NULL && (tid = work_batch_task(w)) < -1)
+            return -1;
         if (c_batch_expand(&w->tv, w->local, w->limit, w->thresh,
                            &n, &pushed) < 0
+                || (tid >= 0
+                    && work_book(w, rc, time_obj, tid, n, pushed) < 0)
                 || slot_add_long(w->stack, off_st_pops, n) < 0
                 || slot_add_long(w->stack, off_st_pushes, pushed) < 0
                 || dict_add_long(w->st_dict, s_nodes_visited, n) < 0)
@@ -2088,6 +2164,17 @@ field_set(PhaseHead *self, const PhaseDesc *d, const PhaseField *f,
         break;
     case F_BUFFER:
         return PyObject_GetBuffer(v, (Py_buffer *)at, PyBUF_SIMPLE);
+    case F_TABLE:
+        if (v == Py_None)
+            return 0;
+        if (PyObject_GetBuffer(v, (Py_buffer *)at, PyBUF_WRITABLE) < 0)
+            return -1;
+        if (((Py_buffer *)at)->itemsize != sizeof(int)) {
+            PyErr_Format(PyExc_TypeError, "%s(): %s must be an array('i')",
+                         d->name, f->name);
+            return -1;
+        }
+        return 0;
     case F_DOUBLES: {
         DoubleVec *dv = at;
         PyObject *fast = PySequence_Fast(v, "expected a sequence of floats");
@@ -2117,7 +2204,7 @@ fields_clear(PhaseHead *self, const PhaseDesc *d)
         void *at = (char *)self + f->off;
         if (HOLDS_OBJECT(f->kind)) {
             Py_CLEAR(*(PyObject **)at);
-        } else if (f->kind == F_BUFFER) {
+        } else if (f->kind == F_BUFFER || f->kind == F_TABLE) {
             PyBuffer_Release((Py_buffer *)at);
         } else if (f->kind == F_DOUBLES) {
             PyMem_Free(((DoubleVec *)at)->v);
@@ -2290,6 +2377,10 @@ static const PhaseField WorkPhase_fields[] = {
      &PyDict_Type},
     {"reset_cost", F_DOUBLE, offsetof(WorkPhaseObject, reset_cost)},
     {"home_occupancy", F_DOUBLE, offsetof(WorkPhaseObject, home_occupancy)},
+    {"task_of", F_TABLE, offsetof(WorkPhaseObject, task_of)},
+    {"outstanding", F_TABLE, offsetof(WorkPhaseObject, outstanding)},
+    {"task_nodes", F_TABLE, offsetof(WorkPhaseObject, task_nodes)},
+    {"drained", F_OPT, offsetof(WorkPhaseObject, drained)},
     {NULL}
 };
 
@@ -2312,6 +2403,13 @@ work_check(PhaseHead *self)
         return "fifo needs its queue, the queue's bound methods and ev_name";
     if (w->barrier_dict != NULL && w->fifo == NULL)
         return "barrier_dict needs the fifo whose releases reset it";
+    if ((w->drained != NULL) != (w->task_of.obj != NULL)
+            || (w->drained != NULL) != (w->outstanding.obj != NULL)
+            || (w->drained != NULL) != (w->task_nodes.obj != NULL)
+            || w->task_of.len != (w->drained != NULL ? w->tv.size.len : 0)
+            || w->task_nodes.len != w->outstanding.len)
+        return "drained needs task_of (a task per tree position) and the "
+               "equal-length outstanding and task_nodes tables it books";
     return NULL;
 }
 

@@ -82,14 +82,16 @@ def batch_spawn_splitmix(state: int, n: int) -> "object":
     return _mix64(_np.uint64(state) + idx * _np.uint64(_GAMMA))
 
 
-def fast_build(base, cap: int):
-    """Level-order expansion matching ``MaterializedTree.build`` exactly.
+def fast_build(base, cap: int, roots=None):
+    """Level-order expansion matching ``uts.materialized.expand`` exactly.
 
     Returns the ``(n_kids, size, max_depth)`` the scalar depth-first
     builder produces -- the level-order counts permuted to visit order
-    -- :data:`OVERFLOW` when the tree exceeds ``cap`` nodes, or None
-    when this builder has no kernel for the tree's shape/engine (caller
-    falls back to the scalar loop).
+    -- :data:`OVERFLOW` when the expansion exceeds ``cap`` nodes, or
+    None when this builder has no kernel for the tree's shape/engine
+    (caller falls back to the scalar loop).  ``roots`` are the height-0
+    nodes of level 0, laid out one subtree after the other (a service
+    stream's task roots); default: the tree's own root.
     """
     if _np is None or not base._is_binomial:
         return None
@@ -98,10 +100,12 @@ def fast_build(base, cap: int):
         return None
     m = base._m
     thresh = base._thresh
-    # Root level: b0 children unconditionally (scalar path, one node).
-    states = [s for s, _ in base.children(base.root())]
-    levels = [_np.array([len(states)], dtype=_np.int32)]
-    total = 1 + len(states)
+    # Level 0: b0 children each, unconditionally (scalar path).
+    kids = [base.children(r) for r in ([base.root()] if roots is None
+                                       else roots)]
+    states = [s for ks in kids for s, _ in ks]
+    levels = [_np.array([len(ks) for ks in kids], dtype=_np.int32)]
+    total = len(kids) + len(states)
     if name == "sha1":
         suffixes = [struct.pack(">I", i) for i in range(m)]
         sha1 = hashlib.sha1
@@ -143,7 +147,8 @@ def _preorder(levels: list, total: int):
         sizes[lv] += cum[end] - cum[end - levels[lv]]
     n_kids = _np.empty(total, dtype=_np.int32)
     size = _np.empty(total, dtype=_np.int32)
-    pos = _np.zeros(1, dtype=_np.int64)
+    # Level 0 tiles the layout: each root starts where the last ends.
+    pos = _np.cumsum(sizes[0], dtype=_np.int64) - sizes[0]
     for lv, kids in enumerate(levels):
         n_kids[pos] = kids
         size[pos] = sizes[lv]

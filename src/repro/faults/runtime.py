@@ -410,16 +410,22 @@ class FaultRuntime:
 
         A lost node was never visited, so none of its descendants were
         ever generated -- the lost subtrees are disjoint and their
-        total is exactly the gap to the sequential oracle.
+        total is exactly the gap to the sequential oracle.  On the
+        materialised layout a descriptor is a position and the answer
+        is in ``size``; any other search space is walked.
         """
-        children = tree.children
-        total = 0
-        for root in self.lost_descriptors:
-            stack = [root]
-            while stack:
-                node = stack.pop()
-                total += 1
-                stack.extend(children(node))
+        size = getattr(tree, "size", None)
+        if size is not None:
+            total = sum(size[root] for root in self.lost_descriptors)
+        else:
+            children = tree.children
+            total = 0
+            for root in self.lost_descriptors:
+                stack = [root]
+                while stack:
+                    node = stack.pop()
+                    total += 1
+                    stack.extend(children(node))
         self.counters.lost_work = total
         return total
 

@@ -59,9 +59,21 @@ class ServiceAlgorithm(LockBasedAlgorithm):
         bmax = cfg.search_backoff_max
         bfactor = cfg.search_backoff_factor
         backoff = bmin
+        fuse = self._fuse
+        if fuse is None:
+            fuse = self._fuse = self._fusion_enabled()
+        phase = None
         while True:
             if not stack.is_empty:
-                yield from self.working_phase(ctx)
+                if fuse:
+                    # The compiled Working state, bound at the first
+                    # entry as in AlgorithmBase.thread_main; with no
+                    # poll point (switch (a) off) it never bounces.
+                    phase = phase or self._compiled(self._build_c_phase,
+                                                    rank)
+                    yield phase
+                else:
+                    yield from self.working_phase(ctx)
                 backoff = bmin
                 continue
             # Pop-and-start is synchronous with the push: no yield in

@@ -40,24 +40,6 @@ from repro.ws.config import WsConfig
 __all__ = ["run_service"]
 
 
-class _LossSizer:
-    """Side-effect-free ``children`` view for ``lost_work_total``.
-
-    The workload's own ``children`` *accounts* (it drives the drain
-    ledger); sizing lost subtrees after the run must not re-enter that
-    bookkeeping, so the sizer expands the inner tree directly.
-    """
-
-    def __init__(self, workload: ServiceWorkload) -> None:
-        self._inner = workload.inner
-
-    def children(self, node):
-        tid, inner_node = node
-        if tid < 0:
-            return []
-        return [(tid, kid) for kid in self._inner.children(inner_node)]
-
-
 def run_service(
     service: ServiceConfig,
     threads: int,
@@ -121,7 +103,7 @@ def run_service(
     lost_work = 0
     if fault_rt is not None:
         fault_rt.check_conservation()
-        lost_work = fault_rt.lost_work_total(_LossSizer(workload))
+        lost_work = fault_rt.lost_work_total(workload)
 
     lat = sorted(svc.latencies)
     result = ServiceResult(

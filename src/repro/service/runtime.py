@@ -18,9 +18,10 @@ zero) when the service drains.
 Atomicity discipline: counter updates happen synchronously inside one
 simulation event, *before* any trace emit, so the ledger is consistent
 at every observable instant.  Task-drain accounting is the one
-exception -- a drain is detected inside ``children()`` mid-visit-batch,
-where the stacks' push/pop counters are transiently out of sync with
-their contents -- so drains are deferred one zero-delay callback
+exception -- a drain is detected inside the workload's visit scan,
+before the batch's push/pop counters are booked, where the stacks'
+counters are transiently out of sync with their contents -- so drains
+are deferred one zero-delay callback
 (``Simulator._call_at``): the callback runs as its own event, after the
 batch's bookkeeping has settled.  The callback is scheduled on traced
 and untraced runs alike, keeping the two bit-identical.
@@ -149,9 +150,13 @@ class ServiceRuntime:
         self.sim = machine.sim
         self.algo = algo
         self.workload = workload
-        workload.runtime = self
+        workload.attach(self, cfg.n_tasks)
         #: Algorithms advertise the service for the invariant monitor.
         algo.service = self
+        #: Drains are detected in the workload's scan, so the pool
+        #: visits through it even when handed a wrapper around the
+        #: workload (the benchmark's timing probe).
+        algo._batch_expand = workload.batch_expand
         self.queue: deque = deque()
         self.tasks: dict = {}
         self._tainted: set = set()
@@ -348,7 +353,7 @@ class ServiceRuntime:
     def on_task_drained(self, tid: int) -> None:
         """All of task ``tid``'s descriptors are visited or lost.
 
-        Called from inside ``children()`` mid-visit-batch, where stack
+        Called from inside the workload's visit scan, where stack
         ledgers are transiently inconsistent -- defer the accounting
         (and its emits) one zero-delay callback so it lands in its own
         event.  Scheduled unconditionally: traced and untraced runs
@@ -361,7 +366,7 @@ class ServiceRuntime:
         now = self.sim.now
         task.finished = now
         self.running -= 1
-        nodes = self.workload.task_nodes.get(tid, 0)
+        nodes = self.workload.task_nodes[tid]
         tr = self.machine.tracer
         if tid in self._tainted:
             self.lost_tasks += 1

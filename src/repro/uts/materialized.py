@@ -26,7 +26,9 @@ entirely): :func:`materialize` falls back to returning the implicit
 :class:`Tree` when the expansion would exceed the cap, so near-critical
 trees degrade to on-the-fly generation instead of exhausting host
 memory.  :func:`tree_for` caches those results process-wide; every
-``run_experiment(TreeParams)`` and every sweep resolves its tree there.
+``run_experiment(TreeParams)`` and every sweep resolves its tree there,
+and a service stream's task forest (:mod:`repro.service.tasks`, built
+through :func:`expand`) is one more entry of the same cache.
 """
 
 from __future__ import annotations
@@ -93,46 +95,9 @@ class MaterializedTree:
               max_nodes: Optional[int] = None) -> Optional["MaterializedTree"]:
         """Expand ``params`` in one pass; None if it exceeds ``max_nodes``."""
         cap = node_cap() if max_nodes is None else max_nodes
-        if cap <= 0:
-            return None
         base = Tree(params)
-        # Vectorized builder (repro.fastpath.nputs): the same arrays,
-        # level-at-a-time.  None means "no kernel for this shape";
-        # OVERFLOW means the scalar loop would hit the cap too.
-        from repro.fastpath import vector_expansion_enabled
-        if vector_expansion_enabled():
-            from repro.fastpath import nputs
-            built = nputs.fast_build(base, cap)
-            if built is nputs.OVERFLOW:
-                return None
-            if built is not None:
-                return cls(params, *built)
-        # The sequential search itself: pop order is the layout's index.
-        n_kids = array("i")
-        count = n_kids.append
-        max_depth = 0
-        stack = [base.root()]
-        pop = stack.pop
-        extend = stack.extend
-        children = base.children
-        while stack:
-            node = pop()
-            kids = children(node)
-            count(len(kids))
-            if kids:
-                extend(kids)
-                if len(n_kids) + len(stack) > cap:
-                    return None
-            elif node[1] > max_depth:  # the deepest node is a leaf
-                max_depth = node[1]
-        # Sizes in reverse: child j+1 starts where child j's subtree ends.
-        size = array("i", [1]) * len(n_kids)
-        for i in range(len(n_kids) - 1, -1, -1):
-            s = 1
-            for _ in range(n_kids[i]):
-                s += size[i + s]
-            size[i] = s
-        return cls(params, n_kids, size, max_depth)
+        built = expand(base, [base.root()], cap) if cap > 0 else None
+        return cls(params, *built) if built is not None else None
 
     def describe(self) -> str:
         return self.params.describe()
@@ -216,6 +181,51 @@ class MaterializedTree:
         return n, pushed
 
 
+def expand(base: Tree, roots: list, cap: int):
+    """The layout's ``(n_kids, size, max_depth)`` for the subtrees under
+    ``roots`` (nodes of ``base``), one after the other, each in the
+    order the sequential search visits it; None past ``cap`` nodes.
+    """
+    # Vectorized builder (repro.fastpath.nputs): the same arrays,
+    # level-at-a-time.  None means "no kernel for this shape";
+    # OVERFLOW means the scalar loop would hit the cap too.
+    from repro.fastpath import vector_expansion_enabled
+    if vector_expansion_enabled():
+        from repro.fastpath import nputs
+        built = nputs.fast_build(base, cap, roots)
+        if built is nputs.OVERFLOW:
+            return None
+        if built is not None:
+            return built
+    # The sequential search itself: pop order is the layout's index
+    # (the first root on top, so each subtree is done before the next).
+    n_kids = array("i")
+    count = n_kids.append
+    max_depth = 0
+    stack = roots[::-1]
+    pop = stack.pop
+    extend = stack.extend
+    children = base.children
+    while stack:
+        node = pop()
+        kids = children(node)
+        count(len(kids))
+        if kids:
+            extend(kids)
+            if len(n_kids) + len(stack) > cap:
+                return None
+        elif node[1] > max_depth:  # the deepest node is a leaf
+            max_depth = node[1]
+    # Sizes in reverse: child j+1 starts where child j's subtree ends.
+    size = array("i", [1]) * len(n_kids)
+    for i in range(len(n_kids) - 1, -1, -1):
+        s = 1
+        for _ in range(n_kids[i]):
+            s += size[i + s]
+        size[i] = s
+    return n_kids, size, max_depth
+
+
 def materialize(params: TreeParams, max_nodes: Optional[int] = None):
     """Best-effort materialization of ``params``.
 
@@ -227,9 +237,10 @@ def materialize(params: TreeParams, max_nodes: Optional[int] = None):
     return mat if mat is not None else Tree(params)
 
 
-#: The process-wide tree cache, least recently used first.  Forked
-#: sweep workers inherit it copy-on-write.
-_TREES: "OrderedDict[TreeParams, object]" = OrderedDict()
+#: The process-wide tree cache, least recently used first: trees by
+#: their ``TreeParams``, service task forests by (shape, stream seed,
+#: tasks).  Forked sweep workers inherit it copy-on-write.
+_TREES: "OrderedDict[object, object]" = OrderedDict()
 _TREES_LOCK = threading.Lock()
 
 
@@ -240,22 +251,29 @@ def _cost(tree) -> int:
 def tree_for(params: TreeParams):
     """The process-wide tree for ``params``: materialized when it fits
     under :func:`node_cap`, else the implicit :class:`Tree` (cached too,
-    so the abandoned expansion is paid once).  The cache holds at most
-    :func:`node_cap` nodes in total: least-recently-used trees are
-    dropped until the newcomer fits.
+    so the abandoned expansion is paid once).
+    """
+    return cached(params, lambda cap: materialize(params, max_nodes=cap))
+
+
+def cached(key, build):
+    """``build(node_cap())``, once per ``key`` while it stays cached.
+    The cache holds at most :func:`node_cap` nodes in total: least-
+    recently-used entries are dropped until the newcomer fits, and a
+    newcomer over the cap on its own is returned uncached.
     """
     with _TREES_LOCK:
-        tree = _TREES.get(params)
+        tree = _TREES.get(key)
         if tree is not None:
-            _TREES.move_to_end(params)
+            _TREES.move_to_end(key)
             return tree
         cap = node_cap()
-        tree = materialize(params, max_nodes=cap)
+        tree = build(cap)
         room = cap - _cost(tree)
-        while _TREES and sum(map(_cost, _TREES.values())) > room:
-            _TREES.popitem(last=False)
         if room >= 0:
-            _TREES[params] = tree
+            while _TREES and sum(map(_cost, _TREES.values())) > room:
+                _TREES.popitem(last=False)
+            _TREES[key] = tree
         return tree
 
 

@@ -31,7 +31,6 @@ from repro.metrics.states import (SEARCHING, STEALING, WORKING,
 from repro.pgas.collectives import reduction_time
 from repro.pgas.machine import Machine, UpcContext
 from repro.sim.engine import SimEvent, Timeout
-from repro.uts.materialized import MaterializedTree
 from repro.uts.tree import Tree
 from repro.ws.config import WsConfig
 from repro.ws.policies import ProbeOrder, ProbeScan, StealAmount, steal_one
@@ -858,19 +857,21 @@ class AlgorithmBase:
         """Whether the compiled phases may replace the generators.
 
         Every gate guards a behaviour the C state machines do not
-        reproduce: a fused phase is exactly the fault-free, trace-off,
-        materialized-tree generator (under either idle strategy: the
-        compiled Working state tells the idle gate what the generator
-        does), so anything else -- faults, tracing, an implicit tree,
-        or (per protocol, :meth:`_fusable`) an override of a method the
-        C code stands in for -- falls back to the generator.  The
+        reproduce: a fused phase is exactly the fault-free, trace-off
+        generator over the materialised layout (a ``MaterializedTree``,
+        or a service stream's workload over its task forest; under
+        either idle strategy: the compiled Working state tells the idle
+        gate what the generator does), so anything else -- faults,
+        tracing, a search space without ``delta``/``size`` arrays, or
+        (per protocol, :meth:`_fusable`) an override of a method the C
+        code stands in for -- falls back to the generator.  The
         schedules are bit-identical either way; only host speed differs.
         """
         if (self.sim._crun is None
                 or not self._fast
                 or self.tracer.enabled
                 or self._visit_timeouts is None
-                or not isinstance(self.tree, MaterializedTree)):
+                or getattr(self.tree, "delta", None) is None):
             return False
         return self._fusable()
 
@@ -896,9 +897,12 @@ class AlgorithmBase:
         """Bind one ``repro.fastpath._core.WorkPhase`` to this rank: its
         stack containers, counters and tree, and switches (a)-(c) read
         exactly as :meth:`working_phase` reads them, None meaning off
-        (the idle gate rides on (b)).  The phase makes both
-        ``work_avail`` pokes around the loop itself; the callbacks are
-        the two state-timer transitions.  Nothing bound is O(threads).
+        (the idle gate rides on (b)).  A search space whose scan books
+        its batches states that as ``ledger`` (a service workload's
+        per-task drain tables), and the phase books them the same way.
+        The phase makes both ``work_avail`` pokes around the loop
+        itself; the callbacks are the two state-timer transitions.
+        Nothing bound is O(threads).
 
         The costs handed over are the exact floats the generator's
         precomputed Timeouts carry (``Timeout.delay`` read back, not
@@ -923,6 +927,8 @@ class AlgorithmBase:
             queue = fifo._queue
             if self._after_release_hook:  # the stock one: see _fusable
                 barrier = self._termination.barrier
+        task_of, outstanding, task_nodes, drained = getattr(
+            self.tree, "ledger", None) or (None,) * 4
         return load_core().WorkPhase(
             sim=sim,
             local=stack.local,
@@ -957,6 +963,10 @@ class AlgorithmBase:
             barrier_dict=barrier.__dict__ if barrier is not None else None,
             reset_cost=self.net.shared_ref(rank, 0),
             home_occupancy=self.net.home_occupancy,
+            task_of=task_of,
+            outstanding=outstanding,
+            task_nodes=task_nodes,
+            drained=drained,
         )
 
     def _build_c_search(self, rank: int):

@@ -7,8 +7,9 @@ tests run each work-stealing variant once per backend on a small
 materialized tree and compare everything a run reports, plus the park
 matrix (every park-capable variant: the compiled Working state tells
 the idle gate what the generator tells it, and the parked search runs
-its victim scans in the C kernel), one open-system service cell, and
-one cell on a machine whose shared references and locks cost nothing
+its victim scans in the C kernel), the open-system service matrix
+(idle strategy x admission policy x load: the pool's Working state is
+the compiled one, drain ledger included), and one cell on a machine whose shared references and locks cost nothing
 (the zero-cost shortcuts of the compiled phases).
 
 All tests are skipped when the extension is not built -- the pure
@@ -342,21 +343,46 @@ def test_stream_without_getrandbits_falls_back_to_cycle(tree, monkeypatch):
     assert len(bound) == 16 and all(b is None for b in bound)
 
 
-def test_service_mode_bit_identical():
-    from repro.service import ServiceConfig, run_service
+@pytest.mark.parametrize("overload", [False, True], ids=["light", "overload"])
+@pytest.mark.parametrize("policy", ["block", "shed-oldest", "shed-newest"])
+@pytest.mark.parametrize("idle", ["poll", "park"])
+def test_service_mode_bit_identical(idle, policy, overload):
+    """The service pool's Working state is the compiled one too: the
+    task forest is on the materialised layout, and the per-task drain
+    ledger is one more switch of ``WorkPhase``."""
+    from repro.service import ArrivalProcess, ServiceConfig, run_service
 
-    service = ServiceConfig(n_tasks=120)
-    cfg = WsConfig(chunk_size=2, idle_strategy="park")
+    service = ServiceConfig(
+        arrivals=ArrivalProcess(rate=4e6 if overload else 1e5),
+        n_tasks=120, queue_capacity=8, policy=policy)
+    cfg = WsConfig(chunk_size=2, idle_strategy=idle)
 
     def snap(backend):
+        spy = AlgoSpy()
         r = run_service(service, threads=16, config=cfg, seed=0,
-                        fastpath=backend)
+                        fastpath=backend, tracer=spy)
+        svc = spy.algo.service
         return (r.admitted, r.completed, tuple(sorted(r.shed.items())),
                 r.lost_tasks, r.retries, r.deadline_miss, r.block_waits,
-                r.lat_p50, r.lat_p95, r.lat_p99, r.lat_mean, r.lat_max,
-                r.queue_peak, r.total_nodes, r.engine_events, r.sim_time)
+                svc.latencies, svc.depth_timeline,
+                list(svc.workload.task_nodes), list(svc.workload.outstanding),
+                r.queue_peak, r.total_nodes, r.engine_events,
+                repr(r.sim_time),
+                [(st.nodes_visited, st.releases, st.reacquires, st.steals_ok,
+                  st.timer.transitions) for st in r.per_thread]), spy.algo
 
-    assert snap("fast") == snap("pure")
+    fast, algo = snap("fast")
+    assert fast == snap("pure")[0]
+    # the fast leg drained its tasks inside WorkPhase, on every rank
+    # that worked, and the ledger closed at zero everywhere
+    assert algo._fuse and fast[1] > 0
+    assert (sum(n for _reason, n in fast[2]) > 0) == (
+        overload and policy != "block")
+    worked = {st.rank for st in algo.stats if st.nodes_visited}
+    assert len(worked) > 1 and worked == {
+        rank for (binder, rank), ph in algo._c_phases.items()
+        if type(ph).__name__ == "WorkPhase"}
+    assert not any(algo.service.workload.outstanding)
 
 
 def test_backends_actually_differ(tree):

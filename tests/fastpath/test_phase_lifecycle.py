@@ -2,7 +2,7 @@
 ``tp_init`` / ``tp_traverse`` / ``tp_clear`` / ``tp_dealloc`` in
 ``_core.c`` serves all three, so every check here runs on all three --
 the one ``WorkPhase`` as a locked, a slot-polling and a mailbox-polling
-variant bind it.
+variant and the service pool (drain ledger stated) bind it.
 
 Each phase is built with exactly the keywords its algorithm's own
 ``_build_c_*`` binder passes (captured by standing in for
@@ -35,6 +35,9 @@ import repro.fastpath as fp
 from repro.harness.runner import tree_for
 from repro.net.presets import KITTYHAWK
 from repro.pgas.machine import Machine
+from repro.service import ServiceConfig, ServiceRuntime
+from repro.service.algorithm import ServiceAlgorithm
+from repro.service.tasks import ServiceWorkload
 from repro.uts.params import TreeParams
 from repro.ws.algorithms import get_algorithm
 from repro.ws.config import WsConfig
@@ -44,9 +47,10 @@ pytestmark = pytest.mark.skipif(
 
 TREE = TreeParams.binomial(b0=64, q=0.48, seed=1)
 
-#: (variant, binder, phase type): the five constructor call sites
+#: (variant, binder, phase type): the constructor call sites
 #: (``+park``: under an idle gate, which the Working state then holds).
 BINDERS = [
+    ("service-ws", "_build_c_phase", "WorkPhase"),
     ("upc-sharedmem", "_build_c_phase", "WorkPhase"),
     ("upc-distmem", "_build_c_phase", "WorkPhase"),
     ("upc-term+park", "_build_c_phase", "WorkPhase"),
@@ -65,6 +69,12 @@ def clean_env(monkeypatch):
 def build(variant):
     variant, _, park = variant.partition("+")
     machine = Machine(threads=4, net=KITTYHAWK, fastpath="fast")
+    if variant == "service-ws":
+        service = ServiceConfig(n_tasks=20)
+        workload = ServiceWorkload(service.inner_params(), seed=service.seed)
+        algo = ServiceAlgorithm(machine, workload, WsConfig(chunk_size=2))
+        return machine, (algo, ServiceRuntime(service, machine, algo,
+                                              workload))
     algo = get_algorithm(variant)(
         machine, tree_for(TREE),
         WsConfig(chunk_size=4, idle_strategy=park or "poll"))
@@ -90,7 +100,7 @@ def capture(monkeypatch, variant, binder, kind):
     core = CapturingCore()
     with monkeypatch.context() as mp:
         mp.setattr(fp, "load_core", lambda: core)
-        getattr(algo, binder)(1)
+        getattr(algo[0] if isinstance(algo, tuple) else algo, binder)(1)
     return getattr(fp.load_core(), kind), core.kwargs, (machine, algo)
 
 
@@ -135,6 +145,8 @@ def test_second_init_is_refused_and_leaks_nothing(bound):
         # blocked by anyone else's export of the shared tree's arrays
         kwargs = dict(kwargs, delta=array("i", kwargs["delta"]),
                       size=array("i", kwargs["size"]))
+        if kwargs["task_of"] is not None:
+            kwargs["task_of"] = array("i", kwargs["task_of"])
     objs = held(kwargs)
     baseline = refcounts(objs)
     phase = cls(**kwargs)
@@ -148,6 +160,8 @@ def test_second_init_is_refused_and_leaks_nothing(bound):
     if "delta" in kwargs:
         kwargs["delta"].append(0)  # BufferError while an export is held
         kwargs["size"].append(0)
+        if kwargs["task_of"] is not None:
+            kwargs["task_of"].append(0)
 
 
 def test_bad_keywords_are_named_and_leak_nothing(bound):
@@ -171,6 +185,10 @@ def test_bad_keywords_are_named_and_leak_nothing(bound):
     ("upc-sharedmem", "fifo", "barrier_dict needs the fifo"),
     ("upc-term+park", "gate_cat", "gate needs the wa"),
     ("upc-term+park", "wa", "gate needs the wa"),
+    ("service-ws", "task_of", "drained needs task_of"),
+    ("service-ws", "outstanding", "drained needs task_of"),
+    ("service-ws", "task_nodes", "drained needs task_of"),
+    ("service-ws", "drained", "drained needs task_of"),
 ])
 def test_half_stated_switch_is_refused_and_leaks_nothing(
         monkeypatch, variant, without, rule):
@@ -184,6 +202,24 @@ def test_half_stated_switch_is_refused_and_leaks_nothing(
     baseline = refcounts(objs)
     with pytest.raises(ValueError, match=rule):
         cls(**dict(kwargs, **{without: None}))
+    assert refcounts(objs) == baseline
+
+
+@pytest.mark.parametrize("bad, error, rule", [
+    ({"task_of": array("i", [-1, 0])}, ValueError, "a task per tree position"),
+    ({"task_nodes": array("i", [0])}, ValueError, "equal-length"),
+    ({"outstanding": array("q", [0] * 20)}, TypeError,
+     r"outstanding must be an array\('i'\)"),
+    ({"task_nodes": bytes(80)}, BufferError, "not writable"),
+])
+def test_work_phase_refuses_malformed_ledger_tables(monkeypatch, bad, error,
+                                                    rule):
+    cls, kwargs, _alive = capture(monkeypatch, "service-ws", "_build_c_phase",
+                                  "WorkPhase")
+    objs = held(kwargs)
+    baseline = refcounts(objs)
+    with pytest.raises(error, match=rule):
+        cls(**dict(kwargs, **bad))
     assert refcounts(objs) == baseline
 
 

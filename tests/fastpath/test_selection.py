@@ -293,6 +293,24 @@ def test_plain_run_on_tree_params_fuses(clean_env):
     assert (res.engine_events, res.sim_time) == (158, 6.319245188284519e-05)
 
 
+def test_plain_service_run_fuses(clean_env):
+    """``run_service`` hands the pool a workload on the materialised
+    layout (the cached task forest), so a plain stream runs the
+    compiled Working state; a traced one keeps the generator."""
+    if not fp.available():
+        pytest.skip("extension not built on this host")
+    from repro.service import ServiceConfig, run_service
+
+    fused = {}
+    for traced in (False, True):
+        spy = AlgoSpy(enabled=traced)
+        res = run_service(ServiceConfig(n_tasks=40), threads=4, tracer=spy)
+        assert spy.algo.machine.sim.fastpath_active
+        fused[traced] = (spy.algo._fuse, res.engine_events, res.sim_time)
+    assert fused[False] == (True,) + fused[True][1:]
+    assert fused[True][0] is False
+
+
 # -- which protocols fuse ----------------------------------------------
 #
 # With one ``working_phase`` and one compiled ``WorkPhase`` for every

@@ -5,6 +5,7 @@ bit-identical results across event-queue backends and across
 serial/parallel execution of a sweep.
 """
 
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -15,7 +16,9 @@ from repro.errors import ConfigError
 from repro.faults.plan import parse_fault_spec
 from repro.obs import TraceSink
 from repro.service import ArrivalProcess, ServiceConfig, run_service
+from repro.service import tasks
 from repro.sim.rng import StreamRng
+from repro.uts import materialized
 from repro.ws.config import WsConfig
 
 BASE = ServiceConfig(arrivals=ArrivalProcess(rate=8e5), n_tasks=120,
@@ -173,3 +176,83 @@ class TestSurface:
     def test_config_rejects_garbage_by_name(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ServiceConfig(**{field: value})
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    monkeypatch.setattr(materialized, "_TREES", OrderedDict())
+    return materialized._TREES
+
+
+class TestTaskForest:
+    """The stream's one expansion: cached by (shape, stream seed,
+    tasks) in the tree cache, always built, refused by name when it
+    cannot be laid out."""
+
+    def test_runs_of_one_stream_share_one_forest(self, fresh_cache):
+        a = _run()
+        [(key, forest)] = fresh_cache.items()
+        assert key == (BASE.inner_params(), BASE.seed, BASE.n_tasks)
+        assert forest.n_nodes == sum(
+            forest.size[forest.off[t]] for t in range(BASE.n_tasks)) + 1
+        b = _run(replace(BASE, policy="block"))
+        assert list(fresh_cache.values()) == [forest]
+        _run(replace(BASE, n_tasks=60))
+        _run(replace(BASE, seed=4))
+        assert len(fresh_cache) == 3
+        assert a.as_dict() == _run().as_dict() != b.as_dict()
+
+    def test_cache_cap_zero_still_runs_uncached(self, monkeypatch,
+                                                fresh_cache):
+        cached = _run()
+        fresh_cache.clear()
+        monkeypatch.setenv("REPRO_TREE_CACHE_CAP", "0")
+        assert _run().as_dict() == cached.as_dict()
+        assert not fresh_cache
+
+    def test_forest_over_the_cap_leaves_cached_trees_alone(
+            self, monkeypatch, fresh_cache):
+        monkeypatch.setenv("REPRO_TREE_CACHE_CAP", "300")
+        tree = materialized.tree_for(BASE.inner_params().with_seed(9))
+        assert list(fresh_cache.values()) == [tree]
+        _run()  # 120 tasks of ~41 nodes: over the cap on its own
+        assert list(fresh_cache.values()) == [tree]
+
+    @pytest.mark.parametrize("limit", [1000, 4300],
+                             ids=["by-estimate", "by-expansion"])
+    @pytest.mark.parametrize("builder", ["numpy", "scalar"])
+    def test_oversized_forest_is_refused_by_name(self, monkeypatch,
+                                                 fresh_cache, limit,
+                                                 builder):
+        """100 tasks: 4,100 nodes estimated, 4,429 in fact."""
+        if builder == "scalar":
+            monkeypatch.setenv("REPRO_FASTPATH", "0")
+        monkeypatch.setattr(tasks, "_MAX_NODES", limit)
+        with pytest.raises(ConfigError,
+                           match=rf"n_tasks=100 .* 4\.1e\+03 nodes.* {limit}"):
+            _run(replace(BASE, n_tasks=100))
+        assert not fresh_cache
+
+    def test_shape_without_a_numpy_kernel_builds_by_the_scalar_loop(
+            self, monkeypatch, fresh_cache):
+        from repro.fastpath import nputs
+        if not nputs.HAVE_NUMPY:
+            pytest.skip("numpy not available")
+        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+        declined = []
+        real = nputs.fast_build
+        monkeypatch.setattr(
+            nputs, "fast_build",
+            lambda *a: declined.append(real(*a)) or declined[-1])
+        res = _run(replace(BASE, task_engine="sha1-pure"))
+        assert declined == [None]
+        assert res.admitted == res.completed + res.shed_total
+
+    def test_cli_refuses_an_oversized_stream(self, capsys):
+        from repro.harness.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--tasks", "100000000", "--task-q", "0.499"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "n_tasks=100000000" in err and "2e+11 nodes" in err

@@ -21,6 +21,10 @@ the next re-anchor finding it:
 * Large machines run compiled: nothing under ``src/`` picks an event
   queue by thread count any more (``queue="auto"`` is the heap, which
   the compiled loop drives), and the idle gate is no fusion gate.
+* A service stream has one expansion path: the cached task forest.
+  Nothing under ``service/`` expands an inner tree node by node again,
+  and a task's drain is detected in exactly two places -- the visit
+  scan and the fail-stop loss hook.
 """
 
 import ast
@@ -89,6 +93,23 @@ def test_the_idle_gate_is_not_a_fusion_gate():
     body = fn.body[1:]  # past the docstring, which explains why not
     assert not any(isinstance(n, ast.Attribute) and n.attr == "_gate"
                    for stmt in body for n in ast.walk(stmt))
+
+
+def test_service_streams_have_one_expansion_path():
+    service = SRC / "service"
+    for path in sorted(service.glob("*.py")):
+        text = path.read_text()
+        assert ".inner.children(" not in text, path.name
+        assert "_LossSizer" not in text, path.name
+    callers = sorted(
+        f"{path.name}:{fn.name}"
+        for path, tree in _modules() if path.parent == service
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "on_task_drained")
+    assert callers == ["tasks.py:batch_expand", "tasks.py:on_nodes_lost"]
 
 
 def _reads_enabled(test: ast.expr) -> bool:

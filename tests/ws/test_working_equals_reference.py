@@ -525,7 +525,7 @@ def test_merged_loop_executes_the_copies_schedule(
 # -- the compiled Working state executes the copies' schedule too --------------
 
 FUSABLE = ["upc-sharedmem", "upc-term", "upc-term-rapdif", "upc-distmem",
-           "upc-distmem-hier", "mpi-ws"]
+           "upc-distmem-hier", "mpi-ws", "service-ws"]
 
 
 @pytest.mark.skipif(not fp.available(),
