@@ -56,11 +56,28 @@ I3' Bounded multiplicity per node: a node descriptor may appear at
 
 A violation raises :class:`~repro.errors.InvariantViolation` from
 inside the run, freezing the schedule at the first inconsistent state.
+
+What is checked when (``docs/correctness.md`` has the table).  Every
+emit evaluates every comparison of I1, I2, I1' and I5, but pays for
+what changed: only stacks that were written to or changed length are
+re-read (a write barrier that :meth:`InvariantMonitor.attach_algorithm`
+puts on the stacks for the run, plus one length-vector compare), and
+``dup_extra`` is re-summed only after a write.  Every ``scan_period``-th
+emit, every termination emit and ``final_check`` run the full pass over
+every stack, which also fails by name if the incremental view ever
+disagrees with it.  I3/I3' scans settle "no descriptor twice" by a
+set-size proof and hand over to the loops that name an offender only
+when it fails.  Verdict, emit number and message are the
+full pass's; the one exception -- a shared chunk resized or swapped in
+place with no counter write and no change in chunk count -- is raised
+by the next re-read of that stack or the next full pass, whichever is
+first, never more than ``scan_period`` emits late.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import chain, compress
+from operator import ne
 
 from repro.errors import InvariantViolation
 
@@ -76,6 +93,50 @@ _TERM_KINDS = frozenset({"sbarrier.announce", "cbarrier.terminate",
                          "mpi.term", "service.close", "tsplit.term"})
 #: Emits after which a rank's lock holdings are forgiven (fail-stop).
 _DEATH_KINDS = frozenset({"fault.kill", "sim.interrupt"})
+
+
+class _WatchedDict(dict):
+    """The algorithm's ``dup_extra`` while a monitor is attached: a
+    plain dict that remembers it was written, so the monitor re-sums it
+    after a write instead of at every emit.  The monitor never takes a
+    total from the algorithm -- only the fact that one is stale."""
+
+    __slots__ = ("written",)
+
+    def __setitem__(self, key, value, _set=dict.__setitem__):
+        # the store the algorithm makes, once per duplicated descriptor
+        _set(self, key, value)
+        self.written = True
+
+
+def _flagging(name: str):
+    method = getattr(dict, name)
+
+    def mutator(self, *args, **kwargs):
+        self.written = True
+        return method(self, *args, **kwargs)
+    mutator.__name__ = name
+    return mutator
+
+
+for _name in ("__delitem__", "__ior__", "clear", "pop", "popitem",
+              "setdefault", "update"):
+    setattr(_WatchedDict, _name, _flagging(_name))
+del _name
+
+
+def _watched(base: type, note) -> type:
+    """``base`` behind a write barrier: every attribute store also calls
+    ``note(stack)``.  No slot is added (``__slots__ = ()``), so a live
+    stack's ``__class__`` can be swapped to it and back; the barrier
+    exists only between ``attach_algorithm`` and the end of the run."""
+
+    def __setattr__(self, name, value, _set=base.__setattr__):
+        _set(self, name, value)
+        note(self)
+
+    return type(f"Watched{base.__name__}", (base,),
+                {"__slots__": (), "__setattr__": __setattr__})
 
 
 class InvariantMonitor:
@@ -106,13 +167,72 @@ class InvariantMonitor:
         #: ownership scan checks the bounded form I3' and the ledger
         #: pass adds the I1' duplication checks.
         self._relaxed = False
+        #: What each emit costs (``summary``): stacks re-read by the
+        #: ledger pass, full passes over every stack, ``dup_extra``
+        #: re-sums, ownership scans settled by the set-size proof.
+        self.ledger_rechecks = 0
+        self.full_passes = 0
+        self.dup_resums = 0
+        self.fast_scans = 0
+        #: The ledger pass's view of the stacks as of the last emit:
+        #: per rank ``(held, pushes, pops, stolen)``, their column sums,
+        #: and the length of every local region and shared deque
+        #: (``_parts``, each owned by the stack at its ``_owners`` index).
+        self._stacks: list = []
+        self._rank_of: dict = {}
+        self._parts: list = []
+        self._owners: list = []
+        self._lens: list = []
+        self._seen: list = []
+        self._sum = [0, 0, 0, 0]
+        #: Stacks written since the last emit (the barrier's ``note``),
+        #: the stacks' own class and the barrier class standing in for it.
+        self._dirty: set = set()
+        self._plain = self._barrier = None
+        #: ``algo.dup_extra`` behind its barrier, and its last sum.
+        self._dup = None
+        self._dup_sum = 0
 
     # -- binding -----------------------------------------------------------
 
     def attach_algorithm(self, algo) -> None:
+        """Bind to ``algo`` and install the write barriers -- the only
+        place that does: each stack's class is swapped for a subclass
+        whose attribute stores mark it dirty, and a relaxed algorithm's
+        ``dup_extra`` for a dict that remembers being written."""
+        self._detach()
         self.algo = algo
         self.machine = algo.machine
         self._relaxed = bool(getattr(algo, "multiplicity_relaxed", False))
+        stacks = self._stacks = list(algo.stacks)
+        self._rank_of = {stack: rank for rank, stack in enumerate(stacks)}
+        self._parts = ([stack.local for stack in stacks]
+                       + [stack.shared for stack in stacks])
+        self._owners = stacks * 2
+        self._lens = list(map(len, self._parts))
+        self._seen = [(0, 0, 0, 0)] * len(stacks)
+        self._sum = [0, 0, 0, 0]
+        dirty = self._dirty = set(stacks)
+        if stacks:
+            # one algorithm, one stack class
+            self._plain = type(stacks[0])
+            self._barrier = _watched(self._plain, dirty.add)
+            for stack in stacks:
+                stack.__class__ = self._barrier
+        if self._relaxed:
+            self._dup = algo.dup_extra = _WatchedDict(algo.dup_extra)
+            self._dup.written = True
+
+    def _detach(self) -> None:
+        """Take the stack barriers off: a stack that outlives its
+        monitor is a plain stack again.  (``dup_extra`` stays the dict
+        it is; a flag nobody reads is inert.)"""
+        for stack in self._stacks:
+            if type(stack) is self._barrier:
+                stack.__class__ = self._plain
+        self._stacks = []
+        self._plain = self._barrier = None
+        self._dirty.clear()  # the swap back was itself a watched store
 
     # -- tracer protocol ---------------------------------------------------
 
@@ -141,12 +261,14 @@ class InvariantMonitor:
             # lock.acq is not misread as a double acquire.
             self._holders = {name: r for name, r in self._holders.items()
                              if r != thread}
-        self._check_ledgers(time, kind)
-        if kind in _TERM_KINDS:
+        term = kind in _TERM_KINDS
+        full = term or self._emits % self.scan_period == 0
+        scan = full or kind in _SCAN_KINDS
+        self._check_ledgers(time, kind, full)
+        if term:
             self.terminations_seen += 1
             self._check_termination(time, thread, kind)
-            self._scan_ownership(time, kind)
-        elif kind in _SCAN_KINDS or self._emits % self.scan_period == 0:
+        if scan:
             self._scan_ownership(time, kind)
 
     # -- invariants --------------------------------------------------------
@@ -155,55 +277,25 @@ class InvariantMonitor:
         raise InvariantViolation(
             f"[t={time:.6f} at {kind!r} emit #{self._emits}] {msg}")
 
-    def _check_ledgers(self, time: float, kind: str) -> None:
-        """I1 + I2 + in_flight sanity, at every emit."""
+    def _check_ledgers(self, time: float, kind: str,
+                       full: bool = True) -> None:
+        """I1 + I2 + in_flight sanity, at every emit.
+
+        The stack part costs what changed: :meth:`_reread_dirty` brings
+        the per-stack view up to date and says whether every stack it
+        re-read balances; the column sums then give I1 in O(1).  The
+        full pass (:meth:`_check_stacks`) runs when either objects --
+        it names the offender -- and whenever ``full`` is set: at every
+        ``scan_period``-th emit, at every termination emit and in
+        :meth:`final_check`, where it also holds the view to the stacks.
+        """
         algo = self.algo
         faults = self.machine.faults
-        dead = faults.dead if faults is not None else ()
+        sound = self._reread_dirty()
+        held, pushes, pops, stolen = self._sum
         lost_stack = faults._lost_stack_nodes if faults is not None else 0
-        total = pushes = pops = stolen = 0
-        for rank, stack in enumerate(algo.stacks):
-            # each counter is loaded once: this loop is the monitor's
-            # whole cost on a small machine (docs/performance.md)
-            shared = stack.shared
-            shared_nodes = sum(map(len, shared)) if shared else 0
-            n_local = len(stack.local)
-            s_pushes = stack.pushes
-            s_pops = stack.pops
-            s_stolen = stack.stolen_from_me_nodes
-            total += n_local + shared_nodes
-            pushes += s_pushes
-            pops += s_pops
-            stolen += s_stolen
-            if rank in dead:
-                # A fail-stopped stack was cleared by the loss
-                # accountant; its counters are frozen mid-ledger.
-                continue
-            released = stack.released_nodes
-            reacquired = stack.reacquired_nodes
-            if shared_nodes != released - reacquired - s_stolen:
-                self._fail(
-                    time, kind,
-                    f"T{rank} shared-region ledger: holds {shared_nodes} "
-                    f"node(s), expected released({released}) "
-                    f"- reacquired({reacquired}) "
-                    f"- stolen({s_stolen})")
-            expect_local = s_pushes - s_pops - released + reacquired
-            if n_local != expect_local:
-                self._fail(
-                    time, kind,
-                    f"T{rank} local-region ledger: holds "
-                    f"{n_local} node(s), expected {expect_local} "
-                    f"(pushes={s_pushes} pops={s_pops} "
-                    f"released={released} "
-                    f"reacquired={reacquired})")
-        expected = pushes - pops - stolen - lost_stack
-        if total != expected:
-            self._fail(
-                time, kind,
-                f"global conservation: stacks hold {total} node(s) but "
-                f"ledger expects {expected} (pushes={pushes} pops={pops} "
-                f"stolen={stolen} lost_from_stacks={lost_stack})")
+        if full or not sound or held != pushes - pops - stolen - lost_stack:
+            self._check_stacks(time, kind)
         if algo.in_flight_nodes < 0:
             self._fail(time, kind,
                        f"in_flight_nodes negative ({algo.in_flight_nodes})")
@@ -212,7 +304,16 @@ class InvariantMonitor:
             # every granted extra-copy allowance traces to duplicated
             # subtree work, and chunk-level counts bound subtree work.
             if not getattr(algo, "_dup_unhashable", False):
-                extra_sum = sum(algo.dup_extra.values())
+                extra = algo.dup_extra
+                if full or extra is not self._dup or extra.written:
+                    # the one place dup_extra is summed: after a write
+                    # (or a rebind past the barrier), and at every
+                    # full pass whatever the barrier says
+                    if extra is self._dup:
+                        extra.written = False
+                    self._dup_sum = sum(extra.values())
+                    self.dup_resums += 1
+                extra_sum = self._dup_sum
                 if extra_sum != algo.dup_work:
                     self._fail(
                         time, kind,
@@ -250,6 +351,124 @@ class InvariantMonitor:
                     f"+ blocked({svc.door_blocked})")
         self.checks += 1
 
+    def _reread_dirty(self) -> bool:
+        """Re-read the stacks that changed since the last emit into the
+        per-stack view and its sums; False if one of them breaks I2.
+
+        A stack is dirty if a counter was stored to (the barrier) or its
+        local region or shared deque changed length (one vector
+        compare); a clean stack balanced when it was last read and has
+        not changed since.  What neither sees -- a chunk resized in
+        place with no counter write -- waits for the next full pass.
+        """
+        dirty = self._dirty
+        cached = self._lens
+        lens = list(map(len, self._parts))
+        if not dirty and lens == cached:
+            return True
+        faults = self.machine.faults
+        dead = faults.dead if faults is not None else ()
+        rank_of = self._rank_of
+        seen = self._seen
+        tot = self._sum
+        n = len(seen)
+        sound = True
+        while True:
+            for stack in dirty:
+                rank = rank_of[stack]
+                shared = stack.shared
+                shared_nodes = sum(map(len, shared)) if shared else 0
+                cached[rank] = n_local = len(stack.local)
+                cached[n + rank] = len(shared)
+                s_pushes = stack.pushes
+                s_pops = stack.pops
+                s_stolen = stack.stolen_from_me_nodes
+                held = n_local + shared_nodes
+                was = seen[rank]
+                seen[rank] = (held, s_pushes, s_pops, s_stolen)
+                tot[0] += held - was[0]
+                tot[1] += s_pushes - was[1]
+                tot[2] += s_pops - was[2]
+                tot[3] += s_stolen - was[3]
+                if rank not in dead:
+                    released = stack.released_nodes
+                    reacquired = stack.reacquired_nodes
+                    if (shared_nodes != released - reacquired - s_stolen
+                            or n_local != (s_pushes - s_pops - released
+                                           + reacquired)):
+                        sound = False
+            self.ledger_rechecks += len(dirty)
+            dirty.clear()
+            if lens == cached:
+                return sound
+            # a region changed length with no counter write beside it
+            # (a fail-stop clearing the corpse's stack, or corruption)
+            dirty.update(compress(self._owners, map(ne, lens, cached)))
+
+    def _check_stacks(self, time: float, kind: str) -> None:
+        """I1 + I2 over every stack, read afresh: the pass that names
+        an offender, and the safety net under :meth:`_reread_dirty` --
+        having passed, it fails by name if the view it was handed is
+        not what the stacks say."""
+        algo = self.algo
+        faults = self.machine.faults
+        dead = faults.dead if faults is not None else ()
+        lost_stack = faults._lost_stack_nodes if faults is not None else 0
+        total = pushes = pops = stolen = 0
+        fresh = []
+        for rank, stack in enumerate(algo.stacks):
+            shared = stack.shared
+            shared_nodes = sum(map(len, shared)) if shared else 0
+            n_local = len(stack.local)
+            s_pushes = stack.pushes
+            s_pops = stack.pops
+            s_stolen = stack.stolen_from_me_nodes
+            total += n_local + shared_nodes
+            pushes += s_pushes
+            pops += s_pops
+            stolen += s_stolen
+            fresh.append((n_local + shared_nodes, s_pushes, s_pops, s_stolen))
+            if rank in dead:
+                # A fail-stopped stack was cleared by the loss
+                # accountant; its counters are frozen mid-ledger.
+                continue
+            released = stack.released_nodes
+            reacquired = stack.reacquired_nodes
+            if shared_nodes != released - reacquired - s_stolen:
+                self._fail(
+                    time, kind,
+                    f"T{rank} shared-region ledger: holds {shared_nodes} "
+                    f"node(s), expected released({released}) "
+                    f"- reacquired({reacquired}) "
+                    f"- stolen({s_stolen})")
+            expect_local = s_pushes - s_pops - released + reacquired
+            if n_local != expect_local:
+                self._fail(
+                    time, kind,
+                    f"T{rank} local-region ledger: holds "
+                    f"{n_local} node(s), expected {expect_local} "
+                    f"(pushes={s_pushes} pops={s_pops} "
+                    f"released={released} "
+                    f"reacquired={reacquired})")
+        expected = pushes - pops - stolen - lost_stack
+        if total != expected:
+            self._fail(
+                time, kind,
+                f"global conservation: stacks hold {total} node(s) but "
+                f"ledger expects {expected} (pushes={pushes} pops={pops} "
+                f"stolen={stolen} lost_from_stacks={lost_stack})")
+        if fresh != self._seen or [total, pushes, pops, stolen] != self._sum:
+            stale = [rank for rank, (new, old)
+                     in enumerate(zip(fresh, self._seen)) if new != old]
+            self._fail(
+                time, kind,
+                f"monitor ledger view out of step with the stacks at "
+                f"rank(s) {stale}: (held, pushes, pops, stolen) cached "
+                f"{[self._seen[r] for r in stale]}, read "
+                f"{[fresh[r] for r in stale]}; sums cached {self._sum}, "
+                f"read {[total, pushes, pops, stolen]}")
+        self.full_passes += 1
+
     def _scan_ownership(self, time: float, kind: str) -> None:
         """I3: every node descriptor lives in exactly one place.
 
@@ -259,6 +478,8 @@ class InvariantMonitor:
             return
         if self._relaxed:
             self._scan_multiplicity(time, kind)
+            return
+        if self._all_distinct():
             return
         algo = self.algo
         owner: dict = {}
@@ -304,6 +525,28 @@ class InvariantMonitor:
                     owner[node] = f"T{thief}.response"
         self.checks += 1
 
+    def _all_distinct(self) -> bool:
+        """The ownership scans' fast path: as many distinct descriptors
+        as descriptors -- over every local region, shared chunk and
+        transfer journal -- proves none appears twice, at set speed.
+        False (a repeat, or descriptors that do not hash) leaves the
+        verdict to the loops, which name the offender."""
+        n = len(self._stacks)
+        parts = self._parts[:n]
+        parts.extend(chain.from_iterable(self._parts[n:]))
+        faults = self.machine.faults
+        if faults is not None:
+            parts.extend(faults._open_transfer.values())
+            parts.extend(faults._responses.values())
+        try:
+            if len(set(chain.from_iterable(parts))) != sum(map(len, parts)):
+                return False
+        except TypeError:
+            return False
+        self.fast_scans += 1
+        self.checks += 1
+        return True
+
     def _scan_multiplicity(self, time: float, kind: str) -> None:
         """I3': a node may appear at most ``1 + dup_extra[node]`` times.
 
@@ -318,6 +561,11 @@ class InvariantMonitor:
             # Per-node accounting was abandoned (unhashable custom
             # descriptors); the scan is meaningless too.
             self._scannable = False
+            return
+        if not algo.dup_extra and self._all_distinct():
+            # Worth trying only while no duplicate is ledgered: copies
+            # sit in the stacks for most of a run that has some, and a
+            # failed proof is a wasted pass.
             return
         counts: dict = {}
         try:
@@ -359,7 +607,7 @@ class InvariantMonitor:
         for rank, stack in enumerate(algo.stacks):
             if rank in dead:
                 continue
-            held = len(stack.local) + sum(len(c) for c in stack.shared)
+            held = len(stack.local) + sum(map(len, stack.shared))
             if held:
                 self._fail(time, kind,
                            f"T{thread} declared termination while T{rank} "
@@ -401,9 +649,12 @@ class InvariantMonitor:
                        f"(kinds seen: {sorted(self.counts)})")
         if self._holders:
             self._fail(now, "final", f"locks still held: {self._holders}")
-        self._check_ledgers(now, "final")
-        self._check_termination(now, -1, "final")
-        self._scan_ownership(now, "final")
+        try:
+            self._check_ledgers(now, "final")
+            self._check_termination(now, -1, "final")
+            self._scan_ownership(now, "final")
+        finally:
+            self._detach()
 
     def summary(self) -> dict:
         return {
@@ -411,4 +662,8 @@ class InvariantMonitor:
             "emits": self._emits,
             "terminations_seen": self.terminations_seen,
             "ownership_scans": self._scannable,
+            "ledger_rechecks": self.ledger_rechecks,
+            "full_passes": self.full_passes,
+            "dup_resums": self.dup_resums,
+            "fast_scans": self.fast_scans,
         }

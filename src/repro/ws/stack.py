@@ -58,7 +58,7 @@ class SplitStack:
 
     @property
     def shared_nodes(self) -> int:
-        return sum(len(c) for c in self.shared)
+        return sum(map(len, self.shared))
 
     @property
     def total_nodes(self) -> int:
@@ -118,5 +118,5 @@ class SplitStack:
                 f"steal_chunks({n}) with {len(self.shared)} chunks available"
             )
         chunks = [self.shared.popleft() for _ in range(n)]
-        self.stolen_from_me_nodes += sum(len(c) for c in chunks)
+        self.stolen_from_me_nodes += sum(map(len, chunks))
         return chunks

@@ -121,8 +121,11 @@ def _bare_monitor():
     from types import SimpleNamespace
 
     monitor = InvariantMonitor()
-    monitor.algo = SimpleNamespace(stacks=[], in_flight_nodes=0)
-    monitor.machine = SimpleNamespace(faults=None)
+    # bound the way every run binds it: attach_algorithm is the one
+    # place that sets up the monitor's view of the stacks
+    monitor.attach_algorithm(SimpleNamespace(
+        stacks=[], in_flight_nodes=0,
+        machine=SimpleNamespace(faults=None)))
     return monitor
 
 

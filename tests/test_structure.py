@@ -25,6 +25,10 @@ the next re-anchor finding it:
   Nothing under ``service/`` expands an inner tree node by node again,
   and a task's drain is detected in exactly two places -- the visit
   scan and the fail-stop loss hook.
+* The monitor sums the duplication ledger at one site, behind the
+  written-since test (``docs/performance.md``, "the monitor pays for
+  what changed"): a second ``sum(....values())`` under ``check/`` is
+  the per-emit walk over ``dup_extra`` coming back.
 """
 
 import ast
@@ -160,3 +164,18 @@ def test_fencefree_is_not_lock_based():
     from repro.ws.algorithms.fencefree import WsFenceFree
     from repro.ws.algorithms.lock_based import LockBasedAlgorithm
     assert LockBasedAlgorithm not in WsFenceFree.__mro__
+
+
+def test_the_duplication_ledger_is_summed_at_one_site():
+    sums = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path, tree in _modules()
+        if path.parent.name == "check"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "sum"
+        and node.args and isinstance(node.args[0], ast.Call)
+        and isinstance(node.args[0].func, ast.Attribute)
+        and node.args[0].func.attr == "values"
+    ]
+    assert len(sums) == 1 and sums[0].startswith("check/invariants.py:"), sums

@@ -95,11 +95,17 @@ def run_cell(variant: str, threads: int, idle: str, tree: TreeParams,
              chunk_size: int, seed: int, max_events: int) -> dict:
     """One cell = a clean timed run + an invariant-monitored gate run.
 
-    The monitor costs ~30x per event (white-box scans at every trace
-    emit), so timing it would measure the checker, not the engine.  The
-    timed run is untraced; the monitored run re-executes the identical
-    deterministic schedule (checked via the checksum) to certify the
-    invariants and sample queue depth.  Never raises ReproError.
+    The monitor's cost grows with the machine (its every-emit ledger
+    pass compares one length per stack region, and every 64th emit it
+    walks every stack): measured on the upc-distmem park cell over
+    T1_QUICK, the monitored run takes 2.1x the plain one at 8 threads,
+    5.8x at 256 and 11.5x at 1024 (docs/performance.md, "The monitor
+    pays for what changed"; 3.3x / 19x / 42x before ISSUE 23), so timing it
+    would measure the checker, not the engine.  The timed run is
+    untraced; the monitored run re-executes the identical deterministic
+    schedule (checked via the checksum) to certify the invariants and
+    sample queue depth, and its run-phase seconds are reported beside
+    the timed run's.  Never raises ReproError.
     """
     cfg = WsConfig(chunk_size=chunk_size, idle_strategy=idle)
     wall_t0 = time.perf_counter()
@@ -135,6 +141,9 @@ def run_cell(variant: str, threads: int, idle: str, tree: TreeParams,
         "wall_seconds": round(wall, 3),
         "setup_seconds": round(wall - res.host_seconds, 3),
         "run_seconds": round(res.host_seconds, 3),
+        # the gate run's run phase: next to run_seconds, what leaving
+        # the monitor on costs at this size (reported, never gated)
+        "monitored_seconds": round(gres.host_seconds, 3),
         "events_per_sec": round(res.engine_events / res.host_seconds, 1)
         if res.host_seconds > 0 else None,
         "us_per_event": round(res.host_seconds / res.engine_events * 1e6, 2)
@@ -202,6 +211,7 @@ def main(argv=None) -> int:
                 continue
             print(f"{key:30s} events={cell['engine_events']:8d} "
                   f"run={cell['run_seconds']:7.3f}s "
+                  f"monitored={cell['monitored_seconds']:7.3f}s "
                   f"us/ev={cell['us_per_event']:7.2f} "
                   f"queue p50={cell['p50_queue']:6d} "
                   f"peak={cell['peak_queue']:6d} "

@@ -76,10 +76,12 @@ def run_cell(service: ServiceConfig, threads: int, preset: str,
              faults=None, max_events: int = 5_000_000) -> dict:
     """One cell = a clean timed run + an invariant-monitored gate run.
 
-    The monitor's white-box scans cost ~30x per event, so the timed run
-    is untraced; the monitored run re-executes the identical schedule
-    (checked via the checksum) to certify I1-I5 plus exact task
-    conservation.  Never raises ReproError.
+    The monitored run costs a multiple of the plain one that grows with
+    the pool (about 2x at 8 threads, 6x at 256, 12x at 1024 on a batch
+    cell: docs/performance.md, "The monitor pays for what changed"), so
+    the timed run is untraced; the monitored run re-executes the
+    identical schedule (checked via the checksum) to certify I1-I5 plus
+    exact task conservation.  Never raises ReproError.
     """
     cfg = WsConfig(chunk_size=2, idle_strategy="park")
     wall_t0 = time.perf_counter()

@@ -38,6 +38,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.check import (VARIANTS, check_run, check_service_run,  # noqa: E402
                          reproducer_source, shrink)
+from repro.errors import ConfigError  # noqa: E402
 from repro.faults.plan import parse_fault_spec  # noqa: E402
 from repro.scenarios import get_scenario  # noqa: E402
 from repro.ws.algorithms import get_algorithm  # noqa: E402
@@ -250,6 +251,21 @@ def service_sweep(seeds):
                        "mode": "service"}
 
 
+def _validate(args, variants, scenario_names) -> None:
+    """Raise :class:`ConfigError` for input no cell could run with:
+    every name is looked up and every fault spec parsed up front."""
+    for variant in variants:
+        get_algorithm(variant)
+    for flag, value in (("--threads", args.threads),
+                        ("--chunk-size", args.chunk_size)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    for spec in args.fault_specs:
+        parse_fault_spec(spec, seed=0)
+    for name in scenario_names:
+        get_scenario(name)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--variants", nargs="+", default=["all"],
@@ -288,6 +304,23 @@ def main(argv=None) -> int:
 
     variants = (list(VARIANTS) if args.variants == ["all"]
                 else args.variants)
+    if args.scenarios == ["all"]:
+        from repro.scenarios import SCENARIOS
+        scenario_names = sorted(SCENARIOS)
+    elif args.scenarios == ["default"]:
+        # A small representative set: one NUMA pair, the hostile mix.
+        scenario_names = ["numa-8x-uniform", "numa-8x-locality",
+                          "hostile-mix"]
+    else:
+        scenario_names = args.scenarios
+    try:
+        _validate(args, variants, scenario_names)
+    except ConfigError as exc:
+        # Bad input, named, before the first cell: usage plus one
+        # ``error:`` line, exit status 2 (the CLI's contract).  Inside a
+        # cell check_run folds a ConfigError into a failure, which the
+        # sweep would then shrink as if it were a schedule bug.
+        ap.error(str(exc))
     base_cell = dict(BASE_CELL, threads=args.threads,
                      chunk_size=args.chunk_size, b0=args.b0, q=args.q,
                      tree_seed=args.tree_seed, max_events=args.max_events)
@@ -310,15 +343,6 @@ def main(argv=None) -> int:
     if args.service_seeds >= 0:
         for res in service_sweep(args.service_seeds):
             _consume(res)
-    if args.scenarios == ["all"]:
-        from repro.scenarios import SCENARIOS
-        scenario_names = sorted(SCENARIOS)
-    elif args.scenarios == ["default"]:
-        # A small representative set: one NUMA pair, the hostile mix.
-        scenario_names = ["numa-8x-uniform", "numa-8x-locality",
-                          "hostile-mix"]
-    else:
-        scenario_names = args.scenarios
     for res in scenario_sweep(scenario_names, args.scenario_seeds,
                               base_cell):
         _consume(res)
@@ -423,15 +447,22 @@ def _by_variant(results):
     ledger: a variant silently dropping out of the matrix shows up as
     a missing key, not as a green sweep).  ``dup_cells`` counts cells
     whose run took at least one ledgered duplicate -- evidence the
-    relaxed-multiplicity path was exercised, not vacuously green."""
+    relaxed-multiplicity path was exercised, not vacuously green.
+    ``emits`` / ``ledger_rechecks`` / ``dup_resums`` sum the monitor's
+    own counters: what its ledger pass re-read per emit, and how often
+    it re-summed the duplication ledger."""
+    summed = ("emits", "ledger_rechecks", "dup_resums")
     out = {}
     for r in results:
         variant = r["cell"].get("variant", "service-ws")
         m = out.setdefault(variant, {"cells": 0, "failed": 0,
-                                     "dup_cells": 0})
+                                     "dup_cells": 0,
+                                     **dict.fromkeys(summed, 0)})
         m["cells"] += 1
         m["failed"] += not r["ok"]
         m["dup_cells"] += bool(r.get("dup_work"))
+        for key in summed:
+            m[key] += r["monitor"].get(key, 0)
     return out
 
 
