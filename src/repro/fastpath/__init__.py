@@ -14,6 +14,10 @@ Components
     A C extension: ``run(sim, until)`` (the compiled `Simulator.run`
     loop over the heap, ``queue="auto"`` at every thread count),
     ``batch_expand(...)`` (the materialized-tree DFS inner loop),
+    ``expand(...)`` (``uts.materialized.expand``: the sequential search
+    that builds those arrays, SHA-1 / SplitMix64 generator inline, for
+    binomial trees and service task forests; count-only for a tree
+    over the cap),
     ``scan_probe(...)`` (``ProbeScan.probe``, for every park run on
     this backend, fused or not), and three fused phase state machines
     behind one phase protocol: ``WorkPhase`` (Figure 1's one Working
@@ -29,6 +33,8 @@ Components
     SplitMix64 spawning), level at a time from one root or from a
     service stream's task roots.  Only integer-exact operations are
     vectorized, so the trees cannot diverge from the scalar engines.
+    The builder of a host with numpy and no compiler: where ``_core``
+    loads, ``expand`` is taken first and numpy is never imported.
 
 Selection
 ---------

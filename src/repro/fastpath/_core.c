@@ -17,6 +17,12 @@
  *       MaterializedTree.batch_expand: the DFS inner loop as range
  *       scans of the tree's preorder arrays, read in place.
  *
+ *   expand(engine, roots, b0, m, thresh, cap, count_only=False)
+ *       uts.materialized.expand for binomial sha1 / splitmix trees:
+ *       the sequential search with the generator inline, emitting the
+ *       preorder arrays (or, count_only, the node count alone).  The
+ *       one function here that needs no configure().
+ *
  *   scan_probe(scan, slots, bounds)
  *       ProbeScan.probe: the parked search's victim scan (draw, price,
  *       test, per probe).  A function of the scan object, bound to no
@@ -1967,6 +1973,287 @@ py_batch_expand(PyObject *module, PyObject *args)
 }
 
 /* ------------------------------------------------------------------ */
+/* UTS expansion                                                      */
+/* ------------------------------------------------------------------ */
+
+#define ROL32(x, n) (((x) << (n)) | ((x) >> (32 - (n))))
+
+/* Sha1Engine.spawn (repro/uts/rng.py): SHA-1 of state || index, a
+ * 24-byte message and so one block -- words 0-4 the parent state, 5
+ * the child index, 6 the 0x80 pad, 15 the length in bits -- over a
+ * rolled 16-word schedule.  States are kept as the digest's five
+ * big-endian words, so rand() is word 0 masked to 31 bits. */
+static void
+sha1_spawn(const uint32_t state[5], uint32_t index, uint32_t out[5])
+{
+    uint32_t w[16] = {state[0], state[1], state[2], state[3], state[4],
+                      index, 0x80000000u, 0, 0, 0, 0, 0, 0, 0, 0, 24 * 8};
+    uint32_t a = 0x67452301u, b = 0xEFCDAB89u, c = 0x98BADCFEu,
+             d = 0x10325476u, e = 0xC3D2E1F0u;
+#define W(i) (w[(i) & 15] = ROL32(w[((i) + 13) & 15] ^ w[((i) + 8) & 15] \
+                                  ^ w[((i) + 2) & 15] ^ w[(i) & 15], 1))
+#define CH(x, y, z) ((z) ^ ((x) & ((y) ^ (z))))
+#define PAR(x, y, z) ((x) ^ (y) ^ (z))
+#define MAJ(x, y, z) (((x) & (y)) | ((z) & ((x) | (y))))
+/* One round with the roles of a..e rotated by the caller, not moved. */
+#define RND(a, b, c, d, e, f, k, x) \
+    do { \
+        e += ROL32(a, 5) + f(b, c, d) + (k) + (x); \
+        b = ROL32(b, 30); \
+    } while (0)
+#define RND5(f, k, x, i) \
+    do { \
+        RND(a, b, c, d, e, f, k, x(i)); \
+        RND(e, a, b, c, d, f, k, x((i) + 1)); \
+        RND(d, e, a, b, c, f, k, x((i) + 2)); \
+        RND(c, d, e, a, b, f, k, x((i) + 3)); \
+        RND(b, c, d, e, a, f, k, x((i) + 4)); \
+    } while (0)
+#define W0(i) w[i]
+    RND5(CH, 0x5A827999u, W0, 0);
+    RND5(CH, 0x5A827999u, W0, 5);
+    RND5(CH, 0x5A827999u, W0, 10);
+    RND(a, b, c, d, e, CH, 0x5A827999u, w[15]);
+    RND(e, a, b, c, d, CH, 0x5A827999u, W(16));
+    RND(d, e, a, b, c, CH, 0x5A827999u, W(17));
+    RND(c, d, e, a, b, CH, 0x5A827999u, W(18));
+    RND(b, c, d, e, a, CH, 0x5A827999u, W(19));
+    RND5(PAR, 0x6ED9EBA1u, W, 20);
+    RND5(PAR, 0x6ED9EBA1u, W, 25);
+    RND5(PAR, 0x6ED9EBA1u, W, 30);
+    RND5(PAR, 0x6ED9EBA1u, W, 35);
+    RND5(MAJ, 0x8F1BBCDCu, W, 40);
+    RND5(MAJ, 0x8F1BBCDCu, W, 45);
+    RND5(MAJ, 0x8F1BBCDCu, W, 50);
+    RND5(MAJ, 0x8F1BBCDCu, W, 55);
+    RND5(PAR, 0xCA62C1D6u, W, 60);
+    RND5(PAR, 0xCA62C1D6u, W, 65);
+    RND5(PAR, 0xCA62C1D6u, W, 70);
+    RND5(PAR, 0xCA62C1D6u, W, 75);
+#undef W0
+#undef RND5
+#undef RND
+#undef MAJ
+#undef PAR
+#undef CH
+#undef W
+    out[0] = a + 0x67452301u;
+    out[1] = b + 0xEFCDAB89u;
+    out[2] = c + 0x98BADCFEu;
+    out[3] = d + 0x10325476u;
+    out[4] = e + 0xC3D2E1F0u;
+}
+
+/* SplitmixEngine.spawn: _mix64(state + (index + 1) * gamma), mod 2^64. */
+static uint64_t
+splitmix_spawn(uint64_t state, uint64_t index)
+{
+    uint64_t z = state + (index + 1) * 0x9E3779B97F4A7C15ull;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+}
+
+/* A node of the implicit tree: generator state and height. */
+typedef struct {
+    union {
+        uint32_t sha1[5];
+        uint64_t splitmix;
+    } state;
+    long long depth;
+} UtsNode;
+
+/* The block `buf` of *cap items of `width` bytes, with room for `need`
+ * of them: itself, or moved and doubled until they fit.  NULL with
+ * MemoryError set when that fails (`buf` is then still the caller's). */
+static void *
+uts_room(void *buf, long long *cap, long long need, size_t width)
+{
+    long long grown = *cap;
+    if (need <= grown)
+        return buf;
+    while (grown < need)
+        grown *= 2;
+    if ((unsigned long long)grown > (size_t)-1 / width
+            || (buf = realloc(buf, (size_t)grown * width)) == NULL)
+        return PyErr_NoMemory();
+    *cap = grown;
+    return buf;
+}
+
+/* The reverse pass that closes uts.materialized.expand: child j + 1
+ * starts where child j's subtree ends. */
+static void
+uts_sizes(const int32_t *n_kids, int32_t *size, Py_ssize_t n)
+{
+    Py_ssize_t i;
+    for (i = n - 1; i >= 0; i--) {
+        int32_t s = 1, j;
+        for (j = 0; j < n_kids[i]; j++)
+            s += size[i + s];
+        size[i] = s;
+    }
+}
+
+/* What expand returns with arrays: (n_kids, size, max_depth), two
+ * array('i') of n items -- `n_kids` copied in, and its subtree sizes. */
+static PyObject *
+uts_result(const int32_t *n_kids, Py_ssize_t n, long long max_depth)
+{
+    PyObject *mod, *one, *arrays[2] = {NULL, NULL}, *res = NULL;
+    Py_buffer view[2];
+    int held = 0;
+    if ((mod = PyImport_ImportModule("array")) == NULL)
+        return NULL;
+    one = PyObject_CallMethod(mod, "array", "s(i)", "i", 1);
+    Py_DECREF(mod);
+    if (one == NULL)
+        return NULL;
+    for (; held < 2; held++) {
+        arrays[held] = PySequence_Repeat(one, n);
+        if (arrays[held] == NULL || PyObject_GetBuffer(
+                arrays[held], &view[held], PyBUF_WRITABLE) < 0)
+            goto done;
+    }
+    if (view[0].itemsize != sizeof(int32_t)) {
+        PyErr_SetString(PyExc_SystemError,
+                        "fastpath: array('i') items are not 32 bits here");
+        goto done;
+    }
+    memcpy(view[0].buf, n_kids, (size_t)n * sizeof(int32_t));
+    uts_sizes(view[0].buf, view[1].buf, n);
+    res = Py_BuildValue("OOL", arrays[0], arrays[1], max_depth);
+done:
+    while (held-- > 0)
+        PyBuffer_Release(&view[held]);
+    Py_XDECREF(arrays[0]);
+    Py_XDECREF(arrays[1]);
+    Py_DECREF(one);
+    return res;
+}
+
+/* uts.materialized.expand for a binomial tree under the sha1 or the
+ * splitmix engine: the sequential pop() / extend(children) search with
+ * the generator inline, from `roots` (height-0 states back to back: 20
+ * bytes each for sha1, a native uint64 for splitmix), the first root
+ * on top.  Returns (n_kids, size, max_depth) -- two array('i') in
+ * visit order -- or, with count_only, (n_nodes, n_leaves, max_depth)
+ * and no arrays; None when visited + pending nodes pass `cap`, the
+ * scalar loop's boundary (the layout's positions are int32, so with
+ * arrays the cap is at most INT32_MAX). */
+static PyObject *
+py_expand(PyObject *module, PyObject *args)
+{
+    const char *engine;
+    Py_buffer roots;
+    long long b0, m, thresh, cap, i;
+    long long n = 0, leaves = 0, max_depth = 0, sp, n_roots;
+    long long stack_cap = 1024, kids_cap = 4096;
+    int count_only = 0, is_sha1;
+    Py_ssize_t width;
+    UtsNode *stack = NULL;
+    int32_t *kids = NULL;
+    void *room;
+    PyObject *res = NULL;
+
+    if (!PyArg_ParseTuple(args, "sy*LLLL|p:expand", &engine, &roots, &b0,
+                          &m, &thresh, &cap, &count_only))
+        return NULL;
+    is_sha1 = strcmp(engine, "sha1") == 0;
+    if (!is_sha1 && strcmp(engine, "splitmix") != 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "expand: no kernel for engine '%s'", engine);
+        goto done;
+    }
+    width = is_sha1 ? 20 : (Py_ssize_t)sizeof(uint64_t);
+    if (roots.len % width != 0 || b0 < 0 || b0 > INT32_MAX || m < 1
+            || m > INT32_MAX || thresh < 0 || thresh > 0x80000000ll
+            || cap < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "expand: roots must be whole states, 0 <= b0, "
+                        "1 <= m (both int32), 0 <= thresh <= 2**31, "
+                        "0 <= cap");
+        goto done;
+    }
+    if (!count_only && cap > INT32_MAX)
+        cap = INT32_MAX;
+    n_roots = roots.len / width;
+    if ((stack = malloc((size_t)stack_cap * sizeof(UtsNode))) == NULL
+            || (!count_only && (kids = malloc(
+                    (size_t)kids_cap * sizeof(int32_t))) == NULL)) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    room = uts_room(stack, &stack_cap, n_roots, sizeof(UtsNode));
+    if (room == NULL)
+        goto done;
+    stack = room;
+    for (sp = 0; sp < n_roots; sp++) {
+        const unsigned char *p = (const unsigned char *)roots.buf
+                                 + (n_roots - 1 - sp) * width;
+        UtsNode *node = &stack[sp];
+        node->depth = 0;
+        if (is_sha1) {
+            for (i = 0; i < 5; i++, p += 4)
+                node->state.sha1[i] = (uint32_t)p[0] << 24
+                    | (uint32_t)p[1] << 16 | (uint32_t)p[2] << 8 | p[3];
+        }
+        else
+            memcpy(&node->state.splitmix, p, sizeof(uint64_t));
+    }
+    while (sp > 0) {
+        const UtsNode node = stack[--sp];
+        long long k = b0;
+        if (node.depth > 0) {
+            /* rng_rand(state) < floor(q * 2^31)  <=>  interior node */
+            const uint32_t r = is_sha1 ? node.state.sha1[0] & 0x7FFFFFFFu
+                : (uint32_t)(node.state.splitmix >> 33);
+            k = r < thresh ? m : 0;
+        }
+        if (!count_only) {
+            room = uts_room(kids, &kids_cap, n + 1, sizeof(int32_t));
+            if (room == NULL)
+                goto done;
+            kids = room;
+            kids[n] = (int32_t)k;
+        }
+        /* a count can run for minutes: stay interruptible */
+        if ((++n & 0xFFFFF) == 0 && PyErr_CheckSignals() < 0)
+            goto done;
+        if (k == 0) {
+            leaves++;
+            if (node.depth > max_depth)  /* the deepest node is a leaf */
+                max_depth = node.depth;
+            continue;
+        }
+        if (n + sp + k > cap) {
+            res = Py_NewRef(Py_None);
+            goto done;
+        }
+        room = uts_room(stack, &stack_cap, sp + k, sizeof(UtsNode));
+        if (room == NULL)
+            goto done;
+        stack = room;
+        for (i = 0; i < k; i++, sp++) {
+            stack[sp].depth = node.depth + 1;
+            if (is_sha1)
+                sha1_spawn(node.state.sha1, (uint32_t)i,
+                           stack[sp].state.sha1);
+            else
+                stack[sp].state.splitmix = splitmix_spawn(
+                    node.state.splitmix, (uint64_t)i);
+        }
+    }
+    res = count_only ? Py_BuildValue("LLL", n, leaves, max_depth)
+        : uts_result(kids, (Py_ssize_t)n, max_depth);
+done:
+    free(stack);
+    free(kids);
+    PyBuffer_Release(&roots);
+    return res;
+}
+
+/* ------------------------------------------------------------------ */
 /* the park victim scan                                               */
 /* ------------------------------------------------------------------ */
 
@@ -2617,6 +2904,9 @@ static PyMethodDef core_methods[] = {
      "run(sim, until=None) -> float -- the compiled Simulator.run loop"},
     {"batch_expand", py_batch_expand, METH_VARARGS,
      "batch_expand(tree, delta, size, local, limit, thresh) -> (n, pushed)"},
+    {"expand", py_expand, METH_VARARGS,
+     "expand(engine, roots, b0, m, thresh, cap, count_only=False) -> "
+     "(n_kids, size, max_depth) | (n_nodes, n_leaves, max_depth) | None"},
     {"scan_probe", py_scan_probe, METH_VARARGS,
      "scan_probe(scan, slots, bounds) -> (victim, cost_acc, n_probes) -- "
      "ProbeScan.probe"},

@@ -52,6 +52,10 @@ __all__ = ["MaterializedTree", "materialize", "node_cap", "DEFAULT_NODE_CAP",
 #: on-the-fly generation is the right trade.
 DEFAULT_NODE_CAP = 250_000_000 // 12
 
+#: What a count of a tree too large to materialize stops at: parameters
+#: this close to critical were a typo (the paper's 157 G-node tree).
+_COUNT_GUARD = 500_000_000
+
 
 def node_cap() -> int:
     """The active materialization cap, in nodes: ``REPRO_TREE_CACHE_CAP``
@@ -181,14 +185,44 @@ class MaterializedTree:
         return n, pushed
 
 
+def _compiled(base: Tree):
+    """``_core.expand`` bound to ``base``'s generator, as ``(roots,
+    cap, count_only=False)``; None without the extension, under a
+    forced-pure ``REPRO_FASTPATH``, and for the trees it has no kernel
+    for: geometric child counts go through ``libm`` (one ulp would fork
+    a subtree), and ``sha1-pure`` exists to run the from-scratch hash.
+    """
+    name = base.engine.name
+    if not base._is_binomial or name not in ("sha1", "splitmix"):
+        return None
+    from repro import fastpath
+    core = None if fastpath.env_mode() == "pure" else fastpath.load_core()
+    if core is None:
+        return None
+
+    def kernel(roots: list, cap: int, count_only: bool = False):
+        states = [state for state, _ in roots]
+        return core.expand(
+            name, b"".join(states) if name == "sha1" else array("Q", states),
+            base._b0, base._m, base._thresh, cap, count_only)
+    return kernel
+
+
 def expand(base: Tree, roots: list, cap: int):
     """The layout's ``(n_kids, size, max_depth)`` for the subtrees under
-    ``roots`` (nodes of ``base``), one after the other, each in the
-    order the sequential search visits it; None past ``cap`` nodes.
+    ``roots`` (height-0 nodes of ``base``), one after the other, each in
+    the order the sequential search visits it; None past ``cap`` nodes.
+
+    Three builders, the same arrays: the compiled depth-first kernel;
+    without a compiler the level-order numpy one; and the scalar loop
+    below, the reference both are held to.
     """
-    # Vectorized builder (repro.fastpath.nputs): the same arrays,
-    # level-at-a-time.  None means "no kernel for this shape";
-    # OVERFLOW means the scalar loop would hit the cap too.
+    kernel = _compiled(base)
+    if kernel is not None:
+        return kernel(roots, cap)
+    # Vectorized builder (repro.fastpath.nputs).  None means "no
+    # kernel for this shape"; OVERFLOW means the scalar loop would hit
+    # the cap too.
     from repro.fastpath import vector_expansion_enabled
     if vector_expansion_enabled():
         from repro.fastpath import nputs
@@ -279,10 +313,17 @@ def cached(key, build):
 
 def expected_node_count(params: TreeParams) -> int:
     """The sequential node count every parallel run must reproduce: the
-    materialized expansion's size when there is one (a breadth-first
-    pass over the same generator), else a :func:`count_tree` traversal.
+    materialized expansion's size when there is one, else a count of
+    the implicit tree -- by the compiled kernel, which keeps no arrays,
+    or a :func:`count_tree` traversal.
     """
     tree = tree_for(params)
     if isinstance(tree, MaterializedTree):
         return tree.n_nodes
-    return count_tree(params).n_nodes
+    kernel = _compiled(tree)
+    counted = kernel([tree.root()], _COUNT_GUARD, True) if kernel else None
+    if counted is not None:
+        return counted[0]
+    # No kernel -- or a tree past the guard, which count_tree refuses
+    # by name.
+    return count_tree(params, max_nodes=_COUNT_GUARD).n_nodes

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro.errors import ConfigError
 from repro.uts.params import TreeParams
 from repro.uts.tree import Node, Tree
 
@@ -149,9 +148,16 @@ def tail_exponent(sizes, min_size: int = 2) -> tuple:
     Returns ``(alpha, r_value)``.  Near-critical binomial UTS trees
     should give alpha close to -1/2.
     """
-    # Imported here: scipy.stats is 2.4 s of a ~3 s ``import repro`` and
-    # this one fit is its only use.
-    from scipy.stats import linregress
+    # Imported here: numpy and scipy.stats were 2.5 s of a ~3 s ``import
+    # repro``, this one fit is their only use, and the package declares
+    # neither as a dependency (they are its ``analysis`` extra).
+    try:
+        import numpy as np
+        from scipy.stats import linregress
+    except ImportError as exc:
+        raise ConfigError(
+            f"tail_exponent needs numpy and scipy ({exc}); install the "
+            "'analysis' extra: pip install 'repro[analysis]'") from None
 
     data = np.asarray([s for s in sizes if s >= min_size], dtype=float)
     if data.size < 10:

@@ -239,24 +239,33 @@ class HierarchicalProbeOrder(ProbeOrder):
     same-node ranks (cheap references) before the off-node ranks.
     """
 
-    __slots__ = ("_all", "_on_node", "_off_node")
+    __slots__ = ("_lo", "_hi")
 
     def __init__(self, rank: int, n_threads: int, rng: StreamRng,
-                 same_node) -> None:
+                 net) -> None:
         super().__init__(rank, n_threads, rng)
-        # The node split is not plain range arithmetic, so this variant
-        # keeps materialized lists (O(n) per rank; only the distmem-hier
-        # algorithm pays it, and it is not part of the E11 scale runs).
-        self._all = self.others()
-        self._on_node = [t for t in self._all if same_node(rank, t)]
-        self._off_node = [t for t in self._all if not same_node(rank, t)]
+        # A node is a rank range (``node_of`` is ``rank //
+        # cores_per_node``), so, as in the base class, its two ends are
+        # all that is stored: per-rank victim lists made construction
+        # quadratic in the thread count.
+        lo, hi = net.ref_cost_bounds(rank)[:2]
+        self._lo = lo
+        self._hi = min(hi, n_threads)
 
     def segments(self) -> List[List[int]]:
         """On-node victims first, then off-node."""
-        return [list(self._on_node), list(self._off_node)]
+        ranks = _ranks(self._n)
+        on_node = list(ranks[self._lo:self._hi])
+        del on_node[self._rank - self._lo]
+        return [on_node, list(ranks[:self._lo] + ranks[self._hi:])]
 
     def one(self) -> int:
-        """Prefer an on-node victim half the time (if any exist)."""
-        if self._on_node and self._rng.uniform(0.0, 1.0) < 0.5:
-            return self._rng.choice(self._on_node)
-        return self._rng.choice(self._all)
+        """Prefer an on-node victim half the time (if any exist).  The
+        draws are those of ``choice`` over the on-node list and over
+        :meth:`others`: one index each, mapped over the gap at our own
+        rank."""
+        on_node = self._hi - self._lo - 1
+        if on_node and self._rng.uniform(0.0, 1.0) < 0.5:
+            i = self._lo + self._rng.randrange(on_node)
+            return i if i < self._rank else i + 1
+        return super().one()

@@ -124,8 +124,7 @@ VICTIM_POLICIES.register(
     "uniform", lambda rank, n, rng, net: ProbeOrder(rank, n, rng))
 VICTIM_POLICIES.register(
     "hierarchical",
-    lambda rank, n, rng, net: HierarchicalProbeOrder(rank, n, rng,
-                                                     net.same_node))
+    lambda rank, n, rng, net: HierarchicalProbeOrder(rank, n, rng, net))
 
 
 def _termination_factory(key: str) -> Callable:

@@ -55,6 +55,7 @@ def test_execution_timeline_runs(capsys):
 
 
 def test_workload_anatomy_runs(capsys):
+    pytest.importorskip("scipy.stats")  # the power-law fit: `analysis` extra
     load_example("workload_anatomy").main()
     out = capsys.readouterr().out
     assert "tail_exponent" in out

@@ -1,6 +1,7 @@
 """Structural guards over ``src/repro/`` (AST only -- ``_core.c`` is
 read as text -- with no imports of the code under test beyond the one
-MRO check; well under a second, no extension needed).
+MRO check and one fresh interpreter; about a second, no extension
+needed).
 
 Each assertion pins a property a past PR paid to establish, so the day
 a copy or an ungated format comes back every CI leg fails -- instead of
@@ -29,11 +30,18 @@ the next re-anchor finding it:
   written-since test (``docs/performance.md``, "the monitor pays for
   what changed"): a second ``sum(....values())`` under ``check/`` is
   the per-emit walk over ``dup_extra`` coming back.
+* numpy and scipy are off the import path and, where the extension
+  loads, off the run path (``docs/performance.md``, "Cold start"): the
+  package imports them inside the functions that use them, the one
+  module-level import being the guarded one of ``fastpath/nputs.py``,
+  the tree builder of a host without a compiler.
 """
 
 import ast
 import re
 from pathlib import Path
+
+from tests.test_packaging import fresh_interpreter
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -179,3 +187,51 @@ def test_the_duplication_ledger_is_summed_at_one_site():
         and node.args[0].func.attr == "values"
     ]
     assert len(sums) == 1 and sums[0].startswith("check/invariants.py:"), sums
+
+
+def _imports_at_import_time(node: ast.AST, guarded: bool = False):
+    """``(module name, inside a try that handles ImportError)`` for
+    every import that runs when the module is imported."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return
+    if isinstance(node, ast.Import):
+        yield from ((alias.name, guarded) for alias in node.names)
+    elif isinstance(node, ast.ImportFrom):
+        yield node.module or "", guarded
+    elif isinstance(node, ast.Try):
+        catches = any(
+            isinstance(n, ast.Name) and n.id == "ImportError"
+            for handler in node.handlers if handler.type is not None
+            for n in ast.walk(handler.type))
+        for stmt in node.body:
+            yield from _imports_at_import_time(stmt, guarded or catches)
+        for stmt in node.handlers + node.orelse + node.finalbody:
+            yield from _imports_at_import_time(stmt, guarded)
+    else:
+        for child in ast.iter_child_nodes(node):
+            yield from _imports_at_import_time(child, guarded)
+
+
+def test_numpy_and_scipy_are_not_imported_at_module_level():
+    found = sorted(
+        (str(path.relative_to(SRC)), name, guarded)
+        for path, tree in _modules()
+        for name, guarded in _imports_at_import_time(tree)
+        if name.split(".")[0] in ("numpy", "scipy"))
+    assert found == [("fastpath/nputs.py", "numpy", True)]
+
+
+def test_a_run_imports_no_numpy():
+    """``import repro`` never does; a ``sha1`` run does not either on a
+    host where the extension loads (without it the numpy builder is the
+    tree's builder, and says so)."""
+    done = fresh_interpreter(
+        "import sys, repro\n"
+        "assert 'numpy' not in sys.modules, 'import repro'\n"
+        "from repro.harness.config import T1_TEST\n"
+        "repro.run_experiment('upc-distmem', tree=T1_TEST, threads=4,\n"
+        "                     chunk_size=4, verify=True)\n"
+        "print(repro.fastpath.available(), 'numpy' in sys.modules)\n")
+    assert done.returncode == 0, done.stderr
+    available, numpy_loaded = done.stdout.split()
+    assert (available, numpy_loaded) != ("True", "True"), done.stdout

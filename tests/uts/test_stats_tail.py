@@ -5,6 +5,11 @@ import pytest
 from repro.uts import TreeParams, subtree_sizes
 from repro.uts.stats import tail_exponent
 
+# The fit is the package's ``analysis`` extra (tests/test_packaging.py
+# pins what happens without it).
+pytest.importorskip("numpy")
+pytest.importorskip("scipy.stats")
+
 
 def test_requires_enough_samples():
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for the hierarchical (Sect. 6.2) probe order and algorithm."""
 
+import time
+
 import pytest
 
 from repro import TreeParams, run_experiment
@@ -11,8 +13,7 @@ NET = NetworkModel(cores_per_node=4)
 
 
 def make_order(rank=0, n=16):
-    return HierarchicalProbeOrder(rank, n, StreamRng(0, "t", rank),
-                                  NET.same_node)
+    return HierarchicalProbeOrder(rank, n, StreamRng(0, "t", rank), NET)
 
 
 class TestHierarchicalProbeOrder:
@@ -45,10 +46,60 @@ class TestHierarchicalProbeOrder:
     def test_rank_alone_on_node(self):
         """cores_per_node=1: no on-node peers; falls back to uniform."""
         net1 = NetworkModel(cores_per_node=1)
-        po = HierarchicalProbeOrder(0, 8, StreamRng(0, "t", 0),
-                                    net1.same_node)
+        po = HierarchicalProbeOrder(0, 8, StreamRng(0, "t", 0), net1)
         assert sorted(po.cycle()) == list(range(1, 8))
         assert po.one() in range(1, 8)
+
+
+class StoredListOrder:
+    """The order as it was before it became range arithmetic: per-rank
+    on-/off-node lists from n ``same_node`` calls, ``choice`` over
+    them.  Kept as the reference for draws and victims."""
+
+    def __init__(self, rank, n, rng, net):
+        self._rng = rng
+        self._all = [t for t in range(n) if t != rank]
+        self._on_node = [t for t in self._all if net.same_node(rank, t)]
+        self._off_node = [t for t in self._all if not net.same_node(rank, t)]
+
+    def segments(self):
+        return [list(self._on_node), list(self._off_node)]
+
+    def one(self):
+        if self._on_node and self._rng.uniform(0.0, 1.0) < 0.5:
+            return self._rng.choice(self._on_node)
+        return self._rng.choice(self._all)
+
+
+class TestRangeArithmeticEqualsStoredLists:
+    @pytest.mark.parametrize("cores", [1, 3, 4, 16, 64])
+    @pytest.mark.parametrize("n", [2, 5, 16, 37])
+    def test_same_segments_same_draws_same_victims(self, n, cores):
+        net = NetworkModel(cores_per_node=cores)
+        for rank in range(n):
+            new = HierarchicalProbeOrder(rank, n, StreamRng(3, "t", rank), net)
+            old = StoredListOrder(rank, n, StreamRng(3, "t", rank), net)
+            assert new.segments() == old.segments()
+            assert ([new.one() for _ in range(40)]
+                    == [old.one() for _ in range(40)])
+            # ... and the two streams stand at the same draw afterwards
+            assert new._rng.randrange(1 << 30) == old._rng.randrange(1 << 30)
+
+    def test_segments_are_fresh_lists(self):
+        po = make_order(rank=5, n=16)
+        po.segments()[0].reverse()
+        assert po.segments()[0] == [4, 6, 7]
+
+    def test_construction_is_linear_in_the_machine(self):
+        """All 4,096 orders of a 4,096-thread machine: 9 s and O(n^2)
+        ints as stored lists, well under the bound as two ints each."""
+        net = NetworkModel(cores_per_node=4)
+        rng = StreamRng(0, "t", 0)
+        t0 = time.perf_counter()
+        orders = [HierarchicalProbeOrder(r, 4096, rng, net)
+                  for r in range(4096)]
+        assert time.perf_counter() - t0 < 1.0
+        assert orders[4095].segments()[0] == [4092, 4093, 4094]
 
 
 class TestHierAlgorithm:

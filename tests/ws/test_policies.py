@@ -120,7 +120,7 @@ def make_orders(shape, rank, n, seed):
     ref = random.Random(substream_seed(seed, "thread", rank))
     if shape == "uniform":
         return ProbeOrder(rank, n, rng), ref
-    return HierarchicalProbeOrder(rank, n, rng, NET.same_node), ref
+    return HierarchicalProbeOrder(rank, n, rng, NET), ref
 
 
 def reference_probe(gen, slots, bounds):

@@ -24,6 +24,10 @@ Notes for reading the output (see docs/performance.md):
   share -- compare *ratios between runs*, not absolute seconds.
 * ``tottime`` (time inside the frame itself) is the optimization
   signal; ``cumtime`` mostly mirrors the generator delegation chain.
+* The ``cold start`` header line is what this process paid before the
+  profiled sweep (``import repro``, the tree, the first cell's machine
+  and algorithm), unprofiled: the part of a run the ledger books as
+  ``setup_s``.
 """
 
 from __future__ import annotations
@@ -35,14 +39,22 @@ import itertools
 import os
 import pstats
 import sys
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+_T0 = time.perf_counter()
 
 from repro import fastpath  # noqa: E402
 from repro.harness.config import setup_for  # noqa: E402
 from repro.harness.parallel import JobSpec, execute_jobs  # noqa: E402
-from repro.harness.runner import expected_node_count  # noqa: E402
+from repro.harness.runner import expected_node_count, tree_for  # noqa: E402
+from repro.net.presets import get_preset  # noqa: E402
+from repro.pgas.machine import Machine  # noqa: E402
+from repro.ws.algorithms import get_algorithm  # noqa: E402
 from repro.ws.config import WsConfig  # noqa: E402
+
+_IMPORT_S = time.perf_counter() - _T0
 
 
 def main(argv=None) -> int:
@@ -98,7 +110,9 @@ def main(argv=None) -> int:
               "the caller's tottime", flush=True)
 
     # run_sweep's own grid, with the idle strategy in each cell's config.
+    t0 = time.perf_counter()
     expected = expected_node_count(setup.tree)
+    tree_s = time.perf_counter() - t0
     grid = [
         JobSpec(index=i, algorithm=alg, tree=setup.tree, threads=threads,
                 preset=setup.preset, chunk_size=k, expected_nodes=expected,
@@ -107,6 +121,20 @@ def main(argv=None) -> int:
         for i, (alg, threads, k) in enumerate(itertools.product(
             setup.algorithms, setup.thread_counts, setup.chunk_sizes))
     ]
+    first = grid[0]
+    t0 = time.perf_counter()
+    machine = Machine(threads=first.threads, net=get_preset(first.preset),
+                      fastpath=first.config.fastpath)
+    algo = get_algorithm(first.algorithm)(machine, tree_for(first.tree),
+                                          first.config)
+    machine.spawn_all(algo.thread_main)
+    build_s = time.perf_counter() - t0
+    del machine, algo
+    print(f"cold start: import repro {_IMPORT_S:.3f} s, tree "
+          f"{tree_s:.3f} s ({expected} nodes), first cell's machine + "
+          f"algorithm {build_s:.3f} s ({first.algorithm}, "
+          f"{first.threads} threads)", flush=True)
+
     profiler = cProfile.Profile()
     profiler.enable()
     runs = execute_jobs(grid, 1)
