@@ -19,6 +19,7 @@ latter lives in :func:`parse_fault_spec`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -58,7 +59,8 @@ class StormSpec:
                 f"storm window [{self.t0}, {self.t1}) must be non-empty "
                 "and non-negative")
         if self.category == "kill":
-            if self.magnitude < 1 or self.magnitude != int(self.magnitude):
+            if (not 1 <= self.magnitude < math.inf
+                    or self.magnitude != int(self.magnitude)):
                 raise ConfigError(
                     f"kill storm count must be a positive integer, "
                     f"got {self.magnitude}")
@@ -144,23 +146,24 @@ class FaultPlan:
     check_period: float = 100e-6
 
     def __post_init__(self) -> None:
+        # Every range check is written so that NaN fails it.
         for name in ("msg_drop_rate", "msg_dup_rate", "msg_delay_rate",
                      "lock_stall_rate", "stale_read_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
         for name in ("msg_delay_max", "lock_stall_time", "stale_read_window"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ConfigError(f"{name} must be >= 0")
         for name in ("steal_timeout", "ring_timeout", "heartbeat_period",
                      "check_period"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ConfigError(f"{name} must be > 0")
-        if self.steal_timeout_max < self.steal_timeout:
+        if not self.steal_timeout_max >= self.steal_timeout:
             raise ConfigError("steal_timeout_max must be >= steal_timeout")
-        if self.heartbeat_miss < 1:
+        if not self.heartbeat_miss >= 1:
             raise ConfigError("heartbeat_miss must be >= 1")
-        if self.slow_factor < 1.0:
+        if not self.slow_factor >= 1.0:
             raise ConfigError(
                 f"slow_factor must be >= 1 (a slowdown), got {self.slow_factor}")
         if len(self.kill_ranks) != len(self.kill_times):
@@ -177,7 +180,7 @@ class FaultPlan:
                 "rank 0 cannot be killed: it initiates termination "
                 "(token ring / barrier home) and coordinates recovery")
         for t in self.kill_times:
-            if t < 0.0:
+            if not t >= 0.0:
                 raise ConfigError(f"negative kill time {t}")
         if not 0.0 <= self.steal_retry_jitter <= 1.0:
             raise ConfigError(
@@ -288,9 +291,12 @@ def _parse_float(key: str, raw: str, grammar: str = "fault spec") -> float:
                 text = head
             break
     try:
-        return float(text) * scale
+        value = float(text) * scale
     except ValueError:
         raise ConfigError(f"{grammar}: {key}={raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{grammar}: {key}={raw!r} is not a finite number")
+    return value
 
 
 def _parse_storm(item: str) -> StormSpec:

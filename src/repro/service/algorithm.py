@@ -54,7 +54,6 @@ class ServiceAlgorithm(LockBasedAlgorithm):
         svc = self.service
         gate = self._gate
         cfg = self.cfg
-        search = self.search_phase_park if gate is not None else self.search_phase
         bmin = cfg.search_backoff_min
         bmax = cfg.search_backoff_max
         bfactor = cfg.search_backoff_factor
@@ -85,7 +84,9 @@ class ServiceAlgorithm(LockBasedAlgorithm):
                 continue
             if svc.finished:
                 break
-            found = yield from search(ctx, persist_while_working=False)
+            # No detector persists: one failed cycle (under a gate, no
+            # surplus to scan) ends the search.
+            found = yield from self.search_phase(ctx)
             if found:
                 backoff = bmin
                 continue

@@ -59,16 +59,21 @@ class ArrivalProcess:
             raise ConfigError(
                 f"arrival kind {self.kind!r} unknown "
                 f"(known: {', '.join(_KINDS)})")
-        if self.rate <= 0.0:
-            raise ConfigError(f"arrival rate must be > 0, got {self.rate}")
-        if self.burst_factor < 1.0:
+        # NaN fails every range check below; so does infinity where a
+        # gap would come out zero or undefined.
+        if not 0.0 < self.rate < math.inf:
             raise ConfigError(
-                f"burst_factor must be >= 1, got {self.burst_factor}")
+                f"arrival rate must be finite and > 0, got {self.rate}")
+        if not 1.0 <= self.burst_factor < math.inf:
+            raise ConfigError(
+                f"burst_factor must be finite and >= 1, "
+                f"got {self.burst_factor}")
         if not 0.0 <= self.p_switch <= 1.0:
             raise ConfigError(
                 f"p_switch must be in [0, 1], got {self.p_switch}")
-        if self.period <= 0.0:
-            raise ConfigError(f"period must be > 0, got {self.period}")
+        if not 0.0 < self.period < math.inf:
+            raise ConfigError(
+                f"period must be finite and > 0, got {self.period}")
         if not 0.0 <= self.depth < 1.0:
             raise ConfigError(f"depth must be in [0, 1), got {self.depth}")
 

@@ -210,11 +210,6 @@ class AlgorithmBase:
                     f"entries for {n} threads"
                 )
             self._set_speed_factors(cfg.speed_factors)
-        #: Lazily built per-rank rows of shared-reference costs
-        #: (``row[victim] == net.shared_ref(rank, victim)``): the probe
-        #: loops touch every victim each cycle, so one row build
-        #: amortizes instantly.
-        self._ref_rows: dict = {}
         #: Fused expansion hook: a materialized tree runs the DFS inner
         #: loop against its flat arrays (bit-identical, no per-node
         #: children() call); implicit trees use explore_batch's own loop.
@@ -305,23 +300,19 @@ class AlgorithmBase:
         policy's persistence rule, run its detection phase when the
         search gives up.  The four UPC variants are this one loop with
         different policies, steal protocols and poll slots plugged in;
-        park mode swaps in the event-driven search phase (the
-        termination phase parks by itself under a gate), and the
-        compiled backend swaps in the fused C phases (identical
-        yields and counters; the parked search stays a generator),
-        which bounce back here whenever a steal request needs the
-        Python service path.
+        under park the search and termination phases park by
+        themselves where a gate exists, and the compiled backend swaps
+        in the fused C phases (identical yields and counters; the
+        parked search stays a generator), which bounce back here
+        whenever a steal request needs the Python service path.
         """
         rank = ctx.rank
-        term = self._termination
-        park = self._gate is not None and term.park_capable
-        search = self.search_phase_park if park else self.search_phase
-        persist = term.persist_while_working
         fuse = self._fuse
         if fuse is None:
             fuse = self._fuse = self._fusion_enabled()
         phase = sphase = None
-        if (fuse and not park
+        if (fuse and not (self._gate is not None
+                          and self._termination.park_capable)
                 and type(self).search_phase is AlgorithmBase.search_phase):
             sphase = self._compiled(self._build_c_search, rank)
         while True:
@@ -339,7 +330,7 @@ class AlgorithmBase:
             if sphase is not None:
                 found = yield from self._search_fused(ctx, sphase)
             else:
-                found = yield from search(ctx, persist_while_working=persist)
+                found = yield from self.search_phase(ctx)
             if found:
                 continue
             terminated = yield from self.termination_phase(ctx)
@@ -502,21 +493,6 @@ class AlgorithmBase:
             if fn is not None:
                 return fn(available_chunks)
         return self.steal_amount(available_chunks)
-
-    def _ref_row(self, rank: int) -> List[float]:
-        """Shared-reference cost from ``rank`` to every victim, built on
-        first use and cached (identical floats to calling
-        ``net.shared_ref`` per probe: remote everywhere, local across
-        the rank's own node, free at the rank itself)."""
-        row = self._ref_rows.get(rank)
-        if row is None:
-            n = self.machine.n_threads
-            lo, hi, c_local, c_remote = self.net.ref_cost_bounds(rank)
-            hi = min(hi, n)
-            row = self._ref_rows[rank] = [c_remote] * n
-            row[lo:hi] = [c_local] * (hi - lo)
-            row[rank] = 0.0
-        return row
 
     # -- working -----------------------------------------------------------
 
@@ -695,106 +671,64 @@ class AlgorithmBase:
 
     # -- searching ---------------------------------------------------------
 
-    def search_phase(self, ctx: UpcContext,
-                     persist_while_working: bool = True) -> Generator:
-        """Probe for a victim; steal if found.
+    def search_phase(self, ctx: UpcContext) -> Generator:
+        """Figure 1's Searching state, the only copy: probe for a
+        victim, steal if found.
 
         Returns True once work is in hand.  Returns False when the
         thread should enter termination detection: after a single
-        failed cycle if ``persist_while_working`` is False (sharedmem,
-        Sect. 3.1), or only once every other thread reports NO_WORK if
-        True (streamlined, Sect. 3.3.1).  With poll slots, a pending
-        steal request is serviced at the top of every cycle, so a
-        searching victim denies promptly (Sect. 3.3.3).
+        failed cycle if the termination policy does not persist while
+        others work (sharedmem, Sect. 3.1), or only once no other
+        thread is seen working (streamlined, Sect. 3.3.1).  With poll
+        slots, a pending steal request is serviced at the top of every
+        cycle, so a searching victim denies promptly (Sect. 3.3.3).
+
+        Two switches are read before the loop starts: ``persist`` (the
+        policy's ``persist_while_working``) and ``gate`` (the idle gate
+        under ``idle_strategy="park"`` when the policy is park-capable;
+        None means poll).  A gate changes three things, all keyed off
+        its exact counters (updated at every ``work_avail`` write, so
+        never stale):
+
+        * A cycle runs only while ``gate.n_surplus > 0`` -- with nothing
+          stealable anywhere a full scan *provably* fails -- and stops
+          early once the last surplus is consumed mid-scan.
+        * "Someone still works" is ``gate.n_active``, not a probe.
+        * Between cycles with nothing stealable the thread parks on the
+          gate instead of keeping a backoff Timeout in the event queue.
+          Park requires ``n_surplus == 0 and n_active > 0``, checked
+          with no yield before registration, so no wake-up is missed.
+          On wake a pending request is served first -- a thief's
+          targeted wake means it is blocked on our answer -- and the
+          thread resumes on its virtual polling cadence
+          (:meth:`_park_resume_delay`), never probing more often than
+          polling would.
+
+        The victims are read two ways, by design: polling reads
+        :meth:`~repro.ws.policies.ProbeOrder.cycle` (whole shuffles; it
+        tracks ``any_working`` and, under faults, reads through
+        ``remote_read``), a gate reads
+        :meth:`~repro.ws.policies.ProbeOrder.scan` (lazy draws, so a
+        cycle a steal or the gate cuts short costs O(probed)
+        host-side).  The two draw from the RNG in different orders, so
+        each pinned schedule depends on which one runs.  Both price a
+        probe from ``net.ref_cost_bounds`` (a cost row per rank would be
+        O(n^2) machine-wide).
         """
         rank = ctx.rank
         st = self.stats[rank]
+        term = self._termination
+        persist = term.persist_while_working
+        gate = self._gate if term.park_capable else None
         req_slot = self.request[rank] if self.request is not None else None
-        row = self._ref_row(rank)
         slots = self._wa_slots
+        bounds = self.net.ref_cost_bounds(rank)
+        node_lo, node_hi, c_local, c_remote = bounds
         # Fault-free, a staleable slot's window can never open, so the
         # probe may read the value directly (identical result) instead
         # of paying remote_read's staleness bookkeeping per victim.
         fast = self._fast
-        cycle = self.probe_orders[rank].cycle
-        backoff = self.cfg.search_backoff_min
-        while True:
-            if req_slot is not None and req_slot.value is not None:
-                yield from self.service_request(ctx)
-            any_working = False
-            cost_acc = 0.0
-            n_probes = 0  # flushed into st.probes before every yield
-            for victim in cycle():
-                n_probes += 1
-                cost_acc += row[victim]
-                avail = (slots[victim].value if fast else
-                         slots[victim].remote_read(ctx.now, rank))
-                if avail == 0:
-                    any_working = True
-                elif avail > 0:
-                    st.probes += n_probes
-                    n_probes = 0
-                    if cost_acc > 0:
-                        yield from ctx.compute(cost_acc)
-                        cost_acc = 0.0
-                    self.enter_state(ctx, STEALING)
-                    ok = yield from self.try_steal(ctx, victim)
-                    self.enter_state(ctx, SEARCHING)
-                    if ok:
-                        return True
-                    # Empty or denied: "the probe proceeds to the next
-                    # victim" (Sect. 3.1; likewise 3.3.3).
-                    any_working = True
-            st.probes += n_probes
-            if cost_acc > 0:
-                yield from ctx.compute(cost_acc)
-            if not persist_while_working or not any_working:
-                return False
-            yield from ctx.compute(backoff)
-            backoff = min(backoff * self.cfg.search_backoff_factor,
-                          self.cfg.search_backoff_max)
-
-    def search_phase_park(self, ctx: UpcContext,
-                          persist_while_working: bool = True) -> Generator:
-        """Event-driven :meth:`search_phase` (``idle_strategy="park"``).
-
-        Two deviations from polling, both keyed off the idle gate's
-        exact counters (updated synchronously at every ``work_avail``
-        write, so never stale):
-
-        * A probe cycle runs only while ``gate.n_surplus > 0`` -- when
-          no thread has stealable work, a full scan *provably* fails,
-          so the thread skips straight to parking instead of paying n
-          probes to learn nothing.  (The real machine pays those futile
-          probes; E11's polling baseline still does.)  A cycle also
-          stops early once the last surplus is consumed mid-scan.
-        * Between cycles the thread parks on the gate rather than
-          keeping a backoff Timeout in the event queue.  Park requires
-          ``n_surplus == 0 and n_active > 0``, checked atomically with
-          registration (no yield in between, so no missed wakeup); a
-          new surplus wakes a bounded batch of parked threads, and the
-          last active rank going idle wakes everyone, so every park is
-          eventually woken.  On wake the thread resumes at the next tick
-          of its virtual polling cadence (:meth:`_park_resume_delay`),
-          never probing more often than the polling build would.
-
-        With poll slots a pending steal request is serviced at the top
-        of every iteration *and* immediately on wake -- a thief's
-        targeted wake means a request is waiting and the thief is
-        blocked on our answer.
-
-        Probes are priced from :meth:`ref_cost_bounds` (a cached row
-        per rank is O(n^2) machine-wide) and drawn by a
-        :meth:`~repro.ws.policies.ProbeOrder.scan`, so a cycle a steal
-        or the gate cuts short costs O(probed), not O(n), host-side.
-        """
-        rank = ctx.rank
-        st = self.stats[rank]
-        gate = self._gate
-        req_slot = self.request[rank] if self.request is not None else None
-        slots = self._wa_slots
-        bounds = self.net.ref_cost_bounds(rank)
-        new_scan = self.probe_orders[rank].scan
+        order = self.probe_orders[rank]
         probe = self._scan_probe
         bmax = self.cfg.search_backoff_max
         bfactor = self.cfg.search_backoff_factor
@@ -802,54 +736,71 @@ class AlgorithmBase:
         while True:
             if req_slot is not None and req_slot.value is not None:
                 yield from self.service_request(ctx)
-            if gate.n_surplus > 0:
-                scan = new_scan()
-                while True:
+            if gate is None:
+                victims = iter(order.cycle())
+                any_working = False
+            elif gate.n_surplus > 0:
+                scan = order.scan()
+            else:
+                if not persist or gate.n_active == 0:
+                    return False
+                # Some thread is working but nothing is stealable: park.
+                t_park = ctx.now
+                ctx.trace("idle.park")
+                yield gate.park(rank)
+                ctx.trace("idle.wake")
+                if req_slot is not None and req_slot.value is not None:
+                    yield from self.service_request(ctx)
+                delay, backoff = self._park_resume_delay(
+                    t_park, backoff, ctx.now, bmax, bfactor)
+                if delay > 0:
+                    yield Timeout(delay)
+                continue
+            while True:
+                # Probe on to the next victim with surplus (None once
+                # the cycle is exhausted), counting and pricing each.
+                if gate is None:
+                    cost_acc = 0.0
+                    n_probes = 0
+                    for victim in victims:
+                        n_probes += 1
+                        cost_acc += (c_local if node_lo <= victim < node_hi
+                                     else c_remote)
+                        avail = (slots[victim].value if fast else
+                                 slots[victim].remote_read(ctx.now, rank))
+                        if avail == 0:
+                            any_working = True
+                        elif avail > 0:
+                            break
+                    else:
+                        victim = None
+                else:
                     victim, cost_acc, n_probes = probe(scan, slots, bounds)
-                    st.probes += n_probes
-                    if cost_acc > 0:
-                        yield from ctx.compute(cost_acc)
-                    if victim is None:
-                        break
-                    self.enter_state(ctx, STEALING)
-                    ok = yield from self.try_steal(ctx, victim)
-                    self.enter_state(ctx, SEARCHING)
-                    if ok:
-                        return True
+                st.probes += n_probes
+                if cost_acc > 0:
+                    yield from ctx.compute(cost_acc)
+                if victim is None:
+                    break
+                self.enter_state(ctx, STEALING)
+                ok = yield from self.try_steal(ctx, victim)
+                self.enter_state(ctx, SEARCHING)
+                if ok:
+                    return True
+                if gate is None:
+                    # Empty or denied: "the probe proceeds to the next
+                    # victim" (Sect. 3.1; likewise 3.3.3).
+                    any_working = True
+                elif gate.n_surplus == 0:
                     # Only a steal attempt yields, so only here can the
                     # surplus count have changed under the scan.
-                    if gate.n_surplus == 0:
-                        scan.abandon()  # last surplus consumed mid-scan
-                        break
-                # The scan holds an O(n) victim list: drop it before
-                # backing off or parking.
-                del scan
-                if not persist_while_working:
-                    return False
-                # Failed cycle with surplus still visible: stay on the
-                # polling cadence so the next attempt happens promptly.
-                yield from ctx.compute(backoff)
-                backoff = min(backoff * bfactor, bmax)
-                continue
-            if not persist_while_working:
+                    scan.abandon()
+                    break
+            # A scan holds an O(n) victim list: drop it before backing off.
+            scan = None
+            if not persist or (gate is None and not any_working):
                 return False
-            if gate.n_active == 0:
-                # Globally idle (exact, not a stale probe snapshot):
-                # enter termination detection.
-                return False
-            # Some thread is working but nothing is stealable: park.
-            t_park = ctx.now
-            ctx.trace("idle.park")
-            yield gate.park(rank)
-            ctx.trace("idle.wake")
-            if req_slot is not None and req_slot.value is not None:
-                # Serviced before rejoining the cadence: the requesting
-                # thief is blocked on this answer right now.
-                yield from self.service_request(ctx)
-            delay, backoff = self._park_resume_delay(
-                t_park, backoff, ctx.now, bmax, bfactor)
-            if delay > 0:
-                yield Timeout(delay)
+            yield from ctx.compute(backoff)
+            backoff = min(backoff * bfactor, bmax)
 
     # -- compiled-phase fusion (repro.fastpath) -----------------------------
 

@@ -3,14 +3,14 @@
 Two-sided protocol over :mod:`repro.msg`:
 
 * An idle thread sends a ``REQUEST`` to a random victim and polls for
-  the reply while servicing other traffic (no blocking receives, so
-  request cycles cannot deadlock).
+  the reply while servicing other traffic (parked, it blocks only while
+  that REQUEST is out, so request cycles cannot deadlock).
 * Working threads poll for requests every ``poll_interval`` nodes --
   the user-tunable polling interval the paper mentions -- and answer
   with one chunk of work (``WORK``) or a denial (``NOWORK``).
 * Termination is Dijkstra's token algorithm on a ring
   (:mod:`repro.ws.termination.token`); rank 0 broadcasts ``TERM`` when
-  a white token survives a full round.
+  a white token survives a full round (Safra's variant under faults).
 
 The stack needs no locks (single owner, like the paper notes for MPI),
 but every steal costs a full request/response message exchange and is
@@ -138,36 +138,29 @@ class MpiWorkStealing(AlgorithmBase):
                 tr.emit(self.sim.now, rank, "steal.deny", f"thief=T{thief}")
             yield from self._send(ctx, thief, NOWORK, payload=seq)
 
-    def _forward_token(self, ctx: UpcContext) -> Generator:
-        """Idle non-zero rank holding a token: pass it along the ring."""
-        token = self.tokens[ctx.rank]
-        colour = token.forward()
-        self.stats[ctx.rank].tokens_forwarded += 1
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(self.sim.now, ctx.rank, "token.hop",
-                    f"to=T{token.next_rank} colour={colour}")
-        yield from self._send(ctx, token.next_rank, TOKEN, payload=colour)
-
-    @staticmethod
-    def _term_children(rank: int, n: int) -> list:
-        """Binary-tree fan-out over ranks for the TERM broadcast."""
-        kids = [2 * rank + 1, 2 * rank + 2]
-        return [k for k in kids if k < n]
-
     def _broadcast_term(self, ctx: UpcContext) -> Generator:
-        """Rank 0 roots a binary TERM tree; receivers forward to their
-        children, so the announcement costs O(log n) serial hops
-        instead of n serial sends from rank 0."""
+        """Rank 0 declares termination.  Fault-free it roots a binary
+        TERM tree -- receivers forward to their children, so the
+        announcement costs O(log n) serial hops instead of n serial
+        sends from rank 0; under faults TERM goes straight to every live
+        rank (the tree could route through a corpse), on the reliable
+        channel."""
         self.quiescence_check()
         self.terminated = True
-        for dst in self._term_children(ctx.rank, self.machine.n_threads):
-            yield from self._send(ctx, dst, TERM)
+        rt = self.faults_rt
+        if rt is None:
+            yield from self._forward_term(ctx)
+        else:
+            for dst in range(1, self.machine.n_threads):
+                if dst not in rt.dead:
+                    yield from self._send(ctx, dst, TERM)
         ctx.trace("mpi.term")
 
     def _forward_term(self, ctx: UpcContext) -> Generator:
-        for dst in self._term_children(ctx.rank, self.machine.n_threads):
-            yield from self._send(ctx, dst, TERM)
+        """Send TERM to our children in the binary announcement tree."""
+        for dst in (2 * ctx.rank + 1, 2 * ctx.rank + 2):
+            if dst < self.machine.n_threads:
+                yield from self._send(ctx, dst, TERM)
 
     # -- working state: switches (a) and (b) ------------------------------------
 
@@ -201,33 +194,6 @@ class MpiWorkStealing(AlgorithmBase):
 
     # -- idle phase ----------------------------------------------------------------
 
-    def _idle_handle(self, ctx: UpcContext, msg) -> Generator:
-        """Dispatch one message received while idle (fault-free).
-        Returns ``"term"``, ``"work"``, ``"nowork"``, or None."""
-        rank = ctx.rank
-        tag = msg.tag
-        tr = self.tracer
-        if tag == TERM:
-            yield from self._forward_term(ctx)
-            return "term"
-        if tag == REQUEST:
-            self.stats[rank].requests_denied += 1
-            if tr.enabled:
-                tr.emit(self.sim.now, rank, "steal.deny",
-                        f"thief=T{msg.src}")
-            yield from self._send(ctx, msg.src, NOWORK)
-            return None
-        if tag == TOKEN:
-            self.tokens[rank].on_token(msg.payload)
-            return None
-        if tag == WORK:
-            self._steal_landed(ctx, msg.src, msg.payload, 1)
-            return "work"
-        if tr.enabled:
-            tr.emit(self.sim.now, rank, "steal.fail",
-                    f"victim=T{msg.src} reason=denied")
-        return "nowork"
-
     def _token_duties(self, ctx: UpcContext) -> Generator:
         """Dijkstra token duties of an idle rank (fault-free): evaluate
         or pass on a held token; rank 0 launches one when none is out.
@@ -237,12 +203,13 @@ class MpiWorkStealing(AlgorithmBase):
         token = self.tokens[rank]
         if token.holding is not None:
             if rank != 0:
-                yield from self._forward_token(ctx)
-                return "sent"
-            if token.round_succeeded():
+                colour = token.forward()
+                self.stats[rank].tokens_forwarded += 1
+            elif token.round_succeeded():
                 yield from self._broadcast_term(ctx)
                 return "term"
-            colour = token.initiate()
+            else:
+                colour = token.initiate()
         elif rank == 0 and not token.in_flight:
             token.launch()
             colour = WHITE
@@ -255,17 +222,36 @@ class MpiWorkStealing(AlgorithmBase):
         yield from self._send(ctx, token.next_rank, TOKEN, payload=colour)
         return "sent"
 
-    def _send_request(self, ctx: UpcContext) -> Generator:
-        """Post a steal REQUEST to a random victim; returns its rank."""
+    def _send_request(self, ctx: UpcContext, timeout) -> Generator:
+        """Post a steal REQUEST to a random victim.  Returns the open
+        transaction ``(victim, seq, deadline)`` -- ``seq`` and
+        ``deadline`` None fault-free -- or None when the failure
+        detector suspects every victim."""
         rank = ctx.rank
+        rt = self.faults_rt
+        one = self.probe_orders[rank].one
+        if rt is None:
+            victim = one()
+            seq = None
+        else:
+            # A victim the failure detector does not suspect.
+            for _ in range(self.machine.n_threads):
+                victim = one()
+                if not rt.suspected(victim):
+                    break
+            else:
+                return None
+            seq = self._req_seq[rank]
+            self._req_seq[rank] = seq + 1
         st = self.stats[rank]
-        victim = self.probe_orders[rank].one()
         st.steal_attempts += 1
         st.probes += 1
         tr = self.tracer
         if tr.enabled:
             tr.emit(self.sim.now, rank, "steal.req", f"victim=T{victim}")
-        yield from self._send(ctx, victim, REQUEST)
+        yield from self._send(ctx, victim, REQUEST, payload=seq)
+        if rt is not None:
+            return victim, seq, ctx.now + timeout
         if self._dup_ranks is not None and rank in self._dup_ranks:
             # Duplicating-steal adversary: a second REQUEST on the
             # wire.  Fault-free the protocol is dup-safe by
@@ -277,53 +263,137 @@ class MpiWorkStealing(AlgorithmBase):
                 tr.emit(self.sim.now, rank, "steal.req",
                         f"victim=T{victim} dup=1")
             yield from self._send(ctx, victim, REQUEST)
-        return victim
+        return victim, None, None
 
     def idle_phase(self, ctx: UpcContext) -> Generator:
         """Search for work by messaging; handle tokens; detect TERM.
 
         Returns True on termination, False when work has been obtained.
+        One loop -- drain the mailbox, token duties, post a REQUEST or
+        time one out, wait -- under three switches read before it
+        starts, None meaning off:
+
+        * ``rt``, the fault runtime: steal transactions carry sequence
+          numbers and time out, the ring is Safra's
+          (:meth:`_safra_duties`) instead of Dijkstra's
+          (:meth:`_token_duties`), and rank 0 relaunches a lost token
+          (the block comment below has the design).
+        * ``gate``, the idle gate (``idle_strategy="park"``), fault-free
+          only: faults win, so a park run with a fail-stop plan polls.
+          The two-sided protocol means an idle rank can never go fully
+          silent -- it answers requests, circulates the token and keeps
+          its own REQUEST outstanding -- so parking is a blocking
+          :meth:`~repro.msg.comm.MsgEndpoint.recv` in place of the
+          backoff poll while the mailbox is empty and a REQUEST is out:
+          the rank sleeps in the message layer's waiter registry and is
+          woken by exactly the traffic it would poll for (deadlock-free:
+          a blocked rank always has a REQUEST in flight, and fault-free
+          every REQUEST is answered).  The backoff paces the next
+          REQUEST *before* it is sent and never resets on progress,
+          bounding a fully idle machine's request traffic at
+          ``1/backoff_max`` per rank (a reset per served message would
+          keep 4096 mostly idle ranks at the floor cadence).  Still
+          O(messages), not O(active): the paper's one-sided versus
+          two-sided contrast, measurable in E11.
+        * ``phase``, the compiled wait, bound only when neither switch
+          is on: during an idle wait the only observable change is a
+          message landing in our mailbox -- token and request state
+          mutate only inside our own iterations -- so the backoff polls
+          between iterations run in C against the mailbox heap alone.
         """
+        rank = ctx.rank
         if self.machine.n_threads == 1:
             # Alone: local exhaustion is global termination.  The TERM
             # tree has no children, so this only declares it.
             yield from self._broadcast_term(ctx)
             return True
-        if self.faulty:
-            return (yield from self._idle_phase_faulty(ctx))
-        if self._gate is not None:
-            return (yield from self._idle_phase_park(ctx))
-        rank = ctx.rank
         ep = self.endpoints[rank]
-        # Fused wait (same gate as the working phase): during an idle
-        # wait the only observable change is a message landing in our
-        # mailbox -- token and request state mutate only inside our own
-        # iterations -- so the between-iteration backoff polls can run
-        # in C against the mailbox heap alone.
-        phase = (self._compiled(self._build_c_idle, rank) if self._fuse
-                 else None)
-        outstanding: int | None = None
-        backoff = self.cfg.search_backoff_min
+        rt = self.faults_rt
+        gate = self._gate if rt is None else None
+        phase = (self._compiled(self._build_c_idle, rank)
+                 if self._fuse and gate is None else None)
+        duties = self._token_duties if rt is None else self._safra_duties
+        tr = self.tracer
+        bmin = self.cfg.search_backoff_min
+        bmax = self.cfg.search_backoff_max
+        bfactor = self.cfg.search_backoff_factor
+        backoff = bmin
+        timeout = timeout0 = rt.plan.steal_timeout if rt is not None else None
+        outstanding = None  # the one open steal: (victim, seq, deadline)
         while True:
             progressed = False
-            while (msg := ep.iprobe()) is not None:
+            msg = ep.iprobe()
+            if msg is None and gate is not None and outstanding is not None:
+                msg = yield from ep.recv()
+            while msg is not None:
                 progressed = True
-                status = yield from self._idle_handle(ctx, msg)
-                if status == "term":
+                tag = msg.tag
+                if tag == TERM:
+                    if rt is None:
+                        yield from self._forward_term(ctx)
                     return True
-                if status == "work":
+                if tag == REQUEST:
+                    # Our stack is empty: this is a denial.
+                    yield from self._serve_request(ctx, msg.src,
+                                                   seq=msg.payload)
+                elif tag == TOKEN:
+                    if rt is None:
+                        self.tokens[rank].on_token(msg.payload)
+                    else:
+                        self._accept_token(rank, msg.payload)
+                elif tag == WORK:
+                    if rt is not None:
+                        # Accept work whichever transaction it answers
+                        # -- discarding a late grant would lose nodes.
+                        # Receipt blackens this rank (Safra).
+                        self._wrecv[rank] += 1
+                        self.tokens[rank].colour = BLACK
+                    self._steal_landed(ctx, msg.src, msg.payload, 1)
                     return False
-                if status == "nowork":
+                elif rt is None or (outstanding is not None
+                                    and msg.src == outstanding[0]
+                                    and msg.payload == outstanding[1]):
+                    # NOWORK: faulted, only the open transaction's counts
+                    if tr.enabled:
+                        tr.emit(self.sim.now, rank, "steal.fail",
+                                f"victim=T{msg.src} reason=denied")
                     outstanding = None
-            duty = yield from self._token_duties(ctx)
+                    timeout = timeout0
+                else:
+                    rt.counters.stale_responses += 1
+                msg = ep.iprobe()
+            duty = yield from duties(ctx)
             if duty == "term":
                 return True
             if duty is not None:
                 progressed = True
             # One outstanding steal request at a time.
             if outstanding is None:
-                outstanding = yield from self._send_request(ctx)
+                if gate is not None:
+                    # Pace the next REQUEST before sending it, then loop
+                    # back to drain traffic that landed during the pace
+                    # before blocking on the answer.
+                    yield from ctx.compute(backoff)
+                    backoff = min(backoff * bfactor, bmax)
+                outstanding = yield from self._send_request(ctx, timeout)
+                if outstanding is not None:
+                    progressed = True
+            elif rt is not None and (ctx.now >= outstanding[2]
+                                     or rt.suspected(outstanding[0])):
+                # No reply in time: the request or denial was dropped,
+                # or the victim died.  Abandon the transaction; a late
+                # denial is recognised by its stale sequence number.
+                rt.counters.steal_timeouts += 1
+                if tr.enabled:
+                    tr.emit(self.sim.now, rank, "steal.fail",
+                            f"victim=T{outstanding[0]} reason=timeout")
+                    tr.emit(self.sim.now, rank, "recover.steal_timeout",
+                            f"victim=T{outstanding[0]}")
+                outstanding = None
+                timeout = rt.next_steal_timeout(timeout)
                 progressed = True
+            if gate is not None:
+                continue  # the wait is the blocking recv above
             if phase is not None:
                 # C wait loop: the compute(backoff) events and the
                 # empty-mailbox polls run compiled; control returns
@@ -333,68 +403,9 @@ class MpiWorkStealing(AlgorithmBase):
                 yield phase
             else:
                 if progressed:
-                    backoff = self.cfg.search_backoff_min
-                yield from ctx.compute(backoff)
-                backoff = min(backoff * self.cfg.search_backoff_factor,
-                              self.cfg.search_backoff_max)
-
-    def _idle_phase_park(self, ctx: UpcContext) -> Generator:
-        """Event-driven idle loop (``idle_strategy="park"``).
-
-        The two-sided protocol means an idle MPI rank can never go
-        fully silent: it must answer steal requests, circulate the
-        termination token, and keep its own REQUEST outstanding.  So
-        "parking" here is a blocking :meth:`~repro.msg.comm.MsgEndpoint.recv`
-        in place of the backoff poll loop -- the rank sleeps in the
-        message layer's waiter registry (O(1) engine cost) and is woken
-        by exactly the traffic it would otherwise poll for.  Deadlock-
-        free: a blocked rank always has its REQUEST in flight, and the
-        response is guaranteed fault-free (a working victim polls; an
-        idle one is itself woken by the REQUEST).
-
-        This is inherently O(messages), not O(active): the protocol has
-        no one-sided probe an idle rank could skip, so idle ranks keep
-        exchanging REQUEST/NOWORK pairs at the backoff cadence -- the
-        paper's one-sided-vs-two-sided contrast, measurable in E11.
-
-        One deviation from the polling loop: the request backoff decays
-        to its cap and never resets on message progress, bounding a
-        fully-idle machine's request traffic at ``1/backoff_max`` per
-        rank.  (Polling resets it on every served message, which at
-        4096 mostly-idle ranks would keep the floor cadence forever.)
-        """
-        ep = self.endpoints[ctx.rank]
-        outstanding = None
-        bmax = self.cfg.search_backoff_max
-        bfactor = self.cfg.search_backoff_factor
-        backoff = self.cfg.search_backoff_min
-        while True:
-            # Drain already-delivered traffic (free local polls); with
-            # a REQUEST outstanding and nothing delivered, park: block
-            # until the next message (response, request, token, or
-            # TERM) instead of spinning on the backoff timer.
-            msg = ep.iprobe()
-            if msg is None and outstanding is not None:
-                msg = yield from ep.recv()
-            while msg is not None:
-                status = yield from self._idle_handle(ctx, msg)
-                if status == "term":
-                    return True
-                if status == "work":
-                    return False
-                if status == "nowork":
-                    outstanding = None
-                msg = ep.iprobe()
-            duty = yield from self._token_duties(ctx)
-            if duty == "term":
-                return True
-            if outstanding is None:
-                # Pace the next REQUEST *before* sending it, then loop
-                # back to drain traffic that landed during the pace
-                # before blocking on the response.
+                    backoff = bmin
                 yield from ctx.compute(backoff)
                 backoff = min(backoff * bfactor, bmax)
-                outstanding = yield from self._send_request(ctx)
 
     # -- fault-tolerant mode (active only with a FaultPlan) ------------------
     #
@@ -441,15 +452,6 @@ class MpiWorkStealing(AlgorithmBase):
         while dst != rank and self.faults_rt.suspected(dst):
             dst = (dst + 1) % n
         return dst
-
-    def _pick_victim(self, rank: int):
-        """A steal victim not currently suspected dead (None if all are)."""
-        order = self.probe_orders[rank]
-        for _ in range(self.machine.n_threads):
-            victim = order.one()
-            if not self.faults_rt.suspected(victim):
-                return victim
-        return None
 
     def _launch_token(self, ctx: UpcContext) -> Generator:
         """Rank 0: start a fresh token round around the live ring."""
@@ -510,115 +512,37 @@ class MpiWorkStealing(AlgorithmBase):
         return colour == WHITE and self.tokens[0].colour == WHITE \
             and deficit == 0
 
-    def _broadcast_term_faulty(self, ctx: UpcContext) -> Generator:
-        """Direct TERM to every live rank (the binary tree could route
-        through a corpse); TERM rides the reliable channel."""
-        self.quiescence_check()
-        self.terminated = True
-        for dst in range(1, self.machine.n_threads):
-            if dst not in self.faults_rt.dead:
-                yield from self._send(ctx, dst, TERM)
-        ctx.trace("mpi.term")
-
-    def _idle_phase_faulty(self, ctx: UpcContext) -> Generator:
-        """Fault-tolerant search + termination loop (see block comment)."""
+    def _safra_duties(self, ctx: UpcContext) -> Generator:
+        """Safra ring duties of an idle rank (faulted runs): pass on a
+        held token; rank 0 evaluates a returned one, launches a round
+        when none is out, and relaunches one lost to a drop or a death
+        after ``ring_timeout`` of silence.  Returns what
+        :meth:`_token_duties` returns."""
         rank = ctx.rank
-        st = self.stats[rank]
-        ep = self.endpoints[rank]
-        rt = self.faults_rt
-        plan = rt.plan
-        tr = self.tracer
-        sim = self.sim
-        outstanding = None  # (victim, seq, deadline)
-        timeout = plan.steal_timeout
-        backoff = self.cfg.search_backoff_min
-        while True:
-            progressed = False
-            while (msg := ep.iprobe()) is not None:
-                progressed = True
-                if msg.tag == TERM:
-                    return True
-                if msg.tag == REQUEST:
-                    yield from self._serve_request(ctx, msg.src,
-                                                   seq=msg.payload)
-                elif msg.tag == TOKEN:
-                    self._accept_token(rank, msg.payload)
-                elif msg.tag == WORK:
-                    # Accept work regardless of which transaction it
-                    # answers -- discarding a late grant would lose
-                    # nodes.  Receipt blackens this rank (Safra).
-                    self._wrecv[rank] += 1
-                    self.tokens[rank].colour = BLACK
-                    self._steal_landed(ctx, msg.src, msg.payload, 1)
-                    return False
-                elif msg.tag == NOWORK:
-                    if outstanding is not None \
-                            and msg.src == outstanding[0] \
-                            and msg.payload == outstanding[1]:
-                        if tr.enabled:
-                            tr.emit(sim.now, rank, "steal.fail",
-                                    f"victim=T{msg.src} reason=denied")
-                        outstanding = None
-                        timeout = plan.steal_timeout
-                    else:
-                        rt.counters.stale_responses += 1
-            # Token duties.
-            if rank == 0:
-                held = self._held[0]
-                if held is not None:
-                    self._held[0] = None
-                    if self._evaluate_token(held):
-                        yield from self._broadcast_term_faulty(ctx)
-                        return True
-                    yield from self._launch_token(ctx)
-                    progressed = True
-                elif not self._tok_inflight:
-                    yield from self._launch_token(ctx)
-                    progressed = True
-                elif ctx.now - self._tok_launched >= plan.ring_timeout:
-                    # The token was dropped or died with a rank.
-                    rt.counters.token_relaunches += 1
-                    if tr.enabled:
-                        tr.emit(sim.now, rank, "recover.token_relaunch",
-                                f"round={self._round}")
-                    self._tok_inflight = False
-                    yield from self._launch_token(ctx)
-                    progressed = True
-            elif self._held[rank] is not None:
-                yield from self._forward_token_faulty(ctx)
-                progressed = True
-            # One outstanding steal request, timed out + retried.
-            if outstanding is None:
-                victim = self._pick_victim(rank)
-                if victim is not None:
-                    seq = self._req_seq[rank]
-                    self._req_seq[rank] += 1
-                    st.steal_attempts += 1
-                    st.probes += 1
-                    if tr.enabled:
-                        tr.emit(sim.now, rank, "steal.req",
-                                f"victim=T{victim}")
-                    yield from self._send(ctx, victim, REQUEST, payload=seq)
-                    outstanding = (victim, seq, ctx.now + timeout)
-                    progressed = True
-            elif ctx.now >= outstanding[2] or rt.suspected(outstanding[0]):
-                # No reply in time: the request or denial was dropped,
-                # or the victim died.  Abandon the transaction; a late
-                # denial is recognised by its stale sequence number.
-                rt.counters.steal_timeouts += 1
-                if tr.enabled:
-                    tr.emit(sim.now, rank, "steal.fail",
-                            f"victim=T{outstanding[0]} reason=timeout")
-                    tr.emit(sim.now, rank, "recover.steal_timeout",
-                            f"victim=T{outstanding[0]}")
-                outstanding = None
-                timeout = rt.next_steal_timeout(timeout)
-                progressed = True
-            if progressed:
-                backoff = self.cfg.search_backoff_min
-            yield from ctx.compute(backoff)
-            backoff = min(backoff * self.cfg.search_backoff_factor,
-                          self.cfg.search_backoff_max)
+        if rank != 0:
+            if self._held[rank] is None:
+                return None
+            yield from self._forward_token_faulty(ctx)
+            return "sent"
+        held = self._held[0]
+        if held is not None:
+            self._held[0] = None
+            if self._evaluate_token(held):
+                yield from self._broadcast_term(ctx)
+                return "term"
+        elif self._tok_inflight:
+            rt = self.faults_rt
+            if ctx.now - self._tok_launched < rt.plan.ring_timeout:
+                return None
+            # The token was dropped or died with a rank.
+            rt.counters.token_relaunches += 1
+            tr = self.tracer
+            if tr.enabled:
+                tr.emit(self.sim.now, rank, "recover.token_relaunch",
+                        f"round={self._round}")
+            self._tok_inflight = False
+        yield from self._launch_token(ctx)
+        return "sent"
 
     def on_thread_death(self, rank: int) -> None:
         """Drain the corpse's mailbox: orphaned WORK is counted received

@@ -266,8 +266,10 @@ class StreamlinedTermination(TerminationStrategy):
 
 
 class TokenRingTermination(TerminationStrategy):
-    """Marker for mpi-ws: Dijkstra's token ring is fused into the
-    message-driven idle loop (:meth:`MpiWorkStealing.idle_phase`), so
+    """Marker for mpi-ws: the token ring is fused into its one
+    message-driven idle loop (:meth:`MpiWorkStealing.idle_phase`) --
+    Dijkstra's ring fault-free, Safra's (colour plus a WORK
+    send/receive deficit, relaunched on loss) under a fault plan -- so
     there is no standalone phase to run here."""
 
     key = "token"

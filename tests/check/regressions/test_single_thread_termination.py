@@ -5,12 +5,12 @@ Found while sizing ISSUE 14: ``check_run(variant="mpi-ws", threads=1,
 termination was ever declared`` under both idle strategies, while the
 other seven variants passed.
 
-Root cause: all three mpi-ws idle loops (``idle_phase``,
-``_idle_phase_park``, ``_idle_phase_faulty``) returned True at
+Root cause: the mpi-ws idle loops of the time (polling, parked and
+fault-tolerant; one loop now) returned True at
 ``n_threads == 1`` before reaching the ``mpi.term`` record rank 0 emits
-on every larger machine.  Fix: ``idle_phase`` -- the one entry to all
-three -- roots the (childless) TERM broadcast itself, which runs the
-quiescence oracle and emits the record.
+on every larger machine.  Fix: ``idle_phase`` roots the (childless)
+TERM broadcast itself before its loop starts, under every idle strategy
+and fault plan, which runs the quiescence oracle and emits the record.
 """
 
 import pytest

@@ -257,14 +257,14 @@ def test_free_references_bit_identical(algo):
     assert run_snapshot(algo, small, "fast", **kw) == pure
 
 
-def test_compiled_poll_search_pins_no_per_rank_victim_lists():
+def test_poll_search_pins_no_per_rank_lists():
     """A 2048-thread poll machine, paused once every rank has probed
-    its first round and sits in a wait.  The generator search keeps a
-    cost row per rank (n^2 pointers: 33.5 MB here); the compiled one
-    must hold no list of O(threads) per rank at all -- its rounds call
-    ``segments()`` afresh, price probes from the cost bounds and drop
-    the round's order before waiting.  Slack: 1 MB, a thirtieth of what
-    one retained list per rank would weigh."""
+    its first round and sits in a wait.  Neither search may hold a list
+    of O(threads) per rank: both price probes from the cost bounds (the
+    generator used to keep a cost row per rank, n^2 pointers: 33.5 MB
+    here), and both take a fresh order per round and drop it before
+    waiting.  Slack: 1 MB, a thirtieth of what one retained list per
+    rank would weigh; a planted list shows the census sees them."""
     from repro.harness.runner import tree_for
     from repro.net.presets import KITTYHAWK
     from repro.pgas.machine import Machine
@@ -288,9 +288,12 @@ def test_compiled_poll_search_pins_no_per_rank_victim_lists():
         assert algo._fuse is (backend == "fast")
         return long_lists() - before
 
-    pure, fast = grown("pure"), grown("fast")
-    assert pure > 30e6  # the comparison is not between two empty sets
-    assert fast <= 1e6 < pure
+    before = long_lists()
+    planted = [[0] * n for _ in range(64)]
+    assert long_lists() - before >= 64 * (n - 1) * 8
+    del planted
+    assert grown("pure") <= 1e6
+    assert grown("fast") <= 1e6
 
 
 def test_probe_order_stating_no_segments(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, parse_fault_spec
+from repro.faults.plan import StormSpec
 
 
 class TestValidation:
@@ -126,3 +127,43 @@ class TestSpecGrammar:
     def test_spec_values_flow_through_validation(self):
         with pytest.raises(ConfigError, match="rank 0"):
             parse_fault_spec("kill=0@1ms")
+
+    @pytest.mark.parametrize("spec, named", [
+        ("kill=1@nan", "kill='nan'"),
+        ("kill=1@inf", "kill='inf'"),
+        ("stale=0.3,stale-window=nan", "stale-window='nan'"),
+        ("delay-max=infms", "delay-max='infms'"),
+        ("heartbeat=1e999", "heartbeat='1e999'"),
+        ("slow=1@nan", "slow='nan'"),
+        ("drop=nan", "drop='nan'"),
+        ("storm(kill:nan@1ms..2ms)", "storm='nan'"),
+        ("storm(drop:0.5@1ms..inf)", "storm='inf'"),
+    ])
+    def test_non_finite_values_are_named(self, spec, named):
+        with pytest.raises(ConfigError, match="is not a finite number") as err:
+            parse_fault_spec(spec)
+        assert named in str(err.value)
+
+
+class TestNanProofRanges:
+    """The range checks hold for API callers too: NaN compares False
+    with everything, so ``x < 0`` let it through where ``not x >= 0``
+    does not."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"stale_read_window": float("nan")},
+        {"msg_delay_max": float("nan")},
+        {"steal_timeout": float("nan")},
+        {"steal_timeout_max": float("nan")},
+        {"ring_timeout": float("nan")},
+        {"slow_ranks": (1,), "slow_factor": float("nan")},
+        {"kill_ranks": (1,), "kill_times": (float("nan"),)},
+    ], ids=lambda kw: ",".join(kw))
+    def test_nan_fails_the_range_check(self, kwargs):
+        with pytest.raises(ConfigError):
+            FaultPlan(**kwargs)
+
+    @pytest.mark.parametrize("magnitude", [float("nan"), float("inf")])
+    def test_kill_storm_count_must_be_finite(self, magnitude):
+        with pytest.raises(ConfigError, match="positive integer"):
+            StormSpec("kill", magnitude, 1e-3, 2e-3)

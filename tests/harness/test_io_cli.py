@@ -73,7 +73,19 @@ class TestCli:
          "fail-stop faults only"),
         (["serve", "--arrivals", "poisson:rate=abc"],
          "arrival spec: rate='abc' is not a number"),
-    ], ids=["threads", "chunk-size", "fault-spec", "park-faults", "arrivals"])
+        (["run", "--threads", "4", "--faults", "kill=1@nan"],
+         "fault spec: kill='nan' is not a finite number"),
+        (["run", "--faults", "stale=0.3,stale-window=nan"],
+         "fault spec: stale-window='nan' is not a finite number"),
+        (["serve", "--arrivals", "poisson:rate=nan"],
+         "arrival spec: rate='nan' is not a finite number"),
+        (["serve", "--arrivals", "poisson:rate=inf"],
+         "arrival spec: rate='inf' is not a finite number"),
+        (["serve", "--arrivals", "bursty:rate=1e5,burst=nan"],
+         "arrival spec: burst='nan' is not a finite number"),
+    ], ids=["threads", "chunk-size", "fault-spec", "park-faults", "arrivals",
+            "kill-nan", "stale-window-nan", "rate-nan", "rate-inf",
+            "burst-nan"])
     def test_bad_input_is_a_named_error_not_a_traceback(self, capsys, argv,
                                                         named):
         """Exit status 2 and one ``repro-uts: error:`` line, as for

@@ -53,6 +53,30 @@ class TestGrammar:
         with pytest.raises(ConfigError):
             ArrivalProcess(**kwargs)
 
+    @pytest.mark.parametrize("spec, named", [
+        ("poisson:rate=nan", "rate='nan'"),
+        ("poisson:rate=inf", "rate='inf'"),
+        ("bursty:rate=1e5,burst=nan", "burst='nan'"),
+        ("diurnal:rate=1e5,period=infs", "period='infs'"),
+        ("diurnal:rate=1e5,depth=nan", "depth='nan'"),
+    ])
+    def test_non_finite_values_are_named(self, spec, named):
+        with pytest.raises(ConfigError, match="is not a finite number") as err:
+            parse_arrival_spec(spec)
+        assert str(err.value).startswith(f"arrival spec: {named} ")
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rate": float("nan")}, {"rate": float("inf")},
+        {"burst_factor": float("nan")}, {"burst_factor": float("inf")},
+        {"period": float("nan")}, {"period": float("inf")},
+    ], ids=lambda kw: f"{next(iter(kw))}={next(iter(kw.values()))}")
+    def test_non_finite_values_fail_the_range_checks(self, kwargs):
+        """API callers bypass the grammar: NaN compares False with
+        everything, so ``rate <= 0`` let it through; infinity makes a
+        zero or undefined gap."""
+        with pytest.raises(ConfigError, match="finite"):
+            ArrivalProcess(**kwargs)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("kind", ["poisson", "bursty", "diurnal"])

@@ -10,6 +10,10 @@ the next re-anchor finding it:
 * Figure 1's Working state is written once
   (``AlgorithmBase.working_phase``); a variant states what differs as
   switches the loop reads, never as a second loop.
+* So are the Searching state (``AlgorithmBase.search_phase``) and
+  mpi-ws's idle loop (``MpiWorkStealing.idle_phase``): the idle gate
+  and the fault runtime are switches read before the loop starts, and
+  no probe is priced from a per-rank cost row (O(n^2) a machine).
 * Trace detail strings are built only behind a ``tracer.enabled`` test
   (``docs/performance.md``, "engine hot path"): an untraced run must
   not format and throw away an f-string per event.
@@ -65,6 +69,35 @@ def test_one_working_phase_definition():
     found = _definitions("working_phase")
     assert len(found) == 1 and found[0].startswith("ws/algorithms/base.py:"), \
         found
+
+
+def _mentions(name):
+    return [str(path.relative_to(SRC.parent)) for path in sorted(SRC.rglob("*"))
+            if path.suffix in (".py", ".c") and name in path.read_text()]
+
+
+def test_one_searching_state():
+    found = _definitions("search_phase")
+    assert len(found) == 1 and found[0].startswith("ws/algorithms/base.py:"), \
+        found
+    assert _mentions("search_phase_park") == []
+
+
+def test_one_mpi_ws_idle_loop():
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and (node.name == "idle_phase" or node.name.startswith("_idle_phase"))
+    ]
+    assert len(found) == 1 and found[0].startswith("ws/algorithms/mpi_ws.py:"), \
+        found
+    assert _mentions("_idle_phase") == []
+
+
+def test_no_per_rank_probe_cost_rows():
+    assert _mentions("_ref_row") == []
 
 
 def test_one_compiled_working_phase_binder():
