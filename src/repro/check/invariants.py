@@ -176,7 +176,7 @@ class InvariantMonitor:
         self.fast_scans = 0
         #: The ledger pass's view of the stacks as of the last emit:
         #: per rank ``(held, pushes, pops, stolen)``, their column sums,
-        #: and the length of every local region and shared deque
+        #: and the length of every local region and shared region
         #: (``_parts``, each owned by the stack at its ``_owners`` index).
         self._stacks: list = []
         self._rank_of: dict = {}
@@ -356,7 +356,7 @@ class InvariantMonitor:
         per-stack view and its sums; False if one of them breaks I2.
 
         A stack is dirty if a counter was stored to (the barrier) or its
-        local region or shared deque changed length (one vector
+        local region or shared region changed length (one vector
         compare); a clean stack balanced when it was last read and has
         not changed since.  What neither sees -- a chunk resized in
         place with no counter write -- waits for the next full pass.

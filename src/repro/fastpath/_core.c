@@ -25,9 +25,9 @@
  *
  *   scan_probe(scan, slots, bounds)
  *       ProbeScan.probe: the parked search's victim scan (draw, price,
- *       test, per probe).  A function of the scan object, bound to no
- *       rank and no phase, so traced, faulted and service park runs
- *       take it too -- whenever the run's backend resolved to fast.
+ *       test, per probe, in the array('i') segments' buffers).  Bound
+ *       to no rank and no phase, so traced, faulted and service park
+ *       runs take it too -- whenever the run's backend resolved to fast.
  *
  *   WorkPhase, SearchPhase, IdlePhase
  *       Figure 1's per-rank phases as C state machines.  A worker
@@ -540,7 +540,7 @@ typedef struct {
     /* configuration (strong references; immutable after init) */
     PyObject *sim;
     PyObject *local;          /* list: stack.local                     */
-    PyObject *shared;         /* deque: stack.shared                   */
+    PyObject *shared;         /* list: stack.shared                    */
     PyObject *shared_append;  /* bound shared.append                   */
     PyObject *shared_pop;     /* bound shared.pop                      */
     PyObject *stack;          /* SplitStack (counter slots)            */
@@ -565,9 +565,7 @@ typedef struct {
     PyObject *rank;           /* int: this rank, as gate.note takes it */
     /* (c) stack moves run under the own-stack lock */
     PyObject *fifo;           /* FifoLock                              */
-    PyObject *queue;          /* deque: fifo._queue                    */
-    PyObject *queue_append;   /* bound queue.append                    */
-    PyObject *queue_popleft;  /* bound queue.popleft                   */
+    PyObject *queue;          /* list: fifo._queue                     */
     PyObject *ev_name;        /* str: fifo._ev_name                    */
     double lock_to;           /* lock round trip; < 0 means free       */
     PyObject *barrier_dict;   /* CancelableBarrier.__dict__: a release
@@ -607,8 +605,8 @@ typedef struct {
     PyObject *sim;
     PyObject *st_dict;        /* ThreadStats.__dict__ (probes)         */
     PyObject *segments;       /* bound ProbeOrder.segments: a round's  */
-    PyObject *getrandbits;    /*   fresh victim lists; shuffled over   */
-                              /*   this and probed one after the other */
+    PyObject *getrandbits;    /*   fresh array('i') victims, shuffled  */
+                              /*   in place over this, probed in turn  */
     PyObject *bounds;         /* net.ref_cost_bounds(rank), parsed     */
                               /*   below by search_check: a victim     */
     long long node_lo;        /*   in [node_lo, node_hi) costs c_local */
@@ -623,8 +621,8 @@ typedef struct {
     double slow;              /* ctx._slow compute-cost multiplier     */
     int persist;              /* persist_while_working                 */
     /* runtime */
-    PyObject *victims;        /* current round's probe order (owned)   */
-    Py_ssize_t idx;           /* next victim index in `victims`        */
+    PyObject *victims;        /* current round's shuffled segments     */
+    Py_ssize_t seg, idx;      /* segment probed, its next victim       */
     long long cur_victim;     /* victim across the pre-steal timeout   */
     double cost_acc;
     double backoff;
@@ -1063,19 +1061,17 @@ lock_grant:
     {
         PyObject *ev = PyObject_CallFunctionObjArgs(
             (PyObject *)SimEventType, w->sim, w->ev_name, NULL);
-        PyObject *r, *waiters;
+        PyObject *waiters;
         if (ev == NULL)
             return -1;
         if (slot_add_long(w->fifo, off_f_cacq, 1) < 0) {
             Py_DECREF(ev);
             return -1;
         }
-        r = PyObject_CallOneArg(w->queue_append, ev);
-        if (r == NULL) {
+        if (PyList_Append(w->queue, ev) < 0) {
             Py_DECREF(ev);
             return -1;
         }
-        Py_DECREF(r);
         waiters = SLOT(ev, off_e_waiters);
         if (waiters == NULL || !PyList_CheckExact(waiters)
                 || PyList_Append(waiters, (PyObject *)w) < 0) {
@@ -1116,7 +1112,6 @@ unlock:
         /* busy_time += sim.now - _acquired_at; hand off or unlock */
         PyObject *acqat = SLOT(w->fifo, off_f_acqat);
         double at;
-        Py_ssize_t qn;
         if (acqat == NULL)
             { PyErr_SetString(SimulationError, "fastpath: lock state");
               return -1; }
@@ -1125,20 +1120,20 @@ unlock:
             return -1;
         if (slot_add_double(w->fifo, off_f_busy, rc->now - at) < 0)
             return -1;
-        qn = PyObject_Length(w->queue);
-        if (qn < 0)
-            return -1;
-        if (qn > 0) {
+        if (PyList_GET_SIZE(w->queue) > 0) {
             /* direct hand-off: acquisitions += 1; _acquired_at = now;
-             * queue.popleft().succeed() */
+             * queue.pop(0).succeed() */
             PyObject *ev, *r;
             if (slot_add_long(w->fifo, off_f_acq, 1) < 0)
                 return -1;
             Py_INCREF(time_obj);
             slot_store(w->fifo, off_f_acqat, time_obj);
-            ev = PyObject_CallNoArgs(w->queue_popleft);
-            if (ev == NULL)
+            ev = PyList_GET_ITEM(w->queue, 0);
+            Py_INCREF(ev);
+            if (PyList_SetSlice(w->queue, 0, 1, NULL) < 0) {
+                Py_DECREF(ev);
                 return -1;
+            }
             if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0) {
                 Py_DECREF(ev);
                 return -1;
@@ -1274,35 +1269,47 @@ c_draw(PyObject *getrandbits, PyObject *kk, long n)
     }
 }
 
-static long
-c_randbelow(PyObject *getrandbits, long n)
+/* Export a victim segment (ProbeOrder.segments: an array('i') of
+ * ranks) writable into `view`.  0, or -1 with a TypeError for anything
+ * else -- a list, an array of another type code. */
+static int
+segment_view(PyObject *seg, Py_buffer *view)
 {
-    PyObject *kk = PyLong_FromLong(bit_length(n));
-    long r;
-    if (kk == NULL)
-        return -1;
-    r = c_draw(getrandbits, kk, n);
-    Py_DECREF(kk);
-    return r;
+    if (PyObject_GetBuffer(seg, view, PyBUF_WRITABLE | PyBUF_FORMAT) < 0)
+        PyErr_Clear();
+    else if (view->itemsize == sizeof(int) && strcmp(view->format, "i") == 0)
+        return 0;
+    else
+        PyBuffer_Release(view);
+    PyErr_Format(PyExc_TypeError, "fastpath: a victim segment must be an "
+                 "array('i'), not %.100s", Py_TYPE(seg)->tp_name);
+    return -1;
 }
+#define SEG_LEN(view) ((view).len / (Py_ssize_t)sizeof(int))
 
 /* random.Random.shuffle, draw-for-draw: Fisher-Yates from the top,
- * j = _randbelow(i + 1) per position. */
+ * j = _randbelow(i + 1) per position (`kk` rebuilt only where the bit
+ * length of i + 1 changes). */
 static int
-c_shuffle(PyObject *list, PyObject *getrandbits)
+c_shuffle(int *v, Py_ssize_t n, PyObject *getrandbits)
 {
+    PyObject *kk = NULL;
     Py_ssize_t i;
-    for (i = PyList_GET_SIZE(list) - 1; i >= 1; i--) {
-        long j = c_randbelow(getrandbits, (long)i + 1);
-        PyObject *a, *b;
-        if (j < 0 && PyErr_Occurred())
-            return -1;
-        a = PyList_GET_ITEM(list, i);
-        b = PyList_GET_ITEM(list, j);
-        PyList_SET_ITEM(list, i, b);
-        PyList_SET_ITEM(list, j, a);
+    int k = 0;
+    for (i = n - 1; i >= 1; i--) {
+        int t = v[i];
+        long j;
+        if (bit_length((long)i + 1) != k) {
+            k = bit_length((long)i + 1);
+            Py_XSETREF(kk, PyLong_FromLong(k));
+        }
+        if (kk == NULL || (j = c_draw(getrandbits, kk, (long)i + 1)) < 0)
+            break;
+        v[i] = v[j];
+        v[j] = t;
     }
-    return 0;
+    Py_XDECREF(kk);
+    return i >= 1 ? -1 : 0;
 }
 
 /* Flush the C-accumulated probe count into st.probes.  Called before
@@ -1320,43 +1327,35 @@ sp_flush_probes(SearchPhaseObject *sp)
 }
 
 /* ProbeOrder.cycle(): take the round's fresh victim segments and
- * Fisher-Yates each in place, consuming the rank's Mersenne Twister
- * exactly as `shuffled(seg0) + shuffled(seg1) + ...` would.  Neither
- * call can touch simulator state, so no now/seq sync is needed, and
- * nothing O(n) outlives the round.  A new list, or NULL. */
+ * Fisher-Yates each array('i') in place, consuming the rank's Mersenne
+ * Twister exactly as `shuffled(seg0) + shuffled(seg1) + ...` would;
+ * the probe loop then reads them one after the other.  Neither call
+ * can touch simulator state, so no now/seq sync is needed, and nothing
+ * O(n) outlives the round.  The segments' list, or NULL. */
 static PyObject *
 search_cycle(SearchPhaseObject *sp)
 {
-    PyObject *segs = PyObject_CallNoArgs(sp->segments), *vs = NULL;
+    PyObject *segs = PyObject_CallNoArgs(sp->segments);
     Py_ssize_t si;
     if (segs == NULL)
         return NULL;
-    if (!PyList_CheckExact(segs))
-        goto bad;
-    for (si = 0; si < PyList_GET_SIZE(segs); si++) {
-        PyObject *seg = PyList_GET_ITEM(segs, si);
-        if (!PyList_CheckExact(seg))
-            goto bad;
-        if (c_shuffle(seg, sp->getrandbits) < 0)
-            goto fail;
-        if (vs == NULL) {
-            Py_INCREF(seg);
-            vs = seg;
-        } else {
-            Py_ssize_t at = PyList_GET_SIZE(vs);
-            if (PyList_SetSlice(vs, at, at, seg) < 0)
-                goto fail;
-        }
+    if (!PyList_CheckExact(segs)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "fastpath: segments() must return a list");
+        goto fail;
     }
-    if (vs == NULL)
-        vs = PyList_New(0);
-    Py_DECREF(segs);
-    return vs;
-bad:
-    PyErr_SetString(PyExc_TypeError,
-                    "fastpath: segments() must return a list of lists");
+    for (si = 0; si < PyList_GET_SIZE(segs); si++) {
+        Py_buffer view;
+        int r;
+        if (segment_view(PyList_GET_ITEM(segs, si), &view) < 0)
+            goto fail;
+        r = c_shuffle(view.buf, SEG_LEN(view), sp->getrandbits);
+        PyBuffer_Release(&view);
+        if (r < 0)
+            goto fail;
+    }
+    return segs;
 fail:
-    Py_XDECREF(vs);
     Py_DECREF(segs);
     return NULL;
 }
@@ -1406,54 +1405,59 @@ round_start:
     Py_XSETREF(sp->victims, search_cycle(sp));
     if (sp->victims == NULL)
         return -1;
-    sp->idx = 0;
+    sp->seg = sp->idx = 0;
     sp->cost_acc = 0.0;
     sp->any_working = 0;
 
 probe_loop:
-    while (sp->victims != NULL && sp->idx < PyList_GET_SIZE(sp->victims)) {
-        PyObject *vobj = PyList_GET_ITEM(sp->victims, sp->idx);
-        PyObject *slot, *aval;
-        long long victim, avail;
-        victim = PyLong_AsLongLong(vobj);
-        if (victim == -1 && PyErr_Occurred())
+    while (sp->victims != NULL && sp->seg < PyList_GET_SIZE(sp->victims)) {
+        /* segment `seg` from victim `idx` on, to the first with surplus */
+        Py_buffer view;
+        long long avail = 0;
+        if (segment_view(PyList_GET_ITEM(sp->victims, sp->seg), &view) < 0)
             return -1;
-        sp->idx += 1;
-        sp->probes_acc += 1;
-        if (victim < 0 || victim >= PyList_GET_SIZE(sp->slots)) {
-            PyErr_SetString(SimulationError,
-                            "fastpath: probe victim out of range");
-            return -1;
-        }
-        sp->cost_acc += (sp->node_lo <= victim && victim < sp->node_hi)
-            ? sp->c_local : sp->c_remote;
-        slot = PyList_GET_ITEM(sp->slots, victim);
-        aval = SLOT(slot, off_w_value);
-        if (aval == NULL || !PyLong_CheckExact(aval)) {
-            PyErr_SetString(SimulationError,
-                            "fastpath: non-int work_avail value");
-            return -1;
-        }
-        avail = PyLong_AsLongLong(aval);
-        if (avail == -1 && PyErr_Occurred())
-            return -1;
-        if (avail == 0) {
-            sp->any_working = 1;
-        } else if (avail > 0) {
-            sp->cur_victim = victim;
-            if (sp_flush_probes(sp) < 0)
-                return -1;
-            if (sp->cost_acc > 0.0) {
-                /* yield from ctx.compute(cost_acc) before the steal */
-                double d = sp->cost_acc * sp->slow;
-                sp->cost_acc = 0.0;
-                if (d > 0.0) {
-                    sp->state = SP_PRE_STEAL;
-                    return rc_push(rc, rc->now + d, (PyObject *)sp, Py_None);
-                }
+        while (avail <= 0 && sp->idx < SEG_LEN(view)) {
+            long long victim = ((const int *)view.buf)[sp->idx++];
+            PyObject *aval;
+            sp->probes_acc += 1;
+            if (victim < 0 || victim >= PyList_GET_SIZE(sp->slots)) {
+                PyErr_SetString(PyExc_IndexError,
+                                "fastpath: probe victim out of range");
+                break;
             }
-            goto steal_bounce;
+            sp->cost_acc += (sp->node_lo <= victim && victim < sp->node_hi)
+                ? sp->c_local : sp->c_remote;
+            aval = SLOT(PyList_GET_ITEM(sp->slots, victim), off_w_value);
+            if (aval == NULL || !PyLong_CheckExact(aval)) {
+                PyErr_SetString(SimulationError,
+                                "fastpath: non-int work_avail value");
+                break;
+            }
+            if ((avail = PyLong_AsLongLong(aval)) == -1 && PyErr_Occurred())
+                break;
+            sp->any_working |= avail == 0;
+            sp->cur_victim = victim;
         }
+        PyBuffer_Release(&view);
+        if (PyErr_Occurred())
+            return -1;
+        if (avail <= 0) {
+            sp->seg += 1;
+            sp->idx = 0;
+            continue;
+        }
+        if (sp_flush_probes(sp) < 0)
+            return -1;
+        if (sp->cost_acc > 0.0) {
+            /* yield from ctx.compute(cost_acc) before the steal */
+            double d = sp->cost_acc * sp->slow;
+            sp->cost_acc = 0.0;
+            if (d > 0.0) {
+                sp->state = SP_PRE_STEAL;
+                return rc_push(rc, rc->now + d, (PyObject *)sp, Py_None);
+            }
+        }
+        goto steal_bounce;
     }
     /* the round's order is O(threads): dropped before any wait */
     Py_CLEAR(sp->victims);
@@ -2280,19 +2284,21 @@ is_positive(PyObject *v)
 
 /* ProbeScan.probe (repro/ws/policies.py), statement for statement, as
  * a function of the scan object: incremental Fisher-Yates on the
- * reversed segment, one getrandbits(k) per accepted draw with k
- * recomputed only where the remaining count crosses a power of two,
- * the reference cost added left to right from 0.0, stop at the first
- * victim whose slots[victim].value is positive.  Returns (victim or
- * None, cost_acc, n_probes) and leaves _items / _m / _todo and the
+ * reversed array('i') segment in place, one getrandbits(k) per accepted
+ * draw with k recomputed only where the remaining count crosses a power
+ * of two, the reference cost added left to right from 0.0, stop at the
+ * first victim whose slots[victim].value is positive.  Returns (victim
+ * or None, cost_acc, n_probes) and leaves _items / _m / _todo and the
  * generator as the Python method would. */
 static PyObject *
 py_scan_probe(PyObject *module, PyObject *args)
 {
     PyObject *scan, *slots, *bounds, *res = NULL;
     PyObject *rng = NULL, *getrandbits = NULL, *todo = NULL, *items = NULL;
-    PyObject *mo = NULL, *kk = NULL, *found = NULL;
-    Py_ssize_t node_lo, node_hi, m, n_probes;
+    PyObject *mo = NULL, *kk = NULL;
+    Py_buffer view = {NULL};
+    int *vs;
+    Py_ssize_t node_lo, node_hi, m, n_probes, found = -1;
     double c_local, c_remote, cost_acc = 0.0;
 
     if (!configured) {
@@ -2312,13 +2318,13 @@ py_scan_probe(PyObject *module, PyObject *args)
             || (mo = PyObject_GetAttr(scan, s_m)) == NULL)
         goto done;
     m = PyLong_AsSsize_t(mo);
-    if (m == -1 && PyErr_Occurred())
+    if ((m == -1 && PyErr_Occurred()) || segment_view(items, &view) < 0)
         goto done;
-    if (!PyList_CheckExact(todo) || !PyList_CheckExact(items)
-            || m < 0 || m > PyList_GET_SIZE(items)) {
+    if (!PyList_CheckExact(todo) || m < 0 || m > SEG_LEN(view)) {
         PyErr_SetString(PyExc_TypeError, "fastpath: not a ProbeScan");
         goto done;
     }
+    vs = view.buf;
     n_probes = m;
     for (;;) {
         while (m > 0) {
@@ -2328,29 +2334,20 @@ py_scan_probe(PyObject *module, PyObject *args)
             if (kk == NULL)
                 goto done;
             while (m >= half) {
+                /* the export pins the segment's size across the calls */
                 long r = c_draw(getrandbits, kk, (long)m);
-                PyObject *vobj, *last, *slot, *aval;
+                PyObject *slot, *aval;
                 Py_ssize_t victim;
                 int hit;
                 if (r < 0)
                     goto done;
-                if (m > PyList_GET_SIZE(items)) {
-                    PyErr_SetString(PyExc_RuntimeError,
-                                    "fastpath: scan segment changed size");
-                    goto done;
-                }
                 m -= 1;
                 /* victim = items[j]; items[j] = items[m] */
-                vobj = PyList_GET_ITEM(items, m - r);
-                last = PyList_GET_ITEM(items, m);
-                Py_INCREF(last);
-                PyList_SET_ITEM(items, m - r, last);  /* vobj is ours now */
-                victim = PyLong_AsSsize_t(vobj);
+                victim = vs[m - r];
+                vs[m - r] = vs[m];
                 if (victim < 0 || victim >= PyList_GET_SIZE(slots)) {
-                    if (!PyErr_Occurred())
-                        PyErr_SetString(PyExc_IndexError,
-                                        "fastpath: probe victim out of range");
-                    Py_DECREF(vobj);
+                    PyErr_SetString(PyExc_IndexError,
+                                    "fastpath: probe victim out of range");
                     goto done;
                 }
                 cost_acc += (node_lo <= victim && victim < node_hi)
@@ -2364,35 +2361,33 @@ py_scan_probe(PyObject *module, PyObject *args)
                     hit = aval == NULL ? -1 : is_positive(aval);
                     Py_XDECREF(aval);
                 }
-                if (hit <= 0) {
-                    Py_DECREF(vobj);
-                    if (hit < 0)
-                        goto done;
-                    continue;
+                if (hit < 0)
+                    goto done;
+                if (hit) {
+                    found = victim;
+                    goto out;
                 }
-                found = vobj;
-                goto out;
             }
         }
         {
             /* items = self._items = todo.pop(); items.reverse() */
-            Py_ssize_t nt = PyList_GET_SIZE(todo);
-            PyObject *seg;
+            Py_ssize_t nt = PyList_GET_SIZE(todo), i;
             if (nt == 0)
                 goto out;
-            seg = PyList_GET_ITEM(todo, nt - 1);
-            if (!PyList_CheckExact(seg)) {
-                PyErr_SetString(PyExc_TypeError,
-                                "fastpath: scan segments must be lists");
-                goto done;
-            }
-            Py_INCREF(seg);
-            Py_SETREF(items, seg);
-            if (PyList_SetSlice(todo, nt - 1, nt, NULL) < 0
-                    || PyList_Reverse(items) < 0
+            PyBuffer_Release(&view);
+            Py_INCREF(PyList_GET_ITEM(todo, nt - 1));
+            Py_SETREF(items, PyList_GET_ITEM(todo, nt - 1));
+            if (segment_view(items, &view) < 0
+                    || PyList_SetSlice(todo, nt - 1, nt, NULL) < 0
                     || PyObject_SetAttr(scan, s_items, items) < 0)
                 goto done;
-            m = PyList_GET_SIZE(items);
+            vs = view.buf;
+            m = SEG_LEN(view);
+            for (i = 0; i < m / 2; i++) {
+                int t = vs[i];
+                vs[i] = vs[m - 1 - i];
+                vs[m - 1 - i] = t;
+            }
             n_probes += m;
         }
     }
@@ -2400,10 +2395,10 @@ out:
     Py_SETREF(mo, PyLong_FromSsize_t(m));
     if (mo == NULL || PyObject_SetAttr(scan, s_m, mo) < 0)
         goto done;
-    res = Py_BuildValue("Odn", found != NULL ? found : Py_None, cost_acc,
-                        found != NULL ? n_probes - m : n_probes);
+    res = found < 0 ? Py_BuildValue("Odn", Py_None, cost_acc, n_probes)
+        : Py_BuildValue("ndn", found, cost_acc, n_probes - m);
 done:
-    Py_XDECREF(found);
+    PyBuffer_Release(&view);
     Py_XDECREF(kk);
     Py_XDECREF(mo);
     Py_XDECREF(items);
@@ -2655,9 +2650,7 @@ static const PhaseField WorkPhase_fields[] = {
     {"gate_cat", F_OPT, offsetof(WorkPhaseObject, gate_cat), &PyList_Type},
     {"rank", F_OBJ, offsetof(WorkPhaseObject, rank), &PyLong_Type},
     {"fifo", F_OPT, offsetof(WorkPhaseObject, fifo)},
-    {"queue", F_OPT, offsetof(WorkPhaseObject, queue)},
-    {"queue_append", F_OPT, offsetof(WorkPhaseObject, queue_append)},
-    {"queue_popleft", F_OPT, offsetof(WorkPhaseObject, queue_popleft)},
+    {"queue", F_OPT, offsetof(WorkPhaseObject, queue), &PyList_Type},
     {"ev_name", F_OPT, offsetof(WorkPhaseObject, ev_name)},
     {"lock_to", F_DOUBLE, offsetof(WorkPhaseObject, lock_to)},
     {"barrier_dict", F_OPT, offsetof(WorkPhaseObject, barrier_dict),
@@ -2684,10 +2677,8 @@ work_check(PhaseHead *self)
         return "wa needs the no_work sentinel it is poked with at exit";
     if (w->gate != NULL && (w->wa == NULL || w->gate_cat == NULL))
         return "gate needs the wa whose writes it is told and its _cat list";
-    if (w->fifo != NULL && (w->queue == NULL || w->queue_append == NULL
-                            || w->queue_popleft == NULL
-                            || w->ev_name == NULL))
-        return "fifo needs its queue, the queue's bound methods and ev_name";
+    if (w->fifo != NULL && (w->queue == NULL || w->ev_name == NULL))
+        return "fifo needs its queue and ev_name";
     if (w->barrier_dict != NULL && w->fifo == NULL)
         return "barrier_dict needs the fifo whose releases reset it";
     if ((w->drained != NULL) != (w->task_of.obj != NULL)

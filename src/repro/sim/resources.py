@@ -10,8 +10,7 @@ Two resources cover everything the PGAS layer needs:
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any
+from typing import Any, List
 
 from repro.errors import SimulationError
 from repro.sim.engine import SimEvent, Simulator
@@ -41,7 +40,7 @@ class FifoLock:
         self.sim = sim
         self.name = name
         self.locked = False
-        self._queue: deque[SimEvent] = deque()
+        self._queue: List[SimEvent] = []
         self.acquisitions = 0
         self.contended_acquisitions = 0
         self.busy_time = 0.0
@@ -90,7 +89,7 @@ class FifoLock:
             # Hand off directly: the lock stays held by the next waiter.
             self.acquisitions += 1
             self._acquired_at = self.sim.now
-            ev = self._queue.popleft()
+            ev = self._queue.pop(0)
             ev.succeed()
         else:
             self.locked = False

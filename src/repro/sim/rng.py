@@ -41,17 +41,39 @@ class StreamRng:
     instead of three Python frames.  Code that must interleave draws
     with other work (:meth:`repro.ws.policies.ProbeOrder.scan`) applies
     the same rule to :attr:`getrandbits` directly.
+
+    A stream is seeded at its first draw, not at construction: most
+    ranks of a large parked machine never draw (445 of 4,096 in the
+    ``upc-distmem`` park cell), and a Mersenne Twister is 2.5 KB.  The
+    first read of ``_rng``, :attr:`getrandbits` or :attr:`name` lands in
+    :meth:`__getattr__`, which fills the slot; every later read is a
+    plain slot read, and the draw sequence is the eager one.
     """
 
-    __slots__ = ("name", "root_seed", "_names", "_rng", "getrandbits")
+    __slots__ = ("root_seed", "_names", "name", "_rng", "getrandbits")
 
     def __init__(self, root_seed: int, *names: object) -> None:
-        self.name = ":".join(str(n) for n in names)
         self.root_seed = root_seed
         self._names = names
-        self._rng = random.Random(substream_seed(root_seed, *names))
-        #: ``getrandbits(k)``: the next ``k <= 32`` bits cost one word.
-        self.getrandbits = self._rng.getrandbits
+
+    def __getattr__(self, attr: str):
+        # Reached only when a slot is unset: the first read of a lazy one.
+        if attr == "name":
+            self.name = ":".join(str(n) for n in self._names)
+        elif attr in ("_rng", "getrandbits"):
+            self._rng = random.Random(substream_seed(self.root_seed,
+                                                     *self._names))
+            #: ``getrandbits(k)``: the next ``k <= 32`` bits cost one word.
+            self.getrandbits = self._rng.getrandbits
+        else:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {attr!r}")
+        return object.__getattribute__(self, attr)
+
+    def __getstate__(self):
+        # A copy shares the generator, seeded or not, as an eager stream's
+        # copy does: seed it before the slots are read out.
+        return None, {s: getattr(self, s) for s in self.__slots__}
 
     def derive(self, *names: object) -> "StreamRng":
         """An independent child stream at ``<self.name>:<names...>``.

@@ -631,7 +631,7 @@ class AlgorithmBase:
                         if queue:
                             fifo.acquisitions += 1
                             fifo._acquired_at = sim.now
-                            queue.popleft().succeed()
+                            queue.pop(0).succeed()
                         else:
                             fifo.locked = False
                         if tr.enabled:
@@ -795,7 +795,7 @@ class AlgorithmBase:
                     # surplus count have changed under the scan.
                     scan.abandon()
                     break
-            # A scan holds an O(n) victim list: drop it before backing off.
+            # A scan holds O(n) victims (array('i')): drop it before waiting.
             scan = None
             if not persist or (gate is None and not any_working):
                 return False
@@ -907,8 +907,6 @@ class AlgorithmBase:
             rank=rank,
             fifo=fifo,
             queue=queue,
-            queue_append=queue.append if fifo is not None else None,
-            queue_popleft=queue.popleft if fifo is not None else None,
             ev_name=fifo._ev_name if fifo is not None else None,
             lock_to=lock_to.delay if lock_to is not None else -1.0,
             barrier_dict=barrier.__dict__ if barrier is not None else None,
@@ -927,8 +925,8 @@ class AlgorithmBase:
         state its victims as segments over a ``getrandbits`` stream.
 
         Each ``cycle()`` is ``shuffled(seg) for seg in segments()``,
-        concatenated: the C round shuffles the fresh lists in place,
-        draw-for-draw, and pins no O(threads) list per rank; ``slow``
+        concatenated: the C round shuffles the fresh ``array('i')`` in
+        place, draw-for-draw, and probes them in turn; ``slow``
         folds in the per-thread compute multiplier the same way
         ``ctx.compute`` does.  A ``req_slot`` makes the C round-top test
         the request variable and bounce ``True`` for

@@ -12,6 +12,7 @@ Two axes the paper varies:
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from typing import Callable, List
 
@@ -55,10 +56,10 @@ def steal_all(available_chunks: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _ranks(n_threads: int) -> tuple:
-    """``0 .. n_threads-1``, shared by every rank of a machine: copying
-    it costs a memcpy where ``list(range(n))`` allocates n ints."""
-    return tuple(range(n_threads))
+def _ranks(n_threads: int) -> array:
+    """``0 .. n_threads-1``, shared by every rank of a machine (never
+    written): a segment is a slice of it, a memcpy of 4-byte ints."""
+    return array("i", range(n_threads))
 
 
 class ProbeOrder:
@@ -67,20 +68,22 @@ class ProbeOrder:
     A fresh shuffled permutation of the other ranks per probe cycle,
     drawn from the thread's deterministic stream.
 
-    The victims are stated once, as :meth:`segments` -- lists that are
-    shuffled independently and probed one after the other -- and read
-    two ways: :meth:`cycle` shuffles them whole (the polling search,
-    which probes everyone), :meth:`scan` shuffles them a position at a
-    time (the parked search, which stops at its first steal).  A subclass
-    changes the order by overriding :meth:`segments`, never the readers.
+    The victims are stated once, as :meth:`segments` -- ``array('i')``
+    runs that are shuffled independently and probed one after the
+    other -- and read two ways: :meth:`cycle` shuffles them whole (the
+    polling search, which probes everyone), :meth:`scan` shuffles them
+    a position at a time (the parked search, which stops at its first
+    steal).  A subclass changes the order by overriding
+    :meth:`segments`, never the readers.
 
     No per-rank victim list is stored: across a machine that would be
     O(n^2) small-int objects -- hundreds of MB at 4096 threads -- for
-    data that is pure ``range`` arithmetic.  :meth:`segments` builds
-    its (transient) lists per call, which the shuffle already required,
-    and :meth:`one` maps a single ``randrange`` draw over the gap at
-    our own rank.  Both consume the RNG identically to the stored-list
-    implementation, so every schedule is bit-identical.
+    data that is pure ``range`` arithmetic.  :meth:`segments` cuts its
+    (transient) arrays per call from one cached ``array('i',
+    range(n))``, 4 bytes a victim in an object the collector never
+    walks, and :meth:`one` maps a single ``randrange`` draw over the gap
+    at our own rank.  Both consume the RNG identically to the
+    stored-list implementation, so every schedule is bit-identical.
     """
 
     __slots__ = ("_rank", "_n", "_rng")
@@ -90,16 +93,16 @@ class ProbeOrder:
         self._n = n_threads
         self._rng = rng
 
-    def others(self) -> List[int]:
-        """The other ranks in increasing order (fresh list per call)."""
-        others = list(_ranks(self._n))
+    def others(self) -> array:
+        """The other ranks in increasing order (fresh array per call)."""
+        others = _ranks(self._n)[:]
         del others[self._rank]
         return others
 
-    def segments(self) -> List[List[int]]:
-        """The victims of one probe cycle, as fresh lists the caller
-        may reorder: every victim of a segment is probed before any of
-        the next."""
+    def segments(self) -> List[array]:
+        """The victims of one probe cycle, as fresh ``array('i')`` the
+        caller may reorder: every victim of a segment is probed before
+        any of the next."""
         return [self.others()]
 
     @property
@@ -156,16 +159,19 @@ class ProbeScan:
     The segment is held *reversed*, so the ``m`` victims still to probe
     are ``items[:m]`` and position ``i`` is ``items[m - 1]``: the same
     swaps on the same draws, with one counter to maintain, not two.
+    Segments are :meth:`ProbeOrder.segments`' ``array('i')``: a live
+    scan holds 4 bytes a victim, and nothing the collector walks.
 
-    On the compiled backend :meth:`probe` runs as ``_core.scan_probe``.
+    On the compiled backend :meth:`probe` runs as ``_core.scan_probe``,
+    which swaps in the arrays' buffers in place.
     """
 
     __slots__ = ("_rng", "_todo", "_items", "_m")
 
-    def __init__(self, rng: StreamRng, segments: List[List[int]]) -> None:
+    def __init__(self, rng: StreamRng, segments: List[array]) -> None:
         self._rng = rng
         self._todo = segments[::-1]
-        self._items: List[int] = []
+        self._items = array("i")
         self._m = 0
 
     def probe(self, slots, bounds) -> tuple:
@@ -252,12 +258,12 @@ class HierarchicalProbeOrder(ProbeOrder):
         self._lo = lo
         self._hi = min(hi, n_threads)
 
-    def segments(self) -> List[List[int]]:
+    def segments(self) -> List[array]:
         """On-node victims first, then off-node."""
         ranks = _ranks(self._n)
-        on_node = list(ranks[self._lo:self._hi])
+        on_node = ranks[self._lo:self._hi]
         del on_node[self._rank - self._lo]
-        return [on_node, list(ranks[:self._lo] + ranks[self._hi:])]
+        return [on_node, ranks[:self._lo] + ranks[self._hi:]]
 
     def one(self) -> int:
         """Prefer an on-node victim half the time (if any exist).  The

@@ -16,7 +16,6 @@ conservation counters so tests can prove no node is lost or duplicated.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import List
 
 from repro.errors import ProtocolError
@@ -34,8 +33,10 @@ class SplitStack:
     def __init__(self) -> None:
         #: Owner-private region; top of stack is the end of the list.
         self.local: List[Node] = []
-        #: Stealable region: chunks ordered oldest (left) to newest (right).
-        self.shared: deque = deque()
+        #: Stealable region: chunks ordered oldest (first) to newest
+        #: (last).  A list, not a deque: an empty deque is 760 bytes, and
+        #: most of a large machine's shared regions are empty.
+        self.shared: List[List[Node]] = []
         self.pushes = 0
         self.pops = 0
         self.released_nodes = 0
@@ -117,6 +118,7 @@ class SplitStack:
             raise ProtocolError(
                 f"steal_chunks({n}) with {len(self.shared)} chunks available"
             )
-        chunks = [self.shared.popleft() for _ in range(n)]
+        chunks = self.shared[:n]
+        del self.shared[:n]
         self.stolen_from_me_nodes += sum(map(len, chunks))
         return chunks

@@ -20,6 +20,7 @@ degradation.
 import dataclasses
 import gc
 import sys
+from array import array
 
 import pytest
 
@@ -264,36 +265,57 @@ def test_poll_search_pins_no_per_rank_lists():
     generator used to keep a cost row per rank, n^2 pointers: 33.5 MB
     here), and both take a fresh order per round and drop it before
     waiting.  Slack: 1 MB, a thirtieth of what one retained list per
-    rank would weigh; a planted list shows the census sees them."""
+    rank would weigh; a planted list shows the census sees them.
+
+    The same machine parked: a search holds its scan across the steal
+    attempt it is in, and the scan holds its victims as ``array('i')``
+    (4 bytes a victim, nothing the collector walks), so not one long
+    list is new -- on either backend, with live scans to show for it."""
     from repro.harness.runner import tree_for
     from repro.net.presets import KITTYHAWK
     from repro.pgas.machine import Machine
     from repro.ws.algorithms import get_algorithm
+    from repro.ws.policies import ProbeScan
 
     n = 2048
 
     def long_lists():
         gc.collect()
-        return sum(sys.getsizeof(o) for o in gc.get_objects()
-                   if type(o) is list and len(o) >= n - 1)
+        return [o for o in gc.get_objects()
+                if type(o) is list and len(o) >= n - 1]
 
-    def grown(backend):
+    def weight(lists):
+        return sum(map(sys.getsizeof, lists))
+
+    def grown(backend, idle="poll"):
+        """(bytes the long lists grew by, the long lists that are new,
+        the live scans)."""
         machine = Machine(threads=n, net=KITTYHAWK, fastpath=backend)
-        algo = get_algorithm("upc-distmem")(machine, tree_for(SMALL),
-                                            WsConfig(chunk_size=2))
+        algo = get_algorithm("upc-distmem")(
+            machine, tree_for(SMALL),
+            WsConfig(chunk_size=2, idle_strategy=idle))
         machine.spawn_all(algo.thread_main)
         before = long_lists()
         machine.sim.run(until=2e-4)
         assert machine.sim.events_processed > n  # every rank has run
         assert algo._fuse is (backend == "fast")
-        return long_lists() - before
+        after = long_lists()
+        new = [o for o in after if not any(o is b for b in before)]
+        scans = [o for o in gc.get_objects() if type(o) is ProbeScan]
+        return weight(after) - weight(before), len(new), scans
 
-    before = long_lists()
+    before = weight(long_lists())
     planted = [[0] * n for _ in range(64)]
-    assert long_lists() - before >= 64 * (n - 1) * 8
+    assert weight(long_lists()) - before >= 64 * (n - 1) * 8
     del planted
-    assert grown("pure") <= 1e6
-    assert grown("fast") <= 1e6
+    assert grown("pure")[0] <= 1e6
+    assert grown("fast")[0] <= 1e6
+    for backend in ("pure", "fast"):
+        _, new, scans = grown(backend, "park")
+        assert new == 0 and scans
+        assert all(type(seg) is array for scan in scans
+                   for seg in (scan._items, *scan._todo))
+        del scans
 
 
 def test_probe_order_stating_no_segments(monkeypatch):
@@ -309,12 +331,32 @@ def test_probe_order_stating_no_segments(monkeypatch):
     assert run_snapshot("upc-term", SMALL, "fast", **kw) == pure
 
 
-def test_malformed_segments_are_refused_by_name(monkeypatch):
+#: Victim segments both compiled readers must refuse by name, never
+#: crash on (CI runs this file under ``python -X dev``): the poll
+#: ``SearchPhase`` shuffles and reads them, the park ``scan_probe``
+#: swaps them in place.  (The generators would not say ``fastpath:``.)
+NOT_INTS = r"fastpath: a victim segment must be an array\('i'\)"
+OUT_OF_RANGE = "fastpath: probe victim out of range"
+MALFORMED = {
+    "list": (lambda n: [1, 2], TypeError, NOT_INTS + ", not list"),
+    "int64-array": (lambda n: array("q", [1, 2]), TypeError, NOT_INTS),
+    "float-array": (lambda n: array("d", [1.0]), TypeError, NOT_INTS),
+    "rank-n": (lambda n: array("i", [n]), IndexError, OUT_OF_RANGE),
+    "rank-negative": (lambda n: array("i", [-1]), IndexError, OUT_OF_RANGE),
+}
+
+
+@pytest.mark.parametrize("idle", ["poll", "park"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_segments_are_refused_by_name(monkeypatch, case, idle):
     from repro.ws.policies import ProbeOrder
 
-    monkeypatch.setattr(ProbeOrder, "segments", lambda self: [(1, 2)])
-    with pytest.raises(TypeError, match="list of lists"):
-        run_snapshot("upc-term", SMALL, "fast", threads=4, chunk_size=2)
+    segment, error, match = MALFORMED[case]
+    monkeypatch.setattr(ProbeOrder, "segments",
+                        lambda self: [segment(self._n)])
+    with pytest.raises(error, match=match):
+        run_snapshot("upc-term", SMALL, "fast", threads=4, config=WsConfig(
+            chunk_size=2, idle_strategy=idle))
 
 
 def test_stream_without_getrandbits_falls_back_to_cycle(tree, monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for deterministic named random streams."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -120,3 +122,107 @@ def test_empty_range_error_names_the_stream(m):
         rng.randrange(m)
     with pytest.raises(ValueError, match="thread:7"):
         rng.choice([])
+
+
+# -- seeded at first draw: a lazy stream == the eager one ---------------------
+#
+# A stream builds its Mersenne Twister (and ``getrandbits``, ``name``) on
+# first access.  Whatever is touched first -- a draw, ``derive``, ``name``
+# -- the draws must be those of ``random.Random(substream_seed(...))``.
+
+NAMES = st.lists(st.one_of(st.integers(-5, 5000), st.text(max_size=4)),
+                 max_size=3)
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("randrange"), st.integers(1, 5000)),
+    st.tuples(st.just("shuffled"), st.integers(0, 40)),
+    st.tuples(st.just("choice"), st.integers(1, 40)),
+    st.tuples(st.just("uniform"), st.just(0)),
+    st.tuples(st.just("getrandbits"), st.integers(1, 32)),
+    st.tuples(st.just("derive"), st.integers(0, 9)),
+    st.tuples(st.just("name"), st.just(0))), max_size=25)
+
+
+def seeded(rng):
+    """Whether the stream has built its generator (read past the lazy
+    hook, so asking does not seed it)."""
+    try:
+        type(rng)._rng.__get__(rng)
+    except AttributeError:
+        return False
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**63), names=NAMES, steps=STEPS)
+def test_lazy_stream_equals_eager_random(seed, names, steps):
+    ours = StreamRng(seed, *names)
+    ref = random.Random(substream_seed(seed, *names))
+    path = ":".join(str(n) for n in names)
+    for op, arg in steps:
+        drawn = seeded(ours)
+        if op == "randrange":
+            assert ours.randrange(arg) == ref.randrange(arg)
+        elif op == "shuffled":
+            expect = list(range(arg))
+            ref.shuffle(expect)
+            assert ours.shuffled(list(range(arg))) == expect
+        elif op == "choice":
+            items = list(range(100, 100 + arg))
+            assert ours.choice(items) == ref.choice(items)
+        elif op == "uniform":
+            assert ours.uniform(-1.5, 2.5) == ref.uniform(-1.5, 2.5)
+        elif op == "getrandbits":
+            assert ours.getrandbits(arg) == ref.getrandbits(arg)
+        elif op == "derive":
+            child = ours.derive("c", arg)
+            assert child.name == ":".join(map(str, (*names, "c", arg)))
+            assert child.randrange(1 << 20) == random.Random(
+                substream_seed(seed, *names, "c", arg)).randrange(1 << 20)
+            assert seeded(ours) == drawn  # deriving does not seed
+        else:
+            assert ours.name == path
+            assert seeded(ours) == drawn  # nor does naming
+    assert ours._rng.getstate() == ref.getstate()
+
+
+def test_a_fresh_stream_is_not_seeded_until_touched():
+    rng = StreamRng(1, "thread", 4)
+    assert not seeded(rng)
+    assert rng.root_seed == 1 and rng.derive(2).name == "thread:4:2"
+    assert not seeded(rng)
+    bits = rng.getrandbits
+    assert seeded(rng) and rng.getrandbits is bits
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        rng.nope
+
+
+def test_probe_order_hands_out_the_streams_own_getrandbits():
+    """Either side may seed the stream; both read the same bound
+    method afterwards (the C kernels call it directly)."""
+    from repro.ws.policies import ProbeOrder
+
+    rng = StreamRng(0, "t", 0)
+    assert ProbeOrder(0, 4, rng).getrandbits is rng.getrandbits
+    rng = StreamRng(0, "t", 0)
+    bits = rng.getrandbits
+    assert ProbeOrder(0, 4, rng).getrandbits is bits
+
+
+@pytest.mark.parametrize("drawn", [False, True], ids=["fresh", "drawn"])
+def test_copies_and_pickles_behave_as_eager_streams(drawn):
+    """A shallow copy shares the generator, so its draws advance the
+    original's; a pickle round trip is an independent stream at the
+    same position -- drawn from or not."""
+    rng = StreamRng(5, "thread", 3)
+    ref = random.Random(substream_seed(5, "thread", 3))
+    if drawn:
+        assert rng.randrange(100) == ref.randrange(100)
+    twin = copy.copy(rng)
+    assert twin._rng is rng._rng and twin.getrandbits is rng.getrandbits
+    assert twin.randrange(1000) == ref.randrange(1000)
+    assert rng.randrange(1000) == ref.randrange(1000)
+    clone = pickle.loads(pickle.dumps(rng))
+    assert clone.name == "thread:3" and clone._rng is not rng._rng
+    assert clone._rng.getstate() == ref.getstate()
+    assert clone.getrandbits(32) == ref.getrandbits(32)
+    assert rng._rng.getstate() != ref.getstate()  # the original stayed

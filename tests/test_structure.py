@@ -39,6 +39,11 @@ the next re-anchor finding it:
   package imports them inside the functions that use them, the one
   module-level import being the guarded one of ``fastpath/nputs.py``,
   the tree builder of a host without a compiler.
+* A rank pays only for what it touches (``docs/performance.md``,
+  "Per-rank memory at 4096 threads"): ``StreamRng.__init__`` builds no
+  Mersenne Twister, victim segments are ``array('i')`` slices and never
+  lists (nor does ``_core.c`` read them as lists), and neither a shared
+  region nor a lock queue is a deque.
 """
 
 import ast
@@ -268,3 +273,55 @@ def test_a_run_imports_no_numpy():
     assert done.returncode == 0, done.stderr
     available, numpy_loaded = done.stdout.split()
     assert (available, numpy_loaded) != ("True", "True"), done.stdout
+
+
+def test_a_stream_is_seeded_at_its_first_draw_not_at_construction():
+    rng = ast.parse((SRC / "sim" / "rng.py").read_text())
+    [init] = [node for cls in ast.walk(rng)
+              if isinstance(cls, ast.ClassDef) and cls.name == "StreamRng"
+              for node in cls.body
+              if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+    calls = [ast.unparse(node.func) for node in ast.walk(init)
+             if isinstance(node, ast.Call)]
+    assert not any("Random" in call for call in calls), calls
+
+
+#: Where victim segments are built: the cached rank array and the two
+#: probe orders' ``others`` / ``segments``.
+SEGMENT_BUILDERS = ("_ranks", "others", "segments")
+
+
+def test_no_victim_segment_is_built_as_a_list():
+    """Inside the builders the one list is the outer one of
+    ``segments()``: no ``list(...)``, comprehension or nested list."""
+    found, seen = [], []
+    for path, tree in _modules():
+        for fn in ast.walk(tree):
+            if not (isinstance(fn, ast.FunctionDef)
+                    and fn.name in SEGMENT_BUILDERS):
+                continue
+            seen.append(f"{path.relative_to(SRC)}:{fn.name}")
+            found += [
+                f"{path.relative_to(SRC)}:{node.lineno}"
+                for node in ast.walk(fn)
+                if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("list", "tuple"))
+                or isinstance(node, (ast.ListComp, ast.GeneratorExp))
+                or (isinstance(node, ast.List)
+                    and any(isinstance(e, ast.List) for e in node.elts))]
+    assert sorted(seen) == ["ws/policies.py:_ranks", "ws/policies.py:others",
+                            "ws/policies.py:segments",
+                            "ws/policies.py:segments"], seen
+    assert found == [], found
+    core = (SRC / "fastpath" / "_core.c").read_text()
+    assert "list of lists" not in core and "PyList_Reverse" not in core
+
+
+def test_no_deque_holds_a_shared_region_or_a_lock_queue():
+    for module in ("ws/stack.py", "sim/resources.py"):
+        tree = ast.parse((SRC / module).read_text())
+        names = {alias.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names}
+        assert "deque" not in names, module

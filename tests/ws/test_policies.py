@@ -1,6 +1,7 @@
 """Tests for steal-amount and probe-order policies."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from repro.net import NetworkModel
 from repro.sim.rng import StreamRng, substream_seed
-from repro.ws.policies import (HierarchicalProbeOrder, ProbeOrder, steal_half,
-                               steal_one)
+from repro.ws.policies import (HierarchicalProbeOrder, ProbeOrder, ProbeScan,
+                               steal_half, steal_one)
 
 
 class TestStealAmounts:
@@ -66,11 +67,12 @@ class TestProbeOrder:
         assert po.cycle() == [1]
         assert po.one() == 1
 
-    def test_segments_are_fresh_lists_of_the_others(self):
+    def test_segments_are_fresh_int_arrays_of_the_others(self):
         po = ProbeOrder(rank=1, n_threads=4, rng=StreamRng(0, "t", 1))
-        assert po.segments() == [[0, 2, 3]]
+        assert [list(seg) for seg in po.segments()] == [[0, 2, 3]]
+        assert all(seg.typecode == "i" for seg in po.segments())
         po.segments()[0].reverse()
-        assert po.segments() == [[0, 2, 3]]
+        assert [list(seg) for seg in po.segments()] == [[0, 2, 3]]
 
     def test_getrandbits_is_the_streams_or_none(self):
         rng = StreamRng(0, "t", 0)
@@ -252,7 +254,9 @@ class TestCompiledScanKernel:
     """``repro.fastpath._core.scan_probe`` is ``ProbeScan.probe`` in C,
     taken wherever a run's resolved backend is ``fast``: the two must
     agree call for call on the victim, ``repr(cost_acc)``, the probe
-    count, the scan's own state and where they leave the generator."""
+    count, the scan's own state and where they leave the generator.
+    The scan's segments are ``array('i')``, swapped in place by both
+    (the C kernel in the arrays' buffers)."""
 
     #: Every bit-length boundary the draw rule crosses, and its sides.
     SIZES = sorted({0, 1, 2, 3, 5000}
@@ -272,7 +276,11 @@ class TestCompiledScanKernel:
 
     @staticmethod
     def state(order, scan):
-        return (scan._m, scan._items[:scan._m], scan._todo,
+        segments = [scan._items, *scan._todo]
+        assert all(type(seg) is array and seg.typecode == "i"
+                   for seg in segments)
+        return (scan._m, list(scan._items[:scan._m]),
+                [list(seg) for seg in scan._todo],
                 order._rng._rng.getstate())
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -336,13 +344,38 @@ class TestCompiledScanKernel:
         with pytest.raises(AttributeError):
             self.scan_probe(object(), [], bounds)
         rng = StreamRng(0, "thread", 0)
-        for todo, items, m in [((), [], 0), ([], [1], 2), ([(1, 2)], [], 0)]:
-            with pytest.raises(TypeError, match="ProbeScan|must be lists"):
+        for todo, items, m in [((), array("i"), 0), ([], array("i", [1]), 2),
+                               ([], array("i"), -1)]:
+            with pytest.raises(TypeError, match="not a ProbeScan"):
                 self.scan_probe(SimpleNamespace(_rng=rng, _todo=todo,
                                                 _items=items, _m=m),
                                 [Slot(0)] * 4, bounds)
         order, _ = make_orders("uniform", 0, 4, 0)
         with pytest.raises(TypeError, match="bounds"):
             self.scan_probe(order.scan(), [Slot(1)] * 4, (0, 4))
-        with pytest.raises(IndexError, match="out of range"):
-            self.scan_probe(order.scan(), [Slot(1)], NET.ref_cost_bounds(0))
+
+    #: Segments the kernel must refuse by name: what is not an
+    #: ``array('i')`` is a TypeError, a rank outside ``[0, n)`` an
+    #: IndexError (``tests/fastpath`` drives the same inputs through
+    #: whole runs, under ``python -X dev`` in CI).
+    NOT_INTS = r"fastpath: a victim segment must be an array\('i'\)"
+    OUT_OF_RANGE = "fastpath: probe victim out of range"
+    MALFORMED = {
+        "list": ([1, 2, 3], TypeError, NOT_INTS + ", not list"),
+        "int64-array": (array("q", [1, 2, 3]), TypeError, NOT_INTS),
+        "float-array": (array("d", [1.0, 2.0]), TypeError, NOT_INTS),
+        "rank-n": (array("i", [1, 2, 4]), IndexError, OUT_OF_RANGE),
+        "rank-negative": (array("i", [-1]), IndexError, OUT_OF_RANGE),
+    }
+
+    @pytest.mark.parametrize("where", ["items", "todo"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_kernel_refuses_malformed_segments(self, case, where):
+        seg, error, match = self.MALFORMED[case]
+        scan = ProbeScan(StreamRng(0, "thread", 0), [])
+        if where == "items":  # the segment in hand, mid-scan
+            scan._items, scan._m = seg, len(seg)
+        else:                 # the next one the scan pops
+            scan._todo.append(seg)
+        with pytest.raises(error, match=match):
+            self.scan_probe(scan, [Slot(0)] * 4, NET.ref_cost_bounds(0))

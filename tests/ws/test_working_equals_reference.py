@@ -158,7 +158,7 @@ def reference_lock_based(self, ctx) -> Generator:
                 if queue:
                     fifo.acquisitions += 1
                     fifo._acquired_at = sim.now
-                    queue.popleft().succeed()
+                    queue.pop(0).succeed()
                 else:
                     fifo.locked = False
                 if tr.enabled:
@@ -202,7 +202,7 @@ def reference_lock_based(self, ctx) -> Generator:
             if queue:
                 fifo.acquisitions += 1
                 fifo._acquired_at = sim.now
-                queue.popleft().succeed()
+                queue.pop(0).succeed()
             else:
                 fifo.locked = False
             if tr.enabled:

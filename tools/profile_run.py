@@ -28,6 +28,12 @@ Notes for reading the output (see docs/performance.md):
   profiled sweep (``import repro``, the tree, the first cell's machine
   and algorithm), unprofiled: the part of a run the ledger books as
   ``setup_s``.
+* The ``memory`` line builds and spawns the first cell again under
+  :mod:`tracemalloc` (MiB, bytes per rank), then runs it: ``run peak``
+  is the most that cell's run held traced at once, machine included.
+  The ``collector`` line is :data:`gc.callbacks` over the profiled
+  sweep: collections and seconds per generation (docs/performance.md,
+  "Per-rank memory at 4096 threads").
 """
 
 from __future__ import annotations
@@ -35,11 +41,13 @@ from __future__ import annotations
 import argparse
 import cProfile
 import dataclasses
+import gc
 import itertools
 import os
 import pstats
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -55,6 +63,57 @@ from repro.ws.algorithms import get_algorithm  # noqa: E402
 from repro.ws.config import WsConfig  # noqa: E402
 
 _IMPORT_S = time.perf_counter() - _T0
+
+
+def build_cell(job: JobSpec) -> Machine:
+    """``job``'s machine with its algorithm's threads spawned."""
+    machine = Machine(threads=job.threads, net=get_preset(job.preset),
+                      fastpath=job.config.fastpath, seed=job.seed)
+    algo = get_algorithm(job.algorithm)(machine, tree_for(job.tree),
+                                        job.config)
+    machine.spawn_all(algo.thread_main)
+    return machine
+
+
+def memory_line(job: JobSpec) -> str:
+    """``job``'s cell built, spawned and run under tracemalloc."""
+    tree_for(job.tree)  # cached: not the cell's
+    tracemalloc.start()
+    try:
+        machine = build_cell(job)
+        built = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        machine.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mib = 1 << 20
+    return (f"memory: first cell built {built / mib:.1f} MiB "
+            f"({built / job.threads:.0f} B a rank), run peak "
+            f"{peak / mib:.1f} MiB ({job.algorithm}, {job.threads} threads)")
+
+
+class CollectorClock:
+    """Collections and seconds per generation, from ``gc.callbacks``."""
+
+    def __init__(self) -> None:
+        self.count = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self._t0 = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._t0 = time.perf_counter()
+        else:
+            gen = info["generation"]
+            self.count[gen] += 1
+            self.seconds[gen] += time.perf_counter() - self._t0
+
+    def line(self) -> str:
+        gens = ", ".join(f"gen{g} {n} in {s:.3f} s" for g, (n, s)
+                         in enumerate(zip(self.count, self.seconds)))
+        return (f"collector: {gens} ({sum(self.seconds):.3f} s over the "
+                "profiled sweep)")
 
 
 def main(argv=None) -> int:
@@ -123,24 +182,26 @@ def main(argv=None) -> int:
     ]
     first = grid[0]
     t0 = time.perf_counter()
-    machine = Machine(threads=first.threads, net=get_preset(first.preset),
-                      fastpath=first.config.fastpath)
-    algo = get_algorithm(first.algorithm)(machine, tree_for(first.tree),
-                                          first.config)
-    machine.spawn_all(algo.thread_main)
+    build_cell(first)
     build_s = time.perf_counter() - t0
-    del machine, algo
     print(f"cold start: import repro {_IMPORT_S:.3f} s, tree "
           f"{tree_s:.3f} s ({expected} nodes), first cell's machine + "
           f"algorithm {build_s:.3f} s ({first.algorithm}, "
           f"{first.threads} threads)", flush=True)
+    print(memory_line(first), flush=True)
 
+    clock = CollectorClock()
+    gc.callbacks.append(clock)
     profiler = cProfile.Profile()
     profiler.enable()
-    runs = execute_jobs(grid, 1)
-    profiler.disable()
+    try:
+        runs = execute_jobs(grid, 1)
+    finally:
+        profiler.disable()
+        gc.callbacks.remove(clock)
 
     events = sum(r.engine_events for r in runs)
+    print(clock.line())
     print(f"{len(runs)} runs, {events} engine events "
           "(profiled wall-clock is inflated by cProfile overhead)\n")
     stats = pstats.Stats(profiler)
