@@ -10,23 +10,22 @@ upc-sharedmem at a small chunk size.
     python examples/execution_timeline.py
 """
 
-from repro import TreeParams, run_experiment
+from repro import TraceSink, TreeParams, run_experiment
 from repro.metrics import render_timeline
-from repro.sim import Tracer
 
 TREE = TreeParams.binomial(b0=200, m=2, q=0.49, seed=1)
 THREADS = 8
 
 
 def show(algorithm: str, chunk_size: int) -> None:
-    tracer = Tracer()
+    sink = TraceSink()
     res = run_experiment(algorithm, tree=TREE, threads=THREADS,
                          preset="kittyhawk", chunk_size=chunk_size,
-                         tracer=tracer, verify=True)
+                         tracer=sink, verify=True)
     print(f"--- {algorithm} (k={chunk_size}) --- "
           f"efficiency {res.efficiency * 100:.1f}%, "
           f"{res.stats.steals_ok} steals")
-    print(render_timeline(tracer, THREADS, res.sim_time, width=72))
+    print(render_timeline(sink, THREADS, res.sim_time, width=72))
     print()
 
 

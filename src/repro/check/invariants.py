@@ -149,7 +149,7 @@ class InvariantMonitor:
     """
 
     def __init__(self, scan_period: int = 64) -> None:
-        #: Tracer protocol: hook sites test this before formatting.
+        #: Tracer protocol: hook sites test this before emitting.
         self.enabled = True
         self.scan_period = scan_period
         self.algo = None
@@ -236,24 +236,27 @@ class InvariantMonitor:
 
     # -- tracer protocol ---------------------------------------------------
 
-    def emit(self, time: float, thread: int, kind: str, detail: str = "") -> None:
+    def emit(self, time: float, thread: int, kind: str,
+             fields: tuple = ()) -> None:
         self.counts[kind] = self.counts.get(kind, 0) + 1
         algo = self.algo
         if algo is None:
             return
         self._emits += 1
         if kind == "lock.acq":
-            holder = self._holders.get(detail)
+            name = fields[0]
+            holder = self._holders.get(name)
             if holder is not None:
                 self._fail(time, kind,
-                           f"T{thread} acquired lock {detail!r} already "
+                           f"T{thread} acquired lock {name!r} already "
                            f"held by T{holder}")
-            self._holders[detail] = thread
+            self._holders[name] = thread
         elif kind == "lock.rel":
-            holder = self._holders.pop(detail, None)
+            name = fields[0]
+            holder = self._holders.pop(name, None)
             if holder != thread:
                 self._fail(time, kind,
-                           f"T{thread} released lock {detail!r} held by "
+                           f"T{thread} released lock {name!r} held by "
                            f"{'nobody' if holder is None else f'T{holder}'}")
         elif kind in _DEATH_KINDS:
             # Fail-stop: the runtime frees the corpse's locks with no

@@ -50,6 +50,11 @@ class ConfigError(ReproError):
     """Invalid experiment, machine, or tree configuration."""
 
 
+class TraceFormatError(ReproError):
+    """A trace log line does not match the event schema (the message
+    names the file, the line and what is wrong with it)."""
+
+
 class SweepWorkerError(ReproError):
     """A sweep worker process failed while executing one job.
 

@@ -152,7 +152,7 @@ class FaultRuntime:
             self.counters.msgs_to_dead += 1
             if tr.enabled:
                 tr.emit(self.machine.sim.now, msg.dst, "fault.msg_to_dead",
-                        f"src=T{msg.src} tag={msg.tag}")
+                        (msg.src, msg.tag))
             self.algo.on_msg_to_dead(msg)
             return []
         plan = self.plan
@@ -169,7 +169,7 @@ class FaultRuntime:
             self.counters.msgs_dropped += 1
             if tr.enabled:
                 tr.emit(self.machine.sim.now, msg.dst, "fault.drop",
-                        f"src=T{msg.src} tag={msg.tag}")
+                        (msg.src, msg.tag))
             return []
         if (delay_rate > 0.0
                 and self._delay.chance(delay_rate)):
@@ -178,7 +178,7 @@ class FaultRuntime:
             self.counters.msgs_delayed += 1
             if tr.enabled:
                 tr.emit(self.machine.sim.now, msg.dst, "fault.delay",
-                        f"src=T{msg.src} tag={msg.tag} extra={extra:g}")
+                        (msg.src, msg.tag, extra))
         out = [msg]
         if (dup_rate > 0.0
                 and msg.tag in self.algo.duplicable_tags
@@ -188,7 +188,7 @@ class FaultRuntime:
             self.counters.msgs_duplicated += 1
             if tr.enabled:
                 tr.emit(self.machine.sim.now, msg.dst, "fault.dup",
-                        f"src=T{msg.src} tag={msg.tag}")
+                        (msg.src, msg.tag))
         return out
 
     # -- timing faults -----------------------------------------------------
@@ -208,7 +208,7 @@ class FaultRuntime:
             tr = self.machine.tracer
             if tr.enabled:
                 tr.emit(self.machine.sim.now, rank, "fault.stall",
-                        f"t={plan.lock_stall_time:g}")
+                        (plan.lock_stall_time,))
             return plan.lock_stall_time
         return 0.0
 
@@ -225,7 +225,7 @@ class FaultRuntime:
             tr = self.machine.tracer
             if tr.enabled:
                 tr.emit(self.machine.sim.now, var.home, "fault.stale",
-                        f"var={var.name} until={var.stale_until:g}")
+                        (var.name, var.stale_until))
 
     # -- failure detection -------------------------------------------------
 
@@ -246,8 +246,7 @@ class FaultRuntime:
             self.counters.heartbeat_suspicions += 1
             tr = self.machine.tracer
             if tr.enabled:
-                tr.emit(self.machine.sim.now, rank, "fault.suspect",
-                        f"T{rank}")
+                tr.emit(self.machine.sim.now, rank, "fault.suspect")
         return True
 
     # -- steal-retry backoff -----------------------------------------------
@@ -324,8 +323,7 @@ class FaultRuntime:
             self.counters.lost_nodes_in_flight += len(nodes)
         tr = self.machine.tracer
         if tr.enabled:
-            tr.emit(self.machine.sim.now, -1, "fault.lost",
-                    f"nodes={len(nodes)}")
+            tr.emit(self.machine.sim.now, -1, "fault.lost", (len(nodes),))
         if self.on_lost is not None:
             self.on_lost(nodes)
 
@@ -341,7 +339,7 @@ class FaultRuntime:
         self.counters.threads_killed += 1
         tr = self.machine.tracer
         if tr.enabled:
-            tr.emit(self.machine.sim.now, rank, "fault.kill", f"T{rank}")
+            tr.emit(self.machine.sim.now, rank, "fault.kill")
         # A transfer open in the dead thread's frame: the nodes were
         # popped from a victim and exist only in the corpse.
         nodes = self._open_transfer.pop(rank, None)

@@ -398,15 +398,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if cmd == "timeline":
         from repro.metrics import render_timeline
-        from repro.sim import Tracer
+        from repro.obs import TraceSink
 
-        tracer = Tracer()
+        sink = TraceSink()
         tree = TreeParams.binomial(b0=args.b0, q=args.q, seed=args.tree_seed)
         res = run_experiment(args.algorithm, tree=tree, threads=args.threads,
                              preset=args.preset, chunk_size=args.chunk_size,
-                             tracer=tracer, verify=True)
+                             tracer=sink, verify=True)
         print(res.summary())
-        print(render_timeline(tracer, args.threads, res.sim_time,
+        print(render_timeline(sink, args.threads, res.sim_time,
                               width=args.width))
         return 0
     if cmd == "validate":

@@ -22,7 +22,6 @@ from repro.net.model import NetworkModel
 from repro.net.presets import get_preset
 from repro.obs.sink import TraceSink
 from repro.pgas.machine import Machine
-from repro.sim.trace import Tracer
 from repro.uts.materialized import expected_node_count, tree_for
 from repro.uts.params import TreeParams
 from repro.ws.algorithms import get_algorithm
@@ -42,7 +41,7 @@ def run_experiment(
     config: Optional[WsConfig] = None,
     seed: int = 0,
     verify: bool = False,
-    tracer: Optional[Tracer] = None,
+    tracer: Optional[TraceSink] = None,
     max_events: int = 50_000_000,
     faults: Optional[FaultPlan] = None,
     tie_break=None,

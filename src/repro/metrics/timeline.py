@@ -10,17 +10,19 @@ emit through the tracer:
 
 Legend: ``W`` working, ``s`` searching, ``S`` stealing, ``b`` barrier.
 Each column is one time bucket; the bucket shows the state occupying
-most of it.  Use ``run_experiment(..., tracer=Tracer())`` to collect
+most of it.  Use ``run_experiment(..., tracer=TraceSink())`` to collect
 the records.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from repro.metrics.states import BARRIER, SEARCHING, STEALING, WORKING
-from repro.sim.trace import Tracer
+
+if TYPE_CHECKING:
+    from repro.obs.sink import TraceSink
 
 __all__ = ["render_timeline", "STATE_CHARS"]
 
@@ -32,19 +34,19 @@ STATE_CHARS = {
 }
 
 
-def _thread_intervals(tracer: Tracer, rank: int, sim_time: float,
+def _thread_intervals(tracer: TraceSink, rank: int, sim_time: float,
                       initial: str) -> tuple:
     """(transition times, states) for one thread, from trace records."""
     times: List[float] = [0.0]
     states: List[str] = [initial]
     for rec in tracer.records:
-        if rec.kind == "state" and rec.thread == rank:
+        if rec.kind == "state" and rec.rank == rank:
             times.append(rec.time)
-            states.append(rec.detail)
+            states.append(rec.fields[0])
     return times, states
 
 
-def render_timeline(tracer: Tracer, n_threads: int, sim_time: float,
+def render_timeline(tracer: TraceSink, n_threads: int, sim_time: float,
                     width: int = 72, max_threads: int = 32) -> str:
     """Render per-thread state rows over ``width`` time buckets.
 

@@ -150,7 +150,7 @@ class MsgEndpoint:
         self.world._post(msg)
         tr = self.ctx.machine.tracer
         if tr.enabled:
-            tr.emit(now, self.rank, "msg.send", f"->T{dst} {tag}")
+            tr.emit(now, self.rank, "msg.send", (dst, tag))
 
     def iprobe(self, tags: Optional[Iterable[str]] = None) -> Optional[Message]:
         """Nonblocking local poll for a delivered message (free).
@@ -172,7 +172,7 @@ class MsgEndpoint:
             tr = self.ctx.machine.tracer
             if tr.enabled:
                 tr.emit(self.world.sim.now, self.rank, "msg.recv",
-                        f"<-T{msg.src} {msg.tag}")
+                        (msg.src, msg.tag))
             return msg
         # If a matching message is in flight, wait for its arrival; else
         # register as a blocked receiver.
@@ -191,5 +191,5 @@ class MsgEndpoint:
         tr = self.ctx.machine.tracer
         if tr.enabled:
             tr.emit(self.world.sim.now, self.rank, "msg.recv",
-                    f"<-T{msg.src} {msg.tag}")
+                    (msg.src, msg.tag))
         return msg

@@ -2,10 +2,12 @@
 
 ``repro.obs`` turns a run's trace into artifacts you can *read*:
 
-* :class:`TraceSink` -- a drop-in :class:`~repro.sim.trace.Tracer`
-  that collects typed events plus run metadata.  Pass one as
+* :class:`TraceSink` -- the tracer: it collects one typed
+  :class:`ObsEvent` per hook-site call plus run metadata.  Pass one as
   ``run_experiment(..., tracer=TraceSink())``; the runner fills its
   ``meta`` and hands it back as ``RunResult.trace``.
+* :data:`EVENT_SCHEMA` -- every kind's field names, in the order hook
+  sites pass the values, and what the event means.
 * Exporters -- :func:`dump_chrome_trace` (Perfetto /
   ``chrome://tracing``, one track per rank) and :func:`dump_jsonl`
   (diffable event log, loadable with :func:`load_jsonl`).
@@ -23,8 +25,8 @@ the hooks existed.  See ``docs/observability.md`` for the guide.
 Example (no simulation needed -- a sink accepts events directly):
 
 >>> sink = TraceSink()
->>> sink.emit(0.0, 1, "steal.req", "victim=T0")
->>> sink.emit(5e-6, 1, "steal", "from=T0 chunks=1 nodes=8")
+>>> sink.emit(0.0, 1, "steal.req", (0,))
+>>> sink.emit(5e-6, 1, "steal", (0, 1, 8))
 >>> sink.counts_by_kind()
 {'steal.req': 1, 'steal': 1}
 >>> ev = sink.events()[1]
@@ -46,7 +48,7 @@ from repro.obs.analysis import (
     termination_breakdown,
 )
 from repro.obs.chrome import dump_chrome_trace, to_chrome_trace
-from repro.obs.events import EVENT_SCHEMA, ObsEvent, parse_detail, parse_events
+from repro.obs.events import EVENT_SCHEMA, FIELD_TYPES, ObsEvent
 from repro.obs.jsonl import dump_jsonl, load_jsonl, to_jsonl_lines
 from repro.obs.report import render_trace_report
 from repro.obs.sink import TraceSink
@@ -55,8 +57,7 @@ __all__ = [
     "TraceSink",
     "ObsEvent",
     "EVENT_SCHEMA",
-    "parse_detail",
-    "parse_events",
+    "FIELD_TYPES",
     "to_chrome_trace",
     "dump_chrome_trace",
     "to_jsonl_lines",

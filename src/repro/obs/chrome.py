@@ -18,6 +18,7 @@ import json
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.metrics.states import SEARCHING, WORKING
+from repro.obs.analysis import _infer_shape
 from repro.obs.events import ObsEvent
 
 __all__ = ["to_chrome_trace", "dump_chrome_trace"]
@@ -28,15 +29,6 @@ _PID = 0
 def _initial_state(rank: int) -> str:
     """Rank 0 starts working (it holds the root); everyone else searches."""
     return WORKING if rank == 0 else SEARCHING
-
-
-def _infer(events: List[ObsEvent], n_threads: Optional[int],
-           sim_time: Optional[float]) -> tuple:
-    if n_threads is None:
-        n_threads = max((e.rank for e in events), default=-1) + 1 or 1
-    if sim_time is None:
-        sim_time = max((e.time for e in events), default=0.0)
-    return n_threads, sim_time
 
 
 def _state_slices(events: List[ObsEvent], n_threads: int,
@@ -76,7 +68,7 @@ def to_chrome_trace(events: Iterable[ObsEvent], *,
     meta = dict(meta or {})
     n_threads = n_threads if n_threads is not None else meta.get("threads")
     sim_time = sim_time if sim_time is not None else meta.get("sim_time")
-    n_threads, sim_time = _infer(events, n_threads, sim_time)
+    n_threads, sim_time = _infer_shape(events, n_threads, sim_time)
 
     trace_events: List[Dict[str, Any]] = []
     process_name = meta.get("algorithm", "repro run")

@@ -1,197 +1,163 @@
-"""Typed observability events: the parsed form of raw trace records.
+"""The trace record and the schema of its fields.
 
-The tracer plumbing (:mod:`repro.sim.trace`) records flat
-``(time, thread, kind, detail)`` tuples because that is the cheapest
-thing to append from a hot protocol path.  This module gives those
-records structure after the fact: :func:`parse_events` turns them into
-:class:`ObsEvent` objects whose ``args`` mapping has typed values
-(ranks as ints, counts as ints, times as floats), and
-:data:`EVENT_SCHEMA` documents every kind the instrumented stack emits.
+A hook site records one :class:`ObsEvent` per protocol interaction:
+``(time, rank, kind, fields)``, where ``fields`` is a tuple of scalars
+in the order :data:`EVENT_SCHEMA` declares for ``kind`` -- the values
+themselves, never formatted, so a record costs one tuple on the hot
+path and reads back exactly.  :attr:`ObsEvent.args` names the values;
+the exporters and analyses read either form.
 
-Detail strings follow one convention: space-separated ``key=value``
-tokens, with rank-valued entries written ``T<rank>``.  Two legacy
-forms are special-cased (``msg.send``'s ``->T2 TAG`` and
-``msg.recv``'s ``<-T1 TAG``) and the bare detail of ``state`` events
-becomes ``{"state": ...}``.
+A trailing field may be left off where it is optional (the ``dup`` of
+``steal.req`` / ``steal``, the ``round`` / ``deficit`` of
+``token.hop``), so ``fields`` is always a prefix of the declared names.
 
->>> from repro.sim.trace import TraceRecord
->>> rec = TraceRecord(2e-6, 3, "steal", "from=T1 chunks=2 nodes=16")
->>> ev = parse_events([rec])[0]
->>> ev.rank, ev.args["from"], ev.args["nodes"]
-(3, 1, 16)
->>> parse_events([TraceRecord(0.0, 0, "state", "working")])[0].args
+>>> ev = ObsEvent(2e-6, 3, "steal", (1, 2, 16))
+>>> ev.args
+{'from': 1, 'chunks': 2, 'nodes': 16}
+>>> ObsEvent(0.0, 0, "state", ("working",)).args
 {'state': 'working'}
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, NamedTuple, Tuple
 
-from repro.sim.trace import TraceRecord
+__all__ = ["ObsEvent", "EVENT_SCHEMA", "FIELD_TYPES"]
 
-__all__ = ["ObsEvent", "EVENT_SCHEMA", "parse_detail", "parse_events"]
-
-#: Every event kind the instrumented stack can emit, with the meaning
-#: of the event and the keys its ``args`` carry.  This is the schema
-#: reference backing ``docs/observability.md``.
-EVENT_SCHEMA: Dict[str, str] = {
+#: Every event kind the instrumented stack can emit: the names of its
+#: fields, in the order hook sites pass them, and what the event means.
+#: The schema reference backing ``docs/observability.md``.
+EVENT_SCHEMA: Dict[str, Tuple[Tuple[str, ...], str]] = {
     # -- state machine (Figure 1) -------------------------------------
-    "state": "thread entered a Figure-1 state; args: state",
+    "state": (("state",), "thread entered a Figure-1 state"),
     # -- tree exploration ---------------------------------------------
-    "visit": "batch of node visits charged at the batch start; args: n",
+    "visit": (("n",), "batch of node visits charged at the batch start"),
     # -- stack traffic ------------------------------------------------
-    "release": "owner moved a chunk local->shared; args: chunks (now shared)",
+    "release": (("chunks",),
+                "owner moved a chunk local->shared (chunks now shared)"),
     # -- steal protocol (thief side) ----------------------------------
-    "steal.req": "thief initiated a steal attempt; args: victim",
-    "steal": "steal succeeded, nodes in hand; args: from, chunks, nodes",
-    "steal.fail": "steal attempt ended empty; args: victim, reason "
-                  "(busy|raced|empty|denied|giveup|timeout)",
-    "steal.dup": "fence-free claim resolved to an already-claimed chunk: "
-                 "the thief took a ledgered duplicate copy; args: victim, "
-                 "idx (era index), nodes, work (duplicated subtree size)",
+    "steal.req": (("victim", "dup"),
+                  "thief initiated a steal attempt (dup=1: a redundant "
+                  "request)"),
+    "steal": (("from", "chunks", "nodes", "dup"),
+              "steal succeeded, nodes in hand (dup=1: a ledgered "
+              "duplicate claim)"),
+    "steal.fail": (("victim", "reason"),
+                   "steal attempt ended empty; reason "
+                   "busy|raced|empty|denied|giveup|timeout"),
+    "steal.dup": (("victim", "idx", "nodes", "work"),
+                  "fence-free claim resolved to an already-claimed chunk: "
+                  "the thief took a ledgered duplicate copy (idx: era "
+                  "index, work: duplicated subtree size)"),
     # -- steal protocol (victim side) ---------------------------------
-    "service": "victim answered a steal request (chunks=0 on a denial); "
-               "args: thief, chunks",
-    "steal.deny": "victim denied a steal request (no surplus); args: thief",
+    "service": (("thief", "chunks"),
+                "victim answered a steal request (chunks=0 on a denial)"),
+    "steal.deny": (("thief",), "victim denied a steal request (no surplus)"),
     # -- data movement -------------------------------------------------
-    "chunk.get": "one-sided chunk transfer completed; args: src, nodes",
+    "chunk.get": (("src", "nodes"), "one-sided chunk transfer completed"),
     # -- locks ---------------------------------------------------------
-    "lock.acq": "global lock acquired; detail: lock name",
-    "lock.rel": "global lock released; detail: lock name",
+    "lock.acq": (("name",), "global lock acquired"),
+    "lock.rel": (("name",), "global lock released"),
     # -- messaging (mpi-ws substrate) ---------------------------------
-    "msg.send": "two-sided send posted; args: dst, tag",
-    "msg.recv": "blocking receive completed; args: src, tag",
+    "msg.send": (("dst", "tag"), "two-sided send posted"),
+    "msg.recv": (("src", "tag"), "blocking receive completed"),
     # -- idle gate (idle_strategy="park") ------------------------------
-    "idle.park": "thread parked on the idle gate (no surplus anywhere)",
-    "idle.wake": "parked thread woken (surplus batch, targeted wake, "
-                 "or termination wake_all)",
+    "idle.park": ((), "thread parked on the idle gate (no surplus "
+                      "anywhere)"),
+    "idle.wake": ((), "parked thread woken (surplus batch, targeted wake, "
+                      "or termination wake_all)"),
     # -- termination ---------------------------------------------------
-    "sbarrier.enter": "streamlined barrier entered; args: count",
-    "sbarrier.leave": "streamlined barrier left for a steal; args: count",
-    "sbarrier.announce": "tree announcement of global termination",
-    "cbarrier.cancel": "cancelable barrier reset by a release",
-    "cbarrier.terminate": "cancelable barrier completed (termination)",
-    "token.hop": "termination token forwarded along the ring; args: to, "
-                 "colour [, round, deficit]",
-    "mpi.term": "rank 0 broadcast TERM",
-    "tsplit.rebalance": "tree-split rebalance round repartitioned loads "
-                        "(emitted after every move landed); args: round, "
-                        "moves, nodes",
-    "tsplit.term": "tree-split rebalance round found the machine empty "
-                   "(global termination); args: round",
+    "sbarrier.enter": (("count",), "streamlined barrier entered"),
+    "sbarrier.leave": (("count",), "streamlined barrier left for a steal"),
+    "sbarrier.announce": ((), "tree announcement of global termination"),
+    "cbarrier.cancel": ((), "cancelable barrier reset by a release"),
+    "cbarrier.terminate": ((), "cancelable barrier completed (termination)"),
+    "token.hop": (("to", "colour", "round", "deficit"),
+                  "termination token forwarded along the ring (round and "
+                  "deficit under faults)"),
+    "mpi.term": ((), "rank 0 broadcast TERM"),
+    "tsplit.rebalance": (("round", "moves", "nodes"),
+                         "tree-split rebalance round repartitioned loads "
+                         "(emitted after every move landed)"),
+    "tsplit.term": (("round",), "tree-split rebalance round found the "
+                                "machine empty (global termination)"),
     # -- fault injections ----------------------------------------------
-    "fault.kill": "thread fail-stopped (rank = victim of the kill)",
-    "fault.drop": "control message dropped; args: src, tag",
-    "fault.dup": "control message duplicated; args: src, tag",
-    "fault.delay": "message delayed; args: src, tag, extra",
-    "fault.stall": "lock holder stalled through a release; args: t",
-    "fault.stale": "stale-visibility window opened; args: var, until",
-    "fault.suspect": "failure detector first suspected a rank",
-    "fault.msg_to_dead": "message to a dead rank discarded; args: src, tag",
-    "fault.lost": "node descriptors accounted as lost; args: nodes",
+    "fault.kill": ((), "thread fail-stopped (rank = victim of the kill)"),
+    "fault.drop": (("src", "tag"), "control message dropped"),
+    "fault.dup": (("src", "tag"), "control message duplicated"),
+    "fault.delay": (("src", "tag", "extra"), "message delayed"),
+    "fault.stall": (("t",), "lock holder stalled through a release"),
+    "fault.stale": (("var", "until"), "stale-visibility window opened"),
+    "fault.suspect": ((), "failure detector first suspected a rank "
+                          "(rank = the suspect)"),
+    "fault.msg_to_dead": (("src", "tag"),
+                          "message to a dead rank discarded"),
+    "fault.lost": (("nodes",), "node descriptors accounted as lost"),
     # -- recovery paths ------------------------------------------------
-    "recover.giveup": "thief abandoned a steal on a suspected-dead victim; "
-                      "args: victim",
-    "recover.steal_timeout": "mpi-ws steal transaction timed out and was "
-                             "retried; args: victim",
-    "recover.token_relaunch": "rank 0 relaunched a lost ring token; "
-                              "args: round",
-    "recover.dup_suppressed": "duplicate steal request suppressed by "
-                              "sequence; args: thief, seq",
-    "recover.barrier_death": "counted barrier completed by death "
-                             "accounting; args: count",
+    "recover.giveup": (("victim",), "thief abandoned a steal on a "
+                                    "suspected-dead victim"),
+    "recover.steal_timeout": (("victim",), "mpi-ws steal transaction timed "
+                                           "out and was retried"),
+    "recover.token_relaunch": (("round",),
+                               "rank 0 relaunched a lost ring token"),
+    "recover.dup_suppressed": (("thief", "seq"), "duplicate steal request "
+                                                 "suppressed by sequence"),
+    "recover.barrier_death": (("count",), "counted barrier completed by "
+                                          "death accounting"),
     # -- service mode (open-system driver, rank -1 = control plane) ----
-    "task.arrive": "a query task arrived at the admission door; args: task",
-    "task.admit": "task entered the bounded queue; args: task, depth "
-                  "(queue depth after)",
-    "task.shed": "task dropped by backpressure or deadline exhaustion; "
-                 "args: task, reason (oldest|newest|deadline)",
-    "task.retry": "queued task expired its attempt deadline and was "
-                  "scheduled for re-admission; args: task, attempt, backoff",
-    "task.start": "a worker pulled the task and pushed its root; "
-                  "args: task, wait (queue wait this attempt)",
-    "task.done": "task's subtree fully visited; args: task, nodes, lat "
-                 "(first-arrival-to-completion latency)",
-    "task.lost": "task drained but lost nodes to a fail-stop fault; "
-                 "args: task, nodes (visited before the loss)",
-    "service.close": "service drained: arrivals done and no task left "
-                     "in the system; args: admitted, completed, shed, lost",
+    "task.arrive": (("task",), "a query task arrived at the admission door"),
+    "task.admit": (("task", "depth"),
+                   "task entered the bounded queue (depth after)"),
+    "task.shed": (("task", "reason"),
+                  "task dropped by backpressure or deadline exhaustion; "
+                  "reason oldest|newest|deadline"),
+    "task.retry": (("task", "attempt", "backoff"),
+                   "queued task expired its attempt deadline and was "
+                   "scheduled for re-admission"),
+    "task.start": (("task", "wait"), "a worker pulled the task and pushed "
+                                     "its root (wait: queue wait this "
+                                     "attempt)"),
+    "task.done": (("task", "nodes", "lat"),
+                  "task's subtree fully visited (lat: first-arrival-to-"
+                  "completion latency)"),
+    "task.lost": (("task", "nodes"), "task drained but lost nodes to a "
+                                     "fail-stop fault (nodes visited "
+                                     "before the loss)"),
+    "service.close": (("admitted", "completed", "shed", "lost"),
+                      "service drained: arrivals done and no task left in "
+                      "the system"),
     # -- engine --------------------------------------------------------
-    "sim.interrupt": "a process was interrupted (fail-stop primitive); "
-                     "detail: process name",
+    "sim.interrupt": (("name",), "a process was interrupted (fail-stop "
+                                 "primitive)"),
+}
+
+#: The type of every field, the same in each kind that declares it:
+#: ranks and counts are ints, simulated seconds floats, names strings.
+FIELD_TYPES: Dict[str, type] = {
+    **dict.fromkeys(
+        ("n", "chunks", "victim", "dup", "from", "nodes", "idx", "work",
+         "thief", "src", "dst", "count", "to", "round", "deficit", "moves",
+         "seq", "task", "depth", "attempt", "admitted", "completed", "shed",
+         "lost"), int),
+    **dict.fromkeys(("extra", "t", "until", "backoff", "wait", "lat"), float),
+    **dict.fromkeys(("state", "reason", "name", "tag", "colour", "var"), str),
 }
 
 
-@dataclass(frozen=True)
-class ObsEvent:
-    """One structured event: when, who, what, and typed arguments."""
+class ObsEvent(NamedTuple):
+    """One trace record: when, who, what, and the kind's fields."""
 
     time: float
     rank: int
     kind: str
-    args: Dict[str, Any] = field(default_factory=dict)
+    fields: tuple = ()
+
+    @property
+    def args(self) -> Dict[str, Any]:
+        """``fields`` keyed by the names :data:`EVENT_SCHEMA` declares."""
+        return dict(zip(EVENT_SCHEMA[self.kind][0], self.fields))
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready form (the JSONL exporter's line payload)."""
         return {"t": self.time, "rank": self.rank, "kind": self.kind,
                 "args": self.args}
-
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "ObsEvent":
-        return cls(time=d["t"], rank=d["rank"], kind=d["kind"],
-                   args=dict(d.get("args", {})))
-
-
-def _parse_value(text: str) -> Any:
-    """``T3`` -> 3, ``42`` -> 42, ``1.5e-6`` -> 1.5e-6, else the string."""
-    if len(text) > 1 and text[0] == "T" and text[1:].isdigit():
-        return int(text[1:])
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def parse_detail(kind: str, detail: str) -> Dict[str, Any]:
-    """Parse one record's detail string into a typed args mapping.
-
-    >>> parse_detail("steal", "from=T2 chunks=1 nodes=8")
-    {'from': 2, 'chunks': 1, 'nodes': 8}
-    >>> parse_detail("msg.send", "->T5 REQUEST")
-    {'dst': 5, 'tag': 'REQUEST'}
-    >>> parse_detail("lock.acq", "req_lock[3]")
-    {'name': 'req_lock[3]'}
-    """
-    if not detail:
-        return {}
-    if kind == "state":
-        return {"state": detail}
-    if kind == "msg.send" and detail.startswith("->"):
-        dst, _, tag = detail[2:].partition(" ")
-        return {"dst": _parse_value(dst), "tag": tag}
-    if kind == "msg.recv" and detail.startswith("<-"):
-        src, _, tag = detail[2:].partition(" ")
-        return {"src": _parse_value(src), "tag": tag}
-    args: Dict[str, Any] = {}
-    extras: List[str] = []
-    for token in detail.split():
-        key, eq, value = token.partition("=")
-        if eq:
-            args[key] = _parse_value(value)
-        else:
-            extras.append(token)
-    if extras:
-        # Bare tokens (e.g. a lock name) keep the whole phrase.
-        args["name"] = " ".join(extras)
-    return args
-
-
-def parse_events(records: Iterable[TraceRecord]) -> List[ObsEvent]:
-    """Parse raw trace records into structured events, order-preserving."""
-    return [ObsEvent(r.time, r.thread, r.kind, parse_detail(r.kind, r.detail))
-            for r in records]

@@ -16,6 +16,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.metrics.states import STATES
 from repro.obs.analysis import (
+    _infer_shape,
     idle_summary,
     service_summary,
     state_occupancy,
@@ -205,14 +206,9 @@ def render_trace_report(events: List[ObsEvent],
                         sim_time: Optional[float] = None) -> str:
     """Render the full Markdown run report for one trace."""
     meta = dict(meta or {})
-    if n_threads is None:
-        n_threads = meta.get("threads")
-    if sim_time is None:
-        sim_time = meta.get("sim_time")
-    if n_threads is None:
-        n_threads = max((e.rank for e in events), default=-1) + 1 or 1
-    if sim_time is None:
-        sim_time = max((e.time for e in events), default=0.0)
+    n_threads = n_threads if n_threads is not None else meta.get("threads")
+    sim_time = sim_time if sim_time is not None else meta.get("sim_time")
+    n_threads, sim_time = _infer_shape(events, n_threads, sim_time)
 
     counts = Counter(e.kind for e in events)
     lines = ["# Trace report", ""]

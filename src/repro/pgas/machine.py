@@ -20,11 +20,11 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.errors import ConfigError
 from repro.net.model import NetworkModel
+from repro.obs.sink import TraceSink
 from repro.pgas.locks import GlobalLock
 from repro.pgas.shared import SharedArray, SharedVar
 from repro.sim.engine import Process, SimEvent, Simulator, Timeout
 from repro.sim.rng import StreamRng
-from repro.sim.trace import NULL_TRACER, Tracer
 
 __all__ = ["Machine", "UpcContext"]
 
@@ -35,7 +35,7 @@ class Machine:
     """A simulated cluster running ``threads`` UPC threads."""
 
     def __init__(self, threads: int, net: NetworkModel, seed: int = 0,
-                 tracer: Optional[Tracer] = None,
+                 tracer: Optional[TraceSink] = None,
                  max_events: int = 50_000_000,
                  tie_break: Optional[Callable[[int], Any]] = None,
                  queue: str = "auto",
@@ -47,7 +47,8 @@ class Machine:
         self.seed = seed
         self.sim = Simulator(max_events=max_events, tie_break=tie_break,
                              queue=queue, fastpath=fastpath)
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = (tracer if tracer is not None
+                       else TraceSink(enabled=False))
         # Engine-level hook: lets Simulator.interrupt record fail-stops
         # into the same trace stream (no-op when tracing is off).
         self.sim.tracer = self.tracer
@@ -131,10 +132,10 @@ class UpcContext:
     def now(self) -> float:
         return self.sim.now
 
-    def trace(self, kind: str, detail: str = "") -> None:
+    def trace(self, kind: str, fields: tuple = ()) -> None:
         tr = self.machine.tracer
         if tr.enabled:
-            tr.emit(self.sim.now, self.rank, kind, detail)
+            tr.emit(self.sim.now, self.rank, kind, fields)
 
     # -- cost-charging operations (generators; use with ``yield from``) ----
 
@@ -190,7 +191,7 @@ class UpcContext:
         tr = self.machine.tracer
         if tr.enabled:
             tr.emit(self.sim.now, self.rank, "chunk.get",
-                    f"src=T{src_rank} nodes={nnodes}")
+                    (src_rank, nnodes))
 
     def lock(self, lk: GlobalLock) -> Gen:
         """Acquire a global lock (network cost + FIFO queueing)."""
@@ -206,7 +207,7 @@ class UpcContext:
         lk.holder = self.rank
         tr = self.machine.tracer
         if tr.enabled:
-            tr.emit(self.sim.now, self.rank, "lock.acq", lk.name)
+            tr.emit(self.sim.now, self.rank, "lock.acq", (lk.name,))
 
     def try_lock(self, lk: GlobalLock) -> Gen:
         """``upc_lock_attempt``: pay the round trip, maybe get the lock."""
@@ -218,7 +219,7 @@ class UpcContext:
             lk.holder = self.rank
             tr = self.machine.tracer
             if tr.enabled:
-                tr.emit(self.sim.now, self.rank, "lock.acq", lk.name)
+                tr.emit(self.sim.now, self.rank, "lock.acq", (lk.name,))
         return got
 
     def unlock(self, lk: GlobalLock) -> Gen:
@@ -237,7 +238,7 @@ class UpcContext:
         lk.fifo.release()
         tr = self.machine.tracer
         if tr.enabled:
-            tr.emit(self.sim.now, self.rank, "lock.rel", lk.name)
+            tr.emit(self.sim.now, self.rank, "lock.rel", (lk.name,))
 
     def wait(self, ev: SimEvent) -> Gen:
         """Block on a simulation event (used by gates/termination trees)."""

@@ -34,7 +34,6 @@ from repro.service.algorithm import ServiceAlgorithm
 from repro.service.result import ServiceResult, percentile
 from repro.service.runtime import ServiceConfig, ServiceRuntime
 from repro.service.tasks import ServiceWorkload
-from repro.sim.trace import Tracer
 from repro.ws.config import WsConfig
 
 __all__ = ["run_service"]
@@ -49,7 +48,7 @@ def run_service(
     net: Optional[NetworkModel] = None,
     config: Optional[WsConfig] = None,
     seed: int = 0,
-    tracer: Optional[Tracer] = None,
+    tracer: Optional[TraceSink] = None,
     max_events: int = 50_000_000,
     faults: Optional[FaultPlan] = None,
     tie_break=None,

@@ -220,7 +220,7 @@ class ServiceRuntime:
             self.admitted += 1
             self.door_blocked += 1
             if tr.enabled:
-                tr.emit(self.sim.now, -1, "task.arrive", f"task={tid}")
+                tr.emit(self.sim.now, -1, "task.arrive", (tid,))
             yield from self._admit_blocking(task)
         self.arrivals_done = True
         self._check_close()
@@ -251,13 +251,13 @@ class ServiceRuntime:
                 self._sample_depth()
                 if tr.enabled:
                     tr.emit(self.sim.now, -1, "task.shed",
-                            f"task={victim.tid} reason=oldest")
+                            (victim.tid, "oldest"))
             else:  # shed-newest: the incoming task is dropped.
                 self.door_blocked -= 1
                 self.shed["newest"] += 1
                 if tr.enabled:
                     tr.emit(self.sim.now, -1, "task.shed",
-                            f"task={task.tid} reason=newest")
+                            (task.tid, "newest"))
                 self._check_close()
                 return True
         self.door_blocked -= 1
@@ -266,8 +266,7 @@ class ServiceRuntime:
         q.append(task)
         self._sample_depth()
         if tr.enabled:
-            tr.emit(self.sim.now, -1, "task.admit",
-                    f"task={task.tid} depth={len(q)}")
+            tr.emit(self.sim.now, -1, "task.admit", (task.tid, len(q)))
         self._wake_worker()
         return True
 
@@ -308,7 +307,7 @@ class ServiceRuntime:
             tr = self.machine.tracer
             if tr.enabled:
                 tr.emit(self.sim.now, rank, "task.start",
-                        f"task={task.tid} wait={now - task.arrival:g}")
+                        (task.tid, now - task.arrival))
             return task
         return None
 
@@ -321,7 +320,7 @@ class ServiceRuntime:
             self.shed["deadline"] += 1
             if tr.enabled:
                 tr.emit(self.sim.now, -1, "task.shed",
-                        f"task={task.tid} reason=deadline")
+                        (task.tid, "deadline"))
             self._check_close()
             return
         self.retries += 1
@@ -332,8 +331,7 @@ class ServiceRuntime:
                 self._rng_retry.uniform(0.0, 1.0) - 0.5)
         if tr.enabled:
             tr.emit(self.sim.now, -1, "task.retry",
-                    f"task={task.tid} attempt={task.attempts} "
-                    f"backoff={backoff:g}")
+                    (task.tid, task.attempts, backoff))
         self.sim.spawn(self._readmit(task, backoff),
                        name=f"svc.retry[{task.tid}]")
 
@@ -371,8 +369,7 @@ class ServiceRuntime:
         if tid in self._tainted:
             self.lost_tasks += 1
             if tr.enabled:
-                tr.emit(self.sim.now, -1, "task.lost",
-                        f"task={tid} nodes={nodes}")
+                tr.emit(self.sim.now, -1, "task.lost", (tid, nodes))
         else:
             self.completed += 1
             latency = now - task.arrival
@@ -381,7 +378,7 @@ class ServiceRuntime:
                 self.deadline_miss += 1
             if tr.enabled:
                 tr.emit(self.sim.now, -1, "task.done",
-                        f"task={tid} nodes={nodes} lat={latency:g}")
+                        (tid, nodes, latency))
         self._check_close()
 
     # -- close protocol ------------------------------------------------------
@@ -401,8 +398,8 @@ class ServiceRuntime:
         tr = self.machine.tracer
         if tr.enabled:
             tr.emit(self.sim.now, -1, "service.close",
-                    f"admitted={self.admitted} completed={self.completed} "
-                    f"shed={self.shed_total} lost={self.lost_tasks}")
+                    (self.admitted, self.completed, self.shed_total,
+                     self.lost_tasks))
         gate = self.algo._gate
         if gate is not None:
             gate.wake_all()

@@ -8,14 +8,14 @@ Public surface:
 * :class:`~repro.sim.resources.FifoLock`, :class:`~repro.sim.resources.Gate`
   -- synchronization resources.
 * :class:`~repro.sim.rng.StreamRng` -- named deterministic random streams.
-* :class:`~repro.sim.trace.Tracer` -- optional structured tracing.
+
+Tracing lives in :mod:`repro.obs` (:class:`~repro.obs.sink.TraceSink`).
 """
 
 from repro.sim.engine import Process, SimEvent, Simulator, Timeout
 from repro.sim.equeue import BucketQueue
 from repro.sim.resources import FifoLock, Gate
 from repro.sim.rng import StreamRng, substream_seed
-from repro.sim.trace import NULL_TRACER, TraceRecord, Tracer
 
 __all__ = [
     "Simulator",
@@ -27,7 +27,4 @@ __all__ = [
     "Gate",
     "StreamRng",
     "substream_seed",
-    "Tracer",
-    "TraceRecord",
-    "NULL_TRACER",
 ]

@@ -183,7 +183,7 @@ class Simulator:
         #: (include ``seq`` in the key) and return mutually comparable
         #: keys, or heap ordering breaks.
         self.tie_break = tie_break
-        #: Optional :class:`repro.sim.trace.Tracer` for engine-level
+        #: Optional :class:`repro.obs.sink.TraceSink` for engine-level
         #: events (interrupts).  Set by the owning machine when tracing
         #: is enabled; None costs one attribute test on those paths and
         #: never perturbs scheduling (tracers only append to a list).
@@ -252,7 +252,7 @@ class Simulator:
         if self.tracer is not None and self.tracer.enabled:
             name = proc.name
             rank = int(name[1:]) if name[:1] == "T" and name[1:].isdigit() else -1
-            self.tracer.emit(self.now, rank, "sim.interrupt", name)
+            self.tracer.emit(self.now, rank, "sim.interrupt", (name,))
         value: Any = None
         try:
             proc.body.throw(exc)

@@ -385,7 +385,7 @@ class AlgorithmBase:
         self.stats[ctx.rank].timer.enter(state, ctx.now)
         tr = self.tracer
         if tr.enabled:
-            tr.emit(self.machine.sim.now, ctx.rank, "state", state)
+            tr.emit(self.machine.sim.now, ctx.rank, "state", (state,))
 
     def _park_resume_delay(self, t0: float, backoff: float, now: float,
                            bmax: float, factor: float) -> tuple:
@@ -601,7 +601,7 @@ class AlgorithmBase:
                             queue.append(ev)
                             yield ev
                         if tr.enabled:
-                            tr.emit(sim.now, rank, "lock.acq", lk.name)
+                            tr.emit(sim.now, rank, "lock.acq", (lk.name,))
                     # ``shared`` is re-checked under the lock: a thief
                     # queued ahead of us may have taken the last chunk.
                     if releasing or shared:
@@ -635,12 +635,12 @@ class AlgorithmBase:
                         else:
                             fifo.locked = False
                         if tr.enabled:
-                            tr.emit(sim.now, rank, "lock.rel", lk.name)
+                            tr.emit(sim.now, rank, "lock.rel", (lk.name,))
                     if releasing:
                         st.releases += 1
                         if traced and tr.enabled:
                             tr.emit(sim.now, rank, "release",
-                                    f"chunks={len(shared)}")
+                                    (len(shared),))
                         if after is not None:
                             yield from after(ctx)
                 if not releasing or len(local) < thresh:
@@ -653,7 +653,7 @@ class AlgorithmBase:
         self.enter_state(ctx, SEARCHING)
 
     def _steal_landed(self, ctx: UpcContext, victim: int, nodes: List,
-                      n_chunks: int, note: str = "") -> None:
+                      n_chunks: int, dup: bool = False) -> None:
         """The thief-side ledger of a steal whose nodes just arrived:
         push them, settle ``in_flight_nodes``, count, and record."""
         rank = ctx.rank
@@ -665,9 +665,9 @@ class AlgorithmBase:
         st.nodes_stolen += len(nodes)
         tr = self.tracer
         if tr.enabled:
+            fields = (victim, n_chunks, len(nodes))
             tr.emit(self.sim.now, rank, "steal",
-                    f"from=T{victim} chunks={n_chunks} "
-                    f"nodes={len(nodes)}{note}")
+                    fields + (1,) if dup else fields)
 
     # -- searching ---------------------------------------------------------
 
@@ -1008,7 +1008,7 @@ class AlgorithmBase:
         self.stats[rank].nodes_visited += n
         tr = self.tracer
         if tr.enabled and n:
-            tr.emit(self.machine.sim.now, rank, "visit", f"n={n}")
+            tr.emit(self.machine.sim.now, rank, "visit", (n,))
         return n
 
     # -- run finalization -----------------------------------------------------

@@ -98,8 +98,7 @@ class UpcDistMem(AlgorithmBase):
             st.requests_denied += 1
             tr = self.tracer
             if tr.enabled:
-                tr.emit(self.machine.sim.now, rank, "steal.deny",
-                        f"thief=T{thief}")
+                tr.emit(self.machine.sim.now, rank, "steal.deny", (thief,))
         # Two remote writes (amount given + address of the work).  These
         # are one-sided puts issued outside any critical section: the
         # victim pays only local injection overhead and keeps working;
@@ -128,7 +127,7 @@ class UpcDistMem(AlgorithmBase):
         tr = self.tracer
         if tr.enabled:
             tr.emit(self.machine.sim.now, rank, "service",
-                    f"thief=T{thief} chunks={len(chunks)}")
+                    (thief, len(chunks)))
 
     # -- thief side --------------------------------------------------------------
 
@@ -142,7 +141,7 @@ class UpcDistMem(AlgorithmBase):
         tr = self.tracer
         if tr.enabled:
             tr.emit(self.machine.sim.now, rank, "steal.req",
-                    f"victim=T{victim}" + (" dup=1" if _redundant else ""))
+                    (victim, 1) if _redundant else (victim,))
         lk = self.req_locks[victim]
         # "Attempts to write its thread ID" -- a lock *attempt*: if the
         # slot's lock is held, another thief is requesting; rather than
@@ -151,7 +150,7 @@ class UpcDistMem(AlgorithmBase):
         if not got:
             if tr.enabled:
                 tr.emit(self.machine.sim.now, rank, "steal.fail",
-                        f"victim=T{victim} reason=busy")
+                        (victim, "busy"))
             return False
         # Read the request variable under its lock.
         yield from ctx.compute(self.net.shared_ref(rank, victim))
@@ -159,8 +158,7 @@ class UpcDistMem(AlgorithmBase):
             # Another thief got there first this round.
             yield from ctx.unlock(lk)
             if tr.enabled:
-                tr.emit(ctx.now, rank, "steal.fail",
-                        f"victim=T{victim} reason=raced")
+                tr.emit(ctx.now, rank, "steal.fail", (victim, "raced"))
             return False
         ev = self.machine.sim.event(name=f"response.T{rank}")
         self.response_events[rank] = ev
@@ -210,14 +208,13 @@ class UpcDistMem(AlgorithmBase):
         if chunks is _GAVE_UP:
             rt.counters.steal_timeouts += 1
             if tr.enabled:
-                tr.emit(ctx.now, rank, "steal.fail",
-                        f"victim=T{victim} reason=giveup")
-                tr.emit(ctx.now, rank, "recover.giveup", f"victim=T{victim}")
+                tr.emit(ctx.now, rank, "steal.fail", (victim, "giveup"))
+                tr.emit(ctx.now, rank, "recover.giveup", (victim,))
             return False
         if not chunks:
             if tr.enabled:
                 tr.emit(self.machine.sim.now, rank, "steal.fail",
-                        f"victim=T{victim} reason=denied")
+                        (victim, "denied"))
             return False
         nodes = flatten(chunks)
         yield from ctx.chunk_get(victim, len(nodes))

@@ -151,7 +151,7 @@ class WsFenceFree(AlgorithmBase):
         sim = self.machine.sim
         if tr.enabled:
             tr.emit(sim.now, rank, "steal.req",
-                    f"victim=T{victim}" + (" dup=1" if _redundant else ""))
+                    (victim, 1) if _redundant else (victim,))
         head = self.heads[victim]
         tail = self.tails[victim]
         fast = self._fast
@@ -167,8 +167,7 @@ class WsFenceFree(AlgorithmBase):
         h = head.value if fast else head.remote_read(now, rank)
         if h >= t:
             if tr.enabled:
-                tr.emit(sim.now, rank, "steal.fail",
-                        f"victim=T{victim} reason=empty")
+                tr.emit(sim.now, rank, "steal.fail", (victim, "empty"))
             return False
         # Read -> claim -> resolution happen in one frame (no yield):
         # the *racy window* of the fence-free protocol is modeled
@@ -217,7 +216,7 @@ class WsFenceFree(AlgorithmBase):
         yield from ctx.chunk_get(victim, len(nodes))
         if rt is not None:
             rt.end_transfer(rank)
-        self._steal_landed(ctx, victim, nodes, 1, " dup=1" if dup else "")
+        self._steal_landed(ctx, victim, nodes, 1, dup)
         if (self._dup_ranks is not None and not _redundant
                 and rank in self._dup_ranks):
             # Duplicating-steal adversary: re-raid the same victim.
@@ -252,5 +251,4 @@ class WsFenceFree(AlgorithmBase):
         tr = self.tracer
         if tr.enabled:
             tr.emit(self.machine.sim.now, rank, "steal.dup",
-                    f"victim=T{victim} idx={idx} nodes={len(nodes)} "
-                    f"work={work}")
+                    (victim, idx, len(nodes), work))

@@ -99,7 +99,7 @@ class LockBasedAlgorithm(AlgorithmBase):
         tr = self.tracer
         if tr.enabled:
             tr.emit(self.machine.sim.now, rank, "release",
-                    f"chunks={stack.shared_chunks}")
+                    (stack.shared_chunks,))
         if self._after_release_hook:
             yield from self.after_release(ctx)
 
@@ -137,7 +137,7 @@ class LockBasedAlgorithm(AlgorithmBase):
         tr = self.tracer
         if tr.enabled:
             tr.emit(self.machine.sim.now, rank, "steal.req",
-                    f"victim=T{victim}" + (" dup=1" if _redundant else ""))
+                    (victim, 1) if _redundant else (victim,))
         vstack = self.stacks[victim]
         lk = self.stack_locks[victim]
         yield from ctx.lock(lk)
@@ -149,7 +149,7 @@ class LockBasedAlgorithm(AlgorithmBase):
             yield from ctx.unlock(lk)
             if tr.enabled:
                 tr.emit(self.machine.sim.now, rank, "steal.fail",
-                        f"victim=T{victim} reason=empty")
+                        (victim, "empty"))
             return False
         take = self._steal_for(rank, nch)
         chunks = vstack.steal_chunks(take)

@@ -108,7 +108,7 @@ class MpiWorkStealing(AlgorithmBase):
                 rt.counters.dup_requests_suppressed += 1
                 if tr.enabled:
                     tr.emit(self.sim.now, rank, "recover.dup_suppressed",
-                            f"thief=T{thief} seq={seq}")
+                            (thief, seq))
                 return
             seen[thief] = seq
         if stack.shared_chunks > 0:
@@ -130,12 +130,11 @@ class MpiWorkStealing(AlgorithmBase):
                 rt.end_transfer(rank)
                 self._wsent[rank] += 1
             if tr.enabled:
-                tr.emit(self.sim.now, rank, "service",
-                        f"thief=T{thief} chunks=1")
+                tr.emit(self.sim.now, rank, "service", (thief, 1))
         else:
             st.requests_denied += 1
             if tr.enabled:
-                tr.emit(self.sim.now, rank, "steal.deny", f"thief=T{thief}")
+                tr.emit(self.sim.now, rank, "steal.deny", (thief,))
             yield from self._send(ctx, thief, NOWORK, payload=seq)
 
     def _broadcast_term(self, ctx: UpcContext) -> Generator:
@@ -218,7 +217,7 @@ class MpiWorkStealing(AlgorithmBase):
         tr = self.tracer
         if tr.enabled:
             tr.emit(self.sim.now, rank, "token.hop",
-                    f"to=T{token.next_rank} colour={colour}")
+                    (token.next_rank, colour))
         yield from self._send(ctx, token.next_rank, TOKEN, payload=colour)
         return "sent"
 
@@ -248,7 +247,7 @@ class MpiWorkStealing(AlgorithmBase):
         st.probes += 1
         tr = self.tracer
         if tr.enabled:
-            tr.emit(self.sim.now, rank, "steal.req", f"victim=T{victim}")
+            tr.emit(self.sim.now, rank, "steal.req", (victim,))
         yield from self._send(ctx, victim, REQUEST, payload=seq)
         if rt is not None:
             return victim, seq, ctx.now + timeout
@@ -260,8 +259,7 @@ class MpiWorkStealing(AlgorithmBase):
             # idle episode.  (Faulted runs dedup by sequence, so the
             # adversary targets this path.)
             if tr.enabled:
-                tr.emit(self.sim.now, rank, "steal.req",
-                        f"victim=T{victim} dup=1")
+                tr.emit(self.sim.now, rank, "steal.req", (victim, 1))
             yield from self._send(ctx, victim, REQUEST)
         return victim, None, None
 
@@ -356,7 +354,7 @@ class MpiWorkStealing(AlgorithmBase):
                     # NOWORK: faulted, only the open transaction's counts
                     if tr.enabled:
                         tr.emit(self.sim.now, rank, "steal.fail",
-                                f"victim=T{msg.src} reason=denied")
+                                (msg.src, "denied"))
                     outstanding = None
                     timeout = timeout0
                 else:
@@ -386,9 +384,9 @@ class MpiWorkStealing(AlgorithmBase):
                 rt.counters.steal_timeouts += 1
                 if tr.enabled:
                     tr.emit(self.sim.now, rank, "steal.fail",
-                            f"victim=T{outstanding[0]} reason=timeout")
+                            (outstanding[0], "timeout"))
                     tr.emit(self.sim.now, rank, "recover.steal_timeout",
-                            f"victim=T{outstanding[0]}")
+                            (outstanding[0],))
                 outstanding = None
                 timeout = rt.next_steal_timeout(timeout)
                 progressed = True
@@ -472,8 +470,8 @@ class MpiWorkStealing(AlgorithmBase):
             return
         tr = self.tracer
         if tr.enabled:
-            tr.emit(self.sim.now, ctx.rank, "token.hop", f"to=T{dst} "
-                    f"colour={WHITE} round={self._round} deficit=0")
+            tr.emit(self.sim.now, ctx.rank, "token.hop",
+                    (dst, WHITE, self._round, 0))
         yield from self._send(ctx, dst, TOKEN, payload=payload)
 
     def _forward_token_faulty(self, ctx: UpcContext) -> Generator:
@@ -491,7 +489,7 @@ class MpiWorkStealing(AlgorithmBase):
         tr = self.tracer
         if tr.enabled:
             tr.emit(self.sim.now, rank, "token.hop",
-                    f"to=T{dst} colour={out} round={rnd} deficit={deficit}")
+                    (dst, out, rnd, deficit))
         yield from self._send(ctx, dst, TOKEN, payload=(rnd, out, deficit))
 
     def _evaluate_token(self, held) -> bool:
@@ -539,7 +537,7 @@ class MpiWorkStealing(AlgorithmBase):
             tr = self.tracer
             if tr.enabled:
                 tr.emit(self.sim.now, rank, "recover.token_relaunch",
-                        f"round={self._round}")
+                        (self._round,))
             self._tok_inflight = False
         yield from self._launch_token(ctx)
         return "sent"

@@ -151,8 +151,7 @@ class TreeSplit(AlgorithmBase):
             self.quiescence_check()
             self._done = True
             if tr.enabled:
-                tr.emit(self.machine.sim.now, 0, "tsplit.term",
-                        f"round={rnd}")
+                tr.emit(self.machine.sim.now, 0, "tsplit.term", (rnd,))
             return reduction_time(self.net, n)
         chunk = self.cfg.chunk_size
         cost = 0.0
@@ -192,5 +191,5 @@ class TreeSplit(AlgorithmBase):
             # monitor scans ledgers at each emit, and a mid-repartition
             # snapshot would be torn.
             tr.emit(self.machine.sim.now, 0, "tsplit.rebalance",
-                    f"round={rnd} moves={moves} nodes={moved_nodes}")
+                    (rnd, moves, moved_nodes))
         return cost

@@ -148,7 +148,7 @@ class StreamlinedTermination(TerminationStrategy):
         tr = algo.tracer
         if after_death and tr.enabled:
             tr.emit(ctx.now, ctx.rank, "recover.barrier_death",
-                    f"count={self.barrier.count}")
+                    (self.barrier.count,))
         yield from self.barrier.announce(ctx)
         if algo._gate is not None:
             algo._gate.wake_all()

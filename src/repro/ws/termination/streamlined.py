@@ -56,8 +56,7 @@ class StreamlinedBarrier:
         yield from ctx.unlock(self.lock)
         tr = ctx.machine.tracer
         if tr.enabled:
-            tr.emit(ctx.now, ctx.rank, "sbarrier.enter",
-                    f"count={self.count}")
+            tr.emit(ctx.now, ctx.rank, "sbarrier.enter", (self.count,))
         return last
 
     def leave(self, ctx: UpcContext) -> Generator:
@@ -68,8 +67,7 @@ class StreamlinedBarrier:
         yield from ctx.unlock(self.lock)
         tr = ctx.machine.tracer
         if tr.enabled:
-            tr.emit(ctx.now, ctx.rank, "sbarrier.leave",
-                    f"count={self.count}")
+            tr.emit(ctx.now, ctx.rank, "sbarrier.leave", (self.count,))
 
     def announce(self, ctx: UpcContext) -> Generator:
         """Tree-based termination announcement by the last thread."""

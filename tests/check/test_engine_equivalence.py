@@ -18,8 +18,8 @@ from repro.check import RandomTieBreak
 from repro.harness.runner import tree_for
 from repro.pgas.machine import Machine
 from repro.net.presets import get_preset
+from repro.obs import TraceSink
 from repro.sim.engine import Simulator, Timeout
-from repro.sim.trace import Tracer
 from repro.uts.params import TreeParams
 from repro.ws.algorithms import get_algorithm
 from repro.ws.config import WsConfig
@@ -128,12 +128,12 @@ def _distmem_setup(tracer):
 def test_segmented_experiment_matches_one_shot():
     """A real work-stealing run driven in interleaved ``until=``
     segments reproduces the one-shot run event for event."""
-    t1 = Tracer()
+    t1 = TraceSink()
     m1, a1 = _distmem_setup(t1)
     final = m1.run()
     one_shot_events = m1.sim.events_processed
 
-    t2 = Tracer()
+    t2 = TraceSink()
     m2, a2 = _distmem_setup(t2)
     for frac in (0.1, 0.25, 0.26, 0.5, 0.75, 0.9, 0.99):
         m2.sim.run(until=final * frac)

@@ -64,11 +64,11 @@ class _Tamper(InvariantMonitor):
         self._corrupt = corrupt
         self.applied = False
 
-    def emit(self, time, thread, kind, detail=""):
+    def emit(self, time, thread, kind, fields=()):
         if not self.applied and self.algo is not None \
                 and self._emits >= self._at_emit:
             self.applied = bool(self._corrupt(self.algo))
-        super().emit(time, thread, kind, detail)
+        super().emit(time, thread, kind, fields)
 
 
 def _expect_violation(corrupt, match, variant="upc-distmem", at_emit=40):

@@ -57,24 +57,25 @@ class ReferenceMonitor(InvariantMonitor):
         self.machine = algo.machine
         self._relaxed = bool(getattr(algo, "multiplicity_relaxed", False))
 
-    def emit(self, time: float, thread: int, kind: str, detail: str = "") -> None:
+    def emit(self, time: float, thread: int, kind: str,
+             fields: tuple = ()) -> None:
         self.counts[kind] = self.counts.get(kind, 0) + 1
         algo = self.algo
         if algo is None:
             return
         self._emits += 1
         if kind == "lock.acq":
-            holder = self._holders.get(detail)
+            holder = self._holders.get(fields[0])
             if holder is not None:
                 self._fail(time, kind,
-                           f"T{thread} acquired lock {detail!r} already "
+                           f"T{thread} acquired lock {fields[0]!r} already "
                            f"held by T{holder}")
-            self._holders[detail] = thread
+            self._holders[fields[0]] = thread
         elif kind == "lock.rel":
-            holder = self._holders.pop(detail, None)
+            holder = self._holders.pop(fields[0], None)
             if holder != thread:
                 self._fail(time, kind,
-                           f"T{thread} released lock {detail!r} held by "
+                           f"T{thread} released lock {fields[0]!r} held by "
                            f"{'nobody' if holder is None else f'T{holder}'}")
         elif kind in _DEATH_KINDS:
             # Fail-stop: the runtime frees the corpse's locks with no
@@ -354,13 +355,13 @@ class Pair:
         if want is not None:
             raise InvariantViolation(want)
 
-    def emit(self, time, thread, kind, detail=""):
+    def emit(self, time, thread, kind, fields=()):
         if (self._tamper is not None and self.applied_at is None
                 and self.new._emits >= self._at_emit
                 and self._tamper(self.new.algo, thread)):
             self.applied_at = self.new._emits + 1
             self.fast_scans_before = self.new.fast_scans
-        self._both("emit", time, thread, kind, detail)
+        self._both("emit", time, thread, kind, fields)
 
     def final_check(self):
         self._both("final_check")

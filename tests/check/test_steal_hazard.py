@@ -34,7 +34,7 @@ class HazardMonitor(InvariantMonitor):
         super().__init__()
         self.hazards = 0
 
-    def emit(self, time, thread, kind, detail=""):
+    def emit(self, time, thread, kind, fields=()):
         algo = self.algo
         if algo is not None and hasattr(algo, "response_events"):
             for r in range(algo.machine.n_threads):
@@ -43,7 +43,7 @@ class HazardMonitor(InvariantMonitor):
                     continue  # r is not blocked on a steal right now
                 if algo.request[r].value is not None:
                     self.hazards += 1  # ... but a request is parked on it
-        super().emit(time, thread, kind, detail)
+        super().emit(time, thread, kind, fields)
 
 
 def _hazard_run(variant="upc-distmem", **kw):

@@ -15,11 +15,11 @@ import pytest
 
 from repro import run_experiment, TreeParams
 from repro.check import DelayTieBreak, FifoTieBreak, RandomTieBreak
-from repro.sim.trace import Tracer
+from repro.obs import TraceSink
 
 
 def _small_run(tie_break=None, variant="upc-sharedmem"):
-    tracer = Tracer()
+    tracer = TraceSink()
     res = run_experiment(
         variant,
         tree=TreeParams.binomial(b0=64, m=2, q=0.48, seed=1),

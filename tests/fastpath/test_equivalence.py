@@ -28,7 +28,7 @@ import repro.fastpath as fp
 from repro.harness.config import T1_QUICK
 from repro.harness.runner import run_experiment
 from repro.net.presets import get_preset
-from repro.sim.trace import Tracer
+from repro.obs import TraceSink
 from repro.uts.materialized import materialize
 from repro.uts.params import TreeParams
 from repro.ws.config import WsConfig
@@ -60,7 +60,7 @@ def tree():
     return materialize(T1_QUICK)
 
 
-class AlgoSpy(Tracer):
+class AlgoSpy(TraceSink):
     """A disabled tracer (an enabled one is a fusion gate) that keeps
     the algorithm instance it was attached to."""
 

@@ -200,11 +200,11 @@ def test_describe_inventory_keys(clean_env):
 
 from repro.check import check_run, check_service_run  # noqa: E402
 from repro.check.invariants import InvariantMonitor  # noqa: E402
-from repro.sim.trace import Tracer  # noqa: E402
+from repro.obs import TraceSink  # noqa: E402
 from repro.ws.policies import ProbeScan  # noqa: E402
 
 
-class AlgoSpy(Tracer):
+class AlgoSpy(TraceSink):
     """A tracer that keeps the algorithm instance it was attached to."""
 
     def attach_algorithm(self, algo):

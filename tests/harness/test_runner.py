@@ -5,12 +5,12 @@ import pytest
 from repro import (
     KITTYHAWK,
     ConfigError,
+    TraceSink,
     TreeParams,
     WsConfig,
     expected_node_count,
     run_experiment,
 )
-from repro.sim import Tracer
 
 TREE = TreeParams.binomial(b0=40, q=0.45, seed=3)
 
@@ -72,7 +72,7 @@ def test_explicit_config_overrides_chunk_size():
 
 
 def test_tracer_collects_protocol_events():
-    tracer = Tracer()
+    tracer = TraceSink()
     run_experiment("upc-distmem", tree=TREE, threads=4, chunk_size=2,
                    tracer=tracer)
     kinds = {r.kind for r in tracer.records}

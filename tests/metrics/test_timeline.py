@@ -5,12 +5,12 @@ import pytest
 from repro import TreeParams, run_experiment
 from repro.metrics import STATE_CHARS, render_timeline
 from repro.metrics.states import BARRIER, SEARCHING, STEALING, WORKING
-from repro.sim import Tracer
+from repro.obs import TraceSink
 
 
 @pytest.fixture(scope="module")
 def traced_run():
-    tracer = Tracer()
+    tracer = TraceSink()
     res = run_experiment("upc-distmem",
                          tree=TreeParams.binomial(b0=100, q=0.49, seed=0),
                          threads=6, preset="kittyhawk", chunk_size=4,
@@ -69,12 +69,12 @@ def test_legend_present(traced_run):
 
 
 def test_empty_timeline():
-    assert render_timeline(Tracer(), 4, 0.0) == "(empty timeline)"
+    assert render_timeline(TraceSink(), 4, 0.0) == "(empty timeline)"
 
 
 def test_null_tracer_yields_initial_states_only():
     """Without records, each row is its thread's initial state."""
-    out = render_timeline(Tracer(), 2, 1.0, width=10)
+    out = render_timeline(TraceSink(), 2, 1.0, width=10)
     rows = [l for l in out.splitlines() if l.startswith("T")]
     assert rows[0][5:] == "W" * 10
     assert rows[1][5:] == "s" * 10

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.metrics.states import SEARCHING, STATES, WORKING
-from repro.obs import (state_occupancy, steal_latencies,
-                       steal_latency_histogram, steal_matrix,
-                       termination_breakdown)
+from repro.obs import (TraceSink, service_summary, state_occupancy,
+                       steal_latencies, steal_latency_histogram,
+                       steal_matrix, termination_breakdown)
+from repro.service import ServiceConfig, run_service
+from repro.service.result import percentile
 
-from tests.obs.conftest import SMALL_THREADS
+from tests.obs.conftest import SMALL_THREADS, TRACED_MATRIX, traced_cell
 
 
 def test_occupancy_matches_state_timer(traced_small_run):
@@ -123,3 +125,40 @@ def test_idle_summary_zero_on_polling_run(traced_small_run):
     assert ids["total_parked_seconds"] == 0.0
     assert ids["parks"] == [0] * SMALL_THREADS
     assert ids["wakes"] == [0] * SMALL_THREADS
+
+
+@pytest.mark.parametrize("variant, idle, spec", TRACED_MATRIX)
+def test_analyses_agree_with_counters_on_every_variant(variant, idle, spec):
+    """The trace replays the run's own accounting exactly: per rank,
+    the state occupancy is the ``StateTimer`` and the steal-matrix row
+    is ``steals_ok`` / ``nodes_stolen``.  tree-split moves work in
+    rebalance rounds, not steals: its rounds carry the same totals."""
+    result, sink = traced_cell(variant, idle, spec)
+    events = sink.events()
+    occ = state_occupancy(events, SMALL_THREADS, result.sim_time)
+    assert occ == {s.rank: s.timer.times for s in result.per_thread}
+    steals, nodes = steal_matrix(events, SMALL_THREADS)
+    if variant == "tree-split":
+        rounds = [ev.args for ev in events if ev.kind == "tsplit.rebalance"]
+        assert rounds
+        assert sum(r["moves"] for r in rounds) == result.stats.steals_ok
+        assert sum(r["nodes"] for r in rounds) == result.stats.nodes_stolen
+        return
+    assert [sum(row) for row in steals] \
+        == [s.steals_ok for s in result.per_thread]
+    assert [sum(row) for row in nodes] \
+        == [s.nodes_stolen for s in result.per_thread]
+    assert result.stats.steals_ok > 0
+
+
+def test_service_latencies_in_the_trace_are_exact():
+    """A traced stream's ``task.done`` latencies are the run's own
+    floats: the percentiles of the trace are the result's, bit for
+    bit (not six significant digits of them)."""
+    sink = TraceSink()
+    result = run_service(ServiceConfig(n_tasks=60), threads=8, tracer=sink)
+    lats = sorted(service_summary(sink.events())["latencies"])
+    assert len(lats) == result.completed
+    assert [percentile(lats, 50.0), percentile(lats, 95.0),
+            percentile(lats, 99.0), lats[-1]] \
+        == [result.lat_p50, result.lat_p95, result.lat_p99, result.lat_max]

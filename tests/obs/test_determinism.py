@@ -82,34 +82,35 @@ def test_fig4_test_sweep_matches_pre_obs_seed():
         == PIN_FIG4_TEST_ENGINE_EVENTS
 
 
-# -- tracing off formats nothing -----------------------------------------
+# -- tracing off builds nothing ------------------------------------------
 #
-# docs/performance.md: "every f"..." trace detail is built only behind
-# one tracer.enabled test".  Two observers hold the code to it: a
-# disabled tracer whose ``emit`` raises (no hook site may call it), and
-# a line spy over every source line that holds an f-string argument of
-# a ``trace``/``emit`` call (none may execute).
+# docs/performance.md: "a record's fields are built only behind one
+# tracer.enabled test".  Two observers hold the code to it: a disabled
+# tracer whose ``emit`` raises (no hook site may call it), and a line
+# spy over every source line that builds the fields of an ``emit`` /
+# ``trace`` call (none may execute).
 
 class DisabledTracerThatRaises:
     enabled = False
 
-    def emit(self, time, thread, kind, detail=""):
+    def emit(self, time, rank, kind, fields=()):
         raise AssertionError(f"emit({kind!r}) reached a disabled tracer")
 
 
 @functools.lru_cache(maxsize=None)
-def _detail_lines():
-    """``{filename: lines}`` holding an f-string passed to a trace call."""
+def _field_lines():
+    """``{filename: lines}`` building the fields passed to a trace call
+    (``emit``'s fourth argument, ``trace``'s second)."""
     lines = {}
     for path in Path(repro.__file__).parent.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("trace", "_trace", "emit")):
-                for arg in ast.walk(node):
-                    if isinstance(arg, ast.JoinedStr):
-                        lines.setdefault(str(path), set()).update(
-                            range(arg.lineno, arg.end_lineno + 1))
+                    and node.func.attr in ("trace", "emit")):
+                first = 3 if node.func.attr == "emit" else 1
+                for arg in node.args[first:]:
+                    lines.setdefault(str(path), set()).update(
+                        range(arg.lineno, arg.end_lineno + 1))
     return lines
 
 
@@ -120,8 +121,8 @@ UNTRACED_CELLS = [(variant, None) for variant in sorted(ALGORITHMS)] + [
 
 
 @pytest.mark.parametrize("variant, spec", UNTRACED_CELLS)
-def test_untraced_run_never_emits_or_formats(variant, spec):
-    targets = _detail_lines()
+def test_untraced_run_never_emits_or_builds_fields(variant, spec):
+    targets = _field_lines()
     assert sum(map(len, targets.values())) > 60  # the spy watches something
     built = []
 

@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.net import NetworkModel
+from repro.obs import TraceSink
 from repro.pgas import Machine
-from repro.sim import Tracer
 
 
 @pytest.fixture
@@ -178,16 +178,17 @@ def test_spawn_all_runs_every_rank(net):
 
 
 def test_tracer_integration(net):
-    tracer = Tracer()
+    tracer = TraceSink()
     m = Machine(threads=2, net=net, tracer=tracer)
 
     def main(ctx):
-        ctx.trace("hello", f"rank={ctx.rank}")
+        ctx.trace("visit", (ctx.rank + 1,))
         yield from ctx.compute(0.0)
 
     m.spawn_all(main)
     m.run()
-    assert tracer.count("hello") == 2
+    assert [(r.rank, r.args) for r in tracer.records] \
+        == [(0, {"n": 1}), (1, {"n": 2})]
 
 
 def test_context_rngs_differ_across_ranks(net):

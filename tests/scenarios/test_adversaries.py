@@ -58,16 +58,16 @@ def test_greedy_thief_takes_everything():
 
 
 def test_dup_stealer_emits_redundant_attempts():
-    from repro.sim.trace import Tracer
-    tracer = Tracer(enabled=True)
+    from repro.obs import TraceSink
+    tracer = TraceSink()
     run_experiment(
         "upc-distmem", tree=TREE, threads=8,
         config=WsConfig(chunk_size=4,
                         adversaries=parse_adversaries("dup@1,2", 8)),
         verify=True, tracer=tracer)
-    dups = [r for r in tracer.records if "dup=1" in r.detail]
+    dups = [r for r in tracer.records if r.args.get("dup") == 1]
     assert dups, "duplicating stealer never fired its redundant steal"
-    assert all(r.thread in (1, 2) for r in dups)
+    assert all(r.rank in (1, 2) for r in dups)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -5,7 +5,7 @@ backends and across repeated runs."""
 import pytest
 
 from repro import TreeParams, run_experiment
-from repro.sim.trace import Tracer
+from repro.obs import TraceSink
 from repro.ws.config import WsConfig
 
 TREE = TreeParams.binomial(b0=60, m=2, q=0.47, seed=4)
@@ -14,12 +14,12 @@ STEAL_KINDS = ("steal.req", "steal.ok", "steal.fail", "probe")
 
 def steal_sequence(queue, seed=0, victim_policy="hierarchical",
                    preset="numa-8x"):
-    tracer = Tracer(enabled=True)
+    tracer = TraceSink()
     run_experiment("upc-distmem", tree=TREE, threads=8, preset=preset,
                    config=WsConfig(chunk_size=4,
                                    victim_policy=victim_policy),
                    seed=seed, verify=True, tracer=tracer, queue=queue)
-    return [(r.time, r.thread, r.kind, r.detail) for r in tracer.records
+    return [r for r in tracer.records
             if r.kind in STEAL_KINDS or r.kind.startswith("steal")]
 
 

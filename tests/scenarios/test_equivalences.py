@@ -10,18 +10,17 @@ simulated time -- as the variant that hard-codes it.
 import pytest
 
 from repro import TreeParams, run_experiment
-from repro.sim.trace import Tracer
+from repro.obs import TraceSink
 from repro.ws.config import WsConfig
 
 TREE = TreeParams.binomial(b0=60, m=2, q=0.47, seed=4)
 
 
 def traced_run(variant, cfg, threads=8, preset="kittyhawk"):
-    tracer = Tracer(enabled=True)
+    tracer = TraceSink()
     res = run_experiment(variant, tree=TREE, threads=threads, preset=preset,
                          config=cfg, verify=True, tracer=tracer)
-    return res, [(r.time, r.thread, r.kind, r.detail)
-                 for r in tracer.records]
+    return res, tracer.records
 
 
 def assert_identical(pair_a, pair_b):

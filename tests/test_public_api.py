@@ -65,8 +65,8 @@ def test_obs_surface():
 
     assert repro.TraceSink is obs.TraceSink
     expected = {
-        "TraceSink", "ObsEvent", "EVENT_SCHEMA", "parse_detail",
-        "parse_events", "to_chrome_trace", "dump_chrome_trace",
+        "TraceSink", "ObsEvent", "EVENT_SCHEMA", "FIELD_TYPES",
+        "to_chrome_trace", "dump_chrome_trace",
         "to_jsonl_lines", "dump_jsonl", "load_jsonl", "state_occupancy",
         "steal_matrix", "steal_latencies", "steal_latency_histogram",
         "termination_breakdown", "idle_summary", "service_summary",
@@ -75,7 +75,7 @@ def test_obs_surface():
     assert set(obs.__all__) == expected
     for name in expected:
         assert hasattr(obs, name), f"repro.obs.{name} missing"
-    # A TraceSink is a Tracer: run_experiment(tracer=...) accepts it.
-    from repro.sim.trace import Tracer
+    # The sink is the one tracer class: repro.sim no longer has one.
+    import repro.sim as sim
 
-    assert issubclass(obs.TraceSink, Tracer)
+    assert not {"Tracer", "TraceRecord", "NULL_TRACER"} & set(dir(sim))

@@ -14,9 +14,11 @@ the next re-anchor finding it:
   mpi-ws's idle loop (``MpiWorkStealing.idle_phase``): the idle gate
   and the fault runtime are switches read before the loop starts, and
   no probe is priced from a per-rank cost row (O(n^2) a machine).
-* Trace detail strings are built only behind a ``tracer.enabled`` test
-  (``docs/performance.md``, "engine hot path"): an untraced run must
-  not format and throw away an f-string per event.
+* A trace record is its values, never a formatted string
+  (``docs/observability.md``, "Event schema"): no ``.emit(`` /
+  ``.trace(`` call takes an f-string or ``.format`` argument, and the
+  string tracer (``repro/sim/trace.py``) and the parser that read its
+  details back (``parse_detail``) stay gone.
 * ``ws-fencefree`` has no locks, so it does not inherit the lock-based
   machinery (and with it the lock-based fusion gate).
 * The compiled side has one Working state too: ``_core.c`` expands
@@ -162,48 +164,32 @@ def test_service_streams_have_one_expansion_path():
     assert callers == ["tasks.py:batch_expand", "tasks.py:on_nodes_lost"]
 
 
-def _reads_enabled(test: ast.expr) -> bool:
-    return any(isinstance(n, ast.Attribute) and n.attr == "enabled"
-               for n in ast.walk(test))
-
-
-def _has_fstring(call: ast.Call) -> bool:
-    args = list(call.args) + [kw.value for kw in call.keywords]
+def _formats(node: ast.AST) -> bool:
+    """An f-string or a ``.format(...)`` call anywhere in ``node``."""
     return any(isinstance(n, ast.JoinedStr)
-               for arg in args for n in ast.walk(arg))
+               or (isinstance(n, ast.Call)
+                   and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "format")
+               for n in ast.walk(node))
 
 
-def _ungated_formats(tree: ast.AST):
-    """Trace calls carrying an f-string outside an ``if ...enabled``."""
-    hits = []
-
-    def visit(node: ast.AST, gated: bool) -> None:
-        if isinstance(node, ast.If):
-            inner = gated or _reads_enabled(node.test)
-            for child in node.body:
-                visit(child, inner)
-            for child in node.orelse:
-                visit(child, gated)
-            return
-        if (isinstance(node, ast.Call) and not gated
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("trace", "_trace", "emit")
-                and _has_fstring(node)):
-            hits.append(node.lineno)
-        for child in ast.iter_child_nodes(node):
-            visit(child, gated)
-
-    visit(tree, False)
-    return hits
-
-
-def test_trace_details_are_formatted_only_when_tracing():
-    found = [f"{path.relative_to(SRC)}:{line}"
-             for path, tree in _modules()
-             for line in _ungated_formats(tree)]
+def test_no_trace_call_formats_its_fields():
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("trace", "_trace", "emit")
+        and any(_formats(arg) for arg in
+                [*node.args, *(kw.value for kw in node.keywords)])]
     assert found == [], (
-        f"{len(found)} trace call(s) build an f-string detail outside an "
-        f"`if tracer.enabled` test: {found}")
+        f"{len(found)} trace call(s) format a string argument: {found}")
+
+
+def test_the_string_tracer_and_its_parser_stay_gone():
+    assert not (SRC / "sim" / "trace.py").exists()
+    assert _mentions("parse_detail") == []
 
 
 def test_fencefree_is_not_lock_based():

@@ -4,8 +4,8 @@ import pytest
 
 from repro import TreeParams, run_experiment
 from repro.net import KITTYHAWK, NetworkModel
+from repro.obs import TraceSink
 from repro.pgas import Machine
-from repro.sim import Tracer
 from repro.uts.tree import Tree
 from repro.ws.algorithms import get_algorithm
 from repro.ws.config import WsConfig
@@ -14,7 +14,7 @@ TREE = TreeParams.binomial(b0=100, m=2, q=0.49, seed=0)
 
 
 def run_traced(threads=8, k=4, **kw):
-    tracer = Tracer()
+    tracer = TraceSink()
     res = run_experiment("upc-distmem", tree=TREE, threads=threads,
                          preset="kittyhawk", chunk_size=k, tracer=tracer,
                          verify=True, **kw)
@@ -23,8 +23,8 @@ def run_traced(threads=8, k=4, **kw):
 
 def test_every_successful_steal_has_a_service_event():
     res, tracer = run_traced()
-    services = [r for r in tracer.of_kind("service")]
-    grants = [r for r in services if "chunks=0" not in r.detail]
+    services = [r for r in tracer.records if r.kind == "service"]
+    grants = [r for r in services if r.args["chunks"] != 0]
     assert len(grants) == res.stats.steals_ok
     assert len(services) == (res.stats.requests_granted
                              + res.stats.requests_denied)
@@ -34,12 +34,13 @@ def test_steals_follow_services_in_time():
     """A thief's steal trace never precedes its victim's service."""
     _, tracer = run_traced()
     service_times = {}
-    for r in tracer.of_kind("service"):
-        thief = int(r.detail.split("thief=T")[1].split()[0])
-        service_times.setdefault(thief, []).append(r.time)
-    for r in tracer.of_kind("steal"):
-        assert r.thread in service_times, "steal without any service"
-        assert any(t <= r.time for t in service_times[r.thread])
+    for r in tracer.records:
+        if r.kind == "service":
+            service_times.setdefault(r.args["thief"], []).append(r.time)
+    for r in tracer.records:
+        if r.kind == "steal":
+            assert r.rank in service_times, "steal without any service"
+            assert any(t <= r.time for t in service_times[r.rank])
 
 
 def test_request_slots_empty_after_termination():
@@ -68,7 +69,8 @@ def test_victim_denies_when_no_surplus():
     """Denials occur and carry zero chunks (the 'amount would be zero'
     rule of Sect. 3.3.3)."""
     res, tracer = run_traced(threads=12, k=8)
-    denials = [r for r in tracer.of_kind("service") if "chunks=0" in r.detail]
+    denials = [r for r in tracer.records
+               if r.kind == "service" and r.args["chunks"] == 0]
     assert len(denials) == res.stats.requests_denied
     assert res.stats.requests_denied > 0  # rare trees may violate; this one doesn't
 

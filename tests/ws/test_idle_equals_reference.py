@@ -30,9 +30,9 @@ import pytest
 import repro.fastpath as fp
 from repro import TreeParams, run_experiment
 from repro.faults.plan import parse_fault_spec
+from repro.obs import TraceSink
 from repro.pgas.machine import UpcContext
 from repro.scenarios import parse_adversaries
-from repro.sim.trace import Tracer
 from repro.ws.algorithms.mpi_ws import (NOWORK, REQUEST, TERM, TOKEN, WORK,
                                         MpiWorkStealing)
 from repro.ws.config import WsConfig
@@ -54,7 +54,7 @@ def _forward_token(self, ctx: UpcContext) -> Generator:
     tr = self.tracer
     if tr.enabled:
         tr.emit(self.sim.now, ctx.rank, "token.hop",
-                f"to=T{token.next_rank} colour={colour}")
+                (token.next_rank, colour))
     yield from self._send(ctx, token.next_rank, TOKEN, payload=colour)
 
 
@@ -93,7 +93,7 @@ def _idle_handle(self, ctx: UpcContext, msg) -> Generator:
         self.stats[rank].requests_denied += 1
         if tr.enabled:
             tr.emit(self.sim.now, rank, "steal.deny",
-                    f"thief=T{msg.src}")
+                    (msg.src,))
         yield from self._send(ctx, msg.src, NOWORK)
         return None
     if tag == TOKEN:
@@ -104,7 +104,7 @@ def _idle_handle(self, ctx: UpcContext, msg) -> Generator:
         return "work"
     if tr.enabled:
         tr.emit(self.sim.now, rank, "steal.fail",
-                f"victim=T{msg.src} reason=denied")
+                (msg.src, "denied"))
     return "nowork"
 
 
@@ -131,7 +131,7 @@ def _token_duties(self, ctx: UpcContext) -> Generator:
     tr = self.tracer
     if tr.enabled:
         tr.emit(self.sim.now, rank, "token.hop",
-                f"to=T{token.next_rank} colour={colour}")
+                (token.next_rank, colour))
     yield from self._send(ctx, token.next_rank, TOKEN, payload=colour)
     return "sent"
 
@@ -145,7 +145,7 @@ def _send_request(self, ctx: UpcContext) -> Generator:
     st.probes += 1
     tr = self.tracer
     if tr.enabled:
-        tr.emit(self.sim.now, rank, "steal.req", f"victim=T{victim}")
+        tr.emit(self.sim.now, rank, "steal.req", (victim,))
     yield from self._send(ctx, victim, REQUEST)
     if self._dup_ranks is not None and rank in self._dup_ranks:
         # Duplicating-steal adversary: a second REQUEST on the
@@ -156,7 +156,7 @@ def _send_request(self, ctx: UpcContext) -> Generator:
         # adversary targets this path.)
         if tr.enabled:
             tr.emit(self.sim.now, rank, "steal.req",
-                    f"victim=T{victim} dup=1")
+                    (victim, 1))
         yield from self._send(ctx, victim, REQUEST)
     return victim
 
@@ -338,7 +338,7 @@ def _idle_phase_faulty(self, ctx: UpcContext) -> Generator:
                         and msg.payload == outstanding[1]:
                     if tr.enabled:
                         tr.emit(sim.now, rank, "steal.fail",
-                                f"victim=T{msg.src} reason=denied")
+                                (msg.src, "denied"))
                     outstanding = None
                     timeout = plan.steal_timeout
                 else:
@@ -361,7 +361,7 @@ def _idle_phase_faulty(self, ctx: UpcContext) -> Generator:
                 rt.counters.token_relaunches += 1
                 if tr.enabled:
                     tr.emit(sim.now, rank, "recover.token_relaunch",
-                            f"round={self._round}")
+                            (self._round,))
                 self._tok_inflight = False
                 yield from self._launch_token(ctx)
                 progressed = True
@@ -378,7 +378,7 @@ def _idle_phase_faulty(self, ctx: UpcContext) -> Generator:
                 st.probes += 1
                 if tr.enabled:
                     tr.emit(sim.now, rank, "steal.req",
-                            f"victim=T{victim}")
+                            (victim,))
                 yield from self._send(ctx, victim, REQUEST, payload=seq)
                 outstanding = (victim, seq, ctx.now + timeout)
                 progressed = True
@@ -389,9 +389,9 @@ def _idle_phase_faulty(self, ctx: UpcContext) -> Generator:
             rt.counters.steal_timeouts += 1
             if tr.enabled:
                 tr.emit(sim.now, rank, "steal.fail",
-                        f"victim=T{outstanding[0]} reason=timeout")
+                        (outstanding[0], "timeout"))
                 tr.emit(sim.now, rank, "recover.steal_timeout",
-                        f"victim=T{outstanding[0]}")
+                        (outstanding[0],))
             outstanding = None
             timeout = rt.next_steal_timeout(timeout)
             progressed = True
@@ -434,7 +434,7 @@ def reference_loops(monkeypatch):
     return REFERENCE_USE
 
 
-class Spy(Tracer):
+class Spy(TraceSink):
     """A tracer that keeps the algorithm instance."""
 
     def attach_algorithm(self, algo):

@@ -5,7 +5,6 @@ import pytest
 from repro import TreeParams, run_experiment
 from repro.net import KITTYHAWK
 from repro.pgas import Machine
-from repro.sim import Tracer
 from repro.uts.tree import Tree
 from repro.ws.algorithms import get_algorithm
 from repro.ws.config import WsConfig

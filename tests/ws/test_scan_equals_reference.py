@@ -28,10 +28,10 @@ import pytest
 from repro import TreeParams, run_experiment
 from repro.faults.plan import parse_fault_spec
 from repro.metrics.states import SEARCHING, STEALING
+from repro.obs import TraceSink
 from repro.pgas.machine import UpcContext
 from repro.service import ArrivalProcess, ServiceConfig, run_service
 from repro.sim.engine import Timeout
-from repro.sim.trace import Tracer
 from repro.ws.algorithms.base import AlgorithmBase
 from repro.ws.config import WsConfig
 from repro.ws.termination.strategies import NoTermination
@@ -256,7 +256,7 @@ def reference_loops(monkeypatch):
     return REFERENCE_USE
 
 
-class Spy(Tracer):
+class Spy(TraceSink):
     """A tracer that keeps the algorithm instance."""
 
     def attach_algorithm(self, algo):

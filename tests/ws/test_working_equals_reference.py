@@ -37,10 +37,10 @@ import repro.fastpath as fp
 from repro import ALGORITHMS, TreeParams, WsConfig, run_experiment
 from repro.faults.plan import parse_fault_spec
 from repro.metrics.states import SEARCHING, WORKING
+from repro.obs import TraceSink
 from repro.pgas.machine import UpcContext
 from repro.service import ArrivalProcess, ServiceConfig, run_service
 from repro.sim.engine import SimEvent, Timeout
-from repro.sim.trace import Tracer
 from repro.ws.algorithms.base import NO_WORK, AlgorithmBase
 from repro.ws.algorithms.distmem import UpcDistMem
 from repro.ws.algorithms.fencefree import WsFenceFree
@@ -144,7 +144,7 @@ def reference_lock_based(self, ctx) -> Generator:
                     queue.append(ev)
                     yield ev
                 if tr.enabled:
-                    tr.emit(sim.now, rank, "lock.acq", lk.name)
+                    tr.emit(sim.now, rank, "lock.acq", (lk.name,))
                 if shared:  # re-check: a queued thief may have won
                     got = shared.pop()
                     local[0:0] = got
@@ -162,7 +162,7 @@ def reference_lock_based(self, ctx) -> Generator:
                 else:
                     fifo.locked = False
                 if tr.enabled:
-                    tr.emit(sim.now, rank, "lock.rel", lk.name)
+                    tr.emit(sim.now, rank, "lock.rel", (lk.name,))
                 continue
             break
         n = explore(rank)
@@ -189,7 +189,7 @@ def reference_lock_based(self, ctx) -> Generator:
                 queue.append(ev)
                 yield ev
             if tr.enabled:
-                tr.emit(sim.now, rank, "lock.acq", lk.name)
+                tr.emit(sim.now, rank, "lock.acq", (lk.name,))
             released = local[:chunk]
             del local[:chunk]
             shared.append(released)
@@ -206,11 +206,11 @@ def reference_lock_based(self, ctx) -> Generator:
             else:
                 fifo.locked = False
             if tr.enabled:
-                tr.emit(sim.now, rank, "lock.rel", lk.name)
+                tr.emit(sim.now, rank, "lock.rel", (lk.name,))
             st.releases += 1
             if tr.enabled:
                 tr.emit(sim.now, rank, "release",
-                        f"chunks={len(shared)}")
+                        (len(shared),))
             if after_hook:
                 yield from self.after_release(ctx)
     wa.poke(NO_WORK)
@@ -398,7 +398,7 @@ def _release_ff(self, rank: int) -> None:
     tr = self.tracer
     if tr.enabled:
         tr.emit(self.machine.sim.now, rank, "release",
-                f"chunks={stack.shared_chunks}")
+                (stack.shared_chunks,))
 
 
 def _reacquire_ff(self, rank: int) -> None:
@@ -443,7 +443,7 @@ def reference_loops(monkeypatch):
     return REFERENCE_USE
 
 
-class Spy(Tracer):
+class Spy(TraceSink):
     """A tracer that keeps the algorithm instance, for its lock and
     ``work_avail`` counters."""
 

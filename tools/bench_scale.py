@@ -66,8 +66,8 @@ class QueuePeakMonitor(InvariantMonitor):
         self.queue_samples: list = []
 
     def emit(self, time: float, thread: int, kind: str,
-             detail: str = "") -> None:
-        super().emit(time, thread, kind, detail)
+             fields: tuple = ()) -> None:
+        super().emit(time, thread, kind, fields)
         if self.machine is not None:
             self.queue_samples.append(self.machine.sim.queue_size)
 

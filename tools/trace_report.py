@@ -9,6 +9,10 @@ breakdown, and (on faulted runs) the injection/recovery ledger.  Or,
 with ``--run``, performs a small traced run first and reports on that,
 which is what the CI trace-smoke job does.
 
+A log that does not match the event schema (not JSON, an unknown
+kind, an undeclared or mistyped field) is bad input: one
+``trace_report.py: error: <file>:<line>: ...`` line and exit status 2.
+
 Usage::
 
     PYTHONPATH=src python tools/trace_report.py run.jsonl --out report.md
@@ -24,6 +28,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.errors import TraceFormatError  # noqa: E402
 from repro.harness.runner import run_experiment  # noqa: E402
 from repro.obs import TraceSink, load_jsonl, render_trace_report  # noqa: E402
 from repro.uts.params import TreeParams  # noqa: E402
@@ -64,7 +69,10 @@ def main(argv=None) -> int:
     if args.run is not None:
         events, meta = _traced_run(args)
     else:
-        meta, events = load_jsonl(args.jsonl)
+        try:
+            meta, events = load_jsonl(args.jsonl)
+        except (OSError, TraceFormatError) as exc:
+            p.error(str(exc))
 
     report = render_trace_report(events, meta)
     if args.out:
