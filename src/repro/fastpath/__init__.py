@@ -2,10 +2,10 @@
 
 Two hot loops gate every figure in this reproduction: the engine's
 event-dispatch loop (`Simulator.run`) and UTS tree expansion.  This
-package provides compiled/vectorized implementations of both as an
-optional backend: pure Python stays a first-class fallback, and the
-compiled paths are required (and verified in CI) to execute
-*bit-identical* schedules.
+package provides compiled implementations of both as an optional
+backend: pure Python stays a first-class fallback, and the compiled
+paths are required (and verified in CI) to execute *bit-identical*
+schedules.
 
 Components
 ----------
@@ -27,14 +27,6 @@ Components
     bound per rank by ``AlgorithmBase``'s ``_build_c_phase`` /
     ``_build_c_search`` and ``mpi-ws``'s ``_build_c_idle``.  Built by
     ``setup.py build_ext``; its absence is never an error.
-
-``nputs``
-    numpy-vectorized tree construction kernels (binomial child counts,
-    SplitMix64 spawning), level at a time from one root or from a
-    service stream's task roots.  Only integer-exact operations are
-    vectorized, so the trees cannot diverge from the scalar engines.
-    The builder of a host with numpy and no compiler: where ``_core``
-    loads, ``expand`` is taken first and numpy is never imported.
 
 Selection
 ---------
@@ -69,7 +61,6 @@ __all__ = [
     "env_mode",
     "load_core",
     "resolve",
-    "vector_expansion_enabled",
     "why_unavailable",
 ]
 
@@ -190,28 +181,11 @@ def batch_expander(tree: Any) -> Optional[Callable[[list, int, int], tuple]]:
     return partial(core.batch_expand, tree, tree.delta, tree.size)
 
 
-def vector_expansion_enabled() -> bool:
-    """Whether numpy-vectorized tree *construction* should be used.
-
-    Independent of the compiled dispatch core (construction kernels
-    only need numpy), but still honours a forced-pure environment so
-    ``REPRO_FASTPATH=0`` exercises the all-scalar build.
-    """
-    if env_mode() == "pure":
-        return False
-    from repro.fastpath import nputs  # noqa: PLC0415
-
-    return nputs.HAVE_NUMPY
-
-
 def describe() -> dict:
     """Backend inventory for bench/profile headers."""
-    from repro.fastpath import nputs  # noqa: PLC0415
-
     return {
         "core_available": available(),
         "core_unavailable_reason": why_unavailable(),
-        "numpy_available": nputs.HAVE_NUMPY,
         "env": os.environ.get("REPRO_FASTPATH"),
         "resolved_auto": resolve("auto"),
     }

@@ -2088,21 +2088,21 @@ uts_room(void *buf, long long *cap, long long need, size_t width)
 /* The reverse pass that closes uts.materialized.expand: child j + 1
  * starts where child j's subtree ends. */
 static void
-uts_sizes(const int32_t *n_kids, int32_t *size, Py_ssize_t n)
+uts_sizes(const int32_t *delta, int32_t *size, Py_ssize_t n)
 {
     Py_ssize_t i;
     for (i = n - 1; i >= 0; i--) {
         int32_t s = 1, j;
-        for (j = 0; j < n_kids[i]; j++)
+        for (j = 0; j <= delta[i]; j++)
             s += size[i + s];
         size[i] = s;
     }
 }
 
-/* What expand returns with arrays: (n_kids, size, max_depth), two
- * array('i') of n items -- `n_kids` copied in, and its subtree sizes. */
+/* What expand returns with arrays: (delta, size, max_depth), two
+ * array('i') of n items -- `delta` copied in, and its subtree sizes. */
 static PyObject *
-uts_result(const int32_t *n_kids, Py_ssize_t n, long long max_depth)
+uts_result(const int32_t *delta, Py_ssize_t n, long long max_depth)
 {
     PyObject *mod, *one, *arrays[2] = {NULL, NULL}, *res = NULL;
     Py_buffer view[2];
@@ -2124,7 +2124,7 @@ uts_result(const int32_t *n_kids, Py_ssize_t n, long long max_depth)
                         "fastpath: array('i') items are not 32 bits here");
         goto done;
     }
-    memcpy(view[0].buf, n_kids, (size_t)n * sizeof(int32_t));
+    memcpy(view[0].buf, delta, (size_t)n * sizeof(int32_t));
     uts_sizes(view[0].buf, view[1].buf, n);
     res = Py_BuildValue("OOL", arrays[0], arrays[1], max_depth);
 done:
@@ -2140,7 +2140,7 @@ done:
  * splitmix engine: the sequential pop() / extend(children) search with
  * the generator inline, from `roots` (height-0 states back to back: 20
  * bytes each for sha1, a native uint64 for splitmix), the first root
- * on top.  Returns (n_kids, size, max_depth) -- two array('i') in
+ * on top.  Returns (delta, size, max_depth) -- two array('i') in
  * visit order -- or, with count_only, (n_nodes, n_leaves, max_depth)
  * and no arrays; None when visited + pending nodes pass `cap`, the
  * scalar loop's boundary (the layout's positions are int32, so with
@@ -2152,11 +2152,11 @@ py_expand(PyObject *module, PyObject *args)
     Py_buffer roots;
     long long b0, m, thresh, cap, i;
     long long n = 0, leaves = 0, max_depth = 0, sp, n_roots;
-    long long stack_cap = 1024, kids_cap = 4096;
+    long long stack_cap = 1024, delta_cap = 4096;
     int count_only = 0, is_sha1;
     Py_ssize_t width;
     UtsNode *stack = NULL;
-    int32_t *kids = NULL;
+    int32_t *delta = NULL;
     void *room;
     PyObject *res = NULL;
 
@@ -2183,8 +2183,8 @@ py_expand(PyObject *module, PyObject *args)
         cap = INT32_MAX;
     n_roots = roots.len / width;
     if ((stack = malloc((size_t)stack_cap * sizeof(UtsNode))) == NULL
-            || (!count_only && (kids = malloc(
-                    (size_t)kids_cap * sizeof(int32_t))) == NULL)) {
+            || (!count_only && (delta = malloc(
+                    (size_t)delta_cap * sizeof(int32_t))) == NULL)) {
         PyErr_NoMemory();
         goto done;
     }
@@ -2215,11 +2215,11 @@ py_expand(PyObject *module, PyObject *args)
             k = r < thresh ? m : 0;
         }
         if (!count_only) {
-            room = uts_room(kids, &kids_cap, n + 1, sizeof(int32_t));
+            room = uts_room(delta, &delta_cap, n + 1, sizeof(int32_t));
             if (room == NULL)
                 goto done;
-            kids = room;
-            kids[n] = (int32_t)k;
+            delta = room;
+            delta[n] = (int32_t)(k - 1);
         }
         /* a count can run for minutes: stay interruptible */
         if ((++n & 0xFFFFF) == 0 && PyErr_CheckSignals() < 0)
@@ -2249,10 +2249,10 @@ py_expand(PyObject *module, PyObject *args)
         }
     }
     res = count_only ? Py_BuildValue("LLL", n, leaves, max_depth)
-        : uts_result(kids, (Py_ssize_t)n, max_depth);
+        : uts_result(delta, (Py_ssize_t)n, max_depth);
 done:
     free(stack);
-    free(kids);
+    free(delta);
     PyBuffer_Release(&roots);
     return res;
 }
@@ -2897,7 +2897,7 @@ static PyMethodDef core_methods[] = {
      "batch_expand(tree, delta, size, local, limit, thresh) -> (n, pushed)"},
     {"expand", py_expand, METH_VARARGS,
      "expand(engine, roots, b0, m, thresh, cap, count_only=False) -> "
-     "(n_kids, size, max_depth) | (n_nodes, n_leaves, max_depth) | None"},
+     "(delta, size, max_depth) | (n_nodes, n_leaves, max_depth) | None"},
     {"scan_probe", py_scan_probe, METH_VARARGS,
      "scan_probe(scan, slots, bounds) -> (victim, cost_acc, n_probes) -- "
      "ProbeScan.probe"},

@@ -34,18 +34,6 @@ STATE_CHARS = {
 }
 
 
-def _thread_intervals(tracer: TraceSink, rank: int, sim_time: float,
-                      initial: str) -> tuple:
-    """(transition times, states) for one thread, from trace records."""
-    times: List[float] = [0.0]
-    states: List[str] = [initial]
-    for rec in tracer.records:
-        if rec.kind == "state" and rec.rank == rank:
-            times.append(rec.time)
-            states.append(rec.fields[0])
-    return times, states
-
-
 def render_timeline(tracer: TraceSink, n_threads: int, sim_time: float,
                     width: int = 72, max_threads: int = 32) -> str:
     """Render per-thread state rows over ``width`` time buckets.
@@ -54,25 +42,30 @@ def render_timeline(tracer: TraceSink, n_threads: int, sim_time: float,
     """
     if sim_time <= 0:
         return "(empty timeline)"
+    # Imported here: repro.obs.analysis imports repro.metrics.
+    from repro.obs.analysis import _state_intervals
     shown = min(n_threads, max_threads)
+    rows: List[List[tuple]] = [[] for _ in range(shown)]
+    for rank, state, t0, t1 in _state_intervals(tracer.records, shown,
+                                                 sim_time):
+        rows[rank].append((t0, t1, state))
     lines = [f"simulated time: 0 .. {sim_time * 1e3:.2f} ms "
              f"({width} buckets)"]
-    for rank in range(shown):
-        initial = WORKING if rank == 0 else SEARCHING
-        times, states = _thread_intervals(tracer, rank, sim_time, initial)
+    for rank, intervals in enumerate(rows):
+        starts = [t0 for t0, _, _ in intervals]
         row = []
         for b in range(width):
             # Majority state within the bucket, by occupancy.
             lo = sim_time * b / width
             hi = sim_time * (b + 1) / width
             occupancy: dict = {}
-            i = max(bisect_right(times, lo) - 1, 0)
-            while i < len(times) and times[i] < hi:
-                seg_lo = max(times[i], lo)
-                seg_hi = min(times[i + 1] if i + 1 < len(times) else sim_time,
-                             hi)
+            i = max(bisect_right(starts, lo) - 1, 0)
+            while i < len(intervals) and starts[i] < hi:
+                t0, t1, state = intervals[i]
+                seg_lo = max(t0, lo)
+                seg_hi = min(t1, hi)
                 if seg_hi > seg_lo:
-                    occupancy[states[i]] = occupancy.get(states[i], 0.0) + \
+                    occupancy[state] = occupancy.get(state, 0.0) + \
                         (seg_hi - seg_lo)
                 i += 1
             if occupancy:

@@ -20,7 +20,7 @@ All functions accept the event list from
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.metrics.states import SEARCHING, STATES, WORKING
 from repro.obs.events import ObsEvent
@@ -48,6 +48,27 @@ def _infer_shape(events: List[ObsEvent], n_threads: Optional[int],
     return n_threads, sim_time
 
 
+def _state_intervals(events: List[ObsEvent], n_threads: int,
+                     sim_time: float
+                     ) -> Iterator[Tuple[int, str, float, float]]:
+    """``(rank, state, t0, t1)`` for every Figure-1 state interval of
+    ranks ``0 .. n_threads - 1``, from ``state`` events: the interval
+    each transition closes, in event order, then each rank's last one,
+    up to ``sim_time``, in rank order.  Ranks start as a run does (rank
+    0 working, the rest searching); an interval may be empty.
+    """
+    current = {r: (WORKING if r == 0 else SEARCHING, 0.0)
+               for r in range(n_threads)}
+    for ev in events:
+        if ev.kind != "state" or ev.rank not in current:
+            continue
+        state, since = current[ev.rank]
+        yield ev.rank, state, since, ev.time
+        current[ev.rank] = (ev.args.get("state", state), ev.time)
+    for rank, (state, since) in current.items():
+        yield rank, state, since, max(sim_time, since)
+
+
 def state_occupancy(events: List[ObsEvent], n_threads: Optional[int] = None,
                     sim_time: Optional[float] = None
                     ) -> Dict[int, Dict[str, float]]:
@@ -59,16 +80,8 @@ def state_occupancy(events: List[ObsEvent], n_threads: Optional[int] = None,
     """
     n_threads, sim_time = _infer_shape(events, n_threads, sim_time)
     occupancy = {r: dict.fromkeys(STATES, 0.0) for r in range(n_threads)}
-    current = {r: (WORKING if r == 0 else SEARCHING, 0.0)
-               for r in range(n_threads)}
-    for ev in events:
-        if ev.kind != "state" or ev.rank not in current:
-            continue
-        state, since = current[ev.rank]
-        occupancy[ev.rank][state] += ev.time - since
-        current[ev.rank] = (ev.args.get("state", state), ev.time)
-    for rank, (state, since) in current.items():
-        occupancy[rank][state] += max(sim_time - since, 0.0)
+    for rank, state, t0, t1 in _state_intervals(events, n_threads, sim_time):
+        occupancy[rank][state] += t1 - t0
     return occupancy
 
 

@@ -17,36 +17,12 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.metrics.states import SEARCHING, WORKING
-from repro.obs.analysis import _infer_shape
+from repro.obs.analysis import _infer_shape, _state_intervals
 from repro.obs.events import ObsEvent
 
 __all__ = ["to_chrome_trace", "dump_chrome_trace"]
 
 _PID = 0
-
-
-def _initial_state(rank: int) -> str:
-    """Rank 0 starts working (it holds the root); everyone else searches."""
-    return WORKING if rank == 0 else SEARCHING
-
-
-def _state_slices(events: List[ObsEvent], n_threads: int,
-                  sim_time: float) -> List[Dict[str, Any]]:
-    """Per-rank complete events covering [0, sim_time] without gaps."""
-    out: List[Dict[str, Any]] = []
-    current = {r: (_initial_state(r), 0.0) for r in range(n_threads)}
-    for ev in events:
-        if ev.kind != "state" or ev.rank not in current:
-            continue
-        state, since = current[ev.rank]
-        if ev.time > since:
-            out.append(_slice(ev.rank, state, since, ev.time))
-        current[ev.rank] = (ev.args.get("state", state), ev.time)
-    for rank, (state, since) in sorted(current.items()):
-        if sim_time > since:
-            out.append(_slice(rank, state, since, sim_time))
-    return out
 
 
 def _slice(rank: int, state: str, t0: float, t1: float) -> Dict[str, Any]:
@@ -81,7 +57,10 @@ def to_chrome_trace(events: Iterable[ObsEvent], *,
                              "pid": _PID, "tid": rank,
                              "args": {"sort_index": rank}})
 
-    trace_events.extend(_state_slices(events, n_threads, sim_time))
+    # Each rank's states as slices covering [0, sim_time] without gaps.
+    trace_events.extend(
+        _slice(rank, state, t0, t1) for rank, state, t0, t1
+        in _state_intervals(events, n_threads, sim_time) if t1 > t0)
 
     for ev in events:
         if ev.kind == "state":

@@ -40,6 +40,7 @@ e.g. ``"slow:4@1;greedy@2;dup@last"``.
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 from repro.errors import ConfigError
@@ -54,6 +55,8 @@ class Adversary:
     """One hostile actor, bound to a rank at install time."""
 
     kind = "abstract"
+    #: Whether a spec may give the actor a number (``"kind:param"``).
+    _takes_param = False
 
     def install(self, algo, rank: int) -> None:
         raise NotImplementedError
@@ -66,6 +69,7 @@ class SlowWorker(Adversary):
     """A rank whose node visits cost ``factor`` times the baseline."""
 
     kind = "slow"
+    _takes_param = True
 
     def __init__(self, factor: float = 8.0) -> None:
         if not factor > 0:
@@ -123,12 +127,20 @@ def parse_adversary(spec: str) -> Adversary:
         )
     if not param:
         return cls()
+    if not cls._takes_param:
+        raise ConfigError(
+            f"adversary {kind!r} takes no parameter, got {spec!r}"
+        )
     try:
         value = float(param)
     except ValueError:
         raise ConfigError(
             f"adversary parameter must be a number, got {spec!r}"
         ) from None
+    if not math.isfinite(value):
+        raise ConfigError(
+            f"adversary parameter must be a finite number, got {spec!r}"
+        )
     return cls(value)
 
 

@@ -23,6 +23,7 @@ every machine size):
 
 from __future__ import annotations
 
+import math
 from typing import Tuple
 
 from repro.errors import ConfigError
@@ -74,9 +75,10 @@ def build_speed_factors(spec: str, threads: int) -> Tuple[float, ...]:
             raise ConfigError(
                 f"speed-profile factor must be a number, got {spec!r}"
             ) from None
-        if not factor > 0:
+        if not (math.isfinite(factor) and factor > 0):
             raise ConfigError(
-                f"speed-profile factor must be > 0, got {factor!r}"
+                f"speed-profile factor must be a finite number > 0, "
+                f"got {spec!r}"
             )
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")

@@ -64,10 +64,10 @@ class TaskForest(MaterializedTree):
                 f"n_tasks={n_tasks} tasks of {params.describe()} expand to "
                 f"an estimated {estimate:.3g} nodes; a task forest holds at "
                 f"most {_MAX_NODES}")
-        n_kids, size, max_depth = built
+        delta, size, max_depth = built
         # AlgorithmBase seeds T0's stack with ``root()`` unconditionally;
         # the bootstrap expands to nothing and belongs to no task.
-        super().__init__(params, array("i", [0]) + n_kids,
+        super().__init__(params, array("i", [-1]) + delta,
                          array("i", [1]) + size, max_depth)
         self.off = array("i", [1])
         self.task_of = array("i", [-1])

@@ -8,17 +8,20 @@ exactly once and keeps the tree's *shape*, which is all a search reads
 after that (stacks, chunks, steals and fault journals only move opaque
 handles): a node is named by its **visit position**, states are dropped.
 
-Layout: three flat ``array('i')`` indexed by the order the sequential
+Layout: two flat ``array('i')`` indexed by the order the sequential
 ``pop()`` / ``extend(children)`` depth-first search visits nodes
-(root = 0): ``n_kids[i]``, the child count; ``delta[i] = n_kids[i] -
-1``, what visiting ``i`` does to the length of a DFS stack; and
+(root = 0): ``delta[i]``, the child count less one -- what visiting
+``i`` does to the length of a DFS stack, ``-1`` for a leaf -- and
 ``size[i]``, the nodes in ``i``'s subtree, which is exactly positions
 ``i .. i + size[i] - 1``.  The children of ``i`` are the chain ``c1 =
 i + 1``, ``c(j+1) = cj + size[cj]``, and a visit batch is a scan of a
 slice of ``delta`` (:meth:`MaterializedTree.batch_expand`).  The arrays
-are read-only after construction, hold no Python objects (12 bytes a
+are read-only after construction, hold no Python objects (8 bytes a
 node, nothing for the garbage collector to walk), and are shared
-copy-on-write with forked sweep workers.
+copy-on-write with forked sweep workers.  One builder per backend
+makes them (:func:`expand`): the compiled kernel ``_core.expand`` where
+the extension loads and has a generator for the tree, else the scalar
+loop, the reference the kernel is held to.
 
 Memory is bounded by :func:`node_cap` (:data:`DEFAULT_NODE_CAP` nodes,
 override with ``REPRO_TREE_CACHE_CAP``; ``0`` disables materialization
@@ -48,9 +51,9 @@ __all__ = ["MaterializedTree", "materialize", "node_cap", "DEFAULT_NODE_CAP",
            "tree_for", "expected_node_count"]
 
 #: Default ceiling on materialized tree size (nodes): a 250 MB budget
-#: at the layout's 12 bytes a node (three int32 arrays).  Past that,
+#: at the layout's 8 bytes a node (two int32 arrays).  Past that,
 #: on-the-fly generation is the right trade.
-DEFAULT_NODE_CAP = 250_000_000 // 12
+DEFAULT_NODE_CAP = 250_000_000 // 8
 
 #: What a count of a tree too large to materialize stops at: parameters
 #: this close to critical were a typo (the paper's 157 G-node tree).
@@ -81,17 +84,16 @@ class MaterializedTree:
     height)`` tuples exist only on the implicit :class:`Tree`.
     """
 
-    __slots__ = ("params", "n_kids", "delta", "size",
-                 "n_nodes", "n_leaves", "max_depth")
+    __slots__ = ("params", "delta", "size", "n_nodes", "n_leaves",
+                 "max_depth")
 
-    def __init__(self, params: TreeParams, n_kids: array, size: array,
+    def __init__(self, params: TreeParams, delta: array, size: array,
                  max_depth: int) -> None:
         self.params = params
-        self.n_kids = n_kids
-        self.delta = array("i", (k - 1 for k in n_kids))
+        self.delta = delta
         self.size = size
-        self.n_nodes = len(n_kids)
-        self.n_leaves = n_kids.count(0)
+        self.n_nodes = len(delta)
+        self.n_leaves = delta.count(-1)
         self.max_depth = max_depth
 
     @classmethod
@@ -117,16 +119,16 @@ class MaterializedTree:
                 f"{self.describe()}: {node!r} is not a node of this "
                 f"materialized tree (its handles are the ints 0.."
                 f"{self.n_nodes - 1}, valid for no other tree)")
-        return self.n_kids[node]
+        return self.delta[node] + 1
 
     def children(self, node: int) -> list:
         """Children of ``node`` as a fresh list, last-visited first (so
         a DFS stack extended with it pops positions in order)."""
-        n_kids = self.num_children(node)
+        count = self.num_children(node)
         size = self.size
         kids = []
         child = node + 1
-        for _ in range(n_kids):
+        for _ in range(count):
             kids.append(child)
             child += size[child]
         kids.reverse()
@@ -209,32 +211,21 @@ def _compiled(base: Tree):
 
 
 def expand(base: Tree, roots: list, cap: int):
-    """The layout's ``(n_kids, size, max_depth)`` for the subtrees under
+    """The layout's ``(delta, size, max_depth)`` for the subtrees under
     ``roots`` (height-0 nodes of ``base``), one after the other, each in
     the order the sequential search visits it; None past ``cap`` nodes.
 
-    Three builders, the same arrays: the compiled depth-first kernel;
-    without a compiler the level-order numpy one; and the scalar loop
-    below, the reference both are held to.
+    Two builders, the same arrays: the compiled depth-first kernel
+    where one applies, else the scalar loop below, the reference the
+    kernel is held to.
     """
     kernel = _compiled(base)
     if kernel is not None:
         return kernel(roots, cap)
-    # Vectorized builder (repro.fastpath.nputs).  None means "no
-    # kernel for this shape"; OVERFLOW means the scalar loop would hit
-    # the cap too.
-    from repro.fastpath import vector_expansion_enabled
-    if vector_expansion_enabled():
-        from repro.fastpath import nputs
-        built = nputs.fast_build(base, cap, roots)
-        if built is nputs.OVERFLOW:
-            return None
-        if built is not None:
-            return built
     # The sequential search itself: pop order is the layout's index
     # (the first root on top, so each subtree is done before the next).
-    n_kids = array("i")
-    count = n_kids.append
+    delta = array("i")
+    visit = delta.append
     max_depth = 0
     stack = roots[::-1]
     pop = stack.pop
@@ -243,21 +234,21 @@ def expand(base: Tree, roots: list, cap: int):
     while stack:
         node = pop()
         kids = children(node)
-        count(len(kids))
+        visit(len(kids) - 1)
         if kids:
             extend(kids)
-            if len(n_kids) + len(stack) > cap:
+            if len(delta) + len(stack) > cap:
                 return None
         elif node[1] > max_depth:  # the deepest node is a leaf
             max_depth = node[1]
     # Sizes in reverse: child j+1 starts where child j's subtree ends.
-    size = array("i", [1]) * len(n_kids)
-    for i in range(len(n_kids) - 1, -1, -1):
+    size = array("i", [1]) * len(delta)
+    for i in range(len(delta) - 1, -1, -1):
         s = 1
-        for _ in range(n_kids[i]):
+        for _ in range(delta[i] + 1):
             s += size[i + s]
         size[i] = s
-    return n_kids, size, max_depth
+    return delta, size, max_depth
 
 
 def materialize(params: TreeParams, max_nodes: Optional[int] = None):

@@ -20,6 +20,7 @@ naming the registered alternatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -189,9 +190,9 @@ class WsConfig:
             object.__setattr__(self, "speed_factors", factors)
         for i, f in enumerate(factors):
             if not isinstance(f, (int, float)) or isinstance(f, bool) \
-                    or not f > 0:
+                    or not 0 < f < math.inf:
                 raise ConfigError(
-                    f"speed_factors[{i}] must be a positive number, "
+                    f"speed_factors[{i}] must be a finite positive number, "
                     f"got {f!r}"
                 )
 

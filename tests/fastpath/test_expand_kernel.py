@@ -1,12 +1,12 @@
-"""``_core.expand`` == the scalar search == the numpy builder.
+"""``_core.expand`` == the scalar search.
 
 A tree is built once and every run of a sweep reads it, so one wrong
 child count forks every schedule pinned on it; and ``size`` is what
 ``lost_work`` accounting reads.  The compiled kernel is therefore held,
 node for node, to the scalar loop of ``uts.materialized.expand`` (the
-reference: ``hashlib`` / ``_mix64`` through ``Tree.children``) and to
-the level-order numpy builder, on ``(n_kids, size, max_depth)``: from
-one root and from a service stream's task roots, at the cap's
+reference: ``hashlib`` / ``_mix64`` through ``Tree.children``), on
+``(delta, size, max_depth)``: from one root and from a service
+stream's task roots, at the cap's
 boundary, past the kernel's initial stack in depth and in width, and
 across child index 4095/4096, where ``uts/rng.py`` switches from its
 suffix table to ``struct.pack``.  The C SHA-1 has no test hook: the
@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.fastpath as fp
-from repro.fastpath import nputs
 from repro.harness import config
 from repro.service.tasks import TaskForest
 from repro.sim.rng import substream_seed
@@ -60,11 +59,6 @@ def compiled(base, roots, cap=CAP, count_only=False):
         return expand(base, roots, cap)
 
 
-def vector(base, roots, cap=CAP):
-    built = nputs.fast_build(base, cap, roots)
-    return None if built is nputs.OVERFLOW else built
-
-
 def task_roots(base, seed, n_tasks):
     """A service stream's task roots, as ``TaskForest`` derives them."""
     init = base.engine.init
@@ -83,23 +77,21 @@ def binomial_trees(draw, max_b0=40):
         engine=draw(st.sampled_from(ENGINES)))
 
 
-# -- the three builders, node for node ---------------------------------------
+# -- the two builders, node for node -----------------------------------------
 
 @given(params=binomial_trees())
 @settings(max_examples=120, deadline=None)
-def test_one_root_three_builders_one_tree(params):
+def test_one_root_two_builders_one_tree(params):
     base = Tree(params)
     roots = [base.root()]
     ref = scalar(base, roots)
     got = compiled(base, roots)
     assert got == ref
     assert all(type(a) is array and a.typecode == "i" for a in got[:2])
-    if nputs.HAVE_NUMPY:
-        assert vector(base, roots) == ref
     stats = count_tree(params)
     assert compiled(base, roots, count_only=True) == (
         stats.n_nodes, stats.n_leaves, stats.max_depth)
-    assert (len(ref[0]), ref[0].count(0), ref[2]) == (
+    assert (len(ref[0]), ref[0].count(-1), ref[2]) == (
         stats.n_nodes, stats.n_leaves, stats.max_depth)
 
 
@@ -107,17 +99,15 @@ def test_one_root_three_builders_one_tree(params):
        stream_seed=st.integers(min_value=0, max_value=2 ** 32),
        n_tasks=st.integers(min_value=0, max_value=30))
 @settings(max_examples=80, deadline=None)
-def test_task_root_forests_three_builders_one_layout(params, stream_seed,
-                                                     n_tasks):
+def test_task_root_forests_two_builders_one_layout(params, stream_seed,
+                                                   n_tasks):
     base = Tree(params)
     roots = task_roots(base, stream_seed, n_tasks)
     ref = scalar(base, roots)
     assert compiled(base, roots) == ref
-    if nputs.HAVE_NUMPY and n_tasks:
-        assert vector(base, roots) == ref
     n_nodes, n_leaves, max_depth = compiled(base, roots, count_only=True)
     assert (n_nodes, n_leaves, max_depth) == (
-        len(ref[0]), ref[0].count(0), ref[2])
+        len(ref[0]), ref[0].count(-1), ref[2])
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -127,18 +117,13 @@ def test_a_task_forest_built_each_way_is_equal_array_for_array(
 
     def forest():
         f = TaskForest(params, 11, 200)
-        return (f.n_kids, f.delta, f.size, f.off, f.task_of, f.max_depth,
+        return (f.delta, f.size, f.off, f.task_of, f.max_depth,
                 f.n_nodes, f.n_leaves)
 
     monkeypatch.delenv("REPRO_FASTPATH", raising=False)
     by_kernel = forest()
-    with monkeypatch.context() as mp:
-        mp.setenv("REPRO_FASTPATH", "0")
-        assert forest() == by_kernel
-    if nputs.HAVE_NUMPY:
-        with monkeypatch.context() as mp:
-            mp.setattr(materialized, "_compiled", lambda base: None)
-            assert forest() == by_kernel
+    monkeypatch.setenv("REPRO_FASTPATH", "0")
+    assert forest() == by_kernel
 
 
 # -- the cap -------------------------------------------------------------------
@@ -191,8 +176,8 @@ def test_small_presets_match_count_tree(name):
     params = getattr(config, name)
     stats = count_tree(params)
     base = Tree(params)
-    n_kids, size, max_depth = compiled(base, [base.root()], 10 ** 7)
-    assert (len(n_kids), n_kids.count(0), max_depth) == (
+    delta, size, max_depth = compiled(base, [base.root()], 10 ** 7)
+    assert (len(delta), delta.count(-1), max_depth) == (
         stats.n_nodes, stats.n_leaves, stats.max_depth)
     assert size[0] == stats.n_nodes
     assert compiled(base, [base.root()], 10 ** 7, count_only=True) == (
@@ -211,7 +196,7 @@ def test_root_wider_than_the_initial_stack(engine):
     base = Tree(TreeParams.binomial(b0=4000, m=3, q=0.2, seed=9,
                                     engine=engine))
     ref = scalar(base, [base.root()])
-    assert ref[0][0] == 4000
+    assert ref[0][0] == 3999
     assert compiled(base, [base.root()]) == ref
 
 
@@ -233,7 +218,7 @@ def test_sha1_child_indices_across_the_suffix_table_edge(seed, b0, m):
     so every state word is read by the generation below."""
     base = Tree(TreeParams.binomial(b0=b0, m=m, q=0.3, seed=seed))
     ref = scalar(base, [base.root()])
-    assert ref[0].count(m) > 1000
+    assert ref[0].count(m - 1) > 1000
     assert compiled(base, [base.root()]) == ref
 
 

@@ -111,21 +111,6 @@ def test_env_garbage_raises(monkeypatch):
         fp.env_mode()
 
 
-# -- vectorized tree construction ------------------------------------
-
-def test_vector_expansion_disabled_by_pure_env(monkeypatch):
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
-    assert not fp.vector_expansion_enabled()
-
-
-def test_vector_expansion_tracks_numpy(clean_env, monkeypatch):
-    from repro.fastpath import nputs
-    monkeypatch.setattr(nputs, "HAVE_NUMPY", False)
-    assert not fp.vector_expansion_enabled()
-    monkeypatch.setattr(nputs, "HAVE_NUMPY", True)
-    assert fp.vector_expansion_enabled()
-
-
 # -- config / simulator surface --------------------------------------
 
 def test_wsconfig_rejects_bad_fastpath():
@@ -182,7 +167,7 @@ def test_simulator_rejects_bad_mode(clean_env):
 
 def test_describe_inventory_keys(clean_env):
     info = fp.describe()
-    assert set(info) >= {"core_available", "numpy_available",
+    assert set(info) == {"core_available", "core_unavailable_reason",
                          "resolved_auto", "env"}
     assert info["resolved_auto"] in ("pure", "fast")
 

@@ -7,6 +7,7 @@ import pytest
 from repro import TreeParams, run_experiment
 from repro.check import check_run
 from repro.check.invariants import InvariantMonitor
+from repro.errors import ConfigError
 from repro.scenarios import SCENARIOS, check_scenario, parse_adversaries
 from repro.ws.config import WsConfig
 
@@ -15,6 +16,13 @@ VARIANTS = ("upc-sharedmem", "upc-term", "upc-term-rapdif",
             "upc-distmem", "upc-distmem-hier", "mpi-ws")
 ADVERSARY_SPECS = ("slow:8@1", "greedy@1,2", "dup@1,2",
                    "slow:4@1;greedy@2;dup@3")
+#: Clauses the grammar refuses by name: a parameter that is not a
+#: finite number, and a parameter on a kind that takes none.
+BAD_SPECS = (("slow:inf@1", "finite number"),
+             ("slow:1e400@1", "finite number"),
+             ("slow:nan@1", "finite number"),
+             ("greedy:2@1", "adversary 'greedy' takes no parameter"),
+             ("slow:4@1;dup:1@2", "adversary 'dup' takes no parameter"))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -25,6 +33,12 @@ def test_conservation_under_adversaries(variant, spec):
     run_experiment(variant, tree=TREE, threads=8, config=cfg,
                    verify=True, tracer=monitor)
     monitor.final_check()
+
+
+@pytest.mark.parametrize("spec, match", BAD_SPECS)
+def test_bad_parameters_are_config_errors(spec, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_adversaries(spec, 8)
 
 
 @pytest.mark.parametrize("variant", ("upc-distmem", "upc-term"))

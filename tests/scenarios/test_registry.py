@@ -1,5 +1,7 @@
 """Policy/scenario registry error paths and config validation."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
@@ -52,17 +54,22 @@ class TestWsConfigValidation:
         with pytest.raises(ConfigError, match="unknown steal-amount policy"):
             cfg2.with_chunk_size(8)
 
-    def test_bad_speed_factors(self):
-        with pytest.raises(ConfigError):
-            WsConfig(speed_factors=(1.0, -2.0))
-        with pytest.raises(ConfigError):
-            WsConfig(speed_factors=(1.0, True))
+    @pytest.mark.parametrize("bad", [-2.0, True, math.inf, -math.inf,
+                                     math.nan], ids=repr)
+    def test_bad_speed_factors(self, bad):
+        with pytest.raises(ConfigError, match=r"speed_factors\[1\]"):
+            WsConfig(speed_factors=(1.0, bad))
 
-    def test_bad_adversaries(self):
-        with pytest.raises(ConfigError):
-            WsConfig(adversaries=((0, "ransom"),))
-        with pytest.raises(ConfigError):
-            WsConfig(adversaries=((-1, "slow"),))
+    @pytest.mark.parametrize("pair, match", [
+        ((0, "ransom"), "unknown adversary"),
+        ((-1, "slow"), "rank >= 0"),
+        ((0, "slow:inf"), "finite"),
+        ((0, "dup:1"), "'dup' takes no parameter"),
+        ((0, "greedy:2"), "'greedy' takes no parameter"),
+    ], ids=repr)
+    def test_bad_adversaries(self, pair, match):
+        with pytest.raises(ConfigError, match=match):
+            WsConfig(adversaries=(pair,))
 
 
 class TestIncompatibleTermination:
@@ -119,6 +126,25 @@ class TestSpecGrammars:
             build_speed_factors("bimodal", 4)
         with pytest.raises(ConfigError):
             build_speed_factors("half-slow:0", 4)
+
+    @pytest.mark.parametrize("spec", [
+        "graded:inf", "half-slow:inf", "alternating:1e400", "graded:nan",
+        "half-slow:-inf"])
+    def test_profile_factor_must_be_finite(self, spec):
+        with pytest.raises(ConfigError, match="finite number > 0"):
+            build_speed_factors(spec, 4)
+
+    @pytest.mark.parametrize("spec, match", [
+        ("slow:inf", "finite number"),
+        ("slow:-inf", "finite number"),
+        ("slow:nan", "finite number"),
+        ("slow:1e400", "finite number"),
+        ("greedy:2", "adversary 'greedy' takes no parameter"),
+        ("dup:1", "adversary 'dup' takes no parameter"),
+    ])
+    def test_adversary_parameter_is_checked_by_kind(self, spec, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_adversary(spec)
 
     def test_adversary_specs(self):
         assert parse_adversaries("slow:2@1;dup@last", 8) == (

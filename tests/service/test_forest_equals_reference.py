@@ -301,33 +301,34 @@ def test_the_cells_are_not_vacuous():
 @pytest.mark.parametrize("engine", ["splitmix", "sha1", "sha1-pure"])
 def test_forest_is_the_reference_walk_by_either_builder(engine, monkeypatch):
     """Task by task the layout is the sequential search from the
-    reference's task root, and the level-order numpy build (splitmix,
-    sha1: a kernel; sha1-pure: none, so the scalar loop twice) equals
-    the scalar build array for array."""
+    reference's task root, and the default build (splitmix, sha1: the
+    compiled kernel where the extension loads; sha1-pure: none, so the
+    scalar loop twice) equals the scalar build array for array."""
     params = ServiceConfig(task_engine=engine).inner_params()
-    vector = TaskForest(params, 3, 60)
+    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+    default = TaskForest(params, 3, 60)
     monkeypatch.setenv("REPRO_FASTPATH", "0")
     scalar = TaskForest(params, 3, 60)
-    for name in ("n_kids", "delta", "size", "off", "task_of"):
-        assert getattr(vector, name) == getattr(scalar, name), name
-    assert (vector.n_nodes, vector.n_leaves, vector.max_depth) == (
+    for name in ("delta", "size", "off", "task_of"):
+        assert getattr(default, name) == getattr(scalar, name), name
+    assert (default.n_nodes, default.n_leaves, default.max_depth) == (
         scalar.n_nodes, scalar.n_leaves, scalar.max_depth)
 
     ref = ReferenceWorkload(params, seed=3)
     inner = ref.inner
-    assert vector.n_kids[0] == 0 and vector.size[0] == 1
-    assert vector.task_of[0] == -1 and vector.off[0] == 1
+    assert default.delta[0] == -1 and default.size[0] == 1
+    assert default.task_of[0] == -1 and default.off[0] == 1
     for tid in range(60):
-        lo, hi = vector.off[tid], vector.off[tid + 1]
-        stack, kids = [ref.task_root(tid)[1]], []
+        lo, hi = default.off[tid], default.off[tid + 1]
+        stack, delta = [ref.task_root(tid)[1]], []
         while stack:
             children = inner.children(stack.pop())
-            kids.append(len(children))
+            delta.append(len(children) - 1)
             stack.extend(children)
-        assert list(vector.n_kids[lo:hi]) == kids
-        assert vector.size[lo] == hi - lo
-        assert set(vector.task_of[lo:hi]) == {tid}
-    assert vector.off[60] == vector.n_nodes
+        assert list(default.delta[lo:hi]) == delta
+        assert default.size[lo] == hi - lo
+        assert set(default.task_of[lo:hi]) == {tid}
+    assert default.off[60] == default.n_nodes
 
 
 # -- one task per stack: checked, not trusted ------------------------------------

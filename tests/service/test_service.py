@@ -220,7 +220,7 @@ class TestTaskForest:
 
     @pytest.mark.parametrize("limit", [1000, 4300],
                              ids=["by-estimate", "by-expansion"])
-    @pytest.mark.parametrize("builder", ["numpy", "scalar"])
+    @pytest.mark.parametrize("builder", ["default", "scalar"])
     def test_oversized_forest_is_refused_by_name(self, monkeypatch,
                                                  fresh_cache, limit,
                                                  builder):
@@ -232,21 +232,6 @@ class TestTaskForest:
                            match=rf"n_tasks=100 .* 4\.1e\+03 nodes.* {limit}"):
             _run(replace(BASE, n_tasks=100))
         assert not fresh_cache
-
-    def test_shape_without_a_numpy_kernel_builds_by_the_scalar_loop(
-            self, monkeypatch, fresh_cache):
-        from repro.fastpath import nputs
-        if not nputs.HAVE_NUMPY:
-            pytest.skip("numpy not available")
-        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-        declined = []
-        real = nputs.fast_build
-        monkeypatch.setattr(
-            nputs, "fast_build",
-            lambda *a: declined.append(real(*a)) or declined[-1])
-        res = _run(replace(BASE, task_engine="sha1-pure"))
-        assert declined == [None]
-        assert res.admitted == res.completed + res.shed_total
 
     def test_cli_refuses_an_oversized_stream(self, capsys):
         from repro.harness.cli import main

@@ -36,11 +36,13 @@ the next re-anchor finding it:
   written-since test (``docs/performance.md``, "the monitor pays for
   what changed"): a second ``sum(....values())`` under ``check/`` is
   the per-emit walk over ``dup_extra`` coming back.
-* numpy and scipy are off the import path and, where the extension
-  loads, off the run path (``docs/performance.md``, "Cold start"): the
-  package imports them inside the functions that use them, the one
-  module-level import being the guarded one of ``fastpath/nputs.py``,
-  the tree builder of a host without a compiler.
+* numpy and scipy are off the import path and the run path
+  (``docs/performance.md``, "Cold start"): the package imports them
+  only inside the functions that use them, none of them a run's.
+* A tree has one builder per backend and one layout: the compiled
+  kernel or the scalar loop, both emitting ``(delta, size)``.  The
+  numpy builder (``fastpath/nputs.py``) and the child-count array
+  beside ``delta`` stay gone.
 * A rank pays only for what it touches (``docs/performance.md``,
   "Per-rank memory at 4096 threads"): ``StreamRng.__init__`` builds no
   Mersenne Twister, victim segments are ``array('i')`` slices and never
@@ -242,23 +244,29 @@ def test_numpy_and_scipy_are_not_imported_at_module_level():
         for path, tree in _modules()
         for name, guarded in _imports_at_import_time(tree)
         if name.split(".")[0] in ("numpy", "scipy"))
-    assert found == [("fastpath/nputs.py", "numpy", True)]
+    assert found == []
 
 
 def test_a_run_imports_no_numpy():
-    """``import repro`` never does; a ``sha1`` run does not either on a
-    host where the extension loads (without it the numpy builder is the
-    tree's builder, and says so)."""
+    """``import repro`` never does, and neither does a ``sha1`` run --
+    with the extension or without it, whichever builds the tree."""
     done = fresh_interpreter(
         "import sys, repro\n"
         "assert 'numpy' not in sys.modules, 'import repro'\n"
         "from repro.harness.config import T1_TEST\n"
         "repro.run_experiment('upc-distmem', tree=T1_TEST, threads=4,\n"
         "                     chunk_size=4, verify=True)\n"
-        "print(repro.fastpath.available(), 'numpy' in sys.modules)\n")
+        "print('numpy' in sys.modules)\n")
     assert done.returncode == 0, done.stderr
-    available, numpy_loaded = done.stdout.split()
-    assert (available, numpy_loaded) != ("True", "True"), done.stdout
+    assert done.stdout.split() == ["False"], done.stdout
+
+
+def test_one_tree_builder_per_backend_and_one_layout():
+    assert not (SRC / "fastpath" / "nputs.py").exists()
+    word = re.compile(r"\b(nputs|vector_expansion_enabled|HAVE_NUMPY|n_kids)\b")
+    found = [str(path.relative_to(SRC)) for path in sorted(SRC.rglob("*"))
+             if path.suffix in (".py", ".c") and word.search(path.read_text())]
+    assert found == []
 
 
 def test_a_stream_is_seeded_at_its_first_draw_not_at_construction():

@@ -41,7 +41,8 @@ SHAPES = st.one_of(
 def build_both(params):
     """``params`` through the scalar depth-first builder
     (``REPRO_FASTPATH=0``) and through whatever the host offers (the
-    numpy level-order kernels where numpy is present)."""
+    compiled kernel where the extension loads and has one for the
+    shape)."""
     built = []
     for fastpath_env in ("0", None):
         with pytest.MonkeyPatch.context() as mp:
@@ -75,14 +76,13 @@ class TestLayout:
         assert position[implicit.root()] == 0
         want = [([position[kid] for kid in implicit.children(node)],
                  subtree_size(implicit, node)) for node in nodes]
-        scalar, vector = build_both(params)
-        assert (scalar.n_kids, scalar.delta, scalar.size) \
-            == (vector.n_kids, vector.delta, vector.size)
-        for mat in (scalar, vector):
+        scalar, default = build_both(params)
+        assert (scalar.delta, scalar.size) == (default.delta, default.size)
+        for mat in (scalar, default):
             assert mat.root() == 0
             assert list(mat.iter_dfs()) == list(range(len(nodes)))
             for i, (kids, size) in enumerate(want):
-                assert mat.n_kids[i] == mat.num_children(i) == len(kids)
+                assert mat.num_children(i) == len(kids)
                 assert mat.delta[i] == len(kids) - 1
                 assert mat.children(i) == kids
                 assert mat.size[i] == size
@@ -362,7 +362,7 @@ class TestBatchExpand:
         assert visited == mat.n_nodes == count_tree(params).n_nodes
 
     def test_wide_root_is_wide(self):
-        assert materialize(WIDE_ROOT).n_kids[0] == 107
+        assert materialize(WIDE_ROOT).num_children(0) == 107
 
 
 GEOMETRIC = TreeParams.geometric(b0=3, gen_mx=5, seed=0)

@@ -68,8 +68,8 @@ def measure(figure: str, scale: str, threads: int = None) -> dict:
         setup = dataclasses.replace(setup, thread_counts=[threads])
     # Phase 1: tree expansion.  Warm the process-wide tree cache under
     # its own clock so the sweep wall-clock below is dispatch + setup
-    # only -- this is where the vectorized builder (fastpath.nputs)
-    # shows up, separately from the compiled dispatch core.
+    # only -- this is where the tree builder (_core.expand, else the
+    # scalar loop) shows up, separately from the compiled dispatch core.
     te0 = time.perf_counter()
     tree_for(setup.tree)
     tree_seconds = time.perf_counter() - te0

@@ -161,8 +161,7 @@ def main(argv=None) -> int:
             else f"core unavailable: {info['core_unavailable_reason']}")
     print(f"profiling {setup.describe()} idle={args.idle_strategy} "
           f"algorithms={setup.algorithms} (serial, cache on)", flush=True)
-    print(f"fastpath backend: {backend} ({core}; numpy "
-          f"{'yes' if info['numpy_available'] else 'no'})", flush=True)
+    print(f"fastpath backend: {backend} ({core})", flush=True)
     if backend == "fast":
         print("note: compiled frames (repro.fastpath._core) do not "
               "appear in cProfile output -- their cost shows up in "
