@@ -77,20 +77,16 @@ first, never more than ``scan_period`` emits late.
 from __future__ import annotations
 
 from itertools import chain, compress
-from operator import ne
+from operator import itemgetter, ne
 
 from repro.errors import InvariantViolation
+from repro.obs.events import _TERM_KINDS
 
 __all__ = ["InvariantMonitor"]
 
 #: Emits that mark a protocol transition worth a full ownership scan
 #: (cheap emits like ``visit`` fall back to the periodic scan).
 _SCAN_KINDS = frozenset({"steal", "service", "chunk.get"})
-#: Emits that declare (or relay) global termination.  ``service.close``
-#: is the open-system analogue: the stream's exact drain declaration;
-#: ``tsplit.term`` is tree-split's empty rebalance round.
-_TERM_KINDS = frozenset({"sbarrier.announce", "cbarrier.terminate",
-                         "mpi.term", "service.close", "tsplit.term"})
 #: Emits after which a rank's lock holdings are forgiven (fail-stop).
 _DEATH_KINDS = frozenset({"fault.kill", "sim.interrupt"})
 
@@ -484,65 +480,49 @@ class InvariantMonitor:
             return
         if self._all_distinct():
             return
-        algo = self.algo
         owner: dict = {}
         try:
-            for rank, stack in enumerate(algo.stacks):
-                for node in stack.local:
+            for place, nodes in self._placements():
+                for node in nodes:
                     prev = owner.get(node)
                     if prev is not None:
                         self._fail(time, kind,
-                                   f"node {node!r} owned twice: {prev} "
-                                   f"and T{rank}.local")
-                    owner[node] = f"T{rank}.local"
-                for chunk in stack.shared:
-                    for node in chunk:
-                        prev = owner.get(node)
-                        if prev is not None:
-                            self._fail(time, kind,
-                                       f"node {node!r} owned twice: {prev} "
-                                       f"and T{rank}.shared")
-                        owner[node] = f"T{rank}.shared"
+                                   f"node {node!r} owned twice: "
+                                   f"T{prev[0]}.{prev[1]} and "
+                                   f"T{place[0]}.{place[1]}")
+                    owner[node] = place
         except TypeError:
             # Custom search space with unhashable nodes: ownership
             # scanning is not applicable; ledgers still run.
             self._scannable = False
             return
+        self.checks += 1
+
+    def _placements(self):
+        """``(place, nodes)`` for every region a node descriptor can live
+        in, ``place`` being ``(rank, region)``: each rank's local region
+        and its shared chunks (one iterable), in rank order, then the
+        fault layer's open transfers and granted responses."""
+        for rank, stack in enumerate(self.algo.stacks):
+            yield (rank, "local"), stack.local
+            yield (rank, "shared"), chain.from_iterable(stack.shared)
         faults = self.machine.faults
         if faults is not None:
             for rank, nodes in faults._open_transfer.items():
-                for node in nodes:
-                    prev = owner.get(node)
-                    if prev is not None:
-                        self._fail(time, kind,
-                                   f"node {node!r} owned twice: {prev} and "
-                                   f"T{rank}.open_transfer")
-                    owner[node] = f"T{rank}.open_transfer"
+                yield (rank, "open_transfer"), nodes
             for thief, nodes in faults._responses.items():
-                for node in nodes:
-                    prev = owner.get(node)
-                    if prev is not None:
-                        self._fail(time, kind,
-                                   f"node {node!r} owned twice: {prev} and "
-                                   f"T{thief}.response")
-                    owner[node] = f"T{thief}.response"
-        self.checks += 1
+                yield (thief, "response"), nodes
 
     def _all_distinct(self) -> bool:
         """The ownership scans' fast path: as many distinct descriptors
-        as descriptors -- over every local region, shared chunk and
-        transfer journal -- proves none appears twice, at set speed.
-        False (a repeat, or descriptors that do not hash) leaves the
-        verdict to the loops, which name the offender."""
-        n = len(self._stacks)
-        parts = self._parts[:n]
-        parts.extend(chain.from_iterable(self._parts[n:]))
-        faults = self.machine.faults
-        if faults is not None:
-            parts.extend(faults._open_transfer.values())
-            parts.extend(faults._responses.values())
+        as descriptors -- over every region :meth:`_placements` walks --
+        proves none appears twice, at set speed.  False (a repeat, or
+        descriptors that do not hash) leaves the verdict to the loops,
+        which name the offender."""
+        nodes = list(chain.from_iterable(
+            map(itemgetter(1), self._placements())))
         try:
-            if len(set(chain.from_iterable(parts))) != sum(map(len, parts)):
+            if len(set(nodes)) != len(nodes):
                 return False
         except TypeError:
             return False
@@ -572,23 +552,12 @@ class InvariantMonitor:
             return
         counts: dict = {}
         try:
-            for stack in algo.stacks:
-                for node in stack.local:
+            for _, nodes in self._placements():
+                for node in nodes:
                     counts[node] = counts.get(node, 0) + 1
-                for chunk in stack.shared:
-                    for node in chunk:
-                        counts[node] = counts.get(node, 0) + 1
         except TypeError:
             self._scannable = False
             return
-        faults = self.machine.faults
-        if faults is not None:
-            for nodes in faults._open_transfer.values():
-                for node in nodes:
-                    counts[node] = counts.get(node, 0) + 1
-            for nodes in faults._responses.values():
-                for node in nodes:
-                    counts[node] = counts.get(node, 0) + 1
         extra = algo.dup_extra
         for node, cnt in counts.items():
             if cnt > 1:

@@ -16,6 +16,7 @@ reproducers serialize it as a dict literal (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.errors import ReproError
@@ -98,20 +99,10 @@ def check_run(
     """
     # Imported here: repro.check must stay importable without pulling
     # the whole harness (docs tooling imports the policies alone).
-    from repro.faults.plan import parse_fault_spec
     from repro.harness.runner import run_experiment
     from repro.uts.params import TreeParams
     from repro.ws.config import WsConfig
 
-    if schedule_seed is not None and defer:
-        raise ValueError("schedule_seed and defer are mutually exclusive")
-    tie_break = None
-    if schedule_seed is not None:
-        tie_break = RandomTieBreak(schedule_seed)
-    elif defer:
-        tie_break = DelayTieBreak(defer)
-    plan = parse_fault_spec(fault_spec, seed=fault_seed) if fault_spec else None
-    monitor = InvariantMonitor()
     tree = TreeParams.binomial(b0=b0, m=m, q=q, seed=tree_seed)
     cfg = WsConfig(chunk_size=chunk_size, idle_strategy=idle_strategy)
     if scenario is not None:
@@ -119,36 +110,11 @@ def check_run(
         sc = get_scenario(scenario)
         preset = sc.preset
         cfg = sc.apply(cfg, threads)
-    try:
-        res = run_experiment(
-            variant, tree=tree, threads=threads, preset=preset,
-            config=cfg, seed=seed, verify=verify,
-            tracer=monitor, max_events=max_events, faults=plan,
-            tie_break=tie_break, queue=queue,
-            # Fuzzer cells never run compiled fusion: the monitor's
-            # emit hooks and the tie-break/fault machinery must see
-            # every transition from the Python loops.  Schedules are
-            # pinned bit-identical across backends, so outcomes are
-            # unchanged; tests/fastpath/test_selection.py asserts
-            # Simulator.fastpath_active stays False under check.
-            fastpath="pure",
-        )
-        monitor.final_check()
-    except ReproError as exc:
-        events = (monitor.machine.sim.events_processed
-                  if monitor.machine is not None else 0)
-        return CheckOutcome(
-            ok=False, variant=variant,
-            error_type=type(exc).__name__, error=str(exc),
-            engine_events=events, monitor=monitor.summary(),
-        )
-    return CheckOutcome(
-        ok=True, variant=variant,
-        engine_events=res.engine_events, total_nodes=res.total_nodes,
-        sim_time=res.sim_time, lost_work=res.lost_work,
-        dup_work=res.dup_work,
-        monitor=monitor.summary(),
-    )
+    run = partial(run_experiment, variant, tree=tree, threads=threads,
+                  preset=preset, config=cfg, seed=seed, verify=verify,
+                  max_events=max_events, queue=queue)
+    return _checked(variant, run, schedule_seed, defer, fault_spec,
+                    fault_seed)
 
 
 def check_service_run(
@@ -180,10 +146,29 @@ def check_service_run(
     check.  ``queue`` and error folding are :func:`check_run`'s: every
     :class:`~repro.errors.ReproError` becomes a not-ok outcome.
     """
-    from repro.faults.plan import parse_fault_spec
     from repro.service import (ServiceConfig, parse_arrival_spec,
                                run_service)
     from repro.ws.config import WsConfig
+
+    service = ServiceConfig(
+        arrivals=parse_arrival_spec(arrival_spec), n_tasks=n_tasks,
+        queue_capacity=queue_capacity, policy=policy, deadline=deadline,
+        max_retries=max_retries, seed=service_seed)
+    cfg = WsConfig(chunk_size=chunk_size, idle_strategy=idle_strategy)
+    run = partial(run_service, service, threads=threads, preset=preset,
+                  config=cfg, seed=seed, max_events=max_events, queue=queue)
+    return _checked("service-ws", run, schedule_seed, defer, fault_spec,
+                    fault_seed)
+
+
+def _checked(variant: str, run, schedule_seed: Optional[int],
+             defer: Sequence[int], fault_spec: Optional[str],
+             fault_seed: int) -> CheckOutcome:
+    """The one checked cell: ``run(**kw)`` (a bound ``run_experiment``
+    or ``run_service``) under the cell's schedule, fault plan and a
+    fresh :class:`InvariantMonitor`, folded into a
+    :class:`CheckOutcome`."""
+    from repro.faults.plan import parse_fault_spec
 
     if schedule_seed is not None and defer:
         raise ValueError("schedule_seed and defer are mutually exclusive")
@@ -194,30 +179,30 @@ def check_service_run(
         tie_break = DelayTieBreak(defer)
     plan = parse_fault_spec(fault_spec, seed=fault_seed) if fault_spec else None
     monitor = InvariantMonitor()
-    service = ServiceConfig(
-        arrivals=parse_arrival_spec(arrival_spec), n_tasks=n_tasks,
-        queue_capacity=queue_capacity, policy=policy, deadline=deadline,
-        max_retries=max_retries, seed=service_seed)
-    cfg = WsConfig(chunk_size=chunk_size, idle_strategy=idle_strategy)
     try:
-        res = run_service(
-            service, threads=threads, preset=preset, config=cfg, seed=seed,
-            tracer=monitor, max_events=max_events, faults=plan,
-            tie_break=tie_break, queue=queue,
-            fastpath="pure",  # same contract as check_run above
+        res = run(
+            tracer=monitor, faults=plan, tie_break=tie_break,
+            # Fuzzer cells never run compiled fusion: the monitor's
+            # emit hooks and the tie-break/fault machinery must see
+            # every transition from the Python loops.  Schedules are
+            # pinned bit-identical across backends, so outcomes are
+            # unchanged; tests/fastpath/test_selection.py asserts
+            # Simulator.fastpath_active stays False under check.
+            fastpath="pure",
         )
         monitor.final_check()
     except ReproError as exc:
         events = (monitor.machine.sim.events_processed
                   if monitor.machine is not None else 0)
         return CheckOutcome(
-            ok=False, variant="service-ws",
+            ok=False, variant=variant,
             error_type=type(exc).__name__, error=str(exc),
             engine_events=events, monitor=monitor.summary(),
         )
     return CheckOutcome(
-        ok=True, variant="service-ws",
+        ok=True, variant=variant,
         engine_events=res.engine_events, total_nodes=res.total_nodes,
         sim_time=res.sim_time, lost_work=res.lost_work,
+        dup_work=getattr(res, "dup_work", 0),
         monitor=monitor.summary(),
     )

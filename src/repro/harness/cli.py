@@ -35,12 +35,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="one experiment")
+    run_p = sub.add_parser("run", parents=[_run_options()],
+                           help="one experiment")
     run_p.add_argument("--algorithm", choices=sorted(ALGORITHMS),
                        default="upc-distmem")
-    run_p.add_argument("--threads", type=int, default=16)
-    run_p.add_argument("--chunk-size", type=int, default=8)
-    run_p.add_argument("--preset", choices=sorted(PRESETS), default="kittyhawk")
     run_p.add_argument("--b0", type=int, default=500)
     run_p.add_argument("--q", type=float, default=0.499)
     run_p.add_argument("--tree-seed", type=int, default=0)
@@ -59,40 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the algorithm's victim-selection policy "
              "(locality-aware 'hierarchical' probes same-node ranks "
              "first); applied on top of any --scenario")
-    run_p.add_argument(
-        "--idle-strategy", choices=["poll", "park"], default="poll",
-        help="'poll' (default, canonical bit-identical schedule) or "
-             "'park' (idle threads cost zero pending events -- the "
-             "O(active) engine; see docs/performance.md)")
-    run_p.add_argument(
-        "--queue", choices=["auto", "heap", "bucket"], default="auto",
-        help="event-queue backend; 'auto' is the heap, 'bucket' keeps "
-             "the compiled loop off (identical dispatch order)")
-    run_p.add_argument(
-        "--fastpath", choices=["auto", "pure", "fast"], default="auto",
-        help="execution backend: 'auto' uses the compiled "
-             "repro.fastpath core when built, 'pure' forces the "
-             "pure-Python loops, 'fast' errors if the extension is "
-             "missing (bit-identical schedules either way)")
-    run_p.add_argument(
-        "--faults", metavar="SPEC", default=None,
-        help="deterministic fault injection, e.g. "
-             "'drop=0.05,dup=0.02,delay=0.1' or 'kill=3@2ms,kill=5@4ms' "
-             "or 'stall=0.1,stale=0.05' (see docs/fault-model.md)")
-    run_p.add_argument(
-        "--fault-seed", type=int, default=0, metavar="N",
-        help="seed for the fault plan's own random streams (independent "
-             "of the tree and probe-order seeds)")
-    run_p.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="record a structured trace of the run and write it here "
-             "(see docs/observability.md)")
-    run_p.add_argument(
-        "--trace-format", choices=["chrome", "jsonl", "report"], default=None,
-        help="trace output format: 'chrome' (Perfetto / chrome://tracing "
-             "JSON), 'jsonl' (diffable event log), 'report' (Markdown run "
-             "report); default: inferred from PATH's extension "
-             "(.jsonl -> jsonl, .md -> report, else chrome)")
 
     for fig in ("fig4", "fig5", "fig6", "ablation", "claims", "all"):
         fp = sub.add_parser(fig, help=f"reproduce {fig}")
@@ -106,9 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
                      "0 = one per CPU); results are identical for any N")
 
     srv = sub.add_parser(
-        "serve",
+        "serve", parents=[_run_options()],
         help="open-system service run: a continuous task stream over "
              "the pool (see docs/service-mode.md)")
+    srv.set_defaults(threads=64, chunk_size=2, idle_strategy="park")
     srv.add_argument(
         "--arrivals", metavar="SPEC", default="poisson:rate=1e5",
         help="arrival process, e.g. 'poisson:rate=2e5', "
@@ -116,9 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
              "'diurnal:rate=2e5,period=2ms,depth=0.8'")
     srv.add_argument("--tasks", type=int, default=200,
                      help="tasks the stream generates (finite horizon)")
-    srv.add_argument("--threads", type=int, default=64)
-    srv.add_argument("--chunk-size", type=int, default=2)
-    srv.add_argument("--preset", choices=sorted(PRESETS), default="kittyhawk")
     srv.add_argument("--queue-capacity", type=int, default=64,
                      help="bounded admission-queue capacity")
     srv.add_argument("--policy",
@@ -139,26 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seed for arrivals, task roots, and retry jitter")
     srv.add_argument("--seed", type=int, default=0,
                      help="machine seed (probe orders)")
-    srv.add_argument("--idle-strategy", choices=["poll", "park"],
-                     default="park",
-                     help="'park' (default: arrivals wake a parked pool) "
-                          "or 'poll'")
-    srv.add_argument("--queue", dest="event_queue",
-                     choices=["auto", "heap", "bucket"], default="auto",
-                     help="event queue, 'auto' = heap (identical results)")
-    srv.add_argument("--fastpath", choices=["auto", "pure", "fast"],
-                     default="auto",
-                     help="execution backend (compiled core vs pure "
-                          "Python; identical results)")
-    srv.add_argument("--faults", metavar="SPEC", default=None,
-                     help="fault spec; storms supported, e.g. "
-                          "'storm(kill:3@t=5ms..6ms)'")
-    srv.add_argument("--fault-seed", type=int, default=0, metavar="N")
-    srv.add_argument("--trace", metavar="PATH", default=None,
-                     help="write a structured trace (format per "
-                          "--trace-format / extension)")
-    srv.add_argument("--trace-format",
-                     choices=["chrome", "jsonl", "report"], default=None)
 
     tl = sub.add_parser("timeline", help="render per-thread execution timeline")
     tl.add_argument("--algorithm", choices=sorted(ALGORITHMS),
@@ -185,6 +127,55 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("scenarios",
                    help="list the scenario catalog (docs/scenarios.md)")
+    return p
+
+
+def _run_options() -> argparse.ArgumentParser:
+    """The options ``run`` and ``serve`` share, with ``run``'s defaults.
+
+    A fresh parent per subcommand: a subparser shares its parent's
+    action objects, so ``serve``'s ``set_defaults`` would otherwise move
+    ``run``'s defaults too."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--threads", type=int, default=16)
+    p.add_argument("--chunk-size", type=int, default=8)
+    p.add_argument("--preset", choices=sorted(PRESETS), default="kittyhawk")
+    p.add_argument(
+        "--idle-strategy", choices=["poll", "park"], default="poll",
+        help="'poll' (the canonical bit-identical schedule; run's default) "
+             "or 'park' (idle threads cost zero pending events -- the "
+             "O(active) engine, see docs/performance.md; serve's "
+             "default: arrivals wake a parked pool)")
+    p.add_argument(
+        "--queue", choices=["auto", "heap", "bucket"], default="auto",
+        help="event-queue backend; 'auto' is the heap, 'bucket' keeps "
+             "the compiled loop off (identical dispatch order)")
+    p.add_argument(
+        "--fastpath", choices=["auto", "pure", "fast"], default="auto",
+        help="execution backend: 'auto' uses the compiled "
+             "repro.fastpath core when built, 'pure' forces the "
+             "pure-Python loops, 'fast' errors if the extension is "
+             "missing (bit-identical schedules either way)")
+    p.add_argument(
+        "--faults", metavar="SPEC", default=None,
+        help="deterministic fault injection, e.g. "
+             "'drop=0.05,dup=0.02,delay=0.1' or 'kill=3@2ms,kill=5@4ms' "
+             "or 'stall=0.1,stale=0.05' or 'storm(kill:3@t=5ms..6ms)' "
+             "(see docs/fault-model.md)")
+    p.add_argument(
+        "--fault-seed", type=int, default=0, metavar="N",
+        help="seed for the fault plan's own random streams (independent "
+             "of the tree and probe-order seeds)")
+    p.add_argument(
+        "--trace", metavar="PATH", default=None,
+        help="record a structured trace of the run and write it here "
+             "(see docs/observability.md)")
+    p.add_argument(
+        "--trace-format", choices=["chrome", "jsonl", "report"], default=None,
+        help="trace output format: 'chrome' (Perfetto / chrome://tracing "
+             "JSON), 'jsonl' (diffable event log), 'report' (Markdown run "
+             "report); default: inferred from PATH's extension "
+             "(.jsonl -> jsonl, .md -> report, else chrome)")
     return p
 
 
@@ -221,9 +212,11 @@ def _write_trace(args: argparse.Namespace, sink) -> None:
     print(f"wrote {fmt} trace ({len(events)} events) to {args.trace}")
 
 
-def _run_single(args: argparse.Namespace) -> int:
-    tree = TreeParams.binomial(b0=args.b0, q=args.q, seed=args.tree_seed,
-                               engine=args.engine)
+def _run_command(args: argparse.Namespace, body) -> int:
+    """``run`` and ``serve``: the fault plan and trace sink from the
+    shared options, ``body(args, plan, sink)`` -- which runs, prints the
+    command's own lines and returns ``(result, loss line)`` -- then the
+    fault ledger and the trace."""
     plan = None
     if args.faults:
         from repro.faults import parse_fault_spec
@@ -234,8 +227,23 @@ def _run_single(args: argparse.Namespace) -> int:
         from repro.obs import TraceSink
 
         sink = TraceSink()
+    res, lost = body(args, plan, sink)
+    if res.fault_counters is not None:
+        print(lost)
+        nz = res.fault_counters.nonzero()
+        if nz:
+            print("fault counters: "
+                  + " ".join(f"{k}={v}" for k, v in sorted(nz.items())))
+    if sink is not None:
+        _write_trace(args, sink)
+    return 0
+
+
+def _run_single(args: argparse.Namespace, plan, sink):
     from repro.ws.config import WsConfig
 
+    tree = TreeParams.binomial(b0=args.b0, q=args.q, seed=args.tree_seed,
+                               engine=args.engine)
     config = WsConfig(chunk_size=args.chunk_size,
                       idle_strategy=args.idle_strategy)
     preset = args.preset
@@ -259,31 +267,13 @@ def _run_single(args: argparse.Namespace) -> int:
     if res.dup_work:
         print(f"duplicated work: {res.dup_work} node(s) "
               f"(relaxed-steal ledger; total includes duplicates)")
-    if res.fault_counters is not None:
-        print(f"lost work: {res.lost_work} node(s)")
-        nz = res.fault_counters.nonzero()
-        if nz:
-            print("fault counters: "
-                  + " ".join(f"{k}={v}" for k, v in sorted(nz.items())))
-    if sink is not None:
-        _write_trace(args, sink)
-    return 0
+    return res, f"lost work: {res.lost_work} node(s)"
 
 
-def _run_serve(args: argparse.Namespace) -> int:
+def _run_serve(args: argparse.Namespace, plan, sink):
     from repro.service import ServiceConfig, parse_arrival_spec, run_service
     from repro.ws.config import WsConfig
 
-    plan = None
-    if args.faults:
-        from repro.faults import parse_fault_spec
-
-        plan = parse_fault_spec(args.faults, seed=args.fault_seed)
-    sink = None
-    if args.trace:
-        from repro.obs import TraceSink
-
-        sink = TraceSink()
     service = ServiceConfig(
         arrivals=parse_arrival_spec(args.arrivals), n_tasks=args.tasks,
         queue_capacity=args.queue_capacity, policy=args.policy,
@@ -294,7 +284,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                       idle_strategy=args.idle_strategy)
     res = run_service(service, threads=args.threads, preset=args.preset,
                       config=config, seed=args.seed, faults=plan,
-                      tracer=sink, queue=args.event_queue,
+                      tracer=sink, queue=args.queue,
                       fastpath=args.fastpath)
     print(res.summary())
     print(f"arrivals: {res.arrival_description}   "
@@ -305,15 +295,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     if res.shed_total:
         shed = " ".join(f"{k}={v}" for k, v in sorted(res.shed.items()) if v)
         print(f"shed: {shed} ({100 * res.shed_fraction:.1f}% of admitted)")
-    if res.fault_counters is not None:
-        print(f"lost: {res.lost_tasks} task(s), {res.lost_work} node(s)")
-        nz = res.fault_counters.nonzero()
-        if nz:
-            print("fault counters: "
-                  + " ".join(f"{k}={v}" for k, v in sorted(nz.items())))
-    if sink is not None:
-        _write_trace(args, sink)
-    return 0
+    return res, f"lost: {res.lost_tasks} task(s), {res.lost_work} node(s)"
 
 
 def _suffixed(path: str, name: str) -> str:
@@ -355,9 +337,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     cmd = args.command
     if cmd == "run":
-        return _run_single(args)
+        return _run_command(args, _run_single)
     if cmd == "serve":
-        return _run_serve(args)
+        return _run_command(args, _run_serve)
     if cmd in ("fig4", "fig5", "fig6"):
         return _run_figure(cmd, args)
     if cmd == "ablation":

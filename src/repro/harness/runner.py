@@ -105,21 +105,51 @@ def run_experiment(
     RunResult
         Counts, simulated time, and the derived figure metrics.
     """
+    if verify and not isinstance(tree, TreeParams):
+        raise ConfigError(
+            "verify=True needs a TreeParams tree (the sequential "
+            "oracle); pass verify=False for custom search spaces "
+            "and check result.total_nodes yourself"
+        )
+
+    def build(machine, space, cfg):
+        return get_algorithm(algorithm)(machine, space, cfg), None
+
+    algo, _, cfg, desc, fields = _run(
+        tree, threads, preset, chunk_size, build, net=net, config=config,
+        seed=seed, tracer=tracer, max_events=max_events, faults=faults,
+        tie_break=tie_break, queue=queue, fastpath=fastpath)
+    result = RunResult(algorithm=algo.name, chunk_size=cfg.chunk_size,
+                       tree_description=desc,
+                       dup_work=getattr(algo, "dup_work", 0), **fields)
+    if verify:
+        result.verify(expected_node_count(tree))
+    return result
+
+
+def _run(space, threads: int, preset: str, chunk_size: int, build, *,
+         net: Optional[NetworkModel], config: Optional[WsConfig], seed: int,
+         tracer, max_events: int, faults: Optional[FaultPlan], tie_break,
+         queue: str, fastpath: Optional[str]):
+    """The one wiring of a run, batch or service: resolve the search
+    space, platform, config, fault plan and backend; build the machine
+    and the fault runtime, which must exist before ``build(machine,
+    space, cfg)`` makes the algorithm, for every hook site to bind it.
+    ``build`` also returns a dispatcher (the service stream's
+    ``ServiceRuntime``, else None): it starts after the workers spawn
+    and before the fault watchdogs, and its ``assert_conservation``
+    runs after ``finalize`` and before node conservation.
+
+    Returns ``(algorithm, dispatcher, config, space description,
+    fields)``, ``fields`` being what every result reports.
+    """
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
-    if isinstance(tree, TreeParams):
-        tree_obj = tree_for(tree)
-        tree_desc = tree.describe()
+    if isinstance(space, TreeParams):
+        space, desc = tree_for(space), space.describe()
     else:
-        if verify:
-            raise ConfigError(
-                "verify=True needs a TreeParams tree (the sequential "
-                "oracle); pass verify=False for custom search spaces "
-                "and check result.total_nodes yourself"
-            )
-        tree_obj = tree
-        describe = getattr(tree, "describe", None)
-        tree_desc = describe() if callable(describe) else repr(tree)
+        describe = getattr(space, "describe", None)
+        desc = describe() if callable(describe) else repr(space)
     network = net if net is not None else get_preset(preset)
     cfg = config if config is not None else WsConfig(chunk_size=chunk_size)
     if faults is not None:
@@ -131,12 +161,9 @@ def run_experiment(
                       fastpath=fastpath)
     fault_rt: Optional[FaultRuntime] = None
     if cfg.faults is not None:
-        # Installed before the algorithm is constructed so every hook
-        # site (comm, locks, staleable vars) binds to it.
         fault_rt = FaultRuntime(cfg.faults, machine)
         machine.faults = fault_rt
-    algo_cls = get_algorithm(algorithm)
-    algo = algo_cls(machine, tree_obj, cfg)
+    algo, dispatcher = build(machine, space, cfg)
     # Online-checker hook (repro.check): a tracer that wants white-box
     # access to the algorithm's ledgers binds here, after construction
     # and before the first event runs.
@@ -148,41 +175,37 @@ def run_experiment(
     if fault_rt is not None:
         fault_rt.attach(algo)
         machine.spawn_all(algo.guarded_main)
-        fault_rt.start()
     else:
         machine.spawn_all(algo.thread_main)
+    # After the workers: T0's bootstrap is always the first event.
+    if dispatcher is not None:
+        dispatcher.start()
+    if fault_rt is not None:
+        fault_rt.start()
     sim_time = machine.run()
     host_seconds = time.perf_counter() - host_t0
     algo.finalize()
+    if dispatcher is not None:
+        dispatcher.assert_conservation()
     lost_work = 0
     if fault_rt is not None:
         fault_rt.check_conservation()
-        lost_work = fault_rt.lost_work_total(tree_obj)
+        lost_work = fault_rt.lost_work_total(space)
 
-    result = RunResult(
-        algorithm=algo.name,
-        n_threads=threads,
-        chunk_size=cfg.chunk_size,
-        machine_name=network.name,
-        tree_description=tree_desc,
-        total_nodes=algo.total_nodes,
-        sim_time=sim_time,
-        node_visit_time=algo.t_node,  # includes compute granularity
-        per_thread=algo.stats,
-        host_seconds=host_seconds,
-        engine_events=machine.sim.events_processed,
-        lost_work=lost_work,
-        dup_work=getattr(algo, "dup_work", 0),
-        fault_counters=fault_rt.counters if fault_rt is not None else None,
-    )
-    if isinstance(tracer, TraceSink):
-        tracer.set_meta(
+    trace = tracer if isinstance(tracer, TraceSink) else None
+    if trace is not None:
+        trace.set_meta(
             algorithm=algo.name, threads=threads, chunk_size=cfg.chunk_size,
-            machine=network.name, tree=tree_desc, seed=seed,
+            machine=network.name, tree=desc, seed=seed,
             sim_time=sim_time, total_nodes=algo.total_nodes,
             faulted=cfg.faults is not None,
         )
-        result.trace = tracer
-    if verify:
-        result.verify(expected_node_count(tree))
-    return result
+    fields = dict(
+        n_threads=threads, machine_name=network.name,
+        total_nodes=algo.total_nodes, sim_time=sim_time,
+        node_visit_time=algo.t_node,  # includes compute granularity
+        per_thread=algo.stats, host_seconds=host_seconds,
+        engine_events=machine.sim.events_processed, lost_work=lost_work,
+        fault_counters=fault_rt.counters if fault_rt is not None else None,
+        trace=trace)
+    return algo, dispatcher, cfg, desc, fields

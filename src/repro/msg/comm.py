@@ -118,10 +118,6 @@ class MsgWorld:
             heapq.heappush(pending, entry)
         return found
 
-    def pending_count(self, rank: int) -> int:
-        """Messages queued for ``rank`` (delivered or in flight)."""
-        return len(self._pending[rank])
-
 
 class MsgEndpoint:
     """Per-rank handle on the message world."""

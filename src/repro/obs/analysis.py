@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.metrics.states import SEARCHING, STATES, WORKING
-from repro.obs.events import ObsEvent
+from repro.obs.events import _TERM_KINDS, ObsEvent
 
 __all__ = [
     "state_occupancy",
@@ -235,10 +235,11 @@ def termination_breakdown(events: List[ObsEvent],
 
     Returns a dict with per-rank ``barrier_seconds`` /
     ``barrier_entries`` / ``barrier_exits``, the simulated time of the
-    termination announcement (``announce_time``; the first
-    ``sbarrier.announce`` / ``cbarrier.terminate`` / ``mpi.term``
-    event, or None), and ``tail_seconds`` -- simulated time between
-    the announcement and the end of the run.
+    termination announcement (``announce_time``; the first event of a
+    termination kind -- ``sbarrier.announce``, ``cbarrier.terminate``,
+    ``mpi.term``, ``tsplit.term`` or a service run's
+    ``service.close`` -- or None), and ``tail_seconds`` -- simulated
+    time between the announcement and the end of the run.
     """
     n_threads, sim_time = _infer_shape(events, n_threads, sim_time)
     occupancy = state_occupancy(events, n_threads, sim_time)
@@ -255,8 +256,7 @@ def termination_breakdown(events: List[ObsEvent],
             elif state != "barrier" and prev_state[ev.rank] == "barrier":
                 exits[ev.rank] += 1
             prev_state[ev.rank] = state
-        elif announce is None and ev.kind in (
-                "sbarrier.announce", "cbarrier.terminate", "mpi.term"):
+        elif announce is None and ev.kind in _TERM_KINDS:
             announce = ev.time
     return {
         "barrier_seconds": [occupancy[r]["barrier"] for r in range(n_threads)],

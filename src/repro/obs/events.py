@@ -131,6 +131,12 @@ EVENT_SCHEMA: Dict[str, Tuple[Tuple[str, ...], str]] = {
                                  "primitive)"),
 }
 
+#: The kinds that declare (or relay) global termination: the barrier
+#: announcements, mpi-ws's TERM broadcast, tree-split's empty rebalance
+#: round, and a service stream's exact drain declaration.
+_TERM_KINDS = frozenset({"sbarrier.announce", "cbarrier.terminate",
+                         "mpi.term", "tsplit.term", "service.close"})
+
 #: The type of every field, the same in each kind that declares it:
 #: ranks and counts are ints, simulated seconds floats, names strings.
 FIELD_TYPES: Dict[str, type] = {

@@ -40,7 +40,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import ConfigError, DeadlockError, EventLimitExceeded, \
     SimulationError
-from repro.sim.equeue import DEFAULT_BUCKET_WIDTH, BucketQueue
+from repro.sim.equeue import BucketQueue
 
 __all__ = ["SimEvent", "Timeout", "Process", "Simulator"]
 
@@ -155,7 +155,6 @@ class Simulator:
     def __init__(self, max_events: int = 50_000_000,
                  tie_break: Optional[Callable[[int], Any]] = None,
                  queue: str = "heap",
-                 queue_width: float = DEFAULT_BUCKET_WIDTH,
                  fastpath: Optional[str] = None) -> None:
         self.now: float = 0.0
         self.max_events = max_events
@@ -171,7 +170,7 @@ class Simulator:
                 f"queue must be 'auto', 'heap' or 'bucket', got {queue!r}")
         self.queue = "bucket" if queue == "bucket" else "heap"
         self._equeue: Optional[BucketQueue] = (
-            BucketQueue(queue_width) if queue == "bucket" else None)
+            BucketQueue() if queue == "bucket" else None)
         self._seq = 0
         self._live_processes = 0
         #: Optional schedule-exploration hook (``repro.check``): maps the

@@ -1,21 +1,18 @@
 """Synchronization resources for the simulation kernel.
 
-Two resources cover everything the PGAS layer needs:
-
-* :class:`FifoLock` -- a fair mutual-exclusion lock.  UPC global locks
-  and the per-home-node "NIC occupancy" serializer are both FifoLocks.
-* :class:`Gate` -- a resettable broadcast flag processes can wait on;
-  the building block for cancelable barriers and termination flags.
+:class:`FifoLock` -- a fair mutual-exclusion lock -- covers everything
+the PGAS layer needs: UPC global locks and the per-home-node "NIC
+occupancy" serializer are both FifoLocks.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import List
 
 from repro.errors import SimulationError
 from repro.sim.engine import SimEvent, Simulator
 
-__all__ = ["FifoLock", "Gate"]
+__all__ = ["FifoLock"]
 
 
 class FifoLock:
@@ -51,10 +48,6 @@ class FifoLock:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "locked" if self.locked else "free"
         return f"<FifoLock {self.name} {state} q={len(self._queue)}>"
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
 
     def acquire(self) -> SimEvent:
         ev = SimEvent(self.sim, self._ev_name)
@@ -94,50 +87,3 @@ class FifoLock:
         else:
             self.locked = False
 
-
-class Gate:
-    """A resettable broadcast flag.
-
-    ``wait()`` returns an event that fires when the gate opens.  Unlike
-    :class:`SimEvent`, a Gate can be reset and re-opened many times --
-    each ``open()`` releases the waiters registered since the previous
-    opening.  This models threads spinning on a shared flag without
-    simulating individual spin iterations; the ``stagger`` parameter of
-    :meth:`open` charges the serialization cost of N spinners being
-    woken through one home node.
-    """
-
-    __slots__ = ("sim", "name", "is_open", "_event", "open_count")
-
-    def __init__(self, sim: Simulator, name: str = "gate") -> None:
-        self.sim = sim
-        self.name = name
-        self.is_open = False
-        self._event: SimEvent = sim.event(name=f"{name}.cycle0")
-        self.open_count = 0
-
-    @property
-    def waiter_count(self) -> int:
-        return self._event.waiter_count
-
-    def wait(self) -> SimEvent:
-        """Awaitable that fires at the next opening (now, if open)."""
-        if self.is_open:
-            ev = self.sim.event(name=f"{self.name}.passthrough")
-            ev.succeed()
-            return ev
-        return self._event
-
-    def open(self, value: Any = None, delay: float = 0.0,
-             stagger: float = 0.0) -> int:
-        """Open the gate, waking current waiters.  Returns waiter count."""
-        woken = self._event.waiter_count
-        self.is_open = True
-        self._event.succeed(value, delay=delay, stagger=stagger)
-        self.open_count += 1
-        self._event = self.sim.event(name=f"{self.name}.cycle{self.open_count}")
-        return woken
-
-    def reset(self) -> None:
-        """Close the gate again; subsequent waiters block."""
-        self.is_open = False

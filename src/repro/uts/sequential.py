@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.net.model import NetworkModel
 from repro.uts.params import TreeParams
 from repro.uts.tree import Tree
 
@@ -33,10 +32,6 @@ class TreeStats:
     @property
     def interior(self) -> int:
         return self.n_nodes - self.n_leaves
-
-    def simulated_t1(self, net: NetworkModel) -> float:
-        """Single-thread simulated execution time on platform ``net``."""
-        return self.n_nodes * net.node_visit_time
 
 
 def count_tree(params: TreeParams, max_nodes: int = 500_000_000) -> TreeStats:

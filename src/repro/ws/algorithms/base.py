@@ -4,9 +4,10 @@
 array, the tree-exploration inner loop, and the protocol-independent
 skeleton of Figure 1: the ``thread_main`` state machine, the one
 Working state, the probe / back-off search phase (polling and parked),
-and the glue that swaps in the compiled phases of :mod:`repro.fastpath`.
-A variant supplies what differs -- the Working state's four switches,
-its ``try_steal``, and (for request/response protocols) the ``request``
+the Stealing state's attempt bookkeeping, and the glue that swaps in
+the compiled phases of :mod:`repro.fastpath`.  A variant supplies what
+differs -- the Working state's four switches, its steal claim
+(``_claim``), and (for request/response protocols) the ``request``
 poll slots with their ``service_request`` -- and may replace
 ``thread_main`` wholesale when its idle side is not a probe loop
 (``mpi-ws``, ``tree-split``).
@@ -651,6 +652,28 @@ class AlgorithmBase:
         if req_slot is not None and req_slot.value is not None:
             yield from self.service_request(ctx)
         self.enter_state(ctx, SEARCHING)
+
+    # -- stealing ----------------------------------------------------------
+
+    def try_steal(self, ctx: UpcContext, victim: int) -> Generator:
+        """Figure 1's Stealing state, the only copy: count and record
+        (``steal.req``) one attempt on ``victim``, which the variant's
+        ``_claim`` carries out -- True if work was obtained -- and, for
+        a duplicating-steal adversary's rank, re-raid the same victim
+        once after a success (``dup=1``) to stress the race paths."""
+        rank = ctx.rank
+        st = self.stats[rank]
+        tr = self.tracer
+        st.steal_attempts += 1
+        if tr.enabled:
+            tr.emit(self.sim.now, rank, "steal.req", (victim,))
+        ok = yield from self._claim(ctx, victim)
+        if ok and self._dup_ranks is not None and rank in self._dup_ranks:
+            st.steal_attempts += 1
+            if tr.enabled:
+                tr.emit(self.sim.now, rank, "steal.req", (victim, 1))
+            yield from self._claim(ctx, victim)
+        return ok
 
     def _steal_landed(self, ctx: UpcContext, victim: int, nodes: List,
                       n_chunks: int, dup: bool = False) -> None:

@@ -131,17 +131,11 @@ class UpcDistMem(AlgorithmBase):
 
     # -- thief side --------------------------------------------------------------
 
-    def try_steal(self, ctx: UpcContext, victim: int,
-                  _redundant: bool = False) -> Generator:
+    def _claim(self, ctx: UpcContext, victim: int) -> Generator:
         """Write our ID into the victim's request variable and await the
         response (Sect. 3.3.3).  Returns True if work was obtained."""
         rank = ctx.rank
-        st = self.stats[rank]
-        st.steal_attempts += 1
         tr = self.tracer
-        if tr.enabled:
-            tr.emit(self.machine.sim.now, rank, "steal.req",
-                    (victim, 1) if _redundant else (victim,))
         lk = self.req_locks[victim]
         # "Attempts to write its thread ID" -- a lock *attempt*: if the
         # slot's lock is held, another thief is requesting; rather than
@@ -222,13 +216,6 @@ class UpcDistMem(AlgorithmBase):
         if rt is not None:
             rt.clear_response(rank)
         self._steal_landed(ctx, victim, nodes, len(chunks))
-        if (self._dup_ranks is not None and not _redundant
-                and rank in self._dup_ranks):
-            # Duplicating-steal adversary: fire a second request at the
-            # same victim right away.  The victim usually denies it (our
-            # first grant drained or shrank its surplus); either way the
-            # request/response protocol must stay conservation-clean.
-            yield from self.try_steal(ctx, victim, _redundant=True)
         return True
 
     def _give_up_watch(self, ev: SimEvent, rank: int, victim: int) -> Generator:

@@ -139,19 +139,14 @@ class WsFenceFree(AlgorithmBase):
 
     # -- thief side ---------------------------------------------------------
 
-    def try_steal(self, ctx, victim: int, _redundant: bool = False) -> Generator:
+    def _claim(self, ctx, victim: int) -> Generator:
         """Fence-free claim: read ``tail``/``head``, plain-store
         ``head + 1``, take era chunk ``head`` -- a copy when the index
         was already claimed (multiplicity, ledgered).  Returns True if
         work (original or duplicate) was obtained."""
         rank = ctx.rank
-        st = self.stats[rank]
-        st.steal_attempts += 1
         tr = self.tracer
         sim = self.machine.sim
-        if tr.enabled:
-            tr.emit(sim.now, rank, "steal.req",
-                    (victim, 1) if _redundant else (victim,))
         head = self.heads[victim]
         tail = self.tails[victim]
         fast = self._fast
@@ -217,10 +212,6 @@ class WsFenceFree(AlgorithmBase):
         if rt is not None:
             rt.end_transfer(rank)
         self._steal_landed(ctx, victim, nodes, 1, dup)
-        if (self._dup_ranks is not None and not _redundant
-                and rank in self._dup_ranks):
-            # Duplicating-steal adversary: re-raid the same victim.
-            yield from self.try_steal(ctx, victim, _redundant=True)
         return True
 
     def _account_dup(self, rank: int, victim: int, idx: int, nodes) -> None:

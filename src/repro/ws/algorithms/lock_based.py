@@ -127,17 +127,12 @@ class LockBasedAlgorithm(AlgorithmBase):
 
     # -- stealing -----------------------------------------------------------------
 
-    def try_steal(self, ctx, victim: int, _redundant: bool = False) -> Generator:
+    def _claim(self, ctx, victim: int) -> Generator:
         """Lock the victim's stack, reserve chunk(s), transfer outside
         the critical region (Sect. 3.1 'Work Stealing').  Returns True
         if work was obtained."""
         rank = ctx.rank
-        st = self.stats[rank]
-        st.steal_attempts += 1
         tr = self.tracer
-        if tr.enabled:
-            tr.emit(self.machine.sim.now, rank, "steal.req",
-                    (victim, 1) if _redundant else (victim,))
         vstack = self.stacks[victim]
         lk = self.stack_locks[victim]
         yield from ctx.lock(lk)
@@ -169,13 +164,6 @@ class LockBasedAlgorithm(AlgorithmBase):
         if rt is not None:
             rt.end_transfer(rank)
         self._steal_landed(ctx, victim, nodes, take)
-        if (self._dup_ranks is not None and not _redundant
-                and rank in self._dup_ranks):
-            # Duplicating-steal adversary: immediately re-raid the same
-            # victim.  The redundant attempt usually finds the shared
-            # region empty and fails cleanly -- the point is to stress
-            # the race paths; conservation must hold regardless.
-            yield from self.try_steal(ctx, victim, _redundant=True)
         return True
 
 

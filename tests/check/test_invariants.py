@@ -8,6 +8,8 @@ release, or duplicating a node descriptor makes the monitor raise
 to the invariant that owns it.
 """
 
+import re
+
 import pytest
 
 from repro import run_experiment, TreeParams
@@ -113,6 +115,61 @@ def test_i3_ownership_catches_duplicated_node():
         return False
 
     _expect_violation(duplicate, "owned twice")
+
+
+#: The regions the ownership scans walk, in walk order: ranks in
+#: order (local region, then shared chunks), then the fault journals.
+_WALK = ("T0.local", "T0.shared", "T1.local", "T1.shared",
+         "T0.open_transfer", "T1.open_transfer", "T1.response",
+         "T0.response")
+#: The one descriptor :func:`_placed_monitor` puts in each region.
+_HELD = {"T0.local": 2, "T1.shared": 3, "T0.open_transfer": 5,
+         "T1.response": 6}
+
+
+def _placed_monitor(relaxed=False):
+    """A monitor over two synthetic stacks and fault journals, with the
+    regions of ``_HELD`` filled; returns it and a planter that adds a
+    node to a region that starts empty."""
+    from types import SimpleNamespace
+
+    from repro.ws.stack import SplitStack
+
+    stacks = [SplitStack(), SplitStack()]
+    stacks[0].local[:] = [1, 2]
+    stacks[1].shared.append([3, 4])
+    transfers, responses = {0: [5]}, {1: [6]}
+    monitor = InvariantMonitor()
+    monitor.attach_algorithm(SimpleNamespace(
+        stacks=stacks, in_flight_nodes=0, dup_extra={},
+        multiplicity_relaxed=relaxed,
+        machine=SimpleNamespace(faults=SimpleNamespace(
+            _open_transfer=transfers, _responses=responses))))
+    plant = {"T1.local": stacks[1].local.append,
+             "T0.shared": lambda node: stacks[0].shared.append([node]),
+             "T1.open_transfer": lambda node: transfers.update({1: [node]}),
+             "T0.response": lambda node: responses.update({0: [node]})}
+    return monitor, plant
+
+
+@pytest.mark.parametrize("first", sorted(_HELD))
+@pytest.mark.parametrize("second", ["T1.local", "T0.shared",
+                                    "T1.open_transfer", "T0.response"])
+def test_ownership_scans_reach_every_region(first, second):
+    """I3 names both places of a twice-owned node, the earlier in walk
+    order first; I3' counts both appearances."""
+    node = _HELD[first]
+    a, b = sorted((first, second), key=_WALK.index)
+    monitor, plant = _placed_monitor()
+    plant[second](node)
+    with pytest.raises(InvariantViolation, match=re.escape(
+            f"node {node} owned twice: {a} and {b}")):
+        monitor._scan_ownership(0.0, "steal")
+    monitor, plant = _placed_monitor(relaxed=True)
+    plant[second](node)
+    with pytest.raises(InvariantViolation,
+                       match=re.escape(f"node {node} appears 2 time(s)")):
+        monitor._scan_ownership(0.0, "steal")
 
 
 def _bare_monitor():

@@ -86,6 +86,27 @@ def test_termination_breakdown(traced_small_run):
         assert td["barrier_exits"][rank] <= td["barrier_entries"][rank]
 
 
+@pytest.mark.parametrize("idle", ["poll", "park"])
+def test_tree_split_announces_at_its_empty_round(idle):
+    """tree-split declares termination with ``tsplit.term``; the
+    breakdown reads it like any other termination kind."""
+    result, sink = traced_cell("tree-split", idle, None)
+    [term] = [ev.time for ev in sink.events() if ev.kind == "tsplit.term"]
+    td = termination_breakdown(sink.events(), SMALL_THREADS,
+                               result.sim_time)
+    assert td["announce_time"] == term
+    assert td["tail_seconds"] == result.sim_time - term
+
+
+def test_a_service_run_announces_at_its_close():
+    sink = TraceSink()
+    result = run_service(ServiceConfig(n_tasks=30), threads=8, tracer=sink)
+    events = sink.events()
+    td = termination_breakdown(events, 8, result.sim_time)
+    assert td["announce_time"] == service_summary(events)["close_time"]
+    assert td["announce_time"] is not None
+
+
 def test_analyses_accept_empty_traces():
     assert state_occupancy([], n_threads=2, sim_time=1.0)[1] \
         == {s: (1.0 if s == SEARCHING else 0.0) for s in STATES}

@@ -71,17 +71,29 @@ def test_greedy_thief_takes_everything():
         assert greedy.chunks_stolen >= greedy.steals_ok
 
 
-def test_dup_stealer_emits_redundant_attempts():
+@pytest.mark.parametrize("variant",
+                         ["upc-distmem", "upc-term", "ws-fencefree"])
+def test_dup_stealer_emits_redundant_attempts(variant):
+    """Every claim protocol re-raids through the one Stealing state:
+    the redundant request is counted, recorded with ``dup=1``, and
+    carried out -- each rank's requests are closed one for one by a
+    ``steal`` or ``steal.fail``."""
     from repro.obs import TraceSink
     tracer = TraceSink()
-    run_experiment(
-        "upc-distmem", tree=TREE, threads=8,
+    res = run_experiment(
+        variant, tree=TREE, threads=8,
         config=WsConfig(chunk_size=4,
                         adversaries=parse_adversaries("dup@1,2", 8)),
         verify=True, tracer=tracer)
-    dups = [r for r in tracer.records if r.args.get("dup") == 1]
+    dups = [r for r in tracer.records if r.args.get("dup") == 1
+            and r.kind == "steal.req"]
     assert dups, "duplicating stealer never fired its redundant steal"
     assert all(r.rank in (1, 2) for r in dups)
+    for st in res.per_thread:
+        mine = [r.kind for r in tracer.records if r.rank == st.rank]
+        assert mine.count("steal.req") == st.steal_attempts
+        assert mine.count("steal") + mine.count("steal.fail") \
+            == st.steal_attempts
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

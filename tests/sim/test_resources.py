@@ -1,9 +1,9 @@
-"""Unit tests for FifoLock and Gate."""
+"""Unit tests for FifoLock."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import FifoLock, Gate, Simulator, Timeout
+from repro.sim import FifoLock, Simulator, Timeout
 
 
 def test_lock_mutual_exclusion_and_fifo_order():
@@ -61,98 +61,3 @@ def test_lock_statistics():
     assert lock.contended_acquisitions == 1
     assert lock.busy_time == pytest.approx(3.0)
 
-
-def test_gate_blocks_until_open():
-    sim = Simulator()
-    gate = Gate(sim, "g")
-    log = []
-
-    def waiter(i):
-        v = yield gate.wait()
-        log.append((i, v, sim.now))
-
-    def opener():
-        yield Timeout(4.0)
-        gate.open("go")
-
-    sim.spawn(waiter(0))
-    sim.spawn(waiter(1))
-    sim.spawn(opener())
-    sim.run()
-    assert log == [(0, "go", 4.0), (1, "go", 4.0)]
-
-
-def test_gate_passthrough_when_open():
-    sim = Simulator()
-    gate = Gate(sim, "g")
-    gate.open()
-    log = []
-
-    def waiter():
-        yield gate.wait()
-        log.append(sim.now)
-
-    sim.spawn(waiter())
-    sim.run()
-    assert log == [0.0]
-
-
-def test_gate_reset_reblocks():
-    sim = Simulator()
-    gate = Gate(sim, "g")
-    log = []
-
-    def cycle_waiter():
-        yield gate.wait()
-        log.append(("first", sim.now))
-        gate.reset()
-        yield gate.wait()
-        log.append(("second", sim.now))
-
-    def opener():
-        yield Timeout(1.0)
-        gate.open()
-        yield Timeout(2.0)
-        gate.open()
-
-    sim.spawn(cycle_waiter())
-    sim.spawn(opener())
-    sim.run()
-    assert log == [("first", 1.0), ("second", 3.0)]
-
-
-def test_gate_open_returns_waiter_count():
-    sim = Simulator()
-    gate = Gate(sim, "g")
-
-    def waiter():
-        yield gate.wait()
-
-    def opener():
-        yield Timeout(1.0)
-        assert gate.open() == 3
-
-    for _ in range(3):
-        sim.spawn(waiter())
-    sim.spawn(opener())
-    sim.run()
-
-
-def test_gate_stagger_charges_contention():
-    sim = Simulator()
-    gate = Gate(sim, "g")
-    times = []
-
-    def waiter():
-        yield gate.wait()
-        times.append(sim.now)
-
-    def opener():
-        yield Timeout(1.0)
-        gate.open(stagger=0.25)
-
-    for _ in range(4):
-        sim.spawn(waiter())
-    sim.spawn(opener())
-    sim.run()
-    assert times == [1.0, 1.25, 1.5, 1.75]

@@ -43,6 +43,14 @@ the next re-anchor finding it:
   kernel or the scalar loop, both emitting ``(delta, size)``.  The
   numpy builder (``fastpath/nputs.py``) and the child-count array
   beside ``delta`` stay gone.
+* A run is wired once (``harness/runner.py``'s ``_run``): the machine
+  and the fault runtime are each built in one function, which both
+  ``run_experiment`` and ``run_service`` call, and the checker states
+  its ``fastpath="pure"`` contract at one site.
+* Figure 1's Stealing state is written once
+  (``AlgorithmBase.try_steal``): a variant supplies its claim, and only
+  the base and mpi-ws (whose outcome arrives later, in its idle loop)
+  record a ``steal.req``.
 * A rank pays only for what it touches (``docs/performance.md``,
   "Per-rank memory at 4096 threads"): ``StreamRng.__init__`` builds no
   Mersenne Twister, victim segments are ``array('i')`` slices and never
@@ -319,3 +327,60 @@ def test_no_deque_holds_a_shared_region_or_a_lock_queue():
                  if isinstance(node, (ast.Import, ast.ImportFrom))
                  for alias in node.names}
         assert "deque" not in names, module
+
+
+def _call_sites(match):
+    """``path:function`` of every call ``match(call)`` accepts, named
+    by the innermost enclosing function (``<module>`` outside one)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and match(child):
+                found.append(f"{path.relative_to(SRC)}:{where}")
+            visit(child, where)
+
+    for path, tree in _modules():
+        visit(tree, "<module>")
+    return found
+
+
+def _constructs(name):
+    return lambda call: (isinstance(call.func, ast.Name)
+                         and call.func.id == name)
+
+
+def test_one_function_builds_the_machine_and_the_fault_runtime():
+    assert _call_sites(_constructs("Machine")) == ["harness/runner.py:_run"]
+    assert _call_sites(_constructs("FaultRuntime")) \
+        == ["harness/runner.py:_run"]
+
+
+def test_the_checker_states_its_pure_backend_contract_once():
+    pure = _call_sites(lambda call: any(
+        kw.arg == "fastpath" and isinstance(kw.value, ast.Constant)
+        and kw.value.value == "pure" for kw in call.keywords))
+    assert pure == ["check/runner.py:_checked"], pure
+
+
+def test_one_stealing_state():
+    takes_redundant = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "try_steal"
+        and any(arg.arg == "_redundant" for arg in
+                node.args.args + node.args.kwonlyargs)]
+    assert takes_redundant == []
+    found = _definitions("try_steal")
+    assert len(found) == 1 and found[0].startswith("ws/algorithms/base.py:"), \
+        found
+    requests = sorted({site.split(":")[0] for site in _call_sites(
+        lambda call: isinstance(call.func, ast.Attribute)
+        and call.func.attr == "emit"
+        and any(isinstance(arg, ast.Constant) and arg.value == "steal.req"
+                for arg in call.args))})
+    assert requests == ["ws/algorithms/base.py", "ws/algorithms/mpi_ws.py"]
