@@ -33,7 +33,6 @@ injected with :meth:`attach` instead.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, List, Optional
 
 from repro.errors import ConfigError, ProtocolError, ThreadKilled
@@ -174,7 +173,7 @@ class FaultRuntime:
         if (delay_rate > 0.0
                 and self._delay.chance(delay_rate)):
             extra = self._delay.uniform(0.0, plan.msg_delay_max)
-            msg = replace(msg, arrival_time=msg.arrival_time + extra)
+            msg = msg._replace(arrival_time=msg.arrival_time + extra)
             self.counters.msgs_delayed += 1
             if tr.enabled:
                 tr.emit(self.machine.sim.now, msg.dst, "fault.delay",
@@ -184,7 +183,7 @@ class FaultRuntime:
                 and msg.tag in self.algo.duplicable_tags
                 and self._dup.chance(dup_rate)):
             late = self._dup.uniform(0.0, plan.msg_delay_max)
-            out.append(replace(msg, arrival_time=msg.arrival_time + late))
+            out.append(msg._replace(arrival_time=msg.arrival_time + late))
             self.counters.msgs_duplicated += 1
             if tr.enabled:
                 tr.emit(self.machine.sim.now, msg.dst, "fault.dup",

@@ -18,9 +18,7 @@ uses: nonblocking sends, a polling probe, and a blocking receive.
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass
-from typing import Any, Generator, Iterable, Optional
+from typing import Any, Generator, Iterable, NamedTuple, Optional, Union
 
 from repro.errors import SimulationError
 from repro.pgas.machine import Machine, UpcContext
@@ -29,9 +27,9 @@ from repro.sim.engine import SimEvent, Timeout
 __all__ = ["Message", "MsgWorld", "MsgEndpoint"]
 
 
-@dataclass(frozen=True)
-class Message:
-    """One two-sided message in flight or delivered."""
+class Message(NamedTuple):
+    """One two-sided message in flight or delivered (immutable; a
+    changed copy is ``msg._replace(arrival_time=...)``)."""
 
     src: int
     dst: int
@@ -40,6 +38,16 @@ class Message:
     nbytes: int
     send_time: float
     arrival_time: float
+
+
+_tuple_new = tuple.__new__
+
+
+def _tag_filter(tags: Union[None, str, Iterable[str]]) -> Optional[frozenset]:
+    """None (any tag), one tag, or several; a ``frozenset`` as-is."""
+    if tags is None or type(tags) is frozenset:
+        return tags
+    return frozenset((tags,) if isinstance(tags, str) else tags)
 
 
 class MsgWorld:
@@ -54,12 +62,16 @@ class MsgWorld:
         self._pending: list[list[tuple[float, int, Message]]] = [[] for _ in range(n)]
         # Per-rank blocked receivers: (tag_filter, event).
         self._waiters: list[list[tuple[Optional[frozenset], SimEvent]]] = [[] for _ in range(n)]
-        self._seq = itertools.count()
+        self._seq = 0
         self.messages_sent = 0
         self.bytes_sent = 0
+        # The injection charge on-node (half) and off: None when free.
+        self._inject = tuple(Timeout(c) if c > 0 else None for c in
+                             (self.net.msg_injection * 0.5,
+                              self.net.msg_injection))
 
-    def endpoint(self, ctx: UpcContext) -> "MsgEndpoint":
-        return MsgEndpoint(self, ctx)
+    def endpoint(self, ctx: UpcContext, stats=None) -> "MsgEndpoint":
+        return MsgEndpoint(self, ctx, stats)
 
     # -- internals ---------------------------------------------------------
 
@@ -73,7 +85,8 @@ class MsgWorld:
         With faults configured, the runtime decides the message's fate:
         it may be dropped (never delivered), delayed (delivered with a
         pushed-back arrival time), duplicated (delivered twice), or
-        discarded because the destination fail-stopped.
+        discarded because the destination fail-stopped.  Fault-free
+        and with no receiver blocked, it goes straight onto the heap.
         """
         self.messages_sent += 1
         self.bytes_sent += msg.nbytes
@@ -81,8 +94,13 @@ class MsgWorld:
         if faults is not None:
             for delivery in faults.route_message(msg):
                 self._deliver(delivery)
-            return
-        self._deliver(msg)
+        elif self._waiters[msg.dst]:
+            self._deliver(msg)
+        else:
+            seq = self._seq
+            self._seq = seq + 1
+            heapq.heappush(self._pending[msg.dst],
+                           (msg.arrival_time, seq, msg))
 
     def _deliver(self, msg: Message) -> None:
         """Route a message to a blocked receiver or the mailbox heap."""
@@ -92,8 +110,9 @@ class MsgWorld:
                 del waiters[i]
                 ev.succeed(msg, delay=msg.arrival_time - self.sim.now)
                 return
-        heapq.heappush(self._pending[msg.dst],
-                       (msg.arrival_time, next(self._seq), msg))
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._pending[msg.dst], (msg.arrival_time, seq, msg))
 
     def _take_delivered(self, rank: int,
                         tag_filter: Optional[frozenset]) -> Optional[Message]:
@@ -120,49 +139,71 @@ class MsgWorld:
 
 
 class MsgEndpoint:
-    """Per-rank handle on the message world."""
+    """Per-rank handle on the message world.  ``stats``, when given, is
+    the rank's :class:`~repro.metrics.counters.ThreadStats`: each message
+    it posts counts in ``msgs_sent``."""
 
-    __slots__ = ("world", "ctx", "rank")
+    __slots__ = ("world", "ctx", "rank", "stats")
 
-    def __init__(self, world: MsgWorld, ctx: UpcContext) -> None:
+    def __init__(self, world: MsgWorld, ctx: UpcContext, stats=None) -> None:
         self.world = world
         self.ctx = ctx
         self.rank = ctx.rank
+        self.stats = stats
 
     def send(self, dst: int, tag: str, payload: Any = None,
              nbytes: int = 64) -> Generator:
-        """Nonblocking send; the caller pays only the injection overhead."""
-        if dst == self.rank:
-            raise SimulationError(f"T{self.rank} sending to itself")
-        net = self.world.net
-        overhead = net.msg_injection if not net.same_node(self.rank, dst) \
-            else net.msg_injection * 0.5
-        if overhead > 0:
-            yield Timeout(overhead)
-        now = self.world.sim.now
-        transit = net.message(self.rank, dst, nbytes)
-        msg = Message(src=self.rank, dst=dst, tag=tag, payload=payload,
-                      nbytes=nbytes, send_time=now, arrival_time=now + transit)
-        self.world._post(msg)
+        """Nonblocking send; the caller pays only the injection overhead
+        (half on-node).  One locality test prices it and the transit
+        (``NetworkModel.message`` written out).  The message is posted
+        and counted after the injection: a rank killed during it sent
+        nothing."""
+        rank = self.rank
+        if dst == rank:
+            raise SimulationError(f"T{rank} sending to itself")
+        world = self.world
+        net = world.net
+        cpn = net.cores_per_node
+        if rank // cpn == dst // cpn:
+            inject = world._inject[0]
+            transit = net.onnode_latency + nbytes / net.onnode_bandwidth
+        else:
+            inject = world._inject[1]
+            transit = net.msg_latency + nbytes / net.msg_bandwidth
+        if inject is not None:
+            yield inject
+        now = world.sim.now
+        # tuple.__new__ is Message(...) without the Python-level __new__.
+        world._post(_tuple_new(Message, (rank, dst, tag, payload, nbytes,
+                                         now, now + transit)))
+        if self.stats is not None:
+            self.stats.msgs_sent += 1
         tr = self.ctx.machine.tracer
         if tr.enabled:
-            tr.emit(now, self.rank, "msg.send", (dst, tag))
+            tr.emit(now, rank, "msg.send", (dst, tag))
 
-    def iprobe(self, tags: Optional[Iterable[str]] = None) -> Optional[Message]:
+    def iprobe(self, tags: Union[None, str, Iterable[str]] = None
+               ) -> Optional[Message]:
         """Nonblocking local poll for a delivered message (free).
 
-        Callers on the polling hot path pass a prebuilt ``frozenset`` of
-        tags, which is used as-is.
+        ``tags`` is one tag, several, or None for any.  Callers on the
+        polling hot path pass a prebuilt ``frozenset`` of tags, which is
+        used as-is.
         """
-        if tags is None or type(tags) is frozenset:
-            tag_filter = tags
-        else:
-            tag_filter = frozenset(tags)
-        return self.world._take_delivered(self.rank, tag_filter)
+        world = self.world
+        pending = world._pending[self.rank]
+        if not pending or pending[0][0] > world.sim.now:
+            return None
+        if tags is None:
+            return heapq.heappop(pending)[2]
+        if type(tags) is not frozenset:
+            tags = _tag_filter(tags)
+        return world._take_delivered(self.rank, tags)
 
-    def recv(self, tags: Optional[Iterable[str]] = None) -> Generator:
-        """Blocking receive: suspends until a matching message arrives."""
-        tag_filter = frozenset(tags) if tags is not None else None
+    def recv(self, tags: Union[None, str, Iterable[str]] = None) -> Generator:
+        """Blocking receive: suspends until a matching message arrives.
+        ``tags`` is read as in :meth:`iprobe`."""
+        tag_filter = _tag_filter(tags)
         msg = self.world._take_delivered(self.rank, tag_filter)
         if msg is not None:
             tr = self.ctx.machine.tracer

@@ -15,6 +15,7 @@ UPC thread ranks share a node (the layout used by the paper's runs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
@@ -77,67 +78,74 @@ class NetworkModel:
     am_service_overhead: float = 8.0e-6
 
     def __post_init__(self) -> None:
-        if self.cores_per_node < 1:
+        if not self.cores_per_node >= 1:
             raise ConfigError(f"cores_per_node must be >= 1, got {self.cores_per_node}")
+        # ``not lo < x < inf`` refuses NaN and inf too: no run would finish.
         for fld in ("node_visit_time", "rdma_bandwidth", "msg_bandwidth",
                     "onnode_bandwidth"):
-            if getattr(self, fld) <= 0:
-                raise ConfigError(f"{fld} must be positive")
+            if not 0 < (v := getattr(self, fld)) < math.inf:
+                raise ConfigError(f"{fld} must be positive and finite, got {v!r}")
         for fld in ("local_shared_ref", "remote_shared_ref", "rdma_latency",
                     "msg_latency", "msg_injection", "lock_overhead",
                     "home_occupancy", "onnode_latency",
                     "am_service_overhead"):
-            if getattr(self, fld) < 0:
-                raise ConfigError(f"{fld} must be non-negative")
-
-    # -- topology ---------------------------------------------------------
-
-    def node_of(self, rank: int) -> int:
-        """SMP node index hosting UPC thread ``rank``."""
-        return rank // self.cores_per_node
-
-    def same_node(self, a: int, b: int) -> bool:
-        return self.node_of(a) == self.node_of(b)
+            if not 0 <= (v := getattr(self, fld)) < math.inf:
+                raise ConfigError(
+                    f"{fld} must be non-negative and finite, got {v!r}")
+        # Per-locality constants for the cost methods below (same float
+        # expressions); not fields, so replace() recomputes them and
+        # fields(), ==, repr see only the configuration.
+        am = self.am_service_overhead if self.am_mode else 0.0
+        derive = object.__setattr__
+        derive(self, "_am_pen", am)
+        derive(self, "_remote_ref", self.remote_shared_ref + am)
+        derive(self, "_lock_local",
+               self.local_shared_ref + self.lock_overhead * 0.1)
+        derive(self, "_lock_remote",
+               self.remote_shared_ref + am + self.lock_overhead)
 
     # -- operation costs --------------------------------------------------
-
-    def _am_penalty(self) -> float:
-        return self.am_service_overhead if self.am_mode else 0.0
+    #
+    # A node is ``cores_per_node`` consecutive ranks.  Each method runs
+    # on every steal, lock or message, so each is one locality test and
+    # none calls another.
 
     def shared_ref(self, src: int, dst: int) -> float:
         """One shared-variable read or write by ``src`` homed at ``dst``."""
         if src == dst:
             return 0.0
-        if self.same_node(src, dst):
+        cpn = self.cores_per_node
+        if src // cpn == dst // cpn:
             return self.local_shared_ref
-        return self.remote_shared_ref + self._am_penalty()
+        return self._remote_ref
 
     def ref_cost_bounds(self, src: int) -> tuple:
         """``(node_lo, node_hi, local, remote)`` for inlined probe loops.
 
         For any ``dst != src``, ``shared_ref(src, dst)`` equals
         ``local`` when ``node_lo <= dst < node_hi`` and ``remote``
-        otherwise -- one range comparison instead of three calls per
+        otherwise -- one range comparison instead of a call per
         probe, which matters in the park-mode victim scans.
         """
-        lo = self.node_of(src) * self.cores_per_node
-        return (lo, lo + self.cores_per_node, self.local_shared_ref,
-                self.remote_shared_ref + self._am_penalty())
+        cpn = self.cores_per_node
+        lo = src // cpn * cpn
+        return (lo, lo + cpn, self.local_shared_ref, self._remote_ref)
 
     def one_sided(self, src: int, dst: int, nbytes: int) -> float:
         """A ``upc_memget``/``upc_memput`` of ``nbytes`` between ranks."""
         if src == dst:
             return 0.0
-        if self.same_node(src, dst):
+        cpn = self.cores_per_node
+        if src // cpn == dst // cpn:
             return self.onnode_latency + nbytes / self.onnode_bandwidth
-        return self.rdma_latency + nbytes / self.rdma_bandwidth + \
-            self._am_penalty()
+        return self.rdma_latency + nbytes / self.rdma_bandwidth + self._am_pen
 
     def message(self, src: int, dst: int, nbytes: int) -> float:
         """A two-sided message of ``nbytes`` (delivery time once matched)."""
         if src == dst:
             return 0.0
-        if self.same_node(src, dst):
+        cpn = self.cores_per_node
+        if src // cpn == dst // cpn:
             return self.onnode_latency + nbytes / self.onnode_bandwidth
         return self.msg_latency + nbytes / self.msg_bandwidth
 
@@ -145,14 +153,20 @@ class NetworkModel:
         """Uncontended acquire cost of a lock homed at rank ``home``."""
         if src == home:
             return self.local_shared_ref  # still an atomic, never free
-        base = self.shared_ref(src, home)
-        if self.same_node(src, home):
-            return base + self.lock_overhead * 0.1
-        return base + self.lock_overhead
+        cpn = self.cores_per_node
+        if src // cpn == home // cpn:
+            return self._lock_local
+        return self._lock_remote
 
     def chunk_transfer(self, src: int, dst: int, nnodes: int) -> float:
         """One-sided transfer of ``nnodes`` tree-node descriptors."""
-        return self.one_sided(src, dst, nnodes * NODE_DESC_BYTES)
+        if src == dst:
+            return 0.0
+        nbytes = nnodes * NODE_DESC_BYTES
+        cpn = self.cores_per_node
+        if src // cpn == dst // cpn:
+            return self.onnode_latency + nbytes / self.onnode_bandwidth
+        return self.rdma_latency + nbytes / self.rdma_bandwidth + self._am_pen
 
     # -- derived ----------------------------------------------------------
 

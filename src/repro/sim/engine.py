@@ -123,7 +123,7 @@ class Timeout:
     __slots__ = ("delay", "value")
 
     def __init__(self, delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # NaN too: a NaN time never compares
             raise SimulationError(f"negative timeout {delay!r}")
         self.delay = delay
         self.value = value
@@ -208,7 +208,7 @@ class Simulator:
         """Queue ``proc``'s resumption with ``value`` after ``delay``.
         A ``None`` process marks an engine-side record: ``value`` is a
         bare callback or a delayed ``(event, value, stagger)`` fire."""
-        if delay < 0:
+        if not delay >= 0:  # NaN too, as in Timeout
             raise SimulationError(f"negative delay {delay!r}")
         self._seq += 1
         tb = self.tie_break

@@ -660,16 +660,25 @@ class AlgorithmBase:
         (``steal.req``) one attempt on ``victim``, which the variant's
         ``_claim`` carries out -- True if work was obtained -- and, for
         a duplicating-steal adversary's rank, re-raid the same victim
-        once after a success (``dup=1``) to stress the race paths."""
+        once after a success (``dup=1``) to stress the race paths.
+        Counts now and returns the claim to ``yield from`` at once (no
+        frame of its own on every attempt)."""
         rank = ctx.rank
-        st = self.stats[rank]
+        self.stats[rank].steal_attempts += 1
         tr = self.tracer
-        st.steal_attempts += 1
         if tr.enabled:
             tr.emit(self.sim.now, rank, "steal.req", (victim,))
+        if self._dup_ranks is not None and rank in self._dup_ranks:
+            return self._steal_twice(ctx, victim)
+        return self._claim(ctx, victim)
+
+    def _steal_twice(self, ctx: UpcContext, victim: int) -> Generator:
+        """A duplicating-steal adversary's claim and re-raid."""
         ok = yield from self._claim(ctx, victim)
-        if ok and self._dup_ranks is not None and rank in self._dup_ranks:
-            st.steal_attempts += 1
+        if ok:
+            rank = ctx.rank
+            self.stats[rank].steal_attempts += 1
+            tr = self.tracer
             if tr.enabled:
                 tr.emit(self.sim.now, rank, "steal.req", (victim, 1))
             yield from self._claim(ctx, victim)

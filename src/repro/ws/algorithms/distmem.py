@@ -105,7 +105,7 @@ class UpcDistMem(AlgorithmBase):
         # the thief sees the response a network latency later.
         cost = 2.0 * self.net.msg_injection
         if cost > 0:
-            yield from ctx.compute(cost)
+            yield Timeout(cost * ctx._slow)  # ctx.compute, frameless
         slot.poke(None)  # local reset of the request variable
         ev = self.response_events[thief]
         self.response_events[thief] = None
@@ -146,8 +146,11 @@ class UpcDistMem(AlgorithmBase):
                 tr.emit(self.machine.sim.now, rank, "steal.fail",
                         (victim, "busy"))
             return False
-        # Read the request variable under its lock.
-        yield from ctx.compute(self.net.shared_ref(rank, victim))
+        # Read the request variable under its lock (one shared
+        # reference, charged as ctx.compute would: a lone Timeout).
+        ref = self.net.shared_ref(rank, victim)
+        if ref > 0:
+            yield Timeout(ref * ctx._slow)
         if self.request[victim].value is not None:
             # Another thief got there first this round.
             yield from ctx.unlock(lk)
@@ -163,7 +166,8 @@ class UpcDistMem(AlgorithmBase):
             # suspects it.
             self.machine.sim.spawn(self._give_up_watch(ev, rank, victim),
                                    name=f"giveup.T{rank}")
-        yield from ctx.compute(self.net.shared_ref(rank, victim))
+        if ref > 0:
+            yield Timeout(ref * ctx._slow)
         self.request[victim].poke(rank)
         if self._gate is not None:
             # The victim may have consumed its surplus and parked in the

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from typing import Generator
 
+from repro.sim.engine import Timeout
 from repro.ws.algorithms.base import AlgorithmBase, flatten
 
 __all__ = ["WsFenceFree"]
@@ -156,7 +157,7 @@ class WsFenceFree(AlgorithmBase):
         # stale tail only under-reports (safe refusal), and a stale
         # head resolves to the duplicate path below.
         if ref > 0:
-            yield from ctx.compute(2 * ref)
+            yield Timeout(2 * ref * ctx._slow)  # ctx.compute, frameless
         now = ctx.now
         t = tail.value if fast else tail.remote_read(now, rank)
         h = head.value if fast else head.remote_read(now, rank)
@@ -203,7 +204,7 @@ class WsFenceFree(AlgorithmBase):
         # in-flight (a termination declared in this window must still
         # see them via in_flight_nodes).
         if ref > 0:
-            yield from ctx.compute(ref)
+            yield Timeout(ref * ctx._slow)
         # One-sided transfer of the (possibly duplicated) chunk.  The
         # victim's work_avail is NOT updated -- only the owner writes
         # its own hint, so searchers may chase a stale positive and

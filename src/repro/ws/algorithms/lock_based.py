@@ -136,8 +136,11 @@ class LockBasedAlgorithm(AlgorithmBase):
         vstack = self.stacks[victim]
         lk = self.stack_locks[victim]
         yield from ctx.lock(lk)
-        # Re-check availability under the lock (one shared reference).
-        yield from ctx.compute(self.net.shared_ref(rank, victim))
+        # Re-check availability under the lock (one shared reference,
+        # charged as ctx.compute would: a lone Timeout, no frame).
+        ref = self.net.shared_ref(rank, victim)
+        if ref > 0:
+            yield Timeout(ref * ctx._slow)
         nch = vstack.shared_chunks
         if nch == 0:
             # The probe raced a competing thief or the owner; move on.
@@ -156,7 +159,8 @@ class LockBasedAlgorithm(AlgorithmBase):
             # they land below they exist only in this thief's frame.
             rt.begin_transfer(rank, nodes)
         self._advertise(victim, vstack.shared_chunks)
-        yield from ctx.compute(self.net.shared_ref(rank, victim))
+        if ref > 0:
+            yield Timeout(ref * ctx._slow)
         yield from ctx.unlock(lk)
         # One-sided transfer outside the critical region; the victim
         # keeps working during this.

@@ -56,7 +56,8 @@ class MpiWorkStealing(AlgorithmBase):
 
     def setup(self) -> None:
         self.world = MsgWorld(self.machine)
-        self.endpoints = [self.world.endpoint(c) for c in self.machine.contexts]
+        self.endpoints = [self.world.endpoint(c, st) for c, st
+                          in zip(self.machine.contexts, self.stats)]
         #: Prebuilt tag filter for the per-batch poll (iprobe uses a
         #: frozenset argument as-is instead of rebuilding one per call).
         self._poll_tags = frozenset((REQUEST, TOKEN))
@@ -84,13 +85,16 @@ class MpiWorkStealing(AlgorithmBase):
 
     def _send(self, ctx: UpcContext, dst: int, tag: str, payload=None,
               nbytes: int = _CTRL_BYTES) -> Generator:
-        yield from self.endpoints[ctx.rank].send(dst, tag, payload, nbytes)
-        self.stats[ctx.rank].msgs_sent += 1
+        """The endpoint's send itself (it counts ``msgs_sent``)."""
+        return self.endpoints[ctx.rank].send(dst, tag, payload, nbytes)
 
-    def _serve_request(self, ctx: UpcContext, thief: int,
-                       seq=None) -> Generator:
+    def _serve_request(self, ctx: UpcContext, thief: int, seq=None):
         """Answer a steal request: one chunk if the shared region has
         one, else a denial.
+
+        Books it now and returns the reply to ``yield from`` at once:
+        the bare send (no frame of its own) unless a faulted or traced
+        grant needs :meth:`_grant` around it; ``()`` for a duplicate.
 
         Under faults, requests carry a per-thief sequence number:
         duplicates (the fault layer may deliver a REQUEST twice) are
@@ -109,7 +113,7 @@ class MpiWorkStealing(AlgorithmBase):
                 if tr.enabled:
                     tr.emit(self.sim.now, rank, "recover.dup_suppressed",
                             (thief, seq))
-                return
+                return ()
             seen[thief] = seq
         if stack.shared_chunks > 0:
             chunk = stack.steal_chunks(1)[0]
@@ -117,25 +121,31 @@ class MpiWorkStealing(AlgorithmBase):
             st.requests_granted += 1
             if rt is None:
                 self.tokens[rank].on_sent_work(thief)
-                yield from self._send(ctx, thief, WORK, payload=chunk,
-                                      nbytes=len(chunk) * NODE_DESC_BYTES + _CTRL_BYTES)
-            else:
-                # Journal the chunk across the send: if this thread is
-                # killed mid-send the nodes exist only in this frame.
-                # The deficit increment lands after the post, atomically
-                # with it (no yield in between).
-                rt.begin_transfer(rank, chunk)
-                yield from self._send(ctx, thief, WORK, payload=chunk,
-                                      nbytes=len(chunk) * NODE_DESC_BYTES + _CTRL_BYTES)
-                rt.end_transfer(rank)
-                self._wsent[rank] += 1
-            if tr.enabled:
-                tr.emit(self.sim.now, rank, "service", (thief, 1))
-        else:
-            st.requests_denied += 1
-            if tr.enabled:
-                tr.emit(self.sim.now, rank, "steal.deny", (thief,))
-            yield from self._send(ctx, thief, NOWORK, payload=seq)
+            send = self._send(ctx, thief, WORK, payload=chunk,
+                              nbytes=len(chunk) * NODE_DESC_BYTES + _CTRL_BYTES)
+            if rt is None and not tr.enabled:
+                return send
+            return self._grant(ctx, thief, chunk, send)
+        st.requests_denied += 1
+        if tr.enabled:
+            tr.emit(self.sim.now, rank, "steal.deny", (thief,))
+        return self._send(ctx, thief, NOWORK, payload=seq)
+
+    def _grant(self, ctx: UpcContext, thief: int, chunk, send) -> Generator:
+        """A grant's ``send`` under faults -- journalled, since a thread
+        killed mid-send holds the nodes only in this frame, with the
+        deficit increment atomic with the post -- or traced."""
+        rank = ctx.rank
+        rt = self.faults_rt
+        if rt is not None:
+            rt.begin_transfer(rank, chunk)
+        yield from send
+        if rt is not None:
+            rt.end_transfer(rank)
+            self._wsent[rank] += 1
+        tr = self.tracer
+        if tr.enabled:
+            tr.emit(self.sim.now, rank, "service", (thief, 1))
 
     def _broadcast_term(self, ctx: UpcContext) -> Generator:
         """Rank 0 declares termination.  Fault-free it roots a binary
@@ -175,9 +185,9 @@ class MpiWorkStealing(AlgorithmBase):
 
     def _working_msg(self, ctx: UpcContext, msg):
         """Handle one message taken while working (by the Python loop
-        or the compiled phase's bounce).  Returns the generator that
-        answers a REQUEST, for the caller to delegate to -- a served
-        request costs no extra frame -- or None: token absorbed."""
+        or the compiled phase's bounce).  Returns what answers a
+        REQUEST, for the caller to delegate to -- a served request
+        costs no extra frame -- or None: token absorbed."""
         rank = ctx.rank
         if msg.tag == REQUEST:
             return self._serve_request(ctx, msg.src, seq=msg.payload)

@@ -250,8 +250,8 @@ class HierarchicalProbeOrder(ProbeOrder):
     def __init__(self, rank: int, n_threads: int, rng: StreamRng,
                  net) -> None:
         super().__init__(rank, n_threads, rng)
-        # A node is a rank range (``node_of`` is ``rank //
-        # cores_per_node``), so, as in the base class, its two ends are
+        # A node is a rank range (``rank // cores_per_node`` names
+        # it), so, as in the base class, its two ends are
         # all that is stored: per-rank victim lists made construction
         # quadratic in the thread count.
         lo, hi = net.ref_cost_bounds(rank)[:2]

@@ -1,9 +1,12 @@
 """Tests for the simulated two-sided message layer."""
 
+import dataclasses
+
 import pytest
 
-from repro.errors import SimulationError
-from repro.msg import MsgWorld
+from repro.errors import SimulationError, ThreadKilled
+from repro.metrics.counters import ThreadStats
+from repro.msg import Message, MsgWorld
 from repro.net import NetworkModel
 from repro.pgas import Machine
 
@@ -97,6 +100,90 @@ def test_iprobe_tag_filter_preserves_other_messages(machine, world):
     machine.sim.spawn(poller(machine.contexts[2]))
     machine.run()
     assert seen == ["B", "A"]
+
+
+def test_a_bare_string_is_one_tag(machine, world):
+    """``iprobe("WORK")`` / ``recv("WORK")`` match the tag WORK, not
+    the letters W, O, R, K."""
+    ep0 = world.endpoint(machine.contexts[0])
+    ep1 = world.endpoint(machine.contexts[1])
+    got = []
+
+    def sender(ctx):
+        yield from ep0.send(1, "WORK", nbytes=0)
+        yield from ep0.send(1, "W", nbytes=0)
+        yield from ep0.send(1, "WORK", nbytes=0)
+
+    def receiver(ctx):
+        yield from ctx.compute(10.0)
+        got.append(ep1.iprobe("WORK").tag)
+        msg = yield from ep1.recv("WORK")
+        got.append(msg.tag)
+        assert ep1.iprobe("WORK") is None
+        got.append(ep1.iprobe("W").tag)
+
+    machine.sim.spawn(sender(machine.contexts[0]))
+    machine.sim.spawn(receiver(machine.contexts[1]))
+    machine.run()
+    assert got == ["WORK", "WORK", "W"]
+
+
+def test_a_blocked_recv_on_a_bare_string_wakes_on_that_tag(machine, world):
+    ep0 = world.endpoint(machine.contexts[0])
+    ep1 = world.endpoint(machine.contexts[1])
+    got = {}
+
+    def sender(ctx):
+        yield from ctx.compute(1.0)
+        yield from ep0.send(1, "WORK", nbytes=0)
+
+    def receiver(ctx):
+        msg = yield from ep1.recv("WORK")  # blocks before the send
+        got["tag"], got["time"] = msg.tag, ctx.now
+
+    machine.sim.spawn(sender(machine.contexts[0]))
+    machine.sim.spawn(receiver(machine.contexts[1]))
+    machine.run()
+    assert got == {"tag": "WORK", "time": 1.0 + 0.25 + 2.0}
+
+
+def test_a_message_is_a_named_tuple_and_replace_copies(machine, world):
+    ep0 = world.endpoint(machine.contexts[0])
+    ep1 = world.endpoint(machine.contexts[1])
+    got = []
+
+    def sender(ctx):
+        yield from ep0.send(1, "X", payload=7, nbytes=100)
+
+    def receiver(ctx):
+        got.append((yield from ep1.recv()))
+
+    machine.sim.spawn(sender(machine.contexts[0]))
+    machine.sim.spawn(receiver(machine.contexts[1]))
+    machine.run()
+    [msg] = got
+    assert type(msg) is Message and isinstance(msg, tuple)
+    assert not dataclasses.is_dataclass(msg)
+    assert msg == Message(src=0, dst=1, tag="X", payload=7, nbytes=100,
+                          send_time=0.25, arrival_time=0.25 + 3.0)
+    late = msg._replace(arrival_time=9.0)
+    assert late.arrival_time == 9.0 and msg.arrival_time == 3.25
+
+
+def test_an_endpoint_with_stats_counts_each_posted_message(machine, world):
+    stats = ThreadStats(rank=0)
+    ep0 = world.endpoint(machine.contexts[0], stats)
+
+    def sender(ctx):
+        yield from ep0.send(1, "X")
+        yield from ep0.send(2, "Y")
+
+    proc = machine.sim.spawn(sender(machine.contexts[0]))
+    machine.sim.run(until=0.3)  # inside the second send's injection
+    assert stats.msgs_sent == 1 and world.messages_sent == 1
+    machine.sim.interrupt(proc, ThreadKilled("mid-send"))
+    machine.run()
+    assert stats.msgs_sent == 1 and world.messages_sent == 1
 
 
 def test_recv_while_message_in_flight(machine, world):

@@ -55,6 +55,21 @@ def test_negative_timeout_rejected():
         Timeout(-1.0)
 
 
+def test_nan_timeout_rejected():
+    """A NaN delay compares false both ways: queued, it would stall the
+    heap order, so it is refused like a negative one."""
+    with pytest.raises(SimulationError, match="negative timeout nan"):
+        Timeout(float("nan"))
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan")])
+def test_bad_schedule_delay_rejected(delay):
+    sim = Simulator()
+    with pytest.raises(SimulationError, match="negative delay"):
+        sim.event("late").succeed(delay=delay)
+    assert sim.queue_size == 0
+
+
 def test_event_wakes_all_waiters():
     sim = Simulator()
     ev = sim.event("go")

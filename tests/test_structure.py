@@ -51,6 +51,12 @@ the next re-anchor finding it:
   (``AlgorithmBase.try_steal``): a variant supplies its claim, and only
   the base and mpi-ws (whose outcome arrives later, in its idle loop)
   record a ``steal.req``.
+* The cost charging a compiled run still does in Python is flat
+  (``docs/performance.md``, "The Python a compiled run still runs"): a
+  ``Message`` is a ``NamedTuple``, not a dataclass; no cost method of
+  ``NetworkModel`` calls another method (one locality test over
+  precomputed constants); and no ``_claim`` charges through a
+  ``ctx.compute(`` generator.
 * A rank pays only for what it touches (``docs/performance.md``,
   "Per-rank memory at 4096 threads"): ``StreamRng.__init__`` builds no
   Mersenne Twister, victim segments are ``array('i')`` slices and never
@@ -384,3 +390,50 @@ def test_one_stealing_state():
         and any(isinstance(arg, ast.Constant) and arg.value == "steal.req"
                 for arg in call.args))})
     assert requests == ["ws/algorithms/base.py", "ws/algorithms/mpi_ws.py"]
+
+
+def _class(module, name):
+    tree = ast.parse((SRC / module).read_text())
+    [cls] = [node for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef) and node.name == name]
+    return cls
+
+
+def test_a_message_is_a_named_tuple():
+    cls = _class("msg/comm.py", "Message")
+    assert [ast.unparse(b) for b in cls.bases] == ["NamedTuple"]
+    assert cls.decorator_list == []
+    assert "dataclass" not in (SRC / "msg" / "comm.py").read_text()
+
+
+#: ``NetworkModel``'s per-operation cost methods.
+COST_METHODS = ("shared_ref", "ref_cost_bounds", "one_sided", "message",
+                "lock_cost", "chunk_transfer")
+
+
+def test_no_cost_method_calls_another():
+    cls = _class("net/model.py", "NetworkModel")
+    methods = {node.name: node for node in cls.body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(COST_METHODS) <= set(methods)
+    calls = [
+        f"{name}: {ast.unparse(node)}"
+        for name in COST_METHODS
+        for node in ast.walk(methods[name])
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "self"]
+    assert calls == [], calls
+    assert _mentions("_am_penalty") == []
+
+
+def test_no_claim_charges_through_ctx_compute():
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path, tree in _modules()
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_claim"
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "ctx.compute"]
+    assert found == [], found

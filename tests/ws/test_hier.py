@@ -59,8 +59,9 @@ class StoredListOrder:
     def __init__(self, rank, n, rng, net):
         self._rng = rng
         self._all = [t for t in range(n) if t != rank]
-        self._on_node = [t for t in self._all if net.same_node(rank, t)]
-        self._off_node = [t for t in self._all if not net.same_node(rank, t)]
+        cpn = net.cores_per_node  # (was NetworkModel.same_node)
+        self._on_node = [t for t in self._all if rank // cpn == t // cpn]
+        self._off_node = [t for t in self._all if rank // cpn != t // cpn]
 
     def segments(self):
         return [list(self._on_node), list(self._off_node)]

@@ -28,6 +28,15 @@ Notes for reading the output (see docs/performance.md):
   profiled sweep (``import repro``, the tree, the first cell's machine
   and algorithm), unprofiled: the part of a run the ledger books as
   ``setup_s``.
+* On the compiled backend the ``python share`` line is the profiled
+  time outside ``_core.run``'s own frame (the Python the C loop still
+  resumes: protocol methods, cost charging, the message layer) over
+  the profiled total, and how often each phase type handed control
+  back to Python: *bounces* resume the worker with a value to serve (a
+  steal attempt, a request, a message), *ends* with None (the phase
+  finished).  The bounces are counted on one more, unprofiled pass
+  whose process bodies are wrapped (docs/performance.md, "The Python a
+  compiled run still runs").
 * The ``memory`` line builds and spawns the first cell again under
   :mod:`tracemalloc` (MiB, bytes per rank), then runs it: ``run peak``
   is the most that cell's run held traced at once, machine included.
@@ -48,6 +57,7 @@ import pstats
 import sys
 import time
 import tracemalloc
+from collections import Counter
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -59,6 +69,7 @@ from repro.harness.parallel import JobSpec, execute_jobs  # noqa: E402
 from repro.harness.runner import expected_node_count, tree_for  # noqa: E402
 from repro.net.presets import get_preset  # noqa: E402
 from repro.pgas.machine import Machine  # noqa: E402
+from repro.sim.engine import Simulator  # noqa: E402
 from repro.ws.algorithms import get_algorithm  # noqa: E402
 from repro.ws.config import WsConfig  # noqa: E402
 
@@ -114,6 +125,65 @@ class CollectorClock:
                          in enumerate(zip(self.count, self.seconds)))
         return (f"collector: {gens} ({sum(self.seconds):.3f} s over the "
                 "profiled sweep)")
+
+
+class CountedBody:
+    """A process body that counts the phase returns it is resumed by."""
+
+    __slots__ = ("body", "counts", "phase_types", "phase")
+
+    def __init__(self, body, counts: Counter, phase_types: tuple) -> None:
+        self.body = body
+        self.counts = counts
+        self.phase_types = phase_types
+        self.phase = None  # the phase type last yielded, if any
+
+    def send(self, value):
+        if self.phase is not None:
+            self.counts[self.phase, value is not None] += 1
+        awaited = self.body.send(value)
+        kind = type(awaited)
+        self.phase = kind.__name__ if kind in self.phase_types else None
+        return awaited
+
+    def __next__(self):
+        return self.send(None)
+
+    def throw(self, exc):
+        return self.body.throw(exc)
+
+
+def count_bounces(grid) -> Counter:
+    """``(phase type, bounced)`` -> returns to Python over ``grid``,
+    on an unprofiled pass with every process body wrapped."""
+    core = fastpath.load_core()
+    phase_types = (core.WorkPhase, core.SearchPhase, core.IdlePhase)
+    counts: Counter = Counter()
+    spawn = Simulator.spawn
+
+    def counted(sim, body, name="", delay=0.0):
+        return spawn(sim, CountedBody(body, counts, phase_types), name, delay)
+
+    Simulator.spawn = counted
+    try:
+        execute_jobs(grid, 1)
+    finally:
+        Simulator.spawn = spawn
+    return counts
+
+
+def python_share_line(stats: pstats.Stats, bounces: Counter) -> str:
+    """Profiled time outside ``_core.run``'s own frame, over the total,
+    with each phase type's bounces (and ends) back into Python."""
+    total = stats.total_tt
+    own = sum(row[2] for key, row in stats.stats.items()
+              if key[2] == "<built-in method repro.fastpath._core.run>")
+    per_type = ", ".join(
+        f"{name} {bounces[name, True]} (+{bounces[name, False]} ends)"
+        for name in ("WorkPhase", "SearchPhase", "IdlePhase"))
+    return (f"python share: {(total - own) / total:.2f} ({total - own:.3f} "
+            f"of {total:.3f} s profiled outside _core.run's own frame); "
+            f"bounces: {per_type}")
 
 
 def main(argv=None) -> int:
@@ -201,9 +271,11 @@ def main(argv=None) -> int:
 
     events = sum(r.engine_events for r in runs)
     print(clock.line())
+    stats = pstats.Stats(profiler)
+    if backend == "fast":
+        print(python_share_line(stats, count_bounces(grid)))
     print(f"{len(runs)} runs, {events} engine events "
           "(profiled wall-clock is inflated by cProfile overhead)\n")
-    stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort).print_stats(args.top)
     if args.out:
         stats.dump_stats(args.out)
