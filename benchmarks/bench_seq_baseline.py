@@ -23,13 +23,9 @@ def test_sequential_baseline_table(capsys):
     assert "2.39" in table
 
 
-@pytest.mark.parametrize("engine", ["sha1", "sha1-pure", "splitmix"])
+@pytest.mark.parametrize("engine", ["sha1", "splitmix"])
 def test_sequential_traversal_rate(benchmark, engine, capsys):
     tree = TREE_SHA1.with_engine(engine)
-    if engine == "sha1-pure":
-        # The from-scratch SHA-1 is ~50x slower; shrink the workload.
-        tree = TreeParams.binomial(b0=50, m=2, q=0.45, seed=1,
-                                   engine="sha1-pure")
     stats = benchmark(count_tree, tree)
     rate = stats.n_nodes / stats.host_seconds
     benchmark.extra_info["nodes"] = stats.n_nodes

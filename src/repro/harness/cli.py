@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--q", type=float, default=0.499)
     run_p.add_argument("--tree-seed", type=int, default=0)
     run_p.add_argument("--engine", default="sha1",
-                       choices=["sha1", "sha1-pure", "splitmix"])
+                       choices=["sha1", "splitmix"])
     run_p.add_argument("--no-verify", action="store_true")
     run_p.add_argument(
         "--scenario", metavar="NAME", default=None,

@@ -29,6 +29,7 @@ and untraced runs alike, keeping the two bit-identical.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -99,14 +100,17 @@ class ServiceConfig:
             raise ConfigError(
                 f"policy {self.policy!r} unknown (known: "
                 f"{', '.join(_POLICIES)})")
-        if self.deadline < 0.0:
-            raise ConfigError(f"deadline must be >= 0, got {self.deadline}")
+        # ``not lo < x < inf`` refuses NaN and inf too: a NaN deadline
+        # turned deadlines off, a NaN backoff failed mid-run.
+        if not 0.0 <= self.deadline < math.inf:
+            raise ConfigError(
+                f"deadline must be >= 0 and finite, got {self.deadline!r}")
         if self.max_retries < 0:
             raise ConfigError(
                 f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff <= 0.0:
-            raise ConfigError(
-                f"retry_backoff must be > 0, got {self.retry_backoff}")
+        if not 0.0 < self.retry_backoff < math.inf:
+            raise ConfigError("retry_backoff must be positive and finite, "
+                              f"got {self.retry_backoff!r}")
         if not 0.0 <= self.retry_jitter <= 1.0:
             raise ConfigError(
                 f"retry_jitter must be in [0, 1], got {self.retry_jitter}")

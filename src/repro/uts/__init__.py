@@ -3,7 +3,7 @@
 * :class:`~repro.uts.params.TreeParams` -- tree parameterization
   (binomial/geometric shapes; the paper's exact trees as constants).
 * :class:`~repro.uts.tree.Tree` -- implicit tree generation via
-  splittable RNG engines (SHA-1, from-scratch SHA-1, splitmix).
+  splittable RNG engines (SHA-1, splitmix).
 * :func:`~repro.uts.sequential.count_tree` -- sequential reference
   traversal (the speedup baseline and the correctness oracle).
 * :class:`~repro.uts.materialized.MaterializedTree` -- expand-once
@@ -15,7 +15,6 @@ from repro.uts.materialized import MaterializedTree, materialize
 from repro.uts.params import T1_PAPER, T3_PAPER, TreeParams
 from repro.uts.rng import RAND_MAX, get_engine
 from repro.uts.sequential import TreeStats, count_tree, sequential_search
-from repro.uts.sha1 import sha1, sha1_hex
 from repro.uts.stats import ImbalanceStats, root_subtree_imbalance, subtree_sizes
 from repro.uts.tree import Node, Tree
 
@@ -33,8 +32,6 @@ __all__ = [
     "ImbalanceStats",
     "root_subtree_imbalance",
     "subtree_sizes",
-    "sha1",
-    "sha1_hex",
     "get_engine",
     "RAND_MAX",
 ]

@@ -190,12 +190,11 @@ class MaterializedTree:
 def _compiled(base: Tree):
     """``_core.expand`` bound to ``base``'s generator, as ``(roots,
     cap, count_only=False)``; None without the extension, under a
-    forced-pure ``REPRO_FASTPATH``, and for the trees it has no kernel
-    for: geometric child counts go through ``libm`` (one ulp would fork
-    a subtree), and ``sha1-pure`` exists to run the from-scratch hash.
+    forced-pure ``REPRO_FASTPATH``, and for geometric trees: their
+    child counts go through ``libm`` (one ulp would fork a subtree).
     """
     name = base.engine.name
-    if not base._is_binomial or name not in ("sha1", "splitmix"):
+    if not base._is_binomial:
         return None
     from repro import fastpath
     core = None if fastpath.env_mode() == "pure" else fastpath.load_core()

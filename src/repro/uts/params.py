@@ -48,7 +48,7 @@ class TreeParams:
     #: Geometric shape only: branching-factor shape function
     #: ("linear", "expdec", "cyclic", or "fixed", as in reference UTS).
     geo_shape: str = "linear"
-    #: RNG engine: "sha1" (default), "sha1-pure", or "splitmix".
+    #: RNG engine: "sha1" (default) or "splitmix".
     engine: str = "sha1"
     #: UTS's compute-granularity knob: per-node work multiplier, for
     #: emulating searches whose state evaluation costs more than one

@@ -5,12 +5,10 @@ its 20-byte description (the state of a splittable RNG).  Spawning
 child ``i`` of a node hashes the parent state with the child index --
 the "BRG SHA-1" scheme of the reference UTS implementation.
 
-Three interchangeable engines:
+Two interchangeable engines:
 
-* ``sha1``      -- the spec-faithful scheme via ``hashlib`` (default).
-* ``sha1-pure`` -- same scheme through our from-scratch SHA-1
-  (:mod:`repro.uts.sha1`); bit-identical trees, ~50x slower.
-* ``splitmix``  -- a fast 64-bit splittable mix for very large
+* ``sha1``     -- the spec-faithful scheme via ``hashlib`` (default).
+* ``splitmix`` -- a fast 64-bit splittable mix for very large
   simulated runs.  Different trees than sha1, same statistics.
 
 All engines expose ``init(seed)``, ``spawn(state, i)``, ``rand(state)``
@@ -25,10 +23,9 @@ import struct
 from typing import Protocol, Union
 
 from repro.errors import ConfigError
-from repro.uts.sha1 import sha1 as _pure_sha1
 
-__all__ = ["RngEngine", "Sha1Engine", "PureSha1Engine", "SplitmixEngine",
-           "get_engine", "RAND_MAX"]
+__all__ = ["RngEngine", "Sha1Engine", "SplitmixEngine", "get_engine",
+           "RAND_MAX"]
 
 #: ``rng_rand`` range: non-negative 31-bit ints, [0, RAND_MAX].
 RAND_MAX = 0x7FFFFFFF
@@ -67,19 +64,6 @@ class Sha1Engine:
         return int.from_bytes(state[:4], "big") & RAND_MAX
 
 
-class PureSha1Engine(Sha1Engine):
-    """Identical trees to :class:`Sha1Engine`, using our own SHA-1."""
-
-    name = "sha1-pure"
-
-    def init(self, seed: int) -> bytes:
-        return _pure_sha1(b"UTS root" + struct.pack(">q", seed))
-
-    def spawn(self, state: bytes, i: int) -> bytes:
-        idx = _IDX[i] if i < 4096 else struct.pack(">I", i)
-        return _pure_sha1(state + idx)
-
-
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _M64 = 0xFFFFFFFFFFFFFFFF
 
@@ -112,7 +96,6 @@ class SplitmixEngine:
 
 _ENGINES = {
     "sha1": Sha1Engine(),
-    "sha1-pure": PureSha1Engine(),
     "splitmix": SplitmixEngine(),
 }
 

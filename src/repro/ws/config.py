@@ -125,12 +125,18 @@ class WsConfig:
             raise ConfigError("release_factor must be >= 2")
         if self.poll_interval < 1:
             raise ConfigError("poll_interval must be >= 1")
-        if self.search_backoff_min <= 0 or self.search_backoff_max < self.search_backoff_min:
-            raise ConfigError("search backoff bounds invalid")
-        if self.search_backoff_factor < 1.0:
-            raise ConfigError("search_backoff_factor must be >= 1")
-        if self.barrier_poll_min <= 0 or self.barrier_poll_max < self.barrier_poll_min:
-            raise ConfigError("barrier poll bounds invalid")
+        # ``not lo < x < inf`` refuses NaN and inf too: a NaN backoff
+        # spins the host or skips every wait.
+        for lo, hi in (("search_backoff_min", "search_backoff_max"),
+                       ("barrier_poll_min", "barrier_poll_max")):
+            low, high = getattr(self, lo), getattr(self, hi)
+            if not 0 < low < math.inf:
+                raise ConfigError(f"{lo} must be positive and finite, got {low!r}")
+            if not low <= high < math.inf:
+                raise ConfigError(f"{hi} must be finite and >= {lo}, got {high!r}")
+        if not 1.0 <= self.search_backoff_factor < math.inf:
+            raise ConfigError("search_backoff_factor must be >= 1 and finite, "
+                              f"got {self.search_backoff_factor!r}")
         # Registry-aware plug-in keys: unknown keys fail here (and thus
         # in every replace()-derived config, e.g. with_chunk_size) with
         # the registered alternatives in the message.

@@ -8,13 +8,17 @@ release, or duplicating a node descriptor makes the monitor raise
 to the invariant that owns it.
 """
 
+import dataclasses
+import gc
 import re
 
 import pytest
 
-from repro import run_experiment, TreeParams
+import repro.fastpath as fp
+from repro import ALGORITHMS, TreeParams, WsConfig, run_experiment
 from repro.check import InvariantMonitor, check_run
 from repro.errors import InvariantViolation
+from repro.ws.stack import SplitStack
 
 ALL_VARIANTS = ("upc-sharedmem", "upc-term", "upc-term-rapdif",
                 "upc-distmem", "upc-distmem-hier", "mpi-ws")
@@ -217,3 +221,65 @@ def test_check_run_folds_violations_into_outcome():
     """The fuzzer-facing wrapper reports violations, never raises."""
     out = check_run("upc-distmem", b0=32, q=0.45)
     assert out.ok and out.error_type is None
+
+
+# -- the write barrier: invisible to the schedule, gone after the run ----------
+
+TREE = TreeParams.binomial(b0=64, m=2, q=0.48, seed=1)
+BACKENDS = ["pure", pytest.param("fast", marks=pytest.mark.skipif(
+    not fp.available(), reason="compiled core not built on this host"))]
+
+
+def _schedule(result):
+    return (result.engine_events, repr(result.sim_time), result.total_nodes,
+            [dataclasses.asdict(st) | {"timer": None}
+             for st in result.per_thread],
+            [(st.timer.times, st.timer.transitions)
+             for st in result.per_thread])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("idle", ["poll", "park"])
+@pytest.mark.parametrize("variant", sorted(ALGORITHMS))
+def test_monitored_run_executes_the_unmonitored_schedule(
+        variant, idle, backend, monkeypatch):
+    if backend == "fast":
+        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+    kw = dict(tree=TREE, threads=8, fastpath=backend,
+              config=WsConfig(chunk_size=4, idle_strategy=idle))
+    plain = run_experiment(variant, **kw)
+    monitor = InvariantMonitor()
+    watched = run_experiment(variant, tracer=monitor, **kw)
+    # before final_check: the barrier is still on every stack
+    assert all(type(s) is not SplitStack for s in monitor.algo.stacks)
+    monitor.final_check()
+    assert _schedule(watched) == _schedule(plain)
+    assert monitor.ledger_rechecks > 0
+
+
+def test_a_stack_outliving_its_monitor_is_a_plain_stack_again():
+    monitor = InvariantMonitor()
+    run_experiment("ws-fencefree", tree=TREE, threads=4, tracer=monitor)
+    stacks = monitor.algo.stacks
+    assert all(isinstance(s, SplitStack) and type(s) is not SplitStack
+               for s in stacks)
+    monitor.final_check()
+    assert all(type(s) is SplitStack for s in stacks)
+    before = monitor.ledger_rechecks
+    stacks[0].push(0)
+    stacks[0].pops += 1
+    assert monitor._dirty == set() and monitor.ledger_rechecks == before
+
+
+def test_barrier_classes_do_not_pile_up():
+    """One barrier class per attach; none may outlive its monitor."""
+    gc.collect()
+    before = len(SplitStack.__subclasses__())
+    for _ in range(30):
+        monitor = InvariantMonitor()
+        run_experiment("upc-distmem", tree=TreeParams.binomial(
+            b0=4, m=2, q=0.3, seed=1), threads=2, tracer=monitor)
+        monitor.final_check()
+    del monitor
+    gc.collect()
+    assert len(SplitStack.__subclasses__()) == before

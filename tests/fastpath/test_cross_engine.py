@@ -1,16 +1,12 @@
-"""Cross-engine property tests: scalar engines and the tree builders.
+"""Cross-engine property tests: the tree builders against the tree.
 
-Two implementations can decide a UTS node's fate in Python: the
-hashlib reference engine (``Sha1Engine``) and the from-scratch scalar
-engine (``PureSha1Engine``).  One node disagreeing on one ``rand``
-value forks the entire subtree below it, so they must agree on *every*
-state -- a property, not a handful of fixtures.
-
-``uts.materialized.expand`` then turns the implicit tree into the
-preorder layout, by the compiled kernel where one applies and by the
-scalar loop otherwise.  Both are held here to a walk that knows
-nothing of either: child counts from ``Tree.children``, subtree sizes
-from ``stats.subtree_size``.
+``uts.materialized.expand`` turns the implicit tree into the preorder
+layout, by the compiled kernel where one applies (its SHA-1 and
+SplitMix64 written out in C) and by the scalar loop over the hashlib
+engine otherwise.  One node disagreeing on one ``rand`` value forks
+the entire subtree below it, so both are held here to a walk that
+knows nothing of either: child counts from ``Tree.children``, subtree
+sizes from ``stats.subtree_size``.
 """
 
 from array import array
@@ -21,28 +17,9 @@ from hypothesis import strategies as st
 
 from repro.uts.materialized import expand
 from repro.uts.params import TreeParams
-from repro.uts.rng import PureSha1Engine, Sha1Engine
 from repro.uts.stats import subtree_size
 from repro.uts.tree import Tree
 
-SEEDS = st.integers(min_value=-(2 ** 31), max_value=2 ** 31 - 1)
-
-
-# -- Sha1Engine vs PureSha1Engine (scalar vs scalar) -----------------
-
-@given(seed=SEEDS, i=st.integers(min_value=0, max_value=5000))
-@settings(max_examples=150, deadline=None)
-def test_sha1_engines_agree(seed, i):
-    ref, pure = Sha1Engine(), PureSha1Engine()
-    s_ref, s_pure = ref.init(seed), pure.init(seed)
-    assert s_ref == s_pure
-    assert ref.rand(s_ref) == pure.rand(s_pure)
-    c_ref, c_pure = ref.spawn(s_ref, i), pure.spawn(s_pure, i)
-    assert c_ref == c_pure
-    assert ref.rand(c_ref) == pure.rand(c_pure)
-
-
-# -- whole-tree: expand() vs an independent walk ---------------------
 
 def scalar_layout(base):
     """``(delta, size, max_depth)`` in visit order, straight from the
@@ -56,15 +33,15 @@ def scalar_layout(base):
 
 @pytest.mark.parametrize("fastpath_env", ["0", None],
                          ids=["scalar", "default"])
-@pytest.mark.parametrize("engine", ["sha1", "splitmix", "sha1-pure"])
+@pytest.mark.parametrize("engine", ["sha1", "splitmix"])
 @given(seed=st.integers(min_value=0, max_value=2 ** 20),
        b0=st.integers(min_value=1, max_value=8),
        q=st.floats(min_value=0.0, max_value=0.45))
 @settings(max_examples=40, deadline=None)
 def test_expand_matches_an_independent_walk(fastpath_env, engine, seed,
                                             b0, q):
-    """The default is the compiled kernel where the extension loads
-    (``sha1-pure`` stays scalar), the scalar loop elsewhere; the cap
+    """The default is the compiled kernel where the extension loads,
+    the scalar loop elsewhere; the cap
     refuses one node short of the tree and admits it exactly."""
     base = Tree(TreeParams(b0=b0, m=2, q=q, seed=seed, engine=engine))
     want = scalar_layout(base)

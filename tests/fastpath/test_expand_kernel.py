@@ -279,7 +279,6 @@ def test_kernel_counts_a_tree_over_the_cap(spy, monkeypatch):
 @pytest.mark.parametrize("params", [
     TreeParams.geometric(b0=3, gen_mx=5, seed=1),
     TreeParams.geometric(b0=3, gen_mx=5, seed=1, engine="splitmix"),
-    config.T1_TEST.with_engine("sha1-pure"),
 ], ids=lambda p: p.describe())
 def test_kernel_refuses_shapes_it_has_no_generator_for(spy, monkeypatch,
                                                       params):

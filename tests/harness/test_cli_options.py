@@ -44,7 +44,7 @@ RUN = {
     "--b0": (500, None),
     "--q": (0.499, None),
     "--tree-seed": (0, None),
-    "--engine": ("sha1", ("sha1", "sha1-pure", "splitmix")),
+    "--engine": ("sha1", ("sha1", "splitmix")),
     "--no-verify": (False, None),
     "--scenario": (None, None),
     "--victim-policy": (None, ("uniform", "hierarchical")),

@@ -4,11 +4,15 @@ import dataclasses
 
 import pytest
 
+import repro.fastpath as fp
+from repro import TreeParams, WsConfig, run_experiment
 from repro.errors import SimulationError, ThreadKilled
+from repro.faults.plan import parse_fault_spec
 from repro.metrics.counters import ThreadStats
 from repro.msg import Message, MsgWorld
 from repro.net import NetworkModel
 from repro.pgas import Machine
+from repro.sim.engine import Simulator
 
 
 @pytest.fixture
@@ -270,3 +274,31 @@ def test_onnode_messaging_cheaper():
     machine.sim.spawn(far(machine.contexts[2]))
     machine.run()
     assert times["near"] < times["far"]
+
+
+@pytest.mark.parametrize("fastpath", [
+    "pure", pytest.param("fast", marks=pytest.mark.skipif(
+        not fp.available(), reason="compiled core not built on this host"))])
+def test_a_rank_is_killed_mid_send(fastpath, monkeypatch):
+    """Rank 3 dies inside ``MsgEndpoint.send``'s injection Timeout:
+    charged for a message it never posted, which ``msgs_sent`` must not
+    count (the golden corpus pins this cell's counters)."""
+    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+    where = {}
+    interrupt = Simulator.interrupt
+
+    def spying(sim, proc, exc):
+        frames, gen = [], proc.body
+        while gen is not None:
+            frames.append(gen.gi_code.co_name)
+            gen = gen.gi_yieldfrom
+        where[proc.name] = frames
+        return interrupt(sim, proc, exc)
+
+    monkeypatch.setattr(Simulator, "interrupt", spying)
+    result = run_experiment(
+        "mpi-ws", TreeParams.binomial(b0=64, m=2, q=0.48, seed=1),
+        threads=8, seed=0, fastpath=fastpath, config=WsConfig(chunk_size=2),
+        faults=parse_fault_spec("kill=3@162us,kill=5@120us", seed=0))
+    assert where["T3"][-1] == "send", where
+    assert result.per_thread[3].msgs_sent > 0

@@ -11,14 +11,18 @@ from dataclasses import replace
 
 import pytest
 
+import repro.fastpath as fp
 from repro.check import InvariantMonitor, check_service_run
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.faults.plan import parse_fault_spec
+from repro.net.presets import get_preset
 from repro.obs import TraceSink
 from repro.service import ArrivalProcess, ServiceConfig, run_service
 from repro.service import tasks
-from repro.sim.rng import StreamRng
-from repro.uts import materialized
+from repro.service.runtime import ServiceRuntime
+from repro.service.tasks import ServiceWorkload, TaskForest
+from repro.sim.rng import StreamRng, substream_seed
+from repro.uts import Tree, materialized
 from repro.ws.config import WsConfig
 
 BASE = ServiceConfig(arrivals=ArrivalProcess(rate=8e5), n_tasks=120,
@@ -172,10 +176,25 @@ class TestSurface:
         ("max_retries", -1),
         ("retry_backoff", 0.0),
         ("retry_jitter", 1.5),
+        # non-finite: a NaN deadline silently turned deadlines off, a
+        # NaN backoff failed mid-run as a negative timeout
+        ("deadline", float("nan")),
+        ("deadline", float("inf")),
+        ("retry_backoff", float("nan")),
+        ("retry_backoff", float("inf")),
+        ("retry_backoff", -float("inf")),
     ])
     def test_config_rejects_garbage_by_name(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ServiceConfig(**{field: value})
+
+    def test_cli_refuses_a_nan_deadline(self, capsys):
+        from repro.harness.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--deadline", "nan"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "deadline" in err
 
 
 @pytest.fixture
@@ -241,3 +260,141 @@ class TestTaskForest:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert "n_tasks=100000000" in err and "2e+11 nodes" in err
+
+
+# -- the task forest: the implicit walk, one task per stack, no walk after ------
+
+THREADS = 8
+STORM = "storm(kill:2@t=0.05ms..0.2ms)"
+
+
+class Spy(TraceSink):
+    """A sink that keeps the algorithm instance."""
+
+    def attach_algorithm(self, algo):
+        self.algo = algo
+
+
+def stream(load, policy, engine):
+    base = ServiceConfig(task_engine=engine)
+    capacity = THREADS / (base.expected_task_nodes()
+                          * get_preset("kittyhawk").node_visit_time)
+    return ServiceConfig(arrivals=ArrivalProcess(rate=load * capacity),
+                         n_tasks=100, queue_capacity=8, policy=policy,
+                         deadline=150e-6, task_engine=engine, seed=3)
+
+
+@pytest.mark.parametrize("engine", ["splitmix", "sha1"])
+def test_forest_is_the_implicit_walk_by_either_builder(engine, monkeypatch):
+    """Task by task the layout is the sequential search from the task's
+    root (minted from the stream seed), and the default build (the
+    compiled kernel where the extension loads) equals the scalar build
+    array for array."""
+    params = ServiceConfig(task_engine=engine).inner_params()
+    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+    default = TaskForest(params, 3, 60)
+    monkeypatch.setenv("REPRO_FASTPATH", "0")
+    scalar = TaskForest(params, 3, 60)
+    for name in ("delta", "size", "off", "task_of"):
+        assert getattr(default, name) == getattr(scalar, name), name
+    assert (default.n_nodes, default.n_leaves, default.max_depth) == (
+        scalar.n_nodes, scalar.n_leaves, scalar.max_depth)
+
+    inner = Tree(params)
+    assert default.delta[0] == -1 and default.size[0] == 1
+    assert default.task_of[0] == -1 and default.off[0] == 1
+    for tid in range(60):
+        lo, hi = default.off[tid], default.off[tid + 1]
+        root = inner.engine.init(
+            substream_seed(3, "svc.task", tid) & 0x7FFFFFFFFFFFFFFF)
+        stack, delta = [(root, 0)], []
+        while stack:
+            children = inner.children(stack.pop())
+            delta.append(len(children) - 1)
+            stack.extend(children)
+        assert list(default.delta[lo:hi]) == delta
+        assert default.size[lo] == hi - lo
+        assert set(default.task_of[lo:hi]) == {tid}
+    assert default.off[60] == default.n_nodes
+
+
+@pytest.mark.parametrize("backend", ["pure", "fast"])
+def test_two_tasks_on_one_stack_fail_loudly(backend, monkeypatch):
+    if backend == "fast" and not fp.available():
+        pytest.skip("compiled core not built on this host")
+    monkeypatch.delenv("REPRO_FASTPATH", raising=False)
+    take = ServiceRuntime.take
+
+    def take_two(self, rank):
+        task = take(self, rank)
+        if task is not None and task.tid == 0:
+            # task 1's root under task 0's: one batch could visit both
+            # and book them all to one task
+            self.algo.stacks[rank].push(self.workload.task_root(1))
+        return task
+
+    monkeypatch.setattr(ServiceRuntime, "take", take_two)
+    with pytest.raises(ProtocolError, match="tasks 0 and 1"):
+        run_service(stream(0.6, "block", "splitmix"), threads=THREADS,
+                    config=WsConfig(chunk_size=2), seed=1, fastpath=backend)
+
+
+def test_storm_cell_lost_work_is_read_off_size():
+    """``lost_work`` is ``size[pos]`` summed over the lost descriptors:
+    no walk, so no ``children()`` call after the run ends."""
+    spy = Spy(enabled=False)
+    calls = []
+    real = ServiceWorkload.children
+    try:
+        ServiceWorkload.children = lambda self, node: (
+            calls.append(node) or real(self, node))
+        r = run_service(stream(0.6, "shed-oldest", "splitmix"),
+                        threads=THREADS, config=WsConfig(chunk_size=2),
+                        seed=1, faults=parse_fault_spec(STORM, seed=7),
+                        tracer=spy)
+    finally:
+        ServiceWorkload.children = real
+    assert r.lost_tasks > 0 and r.lost_work > 0 and not calls
+    rt = spy.algo.faults_rt
+    size = spy.algo.tree.size
+    assert r.lost_work == sum(size[p] for p in rt.lost_descriptors)
+
+
+def test_a_wrapper_around_the_workload_cannot_route_around_the_scan():
+    """``bench/drive.py``'s probe pass hands the pool a timing wrapper
+    with only ``root()`` / ``children()`` and the runtime the workload
+    itself: drains are booked in the workload's scan, so the pool must
+    visit through it -- same schedule, ``children()`` never asked."""
+    from repro.pgas.machine import Machine
+    from repro.service.algorithm import ServiceAlgorithm
+
+    class Wrapper:
+        def __init__(self, inner):
+            self.inner, self.params, self.calls = inner, inner.params, 0
+
+        def root(self):
+            return self.inner.root()
+
+        def children(self, node):
+            self.calls += 1
+            return self.inner.children(node)
+
+    service = stream(0.6, "shed-oldest", "splitmix")
+    cfg = WsConfig(chunk_size=2, idle_strategy="park")
+    plain = run_service(service, threads=THREADS, config=cfg, seed=1)
+
+    workload = ServiceWorkload(service.inner_params(), seed=service.seed)
+    wrapper = Wrapper(workload)
+    machine = Machine(threads=THREADS, net=get_preset("kittyhawk"), seed=1,
+                      tracer=Spy(enabled=True))
+    algo = ServiceAlgorithm(machine, wrapper, cfg)
+    svc = ServiceRuntime(service, machine, algo, workload)
+    machine.spawn_all(algo.thread_main)
+    svc.start()
+    sim_time = machine.run()
+    algo.finalize()
+    svc.assert_conservation()
+    assert (svc.completed, algo.total_nodes, machine.sim.events_processed,
+            repr(sim_time)) == (plain.completed, plain.total_nodes,
+                                plain.engine_events, repr(plain.sim_time))
+    assert svc.completed > 0 and wrapper.calls == 0

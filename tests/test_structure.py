@@ -1,7 +1,7 @@
 """Structural guards over ``src/repro/`` (AST only -- ``_core.c`` is
 read as text -- with no imports of the code under test beyond the one
-MRO check and one fresh interpreter; about a second, no extension
-needed).
+MRO check, the golden corpus's cell list and one fresh interpreter;
+about a second, no extension needed).
 
 Each assertion pins a property a past PR paid to establish, so the day
 a copy or an ungated format comes back every CI leg fails -- instead of
@@ -62,6 +62,12 @@ the next re-anchor finding it:
   Mersenne Twister, victim segments are ``array('i')`` slices and never
   lists (nor does ``_core.c`` read them as lists), and neither a shared
   region nor a lock queue is a deque.
+* A schedule is pinned by the golden corpus (``tests/golden``), not by
+  a frozen copy of the parent's code: no ``*_equals_reference.py``
+  comes back under ``tests/``, and the corpus keeps cells for every
+  variant and ``service-ws`` polling and parked, clean and faulted,
+  traced and untraced (parked and faulted where a fail-stop plan is
+  admitted at all).
 """
 
 import ast
@@ -437,3 +443,35 @@ def test_no_claim_charges_through_ctx_compute():
         for node in ast.walk(fn)
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "ctx.compute"]
     assert found == [], found
+
+
+def test_no_frozen_parent_copy_comes_back():
+    tests = SRC.parent.parent / "tests"
+    assert sorted(tests.rglob("*_equals_reference.py")) == []
+
+
+def test_the_corpus_covers_every_variant_in_every_mode():
+    from repro import ALGORITHMS
+    from repro.ws.algorithms import get_algorithm
+    from tests.golden.cells import CELLS
+
+    seen = set()
+    for cell in CELLS:
+        if cell.api.startswith("check"):
+            continue
+        variant = cell.kwargs.get("variant", "service-ws")
+        mode = (cell.kwargs["idle_strategy"], "faults" in cell.kwargs)
+        seen.update({(variant, *mode, False), (variant, *mode, cell.traced)})
+    missing = []
+    for variant in sorted(ALGORITHMS) + ["service-ws"]:
+        classes = (None if variant == "service-ws"
+                   else get_algorithm(variant).fault_classes)
+        for idle in ("poll", "park"):
+            for faulted in (False, True):
+                if (idle, faulted) == ("park", True) and classes is not None \
+                        and not {"kill", "slow"} & set(classes):
+                    continue  # park admits fail-stop plans only
+                missing += [(variant, idle, faulted, traced)
+                            for traced in (False, True)
+                            if (variant, idle, faulted, traced) not in seen]
+    assert not missing

@@ -28,7 +28,7 @@ SHAPES = st.one_of(
     st.builds(TreeParams.binomial,
               b0=st.integers(1, 8), m=st.just(2), q=st.floats(0.0, 0.45),
               seed=st.integers(0, 2 ** 20),
-              engine=st.sampled_from(["sha1", "sha1-pure", "splitmix"])),
+              engine=st.sampled_from(["sha1", "splitmix"])),
     st.builds(TreeParams.geometric,
               b0=st.integers(1, 3), gen_mx=st.integers(1, 5),
               seed=st.integers(0, 2 ** 20),

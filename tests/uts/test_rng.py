@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.uts.rng import (
     RAND_MAX,
-    PureSha1Engine,
     Sha1Engine,
     SplitmixEngine,
     get_engine,
 )
 
-ENGINES = [Sha1Engine(), PureSha1Engine(), SplitmixEngine()]
+ENGINES = [Sha1Engine(), SplitmixEngine()]
 
 
 @pytest.mark.parametrize("engine", ENGINES, ids=lambda e: e.name)
@@ -51,20 +50,8 @@ class TestEngineContract:
         assert abs(mean - RAND_MAX / 2) < RAND_MAX * 0.05
 
 
-def test_pure_sha1_engine_bit_identical_to_hashlib_engine():
-    fast, pure = Sha1Engine(), PureSha1Engine()
-    s_fast, s_pure = fast.init(5), pure.init(5)
-    assert s_fast == s_pure
-    for i in range(20):
-        s_fast = fast.spawn(s_fast, i)
-        s_pure = pure.spawn(s_pure, i)
-        assert s_fast == s_pure
-        assert fast.rand(s_fast) == pure.rand(s_pure)
-
-
 def test_get_engine_names():
     assert get_engine("sha1").name == "sha1"
-    assert get_engine("sha1-pure").name == "sha1-pure"
     assert get_engine("splitmix").name == "splitmix"
 
 

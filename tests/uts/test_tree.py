@@ -75,11 +75,6 @@ class TestSequential:
         p = TreeParams.binomial(b0=10, q=0.3, seed=2)
         assert sequential_search(p) == count_tree(p).n_nodes
 
-    def test_sha1_and_pure_sha1_identical_tree(self):
-        p_fast = TreeParams.binomial(b0=8, q=0.42, seed=5, engine="sha1")
-        p_pure = p_fast.with_engine("sha1-pure")
-        assert count_tree(p_fast).n_nodes == count_tree(p_pure).n_nodes
-
     def test_geometric_tree_counts(self):
         p = TreeParams.geometric(b0=3, gen_mx=5, seed=0)
         stats = count_tree(p)

@@ -36,3 +36,19 @@ def test_with_chunk_size_copy():
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ConfigError):
         WsConfig(**kw)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value)
+    for field in ("search_backoff_min", "search_backoff_max",
+                  "search_backoff_factor", "barrier_poll_min",
+                  "barrier_poll_max")
+    for value in (NAN, INF, -INF)])
+def test_non_finite_times_rejected_by_name(field, value):
+    """A NaN backoff made mpi-ws spin past ``max_events`` and
+    upc-distmem skip its waits; every bound is refused by name."""
+    with pytest.raises(ConfigError, match=field):
+        WsConfig(**{field: value})

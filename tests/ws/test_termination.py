@@ -237,3 +237,9 @@ class TestTokenState:
             colour = states[r].forward()
         states[0].on_token(colour)
         assert not states[0].round_succeeded()
+
+
+def test_the_service_policy_is_the_one_the_dispatch_assumes():
+    from repro.ws.termination.strategies import NoTermination
+    assert NoTermination.park_capable
+    assert not NoTermination.persist_while_working
