@@ -41,7 +41,7 @@ def main() -> None:
     ]
     print(series_table(["variant", "Mnodes/s", "eff_%", "steals"], rows))
     print("\nEach knob isolates one design decision from the paper; see"
-          "\nbenchmarks/bench_extensions.py for the asserted versions.")
+          "\n`repro-uts experiment X1 X2 X3 X4` for the checked versions.")
 
 
 if __name__ == "__main__":

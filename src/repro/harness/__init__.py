@@ -1,6 +1,8 @@
-"""Experiment harness: per-figure runners, sweeps, plots, persistence, CLI."""
+"""Experiment harness: the experiment registry, per-figure renderers,
+sweeps, plots, persistence, CLI."""
 
 from repro.harness.config import FIG4, FIG5, FIG6, SCALES, FigureSetup, setup_for
+from repro.harness.experiments import EXPERIMENTS, run_experiments
 from repro.harness.figures import (
     AblationResult,
     ClaimsResult,
@@ -16,7 +18,6 @@ from repro.harness.io import load_json, save_csv, save_json
 from repro.harness.parallel import JobSpec, execute_jobs, resolve_jobs
 from repro.harness.runner import expected_node_count, run_experiment, tree_for
 from repro.harness.sweep import SweepResult, run_sweep
-from repro.harness.report_md import generate_report
 from repro.harness.validate import ValidationReport, validate_grid
 
 __all__ = [
@@ -48,5 +49,6 @@ __all__ = [
     "load_json",
     "validate_grid",
     "ValidationReport",
-    "generate_report",
+    "EXPERIMENTS",
+    "run_experiments",
 ]

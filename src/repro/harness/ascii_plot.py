@@ -1,8 +1,7 @@
-"""Terminal line charts for figure output.
+"""Terminal tables and line charts for the examples' output.
 
-The benchmark harness prints each figure as (a) a table of the exact
-series the paper plots and (b) an ASCII chart, so results are readable
-straight out of ``pytest benchmarks/`` with no plotting dependencies.
+Plain-text tables of the exact series a study sweeps and ASCII charts
+of them, readable in a terminal with no plotting dependencies.
 """
 
 from __future__ import annotations

@@ -3,10 +3,8 @@
 Examples::
 
     repro-uts run --algorithm upc-distmem --threads 16 --chunk-size 8
-    repro-uts fig4 --scale quick --json results/fig4.json
-    repro-uts fig4 --scale quick --jobs 4
-    repro-uts claims --scale full
-    repro-uts all --scale quick
+    repro-uts experiment E2 --scale quick --jobs 4 --json results/
+    repro-uts experiment --scale full --write EXPERIMENTS.md
 """
 
 from __future__ import annotations
@@ -16,9 +14,7 @@ import sys
 from typing import List, Optional
 
 from repro.errors import ConfigError
-from repro.harness import figures
 from repro.harness.config import SCALES
-from repro.harness.io import save_csv, save_json
 from repro.harness.runner import run_experiment
 from repro.net.presets import PRESETS
 from repro.uts.params import TreeParams
@@ -58,16 +54,25 @@ def build_parser() -> argparse.ArgumentParser:
              "(locality-aware 'hierarchical' probes same-node ranks "
              "first); applied on top of any --scenario")
 
-    for fig in ("fig4", "fig5", "fig6", "ablation", "claims", "all"):
-        fp = sub.add_parser(fig, help=f"reproduce {fig}")
-        fp.add_argument("--scale", choices=SCALES, default="quick")
-        fp.add_argument("--json", help="write results as JSON to this path")
-        fp.add_argument("--csv", help="write results as CSV to this path")
-        if fig in ("fig4", "fig5", "fig6", "all"):
-            fp.add_argument(
-                "--jobs", type=int, default=None, metavar="N",
-                help="sweep worker processes (default: $REPRO_JOBS or 1; "
-                     "0 = one per CPU); results are identical for any N")
+    exp = sub.add_parser(
+        "experiment",
+        help="run the paper's experiments, print their tables and check "
+             "their claims (exit 1 names a claim that fails)")
+    exp.add_argument("ids", nargs="*", metavar="ID",
+                     help="registry ids, e.g. E2 E5 X1 (default: all)")
+    exp.add_argument("--scale", choices=SCALES, default="quick")
+    exp.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="sweep worker processes (default: $REPRO_JOBS or 1; "
+             "0 = one per CPU); results are identical for any N")
+    exp.add_argument("--json", metavar="DIR",
+                     help="write each result as DIR/<scale>_<ID>.json")
+    exp.add_argument("--csv", metavar="DIR",
+                     help="write each result's runs as DIR/<scale>_<ID>.csv")
+    exp.add_argument(
+        "--write", metavar="FILE",
+        help="replace each experiment's <!-- experiment:ID --> block in "
+             "FILE (e.g. EXPERIMENTS.md); nothing else in FILE changes")
 
     srv = sub.add_parser(
         "serve", parents=[_run_options()],
@@ -118,12 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--threads", type=int, nargs="+", default=[1, 3, 8])
     val.add_argument("--chunk-sizes", type=int, nargs="+", default=[1, 4, 16])
     val.add_argument("--quiet", action="store_true")
-
-    rep = sub.add_parser("report", help="full markdown reproduction report")
-    rep.add_argument("--scale", choices=SCALES, default="quick")
-    rep.add_argument("--out", help="write the report to this path")
-
-    sub.add_parser("seq", help="Sect. 4.1 sequential baseline table")
 
     sub.add_parser("scenarios",
                    help="list the scenario catalog (docs/scenarios.md)")
@@ -298,29 +297,41 @@ def _run_serve(args: argparse.Namespace, plan, sink):
     return res, f"lost: {res.lost_tasks} task(s), {res.lost_work} node(s)"
 
 
-def _suffixed(path: str, name: str) -> str:
-    """results/full.json -> results/full_fig4.json (for `all` runs)."""
+def _experiment(args: argparse.Namespace) -> int:
+    """``experiment``: every block on stdout (progress on stderr), the
+    files asked for, and exit 1 naming each claim that fails at this
+    scale."""
     from pathlib import Path
 
-    p = Path(path)
-    return str(p.with_name(f"{p.stem}_{name}{p.suffix}"))
+    from repro.harness import experiments
+    from repro.harness.io import save_csv, save_json
+    from repro.harness.parallel import resolve_jobs
 
-
-def _run_figure(name: str, args: argparse.Namespace,
-                suffix_outputs: bool = False) -> int:
-    fn = {"fig4": figures.figure4, "fig5": figures.figure5,
-          "fig6": figures.figure6}[name]
-    result = fn(scale=args.scale, progress=_echo,
-                jobs=getattr(args, "jobs", None))
-    print()
-    print(result.render())
-    if args.json:
-        path = _suffixed(args.json, name) if suffix_outputs else args.json
-        print(f"wrote {save_json(result, path)}")
-    if args.csv:
-        path = _suffixed(args.csv, name) if suffix_outputs else args.csv
-        print(f"wrote {save_csv(result, path)}")
-    return 0
+    resolve_jobs(args.jobs)
+    if args.write:  # before any run: a missing block is bad input
+        experiments.require_blocks(
+            args.write, [e.id for e in experiments.select(args.ids)])
+    outcomes = experiments.run_experiments(
+        args.ids, args.scale, jobs=args.jobs,
+        progress=lambda line: print(line, file=sys.stderr, flush=True))
+    for o in outcomes:
+        print(f"## {o.experiment.id} — {o.experiment.title}\n")
+        print(o.markdown())
+        print()
+        stem = f"{o.scale}_{o.experiment.id}"
+        if args.json:
+            save_json(o.result, Path(args.json) / f"{stem}.json")
+        if args.csv:
+            save_csv(o.result, Path(args.csv) / f"{stem}.csv")
+    if args.write:
+        experiments.write_blocks(args.write, outcomes)
+        print(f"wrote {len(outcomes)} block(s) to {args.write}", file=sys.stderr)
+    failed = [(o, claim, detail) for o in outcomes
+              for claim, detail in o.failures()]
+    for o, claim, detail in failed:
+        print(f"repro-uts: claim failed at {o.scale}: {o.experiment.id} "
+              f"{claim.sentence!r} ({claim.ref}): {detail}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -340,17 +351,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_command(args, _run_single)
     if cmd == "serve":
         return _run_command(args, _run_serve)
-    if cmd in ("fig4", "fig5", "fig6"):
-        return _run_figure(cmd, args)
-    if cmd == "ablation":
-        print(figures.ablation(scale=args.scale, progress=_echo).render())
-        return 0
-    if cmd == "claims":
-        print(figures.headline_claims(scale=args.scale, progress=_echo).render())
-        return 0
-    if cmd == "seq":
-        print(figures.sequential_baseline())
-        return 0
+    if cmd == "experiment":
+        return _experiment(args)
     if cmd == "scenarios":
         from repro.scenarios import SCENARIOS
 
@@ -367,16 +369,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"{name:<{width}}  {s.description}")
             print(f"{'':<{width}}  [{' '.join(knobs)}; "
                   f"invariants {s.invariants}; {s.paper}]")
-        return 0
-    if cmd == "report":
-        from repro.harness.report_md import generate_report
-
-        text = generate_report(scale=args.scale, out=args.out,
-                               progress=_echo)
-        if args.out:
-            print(f"wrote {args.out}")
-        else:
-            print(text)
         return 0
     if cmd == "timeline":
         from repro.metrics import render_timeline
@@ -399,16 +391,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                                progress=None if args.quiet else _echo)
         print(report.render())
         return 0 if report.ok else 1
-    if cmd == "all":
-        for name in ("fig4", "fig5", "fig6"):
-            _run_figure(name, args, suffix_outputs=True)
-            print()
-        print(figures.ablation(scale=args.scale).render())
-        print()
-        print(figures.headline_claims(scale=args.scale).render())
-        print()
-        print(figures.sequential_baseline())
-        return 0
     raise AssertionError(f"unhandled command {cmd}")  # pragma: no cover
 
 

@@ -9,7 +9,7 @@ visible (see DESIGN.md Sect. 2 and EXPERIMENTS.md for the mapping).
 Three scales:
 
 * ``test``  -- seconds; used by the test suite.
-* ``quick`` -- a couple of minutes; the default for benchmarks.
+* ``quick`` -- seconds per figure; the default, and CI's claim gate.
 * ``full``  -- tens of minutes; the flagship numbers in EXPERIMENTS.md.
 """
 

@@ -1,27 +1,63 @@
-"""Per-figure reproduction drivers (the experiment index of DESIGN.md).
+"""Renderers for the paper's evaluation (the experiment index of DESIGN.md).
 
-Each ``figureN`` function runs the sweep for that figure and packages
-the exact series the paper plots (speedup and absolute performance),
-ready for printing, charting, and EXPERIMENTS.md.
+Each result renders as the Markdown table EXPERIMENTS.md embeds
+(``markdown()``) and as the rows ``--json`` / ``--csv`` write
+(``to_dict()["runs"]``); :mod:`repro.harness.experiments` checks them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.ascii_plot import ascii_chart, series_table
 from repro.harness.config import setup_for
-from repro.harness.runner import run_experiment
 from repro.harness.sweep import SweepResult, run_sweep
 from repro.metrics.report import RunResult
 from repro.net.presets import PRESETS
 
 __all__ = ["FigureResult", "figure4", "figure5", "figure6",
            "ablation", "sequential_baseline", "headline_claims",
-           "AblationResult", "ClaimsResult"]
+           "AblationResult", "BaselineResult", "ClaimsResult", "RunTable",
+           "markdown_table", "run_row"]
 
 Progress = Optional[Callable[[str], None]]
+
+
+def markdown_table(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """A GitHub-flavoured Markdown table."""
+    lines = ["| " + " | ".join(map(str, header)) + " |",
+             "|" + "---|" * len(header)]
+    lines += ["| " + " | ".join(map(str, row)) + " |" for row in rows]
+    return "\n".join(lines)
+
+
+def run_row(r: RunResult) -> dict:
+    """One run's paper-comparable metrics, flat (a JSON/CSV row)."""
+    return {
+        "algorithm": r.algorithm,
+        "threads": r.n_threads,
+        "chunk_size": r.chunk_size,
+        "sim_time": r.sim_time,
+        "speedup": r.speedup,
+        "efficiency": r.efficiency,
+        "nodes_per_sec": r.nodes_per_sec,
+        "steals_ok": r.stats.steals_ok,
+        "steals_per_sec": r.steals_per_sec,
+        "working_fraction": r.working_fraction,
+    }
+
+
+def _mnodes(r: RunResult) -> str:
+    return f"{r.nodes_per_sec / 1e6:.1f}"
+
+
+#: What each figure's table shows per (x, algorithm) cell.
+_CELLS: Dict[str, Tuple[str, Callable[[RunResult], str]]] = {
+    "fig4": ("Mnodes/s", _mnodes),
+    "fig5": ("speedup (efficiency)",
+             lambda r: f"{r.speedup:.1f} ({100 * r.efficiency:.0f}%)"),
+    "fig6": ("efficiency", lambda r: f"{100 * r.efficiency:.1f}%"),
+}
 
 
 @dataclass
@@ -36,45 +72,24 @@ class FigureResult:
     def _x(self, run: RunResult) -> int:
         return run.chunk_size if self.x_axis == "chunk_size" else run.n_threads
 
-    def speedup_series(self) -> Dict[str, List[Tuple[float, float]]]:
-        return {
-            alg: [(self._x(r), r.speedup) for r in self.sweep.series(alg)]
-            for alg in self.sweep.setup.algorithms
-        }
-
-    def performance_series(self) -> Dict[str, List[Tuple[float, float]]]:
-        """Absolute performance in Mnodes/s (the paper's right axis)."""
-        return {
-            alg: [(self._x(r), r.nodes_per_sec / 1e6)
-                  for r in self.sweep.series(alg)]
-            for alg in self.sweep.setup.algorithms
-        }
-
-    def table(self) -> str:
-        header = [self.x_axis, "algorithm", "speedup", "efficiency_%",
-                  "Mnodes/s", "steals", "steals/s"]
-        rows = [
-            [self._x(r), r.algorithm, round(r.speedup, 2),
-             round(100 * r.efficiency, 1), round(r.nodes_per_sec / 1e6, 3),
-             r.stats.steals_ok, round(r.steals_per_sec, 0)]
-            for r in self.sweep.runs
-        ]
-        return series_table(header, rows)
-
-    def render(self) -> str:
+    def markdown(self) -> str:
+        """x down, one column per algorithm; Figure 4 bolds each row's best."""
         setup = self.sweep.setup
-        parts = [
-            f"=== {self.figure} [{self.scale}] ===",
-            setup.describe(),
-            f"tree size (sequential count): {self.sweep.expected_nodes:,} nodes",
+        what, cell = _CELLS[self.figure]
+        rows = []
+        for x in sorted({self._x(r) for r in self.sweep.runs}):
+            at_x = {r.algorithm: r for r in self.sweep.runs if self._x(r) == x}
+            best = max(at_x.values(), key=lambda r: r.nodes_per_sec)
+            rows.append([x] + [
+                f"**{cell(r)}**" if self.figure == "fig4" and r is best
+                else cell(r) for r in map(at_x.get, setup.algorithms)])
+        return "\n".join([
+            f"{setup.describe()}; {self.sweep.expected_nodes:,} nodes; "
+            f"cells: {what}",
             "",
-            self.table(),
-            "",
-            ascii_chart(self.speedup_series(), x_label=self.x_axis,
-                        y_label="speedup", log_x=True,
-                        title=f"{self.figure}: speedup vs {self.x_axis}"),
-        ]
-        return "\n".join(parts)
+            markdown_table(["k" if self.x_axis == "chunk_size" else "threads",
+                            *setup.algorithms], rows),
+        ])
 
     def to_dict(self) -> dict:
         return {
@@ -83,21 +98,7 @@ class FigureResult:
             "x_axis": self.x_axis,
             "setup": self.sweep.setup.describe(),
             "expected_nodes": self.sweep.expected_nodes,
-            "runs": [
-                {
-                    "algorithm": r.algorithm,
-                    "threads": r.n_threads,
-                    "chunk_size": r.chunk_size,
-                    "sim_time": r.sim_time,
-                    "speedup": r.speedup,
-                    "efficiency": r.efficiency,
-                    "nodes_per_sec": r.nodes_per_sec,
-                    "steals_ok": r.stats.steals_ok,
-                    "steals_per_sec": r.steals_per_sec,
-                    "working_fraction": r.working_fraction,
-                }
-                for r in self.sweep.runs
-            ],
+            "runs": [run_row(r) for r in self.sweep.runs],
         }
 
 
@@ -125,6 +126,8 @@ def figure6(scale: str = "quick", progress: Progress = None,
 # --- Sect. 4.2 ablation: each refinement improves; total ~37% ----------------
 
 _ABLATION_CHAIN = ["upc-sharedmem", "upc-term", "upc-term-rapdif", "upc-distmem"]
+_REFINEMENTS = ["", "+ streamlined termination (3.3.1)",
+                "+ rapid diffusion (3.3.2)", "+ lock-less stack (3.3.3)"]
 
 
 @dataclass
@@ -136,11 +139,8 @@ class AblationResult:
 
     def improvements(self) -> List[Tuple[str, str, float]]:
         """(from, to, speedup-ratio) for each refinement step."""
-        out = []
-        for a, b in zip(_ABLATION_CHAIN, _ABLATION_CHAIN[1:]):
-            ratio = self.best[b].nodes_per_sec / self.best[a].nodes_per_sec
-            out.append((a, b, ratio))
-        return out
+        return [(a, b, self.best[b].nodes_per_sec / self.best[a].nodes_per_sec)
+                for a, b in zip(_ABLATION_CHAIN, _ABLATION_CHAIN[1:])]
 
     @property
     def total_improvement(self) -> float:
@@ -148,59 +148,58 @@ class AblationResult:
         return (self.best["upc-distmem"].nodes_per_sec /
                 self.best["upc-sharedmem"].nodes_per_sec)
 
-    def render(self) -> str:
-        lines = [f"=== ablation [{self.scale}] (best chunk size per step) ==="]
-        rows = [[alg, r.chunk_size, round(r.speedup, 2),
-                 round(r.nodes_per_sec / 1e6, 3)]
-                for alg, r in self.best.items()]
-        lines.append(series_table(
-            ["algorithm", "best_k", "speedup", "Mnodes/s"], rows))
-        for a, b, ratio in self.improvements():
-            lines.append(f"{a} -> {b}: {100 * (ratio - 1):+.1f}%")
-        lines.append(f"total (sharedmem -> distmem): "
-                     f"{100 * (self.total_improvement - 1):+.1f}%  "
-                     f"(paper: about +37%)")
-        return "\n".join(lines)
+    def markdown(self) -> str:
+        steps = ["—"] + [f"**{100 * (ratio - 1):+.1f}%**"
+                         for _, _, ratio in self.improvements()]
+        rows = [[f"{alg} {label}".strip(), self.best[alg].chunk_size,
+                 _mnodes(self.best[alg]), step]
+                for alg, label, step in zip(_ABLATION_CHAIN, _REFINEMENTS,
+                                            steps)]
+        rows.append(["**total**", "", "",
+                     f"**{100 * (self.total_improvement - 1):+.1f}%**"])
+        return markdown_table(["step", "best k", "Mnodes/s", "improvement"],
+                              rows)
+
+    def to_dict(self) -> dict:
+        return {"scale": self.scale,
+                "runs": [run_row(self.best[alg]) for alg in _ABLATION_CHAIN]}
 
 
-def ablation(scale: str = "quick", progress: Progress = None,
-             from_figure4: Optional[FigureResult] = None) -> AblationResult:
-    """Sect. 4.2: the refinement chain at each step's best chunk size.
-
-    The ablation reads off the same (algorithm x chunk-size) grid as
-    Figure 4; pass an already-computed ``from_figure4`` to reuse its
-    runs instead of re-sweeping (the report generator does this).
-    """
-    if from_figure4 is not None and from_figure4.scale == scale:
-        best = {alg: from_figure4.sweep.best(alg) for alg in _ABLATION_CHAIN}
-        return AblationResult(scale=scale, best=best)
-    setup = setup_for("fig4", scale)
-    best: Dict[str, RunResult] = {}
-    for alg in _ABLATION_CHAIN:
-        runs = []
-        for k in setup.chunk_sizes:
-            r = run_experiment(alg, tree=setup.tree,
-                               threads=setup.thread_counts[0],
-                               preset=setup.preset, chunk_size=k, verify=True)
-            runs.append(r)
-            if progress is not None:
-                progress(r.summary())
-        best[alg] = max(runs, key=lambda r: r.nodes_per_sec)
-    return AblationResult(scale=scale, best=best)
+def ablation(fig4: FigureResult) -> AblationResult:
+    """Sect. 4.2: the refinement chain at each step's best chunk size,
+    read off Figure 4's (algorithm x chunk-size) grid."""
+    return AblationResult(scale=fig4.scale, best={
+        alg: fig4.sweep.best(alg) for alg in _ABLATION_CHAIN})
 
 
 # --- Sect. 4.1 sequential baseline -------------------------------------------
 
+#: Sect. 4.1's measured sequential rates, Mnodes/s.
+PAPER_SEQUENTIAL_RATES = {"topsail": 2.10, "kittyhawk": 2.39, "altix": 1.12}
 
-def sequential_baseline() -> str:
+
+@dataclass
+class BaselineResult:
+    """Each paper platform's model sequential rate beside the paper's."""
+
+    model: Dict[str, float]  # platform -> Mnodes/s
+
+    def markdown(self) -> str:
+        return markdown_table(
+            ["platform", "model Mnodes/s", "paper Mnodes/s"],
+            [[name, f"{rate:.2f}", f"{PAPER_SEQUENTIAL_RATES[name]:.2f}"]
+             for name, rate in self.model.items()])
+
+    def to_dict(self) -> dict:
+        return {"runs": [{"platform": name, "model_mnodes_per_s": rate,
+                          "paper_mnodes_per_s": PAPER_SEQUENTIAL_RATES[name]}
+                         for name, rate in self.model.items()]}
+
+
+def sequential_baseline() -> BaselineResult:
     """The sequential-rate table of Sect. 4.1 (model inputs, by design)."""
-    rows = [[name, round(net.sequential_rate() / 1e6, 2)]
-            for name, net in PRESETS.items()]
-    paper = {"topsail": 2.10, "kittyhawk": 2.39, "altix": 1.12}
-    for row in rows:
-        row.append(paper.get(row[0], float("nan")))
-    return series_table(["platform", "Mnodes/s (model)", "Mnodes/s (paper)"],
-                        rows)
+    return BaselineResult({name: PRESETS[name].sequential_rate() / 1e6
+                           for name in PAPER_SEQUENTIAL_RATES})
 
 
 # --- Sect. 1 / 6.2 headline claims --------------------------------------------
@@ -208,44 +207,62 @@ def sequential_baseline() -> str:
 
 @dataclass
 class ClaimsResult:
-    """The paper's headline numbers at the reproduction's flagship scale."""
+    """The paper's headline numbers at the top of Figure 5's curve."""
 
     run: RunResult
 
-    def render(self) -> str:
+    def markdown(self) -> str:
         r = self.run
-        working_eff = r.working_fraction
         return "\n".join([
-            "=== headline claims (paper Sect. 1 / 6.2) ===",
-            f"setup: {r.algorithm} T={r.n_threads} k={r.chunk_size} "
-            f"on {r.machine_name}, {r.total_nodes:,} nodes",
-            f"parallel efficiency : {100 * r.efficiency:5.1f}%   "
-            "(paper: 80% at 1024 procs)",
-            f"speedup             : {r.speedup:7.1f}   (paper: 819)",
-            f"search rate         : {r.nodes_per_sec / 1e6:7.2f} Mnodes/s "
-            "(paper: 1700 Mnodes/s at 1024 procs)",
-            f"steal ops/sec       : {r.steals_per_sec:9,.0f}   "
-            "(paper: >85,000)",
-            f"working-state share : {100 * working_eff:5.1f}%   "
-            "(paper: 93% in working state)",
+            f"{r.algorithm} T={r.n_threads} k={r.chunk_size} on "
+            f"{r.machine_name}, {r.total_nodes:,} nodes",
+            "",
+            markdown_table(["claim", "paper", "measured"], [
+                ["parallel efficiency at top of curve", "80% @ 1024 procs",
+                 f"**{100 * r.efficiency:.1f}%** @ {r.n_threads} threads"],
+                ["speedup", "819 / 1024", f"{r.speedup:.1f} / {r.n_threads}"],
+                ["sustained steal rate", ">85,000/s",
+                 f"**{r.steals_per_sec:,.0f}/s**"],
+                ["search rate", "1.7 B nodes/s",
+                 f"{_mnodes(r)} Mnodes/s (simulated platform)"],
+                ["working-state share", "93%",
+                 f"**{100 * r.working_fraction:.1f}%**"],
+            ]),
         ])
 
+    def to_dict(self) -> dict:
+        return {"runs": [run_row(self.run)]}
 
-def headline_claims(scale: str = "quick", progress: Progress = None,
-                    from_figure5: Optional[FigureResult] = None) -> ClaimsResult:
-    """Run the top point of Figure 5 and report the headline metrics.
 
-    Pass an already-computed ``from_figure5`` to reuse its top run.
-    """
-    setup = setup_for("fig5", scale)
-    threads = setup.thread_counts[-1]
-    if from_figure5 is not None and from_figure5.scale == scale:
-        return ClaimsResult(run=from_figure5.sweep.get(
-            "upc-distmem", threads=threads,
-            chunk_size=setup.chunk_sizes[0]))
-    res = run_experiment("upc-distmem", tree=setup.tree, threads=threads,
-                         preset=setup.preset, chunk_size=setup.chunk_sizes[0],
-                         verify=True)
-    if progress is not None:
-        progress(res.summary())
-    return ClaimsResult(run=res)
+def headline_claims(fig5: FigureResult) -> ClaimsResult:
+    """The headline metrics at Figure 5's top point (upc-distmem)."""
+    setup = fig5.sweep.setup
+    return ClaimsResult(run=fig5.sweep.get(
+        "upc-distmem", threads=setup.thread_counts[-1],
+        chunk_size=setup.chunk_sizes[0]))
+
+
+# --- extension rows: small grids keyed by the swept values -------------------
+
+
+@dataclass
+class RunTable:
+    """An extension row's runs, keyed by the swept values (``axes``)."""
+
+    axes: Tuple[str, ...]
+    runs: Dict[tuple, RunResult]
+
+    def rate(self, *key) -> float:
+        return self.runs[key].nodes_per_sec
+
+    def markdown(self) -> str:
+        rows = [[*key, _mnodes(r), f"{100 * r.efficiency:.1f}%",
+                 r.stats.steals_ok, f"{r.sim_time * 1e3:.3f}"]
+                for key, r in self.runs.items()]
+        return markdown_table(
+            [*self.axes, "Mnodes/s", "efficiency", "steals", "sim ms"], rows)
+
+    def to_dict(self) -> dict:
+        return {"axes": list(self.axes),
+                "runs": [{**dict(zip(self.axes, key)), **run_row(r)}
+                         for key, r in self.runs.items()]}

@@ -1,4 +1,4 @@
-"""Result persistence: JSON and CSV writers for figure sweeps."""
+"""Result persistence: any renderer's ``to_dict()`` as JSON, its runs as CSV."""
 
 from __future__ import annotations
 
@@ -7,13 +7,11 @@ import json
 from pathlib import Path
 from typing import Union
 
-from repro.harness.figures import FigureResult
-
 __all__ = ["save_json", "save_csv", "load_json"]
 
 
-def save_json(result: FigureResult, path: Union[str, Path]) -> Path:
-    """Write a figure's runs as JSON; returns the path written."""
+def save_json(result, path: Union[str, Path]) -> Path:
+    """Write a result's ``to_dict()`` as JSON; returns the path written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(result.to_dict(), indent=2) + "\n")
@@ -24,17 +22,13 @@ def load_json(path: Union[str, Path]) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def save_csv(result: FigureResult, path: Union[str, Path]) -> Path:
-    """Write a figure's runs as CSV; returns the path written."""
+def save_csv(result, path: Union[str, Path]) -> Path:
+    """Write a result's runs as CSV; returns the path written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = result.to_dict()
-    fields = ["algorithm", "threads", "chunk_size", "sim_time", "speedup",
-              "efficiency", "nodes_per_sec", "steals_ok", "steals_per_sec",
-              "working_fraction"]
+    rows = result.to_dict()["runs"]
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for run in data["runs"]:
-            writer.writerow(run)
+        writer.writerows(rows)
     return path

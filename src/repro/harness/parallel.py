@@ -68,12 +68,15 @@ expected_nodes_for = expected_node_count
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Worker count: explicit argument > ``REPRO_JOBS`` env var > 1.
 
-    ``0`` (argument or env var) means "one per CPU".  A ``REPRO_JOBS``
-    value that is not an integer, or is negative, raises
-    :class:`~repro.errors.ConfigError` naming the offending value --
-    a typo'd environment must not silently degrade a sweep to one
+    ``0`` (argument or env var) means "one per CPU".  A negative
+    argument, or a ``REPRO_JOBS`` value that is not an integer or is
+    negative, raises :class:`~repro.errors.ConfigError` naming the
+    offending value -- a typo must not silently degrade a sweep to one
     worker (or quietly mean "all CPUs").
     """
+    if jobs is not None and jobs < 0:
+        raise ConfigError(f"jobs={jobs} is negative "
+                          "(expected a worker count; 0 = one per CPU)")
     if jobs is None:
         raw = os.environ.get("REPRO_JOBS", "1").strip()
         try:

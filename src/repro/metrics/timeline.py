@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import TYPE_CHECKING, List
 
+from repro.errors import ConfigError
 from repro.metrics.states import BARRIER, SEARCHING, STEALING, WORKING
 
 if TYPE_CHECKING:
@@ -39,7 +40,10 @@ def render_timeline(tracer: TraceSink, n_threads: int, sim_time: float,
     """Render per-thread state rows over ``width`` time buckets.
 
     Threads beyond ``max_threads`` are elided with a summary line.
+    A ``width`` below one bucket is a :class:`~repro.errors.ConfigError`.
     """
+    if width < 1:
+        raise ConfigError(f"timeline width={width} must be at least 1")
     if sim_time <= 0:
         return "(empty timeline)"
     # Imported here: repro.obs.analysis imports repro.metrics.

@@ -1,4 +1,4 @@
-"""Tests for the figure drivers at test scale."""
+"""Tests for the figure renderers at test scale."""
 
 import pytest
 
@@ -47,26 +47,22 @@ class TestFigure4:
             len(setup.algorithms) * len(setup.chunk_sizes)
 
     def test_series_per_algorithm(self, fig4):
-        series = fig4.speedup_series()
-        assert set(series) == set(fig4.sweep.setup.algorithms)
-        for pts in series.values():
-            assert [x for x, _ in pts] == fig4.sweep.setup.chunk_sizes
-
-    def test_performance_series_in_mnodes(self, fig4):
-        perf = fig4.performance_series()
-        for pts in perf.values():
-            assert all(0 < y < 1e3 for _, y in pts)
+        for alg in fig4.sweep.setup.algorithms:
+            assert [r.chunk_size for r in fig4.sweep.series(alg)] == \
+                fig4.sweep.setup.chunk_sizes
 
     def test_all_runs_conserve_nodes(self, fig4):
         expected = fig4.sweep.expected_nodes
         for r in fig4.sweep.runs:
             assert r.total_nodes == expected
 
-    def test_render_contains_table_and_chart(self, fig4):
-        out = fig4.render()
-        assert "speedup" in out
-        assert "legend:" in out
-        assert "fig4" in out
+    def test_markdown_is_a_pivot_with_the_row_best_bold(self, fig4):
+        out = fig4.markdown()
+        setup = fig4.sweep.setup
+        assert f"| k | {' | '.join(setup.algorithms)} |" in out
+        rows = [l for l in out.splitlines() if l.startswith("| ")][1:]
+        assert len(rows) == len(setup.chunk_sizes)
+        assert all(row.count("**") == 2 for row in rows)
 
     def test_to_dict_roundtrippable(self, fig4):
         d = fig4.to_dict()
@@ -91,9 +87,10 @@ class TestFigure4:
 class TestFigure5And6:
     def test_figure5_threads_axis(self):
         fig = figure5(scale="test")
-        series = fig.speedup_series()
-        for pts in series.values():
-            assert [x for x, _ in pts] == fig.sweep.setup.thread_counts
+        rows = [l for l in fig.markdown().splitlines()
+                if l.startswith("| ")][1:]
+        assert [int(row.split(" | ")[0][2:]) for row in rows] == \
+            fig.sweep.setup.thread_counts
 
     def test_figure6_uses_altix(self):
         fig = figure6(scale="test")
@@ -101,47 +98,29 @@ class TestFigure5And6:
 
 
 class TestAblationAndClaims:
-    def test_ablation_chain_complete(self):
-        ab = ablation(scale="test")
+    """The ablation and the headline claims read off a figure's runs."""
+
+    def test_ablation_reuses_figure4_runs(self, fig4):
+        ab = ablation(fig4)
         assert set(ab.best) == {"upc-sharedmem", "upc-term",
                                 "upc-term-rapdif", "upc-distmem"}
+        for alg, run in ab.best.items():
+            assert run is fig4.sweep.best(alg)  # same objects, no re-run
         assert len(ab.improvements()) == 3
         assert ab.total_improvement > 0
-        assert "total" in ab.render()
+        assert "**total**" in ab.markdown()
 
-    def test_claims_render(self):
-        claims = headline_claims(scale="test")
-        out = claims.render()
+    def test_claims_reuse_figure5_top_point(self):
+        fig5 = figure5(scale="test")
+        claims = headline_claims(fig5)
+        top_threads = fig5.sweep.setup.thread_counts[-1]
+        assert claims.run is fig5.sweep.get("upc-distmem",
+                                            threads=top_threads)
+        out = claims.markdown()
         assert "parallel efficiency" in out
         assert "85,000" in out
 
     def test_sequential_baseline_table(self):
-        out = sequential_baseline()
-        assert "2.39" in out  # Kitty Hawk paper rate
-        assert "1.12" in out  # Altix paper rate
-
-
-class TestResultReuse:
-    def test_ablation_reuses_figure4_runs(self, fig4):
-        from repro.harness import ablation
-
-        ab = ablation(scale="test", from_figure4=fig4)
-        for alg, run in ab.best.items():
-            assert run is fig4.sweep.best(alg)  # same objects, no re-run
-
-    def test_ablation_ignores_mismatched_scale(self, fig4):
-        from repro.harness import ablation
-
-        # A different scale must not silently reuse the wrong sweep.
-        ab = ablation(scale="test", from_figure4=None)
-        assert set(ab.best) == {"upc-sharedmem", "upc-term",
-                                "upc-term-rapdif", "upc-distmem"}
-
-    def test_claims_reuse_figure5(self):
-        from repro.harness import figure5, headline_claims
-
-        fig5 = figure5(scale="test")
-        claims = headline_claims(scale="test", from_figure5=fig5)
-        top_threads = fig5.sweep.setup.thread_counts[-1]
-        assert claims.run is fig5.sweep.get("upc-distmem",
-                                            threads=top_threads)
+        out = sequential_baseline().markdown()
+        assert "| kittyhawk | 2.39 | 2.39 |" in out
+        assert "| altix | 1.12 | 1.12 |" in out

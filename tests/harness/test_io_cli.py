@@ -32,8 +32,9 @@ class TestIo:
 class TestCli:
     def test_parser_subcommands(self):
         p = build_parser()
-        args = p.parse_args(["fig4", "--scale", "test"])
-        assert args.command == "fig4"
+        args = p.parse_args(["experiment", "E2", "E5", "--scale", "test"])
+        assert args.command == "experiment"
+        assert args.ids == ["E2", "E5"]
         assert args.scale == "test"
 
     def test_run_subcommand(self, capsys):
@@ -42,28 +43,6 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "upc-distmem" in out
-
-    def test_seq_subcommand(self, capsys):
-        assert main(["seq"]) == 0
-        assert "platform" in capsys.readouterr().out
-
-    def test_fig4_with_outputs(self, capsys, tmp_path):
-        rc = main(["fig4", "--scale", "test",
-                   "--json", str(tmp_path / "f.json"),
-                   "--csv", str(tmp_path / "f.csv")])
-        assert rc == 0
-        assert json.loads((tmp_path / "f.json").read_text())["figure"] == "fig4"
-        out = capsys.readouterr().out
-        assert "legend:" in out
-
-    def test_claims_subcommand(self, capsys):
-        assert main(["claims", "--scale", "test"]) == 0
-        assert "efficiency" in capsys.readouterr().out
-
-    def test_ablation_subcommand(self, capsys):
-        assert main(["ablation", "--scale", "test"]) == 0
-        assert "sharedmem -> distmem" in capsys.readouterr().out.replace(
-            "upc-", "")
 
     @pytest.mark.parametrize("argv, named", [
         (["run", "--algorithm", "upc-distmem", "--threads", "0"], "threads"),
@@ -83,9 +62,14 @@ class TestCli:
          "arrival spec: rate='inf' is not a finite number"),
         (["serve", "--arrivals", "bursty:rate=1e5,burst=nan"],
          "arrival spec: burst='nan' is not a finite number"),
+        (["experiment", "E99"], "unknown experiment 'E99'"),
+        (["experiment", "--jobs", "-1"], "jobs=-1 is negative"),
+        (["timeline", "--threads", "2", "--b0", "20", "--width", "0"],
+         "timeline width=0"),
     ], ids=["threads", "chunk-size", "fault-spec", "park-faults", "arrivals",
             "kill-nan", "stale-window-nan", "rate-nan", "rate-inf",
-            "burst-nan"])
+            "burst-nan", "experiment-id", "experiment-jobs",
+            "timeline-width"])
     def test_bad_input_is_a_named_error_not_a_traceback(self, capsys, argv,
                                                         named):
         """Exit status 2 and one ``repro-uts: error:`` line, as for

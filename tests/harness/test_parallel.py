@@ -160,6 +160,14 @@ class TestHardening:
         with pytest.raises(ConfigError, match="'-2'"):
             resolve_jobs(None)
 
+    @pytest.mark.parametrize("jobs", [-1, -3])
+    def test_resolve_jobs_rejects_negative_argument(self, monkeypatch, jobs):
+        """``--jobs -3`` is rejected like ``REPRO_JOBS=-3``, not read as
+        "one worker per CPU"."""
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+        with pytest.raises(ConfigError, match=f"jobs={jobs} is negative"):
+            resolve_jobs(jobs)
+
     def test_resolve_jobs_env_zero_means_one_per_cpu(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "0")
         assert resolve_jobs(None) == (os.cpu_count() or 1)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import TreeParams, run_experiment
+from repro.errors import ConfigError
 from repro.metrics import STATE_CHARS, render_timeline
 from repro.metrics.states import BARRIER, SEARCHING, STEALING, WORKING
 from repro.obs import TraceSink
@@ -78,3 +79,10 @@ def test_null_tracer_yields_initial_states_only():
     rows = [l for l in out.splitlines() if l.startswith("T")]
     assert rows[0][5:] == "W" * 10
     assert rows[1][5:] == "s" * 10
+
+
+@pytest.mark.parametrize("width", [0, -5])
+def test_width_below_one_is_a_named_error(width):
+    """A zero or negative width printed empty rows; now it is bad input."""
+    with pytest.raises(ConfigError, match=f"width={width}"):
+        render_timeline(TraceSink(), 2, 1.0, width=width)

@@ -68,6 +68,12 @@ the next re-anchor finding it:
   variant and ``service-ws`` polling and parked, clean and faulted,
   traced and untraced (parked and faulted where a fail-stop plan is
   admitted at all).
+* Each paper claim is stated once, in the experiment registry
+  (``harness/experiments.py``): the shape-assert benchmarks
+  (``benchmarks/``) and the report generator's second copy of the
+  targets (``harness/report_md.py``) stay gone, EXPERIMENTS.md's
+  generated blocks are exactly the registry's ids, and each E1-E6
+  section names its one ``repro-uts experiment Ek`` command.
 """
 
 import ast
@@ -475,3 +481,28 @@ def test_the_corpus_covers_every_variant_in_every_mode():
                             for traced in (False, True)
                             if (variant, idle, faulted, traced) not in seen]
     assert not missing
+
+
+ROOT = SRC.parent.parent
+
+
+def test_no_second_copy_of_the_paper_claims():
+    assert not (ROOT / "benchmarks").exists()
+    assert sorted(ROOT.rglob("report_md.py")) == []
+
+
+def test_experiments_md_blocks_are_the_registry():
+    from repro.harness.experiments import EXPERIMENTS, marker_ids
+
+    text = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    ids = [e.id for e in EXPERIMENTS]
+    assert marker_ids(text) == ids
+    # every open marker is closed: no half pair the block regex skipped
+    assert re.findall(r"^<!-- experiment:(\w+) -->$", text, re.M) == ids
+    assert re.findall(r"^<!-- /experiment:(\w+) -->$", text, re.M) == ids
+    sections = re.split(r"^## ", text, flags=re.M)
+    for eid in ids[:6]:
+        [section] = [s for s in sections if s.startswith(f"{eid} ")]
+        assert len(re.findall(r"^Regenerate: `repro-uts experiment "
+                              rf"{eid}\b", section, flags=re.M)) == 1, eid
+        assert len(re.findall(r"repro-uts experiment E\d", section)) == 1, eid
