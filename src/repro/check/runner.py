@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.check.invariants import InvariantMonitor
@@ -46,6 +46,9 @@ class CheckOutcome:
     #: Ledgered duplicated work (multiplicity-relaxed variants only).
     dup_work: int = 0
     monitor: dict = field(default_factory=dict)
+    #: The run's own result (``RunResult`` / ``ServiceResult``) when it
+    #: completed: what an experiment table reads beyond these fields.
+    result: Any = field(default=None, repr=False)
 
     def label(self) -> str:
         if self.ok:
@@ -163,10 +166,15 @@ def check_service_run(
 
 def _checked(variant: str, run, schedule_seed: Optional[int],
              defer: Sequence[int], fault_spec: Optional[str],
-             fault_seed: int) -> CheckOutcome:
+             fault_seed: int,
+             make_monitor: Optional[
+                 Callable[[], Optional[InvariantMonitor]]] = None,
+             ) -> CheckOutcome:
     """The one checked cell: ``run(**kw)`` (a bound ``run_experiment``
     or ``run_service``) under the cell's schedule, fault plan and a
-    fresh :class:`InvariantMonitor`, folded into a
+    fresh monitor from ``make_monitor()`` (default: an
+    :class:`InvariantMonitor`; a subclass may sample more, and ``None``
+    is a cell whose contract is its counts alone), folded into a
     :class:`CheckOutcome`."""
     from repro.faults.plan import parse_fault_spec
 
@@ -178,7 +186,7 @@ def _checked(variant: str, run, schedule_seed: Optional[int],
     elif defer:
         tie_break = DelayTieBreak(defer)
     plan = parse_fault_spec(fault_spec, seed=fault_seed) if fault_spec else None
-    monitor = InvariantMonitor()
+    monitor = (make_monitor or InvariantMonitor)()
     try:
         res = run(
             tracer=monitor, faults=plan, tie_break=tie_break,
@@ -190,19 +198,23 @@ def _checked(variant: str, run, schedule_seed: Optional[int],
             # Simulator.fastpath_active stays False under check.
             fastpath="pure",
         )
-        monitor.final_check()
+        if monitor is not None:
+            monitor.final_check()
     except ReproError as exc:
         events = (monitor.machine.sim.events_processed
-                  if monitor.machine is not None else 0)
+                  if monitor is not None and monitor.machine is not None
+                  else 0)
         return CheckOutcome(
             ok=False, variant=variant,
             error_type=type(exc).__name__, error=str(exc),
-            engine_events=events, monitor=monitor.summary(),
+            engine_events=events,
+            monitor=monitor.summary() if monitor is not None else {},
         )
     return CheckOutcome(
         ok=True, variant=variant,
         engine_events=res.engine_events, total_nodes=res.total_nodes,
         sim_time=res.sim_time, lost_work=res.lost_work,
         dup_work=getattr(res, "dup_work", 0),
-        monitor=monitor.summary(),
+        monitor=monitor.summary() if monitor is not None else {},
+        result=res,
     )

@@ -1,9 +1,12 @@
 """The experiment registry: each paper claim stated once, checked by one command.
 
-``EXPERIMENTS`` holds the paper's evaluation (E1-E6, DESIGN.md's index)
-and the extension rows (X1-X4).  An entry names its grid per scale,
-the entry it reads instead of sweeping again (E5 reads E2, E6 reads
-E3), its renderer from :mod:`repro.harness.figures`, and its claims.
+``EXPERIMENTS`` holds the paper's evaluation (E1-E6, DESIGN.md's index),
+the rows beyond it (E9-E14: faults, traces, large machines, service
+streams, scenarios, the fence-free protocol) and the extension rows
+(X1-X4).  An entry names its grid per scale, the entry it reads instead
+of sweeping again (E5 reads E2, E6 reads E3), its renderer from
+:mod:`repro.harness.figures` or its checked-cell grid from
+:mod:`repro.harness.checked`, and its claims.
 A :class:`Claim` is declared for the scales it holds at: failing there
 makes ``repro-uts experiment`` exit 1 naming it; failing elsewhere
 prints ⚠️, a deviation measured rather than hand-typed (``holds_at=()``:
@@ -205,6 +208,68 @@ def _slowdown(t: RunTable, alg: str) -> float:
     return t.rate(alg, 0.25) / t.rate(alg, 4.0)
 
 
+# --- E9-E14: checked-cell grids ----------------------------------------------
+
+
+def _checked_grid(name: str):
+    """The grid ``name`` of :mod:`repro.harness.checked`, imported on
+    its first run: the checker, the service and the scenario catalog
+    stay off ``import repro.harness``."""
+    def run(scale: str, progress: Progress = None, jobs=None):
+        from repro.harness import checked
+        return getattr(checked, name)(scale, progress=progress)
+    return run
+
+
+def _every(what: str, fails: Callable[[Any], bool],
+           among: Callable[[Any], bool] = lambda cell: True):
+    """A predicate: no cell ``among`` those considered ``fails``; the
+    detail counts them and names the first that does."""
+    def predicate(table) -> Verdict:
+        cells = [c for c in table.cells if among(c)]
+        bad = [c for c in cells if fails(c)]
+        detail = f"{len(cells) - len(bad)}/{len(cells)} cells {what}"
+        return not bad, detail + (f"; first: {bad[0].label()}" if bad else "")
+    return predicate
+
+
+def _ok(cell) -> bool:
+    return cell.ok
+
+
+def _cell_claims(ref: str, invariants: Optional[str]) -> Tuple[Claim, ...]:
+    """What every checked-cell grid claims of each cell, at every scale:
+    its counts balance, it terminates, it raises nothing (under the
+    monitor when ``invariants`` names what the monitor holds), it
+    replays."""
+    return (
+        Claim("every cell conserves work: nodes + lost == the oracle (+ "
+              "ledgered duplicates), nothing lost unless a rank was killed",
+              ref, _every("balance", lambda c: not c.conserved, among=_ok),
+              holds_at=SCALES),
+        Claim("every cell terminates within its event budget", ref,
+              _every("terminate", lambda c: not c.terminated),
+              holds_at=SCALES),
+        Claim(f"every cell holds {invariants} under the invariant monitor"
+              if invariants else "no cell raises a protocol error", ref,
+              _every("raise nothing", lambda c: c.terminated and not c.ok),
+              holds_at=SCALES),
+        Claim("every cell's untraced replay executes its checked run's "
+              "schedule bit for bit", ref,
+              _every("replay", lambda c: not c.replayed, among=_ok),
+              holds_at=SCALES),
+    )
+
+
+_I1_I5 = "I1–I5 (I1′/I3′ for the relaxed variants)"
+
+
+def _speedup(t, over: dict, under: dict, **at) -> float:
+    """Sim time at ``over`` / sim time at ``under``, both at ``at``."""
+    return (t.cell(**at, **over).result.sim_time
+            / t.cell(**at, **under).result.sim_time)
+
+
 # --- the registry ------------------------------------------------------------
 
 #: Where a claim is declared: the shape benchmarks asserted theirs at
@@ -387,6 +452,78 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
               _bound("poll 32 / best of poll 4, 512", lambda t: t.rate(32)
                      / max(t.rate(4), t.rate(512)), above=1),
               holds_at=FULL),
+    )),
+    Experiment("E9", "resilience sweep: fault classes and late kills",
+               _checked_grid("e9"), claims=_cell_claims(
+                   "docs/fault-model.md", None)),
+    Experiment("E10", "trace-driven steal analysis", _checked_grid("e10"),
+               claims=(
+        Claim("the trace's state occupancy is the counters' working "
+              "fraction", "docs/observability.md", _every(
+                  "match", lambda c: abs(c.measured["trace_working_share"]
+                                         - c.result.working_fraction) > 1e-9),
+              holds_at=SCALES),
+        Claim("a traced run executes its untraced replay's schedule bit for "
+              "bit", "docs/observability.md",
+              _every("replay", lambda c: not c.replayed), holds_at=SCALES),
+        Claim("the working-state share climbs toward the paper's 93% as the "
+              "tree grows", "§6.2", _bound(
+                  "working share over the previous q's", lambda t: _growth(
+                      [c.result.working_fraction for c in t.cells]),
+                  above=1)),
+    )),
+    Experiment("E11", "O(active) engine scaling to 4096 threads",
+               _checked_grid("e11"), claims=(
+        *_cell_claims("docs/performance.md", _I1_I5),
+        Claim("parked, the pending-event set tracks the active threads, "
+              "not the machine", "docs/performance.md", _bound(
+                  "median queue park / poll per T", lambda t: [
+                      t.cell(threads=T, idle="park").measured["median_queue"]
+                      / t.cell(threads=T, idle="poll").measured["median_queue"]
+                      for T in sorted({c.where["threads"] for c in t.done(
+                          idle="poll")})], below=0.1)),
+    )),
+    Experiment("E12", "open-system service mode: load vs latency",
+               _checked_grid("e12"), claims=(
+        *_cell_claims("docs/service-mode.md", "I1–I5 and task conservation"),
+        Claim("past saturation the bounded queue sheds the excess",
+              "docs/service-mode.md", _bound(
+                  "shed fraction at load 1.5",
+                  lambda t: t.cell(load="1.5").result.shed_fraction,
+                  above=0)),
+    )),
+    Experiment("E13", "victim locality under NUMA asymmetry, with hostile "
+               "workers", _checked_grid("e13"), claims=(
+        *_cell_claims("docs/scenarios.md", _I1_I5),
+        Claim("on-node-first victim selection beats uniform once off-node "
+              "steals cost 2x", "docs/scenarios.md", _bound(
+                  "upc-distmem uniform / hierarchical time on numa-2x",
+                  lambda t: _speedup(t, dict(victim="uniform"),
+                                     dict(victim="hierarchical"),
+                                     variant="upc-distmem", preset="numa-2x",
+                                     adversary="none"), above=1)),
+    )),
+    Experiment("E14", "fence-free relaxed stealing vs the locked baseline",
+               _checked_grid("e14"), claims=(
+        *_cell_claims("docs/protocols.md", _I1_I5),
+        Claim("fault-free, the fence-free claim race duplicates nothing",
+              "docs/protocols.md", _every(
+                  "duplicate nothing", lambda c: c.result.dup_work > 0,
+                  among=lambda c: c.ok and c.where["plan"] == "none"),
+              holds_at=SCALES),
+        Claim("under NUMA asymmetry dropping the steal transaction pays",
+              "arXiv:2008.04424", _bound(
+                  "upc-distmem / ws-fencefree time on numa-2x",
+                  lambda t: _speedup(t, dict(variant="upc-distmem"),
+                                     dict(variant="ws-fencefree"),
+                                     preset="numa-2x", plan="none"),
+                  above=1)),
+        Claim("stale reads make the fence-free claim race duplicate work",
+              "docs/protocols.md", _bound(
+                  "ws-fencefree dup_work per stale plan", lambda t: [
+                      c.result.dup_work for c in t.done(
+                          variant="ws-fencefree") if c.where["plan"] != "none"],
+                  above=0)),
     )),
 )
 

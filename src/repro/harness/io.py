@@ -23,12 +23,14 @@ def load_json(path: Union[str, Path]) -> dict:
 
 
 def save_csv(result, path: Union[str, Path]) -> Path:
-    """Write a result's runs as CSV; returns the path written."""
+    """Write a result's runs as CSV, one column per key any run has;
+    returns the path written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     rows = result.to_dict()["runs"]
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer = csv.DictWriter(fh, fieldnames=list(dict.fromkeys(
+            key for row in rows for key in row)))
         writer.writeheader()
         writer.writerows(rows)
     return path

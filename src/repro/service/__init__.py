@@ -15,7 +15,7 @@ per-task latency percentiles, the queue-depth timeline, and exact task
 conservation: ``admitted == completed + shed + lost`` once drained.
 
 See ``docs/service-mode.md`` for the full model and
-``repro-uts serve`` / ``tools/bench_service.py`` for the entry points.
+``repro-uts serve`` / ``repro-uts experiment E12`` for the entry points.
 """
 
 from repro.service.arrivals import ArrivalProcess, parse_arrival_spec

@@ -92,7 +92,7 @@ class ServiceResult:
         return aggregate(self.per_thread)
 
     def as_dict(self) -> dict:
-        """JSON-ready cell (used by ``tools/bench_service.py``)."""
+        """JSON-ready cell (a row of ``repro-uts experiment E12 --json``)."""
         return {
             "threads": self.n_threads,
             "machine": self.machine_name,

@@ -27,7 +27,8 @@ DOC = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
 def test_registry_covers_the_paper_and_the_extension_rows():
     assert [e.id for e in EXPERIMENTS] == \
-        ["E1", "E2", "E3", "E4", "E5", "E6", "X1", "X2", "X3", "X4"]
+        ["E1", "E2", "E3", "E4", "E5", "E6", "X1", "X2", "X3", "X4",
+         "E9", "E10", "E11", "E12", "E13", "E14"]
     for entry in EXPERIMENTS:
         assert entry.claims, entry.id
         for claim in entry.claims:
@@ -77,6 +78,32 @@ def test_falloff_claim_fails_on_a_flat_series():
     assert not ok
     assert detail == "distmem at the largest k / its peak 1.000 " \
                      "(needs < 0.800)"
+
+
+def test_each_cell_claim_names_the_cell_it_fails_on():
+    """Conservation, termination, the monitor and the replay each fail
+    on their own cell, and only there."""
+    from repro.harness.checked import Cell, CellTable
+
+    run = SimpleNamespace(total_nodes=10, lost_work=0, dup_work=0,
+                          sim_time=1e-3, engine_events=5, fault_counters=None)
+    table = CellTable("test", [
+        Cell({"n": 0}, 10, run, replayed=True),
+        Cell({"n": 1}, 11, run, replayed=True),
+        Cell({"n": 2}, 10, error_type="EventLimitExceeded", error="spun"),
+        Cell({"n": 3}, 10, error_type="InvariantViolation", error="I2"),
+        Cell({"n": 4}, 10, run, replayed=False),
+    ], render=str)
+    details = [claim.predicate(table)
+               for claim in experiments._cell_claims("§0", "I1–I5")]
+    assert details == [
+        (False, "2/3 cells balance; first: n=1: nodes=10 lost=0 "
+                "t=1.000ms events=5"),
+        (False, "4/5 cells terminate; first: n=2: EventLimitExceeded: spun"),
+        (False, "4/5 cells raise nothing; first: n=3: InvariantViolation: I2"),
+        (False, "2/3 cells replay; first: n=4: nodes=10 lost=0 t=1.000ms "
+                "events=5"),
+    ]
 
 
 def _failing_entry(scale):

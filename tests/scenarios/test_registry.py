@@ -1,6 +1,7 @@
 """Policy/scenario registry error paths and config validation."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +155,10 @@ class TestSpecGrammars:
             parse_adversary("ransom")
         with pytest.raises(ConfigError):
             parse_adversaries("slow@9", 8)  # rank out of range
+
+
+def test_every_scenario_is_in_the_catalog_doc():
+    """docs/scenarios.md names every registered scenario, in backticks."""
+    doc = (Path(__file__).resolve().parents[2] / "docs" / "scenarios.md"
+           ).read_text(encoding="utf-8")
+    assert [name for name in sorted(SCENARIOS) if f"`{name}`" not in doc] == []
