@@ -17,8 +17,9 @@ schedules:
 * :mod:`repro.check.shrink` -- delta-debugging failing cells down to
   committed regression tests.
 
-Driver: ``tools/check_schedules.py``.  Catalog and workflow:
-``docs/correctness.md``.
+Driver: ``repro-uts experiment E15`` (the schedule-space fuzz, a
+checked-cell grid of :mod:`repro.harness.checked`).  Catalog and
+workflow: ``docs/correctness.md``.
 """
 
 from repro.check.invariants import InvariantMonitor

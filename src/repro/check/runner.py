@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.check.invariants import InvariantMonitor
 from repro.check.tiebreak import DelayTieBreak, RandomTieBreak
 
-__all__ = ["CheckOutcome", "check_run", "check_service_run", "VARIANTS"]
+__all__ = ["CheckOutcome", "check_run", "check_service_run", "bind",
+           "tie_break", "SCHEDULE", "VARIANTS"]
 
 #: Every registered algorithm label, figure order then extensions.
 VARIANTS = ("upc-sharedmem", "upc-term", "upc-term-rapdif",
@@ -100,24 +101,9 @@ def check_run(
     exhaustion, verification mismatches.  Anything else (a genuine
     crash) propagates.
     """
-    # Imported here: repro.check must stay importable without pulling
-    # the whole harness (docs tooling imports the policies alone).
-    from repro.harness.runner import run_experiment
-    from repro.uts.params import TreeParams
-    from repro.ws.config import WsConfig
-
-    tree = TreeParams.binomial(b0=b0, m=m, q=q, seed=tree_seed)
-    cfg = WsConfig(chunk_size=chunk_size, idle_strategy=idle_strategy)
-    if scenario is not None:
-        from repro.scenarios import get_scenario
-        sc = get_scenario(scenario)
-        preset = sc.preset
-        cfg = sc.apply(cfg, threads)
-    run = partial(run_experiment, variant, tree=tree, threads=threads,
-                  preset=preset, config=cfg, seed=seed, verify=verify,
-                  max_events=max_events, queue=queue)
-    return _checked(variant, run, schedule_seed, defer, fault_spec,
-                    fault_seed)
+    # The cell is this call's keywords.
+    variant, run, schedule = bind(locals())
+    return _checked(variant, run, **schedule)
 
 
 def check_service_run(
@@ -149,24 +135,72 @@ def check_service_run(
     check.  ``queue`` and error folding are :func:`check_run`'s: every
     :class:`~repro.errors.ReproError` becomes a not-ok outcome.
     """
-    from repro.service import (ServiceConfig, parse_arrival_spec,
-                               run_service)
+    _, run, schedule = bind(locals())
+    return _checked("service-ws", run, **schedule)
+
+
+#: A cell's keywords that pick its schedule and fault plan, not its run.
+SCHEDULE = ("schedule_seed", "defer", "fault_spec", "fault_seed")
+
+
+def bind(cell: dict) -> Tuple[str, Callable[..., Any], dict]:
+    """A cell -- :func:`check_run`'s keywords, or
+    :func:`check_service_run`'s when it names no ``variant`` -- as its
+    variant, its bound ``run_experiment`` / ``run_service`` and its
+    :data:`SCHEDULE` keywords; a keyword the cell leaves out takes the
+    checker's default."""
+    # Imported here: repro.check must stay importable without pulling
+    # the whole harness (docs tooling imports the policies alone).
     from repro.ws.config import WsConfig
 
-    service = ServiceConfig(
-        arrivals=parse_arrival_spec(arrival_spec), n_tasks=n_tasks,
-        queue_capacity=queue_capacity, policy=policy, deadline=deadline,
-        max_retries=max_retries, seed=service_seed)
-    cfg = WsConfig(chunk_size=chunk_size, idle_strategy=idle_strategy)
-    run = partial(run_service, service, threads=threads, preset=preset,
-                  config=cfg, seed=seed, max_events=max_events, queue=queue)
-    return _checked("service-ws", run, schedule_seed, defer, fault_spec,
-                    fault_seed)
+    service = "variant" not in cell
+    kw = {**(check_service_run if service else check_run).__kwdefaults__,
+          **cell}
+    schedule = {key: kw.pop(key) for key in SCHEDULE}
+    cfg = WsConfig(chunk_size=kw.pop("chunk_size"),
+                   idle_strategy=kw.pop("idle_strategy"))
+    if service:
+        from repro.service import (ServiceConfig, parse_arrival_spec,
+                                   run_service)
+
+        stream = ServiceConfig(
+            arrivals=parse_arrival_spec(kw.pop("arrival_spec")),
+            n_tasks=kw.pop("n_tasks"),
+            queue_capacity=kw.pop("queue_capacity"),
+            policy=kw.pop("policy"), deadline=kw.pop("deadline"),
+            max_retries=kw.pop("max_retries"), seed=kw.pop("service_seed"))
+        return "service-ws", partial(run_service, stream, config=cfg,
+                                     **kw), schedule
+    from repro.harness.runner import run_experiment
+    from repro.uts.params import TreeParams
+
+    variant = kw.pop("variant")
+    tree = TreeParams.binomial(b0=kw.pop("b0"), m=kw.pop("m"),
+                               q=kw.pop("q"), seed=kw.pop("tree_seed"))
+    scenario = kw.pop("scenario")
+    if scenario is not None:
+        from repro.scenarios import get_scenario
+        sc = get_scenario(scenario)
+        kw["preset"] = sc.preset
+        cfg = sc.apply(cfg, kw["threads"])
+    return variant, partial(run_experiment, variant, tree=tree, config=cfg,
+                            **kw), schedule
 
 
-def _checked(variant: str, run, schedule_seed: Optional[int],
-             defer: Sequence[int], fault_spec: Optional[str],
-             fault_seed: int,
+def tie_break(schedule_seed: Optional[int] = None, defer: Sequence[int] = ()):
+    """A fresh tie-break for a cell's schedule: a :class:`RandomTieBreak`
+    permutation for ``schedule_seed``, a :class:`DelayTieBreak` bounded
+    reordering for ``defer``, ``None`` (canonical) for neither."""
+    if schedule_seed is not None and defer:
+        raise ValueError("schedule_seed and defer are mutually exclusive")
+    if schedule_seed is not None:
+        return RandomTieBreak(schedule_seed)
+    return DelayTieBreak(defer) if defer else None
+
+
+def _checked(variant: str, run, schedule_seed: Optional[int] = None,
+             defer: Sequence[int] = (), fault_spec: Optional[str] = None,
+             fault_seed: int = 0,
              make_monitor: Optional[
                  Callable[[], Optional[InvariantMonitor]]] = None,
              ) -> CheckOutcome:
@@ -178,18 +212,12 @@ def _checked(variant: str, run, schedule_seed: Optional[int],
     :class:`CheckOutcome`."""
     from repro.faults.plan import parse_fault_spec
 
-    if schedule_seed is not None and defer:
-        raise ValueError("schedule_seed and defer are mutually exclusive")
-    tie_break = None
-    if schedule_seed is not None:
-        tie_break = RandomTieBreak(schedule_seed)
-    elif defer:
-        tie_break = DelayTieBreak(defer)
+    order = tie_break(schedule_seed, defer)
     plan = parse_fault_spec(fault_spec, seed=fault_seed) if fault_spec else None
     monitor = (make_monitor or InvariantMonitor)()
     try:
         res = run(
-            tracer=monitor, faults=plan, tie_break=tie_break,
+            tracer=monitor, faults=plan, tie_break=order,
             # Fuzzer cells never run compiled fusion: the monitor's
             # emit hooks and the tie-break/fault machinery must see
             # every transition from the Python loops.  Schedules are

@@ -18,7 +18,6 @@ from repro.harness.io import load_json, save_csv, save_json
 from repro.harness.parallel import JobSpec, execute_jobs, resolve_jobs
 from repro.harness.runner import expected_node_count, run_experiment, tree_for
 from repro.harness.sweep import SweepResult, run_sweep
-from repro.harness.validate import ValidationReport, validate_grid
 
 __all__ = [
     "run_experiment",
@@ -47,8 +46,6 @@ __all__ = [
     "save_json",
     "save_csv",
     "load_json",
-    "validate_grid",
-    "ValidationReport",
     "EXPERIMENTS",
     "run_experiments",
 ]

@@ -1,4 +1,4 @@
-"""Checked-cell grids: the runs behind EXPERIMENTS.md's E9-E14.
+"""Checked-cell grids: the runs behind EXPERIMENTS.md's E9-E15.
 
 A cell is one run through :func:`repro.check.runner._checked` (its
 fault plan, a fresh monitor, every ``ReproError`` folded into the
@@ -16,10 +16,10 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.check.invariants import InvariantMonitor
-from repro.check.runner import _checked
+from repro.check.runner import VARIANTS, _checked, bind, tie_break
 from repro.errors import ReproError
 from repro.faults.plan import parse_fault_spec
 from repro.harness.figures import markdown_table, run_row
@@ -34,7 +34,8 @@ from repro.uts.params import TreeParams
 from repro.ws.algorithms import get_algorithm
 from repro.ws.config import WsConfig
 
-__all__ = ["Cell", "CellTable", "e9", "e10", "e11", "e12", "e13", "e14"]
+__all__ = ["Cell", "CellTable", "e9", "e10", "e11", "e12", "e13", "e14",
+           "e15", "e15_cells"]
 
 Progress = Optional[Callable[[str], None]]
 
@@ -67,6 +68,11 @@ class Cell:
     @property
     def terminated(self) -> bool:
         return self.error_type not in TERMINATION_ERRORS
+
+    @property
+    def duplicated(self) -> bool:
+        """The run completed with ledgered duplicated work."""
+        return self.ok and getattr(self.result, "dup_work", 0) > 0
 
     @property
     def conserved(self) -> bool:
@@ -123,19 +129,25 @@ def _unmonitored() -> None:
 def checked_cell(where: dict, variant: str, run: Callable[..., Any],
                  oracle: Optional[int], fault_spec: Optional[str] = None,
                  fault_seed: int = 0, monitor=None,
-                 progress: Progress = None) -> Cell:
+                 progress: Progress = None,
+                 schedule_seed: Optional[int] = None,
+                 defer: Sequence[int] = ()) -> Cell:
     """``run`` (a bound ``run_experiment`` / ``run_service``) as a
     checked cell under ``monitor()`` (default: an
-    :class:`InvariantMonitor`), then replayed untraced on the default
-    backend."""
-    out = _checked(variant, run, None, (), fault_spec, fault_seed, monitor)
+    :class:`InvariantMonitor`) and the schedule ``schedule_seed`` or
+    ``defer`` picks, then replayed untraced on the default backend under
+    a fresh copy of the same tie-break."""
+    out = _checked(variant, run, schedule_seed, defer, fault_spec,
+                   fault_seed, monitor)
     cell = Cell(where, oracle, out.result, out.error_type or "",
                 out.error or "", measured=out.monitor)
     if out.ok:
         plan = parse_fault_spec(fault_spec, seed=fault_seed) if fault_spec \
             else None
         try:
-            cell.replayed = _identity(run(faults=plan)) == _identity(out.result)
+            cell.replayed = _identity(run(
+                faults=plan, tie_break=tie_break(schedule_seed, defer))
+            ) == _identity(out.result)
         except ReproError:
             cell.replayed = False
     if progress is not None:
@@ -175,8 +187,8 @@ def _ms(cell: Cell) -> str:
     return f"{cell.result.sim_time * 1e3:.3f}"
 
 
-#: The small tree of the fuzzer's cells, the late kills and the quick
-#: scenario and ablation grids.
+#: The small tree of the fuzz cells (``check_run``'s default), the late
+#: kills and the quick scenario and ablation grids.
 SMALL = TreeParams.binomial(b0=64, m=2, q=0.48, seed=1)
 #: The scenario and ablation grids' tree at full scale.
 WIDE = TreeParams.binomial(b0=500, q=0.124, m=8, seed=0)
@@ -489,9 +501,23 @@ E13_GRID = {
 }
 
 
-def _offers(variant: str, victim: Optional[str]) -> bool:
-    offered = get_algorithm(variant).victim_policies
-    return victim is None or offered is None or victim in offered
+def _offers(variant: str, victim: Optional[str] = None,
+            steal: Optional[str] = None,
+            termination: Optional[str] = None) -> bool:
+    """Whether ``variant`` registers every policy named (``None``: no
+    demand on that axis)."""
+    cls = get_algorithm(variant)
+    return all(want is None or offered is None or want in offered
+               for want, offered in ((victim, cls.victim_policies),
+                                     (steal, cls.steal_policies),
+                                     (termination, cls.termination_policies)))
+
+
+def _runs(variant: str, scenario: str) -> bool:
+    """Whether ``variant`` registers the policies ``scenario`` overlays."""
+    sc = get_scenario(scenario)
+    return _offers(variant, sc.victim_policy, sc.steal_policy,
+                   sc.termination_policy)
 
 
 def e13(scale: str, progress: Progress = None) -> CellTable:
@@ -517,7 +543,7 @@ def e13(scale: str, progress: Progress = None) -> CellTable:
                 config=sc.apply(WsConfig(chunk_size=4), CATALOG_THREADS)),
         expected_node_count(SMALL), progress=progress)
         for name, variant in itertools.product(sorted(SCENARIOS), variants)
-        for sc in [get_scenario(name)] if _offers(variant, sc.victim_policy)]
+        if _runs(variant, name) for sc in [get_scenario(name)]]
     return CellTable(scale, cells, _e13_table)
 
 
@@ -539,7 +565,7 @@ def _e13_table(t: CellTable) -> str:
                         "locality (ms)", "locality speedup"], rows), "",
         f"Catalog smoke: {len(catalog)} scenario cells completed "
         f"({len(SCENARIOS)} scenarios x {', '.join(variants)} where the "
-        f"variant registers the scenario's victim policy, "
+        f"variant registers the scenario's policies, "
         f"{CATALOG_THREADS} threads, {SMALL.describe()})."])
 
 
@@ -600,3 +626,173 @@ def _e14_table(t: CellTable) -> str:
         markdown_table(["fault plan", "`upc-distmem` (ms)",
                         "`ws-fencefree` (ms)", "fence-free `dup_work`",
                         "duplicated"], stale)])
+
+
+# --- E15: the schedule-space fuzz --------------------------------------------
+
+#: Fault plans each variant sweeps where its ``fault_classes`` admit them.
+FUZZ_SPECS = ("kill=3@103us", "stall=0.3,stale=0.2")
+#: The variants whose correctness lives in the stale-read window (the
+#: fence-free multiplicity, tree-split's no-remote-read baseline) always
+#: sweep the stale plans.
+FUZZ_STALE_VARIANTS = ("ws-fencefree", "tree-split")
+FUZZ_STALE_SPECS = ("stale=0.3,stale-window=40us",
+                    "stale=0.5,stale-window=80us")
+#: The scenario cells' variants: the request/response protocol the
+#: adversaries target, the lock-based steal, the unsynchronised claim
+#: race and the barrier/rebalance path.
+SCENARIO_VARIANTS = ("upc-distmem", "upc-term", "ws-fencefree", "tree-split")
+#: One NUMA pair and the hostile mix.
+FUZZ_SCENARIOS = ("numa-8x-uniform", "numa-8x-locality", "hostile-mix")
+#: The service cells' kill storm (fault seed 7), parked and polling.
+SERVICE_STORM = "storm(kill:2@t=0.05ms..0.2ms)"
+#: The conservation grid, canonical schedule, on binomial(b0=30, m=2,
+#: q=0.45): (tree seeds, threads, chunk sizes, presets).
+CONSERVATION = ((0, 1, 2), (1, 3, 8), (1, 4, 16), ("kittyhawk", "altix"))
+#: Per scale: random schedules and deferral points per (variant, plan),
+#: the fault plans and their seeds, the scenarios and their random
+#: schedules, the service cells' random schedules, the conservation grid.
+E15_GRID = {
+    "test": dict(seeds=1, defers=1, specs=FUZZ_SPECS[:1], fault_seeds=(0,),
+                 scenarios=FUZZ_SCENARIOS[2:], scenario_seeds=0,
+                 service_seeds=0,
+                 conservation=((0,), (3,), (4,), ("kittyhawk",))),
+    "quick": dict(seeds=50, defers=40, specs=FUZZ_SPECS, fault_seeds=(0,),
+                  scenarios=FUZZ_SCENARIOS, scenario_seeds=2,
+                  service_seeds=3, conservation=CONSERVATION),
+    "full": dict(seeds=500, defers=400, specs=FUZZ_SPECS, fault_seeds=(0, 1),
+                 scenarios=tuple(sorted(SCENARIOS)), scenario_seeds=2,
+                 service_seeds=3, conservation=CONSERVATION),
+}
+
+
+def _schedules(cell: dict, seeds: int) -> List[dict]:
+    """``cell`` under the canonical schedule, then ``seeds`` random ones."""
+    return [cell, *({**cell, "schedule_seed": s} for s in range(seeds))]
+
+
+def _admits(variant: str, spec: str) -> bool:
+    allowed = get_algorithm(variant).fault_classes
+    return allowed is None or set(
+        parse_fault_spec(spec, seed=0).fault_classes) <= set(allowed)
+
+
+def e15_cells(scale: str) -> Tuple[List[Tuple[dict, dict]], List[str]]:
+    """E15's ``(where, cell)`` pairs at ``scale``, ``cell`` the
+    ``check_run`` (``check_service_run`` without a variant) keywords,
+    and the pairings skipped.  Runs only each variant's canonical
+    schedule: the deferral points spread over 1.2x its event count
+    (scheduled sequence numbers outrun dispatched events: stale
+    wake-ups are scheduled but skipped)."""
+    grid = E15_GRID[scale]
+    cells: List[Tuple[dict, dict]] = []
+
+    def add(mode: str, variant: str, batch: List[dict]) -> None:
+        cells.extend(({"mode": mode, "variant": variant}, c) for c in batch)
+
+    skipped = [f"{variant} × `{spec}` (admits only "
+               f"{', '.join(get_algorithm(variant).fault_classes)})"
+               for variant in VARIANTS for spec in grid["specs"]
+               if not _admits(variant, spec)]
+    for variant in VARIANTS:
+        specs = [s for s in grid["specs"] if _admits(variant, s)]
+        if variant in FUZZ_STALE_VARIANTS:
+            specs += [s for s in FUZZ_STALE_SPECS if s not in specs]
+        base = {"variant": variant}
+        add("canonical", variant, [base])
+        hi = int(bind(base)[1]().engine_events * 1.2) + 1
+        points = range(1, hi, max(1, hi // grid["defers"]))
+        for plan in [{}, *({"fault_spec": spec, "fault_seed": seed}
+                           for spec in specs for seed in grid["fault_seeds"])]:
+            add("random", variant, _schedules({**base, **plan},
+                                              grid["seeds"])[1:])
+            add("delay", variant, [{**base, **plan, "defer": (pos,)}
+                                   for pos in points])
+    for idle, storm in itertools.product(("park", "poll"), (False, True)):
+        add("service", "service-ws", _schedules(
+            {"idle_strategy": idle, **({"fault_spec": SERVICE_STORM,
+                                        "fault_seed": 7} if storm else {})},
+            grid["service_seeds"]))
+    for scenario, variant in itertools.product(grid["scenarios"],
+                                               SCENARIO_VARIANTS):
+        if not _runs(variant, scenario):
+            skipped.append(f"{variant} × scenario `{scenario}` (a policy "
+                           "it does not register)")
+            continue
+        for idle in ("poll", "park"):
+            add("scenario" if idle == "poll" else "scenario-park", variant,
+                _schedules({"variant": variant, "scenario": scenario,
+                            "idle_strategy": idle}, grid["scenario_seeds"]))
+    seeds, threads, ks, presets = grid["conservation"]
+    for seed, variant, n, k, preset in itertools.product(
+            seeds, VARIANTS, threads, ks, presets):
+        add("conservation", variant, [{
+            "variant": variant, "b0": 30, "q": 0.45, "tree_seed": seed,
+            "threads": n, "chunk_size": k, "preset": preset}])
+    return cells, skipped
+
+
+def e15(scale: str, progress: Progress = None) -> CellTable:
+    """Every variant under random and deferred schedules, fault plans,
+    scenarios and service streams, then the conservation grid; each
+    cell monitored and replayed.  A cell's ``where`` carries its
+    ``cell``: the keywords :func:`repro.check.shrink` takes."""
+    plan, skipped = e15_cells(scale)
+    return CellTable(scale, [
+        _fuzz_cell(where, cell,
+                   progress if where["mode"] == "canonical" else None)
+        for where, cell in plan], partial(_e15_table, skipped=skipped))
+
+
+def _fuzz_cell(where: dict, cell: dict, progress: Progress) -> Cell:
+    variant, run, schedule = bind(cell)
+    tree = run.keywords.get("tree")
+    return checked_cell({**where, "cell": cell}, variant, run,
+                        None if tree is None else expected_node_count(tree),
+                        progress=progress, **schedule)
+
+
+def _clean(cell: Cell) -> bool:
+    return cell.ok and cell.conserved and bool(cell.replayed)
+
+
+def _csv(values) -> str:
+    return ", ".join(map(str, values))
+
+
+def _e15_table(t: CellTable, skipped: List[str]) -> str:
+    grid = E15_GRID[t.scale]
+    rows = []
+    for variant in (*VARIANTS, "service-ws"):
+        cells = [c for c in t.cells if c.where["variant"] == variant
+                 and c.where["mode"] != "conservation"]
+        rechecks, emits, resums = (
+            sum(c.measured.get(key, 0) for c in cells)
+            for key in ("ledger_rechecks", "emits", "dup_resums"))
+        rows.append([variant, len(cells), sum(map(_clean, cells)),
+                     sum(c.duplicated for c in cells), f"{rechecks:,} / "
+                     f"{emits:,} ({rechecks / max(emits, 1):.3f})",
+                     f"{resums:,}"])
+    conservation = t.done(mode="conservation")
+    return "\n".join([
+        f"{SMALL.describe()}, 8 threads, k=4, Kitty Hawk model: per variant "
+        f"the canonical schedule, then {grid['seeds']} random schedules and "
+        f"{grid['defers']} deferral points per plan (fault-free; "
+        f"{_csv(f'`{s}`' for s in grid['specs'])} where admitted, fault "
+        f"seeds {_csv(grid['fault_seeds'])}; the stale plans on "
+        f"{_csv(FUZZ_STALE_VARIANTS)}); {len(grid['scenarios'])} scenarios "
+        f"on {_csv(SCENARIO_VARIANTS)}, polling and parked, canonical + "
+        f"{grid['scenario_seeds']} random; service-ws parked and polling, "
+        f"clean and under `{SERVICE_STORM}`, canonical + "
+        f"{grid['service_seeds']} random:", "",
+        markdown_table(["variant", "cells", "clean", "dup cells",
+                        "ledger rechecks / emits", "dup re-sums"], rows), "",
+        "Cells by mode: " + _csv(f"{mode} {n:,}" for mode, n in Counter(
+            c.where["mode"] for c in t.cells).items()) + ".", "",
+        "Conservation grid (binomial(b0=30, m=2, q=0.45) at tree seeds "
+        "{}, every variant, {} threads, k {}, {}; canonical schedule, "
+        "monitored): {}/{} cells clean.".format(
+            *map(_csv, grid["conservation"]), sum(map(_clean, conservation)),
+            len([c for c in t.cells if c.where["mode"] == "conservation"])),
+        *(["", "Skipped pairings:", "", *(f"* {line}" for line in skipped)]
+          if skipped else [])])

@@ -118,12 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     tl.add_argument("--tree-seed", type=int, default=0)
     tl.add_argument("--width", type=int, default=72)
 
-    val = sub.add_parser("validate", help="conservation grid over all algorithms")
-    val.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    val.add_argument("--threads", type=int, nargs="+", default=[1, 3, 8])
-    val.add_argument("--chunk-sizes", type=int, nargs="+", default=[1, 4, 16])
-    val.add_argument("--quiet", action="store_true")
-
     sub.add_parser("scenarios",
                    help="list the scenario catalog (docs/scenarios.md)")
     return p
@@ -176,10 +170,6 @@ def _run_options() -> argparse.ArgumentParser:
              "report); default: inferred from PATH's extension "
              "(.jsonl -> jsonl, .md -> report, else chrome)")
     return p
-
-
-def _echo(line: str) -> None:
-    print(line, flush=True)
 
 
 def _trace_format(args: argparse.Namespace) -> str:
@@ -383,14 +373,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(render_timeline(sink, args.threads, res.sim_time,
                               width=args.width))
         return 0
-    if cmd == "validate":
-        from repro.harness.validate import validate_grid
-
-        report = validate_grid(seeds=args.seeds, thread_counts=args.threads,
-                               chunk_sizes=args.chunk_sizes,
-                               progress=None if args.quiet else _echo)
-        print(report.render())
-        return 0 if report.ok else 1
     raise AssertionError(f"unhandled command {cmd}")  # pragma: no cover
 
 

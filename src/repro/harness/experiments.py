@@ -1,12 +1,12 @@
 """The experiment registry: each paper claim stated once, checked by one command.
 
 ``EXPERIMENTS`` holds the paper's evaluation (E1-E6, DESIGN.md's index),
-the rows beyond it (E9-E14: faults, traces, large machines, service
-streams, scenarios, the fence-free protocol) and the extension rows
-(X1-X4).  An entry names its grid per scale, the entry it reads instead
-of sweeping again (E5 reads E2, E6 reads E3), its renderer from
-:mod:`repro.harness.figures` or its checked-cell grid from
-:mod:`repro.harness.checked`, and its claims.
+the rows beyond it (E9-E15: faults, traces, large machines, service
+streams, scenarios, the fence-free protocol, the schedule-space fuzz)
+and the extension rows (X1-X4).  An entry names its grid per scale, the
+entry it reads instead of sweeping again (E5 reads E2, E6 reads E3),
+its renderer from :mod:`repro.harness.figures` or its checked-cell grid
+from :mod:`repro.harness.checked`, and its claims.
 A :class:`Claim` is declared for the scales it holds at: failing there
 makes ``repro-uts experiment`` exit 1 naming it; failing elsewhere
 prints ⚠️, a deviation measured rather than hand-typed (``holds_at=()``:
@@ -35,6 +35,7 @@ from repro.harness.figures import (
 )
 from repro.harness.runner import run_experiment
 from repro.net.presets import KITTYHAWK
+from repro.ws.algorithms import ALGORITHMS, get_algorithm
 from repro.ws.config import WsConfig
 
 __all__ = ["Claim", "Experiment", "Outcome", "EXPERIMENTS", "select",
@@ -208,7 +209,7 @@ def _slowdown(t: RunTable, alg: str) -> float:
     return t.rate(alg, 0.25) / t.rate(alg, 4.0)
 
 
-# --- E9-E14: checked-cell grids ----------------------------------------------
+# --- E9-E15: checked-cell grids ----------------------------------------------
 
 
 def _checked_grid(name: str):
@@ -262,6 +263,23 @@ def _cell_claims(ref: str, invariants: Optional[str]) -> Tuple[Claim, ...]:
 
 
 _I1_I5 = "I1–I5 (I1′/I3′ for the relaxed variants)"
+
+
+def _at_least(n: int, what: str, counts: Callable[[Any], Dict[str, int]]):
+    """A predicate: every count ``counts(table)`` holds is at least
+    ``n``; the detail names the first key short of it."""
+    def predicate(table) -> Verdict:
+        got = counts(table)
+        short = [key for key, count in got.items() if count < n]
+        detail = (", ".join(f"{key} {count:,}" for key, count in got.items())
+                  + f" {what} (needs ≥ {n} each)")
+        return not short, detail + (f"; short: {short[0]}" if short else "")
+    return predicate
+
+
+def _relaxed(variant: str) -> bool:
+    return (variant in ALGORITHMS
+            and get_algorithm(variant).multiplicity_relaxed)
 
 
 def _speedup(t, over: dict, under: dict, **at) -> float:
@@ -524,6 +542,26 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                       c.result.dup_work for c in t.done(
                           variant="ws-fencefree") if c.where["plan"] != "none"],
                   above=0)),
+    )),
+    Experiment("E15", "schedule-space fuzz: every variant under random and "
+               "deferred schedules", _checked_grid("e15"), claims=(
+        *_cell_claims("docs/correctness.md", _I1_I5),
+        Claim("every variant runs at least 100 fuzzed cells",
+              "docs/correctness.md", _at_least(
+                  100, "fuzzed cells", lambda t: {
+                      v: sum(c.where["variant"] == v
+                             and c.where["mode"] != "conservation"
+                             for c in t.cells) for v in sorted(ALGORITHMS)})),
+        Claim("the stale plans make the relaxed variants duplicate work",
+              "arXiv:2008.04424", _at_least(
+                  10, "cells with ledgered duplicates", lambda t: {
+                      v: sum(c.duplicated for c in t.cells
+                             if c.where["variant"] == v)
+                      for v in sorted(ALGORITHMS) if _relaxed(v)})),
+        Claim("no strict variant ever duplicates work", "docs/correctness.md",
+              _every("duplicate nothing", lambda c: c.duplicated,
+                     among=lambda c: c.ok and not _relaxed(
+                         c.where["variant"])), holds_at=SCALES),
     )),
 )
 

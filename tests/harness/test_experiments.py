@@ -28,7 +28,7 @@ DOC = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 def test_registry_covers_the_paper_and_the_extension_rows():
     assert [e.id for e in EXPERIMENTS] == \
         ["E1", "E2", "E3", "E4", "E5", "E6", "X1", "X2", "X3", "X4",
-         "E9", "E10", "E11", "E12", "E13", "E14"]
+         "E9", "E10", "E11", "E12", "E13", "E14", "E15"]
     for entry in EXPERIMENTS:
         assert entry.claims, entry.id
         for claim in entry.claims:
@@ -104,6 +104,77 @@ def test_each_cell_claim_names_the_cell_it_fails_on():
         (False, "2/3 cells replay; first: n=4: nodes=10 lost=0 t=1.000ms "
                 "events=5"),
     ]
+
+
+def test_e15_quick_is_the_fuzz_sweep_cell_for_cell():
+    """E15's quick grid is the schedule sweep CI ran (50 random
+    schedules, 40 deferral points, the kill and stall plans where
+    admitted), per variant and per mode, plus the 432-cell conservation
+    grid; building it runs only the eight canonical cells."""
+    from collections import Counter
+
+    from repro.harness.checked import e15_cells
+
+    cells, skipped = e15_cells("quick")
+    fuzzed = [where for where, _ in cells if where["mode"] != "conservation"]
+    assert Counter(where["variant"] for where in fuzzed) == {
+        "mpi-ws": 274, "tree-split": 289, "upc-distmem": 295,
+        "upc-distmem-hier": 277, "upc-sharedmem": 277, "upc-term": 292,
+        "upc-term-rapdif": 274, "ws-fencefree": 298, "service-ws": 16}
+    assert Counter(where["mode"] for where, _ in cells) == {
+        "canonical": 8, "random": 1200, "delay": 1002, "service": 16,
+        "scenario": 33, "scenario-park": 33, "conservation": 432}
+    assert len(skipped) == 5 and all(
+        line.startswith(("ws-fencefree ", "tree-split ")) for line in skipped)
+    # every cell is check_run's (or check_service_run's) keywords
+    assert ({"variant": "mpi-ws", "fault_spec": "kill=3@103us",
+             "fault_seed": 0, "schedule_seed": 49}
+            in [cell for _, cell in cells])
+
+
+def test_each_e15_claim_names_the_cell_it_fails_on():
+    from repro.harness.checked import Cell, CellTable
+
+    def run(nodes=10, dup=0):
+        return SimpleNamespace(total_nodes=nodes + dup, lost_work=0,
+                               dup_work=dup, sim_time=1e-3, engine_events=5,
+                               fault_counters=None)
+
+    def cell(variant, result=None, mode="random", replayed=True, **error):
+        return Cell({"mode": mode, "variant": variant,
+                     "cell": {"variant": variant, "schedule_seed": 3}}, 10,
+                    result, replayed=replayed if result else None, **error)
+
+    table = CellTable("quick", [
+        cell("upc-sharedmem", run(nodes=11)),
+        cell("upc-term-rapdif", error_type="EventLimitExceeded",
+             error="spun"),
+        cell("mpi-ws", error_type="InvariantViolation", error="I3"),
+        cell("upc-distmem-hier", run(), replayed=False),
+        cell("upc-term", run(dup=2)),
+        cell("ws-fencefree", run(dup=1)),
+        cell("upc-distmem", run(), mode="conservation"),
+    ], render=str)
+    verdicts = [claim.predicate(table)
+                for claim in select(["E15"])[0].claims]
+    assert [ok for ok, _ in verdicts] == [False] * 7
+    balance, terminate, monitor, replay, cover, window, strict = (
+        detail for _, detail in verdicts)
+
+    def first(variant):
+        # the cell's keywords, verbatim: what repro.check.shrink takes
+        return (f"; first: mode=random variant={variant} cell={{'variant': "
+                f"'{variant}', 'schedule_seed': 3}}: ")
+
+    assert first("upc-sharedmem") in balance
+    assert first("upc-term-rapdif") + "EventLimitExceeded: spun" in terminate
+    assert first("mpi-ws") + "InvariantViolation: I3" in monitor
+    assert first("upc-distmem-hier") in replay
+    assert cover.endswith("fuzzed cells (needs ≥ 100 each); short: mpi-ws")
+    assert "upc-distmem 0, " in cover
+    assert window == ("ws-fencefree 1 cells with ledgered duplicates "
+                      "(needs ≥ 10 each); short: ws-fencefree")
+    assert first("upc-term") in strict
 
 
 def _failing_entry(scale):

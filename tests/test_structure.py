@@ -76,8 +76,14 @@ the next re-anchor finding it:
   ``bench_scale.py``, ``bench_service.py``, ``scenario_matrix.py``,
   ``e14_ablation.py``) and their four committed reports;
   EXPERIMENTS.md's generated blocks are exactly the registry's ids, and
-  each E1-E6 and E9-E14 section names its one ``repro-uts experiment
+  each E1-E6 and E9-E15 section names its one ``repro-uts experiment
   Ek`` command.
+* A checked cell runs through one loop: the schedule fuzzer
+  (``tools/check_schedules.py``), ``harness/validate.py`` and the
+  fuzzer's committed report stay gone (their grids are E15's),
+  ``validate`` is no ``repro-uts`` subcommand, and ``final_check()`` is
+  called at one site across ``src/`` and ``tools/``:
+  ``check/runner.py:_checked``.
 """
 
 import ast
@@ -388,6 +394,24 @@ def test_the_checker_states_its_pure_backend_contract_once():
     assert pure == ["check/runner.py:_checked"], pure
 
 
+def test_one_checked_cell_loop():
+    """``validate`` is no ``repro-uts`` subcommand (its grid is E15's),
+    and one try/monitor/``final_check`` block, ``_checked``'s, checks a
+    run across ``src/`` and ``tools/``."""
+    cli = ast.parse((SRC / "harness" / "cli.py").read_text())
+    subcommands = [
+        node.args[0].value for node in ast.walk(cli)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_parser"]
+    assert "experiment" in subcommands and "validate" not in subcommands
+    assert _call_sites(lambda call: (
+        isinstance(call.func, ast.Attribute)
+        and call.func.attr == "final_check")) == ["check/runner.py:_checked"]
+    tools = ROOT / "tools"
+    assert [path.name for path in sorted(tools.glob("*.py"))
+            if "final_check(" in path.read_text()] == []
+
+
 def test_one_stealing_state():
     takes_redundant = [
         f"{path.relative_to(SRC)}:{node.lineno}"
@@ -490,11 +514,14 @@ def test_the_corpus_covers_every_variant_in_every_mode():
 ROOT = SRC.parent.parent
 
 
-#: What typed E9-E14 by hand before the registry held them.
+#: What typed E9-E14 by hand, or looped over E15's cells, before the
+#: registry held them.
 RETIRED = ("tools/fault_matrix.py", "tools/bench_scale.py",
            "tools/bench_service.py", "tools/scenario_matrix.py",
            "tools/e14_ablation.py", "BENCH_scale.json", "BENCH_service.json",
-           "SCENARIO_report.json", "E14_report.json")
+           "SCENARIO_report.json", "E14_report.json",
+           "tools/check_schedules.py", "src/repro/harness/validate.py",
+           "tests/check/regressions/CHECK_report_clean.json")
 
 
 def test_no_second_copy_of_the_paper_claims():
@@ -513,7 +540,7 @@ def test_experiments_md_blocks_are_the_registry():
     assert re.findall(r"^<!-- experiment:(\w+) -->$", text, re.M) == ids
     assert re.findall(r"^<!-- /experiment:(\w+) -->$", text, re.M) == ids
     sections = re.split(r"^## ", text, flags=re.M)
-    for eid in [f"E{k}" for k in (*range(1, 7), *range(9, 15))]:
+    for eid in [f"E{k}" for k in (*range(1, 7), *range(9, 16))]:
         [section] = [s for s in sections if s.startswith(f"{eid} ")]
         assert len(re.findall(r"^Regenerate: `repro-uts experiment "
                               rf"{eid}\b", section, flags=re.M)) == 1, eid
