@@ -4,7 +4,8 @@ The engine's event queue is one global ``heapq``: O(log m) comparisons
 per push and pop over the whole pending set, which at thousands of
 threads is dominated by far-future entries (steal-request pacing,
 park/unpark cadences).  Measured on this host that still beats this
-module, and it keeps the compiled run loop on (docs/performance.md).
+module, and it keeps the compiled run loop on (docs/performance.md,
+"The event engine").
 
 :class:`BucketQueue` is the classic calendar-queue alternative: items
 are binned by ``int(time / width)``.  A push into any bucket other

@@ -173,7 +173,7 @@ class AlgorithmBase:
         ]
         #: Hot-path constants, hoisted once: the per-event loops below
         #: must not pay a dataclass property or attribute chase per
-        #: batch (see docs/performance.md, "engine hot path").
+        #: batch (see docs/performance.md, "The event engine").
         self.tracer = machine.tracer
         self.sim = machine.sim
         self._poll_interval = cfg.poll_interval
@@ -515,7 +515,7 @@ class AlgorithmBase:
         never a test of which variant is running.
 
         Three things are inlined here, once, because the ledger pays
-        for each (docs/performance.md, "engine hot path"): the
+        for each (docs/performance.md, "The event engine"): the
         ``SplitStack`` moves, the ``work_avail`` write and ``FifoLock``'s
         transitions.  Faulted runs under a lock take the generic
         ``release``/``reacquire`` instead, which roll stalls and keep

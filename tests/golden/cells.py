@@ -451,12 +451,16 @@ def _planted():
 
 def _cross_backend():
     """What the compiled backend was first held to: Figure 4's tree at
-    16 threads, the park matrix, free references, service loads."""
+    16 threads, the park matrix, free references, service loads.  With
+    the ledger's k in {2, 8, 32} (``bench/pins.json``), the Figure 4
+    cells here cover the whole ``fig4[quick]`` sweep."""
     for variant in ("upc-sharedmem", "upc-term", "upc-term-rapdif",
                     "upc-distmem", "upc-distmem-hier", "mpi-ws"):
-        yield run(variant, tree="t1-quick", threads=16, chunk_size=8,
-                  traced=False)
-        if variant != "upc-distmem-hier":
+        fig4 = variant != "upc-distmem-hier"
+        for k in (1, 4, 8, 16, 64) if fig4 else (8,):
+            yield run(variant, tree="t1-quick", threads=16, chunk_size=k,
+                      traced=False)
+        if fig4:
             yield run(variant, net="free-references")
         if variant != "upc-sharedmem":
             for k in (2, 8):

@@ -33,8 +33,8 @@ the next re-anchor finding it:
   and a task's drain is detected in exactly two places -- the visit
   scan and the fail-stop loss hook.
 * The monitor sums the duplication ledger at one site, behind the
-  written-since test (``docs/performance.md``, "the monitor pays for
-  what changed"): a second ``sum(....values())`` under ``check/`` is
+  written-since test (``docs/performance.md``, "Faults, tracer and
+  monitor"): a second ``sum(....values())`` under ``check/`` is
   the per-emit walk over ``dup_extra`` coming back.
 * numpy and scipy are off the import path and the run path
   (``docs/performance.md``, "Cold start"): the package imports them
@@ -52,13 +52,13 @@ the next re-anchor finding it:
   the base and mpi-ws (whose outcome arrives later, in its idle loop)
   record a ``steal.req``.
 * The cost charging a compiled run still does in Python is flat
-  (``docs/performance.md``, "The Python a compiled run still runs"): a
+  (``docs/performance.md``, "PGAS, locks and messages"): a
   ``Message`` is a ``NamedTuple``, not a dataclass; no cost method of
   ``NetworkModel`` calls another method (one locality test over
   precomputed constants); and no ``_claim`` charges through a
   ``ctx.compute(`` generator.
 * A rank pays only for what it touches (``docs/performance.md``,
-  "Per-rank memory at 4096 threads"): ``StreamRng.__init__`` builds no
+  "Memory per rank"): ``StreamRng.__init__`` builds no
   Mersenne Twister, victim segments are ``array('i')`` slices and never
   lists (nor does ``_core.c`` read them as lists), and neither a shared
   region nor a lock queue is a deque.
@@ -84,9 +84,14 @@ the next re-anchor finding it:
   ``validate`` is no ``repro-uts`` subcommand, and ``final_check()`` is
   called at one site across ``src/`` and ``tools/``:
   ``check/runner.py:_checked``.
+* Host speed has one record, the ledger (``bench/run.py``): the engine
+  benchmark's committed baseline stays gone (``RETIRED``), and
+  ``docs/performance.md`` is a guide under 600 lines that cites only
+  metrics ``BENCHMARK.json`` declares.
 """
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -515,13 +520,15 @@ ROOT = SRC.parent.parent
 
 
 #: What typed E9-E14 by hand, or looped over E15's cells, before the
-#: registry held them.
+#: registry held them; and the committed engine baseline, a second
+#: performance record beside the ledger (``bench/run.py``).
 RETIRED = ("tools/fault_matrix.py", "tools/bench_scale.py",
            "tools/bench_service.py", "tools/scenario_matrix.py",
            "tools/e14_ablation.py", "BENCH_scale.json", "BENCH_service.json",
            "SCENARIO_report.json", "E14_report.json",
            "tools/check_schedules.py", "src/repro/harness/validate.py",
-           "tests/check/regressions/CHECK_report_clean.json")
+           "tests/check/regressions/CHECK_report_clean.json",
+           "BENCH_engine.json")
 
 
 def test_no_second_copy_of_the_paper_claims():
@@ -546,3 +553,22 @@ def test_experiments_md_blocks_are_the_registry():
                               rf"{eid}\b", section, flags=re.M)) == 1, eid
         assert len(re.findall(r"repro-uts experiment E\d", section)) == 1, eid
         assert f"<!-- experiment:{eid} -->" in section, eid
+
+
+#: The longest ``docs/performance.md`` may be: a layer guide, not a log.
+GUIDE_LINES = 600
+
+
+def test_the_performance_guide_cites_only_ledger_metrics():
+    """Every backticked dotted name in ``docs/performance.md`` whose
+    first part is a ledger layer (``uts``, ``sim``, ``ws``, ...) is a
+    metric ``BENCHMARK.json`` declares, and the guide stays short."""
+    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = {m["name"] for key in ("end_to_end", "per_layer")
+             for m in contract[key]}
+    layers = {name.split(".")[0] for name in names if "." in name}
+    text = (ROOT / "docs" / "performance.md").read_text(encoding="utf-8")
+    cited = set(re.findall(r"`([a-z]+(?:\.[\w-]+)+)`", text))
+    assert sorted(n for n in cited
+                  if n.split(".")[0] in layers and n not in names) == []
+    assert len(text.splitlines()) < GUIDE_LINES

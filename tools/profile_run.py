@@ -1,9 +1,11 @@
 #!/usr/bin/env python
 """Profile the simulation hot path with cProfile.
 
-Runs a figure sweep (serial, cache on -- the same workload
-``bench_engine.py`` times) under :mod:`cProfile` and prints the top-N
-functions, so "where do the events/sec go?" has a one-command answer::
+Runs a figure sweep (serial, cache on; by default the whole
+``fig4[quick]`` sweep, whose k in {2, 8, 32} slice is the ledger's
+``fig4-pure`` / ``fig4-fast`` workload) under :mod:`cProfile` and
+prints the top-N functions, so "where do the events/sec go?" has a
+one-command answer::
 
     PYTHONPATH=src python tools/profile_run.py                 # fig4[quick]
     PYTHONPATH=src python tools/profile_run.py --top 40
@@ -12,12 +14,14 @@ functions, so "where do the events/sec go?" has a one-command answer::
 
 ``--threads``, ``--algorithm``, ``--chunk-size`` and ``--idle-strategy``
 narrow the sweep to one cell shape, e.g. the 4096-thread park cell the
-victim-scan kernel (docs/performance.md) was sized from::
+victim-scan kernel (docs/performance.md, "The O(active) engine") was
+sized from::
 
     PYTHONPATH=src python tools/profile_run.py --threads 4096 \
         --idle-strategy park --algorithm upc-term-rapdif --chunk-size 4
 
-Notes for reading the output (see docs/performance.md):
+Notes for reading the output (see docs/performance.md, "How to
+measure"):
 
 * cProfile adds per-call overhead, inflating call-heavy frames (the
   engine loop, ``batch_expand``) by roughly 3x relative to their real
@@ -35,14 +39,14 @@ Notes for reading the output (see docs/performance.md):
   back to Python: *bounces* resume the worker with a value to serve (a
   steal attempt, a request, a message), *ends* with None (the phase
   finished).  The bounces are counted on one more, unprofiled pass
-  whose process bodies are wrapped (docs/performance.md, "The Python a
-  compiled run still runs").
+  whose process bodies are wrapped (docs/performance.md, "The compiled
+  fastpath").
 * The ``memory`` line builds and spawns the first cell again under
   :mod:`tracemalloc` (MiB, bytes per rank), then runs it: ``run peak``
   is the most that cell's run held traced at once, machine included.
   The ``collector`` line is :data:`gc.callbacks` over the profiled
   sweep: collections and seconds per generation (docs/performance.md,
-  "Per-rank memory at 4096 threads").
+  "Memory per rank").
 """
 
 from __future__ import annotations
