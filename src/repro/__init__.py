@@ -19,61 +19,72 @@ Quickstart::
         verify=True,
     )
     print(result.summary())
+
+Every public name but ``__version__`` is imported on first use (PEP
+562), so a process that needs one layer loads that layer only.
 """
 
-from repro._version import __version__
-from repro.errors import (
-    ConfigError,
-    DeadlockError,
-    EventLimitExceeded,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-    SweepWorkerError,
-)
-from repro.faults import FaultCounters, FaultPlan, parse_fault_spec
-from repro.harness.runner import expected_node_count, run_experiment
-from repro.harness.sweep import run_sweep
-from repro.metrics import RunResult
-from repro.net import ALTIX, KITTYHAWK, PRESETS, SHAREDMEM, TOPSAIL, NetworkModel, get_preset
-from repro.obs import TraceSink
-from repro.uts import (T1_PAPER, T3_PAPER, MaterializedTree, Tree, TreeParams,
-                       count_tree, materialize)
-from repro.ws import ALGORITHMS, FIGURE_ORDER, WsConfig, get_algorithm
+import importlib
 
-__all__ = [
-    "__version__",
-    "run_experiment",
-    "expected_node_count",
-    "run_sweep",
-    "RunResult",
-    "TreeParams",
-    "Tree",
-    "MaterializedTree",
-    "materialize",
-    "count_tree",
-    "T1_PAPER",
-    "T3_PAPER",
-    "NetworkModel",
-    "get_preset",
-    "PRESETS",
-    "KITTYHAWK",
-    "TOPSAIL",
-    "ALTIX",
-    "SHAREDMEM",
-    "WsConfig",
-    "TraceSink",
-    "FaultPlan",
-    "FaultCounters",
-    "parse_fault_spec",
-    "ALGORITHMS",
-    "FIGURE_ORDER",
-    "get_algorithm",
-    "ReproError",
-    "SimulationError",
-    "DeadlockError",
-    "EventLimitExceeded",
-    "ProtocolError",
-    "ConfigError",
-    "SweepWorkerError",
-]
+from repro._version import __version__
+
+#: Each public name and the module it is imported from on first use.
+_HOMES = {
+    "run_experiment": "repro.harness.runner",
+    "expected_node_count": "repro.harness.runner",
+    "run_sweep": "repro.harness.sweep",
+    "RunResult": "repro.metrics",
+    "TreeParams": "repro.uts",
+    "Tree": "repro.uts",
+    "MaterializedTree": "repro.uts",
+    "materialize": "repro.uts",
+    "count_tree": "repro.uts",
+    "T1_PAPER": "repro.uts",
+    "T3_PAPER": "repro.uts",
+    "NetworkModel": "repro.net",
+    "get_preset": "repro.net",
+    "PRESETS": "repro.net",
+    "KITTYHAWK": "repro.net",
+    "TOPSAIL": "repro.net",
+    "ALTIX": "repro.net",
+    "SHAREDMEM": "repro.net",
+    "WsConfig": "repro.ws",
+    "TraceSink": "repro.obs",
+    "FaultPlan": "repro.faults",
+    "FaultCounters": "repro.faults",
+    "parse_fault_spec": "repro.faults",
+    "ALGORITHMS": "repro.ws",
+    "FIGURE_ORDER": "repro.ws",
+    "get_algorithm": "repro.ws",
+    "ReproError": "repro.errors",
+    "SimulationError": "repro.errors",
+    "DeadlockError": "repro.errors",
+    "EventLimitExceeded": "repro.errors",
+    "ProtocolError": "repro.errors",
+    "ConfigError": "repro.errors",
+    "SweepWorkerError": "repro.errors",
+}
+
+__all__ = ["__version__", *_HOMES]
+
+
+def _lazy(namespace: dict, homes: dict):
+    """A package's PEP 562 ``__getattr__`` and ``__dir__``: each name
+    of ``homes`` is imported from its module on first use and then
+    bound in ``namespace`` (the package's globals)."""
+
+    def __getattr__(name: str):
+        home = homes.get(name)
+        if home is None:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(home), name)
+        return value
+
+    def __dir__() -> list:
+        return sorted({*namespace, *homes})
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy(globals(), _HOMES)

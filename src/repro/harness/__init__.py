@@ -1,51 +1,45 @@
 """Experiment harness: the experiment registry, per-figure renderers,
-sweeps, plots, persistence, CLI."""
+sweeps, plots, persistence, CLI.
 
-from repro.harness.config import FIG4, FIG5, FIG6, SCALES, FigureSetup, setup_for
-from repro.harness.experiments import EXPERIMENTS, run_experiments
-from repro.harness.figures import (
-    AblationResult,
-    ClaimsResult,
-    FigureResult,
-    ablation,
-    figure4,
-    figure5,
-    figure6,
-    headline_claims,
-    sequential_baseline,
-)
-from repro.harness.io import load_json, save_csv, save_json
-from repro.harness.parallel import JobSpec, execute_jobs, resolve_jobs
-from repro.harness.runner import expected_node_count, run_experiment, tree_for
-from repro.harness.sweep import SweepResult, run_sweep
+The public names are imported on first use (PEP 562): a process that
+needs only :mod:`~repro.harness.config` and
+:mod:`~repro.harness.parallel` loads neither the registry nor the
+renderers nor the process pool.
+"""
 
-__all__ = [
-    "run_experiment",
-    "expected_node_count",
-    "tree_for",
-    "JobSpec",
-    "execute_jobs",
-    "resolve_jobs",
-    "FigureSetup",
-    "setup_for",
-    "SCALES",
-    "FIG4",
-    "FIG5",
-    "FIG6",
-    "run_sweep",
-    "SweepResult",
-    "figure4",
-    "figure5",
-    "figure6",
-    "ablation",
-    "headline_claims",
-    "sequential_baseline",
-    "FigureResult",
-    "AblationResult",
-    "ClaimsResult",
-    "save_json",
-    "save_csv",
-    "load_json",
-    "EXPERIMENTS",
-    "run_experiments",
-]
+from repro import _lazy
+
+#: Each public name and the module it is imported from on first use.
+_HOMES = {
+    "run_experiment": "repro.harness.runner",
+    "expected_node_count": "repro.harness.runner",
+    "tree_for": "repro.harness.runner",
+    "JobSpec": "repro.harness.parallel",
+    "execute_jobs": "repro.harness.parallel",
+    "resolve_jobs": "repro.harness.parallel",
+    "FigureSetup": "repro.harness.config",
+    "setup_for": "repro.harness.config",
+    "SCALES": "repro.harness.config",
+    "FIG4": "repro.harness.config",
+    "FIG5": "repro.harness.config",
+    "FIG6": "repro.harness.config",
+    "run_sweep": "repro.harness.sweep",
+    "SweepResult": "repro.harness.sweep",
+    "figure4": "repro.harness.figures",
+    "figure5": "repro.harness.figures",
+    "figure6": "repro.harness.figures",
+    "ablation": "repro.harness.figures",
+    "headline_claims": "repro.harness.figures",
+    "sequential_baseline": "repro.harness.figures",
+    "FigureResult": "repro.harness.figures",
+    "AblationResult": "repro.harness.figures",
+    "ClaimsResult": "repro.harness.figures",
+    "save_json": "repro.harness.io",
+    "save_csv": "repro.harness.io",
+    "load_json": "repro.harness.io",
+    "EXPERIMENTS": "repro.harness.experiments",
+    "run_experiments": "repro.harness.experiments",
+}
+
+__all__ = [*_HOMES]
+__getattr__, __dir__ = _lazy(globals(), _HOMES)

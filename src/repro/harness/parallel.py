@@ -44,7 +44,6 @@ import os
 import signal
 import threading
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -290,7 +289,9 @@ def _execute_serial(jobs: List[JobSpec], progress: Progress) -> List[RunResult]:
 
 def _execute_pool(jobs: List[JobSpec], n_jobs: int,
                   progress: Progress) -> List[RunResult]:
+    # Imported here: a serial run never loads the pool.
     import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     # Expand every distinct tree BEFORE forking so workers inherit the
     # materialized arrays copy-on-write instead of rebuilding them.

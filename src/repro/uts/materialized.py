@@ -36,14 +36,17 @@ through :func:`expand`) is one more entry of the same cache.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import threading
 from array import array
 from collections import OrderedDict
+from struct import pack
 from typing import Iterator, Optional
 
 from repro.errors import ConfigError, ProtocolError
 from repro.uts.params import TreeParams
+from repro.uts.rng import _M64, _SPLITMIX_GAMMA, RAND_MAX
 from repro.uts.sequential import count_tree
 from repro.uts.tree import Tree
 
@@ -215,14 +218,34 @@ def expand(base: Tree, roots: list, cap: int):
     the order the sequential search visits it; None past ``cap`` nodes.
 
     Two builders, the same arrays: the compiled depth-first kernel
-    where one applies, else the scalar loop below, the reference the
-    kernel is held to.
+    where one applies, else a scalar loop -- :func:`_binomial`, which
+    ``_core.expand`` transliterates, or :func:`_generic` for geometric
+    trees -- then one reverse pass for the sizes.
     """
     kernel = _compiled(base)
     if kernel is not None:
         return kernel(roots, cap)
-    # The sequential search itself: pop order is the layout's index
-    # (the first root on top, so each subtree is done before the next).
+    built = (_binomial if base._is_binomial else _generic)(base, roots, cap)
+    if built is None:
+        return None
+    delta, max_depth = built
+    # Sizes in reverse: child j+1 starts where child j's subtree ends.
+    size = array("i", [1]) * len(delta)
+    i = len(delta)
+    for d in reversed(delta):
+        i -= 1
+        if d >= 0:
+            s = 1
+            for _ in range(d + 1):
+                s += size[i + s]
+            size[i] = s
+    return delta, size, max_depth
+
+
+def _generic(base: Tree, roots: list, cap: int):
+    """``(delta, max_depth)`` by the sequential search itself, through
+    ``Tree.children``: pop order is the layout's index (the first root
+    on top, so each subtree is done before the next)."""
     delta = array("i")
     visit = delta.append
     max_depth = 0
@@ -240,14 +263,79 @@ def expand(base: Tree, roots: list, cap: int):
                 return None
         elif node[1] > max_depth:  # the deepest node is a leaf
             max_depth = node[1]
-    # Sizes in reverse: child j+1 starts where child j's subtree ends.
-    size = array("i", [1]) * len(delta)
-    for i in range(len(delta) - 1, -1, -1):
-        s = 1
-        for _ in range(delta[i] + 1):
-            s += size[i + s]
-        size[i] = s
-    return delta, size, max_depth
+    return delta, max_depth
+
+
+def _binomial(base: Tree, roots: list, cap: int):
+    """:func:`_generic` for a binomial tree, with ``Tree.num_children``
+    and the engine's ``spawn`` written out: a node at height 0 has
+    ``b0`` children, any other ``m`` if ``rand(state) < thresh``, else
+    none.  The search pushes all children but the last and walks
+    straight down into that one (the next node ``pop()`` would give).
+    """
+    b0, m, thresh = base._b0, base._m, base._thresh
+    sha = base.engine.name == "sha1"
+
+    def spawn_keys(k):
+        """What ``spawn(state, i)`` adds to ``state`` for child ``i``
+        of ``k``: the pushed children's and the last child's."""
+        keys = ([pack(">I", i) for i in range(k)] if sha else
+                [(i + 1) * _SPLITMIX_GAMMA & _M64 for i in range(k)])
+        return k, keys[:-1], keys[-1]
+
+    at_root = spawn_keys(b0) if b0 else None
+    below = spawn_keys(m)
+    # SHA-1's rand is the state's first four bytes less the top bit:
+    # the first byte decides unless it ties thresh's.
+    t24 = thresh >> 24
+    sha1 = hashlib.sha1
+    from_bytes = int.from_bytes
+    delta = array("i")
+    visit = delta.append
+    max_depth = 0
+    stack = roots[::-1]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        state, depth = pop()
+        while True:
+            if depth:
+                if sha:
+                    b = state[0] & 0x7F
+                    leaf = b > t24 or (b == t24 and from_bytes(
+                        state[:4], "big") & RAND_MAX >= thresh)
+                else:
+                    leaf = state >> 33 >= thresh
+                if leaf:
+                    visit(-1)
+                    if depth > max_depth:  # the deepest node is a leaf
+                        max_depth = depth
+                    break
+                k, head, last = below
+            elif at_root is None:
+                visit(-1)
+                break
+            else:
+                k, head, last = at_root
+            visit(k - 1)
+            if len(delta) + len(stack) + k > cap:
+                return None
+            depth += 1
+            if sha:
+                for key in head:
+                    push((sha1(state + key).digest(), depth))
+                state = sha1(state + last).digest()
+            else:
+                for key in head:
+                    z = (state + key) & _M64
+                    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+                    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+                    push((z ^ z >> 31, depth))
+                z = (state + last) & _M64
+                z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+                z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+                state = z ^ z >> 31
+    return delta, max_depth
 
 
 def materialize(params: TreeParams, max_nodes: Optional[int] = None):
@@ -305,15 +393,18 @@ def expected_node_count(params: TreeParams) -> int:
     """The sequential node count every parallel run must reproduce: the
     materialized expansion's size when there is one, else a count of
     the implicit tree -- by the compiled kernel, which keeps no arrays,
-    or a :func:`count_tree` traversal.
+    or a :func:`count_tree` traversal.  A tree past :data:`_COUNT_GUARD`
+    nodes raises :class:`~repro.errors.ConfigError` either way.
     """
     tree = tree_for(params)
     if isinstance(tree, MaterializedTree):
         return tree.n_nodes
     kernel = _compiled(tree)
-    counted = kernel([tree.root()], _COUNT_GUARD, True) if kernel else None
-    if counted is not None:
-        return counted[0]
-    # No kernel -- or a tree past the guard, which count_tree refuses
-    # by name.
-    return count_tree(params, max_nodes=_COUNT_GUARD).n_nodes
+    if kernel is None:
+        return count_tree(params, max_nodes=_COUNT_GUARD).n_nodes
+    counted = kernel([tree.root()], _COUNT_GUARD, True)
+    if counted is None:
+        raise ConfigError(
+            f"tree exceeded max_nodes={_COUNT_GUARD}; params too close "
+            f"to critical: {params.describe()}")
+    return counted[0]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from repro.errors import ConfigError
 from repro.uts.params import TreeParams
 from repro.uts.tree import Tree
 
@@ -38,7 +39,8 @@ def count_tree(params: TreeParams, max_nodes: int = 500_000_000) -> TreeStats:
     """Fully traverse the tree; exact node/leaf/depth counts.
 
     ``max_nodes`` guards against accidentally launching a near-critical
-    tree (e.g. the paper's 157-billion-node parameters) in a test.
+    tree (e.g. the paper's 157-billion-node parameters) in a test: past
+    it, :class:`~repro.errors.ConfigError` names the tree.
     """
     tree = Tree(params)
     n_nodes = 0
@@ -53,7 +55,7 @@ def count_tree(params: TreeParams, max_nodes: int = 500_000_000) -> TreeStats:
         node = pop()
         n_nodes += 1
         if n_nodes > max_nodes:
-            raise RuntimeError(
+            raise ConfigError(
                 f"tree exceeded max_nodes={max_nodes}; "
                 f"params too close to critical: {params.describe()}"
             )

@@ -71,7 +71,9 @@ def subtree_size(tree: Tree, node: Node, max_nodes: int = 500_000_000) -> int:
     while stack:
         count += 1
         if count > max_nodes:
-            raise RuntimeError("subtree exceeded max_nodes")
+            raise ConfigError(f"subtree exceeded max_nodes={max_nodes}; "
+                              f"params too close to critical: "
+                              f"{tree.params.describe()}")
         extend(children(pop()))
     return count
 
@@ -132,7 +134,9 @@ def stack_depth_profile(params: TreeParams, n_samples: int = 100,
         trajectory.append(d)
         count += 1
         if count > max_nodes:
-            raise RuntimeError("tree exceeded max_nodes")
+            raise ConfigError(f"tree exceeded max_nodes={max_nodes}; "
+                              f"params too close to critical: "
+                              f"{params.describe()}")
         extend(children(pop()))
     step = max(1, count // n_samples)
     samples = tuple(trajectory[::step][:n_samples])

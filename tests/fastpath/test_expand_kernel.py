@@ -3,15 +3,19 @@
 A tree is built once and every run of a sweep reads it, so one wrong
 child count forks every schedule pinned on it; and ``size`` is what
 ``lost_work`` accounting reads.  The compiled kernel is therefore held,
-node for node, to the scalar loop of ``uts.materialized.expand`` (the
-reference: ``hashlib`` / ``_mix64`` through ``Tree.children``), on
-``(delta, size, max_depth)``: from one root and from a service
-stream's task roots, at the cap's
-boundary, past the kernel's initial stack in depth and in width, and
-across child index 4095/4096, where ``uts/rng.py`` switches from its
-suffix table to ``struct.pack``.  The C SHA-1 has no test hook: the
-trees themselves are the test, since a state wrong in any of its five
-words changes the fate of the nodes below it.
+node for node, to the scalar loop of ``uts.materialized.expand``
+(``_binomial``, the builder of every host without the extension), on
+``(delta, size, max_depth)``.  That loop is in turn held to the
+implicit tree -- ``hashlib`` / ``_mix64`` through ``Tree.iter_dfs``,
+``num_children`` and ``stats.subtree_size`` -- by
+``tests/uts/test_materialized.py::TestScalarBinomialLoop``, which runs
+without the extension.  Here: from one root and from a service
+stream's task roots, at the cap's boundary, past the kernel's initial
+stack in depth and in width, and across child index 4095/4096, where
+``uts/rng.py`` switches from its suffix table to ``struct.pack``.
+The C SHA-1 has no test hook: the trees themselves are the test, since
+a state wrong in any of its five words changes the fate of the nodes
+below it.
 
 The last section is anti-vacuity: a spy on ``_core.expand`` shows the
 kernel was taken where it should be and refused where it must be.
@@ -25,15 +29,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.fastpath as fp
+from repro.errors import ConfigError
 from repro.harness import config
 from repro.service.tasks import TaskForest
-from repro.sim.rng import substream_seed
 from repro.uts import materialized
 from repro.uts.materialized import (MaterializedTree, expand,
                                     expected_node_count, materialize)
 from repro.uts.params import TreeParams
 from repro.uts.sequential import count_tree
 from repro.uts.tree import Tree
+from tests.uts.test_materialized import binomial_trees, task_roots
 
 pytestmark = pytest.mark.skipif(
     not fp.available(), reason="compiled core not built on this host")
@@ -57,24 +62,6 @@ def compiled(base, roots, cap=CAP, count_only=False):
         if count_only:
             return materialized._compiled(base)(roots, cap, True)
         return expand(base, roots, cap)
-
-
-def task_roots(base, seed, n_tasks):
-    """A service stream's task roots, as ``TaskForest`` derives them."""
-    init = base.engine.init
-    return [(init(substream_seed(seed, "svc.task", tid)
-                  & 0x7FFFFFFFFFFFFFFF), 0) for tid in range(n_tasks)]
-
-
-@st.composite
-def binomial_trees(draw, max_b0=40):
-    m = draw(st.integers(min_value=1, max_value=8))
-    # m * q in [0, 0.9]: expected subtree size at most 10 nodes
-    q = draw(st.integers(min_value=0, max_value=900)) / (1000.0 * m)
-    return TreeParams.binomial(
-        b0=draw(st.integers(min_value=0, max_value=max_b0)), m=m, q=q,
-        seed=draw(st.integers(min_value=-(2 ** 31), max_value=2 ** 31 - 1)),
-        engine=draw(st.sampled_from(ENGINES)))
 
 
 # -- the two builders, node for node -----------------------------------------
@@ -274,6 +261,18 @@ def test_kernel_counts_a_tree_over_the_cap(spy, monkeypatch):
         == count_tree(config.T1_TEST).n_nodes
     # the build that ran into the cap, then the count that keeps nothing
     assert [(c[5], c[6]) for c in spy] == [(100, False), (500_000_000, True)]
+
+
+def test_kernel_past_the_count_guard_raises_without_recounting(
+        spy, monkeypatch):
+    """The kernel has already counted past the guard: the error names
+    the tree and the guard, and no ``count_tree`` walk repeats it."""
+    monkeypatch.setenv("REPRO_TREE_CACHE_CAP", "100")
+    monkeypatch.setattr(materialized, "_COUNT_GUARD", 1000)
+    monkeypatch.setattr(materialized, "count_tree", None)
+    with pytest.raises(ConfigError, match="max_nodes=1000; .*b0=100"):
+        expected_node_count(config.T1_TEST)
+    assert [(c[5], c[6]) for c in spy] == [(100, False), (1000, True)]
 
 
 @pytest.mark.parametrize("params", [

@@ -302,6 +302,44 @@ def test_a_run_imports_no_numpy():
     assert done.stdout.split() == ["False"], done.stdout
 
 
+#: What ``import repro`` and ``from repro import run_experiment`` must
+#: not load: the process pool and the harness's registry, renderers
+#: and sweep (a run needs none of them).
+LAZY = ["concurrent.futures", "multiprocessing", "repro.harness.experiments",
+        "repro.harness.figures", "repro.harness.sweep"]
+
+LAZY_SCRIPT = """
+import importlib, inspect, sys
+import repro
+from repro import run_experiment
+print(sorted(set(sys.modules) & set(%r)))
+for name in ("repro", "repro.harness"):
+    package = importlib.import_module(name)
+    for attr in package.__all__:
+        value = getattr(package, attr)
+        home = importlib.import_module(package._HOMES.get(attr, name))
+        assert value is getattr(home, attr), (name, attr)
+        if inspect.isclass(value) or inspect.isfunction(value):
+            defined = sys.modules[value.__module__]
+            assert getattr(defined, attr) is value, (name, attr)
+    bound = {}
+    exec(f"from {name} import *", bound)
+    assert set(package.__all__) <= set(bound), (name, "import *")
+    assert set(package.__all__) <= set(dir(package)), (name, "dir")
+print("resolved")
+"""
+
+
+def test_the_package_imports_its_names_on_first_use():
+    """``repro`` and ``repro.harness`` resolve their public names on
+    first use (PEP 562): a run's imports stay off the pool and the
+    registry, and every ``__all__`` name still resolves, binds under
+    ``import *`` and is listed by ``dir()``."""
+    done = fresh_interpreter(LAZY_SCRIPT % (LAZY,))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "resolved"], done.stdout
+
+
 def test_one_tree_builder_per_backend_and_one_layout():
     assert not (SRC / "fastpath" / "nputs.py").exists()
     word = re.compile(r"\b(nputs|vector_expansion_enabled|HAVE_NUMPY|n_kids)\b")

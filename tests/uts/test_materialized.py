@@ -3,6 +3,7 @@ same shape at every visit position, same batches, same counts."""
 
 import sys
 import threading
+from array import array
 from collections import OrderedDict
 
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import strategies as st
 from repro import fastpath, run_experiment
 from repro.errors import ConfigError, ProtocolError
 from repro.harness import parallel, runner
+from repro.service.tasks import TaskForest
+from repro.sim.rng import substream_seed
 from repro.uts import Tree, TreeParams, count_tree, materialized
 from repro.uts.materialized import (DEFAULT_NODE_CAP, MaterializedTree,
                                     expected_node_count, materialize,
@@ -135,6 +138,119 @@ class TestFallback:
             node_cap()
         with pytest.raises(ConfigError, match="REPRO_TREE_CACHE_CAP"):
             run_experiment("upc-distmem", tree=BINOMIAL, threads=2)
+
+
+def reference_layout(base, roots):
+    """``(delta, size, max_depth)`` for ``roots`` one after the other,
+    from the implicit tree alone: each root's nodes in the order
+    ``Tree.iter_dfs`` visits them (that walk, from the given root),
+    ``num_children`` for ``delta`` and ``stats.subtree_size`` for
+    ``size``."""
+    delta, size, max_depth = array("i"), array("i"), 0
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            stack.extend(base.children(node))
+            delta.append(base.num_children(node) - 1)
+            size.append(subtree_size(base, node))
+            max_depth = max(max_depth, node[1])
+    return delta, size, max_depth
+
+
+@st.composite
+def binomial_trees(draw, max_b0=40):
+    m = draw(st.integers(min_value=1, max_value=8))
+    # m * q in [0, 0.9]: expected subtree size at most 10 nodes
+    q = draw(st.integers(min_value=0, max_value=900)) / (1000.0 * m)
+    return TreeParams.binomial(
+        b0=draw(st.integers(min_value=0, max_value=max_b0)), m=m, q=q,
+        seed=draw(st.integers(min_value=-(2 ** 31), max_value=2 ** 31 - 1)),
+        engine=draw(st.sampled_from(["sha1", "splitmix"])))
+
+
+def task_roots(base, seed, n_tasks):
+    """A service stream's task roots, as ``TaskForest`` derives them."""
+    init = base.engine.init
+    return [(init(substream_seed(seed, "svc.task", tid)
+                  & 0x7FFFFFFFFFFFFFFF), 0) for tid in range(n_tasks)]
+
+
+def scalar_binomial(base, roots, cap=10 ** 6):
+    """``expand`` as a host without the extension runs it, which for a
+    binomial tree must be the written-out loop, never ``Tree.children``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_FASTPATH", "0")
+        mp.setattr(materialized, "_generic", None)
+        return materialized.expand(base, roots, cap)
+
+
+class TestScalarBinomialLoop:
+    """``_binomial`` inlines the child rule and both engines' spawn, so
+    it is held to the implicit tree directly (the compiled kernel is
+    held to it in ``tests/fastpath/test_expand_kernel.py``)."""
+
+    @given(params=binomial_trees())
+    @settings(max_examples=80, deadline=None)
+    def test_one_root(self, params):
+        base = Tree(params)
+        ref = reference_layout(base, [base.root()])
+        assert scalar_binomial(base, [base.root()]) == ref
+        assert list(ref[0]) == [base.num_children(node) - 1
+                                for node in base.iter_dfs()]
+
+    @pytest.mark.parametrize("engine", ["sha1", "splitmix"])
+    def test_root_fan_out_past_the_suffix_table(self, engine):
+        """Child 4096 is the first whose SHA-1 suffix is not in
+        ``rng._IDX``."""
+        params = TreeParams.binomial(b0=4097, m=3, q=0.3, seed=5,
+                                     engine=engine)
+        base = Tree(params)
+        got = scalar_binomial(base, [base.root()])
+        assert got[0][0] == 4096
+        assert got == reference_layout(base, [base.root()])
+
+    @pytest.mark.parametrize("engine", ["sha1", "splitmix"])
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_a_rand_equal_to_thresh_is_a_leaf(self, engine, above):
+        """``rand(state) < thresh`` is the interior test: the root's one
+        child has ``rand`` exactly ``thresh`` (a leaf), or one below
+        it (interior) -- for SHA-1, a tie on all four bytes."""
+        probe = Tree(TreeParams.binomial(b0=1, m=1, q=0.5, seed=0,
+                                         engine=engine))
+        r = probe.engine.rand(probe.children(probe.root())[0][0])
+        base = Tree(TreeParams.binomial(b0=1, m=1, q=(r + above) / 2 ** 31,
+                                        seed=0, engine=engine))
+        assert base._thresh == r + above
+        got = scalar_binomial(base, [base.root()])
+        assert list(got[0][:2]) == [0, above - 1]
+        assert got == reference_layout(base, [base.root()])
+
+    @given(params=binomial_trees(max_b0=12),
+           stream_seed=st.integers(min_value=0, max_value=2 ** 32),
+           n_tasks=st.integers(min_value=0, max_value=30))
+    @settings(max_examples=40, deadline=None)
+    def test_task_forest_roots(self, params, stream_seed, n_tasks):
+        base = Tree(params)
+        roots = task_roots(base, stream_seed, n_tasks)
+        ref = reference_layout(base, roots)
+        assert scalar_binomial(base, roots) == ref
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_FASTPATH", "0")
+            forest = TaskForest(params, stream_seed, n_tasks)
+        assert (forest.delta, forest.size) == (array("i", [-1]) + ref[0],
+                                               array("i", [1]) + ref[1])
+
+    @pytest.mark.parametrize("engine", ["sha1", "splitmix"])
+    @pytest.mark.parametrize("n_roots", [1, 7])
+    def test_cap_boundary(self, engine, n_roots):
+        base = Tree(BINOMIAL.with_engine(engine))
+        roots = ([base.root()] if n_roots == 1
+                 else task_roots(base, 3, n_roots))
+        ref = reference_layout(base, roots)
+        n = len(ref[0])
+        assert scalar_binomial(base, roots, n - 1) is None
+        assert scalar_binomial(base, roots, n) == ref
 
 
 def kernels(tree):
@@ -262,16 +378,29 @@ class TestTreeCache:
     def test_over_cap_tree_cached_as_implicit(self, monkeypatch, fresh_cache):
         monkeypatch.setenv("REPRO_TREE_CACHE_CAP", "10")
         calls = []
-        real = Tree.children
+        real = materialized.expand
         monkeypatch.setattr(
-            Tree, "children",
-            lambda self, node: calls.append(node) or real(self, node))
+            materialized, "expand",
+            lambda *a: calls.append(a) or real(*a))
         tree = tree_for(BINOMIAL)
         assert type(tree) is Tree
-        expanded = len(calls)
+        assert len(calls) == 1  # the expansion that ran into the cap
         assert tree_for(BINOMIAL) is tree
-        assert len(calls) == expanded  # second lookup expands nothing
+        assert len(calls) == 1  # second lookup expands nothing
         assert expected_node_count(BINOMIAL) == count_tree(BINOMIAL).n_nodes
+
+    def test_past_the_count_guard_is_a_config_error(self, monkeypatch,
+                                                     fresh_cache):
+        """Without the kernel the count is ``count_tree``'s, whose guard
+        names the tree in the error every caller already handles."""
+        monkeypatch.setenv("REPRO_FASTPATH", "0")
+        monkeypatch.setenv("REPRO_TREE_CACHE_CAP", "10")
+        monkeypatch.setattr(materialized, "_COUNT_GUARD", 50)
+        with pytest.raises(ConfigError, match="max_nodes=50; .*b0=25"):
+            expected_node_count(BINOMIAL)
+        with pytest.raises(ConfigError, match="max_nodes=50"):
+            run_experiment("upc-distmem", tree=BINOMIAL, threads=2,
+                           verify=True)
 
 
 def generic_batch(tree, local, limit, thresh):

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigError
 from repro.uts import TreeParams, Tree, count_tree, sequential_search
-from repro.uts.stats import root_subtree_imbalance, subtree_sizes
+from repro.uts.stats import (root_subtree_imbalance, stack_depth_profile,
+                             subtree_size, subtree_sizes)
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +70,16 @@ class TestSequential:
         assert stats.n_nodes == 1 + params.b0 + 2 * interior_nonroot
 
     def test_max_nodes_guard(self):
-        with pytest.raises(RuntimeError, match="max_nodes"):
+        with pytest.raises(ConfigError, match="max_nodes=10; .*b0=100"):
             count_tree(TreeParams.binomial(b0=100, q=0.49, seed=0), max_nodes=10)
+
+    def test_stats_walks_share_the_guard(self):
+        params = TreeParams.binomial(b0=100, q=0.49, seed=0)
+        tree = Tree(params)
+        with pytest.raises(ConfigError, match="max_nodes=10; .*b0=100"):
+            subtree_size(tree, tree.root(), max_nodes=10)
+        with pytest.raises(ConfigError, match="max_nodes=10; .*b0=100"):
+            stack_depth_profile(params, max_nodes=10)
 
     def test_sequential_search_wrapper(self):
         p = TreeParams.binomial(b0=10, q=0.3, seed=2)

@@ -29,9 +29,9 @@ measure"):
 * ``tottime`` (time inside the frame itself) is the optimization
   signal; ``cumtime`` mostly mirrors the generator delegation chain.
 * The ``cold start`` header line is what this process paid before the
-  profiled sweep (``import repro``, the tree, the first cell's machine
-  and algorithm), unprofiled: the part of a run the ledger books as
-  ``setup_s``.
+  profiled sweep (every import the profiler makes, the tree, the first
+  cell's machine and algorithm), unprofiled: the part of a run the
+  ledger books as ``setup_s``.
 * On the compiled backend the ``python share`` line is the profiled
   time outside ``_core.run``'s own frame (the Python the C loop still
   resumes: protocol methods, cost charging, the message layer) over
@@ -257,7 +257,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     build_cell(first)
     build_s = time.perf_counter() - t0
-    print(f"cold start: import repro {_IMPORT_S:.3f} s, tree "
+    print(f"cold start: imports {_IMPORT_S:.3f} s, tree "
           f"{tree_s:.3f} s ({expected} nodes), first cell's machine + "
           f"algorithm {build_s:.3f} s ({first.algorithm}, "
           f"{first.threads} threads)", flush=True)
