@@ -234,9 +234,10 @@ class FaultPlan:
         The non-fail-stop classes plus ``kill`` (scheduled or
         storm-burst) and ``slow`` (throttled ranks).  Algorithms
         declare the classes they tolerate (``fault_classes`` class
-        attribute on :class:`~repro.ws.algorithms.base.AlgorithmBase`)
-        and the sweep tooling filters (variant, plan) cells on this
-        same property, so both layers agree on what a plan contains.
+        attribute on :class:`~repro.ws.algorithms.base.AlgorithmBase`),
+        and its ``refusal`` -- which construction raises and every grid
+        asks before it runs a (variant, plan) cell -- reads this
+        property, so both layers agree on what a plan contains.
         """
         out = list(self.non_failstop_classes)
         if self.has_kills:

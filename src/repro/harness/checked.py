@@ -501,23 +501,11 @@ E13_GRID = {
 }
 
 
-def _offers(variant: str, victim: Optional[str] = None,
-            steal: Optional[str] = None,
-            termination: Optional[str] = None) -> bool:
-    """Whether ``variant`` registers every policy named (``None``: no
-    demand on that axis)."""
-    cls = get_algorithm(variant)
-    return all(want is None or offered is None or want in offered
-               for want, offered in ((victim, cls.victim_policies),
-                                     (steal, cls.steal_policies),
-                                     (termination, cls.termination_policies)))
-
-
-def _runs(variant: str, scenario: str) -> bool:
-    """Whether ``variant`` registers the policies ``scenario`` overlays."""
-    sc = get_scenario(scenario)
-    return _offers(variant, sc.victim_policy, sc.steal_policy,
-                   sc.termination_policy)
+def _overlaid(scenario: str) -> WsConfig:
+    """``scenario`` applied to the grids' base config at 8 threads (the
+    catalog smoke's machine, and ``check_run``'s)."""
+    return get_scenario(scenario).apply(WsConfig(chunk_size=4),
+                                        CATALOG_THREADS)
 
 
 def e13(scale: str, progress: Progress = None) -> CellTable:
@@ -528,22 +516,23 @@ def e13(scale: str, progress: Progress = None) -> CellTable:
         {"group": "matrix", "variant": variant, "preset": preset,
          "victim": victim, "adversary": adversary}, variant,
         partial(run_experiment, variant, tree=tree, threads=threads,
-                preset=preset, max_events=5_000_000, config=WsConfig(
-                    chunk_size=4, victim_policy=victim, adversaries=None
-                    if adversary == "none"
-                    else parse_adversaries(adversary, threads))),
+                preset=preset, max_events=5_000_000, config=config),
         expected_node_count(tree), progress=progress)
         for variant, victim, preset, adversary in itertools.product(
             variants, VICTIMS, presets, adversaries)
-        if _offers(variant, victim)]
+        for config in [WsConfig(
+            chunk_size=4, victim_policy=victim, adversaries=None
+            if adversary == "none" else parse_adversaries(adversary, threads))]
+        if get_algorithm(variant).refusal(config) is None]
     cells += [checked_cell(
         {"group": "catalog", "variant": variant, "scenario": name}, variant,
         partial(run_experiment, variant, tree=SMALL, threads=CATALOG_THREADS,
-                preset=sc.preset, max_events=500_000,
-                config=sc.apply(WsConfig(chunk_size=4), CATALOG_THREADS)),
+                preset=get_scenario(name).preset, max_events=500_000,
+                config=config),
         expected_node_count(SMALL), progress=progress)
         for name, variant in itertools.product(sorted(SCENARIOS), variants)
-        if _runs(variant, name) for sc in [get_scenario(name)]]
+        for config in [_overlaid(name)]
+        if get_algorithm(variant).refusal(config) is None]
     return CellTable(scale, cells, _e13_table)
 
 
@@ -671,10 +660,23 @@ def _schedules(cell: dict, seeds: int) -> List[dict]:
     return [cell, *({**cell, "schedule_seed": s} for s in range(seeds))]
 
 
-def _admits(variant: str, spec: str) -> bool:
-    allowed = get_algorithm(variant).fault_classes
-    return allowed is None or set(
-        parse_fault_spec(spec, seed=0).fault_classes) <= set(allowed)
+#: One plan per fault class, in ``FaultPlan.fault_classes`` order: the
+#: classes a variant admits are those whose plan its gate lets through.
+FAULT_PROBES = {"drop": "drop=0.5", "dup": "dup=0.5", "delay": "delay=0.5",
+                "stall": "stall=0.5", "stale": "stale=0.5",
+                "kill": "kill=1@1us", "slow": "slow=1@2"}
+
+
+def _refusal(variant: str, spec: str) -> Optional[str]:
+    """The gate's answer for ``variant`` under the fault plan ``spec``."""
+    return get_algorithm(variant).refusal(
+        WsConfig(faults=parse_fault_spec(spec, seed=0)))
+
+
+def _tolerated(variant: str) -> str:
+    """The fault classes ``variant``'s gate lets through, comma-joined."""
+    return ", ".join(c for c, probe in FAULT_PROBES.items()
+                     if not _refusal(variant, probe))
 
 
 def e15_cells(scale: str) -> Tuple[List[Tuple[dict, dict]], List[str]]:
@@ -690,12 +692,11 @@ def e15_cells(scale: str) -> Tuple[List[Tuple[dict, dict]], List[str]]:
     def add(mode: str, variant: str, batch: List[dict]) -> None:
         cells.extend(({"mode": mode, "variant": variant}, c) for c in batch)
 
-    skipped = [f"{variant} × `{spec}` (admits only "
-               f"{', '.join(get_algorithm(variant).fault_classes)})"
+    skipped = [f"{variant} × `{spec}` (admits only {_tolerated(variant)})"
                for variant in VARIANTS for spec in grid["specs"]
-               if not _admits(variant, spec)]
+               if _refusal(variant, spec)]
     for variant in VARIANTS:
-        specs = [s for s in grid["specs"] if _admits(variant, s)]
+        specs = [s for s in grid["specs"] if not _refusal(variant, s)]
         if variant in FUZZ_STALE_VARIANTS:
             specs += [s for s in FUZZ_STALE_SPECS if s not in specs]
         base = {"variant": variant}
@@ -715,7 +716,7 @@ def e15_cells(scale: str) -> Tuple[List[Tuple[dict, dict]], List[str]]:
             grid["service_seeds"]))
     for scenario, variant in itertools.product(grid["scenarios"],
                                                SCENARIO_VARIANTS):
-        if not _runs(variant, scenario):
+        if get_algorithm(variant).refusal(_overlaid(scenario)):
             skipped.append(f"{variant} × scenario `{scenario}` (a policy "
                            "it does not register)")
             continue

@@ -19,6 +19,7 @@ from repro.harness.runner import run_experiment
 from repro.net.presets import PRESETS
 from repro.uts.params import TreeParams
 from repro.ws.algorithms import ALGORITHMS
+from repro.ws.registry import VICTIM_POLICIES
 
 __all__ = ["main", "build_parser"]
 
@@ -48,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
              "docs/scenarios.md documents them).  The scenario's "
              "preset overrides --preset")
     run_p.add_argument(
-        "--victim-policy", choices=["uniform", "hierarchical"],
+        "--victim-policy", choices=list(VICTIM_POLICIES),
         default=None,
         help="override the algorithm's victim-selection policy "
              "(locality-aware 'hierarchical' probes same-node ranks "

@@ -88,7 +88,7 @@ class GreedyThief(Adversary):
     def install(self, algo, rank: int) -> None:
         # mpi-ws ships exactly one chunk per WORK message (as in the
         # reference implementation), so the override is a documented
-        # no-op there -- same caveat as WsConfig.steal_policy.
+        # no-op there; its gate refuses a larger WsConfig.steal_policy.
         algo._set_rank_steal(rank, steal_all)
 
 

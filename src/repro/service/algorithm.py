@@ -29,7 +29,6 @@ from typing import Generator
 
 from repro.pgas.machine import UpcContext
 from repro.ws.algorithms.lock_based import LockBasedAlgorithm
-from repro.ws.policies import steal_half
 
 __all__ = ["ServiceAlgorithm"]
 
@@ -38,7 +37,7 @@ class ServiceAlgorithm(LockBasedAlgorithm):
     name = "service-ws"
     #: Steal-half: service tasks are small subtrees, and halving spreads
     #: a hot task across ranks in O(log nodes) steals.
-    steal_amount = staticmethod(steal_half)
+    steal_policies = ("half", "one", "all")
     #: An open system never terminates by quiescence: the drain ledger
     #: (``service.close``) decides when workers stop, so no detector
     #: can be plugged in.

@@ -23,7 +23,7 @@ and requests only when it touches its stack bookkeeping.
 from __future__ import annotations
 
 import math
-from typing import Generator, List
+from typing import Generator, List, Optional
 
 from repro.errors import ConfigError, ProtocolError
 from repro.metrics.counters import ThreadStats
@@ -34,9 +34,8 @@ from repro.pgas.machine import Machine, UpcContext
 from repro.sim.engine import SimEvent, Timeout
 from repro.uts.tree import Tree
 from repro.ws.config import WsConfig
-from repro.ws.policies import ProbeOrder, ProbeScan, StealAmount, steal_one
-from repro.ws.registry import (STEAL_AMOUNTS, TERMINATION_POLICIES,
-                               VICTIM_POLICIES)
+from repro.ws.policies import ProbeOrder, ProbeScan, StealAmount
+from repro.ws.registry import lookup
 from repro.ws.stack import SplitStack
 
 __all__ = ["AlgorithmBase", "NO_WORK", "flatten"]
@@ -62,29 +61,16 @@ class AlgorithmBase:
 
     #: Label used in figures (matches the paper's Figure 3 legend).
     name = "abstract"
-    #: How many chunks a thief takes, given the victim's availability.
-    steal_amount: StealAmount = staticmethod(steal_one)
-    #: Native victim-selection policy (a
-    #: :data:`repro.ws.registry.VICTIM_POLICIES` key); overridable per
-    #: run via ``WsConfig.victim_policy``.
-    victim_policy: str = "uniform"
-    #: Termination-policy keys this algorithm can host (the first is
-    #: its native default); ``WsConfig.termination_policy`` must name
-    #: one of these.  The abstract base has no detector.
+    #: The keys this variant hosts on each policy axis
+    #: (:data:`repro.ws.registry.AXES`), its native policy first: a
+    #: ``WsConfig`` key of None resolves to the first entry, any key
+    #: outside the tuple is refused (:meth:`refusal`).
+    steal_policies: tuple = ("one", "half", "all")
+    victim_policies: tuple = ("uniform", "hierarchical")
     termination_policies: tuple = ("none",)
-    #: Steal-amount keys ``WsConfig.steal_policy`` may override with.
-    #: Most algorithms accept any registered amount; algorithms whose
-    #: transfer protocol is structurally single-chunk (the fence-free
-    #: claim moves exactly one index) restrict this tuple.
-    steal_policies: tuple = ("all", "half", "one")
-    #: Victim-policy keys ``WsConfig.victim_policy`` may override with.
-    #: Algorithms that never probe victims (tree-split) restrict this.
-    victim_policies: tuple = ("hierarchical", "uniform")
     #: Fault classes (``FaultPlan.fault_classes`` names) this algorithm
-    #: tolerates, or None for the full catalog.  Restricted algorithms
-    #: reject plans carrying anything else at construction -- e.g. the
-    #: fence-free variant has no locks to stall and no fail-stop
-    #: recovery story, so only ``stale`` windows make sense for it.
+    #: tolerates, or None for the full catalog (docs/protocols.md,
+    #: "What each variant accepts").
     fault_classes: tuple = None
     #: True when this algorithm may legitimately *duplicate* work
     #: (relaxed-semantics stealing with multiplicity): the invariant
@@ -132,39 +118,18 @@ class AlgorithmBase:
         #: Fault runtime when this run injects faults, else None.  All
         #: recovery paths key off this single attribute.
         self.faults_rt = machine.faults
-        if self.faults_rt is not None and type(self).fault_classes is not None:
-            allowed = type(self).fault_classes
-            bad = sorted(set(self.faults_rt.plan.fault_classes)
-                         - set(allowed))
-            if bad:
-                raise ConfigError(
-                    f"{self.name} supports fault classes {sorted(allowed)}; "
-                    f"plan contains: {', '.join(bad)}"
-                )
+        refusal = type(self).refusal(cfg)
+        if refusal is not None:
+            raise ConfigError(refusal)
         # Effective per-node visit time: the platform's sequential rate
         # scaled by the workload's compute granularity (UTS knob for
         # more expensive state evaluation).
         granularity = getattr(getattr(tree, "params", None),
                               "compute_granularity", 1)
         self.t_node = machine.net.node_visit_time * granularity
-        if cfg.steal_policy is not None:
-            # Ablation hook: override the algorithm's native policy
-            # (registry lookup resolves to the same function objects
-            # the class attributes use, so ablations stay identical).
-            supported = type(self).steal_policies
-            if cfg.steal_policy not in supported:
-                raise ConfigError(
-                    f"{self.name} supports steal policies "
-                    f"{sorted(supported)}; got {cfg.steal_policy!r}"
-                )
-            self.steal_amount = STEAL_AMOUNTS.get(cfg.steal_policy)
-        if cfg.victim_policy is not None \
-                and cfg.victim_policy not in type(self).victim_policies:
-            raise ConfigError(
-                f"{self.name} supports victim policies "
-                f"{sorted(type(self).victim_policies)}; "
-                f"got {cfg.victim_policy!r}"
-            )
+        #: How many chunks a thief takes, given the victim's availability.
+        self.steal_amount: StealAmount = lookup(
+            "steal", cfg.steal_policy or self.steal_policies[0])
         n = machine.n_threads
         self.stacks = [SplitStack() for _ in range(n)]
         self.stats = [
@@ -238,8 +203,8 @@ class AlgorithmBase:
         #: else the algorithm's native policy.  The uniform factory
         #: builds the same ProbeOrder objects (no RNG draws at
         #: construction), so the default schedule is bit-identical.
-        victim_factory = VICTIM_POLICIES.get(
-            cfg.victim_policy or type(self).victim_policy)
+        victim_factory = lookup(
+            "victim", cfg.victim_policy or self.victim_policies[0])
         net = machine.net
         self.probe_orders = [
             victim_factory(r, n, machine.contexts[r].rng, net)
@@ -266,17 +231,10 @@ class AlgorithmBase:
         #: Termination detection is a registry plug-in; the strategy
         #: owns the barrier (exposed as ``self.barrier``) and the
         #: idle-side phase.  Resolved before setup() so subclass setup
-        #: can read it; each algorithm restricts the keys it can host.
-        key = cfg.termination_policy
-        supported = type(self).termination_policies
-        if key is None:
-            key = supported[0]
-        elif key not in supported:
-            raise ConfigError(
-                f"{self.name} supports termination policies "
-                f"{sorted(supported)}; got {key!r}"
-            )
-        self._termination = TERMINATION_POLICIES.get(key)(self)
+        #: can read it.
+        self._termination = lookup(
+            "termination",
+            cfg.termination_policy or self.termination_policies[0])(self)
         #: Compiled-phase fusion (repro.fastpath): None = undecided (the
         #: gates are checked at the first thread resume, after the
         #: adversaries install), else whether the C state machines
@@ -291,6 +249,29 @@ class AlgorithmBase:
             # protocol object exists.
             from repro.scenarios.adversaries import install_adversaries
             install_adversaries(self, cfg.adversaries)
+
+    @classmethod
+    def refusal(cls, cfg: WsConfig) -> Optional[str]:
+        """Why this variant cannot run ``cfg``, or None when it can: a
+        fault class of ``cfg.faults`` outside :attr:`fault_classes`, or
+        a policy key outside the axis's ``*_policies`` tuple.  The one
+        acceptance rule: construction raises it, and every grid that
+        skips a pairing asks it."""
+        allowed = cls.fault_classes
+        if cfg.faults is not None and allowed is not None:
+            bad = sorted(set(cfg.faults.fault_classes) - set(allowed))
+            if bad:
+                return (f"{cls.name} supports fault classes "
+                        f"{sorted(allowed)}; plan contains: {', '.join(bad)}")
+        for axis, key, keys in (
+                ("steal", cfg.steal_policy, cls.steal_policies),
+                ("victim", cfg.victim_policy, cls.victim_policies),
+                ("termination", cfg.termination_policy,
+                 cls.termination_policies)):
+            if key is not None and key not in keys:
+                return (f"{cls.name} supports {axis} policies "
+                        f"{sorted(keys)}; got {key!r}")
+        return None
 
     def setup(self) -> None:
         """Hook for subclass shared state (locks, barriers, slots)."""

@@ -35,7 +35,6 @@ from typing import Generator, List, Optional
 from repro.pgas.machine import UpcContext
 from repro.sim.engine import SimEvent, Timeout
 from repro.ws.algorithms.base import AlgorithmBase, flatten
-from repro.ws.policies import steal_half
 
 __all__ = ["UpcDistMem", "UpcDistMemHier"]
 
@@ -46,7 +45,7 @@ _GAVE_UP = object()
 
 class UpcDistMem(AlgorithmBase):
     name = "upc-distmem"
-    steal_amount = staticmethod(steal_half)
+    steal_policies = ("half", "one", "all")
     #: Streamlined only: the lock-free request/response protocol has no
     #: notion of a per-release barrier reset, so the cancelable barrier
     #: cannot be hosted here.
@@ -268,4 +267,4 @@ class UpcDistMemHier(UpcDistMem):
     """
 
     name = "upc-distmem-hier"
-    victim_policy = "hierarchical"
+    victim_policies = ("hierarchical", "uniform")

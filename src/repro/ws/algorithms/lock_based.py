@@ -26,7 +26,6 @@ from typing import Generator
 
 from repro.sim.engine import Timeout
 from repro.ws.algorithms.base import AlgorithmBase, flatten
-from repro.ws.policies import steal_half, steal_one
 
 __all__ = ["LockBasedAlgorithm", "UpcSharedMem", "UpcTerm", "UpcTermRapdif"]
 
@@ -186,7 +185,6 @@ class UpcSharedMem(LockBasedAlgorithm):
     """
 
     name = "upc-sharedmem"
-    steal_amount = staticmethod(steal_one)
     #: Native detector: the Sect. 3.1 cancelable barrier.  Streamlined
     #: is also hostable (that combination *is* upc-term; the tests pin
     #: both cross-overs).
@@ -201,7 +199,6 @@ class UpcTerm(LockBasedAlgorithm):
     through a tree."""
 
     name = "upc-term"
-    steal_amount = staticmethod(steal_one)
     termination_policies = ("streamlined", "cancelable-barrier")
 
 
@@ -213,4 +210,4 @@ class UpcTermRapdif(UpcTerm):
     a victim and contention at the sources."""
 
     name = "upc-term-rapdif"
-    steal_amount = staticmethod(steal_half)
+    steal_policies = ("half", "one", "all")

@@ -46,6 +46,9 @@ class MpiWorkStealing(AlgorithmBase):
     #: (no standalone detection phase), and no other detector fits the
     #: two-sided protocol.
     termination_policies = ("token",)
+    #: One chunk per WORK message, as in the reference implementation:
+    #: a request names no amount, so no other steal policy can act.
+    steal_policies = ("one",)
 
     # Fault model: the control channel (requests, denials, termination
     # tokens) is lossy -- droppable and duplicable.  WORK and TERM ride

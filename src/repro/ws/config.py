@@ -26,8 +26,7 @@ from typing import Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
-from repro.ws.registry import (STEAL_AMOUNTS, TERMINATION_POLICIES,
-                               VICTIM_POLICIES)
+from repro.ws.registry import AXES, lookup
 
 __all__ = ["WsConfig"]
 
@@ -58,9 +57,9 @@ class WsConfig:
     #: :data:`repro.ws.registry.STEAL_AMOUNTS` key ("one", "half",
     #: "all") or None to keep each algorithm's native policy.  Lets
     #: ablations isolate rapid diffusion from the other refinements.
-    #: (mpi-ws always ships one chunk per WORK message, as in the
-    #: reference implementation; the override affects the UPC
-    #: algorithms.)
+    #: mpi-ws ships one chunk per WORK message, as in the reference
+    #: implementation, so it hosts ``"one"`` only and refuses the
+    #: others at construction (``AlgorithmBase.refusal``).
     steal_policy: Optional[str] = None
     #: Override the algorithm's victim-selection policy: a
     #: :data:`repro.ws.registry.VICTIM_POLICIES` key ("uniform",
@@ -74,9 +73,9 @@ class WsConfig:
     #: ("cancelable-barrier", "streamlined", "token", "none") or None
     #: for the algorithm's native detector.  Membership is validated
     #: here; each algorithm additionally restricts the keys it can
-    #: host (``termination_policies`` class attribute) at
-    #: construction -- e.g. the lock-free distmem protocol cannot run
-    #: the cancelable barrier's release-resets.
+    #: host (``AlgorithmBase.refusal``) at construction -- e.g. the
+    #: lock-free distmem protocol cannot run the cancelable barrier's
+    #: release-resets.
     termination_policy: Optional[str] = None
     #: Heterogeneous-machine knob: per-rank node-visit-cost multipliers
     #: (tuple of positive floats, one per thread; length checked at
@@ -140,12 +139,10 @@ class WsConfig:
         # Registry-aware plug-in keys: unknown keys fail here (and thus
         # in every replace()-derived config, e.g. with_chunk_size) with
         # the registered alternatives in the message.
-        if self.steal_policy is not None:
-            STEAL_AMOUNTS.validate(self.steal_policy)
-        if self.victim_policy is not None:
-            VICTIM_POLICIES.validate(self.victim_policy)
-        if self.termination_policy is not None:
-            TERMINATION_POLICIES.validate(self.termination_policy)
+        for axis in AXES:
+            key = getattr(self, f"{axis}_policy")
+            if key is not None:
+                lookup(axis, key)
         if self.speed_factors is not None:
             self._validate_speed_factors()
         if self.adversaries is not None:

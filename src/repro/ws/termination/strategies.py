@@ -18,7 +18,7 @@ search loop and the release path must behave around it:
 Algorithms declare the keys they support in ``termination_policies``
 (first entry is the default) and :class:`~repro.ws.algorithms.base.AlgorithmBase`
 resolves ``WsConfig.termination_policy`` against that list through
-:data:`repro.ws.registry.TERMINATION_POLICIES` -- which is what makes
+:func:`repro.ws.registry.lookup` -- which is what makes
 "upc-sharedmem with streamlined termination" a config key away from
 being ``upc-term`` (a property the tests pin).
 """

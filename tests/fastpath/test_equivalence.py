@@ -320,7 +320,7 @@ def test_stream_without_getrandbits_falls_back_to_cycle(tree, monkeypatch):
         AlgorithmBase, "_build_c_search",
         lambda self, rank: bound.append(real(self, rank)) or bound[-1])
     monkeypatch.setitem(
-        VICTIM_POLICIES._entries, "uniform",
+        VICTIM_POLICIES, "uniform",
         lambda rank, n, rng, net: ProbeOrder(rank, n, OpaqueStream(rng)))
     assert run_snapshot("upc-distmem", tree, "fast", chunk_size=8) == stock
     # asked once per rank (so the run fused), declined every time

@@ -41,6 +41,7 @@ import repro.check.runner as check_runner
 from repro import ALGORITHMS, TreeParams, WsConfig, run_experiment
 from repro.check import (VARIANTS, InvariantMonitor, check_run,
                          check_service_run)
+from repro.errors import ConfigError
 from repro.faults.plan import parse_fault_spec
 from repro.harness.config import T1_QUICK
 from repro.metrics import ThreadStats
@@ -268,20 +269,17 @@ def _streams():
                                     policy=policy, task_engine=engine)
 
 
-def _admits(variant, spec):
-    allowed = get_algorithm(variant).fault_classes
-    return (spec is None or allowed is None
-            or set(parse_fault_spec(spec, seed=0).fault_classes)
-            <= set(allowed))
-
-
-def _scenario_supported(variant, scenario):
-    sc, cls = get_scenario(scenario), get_algorithm(variant)
-    return all(wanted is None or offered is None or wanted in offered
-               for wanted, offered in (
-                   (sc.victim_policy, cls.victim_policies),
-                   (sc.steal_policy, cls.steal_policies),
-                   (sc.termination_policy, cls.termination_policies)))
+def _refused(variant, scenario=None, **config):
+    """Whether ``variant`` cannot run ``config`` (overlaid with
+    ``scenario`` at 8 threads): the config refuses itself (park admits
+    fail-stop plans only) or the variant's gate refuses it."""
+    try:
+        cfg = WsConfig(**config)
+    except ConfigError:
+        return True
+    if scenario is not None:
+        cfg = get_scenario(scenario).apply(cfg, 8)
+    return get_algorithm(variant).refusal(cfg) is not None
 
 
 MONITOR_PLANS = {
@@ -301,8 +299,8 @@ def _monitored():
         for idle in ("poll", "park"):
             for plan in (None, *MONITOR_PLANS):
                 spec = plan and MONITOR_PLANS[plan]
-                if not _admits(variant, spec) or (
-                        idle == "park" and plan not in (None, "storm")):
+                if _refused(variant, idle_strategy=idle,
+                            faults=spec and parse_fault_spec(spec, seed=0)):
                     continue
                 for sched in (None, 1):
                     kw = dict(idle_strategy=idle)
@@ -314,7 +312,7 @@ def _monitored():
     for scenario in ("numa-8x-uniform", "numa-8x-locality", "hostile-mix"):
         for variant in ("upc-distmem", "upc-term", "ws-fencefree",
                         "tree-split"):
-            if _scenario_supported(variant, scenario):
+            if not _refused(variant, scenario):
                 for idle in ("poll", "park"):
                     yield check(variant, scenario=scenario,
                                 idle_strategy=idle, schedule_seed=0)

@@ -7,6 +7,7 @@ the grid to that and to the sweep it replaced.
 """
 
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,13 +15,14 @@ from repro.check import check_run, check_service_run
 from repro.harness.checked import (
     E15_GRID,
     FUZZ_STALE_VARIANTS,
-    _offers,
-    _runs,
+    _overlaid,
     e15_cells,
 )
 from repro.harness.cli import main
 from repro.harness.experiments import run_experiments
 from repro.scenarios import SCENARIOS
+from repro.ws.algorithms import get_algorithm
+from repro.ws.config import WsConfig
 
 
 @pytest.fixture(scope="module")
@@ -122,14 +124,34 @@ def test_deferral_points_spread_past_the_canonical_schedule():
 
 
 def test_scenario_support_reads_every_policy_axis():
-    assert _offers("upc-distmem", victim="hierarchical")
-    assert not _offers("tree-split", victim="hierarchical")
-    assert not _runs("tree-split", "numa-8x-locality")
-    assert _runs("tree-split", "numa-8x-uniform")
-    assert not _offers("ws-fencefree", steal="half")
-    assert _offers("upc-term", steal="half")
-    assert not _offers("upc-distmem", termination="token")
-    assert _offers("mpi-ws", termination="token")
-    assert Counter(_offers(v, steal="one", termination="streamlined")
+    def offers(variant, **policies):
+        return get_algorithm(variant).refusal(WsConfig(**{
+            f"{axis}_policy": key for axis, key in policies.items()})) is None
+
+    def runs(variant, scenario):
+        return get_algorithm(variant).refusal(_overlaid(scenario)) is None
+
+    assert offers("upc-distmem", victim="hierarchical")
+    assert not offers("tree-split", victim="hierarchical")
+    assert not runs("tree-split", "numa-8x-locality")
+    assert runs("tree-split", "numa-8x-uniform")
+    assert not offers("ws-fencefree", steal="half")
+    assert offers("upc-term", steal="half")
+    assert not offers("upc-distmem", termination="token")
+    assert offers("mpi-ws", termination="token")
+    assert Counter(offers(v, steal="one", termination="streamlined")
                    for v in ("ws-fencefree", "upc-distmem", "mpi-ws")) == \
         {True: 2, False: 1}
+
+
+def test_the_committed_skip_list_is_the_gates():
+    """EXPERIMENTS.md's full-scale E15 block names exactly the pairings
+    the gate refuses, in the words it renders them with -- without the
+    40,374-cell rerun that regenerates the block."""
+    doc = (Path(__file__).resolve().parents[2] / "EXPERIMENTS.md").read_text()
+    block = doc[doc.index("<!-- experiment:E15 -->"):
+                doc.index("<!-- /experiment:E15 -->")]
+    assert block.splitlines()[1] == "Measured at `full` scale:"
+    bullets = block.split("Skipped pairings:\n\n")[1].split("\n\n")[0]
+    assert [line.removeprefix("* ") for line in bullets.splitlines()] \
+        == e15_cells("full")[1]

@@ -66,8 +66,9 @@ TRACED_MATRIX = [
     (variant, idle, spec)
     for variant, cls in sorted(ALGORITHMS.items())
     for idle in ("poll", "park") for spec in (None, KILL)
-    if spec is None or cls.fault_classes is None
-    or "kill" in cls.fault_classes
+    if cls.refusal(WsConfig(
+        idle_strategy=idle,
+        faults=spec and parse_fault_spec(spec, seed=0))) is None
 ]
 
 

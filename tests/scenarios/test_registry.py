@@ -11,21 +11,21 @@ from repro.scenarios.adversaries import parse_adversaries, parse_adversary
 from repro.scenarios.profiles import build_speed_factors
 from repro.ws.config import WsConfig
 from repro.ws.registry import (STEAL_AMOUNTS, TERMINATION_POLICIES,
-                               VICTIM_POLICIES)
+                               VICTIM_POLICIES, lookup)
 
 
 class TestPolicyRegistries:
     def test_registered_keys(self):
-        assert sorted(STEAL_AMOUNTS.names()) == ["all", "half", "one"]
-        assert sorted(VICTIM_POLICIES.names()) == ["hierarchical", "uniform"]
-        assert sorted(TERMINATION_POLICIES.names()) == [
+        assert sorted(STEAL_AMOUNTS) == ["all", "half", "one"]
+        assert sorted(VICTIM_POLICIES) == ["hierarchical", "uniform"]
+        assert sorted(TERMINATION_POLICIES) == [
             "cancelable-barrier", "none", "streamlined", "token"]
 
     def test_unknown_key_names_alternatives(self):
         with pytest.raises(ConfigError,
                            match=r"unknown steal-amount policy 'most'; "
                                  r"registered: \['all', 'half', 'one'\]"):
-            STEAL_AMOUNTS.get("most")
+            lookup("steal", "most")
 
     def test_contains(self):
         assert "hierarchical" in VICTIM_POLICIES
@@ -48,10 +48,10 @@ class TestWsConfigValidation:
         cfg = WsConfig(chunk_size=4, steal_policy="half")
         assert cfg.with_chunk_size(8).steal_policy == "half"
         try:
-            STEAL_AMOUNTS.register("transient", lambda n: n)
+            STEAL_AMOUNTS["transient"] = lambda n: n
             cfg2 = WsConfig(chunk_size=4, steal_policy="transient")
         finally:
-            del STEAL_AMOUNTS._entries["transient"]
+            del STEAL_AMOUNTS["transient"]
         with pytest.raises(ConfigError, match="unknown steal-amount policy"):
             cfg2.with_chunk_size(8)
 

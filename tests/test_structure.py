@@ -84,6 +84,12 @@ the next re-anchor finding it:
   ``validate`` is no ``repro-uts`` subcommand, and ``final_check()`` is
   called at one site across ``src/`` and ``tools/``:
   ``check/runner.py:_checked``.
+* A variant's acceptance rule is stated once
+  (``AlgorithmBase.refusal``): each variant declares its steal, victim
+  and termination keys as tuples (native first) plus its fault
+  classes, only ``ws/algorithms/base.py`` reads them, and the generic
+  registry class, the test-only triple table and the grids' hand-made
+  re-derivations (``GATE_RETIRED``) stay gone.
 * Host speed has one record, the ledger (``bench/run.py``): the engine
   benchmark's committed baseline stays gone (``RETIRED``), and
   ``docs/performance.md`` is a guide under 600 lines that cites only
@@ -528,7 +534,10 @@ def test_no_frozen_parent_copy_comes_back():
 
 
 def test_the_corpus_covers_every_variant_in_every_mode():
-    from repro import ALGORITHMS
+    from repro import ALGORITHMS, WsConfig
+    from repro.errors import ConfigError
+    from repro.faults.plan import parse_fault_spec
+    from repro.service.algorithm import ServiceAlgorithm
     from repro.ws.algorithms import get_algorithm
     from tests.golden.cells import CELLS
 
@@ -539,19 +548,74 @@ def test_the_corpus_covers_every_variant_in_every_mode():
         variant = cell.kwargs.get("variant", "service-ws")
         mode = (cell.kwargs["idle_strategy"], "faults" in cell.kwargs)
         seen.update({(variant, *mode, False), (variant, *mode, cell.traced)})
+    def admits_a_plan(cls, idle):
+        """Some fail-stop or stale plan that both the config (park
+        admits fail-stop plans only) and the variant's gate accept."""
+        for spec in ("kill=3@20us", "slow=1@2", "stale=0.3"):
+            try:
+                cfg = WsConfig(idle_strategy=idle,
+                               faults=parse_fault_spec(spec, seed=0))
+            except ConfigError:
+                continue
+            if cls.refusal(cfg) is None:
+                return True
+        return False
+
     missing = []
     for variant in sorted(ALGORITHMS) + ["service-ws"]:
-        classes = (None if variant == "service-ws"
-                   else get_algorithm(variant).fault_classes)
+        cls = (ServiceAlgorithm if variant == "service-ws"
+               else get_algorithm(variant))
         for idle in ("poll", "park"):
             for faulted in (False, True):
-                if (idle, faulted) == ("park", True) and classes is not None \
-                        and not {"kill", "slow"} & set(classes):
-                    continue  # park admits fail-stop plans only
+                if faulted and not admits_a_plan(cls, idle):
+                    continue
                 missing += [(variant, idle, faulted, traced)
                             for traced in (False, True)
                             if (variant, idle, faulted, traced) not in seen]
     assert not missing
+
+
+#: What the one policy gate (``AlgorithmBase.refusal``) replaced: the
+#: generic registry class, the test-only triple table, and the
+#: hand-written re-derivations of "does variant V accept this?".
+GATE_RETIRED = ("PolicyRegistry", "VARIANT_TRIPLES", "variant_triple",
+                "_offers", "_runs", "_admits", "_scenario_supported")
+#: A variant's axes: three key tuples and its fault classes.
+AXIS_ATTRIBUTES = ("steal_policies", "victim_policies",
+                   "termination_policies", "fault_classes")
+
+
+def test_the_policy_gate_is_the_only_acceptance_rule():
+    """The retired names are gone from ``src/`` and ``tests/``; the axis
+    attributes are read (not declared) only by ``ws/algorithms/base.py``,
+    and no variant declares a native policy any other way."""
+    tests = ROOT / "tests"
+    pattern = re.compile(r"(?<!\w)(%s)(?!\w)" % "|".join(GATE_RETIRED))
+    found = [f"{path.relative_to(ROOT)}: {m.group(0)}"
+             for path in sorted([*SRC.rglob("*.py"), *tests.rglob("*.py")])
+             if path != Path(__file__).resolve()
+             for m in pattern.finditer(path.read_text())]
+    assert found == [], found
+    reads, natives = [], []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in AXIS_ATTRIBUTES
+                    or isinstance(node, ast.Constant)
+                    and node.value in AXIS_ATTRIBUTES):
+                reads.append(f"{path.relative_to(SRC)}:{node.lineno}")
+            if isinstance(node, ast.ClassDef) and path.parent.name in (
+                    "algorithms", "service"):
+                natives += [
+                    f"{path.relative_to(SRC)}:{stmt.lineno}"
+                    for stmt in node.body
+                    if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                    for target in (stmt.targets if isinstance(stmt, ast.Assign)
+                                   else [stmt.target])
+                    if isinstance(target, ast.Name)
+                    and target.id in ("steal_amount", "victim_policy")]
+    assert reads and all(r.startswith("ws/algorithms/base.py:")
+                         for r in reads), reads
+    assert natives == [], natives
 
 
 ROOT = SRC.parent.parent

@@ -99,14 +99,14 @@ def test_materialized_tree_executes_the_implicit_schedule(variant, idle):
 
 @pytest.mark.parametrize("variant", sorted(ALGORITHMS))
 def test_faulted_ledgers_agree_across_tree_kinds(variant):
-    # The relaxed variants admit only stale plans (their duplicate-work
-    # ledger); every other variant takes the fail-stop kill, whose lost
-    # subtrees are sized by walking the tree after the run.
-    relaxed = ALGORITHMS[variant].fault_classes == ("stale",)
-    spec = ("stale=0.4,stale-window=60us" if relaxed
-            else "kill=3@103us,kill=5@120us")
-    cached, implicit = _tree_kinds(
-        variant, chunk_size=4, faults=parse_fault_spec(spec, seed=0))
+    # The relaxed variants refuse the fail-stop kill and take stale
+    # plans (their duplicate-work ledger); every other variant takes
+    # the kill, whose lost subtrees are sized by walking the tree after
+    # the run.
+    plan = parse_fault_spec("kill=3@103us,kill=5@120us", seed=0)
+    if ALGORITHMS[variant].refusal(WsConfig(faults=plan)):
+        plan = parse_fault_spec("stale=0.4,stale-window=60us", seed=0)
+    cached, implicit = _tree_kinds(variant, chunk_size=4, faults=plan)
     assert (cached.lost_work, cached.dup_work) \
         == (implicit.lost_work, implicit.dup_work)
     assert cached.fault_counters == implicit.fault_counters

@@ -68,10 +68,9 @@ def test_releases_and_reacquires_balance_with_steals():
 
 
 def test_rapdif_uses_steal_half():
-    from repro.ws.policies import steal_half, steal_one
-    assert get_algorithm("upc-term-rapdif").steal_amount is steal_half
-    assert get_algorithm("upc-term").steal_amount is steal_one
-    assert get_algorithm("upc-distmem").steal_amount is steal_half
+    assert get_algorithm("upc-term-rapdif").steal_policies[0] == "half"
+    assert get_algorithm("upc-term").steal_policies[0] == "one"
+    assert get_algorithm("upc-distmem").steal_policies[0] == "half"
 
 
 def test_steal_transfer_outside_critical_region():

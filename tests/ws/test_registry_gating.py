@@ -1,10 +1,11 @@
 """Per-variant policy gating: unsupported pairings fail closed.
 
-Every algorithm registers the (steal, victim, termination) triple it
-natively runs (``repro.ws.registry.VARIANT_TRIPLES``) plus the policy
-keys it can *host* as overrides (``steal_policies`` /
-``victim_policies`` / ``termination_policies`` class attributes).  A
-config naming anything outside those sets must raise
+Every algorithm declares, per policy axis, the keys it can host as a
+tuple whose first entry is the policy it natively runs
+(``steal_policies`` / ``victim_policies`` / ``termination_policies``),
+plus the fault classes it tolerates (``fault_classes``).
+:meth:`~repro.ws.algorithms.base.AlgorithmBase.refusal` is the one
+rule over them: a config naming anything outside those sets must raise
 :class:`~repro.errors.ConfigError` at construction, and the error must
 name the registered alternatives -- a user staring at a traceback
 should not need the source to find a legal value.
@@ -15,50 +16,74 @@ import pytest
 from repro import TreeParams, WsConfig, run_experiment
 from repro.errors import ConfigError
 from repro.ws.algorithms import ALGORITHMS, get_algorithm
-from repro.ws.registry import (STEAL_AMOUNTS, TERMINATION_POLICIES,
-                               VARIANT_TRIPLES, VICTIM_POLICIES,
-                               variant_triple)
+from repro.ws.registry import AXES
 
 TREE = TreeParams.binomial(b0=20, q=0.3, m=2, seed=2)
 
+#: Every variant's native ``(steal, victim, termination)`` triple.
+NATIVE = {
+    "upc-sharedmem": ("one", "uniform", "cancelable-barrier"),
+    "upc-term": ("one", "uniform", "streamlined"),
+    "upc-term-rapdif": ("half", "uniform", "streamlined"),
+    "upc-distmem": ("half", "uniform", "streamlined"),
+    "upc-distmem-hier": ("half", "hierarchical", "streamlined"),
+    "mpi-ws": ("one", "uniform", "token"),
+    "ws-fencefree": ("one", "uniform", "streamlined"),
+    "tree-split": ("one", "uniform", "none"),
+}
 
-# -- the triple table stays honest -----------------------------------
 
-def test_every_algorithm_has_a_registered_triple():
-    assert set(VARIANT_TRIPLES) == set(ALGORITHMS)
-
-
-@pytest.mark.parametrize("name", sorted(VARIANT_TRIPLES))
-def test_triple_matches_class_attributes(name):
-    steal, victim, termination = variant_triple(name)
+def _native(name):
     cls = get_algorithm(name)
-    assert cls.steal_amount is STEAL_AMOUNTS.get(steal)
-    assert cls.victim_policy == victim
-    assert cls.termination_policies[0] == termination
+    return tuple(getattr(cls, f"{axis}_policies")[0] for axis in AXES)
 
 
-@pytest.mark.parametrize("name", sorted(VARIANT_TRIPLES))
-def test_triple_entries_are_registered_policies(name):
-    steal, victim, termination = variant_triple(name)
-    STEAL_AMOUNTS.validate(steal)
-    VICTIM_POLICIES.validate(victim)
-    TERMINATION_POLICIES.validate(termination)
+# -- the first key of each axis is the native policy -----------------
+
+def test_every_algorithm_has_a_native_triple():
+    assert set(NATIVE) == set(ALGORITHMS)
+
+
+@pytest.mark.parametrize("name", sorted(NATIVE))
+def test_first_keys_are_the_native_triple(name):
+    assert _native(name) == NATIVE[name]
+
+
+@pytest.mark.parametrize("name", sorted(NATIVE))
+def test_every_hosted_key_is_registered(name):
+    cls = get_algorithm(name)
+    for axis, table in AXES.items():
+        keys = getattr(cls, f"{axis}_policies")
+        assert keys and len(set(keys)) == len(keys)
+        assert set(keys) <= set(table)
+
+
+@pytest.mark.parametrize("name", sorted(NATIVE))
+def test_the_instance_steals_by_its_first_key(name):
+    from repro.net.presets import get_preset
+    from repro.pgas.machine import Machine
+    from repro.uts.tree import Tree
+    from repro.ws.registry import STEAL_AMOUNTS
+
+    machine = Machine(threads=2, net=get_preset("kittyhawk"))
+    algo = get_algorithm(name)(machine, Tree(TREE), WsConfig(chunk_size=4))
+    assert algo.steal_amount is STEAL_AMOUNTS[NATIVE[name][0]]
 
 
 def test_unknown_variant_names_alternatives():
     with pytest.raises(ConfigError) as exc:
-        variant_triple("upc-distemm")
+        get_algorithm("upc-distemm")
     assert "ws-fencefree" in str(exc.value)
     assert "tree-split" in str(exc.value)
 
 
 # -- native triples run; hosted overrides run ------------------------
 
-@pytest.mark.parametrize("name", sorted(VARIANT_TRIPLES))
+@pytest.mark.parametrize("name", sorted(NATIVE))
 def test_native_triple_is_accepted_explicitly(name):
     """Spelling a variant's own triple out in the config must be a
     no-op, not a gating error."""
-    steal, victim, termination = variant_triple(name)
+    steal, victim, termination = _native(name)
     cfg = WsConfig(chunk_size=4, steal_policy=steal,
                    victim_policy=victim, termination_policy=termination)
     res = run_experiment(name, tree=TREE, threads=4, config=cfg,
@@ -78,6 +103,8 @@ def test_native_triple_is_accepted_explicitly(name):
     ("tree-split", {"victim_policy": "hierarchical"}, "['uniform']"),
     ("tree-split", {"termination_policy": "streamlined"}, "['none']"),
     ("tree-split", {"termination_policy": "token"}, "['none']"),
+    ("mpi-ws", {"steal_policy": "half"}, "['one']"),
+    ("mpi-ws", {"steal_policy": "all"}, "['one']"),
 ])
 def test_unsupported_pairing_raises_naming_alternatives(
         name, kw, alternatives):
@@ -109,3 +136,57 @@ def test_with_chunk_size_rejects_unregistered_policy_early():
     at algorithm construction."""
     with pytest.raises(ConfigError):
         WsConfig(chunk_size=8, steal_policy="most")
+
+
+# -- docs/protocols.md's table is the gate's -------------------------
+
+def _doc_table():
+    from pathlib import Path
+
+    doc = (Path(__file__).resolve().parents[2] / "docs"
+           / "protocols.md").read_text()
+    section = doc.split("### What each variant accepts")[1].split("\n#")[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            name, *cells = (c.strip() for c in line.strip("|").split("|"))
+            rows[name.strip("`")] = cells
+    return rows
+
+
+def _keys(cell):
+    return tuple(key.strip("*") for key in cell.split(", "))
+
+
+def test_the_docs_acceptance_table_is_the_gates():
+    """One row per variant and ``service-ws``: each axis lists the keys
+    the variant hosts, native first and bold, and exactly those keys
+    and fault classes pass :meth:`refusal` -- every variant x
+    registered key x fault class asked."""
+    from repro.harness.checked import FAULT_PROBES
+    from repro.faults.plan import parse_fault_spec
+    from repro.service.algorithm import ServiceAlgorithm
+
+    classes = {**ALGORITHMS, "service-ws": ServiceAlgorithm}
+    rows = _doc_table()
+    assert list(rows) == [*NATIVE, "service-ws"]
+    for name, cls in classes.items():
+        cells = rows[name]
+        for cell, (axis, table) in zip(cells, AXES.items()):
+            hosted = getattr(cls, f"{axis}_policies")
+            assert _keys(cell) == hosted, (name, axis)
+            assert cell.startswith(f"**{hosted[0]}**"), (name, axis)
+            assert {key for key in table if cls.refusal(
+                WsConfig(**{f"{axis}_policy": key})) is None} \
+                == set(hosted), (name, axis)
+        admitted = [c for c, spec in FAULT_PROBES.items()
+                    if cls.refusal(WsConfig(
+                        faults=parse_fault_spec(spec, seed=0))) is None]
+        assert cells[3] == ("all" if admitted == list(FAULT_PROBES)
+                            else ", ".join(admitted)), name
+        # token and none mark detection fused into a variant's own loop:
+        # refusing them narrows nothing
+        narrowed = admitted != list(FAULT_PROBES) or any(
+            set(table) - set(getattr(cls, f"{axis}_policies"))
+            - {"token", "none"} for axis, table in AXES.items())
+        assert bool(cells[4]) == narrowed, name

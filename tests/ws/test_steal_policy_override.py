@@ -41,8 +41,10 @@ def test_none_keeps_native_policies():
 
 
 def test_override_does_not_break_conservation():
-    for policy in ("one", "half"):
+    # mpi-ws hosts "one" only: one chunk per WORK message
+    for policy, algs in (("one", ("upc-sharedmem", "upc-distmem", "mpi-ws")),
+                         ("half", ("upc-sharedmem", "upc-distmem"))):
         cfg = WsConfig(chunk_size=1, steal_policy=policy)
-        for alg in ("upc-sharedmem", "upc-distmem", "mpi-ws"):
+        for alg in algs:
             run_experiment(alg, tree=TREE, threads=6, preset="kittyhawk",
                            config=cfg, verify=True)
