@@ -20,15 +20,13 @@ executes the grid over a ``ProcessPoolExecutor``:
   job's identity and re-raised in the parent as
   :class:`~repro.errors.SweepWorkerError` (chained via ``raise ...
   from`` where the original exception object is available, i.e. on the
-  serial path).  A failed job is retried once in-process first: the
-  simulations are deterministic, so a genuine protocol bug fails
-  identically, but transient host trouble gets a second chance before
-  a long sweep is abandoned.
+  serial path).  A failed job is not retried: the simulations are
+  deterministic, so a second attempt could only fail the same way or
+  hide the nondeterminism the bit-identity pins exist to catch.
 * **Wall-clock deadline** -- ``REPRO_JOB_TIMEOUT`` (seconds) bounds
   each job attempt; an overrunning simulation is interrupted via
   ``SIGALRM`` and surfaces as an attributable :class:`JobTimeout`
-  instead of a silent hang.  Timeouts are *not* retried (a
-  deterministic overrun would just overrun again).
+  instead of a silent hang.
 * **Graceful fallback** -- ``jobs=1``, a single-cell grid, or a
   platform without ``fork`` all run the exact same job list serially
   in-process.
@@ -179,12 +177,6 @@ class JobTimeout(Exception):
     """A sweep job attempt exceeded ``REPRO_JOB_TIMEOUT`` seconds."""
 
 
-#: Jobs (in this process) that needed the one-shot in-process retry.
-#: Diagnostic and test hook; per-process, so pool workers each count
-#: their own.
-retried_jobs = 0
-
-
 @contextmanager
 def _deadline(limit: float, job: JobSpec):
     """Interrupt the block with :class:`JobTimeout` after ``limit`` s.
@@ -211,26 +203,12 @@ def _deadline(limit: float, job: JobSpec):
 
 
 def _attempt_job(job: JobSpec) -> RunResult:
-    """Run one job under the deadline, retrying a failure once.
-
-    The simulations are deterministic, so a real protocol bug fails
-    the same way twice and the retry costs nothing extra in diagnosis
-    (both tracebacks surface, chained); a transient host problem --
-    stray signal, memory pressure -- does not abort a long sweep.
-    Timeouts are not retried: a deterministic overrun would only
-    overrun again and double the wasted wall-clock.
-    """
-    global retried_jobs
-    limit = job_timeout()
-    try:
-        with _deadline(limit, job):
-            return _execute_job(job)
-    except JobTimeout:
-        raise
-    except Exception:
-        retried_jobs += 1
-        with _deadline(limit, job):
-            return _execute_job(job)
+    """Run one job under the deadline.  A failure is not retried: the
+    simulations are deterministic, so a real bug fails the same way
+    twice, and a second attempt that succeeded would be exactly the
+    nondeterminism the bit-identity pins exist to catch."""
+    with _deadline(job_timeout(), job):
+        return _execute_job(job)
 
 
 def _worker(job: JobSpec):

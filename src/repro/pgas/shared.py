@@ -29,7 +29,7 @@ class SharedVar:
     inert and every path reduces to the plain read/write below.
     """
 
-    __slots__ = ("name", "home", "value", "reads", "writes",
+    __slots__ = ("name", "home", "value", "writes",
                  "stale_host", "stale_value", "stale_until")
 
     def __init__(self, name: str, home: int, value: Any = None,
@@ -37,7 +37,6 @@ class SharedVar:
         self.name = name
         self.home = home
         self.value = value
-        self.reads = 0
         self.writes = 0
         #: The owning Machine when this variable participates in
         #: stale-read fault injection; None otherwise.
@@ -51,7 +50,6 @@ class SharedVar:
     # Raw accessors used by the home rank (free) and by the context's
     # cost-charging generators after the latency has elapsed.
     def peek(self) -> Any:
-        self.reads += 1
         return self.value
 
     def poke(self, value: Any) -> None:
@@ -70,7 +68,6 @@ class SharedVar:
         pre-write value; the home rank and post-window readers see the
         truth.  Equals :attr:`value` whenever no window is open.
         """
-        self.reads += 1
         if now < self.stale_until and reader != self.home:
             host = self.stale_host
             if host is not None and host.faults is not None:

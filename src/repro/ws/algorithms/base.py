@@ -101,8 +101,7 @@ class AlgorithmBase:
     #: (b) Whether the owner publishes its chunk count in ``work_avail``.
     _publishes_avail = True
     #: (c) Per-rank ``(lock, round-trip Timeout or None)`` when stack
-    #: moves run under an own-stack lock; whoever sets it supplies the
-    #: generic ``release``/``reacquire`` faulted runs take, and
+    #: moves run under an own-stack lock; whoever sets it supplies
     #: ``after_release`` when ``_after_release_hook`` is on.
     _own_lock = None
     _after_release_hook = False
@@ -143,16 +142,10 @@ class AlgorithmBase:
         self.sim = machine.sim
         self._poll_interval = cfg.poll_interval
         self._release_threshold = cfg.release_threshold
-        #: True on fault-free runs: the compute-time multiplier is
-        #: exactly 1.0 and stale-read windows can never open, so hot
-        #: loops may yield precomputed Timeouts and read shared slots
-        #: directly (bit-identical to the generic path).
-        self._fast = machine.faults is None
         #: Reusable Timeout per possible batch size (visiting n nodes
-        #: always costs exactly n * t_node on the fast path).  None when
-        #: a batch costs no simulated time (the generic path then skips
-        #: the yield entirely, so reusing a zero Timeout would add
-        #: events).
+        #: costs exactly n * t_node at full speed).  None when a batch
+        #: costs no simulated time (the loops then skip the yield
+        #: entirely, as ``ctx.compute`` would).
         if self.t_node > 0:
             self._visit_timeouts = [Timeout(i * self.t_node)
                                     for i in range(cfg.poll_interval + 1)]
@@ -163,7 +156,7 @@ class AlgorithmBase:
         #: fall through to the baseline tables, so the canonical
         #: schedule is untouched.
         self._speed_factors = None
-        self._vt_cache: dict = {}
+        self._vt_cache: dict = {}  # (speed factor, slowdown) -> table
         self._visit_costs: dict = {}  # the same tables, as float lists
         #: Per-rank steal-amount overrides (greedy-thief adversary) and
         #: duplicating-steal ranks; None when no adversary is installed.
@@ -432,24 +425,29 @@ class AlgorithmBase:
         return self.t_node if f is None else self.t_node * f[rank]
 
     def _visit_timeouts_for(self, rank: int):
-        """The precomputed batch-cost Timeout table for ``rank``.
+        """The precomputed batch-cost Timeout table for ``rank``: entry
+        ``n`` is exactly what ``ctx.compute(n * t_node_of(rank))``
+        charges, the rank's slowdown multiplier (``ctx._slow``, fixed
+        for the run) folded in as ``(n * t) * slow``.
 
-        Homogeneous runs (and factor-1.0 ranks) reuse the shared table
-        unchanged -- same Timeout objects, bit-identical schedule.
-        Scaled ranks get a per-factor table, built once and cached, so
-        heterogeneous runs keep the fast path's no-allocation property.
+        Full-speed ranks reuse the shared table unchanged -- same
+        Timeout objects, bit-identical schedule.  Scaled or slowed
+        ranks get a table per ``(factor, slow)`` pair, built once and
+        cached, so no batch allocates a Timeout.
         """
+        vt = self._visit_timeouts
         f = self._speed_factors
-        if f is None or self._visit_timeouts is None:
-            return self._visit_timeouts
-        factor = f[rank]
-        if factor == 1.0:
-            return self._visit_timeouts
-        vt = self._vt_cache.get(factor)
+        factor = 1.0 if f is None else f[rank]
+        slow = self.machine.contexts[rank]._slow
+        if vt is None or (factor == 1.0 and slow == 1.0):
+            return vt
+        key = (factor, slow)
+        vt = self._vt_cache.get(key)
         if vt is None:
             t = self.t_node * factor
-            vt = self._vt_cache[factor] = [
-                Timeout(i * t) for i in range(self.cfg.poll_interval + 1)
+            vt = self._vt_cache[key] = [
+                Timeout(i * t * slow)
+                for i in range(self.cfg.poll_interval + 1)
             ]
         return vt
 
@@ -495,24 +493,23 @@ class AlgorithmBase:
         shared regions -- the class-level switches (a)-(d) read below,
         never a test of which variant is running.
 
-        Three things are inlined here, once, because the ledger pays
-        for each (docs/performance.md, "The event engine"): the
-        ``SplitStack`` moves, the ``work_avail`` write and ``FifoLock``'s
-        transitions.  Faulted runs under a lock take the generic
-        ``release``/``reacquire`` instead, which roll stalls and keep
-        the holder bookkeeping fail-stop recovery reads
-        (tests/ws/test_inlined_equals_generic.py pins the two
-        bit-identical).  ``explore_batch`` stays a call: it is the one
-        home of the visit bookkeeping ``tree-split`` shares.
+        Two things are inlined here, once, because the ledger pays for
+        each (docs/performance.md, "The event engine"): the
+        ``SplitStack`` moves and ``FifoLock``'s transitions.  Faulted
+        and fault-free runs take the same lines: the lock bracket keeps
+        the ``holder``/``pending`` bookkeeping fail-stop recovery reads
+        and rolls a lock-holder stall before letting go, the visit
+        table carries the rank's slowdown, and the ``work_avail`` write
+        is ``poke`` (which may open a stale window).  ``explore_batch``
+        stays a call: it is the one home of the visit bookkeeping
+        ``tree-split`` shares.
         """
         rank = ctx.rank
         stack = self.stacks[rank]
         st = self.stats[rank]
         local = stack.local
         shared = stack.shared
-        fast = self._fast
-        vt = self._visit_timeouts_for(rank) if fast else None
-        tn = self.t_node_of(rank)
+        vt = self._visit_timeouts_for(rank)
         thresh = self._release_threshold
         chunk = self.cfg.chunk_size
         explore = self.explore_batch
@@ -529,7 +526,8 @@ class AlgorithmBase:
             lk, lock_to = self._own_lock[rank]
             fifo = lk.fifo
             queue = fifo._queue
-        generic = lk is not None and not fast
+            pending = lk.pending
+            faults = self.faults_rt
         after = self.after_release if self._after_release_hook else None
         # A release is recorded where the chunk crosses under (c) or
         # (d); plain owner-only moves are not (docs/observability.md).
@@ -549,11 +547,8 @@ class AlgorithmBase:
                         yield from reply
             if local:
                 n = explore(rank)
-                if n:
-                    if vt is not None:
-                        yield vt[n]
-                    else:
-                        yield from ctx.compute(n * tn)
+                if n and vt is not None:
+                    yield vt[n]
                 if len(local) < thresh:
                     continue
                 releasing = True
@@ -565,66 +560,71 @@ class AlgorithmBase:
             # after-release.  Releases repeat while surplus remains; a
             # reacquire goes back to the poll point.
             while True:
-                if generic:
-                    yield from (self.release(ctx) if releasing
-                                else self.reacquire(ctx))
-                else:
-                    if lk is not None:
-                        if lock_to is not None:
-                            yield lock_to
-                        if not fifo.locked:
-                            fifo.locked = True
-                            fifo.acquisitions += 1
-                            fifo._acquired_at = sim.now
-                            yield _T0
-                        else:
-                            ev = SimEvent(sim, fifo._ev_name)
-                            fifo.contended_acquisitions += 1
-                            queue.append(ev)
-                            yield ev
-                        if tr.enabled:
-                            tr.emit(sim.now, rank, "lock.acq", (lk.name,))
-                    # ``shared`` is re-checked under the lock: a thief
-                    # queued ahead of us may have taken the last chunk.
-                    if releasing or shared:
-                        if releasing:  # thresh >= chunk: always enough
-                            shared.append(local[:chunk])
-                            del local[:chunk]
-                            stack.released_nodes += chunk
-                        else:
-                            got = shared.pop()
-                            local[0:0] = got
-                            stack.reacquired_nodes += len(got)
-                        if hook is not None:
-                            hook(rank, releasing)
-                        if wa is not None:
-                            avail = len(shared)
-                            if fast:
-                                wa.writes += 1
-                                wa.value = avail
-                            else:
-                                wa.poke(avail)  # may open a stale window
-                            if gate is not None:
-                                gate.note(rank, avail)
-                        if not releasing:
-                            st.reacquires += 1
-                    if lk is not None:
-                        fifo.busy_time += sim.now - fifo._acquired_at
-                        if queue:
-                            fifo.acquisitions += 1
-                            fifo._acquired_at = sim.now
-                            queue.pop(0).succeed()
-                        else:
-                            fifo.locked = False
-                        if tr.enabled:
-                            tr.emit(sim.now, rank, "lock.rel", (lk.name,))
-                    if releasing:
-                        st.releases += 1
-                        if traced and tr.enabled:
-                            tr.emit(sim.now, rank, "release",
-                                    (len(shared),))
-                        if after is not None:
-                            yield from after(ctx)
+                if lk is not None:
+                    if lock_to is not None:
+                        yield lock_to
+                    if not fifo.locked:
+                        fifo.locked = True
+                        fifo.acquisitions += 1
+                        fifo._acquired_at = sim.now
+                        lk.holder = rank
+                        yield _T0
+                    else:
+                        ev = SimEvent(sim, fifo._ev_name)
+                        fifo.contended_acquisitions += 1
+                        queue.append(ev)
+                        # registered across the wait: a fail-stop here
+                        # dequeues (or passes on) the grant
+                        pending[rank] = ev
+                        yield ev
+                        del pending[rank]
+                        lk.holder = rank
+                    if tr.enabled:
+                        tr.emit(sim.now, rank, "lock.acq", (lk.name,))
+                # ``shared`` is re-checked under the lock: a thief
+                # queued ahead of us may have taken the last chunk.
+                if releasing or shared:
+                    if releasing:  # thresh >= chunk: always enough
+                        shared.append(local[:chunk])
+                        del local[:chunk]
+                        stack.released_nodes += chunk
+                    else:
+                        got = shared.pop()
+                        local[0:0] = got
+                        stack.reacquired_nodes += len(got)
+                    if hook is not None:
+                        hook(rank, releasing)
+                    if wa is not None:
+                        avail = len(shared)
+                        wa.poke(avail)  # may open a stale window
+                        if gate is not None:
+                            gate.note(rank, avail)
+                    if not releasing:
+                        st.reacquires += 1
+                if lk is not None:
+                    if faults is not None:
+                        stall = faults.roll_lock_stall(rank)
+                        if stall > 0.0:
+                            # Lock-holder stall: contenders queue
+                            # behind the sleeper.
+                            yield Timeout(stall)
+                    lk.holder = None
+                    fifo.busy_time += sim.now - fifo._acquired_at
+                    if queue:
+                        fifo.acquisitions += 1
+                        fifo._acquired_at = sim.now
+                        queue.pop(0).succeed()
+                    else:
+                        fifo.locked = False
+                    if tr.enabled:
+                        tr.emit(sim.now, rank, "lock.rel", (lk.name,))
+                if releasing:
+                    st.releases += 1
+                    if traced and tr.enabled:
+                        tr.emit(sim.now, rank, "release",
+                                (len(shared),))
+                    if after is not None:
+                        yield from after(ctx)
                 if not releasing or len(local) < thresh:
                     break
         if wa is not None:
@@ -719,8 +719,8 @@ class AlgorithmBase:
 
         The victims are read two ways, by design: polling reads
         :meth:`~repro.ws.policies.ProbeOrder.cycle` (whole shuffles; it
-        tracks ``any_working`` and, under faults, reads through
-        ``remote_read``), a gate reads
+        tracks ``any_working``; each probe is a ``remote_read``, so a
+        stale-read plan can show it a pre-write value), a gate reads
         :meth:`~repro.ws.policies.ProbeOrder.scan` (lazy draws, so a
         cycle a steal or the gate cuts short costs O(probed)
         host-side).  The two draw from the RNG in different orders, so
@@ -737,10 +737,7 @@ class AlgorithmBase:
         slots = self._wa_slots
         bounds = self.net.ref_cost_bounds(rank)
         node_lo, node_hi, c_local, c_remote = bounds
-        # Fault-free, a staleable slot's window can never open, so the
-        # probe may read the value directly (identical result) instead
-        # of paying remote_read's staleness bookkeeping per victim.
-        fast = self._fast
+        sim = self.sim
         order = self.probe_orders[rank]
         probe = self._scan_probe
         bmax = self.cfg.search_backoff_max
@@ -775,12 +772,12 @@ class AlgorithmBase:
                 if gate is None:
                     cost_acc = 0.0
                     n_probes = 0
+                    now = sim.now  # no yield inside the cycle
                     for victim in victims:
                         n_probes += 1
                         cost_acc += (c_local if node_lo <= victim < node_hi
                                      else c_remote)
-                        avail = (slots[victim].value if fast else
-                                 slots[victim].remote_read(ctx.now, rank))
+                        avail = slots[victim].remote_read(now, rank)
                         if avail == 0:
                             any_working = True
                         elif avail > 0:
@@ -832,7 +829,7 @@ class AlgorithmBase:
         schedules are bit-identical either way; only host speed differs.
         """
         if (self.sim._crun is None
-                or not self._fast
+                or self.faults_rt is not None
                 or self.tracer.enabled
                 or self._visit_timeouts is None
                 or getattr(self.tree, "delta", None) is None):

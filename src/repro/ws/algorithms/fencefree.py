@@ -150,7 +150,6 @@ class WsFenceFree(AlgorithmBase):
         sim = self.machine.sim
         head = self.heads[victim]
         tail = self.tails[victim]
-        fast = self._fast
         ref = self.net.shared_ref(rank, victim)
         # Two plain remote reads: tail then head.  Under a stale plan
         # either may observe a pre-write value; tail is monotone so a
@@ -159,8 +158,8 @@ class WsFenceFree(AlgorithmBase):
         if ref > 0:
             yield Timeout(2 * ref * ctx._slow)  # ctx.compute, frameless
         now = ctx.now
-        t = tail.value if fast else tail.remote_read(now, rank)
-        h = head.value if fast else head.remote_read(now, rank)
+        t = tail.remote_read(now, rank)
+        h = head.remote_read(now, rank)
         if h >= t:
             if tr.enabled:
                 tr.emit(sim.now, rank, "steal.fail", (victim, "empty"))

@@ -31,19 +31,19 @@ __all__ = ["LockBasedAlgorithm", "UpcSharedMem", "UpcTerm", "UpcTermRapdif"]
 
 
 class LockBasedAlgorithm(AlgorithmBase):
-    """Own-lock transactions and the locking steal for algorithms with
-    lock-guarded stacks; the Working state itself is
-    :meth:`AlgorithmBase.working_phase` with switch (c) set."""
+    """The locking steal for algorithms with lock-guarded stacks; the
+    owner's own-lock transactions are :meth:`AlgorithmBase.working_phase`
+    with switch (c) set."""
 
     def setup(self) -> None:
         self.stack_locks = self.machine.lock_array("stack_lock")
-        # Own-stack lock fast path: every release/reacquire pays the
+        # Own-stack lock: every release/reacquire pays the
         # same constant lock round trip, so precompute it as a reusable
         # Timeout (None when free).  The unlock reference costs nothing
         # -- the lock is homed at its own rank and
         # ``NetworkModel.shared_ref(r, r)`` is 0 -- so the inlined
-        # transaction yields nothing for it.  Only valid fault-free: a
-        # lock-stall fault must go through ctx.unlock's stall roll.
+        # transaction yields nothing for it (it rolls a lock-stall
+        # fault itself, as ctx.unlock would).
         costs = [self.net.lock_cost(r, lk.home)
                  for r, lk in enumerate(self.stack_locks)]
         self._own_lock = [(lk, Timeout(lc) if lc > 0 else None)
@@ -78,51 +78,11 @@ class LockBasedAlgorithm(AlgorithmBase):
                     and type(term.barrier) is CancelableBarrier)
         return True
 
-    # -- the generic own-lock transactions ------------------------------------
-
-    def release(self, ctx) -> Generator:
-        """Move one chunk local -> shared, under the own-stack lock.
-
-        The generic transaction: :meth:`working_phase` reaches it only
-        on faulted runs (``ctx.lock``/``ctx.unlock`` roll stalls and
-        keep the pending/holder bookkeeping fail-stop recovery reads)
-        and inlines the fault-free equivalent."""
-        rank = ctx.rank
-        stack = self.stacks[rank]
-        lk = self.stack_locks[rank]
-        yield from ctx.lock(lk)
-        stack.release(self.cfg.chunk_size)
-        self._advertise(rank, stack.shared_chunks)
-        yield from ctx.unlock(lk)
-        self.stats[rank].releases += 1
-        tr = self.tracer
-        if tr.enabled:
-            tr.emit(self.machine.sim.now, rank, "release",
-                    (stack.shared_chunks,))
-        if self._after_release_hook:
-            yield from self.after_release(ctx)
-
     def after_release(self, ctx) -> Generator:
         """Per-release hook, owned by the termination policy (the
         cancelable barrier cancels itself here -- the remote write the
         paper blames for delaying working threads)."""
         yield from self._termination.after_release(ctx)
-
-    def reacquire(self, ctx) -> Generator:
-        """Move the newest shared chunk back to local, under lock.
-
-        A thief queued ahead of us on our own lock may have taken the
-        last chunk, so re-check under the lock before moving.
-        """
-        rank = ctx.rank
-        stack = self.stacks[rank]
-        lk = self.stack_locks[rank]
-        yield from ctx.lock(lk)
-        if stack.shared_chunks:
-            stack.reacquire()
-            self._advertise(rank, stack.shared_chunks)
-            self.stats[rank].reacquires += 1
-        yield from ctx.unlock(lk)
 
     # -- stealing -----------------------------------------------------------------
 

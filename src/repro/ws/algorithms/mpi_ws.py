@@ -67,8 +67,7 @@ class MpiWorkStealing(AlgorithmBase):
         self.tokens = [TokenState(r, self.machine.n_threads)
                        for r in range(self.machine.n_threads)]
         self.terminated = False
-        self.faulty = self.faults_rt is not None
-        if self.faulty:
+        if self.faults_rt is not None:
             n = self.machine.n_threads
             # Sequence-numbered steal transactions (dedup + timeout).
             self._req_seq = [0] * n           # per-thief next sequence
@@ -194,7 +193,7 @@ class MpiWorkStealing(AlgorithmBase):
         rank = ctx.rank
         if msg.tag == REQUEST:
             return self._serve_request(ctx, msg.src, seq=msg.payload)
-        if self.faulty:
+        if self.faults_rt is not None:
             # Hold (or discard a stale copy of) the ring token; it is
             # evaluated/forwarded once this thread idles.
             self._accept_token(rank, msg.payload)
@@ -487,7 +486,7 @@ class MpiWorkStealing(AlgorithmBase):
                     (dst, WHITE, self._round, 0))
         yield from self._send(ctx, dst, TOKEN, payload=payload)
 
-    def _forward_token_faulty(self, ctx: UpcContext) -> Generator:
+    def _forward_token_safra(self, ctx: UpcContext) -> Generator:
         """Idle non-zero rank: contribute colour + deficit, pass it on."""
         rank = ctx.rank
         rnd, colour, deficit = self._held[rank]
@@ -533,7 +532,7 @@ class MpiWorkStealing(AlgorithmBase):
         if rank != 0:
             if self._held[rank] is None:
                 return None
-            yield from self._forward_token_faulty(ctx)
+            yield from self._forward_token_safra(ctx)
             return "sent"
         held = self._held[0]
         if held is not None:

@@ -75,19 +75,15 @@ class TreeSplit(AlgorithmBase):
         rank = ctx.rank
         stack = self.stacks[rank]
         local = stack.local
-        tn = self.t_node_of(rank)
-        vt = self._visit_timeouts_for(rank) if self._fast else None
+        vt = self._visit_timeouts_for(rank)
         explore = self.explore_batch
         while True:
             if local:
                 self.enter_state(ctx, WORKING)
                 for _ in range(self.round_batches):
                     n = explore(rank)
-                    if n:
-                        if vt is not None:
-                            yield vt[n]
-                        else:
-                            yield from ctx.compute(n * tn)
+                    if n and vt is not None:
+                        yield vt[n]
                     if not local:
                         break
             done = yield from self._round_barrier(ctx)

@@ -182,10 +182,9 @@ class StreamlinedTermination(TerminationStrategy):
         # row (O(n) to build, O(n^2) machine-wide): price the probe from
         # the rank's reference-cost bounds, under either idle strategy.
         node_lo, node_hi, c_local, c_remote = algo.net.ref_cost_bounds(rank)
-        # Fault-free, compute() is an identity Timeout and a staleable
-        # read can never hit an open window -- take the direct paths.
-        fast = algo._fast
         recover = algo.faults_rt is not None
+        slow = ctx._slow  # the rank's compute multiplier, fixed per run
+        sim = algo.sim
         while True:
             yield from algo.barrier_service_hook(ctx)
             if barrier.terminated:
@@ -227,12 +226,8 @@ class StreamlinedTermination(TerminationStrategy):
             st.probes += 1
             cost = c_local if node_lo <= victim < node_hi else c_remote
             if cost > 0:
-                if fast:
-                    yield Timeout(cost)
-                else:
-                    yield from ctx.compute(cost)
-            avail = (slots[victim].value if fast else
-                     slots[victim].remote_read(ctx.now, rank))
+                yield Timeout(cost * slow)  # ctx.compute, frameless
+            avail = slots[victim].remote_read(sim.now, rank)
             if avail > 0:
                 # Leave the barrier before touching the work so the
                 # count never certifies termination with work in flight.
@@ -258,10 +253,7 @@ class StreamlinedTermination(TerminationStrategy):
                 # the service hook would sleep on it forever.
                 continue
             if poll > 0:
-                if fast:
-                    yield Timeout(poll)
-                else:
-                    yield from ctx.compute(poll)
+                yield Timeout(poll * slow)
             poll = min(poll * 2.0, pmax)
 
 

@@ -14,6 +14,8 @@ import pytest
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, parse_fault_spec
 from repro.harness.runner import expected_node_count, run_experiment
+from repro.obs.sink import TraceSink
+from repro.uts.params import TreeParams
 
 from tests.faults.conftest import TREE
 
@@ -81,3 +83,26 @@ def test_late_kill_after_completion_is_harmless():
     assert res.fault_counters.threads_killed == 0
     assert res.total_nodes == expected_node_count(TREE)
     assert res.lost_work == 0
+
+
+def test_an_owner_killed_in_its_own_lock_stall_passes_the_lock_on():
+    # At 526 us rank 2 is sleeping through a lock-holder stall on its
+    # own stack lock (the Working state's lock bracket, uncontended).
+    # The bracket records the holder, so the death frees the lock; a
+    # corpse that kept it would leave the next thief to lock that
+    # stack waiting forever while the rest poll (a livelock, which
+    # ``max_events`` turns into a prompt failure).
+    tree = TreeParams.binomial(b0=64, m=2, q=0.48, seed=1)
+    sink = TraceSink()
+    res = run_experiment("upc-sharedmem", tree=tree, threads=8,
+                         chunk_size=2, verify=True, tracer=sink,
+                         faults=parse_fault_spec(
+                             "stall=0.2,kill=2@526.076us", seed=0),
+                         max_events=100_000)
+    assert res.fault_counters.threads_killed == 1
+    assert res.total_nodes + res.lost_work == expected_node_count(tree)
+    last = [ev.kind if ev.kind != "lock.acq" else ev.fields[0]
+            for ev in sink.events() if ev.rank == 2
+            and ev.kind in ("lock.acq", "lock.rel", "fault.stall",
+                            "fault.kill")][-3:]
+    assert last == ["stack_lock[2]", "fault.stall", "fault.kill"]

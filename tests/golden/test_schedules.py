@@ -172,7 +172,8 @@ MARKERS = {
         "poll_mail": "reply = self._working_msg(ctx, msg)",
         "after_move": "hook(rank, releasing)",
         "after_release": "yield from after(ctx)",
-        "generic_transaction": "yield from (self.release(ctx) if releasing",
+        "lock_stall": "yield Timeout(stall)",
+        "faulted_pending": "pending[rank] = ev",
     },
     AlgorithmBase.search_phase: {
         "park": "yield gate.park(rank)",
@@ -180,7 +181,6 @@ MARKERS = {
                          "yield gate.park(rank)"),
         "abandon": "scan.abandon()",
         "idle_exit": "if not persist or (gate is None and not any_working):",
-        "remote_read": "avail = (slots[victim].value if fast else",
     },
     MpiWorkStealing.idle_phase: {
         "blocking_recv": "msg = yield from ep.recv()",
@@ -189,14 +189,14 @@ MARKERS = {
 }
 #: Branches counted only when the frame shows they were taken: a
 #: request waiting, a re-check the thief won, a persisting poll search
-#: leaving because no one works, a probe read through the staleness
-#: check.
+#: leaving because no one works, a contended acquire registered for
+#: fail-stop recovery on a faulted run.
 TAKEN = {
     "poll_slot": lambda f: f["req_slot"].value is not None,
     "recheck": lambda f: not (f["releasing"] or f["shared"]),
     "idle_exit": lambda f: (f["persist"] and f["gate"] is None
                             and not f["any_working"]),
-    "remote_read": lambda f: not f["fast"],
+    "faulted_pending": lambda f: f["faults"] is not None,
 }
 
 

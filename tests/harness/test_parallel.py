@@ -184,7 +184,7 @@ class TestHardening:
         with pytest.raises(ConfigError, match="'-1'"):
             job_timeout()
 
-    def test_transient_failure_retried_once(self, monkeypatch):
+    def test_first_failure_raises_without_a_retry(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
         real = parallel._execute_job
         calls = []
@@ -192,15 +192,14 @@ class TestHardening:
         def flaky(job):
             calls.append(job.index)
             if len(calls) == 1:
-                raise OSError("transient host trouble")
+                raise OSError("first attempt fails")
             return real(job)
 
         monkeypatch.setattr(parallel, "_execute_job", flaky)
-        before = parallel.retried_jobs
-        results = execute_jobs([self._job()], n_jobs=1)
-        assert len(results) == 1 and results[0].total_nodes > 0
-        assert calls == [0, 0]
-        assert parallel.retried_jobs == before + 1
+        with pytest.raises(SweepWorkerError) as err:
+            execute_jobs([self._job()], n_jobs=1)
+        assert isinstance(err.value.__cause__, OSError)
+        assert calls == [0]
 
     def test_persistent_failure_chains_cause(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
@@ -228,7 +227,7 @@ class TestHardening:
         with pytest.raises(SweepWorkerError, match="REPRO_JOB_TIMEOUT") as err:
             execute_jobs([self._job()], n_jobs=1)
         assert isinstance(err.value.__cause__, JobTimeout)
-        assert calls == [1]  # timeouts are not retried
+        assert calls == [1]
 
     def test_no_timeout_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)

@@ -14,6 +14,11 @@ the next re-anchor finding it:
   mpi-ws's idle loop (``MpiWorkStealing.idle_phase``): the idle gate
   and the fault runtime are switches read before the loop starts, and
   no probe is priced from a per-rank cost row (O(n^2) a machine).
+* Faulted and fault-free runs take one path: no ``_fast`` switch under
+  ``ws/`` picks an inlined or a generic copy, no ``release`` /
+  ``reacquire`` transaction under ``ws/algorithms/`` stands beside
+  the Working state's lock bracket, and mpi-ws keeps no ``faulty``
+  copy of ``faults_rt is not None``.
 * A trace record is its values, never a formatted string
   (``docs/observability.md``, "Event schema"): no ``.emit(`` /
   ``.trace(`` call takes an f-string or ``.format`` argument, and the
@@ -125,6 +130,20 @@ def test_one_working_phase_definition():
     found = _definitions("working_phase")
     assert len(found) == 1 and found[0].startswith("ws/algorithms/base.py:"), \
         found
+
+
+def test_faulted_and_fault_free_runs_take_one_path():
+    ws = SRC / "ws"
+    fast = [f"{path.relative_to(SRC)}:{node.lineno}"
+            for path, tree in _modules() if ws in path.parents
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_fast"]
+    assert fast == []
+    twins = [site for name in ("release", "reacquire")
+             for site in _definitions(name)
+             if site.startswith("ws/algorithms/")]
+    assert twins == []
+    assert "faulty" not in (ws / "algorithms" / "mpi_ws.py").read_text()
 
 
 def _mentions(name):

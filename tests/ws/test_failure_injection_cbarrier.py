@@ -29,6 +29,19 @@ SLOW_NET = NetworkModel(cores_per_node=1, node_visit_time=1 / 2e6,
 TREE = TreeParams.binomial(b0=8, m=2, q=0.4, seed=1)
 
 
+def release(algo, ctx):
+    """The owner's release of one chunk, under its own-stack lock: move
+    it local -> shared, advertise, unlock, then the termination
+    policy's after-release hook."""
+    rank = ctx.rank
+    lk = algo.stack_locks[rank]
+    yield from ctx.lock(lk)
+    algo.stacks[rank].release(algo.cfg.chunk_size)
+    algo._advertise(rank, algo.stacks[rank].shared_chunks)
+    yield from ctx.unlock(lk)
+    yield from algo.after_release(ctx)
+
+
 def _build():
     machine = Machine(threads=3, net=SLOW_NET)
     algo = UpcSharedMem(machine, Tree(TREE), WsConfig(chunk_size=1))
@@ -65,7 +78,7 @@ def test_oracle_catches_steal_before_decrement():
 
     def victim_main(ctx):
         # Release surplus: resets (cancels) the barrier, waking waiters.
-        yield from algo.release(ctx)
+        yield from release(algo, ctx)
         algo.work_avail[ctx.rank].poke(-1)
         # Exhaust immediately and enter the barrier: with both waiters
         # still counted, count == THREADS -> termination declared.
@@ -102,7 +115,7 @@ def test_correct_barrier_survives_same_scenario():
                 algo.work_avail[ctx.rank].poke(-1)
 
     def victim_main(ctx):
-        yield from algo.release(ctx)
+        yield from release(algo, ctx)
         algo.work_avail[ctx.rank].poke(-1)
         yield from ctx.compute(50e-6)
         st = algo.stacks[ctx.rank]

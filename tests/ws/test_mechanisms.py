@@ -17,6 +17,19 @@ from repro.ws.algorithms import get_algorithm
 TREE = TreeParams.binomial(b0=100, m=2, q=0.49, seed=0)
 
 
+def release(algo, ctx):
+    """The owner's release of one chunk, under its own-stack lock: move
+    it local -> shared, advertise, unlock, then the termination
+    policy's after-release hook."""
+    rank = ctx.rank
+    lk = algo.stack_locks[rank]
+    yield from ctx.lock(lk)
+    algo.stacks[rank].release(algo.cfg.chunk_size)
+    algo._advertise(rank, algo.stacks[rank].shared_chunks)
+    yield from ctx.unlock(lk)
+    yield from algo.after_release(ctx)
+
+
 def test_thief_held_lock_stalls_owner_release():
     """Sect. 3.1/3.3.3: a remote thief holding the stack lock delays the
     owner's release, by about the thief's full remote critical section."""
@@ -41,7 +54,7 @@ def test_thief_held_lock_stalls_owner_release():
         # section doing two 10s remote refs + a 10s unlock.
         yield from ctx.compute(61.0)
         t0 = ctx.now
-        yield from algo.release(ctx)
+        yield from release(algo, ctx)
         timings["release_wait"] = ctx.now - t0
 
     machine.sim.spawn(thief(machine.contexts[1]))
