@@ -32,6 +32,9 @@ __all__ = ["FaultPlan", "StormSpec", "parse_fault_spec"]
 #: victim *count*; the rate classes carry the in-window rate override.
 _STORM_CLASSES = ("kill", "drop", "dup", "delay", "stall", "stale")
 
+#: Missed heartbeat epochs before a silent rank is suspected dead.
+HEARTBEAT_MISS = 3
+
 
 @dataclass(frozen=True)
 class StormSpec:
@@ -140,8 +143,6 @@ class FaultPlan:
     ring_timeout: float = 1500e-6
     #: Heartbeat epoch period for the failure detector.
     heartbeat_period: float = 50e-6
-    #: Missed epochs before a silent rank is suspected dead.
-    heartbeat_miss: int = 3
     #: Period of the in-simulation conservation-ledger checker.
     check_period: float = 100e-6
 
@@ -161,8 +162,6 @@ class FaultPlan:
                 raise ConfigError(f"{name} must be > 0")
         if not self.steal_timeout_max >= self.steal_timeout:
             raise ConfigError("steal_timeout_max must be >= steal_timeout")
-        if not self.heartbeat_miss >= 1:
-            raise ConfigError("heartbeat_miss must be >= 1")
         if not self.slow_factor >= 1.0:
             raise ConfigError(
                 f"slow_factor must be >= 1 (a slowdown), got {self.slow_factor}")
@@ -249,7 +248,7 @@ class FaultPlan:
     @property
     def suspect_after(self) -> float:
         """Silence needed before the failure detector suspects a rank."""
-        return self.heartbeat_period * self.heartbeat_miss
+        return self.heartbeat_period * HEARTBEAT_MISS
 
     def with_seed(self, seed: int) -> "FaultPlan":
         return replace(self, seed=seed)

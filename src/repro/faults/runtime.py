@@ -233,7 +233,7 @@ class FaultRuntime:
 
         Suspicion is *accurate by construction* (a rank is only
         suspected if it actually fail-stopped) but *late by design*:
-        the detector needs ``heartbeat_miss`` silent epochs, modelling
+        the detector needs ``HEARTBEAT_MISS`` silent epochs, modelling
         the detection latency a real heartbeat scheme pays.
         """
         if rank not in self.dead:

@@ -29,6 +29,8 @@ from typing import Generator
 
 from repro.pgas.machine import UpcContext
 from repro.ws.algorithms.lock_based import LockBasedAlgorithm
+from repro.ws.config import (SEARCH_BACKOFF_FACTOR, SEARCH_BACKOFF_MAX,
+                              SEARCH_BACKOFF_MIN)
 
 __all__ = ["ServiceAlgorithm"]
 
@@ -52,11 +54,7 @@ class ServiceAlgorithm(LockBasedAlgorithm):
         stack = self.stacks[rank]
         svc = self.service
         gate = self._gate
-        cfg = self.cfg
-        bmin = cfg.search_backoff_min
-        bmax = cfg.search_backoff_max
-        bfactor = cfg.search_backoff_factor
-        backoff = bmin
+        backoff = SEARCH_BACKOFF_MIN
         fuse = self._fuse
         if fuse is None:
             fuse = self._fuse = self._fusion_enabled()
@@ -72,14 +70,14 @@ class ServiceAlgorithm(LockBasedAlgorithm):
                     yield phase
                 else:
                     yield from self.working_phase(ctx)
-                backoff = bmin
+                backoff = SEARCH_BACKOFF_MIN
                 continue
             # Pop-and-start is synchronous with the push: no yield in
             # between, so a kill can never orphan a half-taken task.
             task = svc.take(rank)
             if task is not None:
                 stack.push(task.root)
-                backoff = bmin
+                backoff = SEARCH_BACKOFF_MIN
                 continue
             if svc.finished:
                 break
@@ -87,7 +85,7 @@ class ServiceAlgorithm(LockBasedAlgorithm):
             # surplus to scan) ends the search.
             found = yield from self.search_phase(ctx)
             if found:
-                backoff = bmin
+                backoff = SEARCH_BACKOFF_MIN
                 continue
             # Nothing queued, nothing stealable.  Re-check the queue
             # before sleeping: a same-instant arrival may have landed
@@ -104,4 +102,4 @@ class ServiceAlgorithm(LockBasedAlgorithm):
                 ctx.trace("idle.wake")
                 continue
             yield from ctx.compute(backoff)
-            backoff = min(backoff * bfactor, bmax)
+            backoff = min(backoff * SEARCH_BACKOFF_FACTOR, SEARCH_BACKOFF_MAX)

@@ -43,6 +43,13 @@ from repro.uts.params import TreeParams
 __all__ = ["ServiceConfig", "ServiceRuntime", "Task"]
 
 _POLICIES = ("block", "shed-oldest", "shed-newest")
+#: Base retry backoff, seconds (doubles per attempt).
+RETRY_BACKOFF = 200e-6
+#: Deterministic jitter fraction on each retry backoff (substream
+#: drawn), de-synchronising retries that expired together.
+RETRY_JITTER = 0.25
+#: Per-task subtree interior branching factor (the binomial ``m``).
+TASK_M = 2
 
 
 @dataclass(frozen=True)
@@ -69,16 +76,9 @@ class ServiceConfig:
     #: Re-admissions allowed after deadline expiry before the task is
     #: shed for good.
     max_retries: int = 2
-    #: Base retry backoff, seconds (doubles per attempt).
-    retry_backoff: float = 200e-6
-    #: Deterministic jitter fraction on each retry backoff (substream
-    #: drawn), de-synchronising retries that expired together.
-    retry_jitter: float = 0.25
     #: Per-task subtree shape: binomial root branching factor ...
     task_b0: int = 4
-    #: ... interior branching factor ...
-    task_m: int = 2
-    #: ... and interior probability (``task_m * task_q < 1``: each
+    #: ... and interior probability (``TASK_M * task_q < 1``: each
     #: query is a finite search, expected ``1 + b0 / (1 - m*q)`` nodes).
     task_q: float = 0.45
     #: UTS compute-granularity knob: per-node work multiplier, for
@@ -101,29 +101,23 @@ class ServiceConfig:
                 f"policy {self.policy!r} unknown (known: "
                 f"{', '.join(_POLICIES)})")
         # ``not lo < x < inf`` refuses NaN and inf too: a NaN deadline
-        # turned deadlines off, a NaN backoff failed mid-run.
+        # turned deadlines off.
         if not 0.0 <= self.deadline < math.inf:
             raise ConfigError(
                 f"deadline must be >= 0 and finite, got {self.deadline!r}")
         if self.max_retries < 0:
             raise ConfigError(
                 f"max_retries must be >= 0, got {self.max_retries}")
-        if not 0.0 < self.retry_backoff < math.inf:
-            raise ConfigError("retry_backoff must be positive and finite, "
-                              f"got {self.retry_backoff!r}")
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise ConfigError(
-                f"retry_jitter must be in [0, 1], got {self.retry_jitter}")
 
     def inner_params(self) -> TreeParams:
         """The per-task subtree shape as a :class:`TreeParams`."""
-        return TreeParams(shape="binomial", b0=self.task_b0, m=self.task_m,
+        return TreeParams(shape="binomial", b0=self.task_b0, m=TASK_M,
                           q=self.task_q, seed=0, engine=self.task_engine,
                           compute_granularity=self.task_gran)
 
     def expected_task_nodes(self) -> float:
         """Expected nodes per task (analytic, for capacity estimates)."""
-        return 1.0 + self.task_b0 / (1.0 - self.task_m * self.task_q)
+        return 1.0 + self.task_b0 / (1.0 - TASK_M * self.task_q)
 
 
 class Task:
@@ -329,10 +323,9 @@ class ServiceRuntime:
             return
         self.retries += 1
         self.retry_pending += 1
-        backoff = cfg.retry_backoff * (2.0 ** (task.attempts - 1))
-        if cfg.retry_jitter > 0.0:
-            backoff *= 1.0 + cfg.retry_jitter * (
-                self._rng_retry.uniform(0.0, 1.0) - 0.5)
+        backoff = RETRY_BACKOFF * (2.0 ** (task.attempts - 1))
+        backoff *= 1.0 + RETRY_JITTER * (
+            self._rng_retry.uniform(0.0, 1.0) - 0.5)
         if tr.enabled:
             tr.emit(self.sim.now, -1, "task.retry",
                     (task.tid, task.attempts, backoff))

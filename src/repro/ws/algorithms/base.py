@@ -33,7 +33,8 @@ from repro.pgas.collectives import reduction_time
 from repro.pgas.machine import Machine, UpcContext
 from repro.sim.engine import SimEvent, Timeout
 from repro.uts.tree import Tree
-from repro.ws.config import WsConfig
+from repro.ws.config import (SEARCH_BACKOFF_FACTOR, SEARCH_BACKOFF_MAX,
+                              SEARCH_BACKOFF_MIN, WsConfig)
 from repro.ws.policies import ProbeOrder, ProbeScan, StealAmount
 from repro.ws.registry import lookup
 from repro.ws.stack import SplitStack
@@ -740,9 +741,7 @@ class AlgorithmBase:
         sim = self.sim
         order = self.probe_orders[rank]
         probe = self._scan_probe
-        bmax = self.cfg.search_backoff_max
-        bfactor = self.cfg.search_backoff_factor
-        backoff = self.cfg.search_backoff_min
+        backoff = SEARCH_BACKOFF_MIN
         while True:
             if req_slot is not None and req_slot.value is not None:
                 yield from self.service_request(ctx)
@@ -762,7 +761,8 @@ class AlgorithmBase:
                 if req_slot is not None and req_slot.value is not None:
                     yield from self.service_request(ctx)
                 delay, backoff = self._park_resume_delay(
-                    t_park, backoff, ctx.now, bmax, bfactor)
+                    t_park, backoff, ctx.now, SEARCH_BACKOFF_MAX,
+                    SEARCH_BACKOFF_FACTOR)
                 if delay > 0:
                     yield Timeout(delay)
                 continue
@@ -810,7 +810,7 @@ class AlgorithmBase:
             if not persist or (gate is None and not any_working):
                 return False
             yield from ctx.compute(backoff)
-            backoff = min(backoff * bfactor, bmax)
+            backoff = min(backoff * SEARCH_BACKOFF_FACTOR, SEARCH_BACKOFF_MAX)
 
     # -- compiled-phase fusion (repro.fastpath) -----------------------------
 
@@ -956,9 +956,9 @@ class AlgorithmBase:
             slots=self._wa_slots,
             req_slot=(self.request[rank] if self.request is not None
                       else None),
-            backoff_min=self.cfg.search_backoff_min,
-            backoff_factor=self.cfg.search_backoff_factor,
-            backoff_max=self.cfg.search_backoff_max,
+            backoff_min=SEARCH_BACKOFF_MIN,
+            backoff_factor=SEARCH_BACKOFF_FACTOR,
+            backoff_max=SEARCH_BACKOFF_MAX,
             slow=self.machine.contexts[rank]._slow,
             persist=self._termination.persist_while_working,
         )

@@ -35,6 +35,7 @@ from typing import Generator, List, Optional
 from repro.pgas.machine import UpcContext
 from repro.sim.engine import SimEvent, Timeout
 from repro.ws.algorithms.base import AlgorithmBase, flatten
+from repro.ws.config import SEARCH_BACKOFF_MIN
 
 __all__ = ["UpcDistMem", "UpcDistMemHier"]
 
@@ -200,7 +201,7 @@ class UpcDistMem(AlgorithmBase):
                 yield from self.service_request(ctx)
                 if ev.fired or ev.scheduled:
                     break
-                yield Timeout(self.cfg.search_backoff_min)
+                yield Timeout(SEARCH_BACKOFF_MIN)
             chunks = yield ev
         if chunks is _GAVE_UP:
             rt.counters.steal_timeouts += 1

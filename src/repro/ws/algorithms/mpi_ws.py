@@ -26,6 +26,8 @@ from repro.msg.comm import MsgWorld
 from repro.net.model import NODE_DESC_BYTES
 from repro.pgas.machine import UpcContext
 from repro.ws.algorithms.base import AlgorithmBase
+from repro.ws.config import (SEARCH_BACKOFF_FACTOR, SEARCH_BACKOFF_MAX,
+                              SEARCH_BACKOFF_MIN)
 from repro.ws.termination.token import BLACK, WHITE, TokenState
 
 __all__ = ["MpiWorkStealing"]
@@ -324,10 +326,7 @@ class MpiWorkStealing(AlgorithmBase):
                  if self._fuse and gate is None else None)
         duties = self._token_duties if rt is None else self._safra_duties
         tr = self.tracer
-        bmin = self.cfg.search_backoff_min
-        bmax = self.cfg.search_backoff_max
-        bfactor = self.cfg.search_backoff_factor
-        backoff = bmin
+        backoff = SEARCH_BACKOFF_MIN
         timeout = timeout0 = rt.plan.steal_timeout if rt is not None else None
         outstanding = None  # the one open steal: (victim, seq, deadline)
         while True:
@@ -384,7 +383,8 @@ class MpiWorkStealing(AlgorithmBase):
                     # back to drain traffic that landed during the pace
                     # before blocking on the answer.
                     yield from ctx.compute(backoff)
-                    backoff = min(backoff * bfactor, bmax)
+                    backoff = min(backoff * SEARCH_BACKOFF_FACTOR,
+                                  SEARCH_BACKOFF_MAX)
                 outstanding = yield from self._send_request(ctx, timeout)
                 if outstanding is not None:
                     progressed = True
@@ -413,9 +413,10 @@ class MpiWorkStealing(AlgorithmBase):
                 yield phase
             else:
                 if progressed:
-                    backoff = bmin
+                    backoff = SEARCH_BACKOFF_MIN
                 yield from ctx.compute(backoff)
-                backoff = min(backoff * bfactor, bmax)
+                backoff = min(backoff * SEARCH_BACKOFF_FACTOR,
+                              SEARCH_BACKOFF_MAX)
 
     # -- fault-tolerant mode (active only with a FaultPlan) ------------------
     #
@@ -619,8 +620,8 @@ class MpiWorkStealing(AlgorithmBase):
         return load_core().IdlePhase(
             sim=self.sim,
             pending=self.world._pending[rank],
-            backoff_min=self.cfg.search_backoff_min,
-            backoff_factor=self.cfg.search_backoff_factor,
-            backoff_max=self.cfg.search_backoff_max,
+            backoff_min=SEARCH_BACKOFF_MIN,
+            backoff_factor=SEARCH_BACKOFF_FACTOR,
+            backoff_max=SEARCH_BACKOFF_MAX,
             slow=self.machine.contexts[rank]._slow,
         )

@@ -11,9 +11,11 @@ search loop and the release path must behave around it:
 * ``resets_on_release`` -- whether every release must cancel the
   barrier (the remote write the paper blames for upc-sharedmem's
   collapse);
-* ``park_capable`` -- whether ``idle_strategy="park"`` swaps in the
-  event-driven search phase (the cancelable barrier is already
-  event-driven when idle, so park changes nothing there).
+* ``park_capable`` -- whether ``idle_strategy="park"`` switches the
+  idle gate on in the one ``search_phase``, which then scans only
+  victims with surplus and parks instead of polling (the cancelable
+  barrier is already event-driven when idle, so park changes nothing
+  there).
 
 Algorithms declare the keys they support in ``termination_policies``
 (first entry is the default) and :class:`~repro.ws.algorithms.base.AlgorithmBase`
@@ -31,6 +33,7 @@ from repro.errors import ProtocolError
 from repro.metrics.states import BARRIER, SEARCHING, STEALING
 from repro.pgas.machine import UpcContext
 from repro.sim.engine import Timeout
+from repro.ws.config import BARRIER_POLL_MAX, BARRIER_POLL_MIN
 from repro.ws.termination.cancelable_barrier import CancelableBarrier
 from repro.ws.termination.streamlined import StreamlinedBarrier
 
@@ -47,7 +50,7 @@ class TerminationStrategy:
     persist_while_working = True
     #: Every release must cancel the barrier.
     resets_on_release = False
-    #: Park mode swaps in the event-driven search phase.
+    #: Park mode switches the idle gate on in ``search_phase``.
     park_capable = True
 
     def __init__(self, algo) -> None:
@@ -174,8 +177,7 @@ class StreamlinedTermination(TerminationStrategy):
         if last:
             yield from self._declare(ctx)
             return True
-        poll = algo.cfg.barrier_poll_min
-        pmax = algo.cfg.barrier_poll_max
+        poll = BARRIER_POLL_MIN
         one = algo.probe_orders[rank].one
         slots = algo._wa_slots
         # One victim per poll never amortizes a cached per-rank cost
@@ -217,7 +219,7 @@ class StreamlinedTermination(TerminationStrategy):
                 # (distmem) means a thief is blocked on our answer.
                 yield from algo.barrier_service_hook(ctx)
                 delay, poll = algo._park_resume_delay(
-                    t_park, poll, ctx.now, pmax, 2.0)
+                    t_park, poll, ctx.now, BARRIER_POLL_MAX, 2.0)
                 if delay > 0:
                     yield Timeout(delay)
                 continue
@@ -243,7 +245,7 @@ class StreamlinedTermination(TerminationStrategy):
                 if last:
                     yield from self._declare(ctx)
                     return True
-                poll = algo.cfg.barrier_poll_min
+                poll = BARRIER_POLL_MIN
                 continue
             if gate is not None and gate.n_surplus == 0:
                 # The surplus vanished during the probe's yield: go
@@ -252,9 +254,8 @@ class StreamlinedTermination(TerminationStrategy):
                 # parked (a no-op wake), and parking without re-running
                 # the service hook would sleep on it forever.
                 continue
-            if poll > 0:
-                yield Timeout(poll * slow)
-            poll = min(poll * 2.0, pmax)
+            yield Timeout(poll * slow)
+            poll = min(poll * 2.0, BARRIER_POLL_MAX)
 
 
 class TokenRingTermination(TerminationStrategy):

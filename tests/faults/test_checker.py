@@ -7,6 +7,7 @@ mid-simulation -- and demand a loud :class:`ProtocolError`.
 
 import pytest
 
+from repro import run_experiment
 from repro.errors import ProtocolError
 from repro.faults import FaultPlan
 from repro.faults.runtime import FaultRuntime
@@ -94,3 +95,16 @@ class TestLiveChecker:
         machine.run()
         # check_period=20us over a multi-hundred-us run: many checks.
         assert rt.counters.invariant_checks > 5
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the checker and heartbeat loops hold a faulted run open until "
+    "their first tick after the last worker exits (ROADMAP item 1)"))
+def test_sim_time_does_not_depend_on_check_period():
+    def sim_time(period):
+        return run_experiment(
+            "upc-distmem", tree=TREE, threads=4, chunk_size=4,
+            preset="kittyhawk",
+            faults=FaultPlan(check_period=period)).sim_time
+
+    assert sim_time(20e-6) == sim_time(FaultPlan().check_period)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.faults import FaultPlan, parse_fault_spec
-from repro.faults.plan import StormSpec
+from repro.faults.plan import HEARTBEAT_MISS, StormSpec
 
 
 class TestValidation:
@@ -48,9 +48,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="steal_timeout_max"):
             FaultPlan(steal_timeout=1e-3, steal_timeout_max=1e-4)
 
-    def test_heartbeat_miss_floor(self):
-        with pytest.raises(ConfigError, match="heartbeat_miss"):
-            FaultPlan(heartbeat_miss=0)
+    @pytest.mark.parametrize("field", ["steal_timeout", "ring_timeout",
+                                       "heartbeat_period", "check_period"])
+    def test_periods_must_be_positive(self, field):
+        with pytest.raises(ConfigError, match=field):
+            FaultPlan(**{field: 0.0})
 
     def test_with_seed_returns_new_plan(self):
         plan = FaultPlan(msg_drop_rate=0.1)
@@ -60,8 +62,8 @@ class TestValidation:
         assert plan.seed == 0  # original untouched (frozen)
 
     def test_suspect_after(self):
-        plan = FaultPlan(heartbeat_period=10e-6, heartbeat_miss=4)
-        assert plan.suspect_after == pytest.approx(40e-6)
+        plan = FaultPlan(heartbeat_period=10e-6)
+        assert plan.suspect_after == 10e-6 * HEARTBEAT_MISS
 
     def test_hashable(self):
         assert len({FaultPlan(), FaultPlan(), FaultPlan(seed=1)}) == 2
@@ -151,6 +153,15 @@ class TestNanProofRanges:
     does not."""
 
     @pytest.mark.parametrize("kwargs", [
+        {"msg_drop_rate": float("nan")},
+        {"msg_dup_rate": float("nan")},
+        {"msg_delay_rate": float("nan")},
+        {"lock_stall_rate": float("nan")},
+        {"stale_read_rate": float("nan")},
+        {"lock_stall_time": float("nan")},
+        {"heartbeat_period": float("nan")},
+        {"check_period": float("nan")},
+        {"steal_retry_jitter": float("nan")},
         {"stale_read_window": float("nan")},
         {"msg_delay_max": float("nan")},
         {"steal_timeout": float("nan")},

@@ -328,6 +328,10 @@ def _monitored():
     # duplicates ledgered (the dup_extra re-sums)
     yield check("ws-fencefree", fault_spec=MONITOR_PLANS["stale"],
                 fault_seed=0)
+    # an owner killed while it holds its own stack lock (the Working
+    # state's uncontended bracket): its death must free the lock
+    yield check("upc-sharedmem", chunk_size=2,
+                fault_spec="stall=0.2,kill=2@526.076us")
 
 
 # -- planted corruption ---------------------------------------------------------

@@ -19,7 +19,8 @@ from repro.net.presets import get_preset
 from repro.obs import TraceSink
 from repro.service import ArrivalProcess, ServiceConfig, run_service
 from repro.service import tasks
-from repro.service.runtime import ServiceRuntime
+from repro.service.runtime import (RETRY_BACKOFF, RETRY_JITTER,
+                                   ServiceRuntime)
 from repro.service.tasks import ServiceWorkload, TaskForest
 from repro.sim.rng import StreamRng, substream_seed
 from repro.uts import Tree, materialized
@@ -70,8 +71,7 @@ class TestConservation:
         assert newest.queue_peak <= BASE.queue_capacity
 
     def test_deadline_retries_then_deadline_shed(self):
-        slow = replace(BASE, policy="block", deadline=60e-6,
-                       retry_backoff=100e-6, task_gran=20,
+        slow = replace(BASE, policy="block", deadline=60e-6, task_gran=20,
                        queue_capacity=64, arrivals=ArrivalProcess(rate=4e5))
         res = _run(slow, threads=4)
         assert res.retries > 0
@@ -174,19 +174,23 @@ class TestSurface:
         ("policy", "shed-random"),
         ("deadline", -1e-6),
         ("max_retries", -1),
-        ("retry_backoff", 0.0),
-        ("retry_jitter", 1.5),
-        # non-finite: a NaN deadline silently turned deadlines off, a
-        # NaN backoff failed mid-run as a negative timeout
+        # non-finite: a NaN deadline silently turned deadlines off
         ("deadline", float("nan")),
         ("deadline", float("inf")),
-        ("retry_backoff", float("nan")),
-        ("retry_backoff", float("inf")),
-        ("retry_backoff", -float("inf")),
     ])
     def test_config_rejects_garbage_by_name(self, field, value):
         with pytest.raises(ConfigError, match=field):
             ServiceConfig(**{field: value})
+
+    def test_retry_constants_keep_the_ranges_their_fields_were_checked_for(self):
+        # A NaN or zero backoff failed mid-run as a bad timeout.
+        assert 0.0 < RETRY_BACKOFF < float("inf")
+        assert 0.0 <= RETRY_JITTER <= 1.0
+
+    @pytest.mark.parametrize("task_q", [0.5, 0.75])
+    def test_a_supercritical_task_shape_is_refused(self, task_q):
+        with pytest.raises(ConfigError, match="supercritical"):
+            ServiceConfig(task_q=task_q).inner_params()
 
     def test_cli_refuses_a_nan_deadline(self, capsys):
         from repro.harness.cli import main

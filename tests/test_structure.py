@@ -99,6 +99,10 @@ the next re-anchor finding it:
   benchmark's committed baseline stays gone (``RETIRED``), and
   ``docs/performance.md`` is a guide under 600 lines that cites only
   metrics ``BENCHMARK.json`` declares.
+* ``WsConfig``, ``ServiceConfig`` and ``FaultPlan`` hold only values a
+  caller sets (``CONFIG_FIELDS``); a value the paper fixes is a module
+  constant beside its config, and no name under ``src/`` reads or sets
+  a field that became one (``FIELDS_RETIRED``).
 """
 
 import ast
@@ -693,3 +697,56 @@ def test_the_performance_guide_cites_only_ledger_metrics():
     assert sorted(n for n in cited
                   if n.split(".")[0] in layers and n not in names) == []
     assert len(text.splitlines()) < GUIDE_LINES
+
+
+#: Every field of the three run configs, in declaration order: a new
+#: field edits this table.
+CONFIG_FIELDS = {
+    ("ws/config.py", "WsConfig"): (
+        "chunk_size", "poll_interval", "steal_policy", "victim_policy",
+        "termination_policy", "speed_factors", "adversaries",
+        "idle_strategy", "faults", "fastpath"),
+    ("service/runtime.py", "ServiceConfig"): (
+        "arrivals", "n_tasks", "queue_capacity", "policy", "deadline",
+        "max_retries", "task_b0", "task_q", "task_gran", "task_engine",
+        "seed"),
+    ("faults/plan.py", "FaultPlan"): (
+        "seed", "msg_drop_rate", "msg_dup_rate", "msg_delay_rate",
+        "msg_delay_max", "lock_stall_rate", "lock_stall_time",
+        "stale_read_rate", "stale_read_window", "slow_ranks",
+        "slow_factor", "kill_ranks", "kill_times", "storms",
+        "steal_timeout", "steal_timeout_max", "steal_retry_jitter",
+        "ring_timeout", "heartbeat_period", "check_period"),
+}
+#: Fields no caller set, now the constants ``RELEASE_FACTOR``,
+#: ``SEARCH_BACKOFF_*``, ``BARRIER_POLL_*`` (``ws/config.py``),
+#: ``RETRY_BACKOFF``, ``RETRY_JITTER``, ``TASK_M``
+#: (``service/runtime.py``) and ``HEARTBEAT_MISS`` (``faults/plan.py``).
+FIELDS_RETIRED = ("release_factor", "search_backoff_min",
+                  "search_backoff_max", "search_backoff_factor",
+                  "barrier_poll_min", "barrier_poll_max", "retry_backoff",
+                  "retry_jitter", "task_m", "heartbeat_miss")
+
+
+def _identifiers(node):
+    """The names ``node`` reads, sets or passes by keyword or string."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr,)
+    if isinstance(node, ast.Name):
+        return (node.id,)
+    if isinstance(node, (ast.keyword, ast.arg)):
+        return (node.arg,)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return (node.value,)
+    return ()
+
+
+def test_the_run_configs_hold_only_the_fields_a_caller_sets():
+    for (module, name), fields in CONFIG_FIELDS.items():
+        declared = tuple(stmt.target.id for stmt in _class(module, name).body
+                         if isinstance(stmt, ast.AnnAssign))
+        assert declared == fields, name
+    found = [f"{path.relative_to(SRC)}:{node.lineno}: {ident}"
+             for path, tree in _modules() for node in ast.walk(tree)
+             for ident in _identifiers(node) if ident in FIELDS_RETIRED]
+    assert found == [], found

@@ -30,7 +30,7 @@ from repro.uts.params import TreeParams
 from repro.uts.sequential import count_tree
 from repro.uts.tree import Tree
 from repro.ws.algorithms.distmem import UpcDistMem
-from repro.ws.config import WsConfig
+from repro.ws.config import BARRIER_POLL_MAX, BARRIER_POLL_MIN, WsConfig
 
 #: Glacial chunk transfers widen the in-flight window.
 SLOW_NET = NetworkModel(cores_per_node=1, node_visit_time=1 / 2e6,
@@ -54,7 +54,7 @@ class BuggyDistMem(UpcDistMem):
             self.quiescence_check()
             yield from self.barrier.announce(ctx)
             return True
-        poll = self.cfg.barrier_poll_min
+        poll = BARRIER_POLL_MIN
         order = self.probe_orders[ctx.rank]
         while True:
             yield from self.barrier_service_hook(ctx)
@@ -69,7 +69,7 @@ class BuggyDistMem(UpcDistMem):
                     st.barrier_exits += 1
                     return False
             yield from ctx.compute(poll)
-            poll = min(poll * 2.0, self.cfg.barrier_poll_max)
+            poll = min(poll * 2.0, BARRIER_POLL_MAX)
 
 
 def _scripted_race(algo_cls):
