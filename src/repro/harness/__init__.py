@@ -24,14 +24,11 @@ _HOMES = {
     "FIG5": "repro.harness.config",
     "FIG6": "repro.harness.config",
     "run_sweep": "repro.harness.sweep",
-    "SweepResult": "repro.harness.sweep",
-    "figure4": "repro.harness.figures",
-    "figure5": "repro.harness.figures",
-    "figure6": "repro.harness.figures",
+    "run_cells": "repro.harness.sweep",
+    "CellTable": "repro.harness.sweep",
     "ablation": "repro.harness.figures",
     "headline_claims": "repro.harness.figures",
     "sequential_baseline": "repro.harness.figures",
-    "FigureResult": "repro.harness.figures",
     "AblationResult": "repro.harness.figures",
     "ClaimsResult": "repro.harness.figures",
     "save_json": "repro.harness.io",

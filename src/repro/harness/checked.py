@@ -1,8 +1,11 @@
 """Checked-cell grids: the runs behind EXPERIMENTS.md's E9-E15.
 
-A cell is one run through :func:`repro.check.runner._checked` (its
-fault plan, a fresh monitor, every ``ReproError`` folded into the
-outcome) and an untraced replay that must execute the same schedule.
+A cell is a :class:`CheckedJob`: one run through
+:func:`repro.check.runner._checked` (its fault plan, a fresh monitor,
+every ``ReproError`` folded into the outcome) and an untraced replay
+that must execute the same schedule.  Each grid function returns its
+``(where, job)`` cells and its table's renderer, and
+:func:`repro.harness.sweep.run_cells` runs them like every other grid.
 Nothing verifies in-run: that a cell's counts balance is a claim
 (:attr:`Cell.conserved`) of :mod:`repro.harness.experiments`.  A table
 renders only its completed cells; the claims name the rest.  Imported
@@ -14,7 +17,7 @@ from __future__ import annotations
 import itertools
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -22,8 +25,9 @@ from repro.check.invariants import InvariantMonitor
 from repro.check.runner import VARIANTS, _checked, bind, tie_break
 from repro.errors import ReproError
 from repro.faults.plan import parse_fault_spec
-from repro.harness.figures import markdown_table, run_row
 from repro.harness.runner import expected_node_count, run_experiment
+from repro.harness.sweep import (Cell, CellTable, Grid, counts,
+                                 markdown_table, named)
 from repro.metrics.states import WORKING
 from repro.net.presets import get_preset
 from repro.obs import TraceSink
@@ -34,91 +38,15 @@ from repro.uts.params import TreeParams
 from repro.ws.algorithms import get_algorithm
 from repro.ws.config import WsConfig
 
-__all__ = ["Cell", "CellTable", "e9", "e10", "e11", "e12", "e13", "e14",
-           "e15", "e15_cells"]
-
-Progress = Optional[Callable[[str], None]]
-
-#: The errors of a run that did not terminate: it spun to its event
-#: budget, or every live process blocked.
-TERMINATION_ERRORS = ("EventLimitExceeded", "DeadlockError")
-
-
-@dataclass
-class Cell:
-    """One run of a grid, named by ``where``, and what it showed."""
-
-    where: dict
-    #: The tree's node count the run must account for; ``None`` for a
-    #: service stream, whose task ledger balances by itself.
-    oracle: Optional[int]
-    result: Any = None
-    error_type: str = ""
-    error: str = ""
-    #: The untraced replay executed the same schedule (``None``: the
-    #: run raised, so there was nothing to replay).
-    replayed: Optional[bool] = None
-    #: What the monitor or the trace measured beside the result.
-    measured: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.error_type
-
-    @property
-    def terminated(self) -> bool:
-        return self.error_type not in TERMINATION_ERRORS
-
-    @property
-    def duplicated(self) -> bool:
-        """The run completed with ledgered duplicated work."""
-        return self.ok and getattr(self.result, "dup_work", 0) > 0
-
-    @property
-    def conserved(self) -> bool:
-        """Every node (or task) is accounted for: ``nodes + lost ==
-        oracle + dup``, and nothing is lost unless a rank was killed."""
-        r = self.result
-        if self.oracle is None:
-            balanced = r.admitted == r.completed + r.shed_total + r.lost_tasks
-            lost = r.lost_tasks
-        else:
-            balanced = (r.total_nodes + r.lost_work
-                        == self.oracle + getattr(r, "dup_work", 0))
-            lost = r.lost_work
-        killed = r.fault_counters is not None and r.fault_counters.threads_killed
-        return balanced and (lost == 0 or bool(killed))
-
-    def label(self) -> str:
-        where = " ".join(f"{k}={v}" for k, v in self.where.items())
-        if not self.ok:
-            return f"{where}: {self.error_type}: {self.error}"
-        r = self.result
-        return (f"{where}: nodes={r.total_nodes} lost={r.lost_work} "
-                f"t={r.sim_time * 1e3:.3f}ms events={r.engine_events}")
-
-    def row(self) -> dict:
-        """The cell as one flat JSON/CSV row."""
-        return {**self.where, "ok": self.ok, "error": "" if self.ok
-                else self.label(), "replayed": self.replayed,
-                **(_counts(self.result) if self.ok else {}), **self.measured}
-
-
-def _counts(r) -> dict:
-    """A result's counts, flat: a service stream's ledger, or a batch
-    run's paper metrics and work accounting; its fault counters."""
-    counts = r.as_dict() if hasattr(r, "as_dict") else {
-        **run_row(r), "total_nodes": r.total_nodes, "lost_work": r.lost_work,
-        "dup_work": r.dup_work, "engine_events": r.engine_events}
-    return {**counts, "faults": r.fault_counters.nonzero()
-            if r.fault_counters else {}}
+__all__ = ["CheckedJob", "checked_cell", "e9", "e10", "e11", "e12", "e13",
+           "e14", "e15", "e15_cells"]
 
 
 def _identity(r) -> tuple:
     """What two runs of one schedule share bit for bit."""
-    return (repr(_counts(r)), [(s.nodes_visited, s.steal_attempts,
-                                s.steals_ok, s.nodes_stolen)
-                               for s in r.per_thread])
+    return (repr(counts(r)), [(s.nodes_visited, s.steal_attempts,
+                               s.steals_ok, s.nodes_stolen)
+                              for s in r.per_thread])
 
 
 def _unmonitored() -> None:
@@ -126,61 +54,62 @@ def _unmonitored() -> None:
     return None
 
 
-def checked_cell(where: dict, variant: str, run: Callable[..., Any],
-                 oracle: Optional[int], fault_spec: Optional[str] = None,
-                 fault_seed: int = 0, monitor=None,
-                 progress: Progress = None,
-                 schedule_seed: Optional[int] = None,
-                 defer: Sequence[int] = ()) -> Cell:
-    """``run`` (a bound ``run_experiment`` / ``run_service``) as a
-    checked cell under ``monitor()`` (default: an
-    :class:`InvariantMonitor`) and the schedule ``schedule_seed`` or
+@dataclass(frozen=True)
+class CheckedJob:
+    """A checked cell as a picklable job: ``run`` (a bound
+    ``run_experiment`` / ``run_service``) under ``monitor()`` (default:
+    an :class:`InvariantMonitor`) and the schedule ``schedule_seed`` or
     ``defer`` picks, then replayed untraced on the default backend under
-    a fresh copy of the same tie-break."""
-    out = _checked(variant, run, schedule_seed, defer, fault_spec,
-                   fault_seed, monitor)
-    cell = Cell(where, oracle, out.result, out.error_type or "",
-                out.error or "", measured=out.monitor)
-    if out.ok:
-        plan = parse_fault_spec(fault_spec, seed=fault_seed) if fault_spec \
-            else None
-        try:
-            cell.replayed = _identity(run(
-                faults=plan, tie_break=tie_break(schedule_seed, defer))
-            ) == _identity(out.result)
-        except ReproError:
-            cell.replayed = False
-    if progress is not None:
-        progress(cell.label())
-    return cell
+    a fresh copy of the same tie-break.  ``announce``: its label is a
+    progress line."""
+
+    where: dict
+    variant: str
+    run: Callable[..., Any]
+    oracle: Optional[int]
+    fault_spec: Optional[str] = None
+    fault_seed: int = 0
+    monitor: Optional[Callable[[], Any]] = None
+    schedule_seed: Optional[int] = None
+    defer: Sequence[int] = ()
+    announce: bool = True
+    index: int = 0
+
+    @property
+    def tree(self) -> Optional[TreeParams]:
+        return self.run.keywords.get("tree")
+
+    def cost_hint(self) -> float:
+        return self.run.keywords.get("threads", 1)
+
+    def describe(self) -> str:
+        return named(self.where)
+
+    def report(self, cell: Cell) -> Optional[str]:
+        return cell.label() if self.announce else None
+
+    def execute(self) -> Cell:
+        out = _checked(self.variant, self.run, self.schedule_seed, self.defer,
+                       self.fault_spec, self.fault_seed, self.monitor)
+        cell = Cell(self.where, self.oracle, out.result, out.error_type or "",
+                    out.error or "", measured=out.monitor)
+        if out.ok:
+            out.result.trace = None  # no sink crosses the pool
+            plan = (parse_fault_spec(self.fault_spec, seed=self.fault_seed)
+                    if self.fault_spec else None)
+            try:
+                cell.replayed = _identity(self.run(
+                    faults=plan,
+                    tie_break=tie_break(self.schedule_seed, self.defer))
+                ) == _identity(out.result)
+            except ReproError:
+                cell.replayed = False
+        return cell
 
 
-@dataclass
-class CellTable:
-    """A grid's cells, rendered by its entry's ``render``."""
-
-    scale: str
-    cells: List[Cell]
-    render: Callable[["CellTable"], str]
-
-    def done(self, **where) -> List[Cell]:
-        """The completed cells at ``where`` (every key of it matching)."""
-        return [c for c in self.cells if c.ok and all(
-            c.where.get(k) == v for k, v in where.items())]
-
-    def cell(self, **where) -> Cell:
-        """The one completed cell at ``where``; ``KeyError`` if it is
-        not in the grid or raised (a claim reads that as a verdict)."""
-        found = self.done(**where)
-        if len(found) != 1:
-            raise KeyError(f"no completed cell at {where}")
-        return found[0]
-
-    def markdown(self) -> str:
-        return self.render(self)
-
-    def to_dict(self) -> dict:
-        return {"scale": self.scale, "runs": [c.row() for c in self.cells]}
+def checked_cell(where: dict, *args, **kwargs) -> Tuple[dict, CheckedJob]:
+    """The cell at ``where``: ``CheckedJob(where, *args, **kwargs)``."""
+    return where, CheckedJob(where, *args, **kwargs)
 
 
 def _ms(cell: Cell) -> str:
@@ -222,15 +151,14 @@ E9_GRID = {
 }
 
 
-def e9(scale: str, progress: Progress = None) -> CellTable:
+def e9(scale: str) -> Grid:
     """Every fault class on the variants it exercises, the late kills,
     and (where the scale has one) mpi-ws's message-loss curve; no
     monitor: the contract is the counts, the replay and termination."""
-    return CellTable(scale, [
-        checked_cell(where, where["algorithm"], run, oracle, spec, seed,
-                     _unmonitored, None if "tree_seed" in where else progress)
-        for where, run, oracle, spec, seed in _e9_cells(E9_GRID[scale])],
-        _e9_table)
+    return [checked_cell(where, where["algorithm"], run, oracle, spec, seed,
+                         _unmonitored, announce="tree_seed" not in where)
+            for where, run, oracle, spec, seed in _e9_cells(E9_GRID[scale])
+            ], _e9_table
 
 
 def _e9_cells(grid: dict):
@@ -321,31 +249,38 @@ E10_Q = {"test": (0.30, 0.35, 0.40), "quick": (0.44, 0.47, 0.485),
          "full": (0.44, 0.47, 0.485)}
 
 
-def e10(scale: str, progress: Progress = None) -> CellTable:
-    """upc-distmem traced at three tree sizes, read back through
-    :mod:`repro.obs.analysis`, and replayed untraced."""
-    cells = []
-    for q in E10_Q[scale]:
-        tree = TreeParams.binomial(b0=2000, m=2, q=q, seed=559)
-        run = partial(run_experiment, "upc-distmem", tree=tree, threads=8,
-                      chunk_size=8)
-        sink = TraceSink()
-        res = run(tracer=sink)
-        occupancy = state_occupancy(sink.events(), res.n_threads,
-                                    res.sim_time)
-        attempts = steal_latencies(sink.events())
-        cells.append(Cell({"q": q}, expected_node_count(tree), res,
-                          replayed=_identity(run()) == _identity(res),
-                          measured={
+class TraceMeasure(TraceSink):
+    """A trace sink in the monitor's slot: what E10 reads off a run's
+    trace through :mod:`repro.obs.analysis`."""
+
+    def final_check(self) -> None:
+        pass
+
+    def summary(self) -> dict:
+        if "sim_time" not in self.meta:  # the run raised
+            return {}
+        threads, sim_time = self.meta["threads"], self.meta["sim_time"]
+        occupancy = state_occupancy(self.records, threads, sim_time)
+        attempts = steal_latencies(self.records)
+        return {
             "trace_working_share": sum(o[WORKING] for o in occupancy.values())
-            / (res.n_threads * res.sim_time),
+            / (threads * sim_time),
             "median_ok_latency_us": statistics.median(
                 dt for kind, dt in attempts if kind == "ok") * 1e6,
             "attempts": dict(Counter(kind for kind, _ in attempts
-                                     ).most_common())}))
-        if progress is not None:
-            progress(cells[-1].label())
-    return CellTable(scale, cells, _e10_table)
+                                     ).most_common())}
+
+
+def e10(scale: str) -> Grid:
+    """upc-distmem traced at three tree sizes, read back through
+    :mod:`repro.obs.analysis`, and replayed untraced."""
+    return [checked_cell(
+        {"q": q}, "upc-distmem",
+        partial(run_experiment, "upc-distmem", tree=tree, threads=8,
+                chunk_size=8), expected_node_count(tree), monitor=TraceMeasure)
+        for q in E10_Q[scale]
+        for tree in [TreeParams.binomial(b0=2000, m=2, q=q, seed=559)]
+        ], _e10_table
 
 
 def _e10_table(t: CellTable) -> str:
@@ -402,18 +337,18 @@ class QueueSampler(InvariantMonitor):
             gate.wakes if gate is not None else 0)))}
 
 
-def e11(scale: str, progress: Progress = None) -> CellTable:
+def e11(scale: str) -> Grid:
     """upc-distmem on a tiny tree across a large machine, parked and
     polling, under the queue-sampling monitor."""
     oracle = expected_node_count(E11_TREE)
-    return CellTable(scale, [checked_cell(
+    return [checked_cell(
         {"threads": threads, "idle": idle}, "upc-distmem",
         partial(run_experiment, "upc-distmem", tree=E11_TREE,
                 threads=threads,
                 config=WsConfig(chunk_size=4, idle_strategy=idle),
                 max_events=5_000_000),
-        oracle, monitor=QueueSampler, progress=progress)
-        for threads, idle in E11_GRID[scale]], _e11_table)
+        oracle, monitor=QueueSampler)
+        for threads, idle in E11_GRID[scale]], _e11_table
 
 
 def _e11_table(t: CellTable) -> str:
@@ -453,20 +388,20 @@ def _stream(threads: int, tasks: int, load: float) -> ServiceConfig:
         deadline=600e-6, task_gran=TASK_GRAN, seed=3)
 
 
-def e12(scale: str, progress: Progress = None) -> CellTable:
+def e12(scale: str) -> Grid:
     """A parked pool's load-latency curve, plus a mid-stream kill storm."""
     threads, tasks, loads = E12_GRID[scale]
     # the victims die inside the stream's steady state: 20-50 % of it
     horizon = tasks / _stream(threads, tasks, STORM_LOAD).arrivals.rate
     storm = (f"storm(kill:{max(2, threads // 32)}"
              f"@t={0.2 * horizon:.3g}..{0.5 * horizon:.3g})")
-    return CellTable(scale, [checked_cell(
+    return [checked_cell(
         {"load": f"{load:g}" + (" + storm" if spec else "")}, "service-ws",
         partial(run_service, _stream(threads, tasks, load), threads=threads,
                 config=WsConfig(chunk_size=2, idle_strategy="park"),
-                max_events=5_000_000), None, spec, 7, progress=progress)
+                max_events=5_000_000), None, spec, 7)
         for load, spec in [*((load, None) for load in loads),
-                           (STORM_LOAD, storm)]], _e12_table)
+                           (STORM_LOAD, storm)]], _e12_table
 
 
 def _e12_table(t: CellTable) -> str:
@@ -508,7 +443,7 @@ def _overlaid(scenario: str) -> WsConfig:
                                         CATALOG_THREADS)
 
 
-def e13(scale: str, progress: Progress = None) -> CellTable:
+def e13(scale: str) -> Grid:
     """Preset x victim policy x adversary per variant, then every
     catalog scenario; pairings a variant does not register are skipped."""
     tree, threads, variants, presets, adversaries = E13_GRID[scale]
@@ -517,7 +452,7 @@ def e13(scale: str, progress: Progress = None) -> CellTable:
          "victim": victim, "adversary": adversary}, variant,
         partial(run_experiment, variant, tree=tree, threads=threads,
                 preset=preset, max_events=5_000_000, config=config),
-        expected_node_count(tree), progress=progress)
+        expected_node_count(tree))
         for variant, victim, preset, adversary in itertools.product(
             variants, VICTIMS, presets, adversaries)
         for config in [WsConfig(
@@ -529,11 +464,11 @@ def e13(scale: str, progress: Progress = None) -> CellTable:
         partial(run_experiment, variant, tree=SMALL, threads=CATALOG_THREADS,
                 preset=get_scenario(name).preset, max_events=500_000,
                 config=config),
-        expected_node_count(SMALL), progress=progress)
+        expected_node_count(SMALL))
         for name, variant in itertools.product(sorted(SCENARIOS), variants)
         for config in [_overlaid(name)]
         if get_algorithm(variant).refusal(config) is None]
-    return CellTable(scale, cells, _e13_table)
+    return cells, _e13_table
 
 
 def _e13_table(t: CellTable) -> str:
@@ -571,7 +506,7 @@ E14_GRID = {"test": (SMALL, 4, STALE_AXIS[1:2]),
             "quick": (SMALL, 8, STALE_AXIS), "full": (WIDE, 16, STALE_AXIS)}
 
 
-def e14(scale: str, progress: Progress = None) -> CellTable:
+def e14(scale: str) -> Grid:
     """Each protocol fault-free on a flat and a NUMA machine, then the
     stale-tolerant ones under widening stale-read windows."""
     tree, threads, axis = E14_GRID[scale]
@@ -579,12 +514,12 @@ def e14(scale: str, progress: Progress = None) -> CellTable:
              for variant in PROTOCOLS]
     plans += [("kittyhawk", variant, spec) for spec in axis
               for variant in STALE_VARIANTS]
-    return CellTable(scale, [checked_cell(
+    return [checked_cell(
         {"preset": preset, "variant": variant, "plan": spec or "none"},
         variant, partial(run_experiment, variant, tree=tree, threads=threads,
                          preset=preset, chunk_size=4, max_events=5_000_000),
-        expected_node_count(tree), spec, progress=progress)
-        for preset, variant, spec in plans], _e14_table)
+        expected_node_count(tree), spec)
+        for preset, variant, spec in plans], _e14_table
 
 
 def _e14_table(t: CellTable) -> str:
@@ -733,24 +668,22 @@ def e15_cells(scale: str) -> Tuple[List[Tuple[dict, dict]], List[str]]:
     return cells, skipped
 
 
-def e15(scale: str, progress: Progress = None) -> CellTable:
+def e15(scale: str) -> Grid:
     """Every variant under random and deferred schedules, fault plans,
     scenarios and service streams, then the conservation grid; each
     cell monitored and replayed.  A cell's ``where`` carries its
     ``cell``: the keywords :func:`repro.check.shrink` takes."""
     plan, skipped = e15_cells(scale)
-    return CellTable(scale, [
-        _fuzz_cell(where, cell,
-                   progress if where["mode"] == "canonical" else None)
-        for where, cell in plan], partial(_e15_table, skipped=skipped))
+    return [_fuzz_cell(where, cell) for where, cell in plan], partial(
+        _e15_table, skipped=skipped)
 
 
-def _fuzz_cell(where: dict, cell: dict, progress: Progress) -> Cell:
+def _fuzz_cell(where: dict, cell: dict) -> Tuple[dict, CheckedJob]:
     variant, run, schedule = bind(cell)
     tree = run.keywords.get("tree")
     return checked_cell({**where, "cell": cell}, variant, run,
                         None if tree is None else expected_node_count(tree),
-                        progress=progress, **schedule)
+                        announce=where["mode"] == "canonical", **schedule)
 
 
 def _clean(cell: Cell) -> bool:

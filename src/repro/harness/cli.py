@@ -64,8 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--scale", choices=SCALES, default="quick")
     exp.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="sweep worker processes (default: $REPRO_JOBS or 1; "
-             "0 = one per CPU); results are identical for any N")
+        help="worker processes for every entry's grid (E2-E4, X1-X4, "
+             "E9-E15; default: $REPRO_JOBS or 1; 0 = one per CPU); "
+             "results are identical for any N")
     exp.add_argument("--json", metavar="DIR",
                      help="write each result as DIR/<scale>_<ID>.json")
     exp.add_argument("--csv", metavar="DIR",

@@ -3,10 +3,13 @@
 ``EXPERIMENTS`` holds the paper's evaluation (E1-E6, DESIGN.md's index),
 the rows beyond it (E9-E15: faults, traces, large machines, service
 streams, scenarios, the fence-free protocol, the schedule-space fuzz)
-and the extension rows (X1-X4).  An entry names its grid per scale, the
-entry it reads instead of sweeping again (E5 reads E2, E6 reads E3),
-its renderer from :mod:`repro.harness.figures` or its checked-cell grid
-from :mod:`repro.harness.checked`, and its claims.
+and the extension rows (X1-X4).  An entry that runs simulations names
+its grid per scale -- a figure's (:mod:`repro.harness.figures`), an
+extension row's, or a checked-cell grid (:mod:`repro.harness.checked`)
+-- and every grid runs through :func:`repro.harness.sweep.run_cells`
+into one :class:`~repro.harness.sweep.CellTable`; the rest read another
+entry's table instead of sweeping again (E5 reads E2, E6 reads E3) or
+run nothing (E1).  Each entry states its claims.
 A :class:`Claim` is declared for the scales it holds at: failing there
 makes ``repro-uts experiment`` exit 1 naming it; failing elsewhere
 prints ⚠️, a deviation measured rather than hand-typed (``holds_at=()``:
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -24,16 +28,15 @@ from repro.errors import ConfigError
 from repro.harness.config import SCALES, setup_for
 from repro.harness.figures import (
     PAPER_SEQUENTIAL_RATES,
-    FigureResult,
-    RunTable,
     ablation,
-    figure4,
-    figure5,
-    figure6,
+    best,
     headline_claims,
     sequential_baseline,
 )
-from repro.harness.runner import run_experiment
+from repro.harness.parallel import JobSpec
+from repro.harness.runner import expected_node_count
+from repro.harness.sweep import (CellTable, Grid, figure_grid, markdown_table,
+                                 mnodes, run_cells)
 from repro.net.presets import KITTYHAWK
 from repro.ws.algorithms import ALGORITHMS, get_algorithm
 from repro.ws.config import WsConfig
@@ -57,15 +60,17 @@ class Claim:
 
 @dataclass(frozen=True)
 class Experiment:
-    """``run(scale, progress=, jobs=)`` sweeps the entry's grid, or is
-    ``run(result)`` of the entry it ``reads``; results render with
-    ``markdown()`` and ``to_dict()``."""
+    """``grid(scale)`` is the entry's cells and renderer, run by
+    :func:`run_cells`; without one, ``run(result)`` reads the entry it
+    ``reads``, or ``run(scale)`` runs no simulation.  Results render
+    with ``markdown()`` and ``to_dict()``."""
 
     id: str
     title: str
-    run: Callable[..., Any]
+    run: Optional[Callable[..., Any]] = None
     claims: Tuple[Claim, ...] = ()
     reads: Optional[str] = None
+    grid: Optional[Callable[[str], Grid]] = None
 
 
 @dataclass
@@ -104,15 +109,17 @@ class Outcome:
 def _bound(what: str, measure: Callable[[Any], Any], above=None,
            below=None) -> Callable[[Any], Verdict]:
     """A predicate: every value ``measure(result)`` reads lies strictly
-    above ``above`` and below ``below``.  A bound given per scale (a
-    dict) is read at the result's ``scale``; a series the scale's grid
-    does not sweep is a verdict, not an error."""
+    above ``above`` and below ``below``, and there is one.  A bound
+    given per scale (a dict) is read at the result's ``scale``; a series
+    the scale's grid does not sweep is a verdict, not an error."""
     def predicate(result) -> Verdict:
         try:
             values = measure(result)
         except KeyError as exc:
             return False, f"{what}: {exc.args[0]}"
         values = values if isinstance(values, list) else [values]
+        if not values:
+            return False, f"{what}: an empty series"
         lo, hi = (b[result.scale] if isinstance(b, dict) else b
                   for b in (above, below))
         ok = all((lo is None or v > lo) and (hi is None or v < hi)
@@ -133,25 +140,46 @@ def _rates_are_the_papers(baseline) -> Verdict:
             ", ".join(f"{n} {r:.2f}" for n, r in rates))
 
 
-def _peak(fig: FigureResult, alg: str) -> float:
-    return fig.sweep.best(alg).nodes_per_sec
+def _rate(t: CellTable, **where) -> float:
+    return t.cell(**where).result.nodes_per_sec
 
 
-def _at_k(fig: FigureResult, alg: str, pick=min) -> float:
-    k = pick(fig.sweep.setup.chunk_sizes)
-    return fig.sweep.get(alg, chunk_size=k).nodes_per_sec
+def _run(t: CellTable, alg: str, k: Optional[int] = None,
+         T: Optional[int] = None):
+    """``alg``'s first run at chunk size ``k`` and ``T`` threads (either
+    ``None``: any) in a figure's table."""
+    where = {key: v for key, v in (("chunk_size", k), ("threads", T))
+             if v is not None}
+    found = t.done(algorithm=alg, **where)
+    if not found:
+        raise KeyError(f"no run for {alg} k={k} T={T}")
+    return found[0].result
 
 
-def _curve(fig: FigureResult, alg: str, metric: str = "nodes_per_sec"):
-    return [getattr(fig.sweep.get(alg, threads=t), metric)
-            for t in fig.sweep.setup.thread_counts]
+def _peak(t: CellTable, alg: str) -> float:
+    return best(t, alg).result.nodes_per_sec
 
 
-def _per_t(fig: FigureResult, num: str, den: Callable[..., float],
+def _at_k(t: CellTable, alg: str, pick=min) -> float:
+    k = pick(c.where["chunk_size"] for c in t.cells)
+    return _run(t, alg, k=k).nodes_per_sec
+
+
+def _curve(t: CellTable, alg: str, metric: str = "nodes_per_sec"):
+    return [getattr(_run(t, alg, T=T), metric)
+            for T in sorted({c.where["threads"] for c in t.cells})]
+
+
+def _per_t(t: CellTable, num: str, den: Callable[..., float],
            *algs: str) -> List[float]:
     """``num``'s throughput over ``den`` of the ``algs``' ones, per T."""
-    return [n / den(*d) for n, *d in zip(_curve(fig, num),
-                                          *(_curve(fig, a) for a in algs))]
+    return [n / den(*d) for n, *d in zip(_curve(t, num),
+                                          *(_curve(t, a) for a in algs))]
+
+
+def _figure(name: str) -> Callable[[str], Grid]:
+    """Figure ``name``'s grid at a scale."""
+    return lambda scale: figure_grid(setup_for(name, scale))
 
 
 def _growth(values: List[float]) -> List[float]:
@@ -181,19 +209,31 @@ FALLOFF = 0.8
 
 
 def _grid(axes: Tuple[str, ...], cells: Callable[[], list]):
-    """An extension row's ``run``: each ``(key, run_experiment kwargs)``
-    of ``cells()`` on Figure 4's tree and thread count, verified."""
-    def run(scale: str, progress: Progress = None, jobs=None) -> RunTable:
+    """An extension row's grid: each ``(key, JobSpec keywords)`` of
+    ``cells()`` on Kitty Hawk and Figure 4's tree and thread count,
+    verified, named by ``axes``; its table is one row a cell."""
+    def grid(scale: str) -> Grid:
         setup = setup_for("fig4", scale)
-        runs = {}
-        for key, kwargs in cells():
-            runs[key] = run_experiment(tree=setup.tree,
-                                       threads=setup.thread_counts[0],
-                                       verify=True, **kwargs)
-            if progress is not None:
-                progress(runs[key].summary())
-        return RunTable(axes, runs)
-    return run
+        expected = expected_node_count(setup.tree)
+        return [(dict(zip(axes, key)), JobSpec(
+            index=0, tree=setup.tree, threads=setup.thread_counts[0],
+            preset="kittyhawk", expected_nodes=expected, **kwargs))
+            for key, kwargs in cells()], partial(_run_table, axes)
+    return grid
+
+
+def _run_table(axes: Tuple[str, ...], t: CellTable) -> str:
+    return markdown_table(
+        [*axes, "Mnodes/s", "efficiency", "steals", "sim ms"],
+        [[*c.where.values(), mnodes(r), f"{100 * r.efficiency:.1f}%",
+          r.stats.steals_ok, f"{r.sim_time * 1e3:.3f}"]
+         for c in t.cells for r in [c.result]])
+
+
+def _polls(t: CellTable, poll: int, *others: int) -> float:
+    """Throughput at polling interval ``poll`` over the best of ``others``."""
+    return (_rate(t, poll_interval=poll)
+            / max(_rate(t, poll_interval=o) for o in others))
 
 
 def _kittyhawk(factor: float = 1.0, **overrides):
@@ -204,22 +244,23 @@ def _kittyhawk(factor: float = 1.0, **overrides):
         lock_overhead=KITTYHAWK.lock_overhead * factor, **overrides)
 
 
-def _slowdown(t: RunTable, alg: str) -> float:
+def _slowdown(t: CellTable, alg: str) -> float:
     """Throughput at x0.25 remote costs over throughput at x4."""
-    return t.rate(alg, 0.25) / t.rate(alg, 4.0)
+    return (_rate(t, algorithm=alg, latency_x=0.25)
+            / _rate(t, algorithm=alg, latency_x=4.0))
 
 
 # --- E9-E15: checked-cell grids ----------------------------------------------
 
 
-def _checked_grid(name: str):
+def _checked_grid(name: str) -> Callable[[str], Grid]:
     """The grid ``name`` of :mod:`repro.harness.checked`, imported on
     its first run: the checker, the service and the scenario catalog
     stay off ``import repro.harness``."""
-    def run(scale: str, progress: Progress = None, jobs=None):
+    def grid(scale: str) -> Grid:
         from repro.harness import checked
-        return getattr(checked, name)(scale, progress=progress)
-    return run
+        return getattr(checked, name)(scale)
+    return grid
 
 
 def _every(what: str, fails: Callable[[Any], bool],
@@ -230,6 +271,8 @@ def _every(what: str, fails: Callable[[Any], bool],
         cells = [c for c in table.cells if among(c)]
         bad = [c for c in cells if fails(c)]
         detail = f"{len(cells) - len(bad)}/{len(cells)} cells {what}"
+        if not cells:
+            return False, detail + ": no cell to check"
         return not bad, detail + (f"; first: {bad[0].label()}" if bad else "")
     return predicate
 
@@ -273,6 +316,8 @@ def _at_least(n: int, what: str, counts: Callable[[Any], Dict[str, int]]):
         short = [key for key, count in got.items() if count < n]
         detail = (", ".join(f"{key} {count:,}" for key, count in got.items())
                   + f" {what} (needs ≥ {n} each)")
+        if not got:
+            return False, f"no {what} counted (needs ≥ {n} each)"
         return not short, detail + (f"; short: {short[0]}" if short else "")
     return predicate
 
@@ -297,12 +342,12 @@ FULL = ("full",)
 
 EXPERIMENTS: Tuple[Experiment, ...] = (
     Experiment("E1", "§4.1 sequential performance",
-               lambda scale, **_: sequential_baseline(), claims=(
+               lambda scale: sequential_baseline(), claims=(
         Claim("the model's sequential rates are the paper's measured ones",
               "§4.1", _rates_are_the_papers, holds_at=SCALES),
     )),
     Experiment("E2", "Figure 4: speedup & performance vs chunk size",
-               figure4, claims=(
+               grid=_figure("fig4"), claims=(
         Claim("upc-distmem is the best implementation at the sweet spot",
               "Fig. 4", _bound(
                   "distmem peak / best other peak", lambda f: _peak(
@@ -331,8 +376,8 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         Claim("the sweet spot narrows for the less refined implementations "
               "(they peak at larger k)", "§4.2.1", _bound(
                   "peak k of term, sharedmem / of distmem",
-                  lambda f: [f.sweep.best(a).chunk_size
-                             / f.sweep.best("upc-distmem").chunk_size
+                  lambda f: [best(f, a).where["chunk_size"]
+                             / best(f, "upc-distmem").where["chunk_size"]
                              for a in ("upc-term", "upc-sharedmem")],
                   above=1), holds_at=FULL),
         Claim("mpi-ws keeps about as much of its peak at the smallest "
@@ -342,7 +387,8 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                   / (_at_k(f, "upc-distmem") / _peak(f, "upc-distmem")),
                   above=0.9), holds_at=()),
     )),
-    Experiment("E3", "Figure 5: scaling on Topsail", figure5, claims=(
+    Experiment("E3", "Figure 5: scaling on Topsail", grid=_figure("fig5"),
+               claims=(
         Claim("near-linear speedup at the low end", "Fig. 5", _bound(
             "distmem efficiency at the smallest T",
             lambda f: _curve(f, "upc-distmem", "efficiency")[0], above=0.85)),
@@ -362,8 +408,8 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                   f, "upc-sharedmem", min, "upc-distmem", "mpi-ws"),
                   below=1), holds_at=FULL),
     )),
-    Experiment("E4", "Figure 6: shared memory (SGI Altix 3700)", figure6,
-               claims=(
+    Experiment("E4", "Figure 6: shared memory (SGI Altix 3700)",
+               grid=_figure("fig6"), claims=(
         Claim("both UPC implementations are near-linear on shared memory",
               "§4.3", _bound(
                   "sharedmem, distmem efficiency at the smallest T",
@@ -421,33 +467,37 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                      lambda c: c.run.working_fraction, above=0.93),
               holds_at=()),
     )),
-    Experiment("X1", "§6.2 future work: hierarchical stealing", _grid(
+    Experiment("X1", "§6.2 future work: hierarchical stealing", grid=_grid(
         ("algorithm",), lambda: [
-            ((alg,), dict(algorithm=alg, preset="kittyhawk", chunk_size=8))
+            ((alg,), dict(algorithm=alg, chunk_size=8))
             for alg in ("upc-distmem", "upc-distmem-hier")]), claims=(
         Claim("on-node-first probing is competitive with flat upc-distmem",
-              "§6.2", _bound("hier / flat", lambda t: t.rate(
-                  "upc-distmem-hier") / t.rate("upc-distmem"),
-                  above=0.9)),
+              "§6.2", _bound("hier / flat", lambda t: _rate(
+                  t, algorithm="upc-distmem-hier")
+                  / _rate(t, algorithm="upc-distmem"), above=0.9)),
     )),
-    Experiment("X2", "§6.1 performance portability: no hardware RDMA", _grid(
+    Experiment("X2", "§6.1 performance portability: no hardware RDMA",
+               grid=_grid(
         ("runtime", "algorithm"), lambda: [
             ((runtime, alg), dict(algorithm=alg, chunk_size=8,
                                   net=_kittyhawk(am_mode=runtime == "am")))
             for runtime in ("hw", "am") for alg in ("upc-distmem", "mpi-ws")]),
                claims=(
         Claim("an active-message runtime costs upc-distmem time", "§6.1",
-              _bound("distmem sim time am / hw", lambda t: t.runs[
-                  ("am", "upc-distmem")].sim_time / t.runs[
-                  ("hw", "upc-distmem")].sim_time, above=1)),
+              _bound("distmem sim time am / hw", lambda t: _speedup(
+                  t, dict(runtime="am"), dict(runtime="hw"),
+                  algorithm="upc-distmem"), above=1)),
         Claim("UPC's advantage over MPI narrows without hardware RDMA",
               "§6.1", _bound(
                   "distmem/mpi-ws am / hw", lambda t: (
-                      t.rate("am", "upc-distmem") / t.rate("am", "mpi-ws"))
-                  / (t.rate("hw", "upc-distmem") / t.rate("hw", "mpi-ws")),
+                      _rate(t, runtime="am", algorithm="upc-distmem")
+                      / _rate(t, runtime="am", algorithm="mpi-ws"))
+                  / (_rate(t, runtime="hw", algorithm="upc-distmem")
+                     / _rate(t, runtime="hw", algorithm="mpi-ws")),
                   below=1.02)),
     )),
-    Experiment("X3", "latency sensitivity: the paper's premise isolated", _grid(
+    Experiment("X3", "latency sensitivity: the paper's premise isolated",
+               grid=_grid(
         ("algorithm", "latency_x"), lambda: [
             ((alg, f), dict(algorithm=alg, net=_kittyhawk(f), chunk_size=4))
             for alg in ("upc-distmem", "upc-sharedmem")
@@ -458,23 +508,24 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                   lambda t: _slowdown(t, "upc-sharedmem")
                   / _slowdown(t, "upc-distmem"), above=1)),
     )),
-    Experiment("X4", "§3.2 mpi-ws polling interval", _grid(
+    Experiment("X4", "§3.2 mpi-ws polling interval", grid=_grid(
         ("poll_interval",), lambda: [
-            ((pi,), dict(algorithm="mpi-ws", preset="kittyhawk",
+            ((pi,), dict(algorithm="mpi-ws", chunk_size=4,
                          config=WsConfig(chunk_size=4, poll_interval=pi)))
             for pi in (4, 32, 512)]), claims=(
         Claim("very coarse polling starves the thieves", "§3.2", _bound(
-            "poll 512 / best of poll 4, 32", lambda t: t.rate(512)
-            / max(t.rate(4), t.rate(32)), below=1.02)),
+            "poll 512 / best of poll 4, 32", lambda t: _polls(t, 512, 4, 32),
+            below=1.02)),
         Claim("the polling interval has an interior optimum", "§3.2",
-              _bound("poll 32 / best of poll 4, 512", lambda t: t.rate(32)
-                     / max(t.rate(4), t.rate(512)), above=1),
+              _bound("poll 32 / best of poll 4, 512",
+                     lambda t: _polls(t, 32, 4, 512), above=1),
               holds_at=FULL),
     )),
     Experiment("E9", "resilience sweep: fault classes and late kills",
-               _checked_grid("e9"), claims=_cell_claims(
+               grid=_checked_grid("e9"), claims=_cell_claims(
                    "docs/fault-model.md", None)),
-    Experiment("E10", "trace-driven steal analysis", _checked_grid("e10"),
+    Experiment("E10", "trace-driven steal analysis",
+               grid=_checked_grid("e10"),
                claims=(
         Claim("the trace's state occupancy is the counters' working "
               "fraction", "docs/observability.md", _every(
@@ -491,7 +542,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                   above=1)),
     )),
     Experiment("E11", "O(active) engine scaling to 4096 threads",
-               _checked_grid("e11"), claims=(
+               grid=_checked_grid("e11"), claims=(
         *_cell_claims("docs/performance.md", _I1_I5),
         Claim("parked, the pending-event set tracks the active threads, "
               "not the machine", "docs/performance.md", _bound(
@@ -502,7 +553,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                           idle="poll")})], below=0.1)),
     )),
     Experiment("E12", "open-system service mode: load vs latency",
-               _checked_grid("e12"), claims=(
+               grid=_checked_grid("e12"), claims=(
         *_cell_claims("docs/service-mode.md", "I1–I5 and task conservation"),
         Claim("past saturation the bounded queue sheds the excess",
               "docs/service-mode.md", _bound(
@@ -511,7 +562,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                   above=0)),
     )),
     Experiment("E13", "victim locality under NUMA asymmetry, with hostile "
-               "workers", _checked_grid("e13"), claims=(
+               "workers", grid=_checked_grid("e13"), claims=(
         *_cell_claims("docs/scenarios.md", _I1_I5),
         Claim("on-node-first victim selection beats uniform once off-node "
               "steals cost 2x", "docs/scenarios.md", _bound(
@@ -522,7 +573,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                                      adversary="none"), above=1)),
     )),
     Experiment("E14", "fence-free relaxed stealing vs the locked baseline",
-               _checked_grid("e14"), claims=(
+               grid=_checked_grid("e14"), claims=(
         *_cell_claims("docs/protocols.md", _I1_I5),
         Claim("fault-free, the fence-free claim race duplicates nothing",
               "docs/protocols.md", _every(
@@ -544,7 +595,7 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
                   above=0)),
     )),
     Experiment("E15", "schedule-space fuzz: every variant under random and "
-               "deferred schedules", _checked_grid("e15"), claims=(
+               "deferred schedules", grid=_checked_grid("e15"), claims=(
         *_cell_claims("docs/correctness.md", _I1_I5),
         Claim("every variant runs at least 100 fuzzed cells",
               "docs/correctness.md", _at_least(
@@ -590,8 +641,10 @@ def run_experiments(ids: Sequence[str] = (), scale: str = "quick",
     def result(entry: Experiment) -> Any:
         if entry.id not in results:
             results[entry.id] = (
-                entry.run(result(_BY_ID[entry.reads])) if entry.reads
-                else entry.run(scale, progress=progress, jobs=jobs))
+                run_cells(entry.id, scale, *entry.grid(scale),
+                          progress=progress, jobs=jobs) if entry.grid
+                else entry.run(result(_BY_ID[entry.reads])) if entry.reads
+                else entry.run(scale))
         return results[entry.id]
 
     return [Outcome(entry, scale, result(entry)) for entry in chosen]

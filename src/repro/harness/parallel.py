@@ -1,9 +1,13 @@
-"""Process-parallel sweep execution engine.
+"""Process-parallel grid execution engine.
 
-A figure sweep is an embarrassingly parallel grid of independent
-``(algorithm, tree, threads, preset, chunk_size, config)`` simulations.
-This module turns each grid cell into a picklable :class:`JobSpec` and
-executes the grid over a ``ProcessPoolExecutor``:
+A registry grid is an embarrassingly parallel list of independent
+simulations.  Each cell is a picklable job -- a :class:`JobSpec` (one
+verified ``run_experiment``) or a checked cell
+(:class:`repro.harness.checked.CheckedJob`) -- and this module executes
+the list over a ``ProcessPoolExecutor``.  A job ``execute()``s itself,
+names itself (``describe()``), says what its progress line is
+(``report(result)``, ``None`` for none), guesses its cost
+(``cost_hint()``) and names the tree it reads (``tree``):
 
 * **Dynamic ordering** -- jobs are submitted longest-expected-first
   (small chunk sizes and lock-based protocols generate far more
@@ -15,7 +19,7 @@ executes the grid over a ``ProcessPoolExecutor``:
   forks, so every worker reads the same expansion copy-on-write
   instead of re-hashing it per process.
 * **Oracle shipped, not recomputed** -- the sequential node count is
-  resolved once in the parent and travels inside each ``JobSpec``.
+  resolved once in the parent and travels inside each job.
 * **Attributable failures** -- worker exceptions are captured with the
   job's identity and re-raised in the parent as
   :class:`~repro.errors.SweepWorkerError` (chained via ``raise ...
@@ -44,10 +48,11 @@ import threading
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigError, SweepWorkerError
 from repro.metrics.report import RunResult
+from repro.net.model import NetworkModel
 from repro.uts.materialized import expected_node_count, tree_for
 from repro.uts.params import TreeParams
 from repro.ws.config import WsConfig
@@ -122,11 +127,12 @@ def fork_available() -> bool:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One picklable sweep cell.
+    """One picklable sweep cell: a verified ``run_experiment``.
 
     ``index`` is the cell's position in grid (serial) order; results
     are re-assembled by it.  ``expected_nodes`` is the parent-computed
     sequential oracle (``None`` skips worker-side verification).
+    ``net``, when given, is the machine model in place of ``preset``'s.
     """
 
     index: int
@@ -139,6 +145,23 @@ class JobSpec:
     seed: int = 0
     expected_nodes: Optional[int] = None
     verify: bool = True
+    net: Optional[NetworkModel] = None
+
+    def execute(self) -> RunResult:
+        """Run the cell in the current process, verified."""
+        from repro.harness.runner import run_experiment
+
+        result = run_experiment(self.algorithm, tree=self.tree,
+                                threads=self.threads, preset=self.preset,
+                                config=self.config,
+                                chunk_size=self.chunk_size, seed=self.seed,
+                                net=self.net)
+        if self.verify and self.expected_nodes is not None:
+            result.verify(self.expected_nodes)
+        return result
+
+    def report(self, result: RunResult) -> str:
+        return result.summary()
 
     def describe(self) -> str:
         return (f"{self.algorithm} T={self.threads} k={self.chunk_size} "
@@ -160,25 +183,12 @@ class JobSpec:
         return cost
 
 
-def _execute_job(job: JobSpec) -> RunResult:
-    """Run one cell in the current process, verified."""
-    from repro.harness.runner import run_experiment
-
-    result = run_experiment(job.algorithm, tree=job.tree,
-                            threads=job.threads, preset=job.preset,
-                            config=job.config, chunk_size=job.chunk_size,
-                            seed=job.seed)
-    if job.verify and job.expected_nodes is not None:
-        result.verify(job.expected_nodes)
-    return result
-
-
 class JobTimeout(Exception):
     """A sweep job attempt exceeded ``REPRO_JOB_TIMEOUT`` seconds."""
 
 
 @contextmanager
-def _deadline(limit: float, job: JobSpec):
+def _deadline(limit: float, job):
     """Interrupt the block with :class:`JobTimeout` after ``limit`` s.
 
     Uses ``SIGALRM``, so it only engages on the main thread (both the
@@ -202,16 +212,16 @@ def _deadline(limit: float, job: JobSpec):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _attempt_job(job: JobSpec) -> RunResult:
+def _attempt_job(job) -> Any:
     """Run one job under the deadline.  A failure is not retried: the
     simulations are deterministic, so a real bug fails the same way
     twice, and a second attempt that succeeded would be exactly the
     nondeterminism the bit-identity pins exist to catch."""
     with _deadline(job_timeout(), job):
-        return _execute_job(job)
+        return job.execute()
 
 
-def _worker(job: JobSpec):
+def _worker(job):
     """Pool entry point: never raises, tags outcomes with job identity."""
     try:
         return ("ok", job.index, _attempt_job(job))
@@ -228,8 +238,8 @@ def _raise_worker_error(described: str, tb: str,
     ) from cause
 
 
-def execute_jobs(jobs: List[JobSpec], n_jobs: int = 1,
-                 progress: Progress = None) -> List[RunResult]:
+def execute_jobs(jobs: List[Any], n_jobs: int = 1,
+                 progress: Progress = None) -> List[Any]:
     """Execute every job; return results in grid (``index``) order.
 
     ``n_jobs > 1`` fans out over forked worker processes; otherwise --
@@ -237,65 +247,53 @@ def execute_jobs(jobs: List[JobSpec], n_jobs: int = 1,
     in-process, producing identical results.  With ``n_jobs > 1``
     progress lines arrive in completion order, not grid order.
     """
-    if not jobs:
-        return []
-    if n_jobs <= 1 or len(jobs) == 1 or not fork_available():
-        return _execute_serial(jobs, progress)
-    return _execute_pool(jobs, n_jobs, progress)
+    slot_of = {job.index: slot for slot, job in
+               enumerate(sorted(jobs, key=lambda job: job.index))}
+    results: List[Any] = [None] * len(jobs)
+    serial = n_jobs <= 1 or len(jobs) <= 1 or not fork_available()
+    for job, result in _serial(jobs) if serial else _pool(jobs, n_jobs):
+        results[slot_of[job.index]] = result
+        if progress is not None and (line := job.report(result)) is not None:
+            progress(line)
+    return results
 
 
-def _positions(jobs: List[JobSpec]) -> Dict[int, int]:
-    """job.index -> slot in the returned (grid-ordered) result list."""
-    return {job.index: slot
-            for slot, job in enumerate(sorted(jobs, key=lambda j: j.index))}
-
-
-def _execute_serial(jobs: List[JobSpec], progress: Progress) -> List[RunResult]:
-    slot_of = _positions(jobs)
-    results: List[Optional[RunResult]] = [None] * len(jobs)
+def _serial(jobs: List[Any]) -> Iterator[Tuple[Any, Any]]:
     for job in jobs:
         try:
             result = _attempt_job(job)
         except BaseException as exc:
             _raise_worker_error(job.describe(), traceback.format_exc(),
                                 cause=exc)
-        results[slot_of[job.index]] = result
-        if progress is not None:
-            progress(result.summary())
-    return results  # type: ignore[return-value]
+        yield job, result
 
 
-def _execute_pool(jobs: List[JobSpec], n_jobs: int,
-                  progress: Progress) -> List[RunResult]:
+def _pool(jobs: List[Any], n_jobs: int) -> Iterator[Tuple[Any, Any]]:
+    """Each job and its result, in completion order."""
     # Imported here: a serial run never loads the pool.
     import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
     # Expand every distinct tree BEFORE forking so workers inherit the
     # materialized arrays copy-on-write instead of rebuilding them.
-    for params in {job.tree for job in jobs}:
+    for params in {job.tree for job in jobs} - {None}:
         tree_for(params)
 
-    ordered = sorted(jobs, key=JobSpec.cost_hint, reverse=True)
-    slot_of = _positions(jobs)
-    results: List[Optional[RunResult]] = [None] * len(jobs)
+    job_of = {job.index: job for job in jobs}
     ctx = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=min(n_jobs, len(jobs)),
                              mp_context=ctx) as pool:
-        pending = {pool.submit(_worker, job) for job in ordered}
+        futures = [pool.submit(_worker, job) for job in sorted(
+            jobs, key=lambda job: job.cost_hint(), reverse=True)]
         try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    status, index, *rest = future.result()
-                    if status == "err":
-                        _raise_worker_error(*rest)
-                    result = rest[0]
-                    results[slot_of[index]] = result
-                    if progress is not None:
-                        progress(result.summary())
+            # as_completed waits on every future once; a wait() per
+            # result would walk all pending futures each time.
+            for future in as_completed(futures):
+                status, index, *rest = future.result()
+                if status == "err":
+                    _raise_worker_error(*rest)
+                yield job_of[index], rest[0]
         except BaseException:
-            for future in pending:
+            for future in futures:
                 future.cancel()
             raise
-    return results  # type: ignore[return-value]

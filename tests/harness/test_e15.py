@@ -47,8 +47,10 @@ def test_e15_at_test_scale_holds_every_claim(e15_test):
 
 def test_progress_names_only_the_canonical_cells(e15_test):
     _, lines = e15_test
-    assert len(lines) == 8
-    assert all(line.startswith("mode=canonical variant=") for line in lines)
+    assert len(lines) == 9
+    assert all(line.startswith("mode=canonical variant=")
+               for line in lines[:-1])
+    assert lines[-1].startswith("E15[test]: 64 cells in ")
 
 
 def test_the_table_names_every_skipped_pairing(e15_test):

@@ -19,8 +19,8 @@ from repro.harness.experiments import (
     run_experiments,
     select,
 )
-from repro.harness.figures import FigureResult
-from repro.harness.sweep import SweepResult
+from repro.harness.figures import best
+from repro.harness.sweep import Cell, CellTable
 
 DOC = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
@@ -48,28 +48,27 @@ def test_readers_reuse_the_runs_they_read():
     by_id = {o.experiment.id: o.result
              for o in run_experiments(["E2", "E3", "E5", "E6"], "test")}
     for alg, run in by_id["E5"].best.items():
-        assert run is by_id["E2"].sweep.best(alg)
-    assert any(run is by_id["E6"].run for run in by_id["E3"].sweep.runs)
+        assert run is best(by_id["E2"], alg).result
+    assert any(c.result is by_id["E6"].run for c in by_id["E3"].cells)
 
 
-def _flat_fig4(rate: float = 10e6) -> FigureResult:
-    """A Figure-4 result whose distmem series is the same at every k."""
+def _flat_fig4(rate: float = 10e6) -> CellTable:
+    """A Figure-4 table whose distmem series is the same at every k."""
     setup = setup_for("fig4", "quick")
-    runs = [SimpleNamespace(algorithm=alg, chunk_size=k,
-                            n_threads=setup.thread_counts[0],
-                            nodes_per_sec=rate)
-            for alg in setup.algorithms for k in setup.chunk_sizes]
-    return FigureResult("fig4", "quick", "chunk_size",
-                        SweepResult(setup=setup, expected_nodes=1, runs=runs))
+    return CellTable("quick", [
+        Cell({"algorithm": alg, "threads": setup.thread_counts[0],
+              "chunk_size": k}, 1, SimpleNamespace(nodes_per_sec=rate))
+        for alg in setup.algorithms for k in setup.chunk_sizes], render=str)
 
 
 def test_falloff_claim_fails_on_a_flat_series():
     """The old check compared distmem at the largest k with the best of
     the same series, so it held for any series; the claim is strict."""
     fig = _flat_fig4()
-    sweep, big_k = fig.sweep, max(fig.sweep.setup.chunk_sizes)
-    old_check = (sweep.get("upc-distmem", chunk_size=big_k).nodes_per_sec
-                 <= sweep.best("upc-distmem").nodes_per_sec)
+    big_k = max(setup_for("fig4", "quick").chunk_sizes)
+    old_check = (fig.cell(algorithm="upc-distmem",
+                          chunk_size=big_k).result.nodes_per_sec
+                 <= best(fig, "upc-distmem").result.nodes_per_sec)
     assert old_check
     [claim] = [c for c in select(["E2"])[0].claims
                if c.sentence.startswith("performance falls off")]
@@ -83,8 +82,6 @@ def test_falloff_claim_fails_on_a_flat_series():
 def test_each_cell_claim_names_the_cell_it_fails_on():
     """Conservation, termination, the monitor and the replay each fail
     on their own cell, and only there."""
-    from repro.harness.checked import Cell, CellTable
-
     run = SimpleNamespace(total_nodes=10, lost_work=0, dup_work=0,
                           sim_time=1e-3, engine_events=5, fault_counters=None)
     table = CellTable("test", [
@@ -104,6 +101,27 @@ def test_each_cell_claim_names_the_cell_it_fails_on():
         (False, "2/3 cells replay; first: n=4: nodes=10 lost=0 t=1.000ms "
                 "events=5"),
     ]
+
+
+def test_a_claim_that_measures_nothing_fails():
+    """Each predicate reads an empty selection as a claim that fails and
+    names what it found empty, not as one that holds."""
+    empty = CellTable("quick", [], render=str)
+    assert experiments._bound("peaks", lambda t: [], above=1)(empty) == \
+        (False, "peaks: an empty series")
+    assert experiments._every("balance", lambda c: True)(empty) == \
+        (False, "0/0 cells balance: no cell to check")
+    assert experiments._at_least(10, "fuzzed cells", lambda t: {})(empty) \
+        == (False, "no fuzzed cells counted (needs ≥ 10 each)")
+    # E14's duplication claim over a grid whose every stale cell raised
+    stale = CellTable("quick", [
+        Cell({"preset": "kittyhawk", "variant": "ws-fencefree",
+              "plan": "stale=0.1"}, 10, error_type="DeadlockError",
+              error="stuck")], render=str)
+    [claim] = [c for c in select(["E14"])[0].claims
+               if c.sentence.startswith("stale reads")]
+    assert claim.predicate(stale) == (
+        False, "ws-fencefree dup_work per stale plan: an empty series")
 
 
 def test_e15_quick_is_the_fuzz_sweep_cell_for_cell():
@@ -133,8 +151,6 @@ def test_e15_quick_is_the_fuzz_sweep_cell_for_cell():
 
 
 def test_each_e15_claim_names_the_cell_it_fails_on():
-    from repro.harness.checked import Cell, CellTable
-
     def run(nodes=10, dup=0):
         return SimpleNamespace(total_nodes=nodes + dup, lost_work=0,
                                dup_work=dup, sim_time=1e-3, engine_events=5,

@@ -1,22 +1,25 @@
-"""Tests for the figure renderers at test scale."""
+"""Tests for the figure grids and the views read off them, at test scale."""
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.harness import (
     ablation,
-    figure4,
-    figure5,
-    figure6,
     headline_claims,
+    run_sweep,
     sequential_baseline,
     setup_for,
 )
+from repro.harness.figures import best
+
+
+def figure(name):
+    return run_sweep(setup_for(name, "test"))
 
 
 @pytest.fixture(scope="module")
 def fig4():
-    return figure4(scale="test")
+    return figure("fig4")
 
 
 class TestSetupLookup:
@@ -41,60 +44,58 @@ class TestSetupLookup:
 
 
 class TestFigure4:
+    SETUP = setup_for("fig4", "test")
+
     def test_covers_cross_product(self, fig4):
-        setup = fig4.sweep.setup
-        assert len(fig4.sweep.runs) == \
-            len(setup.algorithms) * len(setup.chunk_sizes)
+        assert len(fig4.cells) == \
+            len(self.SETUP.algorithms) * len(self.SETUP.chunk_sizes)
 
     def test_series_per_algorithm(self, fig4):
-        for alg in fig4.sweep.setup.algorithms:
-            assert [r.chunk_size for r in fig4.sweep.series(alg)] == \
-                fig4.sweep.setup.chunk_sizes
+        for alg in self.SETUP.algorithms:
+            assert [c.result.chunk_size for c in fig4.done(algorithm=alg)] \
+                == self.SETUP.chunk_sizes
 
     def test_all_runs_conserve_nodes(self, fig4):
-        expected = fig4.sweep.expected_nodes
-        for r in fig4.sweep.runs:
-            assert r.total_nodes == expected
+        for c in fig4.cells:
+            assert c.ok and c.result.total_nodes == c.oracle
 
     def test_markdown_is_a_pivot_with_the_row_best_bold(self, fig4):
         out = fig4.markdown()
-        setup = fig4.sweep.setup
-        assert f"| k | {' | '.join(setup.algorithms)} |" in out
+        assert f"| k | {' | '.join(self.SETUP.algorithms)} |" in out
         rows = [l for l in out.splitlines() if l.startswith("| ")][1:]
-        assert len(rows) == len(setup.chunk_sizes)
+        assert len(rows) == len(self.SETUP.chunk_sizes)
         assert all(row.count("**") == 2 for row in rows)
 
     def test_to_dict_roundtrippable(self, fig4):
         d = fig4.to_dict()
-        assert d["figure"] == "fig4"
-        assert len(d["runs"]) == len(fig4.sweep.runs)
+        assert d["scale"] == "test"
+        assert len(d["runs"]) == len(fig4.cells)
         assert all("efficiency" in r for r in d["runs"])
 
-    def test_sweep_lookup_helpers(self, fig4):
-        setup = fig4.sweep.setup
-        r = fig4.sweep.get(setup.algorithms[0],
-                           chunk_size=setup.chunk_sizes[0])
-        assert r.algorithm == setup.algorithms[0]
-        best = fig4.sweep.best(setup.algorithms[0])
-        assert best.nodes_per_sec == max(
-            x.nodes_per_sec for x in fig4.sweep.series(setup.algorithms[0]))
+    def test_cell_lookups(self, fig4):
+        alg, k = self.SETUP.algorithms[0], self.SETUP.chunk_sizes[0]
+        r = fig4.cell(algorithm=alg, chunk_size=k).result
+        assert (r.algorithm, r.chunk_size) == (alg, k)
+        top = best(fig4, alg)
+        assert top.result.nodes_per_sec == max(
+            c.result.nodes_per_sec for c in fig4.done(algorithm=alg))
         with pytest.raises(KeyError):
-            fig4.sweep.get("upc-distmem", chunk_size=99999)
+            fig4.cell(algorithm="upc-distmem", chunk_size=99999)
         with pytest.raises(KeyError):
-            fig4.sweep.best("nonexistent")
+            best(fig4, "nonexistent")
 
 
 class TestFigure5And6:
     def test_figure5_threads_axis(self):
-        fig = figure5(scale="test")
+        fig = figure("fig5")
         rows = [l for l in fig.markdown().splitlines()
                 if l.startswith("| ")][1:]
         assert [int(row.split(" | ")[0][2:]) for row in rows] == \
-            fig.sweep.setup.thread_counts
+            setup_for("fig5", "test").thread_counts
 
     def test_figure6_uses_altix(self):
-        fig = figure6(scale="test")
-        assert all(r.machine_name == "altix" for r in fig.sweep.runs)
+        fig = figure("fig6")
+        assert all(c.result.machine_name == "altix" for c in fig.cells)
 
 
 class TestAblationAndClaims:
@@ -105,17 +106,17 @@ class TestAblationAndClaims:
         assert set(ab.best) == {"upc-sharedmem", "upc-term",
                                 "upc-term-rapdif", "upc-distmem"}
         for alg, run in ab.best.items():
-            assert run is fig4.sweep.best(alg)  # same objects, no re-run
+            assert run is best(fig4, alg).result  # same objects, no re-run
         assert len(ab.improvements()) == 3
         assert ab.total_improvement > 0
         assert "**total**" in ab.markdown()
 
     def test_claims_reuse_figure5_top_point(self):
-        fig5 = figure5(scale="test")
+        fig5 = figure("fig5")
         claims = headline_claims(fig5)
-        top_threads = fig5.sweep.setup.thread_counts[-1]
-        assert claims.run is fig5.sweep.get("upc-distmem",
-                                            threads=top_threads)
+        top_threads = setup_for("fig5", "test").thread_counts[-1]
+        assert claims.run is fig5.cell(algorithm="upc-distmem",
+                                       threads=top_threads).result
         out = claims.markdown()
         assert "parallel efficiency" in out
         assert "85,000" in out

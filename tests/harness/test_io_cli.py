@@ -5,27 +5,27 @@ import json
 
 import pytest
 
-from repro.harness import figure4, load_json, save_csv, save_json
+from repro.harness import load_json, run_sweep, save_csv, save_json, setup_for
 from repro.harness.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
 def fig4():
-    return figure4(scale="test")
+    return run_sweep(setup_for("fig4", "test"))
 
 
 class TestIo:
     def test_save_and_load_json(self, fig4, tmp_path):
         path = save_json(fig4, tmp_path / "out" / "fig4.json")
         data = load_json(path)
-        assert data["figure"] == "fig4"
-        assert len(data["runs"]) == len(fig4.sweep.runs)
+        assert data["scale"] == "test"
+        assert len(data["runs"]) == len(fig4.cells)
 
     def test_save_csv(self, fig4, tmp_path):
         path = save_csv(fig4, tmp_path / "fig4.csv")
         with path.open() as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == len(fig4.sweep.runs)
+        assert len(rows) == len(fig4.cells)
         assert {"algorithm", "speedup", "efficiency"} <= set(rows[0])
 
 

@@ -1,4 +1,4 @@
-"""Parallel sweep engine: determinism, failure identity, job plumbing."""
+"""Parallel grid engine: determinism, failure identity, job plumbing."""
 
 import os
 import pickle
@@ -7,8 +7,10 @@ import time
 import pytest
 
 from repro.errors import ConfigError, SweepWorkerError
-from repro.harness import parallel
+from repro.harness import sweep
+from repro.harness.cli import main
 from repro.harness.config import setup_for
+from repro.harness.experiments import EXPERIMENTS, run_experiments
 from repro.harness.parallel import (JobSpec, JobTimeout, execute_jobs,
                                     expected_nodes_for, fork_available,
                                     job_timeout, resolve_jobs)
@@ -42,12 +44,12 @@ class TestDeterminism:
     def test_parallel_matches_serial(self):
         serial = run_sweep(SETUP, jobs=1)
         parallel = run_sweep(SETUP, jobs=4)
-        assert len(serial.runs) == len(parallel.runs) == (
+        assert len(serial.cells) == len(parallel.cells) == (
             len(SETUP.algorithms) * len(SETUP.thread_counts)
             * len(SETUP.chunk_sizes))
-        for a, b in zip(serial.runs, parallel.runs):
-            assert _fingerprint(a) == _fingerprint(b)
-        assert serial.expected_nodes == parallel.expected_nodes
+        for a, b in zip(serial.cells, parallel.cells):
+            assert a.where == b.where and a.oracle == b.oracle
+            assert _fingerprint(a.result) == _fingerprint(b.result)
 
     def test_grid_order_preserved(self):
         parallel = run_sweep(SETUP, jobs=3)
@@ -57,17 +59,57 @@ class TestDeterminism:
             for threads in SETUP.thread_counts
             for k in SETUP.chunk_sizes
         ]
-        got = [(r.algorithm, r.n_threads, r.chunk_size)
-               for r in parallel.runs]
+        got = [(c.result.algorithm, c.result.n_threads, c.result.chunk_size)
+               for c in parallel.cells]
         assert got == expected_cells
+        assert [tuple(c.where.values()) for c in parallel.cells] == \
+            expected_cells
 
-    def test_progress_reports_wall_clock_and_speedup(self):
+    def test_progress_reports_wall_clock_and_workers(self):
         lines = []
         run_sweep(SETUP, jobs=2, progress=lines.append)
-        summary = lines[-1]
-        assert "host wall-clock" in summary
-        assert "speedup" in summary
-        assert "jobs=2" in summary
+        assert len(lines) == len(SETUP.algorithms) * len(SETUP.chunk_sizes) + 1
+        assert lines[-1].startswith("sweep fig4[test]: 15 cells in ")
+        assert lines[-1].endswith("s host wall-clock with jobs=2")
+
+    @pytest.mark.parametrize("entry", ["E15", "E9", "X2"])
+    def test_every_kind_of_entry_is_identical_for_any_worker_count(
+            self, entry, tmp_path, capsys):
+        """A checked-cell grid (E15, E9, whose late kills each read a
+        fault-free run first) and an extension row (X2, a custom machine
+        model per cell) print the same tables and verdicts and write the
+        same JSON on one worker as on two."""
+        outputs = []
+        for jobs in ("1", "2"):
+            assert main(["experiment", entry, "--scale", "test", "--jobs",
+                         jobs, "--json", str(tmp_path / jobs)]) == 0
+            stdout = capsys.readouterr().out
+            outputs.append((stdout, (tmp_path / jobs /
+                                     f"test_{entry}.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
+def test_every_entry_that_runs_simulations_runs_them_through_execute_jobs(
+        monkeypatch):
+    """Each grid entry hands all its cells to ``execute_jobs`` in one
+    call and its table holds exactly what came back; E1 runs nothing,
+    and E5 and E6 read E2's and E3's tables."""
+    calls = []
+
+    def counted(jobs, n_jobs=1, progress=None):
+        calls.append(len(jobs))
+        return execute_jobs(jobs, n_jobs, progress)
+
+    monkeypatch.setattr(sweep, "execute_jobs", counted)
+    assert [(e.id, e.reads) for e in EXPERIMENTS if e.grid is None] == \
+        [("E1", None), ("E5", "E2"), ("E6", "E3")]
+    for entry in EXPERIMENTS:
+        calls.clear()
+        [outcome] = run_experiments([entry.id], "test")
+        if entry.grid is not None:
+            assert calls == [len(outcome.result.cells)], entry.id
+        elif entry.reads is None:
+            assert calls == [], entry.id
 
 
 class TestWorkerFailure:
@@ -186,7 +228,7 @@ class TestHardening:
 
     def test_first_failure_raises_without_a_retry(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOB_TIMEOUT", raising=False)
-        real = parallel._execute_job
+        real = JobSpec.execute
         calls = []
 
         def flaky(job):
@@ -195,7 +237,7 @@ class TestHardening:
                 raise OSError("first attempt fails")
             return real(job)
 
-        monkeypatch.setattr(parallel, "_execute_job", flaky)
+        monkeypatch.setattr(JobSpec, "execute", flaky)
         with pytest.raises(SweepWorkerError) as err:
             execute_jobs([self._job()], n_jobs=1)
         assert isinstance(err.value.__cause__, OSError)
@@ -207,7 +249,7 @@ class TestHardening:
         def broken(job):
             raise ValueError("always broken")
 
-        monkeypatch.setattr(parallel, "_execute_job", broken)
+        monkeypatch.setattr(JobSpec, "execute", broken)
         with pytest.raises(SweepWorkerError) as err:
             execute_jobs([self._job()], n_jobs=1)
         assert isinstance(err.value.__cause__, ValueError)
@@ -222,7 +264,7 @@ class TestHardening:
             time.sleep(10.0)
             raise AssertionError("deadline never fired")
 
-        monkeypatch.setattr(parallel, "_execute_job", hangs)
+        monkeypatch.setattr(JobSpec, "execute", hangs)
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", "0.1")
         with pytest.raises(SweepWorkerError, match="REPRO_JOB_TIMEOUT") as err:
             execute_jobs([self._job()], n_jobs=1)

@@ -20,7 +20,8 @@ import pytest
 import repro
 from repro import ALGORITHMS, WsConfig, run_experiment
 from repro.faults.plan import parse_fault_spec
-from repro.harness.figures import figure4
+from repro.harness.config import setup_for
+from repro.harness.sweep import run_sweep
 from repro.obs import to_jsonl_lines
 from repro.service import ArrivalProcess, ServiceConfig, run_service
 
@@ -77,8 +78,8 @@ def test_trace_itself_is_deterministic(traced_small_run):
 
 def test_fig4_test_sweep_matches_pre_obs_seed():
     """The whole test-scale Figure-4 sweep, untraced, is untouched."""
-    fig = figure4("test")
-    assert [r.engine_events for r in fig.sweep.runs] \
+    fig = run_sweep(setup_for("fig4", "test"))
+    assert [c.result.engine_events for c in fig.cells] \
         == PIN_FIG4_TEST_ENGINE_EVENTS
 
 

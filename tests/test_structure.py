@@ -99,6 +99,12 @@ the next re-anchor finding it:
   benchmark's committed baseline stays gone (``RETIRED``), and
   ``docs/performance.md`` is a guide under 600 lines that cites only
   metrics ``BENCHMARK.json`` declares.
+* A registry grid runs one way (``harness/sweep.py:run_cells``): every
+  entry that runs simulations hands its cells to ``execute_jobs`` and
+  returns one ``CellTable``; the per-shape result classes
+  (``GRID_RESULTS_RETIRED``) stay gone, and the registry
+  (``harness/experiments.py``) imports no ``run_experiment`` to loop
+  over cells by itself.
 * ``WsConfig``, ``ServiceConfig`` and ``FaultPlan`` hold only values a
   caller sets (``CONFIG_FIELDS``); a value the paper fixes is a module
   constant beside its config, and no name under ``src/`` reads or sets
@@ -678,6 +684,24 @@ def test_experiments_md_blocks_are_the_registry():
                               rf"{eid}\b", section, flags=re.M)) == 1, eid
         assert len(re.findall(r"repro-uts experiment E\d", section)) == 1, eid
         assert f"<!-- experiment:{eid} -->" in section, eid
+
+
+#: The result shapes registry grids returned before every grid returned
+#: one ``CellTable``.
+GRID_RESULTS_RETIRED = ("FigureResult", "RunTable", "SweepResult")
+
+
+def test_every_registry_grid_runs_one_way_into_one_table():
+    classes = [f"{path.relative_to(SRC)}:{node.lineno}: {node.name}"
+               for path, tree in _modules() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               and node.name in GRID_RESULTS_RETIRED]
+    assert classes == [], classes
+    registry = ast.parse((SRC / "harness" / "experiments.py").read_text())
+    imported = [alias.asname or alias.name for node in ast.walk(registry)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names]
+    assert "run_experiment" not in imported
 
 
 #: The longest ``docs/performance.md`` may be: a layer guide, not a log.
