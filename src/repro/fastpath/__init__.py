@@ -87,6 +87,7 @@ def _load(force: bool = False) -> Any:
         return None
     try:
         from repro.errors import SimulationError  # noqa: PLC0415
+        from repro.pgas.locks import GlobalLock  # noqa: PLC0415
         from repro.pgas.shared import SharedVar  # noqa: PLC0415
         from repro.sim.engine import Process, SimEvent, Timeout  # noqa: PLC0415
         from repro.sim.resources import FifoLock  # noqa: PLC0415
@@ -95,8 +96,8 @@ def _load(force: bool = False) -> Any:
             CANCELLED,
         )
 
-        core.configure(Timeout, SimEvent, Process, FifoLock, SplitStack,
-                       SharedVar, SimulationError, CANCELLED)
+        core.configure(Timeout, SimEvent, Process, FifoLock, GlobalLock,
+                       SplitStack, SharedVar, SimulationError, CANCELLED)
     except Exception as exc:  # slot layout changed, etc.: stay pure
         _core_error = f"configure failed ({exc!r})"
         return None

@@ -44,7 +44,11 @@
  *       A service stream's workload books each visit batch to its
  *       task's drain ledger (ServiceWorkload.batch_expand); that is
  *       one more switch, so the service pool's Working state is this
- *       one too.
+ *       one too.  SearchPhase probes and backs off, and for a stock
+ *       lock-based protocol carries out the Stealing state as well
+ *       (LockBasedAlgorithm._claim: lock, re-check, reserve, unlock,
+ *       transfer); the FIFO grant and hand-off are written once, for
+ *       WorkPhase's own-stack bracket and this claim alike.
  *
  * The phase protocol.  Every phase object starts with PHASE_HEAD: the
  * worker inside it, the resume point `state` (0: nobody inside) and a
@@ -94,6 +98,9 @@ static PyTypeObject *TimeoutType;
 static PyTypeObject *SimEventType;
 static PyTypeObject *ProcessType;
 static PyTypeObject *SharedVarType;
+static PyTypeObject *FifoLockType;
+static PyTypeObject *GlobalLockType;
+static PyTypeObject *SplitStackType;
 static PyObject *SimulationError;
 static PyObject *Cancelled;
 
@@ -102,16 +109,18 @@ static PyObject *s_now, *s_seq, *s_events_processed, *s_live_processes,
     *s_heap, *s_max_events, *s_limit_error, *s_succeed, *s_fire_m,
     *s_nodes_visited, *s_reacquires, *s_releases, *s_cancels,
     *s_waiters_key, *s_probes, *s_rng, *s_getrandbits, *s_todo, *s_items,
-    *s_m, *s_value, *s_note;
+    *s_m, *s_value, *s_note, *s_steal_attempts, *s_steals_ok,
+    *s_chunks_stolen, *s_nodes_stolen, *s_in_flight_nodes;
 
 /* slot offsets (T_OBJECT_EX members of the configured classes) */
 static Py_ssize_t off_t_delay, off_t_value;
 static Py_ssize_t off_e_fired, off_e_scheduled, off_e_value, off_e_waiters;
 static Py_ssize_t off_p_body, off_p_done, off_p_alive, off_p_name;
 static Py_ssize_t off_f_locked, off_f_queue, off_f_acq, off_f_cacq,
-    off_f_busy, off_f_acqat;
-static Py_ssize_t off_st_pushes, off_st_pops, off_st_released,
-    off_st_reacquired;
+    off_f_busy, off_f_acqat, off_f_ev_name;
+static Py_ssize_t off_g_fifo, off_g_holder, off_g_pending;
+static Py_ssize_t off_st_local, off_st_shared, off_st_pushes, off_st_pops,
+    off_st_released, off_st_reacquired, off_st_stolen;
 static Py_ssize_t off_w_value, off_w_writes;
 
 static int configured = 0;
@@ -507,6 +516,7 @@ static void phase_dealloc(PyObject *self);
 static int dispatch_send(RunCtx *rc, PyObject *proc, PyObject *value,
                          PyObject *time_obj);
 static int phase_finish(PhaseHead *ph, RunCtx *rc, PyObject *time_obj);
+static int call_cb(RunCtx *rc, PyObject *cb);
 
 /* ------------------------------------------------------------------ */
 /* the phase types                                                    */
@@ -538,7 +548,6 @@ enum {
 typedef struct {
     PHASE_HEAD
     /* configuration (strong references; immutable after init) */
-    PyObject *sim;
     PyObject *local;          /* list: stack.local                     */
     PyObject *shared;         /* list: stack.shared                    */
     PyObject *shared_append;  /* bound shared.append                   */
@@ -565,8 +574,6 @@ typedef struct {
     PyObject *rank;           /* int: this rank, as gate.note takes it */
     /* (c) stack moves run under the own-stack lock */
     PyObject *fifo;           /* FifoLock                              */
-    PyObject *queue;          /* list: fifo._queue                     */
-    PyObject *ev_name;        /* str: fifo._ev_name                    */
     double lock_to;           /* lock round trip; < 0 means free       */
     PyObject *barrier_dict;   /* CancelableBarrier.__dict__: a release
                                * resets it (the after-release hook)    */
@@ -586,23 +593,32 @@ typedef struct {
 /* SearchPhase: the polling victim-probe loop shared (modulo the
  * request-variable poll) by the lock-based and distmem search phases
  * (the parked search stays a generator, over scan_probe).
- * Probes, probe-cost accounting, and backoff run in C; every steal
- * attempt -- and, for distmem, every pending-request service -- is
- * bounced to the suspended worker generator, which runs the Python
- * try_steal/service_request protocol and re-yields the phase. */
+ * Probes, probe-cost accounting, and backoff run in C.  With the claim
+ * members bound (a stock lock-based protocol) a steal attempt runs in
+ * C too; otherwise it -- and, for distmem, every pending-request
+ * service -- is bounced to the suspended worker generator, which runs
+ * the Python try_steal/service_request protocol and re-yields the
+ * phase. */
 enum {
     SP_IDLE = 0,        /* not running (no worker bound)               */
     SP_SVC_TOP,         /* bounced to service a request (round top)    */
     SP_PRE_STEAL,       /* woke from the pre-steal probe-cost timeout  */
     SP_POST_STEAL,      /* re-yielded after a failed steal attempt     */
     SP_END_COST,        /* woke from the end-of-round cost timeout     */
-    SP_BACKOFF          /* woke from the between-rounds backoff        */
+    SP_BACKOFF,         /* woke from the between-rounds backoff        */
+    SP_LOCK_WAIT,       /* claim: woke from the lock round trip        */
+    SP_GRANTED,         /* claim: woke holding the victim's lock       */
+    SP_HELD,            /* claim: woke from a reference under the lock */
+    SP_UNLOCKED,        /* claim: woke from the unlock reference       */
+    SP_LANDED           /* claim: woke from the chunk transfer         */
 };
+
+/* The steal amounts a claim computes (ws.registry STEAL_AMOUNTS). */
+enum { TAKE_ONE, TAKE_HALF, TAKE_ALL };
 
 typedef struct {
     PHASE_HEAD
     /* configuration (strong references; immutable after init) */
-    PyObject *sim;
     PyObject *st_dict;        /* ThreadStats.__dict__ (probes)         */
     PyObject *segments;       /* bound ProbeOrder.segments: a round's  */
     PyObject *getrandbits;    /*   fresh array('i') victims, shuffled  */
@@ -620,6 +636,17 @@ typedef struct {
     double backoff_max;
     double slow;              /* ctx._slow compute-cost multiplier     */
     int persist;              /* persist_while_working                 */
+    PyObject *rank;           /* int: this rank                        */
+    /* the claim, LockBasedAlgorithm._claim: NULL locks, the bounce */
+    PyObject *locks;          /* list of GlobalLock: stack_locks       */
+    PyObject *stacks;         /* list of SplitStack                    */
+    PyObject *algo_dict;      /* the algorithm's __dict__ (in flight)  */
+    PyObject *steal;          /* str: the steal amount's registry key  */
+    PyObject *claim_costs;    /* net.steal_cost_terms(), parsed below  */
+    PyObject *gate;           /* IdleGate told of the victim's advert  */
+    PyObject *gate_cat;       /* list: gate._cat                       */
+    PyObject *steal_cb;       /* callable(): state timer -> STEALING   */
+    PyObject *search_cb;      /* callable(): state timer -> SEARCHING  */
     /* runtime */
     PyObject *victims;        /* current round's shuffled segments     */
     Py_ssize_t seg, idx;      /* segment probed, its next victim       */
@@ -628,6 +655,14 @@ typedef struct {
     double backoff;
     long long probes_acc;     /* st.probes delta, flushed at yields    */
     int any_working;
+    long long me;             /* rank, and the claim's parsed members: */
+    int take;                 /*   TAKE_*                              */
+    double lock_self, lock_node, lock_remote;   /* lock_cost branches  */
+    double xfer_lat_node, xfer_bw_node, xfer_lat, xfer_bw, xfer_pen;
+    long long desc_bytes;     /*   chunk_transfer's terms              */
+    PyObject *nodes;          /* reserved, across unlock and transfer  */
+    long long chunks;         /* how many chunks they came in          */
+    int queued;               /* the grant came through the queue      */
 } SearchPhaseObject;
 
 /* IdlePhase: the mpi-ws idle loop's no-progress wait.  Between a full
@@ -648,7 +683,6 @@ enum {
 typedef struct {
     PHASE_HEAD
     /* configuration (strong references; immutable after init) */
-    PyObject *sim;
     PyObject *pending;        /* list MsgWorld._pending[rank]          */
     double backoff_min;
     double backoff_factor;
@@ -820,21 +854,56 @@ work_reacquire(WorkPhaseObject *w)
     return slot_add_long(w->stack, off_st_reacquired, ngot);
 }
 
-/* self._advertise(rank, value), fault-free: work_avail[rank].poke(value)
- * -- writes += 1, then value = v -- and, under park, gate.note(rank,
- * value).  `value` NULL: len(shared).  IdleGate.note's own
- * no-transition test (`cat == old`, or a dead rank) is made here
- * against gate._cat, so Python is entered only where the rank's
- * category moves -- which may fire parked ranks' events, hence now/_seq
- * synced out and back as call_cb does.  A no-op without switch (b). */
+/* AlgorithmBase._advertise(rank, value), fault-free: wa.poke(value) --
+ * writes += 1, then value = v -- and, under park, gate.note(rank,
+ * value).  IdleGate.note's own no-transition test (`cat == old`, or a
+ * dead rank) is made here against gate._cat, so Python is entered only
+ * where the rank's category moves -- which may fire parked ranks'
+ * events, hence now/_seq synced out and back as call_cb does. */
+static int
+advertise(RunCtx *rc, PyObject *time_obj, PyObject *wa, PyObject *gate,
+          PyObject *gate_cat, PyObject *rank, PyObject *value /* stolen */)
+{
+    PyObject *r;
+    Py_ssize_t at;
+    long long v;
+    long old;
+    if (slot_add_long(wa, off_w_writes, 1) < 0) {
+        Py_DECREF(value);
+        return -1;
+    }
+    slot_store(wa, off_w_value, value);  /* the slot owns it now */
+    if (gate == NULL)
+        return 0;
+    at = PyLong_AsSsize_t(rank);
+    if (at < 0 || at >= PyList_GET_SIZE(gate_cat)) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(SimulationError, "fastpath: rank not in gate");
+        return -1;
+    }
+    v = PyLong_AsLongLong(value);
+    old = PyLong_AsLong(PyList_GET_ITEM(gate_cat, at));
+    if (PyErr_Occurred())
+        return -1;
+    if (old == (v > 0 ? 1 : (v == 0 ? 0 : -1)) || old == -2 /* DEAD */)
+        return 0;
+    if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
+        return -1;
+    Py_INCREF(value);
+    r = PyObject_CallMethodObjArgs(gate, s_note, rank, value, NULL);
+    Py_DECREF(value);
+    if (r == NULL)
+        return -1;
+    Py_DECREF(r);
+    return rc_reload_seq(rc);
+}
+
+/* The Working state's advertise: `value` NULL is len(shared).  A no-op
+ * without switch (b). */
 static int
 work_advertise(WorkPhaseObject *w, RunCtx *rc, PyObject *time_obj,
                PyObject *value /* borrowed */)
 {
-    PyObject *r;
-    Py_ssize_t rank;
-    long long v;
-    long old;
     if (w->wa == NULL)
         return 0;
     if (value != NULL) {
@@ -845,30 +914,87 @@ work_advertise(WorkPhaseObject *w, RunCtx *rc, PyObject *time_obj,
                 || (value = PyLong_FromSsize_t(shared_n)) == NULL)
             return -1;
     }
-    if (slot_add_long(w->wa, off_w_writes, 1) < 0) {
-        Py_DECREF(value);
-        return -1;
+    return advertise(rc, time_obj, w->wa, w->gate, w->gate_cat, w->rank,
+                     value);
+}
+
+/* A phase `ph` takes `fifo` (FifoLock.acquire, then the generators'
+ * yield).  Free: locked = True; acquisitions += 1; _acquired_at = now;
+ * and a same-time resumption (the fired grant event, `yield _T0`).
+ * Held: contended_acquisitions += 1 and a fresh SimEvent appended to
+ * fifo._queue with the phase as its waiter, resumed when the holder's
+ * fifo_release hands the lock on.  0: granted; 1: queued, the event in
+ * *queued (borrowed: the queue holds it); -1: error. */
+static int
+fifo_acquire(RunCtx *rc, PyObject *time_obj, PhaseHead *ph, PyObject *fifo,
+             PyObject **queued)
+{
+    PyObject *ev, *waiters;
+    if (SLOT(fifo, off_f_locked) != Py_True) {
+        Py_INCREF(Py_True);
+        slot_store(fifo, off_f_locked, Py_True);
+        if (slot_add_long(fifo, off_f_acq, 1) < 0)
+            return -1;
+        Py_INCREF(time_obj);
+        slot_store(fifo, off_f_acqat, time_obj);
+        return rc_push_obj(rc, time_obj, (PyObject *)ph, Py_None);
     }
-    slot_store(w->wa, off_w_value, value);  /* the slot owns it now */
-    if (w->gate == NULL)
-        return 0;
-    rank = PyLong_AsSsize_t(w->rank);
-    if (rank < 0 || rank >= PyList_GET_SIZE(w->gate_cat)) {
+    ev = PyObject_CallFunctionObjArgs((PyObject *)SimEventType, rc->sim,
+                                      SLOT(fifo, off_f_ev_name), NULL);
+    if (ev == NULL)
+        return -1;
+    waiters = SLOT(ev, off_e_waiters);
+    if (slot_add_long(fifo, off_f_cacq, 1) < 0
+            || PyList_Append(SLOT(fifo, off_f_queue), ev) < 0
+            || waiters == NULL || !PyList_CheckExact(waiters)
+            || PyList_Append(waiters, (PyObject *)ph) < 0) {
         if (!PyErr_Occurred())
-            PyErr_SetString(SimulationError, "fastpath: rank not in gate");
+            PyErr_SetString(SimulationError,
+                            "fastpath: bad event waiter list");
+        Py_DECREF(ev);
         return -1;
     }
-    v = PyLong_AsLongLong(value);
-    old = PyLong_AsLong(PyList_GET_ITEM(w->gate_cat, rank));
-    if (PyErr_Occurred())
+    *queued = ev;
+    Py_DECREF(ev);
+    return 1;
+}
+
+/* FifoLock.release: busy_time += now - _acquired_at, then hand off to
+ * the first queued waiter (acquisitions += 1; _acquired_at = now;
+ * queue.pop(0).succeed()) or leave the lock free. */
+static int
+fifo_release(RunCtx *rc, PyObject *time_obj, PyObject *fifo)
+{
+    PyObject *queue = SLOT(fifo, off_f_queue);
+    PyObject *acqat = SLOT(fifo, off_f_acqat);
+    PyObject *ev, *r;
+    double at;
+    if (acqat == NULL || queue == NULL || !PyList_CheckExact(queue)) {
+        PyErr_SetString(SimulationError, "fastpath: lock state");
         return -1;
-    if (old == (v > 0 ? 1 : (v == 0 ? 0 : -1)) || old == -2 /* DEAD */)
+    }
+    at = PyFloat_AsDouble(acqat);
+    if ((at == -1.0 && PyErr_Occurred())
+            || slot_add_double(fifo, off_f_busy, rc->now - at) < 0)
+        return -1;
+    if (PyList_GET_SIZE(queue) == 0) {
+        Py_INCREF(Py_False);
+        slot_store(fifo, off_f_locked, Py_False);
         return 0;
-    if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
+    }
+    if (slot_add_long(fifo, off_f_acq, 1) < 0)
         return -1;
-    Py_INCREF(value);
-    r = PyObject_CallMethodObjArgs(w->gate, s_note, w->rank, value, NULL);
-    Py_DECREF(value);
+    Py_INCREF(time_obj);
+    slot_store(fifo, off_f_acqat, time_obj);
+    ev = PyList_GET_ITEM(queue, 0);
+    Py_INCREF(ev);
+    if (PyList_SetSlice(queue, 0, 1, NULL) < 0
+            || rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0) {
+        Py_DECREF(ev);
+        return -1;
+    }
+    r = PyObject_CallMethodNoArgs(ev, s_succeed);
+    Py_DECREF(ev);
     if (r == NULL)
         return -1;
     Py_DECREF(r);
@@ -1044,46 +1170,11 @@ move:
     }
     /* FALLTHROUGH */
 lock_grant:
-    if (SLOT(w->fifo, off_f_locked) != Py_True) {
-        /* uncontended: locked = True; acquisitions += 1;
-         * _acquired_at = sim.now; yield _T0 */
-        Py_INCREF(Py_True);
-        slot_store(w->fifo, off_f_locked, Py_True);
-        if (slot_add_long(w->fifo, off_f_acq, 1) < 0)
-            return -1;
-        Py_INCREF(time_obj);
-        slot_store(w->fifo, off_f_acqat, time_obj);
-        w->state = WP_GRANTED;
-        return rc_push_obj(rc, time_obj, (PyObject *)w, Py_None);
-    }
-    /* contended: ev = SimEvent(sim, name); queue.append(ev);
-     * yield ev  (the phase itself registers as the waiter) */
     {
-        PyObject *ev = PyObject_CallFunctionObjArgs(
-            (PyObject *)SimEventType, w->sim, w->ev_name, NULL);
-        PyObject *waiters;
-        if (ev == NULL)
-            return -1;
-        if (slot_add_long(w->fifo, off_f_cacq, 1) < 0) {
-            Py_DECREF(ev);
-            return -1;
-        }
-        if (PyList_Append(w->queue, ev) < 0) {
-            Py_DECREF(ev);
-            return -1;
-        }
-        waiters = SLOT(ev, off_e_waiters);
-        if (waiters == NULL || !PyList_CheckExact(waiters)
-                || PyList_Append(waiters, (PyObject *)w) < 0) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(SimulationError,
-                                "fastpath: bad event waiter list");
-            Py_DECREF(ev);
-            return -1;
-        }
-        Py_DECREF(ev);
+        /* resumed at once, or when the holder's release fires us */
+        PyObject *ev;
         w->state = WP_GRANTED;
-        return 0;  /* resumed when the holder's release fires us */
+        return fifo_acquire(rc, time_obj, self, w->fifo, &ev) < 0 ? -1 : 0;
     }
 
 granted:
@@ -1108,48 +1199,8 @@ granted:
 unlock:
     /* The unlock reference is free (an own-stack lock is homed at its
      * rank), so no yield separates the move from the hand-off. */
-    if (w->fifo != NULL) {
-        /* busy_time += sim.now - _acquired_at; hand off or unlock */
-        PyObject *acqat = SLOT(w->fifo, off_f_acqat);
-        double at;
-        if (acqat == NULL)
-            { PyErr_SetString(SimulationError, "fastpath: lock state");
-              return -1; }
-        at = PyFloat_AsDouble(acqat);
-        if (at == -1.0 && PyErr_Occurred())
-            return -1;
-        if (slot_add_double(w->fifo, off_f_busy, rc->now - at) < 0)
-            return -1;
-        if (PyList_GET_SIZE(w->queue) > 0) {
-            /* direct hand-off: acquisitions += 1; _acquired_at = now;
-             * queue.pop(0).succeed() */
-            PyObject *ev, *r;
-            if (slot_add_long(w->fifo, off_f_acq, 1) < 0)
-                return -1;
-            Py_INCREF(time_obj);
-            slot_store(w->fifo, off_f_acqat, time_obj);
-            ev = PyList_GET_ITEM(w->queue, 0);
-            Py_INCREF(ev);
-            if (PyList_SetSlice(w->queue, 0, 1, NULL) < 0) {
-                Py_DECREF(ev);
-                return -1;
-            }
-            if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0) {
-                Py_DECREF(ev);
-                return -1;
-            }
-            r = PyObject_CallMethodNoArgs(ev, s_succeed);
-            Py_DECREF(ev);
-            if (r == NULL)
-                return -1;
-            Py_DECREF(r);
-            if (rc_reload_seq(rc) < 0)
-                return -1;
-        } else {
-            Py_INCREF(Py_False);
-            slot_store(w->fifo, off_f_locked, Py_False);
-        }
-    }
+    if (w->fifo != NULL && fifo_release(rc, time_obj, w->fifo) < 0)
+        return -1;
     if (!w->releasing)
         goto poll;
     /* st.releases += 1 (after the unlock, as in the generator) */
@@ -1360,13 +1411,77 @@ fail:
     return NULL;
 }
 
+/* -- the claim's members (SearchPhase with `locks` bound) -- */
+
+/* One of a claim's costs by the victim's locality: the thief's own
+ * rank, a rank on its node (ref_cost_bounds' range), any other. */
+static double
+claim_cost(SearchPhaseObject *sp, double self, double node, double remote)
+{
+    long long v = sp->cur_victim;
+    return v == sp->me ? self
+        : sp->node_lo <= v && v < sp->node_hi ? node : remote;
+}
+
+/* net.shared_ref(rank, victim): a reference to the victim's lock or
+ * stack counters. */
+static double
+claim_ref(SearchPhaseObject *sp)
+{
+    return claim_cost(sp, 0.0, sp->c_local, sp->c_remote);
+}
+
+/* stack_locks[victim], checked to be a GlobalLock over a FifoLock. */
+static PyObject *
+claim_lock(SearchPhaseObject *sp)
+{
+    long long v = sp->cur_victim;
+    PyObject *lk;
+    if (v < 0 || v >= PyList_GET_SIZE(sp->locks)
+            || Py_TYPE(lk = PyList_GET_ITEM(sp->locks, v)) != GlobalLockType
+            || SLOT(lk, off_g_fifo) == NULL
+            || Py_TYPE(SLOT(lk, off_g_fifo)) != FifoLockType
+            || SLOT(lk, off_g_pending) == NULL
+            || !PyDict_CheckExact(SLOT(lk, off_g_pending))) {
+        PyErr_Format(SimulationError, "fastpath: bad stack lock of T%lld", v);
+        return NULL;
+    }
+    return lk;
+}
+
+/* stacks[rank], checked to be a SplitStack. */
+static PyObject *
+claim_stack(SearchPhaseObject *sp, long long rank)
+{
+    PyObject *stack;
+    if (rank < 0 || rank >= PyList_GET_SIZE(sp->stacks)
+            || Py_TYPE(stack = PyList_GET_ITEM(sp->stacks, rank))
+               != SplitStackType) {
+        PyErr_Format(SimulationError, "fastpath: bad stack of T%lld", rank);
+        return NULL;
+    }
+    return stack;
+}
+
+/* enter_state(ctx, state) through its callback, now/_seq synced out. */
+static int
+claim_timer(RunCtx *rc, PyObject *time_obj, PyObject *cb)
+{
+    if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
+        return -1;
+    return call_cb(rc, cb);
+}
+
 /* Drive the polling search phase (lock-based Sect. 3.1 / distmem
- * Sect. 3.3.3) until it parks on a probe-cost or backoff timeout,
- * bounces a steal attempt (the victim's rank) or a pending request
- * (True) to the worker, or exhausts the search.  The worker's `yield
- * phase` receives None when the search gives up (return False); after
- * a *failed* steal it re-yields the phase, and after a successful one
- * it calls phase.abort() and returns True without re-yielding. */
+ * Sect. 3.3.3) until it parks on a probe-cost, backoff or claim
+ * timeout or a queued lock grant, bounces a steal attempt it does not
+ * claim itself (the victim's rank) or a pending request (True) to the
+ * worker, or ends.  The worker's `yield phase` receives None when the
+ * search gives up (return False) and when a claim here landed work
+ * (the worker's stack is no longer empty: return True); after a
+ * bounced *failed* steal it re-yields the phase, and after a bounced
+ * successful one it calls phase.abort() and returns True without
+ * re-yielding. */
 static int
 search_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
 {
@@ -1384,6 +1499,14 @@ search_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
         goto probe_loop;
     case SP_END_COST:   goto round_end;
     case SP_BACKOFF:    goto round_top;
+    case SP_LOCK_WAIT:  goto claim_acquire;
+    case SP_GRANTED:    goto claim_granted;
+    case SP_HELD:
+        if (sp->nodes != NULL)
+            goto claim_unlock;
+        goto claim_recheck;
+    case SP_UNLOCKED:   goto claim_release;
+    case SP_LANDED:     goto claim_land;
     default:
         PyErr_SetString(SimulationError, "fastpath: corrupt phase state");
         return -1;
@@ -1490,7 +1613,7 @@ round_end:
     }
 
 steal_bounce:
-    {
+    if (sp->locks == NULL) {
         PyObject *v = PyLong_FromLongLong(sp->cur_victim);
         int r;
         if (v == NULL)
@@ -1498,6 +1621,169 @@ steal_bounce:
         r = phase_bounce(self, rc, v, time_obj, SP_POST_STEAL);
         Py_DECREF(v);
         return r;
+    }
+
+    /* The Stealing state: try_steal, LockBasedAlgorithm._claim and
+     * _steal_landed, statement for statement -- enter STEALING, count
+     * the attempt, then ctx.lock(lk): its round trip, the FIFO grant. */
+    if (claim_timer(rc, time_obj, sp->steal_cb) < 0
+            || dict_add_long(sp->st_dict, s_steal_attempts, 1) < 0)
+        return -1;
+    {
+        double d = claim_cost(sp, sp->lock_self, sp->lock_node,
+                              sp->lock_remote);
+        if (d > 0.0) {
+            sp->state = SP_LOCK_WAIT;
+            return rc_push(rc, rc->now + d, (PyObject *)sp, Py_None);
+        }
+    }
+claim_acquire:
+    {
+        /* registered in lk.pending across a queued wait */
+        PyObject *lk = claim_lock(sp), *ev = NULL;
+        if (lk == NULL)
+            return -1;
+        sp->state = SP_GRANTED;
+        sp->queued = fifo_acquire(rc, time_obj, self, SLOT(lk, off_g_fifo),
+                                  &ev);
+        if (sp->queued < 0)
+            return -1;
+        return sp->queued
+            ? PyDict_SetItem(SLOT(lk, off_g_pending), sp->rank, ev) : 0;
+    }
+claim_granted:
+    {
+        PyObject *lk = claim_lock(sp);
+        if (lk == NULL || (sp->queued && PyDict_DelItem(
+                SLOT(lk, off_g_pending), sp->rank) < 0))
+            return -1;
+        Py_INCREF(sp->rank);
+        slot_store(lk, off_g_holder, sp->rank);
+    }
+    /* re-check availability under the lock: one shared reference,
+     * charged as ctx.compute would */
+    if (claim_ref(sp) > 0.0) {
+        sp->state = SP_HELD;
+        return rc_push(rc, rc->now + claim_ref(sp) * sp->slow,
+                       (PyObject *)sp, Py_None);
+    }
+claim_recheck:
+    {
+        PyObject *vstack = claim_stack(sp, sp->cur_victim), *shared;
+        Py_ssize_t nch, take, i, n;
+        if (vstack == NULL)
+            return -1;
+        shared = SLOT(vstack, off_st_shared);
+        if (shared == NULL || !PyList_CheckExact(shared)) {
+            PyErr_SetString(SimulationError, "fastpath: bad shared region");
+            return -1;
+        }
+        nch = PyList_GET_SIZE(shared);
+        if (nch == 0)
+            goto claim_unlock;  /* raced by a thief or the owner */
+        take = sp->take == TAKE_ONE ? 1 : sp->take == TAKE_ALL ? nch
+            : nch == 1 ? 1 : (nch + 1) / 2;
+        /* steal_chunks(take), flattened */
+        if ((sp->nodes = PyList_New(0)) == NULL)
+            return -1;
+        for (i = 0; i < take; i++) {
+            PyObject *chunk = PyList_GET_ITEM(shared, i);
+            n = PyList_GET_SIZE(sp->nodes);
+            if (!PyList_CheckExact(chunk)) {
+                PyErr_SetString(PyExc_TypeError,
+                                "fastpath: shared chunk must be a list");
+                return -1;
+            }
+            if (PyList_SetSlice(sp->nodes, n, n, chunk) < 0)
+                return -1;
+        }
+        n = PyList_GET_SIZE(sp->nodes);
+        sp->chunks = take;
+        if (PyList_SetSlice(shared, 0, take, NULL) < 0
+                || slot_add_long(vstack, off_st_stolen, n) < 0
+                || dict_add_long(sp->algo_dict, s_in_flight_nodes, n) < 0)
+            return -1;
+        /* self._advertise(victim, vstack.shared_chunks) */
+        {
+            PyObject *victim = PyLong_FromLongLong(sp->cur_victim);
+            PyObject *avail = victim == NULL ? NULL
+                : PyLong_FromSsize_t(PyList_GET_SIZE(shared));
+            int r = avail == NULL ? -1 : advertise(
+                rc, time_obj, PyList_GET_ITEM(sp->slots, sp->cur_victim),
+                sp->gate, sp->gate_cat, victim, avail);
+            Py_XDECREF(victim);
+            if (r < 0)
+                return -1;
+        }
+        if (claim_ref(sp) > 0.0) {
+            sp->state = SP_HELD;
+            return rc_push(rc, rc->now + claim_ref(sp) * sp->slow,
+                           (PyObject *)sp, Py_None);
+        }
+    }
+claim_unlock:
+    /* ctx.unlock(lk): one shared reference to its home, not slowed */
+    if (claim_ref(sp) > 0.0) {
+        sp->state = SP_UNLOCKED;
+        return rc_push(rc, rc->now + claim_ref(sp), (PyObject *)sp, Py_None);
+    }
+claim_release:
+    {
+        PyObject *lk = claim_lock(sp);
+        if (lk == NULL)
+            return -1;
+        Py_INCREF(Py_None);
+        slot_store(lk, off_g_holder, Py_None);
+        if (fifo_release(rc, time_obj, SLOT(lk, off_g_fifo)) < 0)
+            return -1;
+    }
+    if (sp->nodes == NULL) {
+        /* steal.fail: back to SEARCHING, and the probe proceeds to the
+         * next victim (Sect. 3.1) */
+        if (claim_timer(rc, time_obj, sp->search_cb) < 0)
+            return -1;
+        sp->any_working = 1;
+        goto probe_loop;
+    }
+    {
+        /* ctx.chunk_get: the one-sided transfer outside the critical
+         * region (the victim keeps working meanwhile) */
+        double bytes = (double)(PyList_GET_SIZE(sp->nodes) * sp->desc_bytes);
+        double d = claim_cost(
+            sp, 0.0, sp->xfer_lat_node + bytes / sp->xfer_bw_node,
+            sp->xfer_lat + bytes / sp->xfer_bw + sp->xfer_pen);
+        if (d > 0.0) {
+            sp->state = SP_LANDED;
+            return rc_push(rc, rc->now + d, (PyObject *)sp, Py_None);
+        }
+    }
+claim_land:
+    {
+        /* _steal_landed: push, settle in_flight_nodes, count */
+        PyObject *stack = claim_stack(sp, sp->me), *local;
+        Py_ssize_t n = PyList_GET_SIZE(sp->nodes), top;
+        if (stack == NULL)
+            return -1;
+        local = SLOT(stack, off_st_local);
+        if (local == NULL || !PyList_CheckExact(local)) {
+            PyErr_SetString(SimulationError, "fastpath: bad local region");
+            return -1;
+        }
+        top = PyList_GET_SIZE(local);
+        if (PyList_SetSlice(local, top, top, sp->nodes) < 0
+                || slot_add_long(stack, off_st_pushes, n) < 0
+                || dict_add_long(sp->algo_dict, s_in_flight_nodes, -n) < 0
+                || dict_add_long(sp->st_dict, s_steals_ok, 1) < 0
+                || dict_add_long(sp->st_dict, s_chunks_stolen, sp->chunks) < 0
+                || dict_add_long(sp->st_dict, s_nodes_stolen, n) < 0)
+            return -1;
+        Py_CLEAR(sp->nodes);
+        if (claim_timer(rc, time_obj, sp->search_cb) < 0)
+            return -1;
+        /* work in hand ends the episode: the worker finds its stack
+         * full when its `yield phase` returns */
+        Py_CLEAR(sp->victims);
+        return phase_finish(self, rc, time_obj);
     }
 
 exit_nowork:
@@ -2625,7 +2911,6 @@ static PyGetSetDef phase_getset[] = {
 /* -- WorkPhase ------------------------------------------------------ */
 
 static const PhaseField WorkPhase_fields[] = {
-    {"sim", F_OBJ, offsetof(WorkPhaseObject, sim)},
     {"local", F_OBJ, offsetof(WorkPhaseObject, local), &PyList_Type},
     {"shared", F_OBJ, offsetof(WorkPhaseObject, shared)},
     {"shared_append", F_OBJ, offsetof(WorkPhaseObject, shared_append)},
@@ -2650,8 +2935,6 @@ static const PhaseField WorkPhase_fields[] = {
     {"gate_cat", F_OPT, offsetof(WorkPhaseObject, gate_cat), &PyList_Type},
     {"rank", F_OBJ, offsetof(WorkPhaseObject, rank), &PyLong_Type},
     {"fifo", F_OPT, offsetof(WorkPhaseObject, fifo)},
-    {"queue", F_OPT, offsetof(WorkPhaseObject, queue), &PyList_Type},
-    {"ev_name", F_OPT, offsetof(WorkPhaseObject, ev_name)},
     {"lock_to", F_DOUBLE, offsetof(WorkPhaseObject, lock_to)},
     {"barrier_dict", F_OPT, offsetof(WorkPhaseObject, barrier_dict),
      &PyDict_Type},
@@ -2677,8 +2960,8 @@ work_check(PhaseHead *self)
         return "wa needs the no_work sentinel it is poked with at exit";
     if (w->gate != NULL && (w->wa == NULL || w->gate_cat == NULL))
         return "gate needs the wa whose writes it is told and its _cat list";
-    if (w->fifo != NULL && (w->queue == NULL || w->ev_name == NULL))
-        return "fifo needs its queue and ev_name";
+    if (w->fifo != NULL && Py_TYPE(w->fifo) != FifoLockType)
+        return "fifo must be a FifoLock";
     if (w->barrier_dict != NULL && w->fifo == NULL)
         return "barrier_dict needs the fifo whose releases reset it";
     if ((w->drained != NULL) != (w->task_of.obj != NULL)
@@ -2702,7 +2985,6 @@ static const PhaseDesc WorkPhase_desc = {
 /* -- SearchPhase ---------------------------------------------------- */
 
 static const PhaseField SearchPhase_fields[] = {
-    {"sim", F_OBJ, offsetof(SearchPhaseObject, sim)},
     {"st_dict", F_OBJ, offsetof(SearchPhaseObject, st_dict), &PyDict_Type},
     {"segments", F_OBJ, offsetof(SearchPhaseObject, segments)},
     {"getrandbits", F_OBJ, offsetof(SearchPhaseObject, getrandbits)},
@@ -2714,7 +2996,20 @@ static const PhaseField SearchPhase_fields[] = {
     {"backoff_max", F_DOUBLE, offsetof(SearchPhaseObject, backoff_max)},
     {"slow", F_DOUBLE, offsetof(SearchPhaseObject, slow)},
     {"persist", F_FLAG, offsetof(SearchPhaseObject, persist)},
+    {"rank", F_OBJ, offsetof(SearchPhaseObject, rank), &PyLong_Type},
+    {"locks", F_OPT, offsetof(SearchPhaseObject, locks), &PyList_Type},
+    {"stacks", F_OPT, offsetof(SearchPhaseObject, stacks), &PyList_Type},
+    {"algo_dict", F_OPT, offsetof(SearchPhaseObject, algo_dict),
+     &PyDict_Type},
+    {"steal", F_OPT, offsetof(SearchPhaseObject, steal), &PyUnicode_Type},
+    {"claim_costs", F_OPT, offsetof(SearchPhaseObject, claim_costs),
+     &PyTuple_Type},
+    {"gate", F_OPT, offsetof(SearchPhaseObject, gate)},
+    {"gate_cat", F_OPT, offsetof(SearchPhaseObject, gate_cat), &PyList_Type},
+    {"steal_cb", F_OPT, offsetof(SearchPhaseObject, steal_cb)},
+    {"search_cb", F_OPT, offsetof(SearchPhaseObject, search_cb)},
     {"victims", F_RUNTIME, offsetof(SearchPhaseObject, victims)},
+    {"nodes", F_RUNTIME, offsetof(SearchPhaseObject, nodes)},
     {NULL}
 };
 
@@ -2729,6 +3024,33 @@ search_check(PhaseHead *self)
                           &sp->c_local, &sp->c_remote)) {
         PyErr_Clear();
         return "bounds must be (node_lo, node_hi, local, remote)";
+    }
+    sp->me = PyLong_AsLongLong(sp->rank);
+    if (sp->gate != NULL && (sp->locks == NULL || sp->gate_cat == NULL))
+        return "gate needs the locks whose claims it is told of and its "
+               "_cat list";
+    if (sp->locks == NULL)
+        return NULL;
+    if (sp->stacks == NULL || sp->algo_dict == NULL || sp->steal == NULL
+            || sp->claim_costs == NULL || sp->steal_cb == NULL
+            || sp->search_cb == NULL)
+        return "locks needs stacks, algo_dict, steal, claim_costs, "
+               "steal_cb and search_cb";
+    if (PyUnicode_CompareWithASCIIString(sp->steal, "one") == 0)
+        sp->take = TAKE_ONE;
+    else if (PyUnicode_CompareWithASCIIString(sp->steal, "half") == 0)
+        sp->take = TAKE_HALF;
+    else if (PyUnicode_CompareWithASCIIString(sp->steal, "all") == 0)
+        sp->take = TAKE_ALL;
+    else
+        return "steal must be one, half or all";
+    if (!PyArg_ParseTuple(sp->claim_costs, "ddddddddL", &sp->lock_self,
+                          &sp->lock_node, &sp->lock_remote,
+                          &sp->xfer_lat_node, &sp->xfer_bw_node,
+                          &sp->xfer_lat, &sp->xfer_bw, &sp->xfer_pen,
+                          &sp->desc_bytes)) {
+        PyErr_Clear();
+        return "claim_costs must be net.steal_cost_terms()";
     }
     return NULL;
 }
@@ -2756,7 +3078,8 @@ static PyMethodDef SearchPhase_methods[] = {
 };
 
 PHASE_TYPE(SearchPhase, SearchPhase_methods,
-           "Fused polling search phase (lock-based / upc-distmem)");
+           "Fused polling search phase (lock-based / upc-distmem), "
+           "with the lock-based Stealing state");
 
 static const PhaseDesc SearchPhase_desc = {
     "SearchPhase", &SearchPhase_Type, SearchPhase_fields, search_run,
@@ -2766,7 +3089,6 @@ static const PhaseDesc SearchPhase_desc = {
 /* -- IdlePhase ------------------------------------------------------ */
 
 static const PhaseField IdlePhase_fields[] = {
-    {"sim", F_OBJ, offsetof(IdlePhaseObject, sim)},
     {"pending", F_OBJ, offsetof(IdlePhaseObject, pending), &PyList_Type},
     {"backoff_min", F_DOUBLE, offsetof(IdlePhaseObject, backoff_min)},
     {"backoff_factor", F_DOUBLE, offsetof(IdlePhaseObject, backoff_factor)},
@@ -2826,15 +3148,16 @@ phase_desc_of(PyTypeObject *type)
 static PyObject *
 py_configure(PyObject *module, PyObject *args)
 {
-    PyObject *timeout_cls, *event_cls, *process_cls, *fifo_cls,
+    PyObject *timeout_cls, *event_cls, *process_cls, *fifo_cls, *glock_cls,
         *stack_cls, *shared_cls, *sim_error, *cancelled;
-    if (!PyArg_ParseTuple(args, "OOOOOOOO:configure", &timeout_cls,
-                          &event_cls, &process_cls, &fifo_cls, &stack_cls,
-                          &shared_cls, &sim_error, &cancelled))
+    if (!PyArg_ParseTuple(args, "OOOOOOOOO:configure", &timeout_cls,
+                          &event_cls, &process_cls, &fifo_cls, &glock_cls,
+                          &stack_cls, &shared_cls, &sim_error, &cancelled))
         return NULL;
     if (!PyType_Check(timeout_cls) || !PyType_Check(event_cls)
             || !PyType_Check(process_cls) || !PyType_Check(fifo_cls)
-            || !PyType_Check(stack_cls) || !PyType_Check(shared_cls)) {
+            || !PyType_Check(glock_cls) || !PyType_Check(stack_cls)
+            || !PyType_Check(shared_cls)) {
         PyErr_SetString(PyExc_TypeError, "configure expects classes");
         return NULL;
     }
@@ -2860,6 +3183,13 @@ py_configure(PyObject *module, PyObject *args)
     RES(off_f_cacq, fifo_cls, "contended_acquisitions");
     RES(off_f_busy, fifo_cls, "busy_time");
     RES(off_f_acqat, fifo_cls, "_acquired_at");
+    RES(off_f_ev_name, fifo_cls, "_ev_name");
+    RES(off_g_fifo, glock_cls, "fifo");
+    RES(off_g_holder, glock_cls, "holder");
+    RES(off_g_pending, glock_cls, "pending");
+    RES(off_st_local, stack_cls, "local");
+    RES(off_st_shared, stack_cls, "shared");
+    RES(off_st_stolen, stack_cls, "stolen_from_me_nodes");
     RES(off_st_pushes, stack_cls, "pushes");
     RES(off_st_pops, stack_cls, "pops");
     RES(off_st_released, stack_cls, "released_nodes");
@@ -2875,6 +3205,12 @@ py_configure(PyObject *module, PyObject *args)
     Py_XSETREF(ProcessType, (PyTypeObject *)process_cls);
     Py_INCREF(shared_cls);
     Py_XSETREF(SharedVarType, (PyTypeObject *)shared_cls);
+    Py_INCREF(fifo_cls);
+    Py_XSETREF(FifoLockType, (PyTypeObject *)fifo_cls);
+    Py_INCREF(glock_cls);
+    Py_XSETREF(GlobalLockType, (PyTypeObject *)glock_cls);
+    Py_INCREF(stack_cls);
+    Py_XSETREF(SplitStackType, (PyTypeObject *)stack_cls);
     Py_INCREF(sim_error);
     Py_XSETREF(SimulationError, sim_error);
     Py_INCREF(cancelled);
@@ -2889,8 +3225,8 @@ py_configure(PyObject *module, PyObject *args)
 
 static PyMethodDef core_methods[] = {
     {"configure", py_configure, METH_VARARGS,
-     "configure(Timeout, SimEvent, Process, FifoLock, SplitStack, "
-     "SharedVar, SimulationError, cancelled) -> None"},
+     "configure(Timeout, SimEvent, Process, FifoLock, GlobalLock, "
+     "SplitStack, SharedVar, SimulationError, cancelled) -> None"},
     {"run", fast_run, METH_VARARGS,
      "run(sim, until=None) -> float -- the compiled Simulator.run loop"},
     {"batch_expand", py_batch_expand, METH_VARARGS,
@@ -2945,6 +3281,11 @@ PyInit__core(void)
     INTERN(s_m, "_m");
     INTERN(s_value, "value");
     INTERN(s_note, "note");
+    INTERN(s_steal_attempts, "steal_attempts");
+    INTERN(s_steals_ok, "steals_ok");
+    INTERN(s_chunks_stolen, "chunks_stolen");
+    INTERN(s_nodes_stolen, "nodes_stolen");
+    INTERN(s_in_flight_nodes, "in_flight_nodes");
 #undef INTERN
     m = PyModule_Create(&core_module);
     if (m == NULL)

@@ -168,6 +168,23 @@ class NetworkModel:
             return self.onnode_latency + nbytes / self.onnode_bandwidth
         return self.rdma_latency + nbytes / self.rdma_bandwidth + self._am_pen
 
+    def steal_cost_terms(self) -> tuple:
+        """``(lock_self, lock_local, lock_remote, local_latency,
+        local_bandwidth, remote_latency, remote_bandwidth,
+        remote_penalty, desc_bytes)`` for a compiled steal claim.
+
+        From ``src``: :meth:`lock_cost` is ``lock_self`` at ``src``
+        itself, ``lock_local`` on its node and ``lock_remote`` off it;
+        :meth:`chunk_transfer` of ``n`` descriptors is ``local_latency
+        + n * desc_bytes / local_bandwidth`` on the node and
+        ``remote_latency + n * desc_bytes / remote_bandwidth +
+        remote_penalty`` off it, summed left to right as there.
+        """
+        return (self.local_shared_ref, self._lock_local, self._lock_remote,
+                self.onnode_latency, self.onnode_bandwidth,
+                self.rdma_latency, self.rdma_bandwidth, self._am_pen,
+                NODE_DESC_BYTES)
+
     # -- derived ----------------------------------------------------------
 
     def with_overrides(self, **kw) -> "NetworkModel":

@@ -52,6 +52,13 @@ NO_WORK = -1
 _T0 = Timeout(0.0)
 
 
+#: The claim members of a ``SearchPhase`` that bounces every steal
+#: attempt (:meth:`AlgorithmBase._search_claim`).
+_NO_CLAIM = dict.fromkeys(("locks", "stacks", "algo_dict", "steal",
+                           "claim_costs", "gate", "gate_cat", "steal_cb",
+                           "search_cb"))
+
+
 def flatten(chunks: List[List]) -> List:
     """Concatenate stolen chunks into one node list."""
     return [node for chunk in chunks for node in chunk]
@@ -881,17 +888,15 @@ class AlgorithmBase:
         gate = self._gate if wa is not None else None
         pending, poll = (self._mail(rank) if self._mail is not None
                          else (None, None))
-        fifo = queue = lock_to = barrier = None
+        fifo = lock_to = barrier = None
         if self._own_lock is not None:
             lk, lock_to = self._own_lock[rank]
             fifo = lk.fifo
-            queue = fifo._queue
             if self._after_release_hook:  # the stock one: see _fusable
                 barrier = self._termination.barrier
         task_of, outstanding, task_nodes, drained = getattr(
             self.tree, "ledger", None) or (None,) * 4
         return load_core().WorkPhase(
-            sim=sim,
             local=stack.local,
             shared=stack.shared,
             shared_append=stack.shared.append,
@@ -916,8 +921,6 @@ class AlgorithmBase:
             gate_cat=gate._cat if gate is not None else None,
             rank=rank,
             fifo=fifo,
-            queue=queue,
-            ev_name=fifo._ev_name if fifo is not None else None,
             lock_to=lock_to.delay if lock_to is not None else -1.0,
             barrier_dict=barrier.__dict__ if barrier is not None else None,
             reset_cost=self.net.shared_ref(rank, 0),
@@ -940,7 +943,11 @@ class AlgorithmBase:
         folds in the per-thread compute multiplier the same way
         ``ctx.compute`` does.  A ``req_slot`` makes the C round-top test
         the request variable and bounce ``True`` for
-        :meth:`service_request`.
+        :meth:`service_request`.  The claim members come from
+        :meth:`_search_claim`: bound, the phase runs the Stealing state
+        itself; all None (the default, and whenever a lock-based
+        protocol's claim is not stock), every steal attempt bounces the
+        victim's rank to :meth:`try_steal`.
         """
         from repro.fastpath import load_core
         po = self.probe_orders[rank]
@@ -948,7 +955,6 @@ class AlgorithmBase:
         if getrandbits is None or type(po).cycle is not ProbeOrder.cycle:
             return None
         return load_core().SearchPhase(
-            sim=self.sim,
             st_dict=self.stats[rank].__dict__,
             segments=po.segments,
             getrandbits=getrandbits,
@@ -961,17 +967,29 @@ class AlgorithmBase:
             backoff_max=SEARCH_BACKOFF_MAX,
             slow=self.machine.contexts[rank]._slow,
             persist=self._termination.persist_while_working,
+            rank=rank,
+            **self._search_claim(rank),
         )
+
+    def _search_claim(self, rank: int) -> dict:
+        """The claim members of ``rank``'s ``SearchPhase``: here none,
+        so every steal attempt bounces to :meth:`try_steal`."""
+        return _NO_CLAIM
 
     def _search_fused(self, ctx: UpcContext, phase) -> Generator:
         """Drive the compiled :meth:`search_phase`.
 
-        The C loop probes and backs off; it bounces back here with
-        ``True`` when our own poll slot holds a pending thief (the
-        victim-side poll at the top of each round) and with the
-        victim's rank for every steal attempt.  Both run the unmodified
-        Python protocol methods; a successful steal ends the episode
-        without re-yielding the phase."""
+        The C loop probes and backs off, and with its claim bound it
+        steals as well (lock, re-check, reserve, unlock, transfer,
+        land).  It bounces back here with ``True`` when our own poll
+        slot holds a pending thief (the victim-side poll at the top of
+        each round) and with the victim's rank for a steal attempt it
+        does not claim itself.  Both run the unmodified Python protocol
+        methods; a successful bounced steal ends the episode without
+        re-yielding the phase.  The phase itself ends with None, after
+        a claim of its own that landed work or when the search gives
+        up; a search starts on an empty stack that only a claim fills,
+        so the stack tells the two apart."""
         res = yield phase
         while res is not None:
             if res is True:
@@ -984,7 +1002,7 @@ class AlgorithmBase:
                     phase.abort()
                     return True
             res = yield phase
-        return False
+        return not self.stacks[ctx.rank].is_empty
 
     # -- tree exploration (the hot loop) -----------------------------------
 

@@ -24,10 +24,15 @@ from __future__ import annotations
 
 from typing import Generator
 
+from repro.metrics.states import SEARCHING, STEALING
 from repro.sim.engine import Timeout
 from repro.ws.algorithms.base import AlgorithmBase, flatten
+from repro.ws.policies import steal_all, steal_half, steal_one
 
 __all__ = ["LockBasedAlgorithm", "UpcSharedMem", "UpcTerm", "UpcTermRapdif"]
+
+#: The steal amounts the compiled claim computes itself, by its key.
+_C_STEAL = {steal_one: "one", steal_half: "half", steal_all: "all"}
 
 
 class LockBasedAlgorithm(AlgorithmBase):
@@ -48,6 +53,9 @@ class LockBasedAlgorithm(AlgorithmBase):
                  for r, lk in enumerate(self.stack_locks)]
         self._own_lock = [(lk, Timeout(lc) if lc > 0 else None)
                           for lk, lc in zip(self.stack_locks, costs)]
+        #: What the compiled claim prices a thief's lock and transfer
+        #: by (one tuple for every rank's ``SearchPhase``).
+        self._steal_costs = self.net.steal_cost_terms()
         # The cancelable barrier resets on every release; other
         # termination policies (and subclasses without an override)
         # leave the hook off, so a release skips the generator round
@@ -77,6 +85,37 @@ class LockBasedAlgorithm(AlgorithmBase):
             return (type(term) is CancelableBarrierTermination
                     and type(term.barrier) is CancelableBarrier)
         return True
+
+    def _search_claim(self, rank: int) -> dict:
+        """:meth:`_claim` for the compiled ``SearchPhase``, bound when
+        everything it reproduces is stock: this ``_claim``, the base's
+        ``try_steal`` and ``_steal_landed``, a steal amount of
+        :data:`_C_STEAL`, and no greedy or duplicating adversary rank.
+        Otherwise the phase bounces every attempt here.  The two
+        callbacks are :meth:`enter_state`'s timer transitions around
+        the attempt."""
+        cls = type(self)
+        steal = _C_STEAL.get(self.steal_amount)
+        if (steal is None or self._rank_steal is not None
+                or self._dup_ranks is not None
+                or cls._claim is not LockBasedAlgorithm._claim
+                or cls.try_steal is not AlgorithmBase.try_steal
+                or cls._steal_landed is not AlgorithmBase._steal_landed):
+            return super()._search_claim(rank)
+        sim = self.sim
+        enter = self.stats[rank].timer.enter
+        gate = self._gate
+        return dict(
+            locks=self.stack_locks,
+            stacks=self.stacks,
+            algo_dict=self.__dict__,
+            steal=steal,
+            claim_costs=self._steal_costs,
+            gate=gate,
+            gate_cat=gate._cat if gate is not None else None,
+            steal_cb=lambda: enter(STEALING, sim.now),
+            search_cb=lambda: enter(SEARCHING, sim.now),
+        )
 
     def after_release(self, ctx) -> Generator:
         """Per-release hook, owned by the termination policy (the

@@ -618,7 +618,6 @@ class MpiWorkStealing(AlgorithmBase):
         """
         from repro.fastpath import load_core
         return load_core().IdlePhase(
-            sim=self.sim,
             pending=self.world._pending[rank],
             backoff_min=SEARCH_BACKOFF_MIN,
             backoff_factor=SEARCH_BACKOFF_FACTOR,

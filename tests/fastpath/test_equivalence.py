@@ -65,6 +65,7 @@ def run_snapshot(algo, tree, backend, threads=16, spy=None, **kw):
                        tracer=spy, **kw)
     per = [
         (s.nodes_visited, s.probes, s.steal_attempts, s.steals_ok,
+         s.chunks_stolen, s.nodes_stolen,
          s.requests_granted, s.requests_denied, s.releases,
          s.reacquires, s.msgs_sent, s.timer.transitions,
          tuple(sorted(s.timer.times.items())))
@@ -75,10 +76,84 @@ def run_snapshot(algo, tree, backend, threads=16, spy=None, **kw):
             per, gate and (gate.parks, gate.wakes, gate.deaths))
 
 
-# -- park: the cross-backend matrix ------------------------------------------
+# -- the compiled claim: the Stealing state inside SearchPhase -------------
 
 SMALL = TreeParams.binomial(b0=64, q=0.48, seed=1)
 
+
+def claim_pair(variant, bounces, threads, tree=SMALL, **kw):
+    """One lock-based cell on both backends: the schedule, every stack
+    lock's counters, and no node left in flight -- and, on the
+    compiled leg, not one steal attempt bounced back to Python."""
+    legs = {}
+    for backend in ("pure", "fast"):
+        spy = AlgoSpy()
+        snap = run_snapshot(variant, tree, backend, threads, spy=spy, **kw)
+        assert spy.algo.in_flight_nodes == 0
+        locks = [(lk.acquisitions, lk.contended_acquisitions,
+                  repr(lk.busy_time)) for lk in spy.algo.stack_locks]
+        legs[backend] = (snap, locks)
+    assert legs["fast"] == legs["pure"]
+    assert spy.algo._fuse and bounces == []
+    assert sum(p[3] for p in legs["fast"][0][4]) > 0  # steals landed
+    return legs["fast"]
+
+
+LOCK_BASED = ["upc-sharedmem", "upc-term", "upc-term-rapdif"]
+
+
+@pytest.mark.parametrize("threads", [2, 16, 64])
+@pytest.mark.parametrize("k", [1, 2, 8])
+@pytest.mark.parametrize("variant", LOCK_BASED)
+def test_compiled_claim_matrix(search_bounces, variant, k, threads):
+    claim_pair(variant, search_bounces, threads, chunk_size=k)
+
+
+def test_compiled_claim_queues_and_hands_off(search_bounces):
+    """64 thieves on a small tree at k=1: lock queues form, so queued
+    grants (``lk.pending`` across the wait) and hand-offs run."""
+    _, locks = claim_pair("upc-sharedmem", search_bounces, 64, chunk_size=1)
+    assert sum(contended for _, contended, _ in locks) > 0
+
+
+@pytest.mark.parametrize("variant, termination", [
+    ("upc-sharedmem", "streamlined"),
+    ("upc-term", "cancelable-barrier"),
+])
+def test_compiled_claim_termination_cross_overs(search_bounces, variant,
+                                                termination):
+    claim_pair(variant, search_bounces, 16, config=WsConfig(
+        chunk_size=2, termination_policy=termination))
+
+
+@pytest.mark.parametrize("policy", ["one", "half", "all"])
+def test_compiled_claim_steal_amounts(search_bounces, policy):
+    claim_pair("upc-term-rapdif", search_bounces, 16, config=WsConfig(
+        chunk_size=1, steal_policy=policy))
+
+
+def test_compiled_claim_with_speed_factors(search_bounces):
+    claim_pair("upc-term", search_bounces, 8, config=WsConfig(
+        chunk_size=2, speed_factors=(1.0, 2.5) * 4))
+
+
+@pytest.mark.parametrize("preset", ["topsail", "altix", "sharedmem"])
+def test_compiled_claim_cost_branches(search_bounces, preset):
+    """On-node lock and transfer costs (8 and all ranks a node) and
+    the remote-only machine (one a node)."""
+    claim_pair("upc-sharedmem", search_bounces, 16, preset=preset,
+               chunk_size=2)
+
+
+def test_compiled_claim_under_park(search_bounces):
+    """The cancelable barrier is not park-capable, so the polling
+    search is compiled under park too: a claim's advertise then tells
+    the idle gate, and the gate's counters must agree."""
+    claim_pair("upc-sharedmem", search_bounces, 16, config=WsConfig(
+        chunk_size=2, idle_strategy="park"))
+
+
+# -- park: the cross-backend matrix ------------------------------------------
 
 @pytest.fixture
 def park_counts(monkeypatch):

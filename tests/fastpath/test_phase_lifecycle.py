@@ -56,6 +56,7 @@ BINDERS = [
     ("upc-term+park", "_build_c_phase", "WorkPhase"),
     ("mpi-ws", "_build_c_phase", "WorkPhase"),
     ("upc-distmem", "_build_c_search", "SearchPhase"),
+    ("upc-sharedmem+park", "_build_c_search", "SearchPhase"),
     ("mpi-ws", "_build_c_idle", "IdlePhase"),
 ]
 IDS = [f"{variant}-{kind}" for variant, _binder, kind in BINDERS]
@@ -178,25 +179,31 @@ def test_bad_keywords_are_named_and_leak_nothing(bound):
     assert refcounts(objs) == baseline
 
 
-@pytest.mark.parametrize("variant, without, rule", [
-    ("mpi-ws", "pending", "poll needs the pending list"),
-    ("upc-distmem", "no_work", "wa needs the no_work sentinel"),
-    ("upc-sharedmem", "queue", "fifo needs its queue"),
-    ("upc-sharedmem", "fifo", "barrier_dict needs the fifo"),
-    ("upc-term+park", "gate_cat", "gate needs the wa"),
-    ("upc-term+park", "wa", "gate needs the wa"),
-    ("service-ws", "task_of", "drained needs task_of"),
-    ("service-ws", "outstanding", "drained needs task_of"),
-    ("service-ws", "task_nodes", "drained needs task_of"),
-    ("service-ws", "drained", "drained needs task_of"),
+@pytest.mark.parametrize("variant, kind, without, rule", [
+    ("mpi-ws", "WorkPhase", "pending", "poll needs the pending list"),
+    ("upc-distmem", "WorkPhase", "no_work", "wa needs the no_work sentinel"),
+    ("upc-sharedmem", "WorkPhase", "fifo", "barrier_dict needs the fifo"),
+    ("upc-term+park", "WorkPhase", "gate_cat", "gate needs the wa"),
+    ("upc-term+park", "WorkPhase", "wa", "gate needs the wa"),
+    ("service-ws", "WorkPhase", "task_of", "drained needs task_of"),
+    ("service-ws", "WorkPhase", "outstanding", "drained needs task_of"),
+    ("service-ws", "WorkPhase", "task_nodes", "drained needs task_of"),
+    ("service-ws", "WorkPhase", "drained", "drained needs task_of"),
+    ("upc-sharedmem+park", "SearchPhase", "stacks", "locks needs stacks"),
+    ("upc-sharedmem+park", "SearchPhase", "claim_costs",
+     "locks needs stacks"),
+    ("upc-sharedmem+park", "SearchPhase", "search_cb", "locks needs stacks"),
+    ("upc-sharedmem+park", "SearchPhase", "gate_cat", "gate needs the locks"),
+    ("upc-sharedmem+park", "SearchPhase", "locks", "gate needs the locks"),
 ])
 def test_half_stated_switch_is_refused_and_leaks_nothing(
-        monkeypatch, variant, without, rule):
-    """A switch of the Working state is a member group: the variant's
-    own keywords with one member of a group taken away must not
-    construct."""
-    cls, kwargs, _alive = capture(monkeypatch, variant, "_build_c_phase",
-                                  "WorkPhase")
+        monkeypatch, variant, kind, without, rule):
+    """A switch of the Working state is a member group, and so is the
+    search's compiled claim: the variant's own keywords with one member
+    of a group taken away must not construct."""
+    binder = {"WorkPhase": "_build_c_phase",
+              "SearchPhase": "_build_c_search"}[kind]
+    cls, kwargs, _alive = capture(monkeypatch, variant, binder, kind)
     assert kwargs[without] is not None
     objs = held(kwargs)
     baseline = refcounts(objs)
@@ -223,9 +230,22 @@ def test_work_phase_refuses_malformed_ledger_tables(monkeypatch, bad, error,
     assert refcounts(objs) == baseline
 
 
+def test_work_phase_refuses_a_lock_that_is_no_fifo_lock(monkeypatch):
+    """The lock's slots are read in place, so only a FifoLock will do."""
+    cls, kwargs, _alive = capture(monkeypatch, "upc-sharedmem",
+                                  "_build_c_phase", "WorkPhase")
+    objs = held(kwargs)
+    baseline = refcounts(objs)
+    with pytest.raises(ValueError, match="fifo must be a FifoLock"):
+        cls(**dict(kwargs, fifo=object()))
+    assert refcounts(objs) == baseline
+
+
 @pytest.mark.parametrize("bad, rule", [
     ({"segments": [[1, 2]]}, "getrandbits and segments must be callable"),
     ({"bounds": (0, 4)}, "bounds must be"),
+    ({"steal": "most"}, "steal must be one, half or all"),
+    ({"claim_costs": (1.0, 2.0)}, "claim_costs must be"),
 ])
 def test_search_phase_refuses_malformed_arguments(monkeypatch, bad, rule):
     cls, kwargs, _alive = capture(monkeypatch, "upc-term", "_build_c_search",

@@ -360,3 +360,117 @@ def test_fusion_matrix(clean_env, monkeypatch, variant, fuses):
     # tree-split's own thread_main never asks, so ``_fuse`` stays None.
     assert bool(spy.algo._fuse) is fuses
     assert res.total_nodes > 0
+
+
+# -- where the Stealing state runs ---------------------------------------
+#
+# A stock lock-based protocol's steal attempts run inside the compiled
+# ``SearchPhase``; anything the C claim does not reproduce keeps the
+# bounce to ``try_steal``.  A claim that silently stopped binding would
+# leave every schedule pin green and only cost time, so these pin where
+# each attempt runs, counted by the ``search_bounces`` fixture.
+
+from repro.harness.config import T1_QUICK  # noqa: E402
+from repro.ws.algorithms.lock_based import UpcTermRapdif  # noqa: E402
+
+
+def fig4_cell(variant, chunk_size=2, threads=16, **kw):
+    from repro import run_experiment
+
+    spy = AlgoSpy(enabled=False)
+    res = run_experiment(variant, tree=T1_QUICK, threads=threads,
+                         chunk_size=chunk_size, tracer=spy, **kw)
+    assert spy.algo._fuse is True
+    return res, spy.algo
+
+
+@pytest.mark.parametrize("variant",
+                         ["upc-sharedmem", "upc-term", "upc-term-rapdif"])
+def test_lock_based_claims_run_compiled(clean_env, search_bounces, variant):
+    """Figure 4's shape (16 threads, kittyhawk, T1_QUICK): every steal
+    attempt of the search runs in C, the termination barrier's own
+    probes aside."""
+    if not fp.available():
+        pytest.skip("extension not built on this host")
+    res, _ = fig4_cell(variant)
+    assert search_bounces == []
+    assert sum(st.steals_ok for st in res.per_thread) > 100
+
+
+class _OwnClaim(UpcTermRapdif):
+    name = "own-claim"
+
+    def _claim(self, ctx, victim):
+        return (yield from super()._claim(ctx, victim))
+
+
+class _OwnLanding(UpcTermRapdif):
+    name = "own-landing"
+
+    def _steal_landed(self, ctx, victim, nodes, n_chunks, dup=False):
+        super()._steal_landed(ctx, victim, nodes, n_chunks, dup)
+
+
+def _steal_one_copy(available_chunks):
+    return 1
+
+
+@pytest.mark.parametrize("case", ["own-claim", "own-landing",
+                                  "unregistered-amount", "hostile-mix"])
+def test_claims_not_stock_keep_the_bounce(clean_env, monkeypatch,
+                                          search_bounces, case):
+    """The C claim is declined -- and the attempt bounced to Python --
+    for an overridden ``_claim`` or ``_steal_landed``, a steal amount
+    it does not know (here a copy of ``steal_one``), and greedy or
+    duplicating adversary ranks; the schedule is the pure one."""
+    if not fp.available():
+        pytest.skip("extension not built on this host")
+    from repro.harness.runner import run_experiment
+    from repro.scenarios.registry import get_scenario
+    from repro.uts.params import TreeParams
+    from repro.ws.registry import STEAL_AMOUNTS
+
+    variant, kw = "upc-term-rapdif", dict(chunk_size=2)
+    if case in ("own-claim", "own-landing"):
+        cls = {"own-claim": _OwnClaim, "own-landing": _OwnLanding}[case]
+        monkeypatch.setitem(ALGORITHMS, cls.name, cls)
+        variant = cls.name
+    elif case == "unregistered-amount":
+        monkeypatch.setitem(STEAL_AMOUNTS, "one", _steal_one_copy)
+        kw = dict(config=WsConfig(chunk_size=2, steal_policy="one"))
+    else:
+        scenario = get_scenario(case)
+        kw = dict(preset=scenario.preset,
+                  config=scenario.apply(WsConfig(chunk_size=2), 8))
+    tree = TreeParams.binomial(b0=64, q=0.48, seed=1)
+    runs = {backend: run_experiment(variant, tree, 8, fastpath=backend, **kw)
+            for backend in ("pure", "fast")}
+    assert search_bounces
+    assert [(r.engine_events, repr(r.sim_time), r.total_nodes)
+            for r in runs.values()] == [
+        (runs["pure"].engine_events, repr(runs["pure"].sim_time),
+         runs["pure"].total_nodes)] * 2
+
+
+def test_rapdif_fig4_cell_bounces_no_steal(clean_env, search_bounces):
+    if not fp.available():
+        pytest.skip("extension not built on this host")
+    res, algo = fig4_cell("upc-term-rapdif", chunk_size=2)
+    assert search_bounces == [] and algo.in_flight_nodes == 0
+    assert res.engine_events > 0
+
+
+#: upc-distmem's bounced steal attempts on its Figure 4 cell at k=2,
+#: the same count before and after the lock-based claim moved into C
+#: (upc-term-rapdif's cell bounced 701 attempts before, 0 since).
+DISTMEM_BOUNCES = 781
+
+
+def test_distmem_keeps_its_bounces(clean_env, search_bounces):
+    """upc-distmem's request/response claim stays in Python: every
+    attempt of its compiled search bounces, as many as before the
+    lock-based claim moved into C."""
+    if not fp.available():
+        pytest.skip("extension not built on this host")
+    res, _ = fig4_cell("upc-distmem", chunk_size=2)
+    assert len(search_bounces) == DISTMEM_BOUNCES

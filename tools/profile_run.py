@@ -37,8 +37,9 @@ measure"):
   resumes: protocol methods, cost charging, the message layer) over
   the profiled total, and how often each phase type handed control
   back to Python: *bounces* resume the worker with a value to serve (a
-  steal attempt, a request, a message), *ends* with None (the phase
-  finished).  The bounces are counted on one more, unprofiled pass
+  steal attempt the phase does not claim itself -- a stock lock-based
+  claim runs inside ``SearchPhase`` and never bounces -- a request, a
+  message), *ends* with None (the phase finished).  The bounces are counted on one more, unprofiled pass
   whose process bodies are wrapped (docs/performance.md, "The compiled
   fastpath").
 * The ``memory`` line builds and spawns the first cell again under
