@@ -62,16 +62,16 @@ emit evaluates every comparison of I1, I2, I1' and I5, but pays for
 what changed: only stacks that were written to or changed length are
 re-read (a write barrier that :meth:`InvariantMonitor.attach_algorithm`
 puts on the stacks for the run, plus one length-vector compare), and
-``dup_extra`` is re-summed only after a write.  Every ``scan_period``-th
-emit, every termination emit and ``final_check`` run the full pass over
-every stack, which also fails by name if the incremental view ever
-disagrees with it.  I3/I3' scans settle "no descriptor twice" by a
+``dup_extra`` is re-summed only after a write.  Every
+:data:`SCAN_PERIOD`-th emit, every termination emit and ``final_check``
+run the full pass over every stack, which also fails by name if the
+incremental view ever disagrees with it.  I3/I3' scans settle "no descriptor twice" by a
 set-size proof and hand over to the loops that name an offender only
 when it fails.  Verdict, emit number and message are the
 full pass's; the one exception -- a shared chunk resized or swapped in
 place with no counter write and no change in chunk count -- is raised
 by the next re-read of that stack or the next full pass, whichever is
-first, never more than ``scan_period`` emits late.
+first, never more than :data:`SCAN_PERIOD` emits late.
 """
 
 from __future__ import annotations
@@ -82,7 +82,10 @@ from operator import itemgetter, ne
 from repro.errors import InvariantViolation
 from repro.obs.events import _TERM_KINDS
 
-__all__ = ["InvariantMonitor"]
+__all__ = ["InvariantMonitor", "SCAN_PERIOD"]
+
+#: Every this-many-th emit runs the full pass over every stack.
+SCAN_PERIOD = 64
 
 #: Emits that mark a protocol transition worth a full ownership scan
 #: (cheap emits like ``visit`` fall back to the periodic scan).
@@ -144,10 +147,9 @@ class InvariantMonitor:
     ledgers the invariants are phrased over.
     """
 
-    def __init__(self, scan_period: int = 64) -> None:
+    def __init__(self) -> None:
         #: Tracer protocol: hook sites test this before emitting.
         self.enabled = True
-        self.scan_period = scan_period
         self.algo = None
         self.machine = None
         #: Lock name -> holder rank (I5).
@@ -261,7 +263,7 @@ class InvariantMonitor:
             self._holders = {name: r for name, r in self._holders.items()
                              if r != thread}
         term = kind in _TERM_KINDS
-        full = term or self._emits % self.scan_period == 0
+        full = term or self._emits % SCAN_PERIOD == 0
         scan = full or kind in _SCAN_KINDS
         self._check_ledgers(time, kind, full)
         if term:
@@ -285,7 +287,7 @@ class InvariantMonitor:
         re-read balances; the column sums then give I1 in O(1).  The
         full pass (:meth:`_check_stacks`) runs when either objects --
         it names the offender -- and whenever ``full`` is set: at every
-        ``scan_period``-th emit, at every termination emit and in
+        :data:`SCAN_PERIOD`-th emit, at every termination emit and in
         :meth:`final_check`, where it also holds the view to the stacks.
         """
         algo = self.algo

@@ -15,7 +15,7 @@ reproducers serialize it as a dict literal (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Optional, Sequence, Tuple
 
@@ -78,6 +78,8 @@ def check_run(
     idle_strategy: str = "poll",
     queue: str = "auto",
     scenario: Optional[str] = None,
+    victim_policy: Optional[str] = None,
+    adversaries: Optional[str] = None,
 ) -> CheckOutcome:
     """Run one invariant-checked cell; never raises a protocol error.
 
@@ -94,7 +96,10 @@ def check_run(
     ``scenario`` names a :data:`repro.scenarios.SCENARIOS` entry: its
     machine preset replaces ``preset`` and its policy/speed/adversary
     overlays are applied to the config, so every catalog scenario can
-    be fuzzed cell-for-cell like the baseline.
+    be fuzzed cell-for-cell like the baseline.  ``adversaries`` is a
+    :func:`repro.scenarios.parse_adversaries` spec under the scenario;
+    ``victim_policy`` applies on top of it, as ``repro-uts run
+    --victim-policy`` does.
 
     Errors caught: every :class:`~repro.errors.ReproError` subclass --
     invariant violations, protocol assertions, deadlocks, event-budget
@@ -117,6 +122,7 @@ def check_service_run(
     policy: str = "shed-oldest",
     deadline: float = 150e-6,
     max_retries: int = 2,
+    task_gran: int = 1,
     service_seed: int = 3,
     seed: int = 0,
     schedule_seed: Optional[int] = None,
@@ -168,7 +174,8 @@ def bind(cell: dict) -> Tuple[str, Callable[..., Any], dict]:
             n_tasks=kw.pop("n_tasks"),
             queue_capacity=kw.pop("queue_capacity"),
             policy=kw.pop("policy"), deadline=kw.pop("deadline"),
-            max_retries=kw.pop("max_retries"), seed=kw.pop("service_seed"))
+            max_retries=kw.pop("max_retries"), task_gran=kw.pop("task_gran"),
+            seed=kw.pop("service_seed"))
         return "service-ws", partial(run_service, stream, config=cfg,
                                      **kw), schedule
     from repro.harness.runner import run_experiment
@@ -177,12 +184,20 @@ def bind(cell: dict) -> Tuple[str, Callable[..., Any], dict]:
     variant = kw.pop("variant")
     tree = TreeParams.binomial(b0=kw.pop("b0"), m=kw.pop("m"),
                                q=kw.pop("q"), seed=kw.pop("tree_seed"))
-    scenario = kw.pop("scenario")
+    scenario, victim, adversaries = (kw.pop("scenario"),
+                                     kw.pop("victim_policy"),
+                                     kw.pop("adversaries"))
+    if adversaries is not None:
+        from repro.scenarios import parse_adversaries
+        cfg = replace(cfg, adversaries=parse_adversaries(adversaries,
+                                                         kw["threads"]))
     if scenario is not None:
         from repro.scenarios import get_scenario
         sc = get_scenario(scenario)
         kw["preset"] = sc.preset
         cfg = sc.apply(cfg, kw["threads"])
+    if victim is not None:
+        cfg = replace(cfg, victim_policy=victim)
     return variant, partial(run_experiment, variant, tree=tree, config=cfg,
                             **kw), schedule
 

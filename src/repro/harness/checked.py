@@ -1,13 +1,17 @@
 """Checked-cell grids: the runs behind EXPERIMENTS.md's E9-E15.
 
-A cell is a :class:`CheckedJob`: one run through
+A cell is a :class:`CheckedJob`: a :func:`repro.check.check_run` (or
+:func:`repro.check.check_service_run`) keyword dict, bound by
+:func:`repro.check.runner.bind` alone and run once through
 :func:`repro.check.runner._checked` (its fault plan, a fresh monitor,
-every ``ReproError`` folded into the outcome) and an untraced replay
-that must execute the same schedule.  Each grid function returns its
-``(where, job)`` cells and its table's renderer, and
+every ``ReproError`` folded into the outcome) and once as an untraced
+replay that must execute the same schedule.  Each grid function
+returns its ``(where, job)`` cells and its table's renderer, and
 :func:`repro.harness.sweep.run_cells` runs them like every other grid.
-Nothing verifies in-run: that a cell's counts balance is a claim
-(:attr:`Cell.conserved`) of :mod:`repro.harness.experiments`.  A table
+Every row carries its ``cell``, so ``check_run(**row["cell"])``
+reproduces it.  A cell verifies its count in-run, as ``check_run``
+does; that its counts balance is also a claim (:attr:`Cell.conserved`)
+of :mod:`repro.harness.experiments`.  A table
 renders only its completed cells; the claims name the rest.  Imported
 on an entry's first run, not by ``import repro.harness``.
 """
@@ -17,26 +21,25 @@ from __future__ import annotations
 import itertools
 import statistics
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.check.invariants import InvariantMonitor
 from repro.check.runner import VARIANTS, _checked, bind, tie_break
 from repro.errors import ReproError
 from repro.faults.plan import parse_fault_spec
-from repro.harness.runner import expected_node_count, run_experiment
+from repro.harness.runner import expected_node_count
 from repro.harness.sweep import (Cell, CellTable, Grid, counts,
                                  markdown_table, named)
 from repro.metrics.states import WORKING
 from repro.net.presets import get_preset
 from repro.obs import TraceSink
 from repro.obs.analysis import state_occupancy, steal_latencies
-from repro.scenarios import SCENARIOS, get_scenario, parse_adversaries
-from repro.service import ArrivalProcess, ServiceConfig, run_service
+from repro.scenarios import SCENARIOS
+from repro.service import ServiceConfig
 from repro.uts.params import TreeParams
 from repro.ws.algorithms import get_algorithm
-from repro.ws.config import WsConfig
 
 __all__ = ["CheckedJob", "checked_cell", "e9", "e10", "e11", "e12", "e13",
            "e14", "e15", "e15_cells"]
@@ -56,60 +59,74 @@ def _unmonitored() -> None:
 
 @dataclass(frozen=True)
 class CheckedJob:
-    """A checked cell as a picklable job: ``run`` (a bound
-    ``run_experiment`` / ``run_service``) under ``monitor()`` (default:
-    an :class:`InvariantMonitor`) and the schedule ``schedule_seed`` or
+    """A checked cell as a picklable job: ``cell``, a ``check_run``
+    keyword dict (``check_service_run``'s without a ``variant``), run as
+    :func:`bind` makes it under ``monitor()`` (default: an
+    :class:`InvariantMonitor`) and the schedule its ``schedule_seed`` or
     ``defer`` picks, then replayed untraced on the default backend under
-    a fresh copy of the same tie-break.  ``announce``: its label is a
-    progress line."""
+    a fresh copy of the same tie-break.  Its row is ``where`` plus the
+    ``cell``.  ``announce``: its label is a progress line."""
 
     where: dict
-    variant: str
-    run: Callable[..., Any]
-    oracle: Optional[int]
-    fault_spec: Optional[str] = None
-    fault_seed: int = 0
+    cell: dict
     monitor: Optional[Callable[[], Any]] = None
-    schedule_seed: Optional[int] = None
-    defer: Sequence[int] = ()
     announce: bool = True
     index: int = 0
 
     @property
     def tree(self) -> Optional[TreeParams]:
-        return self.run.keywords.get("tree")
+        return bind(self.cell)[1].keywords.get("tree")
 
     def cost_hint(self) -> float:
-        return self.run.keywords.get("threads", 1)
+        return bind(self.cell)[1].keywords["threads"]
 
     def describe(self) -> str:
-        return named(self.where)
+        return named({**self.where, "cell": self.cell})
 
     def report(self, cell: Cell) -> Optional[str]:
         return cell.label() if self.announce else None
 
     def execute(self) -> Cell:
-        out = _checked(self.variant, self.run, self.schedule_seed, self.defer,
-                       self.fault_spec, self.fault_seed, self.monitor)
-        cell = Cell(self.where, self.oracle, out.result, out.error_type or "",
-                    out.error or "", measured=out.monitor)
+        variant, run, schedule = bind(self.cell)
+        tree = run.keywords.get("tree")
+        out = _checked(variant, run, **schedule, make_monitor=self.monitor)
+        cell = Cell({**self.where, "cell": self.cell},
+                    None if tree is None else expected_node_count(tree),
+                    out.result, out.error_type or "", out.error or "",
+                    measured=out.monitor)
         if out.ok:
             out.result.trace = None  # no sink crosses the pool
-            plan = (parse_fault_spec(self.fault_spec, seed=self.fault_seed)
-                    if self.fault_spec else None)
+            spec = schedule["fault_spec"]
+            plan = (parse_fault_spec(spec, seed=schedule["fault_seed"])
+                    if spec else None)
             try:
-                cell.replayed = _identity(self.run(
-                    faults=plan,
-                    tie_break=tie_break(self.schedule_seed, self.defer))
+                cell.replayed = _identity(run(faults=plan, tie_break=tie_break(
+                    schedule["schedule_seed"], schedule["defer"]))
                 ) == _identity(out.result)
             except ReproError:
                 cell.replayed = False
         return cell
 
 
-def checked_cell(where: dict, *args, **kwargs) -> Tuple[dict, CheckedJob]:
-    """The cell at ``where``: ``CheckedJob(where, *args, **kwargs)``."""
-    return where, CheckedJob(where, *args, **kwargs)
+def checked_cell(where: dict, cell: dict,
+                 **kwargs) -> Tuple[dict, CheckedJob]:
+    """The cell at ``where``: ``CheckedJob(where, cell, **kwargs)``."""
+    return where, CheckedJob(where, cell, **kwargs)
+
+
+def _on(tree: TreeParams) -> dict:
+    """``tree`` as ``check_run``'s tree keywords."""
+    return {"b0": tree.b0, "m": tree.m, "q": tree.q, "tree_seed": tree.seed}
+
+
+def _refusal(cell: dict) -> Optional[str]:
+    """The gate's answer for a cell's variant under its config and
+    fault plan."""
+    variant, run, schedule = bind(cell)
+    config, spec = run.keywords["config"], schedule["fault_spec"]
+    return get_algorithm(variant).refusal(
+        replace(config, faults=parse_fault_spec(
+            spec, seed=schedule["fault_seed"])) if spec else config)
 
 
 def _ms(cell: Cell) -> str:
@@ -121,6 +138,10 @@ def _ms(cell: Cell) -> str:
 SMALL = TreeParams.binomial(b0=64, m=2, q=0.48, seed=1)
 #: The scenario and ablation grids' tree at full scale.
 WIDE = TreeParams.binomial(b0=500, q=0.124, m=8, seed=0)
+#: Event budgets beside ``check_run``'s 500,000: E9's fault classes and
+#: E10 keep ``run_experiment``'s default, E11-E14 stop at 5 M.
+RUN_MAX_EVENTS = 50_000_000
+GRID_MAX_EVENTS = 5_000_000
 
 # --- E9: resilience sweep ----------------------------------------------------
 
@@ -155,45 +176,41 @@ def e9(scale: str) -> Grid:
     """Every fault class on the variants it exercises, the late kills,
     and (where the scale has one) mpi-ws's message-loss curve; no
     monitor: the contract is the counts, the replay and termination."""
-    return [checked_cell(where, where["algorithm"], run, oracle, spec, seed,
-                         _unmonitored, announce="tree_seed" not in where)
-            for where, run, oracle, spec, seed in _e9_cells(E9_GRID[scale])
-            ], _e9_table
+    return [checked_cell(where, cell, monitor=_unmonitored,
+                         announce="tree_seed" not in where)
+            for where, cell in _e9_cells(E9_GRID[scale])], _e9_table
 
 
 def _e9_cells(grid: dict):
-    """``(where, run, oracle, fault spec, fault seed)`` of each E9 cell."""
-    oracle = expected_node_count(E9_TREE)
-    on_tree = partial(run_experiment, tree=E9_TREE, threads=8,
-                      config=WsConfig(chunk_size=4))
+    """``(where, cell)`` of each E9 cell."""
+    on_tree = {**_on(E9_TREE), "threads": 8, "max_events": RUN_MAX_EVENTS}
     for klass, spec, variants in FAULT_CLASSES:
         for variant, seed in itertools.product(variants, grid["seeds"]):
             yield ({"group": klass, "spec": spec, "algorithm": variant,
-                    "seed": seed}, partial(on_tree, variant), oracle, spec,
-                   seed)
-    mpi_ws = partial(on_tree, "mpi-ws")
+                    "seed": seed}, {"variant": variant, **on_tree,
+                                    "fault_spec": spec, "fault_seed": seed})
+    mpi_ws = {"variant": "mpi-ws", **on_tree}
     if grid["loss"]:
         yield ({"group": "loss", "algorithm": "mpi-ws", "rate": 0,
-                "seed": 0}, mpi_ws, oracle, None, 0)
+                "seed": 0}, mpi_ws)
     for rate, seed in itertools.product(grid["loss"], grid["seeds"]):
         yield ({"group": "loss", "algorithm": "mpi-ws", "rate": rate,
-                "seed": seed}, mpi_ws, oracle, f"drop={rate:g},dup={rate:g}",
-               seed)
+                "seed": seed}, {**mpi_ws, "fault_spec":
+                                f"drop={rate:g},dup={rate:g}",
+                                "fault_seed": seed})
     for variant, tree_seed, threads, idle in itertools.product(
             LATE_KILL_VARIANTS, grid["tree_seeds"], grid["threads"],
             grid["idles"]):
-        tree = TreeParams.binomial(b0=64, m=2, q=0.48, seed=tree_seed)
-        run = partial(run_experiment, variant, tree=tree, threads=threads,
-                      config=WsConfig(chunk_size=4, idle_strategy=idle))
-        horizon = run().sim_time
+        base = {"variant": variant, **_on(SMALL), "tree_seed": tree_seed,
+                "threads": threads, "idle_strategy": idle}
+        horizon = bind(base)[1]().sim_time
         for rank, fraction in itertools.product(range(1, threads),
                                                 grid["fractions"]):
             spec = f"kill={rank}@{fraction * horizon:.12f}"
             yield ({"group": "late-kill", "algorithm": variant,
                     "tree_seed": tree_seed, "threads": threads, "idle": idle,
-                    "spec": spec},
-                   partial(run, max_events=LATE_KILL_MAX_EVENTS),
-                   expected_node_count(tree), spec, 0)
+                    "spec": spec}, {**base, "max_events": LATE_KILL_MAX_EVENTS,
+                                    "fault_spec": spec})
 
 
 def _e9_table(t: CellTable) -> str:
@@ -274,13 +291,11 @@ class TraceMeasure(TraceSink):
 def e10(scale: str) -> Grid:
     """upc-distmem traced at three tree sizes, read back through
     :mod:`repro.obs.analysis`, and replayed untraced."""
-    return [checked_cell(
-        {"q": q}, "upc-distmem",
-        partial(run_experiment, "upc-distmem", tree=tree, threads=8,
-                chunk_size=8), expected_node_count(tree), monitor=TraceMeasure)
-        for q in E10_Q[scale]
-        for tree in [TreeParams.binomial(b0=2000, m=2, q=q, seed=559)]
-        ], _e10_table
+    return [checked_cell({"q": q}, {
+        "variant": "upc-distmem", "b0": 2000, "m": 2, "q": q,
+        "tree_seed": 559, "threads": 8, "chunk_size": 8,
+        "max_events": RUN_MAX_EVENTS}, monitor=TraceMeasure)
+        for q in E10_Q[scale]], _e10_table
 
 
 def _e10_table(t: CellTable) -> str:
@@ -340,14 +355,10 @@ class QueueSampler(InvariantMonitor):
 def e11(scale: str) -> Grid:
     """upc-distmem on a tiny tree across a large machine, parked and
     polling, under the queue-sampling monitor."""
-    oracle = expected_node_count(E11_TREE)
-    return [checked_cell(
-        {"threads": threads, "idle": idle}, "upc-distmem",
-        partial(run_experiment, "upc-distmem", tree=E11_TREE,
-                threads=threads,
-                config=WsConfig(chunk_size=4, idle_strategy=idle),
-                max_events=5_000_000),
-        oracle, monitor=QueueSampler)
+    return [checked_cell({"threads": threads, "idle": idle}, {
+        "variant": "upc-distmem", **_on(E11_TREE), "threads": threads,
+        "idle_strategy": idle, "max_events": GRID_MAX_EVENTS},
+        monitor=QueueSampler)
         for threads, idle in E11_GRID[scale]], _e11_table
 
 
@@ -381,26 +392,22 @@ def _capacity(threads: int) -> float:
                       * get_preset("kittyhawk").node_visit_time)
 
 
-def _stream(threads: int, tasks: int, load: float) -> ServiceConfig:
-    return ServiceConfig(
-        arrivals=ArrivalProcess(rate=load * _capacity(threads)),
-        n_tasks=tasks, queue_capacity=QUEUE_CAPACITY, policy="shed-oldest",
-        deadline=600e-6, task_gran=TASK_GRAN, seed=3)
-
-
 def e12(scale: str) -> Grid:
-    """A parked pool's load-latency curve, plus a mid-stream kill storm."""
+    """A parked pool's load-latency curve, plus a mid-stream kill storm:
+    ``check_service_run`` cells, shed-oldest and parked by default."""
     threads, tasks, loads = E12_GRID[scale]
     # the victims die inside the stream's steady state: 20-50 % of it
-    horizon = tasks / _stream(threads, tasks, STORM_LOAD).arrivals.rate
-    storm = (f"storm(kill:{max(2, threads // 32)}"
-             f"@t={0.2 * horizon:.3g}..{0.5 * horizon:.3g})")
+    horizon = tasks / (STORM_LOAD * _capacity(threads))
+    storm = {"fault_spec": f"storm(kill:{max(2, threads // 32)}"
+             f"@t={0.2 * horizon:.3g}..{0.5 * horizon:.3g})", "fault_seed": 7}
     return [checked_cell(
-        {"load": f"{load:g}" + (" + storm" if spec else "")}, "service-ws",
-        partial(run_service, _stream(threads, tasks, load), threads=threads,
-                config=WsConfig(chunk_size=2, idle_strategy="park"),
-                max_events=5_000_000), None, spec, 7)
-        for load, spec in [*((load, None) for load in loads),
+        {"load": f"{load:g}" + (" + storm" if plan else "")}, {
+            "threads": threads,
+            "arrival_spec": f"poisson:rate={load * _capacity(threads)!r}",
+            "n_tasks": tasks, "queue_capacity": QUEUE_CAPACITY,
+            "deadline": 600e-6, "task_gran": TASK_GRAN,
+            "max_events": GRID_MAX_EVENTS, **plan})
+        for load, plan in [*((load, {}) for load in loads),
                            (STORM_LOAD, storm)]], _e12_table
 
 
@@ -436,39 +443,24 @@ E13_GRID = {
 }
 
 
-def _overlaid(scenario: str) -> WsConfig:
-    """``scenario`` applied to the grids' base config at 8 threads (the
-    catalog smoke's machine, and ``check_run``'s)."""
-    return get_scenario(scenario).apply(WsConfig(chunk_size=4),
-                                        CATALOG_THREADS)
-
-
 def e13(scale: str) -> Grid:
     """Preset x victim policy x adversary per variant, then every
     catalog scenario; pairings a variant does not register are skipped."""
     tree, threads, variants, presets, adversaries = E13_GRID[scale]
-    cells = [checked_cell(
-        {"group": "matrix", "variant": variant, "preset": preset,
-         "victim": victim, "adversary": adversary}, variant,
-        partial(run_experiment, variant, tree=tree, threads=threads,
-                preset=preset, max_events=5_000_000, config=config),
-        expected_node_count(tree))
+    matrix = [({"group": "matrix", "variant": variant, "preset": preset,
+                "victim": victim, "adversary": adversary}, {
+        "variant": variant, **_on(tree), "threads": threads,
+        "preset": preset, "victim_policy": victim, "adversaries":
+        None if adversary == "none" else adversary,
+        "max_events": GRID_MAX_EVENTS})
         for variant, victim, preset, adversary in itertools.product(
-            variants, VICTIMS, presets, adversaries)
-        for config in [WsConfig(
-            chunk_size=4, victim_policy=victim, adversaries=None
-            if adversary == "none" else parse_adversaries(adversary, threads))]
-        if get_algorithm(variant).refusal(config) is None]
-    cells += [checked_cell(
-        {"group": "catalog", "variant": variant, "scenario": name}, variant,
-        partial(run_experiment, variant, tree=SMALL, threads=CATALOG_THREADS,
-                preset=get_scenario(name).preset, max_events=500_000,
-                config=config),
-        expected_node_count(SMALL))
-        for name, variant in itertools.product(sorted(SCENARIOS), variants)
-        for config in [_overlaid(name)]
-        if get_algorithm(variant).refusal(config) is None]
-    return cells, _e13_table
+            variants, VICTIMS, presets, adversaries)]
+    catalog = [({"group": "catalog", "variant": variant, "scenario": name}, {
+        "variant": variant, "scenario": name, **_on(SMALL),
+        "threads": CATALOG_THREADS})
+        for name, variant in itertools.product(sorted(SCENARIOS), variants)]
+    return [checked_cell(where, cell) for where, cell in matrix + catalog
+            if _refusal(cell) is None], _e13_table
 
 
 def _e13_table(t: CellTable) -> str:
@@ -515,10 +507,10 @@ def e14(scale: str) -> Grid:
     plans += [("kittyhawk", variant, spec) for spec in axis
               for variant in STALE_VARIANTS]
     return [checked_cell(
-        {"preset": preset, "variant": variant, "plan": spec or "none"},
-        variant, partial(run_experiment, variant, tree=tree, threads=threads,
-                         preset=preset, chunk_size=4, max_events=5_000_000),
-        expected_node_count(tree), spec)
+        {"preset": preset, "variant": variant, "plan": spec or "none"}, {
+            "variant": variant, **_on(tree), "threads": threads,
+            "preset": preset, "max_events": GRID_MAX_EVENTS,
+            "fault_spec": spec})
         for preset, variant, spec in plans], _e14_table
 
 
@@ -602,16 +594,10 @@ FAULT_PROBES = {"drop": "drop=0.5", "dup": "dup=0.5", "delay": "delay=0.5",
                 "kill": "kill=1@1us", "slow": "slow=1@2"}
 
 
-def _refusal(variant: str, spec: str) -> Optional[str]:
-    """The gate's answer for ``variant`` under the fault plan ``spec``."""
-    return get_algorithm(variant).refusal(
-        WsConfig(faults=parse_fault_spec(spec, seed=0)))
-
-
 def _tolerated(variant: str) -> str:
     """The fault classes ``variant``'s gate lets through, comma-joined."""
     return ", ".join(c for c, probe in FAULT_PROBES.items()
-                     if not _refusal(variant, probe))
+                     if not _refusal({"variant": variant, "fault_spec": probe}))
 
 
 def e15_cells(scale: str) -> Tuple[List[Tuple[dict, dict]], List[str]]:
@@ -629,9 +615,10 @@ def e15_cells(scale: str) -> Tuple[List[Tuple[dict, dict]], List[str]]:
 
     skipped = [f"{variant} × `{spec}` (admits only {_tolerated(variant)})"
                for variant in VARIANTS for spec in grid["specs"]
-               if _refusal(variant, spec)]
+               if _refusal({"variant": variant, "fault_spec": spec})]
     for variant in VARIANTS:
-        specs = [s for s in grid["specs"] if not _refusal(variant, s)]
+        specs = [s for s in grid["specs"]
+                 if not _refusal({"variant": variant, "fault_spec": s})]
         if variant in FUZZ_STALE_VARIANTS:
             specs += [s for s in FUZZ_STALE_SPECS if s not in specs]
         base = {"variant": variant}
@@ -651,7 +638,7 @@ def e15_cells(scale: str) -> Tuple[List[Tuple[dict, dict]], List[str]]:
             grid["service_seeds"]))
     for scenario, variant in itertools.product(grid["scenarios"],
                                                SCENARIO_VARIANTS):
-        if get_algorithm(variant).refusal(_overlaid(scenario)):
+        if _refusal({"variant": variant, "scenario": scenario}):
             skipped.append(f"{variant} × scenario `{scenario}` (a policy "
                            "it does not register)")
             continue
@@ -671,19 +658,10 @@ def e15_cells(scale: str) -> Tuple[List[Tuple[dict, dict]], List[str]]:
 def e15(scale: str) -> Grid:
     """Every variant under random and deferred schedules, fault plans,
     scenarios and service streams, then the conservation grid; each
-    cell monitored and replayed.  A cell's ``where`` carries its
-    ``cell``: the keywords :func:`repro.check.shrink` takes."""
+    cell monitored and replayed."""
     plan, skipped = e15_cells(scale)
-    return [_fuzz_cell(where, cell) for where, cell in plan], partial(
-        _e15_table, skipped=skipped)
-
-
-def _fuzz_cell(where: dict, cell: dict) -> Tuple[dict, CheckedJob]:
-    variant, run, schedule = bind(cell)
-    tree = run.keywords.get("tree")
-    return checked_cell({**where, "cell": cell}, variant, run,
-                        None if tree is None else expected_node_count(tree),
-                        announce=where["mode"] == "canonical", **schedule)
+    return [checked_cell(where, cell, announce=where["mode"] == "canonical")
+            for where, cell in plan], partial(_e15_table, skipped=skipped)
 
 
 def _clean(cell: Cell) -> bool:

@@ -55,6 +55,9 @@ class CancelableBarrier:
         #: ``n_threads`` and ``count == alive`` is the original test).
         self.alive = machine.n_threads
         self._counted = [False] * machine.n_threads
+        #: The rank that set ``terminated`` and has not yet recorded
+        #: ``cbarrier.terminate`` (it does so after its unlock).
+        self._declarer = None
 
     # -- worker side ---------------------------------------------------------
 
@@ -89,9 +92,12 @@ class CancelableBarrier:
             if self.on_terminate is not None:
                 self.on_terminate()
             self.terminated = True
+            self._declarer = ctx.rank
             # Killed inside this unlock, the declarer never reaches the
-            # wake below: on_thread_death publishes in its place.
+            # wake and the record below: on_thread_death does both in
+            # its place.
             yield from ctx.unlock(self.lock)
+            self._declarer = None
             self._wake_terminated()
             ctx.trace("cbarrier.terminate")
             return True
@@ -148,18 +154,25 @@ class CancelableBarrier:
         corpse had already declared it but died before waking anyone
         (``terminated`` is set inside the declarer's unlock, the wake
         comes after it), the waiters are woken here in its place; the
-        soundness oracle ran when the corpse declared.
+        soundness oracle ran when the corpse declared.  Either way the
+        declaration is recorded here, as the corpse's: every path that
+        sets ``terminated`` records ``cbarrier.terminate`` exactly once.
         """
         self.alive -= 1
         if self._counted[rank]:
             self._counted[rank] = False
             self.count -= 1
         self._waiters = [(r, ev) for r, ev in self._waiters if r != rank]
-        if not self._waiters:
-            return
-        if not self.terminated and 0 < self.alive == self.count:
+        unrecorded = self._declarer == rank
+        if (self._waiters and not self.terminated
+                and 0 < self.alive == self.count):
             if self.on_terminate is not None:
                 self.on_terminate()
-            self.terminated = True
-        if self.terminated:
+            self.terminated = unrecorded = True
+        if self._waiters and self.terminated:
             self._wake_terminated()
+        if unrecorded:
+            self._declarer = None
+            tr = self.machine.tracer
+            if tr.enabled:
+                tr.emit(self.machine.sim.now, rank, "cbarrier.terminate")

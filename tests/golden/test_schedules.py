@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import repro.fastpath as fp
+from repro.check.invariants import SCAN_PERIOD
 from repro.ws.algorithms.base import AlgorithmBase
 from repro.ws.algorithms.mpi_ws import MpiWorkStealing
 from tests.golden.cells import (CELLS, MONITOR_PLANS, POLL_PLANS,
@@ -30,7 +31,6 @@ from tests.golden.cells import (CELLS, MONITOR_PLANS, POLL_PLANS,
                                 run, serve)
 
 CORPUS = json.loads(Path(__file__).with_name("schedules.json").read_text())
-SCAN_PERIOD = 64
 #: The protocols whose Working state the compiled backend fuses (an
 #: untraced, fault-free run): not ws-fencefree (its after-move hook),
 #: not tree-split (it declines).

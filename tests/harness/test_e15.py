@@ -15,7 +15,7 @@ from repro.check import check_run, check_service_run
 from repro.harness.checked import (
     E15_GRID,
     FUZZ_STALE_VARIANTS,
-    _overlaid,
+    _refusal,
     e15_cells,
 )
 from repro.harness.cli import main
@@ -131,7 +131,7 @@ def test_scenario_support_reads_every_policy_axis():
             f"{axis}_policy": key for axis, key in policies.items()})) is None
 
     def runs(variant, scenario):
-        return get_algorithm(variant).refusal(_overlaid(scenario)) is None
+        return _refusal({"variant": variant, "scenario": scenario}) is None
 
     assert offers("upc-distmem", victim="hierarchical")
     assert not offers("tree-split", victim="hierarchical")

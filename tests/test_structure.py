@@ -691,7 +691,17 @@ def test_experiments_md_blocks_are_the_registry():
 GRID_RESULTS_RETIRED = ("FigureResult", "RunTable", "SweepResult")
 
 
+#: A checked registry cell: its name, its check-API keyword dict, and
+#: how it runs; ``bind(cell)`` gives the variant, run, oracle, schedule.
+CHECKED_JOB_FIELDS = ("where", "cell", "monitor", "announce", "index")
+
+
 def test_every_registry_grid_runs_one_way_into_one_table():
+    """One table type; and one cell language for the checked grids:
+    ``harness/checked.py`` names no run entry point (every E9-E15 cell
+    is a ``check_run`` / ``check_service_run`` keyword dict that
+    ``check/runner.py:bind`` alone binds), and ``CheckedJob`` holds
+    only the dict and how to run it."""
     classes = [f"{path.relative_to(SRC)}:{node.lineno}: {node.name}"
                for path, tree in _modules() for node in ast.walk(tree)
                if isinstance(node, ast.ClassDef)
@@ -702,6 +712,14 @@ def test_every_registry_grid_runs_one_way_into_one_table():
                 if isinstance(node, (ast.Import, ast.ImportFrom))
                 for alias in node.names]
     assert "run_experiment" not in imported
+    checked = ast.parse((SRC / "harness" / "checked.py").read_text())
+    named = [f"checked.py:{node.lineno}: {ident}"
+             for node in ast.walk(checked) for ident in _identifiers(node)
+             if ident in ("run_experiment", "run_service")]
+    assert named == [], named
+    job = _class("harness/checked.py", "CheckedJob")
+    assert tuple(stmt.target.id for stmt in job.body
+                 if isinstance(stmt, ast.AnnAssign)) == CHECKED_JOB_FIELDS
 
 
 #: The longest ``docs/performance.md`` may be: a layer guide, not a log.
@@ -745,15 +763,19 @@ CONFIG_FIELDS = {
 #: Fields no caller set, now the constants ``RELEASE_FACTOR``,
 #: ``SEARCH_BACKOFF_*``, ``BARRIER_POLL_*`` (``ws/config.py``),
 #: ``RETRY_BACKOFF``, ``RETRY_JITTER``, ``TASK_M``
-#: (``service/runtime.py``) and ``HEARTBEAT_MISS`` (``faults/plan.py``).
+#: (``service/runtime.py``), ``HEARTBEAT_MISS`` (``faults/plan.py``) and
+#: ``SCAN_PERIOD`` (``check/invariants.py``, once a monitor argument).
 FIELDS_RETIRED = ("release_factor", "search_backoff_min",
                   "search_backoff_max", "search_backoff_factor",
                   "barrier_poll_min", "barrier_poll_max", "retry_backoff",
-                  "retry_jitter", "task_m", "heartbeat_miss")
+                  "retry_jitter", "task_m", "heartbeat_miss", "scan_period")
 
 
 def _identifiers(node):
-    """The names ``node`` reads, sets or passes by keyword or string."""
+    """The names ``node`` reads, sets, imports or passes by keyword or
+    string."""
+    if isinstance(node, ast.alias):
+        return (node.name,)
     if isinstance(node, ast.Attribute):
         return (node.attr,)
     if isinstance(node, ast.Name):
