@@ -224,23 +224,16 @@ def _checked(variant: str, run, schedule_seed: Optional[int] = None,
     fresh monitor from ``make_monitor()`` (default: an
     :class:`InvariantMonitor`; a subclass may sample more, and ``None``
     is a cell whose contract is its counts alone), folded into a
-    :class:`CheckOutcome`."""
+    :class:`CheckOutcome`.  The run picks its backend as any run does:
+    a monitor (a tracer) or a fault plan keeps the fused C phases off,
+    and a tie-break keeps the compiled run loop off."""
     from repro.faults.plan import parse_fault_spec
 
     order = tie_break(schedule_seed, defer)
     plan = parse_fault_spec(fault_spec, seed=fault_seed) if fault_spec else None
     monitor = (make_monitor or InvariantMonitor)()
     try:
-        res = run(
-            tracer=monitor, faults=plan, tie_break=order,
-            # Fuzzer cells never run compiled fusion: the monitor's
-            # emit hooks and the tie-break/fault machinery must see
-            # every transition from the Python loops.  Schedules are
-            # pinned bit-identical across backends, so outcomes are
-            # unchanged; tests/fastpath/test_selection.py asserts
-            # Simulator.fastpath_active stays False under check.
-            fastpath="pure",
-        )
+        res = run(tracer=monitor, faults=plan, tie_break=order)
         if monitor is not None:
             monitor.final_check()
     except ReproError as exc:

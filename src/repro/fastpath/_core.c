@@ -541,8 +541,7 @@ enum {
     WP_LOCK_WAIT,       /* woke from the lock round-trip timeout       */
     WP_GRANTED,         /* woke holding the lock (zero-Timeout or ev)  */
     WP_RESET_WAIT,      /* woke from the barrier-reset write timeout   */
-    WP_SVC_LOOP,        /* bounced to the worker from the poll point   */
-    WP_SVC_EXIT         /* bounced for the final racing-request deny   */
+    WP_SVC_LOOP         /* bounced to the worker from the poll point   */
 };
 
 typedef struct {
@@ -1084,7 +1083,6 @@ work_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
         if (w->poll != NULL)
             goto poll;
         goto stack_check;
-    case WP_SVC_EXIT:    goto finish;
     default:
         PyErr_SetString(SimulationError, "fastpath: corrupt phase state");
         return -1;
@@ -1268,17 +1266,9 @@ after_release:
     goto poll;
 
 phase_exit:
-    /* self._advertise(rank, NO_WORK), then deny any request that raced
-     * our transition to idle */
+    /* self._advertise(rank, NO_WORK) */
     if (work_advertise(w, rc, time_obj, w->no_work) < 0)
         return -1;
-    if (w->req_slot != NULL) {
-        if ((hit = req_pending(w->req_slot)) < 0)
-            return -1;
-        if (hit)
-            return phase_bounce(self, rc, Py_True, time_obj, WP_SVC_EXIT);
-    }
-finish:
     /* Resume the worker generator at its `yield phase` suspension
      * within this same dispatch -- exactly where the generator
      * version's `yield from working_phase(ctx)` falls through. */

@@ -29,8 +29,6 @@ _HOMES = {
     "ablation": "repro.harness.figures",
     "headline_claims": "repro.harness.figures",
     "sequential_baseline": "repro.harness.figures",
-    "AblationResult": "repro.harness.figures",
-    "ClaimsResult": "repro.harness.figures",
     "save_json": "repro.harness.io",
     "save_csv": "repro.harness.io",
     "load_json": "repro.harness.io",

@@ -144,7 +144,6 @@ class JobSpec:
     config: Optional[WsConfig] = None
     seed: int = 0
     expected_nodes: Optional[int] = None
-    verify: bool = True
     net: Optional[NetworkModel] = None
 
     def execute(self) -> RunResult:
@@ -156,7 +155,7 @@ class JobSpec:
                                 config=self.config,
                                 chunk_size=self.chunk_size, seed=self.seed,
                                 net=self.net)
-        if self.verify and self.expected_nodes is not None:
+        if self.expected_nodes is not None:
             result.verify(self.expected_nodes)
         return result
 

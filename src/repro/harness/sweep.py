@@ -118,10 +118,11 @@ class Cell:
                 f"events={r.engine_events}")
 
     def row(self) -> dict:
-        """The cell as one flat JSON/CSV row."""
+        """The cell as one flat JSON/CSV row (no counts without a run)."""
         return {**self.where, "ok": self.ok, "error": "" if self.ok
                 else self.label(), "replayed": self.replayed,
-                **(counts(self.result) if self.ok else {}), **self.measured}
+                **(counts(self.result) if self.result is not None else {}),
+                **self.measured}
 
 
 def counts(r) -> dict:
@@ -201,7 +202,7 @@ _FIGURES = {
 }
 
 
-def figure_grid(setup: FigureSetup, verify: bool = True) -> Grid:
+def figure_grid(setup: FigureSetup) -> Grid:
     """``setup``'s (algorithm, threads, k) cross product as verified
     jobs on its tree, and the figure's table: x down, one column per
     algorithm; Figure 4 bolds each row's best."""
@@ -209,7 +210,7 @@ def figure_grid(setup: FigureSetup, verify: bool = True) -> Grid:
     return [({"algorithm": alg, "threads": threads, "chunk_size": k},
              JobSpec(index=0, algorithm=alg, tree=setup.tree, threads=threads,
                      preset=setup.preset, chunk_size=k,
-                     expected_nodes=expected, verify=verify))
+                     expected_nodes=expected))
             for alg in setup.algorithms for threads in setup.thread_counts
             for k in setup.chunk_sizes], partial(_figure_table, setup)
 
@@ -230,8 +231,7 @@ def _figure_table(setup: FigureSetup, t: CellTable) -> str:
                         *setup.algorithms], rows)])
 
 
-def run_sweep(setup: FigureSetup, *, verify: bool = True,
-              progress: Progress = None,
+def run_sweep(setup: FigureSetup, *, progress: Progress = None,
               jobs: Optional[int] = None) -> CellTable:
     """Execute every (algorithm, k, T) combination of ``setup``.
 
@@ -241,5 +241,5 @@ def run_sweep(setup: FigureSetup, *, verify: bool = True,
     progress lines arrive in completion order.
     """
     return run_cells(f"sweep {setup.figure}", setup.scale,
-                     *figure_grid(setup, verify), progress=progress,
+                     *figure_grid(setup), progress=progress,
                      jobs=jobs)

@@ -637,9 +637,6 @@ class AlgorithmBase:
                     break
         if wa is not None:
             self._advertise(rank, NO_WORK)
-        # Deny any request that raced our transition to idle.
-        if req_slot is not None and req_slot.value is not None:
-            yield from self.service_request(ctx)
         self.enter_state(ctx, SEARCHING)
 
     # -- stealing ----------------------------------------------------------

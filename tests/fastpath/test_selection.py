@@ -172,16 +172,15 @@ def test_describe_inventory_keys(clean_env):
     assert info["resolved_auto"] in ("pure", "fast")
 
 
-# -- fuzzer cells never run compiled (anti-vacuity) ------------------
+# -- checked cells resolve their backend like any run -----------------
 #
-# check_run/check_service_run force fastpath="pure": the invariant
-# monitor's emit hooks and the tie-break/fault machinery must observe
-# every transition from the Python loops.  A fuzzer cell that silently
-# ran the compiled backend would fuzz nothing -- these tests pin the
-# contract for each cell feature (tie-breaks, deferrals, park gates,
-# fault plans, service mode), plus the converse: an ordinary run on
-# the same host really does select the compiled core, so the pin is
-# not vacuously green on a pure-only build.
+# check_run / check_service_run pass no backend: a monitored or fuzzed
+# cell resolves REPRO_FASTPATH, then auto, as every run does.  Two
+# rules, not the checker, decide which code runs: the monitor is a
+# tracer, which keeps the fused C phases off, and a tie-break keeps the
+# C run loop off.  Where the extension is built every other cell runs
+# the compiled loop (a park cell the compiled scan kernel too), so the
+# monitor and the fuzzer check the compiled backend.
 
 from repro.check import check_run, check_service_run  # noqa: E402
 from repro.check.invariants import InvariantMonitor  # noqa: E402
@@ -198,16 +197,15 @@ class AlgoSpy(TraceSink):
 
 @pytest.fixture
 def backend_spy(monkeypatch):
-    """Record the resolved backend of every checked run."""
+    """Record, for every checked run: the resolved backend, whether the
+    C loop ran, whether a phase fused, whether the scan kernel is C."""
     seen = []
     orig = InvariantMonitor.final_check
 
     def spy(self):
-        sim = self.machine.sim
-        seen.append((sim.fastpath, sim.fastpath_active))
-        # ... and with it the Python scan kernel: what a park cell's
-        # monitor watches is the loop the pins were drawn by
-        assert self.algo._scan_probe is ProbeScan.probe
+        sim, algo = self.machine.sim, self.algo
+        seen.append((sim.fastpath, sim.fastpath_active, bool(algo._fuse),
+                     algo._scan_probe is not ProbeScan.probe))
         return orig(self)
 
     monkeypatch.setattr(InvariantMonitor, "final_check", spy)
@@ -215,34 +213,56 @@ def backend_spy(monkeypatch):
 
 
 CHECK_CELL = dict(threads=4, chunk_size=2, b0=24, q=0.4)
-
-
-@pytest.mark.parametrize("extra", [
+CHECK_EXTRAS = [
+    {},                                                  # canonical
     {"schedule_seed": 5},                                # tie-break
     {"defer": (10,)},                                    # deferral
     {"idle_strategy": "park"},                           # idle gate
     {"fault_spec": "stale=0.3,stale-window=40us"},       # fault plan
-])
+]
+
+
+def _tie_broken(extra):
+    return "schedule_seed" in extra or "defer" in extra
+
+
+@pytest.mark.parametrize("extra", CHECK_EXTRAS)
 @pytest.mark.parametrize("variant", ["upc-distmem", "ws-fencefree",
                                      "tree-split"])
-def test_fuzzer_cells_never_compiled(clean_env, backend_spy, variant,
-                                     extra):
+def test_checked_cells_run_compiled_unless_tie_broken(clean_env, backend_spy,
+                                                      variant, extra):
+    if not fp.available():
+        pytest.skip("extension not built on this host")
     out = check_run(variant, **CHECK_CELL, **extra)
     assert out.ok, f"{out.error_type}: {out.error}"
-    assert backend_spy == [("pure", False)]
+    assert backend_spy == [("fast", not _tie_broken(extra), False, True)]
 
 
-def test_service_cells_never_compiled(clean_env, backend_spy):
-    out = check_service_run(threads=4, n_tasks=20,
-                            schedule_seed=2, idle_strategy="park")
+@pytest.mark.parametrize("extra", [{}, {"schedule_seed": 2}])
+def test_service_cells_run_compiled_unless_tie_broken(clean_env, backend_spy,
+                                                      extra):
+    if not fp.available():
+        pytest.skip("extension not built on this host")
+    out = check_service_run(threads=4, n_tasks=20, **extra)
     assert out.ok, f"{out.error_type}: {out.error}"
-    assert backend_spy == [("pure", False)]
+    assert backend_spy == [("fast", not _tie_broken(extra), False, True)]
+
+
+@pytest.mark.parametrize("extra", CHECK_EXTRAS)
+@pytest.mark.parametrize("variant", ["upc-distmem", "ws-fencefree",
+                                     "tree-split"])
+def test_checked_cells_obey_the_forced_pure_env(monkeypatch, backend_spy,
+                                                variant, extra):
+    """``REPRO_FASTPATH=0`` reaches a checked cell as it reaches any
+    run, on every host."""
+    monkeypatch.setenv("REPRO_FASTPATH", "0")
+    out = check_run(variant, **CHECK_CELL, **extra)
+    assert out.ok, f"{out.error_type}: {out.error}"
+    assert backend_spy == [("pure", False, False, False)]
 
 
 def test_plain_run_on_same_host_selects_compiled(clean_env):
-    """The converse pin: outside the checker, auto really compiles
-    here -- proving the pure pins above are a deliberate downgrade,
-    not the only thing this host can do."""
+    """Outside the checker too, auto compiles the run loop here."""
     if not fp.available():
         pytest.skip("extension not built on this host")
     from repro import TreeParams, run_experiment

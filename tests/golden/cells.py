@@ -33,9 +33,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import marshal
+import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
+from unittest import mock
 
 import repro.check.runner as check_runner
 from repro import ALGORITHMS, TreeParams, WsConfig, run_experiment
@@ -575,7 +577,7 @@ def observe(cell: Cell, fastpath: str = "pure", traced: bool = False):
     ``schedules.json`` holds for it (without the record fields when
     ``traced`` is False)."""
     if cell.api.startswith("check"):
-        return _observe_checked(cell)
+        return _observe_checked(cell, fastpath)
     kw = {**(RUN_DEFAULTS if cell.api == "run_experiment"
              else SERVE_DEFAULTS), **cell.kwargs}
     spy = Spy(enabled=traced)
@@ -615,7 +617,10 @@ def observe(cell: Cell, fastpath: str = "pure", traced: bool = False):
     return entry, algo
 
 
-def _observe_checked(cell: Cell):
+def _observe_checked(cell: Cell, fastpath: str):
+    """A monitor cell resolves its backend as any run does: the pure
+    leg forces it with ``REPRO_FASTPATH=0``, the compiled leg leaves it
+    to auto."""
     built = []
 
     def monitor():
@@ -625,11 +630,13 @@ def _observe_checked(cell: Cell):
 
     real, check_runner.InvariantMonitor = (check_runner.InvariantMonitor,
                                            monitor)
+    forced = {"REPRO_FASTPATH": "0"} if fastpath == "pure" else {}
     try:
-        if cell.api == "check_run":
-            out = check_run(**cell.kwargs)
-        else:
-            out = check_service_run(**cell.kwargs)
+        with mock.patch.dict(os.environ, forced):
+            if cell.api == "check_run":
+                out = check_run(**cell.kwargs)
+            else:
+                out = check_service_run(**cell.kwargs)
     finally:
         check_runner.InvariantMonitor = real
     mon = built[-1]

@@ -47,9 +47,10 @@ def test_readers_reuse_the_runs_they_read():
     """E5 and E6 read E2's and E3's runs: no second sweep."""
     by_id = {o.experiment.id: o.result
              for o in run_experiments(["E2", "E3", "E5", "E6"], "test")}
-    for alg, run in by_id["E5"].best.items():
-        assert run is best(by_id["E2"], alg).result
-    assert any(c.result is by_id["E6"].run for c in by_id["E3"].cells)
+    for cell in by_id["E5"].cells:
+        assert cell is best(by_id["E2"], cell.where["algorithm"])
+    assert all(any(c is top for c in by_id["E3"].cells)
+               for top in by_id["E6"].cells)
 
 
 def _flat_fig4(rate: float = 10e6) -> CellTable:

@@ -10,7 +10,7 @@ from repro.harness import (
     sequential_baseline,
     setup_for,
 )
-from repro.harness.figures import best
+from repro.harness.figures import best, steps, total_improvement
 
 
 def figure(name):
@@ -103,25 +103,34 @@ class TestAblationAndClaims:
 
     def test_ablation_reuses_figure4_runs(self, fig4):
         ab = ablation(fig4)
-        assert set(ab.best) == {"upc-sharedmem", "upc-term",
-                                "upc-term-rapdif", "upc-distmem"}
-        for alg, run in ab.best.items():
-            assert run is best(fig4, alg).result  # same objects, no re-run
-        assert len(ab.improvements()) == 3
-        assert ab.total_improvement > 0
+        assert [c.where["algorithm"] for c in ab.cells] == [
+            "upc-sharedmem", "upc-term", "upc-term-rapdif", "upc-distmem"]
+        for c in ab.cells:  # same cells, no re-run
+            assert c is best(fig4, c.where["algorithm"])
+        assert ab.scale == fig4.scale
+        assert len(steps(ab)) == 3
+        assert total_improvement(ab) > 0
         assert "**total**" in ab.markdown()
+        assert [row["algorithm"] for row in ab.to_dict()["runs"]] == [
+            c.where["algorithm"] for c in ab.cells]
 
     def test_claims_reuse_figure5_top_point(self):
         fig5 = figure("fig5")
         claims = headline_claims(fig5)
         top_threads = setup_for("fig5", "test").thread_counts[-1]
-        assert claims.run is fig5.cell(algorithm="upc-distmem",
-                                       threads=top_threads).result
+        assert claims.cells == [fig5.cell(algorithm="upc-distmem",
+                                          threads=top_threads)]
         out = claims.markdown()
         assert "parallel efficiency" in out
         assert "85,000" in out
 
     def test_sequential_baseline_table(self):
-        out = sequential_baseline().markdown()
+        table = sequential_baseline()
+        out = table.markdown()
         assert "| kittyhawk | 2.39 | 2.39 |" in out
+        # a cell with no run: its row holds the rates, no run counts
+        row = table.to_dict()["runs"][1]
+        assert row["platform"] == "kittyhawk" and row["ok"]
+        assert row["paper_mnodes_per_s"] == 2.39
+        assert "total_nodes" not in row
         assert "| altix | 1.12 | 1.12 |" in out

@@ -50,8 +50,9 @@ the next re-anchor finding it:
   beside ``delta`` stay gone.
 * A run is wired once (``harness/runner.py``'s ``_run``): the machine
   and the fault runtime are each built in one function, which both
-  ``run_experiment`` and ``run_service`` call, and the checker states
-  its ``fastpath="pure"`` contract at one site.
+  ``run_experiment`` and ``run_service`` call.  Every run, a checked
+  cell too, resolves its backend one way: no call under ``src/`` passes
+  ``fastpath=`` a literal.
 * Figure 1's Stealing state is written once
   (``AlgorithmBase.try_steal``): a variant supplies its claim, and only
   the base and mpi-ws (whose outcome arrives later, in its idle loop)
@@ -465,11 +466,14 @@ def test_one_function_builds_the_machine_and_the_fault_runtime():
         == ["harness/runner.py:_run"]
 
 
-def test_the_checker_states_its_pure_backend_contract_once():
-    pure = _call_sites(lambda call: any(
+def test_no_call_picks_a_literal_backend():
+    """Every run, a checked cell too, resolves its backend one way:
+    ``REPRO_FASTPATH``, then the request, then ``WsConfig.fastpath``,
+    then auto.  No call under ``src/`` passes ``fastpath=`` a constant."""
+    literal = _call_sites(lambda call: any(
         kw.arg == "fastpath" and isinstance(kw.value, ast.Constant)
-        and kw.value.value == "pure" for kw in call.keywords))
-    assert pure == ["check/runner.py:_checked"], pure
+        for kw in call.keywords))
+    assert literal == [], literal
 
 
 def test_one_checked_cell_loop():
@@ -694,6 +698,10 @@ GRID_RESULTS_RETIRED = ("FigureResult", "RunTable", "SweepResult")
 #: A checked registry cell: its name, its check-API keyword dict, and
 #: how it runs; ``bind(cell)`` gives the variant, run, oracle, schedule.
 CHECKED_JOB_FIELDS = ("where", "cell", "monitor", "announce", "index")
+#: A sweep cell: one verified ``run_experiment``; ``expected_nodes=None``
+#: is the one way to skip its oracle.
+JOB_SPEC_FIELDS = ("index", "algorithm", "tree", "threads", "preset",
+                   "chunk_size", "config", "seed", "expected_nodes", "net")
 
 
 def test_every_registry_grid_runs_one_way_into_one_table():
@@ -717,9 +725,12 @@ def test_every_registry_grid_runs_one_way_into_one_table():
              for node in ast.walk(checked) for ident in _identifiers(node)
              if ident in ("run_experiment", "run_service")]
     assert named == [], named
-    job = _class("harness/checked.py", "CheckedJob")
-    assert tuple(stmt.target.id for stmt in job.body
-                 if isinstance(stmt, ast.AnnAssign)) == CHECKED_JOB_FIELDS
+    for where, name, fields in (
+            ("harness/checked.py", "CheckedJob", CHECKED_JOB_FIELDS),
+            ("harness/parallel.py", "JobSpec", JOB_SPEC_FIELDS)):
+        job = _class(where, name)
+        assert tuple(stmt.target.id for stmt in job.body
+                     if isinstance(stmt, ast.AnnAssign)) == fields, name
 
 
 #: The longest ``docs/performance.md`` may be: a layer guide, not a log.
