@@ -18,12 +18,13 @@ Components
     that builds those arrays, SHA-1 / SplitMix64 generator inline, for
     binomial trees and service task forests; count-only for a tree
     over the cap),
-    ``scan_probe(...)`` (``ProbeScan.probe``, for every park run on
-    this backend, fused or not), and three fused phase state machines
-    behind one phase protocol: ``WorkPhase`` (Figure 1's one Working
-    state, taking the switches ``AlgorithmBase.working_phase`` reads,
-    idle gate included, and a service stream's per-task drain ledger),
-    ``SearchPhase`` (polling) and ``IdlePhase``;
+    ``scan_probe(...)`` (``ProbeScan.probe``, for a park search that
+    runs as a generator on this backend), and three fused phase state
+    machines behind one phase protocol: ``WorkPhase`` (Figure 1's one
+    Working state, taking the switches ``AlgorithmBase.working_phase``
+    reads, idle gate included, and a service stream's per-task drain
+    ledger), ``SearchPhase`` (polling or gated, over the same scan
+    kernel) and ``IdlePhase``;
     bound per rank by ``AlgorithmBase``'s ``_build_c_phase`` /
     ``_build_c_search`` and ``mpi-ws``'s ``_build_c_idle``.  Built by
     ``setup.py build_ext``; its absence is never an error.

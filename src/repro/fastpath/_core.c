@@ -25,9 +25,10 @@
  *
  *   scan_probe(scan, slots, bounds)
  *       ProbeScan.probe: the parked search's victim scan (draw, price,
- *       test, per probe, in the array('i') segments' buffers).  Bound
- *       to no rank and no phase, so traced, faulted and service park
- *       runs take it too -- whenever the run's backend resolved to fast.
+ *       test, per probe, in the array('i') segments' buffers).  One
+ *       kernel, two callers: the gated SearchPhase, and every park run
+ *       whose search stays a generator (traced ones, a fail-stop
+ *       plan's victims) -- whenever the run's backend resolved to fast.
  *
  *   WorkPhase, SearchPhase, IdlePhase
  *       Figure 1's per-rank phases as C state machines.  A worker
@@ -39,16 +40,20 @@
  *       WorkPhase is AlgorithmBase.working_phase transliterated: one
  *       Working state for every protocol, taking the switches the
  *       generator reads as constructor arguments (None: off) -- the
- *       idle gate among them, so park mode is no fusion gate: what
- *       stays a generator under park is the search, over scan_probe.
- *       A service stream's workload books each visit batch to its
+ *       idle gate among them, so park mode is no fusion gate.  A
+ *       service stream's workload books each visit batch to its
  *       task's drain ledger (ServiceWorkload.batch_expand); that is
  *       one more switch, so the service pool's Working state is this
- *       one too.  SearchPhase probes and backs off, and for a stock
- *       lock-based protocol carries out the Stealing state as well
- *       (LockBasedAlgorithm._claim: lock, re-check, reserve, unlock,
- *       transfer); the FIFO grant and hand-off are written once, for
- *       WorkPhase's own-stack bracket and this claim alike.
+ *       one too.  SearchPhase is AlgorithmBase.search_phase in both of
+ *       its modes: polling rounds, and (`scan` bound) the idle gate's
+ *       -- rounds over scan_probe opened only on surplus, parks on
+ *       the gate between them -- for the batch variants and the
+ *       service pool alike.  For a stock lock-based protocol it
+ *       carries out the Stealing state as well (LockBasedAlgorithm.
+ *       _claim: lock, re-check, reserve, unlock, transfer); the FIFO
+ *       grant and hand-off are written once, for WorkPhase's
+ *       own-stack bracket and this claim alike.  A fail-stop plan
+ *       binds the phases on every rank it does not kill.
  *
  * The phase protocol.  Every phase object starts with PHASE_HEAD: the
  * worker inside it, the resume point `state` (0: nobody inside) and a
@@ -89,6 +94,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <structmember.h>
+#include <math.h>
 
 /* ------------------------------------------------------------------ */
 /* configured state                                                   */
@@ -110,7 +116,8 @@ static PyObject *s_now, *s_seq, *s_events_processed, *s_live_processes,
     *s_nodes_visited, *s_reacquires, *s_releases, *s_cancels,
     *s_waiters_key, *s_probes, *s_rng, *s_getrandbits, *s_todo, *s_items,
     *s_m, *s_value, *s_note, *s_steal_attempts, *s_steals_ok,
-    *s_chunks_stolen, *s_nodes_stolen, *s_in_flight_nodes;
+    *s_chunks_stolen, *s_nodes_stolen, *s_in_flight_nodes, *s_n_surplus,
+    *s_n_active, *s_park, *s_abandon, *s_enter;
 
 /* slot offsets (T_OBJECT_EX members of the configured classes) */
 static Py_ssize_t off_t_delay, off_t_value;
@@ -485,6 +492,7 @@ typedef struct {
     int kind;
     Py_ssize_t off;         /* of the member in the type's struct      */
     PyTypeObject *exact;    /* F_OBJ / F_OPT: the one type accepted    */
+    PyObject *key;          /* `name` interned, at module init         */
 } PhaseField;
 
 typedef struct {
@@ -495,7 +503,7 @@ typedef struct {
 typedef struct PhaseDesc {
     const char *name;       /* "WorkPhase": module attribute, errors   */
     PyTypeObject *type;
-    const PhaseField *fields;
+    PhaseField *fields;
     /* Drive the state machine from resume point `entry` (0: a fresh
      * start) until it parks on a heap push or an event registration,
      * bounces a value to the worker, or finishes. */
@@ -529,7 +537,8 @@ typedef struct {
     Py_buffer delta, size;    /* tree.delta, tree.size                 */
 } TreeView;
 
-/* WorkPhase: Figure 1's Working state, fault-free -- the members
+/* WorkPhase: Figure 1's Working state, under no fault class but
+ * fail-stop and slowdown (no stall or stale draw to roll) -- the members
  * behind AlgorithmBase._build_c_phase.  What a protocol changes is
  * three switches, each a member group that is NULL when off, exactly
  * the ones AlgorithmBase.working_phase reads before its loop; the idle
@@ -589,22 +598,28 @@ typedef struct {
     int releasing;            /* the move in hand: release / reacquire */
 } WorkPhaseObject;
 
-/* SearchPhase: the polling victim-probe loop shared (modulo the
- * request-variable poll) by the lock-based and distmem search phases
- * (the parked search stays a generator, over scan_probe).
- * Probes, probe-cost accounting, and backoff run in C.  With the claim
- * members bound (a stock lock-based protocol) a steal attempt runs in
- * C too; otherwise it -- and, for distmem, every pending-request
- * service -- is bounced to the suspended worker generator, which runs
- * the Python try_steal/service_request protocol and re-yields the
- * phase. */
+/* SearchPhase: AlgorithmBase.search_phase, the victim-probe loop
+ * shared (modulo the request-variable poll) by the lock-based and
+ * distmem search phases and the service pool's, in both of its modes:
+ * polling (whole shuffled rounds) and, with `scan` bound, the idle
+ * gate's (a round only over visible surplus, probed through the
+ * scan_probe kernel, parking on the gate in between).  Probes,
+ * probe-cost accounting, backoff and parking run in C.  With the
+ * claim members bound (a stock lock-based protocol) a steal attempt
+ * runs in C too; otherwise it -- and, for distmem, every
+ * pending-request service -- is bounced to the suspended worker
+ * generator, which runs the Python try_steal/service_request protocol
+ * and re-yields the phase. */
 enum {
     SP_IDLE = 0,        /* not running (no worker bound)               */
     SP_SVC_TOP,         /* bounced to service a request (round top)    */
     SP_PRE_STEAL,       /* woke from the pre-steal probe-cost timeout  */
     SP_POST_STEAL,      /* re-yielded after a failed steal attempt     */
     SP_END_COST,        /* woke from the end-of-round cost timeout     */
-    SP_BACKOFF,         /* woke from the between-rounds backoff        */
+    SP_BACKOFF,         /* woke from the between-rounds backoff or the
+                         * post-park resume delay                      */
+    SP_PARKED,          /* gate: woke from gate.park(rank)             */
+    SP_WOKE_SVC,        /* gate: bounced to service a request on wake  */
     SP_LOCK_WAIT,       /* claim: woke from the lock round trip        */
     SP_GRANTED,         /* claim: woke holding the victim's lock       */
     SP_HELD,            /* claim: woke from a reference under the lock */
@@ -619,9 +634,10 @@ typedef struct {
     PHASE_HEAD
     /* configuration (strong references; immutable after init) */
     PyObject *st_dict;        /* ThreadStats.__dict__ (probes)         */
-    PyObject *segments;       /* bound ProbeOrder.segments: a round's  */
-    PyObject *getrandbits;    /*   fresh array('i') victims, shuffled  */
-                              /*   in place over this, probed in turn  */
+    PyObject *segments;       /* polling: bound ProbeOrder.segments, a */
+    PyObject *getrandbits;    /*   round's fresh array('i') victims,   */
+                              /*   shuffled in place over this, probed */
+                              /*   in turn                             */
     PyObject *bounds;         /* net.ref_cost_bounds(rank), parsed     */
                               /*   below by search_check: a victim     */
     long long node_lo;        /*   in [node_lo, node_hi) costs c_local */
@@ -636,22 +652,27 @@ typedef struct {
     double slow;              /* ctx._slow compute-cost multiplier     */
     int persist;              /* persist_while_working                 */
     PyObject *rank;           /* int: this rank                        */
+    PyObject *gate;           /* IdleGate: told of a claim's advert    */
+    PyObject *gate_cat;       /*   (its _cat list); with `scan`, its   */
+    PyObject *scan;           /*   counters gate the rounds, each a    */
+                              /*   ProbeOrder.scan(); NULL: polling    */
     /* the claim, LockBasedAlgorithm._claim: NULL locks, the bounce */
     PyObject *locks;          /* list of GlobalLock: stack_locks       */
     PyObject *stacks;         /* list of SplitStack                    */
     PyObject *algo_dict;      /* the algorithm's __dict__ (in flight)  */
     PyObject *steal;          /* str: the steal amount's registry key  */
     PyObject *claim_costs;    /* net.steal_cost_terms(), parsed below  */
-    PyObject *gate;           /* IdleGate told of the victim's advert  */
-    PyObject *gate_cat;       /* list: gate._cat                       */
-    PyObject *steal_cb;       /* callable(): state timer -> STEALING   */
-    PyObject *search_cb;      /* callable(): state timer -> SEARCHING  */
+    PyObject *states;         /* (STEALING, SEARCHING)                 */
+    PyObject *timer;          /* the rank's StateTimer: the claim's    */
+                              /*   timer.enter(state, now)             */
     /* runtime */
     PyObject *victims;        /* current round's shuffled segments     */
+    PyObject *cur_scan;       /* gate: the round's ProbeScan           */
     Py_ssize_t seg, idx;      /* segment probed, its next victim       */
     long long cur_victim;     /* victim across the pre-steal timeout   */
     double cost_acc;
     double backoff;
+    double t_park;            /* gate: when the rank parked            */
     long long probes_acc;     /* st.probes delta, flushed at yields    */
     int any_working;
     long long me;             /* rank, and the claim's parsed members: */
@@ -853,7 +874,7 @@ work_reacquire(WorkPhaseObject *w)
     return slot_add_long(w->stack, off_st_reacquired, ngot);
 }
 
-/* AlgorithmBase._advertise(rank, value), fault-free: wa.poke(value) --
+/* AlgorithmBase._advertise(rank, value), no stale fault: wa.poke(value) --
  * writes += 1, then value = v -- and, under park, gate.note(rank,
  * value).  IdleGate.note's own no-transition test (`cat == old`, or a
  * dead rank) is made here against gate._cat, so Python is entered only
@@ -1401,6 +1422,76 @@ fail:
     return NULL;
 }
 
+/* ProbeScan.probe, the park victim scan below (with scan_probe). */
+static int scan_kernel(PyObject *scan, PyObject *slots, long long node_lo,
+                       long long node_hi, double c_local, double c_remote,
+                       Py_ssize_t *victim_out, double *cost,
+                       Py_ssize_t *n_out);
+
+/* gate.n_surplus or gate.n_active (IdleGate's exact counters, never
+ * negative), or -1 with an error set. */
+static long long
+gate_count(SearchPhaseObject *sp, PyObject *name)
+{
+    PyObject *v = PyObject_GetAttr(sp->gate, name);
+    long long n;
+    if (v == NULL)
+        return -1;
+    n = PyLong_AsLongLong(v);
+    Py_DECREF(v);
+    return n;
+}
+
+/* `yield gate.park(rank)`: register with the gate -- in the event that
+ * saw n_surplus == 0, so no wake-up can fall in between -- and wait on
+ * the fresh SimEvent it returns (SimEvent() touches no engine state). */
+static int
+search_park(SearchPhaseObject *sp, double now)
+{
+    PyObject *ev = PyObject_CallMethodOneArg(sp->gate, s_park, sp->rank);
+    PyObject *waiters;
+    int r;
+    if (ev == NULL)
+        return -1;
+    waiters = Py_TYPE(ev) == SimEventType ? SLOT(ev, off_e_waiters) : NULL;
+    if (waiters == NULL || !PyList_CheckExact(waiters)) {
+        PyErr_SetString(SimulationError, "fastpath: gate.park() must "
+                        "return a SimEvent");
+        Py_DECREF(ev);
+        return -1;
+    }
+    sp->t_park = now;
+    sp->state = SP_PARKED;
+    r = PyList_Append(waiters, (PyObject *)sp);
+    Py_DECREF(ev);
+    return r;
+}
+
+/* AlgorithmBase._park_resume_delay(t_park, backoff, now, backoff_max,
+ * backoff_factor): the delay to the first tick of the rank's virtual
+ * polling cadence at or after `now`; the backoff it carries on. */
+static double
+park_resume_delay(SearchPhaseObject *sp, double now)
+{
+    double t = sp->t_park + sp->backoff, bmax = sp->backoff_max;
+    double b = sp->backoff * sp->backoff_factor;
+    if (b > bmax)
+        b = bmax;
+    while (t < now) {
+        if (b >= bmax) {
+            /* capped region: close the gap in one step */
+            t += ceil((now - t) / bmax) * bmax;
+            break;
+        }
+        t += b;
+        b = b * sp->backoff_factor;
+        if (b > bmax)
+            b = bmax;
+    }
+    sp->backoff = b;
+    return t > now ? t - now : 0.0;
+}
+
 /* -- the claim's members (SearchPhase with `locks` bound) -- */
 
 /* One of a claim's costs by the victim's locality: the thief's own
@@ -1453,25 +1544,32 @@ claim_stack(SearchPhaseObject *sp, long long rank)
     return stack;
 }
 
-/* enter_state(ctx, state) through its callback, now/_seq synced out. */
+/* enter_state(ctx, states[which]): timer.enter(state, now), with
+ * now/_seq synced out. */
 static int
-claim_timer(RunCtx *rc, PyObject *time_obj, PyObject *cb)
+claim_timer(RunCtx *rc, PyObject *time_obj, SearchPhaseObject *sp,
+            Py_ssize_t which)
 {
-    if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0)
+    PyObject *r;
+    if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0
+            || (r = PyObject_CallMethodObjArgs(
+                    sp->timer, s_enter, PyTuple_GET_ITEM(sp->states, which),
+                    time_obj, NULL)) == NULL)
         return -1;
-    return call_cb(rc, cb);
+    Py_DECREF(r);
+    return rc_reload_seq(rc);
 }
 
-/* Drive the polling search phase (lock-based Sect. 3.1 / distmem
- * Sect. 3.3.3) until it parks on a probe-cost, backoff or claim
- * timeout or a queued lock grant, bounces a steal attempt it does not
- * claim itself (the victim's rank) or a pending request (True) to the
- * worker, or ends.  The worker's `yield phase` receives None when the
- * search gives up (return False) and when a claim here landed work
- * (the worker's stack is no longer empty: return True); after a
- * bounced *failed* steal it re-yields the phase, and after a bounced
- * successful one it calls phase.abort() and returns True without
- * re-yielding. */
+/* Drive the search phase (lock-based Sect. 3.1 / distmem Sect. 3.3.3,
+ * polling or gated) until it parks on a probe-cost, backoff, resume or
+ * claim timeout, a queued lock grant or the idle gate, bounces a steal
+ * attempt it does not claim itself (the victim's rank) or a pending
+ * request (True) to the worker, or ends.  The worker's `yield phase`
+ * receives None when the search gives up (return False) and when a
+ * claim here landed work (the worker's stack is no longer empty:
+ * return True); after a bounced *failed* steal it re-yields the phase,
+ * and after a bounced successful one it calls phase.abort() and
+ * returns True without re-yielding. */
 static int
 search_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
 {
@@ -1483,12 +1581,11 @@ search_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
         goto round_top;
     case SP_SVC_TOP:    goto round_start;
     case SP_PRE_STEAL:  goto steal_bounce;
-    case SP_POST_STEAL:
-        /* "the probe proceeds to the next victim" after a denial */
-        sp->any_working = 1;
-        goto probe_loop;
+    case SP_POST_STEAL: goto post_steal;
     case SP_END_COST:   goto round_end;
     case SP_BACKOFF:    goto round_top;
+    case SP_PARKED:     goto woke;
+    case SP_WOKE_SVC:   goto resume;
     case SP_LOCK_WAIT:  goto claim_acquire;
     case SP_GRANTED:    goto claim_granted;
     case SP_HELD:
@@ -1515,6 +1612,28 @@ round_top:
         }
     }
 round_start:
+    if (sp->scan != NULL) {
+        /* the gate branch: with nothing stealable anywhere a round
+         * provably fails, so none opens */
+        long long surplus = gate_count(sp, s_n_surplus), active;
+        if (surplus < 0)
+            return -1;
+        if (surplus > 0) {
+            Py_XSETREF(sp->cur_scan, PyObject_CallNoArgs(sp->scan));
+            if (sp->cur_scan == NULL)
+                return -1;
+            sp->any_working = 1;  /* a gated round ends on persist alone */
+            goto scan_step;
+        }
+        if (!sp->persist)
+            goto exit_nowork;
+        if ((active = gate_count(sp, s_n_active)) < 0)
+            return -1;
+        if (active == 0)
+            goto exit_nowork;
+        /* some thread works but nothing is stealable: park */
+        return search_park(sp, rc->now);
+    }
     Py_XSETREF(sp->victims, search_cycle(sp));
     if (sp->victims == NULL)
         return -1;
@@ -1602,6 +1721,74 @@ round_end:
         goto round_top;
     }
 
+scan_step:
+    {
+        /* victim, cost_acc, n_probes = probe(scan, slots, bounds) */
+        Py_ssize_t victim, n;
+        double cost;
+        if (scan_kernel(sp->cur_scan, sp->slots, sp->node_lo, sp->node_hi,
+                        sp->c_local, sp->c_remote, &victim, &cost, &n) < 0)
+            return -1;
+        sp->probes_acc += n;
+        if (sp_flush_probes(sp) < 0)
+            return -1;
+        sp->cur_victim = victim;
+        if (victim < 0)
+            Py_CLEAR(sp->cur_scan);
+        if (cost > 0.0) {
+            /* yield from ctx.compute(cost_acc), before the steal or
+             * at the end of the round */
+            sp->state = victim < 0 ? SP_END_COST : SP_PRE_STEAL;
+            return rc_push(rc, rc->now + cost * sp->slow, (PyObject *)sp,
+                           Py_None);
+        }
+        if (victim < 0)
+            goto round_end;
+        goto steal_bounce;
+    }
+
+post_steal:
+    /* empty or denied: "the probe proceeds to the next victim" (Sect.
+     * 3.1; likewise 3.3.3) -- unless, gated, the attempt's yields saw
+     * the last surplus go: then the round ends, one draw further on */
+    sp->any_working = 1;
+    if (sp->cur_scan == NULL)
+        goto probe_loop;
+    {
+        long long surplus = gate_count(sp, s_n_surplus);
+        PyObject *r;
+        if (surplus < 0)
+            return -1;
+        if (surplus > 0)
+            goto scan_step;
+        if ((r = PyObject_CallMethodNoArgs(sp->cur_scan, s_abandon)) == NULL)
+            return -1;
+        Py_DECREF(r);
+        Py_CLEAR(sp->cur_scan);
+        goto round_end;
+    }
+
+woke:
+    /* a thief's targeted wake means it is blocked on our answer */
+    if (sp->req_slot != NULL) {
+        int hit = req_pending(sp->req_slot);
+        if (hit < 0)
+            return -1;
+        if (hit)
+            return phase_bounce(self, rc, Py_True, time_obj, SP_WOKE_SVC);
+    }
+resume:
+    {
+        /* back on the virtual polling cadence, never probing more often
+         * than polling would */
+        double d = park_resume_delay(sp, rc->now);
+        if (d > 0.0) {
+            sp->state = SP_BACKOFF;
+            return rc_push(rc, rc->now + d, (PyObject *)sp, Py_None);
+        }
+        goto round_top;
+    }
+
 steal_bounce:
     if (sp->locks == NULL) {
         PyObject *v = PyLong_FromLongLong(sp->cur_victim);
@@ -1616,7 +1803,7 @@ steal_bounce:
     /* The Stealing state: try_steal, LockBasedAlgorithm._claim and
      * _steal_landed, statement for statement -- enter STEALING, count
      * the attempt, then ctx.lock(lk): its round trip, the FIFO grant. */
-    if (claim_timer(rc, time_obj, sp->steal_cb) < 0
+    if (claim_timer(rc, time_obj, sp, 0) < 0
             || dict_add_long(sp->st_dict, s_steal_attempts, 1) < 0)
         return -1;
     {
@@ -1728,12 +1915,10 @@ claim_release:
             return -1;
     }
     if (sp->nodes == NULL) {
-        /* steal.fail: back to SEARCHING, and the probe proceeds to the
-         * next victim (Sect. 3.1) */
-        if (claim_timer(rc, time_obj, sp->search_cb) < 0)
+        /* steal.fail: back to SEARCHING */
+        if (claim_timer(rc, time_obj, sp, 1) < 0)
             return -1;
-        sp->any_working = 1;
-        goto probe_loop;
+        goto post_steal;
     }
     {
         /* ctx.chunk_get: the one-sided transfer outside the critical
@@ -1768,11 +1953,12 @@ claim_land:
                 || dict_add_long(sp->st_dict, s_nodes_stolen, n) < 0)
             return -1;
         Py_CLEAR(sp->nodes);
-        if (claim_timer(rc, time_obj, sp->search_cb) < 0)
+        if (claim_timer(rc, time_obj, sp, 1) < 0)
             return -1;
         /* work in hand ends the episode: the worker finds its stack
          * full when its `yield phase` returns */
         Py_CLEAR(sp->victims);
+        Py_CLEAR(sp->cur_scan);
         return phase_finish(self, rc, time_obj);
     }
 
@@ -2563,30 +2749,22 @@ is_positive(PyObject *v)
  * reversed array('i') segment in place, one getrandbits(k) per accepted
  * draw with k recomputed only where the remaining count crosses a power
  * of two, the reference cost added left to right from 0.0, stop at the
- * first victim whose slots[victim].value is positive.  Returns (victim
- * or None, cost_acc, n_probes) and leaves _items / _m / _todo and the
- * generator as the Python method would. */
-static PyObject *
-py_scan_probe(PyObject *module, PyObject *args)
+ * first victim whose slots[victim].value is positive.  Sets *victim_out
+ * (-1: every segment exhausted), *cost and *n_out (probes), and leaves
+ * _items / _m / _todo and the generator as the Python method would.
+ * 0, or -1 with an error set. */
+static int
+scan_kernel(PyObject *scan, PyObject *slots, long long node_lo,
+            long long node_hi, double c_local, double c_remote,
+            Py_ssize_t *victim_out, double *cost, Py_ssize_t *n_out)
 {
-    PyObject *scan, *slots, *bounds, *res = NULL;
     PyObject *rng = NULL, *getrandbits = NULL, *todo = NULL, *items = NULL;
     PyObject *mo = NULL, *kk = NULL;
     Py_buffer view = {NULL};
-    int *vs;
-    Py_ssize_t node_lo, node_hi, m, n_probes, found = -1;
-    double c_local, c_remote, cost_acc = 0.0;
+    int *vs, res = -1;
+    Py_ssize_t m, n_probes, found = -1;
+    double cost_acc = 0.0;
 
-    if (!configured) {
-        PyErr_SetString(PyExc_RuntimeError, "fastpath core not configured");
-        return NULL;
-    }
-    if (!PyArg_ParseTuple(args, "OO!O!:scan_probe", &scan, &PyList_Type,
-                          &slots, &PyTuple_Type, &bounds)
-            || !PyArg_ParseTuple(bounds, "nndd;bounds must be (node_lo, "
-                                 "node_hi, local, remote)", &node_lo,
-                                 &node_hi, &c_local, &c_remote))
-        return NULL;
     if ((rng = PyObject_GetAttr(scan, s_rng)) == NULL
             || (getrandbits = PyObject_GetAttr(rng, s_getrandbits)) == NULL
             || (todo = PyObject_GetAttr(scan, s_todo)) == NULL
@@ -2671,8 +2849,10 @@ out:
     Py_SETREF(mo, PyLong_FromSsize_t(m));
     if (mo == NULL || PyObject_SetAttr(scan, s_m, mo) < 0)
         goto done;
-    res = found < 0 ? Py_BuildValue("Odn", Py_None, cost_acc, n_probes)
-        : Py_BuildValue("ndn", found, cost_acc, n_probes - m);
+    *victim_out = found;
+    *cost = cost_acc;
+    *n_out = found < 0 ? n_probes : n_probes - m;
+    res = 0;
 done:
     PyBuffer_Release(&view);
     Py_XDECREF(kk);
@@ -2682,6 +2862,33 @@ done:
     Py_XDECREF(getrandbits);
     Py_XDECREF(rng);
     return res;
+}
+
+/* scan_probe(scan, slots, bounds): the kernel behind a Python
+ * signature, for the generator search (the gated SearchPhase calls it
+ * directly).  Returns (victim or None, cost_acc, n_probes). */
+static PyObject *
+py_scan_probe(PyObject *module, PyObject *args)
+{
+    PyObject *scan, *slots, *bounds;
+    long long node_lo, node_hi;
+    double c_local, c_remote, cost;
+    Py_ssize_t victim, n_probes;
+
+    if (!configured) {
+        PyErr_SetString(PyExc_RuntimeError, "fastpath core not configured");
+        return NULL;
+    }
+    if (!PyArg_ParseTuple(args, "OO!O!:scan_probe", &scan, &PyList_Type,
+                          &slots, &PyTuple_Type, &bounds)
+            || !PyArg_ParseTuple(bounds, "LLdd;bounds must be (node_lo, "
+                                 "node_hi, local, remote)", &node_lo,
+                                 &node_hi, &c_local, &c_remote)
+            || scan_kernel(scan, slots, node_lo, node_hi, c_local, c_remote,
+                           &victim, &cost, &n_probes) < 0)
+        return NULL;
+    return victim < 0 ? Py_BuildValue("Odn", Py_None, cost, n_probes)
+        : Py_BuildValue("ndn", victim, cost, n_probes);
 }
 
 /* ------------------------------------------------------------------ */
@@ -2801,10 +3008,11 @@ phase_init(PyObject *o, PyObject *args, PyObject *kwds)
         if (f->kind == F_RUNTIME)
             continue;
         n_keywords += 1;
-        v = kwds != NULL ? PyDict_GetItemString(kwds, f->name) : NULL;
+        v = kwds != NULL ? PyDict_GetItemWithError(kwds, f->key) : NULL;
         if (v == NULL) {
-            PyErr_Format(PyExc_TypeError, "%s() missing required keyword "
-                         "argument '%s'", d->name, f->name);
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_TypeError, "%s() missing required "
+                             "keyword argument '%s'", d->name, f->name);
             goto fail;
         }
         if (field_set(self, d, f, v) < 0)
@@ -2900,7 +3108,7 @@ static PyGetSetDef phase_getset[] = {
 
 /* -- WorkPhase ------------------------------------------------------ */
 
-static const PhaseField WorkPhase_fields[] = {
+static PhaseField WorkPhase_fields[] = {
     {"local", F_OBJ, offsetof(WorkPhaseObject, local), &PyList_Type},
     {"shared", F_OBJ, offsetof(WorkPhaseObject, shared)},
     {"shared_append", F_OBJ, offsetof(WorkPhaseObject, shared_append)},
@@ -2965,7 +3173,7 @@ work_check(PhaseHead *self)
 }
 
 PHASE_TYPE(WorkPhase, NULL,
-           "Fused Working state (AlgorithmBase.working_phase, fault-free)");
+           "Fused Working state (AlgorithmBase.working_phase)");
 
 static const PhaseDesc WorkPhase_desc = {
     "WorkPhase", &WorkPhase_Type, WorkPhase_fields, work_run, work_check,
@@ -2974,10 +3182,10 @@ static const PhaseDesc WorkPhase_desc = {
 
 /* -- SearchPhase ---------------------------------------------------- */
 
-static const PhaseField SearchPhase_fields[] = {
+static PhaseField SearchPhase_fields[] = {
     {"st_dict", F_OBJ, offsetof(SearchPhaseObject, st_dict), &PyDict_Type},
-    {"segments", F_OBJ, offsetof(SearchPhaseObject, segments)},
-    {"getrandbits", F_OBJ, offsetof(SearchPhaseObject, getrandbits)},
+    {"segments", F_OPT, offsetof(SearchPhaseObject, segments)},
+    {"getrandbits", F_OPT, offsetof(SearchPhaseObject, getrandbits)},
     {"bounds", F_OBJ, offsetof(SearchPhaseObject, bounds), &PyTuple_Type},
     {"slots", F_OBJ, offsetof(SearchPhaseObject, slots), &PyList_Type},
     {"req_slot", F_OPT, offsetof(SearchPhaseObject, req_slot)},
@@ -2987,6 +3195,9 @@ static const PhaseField SearchPhase_fields[] = {
     {"slow", F_DOUBLE, offsetof(SearchPhaseObject, slow)},
     {"persist", F_FLAG, offsetof(SearchPhaseObject, persist)},
     {"rank", F_OBJ, offsetof(SearchPhaseObject, rank), &PyLong_Type},
+    {"gate", F_OPT, offsetof(SearchPhaseObject, gate)},
+    {"gate_cat", F_OPT, offsetof(SearchPhaseObject, gate_cat), &PyList_Type},
+    {"scan", F_OPT, offsetof(SearchPhaseObject, scan)},
     {"locks", F_OPT, offsetof(SearchPhaseObject, locks), &PyList_Type},
     {"stacks", F_OPT, offsetof(SearchPhaseObject, stacks), &PyList_Type},
     {"algo_dict", F_OPT, offsetof(SearchPhaseObject, algo_dict),
@@ -2994,11 +3205,10 @@ static const PhaseField SearchPhase_fields[] = {
     {"steal", F_OPT, offsetof(SearchPhaseObject, steal), &PyUnicode_Type},
     {"claim_costs", F_OPT, offsetof(SearchPhaseObject, claim_costs),
      &PyTuple_Type},
-    {"gate", F_OPT, offsetof(SearchPhaseObject, gate)},
-    {"gate_cat", F_OPT, offsetof(SearchPhaseObject, gate_cat), &PyList_Type},
-    {"steal_cb", F_OPT, offsetof(SearchPhaseObject, steal_cb)},
-    {"search_cb", F_OPT, offsetof(SearchPhaseObject, search_cb)},
+    {"states", F_OPT, offsetof(SearchPhaseObject, states), &PyTuple_Type},
+    {"timer", F_OBJ, offsetof(SearchPhaseObject, timer)},
     {"victims", F_RUNTIME, offsetof(SearchPhaseObject, victims)},
+    {"cur_scan", F_RUNTIME, offsetof(SearchPhaseObject, cur_scan)},
     {"nodes", F_RUNTIME, offsetof(SearchPhaseObject, nodes)},
     {NULL}
 };
@@ -3007,25 +3217,33 @@ static const char *
 search_check(PhaseHead *self)
 {
     SearchPhaseObject *sp = (SearchPhaseObject *)self;
-    if (!PyCallable_Check(sp->getrandbits)
-            || !PyCallable_Check(sp->segments))
-        return "getrandbits and segments must be callable";
+    if (sp->scan == NULL && (sp->getrandbits == NULL || sp->segments == NULL
+                             || !PyCallable_Check(sp->getrandbits)
+                             || !PyCallable_Check(sp->segments)))
+        return "getrandbits and segments must be callable (polling)";
     if (!PyArg_ParseTuple(sp->bounds, "LLdd", &sp->node_lo, &sp->node_hi,
                           &sp->c_local, &sp->c_remote)) {
         PyErr_Clear();
         return "bounds must be (node_lo, node_hi, local, remote)";
     }
     sp->me = PyLong_AsLongLong(sp->rank);
-    if (sp->gate != NULL && (sp->locks == NULL || sp->gate_cat == NULL))
-        return "gate needs the locks whose claims it is told of and its "
-               "_cat list";
-    if (sp->locks == NULL)
+    if ((sp->gate != NULL) != (sp->gate_cat != NULL))
+        return "gate and its _cat list go together";
+    if (sp->scan != NULL && (sp->gate == NULL || !PyCallable_Check(sp->scan)))
+        return "scan must be callable and needs the gate whose counters "
+               "open its rounds";
+    if (sp->locks == NULL) {
+        if (sp->stacks != NULL || sp->algo_dict != NULL || sp->steal != NULL
+                || sp->claim_costs != NULL || sp->states != NULL)
+            return "the claim's stacks, algo_dict, steal, claim_costs "
+                   "and states need locks";
         return NULL;
+    }
     if (sp->stacks == NULL || sp->algo_dict == NULL || sp->steal == NULL
-            || sp->claim_costs == NULL || sp->steal_cb == NULL
-            || sp->search_cb == NULL)
-        return "locks needs stacks, algo_dict, steal, claim_costs, "
-               "steal_cb and search_cb";
+            || sp->claim_costs == NULL || sp->states == NULL
+            || PyTuple_GET_SIZE(sp->states) != 2)
+        return "locks needs stacks, algo_dict, steal, claim_costs and "
+               "states (a pair)";
     if (PyUnicode_CompareWithASCIIString(sp->steal, "one") == 0)
         sp->take = TAKE_ONE;
     else if (PyUnicode_CompareWithASCIIString(sp->steal, "half") == 0)
@@ -3053,6 +3271,7 @@ SearchPhase_abort(SearchPhaseObject *self, PyObject *Py_UNUSED(ignored))
      * (probes_acc is always flushed before a bounce, so no counters
      * are lost here.) */
     Py_CLEAR(self->victims);
+    Py_CLEAR(self->cur_scan);
     Py_CLEAR(self->worker);
     self->probes_acc = 0;
     self->cost_acc = 0.0;
@@ -3068,8 +3287,8 @@ static PyMethodDef SearchPhase_methods[] = {
 };
 
 PHASE_TYPE(SearchPhase, SearchPhase_methods,
-           "Fused polling search phase (lock-based / upc-distmem), "
-           "with the lock-based Stealing state");
+           "Fused search phase (lock-based / upc-distmem / service pool, "
+           "polling or gated), with the lock-based Stealing state");
 
 static const PhaseDesc SearchPhase_desc = {
     "SearchPhase", &SearchPhase_Type, SearchPhase_fields, search_run,
@@ -3078,7 +3297,7 @@ static const PhaseDesc SearchPhase_desc = {
 
 /* -- IdlePhase ------------------------------------------------------ */
 
-static const PhaseField IdlePhase_fields[] = {
+static PhaseField IdlePhase_fields[] = {
     {"pending", F_OBJ, offsetof(IdlePhaseObject, pending), &PyList_Type},
     {"backoff_min", F_DOUBLE, offsetof(IdlePhaseObject, backoff_min)},
     {"backoff_factor", F_DOUBLE, offsetof(IdlePhaseObject, backoff_factor)},
@@ -3276,11 +3495,22 @@ PyInit__core(void)
     INTERN(s_chunks_stolen, "chunks_stolen");
     INTERN(s_nodes_stolen, "nodes_stolen");
     INTERN(s_in_flight_nodes, "in_flight_nodes");
+    INTERN(s_n_surplus, "n_surplus");
+    INTERN(s_n_active, "n_active");
+    INTERN(s_park, "park");
+    INTERN(s_abandon, "abandon");
+    INTERN(s_enter, "enter");
 #undef INTERN
     m = PyModule_Create(&core_module);
     if (m == NULL)
         return NULL;
     for (d = phase_descs; *d != NULL; d++) {
+        PhaseField *f;
+        for (f = (*d)->fields; f->name != NULL; f++)
+            if ((f->key = PyUnicode_InternFromString(f->name)) == NULL) {
+                Py_DECREF(m);
+                return NULL;
+            }
         if (PyType_Ready((*d)->type) < 0
                 || PyModule_AddObjectRef(m, (*d)->name,
                                          (PyObject *)(*d)->type) < 0) {

@@ -55,10 +55,9 @@ class ServiceAlgorithm(LockBasedAlgorithm):
         svc = self.service
         gate = self._gate
         backoff = SEARCH_BACKOFF_MIN
-        fuse = self._fuse
-        if fuse is None:
-            fuse = self._fuse = self._fusion_enabled()
+        fuse = self._fuses(rank)
         phase = None
+        sphase = self._compiled(self._build_c_search, rank) if fuse else None
         while True:
             if not stack.is_empty:
                 if fuse:
@@ -83,7 +82,10 @@ class ServiceAlgorithm(LockBasedAlgorithm):
                 break
             # No detector persists: one failed cycle (under a gate, no
             # surplus to scan) ends the search.
-            found = yield from self.search_phase(ctx)
+            if sphase is not None:
+                found = yield from self._search_fused(ctx, sphase)
+            else:
+                found = yield from self.search_phase(ctx)
             if found:
                 backoff = SEARCH_BACKOFF_MIN
                 continue

@@ -55,8 +55,7 @@ _T0 = Timeout(0.0)
 #: The claim members of a ``SearchPhase`` that bounces every steal
 #: attempt (:meth:`AlgorithmBase._search_claim`).
 _NO_CLAIM = dict.fromkeys(("locks", "stacks", "algo_dict", "steal",
-                           "claim_costs", "gate", "gate_cat", "steal_cb",
-                           "search_cb"))
+                           "claim_costs", "states"))
 
 
 def flatten(chunks: List[List]) -> List:
@@ -165,7 +164,7 @@ class AlgorithmBase:
         #: schedule is untouched.
         self._speed_factors = None
         self._vt_cache: dict = {}  # (speed factor, slowdown) -> table
-        self._visit_costs: dict = {}  # the same tables, as float lists
+        self._visit_costs: dict = {}  # (t_node, slowdown) -> floats
         #: Per-rank steal-amount overrides (greedy-thief adversary) and
         #: duplicating-steal ranks; None when no adversary is installed.
         self._rank_steal = None
@@ -239,10 +238,17 @@ class AlgorithmBase:
         #: Compiled-phase fusion (repro.fastpath): None = undecided (the
         #: gates are checked at the first thread resume, after the
         #: adversaries install), else whether the C state machines
-        #: replace the generators.  ``_c_phases`` caches the per-rank
-        #: phase objects, built on demand.
+        #: replace the generators -- on every rank but ``_unfused``,
+        #: the ranks a fail-stop plan kills (their recovery lives in
+        #: the generators).  ``_c_phases`` caches the per-rank phase
+        #: objects, built on demand; ``_search_kw`` what every rank's
+        #: ``SearchPhase`` binds alike, built at the first bind.
         self._fuse = None
+        rt = self.faults_rt
+        self._unfused = frozenset(
+            () if rt is None else (r for r, _ in rt.kill_schedule))
         self._c_phases: dict = {}
+        self._search_kw = None
         self.setup()
         if cfg.adversaries:
             # Installed last: the actors mutate the per-rank tables
@@ -285,19 +291,14 @@ class AlgorithmBase:
         different policies, steal protocols and poll slots plugged in;
         under park the search and termination phases park by
         themselves where a gate exists, and the compiled backend swaps
-        in the fused C phases (identical yields and counters; the
-        parked search stays a generator), which bounce back here
-        whenever a steal request needs the Python service path.
+        in the fused C phases (identical yields and counters, parked
+        search included), which bounce back here whenever a steal
+        request needs the Python service path.
         """
         rank = ctx.rank
-        fuse = self._fuse
-        if fuse is None:
-            fuse = self._fuse = self._fusion_enabled()
-        phase = sphase = None
-        if (fuse and not (self._gate is not None
-                          and self._termination.park_capable)
-                and type(self).search_phase is AlgorithmBase.search_phase):
-            sphase = self._compiled(self._build_c_search, rank)
+        fuse = self._fuses(rank)
+        phase = None
+        sphase = self._compiled(self._build_c_search, rank) if fuse else None
         while True:
             if not self.stacks[rank].is_empty:
                 if fuse:
@@ -818,22 +819,38 @@ class AlgorithmBase:
 
     # -- compiled-phase fusion (repro.fastpath) -----------------------------
 
+    def _fuses(self, rank: int) -> bool:
+        """Whether ``rank`` runs the compiled phases: the run's gates
+        (:meth:`_fusion_enabled`, read once, at the first thread
+        resume) and not a rank the fault plan kills."""
+        fuse = self._fuse
+        if fuse is None:
+            fuse = self._fuse = self._fusion_enabled()
+        return fuse and rank not in self._unfused
+
     def _fusion_enabled(self) -> bool:
         """Whether the compiled phases may replace the generators.
 
         Every gate guards a behaviour the C state machines do not
-        reproduce: a fused phase is exactly the fault-free, trace-off
-        generator over the materialised layout (a ``MaterializedTree``,
-        or a service stream's workload over its task forest; under
-        either idle strategy: the compiled Working state tells the idle
-        gate what the generator does), so anything else -- faults,
-        tracing, a search space without ``delta``/``size`` arrays, or
-        (per protocol, :meth:`_fusable`) an override of a method the C
-        code stands in for -- falls back to the generator.  The
-        schedules are bit-identical either way; only host speed differs.
+        reproduce: a fused phase is exactly the trace-off generator
+        over the materialised layout (a ``MaterializedTree``, or a
+        service stream's workload over its task forest; under either
+        idle strategy: the compiled Working state tells the idle gate
+        what the generator does), so anything else -- a fault class
+        beyond fail-stop and slowdown (message, stall and stale faults
+        roll their draws in the generators), tracing, a search space
+        without ``delta``/``size`` arrays, or (per protocol,
+        :meth:`_fusable`) an override of a method the C code stands in
+        for -- falls back to the generator.  A fail-stop plan leaves
+        its victims alone (:attr:`_unfused`, per rank in
+        :meth:`_fuses`): a rank that never dies journals nothing anyone
+        reads, and a slowed rank's multiplier is in every cost it is
+        handed.  The schedules are bit-identical either way; only host
+        speed differs.
         """
+        rt = self.faults_rt
         if (self.sim._crun is None
-                or self.faults_rt is not None
+                or (rt is not None and rt.plan.non_failstop_classes)
                 or self.tracer.enabled
                 or self._visit_timeouts is None
                 or getattr(self.tree, "delta", None) is None):
@@ -878,9 +895,11 @@ class AlgorithmBase:
         stack = self.stacks[rank]
         st = self.stats[rank]
         enter = st.timer.enter
-        tn = self.t_node_of(rank)
-        costs = self._visit_costs.get(tn) or self._visit_costs.setdefault(
-            tn, [t.delay for t in self._visit_timeouts_for(rank)])
+        # keyed as the tables are: a slowed rank's costs are not its
+        # speed class's
+        key = (self.t_node_of(rank), self.machine.contexts[rank]._slow)
+        costs = self._visit_costs.get(key) or self._visit_costs.setdefault(
+            key, [t.delay for t in self._visit_timeouts_for(rank)])
         wa = self._wa_slots[rank] if self._publishes_avail else None
         gate = self._gate if wa is not None else None
         pending, poll = (self._mail(rank) if self._mail is not None
@@ -931,46 +950,71 @@ class AlgorithmBase:
     def _build_c_search(self, rank: int):
         """Bind one ``repro.fastpath._core.SearchPhase`` to this rank's
         probe order, cost bounds, work-avail slots, and poll slot -- or
-        None (the generator search runs) when the probe order does not
-        state its victims as segments over a ``getrandbits`` stream.
+        None (the generator search runs) when a subclass replaces
+        :meth:`search_phase` or the probe order does not state its
+        victims as segments over a ``getrandbits`` stream.
 
         Each ``cycle()`` is ``shuffled(seg) for seg in segments()``,
         concatenated: the C round shuffles the fresh ``array('i')`` in
         place, draw-for-draw, and probes them in turn; ``slow``
         folds in the per-thread compute multiplier the same way
-        ``ctx.compute`` does.  A ``req_slot`` makes the C round-top test
-        the request variable and bounce ``True`` for
-        :meth:`service_request`.  The claim members come from
-        :meth:`_search_claim`: bound, the phase runs the Stealing state
-        itself; all None (the default, and whenever a lock-based
-        protocol's claim is not stock), every steal attempt bounces the
-        victim's rank to :meth:`try_steal`.
+        ``ctx.compute`` does.  Where :meth:`search_phase` reads a gate,
+        ``scan`` is bound: each round is then ``order.scan()`` probed
+        through the ``scan_probe`` kernel, opened only on visible
+        surplus, with parks on ``gate`` between rounds.  A ``req_slot``
+        makes the C round-top (and wake) test the request variable and
+        bounce ``True`` for :meth:`service_request`.  The claim members
+        come from :meth:`_search_claim`: bound, the phase runs the
+        Stealing state itself; all None (the default, and whenever a
+        lock-based protocol's claim is not stock), every steal attempt
+        bounces the victim's rank to :meth:`try_steal`.  The claim
+        tells ``gate`` of a victim's advert in either mode.
         """
         from repro.fastpath import load_core
         po = self.probe_orders[rank]
-        getrandbits = getattr(po, "getrandbits", None)
-        if getrandbits is None or type(po).cycle is not ProbeOrder.cycle:
+        if (type(po).cycle is not ProbeOrder.cycle
+                or type(self).search_phase is not AlgorithmBase.search_phase):
             return None
+        shared = self._search_kw
+        if shared is None:
+            gate = self._gate
+            shared = self._search_kw = dict(
+                slots=self._wa_slots,
+                backoff_min=SEARCH_BACKOFF_MIN,
+                backoff_factor=SEARCH_BACKOFF_FACTOR,
+                backoff_max=SEARCH_BACKOFF_MAX,
+                persist=self._termination.persist_while_working,
+                gate=gate,
+                gate_cat=gate._cat if gate is not None else None,
+                **self._search_claim(),
+            )
+        scan = segments = getrandbits = None
+        if shared["gate"] is not None and self._termination.park_capable:
+            # the scan reads the stream at its first draw: a rank that
+            # never scans never seeds one (a Mersenne Twister is 2.5 KB)
+            scan = po.scan
+        elif (getrandbits := po.getrandbits) is not None:
+            segments = po.segments
+        else:
+            return None
+        st = self.stats[rank]
         return load_core().SearchPhase(
-            st_dict=self.stats[rank].__dict__,
-            segments=po.segments,
+            **shared,
+            st_dict=st.__dict__,
+            timer=st.timer,
+            segments=segments,
             getrandbits=getrandbits,
+            scan=scan,
             bounds=self.net.ref_cost_bounds(rank),
-            slots=self._wa_slots,
             req_slot=(self.request[rank] if self.request is not None
                       else None),
-            backoff_min=SEARCH_BACKOFF_MIN,
-            backoff_factor=SEARCH_BACKOFF_FACTOR,
-            backoff_max=SEARCH_BACKOFF_MAX,
             slow=self.machine.contexts[rank]._slow,
-            persist=self._termination.persist_while_working,
             rank=rank,
-            **self._search_claim(rank),
         )
 
-    def _search_claim(self, rank: int) -> dict:
-        """The claim members of ``rank``'s ``SearchPhase``: here none,
-        so every steal attempt bounces to :meth:`try_steal`."""
+    def _search_claim(self) -> dict:
+        """The claim members every rank's ``SearchPhase`` binds: here
+        none, so every steal attempt bounces to :meth:`try_steal`."""
         return _NO_CLAIM
 
     def _search_fused(self, ctx: UpcContext, phase) -> Generator:

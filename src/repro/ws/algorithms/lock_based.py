@@ -86,14 +86,14 @@ class LockBasedAlgorithm(AlgorithmBase):
                     and type(term.barrier) is CancelableBarrier)
         return True
 
-    def _search_claim(self, rank: int) -> dict:
+    def _search_claim(self) -> dict:
         """:meth:`_claim` for the compiled ``SearchPhase``, bound when
         everything it reproduces is stock: this ``_claim``, the base's
         ``try_steal`` and ``_steal_landed``, a steal amount of
         :data:`_C_STEAL`, and no greedy or duplicating adversary rank.
-        Otherwise the phase bounces every attempt here.  The two
-        callbacks are :meth:`enter_state`'s timer transitions around
-        the attempt."""
+        Otherwise the phase bounces every attempt here.  ``states``
+        are :meth:`enter_state`'s transitions around the attempt, made
+        on the thief's state timer."""
         cls = type(self)
         steal = _C_STEAL.get(self.steal_amount)
         if (steal is None or self._rank_steal is not None
@@ -101,20 +101,14 @@ class LockBasedAlgorithm(AlgorithmBase):
                 or cls._claim is not LockBasedAlgorithm._claim
                 or cls.try_steal is not AlgorithmBase.try_steal
                 or cls._steal_landed is not AlgorithmBase._steal_landed):
-            return super()._search_claim(rank)
-        sim = self.sim
-        enter = self.stats[rank].timer.enter
-        gate = self._gate
+            return super()._search_claim()
         return dict(
             locks=self.stack_locks,
             stacks=self.stacks,
             algo_dict=self.__dict__,
             steal=steal,
             claim_costs=self._steal_costs,
-            gate=gate,
-            gate_cat=gate._cat if gate is not None else None,
-            steal_cb=lambda: enter(STEALING, sim.now),
-            search_cb=lambda: enter(SEARCHING, sim.now),
+            states=(STEALING, SEARCHING),
         )
 
     def after_release(self, ctx) -> Generator:

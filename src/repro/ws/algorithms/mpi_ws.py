@@ -322,8 +322,11 @@ class MpiWorkStealing(AlgorithmBase):
         ep = self.endpoints[rank]
         rt = self.faults_rt
         gate = self._gate if rt is None else None
+        # neither switch: the C wait has no steal timeout and no
+        # suspicion test, and a gate's wait is the blocking recv
         phase = (self._compiled(self._build_c_idle, rank)
-                 if self._fuse and gate is None else None)
+                 if rt is None and gate is None and self._fuses(rank)
+                 else None)
         duties = self._token_duties if rt is None else self._safra_duties
         tr = self.tracer
         backoff = SEARCH_BACKOFF_MIN
@@ -577,9 +580,7 @@ class MpiWorkStealing(AlgorithmBase):
     def thread_main(self, ctx: UpcContext) -> Generator:
         st = self.stats[ctx.rank]
         rank = ctx.rank
-        fuse = self._fuse
-        if fuse is None:
-            fuse = self._fuse = self._fusion_enabled()
+        fuse = self._fuses(rank)
         phase = None
         while True:
             if not self.stacks[rank].is_empty:

@@ -57,23 +57,26 @@ class AlgoSpy(TraceSink):
         self.algo = algo
 
 
+def per_thread(result):
+    return [
+        (s.nodes_visited, s.probes, s.steal_attempts, s.steals_ok,
+         s.chunks_stolen, s.nodes_stolen,
+         s.requests_granted, s.requests_denied, s.releases,
+         s.reacquires, s.msgs_sent, s.timer.transitions,
+         tuple(sorted(s.timer.times.items())))
+        for s in result.per_thread
+    ]
+
+
 def run_snapshot(algo, tree, backend, threads=16, spy=None, **kw):
     """Everything a run reports that is a function of the schedule
     (under park, the idle gate's lifetime counters too)."""
     spy = spy or AlgoSpy()
     r = run_experiment(algo, tree, threads, seed=0, fastpath=backend,
                        tracer=spy, **kw)
-    per = [
-        (s.nodes_visited, s.probes, s.steal_attempts, s.steals_ok,
-         s.chunks_stolen, s.nodes_stolen,
-         s.requests_granted, s.requests_denied, s.releases,
-         s.reacquires, s.msgs_sent, s.timer.transitions,
-         tuple(sorted(s.timer.times.items())))
-        for s in r.per_thread
-    ]
     gate = spy.algo._gate
     return (r.total_nodes, r.engine_events, repr(r.sim_time), r.lost_work,
-            per, gate and (gate.parks, gate.wakes, gate.deaths))
+            per_thread(r), gate and (gate.parks, gate.wakes, gate.deaths))
 
 
 # -- the compiled claim: the Stealing state inside SearchPhase -------------
@@ -239,16 +242,18 @@ def test_park_with_speed_factors(park_counts):
 
 
 def test_park_under_a_kill_plan_runs_the_c_kernel(park_counts):
-    """Faulted park runs are not fused (fail-stop recovery lives in the
-    generators), but their scans still take the C kernel -- here with
-    a slowed rank, so ``ctx._slow`` != 1 scales the scan's cost."""
+    """A fail-stop plan fuses every rank it leaves alone: the killed
+    rank runs the generators (fail-stop recovery lives there), and its
+    scans still take the C kernel; the slowed rank fuses, so
+    ``ctx._slow`` != 1 scales its visit and scan costs in C."""
     from repro.faults.plan import parse_fault_spec
 
     cfg = WsConfig(chunk_size=2, idle_strategy="park",
                    faults=parse_fault_spec("kill=3@0.0002,slow=2@4", seed=0))
     compiled, snap = park_pair("upc-distmem", SMALL, park_counts,
                                threads=8, config=cfg)
-    assert compiled._fuse is False and not park_counts["bound"]
+    assert compiled._fuse is True and compiled._unfused == {3}
+    assert 3 not in park_counts["bound"] and 2 in park_counts["bound"]
     assert park_counts["py_working"] > 0 and park_counts["c_scans"] > 0
     assert snap[5][2] == 1  # the gate saw the death
 
@@ -415,3 +420,170 @@ def test_backends_actually_differ(tree):
     m2 = Machine(threads=4, net=get_preset("kittyhawk"), seed=0,
                  fastpath="pure")
     assert not m2.sim.fastpath_active
+
+
+# -- park: the gated SearchPhase ----------------------------------------------
+
+@pytest.fixture
+def gated(monkeypatch):
+    """What the compiled leg of a cell ran: the ranks that bound a
+    ``SearchPhase``, the generator searches by rank, and the Python
+    claims by thief rank."""
+    from collections import Counter
+
+    from repro.ws.algorithms.base import AlgorithmBase
+    from repro.ws.algorithms.lock_based import LockBasedAlgorithm
+
+    seen = dict(bound=set(), py_search=Counter(), py_claims=Counter())
+    search, bind, claim = (AlgorithmBase.search_phase,
+                           AlgorithmBase._build_c_search,
+                           LockBasedAlgorithm._claim)
+
+    def search_phase(self, ctx):
+        seen["py_search"][ctx.rank] += 1
+        return search(self, ctx)
+
+    def build_c_search(self, rank):
+        phase = bind(self, rank)
+        if phase is not None:
+            seen["bound"].add(rank)
+        return phase
+
+    def _claim(self, ctx, victim):
+        seen["py_claims"][ctx.rank] += 1
+        return claim(self, ctx, victim)
+
+    monkeypatch.setattr(AlgorithmBase, "search_phase", search_phase)
+    monkeypatch.setattr(AlgorithmBase, "_build_c_search", build_c_search)
+    monkeypatch.setattr(LockBasedAlgorithm, "_claim", _claim)
+    return seen
+
+
+def locks_of(algo):
+    return [(lk.acquisitions, lk.contended_acquisitions, repr(lk.busy_time))
+            for lk in getattr(algo, "stack_locks", ())]
+
+
+def gated_pair(seen, snapshot):
+    """``snapshot(backend, spy)`` on both backends: one schedule, the
+    same stack-lock counters, nothing left in flight -- and, on the
+    compiled leg, the search of every rank the fault plan leaves alone
+    bound in C (its generator never ran) and, where the protocol's
+    claim is stock, not one claim of theirs run in Python.  Returns the
+    compiled leg's algorithm."""
+    legs = {}
+    for backend in ("pure", "fast"):
+        for counts in seen.values():
+            counts.clear()
+        spy = AlgoSpy()
+        snap = snapshot(backend, spy)
+        assert spy.algo.in_flight_nodes == 0
+        legs[backend] = (snap, locks_of(spy.algo))
+    assert legs["fast"] == legs["pure"]
+    algo = spy.algo
+    killed = algo._unfused
+    assert algo._fuse and seen["bound"]
+    assert not seen["bound"] & killed
+    assert set(seen["py_search"]) <= killed
+    if algo._search_claim().get("locks") is not None:
+        assert set(seen["py_claims"]) <= killed
+    return algo
+
+
+PARK = WsConfig(chunk_size=2, idle_strategy="park")
+
+
+@pytest.mark.parametrize("threads", [1, 2, 16, 4096])
+@pytest.mark.parametrize("variant", ["upc-term", "upc-term-rapdif",
+                                     "upc-distmem"])
+def test_gated_search_matrix(gated, variant, threads):
+    """The gated search compiled: parks, wakes (the targeted one of a
+    ``upc-distmem`` thief included), resume delays, rounds opened only
+    on surplus and cut short when it goes; upc-distmem bounces every
+    steal attempt, the lock-based variants claim in C.  4096 ranks
+    mostly park and never scan."""
+    algo = gated_pair(gated, lambda backend, spy: run_snapshot(
+        variant, SMALL, backend, threads, spy=spy, config=PARK))
+    assert len(gated["bound"]) == threads
+    if threads > 1:
+        assert algo._gate.parks > 0 and algo._gate.wakes > 0
+
+
+@pytest.mark.parametrize("faults", [None, "storm(kill:3@t=0.05ms..0.2ms)"])
+def test_gated_search_of_the_service_pool(gated, faults):
+    """The service pool's search: gated but not persistent (one round,
+    no parks inside it), claimed in C -- under a kill storm on every
+    rank the storm spares."""
+    from repro.faults.plan import parse_fault_spec
+    from repro.service import ArrivalProcess, ServiceConfig, run_service
+
+    # the stream of the golden corpus's Working/Searching cells
+    service = ServiceConfig(
+        arrivals=ArrivalProcess(rate=8e5), n_tasks=120, queue_capacity=16,
+        policy="shed-oldest", deadline=150e-6, max_retries=2,
+        task_engine="splitmix", seed=3)
+    plan = faults and parse_fault_spec(faults, seed=7)
+
+    def snapshot(backend, spy):
+        r = run_service(service, 16, seed=1, config=PARK, tracer=spy,
+                        fastpath=backend, faults=plan)
+        gate = spy.algo._gate
+        return (r.total_nodes, r.engine_events, repr(r.sim_time),
+                r.lost_work, r.admitted, r.completed, r.lost_tasks,
+                r.retries, per_thread(r),
+                r.fault_counters and vars(r.fault_counters),
+                (gate.parks, gate.wakes, gate.deaths))
+
+    algo = gated_pair(gated, snapshot)
+    assert len(algo._unfused) == (3 if faults else 0)
+    assert sum(st.steals_ok for st in algo.stats) > 0
+
+
+@pytest.mark.parametrize("variant", ["upc-term", "upc-term-rapdif",
+                                     "upc-sharedmem", "upc-distmem"])
+@pytest.mark.parametrize("idle", ["poll", "park"])
+def test_a_kill_plan_fuses_every_rank_it_leaves_alone(gated, variant, idle):
+    """The compiled claim under a fail-stop plan: a rank that never dies
+    does not journal its transfers (``rt.begin_transfer`` /
+    ``end_transfer``), which nothing reads unless the rank dies.  The
+    run must show it: the same schedule, the same loss (``lost_work``
+    and every fault counter, the in-run conservation checks included),
+    while the victims' searches and claims stay in Python."""
+    from repro.faults.plan import parse_fault_spec
+
+    plan = parse_fault_spec("kill=3@120us,kill=6@300us,slow=2@3", seed=0)
+    cfg = WsConfig(chunk_size=2, idle_strategy=idle, faults=plan)
+
+    def snapshot(backend, spy):
+        snap = run_snapshot(variant, SMALL, backend, 8, spy=spy, config=cfg)
+        return snap, vars(spy.algo.faults_rt.counters)
+
+    algo = gated_pair(gated, snapshot)
+    counters = vars(algo.faults_rt.counters)
+    assert algo._unfused == {3, 6} and counters["threads_killed"] == 2
+    assert counters["invariant_checks"] > 0
+    assert gated["bound"] == set(range(8)) - {3, 6}  # the slowed rank too
+    assert sum(algo.stats[r].steals_ok for r in gated["bound"]) > 0
+
+
+def test_mpi_ws_under_a_fault_plan_never_binds_the_idle_wait():
+    """mpi-ws's compiled idle wait knows no steal timeout and no
+    suspicion test.  Bound under a kill plan -- whose spared ranks fuse
+    their Working state -- a thief keeps waiting in C where the
+    generator times out its request to a dead victim, and the schedule
+    forks (1,035 events against 1,699 here), so under a plan the Python
+    idle loop runs on every rank."""
+    from repro.faults.plan import parse_fault_spec
+
+    plan = parse_fault_spec("kill=3@50us,kill=5@120us", seed=7)
+    tree = TreeParams.binomial(b0=200, q=0.49, seed=0)
+    legs = {}
+    for backend in ("pure", "fast"):
+        spy = AlgoSpy()
+        legs[backend] = run_snapshot("mpi-ws", tree, backend, 8, spy=spy,
+                                     chunk_size=4, faults=plan)
+    assert legs["fast"] == legs["pure"]
+    algo = spy.algo
+    assert algo._fuse and algo._unfused == {3, 5}
+    assert {type(ph).__name__ for ph in algo._c_phases.values()} == {
+        "WorkPhase"}

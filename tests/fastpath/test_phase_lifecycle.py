@@ -48,7 +48,8 @@ pytestmark = pytest.mark.skipif(
 TREE = TreeParams.binomial(b0=64, q=0.48, seed=1)
 
 #: (variant, binder, phase type): the constructor call sites
-#: (``+park``: under an idle gate, which the Working state then holds).
+#: (``+park``: under an idle gate, which the Working state then holds,
+#: and the search too where the termination policy parks).
 BINDERS = [
     ("service-ws", "_build_c_phase", "WorkPhase"),
     ("upc-sharedmem", "_build_c_phase", "WorkPhase"),
@@ -57,6 +58,9 @@ BINDERS = [
     ("mpi-ws", "_build_c_phase", "WorkPhase"),
     ("upc-distmem", "_build_c_search", "SearchPhase"),
     ("upc-sharedmem+park", "_build_c_search", "SearchPhase"),
+    ("upc-term+park", "_build_c_search", "SearchPhase"),
+    ("upc-distmem+park", "_build_c_search", "SearchPhase"),
+    ("service-ws+park", "_build_c_search", "SearchPhase"),
     ("mpi-ws", "_build_c_idle", "IdlePhase"),
 ]
 IDS = [f"{variant}-{kind}" for variant, _binder, kind in BINDERS]
@@ -73,7 +77,8 @@ def build(variant):
     if variant == "service-ws":
         service = ServiceConfig(n_tasks=20)
         workload = ServiceWorkload(service.inner_params(), seed=service.seed)
-        algo = ServiceAlgorithm(machine, workload, WsConfig(chunk_size=2))
+        algo = ServiceAlgorithm(machine, workload, WsConfig(
+            chunk_size=2, idle_strategy=park or "poll"))
         return machine, (algo, ServiceRuntime(service, machine, algo,
                                               workload))
     algo = get_algorithm(variant)(
@@ -192,15 +197,19 @@ def test_bad_keywords_are_named_and_leak_nothing(bound):
     ("upc-sharedmem+park", "SearchPhase", "stacks", "locks needs stacks"),
     ("upc-sharedmem+park", "SearchPhase", "claim_costs",
      "locks needs stacks"),
-    ("upc-sharedmem+park", "SearchPhase", "search_cb", "locks needs stacks"),
-    ("upc-sharedmem+park", "SearchPhase", "gate_cat", "gate needs the locks"),
-    ("upc-sharedmem+park", "SearchPhase", "locks", "gate needs the locks"),
+    ("upc-sharedmem+park", "SearchPhase", "states", "locks needs stacks"),
+    ("upc-sharedmem+park", "SearchPhase", "locks", "claim's stacks, "),
+    ("upc-sharedmem+park", "SearchPhase", "gate_cat", "gate and its _cat"),
+    ("upc-term+park", "SearchPhase", "gate", "gate and its _cat"),
+    ("upc-distmem+park", "SearchPhase", "gate_cat", "gate and its _cat"),
+    ("service-ws+park", "SearchPhase", "gate", "gate and its _cat"),
 ])
 def test_half_stated_switch_is_refused_and_leaks_nothing(
         monkeypatch, variant, kind, without, rule):
-    """A switch of the Working state is a member group, and so is the
-    search's compiled claim: the variant's own keywords with one member
-    of a group taken away must not construct."""
+    """A switch of the Working state is a member group, and so are the
+    search's compiled claim and its idle gate: the variant's own
+    keywords with one member of a group taken away must not
+    construct."""
     binder = {"WorkPhase": "_build_c_phase",
               "SearchPhase": "_build_c_search"}[kind]
     cls, kwargs, _alive = capture(monkeypatch, variant, binder, kind)
@@ -246,6 +255,7 @@ def test_work_phase_refuses_a_lock_that_is_no_fifo_lock(monkeypatch):
     ({"bounds": (0, 4)}, "bounds must be"),
     ({"steal": "most"}, "steal must be one, half or all"),
     ({"claim_costs": (1.0, 2.0)}, "claim_costs must be"),
+    ({"scan": 42}, "scan must be callable"),
 ])
 def test_search_phase_refuses_malformed_arguments(monkeypatch, bad, rule):
     cls, kwargs, _alive = capture(monkeypatch, "upc-term", "_build_c_search",
@@ -261,13 +271,15 @@ def test_search_phase_refuses_malformed_arguments(monkeypatch, bad, rule):
     ("upc-sharedmem", "WorkPhase"),
     ("upc-distmem", "WorkPhase"),
     ("upc-term", "SearchPhase"),
+    ("upc-term+park", "SearchPhase"),
     ("mpi-ws", "IdlePhase"),
 ])
 def test_phase_in_a_cycle_with_its_worker_is_collected(variant, kind):
     """While a worker is inside a phase the two form a cycle (phase ->
     worker Process -> generator frame -> algorithm -> its phase cache
     -> phase) that only ``tp_traverse`` reporting the worker lets the
-    collector see.  Pause a fused run with such a phase live, drop
+    collector see; a parked search closes another through the idle
+    gate's event, and a gated round holds its scan.  Pause a fused run with such a phase live, drop
     every outside reference, and the whole machine must go."""
     machine, algo = build(variant)
     machine.spawn_all(algo.thread_main)

@@ -33,8 +33,9 @@ from tests.golden.cells import (CELLS, MONITOR_PLANS, POLL_PLANS,
 
 CORPUS = json.loads(Path(__file__).with_name("schedules.json").read_text())
 #: The protocols whose Working state the compiled backend fuses (an
-#: untraced, fault-free run): not ws-fencefree (its after-move hook),
-#: not tree-split (it declines).
+#: untraced run with no fault class beyond fail-stop and slowdown):
+#: not ws-fencefree (its after-move hook), not tree-split (it
+#: declines).
 FUSABLE = {"upc-sharedmem", "upc-term", "upc-term-rapdif", "upc-distmem",
            "upc-distmem-hier", "mpi-ws", "service-ws"}
 
@@ -74,14 +75,20 @@ def test_cell_executes_its_pinned_schedule(cell, backend, traced,
         assert not algo._fuse
     elif backend == "fast":
         # not pure against pure: the compiled loop ran, and where the
-        # protocol fuses every rank that worked did so in its WorkPhase
+        # protocol fuses every rank that worked and that the plan does
+        # not kill did so in its WorkPhase; a killed rank binds nothing
         assert algo.machine.sim.fastpath_active
-        fused = (not traced and "faults" not in cell.kwargs
+        rt = algo.faults_rt
+        fused = (not traced and not (rt and rt.plan.non_failstop_classes)
                  and cell.kwargs.get("variant", "service-ws") in FUSABLE)
         assert bool(algo._fuse) == fused
         if fused:
+            killed = {rank for rank, _ in rt.kill_schedule} if rt else set()
+            assert algo._unfused == killed
+            bound = {rank for (_, rank) in algo._c_phases}
             worked = {st.rank for st in algo.stats if st.nodes_visited}
-            assert worked and worked <= {
+            assert bound and not bound & killed
+            assert worked - killed <= {
                 rank for (_, rank), phase in algo._c_phases.items()
                 if type(phase).__name__ == "WorkPhase"}
 
