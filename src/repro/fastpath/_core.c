@@ -52,8 +52,14 @@
  *       carries out the Stealing state as well (LockBasedAlgorithm.
  *       _claim: lock, re-check, reserve, unlock, transfer); the FIFO
  *       grant and hand-off are written once, for WorkPhase's
- *       own-stack bracket and this claim alike.  A fail-stop plan
- *       binds the phases on every rank it does not kill.
+ *       own-stack bracket, this claim and the barrier's lock alike.
+ *       Under a streamlined policy a search that gives up goes on
+ *       into the counted barrier in the same object
+ *       (StreamlinedTermination.phase: count in and out under its
+ *       lock, one ProbeOrder.one() victim a poll, parks, a steal on
+ *       surplus), bouncing only the declaration, a request's service
+ *       and a steal it does not claim.  A fail-stop plan binds the
+ *       phases on every rank it does not kill.
  *
  * The phase protocol.  Every phase object starts with PHASE_HEAD: the
  * worker inside it, the resume point `state` (0: nobody inside) and a
@@ -67,8 +73,10 @@
  * block, run-time-owned object):
  * phase_init walks it over the keyword dict (keywords only; a missing
  * or unknown one is a TypeError naming it; a second __init__ is
- * refused before any member is touched), phase_traverse, phase_clear
- * and phase_dealloc walk it again.  The run loop knows three
+ * refused before any member is touched), phase.copy(**kw) binds a new
+ * phase to a bound one's members with the keywords' replaced (how a
+ * binder makes one phase a rank), phase_traverse, phase_clear and
+ * phase_dealloc walk it again.  The run loop knows three
  * operations:
  *
  *   phase_start   a Process yielded the phase: bind the worker and run
@@ -117,7 +125,9 @@ static PyObject *s_now, *s_seq, *s_events_processed, *s_live_processes,
     *s_waiters_key, *s_probes, *s_rng, *s_getrandbits, *s_todo, *s_items,
     *s_m, *s_value, *s_note, *s_steal_attempts, *s_steals_ok,
     *s_chunks_stolen, *s_nodes_stolen, *s_in_flight_nodes, *s_n_surplus,
-    *s_n_active, *s_park, *s_abandon, *s_enter;
+    *s_n_active, *s_park, *s_abandon, *s_enter, *s_barrier_entries,
+    *s_barrier_exits, *s_count, *s_alive, *s_announcer, *s_terminated,
+    *s_counted, *s_lock, *s_declare, *s_recover;
 
 /* slot offsets (T_OBJECT_EX members of the configured classes) */
 static Py_ssize_t off_t_delay, off_t_value;
@@ -609,7 +619,13 @@ typedef struct {
  * runs in C too; otherwise it -- and, for distmem, every
  * pending-request service -- is bounced to the suspended worker
  * generator, which runs the Python try_steal/service_request protocol
- * and re-yields the phase. */
+ * and re-yields the phase.  With `sbarrier` bound (a streamlined
+ * policy) a search that gives up goes on into the counted barrier,
+ * StreamlinedTermination.phase: the entry and leave brackets under
+ * the barrier's lock, one ProbeOrder.one() victim a poll, parks on
+ * the gate, and a steal on surplus (claimed here or bounced as
+ * above); only the declaration is bounced, as "declare" (last in) or
+ * "recover" (a death filled the barrier). */
 enum {
     SP_IDLE = 0,        /* not running (no worker bound)               */
     SP_SVC_TOP,         /* bounced to service a request (round top)    */
@@ -624,7 +640,18 @@ enum {
     SP_GRANTED,         /* claim: woke holding the victim's lock       */
     SP_HELD,            /* claim: woke from a reference under the lock */
     SP_UNLOCKED,        /* claim: woke from the unlock reference       */
-    SP_LANDED           /* claim: woke from the chunk transfer         */
+    SP_LANDED,          /* claim: woke from the chunk transfer         */
+    SB_LOCK_WAIT,       /* barrier: woke from the lock round trip      */
+    SB_GRANTED,         /* barrier: woke holding the barrier lock      */
+    SB_UNLOCKED,        /* barrier: woke from the unlock reference     */
+    SB_SVC,             /* barrier: bounced to service a request (top) */
+    SB_PROBED,          /* barrier: woke from one probe's cost         */
+    SB_POLL,            /* barrier: woke from the poll timeout or the
+                         * post-park resume delay                      */
+    SB_PARKED,          /* barrier: woke from gate.park(rank)          */
+    SB_WOKE_SVC,        /* barrier: bounced to service a request on
+                         * wake                                        */
+    SB_DECLARED         /* barrier: bounced the declaration            */
 };
 
 /* The steal amounts a claim computes (ws.registry STEAL_AMOUNTS). */
@@ -665,6 +692,17 @@ typedef struct {
     PyObject *states;         /* (STEALING, SEARCHING)                 */
     PyObject *timer;          /* the rank's StateTimer: the claim's    */
                               /*   timer.enter(state, now)             */
+    /* the streamlined barrier, StreamlinedTermination.phase: NULL
+     * sbarrier, the search ends where it gives up */
+    PyObject *sbarrier;       /* StreamlinedBarrier.__dict__           */
+    PyObject *rng;            /* the rank's StreamRng (ProbeOrder.one; */
+                              /*   read only by the barrier)           */
+    PyObject *barrier_state;  /* BARRIER, for timer.enter              */
+    PyObject *barrier_lock_costs;  /* lock_cost from the home (rank 0) */
+                              /*   itself, its node, any other node    */
+    double poll_min;          /* BARRIER_POLL_MIN / _MAX               */
+    double poll_max;
+    int recover;              /* a fault plan: a death may fill it     */
     /* runtime */
     PyObject *victims;        /* current round's shuffled segments     */
     PyObject *cur_scan;       /* gate: the round's ProbeScan           */
@@ -683,6 +721,16 @@ typedef struct {
     PyObject *nodes;          /* reserved, across unlock and transfer  */
     long long chunks;         /* how many chunks they came in          */
     int queued;               /* the grant came through the queue      */
+    PyObject *b_lock;         /* sbarrier's lock, checked              */
+    PyObject *draw;           /* rng.getrandbits, read at the first    */
+                              /*   draw (that seeds the stream)        */
+    double b_lock_cost;       /* ctx.lock / ctx.unlock of b_lock       */
+    double b_unlock_cost;
+    double poll;              /* the barrier's poll period             */
+    int in_barrier;           /* from the entry to the end of the run  */
+                              /*   or a steal that lands work          */
+    int b_entering;           /* the lock bracket in hand: enter/leave */
+    int b_last;               /* enter found the barrier full          */
 } SearchPhaseObject;
 
 /* IdlePhase: the mpi-ws idle loop's no-progress wait.  Between a full
@@ -1441,12 +1489,15 @@ gate_count(SearchPhaseObject *sp, PyObject *name)
     Py_DECREF(v);
     return n;
 }
+#define gate_surplus(sp) gate_count(sp, s_n_surplus)
+#define gate_active(sp) gate_count(sp, s_n_active)
 
 /* `yield gate.park(rank)`: register with the gate -- in the event that
  * saw n_surplus == 0, so no wake-up can fall in between -- and wait on
- * the fresh SimEvent it returns (SimEvent() touches no engine state). */
+ * the fresh SimEvent it returns (SimEvent() touches no engine state),
+ * to resume at `woke`. */
 static int
-search_park(SearchPhaseObject *sp, double now)
+gate_park(SearchPhaseObject *sp, double now, int woke)
 {
     PyObject *ev = PyObject_CallMethodOneArg(sp->gate, s_park, sp->rank);
     PyObject *waiters;
@@ -1461,20 +1512,21 @@ search_park(SearchPhaseObject *sp, double now)
         return -1;
     }
     sp->t_park = now;
-    sp->state = SP_PARKED;
+    sp->state = woke;
     r = PyList_Append(waiters, (PyObject *)sp);
     Py_DECREF(ev);
     return r;
 }
 
-/* AlgorithmBase._park_resume_delay(t_park, backoff, now, backoff_max,
- * backoff_factor): the delay to the first tick of the rank's virtual
- * polling cadence at or after `now`; the backoff it carries on. */
+/* AlgorithmBase._park_resume_delay(t_park, *backoff, now, bmax,
+ * factor): the delay to the first tick of the rank's virtual polling
+ * cadence at or after `now`; *backoff becomes the one it carries on. */
 static double
-park_resume_delay(SearchPhaseObject *sp, double now)
+park_resume_delay(double t_park, double *backoff, double now, double bmax,
+                  double factor)
 {
-    double t = sp->t_park + sp->backoff, bmax = sp->backoff_max;
-    double b = sp->backoff * sp->backoff_factor;
+    double t = t_park + *backoff;
+    double b = *backoff * factor;
     if (b > bmax)
         b = bmax;
     while (t < now) {
@@ -1484,11 +1536,11 @@ park_resume_delay(SearchPhaseObject *sp, double now)
             break;
         }
         t += b;
-        b = b * sp->backoff_factor;
+        b = b * factor;
         if (b > bmax)
             b = bmax;
     }
-    sp->backoff = b;
+    *backoff = b;
     return t > now ? t - now : 0.0;
 }
 
@@ -1512,22 +1564,65 @@ claim_ref(SearchPhaseObject *sp)
     return claim_cost(sp, 0.0, sp->c_local, sp->c_remote);
 }
 
-/* stack_locks[victim], checked to be a GlobalLock over a FifoLock. */
+/* A GlobalLock over a FifoLock, with its `pending` dict. */
+static int
+glock_ok(PyObject *lk)
+{
+    return Py_TYPE(lk) == GlobalLockType
+        && SLOT(lk, off_g_fifo) != NULL
+        && Py_TYPE(SLOT(lk, off_g_fifo)) == FifoLockType
+        && SLOT(lk, off_g_pending) != NULL
+        && PyDict_CheckExact(SLOT(lk, off_g_pending));
+}
+
+/* stack_locks[victim], checked by glock_ok. */
 static PyObject *
 claim_lock(SearchPhaseObject *sp)
 {
     long long v = sp->cur_victim;
     PyObject *lk;
     if (v < 0 || v >= PyList_GET_SIZE(sp->locks)
-            || Py_TYPE(lk = PyList_GET_ITEM(sp->locks, v)) != GlobalLockType
-            || SLOT(lk, off_g_fifo) == NULL
-            || Py_TYPE(SLOT(lk, off_g_fifo)) != FifoLockType
-            || SLOT(lk, off_g_pending) == NULL
-            || !PyDict_CheckExact(SLOT(lk, off_g_pending))) {
+            || !glock_ok(lk = PyList_GET_ITEM(sp->locks, v))) {
         PyErr_Format(SimulationError, "fastpath: bad stack lock of T%lld", v);
         return NULL;
     }
     return lk;
+}
+
+/* ctx.lock(lk) past its round trip: the FIFO grant, resumed at
+ * `granted` -- registered in lk.pending across a queued wait. */
+static int
+glock_acquire(RunCtx *rc, PyObject *time_obj, SearchPhaseObject *sp,
+              PyObject *lk, int granted)
+{
+    PyObject *ev = NULL;
+    sp->state = granted;
+    sp->queued = fifo_acquire(rc, time_obj, (PhaseHead *)sp,
+                              SLOT(lk, off_g_fifo), &ev);
+    if (sp->queued < 0)
+        return -1;
+    return sp->queued
+        ? PyDict_SetItem(SLOT(lk, off_g_pending), sp->rank, ev) : 0;
+}
+
+/* ... granted: out of lk.pending; lk.holder = rank. */
+static int
+glock_granted(SearchPhaseObject *sp, PyObject *lk)
+{
+    if (sp->queued && PyDict_DelItem(SLOT(lk, off_g_pending), sp->rank) < 0)
+        return -1;
+    Py_INCREF(sp->rank);
+    slot_store(lk, off_g_holder, sp->rank);
+    return 0;
+}
+
+/* ctx.unlock(lk) past its reference: lk.holder = None; the release. */
+static int
+glock_release(RunCtx *rc, PyObject *time_obj, PyObject *lk)
+{
+    Py_INCREF(Py_None);
+    slot_store(lk, off_g_holder, Py_None);
+    return fifo_release(rc, time_obj, SLOT(lk, off_g_fifo));
 }
 
 /* stacks[rank], checked to be a SplitStack. */
@@ -1544,32 +1639,121 @@ claim_stack(SearchPhaseObject *sp, long long rank)
     return stack;
 }
 
-/* enter_state(ctx, states[which]): timer.enter(state, now), with
- * now/_seq synced out. */
+/* enter_state(ctx, state): timer.enter(state, now), with now/_seq
+ * synced out. */
 static int
-claim_timer(RunCtx *rc, PyObject *time_obj, SearchPhaseObject *sp,
-            Py_ssize_t which)
+timer_enter(RunCtx *rc, PyObject *time_obj, SearchPhaseObject *sp,
+            PyObject *state)
 {
     PyObject *r;
     if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0
-            || (r = PyObject_CallMethodObjArgs(
-                    sp->timer, s_enter, PyTuple_GET_ITEM(sp->states, which),
-                    time_obj, NULL)) == NULL)
+            || (r = PyObject_CallMethodObjArgs(sp->timer, s_enter, state,
+                                               time_obj, NULL)) == NULL)
         return -1;
     Py_DECREF(r);
     return rc_reload_seq(rc);
 }
 
+/* The claim's transitions: states[0] (STEALING) or states[1]. */
+#define claim_timer(rc, time_obj, sp, which) \
+    timer_enter(rc, time_obj, sp, PyTuple_GET_ITEM((sp)->states, which))
+
+/* -- the barrier's members (SearchPhase with `sbarrier` bound) -- */
+
+/* An int member of the barrier's __dict__, or -1 with an error set
+ * (the counts are never negative). */
+static long long
+barrier_long(SearchPhaseObject *sp, PyObject *key)
+{
+    PyObject *v = PyDict_GetItemWithError(sp->sbarrier, key);
+    if (v == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_Format(PyExc_KeyError, "fastpath: barrier has no %R", key);
+        return -1;
+    }
+    return PyLong_AsLongLong(v);
+}
+
+/* `count == alive and announcer is None`: the barrier is full and
+ * nobody announces.  1 / 0, or -1 with an error set. */
+static int
+barrier_full(SearchPhaseObject *sp)
+{
+    long long count = barrier_long(sp, s_count), alive;
+    PyObject *announcer;
+    if (count < 0 || (alive = barrier_long(sp, s_alive)) < 0)
+        return -1;
+    announcer = PyDict_GetItemWithError(sp->sbarrier, s_announcer);
+    if (announcer == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_KeyError, "fastpath: barrier has no "
+                            "announcer");
+        return -1;
+    }
+    return count == alive && announcer == Py_None;
+}
+
+/* The bracket's body, under the lock: count += 1 and _counted[rank] =
+ * True (enter, which also notes whether that filled the barrier), or
+ * count -= 1 and _counted[rank] = False (leave). */
+static int
+barrier_count(SearchPhaseObject *sp)
+{
+    PyObject *counted = PyDict_GetItemWithError(sp->sbarrier, s_counted);
+    PyObject *mark = sp->b_entering ? Py_True : Py_False;
+    if (counted == NULL || !PyList_CheckExact(counted)
+            || sp->me >= PyList_GET_SIZE(counted)) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(SimulationError, "fastpath: bad barrier "
+                            "_counted list");
+        return -1;
+    }
+    if (dict_add_long(sp->sbarrier, s_count, sp->b_entering ? 1 : -1) < 0)
+        return -1;
+    Py_INCREF(mark);
+    PyList_SetItem(counted, (Py_ssize_t)sp->me, mark);
+    sp->b_last = sp->b_entering ? barrier_full(sp) : 0;
+    return sp->b_last < 0 ? -1 : 0;
+}
+
+/* ProbeOrder.one(): i = rng.randrange(n - 1), mapped over the gap at
+ * our own rank -- one draw, the stream read (and so seeded) here at
+ * the first.  The victim, or -1 with an error set. */
+static long long
+barrier_one(SearchPhaseObject *sp)
+{
+    long m = (long)PyList_GET_SIZE(sp->slots) - 1, i;
+    PyObject *kk;
+    if (m < 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "fastpath: one() with no other rank");
+        return -1;
+    }
+    if (sp->draw == NULL
+            && (sp->draw = PyObject_GetAttr(sp->rng, s_getrandbits)) == NULL)
+        return -1;
+    if ((kk = PyLong_FromLong(bit_length(m))) == NULL)
+        return -1;
+    i = c_draw(sp->draw, kk, m);
+    Py_DECREF(kk);
+    if (i < 0)
+        return -1;
+    return i < sp->me ? i : i + 1;
+}
+
 /* Drive the search phase (lock-based Sect. 3.1 / distmem Sect. 3.3.3,
- * polling or gated) until it parks on a probe-cost, backoff, resume or
- * claim timeout, a queued lock grant or the idle gate, bounces a steal
- * attempt it does not claim itself (the victim's rank) or a pending
- * request (True) to the worker, or ends.  The worker's `yield phase`
- * receives None when the search gives up (return False) and when a
- * claim here landed work (the worker's stack is no longer empty:
- * return True); after a bounced *failed* steal it re-yields the phase,
- * and after a bounced successful one it calls phase.abort() and
- * returns True without re-yielding. */
+ * polling or gated) -- and, with `sbarrier` bound, the streamlined
+ * barrier it gives up into -- until it parks on a probe-cost, backoff,
+ * resume, poll or lock timeout, a queued lock grant or the idle gate,
+ * bounces a steal attempt it does not claim itself (the victim's
+ * rank), a pending request (True) or the barrier's declaration
+ * ("declare" / "recover") to the worker, or ends.  The worker's `yield
+ * phase` receives None when the search gives up (return False; with
+ * the barrier bound: when the barrier saw `terminated`, in_barrier
+ * still set) and when a claim here landed work (the worker's stack is
+ * no longer empty: return True); after a bounced *failed* steal or a
+ * service it re-yields the phase, and after a bounced successful steal
+ * or a declaration it calls phase.abort() and does not re-yield. */
 static int
 search_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
 {
@@ -1578,6 +1762,7 @@ search_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
     switch (entry) {
     case SP_IDLE:
         sp->backoff = sp->backoff_min;
+        sp->in_barrier = 0;
         goto round_top;
     case SP_SVC_TOP:    goto round_start;
     case SP_PRE_STEAL:  goto steal_bounce;
@@ -1594,6 +1779,15 @@ search_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
         goto claim_recheck;
     case SP_UNLOCKED:   goto claim_release;
     case SP_LANDED:     goto claim_land;
+    case SB_LOCK_WAIT:  goto barrier_acquire;
+    case SB_GRANTED:    goto barrier_granted;
+    case SB_UNLOCKED:   goto barrier_unlocked;
+    case SB_SVC:        goto barrier_checks;
+    case SB_PROBED:     goto barrier_probed;
+    case SB_POLL:       goto barrier_top;
+    case SB_PARKED:     goto barrier_woke;
+    case SB_WOKE_SVC:   goto barrier_resume;
+    case SB_DECLARED:   goto finish;
     default:
         PyErr_SetString(SimulationError, "fastpath: corrupt phase state");
         return -1;
@@ -1615,7 +1809,7 @@ round_start:
     if (sp->scan != NULL) {
         /* the gate branch: with nothing stealable anywhere a round
          * provably fails, so none opens */
-        long long surplus = gate_count(sp, s_n_surplus), active;
+        long long surplus = gate_surplus(sp), active;
         if (surplus < 0)
             return -1;
         if (surplus > 0) {
@@ -1627,12 +1821,12 @@ round_start:
         }
         if (!sp->persist)
             goto exit_nowork;
-        if ((active = gate_count(sp, s_n_active)) < 0)
+        if ((active = gate_active(sp)) < 0)
             return -1;
         if (active == 0)
             goto exit_nowork;
         /* some thread works but nothing is stealable: park */
-        return search_park(sp, rc->now);
+        return gate_park(sp, rc->now, SP_PARKED);
     }
     Py_XSETREF(sp->victims, search_cycle(sp));
     if (sp->victims == NULL)
@@ -1750,12 +1944,15 @@ scan_step:
 post_steal:
     /* empty or denied: "the probe proceeds to the next victim" (Sect.
      * 3.1; likewise 3.3.3) -- unless, gated, the attempt's yields saw
-     * the last surplus go: then the round ends, one draw further on */
+     * the last surplus go: then the round ends, one draw further on.
+     * From the barrier: re-enter it. */
+    if (sp->in_barrier)
+        goto barrier_enter;
     sp->any_working = 1;
     if (sp->cur_scan == NULL)
         goto probe_loop;
     {
-        long long surplus = gate_count(sp, s_n_surplus);
+        long long surplus = gate_surplus(sp);
         PyObject *r;
         if (surplus < 0)
             return -1;
@@ -1781,7 +1978,8 @@ resume:
     {
         /* back on the virtual polling cadence, never probing more often
          * than polling would */
-        double d = park_resume_delay(sp, rc->now);
+        double d = park_resume_delay(sp->t_park, &sp->backoff, rc->now,
+                                     sp->backoff_max, sp->backoff_factor);
         if (d > 0.0) {
             sp->state = SP_BACKOFF;
             return rc_push(rc, rc->now + d, (PyObject *)sp, Py_None);
@@ -1816,26 +2014,16 @@ steal_bounce:
     }
 claim_acquire:
     {
-        /* registered in lk.pending across a queued wait */
-        PyObject *lk = claim_lock(sp), *ev = NULL;
+        PyObject *lk = claim_lock(sp);
         if (lk == NULL)
             return -1;
-        sp->state = SP_GRANTED;
-        sp->queued = fifo_acquire(rc, time_obj, self, SLOT(lk, off_g_fifo),
-                                  &ev);
-        if (sp->queued < 0)
-            return -1;
-        return sp->queued
-            ? PyDict_SetItem(SLOT(lk, off_g_pending), sp->rank, ev) : 0;
+        return glock_acquire(rc, time_obj, sp, lk, SP_GRANTED);
     }
 claim_granted:
     {
         PyObject *lk = claim_lock(sp);
-        if (lk == NULL || (sp->queued && PyDict_DelItem(
-                SLOT(lk, off_g_pending), sp->rank) < 0))
+        if (lk == NULL || glock_granted(sp, lk) < 0)
             return -1;
-        Py_INCREF(sp->rank);
-        slot_store(lk, off_g_holder, sp->rank);
     }
     /* re-check availability under the lock: one shared reference,
      * charged as ctx.compute would */
@@ -1907,16 +2095,14 @@ claim_unlock:
 claim_release:
     {
         PyObject *lk = claim_lock(sp);
-        if (lk == NULL)
-            return -1;
-        Py_INCREF(Py_None);
-        slot_store(lk, off_g_holder, Py_None);
-        if (fifo_release(rc, time_obj, SLOT(lk, off_g_fifo)) < 0)
+        if (lk == NULL || glock_release(rc, time_obj, lk) < 0)
             return -1;
     }
     if (sp->nodes == NULL) {
-        /* steal.fail: back to SEARCHING */
-        if (claim_timer(rc, time_obj, sp, 1) < 0)
+        /* steal.fail: back to SEARCHING -- or to BARRIER, from it */
+        if ((sp->in_barrier
+                ? timer_enter(rc, time_obj, sp, sp->barrier_state)
+                : claim_timer(rc, time_obj, sp, 1)) < 0)
             return -1;
         goto post_steal;
     }
@@ -1953,6 +2139,12 @@ claim_land:
                 || dict_add_long(sp->st_dict, s_nodes_stolen, n) < 0)
             return -1;
         Py_CLEAR(sp->nodes);
+        if (sp->in_barrier) {
+            /* out of the barrier with work: st.barrier_exits += 1 */
+            sp->in_barrier = 0;
+            if (dict_add_long(sp->st_dict, s_barrier_exits, 1) < 0)
+                return -1;
+        }
         if (claim_timer(rc, time_obj, sp, 1) < 0)
             return -1;
         /* work in hand ends the episode: the worker finds its stack
@@ -1963,6 +2155,163 @@ claim_land:
     }
 
 exit_nowork:
+    if (sp->sbarrier == NULL)
+        goto finish;
+    /* StreamlinedTermination.phase: count the entry, enter BARRIER */
+    sp->in_barrier = 1;
+    if (dict_add_long(sp->st_dict, s_barrier_entries, 1) < 0
+            || timer_enter(rc, time_obj, sp, sp->barrier_state) < 0)
+        return -1;
+
+barrier_enter:
+    /* barrier.enter (or, b_entering off, barrier.leave): ctx.lock --
+     * its round trip, not slowed, then the FIFO grant */
+    sp->b_entering = 1;
+barrier_lock:
+    if (sp->b_lock_cost > 0.0) {
+        sp->state = SB_LOCK_WAIT;
+        return rc_push(rc, rc->now + sp->b_lock_cost, (PyObject *)sp,
+                       Py_None);
+    }
+barrier_acquire:
+    return glock_acquire(rc, time_obj, sp, sp->b_lock, SB_GRANTED);
+barrier_granted:
+    if (glock_granted(sp, sp->b_lock) < 0 || barrier_count(sp) < 0)
+        return -1;
+    /* ctx.unlock: one shared reference to its home, not slowed */
+    if (sp->b_unlock_cost > 0.0) {
+        sp->state = SB_UNLOCKED;
+        return rc_push(rc, rc->now + sp->b_unlock_cost, (PyObject *)sp,
+                       Py_None);
+    }
+barrier_unlocked:
+    if (glock_release(rc, time_obj, sp->b_lock) < 0)
+        return -1;
+    if (!sp->b_entering)
+        goto steal_bounce;  /* left it: now try the victim */
+    if (sp->b_last)
+        return phase_bounce(self, rc, s_declare, time_obj, SB_DECLARED);
+    sp->poll = sp->poll_min;
+
+barrier_top:
+    /* barrier_service_hook: a pending request is served first */
+    if (sp->req_slot != NULL) {
+        int hit = req_pending(sp->req_slot);
+        if (hit < 0)
+            return -1;
+        if (hit)
+            return phase_bounce(self, rc, Py_True, time_obj, SB_SVC);
+    }
+barrier_checks:
+    {
+        PyObject *term = PyDict_GetItemWithError(sp->sbarrier, s_terminated);
+        int full, done;
+        if (term == NULL) {
+            if (!PyErr_Occurred())
+                PyErr_SetString(PyExc_KeyError, "fastpath: barrier has no "
+                                "terminated");
+            return -1;
+        }
+        if ((done = PyObject_IsTrue(term)) < 0)
+            return -1;
+        if (done)
+            goto finish;  /* in_barrier stays set: the run is over */
+        if (sp->recover) {
+            /* a fail-stop elsewhere made the barrier full */
+            if ((full = barrier_full(sp)) < 0)
+                return -1;
+            if (full)
+                return phase_bounce(self, rc, s_recover, time_obj,
+                                    SB_DECLARED);
+        }
+    }
+    if (sp->gate != NULL) {
+        /* nothing stealable anywhere: park, in this same event */
+        long long surplus = gate_surplus(sp);
+        if (surplus < 0)
+            return -1;
+        if (surplus == 0)
+            return gate_park(sp, rc->now, SB_PARKED);
+    }
+    {
+        /* inspect a single other thread (Sect. 3.3.1) */
+        long long victim = barrier_one(sp);
+        double cost;
+        if (victim < 0 || dict_add_long(sp->st_dict, s_probes, 1) < 0)
+            return -1;
+        sp->cur_victim = victim;
+        cost = sp->node_lo <= victim && victim < sp->node_hi
+            ? sp->c_local : sp->c_remote;
+        if (cost > 0.0) {
+            sp->state = SB_PROBED;
+            return rc_push(rc, rc->now + cost * sp->slow, (PyObject *)sp,
+                           Py_None);
+        }
+    }
+barrier_probed:
+    {
+        long long avail;
+        PyObject *aval;
+        if (sp->cur_victim >= PyList_GET_SIZE(sp->slots)) {
+            PyErr_SetString(PyExc_IndexError,
+                            "fastpath: probe victim out of range");
+            return -1;
+        }
+        aval = SLOT(PyList_GET_ITEM(sp->slots, sp->cur_victim), off_w_value);
+        if (aval == NULL || !PyLong_CheckExact(aval)) {
+            PyErr_SetString(SimulationError,
+                            "fastpath: non-int work_avail value");
+            return -1;
+        }
+        if ((avail = PyLong_AsLongLong(aval)) == -1 && PyErr_Occurred())
+            return -1;
+        if (avail > 0) {
+            /* leave before touching the work, so the count never
+             * certifies termination with work in flight */
+            sp->b_entering = 0;
+            goto barrier_lock;
+        }
+    }
+    if (sp->gate != NULL) {
+        /* the surplus vanished during the probe's yield: park from the
+         * loop top, after its service check */
+        long long surplus = gate_surplus(sp);
+        if (surplus < 0)
+            return -1;
+        if (surplus == 0)
+            goto barrier_top;
+    }
+    {
+        /* yield Timeout(poll * slow); the poll doubles to its cap */
+        double d = sp->poll * sp->slow;
+        sp->poll = sp->poll * 2.0;
+        if (sp->poll > sp->poll_max)
+            sp->poll = sp->poll_max;
+        sp->state = SB_POLL;
+        return rc_push(rc, rc->now + d, (PyObject *)sp, Py_None);
+    }
+
+barrier_woke:
+    /* a thief's targeted wake means it is blocked on our answer */
+    if (sp->req_slot != NULL) {
+        int hit = req_pending(sp->req_slot);
+        if (hit < 0)
+            return -1;
+        if (hit)
+            return phase_bounce(self, rc, Py_True, time_obj, SB_WOKE_SVC);
+    }
+barrier_resume:
+    {
+        double d = park_resume_delay(sp->t_park, &sp->poll, rc->now,
+                                     sp->poll_max, 2.0);
+        if (d > 0.0) {
+            sp->state = SB_POLL;
+            return rc_push(rc, rc->now + d, (PyObject *)sp, Py_None);
+        }
+        goto barrier_top;
+    }
+
+finish:
     return phase_finish(self, rc, time_obj);
 }
 
@@ -2961,21 +3310,149 @@ field_set(PhaseHead *self, const PhaseDesc *d, const PhaseField *f,
 
 /* Release everything the table's rows hold; safe on a blank, a
  * half-built and an already-cleared object alike. */
+static void field_clear(PhaseHead *self, const PhaseField *f);
+
 static void
 fields_clear(PhaseHead *self, const PhaseDesc *d)
 {
     const PhaseField *f;
+    for (f = d->fields; f->name != NULL; f++)
+        field_clear(self, f);
+}
+
+/* Give a fresh row `f` of `self` the value the same row holds in the
+ * bound phase `tmpl`: a reference, a number, a second buffer export of
+ * the same object, a copy of the cost block. */
+static int
+field_copy(PhaseHead *self, const PhaseHead *tmpl, const PhaseField *f)
+{
+    void *at = (char *)self + f->off;
+    const void *from = (const char *)tmpl + f->off;
+    switch (f->kind) {
+    case F_OBJ:
+    case F_OPT:
+        Py_XINCREF(*(PyObject *const *)from);
+        *(PyObject **)at = *(PyObject *const *)from;
+        return 0;
+    case F_DOUBLE:
+        *(double *)at = *(const double *)from;
+        return 0;
+    case F_LONG:
+        *(long long *)at = *(const long long *)from;
+        return 0;
+    case F_FLAG:
+        *(int *)at = *(const int *)from;
+        return 0;
+    case F_BUFFER:
+    case F_TABLE: {
+        PyObject *obj = ((const Py_buffer *)from)->obj;
+        if (obj == NULL)
+            return 0;
+        return PyObject_GetBuffer(obj, (Py_buffer *)at, f->kind == F_BUFFER
+                                  ? PyBUF_SIMPLE : PyBUF_WRITABLE);
+    }
+    case F_DOUBLES: {
+        const DoubleVec *src = from;
+        DoubleVec *dv = at;
+        dv->v = PyMem_Malloc((size_t)src->n * sizeof(double));
+        if (dv->v == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        memcpy(dv->v, src->v, (size_t)src->n * sizeof(double));
+        dv->n = src->n;
+        return 0;
+    }
+    }
+    return 0;
+}
+
+/* The row a constructor keyword names, or NULL: by the interned key's
+ * identity first (a keyword written in the caller's source is the
+ * same object), then by value. */
+static const PhaseField *
+field_named(const PhaseDesc *d, PyObject *key)
+{
+    const PhaseField *f;
+    for (f = d->fields; f->name != NULL; f++)
+        if (f->key == key && f->kind != F_RUNTIME)
+            return f;
+    for (f = d->fields; f->name != NULL; f++)
+        if (f->kind != F_RUNTIME
+                && PyUnicode_CompareWithASCIIString(key, f->name) == 0)
+            return f;
+    return NULL;
+}
+
+/* Release what one row holds (fields_clear, for one row). */
+static void
+field_clear(PhaseHead *self, const PhaseField *f)
+{
+    void *at = (char *)self + f->off;
+    if (HOLDS_OBJECT(f->kind)) {
+        Py_CLEAR(*(PyObject **)at);
+    } else if (f->kind == F_BUFFER || f->kind == F_TABLE) {
+        PyBuffer_Release((Py_buffer *)at);
+    } else if (f->kind == F_DOUBLES) {
+        PyMem_Free(((DoubleVec *)at)->v);
+        ((DoubleVec *)at)->v = NULL;
+    }
+}
+
+/* Bind a blank phase's rows -- every row from the keyword dict, or
+ * (given the bound phase `tmpl`) every row from `tmpl` and then the
+ * keywords' rows from the dict -- and run the type's check.  A row no
+ * keyword names without `tmpl`, or a keyword no row names, is a
+ * TypeError naming it. */
+static int
+phase_bind(PhaseHead *self, const PhaseDesc *d, PyObject *kwds,
+           const PhaseHead *tmpl)
+{
+    const PhaseField *f;
+    const char *complaint;
+    Py_ssize_t pos = 0;
+    PyObject *key, *v;
+
     for (f = d->fields; f->name != NULL; f++) {
-        void *at = (char *)self + f->off;
-        if (HOLDS_OBJECT(f->kind)) {
-            Py_CLEAR(*(PyObject **)at);
-        } else if (f->kind == F_BUFFER || f->kind == F_TABLE) {
-            PyBuffer_Release((Py_buffer *)at);
-        } else if (f->kind == F_DOUBLES) {
-            PyMem_Free(((DoubleVec *)at)->v);
-            ((DoubleVec *)at)->v = NULL;
+        if (f->kind == F_RUNTIME)
+            continue;
+        if (tmpl != NULL) {
+            if (field_copy(self, tmpl, f) < 0)
+                goto fail;
+            continue;
+        }
+        v = kwds != NULL ? PyDict_GetItemWithError(kwds, f->key) : NULL;
+        if (v == NULL) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_TypeError, "%s() missing required "
+                             "keyword argument '%s'", d->name, f->name);
+            goto fail;
+        }
+        if (field_set(self, d, f, v) < 0)
+            goto fail;
+    }
+    while (kwds != NULL && PyDict_Next(kwds, &pos, &key, &v)) {
+        if ((f = field_named(d, key)) == NULL) {
+            PyErr_Format(PyExc_TypeError, "%s() got an unexpected keyword "
+                         "argument %R", d->name, key);
+            goto fail;
+        }
+        if (tmpl != NULL) {
+            field_clear(self, f);
+            if (field_set(self, d, f, v) < 0)
+                goto fail;
         }
     }
+    if (d->check != NULL && (complaint = d->check(self)) != NULL) {
+        PyErr_Format(PyExc_ValueError, "%s(): %s", d->name, complaint);
+        goto fail;
+    }
+    self->desc = d;
+    return 0;
+
+fail:
+    fields_clear(self, d);
+    return -1;
 }
 
 static int
@@ -2983,10 +3460,6 @@ phase_init(PyObject *o, PyObject *args, PyObject *kwds)
 {
     PhaseHead *self = (PhaseHead *)o;
     const PhaseDesc *d = phase_desc_of(Py_TYPE(o));
-    const PhaseField *f;
-    const char *complaint;
-    Py_ssize_t n_keywords = 0, pos = 0;
-    PyObject *key;
 
     if (!configured) {
         PyErr_SetString(PyExc_RuntimeError, "fastpath core not configured");
@@ -3003,45 +3476,43 @@ phase_init(PyObject *o, PyObject *args, PyObject *kwds)
                      d->name);
         return -1;
     }
-    for (f = d->fields; f->name != NULL; f++) {
-        PyObject *v;
-        if (f->kind == F_RUNTIME)
-            continue;
-        n_keywords += 1;
-        v = kwds != NULL ? PyDict_GetItemWithError(kwds, f->key) : NULL;
-        if (v == NULL) {
-            if (!PyErr_Occurred())
-                PyErr_Format(PyExc_TypeError, "%s() missing required "
-                             "keyword argument '%s'", d->name, f->name);
-            goto fail;
-        }
-        if (field_set(self, d, f, v) < 0)
-            goto fail;
-    }
-    /* every row was found, so a keyword too many is one no row names */
-    while (PyDict_GET_SIZE(kwds) != n_keywords
-            && PyDict_Next(kwds, &pos, &key, NULL)) {
-        for (f = d->fields; f->name != NULL; f++)
-            if (f->kind != F_RUNTIME
-                    && PyUnicode_CompareWithASCIIString(key, f->name) == 0)
-                break;
-        if (f->name == NULL) {
-            PyErr_Format(PyExc_TypeError, "%s() got an unexpected keyword "
-                         "argument %R", d->name, key);
-            goto fail;
-        }
-    }
-    if (d->check != NULL && (complaint = d->check(self)) != NULL) {
-        PyErr_Format(PyExc_ValueError, "%s(): %s", d->name, complaint);
-        goto fail;
-    }
-    self->desc = d;
-    return 0;
-
-fail:
-    fields_clear(self, d);
-    return -1;
+    return phase_bind(self, d, kwds, NULL);
 }
+
+/* phase.copy(**kw): a new phase of the same type bound to this one's
+ * members, the keywords given replacing theirs.  A binder that makes
+ * one phase a rank hands over only what differs by rank; every member
+ * the ranks share costs a reference, not a keyword.  Nothing the run
+ * function owns is copied: the new phase starts blank. */
+static PyObject *
+phase_copy(PyObject *o, PyObject *args, PyObject *kwds)
+{
+    PhaseHead *tmpl = (PhaseHead *)o, *self;
+    const PhaseDesc *d = tmpl->desc;
+    if (d == NULL) {
+        PyErr_Format(PyExc_TypeError, "%s.copy() before __init__",
+                     Py_TYPE(o)->tp_name);
+        return NULL;
+    }
+    if (PyTuple_GET_SIZE(args) != 0) {
+        PyErr_Format(PyExc_TypeError, "%s.copy() takes keyword arguments "
+                     "only", d->name);
+        return NULL;
+    }
+    self = (PhaseHead *)d->type->tp_alloc(d->type, 0);
+    if (self == NULL)
+        return NULL;
+    if (phase_bind(self, d, kwds, tmpl) < 0) {
+        Py_DECREF(self);
+        return NULL;
+    }
+    return (PyObject *)self;
+}
+
+#define PHASE_COPY_METHOD \
+    {"copy", (PyCFunction)(void (*)(void))phase_copy, \
+     METH_VARARGS | METH_KEYWORDS, \
+     "copy(**kw) -> a phase bound like this one, kw replacing members"}
 
 static int
 phase_traverse(PyObject *o, visitproc visit, void *arg)
@@ -3090,7 +3561,7 @@ static PyGetSetDef phase_getset[] = {
 /* per type: a field table, a check, a descriptor                     */
 /* ------------------------------------------------------------------ */
 
-#define PHASE_TYPE(T, methods, doc) \
+#define PHASE_TYPE(T, methods, members, doc) \
     static PyTypeObject T##_Type = { \
         PyVarObject_HEAD_INIT(NULL, 0) \
         .tp_name = "repro.fastpath._core." #T, \
@@ -3101,6 +3572,7 @@ static PyGetSetDef phase_getset[] = {
         .tp_traverse = phase_traverse, \
         .tp_clear = phase_clear, \
         .tp_methods = methods, \
+        .tp_members = members, \
         .tp_getset = phase_getset, \
         .tp_init = phase_init, \
         .tp_new = PyType_GenericNew, \
@@ -3172,7 +3644,12 @@ work_check(PhaseHead *self)
     return NULL;
 }
 
-PHASE_TYPE(WorkPhase, NULL,
+static PyMethodDef WorkPhase_methods[] = {
+    PHASE_COPY_METHOD,
+    {NULL, NULL, 0, NULL}
+};
+
+PHASE_TYPE(WorkPhase, WorkPhase_methods, NULL,
            "Fused Working state (AlgorithmBase.working_phase)");
 
 static const PhaseDesc WorkPhase_desc = {
@@ -3207,16 +3684,65 @@ static PhaseField SearchPhase_fields[] = {
      &PyTuple_Type},
     {"states", F_OPT, offsetof(SearchPhaseObject, states), &PyTuple_Type},
     {"timer", F_OBJ, offsetof(SearchPhaseObject, timer)},
+    {"sbarrier", F_OPT, offsetof(SearchPhaseObject, sbarrier), &PyDict_Type},
+    {"rng", F_OPT, offsetof(SearchPhaseObject, rng)},
+    {"barrier_state", F_OPT, offsetof(SearchPhaseObject, barrier_state),
+     &PyUnicode_Type},
+    {"barrier_lock_costs", F_OPT,
+     offsetof(SearchPhaseObject, barrier_lock_costs), &PyTuple_Type},
+    {"poll_min", F_DOUBLE, offsetof(SearchPhaseObject, poll_min)},
+    {"poll_max", F_DOUBLE, offsetof(SearchPhaseObject, poll_max)},
+    {"recover", F_FLAG, offsetof(SearchPhaseObject, recover)},
     {"victims", F_RUNTIME, offsetof(SearchPhaseObject, victims)},
     {"cur_scan", F_RUNTIME, offsetof(SearchPhaseObject, cur_scan)},
     {"nodes", F_RUNTIME, offsetof(SearchPhaseObject, nodes)},
+    {"b_lock", F_RUNTIME, offsetof(SearchPhaseObject, b_lock)},
+    {"draw", F_RUNTIME, offsetof(SearchPhaseObject, draw)},
     {NULL}
 };
+
+/* The barrier members, stated all or none; the lock's costs from this
+ * rank.  NULL, or the complaint. */
+static const char *
+barrier_check(SearchPhaseObject *sp)
+{
+    double lock_self, lock_node, lock_remote;
+    int home_on_node = sp->node_lo <= 0 && 0 < sp->node_hi;
+    PyObject *lk;
+    if (sp->sbarrier == NULL) {
+        if (sp->barrier_state != NULL || sp->barrier_lock_costs != NULL)
+            return "barrier_state and barrier_lock_costs need sbarrier";
+        return NULL;
+    }
+    if (sp->rng == NULL || sp->barrier_state == NULL
+            || sp->barrier_lock_costs == NULL)
+        return "sbarrier needs rng, barrier_state and barrier_lock_costs";
+    if (!PyArg_ParseTuple(sp->barrier_lock_costs, "ddd", &lock_self,
+                          &lock_node, &lock_remote)) {
+        PyErr_Clear();
+        return "barrier_lock_costs must be (lock_self, lock_local, "
+               "lock_remote)";
+    }
+    lk = PyDict_GetItemWithError(sp->sbarrier, s_lock);
+    if (lk == NULL || !glock_ok(lk)) {
+        PyErr_Clear();
+        return "sbarrier's lock must be a GlobalLock";
+    }
+    Py_INCREF(lk);
+    Py_XSETREF(sp->b_lock, lk);
+    /* net.lock_cost(rank, 0) and net.shared_ref(rank, 0) */
+    sp->b_lock_cost = sp->me == 0 ? lock_self
+        : home_on_node ? lock_node : lock_remote;
+    sp->b_unlock_cost = sp->me == 0 ? 0.0
+        : home_on_node ? sp->c_local : sp->c_remote;
+    return NULL;
+}
 
 static const char *
 search_check(PhaseHead *self)
 {
     SearchPhaseObject *sp = (SearchPhaseObject *)self;
+    const char *complaint;
     if (sp->scan == NULL && (sp->getrandbits == NULL || sp->segments == NULL
                              || !PyCallable_Check(sp->getrandbits)
                              || !PyCallable_Check(sp->segments)))
@@ -3232,6 +3758,8 @@ search_check(PhaseHead *self)
     if (sp->scan != NULL && (sp->gate == NULL || !PyCallable_Check(sp->scan)))
         return "scan must be callable and needs the gate whose counters "
                "open its rounds";
+    if ((complaint = barrier_check(sp)) != NULL)
+        return complaint;
     if (sp->locks == NULL) {
         if (sp->stacks != NULL || sp->algo_dict != NULL || sp->steal != NULL
                 || sp->claim_costs != NULL || sp->states != NULL)
@@ -3275,18 +3803,27 @@ SearchPhase_abort(SearchPhaseObject *self, PyObject *Py_UNUSED(ignored))
     Py_CLEAR(self->worker);
     self->probes_acc = 0;
     self->cost_acc = 0.0;
+    self->in_barrier = 0;
     self->state = SP_IDLE;
     Py_RETURN_NONE;
 }
 
 static PyMethodDef SearchPhase_methods[] = {
     {"abort", (PyCFunction)SearchPhase_abort, METH_NOARGS,
-     "Reset the phase after a successful steal (worker will not "
-     "re-yield it)"},
+     "Reset the phase after a successful steal or a declaration (the "
+     "worker will not re-yield it)"},
+    PHASE_COPY_METHOD,
     {NULL, NULL, 0, NULL}
 };
 
-PHASE_TYPE(SearchPhase, SearchPhase_methods,
+static PyMemberDef SearchPhase_members[] = {
+    {"in_barrier", T_INT, offsetof(SearchPhaseObject, in_barrier), READONLY,
+     "1 from the barrier's entry until a steal out of it lands work (or "
+     "abort()); still 1 after the phase ended on `terminated`"},
+    {NULL}
+};
+
+PHASE_TYPE(SearchPhase, SearchPhase_methods, SearchPhase_members,
            "Fused search phase (lock-based / upc-distmem / service pool, "
            "polling or gated), with the lock-based Stealing state");
 
@@ -3329,7 +3866,7 @@ static PyMethodDef IdlePhase_methods[] = {
     {NULL, NULL, 0, NULL}
 };
 
-PHASE_TYPE(IdlePhase, IdlePhase_methods,
+PHASE_TYPE(IdlePhase, IdlePhase_methods, NULL,
            "Fused mpi-ws idle wait (backoff polls between messages)");
 
 static const PhaseDesc IdlePhase_desc = {
@@ -3500,6 +4037,16 @@ PyInit__core(void)
     INTERN(s_park, "park");
     INTERN(s_abandon, "abandon");
     INTERN(s_enter, "enter");
+    INTERN(s_barrier_entries, "barrier_entries");
+    INTERN(s_barrier_exits, "barrier_exits");
+    INTERN(s_count, "count");
+    INTERN(s_alive, "alive");
+    INTERN(s_announcer, "announcer");
+    INTERN(s_terminated, "terminated");
+    INTERN(s_counted, "_counted");
+    INTERN(s_lock, "lock");
+    INTERN(s_declare, "declare");
+    INTERN(s_recover, "recover");
 #undef INTERN
     m = PyModule_Create(&core_module);
     if (m == NULL)

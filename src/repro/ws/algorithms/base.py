@@ -27,13 +27,14 @@ from typing import Generator, List, Optional
 
 from repro.errors import ConfigError, ProtocolError
 from repro.metrics.counters import ThreadStats
-from repro.metrics.states import (SEARCHING, STEALING, WORKING,
+from repro.metrics.states import (BARRIER, SEARCHING, STEALING, WORKING,
                                    StateTimer)
 from repro.pgas.collectives import reduction_time
 from repro.pgas.machine import Machine, UpcContext
 from repro.sim.engine import SimEvent, Timeout
 from repro.uts.tree import Tree
-from repro.ws.config import (SEARCH_BACKOFF_FACTOR, SEARCH_BACKOFF_MAX,
+from repro.ws.config import (BARRIER_POLL_MAX, BARRIER_POLL_MIN,
+                              SEARCH_BACKOFF_FACTOR, SEARCH_BACKOFF_MAX,
                               SEARCH_BACKOFF_MIN, WsConfig)
 from repro.ws.policies import ProbeOrder, ProbeScan, StealAmount
 from repro.ws.registry import lookup
@@ -56,6 +57,10 @@ _T0 = Timeout(0.0)
 #: attempt (:meth:`AlgorithmBase._search_claim`).
 _NO_CLAIM = dict.fromkeys(("locks", "stacks", "algo_dict", "steal",
                            "claim_costs", "states"))
+#: The barrier members of a ``SearchPhase`` that ends where its search
+#: gives up (:meth:`AlgorithmBase._search_barrier`).
+_NO_BARRIER = dict.fromkeys(("sbarrier", "barrier_state",
+                             "barrier_lock_costs"))
 
 
 def flatten(chunks: List[List]) -> List:
@@ -185,9 +190,13 @@ class AlgorithmBase:
         self._batch_expand = getattr(tree, "batch_expand", None)
         #: The park scan kernel: on the compiled backend, its C twin.
         self._scan_probe = ProbeScan.probe
+        #: ``repro.fastpath._core`` on the compiled backend (the phase
+        #: binders' one module), else None.
+        self._core = None
         if machine.sim.fastpath == "fast":
             from repro.fastpath import batch_expander, load_core
-            self._scan_probe = load_core().scan_probe
+            self._core = load_core()
+            self._scan_probe = self._core.scan_probe
             self._batch_expand = batch_expander(tree) or self._batch_expand
         #: Chunks available per thread; NO_WORK when a thread is idle.
         #: Staleable: under a stale-read fault plan, remote probes may
@@ -241,14 +250,15 @@ class AlgorithmBase:
         #: replace the generators -- on every rank but ``_unfused``,
         #: the ranks a fail-stop plan kills (their recovery lives in
         #: the generators).  ``_c_phases`` caches the per-rank phase
-        #: objects, built on demand; ``_search_kw`` what every rank's
-        #: ``SearchPhase`` binds alike, built at the first bind.
+        #: objects, built on demand; ``_c_templates`` one phase per
+        #: type bound to what every rank binds alike, built at the
+        #: first bind: each rank's phase is a ``copy()`` of it.
         self._fuse = None
         rt = self.faults_rt
         self._unfused = frozenset(
             () if rt is None else (r for r, _ in rt.kill_schedule))
         self._c_phases: dict = {}
-        self._search_kw = None
+        self._c_templates: dict = {}
         self.setup()
         if cfg.adversaries:
             # Installed last: the actors mutate the per-rank tables
@@ -317,8 +327,9 @@ class AlgorithmBase:
                 found = yield from self.search_phase(ctx)
             if found:
                 continue
-            terminated = yield from self.termination_phase(ctx)
-            if terminated:
+            # None: the compiled search ran the detection phase itself
+            # (the streamlined barrier), and it ended the run
+            if found is None or (yield from self.termination_phase(ctx)):
                 break
         # A last denial sweep: a thief's request may have landed while
         # we were inside the announcing barrier.
@@ -884,13 +895,14 @@ class AlgorithmBase:
         per-task drain tables), and the phase books them the same way.
         The phase makes both ``work_avail`` pokes around the loop
         itself; the callbacks are the two state-timer transitions.
-        Nothing bound is O(threads).
+        Nothing bound is O(threads), and only this rank's members are
+        handed over: the phase is a ``copy()`` of the run's template
+        (:meth:`_work_shared` holds the rest).
 
         The costs handed over are the exact floats the generator's
         precomputed Timeouts carry (``Timeout.delay`` read back, not
         recomputed), so the C phase schedules the identical timestamps.
         """
-        from repro.fastpath import load_core
         sim = self.sim
         stack = self.stacks[rank]
         st = self.stats[rank]
@@ -900,52 +912,71 @@ class AlgorithmBase:
         key = (self.t_node_of(rank), self.machine.contexts[rank]._slow)
         costs = self._visit_costs.get(key) or self._visit_costs.setdefault(
             key, [t.delay for t in self._visit_timeouts_for(rank)])
-        wa = self._wa_slots[rank] if self._publishes_avail else None
-        gate = self._gate if wa is not None else None
         pending, poll = (self._mail(rank) if self._mail is not None
                          else (None, None))
-        fifo = lock_to = barrier = None
+        fifo = lock_to = None
         if self._own_lock is not None:
             lk, lock_to = self._own_lock[rank]
             fifo = lk.fifo
-            if self._after_release_hook:  # the stock one: see _fusable
-                barrier = self._termination.barrier
+        kw = {
+            "local": stack.local,
+            "shared": stack.shared,
+            "shared_append": stack.shared.append,
+            "shared_pop": stack.shared.pop,
+            "stack": stack,
+            "st_dict": st.__dict__,
+            "enter_cb": lambda: enter(WORKING, sim.now),
+            "exit_cb": lambda: enter(SEARCHING, sim.now),
+            "visit_costs": costs,
+            "req_slot": (self.request[rank] if self.request is not None
+                         else None),
+            "poll": poll,
+            "pending": pending,
+            "wa": self._wa_slots[rank] if self._publishes_avail else None,
+            "rank": rank,
+            "fifo": fifo,
+            "lock_to": lock_to.delay if lock_to is not None else -1.0,
+            "reset_cost": self.net.shared_ref(rank, 0),
+        }
+        return self._template("WorkPhase", self._work_shared, kw).copy(**kw)
+
+    def _work_shared(self) -> dict:
+        """What every rank's ``WorkPhase`` binds alike: the tree, the
+        bounds, the gate (with switch (b)), the cancelable barrier a
+        release resets (with (c)) and the drain ledger."""
+        gate = self._gate if self._publishes_avail else None
+        barrier = None
+        if self._own_lock is not None and self._after_release_hook:
+            barrier = self._termination.barrier  # the stock one: _fusable
         task_of, outstanding, task_nodes, drained = getattr(
             self.tree, "ledger", None) or (None,) * 4
-        return load_core().WorkPhase(
-            local=stack.local,
-            shared=stack.shared,
-            shared_append=stack.shared.append,
-            shared_pop=stack.shared.pop,
-            stack=stack,
-            st_dict=st.__dict__,
-            enter_cb=lambda: enter(WORKING, sim.now),
-            exit_cb=lambda: enter(SEARCHING, sim.now),
+        return dict(
             tree=self.tree,
             delta=self.tree.delta,
             size=self.tree.size,
-            visit_costs=costs,
             chunk=self.cfg.chunk_size,
             thresh=self._release_threshold,
             limit=self._poll_interval,
-            req_slot=self.request[rank] if self.request is not None else None,
-            poll=poll,
-            pending=pending,
-            wa=wa,
             no_work=NO_WORK,
             gate=gate,
             gate_cat=gate._cat if gate is not None else None,
-            rank=rank,
-            fifo=fifo,
-            lock_to=lock_to.delay if lock_to is not None else -1.0,
             barrier_dict=barrier.__dict__ if barrier is not None else None,
-            reset_cost=self.net.shared_ref(rank, 0),
             home_occupancy=self.net.home_occupancy,
             task_of=task_of,
             outstanding=outstanding,
             task_nodes=task_nodes,
             drained=drained,
         )
+
+    def _template(self, name: str, shared, kw: dict):
+        """The run's one ``_core`` phase of type ``name`` that every
+        rank's is a ``copy()`` of, built at the first bind from
+        ``shared()`` and that rank's members ``kw``."""
+        tmpl = self._c_templates.get(name)
+        if tmpl is None:
+            tmpl = self._c_templates[name] = getattr(self._core, name)(
+                **shared(), **kw)
+        return tmpl
 
     def _build_c_search(self, rank: int):
         """Bind one ``repro.fastpath._core.SearchPhase`` to this rank's
@@ -968,28 +999,20 @@ class AlgorithmBase:
         Stealing state itself; all None (the default, and whenever a
         lock-based protocol's claim is not stock), every steal attempt
         bounces the victim's rank to :meth:`try_steal`.  The claim
-        tells ``gate`` of a victim's advert in either mode.
+        tells ``gate`` of a victim's advert in either mode.  The barrier
+        members come from :meth:`_search_barrier`: bound, a search
+        that gives up goes on into the streamlined barrier in C, its
+        ``one()`` draws from ``rng``.
+
+        Only this rank's members are handed over: the phase is a
+        ``copy()`` of the run's template (:meth:`_search_shared`).
         """
-        from repro.fastpath import load_core
         po = self.probe_orders[rank]
         if (type(po).cycle is not ProbeOrder.cycle
                 or type(self).search_phase is not AlgorithmBase.search_phase):
             return None
-        shared = self._search_kw
-        if shared is None:
-            gate = self._gate
-            shared = self._search_kw = dict(
-                slots=self._wa_slots,
-                backoff_min=SEARCH_BACKOFF_MIN,
-                backoff_factor=SEARCH_BACKOFF_FACTOR,
-                backoff_max=SEARCH_BACKOFF_MAX,
-                persist=self._termination.persist_while_working,
-                gate=gate,
-                gate_cat=gate._cat if gate is not None else None,
-                **self._search_claim(),
-            )
         scan = segments = getrandbits = None
-        if shared["gate"] is not None and self._termination.park_capable:
+        if self._gate is not None and self._termination.park_capable:
             # the scan reads the stream at its first draw: a rank that
             # never scans never seeds one (a Mersenne Twister is 2.5 KB)
             scan = po.scan
@@ -998,18 +1021,38 @@ class AlgorithmBase:
         else:
             return None
         st = self.stats[rank]
-        return load_core().SearchPhase(
-            **shared,
-            st_dict=st.__dict__,
-            timer=st.timer,
-            segments=segments,
-            getrandbits=getrandbits,
-            scan=scan,
-            bounds=self.net.ref_cost_bounds(rank),
-            req_slot=(self.request[rank] if self.request is not None
-                      else None),
-            slow=self.machine.contexts[rank]._slow,
-            rank=rank,
+        kw = {
+            "st_dict": st.__dict__,
+            "timer": st.timer,
+            "segments": segments,
+            "getrandbits": getrandbits,
+            "scan": scan,
+            "bounds": self.net.ref_cost_bounds(rank),
+            "req_slot": (self.request[rank] if self.request is not None
+                         else None),
+            "slow": self.machine.contexts[rank]._slow,
+            "rank": rank,
+            "rng": po._rng,  # unseeded: the barrier's first one() seeds it
+        }
+        return self._template("SearchPhase", self._search_shared,
+                              kw).copy(**kw)
+
+    def _search_shared(self) -> dict:
+        """What every rank's ``SearchPhase`` binds alike."""
+        gate = self._gate
+        return dict(
+            slots=self._wa_slots,
+            backoff_min=SEARCH_BACKOFF_MIN,
+            backoff_factor=SEARCH_BACKOFF_FACTOR,
+            backoff_max=SEARCH_BACKOFF_MAX,
+            persist=self._termination.persist_while_working,
+            gate=gate,
+            gate_cat=gate._cat if gate is not None else None,
+            poll_min=BARRIER_POLL_MIN,
+            poll_max=BARRIER_POLL_MAX,
+            recover=self.faults_rt is not None,
+            **self._search_claim(),
+            **self._search_barrier(),
         )
 
     def _search_claim(self) -> dict:
@@ -1017,32 +1060,82 @@ class AlgorithmBase:
         none, so every steal attempt bounces to :meth:`try_steal`."""
         return _NO_CLAIM
 
+    def _search_barrier(self) -> dict:
+        """The barrier members every rank's ``SearchPhase`` binds: the
+        stock :class:`~repro.ws.termination.strategies.StreamlinedTermination`
+        detector's, whose phase then runs in C where the search gives
+        up, bouncing only the declaration, a request's service and a
+        steal it does not claim.  None of them (``sbarrier`` None: the
+        search ends there and :meth:`termination_phase` runs as a
+        generator) for another detector, a :meth:`termination_phase`
+        override, or a probe order whose ``one()`` is not stock
+        (``upc-distmem-hier``)."""
+        from repro.ws.termination.strategies import StreamlinedTermination
+        term = self._termination
+        if (type(term) is not StreamlinedTermination
+                or (type(self).termination_phase
+                    is not AlgorithmBase.termination_phase)
+                or any(type(po).one is not ProbeOrder.one
+                       for po in self.probe_orders)):
+            return _NO_BARRIER
+        return dict(
+            sbarrier=term.barrier.__dict__,
+            barrier_state=BARRIER,
+            # net.lock_cost from the lock's home (rank 0) itself, its
+            # node and any other
+            barrier_lock_costs=self.net.steal_cost_terms()[:3],
+        )
+
     def _search_fused(self, ctx: UpcContext, phase) -> Generator:
-        """Drive the compiled :meth:`search_phase`.
+        """Drive the compiled :meth:`search_phase` -- and, with the
+        barrier members bound, the streamlined detection phase a search
+        that gives up goes on into.
 
         The C loop probes and backs off, and with its claim bound it
         steals as well (lock, re-check, reserve, unlock, transfer,
-        land).  It bounces back here with ``True`` when our own poll
-        slot holds a pending thief (the victim-side poll at the top of
-        each round) and with the victim's rank for a steal attempt it
-        does not claim itself.  Both run the unmodified Python protocol
-        methods; a successful bounced steal ends the episode without
-        re-yielding the phase.  The phase itself ends with None, after
-        a claim of its own that landed work or when the search gives
-        up; a search starts on an empty stack that only a claim fills,
-        so the stack tells the two apart."""
+        land); in the barrier it counts in and out under the barrier's
+        lock, probes one victim a poll and parks.  It bounces back here
+        with ``True`` when our own poll slot holds a pending thief
+        (served as the search's round top or the barrier's service
+        hook would), with the victim's rank for a steal attempt it does
+        not claim itself, and with ``"declare"`` / ``"recover"`` when
+        the barrier is full (this rank counted in last, or a death
+        elsewhere left every survivor counted in): the declaration runs
+        here and ends the run.  Everything bounced runs the unmodified
+        Python protocol methods; a successful bounced steal ends the
+        episode without re-yielding the phase.  The phase itself ends
+        with None: after a claim of its own that landed work, when the
+        search gives up without a barrier bound, or when the barrier
+        saw ``terminated`` (``in_barrier`` still set).  A search starts
+        on an empty stack that only a claim fills, so the stack tells
+        the first two apart.  Returns True (work in hand), False (run
+        :meth:`termination_phase`) or None (the run is over)."""
         res = yield phase
         while res is not None:
             if res is True:
-                yield from self.service_request(ctx)
+                if phase.in_barrier:
+                    yield from self.barrier_service_hook(ctx)
+                else:
+                    yield from self.service_request(ctx)
+            elif type(res) is str:
+                phase.abort()
+                yield from self._termination._declare(
+                    ctx, after_death=res == "recover")
+                return None
             else:
+                barrier = phase.in_barrier
                 self.enter_state(ctx, STEALING)
                 ok = yield from self.try_steal(ctx, res)
-                self.enter_state(ctx, SEARCHING)
                 if ok:
+                    if barrier:
+                        self.stats[ctx.rank].barrier_exits += 1
+                    self.enter_state(ctx, SEARCHING)
                     phase.abort()
                     return True
+                self.enter_state(ctx, BARRIER if barrier else SEARCHING)
             res = yield phase
+        if phase.in_barrier:
+            return None
         return not self.stacks[ctx.rank].is_empty
 
     # -- tree exploration (the hot loop) -----------------------------------

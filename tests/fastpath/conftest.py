@@ -7,7 +7,8 @@ import pytest
 def search_bounces(monkeypatch):
     """The steal attempts a compiled ``SearchPhase`` bounced back to
     Python: every victim rank a worker's ``yield phase`` received in
-    ``AlgorithmBase._search_fused``, in order."""
+    ``AlgorithmBase._search_fused``, in order (not a request's True,
+    nor a barrier's declaration)."""
     from repro.ws.algorithms.base import AlgorithmBase
 
     real = AlgorithmBase._search_fused
@@ -18,7 +19,7 @@ def search_bounces(monkeypatch):
         awaited = next(inner)
         while True:
             value = yield awaited
-            if awaited is phase and value is not None and value is not True:
+            if awaited is phase and type(value) is int:
                 victims.append(value)
             try:
                 awaited = inner.send(value)

@@ -587,3 +587,165 @@ def test_mpi_ws_under_a_fault_plan_never_binds_the_idle_wait():
     assert algo._fuse and algo._unfused == {3, 5}
     assert {type(ph).__name__ for ph in algo._c_phases.values()} == {
         "WorkPhase"}
+
+
+# -- the streamlined barrier inside SearchPhase --------------------------------
+
+@pytest.fixture
+def barrier_seen(monkeypatch):
+    """What the compiled leg of a cell ran around its barriers: the
+    generator barriers (``StreamlinedTermination.phase`` runs) by rank,
+    and every value a fused phase bounced, by ``(state, kind)``: state
+    ``"search"`` or ``"barrier"`` (``phase.in_barrier``), kind
+    ``"service"``, ``"woke"`` (a service bounced at the instant a
+    thief's targeted wake reached the parked rank), ``"steal"``,
+    ``"declare"`` or ``"recover"``."""
+    from collections import Counter
+
+    from repro.ws.algorithms.base import AlgorithmBase
+    from repro.ws.idle import IdleGate
+    from repro.ws.termination.strategies import StreamlinedTermination
+
+    seen = dict(generators=Counter(), bounces=Counter())
+    woken = set()
+    phase, wake, fused = (StreamlinedTermination.phase, IdleGate.wake,
+                          AlgorithmBase._search_fused)
+
+    def generator_phase(self, ctx):
+        seen["generators"][ctx.rank] += 1
+        return phase(self, ctx)
+
+    def targeted_wake(self, rank):
+        if rank in self._parked:
+            woken.add((rank, self.sim.now))
+        wake(self, rank)
+
+    def search_fused(self, ctx, ph):
+        inner = fused(self, ctx, ph)
+        awaited = next(inner)
+        while True:
+            value = yield awaited
+            if awaited is ph and value is not None:
+                state = "barrier" if ph.in_barrier else "search"
+                kind = (value if type(value) is str else "steal"
+                        if type(value) is int else "woke"
+                        if (ctx.rank, ctx.now) in woken else "service")
+                seen["bounces"][state, kind] += 1
+            try:
+                awaited = inner.send(value)
+            except StopIteration as stop:
+                return stop.value
+
+    monkeypatch.setattr(StreamlinedTermination, "phase", generator_phase)
+    monkeypatch.setattr(IdleGate, "wake", targeted_wake)
+    monkeypatch.setattr(AlgorithmBase, "_search_fused", search_fused)
+    return seen
+
+
+def barrier_pair(seen, variant, threads, tree=SMALL, **cfg):
+    """One streamlined cell on both backends: the schedule, per-thread
+    stats (``barrier_entries`` / ``barrier_exits`` too), every stack
+    lock's and ``sbarrier.lock``'s counters, the gate's parks, wakes and
+    deaths, the fault counters -- and, on the compiled leg, no fused
+    rank ever in a generator barrier: the barrier ran inside its
+    ``SearchPhase``, handing back only the bounces ``seen`` counts.
+    Returns the compiled leg's algorithm."""
+    if variant == "upc-sharedmem":
+        cfg["termination_policy"] = "streamlined"
+    config = WsConfig(**cfg)
+    legs = {}
+    for backend in ("pure", "fast"):
+        for counts in seen.values():
+            counts.clear()
+        spy = AlgoSpy()
+        snap = run_snapshot(variant, tree, backend, threads, spy=spy,
+                            config=config)
+        algo = spy.algo
+        lock = algo.barrier.lock
+        rt = algo.faults_rt
+        legs[backend] = (
+            snap,
+            [(st.barrier_entries, st.barrier_exits) for st in algo.stats],
+            (lock.acquisitions, lock.contended_acquisitions,
+             repr(lock.busy_time)),
+            locks_of(algo), rt and vars(rt.counters))
+    assert legs["fast"] == legs["pure"]
+    bounces = seen["bounces"]
+    assert algo._fuse and (bounces["barrier", "declare"]
+                           + bounces["barrier", "recover"]) >= 1
+    assert set(seen["generators"]) <= algo._unfused
+    return algo
+
+
+IDLE = ["poll", "park"]
+STREAMLINED = ["upc-term", "upc-term-rapdif", "upc-distmem", "upc-sharedmem"]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 16, 512])
+@pytest.mark.parametrize("idle", IDLE)
+@pytest.mark.parametrize("variant", STREAMLINED)
+def test_fused_barrier_matrix(barrier_seen, variant, idle, threads):
+    """The streamlined barrier compiled: count in and out under
+    ``sbarrier.lock``, one ``one()`` victim a poll (doubling), parks
+    and resume delays, leave-steal-re-enter (claimed in C by the
+    lock-based variants, bounced by upc-distmem) -- and exactly one
+    declaration a run, the one bounce every fused barrier makes."""
+    algo = barrier_pair(barrier_seen, variant, threads, chunk_size=2,
+                        idle_strategy=idle)
+    bounces = barrier_seen["bounces"]
+    assert bounces["barrier", "declare"] == 1
+    assert sum(st.barrier_entries for st in algo.stats) >= threads
+    if variant != "upc-distmem":
+        assert bounces["barrier", "steal"] == bounces["search", "steal"] == 0
+    if threads > 1:
+        assert sum(st.probes for st in algo.stats) > 0
+
+
+@pytest.mark.parametrize("variant", STREAMLINED)
+def test_fused_barrier_on_a_4096_thread_park_machine(barrier_seen, variant):
+    """Almost every rank of the machine waits parked in the barrier,
+    and the announcer's wake-all resumes them all in C."""
+    algo = barrier_pair(barrier_seen, variant, 4096, chunk_size=2,
+                        idle_strategy="park")
+    assert barrier_seen["bounces"]["barrier", "declare"] == 1
+    assert algo._gate.parks > 4000
+
+
+#: The cells of the kill plan below whose last survivor enters the
+#: barrier after the death, and so declares as the last one in.
+LAST_IN = {("upc-term-rapdif", "poll"), ("upc-distmem", "park")}
+
+
+@pytest.mark.parametrize("idle", IDLE)
+@pytest.mark.parametrize("variant", STREAMLINED)
+def test_fused_barrier_declares_after_a_death(barrier_seen, variant, idle):
+    """A fail-stop plan fuses every rank it spares.  Rank 3 dies while
+    the others wait, so a waiter finds the barrier full and declares
+    after the death (the ``recover`` bounce; in two cells the last
+    survivor enters after it instead); the killed rank's own barrier
+    is the only generator one."""
+    from repro.faults.plan import parse_fault_spec
+
+    algo = barrier_pair(
+        barrier_seen, variant, 16, chunk_size=2, idle_strategy=idle,
+        faults=parse_fault_spec("kill=3@575us", seed=0))
+    assert algo._unfused == {3}
+    assert algo.faults_rt.counters.threads_killed == 1
+    recovered = barrier_seen["bounces"]["barrier", "recover"]
+    assert recovered == (0 if (variant, idle) in LAST_IN else 1)
+
+
+#: A upc-distmem park cell in which thieves' targeted wakes reach
+#: parked victims both in the search (three) and in the barrier (three).
+WAKE_TREE = TreeParams.binomial(b0=64, q=0.48, seed=2)
+
+
+def test_a_targeted_wake_bounces_the_request_in_either_state(barrier_seen):
+    """A upc-distmem thief pokes its request into a victim that has
+    since parked, and wakes it: the victim must serve the request the
+    instant it wakes, before its resume delay -- in the search state
+    (``SP_WOKE_SVC``) and in the barrier (``SB_WOKE_SVC``) alike."""
+    barrier_pair(barrier_seen, "upc-distmem", 32, tree=WAKE_TREE,
+                 chunk_size=4, idle_strategy="park")
+    bounces = barrier_seen["bounces"]
+    assert bounces["search", "woke"] > 0 and bounces["barrier", "woke"] > 0

@@ -5,9 +5,10 @@ the one ``WorkPhase`` as a locked, a slot-polling and a mailbox-polling
 variant and the service pool (drain ledger stated) bind it.
 
 Each phase is built with exactly the keywords its algorithm's own
-``_build_c_*`` binder passes (captured by standing in for
-``load_core()``), because the binders are the constructors' only
-callers and the contract under test is theirs:
+``_build_c_*`` binder passes (captured by standing in for the
+algorithm's ``_core`` -- the first bind's template takes every member
+-- and for ``load_core()``), because the binders are the constructors'
+only callers and the contract under test is theirs:
 
 * construction takes references and gives every one of them back;
 * a phase in a reference cycle with its worker is collected;
@@ -49,7 +50,8 @@ TREE = TreeParams.binomial(b0=64, q=0.48, seed=1)
 
 #: (variant, binder, phase type): the constructor call sites
 #: (``+park``: under an idle gate, which the Working state then holds,
-#: and the search too where the termination policy parks).
+#: and the search too where the termination policy parks; the
+#: streamlined variants' searches bind the barrier as well).
 BINDERS = [
     ("service-ws", "_build_c_phase", "WorkPhase"),
     ("upc-sharedmem", "_build_c_phase", "WorkPhase"),
@@ -57,6 +59,7 @@ BINDERS = [
     ("upc-term+park", "_build_c_phase", "WorkPhase"),
     ("mpi-ws", "_build_c_phase", "WorkPhase"),
     ("upc-distmem", "_build_c_search", "SearchPhase"),
+    ("upc-term", "_build_c_search", "SearchPhase"),
     ("upc-sharedmem+park", "_build_c_search", "SearchPhase"),
     ("upc-term+park", "_build_c_search", "SearchPhase"),
     ("upc-distmem+park", "_build_c_search", "SearchPhase"),
@@ -88,8 +91,9 @@ def build(variant):
 
 
 class CapturingCore:
-    """Stands in for ``load_core()``: records the keywords a binder
-    passes instead of constructing the phase."""
+    """Stands in for the compiled core: records the keywords a binder
+    constructs a phase with (its template, which every rank's phase is
+    a ``copy()`` of) instead of constructing it."""
 
     def __init__(self):
         self.kwargs = None
@@ -97,16 +101,22 @@ class CapturingCore:
     def __getattr__(self, name):
         def capture(**kwargs):
             self.kwargs = kwargs
+            return self
         return capture
+
+    def copy(self, **kwargs):
+        return None
 
 
 def capture(monkeypatch, variant, binder, kind):
     """``(phase type, keywords, keep-alive)`` for one call site."""
     machine, algo = build(variant)
     core = CapturingCore()
+    owner = algo[0] if isinstance(algo, tuple) else algo
     with monkeypatch.context() as mp:
         mp.setattr(fp, "load_core", lambda: core)
-        getattr(algo[0] if isinstance(algo, tuple) else algo, binder)(1)
+        mp.setattr(owner, "_core", core)
+        getattr(owner, binder)(1)
     return getattr(fp.load_core(), kind), core.kwargs, (machine, algo)
 
 
@@ -118,9 +128,11 @@ def bound(request, monkeypatch):
 def held(kwargs):
     """The arguments a phase keeps a reference to (or an export of):
     every object but the numbers it copies and the cost list it
-    converts.  ``None`` and ints have no meaningful reference count."""
+    converts.  ``None`` and ints have no meaningful reference count,
+    and neither has ``barrier_state``: the state name ``BARRIER`` is
+    also a key of every live or collectable ``StateTimer``'s table."""
     return {k: v for k, v in kwargs.items()
-            if k != "visit_costs"
+            if k not in ("visit_costs", "barrier_state")
             and not isinstance(v, (type(None), bool, int, float))}
 
 
@@ -203,11 +215,17 @@ def test_bad_keywords_are_named_and_leak_nothing(bound):
     ("upc-term+park", "SearchPhase", "gate", "gate and its _cat"),
     ("upc-distmem+park", "SearchPhase", "gate_cat", "gate and its _cat"),
     ("service-ws+park", "SearchPhase", "gate", "gate and its _cat"),
+    ("upc-term+park", "SearchPhase", "rng", "sbarrier needs rng"),
+    ("upc-term", "SearchPhase", "barrier_state", "sbarrier needs rng"),
+    ("upc-distmem", "SearchPhase", "barrier_lock_costs",
+     "sbarrier needs rng"),
+    ("upc-distmem+park", "SearchPhase", "sbarrier",
+     "barrier_state and barrier_lock_costs need sbarrier"),
 ])
 def test_half_stated_switch_is_refused_and_leaks_nothing(
         monkeypatch, variant, kind, without, rule):
     """A switch of the Working state is a member group, and so are the
-    search's compiled claim and its idle gate: the variant's own
+    search's compiled claim, its idle gate and its barrier: the variant's own
     keywords with one member of a group taken away must not
     construct."""
     binder = {"WorkPhase": "_build_c_phase",
@@ -256,6 +274,8 @@ def test_work_phase_refuses_a_lock_that_is_no_fifo_lock(monkeypatch):
     ({"steal": "most"}, "steal must be one, half or all"),
     ({"claim_costs": (1.0, 2.0)}, "claim_costs must be"),
     ({"scan": 42}, "scan must be callable"),
+    ({"barrier_lock_costs": (1.0, 2.0)}, "barrier_lock_costs must be"),
+    ({"sbarrier": {}}, "sbarrier's lock must be a GlobalLock"),
 ])
 def test_search_phase_refuses_malformed_arguments(monkeypatch, bad, rule):
     cls, kwargs, _alive = capture(monkeypatch, "upc-term", "_build_c_search",
@@ -265,6 +285,40 @@ def test_search_phase_refuses_malformed_arguments(monkeypatch, bad, rule):
     with pytest.raises(ValueError, match=rule):
         cls(**dict(kwargs, **bad))
     assert refcounts(objs) == baseline
+
+
+@pytest.mark.parametrize("variant, binder, kind, half, rule", [
+    ("upc-term+park", "_build_c_phase", "WorkPhase", "wa", "gate needs"),
+    ("upc-distmem", "_build_c_search", "SearchPhase", "sbarrier",
+     "need sbarrier"),
+])
+def test_a_copy_is_bound_like_its_template(monkeypatch, variant, binder,
+                                          kind, half, rule):
+    """``copy(**kw)`` -- what a binder makes every rank's phase with --
+    binds the template's members with ``kw`` in place of theirs: it
+    takes a reference to each (and an export of each buffer), gives
+    every one back, refuses an unknown keyword or a half-stated group
+    by name, and leaks nothing when it does."""
+    cls, kwargs, _alive = capture(monkeypatch, variant, binder, kind)
+    template = cls(**kwargs)
+    rank = {k: v for k, v in kwargs.items() if k in ("st_dict", "rank")}
+    objs = held(kwargs)
+    baseline = refcounts(objs)
+    twin = template.copy(**rank)
+    assert type(twin) is cls and not twin.running
+    taken = refcounts(objs)
+    assert all(taken[k] > baseline[k] for k in objs), (baseline, taken)
+    with pytest.raises(TypeError, match="'no_such_keyword'"):
+        template.copy(no_such_keyword=1)
+    with pytest.raises(ValueError, match=rule):
+        template.copy(**{half: None})
+    with pytest.raises(TypeError, match="keyword"):
+        template.copy(1)
+    assert refcounts(objs) == taken
+    del twin
+    assert refcounts(objs) == baseline
+    with pytest.raises(TypeError, match="before __init__"):
+        cls.__new__(cls).copy()
 
 
 @pytest.mark.parametrize("variant, kind", [

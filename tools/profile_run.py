@@ -39,7 +39,9 @@ measure"):
   back to Python: *bounces* resume the worker with a value to serve (a
   steal attempt the phase does not claim itself -- a stock lock-based
   claim runs inside ``SearchPhase`` and never bounces -- a request, a
-  message), *ends* with None (the phase finished).  The bounces are counted on one more, unprofiled pass
+  message), *ends* with None (the phase finished); a ``SearchPhase``
+  waiting in its streamlined barrier counts its bounces apart, as
+  ``barrier bounces`` (declare / service / steal / recover).  The bounces are counted on one more, unprofiled pass
   whose process bodies are wrapped (docs/performance.md, "The compiled
   fastpath").
 * The ``memory`` line builds and spawns the first cell again under
@@ -132,8 +134,15 @@ class CollectorClock:
                 "profiled sweep)")
 
 
+#: What a ``SearchPhase`` bounces from its streamlined barrier, by value.
+BARRIER_BOUNCES = ("declare", "service", "steal", "recover")
+
+
 class CountedBody:
-    """A process body that counts the phase returns it is resumed by."""
+    """A process body that counts the phase returns it is resumed by:
+    ``(phase type, bounced)``, or ``("barrier", kind)`` for a bounce a
+    ``SearchPhase`` made from its streamlined barrier (one of
+    :data:`BARRIER_BOUNCES`)."""
 
     __slots__ = ("body", "counts", "phase_types", "phase")
 
@@ -141,14 +150,19 @@ class CountedBody:
         self.body = body
         self.counts = counts
         self.phase_types = phase_types
-        self.phase = None  # the phase type last yielded, if any
+        self.phase = None  # the phase last yielded, if any
 
     def send(self, value):
-        if self.phase is not None:
-            self.counts[self.phase, value is not None] += 1
+        phase = self.phase
+        if phase is not None:
+            if value is not None and getattr(phase, "in_barrier", 0):
+                kind = (value if type(value) is str else
+                        "service" if value is True else "steal")
+                self.counts["barrier", kind] += 1
+            else:
+                self.counts[type(phase).__name__, value is not None] += 1
         awaited = self.body.send(value)
-        kind = type(awaited)
-        self.phase = kind.__name__ if kind in self.phase_types else None
+        self.phase = awaited if type(awaited) in self.phase_types else None
         return awaited
 
     def __next__(self):
@@ -159,8 +173,9 @@ class CountedBody:
 
 
 def count_bounces(grid) -> Counter:
-    """``(phase type, bounced)`` -> returns to Python over ``grid``,
-    on an unprofiled pass with every process body wrapped."""
+    """``(phase type, bounced)`` -> returns to Python over ``grid``
+    (the barrier's bounces apart), on an unprofiled pass with every
+    process body wrapped."""
     core = fastpath.load_core()
     phase_types = (core.WorkPhase, core.SearchPhase, core.IdlePhase)
     counts: Counter = Counter()
@@ -179,16 +194,19 @@ def count_bounces(grid) -> Counter:
 
 def python_share_line(stats: pstats.Stats, bounces: Counter) -> str:
     """Profiled time outside ``_core.run``'s own frame, over the total,
-    with each phase type's bounces (and ends) back into Python."""
+    with each phase type's bounces (and ends) back into Python, and the
+    ``SearchPhase`` barrier's bounces by kind."""
     total = stats.total_tt
     own = sum(row[2] for key, row in stats.stats.items()
               if key[2] == "<built-in method repro.fastpath._core.run>")
     per_type = ", ".join(
         f"{name} {bounces[name, True]} (+{bounces[name, False]} ends)"
         for name in ("WorkPhase", "SearchPhase", "IdlePhase"))
+    barrier = ", ".join(f"{kind} {bounces['barrier', kind]}"
+                        for kind in BARRIER_BOUNCES)
     return (f"python share: {(total - own) / total:.2f} ({total - own:.3f} "
             f"of {total:.3f} s profiled outside _core.run's own frame); "
-            f"bounces: {per_type}")
+            f"bounces: {per_type}; barrier bounces: {barrier}")
 
 
 def main(argv=None) -> int:
