@@ -26,8 +26,10 @@ Components
     ledger), ``SearchPhase`` (polling or gated, over the same scan
     kernel) and ``IdlePhase``;
     bound per rank by ``AlgorithmBase``'s ``_build_c_phase`` /
-    ``_build_c_search`` and ``mpi-ws``'s ``_build_c_idle``.  Built by
-    ``setup.py build_ext``; its absence is never an error.
+    ``_build_c_search`` and ``mpi-ws``'s ``_build_c_idle``, where the
+    one fusion gate (``AlgorithmBase._fusion_gate``) binds the member,
+    and reported as a run's ``fusion``.  Built by ``setup.py
+    build_ext``; its absence is never an error.
 
 Selection
 ---------

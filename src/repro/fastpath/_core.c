@@ -521,9 +521,6 @@ typedef struct PhaseDesc {
     /* What the table cannot state -- bounds, rules across members,
      * run-time seeds: NULL, or the complaint for a ValueError. */
     const char *(*check)(PhaseHead *self);
-    /* Members holding the callables phase_start / phase_finish run
-     * (working_phase's entry and exit bookkeeping); 0: none. */
-    Py_ssize_t enter_cb, exit_cb;
 } PhaseDesc;
 
 static void phase_dealloc(PyObject *self);
@@ -534,7 +531,6 @@ static void phase_dealloc(PyObject *self);
 static int dispatch_send(RunCtx *rc, PyObject *proc, PyObject *value,
                          PyObject *time_obj);
 static int phase_finish(PhaseHead *ph, RunCtx *rc, PyObject *time_obj);
-static int call_cb(RunCtx *rc, PyObject *cb);
 
 /* ------------------------------------------------------------------ */
 /* the phase types                                                    */
@@ -572,8 +568,8 @@ typedef struct {
     PyObject *shared_pop;     /* bound shared.pop                      */
     PyObject *stack;          /* SplitStack (counter slots)            */
     PyObject *st_dict;        /* ThreadStats.__dict__                  */
-    PyObject *enter_cb;       /* callable(): state timer -> WORKING    */
-    PyObject *exit_cb;        /* callable(): state timer -> SEARCHING  */
+    PyObject *timer;          /* the rank's StateTimer: enter_state's  */
+    PyObject *states;         /*   (WORKING, SEARCHING) around the loop */
     TreeView tv;              /* the MaterializedTree's arrays         */
     DoubleVec vt;             /* visit cost per batch size [0..limit]  */
     long long chunk;
@@ -927,7 +923,7 @@ work_reacquire(WorkPhaseObject *w)
  * value).  IdleGate.note's own no-transition test (`cat == old`, or a
  * dead rank) is made here against gate._cat, so Python is entered only
  * where the rank's category moves -- which may fire parked ranks'
- * events, hence now/_seq synced out and back as call_cb does. */
+ * events, hence now/_seq synced out and back as timer_enter does. */
 static int
 advertise(RunCtx *rc, PyObject *time_obj, PyObject *wa, PyObject *gate,
           PyObject *gate_cat, PyObject *rank, PyObject *value /* stolen */)
@@ -1116,6 +1112,20 @@ phase_bounce(PhaseHead *ph, RunCtx *rc, PyObject *value, PyObject *time_obj,
     return dispatch_send(rc, ph->worker, value, time_obj);
 }
 
+/* enter_state(ctx, state): timer.enter(state, now), with now/_seq
+ * synced out. */
+static int
+timer_enter(RunCtx *rc, PyObject *time_obj, PyObject *timer, PyObject *state)
+{
+    PyObject *r;
+    if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0
+            || (r = PyObject_CallMethodObjArgs(timer, s_enter, state,
+                                               time_obj, NULL)) == NULL)
+        return -1;
+    Py_DECREF(r);
+    return rc_reload_seq(rc);
+}
+
 /* ------------------------------------------------------------------ */
 /* the three state machines                                           */
 /* ------------------------------------------------------------------ */
@@ -1127,8 +1137,7 @@ phase_bounce(PhaseHead *ph, RunCtx *rc, PyObject *value, PyObject *time_obj,
  * completion and the bounced value otherwise; it serves that in Python
  * and re-yields the phase, which resumes mid-loop.  Nothing below asks
  * which protocol is running, only whether a switch's members are NULL;
- * the state-timer calls around the phase are the enter/exit callbacks
- * (phase_start, phase_finish). */
+ * the phase enters and leaves `states` on the rank's timer itself. */
 static int
 work_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
 {
@@ -1137,8 +1146,11 @@ work_run(PhaseHead *self, RunCtx *rc, PyObject *time_obj, int entry)
 
     switch (entry) {
     case WP_IDLE:
-        /* self._advertise(rank, len(shared)) */
-        if (work_advertise(w, rc, time_obj, NULL) < 0)
+        /* self.enter_state(ctx, WORKING); self._advertise(rank,
+         * len(shared)) */
+        if (timer_enter(rc, time_obj, w->timer,
+                        PyTuple_GET_ITEM(w->states, 0)) < 0
+                || work_advertise(w, rc, time_obj, NULL) < 0)
             return -1;
         goto poll;
     case WP_AFTER_VISIT: goto after_visit;
@@ -1335,8 +1347,10 @@ after_release:
     goto poll;
 
 phase_exit:
-    /* self._advertise(rank, NO_WORK) */
-    if (work_advertise(w, rc, time_obj, w->no_work) < 0)
+    /* self._advertise(rank, NO_WORK); self.enter_state(ctx, SEARCHING) */
+    if (work_advertise(w, rc, time_obj, w->no_work) < 0
+            || timer_enter(rc, time_obj, w->timer,
+                           PyTuple_GET_ITEM(w->states, 1)) < 0)
         return -1;
     /* Resume the worker generator at its `yield phase` suspension
      * within this same dispatch -- exactly where the generator
@@ -1639,24 +1653,10 @@ claim_stack(SearchPhaseObject *sp, long long rank)
     return stack;
 }
 
-/* enter_state(ctx, state): timer.enter(state, now), with now/_seq
- * synced out. */
-static int
-timer_enter(RunCtx *rc, PyObject *time_obj, SearchPhaseObject *sp,
-            PyObject *state)
-{
-    PyObject *r;
-    if (rc_write_now(rc, time_obj) < 0 || rc_write_seq(rc) < 0
-            || (r = PyObject_CallMethodObjArgs(sp->timer, s_enter, state,
-                                               time_obj, NULL)) == NULL)
-        return -1;
-    Py_DECREF(r);
-    return rc_reload_seq(rc);
-}
-
 /* The claim's transitions: states[0] (STEALING) or states[1]. */
 #define claim_timer(rc, time_obj, sp, which) \
-    timer_enter(rc, time_obj, sp, PyTuple_GET_ITEM((sp)->states, which))
+    timer_enter(rc, time_obj, (sp)->timer, \
+                PyTuple_GET_ITEM((sp)->states, which))
 
 /* -- the barrier's members (SearchPhase with `sbarrier` bound) -- */
 
@@ -2101,7 +2101,7 @@ claim_release:
     if (sp->nodes == NULL) {
         /* steal.fail: back to SEARCHING -- or to BARRIER, from it */
         if ((sp->in_barrier
-                ? timer_enter(rc, time_obj, sp, sp->barrier_state)
+                ? timer_enter(rc, time_obj, sp->timer, sp->barrier_state)
                 : claim_timer(rc, time_obj, sp, 1)) < 0)
             return -1;
         goto post_steal;
@@ -2160,7 +2160,7 @@ exit_nowork:
     /* StreamlinedTermination.phase: count the entry, enter BARRIER */
     sp->in_barrier = 1;
     if (dict_add_long(sp->st_dict, s_barrier_entries, 1) < 0
-            || timer_enter(rc, time_obj, sp, sp->barrier_state) < 0)
+            || timer_enter(rc, time_obj, sp->timer, sp->barrier_state) < 0)
         return -1;
 
 barrier_enter:
@@ -2366,19 +2366,7 @@ exit_msg:
 /* process dispatch                                                   */
 /* ------------------------------------------------------------------ */
 
-/* Run a phase's entry/exit callable (sim.now / _seq are synced out). */
-static int
-call_cb(RunCtx *rc, PyObject *cb)
-{
-    PyObject *r = PyObject_CallNoArgs(cb);
-    if (r == NULL)
-        return -1;
-    Py_DECREF(r);
-    return rc_reload_seq(rc);
-}
-
-/* `worker` yielded the phase: bind it, run the enter callback, take
- * the first step -- or, when the phase bounced a value to the worker
+/* `worker` yielded the phase: bind it and take the first step -- or, when the phase bounced a value to the worker
  * and is being re-yielded, resume it where it left off.  sim.now and
  * _seq were synced before the send that yielded us. */
 static int
@@ -2405,23 +2393,19 @@ phase_start(RunCtx *rc, PhaseHead *ph, PyObject *worker, PyObject *time_obj)
     }
     Py_INCREF(worker);
     ph->worker = worker;
-    if (d->enter_cb != 0 && call_cb(rc, SLOT(ph, d->enter_cb)) < 0)
-        return -1;
     return d->run(ph, rc, time_obj, 0);
 }
 
-/* The phase is over: sync now/_seq, run the exit callback, and resume
- * the worker with None at its `yield phase` within this dispatch. */
+/* The phase is over: sync now/_seq and resume the worker with None at
+ * its `yield phase` within this dispatch. */
 static int
 phase_finish(PhaseHead *ph, RunCtx *rc, PyObject *time_obj)
 {
     PyObject *worker = ph->worker;
-    Py_ssize_t exit_cb = ph->desc->exit_cb;
     int r = -1;
     ph->worker = NULL;
     ph->state = 0;
-    if (rc_write_now(rc, time_obj) == 0 && rc_write_seq(rc) == 0
-            && (exit_cb == 0 || call_cb(rc, SLOT(ph, exit_cb)) == 0))
+    if (rc_write_now(rc, time_obj) == 0 && rc_write_seq(rc) == 0)
         r = dispatch_send(rc, worker, Py_None, time_obj);
     Py_DECREF(worker);
     return r;
@@ -3587,8 +3571,8 @@ static PhaseField WorkPhase_fields[] = {
     {"shared_pop", F_OBJ, offsetof(WorkPhaseObject, shared_pop)},
     {"stack", F_OBJ, offsetof(WorkPhaseObject, stack)},
     {"st_dict", F_OBJ, offsetof(WorkPhaseObject, st_dict), &PyDict_Type},
-    {"enter_cb", F_OBJ, offsetof(WorkPhaseObject, enter_cb)},
-    {"exit_cb", F_OBJ, offsetof(WorkPhaseObject, exit_cb)},
+    {"timer", F_OBJ, offsetof(WorkPhaseObject, timer)},
+    {"states", F_OBJ, offsetof(WorkPhaseObject, states), &PyTuple_Type},
     {"tree", F_OBJ, offsetof(WorkPhaseObject, tv.tree)},
     {"delta", F_BUFFER, offsetof(WorkPhaseObject, tv.delta)},
     {"size", F_BUFFER, offsetof(WorkPhaseObject, tv.size)},
@@ -3624,6 +3608,8 @@ work_check(PhaseHead *self)
     if (w->vt.n < w->limit + 1 || w->limit < 1 || w->chunk < 1
             || w->thresh < 1)
         return "bad phase bounds";
+    if (PyTuple_GET_SIZE(w->states) != 2)
+        return "states must be a pair";
     if (w->poll != NULL && w->pending == NULL)
         return "poll needs the pending list it probes";
     if (w->wa != NULL && w->no_work == NULL)
@@ -3653,8 +3639,7 @@ PHASE_TYPE(WorkPhase, WorkPhase_methods, NULL,
            "Fused Working state (AlgorithmBase.working_phase)");
 
 static const PhaseDesc WorkPhase_desc = {
-    "WorkPhase", &WorkPhase_Type, WorkPhase_fields, work_run, work_check,
-    offsetof(WorkPhaseObject, enter_cb), offsetof(WorkPhaseObject, exit_cb)
+    "WorkPhase", &WorkPhase_Type, WorkPhase_fields, work_run, work_check
 };
 
 /* -- SearchPhase ---------------------------------------------------- */
@@ -3829,7 +3814,7 @@ PHASE_TYPE(SearchPhase, SearchPhase_methods, SearchPhase_members,
 
 static const PhaseDesc SearchPhase_desc = {
     "SearchPhase", &SearchPhase_Type, SearchPhase_fields, search_run,
-    search_check, 0, 0
+    search_check
 };
 
 /* -- IdlePhase ------------------------------------------------------ */
@@ -3870,8 +3855,7 @@ PHASE_TYPE(IdlePhase, IdlePhase_methods, NULL,
            "Fused mpi-ws idle wait (backoff polls between messages)");
 
 static const PhaseDesc IdlePhase_desc = {
-    "IdlePhase", &IdlePhase_Type, IdlePhase_fields, idle_run, idle_check,
-    0, 0
+    "IdlePhase", &IdlePhase_Type, IdlePhase_fields, idle_run, idle_check
 };
 
 static const PhaseDesc *const phase_descs[] = {

@@ -206,8 +206,8 @@ def _write_trace(args: argparse.Namespace, sink) -> None:
 def _run_command(args: argparse.Namespace, body) -> int:
     """``run`` and ``serve``: the fault plan and trace sink from the
     shared options, ``body(args, plan, sink)`` -- which runs, prints the
-    command's own lines and returns ``(result, loss line)`` -- then the
-    fault ledger and the trace."""
+    command's own lines and returns ``(result, loss line)`` -- then what
+    ran compiled, the fault ledger and the trace."""
     plan = None
     if args.faults:
         from repro.faults import parse_fault_spec
@@ -219,6 +219,7 @@ def _run_command(args: argparse.Namespace, body) -> int:
 
         sink = TraceSink()
     res, lost = body(args, plan, sink)
+    print(f"compiled: {res.fusion}")
     if res.fault_counters is not None:
         print(lost)
         nz = res.fault_counters.nonzero()

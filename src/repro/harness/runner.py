@@ -207,5 +207,5 @@ def _run(space, threads: int, preset: str, chunk_size: int, build, *,
         per_thread=algo.stats, host_seconds=host_seconds,
         engine_events=machine.sim.events_processed, lost_work=lost_work,
         fault_counters=fault_rt.counters if fault_rt is not None else None,
-        trace=trace)
+        trace=trace, fusion=algo.fusion)
     return algo, dispatcher, cfg, desc, fields

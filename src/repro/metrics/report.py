@@ -9,13 +9,47 @@ steal-rate -- plus a :meth:`verify` check against the sequential count.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Dict, FrozenSet, NamedTuple, Optional
 
 from repro.errors import ProtocolError
 from repro.faults.counters import FaultCounters
 from repro.metrics.counters import AggregateStats, aggregate
 
-__all__ = ["RunResult"]
+__all__ = ["Fusion", "RunResult"]
+
+
+class Fusion(NamedTuple):
+    """Which of a run's states ran compiled (:mod:`repro.fastpath`), as
+    the fusion gate decided it once, at the first thread resume
+    (docs/performance.md, "What each variant fuses").  A member is one
+    compiled stand-in -- ``work`` (``WorkPhase``), ``search``
+    (``SearchPhase``), ``claim`` (its Stealing state), ``barrier`` (its
+    streamlined barrier), ``idle`` (mpi-ws's ``IdlePhase``) -- and a
+    variant's members are in exactly one of ``bound`` and ``declined``.
+    """
+
+    threads: int
+    #: Member -> the ranks that bound it: those the fault plan spares
+    #: that reached the state (a parked rank that never works binds no
+    #: ``work``).
+    bound: Dict[str, int]
+    #: Member -> why the gate declined it on every rank.
+    declined: Dict[str, str]
+    #: The ranks the fault plan kills: they bind no member (fail-stop
+    #: recovery lives in the generators).
+    victims: FrozenSet[int] = frozenset()
+
+    def __str__(self) -> str:
+        bound = ", ".join(f"{m} {n}" for m, n in self.bound.items())
+        out = f"{bound} of {self.threads} ranks" if bound else "nothing"
+        if self.victims and bound:
+            out += f"; fault-plan victims in Python: {len(self.victims)}"
+        reasons: Dict[str, list] = {}
+        for member, why in self.declined.items():
+            reasons.setdefault(why, []).append(member)
+        for why, members in reasons.items():
+            out += f"; {', '.join(members)} declined: {why}"
+        return out
 
 
 @dataclass
@@ -54,6 +88,8 @@ class RunResult:
     #: ``tracer=`` (its ``meta`` filled in by the runner); None when the
     #: run was untraced.  Feed it to :mod:`repro.obs` exporters/analyses.
     trace: Optional[object] = field(default=None, repr=False)
+    #: What ran compiled: the fusion gate's answer, per member.
+    fusion: Optional[Fusion] = field(default=None, repr=False)
 
     # -- derived metrics ----------------------------------------------------
 

@@ -55,17 +55,16 @@ class ServiceAlgorithm(LockBasedAlgorithm):
         svc = self.service
         gate = self._gate
         backoff = SEARCH_BACKOFF_MIN
-        fuse = self._fuses(rank)
+        work = self._fused(rank)["work"] is None
         phase = None
-        sphase = self._compiled(self._build_c_search, rank) if fuse else None
+        sphase = self._compiled("search", rank)
         while True:
             if not stack.is_empty:
-                if fuse:
+                if work:
                     # The compiled Working state, bound at the first
                     # entry as in AlgorithmBase.thread_main; with no
                     # poll point (switch (a) off) it never bounces.
-                    phase = phase or self._compiled(self._build_c_phase,
-                                                    rank)
+                    phase = phase or self._compiled("work", rank)
                     yield phase
                 else:
                     yield from self.working_phase(ctx)

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.faults.counters import FaultCounters
 from repro.metrics.counters import AggregateStats, aggregate
+from repro.metrics.report import Fusion
 
 __all__ = ["ServiceResult", "percentile"]
 
@@ -71,6 +72,7 @@ class ServiceResult:
     engine_events: int = 0
     fault_counters: Optional[FaultCounters] = field(default=None, repr=False)
     trace: Optional[object] = field(default=None, repr=False)
+    fusion: Optional[Fusion] = field(default=None, repr=False)
 
     # -- derived -------------------------------------------------------------
 

@@ -23,10 +23,12 @@ and requests only when it touches its stack bookkeeping.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Generator, List, Optional
 
 from repro.errors import ConfigError, ProtocolError
 from repro.metrics.counters import ThreadStats
+from repro.metrics.report import Fusion
 from repro.metrics.states import (BARRIER, SEARCHING, STEALING, WORKING,
                                    StateTimer)
 from repro.pgas.collectives import reduction_time
@@ -36,11 +38,12 @@ from repro.uts.tree import Tree
 from repro.ws.config import (BARRIER_POLL_MAX, BARRIER_POLL_MIN,
                               SEARCH_BACKOFF_FACTOR, SEARCH_BACKOFF_MAX,
                               SEARCH_BACKOFF_MIN, WsConfig)
-from repro.ws.policies import ProbeOrder, ProbeScan, StealAmount
+from repro.ws.policies import (ProbeScan, StealAmount, steal_all, steal_half,
+                               steal_one)
 from repro.ws.registry import lookup
 from repro.ws.stack import SplitStack
 
-__all__ = ["AlgorithmBase", "NO_WORK", "flatten"]
+__all__ = ["AlgorithmBase", "NO_WORK", "flatten", "overridden"]
 
 #: ``work_avail`` sentinel: the thread has no work at all (Sect. 3.3.1
 #: relies on distinguishing this from "working with no surplus" == 0).
@@ -54,18 +57,43 @@ _T0 = Timeout(0.0)
 
 
 #: The claim members of a ``SearchPhase`` that bounces every steal
-#: attempt (:meth:`AlgorithmBase._search_claim`).
+#: attempt to :meth:`AlgorithmBase.try_steal` (``claim`` declined).
 _NO_CLAIM = dict.fromkeys(("locks", "stacks", "algo_dict", "steal",
                            "claim_costs", "states"))
 #: The barrier members of a ``SearchPhase`` that ends where its search
-#: gives up (:meth:`AlgorithmBase._search_barrier`).
+#: gives up (``barrier`` declined).
 _NO_BARRIER = dict.fromkeys(("sbarrier", "barrier_state",
                              "barrier_lock_costs"))
+#: The steal amounts the compiled claim computes itself, by its key.
+_C_STEAL = {steal_one: "one", steal_half: "half", steal_all: "all"}
+#: The binder of each compiled member (``_c_phases`` keys): ``claim``
+#: and ``barrier`` ride in the rank's ``SearchPhase``.
+_BINDER = {"work": "_build_c_phase", "search": "_build_c_search",
+           "claim": "_build_c_search", "barrier": "_build_c_search",
+           "idle": "_build_c_idle"}
+#: The fusion gate's answer on a rank the fault plan kills.
+_KILLED = dict.fromkeys(_BINDER, "killed by the fault plan")
 
 
 def flatten(chunks: List[List]) -> List:
     """Concatenate stolen chunks into one node list."""
     return [node for chunk in chunks for node in chunk]
+
+
+def overridden(stock, *classes) -> Optional[str]:
+    """The one "is this method still stock" test: why a
+    :attr:`AlgorithmBase._COMPILED` entry declines -- the first
+    ``"Owner.method"`` a class of ``classes`` overrides (``cls.method is
+    not Owner.method``), or the entry itself if a string -- else None."""
+    if isinstance(stock, str):
+        return stock
+    for entry in stock:
+        owner, name = entry.split(".")
+        for cls in classes:
+            base = next((c for c in cls.__mro__ if c.__name__ == owner), None)
+            if base and getattr(cls, name) is not getattr(base, name):
+                return f"{cls.__name__} overrides {entry}"
+    return None
 
 
 class AlgorithmBase:
@@ -120,6 +148,16 @@ class AlgorithmBase:
     #: (d) Owner-side ``hook(rank, releasing)`` run between a stack move
     #: and its ``work_avail`` publish (``ws-fencefree``'s put/take).
     _after_move = None
+    #: The fusion gate's table (:meth:`_fusion_gate`): each compiled
+    #: member this class runs with the stock methods its C code
+    #: transliterates (:func:`overridden` on the run's class and probe
+    #: orders), or why it never binds.  A variant extends it.
+    _COMPILED = {
+        "work": ("AlgorithmBase.working_phase",),
+        "search": ("AlgorithmBase.search_phase", "ProbeOrder.cycle"),
+        "claim": "its claim is Python: each attempt bounces to try_steal",
+        "barrier": ("AlgorithmBase.termination_phase", "ProbeOrder.one"),
+    }
 
     def __init__(self, machine: Machine, tree: Tree, cfg: WsConfig) -> None:
         self.machine = machine
@@ -244,16 +282,13 @@ class AlgorithmBase:
         self._termination = lookup(
             "termination",
             cfg.termination_policy or self.termination_policies[0])(self)
-        #: Compiled-phase fusion (repro.fastpath): None = undecided (the
-        #: gates are checked at the first thread resume, after the
-        #: adversaries install), else whether the C state machines
-        #: replace the generators -- on every rank but ``_unfused``,
-        #: the ranks a fail-stop plan kills (their recovery lives in
-        #: the generators).  ``_c_phases`` caches the per-rank phase
-        #: objects, built on demand; ``_c_templates`` one phase per
-        #: type bound to what every rank binds alike, built at the
-        #: first bind: each rank's phase is a ``copy()`` of it.
-        self._fuse = None
+        #: Compiled-phase fusion (repro.fastpath): the gate's answer
+        #: (:meth:`_fused`), None until the first ask; ``_unfused``, the
+        #: ranks a fail-stop plan kills.  ``_c_phases`` caches the
+        #: per-rank phase objects, built on demand; ``_c_templates`` one
+        #: phase per type bound to what every rank binds alike, built
+        #: at the first bind: each rank's phase is a ``copy()`` of it.
+        self._fusion = None
         rt = self.faults_rt
         self._unfused = frozenset(
             () if rt is None else (r for r, _ in rt.kill_schedule))
@@ -306,15 +341,15 @@ class AlgorithmBase:
         request needs the Python service path.
         """
         rank = ctx.rank
-        fuse = self._fuses(rank)
+        work = self._fused(rank)["work"] is None
         phase = None
-        sphase = self._compiled(self._build_c_search, rank) if fuse else None
+        sphase = self._compiled("search", rank)
         while True:
             if not self.stacks[rank].is_empty:
-                if fuse:
+                if work:
                     # bound at the first Working entry: most ranks of a
                     # large parked machine never get there
-                    phase = phase or self._compiled(self._build_c_phase, rank)
+                    phase = phase or self._compiled("work", rank)
                     res = yield phase
                     while res is not None:
                         yield from self.service_request(ctx)
@@ -830,60 +865,103 @@ class AlgorithmBase:
 
     # -- compiled-phase fusion (repro.fastpath) -----------------------------
 
-    def _fuses(self, rank: int) -> bool:
-        """Whether ``rank`` runs the compiled phases: the run's gates
-        (:meth:`_fusion_enabled`, read once, at the first thread
-        resume) and not a rank the fault plan kills."""
-        fuse = self._fuse
-        if fuse is None:
-            fuse = self._fuse = self._fusion_enabled()
-        return fuse and rank not in self._unfused
+    def _fused(self, rank: Optional[int] = None) -> dict:
+        """The fusion gate's answer, member -> None (bound) or why not:
+        the run's, decided at the first ask (the first thread resume,
+        after the adversaries install), but every member declined on a
+        ``rank`` the fault plan kills.  Every binder reads it."""
+        answer = self._fusion
+        if answer is None:
+            answer = self._fusion = self._fusion_gate()
+        return _KILLED if rank in self._unfused else answer
 
-    def _fusion_enabled(self) -> bool:
-        """Whether the compiled phases may replace the generators.
-
-        Every gate guards a behaviour the C state machines do not
-        reproduce: a fused phase is exactly the trace-off generator
-        over the materialised layout (a ``MaterializedTree``, or a
-        service stream's workload over its task forest; under either
-        idle strategy: the compiled Working state tells the idle gate
-        what the generator does), so anything else -- a fault class
-        beyond fail-stop and slowdown (message, stall and stale faults
-        roll their draws in the generators), tracing, a search space
-        without ``delta``/``size`` arrays, or (per protocol,
-        :meth:`_fusable`) an override of a method the C code stands in
-        for -- falls back to the generator.  A fail-stop plan leaves
-        its victims alone (:attr:`_unfused`, per rank in
-        :meth:`_fuses`): a rank that never dies journals nothing anyone
-        reads, and a slowed rank's multiplier is in every cost it is
-        handed.  The schedules are bit-identical either way; only host
-        speed differs.
-        """
+    def _fusion_gate(self) -> dict:
+        """The one fusion gate: each member of :attr:`_COMPILED`, None
+        or why it declines (docs/performance.md, "What each variant
+        fuses").  A fused phase is the trace-off generator over the
+        materialised layout, so the first block declines every member
+        for anything else -- the idle gate is not among them: it is a
+        switch of the compiled phases.  Then each member's own rules; a
+        claim and a barrier ride in the search's phase.  Schedules are
+        bit-identical either way; only host speed differs."""
+        from repro.ws.termination.cancelable_barrier import CancelableBarrier
+        from repro.ws.termination.strategies import (
+            CancelableBarrierTermination, StreamlinedTermination)
+        table = self._COMPILED
+        cls = type(self)
         rt = self.faults_rt
-        if (self.sim._crun is None
-                or (rt is not None and rt.plan.non_failstop_classes)
-                or self.tracer.enabled
-                or self._visit_timeouts is None
-                or getattr(self.tree, "delta", None) is None):
-            return False
-        return self._fusable()
+        term = self._termination
+        if self.sim._crun is None:
+            why = "a Python run loop (pure backend, tie-break or bucket queue)"
+        elif rt is not None and rt.plan.non_failstop_classes:
+            why = ("fault classes beyond fail-stop and slowdown: "
+                   + ", ".join(rt.plan.non_failstop_classes))
+        elif self.tracer.enabled:
+            why = "traced (a trace sink or the invariant monitor)"
+        elif self._visit_timeouts is None:
+            why = "a visit costs no simulated time"
+        elif getattr(self.tree, "delta", None) is None:
+            why = "the search space is not materialised"
+        elif self._after_move is not None:
+            why = "an after-move hook"
+        else:
+            why = overridden(table["work"], cls)
+        if why is None and self._after_release_hook and not (
+                type(term) is CancelableBarrierTermination
+                and type(term.barrier) is CancelableBarrier):
+            why = f"a release-reset by {type(term).__name__}"
+        if why is not None:
+            return dict.fromkeys(table, why)
+        answer = dict.fromkeys(table)
+        if "search" in table:
+            kinds = {(type(po), type(po._rng)): po for po in self.probe_orders}
+            orders = {order for order, _ in kinds}
+            search = overridden(table["search"], cls, *orders)
+            if (search is None
+                    and (self._gate is None or not term.park_capable)
+                    and any(po.getrandbits is None for po in kinds.values())):
+                search = "a probe stream without getrandbits"
+            claim = search or overridden(table["claim"], cls) or (
+                "a steal amount the compiled claim does not compute"
+                if self.steal_amount not in _C_STEAL
+                else "a greedy-thief adversary" if self._rank_steal is not None
+                else "a duplicating-steal adversary"
+                if self._dup_ranks is not None else None)
+            barrier = search or (
+                f"{type(term).__name__} has no compiled barrier"
+                if type(term) is not StreamlinedTermination
+                else overridden(table["barrier"], cls, *orders))
+            answer.update(search=search, claim=claim, barrier=barrier)
+        if "idle" in table:
+            answer["idle"] = overridden(table["idle"], cls) or (
+                "a fault plan (the C wait times no steal out)"
+                if rt is not None
+                else "park (the wait is a blocking recv)"
+                if self._gate is not None else None)
+        return answer
 
-    def _fusable(self) -> bool:
-        """The protocol's own fusion gates, stated from the switches:
-        the compiled phase takes (a)-(c) but knows no after-move hook,
-        and a subclass that replaces :meth:`working_phase` keeps its
-        own."""
-        return (self._after_move is None
-                and type(self).working_phase is AlgorithmBase.working_phase)
+    @property
+    def fusion(self) -> Fusion:
+        """What this run ran compiled: the gate's answer, with the ranks
+        that bound each member it bound."""
+        answer = self._fused()
+        binds = Counter(binder for binder, _ in self._c_phases)
+        return Fusion(self.machine.n_threads,
+                      {m: binds[_BINDER[m]] for m, why in answer.items()
+                       if why is None},
+                      {m: why for m, why in answer.items() if why},
+                      self._unfused)
 
-    def _compiled(self, build, rank: int):
-        """``build(rank)`` -- one of the ``_build_c_*`` binders -- once
-        per rank: a compiled phase is bound to that rank's objects and
-        reused across episodes.  None when the binder declines."""
-        key = (build.__name__, rank)
+    def _compiled(self, member: str, rank: int):
+        """``rank``'s compiled phase for ``member``, or None where the
+        gate declines it: bound by the member's ``_build_c_*`` binder at
+        the first ask, and reused across episodes."""
+        if self._fused(rank)[member] is not None:
+            return None
+        key = (_BINDER[member], rank)
         ph = self._c_phases.get(key)
-        if ph is None and (ph := build(rank)) is not None:
-            self._c_phases[key] = ph
+        if ph is None:
+            ph = self._c_phases[key] = getattr(self, key[0])(rank)
         return ph
 
     def _build_c_phase(self, rank: int):
@@ -894,7 +972,7 @@ class AlgorithmBase:
         its batches states that as ``ledger`` (a service workload's
         per-task drain tables), and the phase books them the same way.
         The phase makes both ``work_avail`` pokes around the loop
-        itself; the callbacks are the two state-timer transitions.
+        itself, and the two state-timer transitions on ``timer``.
         Nothing bound is O(threads), and only this rank's members are
         handed over: the phase is a ``copy()`` of the run's template
         (:meth:`_work_shared` holds the rest).
@@ -903,10 +981,8 @@ class AlgorithmBase:
         precomputed Timeouts carry (``Timeout.delay`` read back, not
         recomputed), so the C phase schedules the identical timestamps.
         """
-        sim = self.sim
         stack = self.stacks[rank]
         st = self.stats[rank]
-        enter = st.timer.enter
         # keyed as the tables are: a slowed rank's costs are not its
         # speed class's
         key = (self.t_node_of(rank), self.machine.contexts[rank]._slow)
@@ -925,8 +1001,7 @@ class AlgorithmBase:
             "shared_pop": stack.shared.pop,
             "stack": stack,
             "st_dict": st.__dict__,
-            "enter_cb": lambda: enter(WORKING, sim.now),
-            "exit_cb": lambda: enter(SEARCHING, sim.now),
+            "timer": st.timer,
             "visit_costs": costs,
             "req_slot": (self.request[rank] if self.request is not None
                          else None),
@@ -942,12 +1017,13 @@ class AlgorithmBase:
 
     def _work_shared(self) -> dict:
         """What every rank's ``WorkPhase`` binds alike: the tree, the
-        bounds, the gate (with switch (b)), the cancelable barrier a
-        release resets (with (c)) and the drain ledger."""
+        bounds, the states it enters and leaves, the gate (with switch
+        (b)), the cancelable barrier a release resets (with (c)) and the
+        drain ledger."""
         gate = self._gate if self._publishes_avail else None
         barrier = None
         if self._own_lock is not None and self._after_release_hook:
-            barrier = self._termination.barrier  # the stock one: _fusable
+            barrier = self._termination.barrier  # the gate's: the stock one
         task_of, outstanding, task_nodes, drained = getattr(
             self.tree, "ledger", None) or (None,) * 4
         return dict(
@@ -957,6 +1033,7 @@ class AlgorithmBase:
             chunk=self.cfg.chunk_size,
             thresh=self._release_threshold,
             limit=self._poll_interval,
+            states=(WORKING, SEARCHING),
             no_work=NO_WORK,
             gate=gate,
             gate_cat=gate._cat if gate is not None else None,
@@ -980,10 +1057,7 @@ class AlgorithmBase:
 
     def _build_c_search(self, rank: int):
         """Bind one ``repro.fastpath._core.SearchPhase`` to this rank's
-        probe order, cost bounds, work-avail slots, and poll slot -- or
-        None (the generator search runs) when a subclass replaces
-        :meth:`search_phase` or the probe order does not state its
-        victims as segments over a ``getrandbits`` stream.
+        probe order, cost bounds, work-avail slots, and poll slot.
 
         Each ``cycle()`` is ``shuffled(seg) for seg in segments()``,
         concatenated: the C round shuffles the fresh ``array('i')`` in
@@ -994,32 +1068,21 @@ class AlgorithmBase:
         through the ``scan_probe`` kernel, opened only on visible
         surplus, with parks on ``gate`` between rounds.  A ``req_slot``
         makes the C round-top (and wake) test the request variable and
-        bounce ``True`` for :meth:`service_request`.  The claim members
-        come from :meth:`_search_claim`: bound, the phase runs the
-        Stealing state itself; all None (the default, and whenever a
-        lock-based protocol's claim is not stock), every steal attempt
-        bounces the victim's rank to :meth:`try_steal`.  The claim
-        tells ``gate`` of a victim's advert in either mode.  The barrier
-        members come from :meth:`_search_barrier`: bound, a search
-        that gives up goes on into the streamlined barrier in C, its
-        ``one()`` draws from ``rng``.
+        bounce ``True`` for :meth:`service_request`.  The claim and
+        barrier members are the gate's (:meth:`_search_shared`); the
+        barrier's ``one()`` draws from ``rng``.
 
         Only this rank's members are handed over: the phase is a
         ``copy()`` of the run's template (:meth:`_search_shared`).
         """
         po = self.probe_orders[rank]
-        if (type(po).cycle is not ProbeOrder.cycle
-                or type(self).search_phase is not AlgorithmBase.search_phase):
-            return None
         scan = segments = getrandbits = None
         if self._gate is not None and self._termination.park_capable:
             # the scan reads the stream at its first draw: a rank that
             # never scans never seeds one (a Mersenne Twister is 2.5 KB)
             scan = po.scan
-        elif (getrandbits := po.getrandbits) is not None:
-            segments = po.segments
         else:
-            return None
+            segments, getrandbits = po.segments, po.getrandbits
         st = self.stats[rank]
         kw = {
             "st_dict": st.__dict__,
@@ -1038,8 +1101,27 @@ class AlgorithmBase:
                               kw).copy(**kw)
 
     def _search_shared(self) -> dict:
-        """What every rank's ``SearchPhase`` binds alike."""
+        """What every rank's ``SearchPhase`` binds alike: with ``claim``
+        bound, ``LockBasedAlgorithm._claim``'s members (``states`` are
+        the transitions around an attempt, on the thief's timer); with
+        ``barrier``, the stock streamlined detector's."""
         gate = self._gate
+        fused = self._fused()
+        claim, barrier = _NO_CLAIM, _NO_BARRIER
+        if fused["claim"] is None:
+            claim = dict(locks=self.stack_locks, stacks=self.stacks,
+                         algo_dict=self.__dict__,
+                         steal=_C_STEAL[self.steal_amount],
+                         claim_costs=self.net.steal_cost_terms(),
+                         states=(STEALING, SEARCHING))
+        if fused["barrier"] is None:
+            barrier = dict(
+                sbarrier=self._termination.barrier.__dict__,
+                barrier_state=BARRIER,
+                # net.lock_cost from the lock's home (rank 0) itself, its
+                # node and any other
+                barrier_lock_costs=self.net.steal_cost_terms()[:3],
+            )
         return dict(
             slots=self._wa_slots,
             backoff_min=SEARCH_BACKOFF_MIN,
@@ -1051,39 +1133,8 @@ class AlgorithmBase:
             poll_min=BARRIER_POLL_MIN,
             poll_max=BARRIER_POLL_MAX,
             recover=self.faults_rt is not None,
-            **self._search_claim(),
-            **self._search_barrier(),
-        )
-
-    def _search_claim(self) -> dict:
-        """The claim members every rank's ``SearchPhase`` binds: here
-        none, so every steal attempt bounces to :meth:`try_steal`."""
-        return _NO_CLAIM
-
-    def _search_barrier(self) -> dict:
-        """The barrier members every rank's ``SearchPhase`` binds: the
-        stock :class:`~repro.ws.termination.strategies.StreamlinedTermination`
-        detector's, whose phase then runs in C where the search gives
-        up, bouncing only the declaration, a request's service and a
-        steal it does not claim.  None of them (``sbarrier`` None: the
-        search ends there and :meth:`termination_phase` runs as a
-        generator) for another detector, a :meth:`termination_phase`
-        override, or a probe order whose ``one()`` is not stock
-        (``upc-distmem-hier``)."""
-        from repro.ws.termination.strategies import StreamlinedTermination
-        term = self._termination
-        if (type(term) is not StreamlinedTermination
-                or (type(self).termination_phase
-                    is not AlgorithmBase.termination_phase)
-                or any(type(po).one is not ProbeOrder.one
-                       for po in self.probe_orders)):
-            return _NO_BARRIER
-        return dict(
-            sbarrier=term.barrier.__dict__,
-            barrier_state=BARRIER,
-            # net.lock_cost from the lock's home (rank 0) itself, its
-            # node and any other
-            barrier_lock_costs=self.net.steal_cost_terms()[:3],
+            **claim,
+            **barrier,
         )
 
     def _search_fused(self, ctx: UpcContext, phase) -> Generator:

@@ -24,21 +24,26 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.metrics.states import SEARCHING, STEALING
 from repro.sim.engine import Timeout
-from repro.ws.algorithms.base import AlgorithmBase, flatten
-from repro.ws.policies import steal_all, steal_half, steal_one
+from repro.ws.algorithms.base import AlgorithmBase, flatten, overridden
 
 __all__ = ["LockBasedAlgorithm", "UpcSharedMem", "UpcTerm", "UpcTermRapdif"]
-
-#: The steal amounts the compiled claim computes itself, by its key.
-_C_STEAL = {steal_one: "one", steal_half: "half", steal_all: "all"}
 
 
 class LockBasedAlgorithm(AlgorithmBase):
     """The locking steal for algorithms with lock-guarded stacks; the
     owner's own-lock transactions are :meth:`AlgorithmBase.working_phase`
     with switch (c) set."""
+
+    #: The fusion gate's table: the claim runs compiled too, and the
+    #: Working state knows the stock ``after_release`` alone.
+    _COMPILED = {
+        **AlgorithmBase._COMPILED,
+        "work": ("AlgorithmBase.working_phase",
+                 "LockBasedAlgorithm.after_release"),
+        "claim": ("LockBasedAlgorithm._claim", "AlgorithmBase.try_steal",
+                  "AlgorithmBase._steal_landed"),
+    }
 
     def setup(self) -> None:
         self.stack_locks = self.machine.lock_array("stack_lock")
@@ -53,63 +58,14 @@ class LockBasedAlgorithm(AlgorithmBase):
                  for r, lk in enumerate(self.stack_locks)]
         self._own_lock = [(lk, Timeout(lc) if lc > 0 else None)
                           for lk, lc in zip(self.stack_locks, costs)]
-        #: What the compiled claim prices a thief's lock and transfer
-        #: by (one tuple for every rank's ``SearchPhase``).
-        self._steal_costs = self.net.steal_cost_terms()
         # The cancelable barrier resets on every release; other
         # termination policies (and subclasses without an override)
         # leave the hook off, so a release skips the generator round
         # trip entirely.
         self._after_release_hook = (
             self._termination.resets_on_release
-            or type(self).after_release is not LockBasedAlgorithm.after_release)
-
-    # -- compiled working-phase fusion (repro.fastpath) -----------------------
-
-    def _fusable(self) -> bool:
-        """Behind switch (c) the compiled phase knows at most the stock
-        cancelable barrier's release-reset, so an ``after_release``
-        override or a custom termination detector keeps the
-        generator."""
-        if (not super()._fusable() or type(self).after_release
-                is not LockBasedAlgorithm.after_release):
-            return False
-        if self._after_release_hook:
-            from repro.ws.termination.cancelable_barrier import (
-                CancelableBarrier,
-            )
-            from repro.ws.termination.strategies import (
-                CancelableBarrierTermination,
-            )
-            term = self._termination
-            return (type(term) is CancelableBarrierTermination
-                    and type(term.barrier) is CancelableBarrier)
-        return True
-
-    def _search_claim(self) -> dict:
-        """:meth:`_claim` for the compiled ``SearchPhase``, bound when
-        everything it reproduces is stock: this ``_claim``, the base's
-        ``try_steal`` and ``_steal_landed``, a steal amount of
-        :data:`_C_STEAL`, and no greedy or duplicating adversary rank.
-        Otherwise the phase bounces every attempt here.  ``states``
-        are :meth:`enter_state`'s transitions around the attempt, made
-        on the thief's state timer."""
-        cls = type(self)
-        steal = _C_STEAL.get(self.steal_amount)
-        if (steal is None or self._rank_steal is not None
-                or self._dup_ranks is not None
-                or cls._claim is not LockBasedAlgorithm._claim
-                or cls.try_steal is not AlgorithmBase.try_steal
-                or cls._steal_landed is not AlgorithmBase._steal_landed):
-            return super()._search_claim()
-        return dict(
-            locks=self.stack_locks,
-            stacks=self.stacks,
-            algo_dict=self.__dict__,
-            steal=steal,
-            claim_costs=self._steal_costs,
-            states=(STEALING, SEARCHING),
-        )
+            or overridden(("LockBasedAlgorithm.after_release",),
+                          type(self)) is not None)
 
     def after_release(self, ctx) -> Generator:
         """Per-release hook, owned by the termination policy (the

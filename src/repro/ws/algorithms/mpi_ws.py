@@ -58,6 +58,9 @@ class MpiWorkStealing(AlgorithmBase):
     # would corrupt the count the protocol is supposed to conserve.
     droppable_tags = frozenset({REQUEST, NOWORK, TOKEN})
     duplicable_tags = frozenset({REQUEST, NOWORK, TOKEN})
+    #: The fusion gate's table: the Working state, and the idle wait
+    #: in place of the probe search.
+    _COMPILED = {"work": ("AlgorithmBase.working_phase",), "idle": ()}
 
     def setup(self) -> None:
         self.world = MsgWorld(self.machine)
@@ -307,11 +310,12 @@ class MpiWorkStealing(AlgorithmBase):
           keep 4096 mostly idle ranks at the floor cadence).  Still
           O(messages), not O(active): the paper's one-sided versus
           two-sided contrast, measurable in E11.
-        * ``phase``, the compiled wait, bound only when neither switch
-          is on: during an idle wait the only observable change is a
-          message landing in our mailbox -- token and request state
-          mutate only inside our own iterations -- so the backoff polls
-          between iterations run in C against the mailbox heap alone.
+        * ``phase``, the compiled wait, where the fusion gate binds
+          ``idle`` (never under either switch): during an idle wait the
+          only observable change is a message landing in our mailbox --
+          token and request state mutate only inside our own
+          iterations -- so the backoff polls between iterations run in
+          C against the mailbox heap alone.
         """
         rank = ctx.rank
         if self.machine.n_threads == 1:
@@ -322,11 +326,7 @@ class MpiWorkStealing(AlgorithmBase):
         ep = self.endpoints[rank]
         rt = self.faults_rt
         gate = self._gate if rt is None else None
-        # neither switch: the C wait has no steal timeout and no
-        # suspicion test, and a gate's wait is the blocking recv
-        phase = (self._compiled(self._build_c_idle, rank)
-                 if rt is None and gate is None and self._fuses(rank)
-                 else None)
+        phase = self._compiled("idle", rank)
         duties = self._token_duties if rt is None else self._safra_duties
         tr = self.tracer
         backoff = SEARCH_BACKOFF_MIN
@@ -580,12 +580,12 @@ class MpiWorkStealing(AlgorithmBase):
     def thread_main(self, ctx: UpcContext) -> Generator:
         st = self.stats[ctx.rank]
         rank = ctx.rank
-        fuse = self._fuses(rank)
+        work = self._fused(rank)["work"] is None
         phase = None
         while True:
             if not self.stacks[rank].is_empty:
-                if fuse:  # the phase is bound at the first Working entry
-                    phase = phase or self._compiled(self._build_c_phase, rank)
+                if work:  # the phase is bound at the first Working entry
+                    phase = phase or self._compiled("work", rank)
                     # Compiled working phase: the C state machine runs
                     # the poll/visit/release/reacquire loop (identical
                     # yields and counters to working_phase) and bounces
@@ -610,15 +610,10 @@ class MpiWorkStealing(AlgorithmBase):
 
     def _build_c_idle(self, rank: int):
         """Bind one ``repro.fastpath._core.IdlePhase`` to this rank's
-        mailbox heap: the backoff polls between messages run in C and
-        every arrival bounces back to the Python idle iteration.
-
-        The C loop only ever *reads* the heap head (the
-        ``_take_delivered`` fast path); popping a delivered message --
-        and everything that follows -- stays in the Python iteration.
-        """
-        from repro.fastpath import load_core
-        return load_core().IdlePhase(
+        mailbox heap: the backoff polls between messages run in C, which
+        only reads the heap head; every arrival bounces back to the
+        Python idle iteration."""
+        return self._core.IdlePhase(
             pending=self.world._pending[rank],
             backoff_min=SEARCH_BACKOFF_MIN,
             backoff_factor=SEARCH_BACKOFF_FACTOR,

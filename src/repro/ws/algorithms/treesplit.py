@@ -54,6 +54,8 @@ class TreeSplit(AlgorithmBase):
     #: imbalance cannot run away, large enough that barrier cost
     #: amortizes (the E14 ablation quantifies the trade).
     round_batches = 4
+    #: The fusion gate's table: nothing compiled stands in for a round.
+    _COMPILED = {"work": "rounds call explore_batch: no Working state"}
 
     def setup(self) -> None:
         # Work never moves through the shared region outside a
@@ -65,11 +67,6 @@ class TreeSplit(AlgorithmBase):
         self._done = False
         #: round number -> SimEvent the waiters of that round park on.
         self._round_events: dict = {}
-
-    def _fusable(self) -> bool:
-        """Rounds call ``explore_batch`` directly: there is no Working
-        state for a compiled phase to stand in for."""
-        return False
 
     def thread_main(self, ctx) -> Generator:
         rank = ctx.rank

@@ -48,7 +48,8 @@ def tree():
 
 class AlgoSpy(TraceSink):
     """A disabled tracer (an enabled one is a fusion gate) that keeps
-    the algorithm instance it was attached to."""
+    the algorithm instance it was attached to -- and, set by the cell
+    that ran it, the run's ``result``."""
 
     def __init__(self):
         super().__init__(enabled=False)
@@ -72,8 +73,8 @@ def run_snapshot(algo, tree, backend, threads=16, spy=None, **kw):
     """Everything a run reports that is a function of the schedule
     (under park, the idle gate's lifetime counters too)."""
     spy = spy or AlgoSpy()
-    r = run_experiment(algo, tree, threads, seed=0, fastpath=backend,
-                       tracer=spy, **kw)
+    r = spy.result = run_experiment(algo, tree, threads, seed=0,
+                                    fastpath=backend, tracer=spy, **kw)
     gate = spy.algo._gate
     return (r.total_nodes, r.engine_events, repr(r.sim_time), r.lost_work,
             per_thread(r), gate and (gate.parks, gate.wakes, gate.deaths))
@@ -97,7 +98,7 @@ def claim_pair(variant, bounces, threads, tree=SMALL, **kw):
                   repr(lk.busy_time)) for lk in spy.algo.stack_locks]
         legs[backend] = (snap, locks)
     assert legs["fast"] == legs["pure"]
-    assert spy.algo._fuse and bounces == []
+    assert "claim" in spy.result.fusion.bound and bounces == []
     assert sum(p[3] for p in legs["fast"][0][4]) > 0  # steals landed
     return legs["fast"]
 
@@ -196,15 +197,15 @@ def park_counts(monkeypatch):
 
 
 def park_pair(algo, tree, counts, threads=16, **kw):
-    """One park cell on both backends; returns the compiled leg's
-    algorithm after checking it did not run the generator's loop."""
+    """One park cell on both backends; returns the compiled leg's spy
+    after checking it did not run the generator's loop."""
     pure = run_snapshot(algo, tree, "pure", threads, **kw)
     assert counts["c_scans"] == 0 and not counts["bound"]
     counts["py_working"] = 0
     spy = AlgoSpy()
     fast = run_snapshot(algo, tree, "fast", threads, spy=spy, **kw)
     assert fast == pure
-    return spy.algo, pure
+    return spy, pure
 
 
 def test_park_cells_cut_scans_short_and_leave_ranks_unbound(
@@ -219,7 +220,8 @@ def test_park_cells_cut_scans_short_and_leave_ranks_unbound(
     assert park_counts["cut_short"] > 0
     assert 1 < len(park_counts["bound"]) < 256
     assert set(range(256)) - park_counts["bound"] == {
-        st.rank for st in compiled.stats if not st.nodes_visited}
+        st.rank for st in compiled.result.per_thread if not st.nodes_visited}
+    assert compiled.result.fusion.bound["work"] == len(park_counts["bound"])
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -237,7 +239,7 @@ def test_park_with_speed_factors(park_counts):
                    speed_factors=(1.0, 2.5) * 4)
     compiled, _ = park_pair("upc-term-rapdif", SMALL, park_counts,
                             threads=8, config=cfg)
-    assert len(compiled._visit_costs) == 2  # not one per bound rank
+    assert len(compiled.algo._visit_costs) == 2  # not one per bound rank
     assert len(park_counts["bound"]) > 2
 
 
@@ -252,7 +254,7 @@ def test_park_under_a_kill_plan_runs_the_c_kernel(park_counts):
                    faults=parse_fault_spec("kill=3@0.0002,slow=2@4", seed=0))
     compiled, snap = park_pair("upc-distmem", SMALL, park_counts,
                                threads=8, config=cfg)
-    assert compiled._fuse is True and compiled._unfused == {3}
+    assert compiled.result.fusion.victims == {3}
     assert 3 not in park_counts["bound"] and 2 in park_counts["bound"]
     assert park_counts["py_working"] > 0 and park_counts["c_scans"] > 0
     assert snap[5][2] == 1  # the gate saw the death
@@ -317,7 +319,7 @@ def test_poll_search_pins_no_per_rank_lists():
         before = long_lists()
         machine.sim.run(until=2e-4)
         assert machine.sim.events_processed > n  # every rank has run
-        assert algo._fuse is (backend == "fast")
+        assert bool(algo.fusion.bound) is (backend == "fast")
         after = long_lists()
         new = [o for o in after if not any(o is b for b in before)]
         scans = [o for o in gc.get_objects() if type(o) is ProbeScan]
@@ -381,10 +383,10 @@ def test_malformed_segments_are_refused_by_name(monkeypatch, case, idle):
 def test_stream_without_getrandbits_falls_back_to_cycle(tree, monkeypatch):
     """The compiled search phase has one victim source: the probe
     order's segments, shuffled natively over the stream's public
-    ``getrandbits``.  Over a stream that has none, no ``SearchPhase``
-    is bound and the generator search calls ``cycle()`` per round --
-    same draws either way, so the schedule must not move."""
-    from repro.ws.algorithms.base import AlgorithmBase
+    ``getrandbits``.  Over a stream that has none, the gate declines
+    the search (and the claim and barrier it carries), and the generator
+    search calls ``cycle()`` per round -- same draws either way, so the
+    schedule must not move."""
     from repro.ws.policies import ProbeOrder
     from repro.ws.registry import VICTIM_POLICIES
 
@@ -394,17 +396,16 @@ def test_stream_without_getrandbits_falls_back_to_cycle(tree, monkeypatch):
             self.randrange = rng.randrange
 
     stock = run_snapshot("upc-distmem", tree, "fast", chunk_size=8)
-    bound = []
-    real = AlgorithmBase._build_c_search
-    monkeypatch.setattr(
-        AlgorithmBase, "_build_c_search",
-        lambda self, rank: bound.append(real(self, rank)) or bound[-1])
     monkeypatch.setitem(
         VICTIM_POLICIES, "uniform",
         lambda rank, n, rng, net: ProbeOrder(rank, n, OpaqueStream(rng)))
-    assert run_snapshot("upc-distmem", tree, "fast", chunk_size=8) == stock
-    # asked once per rank (so the run fused), declined every time
-    assert len(bound) == 16 and all(b is None for b in bound)
+    spy = AlgoSpy()
+    assert run_snapshot("upc-distmem", tree, "fast", spy=spy,
+                        chunk_size=8) == stock
+    fusion = spy.result.fusion
+    assert set(fusion.bound) == {"work"} and fusion.bound["work"] > 0
+    assert fusion.declined == dict.fromkeys(
+        ("search", "claim", "barrier"), "a probe stream without getrandbits")
 
 
 def test_backends_actually_differ(tree):
@@ -468,9 +469,9 @@ def gated_pair(seen, snapshot):
     """``snapshot(backend, spy)`` on both backends: one schedule, the
     same stack-lock counters, nothing left in flight -- and, on the
     compiled leg, the search of every rank the fault plan leaves alone
-    bound in C (its generator never ran) and, where the protocol's
-    claim is stock, not one claim of theirs run in Python.  Returns the
-    compiled leg's algorithm."""
+    bound in C (its generator never ran) and, where the gate binds the
+    claim, not one claim of theirs run in Python.  Returns the compiled
+    leg's spy."""
     legs = {}
     for backend in ("pure", "fast"):
         for counts in seen.values():
@@ -480,14 +481,14 @@ def gated_pair(seen, snapshot):
         assert spy.algo.in_flight_nodes == 0
         legs[backend] = (snap, locks_of(spy.algo))
     assert legs["fast"] == legs["pure"]
-    algo = spy.algo
-    killed = algo._unfused
-    assert algo._fuse and seen["bound"]
+    fusion = spy.result.fusion
+    killed = fusion.victims
+    assert fusion.bound["search"] == len(seen["bound"]) > 0
     assert not seen["bound"] & killed
     assert set(seen["py_search"]) <= killed
-    if algo._search_claim().get("locks") is not None:
+    if "claim" in fusion.bound:
         assert set(seen["py_claims"]) <= killed
-    return algo
+    return spy
 
 
 PARK = WsConfig(chunk_size=2, idle_strategy="park")
@@ -502,11 +503,11 @@ def test_gated_search_matrix(gated, variant, threads):
     on surplus and cut short when it goes; upc-distmem bounces every
     steal attempt, the lock-based variants claim in C.  4096 ranks
     mostly park and never scan."""
-    algo = gated_pair(gated, lambda backend, spy: run_snapshot(
-        variant, SMALL, backend, threads, spy=spy, config=PARK))
+    gate = gated_pair(gated, lambda backend, spy: run_snapshot(
+        variant, SMALL, backend, threads, spy=spy, config=PARK)).algo._gate
     assert len(gated["bound"]) == threads
     if threads > 1:
-        assert algo._gate.parks > 0 and algo._gate.wakes > 0
+        assert gate.parks > 0 and gate.wakes > 0
 
 
 @pytest.mark.parametrize("faults", [None, "storm(kill:3@t=0.05ms..0.2ms)"])
@@ -525,8 +526,9 @@ def test_gated_search_of_the_service_pool(gated, faults):
     plan = faults and parse_fault_spec(faults, seed=7)
 
     def snapshot(backend, spy):
-        r = run_service(service, 16, seed=1, config=PARK, tracer=spy,
-                        fastpath=backend, faults=plan)
+        r = spy.result = run_service(service, 16, seed=1, config=PARK,
+                                     tracer=spy, fastpath=backend,
+                                     faults=plan)
         gate = spy.algo._gate
         return (r.total_nodes, r.engine_events, repr(r.sim_time),
                 r.lost_work, r.admitted, r.completed, r.lost_tasks,
@@ -534,9 +536,10 @@ def test_gated_search_of_the_service_pool(gated, faults):
                 r.fault_counters and vars(r.fault_counters),
                 (gate.parks, gate.wakes, gate.deaths))
 
-    algo = gated_pair(gated, snapshot)
-    assert len(algo._unfused) == (3 if faults else 0)
-    assert sum(st.steals_ok for st in algo.stats) > 0
+    res = gated_pair(gated, snapshot).result
+    assert len(res.fusion.victims) == (3 if faults else 0)
+    assert "claim" in res.fusion.bound
+    assert sum(st.steals_ok for st in res.per_thread) > 0
 
 
 @pytest.mark.parametrize("variant", ["upc-term", "upc-term-rapdif",
@@ -558,12 +561,12 @@ def test_a_kill_plan_fuses_every_rank_it_leaves_alone(gated, variant, idle):
         snap = run_snapshot(variant, SMALL, backend, 8, spy=spy, config=cfg)
         return snap, vars(spy.algo.faults_rt.counters)
 
-    algo = gated_pair(gated, snapshot)
-    counters = vars(algo.faults_rt.counters)
-    assert algo._unfused == {3, 6} and counters["threads_killed"] == 2
+    res = gated_pair(gated, snapshot).result
+    counters = vars(res.fault_counters)
+    assert res.fusion.victims == {3, 6} and counters["threads_killed"] == 2
     assert counters["invariant_checks"] > 0
     assert gated["bound"] == set(range(8)) - {3, 6}  # the slowed rank too
-    assert sum(algo.stats[r].steals_ok for r in gated["bound"]) > 0
+    assert sum(res.per_thread[r].steals_ok for r in gated["bound"]) > 0
 
 
 def test_mpi_ws_under_a_fault_plan_never_binds_the_idle_wait():
@@ -583,10 +586,10 @@ def test_mpi_ws_under_a_fault_plan_never_binds_the_idle_wait():
         legs[backend] = run_snapshot("mpi-ws", tree, backend, 8, spy=spy,
                                      chunk_size=4, faults=plan)
     assert legs["fast"] == legs["pure"]
-    algo = spy.algo
-    assert algo._fuse and algo._unfused == {3, 5}
-    assert {type(ph).__name__ for ph in algo._c_phases.values()} == {
-        "WorkPhase"}
+    fusion = spy.result.fusion
+    assert fusion.victims == {3, 5} and set(fusion.bound) == {"work"}
+    assert fusion.declined == {"idle": "a fault plan (the C wait times no "
+                                       "steal out)"}
 
 
 # -- the streamlined barrier inside SearchPhase --------------------------------
@@ -649,7 +652,7 @@ def barrier_pair(seen, variant, threads, tree=SMALL, **cfg):
     deaths, the fault counters -- and, on the compiled leg, no fused
     rank ever in a generator barrier: the barrier ran inside its
     ``SearchPhase``, handing back only the bounces ``seen`` counts.
-    Returns the compiled leg's algorithm."""
+    Returns the compiled leg's algorithm and the gate's answer."""
     if variant == "upc-sharedmem":
         cfg["termination_policy"] = "streamlined"
     config = WsConfig(**cfg)
@@ -671,10 +674,11 @@ def barrier_pair(seen, variant, threads, tree=SMALL, **cfg):
             locks_of(algo), rt and vars(rt.counters))
     assert legs["fast"] == legs["pure"]
     bounces = seen["bounces"]
-    assert algo._fuse and (bounces["barrier", "declare"]
-                           + bounces["barrier", "recover"]) >= 1
-    assert set(seen["generators"]) <= algo._unfused
-    return algo
+    fusion = spy.result.fusion
+    assert "barrier" in fusion.bound and (bounces["barrier", "declare"]
+                                          + bounces["barrier", "recover"]) >= 1
+    assert set(seen["generators"]) <= fusion.victims
+    return algo, fusion
 
 
 IDLE = ["poll", "park"]
@@ -690,8 +694,8 @@ def test_fused_barrier_matrix(barrier_seen, variant, idle, threads):
     and resume delays, leave-steal-re-enter (claimed in C by the
     lock-based variants, bounced by upc-distmem) -- and exactly one
     declaration a run, the one bounce every fused barrier makes."""
-    algo = barrier_pair(barrier_seen, variant, threads, chunk_size=2,
-                        idle_strategy=idle)
+    algo, _ = barrier_pair(barrier_seen, variant, threads, chunk_size=2,
+                           idle_strategy=idle)
     bounces = barrier_seen["bounces"]
     assert bounces["barrier", "declare"] == 1
     assert sum(st.barrier_entries for st in algo.stats) >= threads
@@ -705,8 +709,8 @@ def test_fused_barrier_matrix(barrier_seen, variant, idle, threads):
 def test_fused_barrier_on_a_4096_thread_park_machine(barrier_seen, variant):
     """Almost every rank of the machine waits parked in the barrier,
     and the announcer's wake-all resumes them all in C."""
-    algo = barrier_pair(barrier_seen, variant, 4096, chunk_size=2,
-                        idle_strategy="park")
+    algo, _ = barrier_pair(barrier_seen, variant, 4096, chunk_size=2,
+                           idle_strategy="park")
     assert barrier_seen["bounces"]["barrier", "declare"] == 1
     assert algo._gate.parks > 4000
 
@@ -726,10 +730,10 @@ def test_fused_barrier_declares_after_a_death(barrier_seen, variant, idle):
     is the only generator one."""
     from repro.faults.plan import parse_fault_spec
 
-    algo = barrier_pair(
+    algo, fusion = barrier_pair(
         barrier_seen, variant, 16, chunk_size=2, idle_strategy=idle,
         faults=parse_fault_spec("kill=3@575us", seed=0))
-    assert algo._unfused == {3}
+    assert fusion.victims == {3}
     assert algo.faults_rt.counters.threads_killed == 1
     recovered = barrier_seen["bounces"]["barrier", "recover"]
     assert recovered == (0 if (variant, idle) in LAST_IN else 1)

@@ -257,14 +257,21 @@ def test_work_phase_refuses_malformed_ledger_tables(monkeypatch, bad, error,
     assert refcounts(objs) == baseline
 
 
-def test_work_phase_refuses_a_lock_that_is_no_fifo_lock(monkeypatch):
-    """The lock's slots are read in place, so only a FifoLock will do."""
+@pytest.mark.parametrize("bad, rule", [
+    ({"fifo": object()}, "fifo must be a FifoLock"),
+    ({"states": ("WORKING",)}, "states must be a pair"),
+])
+def test_work_phase_refuses_a_lock_that_is_no_fifo_lock(monkeypatch, bad,
+                                                        rule):
+    """The lock's slots are read in place, so only a FifoLock will do;
+    nor will ``states`` that are not the pair the phase enters and
+    leaves on the rank's ``timer``."""
     cls, kwargs, _alive = capture(monkeypatch, "upc-sharedmem",
                                   "_build_c_phase", "WorkPhase")
     objs = held(kwargs)
     baseline = refcounts(objs)
-    with pytest.raises(ValueError, match="fifo must be a FifoLock"):
-        cls(**dict(kwargs, fifo=object()))
+    with pytest.raises(ValueError, match=rule):
+        cls(**dict(kwargs, **bad))
     assert refcounts(objs) == baseline
 
 
@@ -301,7 +308,8 @@ def test_a_copy_is_bound_like_its_template(monkeypatch, variant, binder,
     by name, and leaks nothing when it does."""
     cls, kwargs, _alive = capture(monkeypatch, variant, binder, kind)
     template = cls(**kwargs)
-    rank = {k: v for k, v in kwargs.items() if k in ("st_dict", "rank")}
+    rank = {k: v for k, v in kwargs.items()
+            if k in ("st_dict", "timer", "rank")}
     objs = held(kwargs)
     baseline = refcounts(objs)
     twin = template.copy(**rank)

@@ -184,6 +184,7 @@ def test_describe_inventory_keys(clean_env):
 
 from repro.check import check_run, check_service_run  # noqa: E402
 from repro.check.invariants import InvariantMonitor  # noqa: E402
+from repro.metrics.report import Fusion  # noqa: E402
 from repro.obs import TraceSink  # noqa: E402
 from repro.ws.policies import ProbeScan  # noqa: E402
 
@@ -198,13 +199,13 @@ class AlgoSpy(TraceSink):
 @pytest.fixture
 def backend_spy(monkeypatch):
     """Record, for every checked run: the resolved backend, whether the
-    C loop ran, whether a phase fused, whether the scan kernel is C."""
+    C loop ran, whether the scan kernel is C."""
     seen = []
     orig = InvariantMonitor.final_check
 
     def spy(self):
         sim, algo = self.machine.sim, self.algo
-        seen.append((sim.fastpath, sim.fastpath_active, bool(algo._fuse),
+        seen.append((sim.fastpath, sim.fastpath_active,
                      algo._scan_probe is not ProbeScan.probe))
         return orig(self)
 
@@ -213,6 +214,8 @@ def backend_spy(monkeypatch):
 
 
 CHECK_CELL = dict(threads=4, chunk_size=2, b0=24, q=0.4)
+#: The gate's reason wherever the run loop is Python.
+PYTHON_LOOP = "a Python run loop (pure backend, tie-break or bucket queue)"
 CHECK_EXTRAS = [
     {},                                                  # canonical
     {"schedule_seed": 5},                                # tie-break
@@ -235,7 +238,8 @@ def test_checked_cells_run_compiled_unless_tie_broken(clean_env, backend_spy,
         pytest.skip("extension not built on this host")
     out = check_run(variant, **CHECK_CELL, **extra)
     assert out.ok, f"{out.error_type}: {out.error}"
-    assert backend_spy == [("fast", not _tie_broken(extra), False, True)]
+    assert backend_spy == [("fast", not _tie_broken(extra), True)]
+    assert not out.result.fusion.bound  # the monitor is a tracer
 
 
 @pytest.mark.parametrize("extra", [{}, {"schedule_seed": 2}])
@@ -245,7 +249,8 @@ def test_service_cells_run_compiled_unless_tie_broken(clean_env, backend_spy,
         pytest.skip("extension not built on this host")
     out = check_service_run(threads=4, n_tasks=20, **extra)
     assert out.ok, f"{out.error_type}: {out.error}"
-    assert backend_spy == [("fast", not _tie_broken(extra), False, True)]
+    assert backend_spy == [("fast", not _tie_broken(extra), True)]
+    assert not out.result.fusion.bound
 
 
 @pytest.mark.parametrize("extra", CHECK_EXTRAS)
@@ -258,7 +263,8 @@ def test_checked_cells_obey_the_forced_pure_env(monkeypatch, backend_spy,
     monkeypatch.setenv("REPRO_FASTPATH", "0")
     out = check_run(variant, **CHECK_CELL, **extra)
     assert out.ok, f"{out.error_type}: {out.error}"
-    assert backend_spy == [("pure", False, False, False)]
+    assert backend_spy == [("pure", False, False)]
+    assert set(out.result.fusion.declined.values()) == {PYTHON_LOOP}
 
 
 def test_plain_run_on_same_host_selects_compiled(clean_env):
@@ -293,7 +299,8 @@ def test_plain_run_on_tree_params_fuses(clean_env):
                          tree=TreeParams.binomial(b0=24, q=0.4, seed=1),
                          threads=4, chunk_size=2, tracer=spy)
     assert spy.algo.machine.sim.fastpath_active
-    assert spy.algo._fuse is True
+    assert res.fusion == Fusion(4, dict(work=4, search=4, barrier=4),
+                                {"claim": NO_CLAIM})
     assert spy.algo._scan_probe is fp.load_core().scan_probe
     assert (res.engine_events, res.sim_time) == (158, 6.319245188284519e-05)
 
@@ -311,24 +318,24 @@ def test_plain_service_run_fuses(clean_env):
         spy = AlgoSpy(enabled=traced)
         res = run_service(ServiceConfig(n_tasks=40), threads=4, tracer=spy)
         assert spy.algo.machine.sim.fastpath_active
-        fused[traced] = (spy.algo._fuse, res.engine_events, res.sim_time)
-    assert fused[False] == (True,) + fused[True][1:]
-    assert fused[True][0] is False
+        fused[traced] = (set(res.fusion.bound), res.engine_events,
+                         res.sim_time)
+    assert fused[False] == ({"work", "search", "claim"},) + fused[True][1:]
+    assert fused[True][0] == set()
 
 
 # -- which protocols fuse ----------------------------------------------
 #
-# With one ``working_phase`` and one compiled ``WorkPhase`` for every
-# protocol, the gate is stated from the loop's switches -- no
-# after-move hook, the loop not replaced, at most the stock
-# after-release -- and this matrix pins it.  The fence-free row is the
-# one a naive merge gets wrong: it has the same (inherited) loop and
-# binder as everyone else, and the C WorkPhase knows nothing of its era
-# log.
+# The fusion gate's answer, read off the run's result: the members each
+# variant binds, and why it declines the rest -- one row per decline
+# reason.  The fence-free row is the one a naive merge gets wrong: it
+# has the same (inherited) loop and binder as everyone else, and the C
+# WorkPhase knows nothing of its era log.
 
+from repro.faults.plan import parse_fault_spec  # noqa: E402
 from repro.ws.algorithms import ALGORITHMS  # noqa: E402
 from repro.ws.algorithms.distmem import UpcDistMem  # noqa: E402
-from repro.ws.algorithms.lock_based import UpcTerm  # noqa: E402
+from repro.ws.algorithms.lock_based import UpcTerm, UpcTermRapdif  # noqa: E402
 
 
 class _OwnLoop(UpcDistMem):
@@ -352,18 +359,58 @@ class _OwnAfterRelease(UpcTerm):
         return (yield from super().after_release(ctx))
 
 
+class _OwnClaim(UpcTermRapdif):
+    name = "own-claim"
+
+    def _claim(self, ctx, victim):
+        return (yield from super()._claim(ctx, victim))
+
+
+SEARCHING_MEMBERS = ("work", "search", "claim", "barrier")
+NO_CLAIM = "its claim is Python: each attempt bounces to try_steal"
+
+
+def _all(why):
+    return dict.fromkeys(SEARCHING_MEMBERS, why)
+
+
+#: (row id, variant, run keywords, the gate's declines); every other
+#: member of the variant binds.
 FUSION_MATRIX = [
-    ("upc-sharedmem", True), ("upc-term", True), ("upc-term-rapdif", True),
-    ("upc-distmem", True), ("mpi-ws", True), ("upc-distmem-hier", True),
-    ("ws-fencefree", False), ("tree-split", False),
-    (_OwnLoop, False), (_Hooked, False), (_OwnAfterRelease, False),
+    ("upc-sharedmem", "upc-sharedmem", {},
+     {"barrier": "CancelableBarrierTermination has no compiled barrier"}),
+    ("upc-term", "upc-term", {}, {}),
+    ("upc-term-rapdif", "upc-term-rapdif", {}, {}),
+    ("upc-distmem", "upc-distmem", {}, {"claim": NO_CLAIM}),
+    ("mpi-ws", "mpi-ws", {}, {}),
+    ("upc-distmem-hier", "upc-distmem-hier", {}, {
+        "claim": NO_CLAIM,
+        "barrier": "HierarchicalProbeOrder overrides ProbeOrder.one"}),
+    ("ws-fencefree", "ws-fencefree", {}, _all("an after-move hook")),
+    ("tree-split", "tree-split", {},
+     {"work": "rounds call explore_batch: no Working state"}),
+    ("own-loop", _OwnLoop, {},
+     _all("_OwnLoop overrides AlgorithmBase.working_phase")),
+    ("hooked", _Hooked, {}, _all("an after-move hook")),
+    ("own-after-release", _OwnAfterRelease, {},
+     _all("_OwnAfterRelease overrides LockBasedAlgorithm.after_release")),
+    ("own-claim", _OwnClaim, {},
+     {"claim": "_OwnClaim overrides LockBasedAlgorithm._claim"}),
+    ("traced", "upc-term", {"traced": True},
+     _all("traced (a trace sink or the invariant monitor)")),
+    ("stall-plan", "upc-term", {"faults": "stall=0.05"},
+     _all("fault classes beyond fail-stop and slowdown: stall")),
+    ("tie-break", "upc-term", {"tie_break": lambda seq: seq},
+     _all(PYTHON_LOOP)),
+    ("mpi-ws-park", "mpi-ws", {"idle_strategy": "park"},
+     {"idle": "park (the wait is a blocking recv)"}),
 ]
 
 
-@pytest.mark.parametrize(
-    "variant, fuses", FUSION_MATRIX,
-    ids=[getattr(v, "name", v) for v, _ in FUSION_MATRIX])
-def test_fusion_matrix(clean_env, monkeypatch, variant, fuses):
+@pytest.mark.parametrize("variant, kw, declined",
+                         [row[1:] for row in FUSION_MATRIX],
+                         ids=[row[0] for row in FUSION_MATRIX])
+def test_fusion_matrix(clean_env, monkeypatch, variant, kw, declined):
     if not fp.available():
         pytest.skip("extension not built on this host")
     from repro import TreeParams, run_experiment
@@ -371,15 +418,23 @@ def test_fusion_matrix(clean_env, monkeypatch, variant, fuses):
     if not isinstance(variant, str):
         monkeypatch.setitem(ALGORITHMS, variant.name, variant)
         variant = variant.name
-    spy = AlgoSpy(enabled=False)
+    kw = dict(kw)
+    spy = AlgoSpy(enabled=kw.pop("traced", False))
+    faults = kw.pop("faults", None)
     res = run_experiment(variant,
                          tree=TreeParams.binomial(b0=24, q=0.4, seed=1),
-                         threads=4, chunk_size=2, tracer=spy, verify=True)
-    assert spy.algo.machine.sim.fastpath_active
-    assert spy.algo._fusion_enabled() is fuses
-    # tree-split's own thread_main never asks, so ``_fuse`` stays None.
-    assert bool(spy.algo._fuse) is fuses
+                         threads=4, tracer=spy, verify=True,
+                         config=WsConfig(chunk_size=2,
+                                         idle_strategy=kw.pop("idle_strategy",
+                                                              "poll")),
+                         faults=faults and parse_fault_spec(faults, seed=0),
+                         **kw)
     assert res.total_nodes > 0
+    assert res.fusion.declined == declined
+    members = ({"work", "idle"} if variant == "mpi-ws" else {"work"}
+               if variant == "tree-split" else set(SEARCHING_MEMBERS))
+    assert set(res.fusion.bound) == members - set(declined)
+    assert all(res.fusion.bound.values())  # each ran compiled somewhere
 
 
 # -- where the Stealing state runs ---------------------------------------
@@ -391,7 +446,6 @@ def test_fusion_matrix(clean_env, monkeypatch, variant, fuses):
 # each attempt runs, counted by the ``search_bounces`` fixture.
 
 from repro.harness.config import T1_QUICK  # noqa: E402
-from repro.ws.algorithms.lock_based import UpcTermRapdif  # noqa: E402
 
 
 def fig4_cell(variant, chunk_size=2, threads=16, **kw):
@@ -400,7 +454,7 @@ def fig4_cell(variant, chunk_size=2, threads=16, **kw):
     spy = AlgoSpy(enabled=False)
     res = run_experiment(variant, tree=T1_QUICK, threads=threads,
                          chunk_size=chunk_size, tracer=spy, **kw)
-    assert spy.algo._fuse is True
+    assert res.fusion.bound["search"] == threads
     return res, spy.algo
 
 
@@ -414,13 +468,6 @@ def test_lock_based_claims_run_compiled(clean_env, search_bounces, variant):
     res, _ = fig4_cell(variant)
     assert search_bounces == []
     assert sum(st.steals_ok for st in res.per_thread) > 100
-
-
-class _OwnClaim(UpcTermRapdif):
-    name = "own-claim"
-
-    def _claim(self, ctx, victim):
-        return (yield from super()._claim(ctx, victim))
 
 
 class _OwnLanding(UpcTermRapdif):

@@ -573,9 +573,10 @@ def _service(kw):
 
 
 def observe(cell: Cell, fastpath: str = "pure", traced: bool = False):
-    """Run ``cell`` and return ``(entry, algorithm)``: the entry is what
-    ``schedules.json`` holds for it (without the record fields when
-    ``traced`` is False)."""
+    """Run ``cell`` and return ``(entry, algorithm, result)``: the entry
+    is what ``schedules.json`` holds for it (without the record fields
+    when ``traced`` is False); the result is None for a checked run that
+    raised."""
     if cell.api.startswith("check"):
         return _observe_checked(cell, fastpath)
     kw = {**(RUN_DEFAULTS if cell.api == "run_experiment"
@@ -614,7 +615,7 @@ def observe(cell: Cell, fastpath: str = "pure", traced: bool = False):
             # hash equal however their objects were built
             sha1=hashlib.sha1(marshal.dumps(list(map(tuple, records)),
                                             2)).hexdigest())
-    return entry, algo
+    return entry, algo, result
 
 
 def _observe_checked(cell: Cell, fastpath: str):
@@ -650,4 +651,4 @@ def _observe_checked(cell: Cell, fastpath: str):
         entry["verdict"] = dict(type=out.error_type, message=out.error,
                                 emit=mon._emits,
                                 tampered_at=getattr(mon, "tampered_at", None))
-    return entry, algo
+    return entry, algo, out.result

@@ -63,16 +63,17 @@ def test_cell_executes_its_pinned_schedule(cell, backend, traced,
     if backend == "fast":
         # a forced REPRO_FASTPATH=0 would make this leg pure too
         monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-    entry, algo = observe(cell, backend, traced)
+    entry, algo, result = observe(cell, backend, traced)
     want = {k: v for k, v in CORPUS[cell.name].items()
             if traced or k != "records"}
     assert entry == want
+    fusion = result and result.fusion
     if backend == "fast" and cell.api.startswith("check"):
         # the monitor is a tracer, so no phase fuses; the compiled loop
         # runs wherever no tie-break reorders the schedule
         tie_broken = "schedule_seed" in cell.kwargs or "defer" in cell.kwargs
         assert algo.machine.sim.fastpath_active is not tie_broken
-        assert not algo._fuse
+        assert fusion is None or not fusion.bound
     elif backend == "fast":
         # not pure against pure: the compiled loop ran, and where the
         # protocol fuses every rank that worked and that the plan does
@@ -81,16 +82,16 @@ def test_cell_executes_its_pinned_schedule(cell, backend, traced,
         rt = algo.faults_rt
         fused = (not traced and not (rt and rt.plan.non_failstop_classes)
                  and cell.kwargs.get("variant", "service-ws") in FUSABLE)
-        assert bool(algo._fuse) == fused
+        assert ("work" in fusion.bound) == fused
         if fused:
             killed = {rank for rank, _ in rt.kill_schedule} if rt else set()
-            assert algo._unfused == killed
-            bound = {rank for (_, rank) in algo._c_phases}
             worked = {st.rank for st in algo.stats if st.nodes_visited}
-            assert bound and not bound & killed
-            assert worked - killed <= {
-                rank for (_, rank), phase in algo._c_phases.items()
-                if type(phase).__name__ == "WorkPhase"}
+            assert fusion.victims == killed
+            assert fusion.bound["work"] == len(worked - killed)
+            if "search" in fusion.bound:  # bound at every spared start
+                assert fusion.bound["search"] == fusion.threads - len(killed)
+        else:
+            assert not fusion.bound
 
 
 # -- what the cells cross --------------------------------------------------------

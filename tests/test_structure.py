@@ -28,8 +28,13 @@ the next re-anchor finding it:
   machinery (and with it the lock-based fusion gate).
 * The compiled side has one Working state too: ``_core.c`` expands
   three phase types, one ``_build_c_phase`` binds ``WorkPhase`` for
-  every protocol, and under ``ws/`` only the modules that own a binder
-  reach for the compiled core.
+  every protocol, and under ``ws/`` only ``algorithms/base.py`` (whose
+  ``AlgorithmBase.__init__`` resolves ``_core`` for every binder)
+  reaches for the compiled core.
+* One fusion gate: no "is this method still stock" identity test
+  against ``AlgorithmBase``, ``LockBasedAlgorithm`` or ``ProbeOrder``
+  is left; the ``_COMPILED`` tables name the methods and one helper
+  (``overridden``) compares them.
 * Large machines run compiled: nothing under ``src/`` picks an event
   queue by thread count any more (``queue="auto"`` is the heap, which
   the compiled loop drives), and the idle gate is no fusion gate.
@@ -206,7 +211,7 @@ def test_only_the_binders_load_the_compiled_core():
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name) and node.func.id == "load_core"
     })
-    assert found == ["algorithms/base.py", "algorithms/mpi_ws.py"]
+    assert found == ["algorithms/base.py"]
 
 
 def test_no_thread_count_knee_picks_the_event_queue():
@@ -217,13 +222,47 @@ def test_no_thread_count_knee_picks_the_event_queue():
 
 
 def test_the_idle_gate_is_not_a_fusion_gate():
+    """The gate's first block -- up to the ``return`` that declines
+    every member at once -- never reads the idle gate."""
     base = ast.parse((SRC / "ws" / "algorithms" / "base.py").read_text())
     [fn] = [node for node in ast.walk(base)
             if isinstance(node, ast.FunctionDef)
-            and node.name == "_fusion_enabled"]
-    body = fn.body[1:]  # past the docstring, which explains why not
+            and node.name == "_fusion_gate"]
+    body = fn.body[1:]  # past the docstring
+    [cut] = [i for i, stmt in enumerate(body)
+             if isinstance(stmt, ast.If)
+             and isinstance(stmt.body[0], ast.Return)]
+    assert cut > 0
     assert not any(isinstance(n, ast.Attribute) and n.attr == "_gate"
-                   for stmt in body for n in ast.walk(stmt))
+                   for stmt in body[:cut + 1] for n in ast.walk(stmt))
+
+
+#: The classes whose methods the compiled phases transliterate.
+_STOCK_OWNERS = {"AlgorithmBase", "LockBasedAlgorithm", "ProbeOrder"}
+
+
+def test_one_helper_asks_whether_a_method_is_stock():
+    """No ``x is (not) Owner.method`` test against a class whose methods
+    the C phases stand in for is left under ``src/``: the ``_COMPILED``
+    tables name the methods, and the fusion gate's helper
+    (``overridden``) compares them by ``getattr``."""
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path, tree in _modules() for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(isinstance(side, ast.Attribute)
+                and isinstance(side.value, ast.Name)
+                and side.value.id in _STOCK_OWNERS
+                for side in (node.left, *node.comparators))]
+    assert found == []
+    text = "\n".join(p.read_text() for p in sorted(SRC.rglob("*.py")))
+    for owner in _STOCK_OWNERS:
+        assert f"is not {owner}." not in text and f"is {owner}." not in text
+    assert _definitions("_fusable") == []
+    assert _definitions("_fusion_enabled") == []
+    assert [site.split(":")[0] for site in _definitions("_fusion_gate")] \
+        == ["ws/algorithms/base.py"]
 
 
 def test_service_streams_have_one_expansion_path():

@@ -190,3 +190,71 @@ def test_the_docs_acceptance_table_is_the_gates():
             set(table) - set(getattr(cls, f"{axis}_policies"))
             - {"token", "none"} for axis, table in AXES.items())
         assert bool(cells[4]) == narrowed, name
+
+
+# -- what each variant fuses ---------------------------------------------
+
+MEMBERS = ("work", "search", "claim", "barrier", "idle")
+
+
+def _gate(name, idle="poll"):
+    """The fusion gate's answer for ``name`` natively configured, on a
+    machine whose run loop counts as compiled (a stand-in for
+    ``_core.run``, so the table is checked on every host)."""
+    from repro.harness.runner import tree_for
+    from repro.net.presets import KITTYHAWK
+    from repro.pgas.machine import Machine
+    from repro.service import ServiceConfig, ServiceRuntime
+    from repro.service.algorithm import ServiceAlgorithm
+    from repro.service.tasks import ServiceWorkload
+
+    machine = Machine(threads=4, net=KITTYHAWK)
+    machine.sim._crun = machine.sim._crun or (lambda sim, until: None)
+    cfg = WsConfig(chunk_size=2, idle_strategy=idle)
+    if name == "service-ws":
+        service = ServiceConfig(n_tasks=20)
+        workload = ServiceWorkload(service.inner_params(), seed=service.seed)
+        algo = ServiceAlgorithm(machine, workload, cfg)
+        ServiceRuntime(service, machine, algo, workload)
+    else:
+        algo = get_algorithm(name)(machine, tree_for(TREE), cfg)
+    return algo._fusion_gate()
+
+
+def _fusion_doc_table():
+    from pathlib import Path
+
+    doc = (Path(__file__).resolve().parents[2] / "docs"
+           / "performance.md").read_text()
+    section = doc.split("## What each variant fuses")[1].split("\n#")[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            name, *cells = (c.strip() for c in line.strip("|").split("|"))
+            rows[name.strip("`")] = dict(zip(MEMBERS, cells))
+    return rows
+
+
+def test_the_docs_fusion_table_is_the_gate():
+    """One row per variant and ``service-ws``: a member is ✓ where the
+    gate binds it, its decline reason word for word where it does not,
+    and — where the variant has no such member."""
+    rows = _fusion_doc_table()
+    assert list(rows) == [*NATIVE, "service-ws"]
+    for name, cells in rows.items():
+        answer = _gate(name)
+        assert cells == {m: "—" if m not in answer
+                         else "✓" if answer[m] is None else answer[m]
+                         for m in MEMBERS}, name
+
+
+@pytest.mark.parametrize("name", [*NATIVE, "service-ws"])
+def test_the_idle_gate_declines_only_the_idle_wait(name):
+    """Under park the compiled phases take the idle gate as a switch:
+    the answer is the polling one, but for mpi-ws's idle wait, which
+    parks in a blocking ``recv`` instead."""
+    poll, park = _gate(name), _gate(name, "park")
+    if name == "mpi-ws":
+        assert poll["idle"] is None and park.pop("idle") is not None
+        poll.pop("idle")
+    assert park == poll
